@@ -147,7 +147,16 @@ def test_serving_tiers_and_chaos_availability(
                     "us_per_decide": table_us,
                     "speedup_vs_planner": speedup,
                 },
-                {"path": "DecisionService tier 1: registry table lookup"},
+                {
+                    "path": "DecisionService tier 1: registry table lookup",
+                    "note": (
+                        "speedup_vs_planner divides by the planner tier, "
+                        "which PR 12 made cheaper per request (parked worker "
+                        "threads, no config re-fingerprinting); a lower ratio "
+                        "than an older record is that, not a slower table "
+                        "tier, which lost a CURRENT read.  The gate stays >= 5"
+                    ),
+                },
             ),
             "serving_planner": (
                 {

@@ -24,6 +24,7 @@ fingerprint on any machine or Python version.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, fields as dataclass_fields, replace
@@ -243,5 +244,18 @@ class SenderConfig:
         fingerprint refuses to load against a different config, and a
         cached grid point is replayed only for the exact configuration
         that produced it.
+
+        The digest is computed once per instance, on the first call, and
+        the stored string returned afterwards: describing a prior sorts its
+        whole support, milliseconds that used to be paid per served request.
+        ``replace`` / :meth:`with_prior` build new instances, hence new
+        digests, so the memo only goes stale if the
+        :class:`~repro.inference.prior.Prior` (or its ``fixed`` mapping) is
+        mutated after the config is built — it must not be.  The memo is no
+        field: ``==``, ``hash``, ``repr`` and :meth:`describe` never see it.
         """
+        return self._fingerprint
+
+    @functools.cached_property
+    def _fingerprint(self) -> str:
         return canonical_digest(self.describe())

@@ -127,6 +127,11 @@ class PolicyTable(PolicyCache):
     #: :func:`load_or_precompute_policy_table` sets it on cache hits.
     loaded_from_cache = False
 
+    #: Content address of the registry version file this instance was
+    #: validated against; set only by
+    #: :class:`~repro.serving.registry.PolicyTableRegistry` on load.
+    version_digest: Optional[str] = None
+
     def __init__(
         self,
         planner: Optional[ExpectedUtilityPlanner] = None,

@@ -60,7 +60,8 @@ class PolicyTableRegistry:
         artifacts that failed validation.
 
     Thread-safe: lookups and publishes may race freely; the in-memory
-    cache holds immutable ``(digest, table)`` pairs swapped under a lock.
+    cache holds immutable tables, each stamped with the digest it was
+    validated against (``version_digest``), swapped under a lock.
     Counters (``loads``, ``corrupt``) accumulate on the instance and feed
     the serving layer's ``table_corrupt`` counter and readiness probe.
     """
@@ -68,8 +69,8 @@ class PolicyTableRegistry:
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
         self._lock = threading.Lock()
-        #: fingerprint -> (digest, PolicyTable) for the served version.
-        self._loaded: dict[str, tuple[str, PolicyTable]] = {}
+        #: fingerprint -> the served version (its ``version_digest`` set).
+        self._loaded: dict[str, PolicyTable] = {}
         #: Artifacts read from disk (cold loads and hot reloads).
         self.loads = 0
         #: Artifacts that failed validation and were quarantined.
@@ -138,20 +139,23 @@ class PolicyTableRegistry:
         automatic), loads and integrity-checks the version file when the
         pointer moved, and returns the cached immutable table otherwise.
         A file that fails validation is quarantined and the lookup misses —
-        the caller falls through to the live-planner tier.
+        the caller falls through to the live-planner tier.  The returned
+        table's ``version_digest`` is the digest it was validated against:
+        name the version from it, not from a second ``CURRENT`` read that
+        a concurrent publish may already have moved.
         """
         digest = self.current_digest(fingerprint)
         if digest is None:
             return None
         with self._lock:
             cached = self._loaded.get(fingerprint)
-            if cached is not None and cached[0] == digest:
-                return cached[1]
+            if cached is not None and cached.version_digest == digest:
+                return cached
         table = self._load_version(fingerprint, digest)
         if table is None:
             return None
         with self._lock:
-            self._loaded[fingerprint] = (digest, table)
+            self._loaded[fingerprint] = table
         return table
 
     def reload(self) -> int:
@@ -181,6 +185,7 @@ class PolicyTableRegistry:
             quarantine_file(self.root, path)
             return None
         self.loads += 1
+        table.version_digest = digest
         return table
 
     def _validate(self, path: Path, fingerprint: str, digest: str) -> PolicyTable:

@@ -8,6 +8,9 @@ including the bit-identical-sender equivalence the shims promise.
 
 from __future__ import annotations
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.api import (
@@ -18,6 +21,7 @@ from repro.api import (
     UnknownBackendError,
     build_sender,
 )
+from repro.api.config import canonical_digest
 from repro.core.policy import PolicyCache
 from repro.errors import ConfigurationError, InferenceError
 from repro.inference import single_link_prior
@@ -140,6 +144,69 @@ class TestFingerprint:
         fingerprint = SenderConfig().fingerprint()
         assert len(fingerprint) == 16
         int(fingerprint, 16)
+
+    def test_pinned_values_are_unchanged_by_the_memo(self):
+        # Computed before the digest was stored on the instance: persisted
+        # cache keys, table filenames and registry addresses embed these.
+        assert SenderConfig().fingerprint() == "49962ce504275d04"
+        assert (
+            SenderConfig(prior=single_link_prior(), alpha=2.0).fingerprint()
+            == "f4c99e512bc2e0a6"
+        )
+
+    def test_computed_once_and_equal_to_the_describe_digest(self, monkeypatch):
+        config = SenderConfig(prior=single_link_prior(), alpha=2.0)
+        calls = []
+        original = SenderConfig.describe
+        monkeypatch.setattr(
+            SenderConfig,
+            "describe",
+            lambda self: calls.append(1) or original(self),
+        )
+        first = config.fingerprint()
+        assert [config.fingerprint() for _ in range(5)] == [first] * 5
+        assert len(calls) == 1
+        assert first == canonical_digest(config.describe())
+
+    def test_derived_configs_get_their_own_digest(self):
+        config = SenderConfig(prior=single_link_prior(), alpha=2.0)
+        fingerprint = config.fingerprint()  # memo set before deriving
+        changed = dataclasses.replace(config, alpha=3.0)
+        assert changed.fingerprint() == SenderConfig(
+            prior=single_link_prior(), alpha=3.0
+        ).fingerprint()
+        assert changed.fingerprint() != fingerprint
+        other = config.with_prior(single_link_prior(link_rate_points=3))
+        assert other.fingerprint() != fingerprint
+        assert other.fingerprint() == canonical_digest(other.describe())
+        assert config.with_prior(config.prior) is config
+        assert config.with_prior(None) is config
+        assert config.fingerprint() == fingerprint
+
+    def test_pickle_round_trip_preserves_the_digest(self):
+        # The process-pool runners ship configs to workers.
+        for fingerprinted_first in (False, True):
+            config = SenderConfig(prior=single_link_prior(), alpha=2.0)
+            if fingerprinted_first:
+                config.fingerprint()
+            clone = pickle.loads(pickle.dumps(config))
+            assert clone == config
+            assert clone.fingerprint() == config.fingerprint() == "f4c99e512bc2e0a6"
+
+    def test_equality_hash_and_description_ignore_the_stored_digest(self):
+        prior = single_link_prior()
+        fresh = SenderConfig(prior=prior, alpha=2.0)
+        used = SenderConfig(prior=prior, alpha=2.0)
+        description, text = used.describe(), repr(used)
+        used.fingerprint()
+        assert used == fresh
+        # (A config holding a prior is unhashable: ``Prior.fixed`` is a dict.)
+        bare = SenderConfig(alpha=2.0)
+        bare.fingerprint()
+        assert hash(bare) == hash(SenderConfig(alpha=2.0))
+        assert used.describe() == description == fresh.describe()
+        assert repr(used) == text
+        assert "_fingerprint" not in {f.name for f in dataclasses.fields(used)}
 
 
 class TestBuildSender:

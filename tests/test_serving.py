@@ -32,7 +32,7 @@ from repro.errors import (
     TableIntegrityError,
 )
 from repro.inference import single_link_prior
-from repro.runner.faults import FaultPlan
+from repro.runner.faults import FaultPlan, PointFault
 from repro.runner.supervise import Supervision
 from repro.serving import (
     CircuitBreaker,
@@ -45,6 +45,7 @@ from repro.serving import (
     content_digest,
     safe_default_decision,
 )
+from repro.serving import fallback
 from repro.serving.fallback import DEFAULT_SAFE_DELAY
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -448,6 +449,144 @@ class TestDecisionServiceTiers:
         assert service.counters_snapshot()["planner_failures"] == 1
 
 
+# ------------------------------------------ the planner tier's request path
+
+
+def planner_threads() -> list[threading.Thread]:
+    return [
+        thread
+        for thread in threading.enumerate()
+        if thread.name == "repro-serving-planner"
+    ]
+
+
+class TestPlannerTierHotPath:
+    def test_decide_recomputes_no_config_identity(self, published, tmp_path, monkeypatch):
+        config, table, _ = published
+        service = DecisionService(
+            PolicyTableRegistry(tmp_path), [config], planner_timeout=30.0
+        )
+        describes = []
+        original = SenderConfig.describe
+        monkeypatch.setattr(
+            SenderConfig,
+            "describe",
+            lambda self: describes.append(1) or original(self),
+        )
+        fingerprint = config.fingerprint()
+        for i in range(50):
+            served = service.decide(fingerprint, off_table_signature(table, 1 + i % 3))
+            assert served.tier == "planner"
+        assert describes == []
+
+    def test_sequential_decides_do_not_accumulate_threads(self, published, tmp_path):
+        config, table, _ = published
+        service = DecisionService(
+            PolicyTableRegistry(tmp_path), [config], planner_timeout=30.0
+        )
+        fingerprint = config.fingerprint()
+        signature = table.signatures()[0]
+        for _ in range(5):
+            assert service.decide(fingerprint, signature).tier == "planner"
+        after_five = threading.active_count()
+        for _ in range(495):
+            assert service.decide(fingerprint, signature).tier == "planner"
+        assert threading.active_count() <= after_five
+        assert service.counters_snapshot()["planner_fallbacks"] == 500
+
+
+class TestDaemonThreadExecutor:
+    def test_abandoned_hang_is_bypassed_and_never_reused(
+        self, published, tmp_path, monkeypatch
+    ):
+        config, table, _ = published
+        plan = FaultPlan(
+            targets=(PointFault("hang", index=0),), hang_seconds=1.5
+        )
+        service = DecisionService(
+            PolicyTableRegistry(tmp_path),
+            [config],
+            planner_timeout=0.1,
+            injector=ServingFaultInjector(plan, 1),
+        )
+        fingerprint = config.fingerprint()
+        signature = table.signatures()[0]
+        before = set(planner_threads())
+        assert service.decide(fingerprint, signature).tier == "default"
+        (hung,) = set(planner_threads()) - before
+        assert hung.daemon
+
+        # Record which thread rebuilds the belief, i.e. runs each live plan.
+        workers = []
+        real_rebuild = fallback.belief_from_signature
+
+        def rebuild(*args, **kwargs):
+            workers.append(threading.current_thread())
+            return real_rebuild(*args, **kwargs)
+
+        monkeypatch.setattr(fallback, "belief_from_signature", rebuild)
+        service.planner_timeout = 30.0
+        started = time.monotonic()
+        for _ in range(20):
+            assert service.decide(fingerprint, signature).tier == "planner"
+        assert time.monotonic() - started < 1.0  # nobody waited for the hang
+        assert hung.is_alive()  # ... which is still stalled off to the side
+        assert len(workers) == 20 and hung not in workers
+        assert all(worker.daemon for worker in workers)
+        assert len(set(workers)) == 1  # one parked worker served them all
+
+        # Once the stall ends the abandoned worker exits instead of parking.
+        hung.join(timeout=10.0)
+        assert not hung.is_alive()
+        assert service.decide(fingerprint, signature).tier == "planner"
+        assert workers[-1] is workers[0]
+        assert service.counters_snapshot()["planner_failures"] == 1
+
+    def test_exception_is_relayed_and_the_worker_serves_the_next_call(self):
+        pool = fallback._DaemonThreadExecutor()
+
+        def boom():
+            raise ValueError("planner bug")
+
+        first = pool.submit(threading.current_thread)
+        worker = first.result(timeout=10.0)
+        assert worker.daemon and worker is not threading.current_thread()
+        failed = pool.submit(boom)
+        with pytest.raises(ValueError, match="planner bug"):
+            failed.result(timeout=10.0)
+        assert not failed.cancel()  # already settled: nothing to abandon
+        assert pool.submit(threading.current_thread).result(timeout=10.0) is worker
+        # close() releases the parked worker; the pool stays usable after it.
+        pool.close()
+        worker.join(timeout=10.0)
+        assert not worker.is_alive()
+        fresh = pool.submit(threading.current_thread).result(timeout=10.0)
+        assert fresh is not worker and fresh.daemon
+
+    def test_concurrent_calls_each_get_a_worker_and_idle_ones_are_capped(self):
+        pool = fallback._DaemonThreadExecutor()
+        width = pool.MAX_IDLE + 4
+        release = threading.Event()
+        entered = threading.Semaphore(0)
+
+        def block():
+            entered.release()
+            assert release.wait(timeout=10.0)
+            return threading.current_thread()
+
+        futures = [pool.submit(block) for _ in range(width)]
+        for _ in range(width):  # all run at once: none queued behind another
+            assert entered.acquire(timeout=10.0)
+        release.set()
+        workers = {future.result(timeout=10.0) for future in futures}
+        assert len(workers) == width
+        deadline = time.monotonic() + 10.0
+        while sum(w.is_alive() for w in workers) > pool.MAX_IDLE:
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        assert sum(w.is_alive() for w in workers) == pool.MAX_IDLE
+
+
 # ------------------------------------------------- reload & shared registry
 
 
@@ -518,6 +657,45 @@ class TestConcurrentServing:
             fingerprint
         )
         assert registry_b.lookup(fingerprint).size == second.size
+
+    def test_reply_names_the_version_that_decided_despite_a_racing_publish(
+        self, tmp_path
+    ):
+        """A publish landing between lookup and reply must not relabel it."""
+        config = fast_config()
+        first, second = (
+            precompute_policy_table(
+                config, pilot_duration=5.0, burst_levels=levels, seed=seed
+            )
+            for levels, seed in (((0, 2), 2), ((0, 1, 2), 3))
+        )
+        registry = PolicyTableRegistry(tmp_path)
+        first_digest = registry.publish(first).stem
+        fingerprint = config.fingerprint()
+        signature = first.signatures()[0]
+        service = DecisionService(registry, [config])
+
+        real_lookup = registry.lookup
+        second_digests = []
+
+        def lookup_then_republish(requested):
+            table = real_lookup(requested)
+            if not second_digests:  # CURRENT moves before the reply is built
+                second_digests.append(registry.publish(second).stem)
+            return table
+
+        registry.lookup = lookup_then_republish
+        served = service.decide(fingerprint, signature)
+        assert second_digests and second_digests[0] != first_digest
+        assert registry.current_digest(fingerprint) == second_digests[0]
+        assert served.tier == "table"
+        assert served.decision == first.decision_for(signature)
+        assert served.table_digest == first_digest
+        # The next request is answered by, and names, the new version.
+        later = service.decide(fingerprint, second.signatures()[0])
+        assert later.tier == "table"
+        assert later.table_digest == second_digests[0]
+        assert later.decision == second.decision_for(second.signatures()[0])
 
 
 # ------------------------------------------------------------ HTTP surface
