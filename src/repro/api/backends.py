@@ -12,9 +12,16 @@ constructor happened to hit it first.  This module centralizes the mapping:
   ``engine(planner, belief, now) -> Decision`` implementing the (action ×
   hypothesis) fan-out.
 
+There are two engines per registry: ``"scalar"``, the per-object reference
+oracle, and one NumPy array engine that answers to two accepted spellings,
+``"vectorized"`` and ``"fused"`` (one target registered under both names).
+The spelling is still part of a point's identity — it feeds
+``SenderConfig.fingerprint()``, hence derived seeds and cache keys — so
+both stay valid.
+
 Engines *self-register*: ``repro.inference.belief`` registers ``"scalar"``
-at import, ``repro.inference.vectorized.belief`` registers ``"vectorized"``,
-and likewise for the rollout engines in ``repro.core.planner`` and
+at import, ``repro.inference.vectorized.belief`` registers the array
+belief, and likewise for the rollout engines in ``repro.core.planner`` and
 ``repro.inference.vectorized.rollout``.  The registry holds only lazy
 *import triggers* for the built-in names, so resolving ``"vectorized"``
 imports the NumPy engine on first use without this module depending on it.
@@ -133,29 +140,26 @@ class BackendRegistry:
 
 
 #: Belief-state engines: name → BeliefState subclass.  ``"scalar"`` is the
-#: per-object reference implementation, ``"vectorized"`` the NumPy
-#: struct-of-arrays ensemble, and ``"fused"`` the wake-up-fused variant
-#: whose compaction runs as one ``np.unique`` grouping over the signature
-#: matrix (bit-identical posteriors to ``"vectorized"``).
+#: per-object reference implementation; ``"vectorized"`` and ``"fused"``
+#: both name the NumPy struct-of-arrays ensemble.
 BELIEF_BACKENDS = BackendRegistry(
     "belief",
     builtin_modules={
         "scalar": "repro.inference.belief",
         "vectorized": "repro.inference.vectorized.belief",
-        "fused": "repro.inference.vectorized.fused",
+        "fused": "repro.inference.vectorized.belief",
     },
 )
 
 #: Planner rollout engines: name → ``engine(planner, belief, now) -> Decision``.
-#: ``"scalar"`` event-steps one model clone per lane; ``"vectorized"``
-#: advances all lanes through one masked event frontier; ``"fused"`` feeds
-#: ensemble rows straight into that frontier (no ``RolloutLanes`` repack)
-#: and powers the (sender × action × hypothesis) ``BatchedSenderPool``.
+#: ``"scalar"`` event-steps one model clone per lane; ``"vectorized"`` and
+#: ``"fused"`` both name the array engine that advances every (sender ×
+#: action × hypothesis) lane through one masked event frontier.
 ROLLOUT_BACKENDS = BackendRegistry(
     "rollout",
     builtin_modules={
         "scalar": "repro.core.planner",
         "vectorized": "repro.inference.vectorized.rollout",
-        "fused": "repro.inference.vectorized.fused",
+        "fused": "repro.inference.vectorized.rollout",
     },
 )

@@ -89,10 +89,12 @@ class SenderConfig:
     belief_backend / rollout_backend:
         Registered engine names (see :mod:`repro.api.backends`); validated
         eagerly at construction.  The built-ins are ``"scalar"`` (the
-        reference oracle), ``"vectorized"`` (struct-of-arrays ensemble and
-        batched rollout lanes), and ``"fused"`` (the single-pass wake-up
-        kernel; also the engine :class:`~repro.api.pool.BatchedSenderPool`
-        batches across senders).
+        reference oracle) and one array engine (struct-of-arrays ensemble
+        and batched rollout lanes, also what
+        :class:`~repro.api.pool.BatchedSenderPool` batches across senders)
+        accepted under two spellings, ``"vectorized"`` and ``"fused"``.
+        The two run the same code, but the spelling is part of
+        :meth:`fingerprint` — and so of a point's seed and cache key.
     policy:
         ``"none"`` plans live at every wake-up; ``"cache"`` memoizes
         decisions (:class:`~repro.core.policy.PolicyCache`); ``"table"``
@@ -192,7 +194,7 @@ class SenderConfig:
 
         ``utility`` and ``rollout_backend`` overrides exist for callers
         like the policy-table precompute sweep, which runs the config's
-        planning problem through the vectorized lane engine regardless of
+        planning problem through the array lane engine regardless of
         the configured runtime backend.
         """
         from repro.core.planner import ExpectedUtilityPlanner

@@ -15,30 +15,27 @@ Equivalence contract
 --------------------
 
 ``decide_all(now)`` returns exactly the decisions the per-sender loop
-``[parts.planner.decide(parts.belief, now) for parts in pool]`` would under
-the ``"fused"`` rollout backend — bit-identical expected utilities, same
-chosen actions, same ``rollouts_performed`` accounting.  Three facts make
-this hold:
-
-* each sender's pre-rollout half runs the literal standalone code
-  (:func:`~repro.inference.vectorized.fused._prepare_decide` is shared);
-* the pooled frontier's per-block event streams are byte-identical to each
-  block's standalone rollout (the frontier core is lane-elementwise; see
-  ``batched_rollout_blocks``);
-* each sender's decide tail runs the literal standalone code
-  (:func:`~repro.inference.vectorized.rollout._finish_decide` is shared).
+``[parts.planner.decide(parts.belief, now) for parts in pool]`` would on
+the array rollout engine — bit-identical expected utilities, same chosen
+actions, same ``rollouts_performed`` accounting — because a planner's
+``decide`` *is* the one-sender case of the same
+:func:`~repro.inference.vectorized.rollout.decide_pooled` call, and the
+pooled frontier's per-block event streams are byte-identical to each
+block's standalone rollout (the frontier core is lane-elementwise; see
+``batched_rollout_blocks``).
 
 Event-driven scenarios (``many_flow_contention``) wake senders on their own
 ACK clocks, at distinct instants — there the pool's value is pooled
-construction plus the fused per-sender decide; ``decide_all`` is the
-batch-synchronous entry point for drivers that advance many senders in
-lockstep (the aggregate benchmark, batched sweeps, RL-style steppers).
+construction; ``decide_all`` is the batch-synchronous entry point for
+drivers that advance many senders in lockstep (the aggregate benchmark,
+batched sweeps, RL-style steppers).
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
+from repro.api.backends import BELIEF_BACKENDS
 from repro.api.config import SenderConfig
 from repro.api.sender import SenderParts, build_components
 from repro.errors import ConfigurationError
@@ -48,11 +45,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.utility import UtilityFunction
     from repro.inference.prior import Prior
 
-#: Belief backends whose ensembles expose ``top_rows`` — the row-indexed
-#: view ``decide_all`` needs to alias each sender's hypotheses as a lane
-#: block without a repack.
-_ROW_ENSEMBLE_BACKENDS = frozenset({"vectorized", "fused"})
-
 
 class BatchedSenderPool:
     """Per-sender inference parts plus a pooled batch-synchronous decide.
@@ -61,10 +53,10 @@ class BatchedSenderPool:
     ----------
     config:
         The :class:`~repro.api.config.SenderConfig` every pooled sender
-        shares.  Its ``belief_backend`` must be a row-ensemble engine
-        (``"vectorized"`` or ``"fused"``): the pooled decide aliases each
-        belief's ensemble rows directly, which a scalar belief cannot
-        offer.
+        shares.  Its ``belief_backend`` must be a row-ensemble engine —
+        one whose beliefs expose ``top_rows`` (the array engine, under
+        either spelling): the pooled decide reads each belief's ensemble
+        rows in place, which a scalar belief cannot offer.
     priors:
         One prior per sender, in sender order.  Construction is performed
         by calling :func:`~repro.api.sender.build_components` once per
@@ -83,11 +75,10 @@ class BatchedSenderPool:
         utility: Optional["UtilityFunction"] = None,
         start_time: float = 0.0,
     ) -> None:
-        if config.belief_backend not in _ROW_ENSEMBLE_BACKENDS:
+        if not hasattr(BELIEF_BACKENDS.resolve(config.belief_backend), "top_rows"):
             raise ConfigurationError(
                 "BatchedSenderPool needs a row-ensemble belief backend "
-                f"({', '.join(sorted(_ROW_ENSEMBLE_BACKENDS))}); "
-                f"got {config.belief_backend!r}"
+                f"(one exposing top_rows); got {config.belief_backend!r}"
             )
         if not priors:
             raise ConfigurationError("BatchedSenderPool needs at least one prior")
@@ -119,43 +110,18 @@ class BatchedSenderPool:
     def decide_all(self, now: float) -> list["Decision"]:
         """Decide for every sender through one pooled rollout frontier.
 
-        Each sender contributes one :class:`RolloutBlock` — its top-k rows
-        fanned out over its own action grid — and a single
-        ``batched_rollout_blocks`` call advances all (sender × action ×
-        hypothesis) lanes together.  Decisions come back in sender order
-        and are bit-identical to per-sender ``"fused"`` decides at the
-        same ``now`` (see the module docstring for why).
+        One :func:`~repro.inference.vectorized.rollout.decide_pooled` call:
+        each sender contributes its top-k rows fanned out over its own
+        action grid, and all (sender × action × hypothesis) lanes advance
+        together.  Decisions come back in sender order and are
+        bit-identical to per-sender decides at the same ``now`` (see the
+        module docstring for why).
         """
-        # Imported here, not at module top: these live in the NumPy engine,
+        # Imported here, not at module top: it lives in the NumPy engine,
         # and the pool class itself must stay importable without it (the
         # registry's lazy-import discipline).
-        from repro.inference.vectorized.fused import _prepare_decide
-        from repro.inference.vectorized.rollout import (
-            RolloutBlock,
-            _finish_decide,
-            batched_rollout_blocks,
-        )
+        from repro.inference.vectorized.rollout import decide_pooled
 
-        prepared = [
-            _prepare_decide(parts.planner, parts.belief, now)
-            for parts in self.parts
-        ]
-        blocks = [
-            RolloutBlock(
-                state=state,
-                rows=rows,
-                action_delays=[action.delay for action in actions],
-                horizon=horizon,
-                packet_bits=parts.planner.packet_bits,
-            )
-            for parts, (state, rows, summary, actions, horizon, probe) in zip(
-                self.parts, prepared
-            )
-        ]
-        outcomes = batched_rollout_blocks(blocks, now)
-        return [
-            _finish_decide(parts.planner, summary, actions, horizon, outcome, probe)
-            for parts, (state, rows, summary, actions, horizon, probe), outcome in zip(
-                self.parts, prepared, outcomes
-            )
-        ]
+        return decide_pooled(
+            [(parts.planner, parts.belief) for parts in self.parts], now
+        )

@@ -9,17 +9,20 @@ indifferent does not flood the network.
 
 Rollout backends implement the (action × hypothesis) fan-out and resolve
 through the :data:`~repro.api.backends.ROLLOUT_BACKENDS` registry (each
-engine is a callable ``engine(planner, belief, now) -> Decision``):
+engine is a callable ``engine(planner, belief, now) -> Decision``).  There
+are two:
 
 * ``"scalar"`` — the reference oracle registered below: one
   :meth:`~repro.inference.hypothesis.Hypothesis.rollout` (clone + advance a
   scalar ``LinkModel``) per lane;
-* ``"vectorized"`` — the batched engine registered by
-  :mod:`repro.inference.vectorized.rollout`: all A×K lanes advance together
-  through one masked event frontier, and the utility values every lane at
-  once via ``evaluate_batch``.  When the belief backend is also vectorized,
-  the lanes are packed straight from ``EnsembleState`` rows, so the decide
-  path materializes no scalar ``Hypothesis`` objects at all.
+* the array engine in :mod:`repro.inference.vectorized.rollout`, accepted
+  under two spellings, ``"vectorized"`` and ``"fused"``: all A×K lanes
+  advance together through one masked event frontier, and the utility
+  values every lane at once via ``evaluate_batch``.  On an array belief the
+  lanes come straight from ``EnsembleState`` rows, so the decide path
+  materializes no scalar ``Hypothesis`` objects at all.  The spelling
+  changes nothing that runs, but it is part of a point's identity
+  (``SenderConfig.fingerprint()``, hence seed and cache key).
 """
 
 from __future__ import annotations
@@ -100,11 +103,9 @@ class ExpectedUtilityPlanner:
         negligibly and are skipped for speed).
     rollout_backend:
         Name of a registered rollout engine — ``"scalar"`` (per-lane
-        ``Hypothesis.rollout``, the reference oracle), ``"vectorized"``
-        (the batched lane engine), or ``"fused"`` (the single-pass wake-up
-        kernel: ensemble rows alias straight into the rollout frontier
-        with no ``RolloutLanes`` repack, and back-to-back departure runs
-        drain in one prefix-sum pass).  Resolved through
+        ``Hypothesis.rollout``, the reference oracle), or ``"vectorized"``
+        / ``"fused"`` (two spellings of the one batched array engine).
+        Resolved through
         :data:`~repro.api.backends.ROLLOUT_BACKENDS` at construction, so an
         unknown name raises :class:`~repro.errors.UnknownBackendError`
         immediately, listing the registered engines.
@@ -284,12 +285,13 @@ def decide_scalar(
             },
         )
         # The scalar engine has no lane buffers of its own; packing the top
-        # hypotheses through the shared packer yields the same canonical
-        # snapshot the vectorized engine checkpoints.  Imported lazily: the
-        # vectorized module imports this one for its registry types.
-        from repro.inference.vectorized.rollout import pack_hypotheses
+        # hypotheses into an ensemble yields the same canonical snapshot the
+        # array engine checkpoints.  Imported lazily: NumPy stays optional
+        # for the probe-free scalar path.
+        from repro.inference.vectorized.state import EnsembleState
 
-        probe("lanes", pack_hypotheses([h for h, _ in top]).checkpoint())
+        packed = EnsembleState.from_hypotheses([h for h, _ in top])
+        probe("lanes", packed.lane_checkpoint(range(packed.size)))
 
     expected: dict[float, float] = {}
     for action in actions:

@@ -14,10 +14,9 @@ with canonically ordered acknowledgements to separate event-ordering
 sensitivity from genuine kernel drift, and ranks candidate causes with the
 :class:`~repro.diagnostics.evidence.BayesianScorer`.
 
-:func:`inject_stage_perturbation` deliberately skews one NumPy-engine stage
-(vectorized and fused alike) — the test harness (and the CLI's
-``--perturb``) uses it to check that the fingerprinter localizes a known
-fault to the right stage.
+:func:`inject_stage_perturbation` deliberately skews one array-engine stage
+— the test harness (and the CLI's ``--perturb``) uses it to check that the
+fingerprinter localizes a known fault to the right stage.
 """
 
 from __future__ import annotations
@@ -75,7 +74,7 @@ _STAGE_LABEL = {
     "decision": "rollout frontier stage 'decision' (argmax)",
 }
 
-#: Stages :func:`inject_stage_perturbation` can skew (vectorized side).
+#: Stages :func:`inject_stage_perturbation` can skew (array-engine side).
 INJECTABLE_STAGES = ("fork", "advance", "score", "compact", "prune", "rollout")
 
 
@@ -528,33 +527,27 @@ def diagnose_divergence(
 
 @contextlib.contextmanager
 def inject_stage_perturbation(stage: str, epsilon: float = 1.0):
-    """Deliberately skew one *vectorized/fused* kernel/rollout stage.
+    """Deliberately skew one array-engine kernel/rollout stage.
 
     The test harness (and the CLI's ``--perturb``) wraps a differential
     replay in this context to verify the fingerprinter localizes a known
-    fault to ``stage``.  Only the NumPy engines are touched — both the
-    ``"vectorized"`` and ``"fused"`` backends, which share most stages and
-    override the rest — so a scalar-vs-vectorized (or scalar-vs-fused)
-    diagnosis sees the skew as backend drift at exactly that stage:
+    fault to ``stage``.  Only the array engine is touched, so a
+    scalar-vs-array diagnosis (under either accepted spelling) sees the
+    skew as backend drift at exactly that stage:
 
     * ``fork`` — scales sub-unity branch probabilities by ``1 + epsilon``;
     * ``advance`` — adds ``epsilon`` bits to every branch's queued bits;
     * ``score`` — subtracts ``epsilon`` from every finite log-likelihood;
-    * ``compact`` — disables signature merging entirely (both the
-      vectorized dict loop and the fused ``np.unique`` override);
+    * ``compact`` — disables signature merging entirely;
     * ``prune`` — drops one extra (lightest) surviving row;
-    * ``rollout`` — shifts every own-packet delivery ``epsilon`` s later,
-      in all three frontier entry points (``batched_rollout``, the fused
-      ``batched_rollout_rows``, and the pooled ``batched_rollout_blocks``).
+    * ``rollout`` — shifts every own-packet delivery ``epsilon`` s later.
     """
     import numpy as np
 
     from repro.inference.vectorized import belief as vectorized_belief
     from repro.inference.vectorized import engine as vectorized_engine
-    from repro.inference.vectorized import fused as vectorized_fused
     from repro.inference.vectorized import rollout as vectorized_rollout
     from repro.inference.vectorized.belief import VectorizedBeliefState
-    from repro.inference.vectorized.fused import FusedBeliefState
 
     restores: list[tuple[object, str, object]] = []
 
@@ -596,9 +589,6 @@ def inject_stage_perturbation(stage: str, epsilon: float = 1.0):
             return rows, weights
 
         patch(VectorizedBeliefState, "_compact_rows", perturbed_compact)
-        # The fused backend overrides _compact_rows, so patching the base
-        # class alone would leave it unperturbed.
-        patch(FusedBeliefState, "_compact_rows", perturbed_compact)
     elif stage == "prune":
         original_prune = VectorizedBeliefState._prune_rows
 
@@ -610,34 +600,15 @@ def inject_stage_perturbation(stage: str, epsilon: float = 1.0):
 
         patch(VectorizedBeliefState, "_prune_rows", perturbed_prune)
     elif stage == "rollout":
-        original_rollout = vectorized_rollout.batched_rollout
+        original_rollout = vectorized_rollout.batched_rollout_blocks
 
         def perturbed_rollout(*args, **kwargs):
-            outcome = original_rollout(*args, **kwargs)
-            outcome.own_time = outcome.own_time + epsilon
-            return outcome
-
-        patch(vectorized_rollout, "batched_rollout", perturbed_rollout)
-        original_rollout_rows = vectorized_rollout.batched_rollout_rows
-
-        def perturbed_rollout_rows(*args, **kwargs):
-            outcome = original_rollout_rows(*args, **kwargs)
-            outcome.own_time = outcome.own_time + epsilon
-            return outcome
-
-        patch(vectorized_rollout, "batched_rollout_rows", perturbed_rollout_rows)
-        # decide_fused calls the name it imported at module load, not the
-        # rollout module's attribute — patch its reference too.
-        patch(vectorized_fused, "batched_rollout_rows", perturbed_rollout_rows)
-        original_rollout_blocks = vectorized_rollout.batched_rollout_blocks
-
-        def perturbed_rollout_blocks(*args, **kwargs):
-            outcomes = original_rollout_blocks(*args, **kwargs)
+            outcomes = original_rollout(*args, **kwargs)
             for outcome in outcomes:
                 outcome.own_time = outcome.own_time + epsilon
             return outcomes
 
-        patch(vectorized_rollout, "batched_rollout_blocks", perturbed_rollout_blocks)
+        patch(vectorized_rollout, "batched_rollout_blocks", perturbed_rollout)
     else:
         raise ValueError(
             f"unknown stage {stage!r}; injectable stages are {INJECTABLE_STAGES}"

@@ -1,13 +1,26 @@
-"""The planner hot-path benchmark: scalar vs. vectorized rollout backends.
+"""The planner hot-path benchmarks: scalar oracle vs. the array engine.
 
-PR 2 vectorized the belief update, which left the planner's (action ×
-hypothesis) rollout fan-out as the dominant cost of full ISender runs.
-This module measures that fan-out in isolation: it prepares one *loaded
-decision state* — a belief warmed to the 512-hypothesis cap on a
-deterministic Figure-3-style workload, then hit with a send burst so every
-hypothesis carries a queued backlog at the decision time — and times
-repeated ``ExpectedUtilityPlanner.decide`` calls (``top_k`` hypotheses ×
-the default 9-delay action grid) through each rollout backend.
+Three measurements, all on beliefs warmed to the 512-hypothesis cap on a
+deterministic Figure-3-style workload and then hit with a send burst so
+every hypothesis carries a queued backlog at the decision time:
+
+* **Decide fan-out** (:func:`run_planner_comparison`) — repeated
+  ``ExpectedUtilityPlanner.decide`` calls (``top_k`` hypotheses × the
+  default 9-delay action grid) through each rollout backend, on the
+  paper's shallow §4 buffers (:class:`PlannerBenchConfig`'s defaults:
+  queues ≤ 9 packets, ~1:1 service/cross alternation — the lockstep side
+  of the rollout frontier).
+* **Deep-queue wake-up** (:func:`run_wakeup_comparison`) — the full ISender
+  wake-up loop body (``record_send`` → ``update`` → ``decide``) on
+  :data:`DEEP_QUEUE`, the bufferbloat regime the paper opens with: a
+  128-packet standing queue and sparse cross traffic, where the frontier
+  drains whole departure runs per iteration.  Reported as absolute wall
+  time; the scalar oracle replays the same script untimed so the final
+  decision can be checked against it.
+* **Aggregate 64-sender decide** (:func:`run_pool_comparison`) — one
+  :meth:`~repro.api.pool.BatchedSenderPool.decide_all` advancing all
+  (sender × action × hypothesis) lanes through a single pooled frontier,
+  vs the per-sender loop of decides over the same senders.
 
 The warm-up prior concentrates its spread on loss, buffer capacity, and
 initial fill — parameters that shape *outcomes* without desynchronizing
@@ -16,8 +29,9 @@ link speed has been identified, and the regime the batched engine is built
 for: every lane advances through a comparable number of events, so one
 masked frontier iteration replaces ~``top_k × actions`` scalar events.
 
-Used by ``benchmarks/bench_planner_rollout.py`` (which writes the
-``BENCH_planner.json`` regression record) and runnable standalone::
+Used by ``benchmarks/bench_planner_rollout.py`` and
+``benchmarks/bench_fused_wakeup.py`` (which write the ``BENCH_planner.json``
+and ``BENCH_engine.json`` regression records) and runnable standalone::
 
     PYTHONPATH=src python -m repro.experiments.planner_bench
 """
@@ -27,12 +41,21 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
+from repro.api.config import SenderConfig
+from repro.api.pool import BatchedSenderPool
 from repro.core import AlphaWeightedUtility, ExpectedUtilityPlanner
-from repro.inference import BeliefState, GaussianKernel, figure3_prior
+from repro.core.planner import Decision
 from repro.experiments.inference_bench import (
     SEND,
     InferenceBenchConfig,
     build_workload,
+)
+from repro.inference import (
+    AckObservation,
+    BeliefState,
+    GaussianKernel,
+    figure3_prior,
+    single_link_prior,
 )
 from repro.units import DEFAULT_PACKET_BITS
 
@@ -62,15 +85,57 @@ class PlannerBenchConfig:
     cross_fraction_high: float = 0.7
     cross_fraction_points: int = 2
     loss_points: int = 8
+    buffer_low: float = 72_000.0
+    buffer_high: float = 108_000.0
     buffer_points: int = 4
     fill_points: int = 2
-    #: Timed ``decide`` calls per round.
+    #: Timed ``decide`` calls (or full wake-ups) per round.
     decisions: int = 15
+    #: Wall-clock step between timed wake-ups (wake-up measurement only).
+    wake_interval: float = 0.05
 
     @property
     def alpha_utility(self) -> AlphaWeightedUtility:
         """The Figure-3 utility used for every timed decision."""
         return AlphaWeightedUtility(alpha=1.0, discount_timescale=20.0)
+
+
+#: The deep-buffer wake-up state: buffers of 1.15–1.3 Mbit (~145–160
+#: packets) hold a 128-packet burst — ≈1 Mbit of standing queue, still
+#: shallow next to the paper's measured multi-second buffers — behind
+#: near-zero cross traffic (the Figure-2 single-flow regime: the standing
+#: queue is self-inflicted).  Rollouts from it are dominated by long runs of
+#: back-to-back departures.
+DEEP_QUEUE = PlannerBenchConfig(
+    true_cross_fraction=0.03,
+    burst=128,
+    cross_fraction_low=0.0,
+    cross_fraction_high=0.06,
+    buffer_low=1_150_000.0,
+    buffer_high=1_300_000.0,
+    decisions=12,
+)
+
+
+def _utility_divergence(reference: dict[float, float], candidate: dict[float, float]) -> float:
+    """Largest relative expected-utility difference across the action grid."""
+    if set(reference) != set(candidate):
+        return float("inf")
+    worst = 0.0
+    for delay, value in reference.items():
+        scale = max(1.0, abs(value))
+        worst = max(worst, abs(candidate[delay] - value) / scale)
+    return worst
+
+
+def _close(left: float, right: float) -> bool:
+    """Equal within the documented 1e-9 relative cross-backend tolerance.
+
+    Not bit-exact: the two planners run over *different belief backends*,
+    whose posteriors may differ by transcendental rounding (PR 2's
+    contract), which can shift the derived delays in the last ulp.
+    """
+    return abs(left - right) <= 1e-9 * max(1.0, abs(left), abs(right))
 
 
 @dataclass
@@ -101,31 +166,14 @@ class PlannerComparison:
 
     @property
     def max_utility_divergence(self) -> float:
-        """Largest relative expected-utility difference across the action grid."""
-        scalar = self.scalar.expected_utilities
-        vectorized = self.vectorized.expected_utilities
-        if set(scalar) != set(vectorized):
-            return float("inf")
-        worst = 0.0
-        for delay, value in scalar.items():
-            scale = max(1.0, abs(value))
-            worst = max(worst, abs(vectorized[delay] - value) / scale)
-        return worst
+        return _utility_divergence(
+            self.scalar.expected_utilities, self.vectorized.expected_utilities
+        )
 
     @property
     def decisions_match(self) -> bool:
-        """Whether both backends chose the same action.
-
-        Compared within the documented 1e-9 relative tolerance rather than
-        bit-exactly: the two planners run over *different belief backends*,
-        whose posteriors may differ by transcendental rounding (PR 2's
-        contract), which can shift the derived delays in the last ulp.
-        """
-
-        def close(left: float, right: float) -> bool:
-            return abs(left - right) <= 1e-9 * max(1.0, abs(left), abs(right))
-
-        return close(self.scalar.chosen_delay, self.vectorized.chosen_delay) and close(
+        """Whether both backends chose the same action (see :func:`_close`)."""
+        return _close(self.scalar.chosen_delay, self.vectorized.chosen_delay) and _close(
             self.scalar.horizon, self.vectorized.horizon
         )
 
@@ -152,6 +200,8 @@ def build_decision_state(config: PlannerBenchConfig, belief_backend: str) -> Bel
         cross_fraction_high=config.cross_fraction_high,
         cross_fraction_points=config.cross_fraction_points,
         loss_points=config.loss_points,
+        buffer_low=config.buffer_low,
+        buffer_high=config.buffer_high,
         buffer_points=config.buffer_points,
         fill_points=config.fill_points,
         packet_bits=config.packet_bits,
@@ -234,6 +284,223 @@ def run_planner_comparison(
     )
 
 
+# ------------------------------------------------------- deep-queue wake-up
+
+#: Sequence-number base for bench-issued sends, clear of every warm-up seq.
+_BENCH_SEQ_BASE = 2_000_000
+
+
+@dataclass
+class WakeupComparison:
+    """Array-engine full wake-ups, checked against the scalar oracle."""
+
+    config: PlannerBenchConfig
+    #: Best round's wall time over ``wakeups`` array-engine wake-ups.
+    wall_time_s: float
+    wakeups: int
+    #: The final paired decide on each engine.
+    scalar: Decision
+    array: Decision
+
+    @property
+    def max_utility_divergence(self) -> float:
+        return _utility_divergence(
+            self.scalar.expected_utilities, self.array.expected_utilities
+        )
+
+    @property
+    def decisions_match(self) -> bool:
+        return _close(self.scalar.delay, self.array.delay)
+
+
+def _wakeup_planner(config: PlannerBenchConfig, backend: str) -> ExpectedUtilityPlanner:
+    return ExpectedUtilityPlanner(
+        config.alpha_utility,
+        packet_bits=config.packet_bits,
+        top_k=config.top_k,
+        rollout_backend=backend,
+    )
+
+
+def run_wakeup_comparison(
+    config: PlannerBenchConfig = DEEP_QUEUE, rounds: int = 3
+) -> WakeupComparison:
+    """Time full array-engine wake-ups; keep the best round.
+
+    Each timed iteration advances the clock by ``config.wake_interval`` and
+    runs the ISender wake-up body — ``record_send`` (one new outstanding
+    packet), ``update`` (the full fork/advance/score/compact/prune pipeline
+    over the capped ensemble), ``decide`` (the top-k × action-grid rollout
+    fan-out) — so the measurement covers exactly what one sender pays per
+    wake, not the decide in isolation.  The advancing clock matters: a wake
+    at a frozen ``now`` never forks or compacts.
+
+    A scalar belief then replays the identical send/update script untimed
+    (same sequence numbers, same clock), so the two beliefs correspond and
+    one final paired decide judges equivalence.
+    """
+    array_belief = build_decision_state(config, "vectorized")
+    planner = _wakeup_planner(config, "vectorized")
+    best = float("inf")
+    now = config.duration
+    script: list[tuple[int, float]] = []
+    for _ in range(max(1, rounds)):
+        elapsed = 0.0
+        for index in range(config.decisions + 1):
+            now += config.wake_interval
+            seq = _BENCH_SEQ_BASE + len(script)
+            script.append((seq, now))
+            started = time.perf_counter()
+            array_belief.record_send(seq, config.packet_bits, now)
+            array_belief.update(now)
+            planner.decide(array_belief, now)
+            if index:  # the round's first wake warms caches and allocators
+                elapsed += time.perf_counter() - started
+        best = min(best, elapsed)
+    scalar_belief = build_decision_state(config, "scalar")
+    for seq, at in script:
+        scalar_belief.record_send(seq, config.packet_bits, at)
+        scalar_belief.update(at)
+    return WakeupComparison(
+        config=config,
+        wall_time_s=best,
+        wakeups=config.decisions,
+        scalar=_wakeup_planner(config, "scalar").decide(scalar_belief, now),
+        array=planner.decide(array_belief, now),
+    )
+
+
+# ------------------------------------------------------- pooled sender decide
+
+
+@dataclass(frozen=True)
+class PoolBenchConfig:
+    """Shape of the 64-sender aggregate-decide measurement."""
+
+    senders: int = 64
+    top_k: int = 8
+    packet_bits: float = DEFAULT_PACKET_BITS
+    #: Per-sender warm-up script length (sends with periodic acks).
+    warmup_steps: int = 24
+    #: Timed ``decide_all`` (or per-sender loop) passes.
+    passes: int = 5
+    #: Per-sender prior resolution: 7 rates × 3 fills = 21 hypotheses
+    #: before forking — small enough that per-decide overhead, not raw
+    #: lane arithmetic, dominates the per-sender loop (the regime the
+    #: many-flow scenario is in).
+    link_rate_points: int = 7
+    fill_points: int = 3
+    buffer_capacity_bits: float = 8_000_000.0
+
+
+@dataclass
+class PoolBackendResult:
+    """Measurements from timing one aggregate-decide strategy."""
+
+    strategy: str
+    wall_time_s: float
+    passes: int
+    senders: int
+    chosen_delays: list[float] = field(default_factory=list)
+
+
+@dataclass
+class PoolComparison:
+    """Pooled ``decide_all`` vs the per-sender decide loop, same senders."""
+
+    config: PoolBenchConfig
+    per_sender: PoolBackendResult
+    pooled: PoolBackendResult
+
+    @property
+    def speedup(self) -> float:
+        return self.per_sender.wall_time_s / self.pooled.wall_time_s
+
+    @property
+    def decisions_match(self) -> bool:
+        return self.pooled.chosen_delays == self.per_sender.chosen_delays
+
+
+def _build_pool(config: PoolBenchConfig) -> BatchedSenderPool:
+    """A pool of heterogeneous senders (each prior spans different rates)."""
+    priors = [
+        single_link_prior(
+            link_rate_low=1.5e5 * (1 + index % 7),
+            link_rate_high=1.5e6 * (1 + index % 7),
+            link_rate_points=config.link_rate_points,
+            buffer_capacity_bits=config.buffer_capacity_bits,
+            fill_points=config.fill_points,
+            packet_bits=config.packet_bits,
+        )
+        for index in range(config.senders)
+    ]
+    sender_config = SenderConfig(
+        belief_backend="vectorized",
+        rollout_backend="vectorized",
+        policy="none",
+        packet_bits=config.packet_bits,
+        top_k=config.top_k,
+    )
+    return BatchedSenderPool(sender_config, priors)
+
+
+def _warm_senders(pool: BatchedSenderPool, config: PoolBenchConfig) -> float:
+    """Drive every sender through the identical send/ack script; return now."""
+    now = 0.0
+    for step in range(config.warmup_steps):
+        now += 0.03 + 0.01 * (step % 5)
+        for parts in pool:
+            parts.belief.record_send(step, config.packet_bits, now)
+        acks = []
+        if step % 3 == 2:
+            acks = [
+                AckObservation(seq=step - 1, received_at=now - 0.004, ack_at=now)
+            ]
+        for parts in pool:
+            parts.belief.update(now, acks)
+    return now + 0.05
+
+
+def run_pool_comparison(config: PoolBenchConfig | None = None) -> PoolComparison:
+    """Time the pooled decide against the per-sender loop over one pool.
+
+    The per-sender baseline is the many-flow scenario's shape: each sender's
+    planner decides on its own, one rollout frontier per sender.  The pooled
+    side drives the same senders through one
+    ``BatchedSenderPool.decide_all`` — a single (sender × action ×
+    hypothesis) frontier per pass.  Deciding does not mutate a belief, so
+    both strategies run over the same warmed pool.
+    """
+    config = config or PoolBenchConfig()
+    pool = _build_pool(config)
+    now = _warm_senders(pool, config)
+
+    def per_sender_loop():
+        return [parts.planner.decide(parts.belief, now) for parts in pool]
+
+    results = {}
+    for strategy, decide in (
+        ("per_sender_loop", per_sender_loop),
+        ("pooled_decide_all", lambda: pool.decide_all(now)),
+    ):
+        decisions = decide()  # warm allocators and lazy imports before timing
+        started = time.perf_counter()
+        for _ in range(config.passes):
+            decisions = decide()
+        results[strategy] = PoolBackendResult(
+            strategy=strategy,
+            wall_time_s=time.perf_counter() - started,
+            passes=config.passes,
+            senders=config.senders,
+            chosen_delays=[decision.delay for decision in decisions],
+        )
+    return PoolComparison(
+        config=config,
+        per_sender=results["per_sender_loop"],
+        pooled=results["pooled_decide_all"],
+    )
+
+
 def main() -> None:  # pragma: no cover - manual entry point
     comparison = run_planner_comparison()
     scalar, vectorized = comparison.scalar, comparison.vectorized
@@ -249,6 +516,21 @@ def main() -> None:  # pragma: no cover - manual entry point
     print(f"speedup    : {comparison.speedup:8.1f} x")
     print(f"max |ΔU|   : {comparison.max_utility_divergence:8.2e} (relative)")
     print(f"same action: {comparison.decisions_match}")
+    wakeup = run_wakeup_comparison()
+    print(
+        f"deep-queue wake-up : {wakeup.wall_time_s * 1000.0 / wakeup.wakeups:8.2f} ms "
+        f"(max |ΔU| vs scalar {wakeup.max_utility_divergence:.2e}, "
+        f"same action: {wakeup.decisions_match})"
+    )
+    pool = run_pool_comparison()
+    per_pass = 1000.0 / pool.config.passes
+    print(
+        f"per-sender loop    : {pool.per_sender.wall_time_s * per_pass:8.2f} "
+        f"ms/pass ({pool.config.senders} senders)"
+    )
+    print(f"pooled decide_all  : {pool.pooled.wall_time_s * per_pass:8.2f} ms/pass")
+    print(f"aggregate speedup  : {pool.speedup:8.2f} x")
+    print(f"same actions       : {pool.decisions_match}")
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,11 +1,11 @@
-"""Array-backed (NumPy struct-of-arrays) inference backend.
+"""The array engine: NumPy struct-of-arrays inference and rollout.
 
-The scalar :class:`~repro.inference.belief.BeliefState` walks a Python list
-of :class:`~repro.inference.hypothesis.Hypothesis` objects on every sender
-wake-up — clone, advance, score, compact, prune, one hypothesis at a time.
-At the default 512-hypothesis cap that per-object loop dominates every
-experiment.  This package stores the whole ensemble as struct-of-arrays
-NumPy buffers instead and batches each step across all rows:
+There are two engines per layer: the scalar oracle
+(:class:`~repro.inference.belief.BeliefState` walking a Python list of
+:class:`~repro.inference.hypothesis.Hypothesis` objects, and
+``decide_scalar`` cloning one ``LinkModel`` per rollout lane) and this
+package, which stores the whole ensemble as struct-of-arrays buffers and
+batches each step across all rows:
 
 * :mod:`~repro.inference.vectorized.state` — the buffers themselves
   (parameters, gate state, queue ring buffers, in-flight packet ledgers)
@@ -17,33 +17,31 @@ NumPy buffers instead and batches each step across all rows:
 * :mod:`~repro.inference.vectorized.belief` — the drop-in
   :class:`VectorizedBeliefState`,
 * :mod:`~repro.inference.vectorized.rollout` — the batched planner
-  rollout engine: every (action × hypothesis) lane advanced through one
-  masked event frontier, packed straight from ensemble rows (no scalar
-  ``Hypothesis`` materialization) or from ``export_state()`` when the
-  belief backend is scalar.
+  rollout: every (sender × action × hypothesis) lane advanced through one
+  masked event frontier, fed straight from ensemble rows.
 
-Select it anywhere a belief is built via
-``BeliefState.from_prior(..., backend="vectorized")`` (the scalar path
-remains the reference implementation), and on the planner via
-``ExpectedUtilityPlanner(..., rollout_backend="vectorized")``.
+The engine answers to two accepted spellings, ``"vectorized"`` and
+``"fused"``, on ``belief_backend``, ``rollout_backend`` and
+``sweep_backend``; both resolve to the same class and the same decide
+callable.  The spelling is still part of a point's *identity*: it feeds
+``SenderConfig.fingerprint()``, hence derived seeds and result-cache keys,
+so results published under either name stay addressable.
 """
 
 from repro.inference.vectorized.belief import VectorizedBeliefState
 from repro.inference.vectorized.rollout import (
     BatchedRolloutOutcome,
-    RolloutLanes,
-    batched_rollout,
-    pack_hypotheses,
-    pack_rows,
+    RolloutBlock,
+    batched_rollout_blocks,
+    batched_rollout_rows,
 )
 from repro.inference.vectorized.state import EnsembleState
 
 __all__ = [
     "BatchedRolloutOutcome",
     "EnsembleState",
-    "RolloutLanes",
+    "RolloutBlock",
     "VectorizedBeliefState",
-    "batched_rollout",
-    "pack_hypotheses",
-    "pack_rows",
+    "batched_rollout_blocks",
+    "batched_rollout_rows",
 ]

@@ -1,6 +1,8 @@
 """The array-backed belief state.
 
-:class:`VectorizedBeliefState` is a drop-in replacement for
+:class:`VectorizedBeliefState` is the one array belief: registered on
+:data:`~repro.api.backends.BELIEF_BACKENDS` under both accepted spellings,
+``"vectorized"`` and ``"fused"``.  It is a drop-in replacement for
 :class:`~repro.inference.belief.BeliefState` that stores the whole ensemble
 in one :class:`~repro.inference.vectorized.state.EnsembleState` and runs
 every step of the sequential Bayesian update — forward simulation, gate
@@ -18,9 +20,9 @@ calls on exotic platforms.
 
 Scalar :class:`~repro.inference.hypothesis.Hypothesis` objects are
 *materialized on demand* — ``top(k)`` / ``map_estimate`` rebuild only the
-rows the planner asks for, so the planner's rollout path is unchanged while
-the per-wake-up belief update no longer touches per-hypothesis Python
-objects at all.
+rows the scalar planner asks for; the array planner reads the rows in place
+through ``top_rows``, so a wake-up on the array engine touches no
+per-hypothesis Python object at all.
 """
 
 from __future__ import annotations
@@ -253,10 +255,13 @@ class VectorizedBeliefState(BeliefState):
         assignment, gate, queue contents, in-service packet, next cross
         arrival, charged-lost set — packed into per-row bytes by
         :meth:`EnsembleState.signature_digest`).  Groups keep the scalar
-        path's first-occurrence order, and ``np.add.at`` accumulates each
-        group's weights left to right — the identical float addition
-        sequence the scalar merge performs.
+        path's first-occurrence order and each group's weights add left to
+        right — the identical float addition sequence the scalar merge
+        performs.  Fewer than two rows cannot merge, so the digest is not
+        even packed for them (the common case for a converged belief).
         """
+        if rows.size < 2:
+            return rows, weights
         digests = state.signature_digest(rows)
         merged: dict[bytes, int] = {}
         kept_positions: list[int] = []
@@ -294,3 +299,4 @@ class VectorizedBeliefState(BeliefState):
 
 
 BELIEF_BACKENDS.register("vectorized", VectorizedBeliefState)
+BELIEF_BACKENDS.register("fused", VectorizedBeliefState)

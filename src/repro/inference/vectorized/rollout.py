@@ -1,41 +1,48 @@
 """The batched rollout engine: every (action × hypothesis) lane at once.
 
-The planner's §3.2 expected-utility step previously cloned and advanced one
-scalar :class:`~repro.inference.linkmodel.LinkModel` per (candidate action ×
-top-k hypothesis) at every wake-up — A×K independent Python event loops.
-This module runs all of them as *one* batched, event-stepped advance over
-struct-of-arrays lane buffers:
+The planner's §3.2 expected-utility step rolls each candidate action through
+each top-k hypothesis.  The scalar oracle (``decide_scalar`` in
+:mod:`repro.core.planner`) clones and advances one
+:class:`~repro.inference.linkmodel.LinkModel` per lane — A×K independent
+Python event loops.  This module is the one array engine: it runs all of
+them as *one* batched, event-stepped advance over struct-of-arrays lane
+buffers.
 
-* :class:`RolloutLanes` packs the top hypotheses' latent state — queue
-  contents, the packet in service, the cross-traffic gate, the next cross
-  arrival — into K-row NumPy buffers, sourced either directly from
-  :class:`~repro.inference.vectorized.state.EnsembleState` rows
-  (:func:`pack_rows`, no scalar ``Hypothesis`` materialization) or from
-  ``export_state()`` when the belief backend is scalar
-  (:func:`pack_hypotheses`);
-* :func:`batched_rollout` tiles those K rows across the A candidate action
-  delays and advances all A×K lanes together.  Each iteration of the outer
-  loop fires at most one event per lane from a shared frontier — service
-  completions, cross arrivals, and the lane's hypothetical send — masked
-  per lane, so the Python-interpreter cost is O(max events per lane)
-  instead of O(total events across the fan-out);
-* the result is a :class:`BatchedRolloutOutcome` holding every lane's
-  predicted deliveries/drops as flat (time, lane) arrays, which
-  ``UtilityFunction.evaluate_batch`` consumes without materializing
-  per-lane Python objects.  :meth:`BatchedRolloutOutcome.lane_outcome`
-  rebuilds one lane as an ordinary
-  :class:`~repro.inference.hypothesis.RolloutOutcome` — the equivalence
-  tests' bridge, and the fallback for custom utilities that only implement
-  scalar ``evaluate``.
+* :func:`batched_rollout_blocks` is the entry point.  Each
+  :class:`RolloutBlock` is one sender's fan-out — its top-k
+  :class:`~repro.inference.vectorized.state.EnsembleState` rows tiled across
+  its candidate delays by :meth:`EnsembleState.lane_arrays` — and all blocks
+  advance together through one masked event frontier.
+  :func:`batched_rollout_rows` is its one-block case.
+* Each iteration of the frontier fires at most one event per lane — service
+  completions, cross arrivals, the lane's hypothetical send — so the
+  Python-interpreter cost is O(max events per lane) instead of O(total
+  events across the fan-out).  When the lanes start on a deep standing
+  queue (:data:`DRAIN_MIN_QUEUE_DEPTH`), back-to-back departure runs are
+  additionally *drained* in one prefix-sum pass each (:func:`_drain_runs`);
+  on shallow queues the extra bookkeeping costs more than it saves, so the
+  frontier decides per call from the depth it already measured.  The result
+  is bit-identical either way.
+* The result is a :class:`BatchedRolloutOutcome` per block holding every
+  lane's predicted deliveries/drops as flat (time, lane) arrays, which
+  ``UtilityFunction.evaluate_batch`` consumes without materializing per-lane
+  Python objects.  :meth:`BatchedRolloutOutcome.lane_outcome` rebuilds one
+  lane as an ordinary :class:`~repro.inference.hypothesis.RolloutOutcome` —
+  the equivalence tests' bridge, and the fallback for custom utilities that
+  only implement scalar ``evaluate``.
+* :func:`decide_vectorized` is the planner engine registered under both
+  accepted spellings, ``"vectorized"`` and ``"fused"``; it is the
+  one-sender case of :func:`decide_pooled`, which
+  :class:`repro.api.pool.BatchedSenderPool` drives with many senders.
 
 Semantics match ``Hypothesis.rollout`` exactly: event arithmetic is the
-same float operations in the same order as the scalar ``LinkModel`` (the
-PR-2 equivalence discipline), completions fire before arrivals at the same
-instant, and the hypothetical send enqueues strictly after both; candidate
-delays beyond the horizon advance the lane to the send time, as the scalar
-path does.  The only tolerated divergence is transcendental rounding in
-the utility's discount (``np.exp`` vs ``math.exp``, ≤1 ulp per term), which
-is why the documented utility tolerance is ``1e-9`` relative.
+same float operations in the same order as the scalar ``LinkModel``,
+completions fire before arrivals at the same instant, and the hypothetical
+send enqueues strictly after both; candidate delays beyond the horizon
+advance the lane to the send time, as the scalar path does.  The only
+tolerated divergence is transcendental rounding in the utility's discount
+(``np.exp`` vs ``math.exp``, ≤1 ulp per term), which is why the documented
+utility tolerance is ``1e-9`` relative.
 """
 
 from __future__ import annotations
@@ -47,13 +54,8 @@ import numpy as np
 
 from repro.api.backends import ROLLOUT_BACKENDS
 from repro.errors import InferenceError
-from repro.inference.hypothesis import Hypothesis, RolloutOutcome
-from repro.inference.vectorized.state import (
-    FLOW_CROSS,
-    FLOW_OWN,
-    EnsembleState,
-    _pad_columns,
-)
+from repro.inference.hypothesis import RolloutOutcome
+from repro.inference.vectorized.state import FLOW_CROSS, EnsembleState, _pad_columns
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.core.planner import Decision, ExpectedUtilityPlanner
@@ -64,157 +66,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 #: delivery; everywhere else it behaves exactly like own traffic.
 FLOW_HYP = 2
 
-#: Initial queue-column capacity of freshly packed lanes.
-_MIN_QUEUE_CAPACITY = 8
-
-
-@dataclass
-class RolloutLanes:
-    """K hypotheses' latent link-model state as struct-of-arrays buffers.
-
-    One row per hypothesis, in planner top-k order.  All rows share one
-    model clock (``time``), the invariant every ``BeliefState`` maintains.
-    """
-
-    time: float
-    link_rate: np.ndarray
-    buffer_cap: np.ndarray
-    loss_rate: np.ndarray
-    survival: np.ndarray
-    cross_rate_pps: np.ndarray
-    cross_packet_bits: np.ndarray
-    gate_on: np.ndarray
-    next_cross_time: np.ndarray
-    svc_active: np.ndarray
-    svc_flow: np.ndarray
-    svc_size: np.ndarray
-    svc_completion: np.ndarray
-    q_flow: np.ndarray
-    q_size: np.ndarray
-    q_len: np.ndarray
-    queue_bits: np.ndarray
-
-    @property
-    def count(self) -> int:
-        """Number of hypothesis rows."""
-        return int(self.link_rate.size)
-
-    def checkpoint(self) -> dict:
-        """A canonical, comparable snapshot of every lane's latent state.
-
-        Both rollout engines pack lanes (scalar hypotheses route through
-        :func:`pack_hypotheses`), so :mod:`repro.diagnostics` compares these
-        snapshots to tell lane-packing drift from frontier drift.
-        """
-        rows = []
-        for row in range(self.count):
-            length = int(self.q_len[row])
-            rows.append(
-                {
-                    "gate_on": bool(self.gate_on[row]),
-                    "next_cross_time": float(self.next_cross_time[row]),
-                    "in_service": (
-                        (
-                            int(self.svc_flow[row]),
-                            float(self.svc_size[row]),
-                            float(self.svc_completion[row]),
-                        )
-                        if bool(self.svc_active[row])
-                        else None
-                    ),
-                    "queue": [
-                        (int(self.q_flow[row, slot]), float(self.q_size[row, slot]))
-                        for slot in range(length)
-                    ],
-                    "queue_bits": float(self.queue_bits[row]),
-                }
-            )
-        return {"time": float(self.time), "lanes": rows}
-
-
-def pack_rows(state: EnsembleState, rows: Sequence[int] | np.ndarray) -> RolloutLanes:
-    """Lane buffers for ``rows`` of a vectorized ensemble — pure array slicing.
-
-    This is the no-materialization path: the planner hands the belief's
-    top-k row indices straight here, and no scalar ``Hypothesis`` objects
-    are built anywhere on the decide path.
-    """
-    rows = np.asarray(rows, dtype=np.int64)
-    width = max(_MIN_QUEUE_CAPACITY, int(state.q_len[rows].max(initial=0)) + 2)
-    q_flow = np.zeros((rows.size, width), dtype=np.int8)
-    q_size = np.zeros((rows.size, width), dtype=float)
-    take = min(width, state.q_flow.shape[1])
-    q_flow[:, :take] = state.q_flow[rows, :take]
-    q_size[:, :take] = state.q_size[rows, :take]
-    return RolloutLanes(
-        time=state.time,
-        link_rate=state.link_rate[rows].astype(float),
-        buffer_cap=state.buffer_cap[rows].astype(float),
-        loss_rate=state.loss_rate[rows].astype(float),
-        survival=state.survival[rows].astype(float),
-        cross_rate_pps=state.cross_rate_pps[rows].astype(float),
-        cross_packet_bits=state.cross_packet_bits[rows].astype(float),
-        gate_on=state.gate_on[rows].copy(),
-        next_cross_time=state.next_cross_time[rows].astype(float),
-        svc_active=state.svc_active[rows].copy(),
-        svc_flow=state.svc_flow[rows].astype(np.int8),
-        svc_size=state.svc_size[rows].astype(float),
-        svc_completion=state.svc_completion[rows].astype(float),
-        q_flow=q_flow,
-        q_size=q_size,
-        q_len=state.q_len[rows].astype(np.int64),
-        queue_bits=state.queue_bits[rows].astype(float),
-    )
-
-
-def pack_hypotheses(hypotheses: Sequence[Hypothesis]) -> RolloutLanes:
-    """Lane buffers for scalar hypotheses, via their ``export_state`` layout."""
-    if not hypotheses:
-        raise InferenceError("cannot pack zero hypotheses into rollout lanes")
-    states = [hypothesis.model.export_state() for hypothesis in hypotheses]
-    time = states[0]["time"]
-    for state in states:
-        if state["time"] != time:
-            raise InferenceError(
-                "the batched rollout requires every hypothesis to share one "
-                "model clock (lockstep ensembles, as BeliefState maintains)"
-            )
-    count = len(states)
-    params = [hypothesis.model.params for hypothesis in hypotheses]
-    queues = [state["queue"] for state in states]
-    width = max(_MIN_QUEUE_CAPACITY, max((len(q) for q in queues), default=0) + 2)
-    q_flow = np.zeros((count, width), dtype=np.int8)
-    q_size = np.zeros((count, width), dtype=float)
-    flow_codes = {"own": FLOW_OWN, "cross": FLOW_CROSS}
-    for row, queue in enumerate(queues):
-        for slot, (flow, _seq, bits) in enumerate(queue):
-            q_flow[row, slot] = flow_codes[flow]
-            q_size[row, slot] = bits
-    in_service = [state["in_service"] for state in states]
-    return RolloutLanes(
-        time=float(time),
-        link_rate=np.array([p.link_rate_bps for p in params], dtype=float),
-        buffer_cap=np.array([p.buffer_capacity_bits for p in params], dtype=float),
-        loss_rate=np.array([p.loss_rate for p in params], dtype=float),
-        survival=np.array([1.0 - p.loss_rate for p in params], dtype=float),
-        cross_rate_pps=np.array([p.cross_rate_pps for p in params], dtype=float),
-        cross_packet_bits=np.array([p.cross_packet_bits for p in params], dtype=float),
-        gate_on=np.array([s["gate_on"] for s in states], dtype=bool),
-        next_cross_time=np.array([s["next_cross_time"] for s in states], dtype=float),
-        svc_active=np.array([entry is not None for entry in in_service], dtype=bool),
-        svc_flow=np.array(
-            [flow_codes[entry[0]] if entry is not None else -1 for entry in in_service],
-            dtype=np.int8,
-        ),
-        svc_size=np.array(
-            [entry[2] if entry is not None else 0.0 for entry in in_service], dtype=float
-        ),
-        svc_completion=np.array([s["service_completion"] for s in states], dtype=float),
-        q_flow=q_flow,
-        q_size=q_size,
-        q_len=np.array([len(q) for q in queues], dtype=np.int64),
-        queue_bits=np.array([s["queue_bits"] for s in states], dtype=float),
-    )
+#: Departure runs are drained (:func:`_drain_runs`) only when the deepest
+#: initial queue among a call's lanes holds at least this many packets.
+#: Measured on the benchmark's traffic: Figure-3 and serving states start
+#: ≤ 9 deep and run ~1.8× faster lockstep; standing queues ≥ 20 deep run
+#: 1.2–4.4× faster drained.  Nothing was observed in between, so the
+#: constant sits in that gap.
+DRAIN_MIN_QUEUE_DEPTH = 16
 
 
 @dataclass
@@ -363,16 +221,30 @@ def _run_frontier(
     hyp_left: int,
     packet_bits_lane: np.ndarray,
     width_is_exact: bool,
+    drain: bool,
 ) -> dict:
-    """The masked event-frontier core shared by every rollout entry point.
+    """The masked event frontier every rollout runs through.
 
     Mutates the per-lane buffers in place and returns the raw event log plus
     the final lane state.  Every operation here is per-lane elementwise (no
     cross-lane reduction), so a lane's event sequence — values and order —
     depends only on that lane's own inputs.  That independence is what makes
-    :func:`batched_rollout_blocks` byte-identical per block: lane L fires
-    its i-th event on iteration i whether it shares the buffers with one
-    sender's fan-out or with sixty-four senders'.
+    :func:`batched_rollout_blocks` byte-identical per block: a lane fires
+    the same events whether it shares the buffers with one sender's fan-out
+    or with sixty-four senders'.
+
+    With ``drain`` set, a completion whose freshly loaded packet would
+    itself complete before the lane's next cross arrival, hypothetical send,
+    and deadline hands the lane's whole back-to-back departure run to
+    :func:`_drain_runs` inside the same iteration.  The outer iteration
+    count then drops from the busiest lane's *event* count to roughly its
+    *arrival* count.  A lane's event sequence (times, flows, sizes, drop
+    decisions) and final state are bit-identical with and without draining,
+    and each flat event stream stays chronological *per lane* — the property
+    every consumer relies on (``_LaneIndex`` groups with a stable sort,
+    ``evaluate_batch`` accumulates with unbuffered per-lane ``np.add.at``).
+    Only the cross-lane interleaving of the streams differs; no consumer
+    observes it.
     """
     total = int(link_rate.size)
     q_head = np.zeros(total, dtype=np.int64)
@@ -380,7 +252,7 @@ def _run_frontier(
     # Completions are logged untyped — (time, lane, flow, size) chunks in
     # event order — and classified own/cross once after the loop; drops are
     # uniform-flow chunks.  Per-lane chronology survives both because chunks
-    # append in event order and each lane fires at most one event per chunk.
+    # append in event order and each lane's events within a chunk ascend.
     comp_times: list[np.ndarray] = []
     comp_rows: list[np.ndarray] = []
     comp_flows: list[np.ndarray] = []
@@ -485,6 +357,47 @@ def _run_frontier(
                 idle_rows = rows[~has_next]
                 svc_active[idle_rows] = False
                 svc_completion[idle_rows] = np.inf
+            if drain and next_rows.size:
+                # Fire the reloaded packet's completion in this same
+                # iteration whenever it still beats the lane's next cross
+                # arrival, hypothetical send, and deadline — exactly the
+                # events the following iterations would fire, in the same
+                # per-lane order.
+                new_comp = svc_completion[next_rows]
+                draining = (new_comp <= next_cross[next_rows]) & (
+                    new_comp <= until[next_rows]
+                )
+                if hyp_left:
+                    draining &= new_comp <= next_hyp[next_rows]
+                run_rows = next_rows[draining]
+                if run_rows.size:
+                    run_start = new_comp[draining]
+                    comp_times.append(run_start)
+                    comp_rows.append(run_rows)
+                    comp_flows.append(svc_flow[run_rows])
+                    comp_sizes.append(svc_size[run_rows])
+                    _drain_runs(
+                        run_rows,
+                        run_start,
+                        link_rate=link_rate,
+                        svc_active=svc_active,
+                        svc_flow=svc_flow,
+                        svc_size=svc_size,
+                        svc_completion=svc_completion,
+                        q_flow=q_flow,
+                        q_size=q_size,
+                        q_head=q_head,
+                        q_len=q_len,
+                        queue_bits=queue_bits,
+                        until=until,
+                        next_cross=next_cross,
+                        next_hyp=next_hyp,
+                        hyp_left=hyp_left,
+                        comp_times=comp_times,
+                        comp_rows=comp_rows,
+                        comp_flows=comp_flows,
+                        comp_sizes=comp_sizes,
+                    )
 
         rows = live[arriving]
         if rows.size:
@@ -631,236 +544,6 @@ def _drain_runs(
         svc_completion[serving_rows] = completions[slab, pick]
 
 
-def _run_frontier_fused(
-    *,
-    link_rate: np.ndarray,
-    buffer_slack: np.ndarray,
-    cross_interval: np.ndarray,
-    cross_packet_bits: np.ndarray,
-    svc_active: np.ndarray,
-    svc_flow: np.ndarray,
-    svc_size: np.ndarray,
-    svc_completion: np.ndarray,
-    q_flow: np.ndarray,
-    q_size: np.ndarray,
-    q_len: np.ndarray,
-    queue_bits: np.ndarray,
-    send_time: np.ndarray,
-    until: np.ndarray,
-    next_cross: np.ndarray,
-    next_hyp: np.ndarray,
-    hyp_left: int,
-    packet_bits_lane: np.ndarray,
-    width_is_exact: bool,
-) -> dict:
-    """The fused entry points' event frontier: compacted state, drained runs.
-
-    Fires exactly the events :func:`_run_frontier` fires, with the identical
-    per-lane arithmetic (same float operations in the same per-lane order),
-    but with consecutive service completions *drained*: when a completion's
-    freshly loaded packet would itself complete before the lane's next
-    cross arrival, hypothetical send, and deadline, :func:`_drain_runs`
-    replays the lane's whole back-to-back departure run inside the same
-    outer iteration via one prefix-sum slab.  The outer iteration count
-    drops from the busiest lane's *event* count to roughly its *arrival*
-    count — and each outer iteration's fixed cost (the masked minima,
-    gathers, and branch bookkeeping over all live lanes) is paid that much
-    less often.
-
-    Equivalence contract: a lane's event sequence (times, flows, sizes, drop
-    decisions) and final state are bit-identical to the lockstep loop's, and
-    each flat event stream stays chronological *per lane* — the property
-    every consumer relies on (``_LaneIndex`` groups with a stable sort,
-    ``evaluate_batch`` accumulates with unbuffered per-lane ``np.add.at``).
-    The cross-lane interleaving of the streams may differ from the lockstep
-    loop's; no consumer observes it.  Drained runs are decided purely by
-    lane-local state, so a pooled block's slice of the stream still equals
-    its standalone run's stream, chunk for chunk.
-    """
-    total = int(link_rate.size)
-    q_head = np.zeros(total, dtype=np.int64)
-
-    comp_times: list[np.ndarray] = []
-    comp_rows: list[np.ndarray] = []
-    comp_flows: list[np.ndarray] = []
-    comp_sizes: list[np.ndarray] = []
-    drop_chunks: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
-
-    def enqueue(rows: np.ndarray, times: np.ndarray, flow: int, sizes: np.ndarray) -> None:
-        """Offer one ``flow``-typed packet per row — identical decisions and
-        float arithmetic to the lockstep loop's ``enqueue``."""
-        nonlocal q_flow, q_size
-        idle = ~svc_active[rows]
-        idle_rows = rows[idle]
-        if idle_rows.size:
-            svc_active[idle_rows] = True
-            svc_flow[idle_rows] = flow
-            svc_size[idle_rows] = sizes[idle]
-            svc_completion[idle_rows] = times[idle] + sizes[idle] / link_rate[idle_rows]
-            if idle_rows.size == rows.size:
-                return
-            busy = ~idle
-            rows = rows[busy]
-            times = times[busy]
-            sizes = sizes[busy]
-        fits = queue_bits[rows] + sizes <= buffer_slack[rows]
-        queue_rows = rows[fits]
-        if queue_rows.size != rows.size:
-            drop = ~fits
-            drop_chunks.append((flow, times[drop], rows[drop], sizes[drop]))
-            queue_sizes = sizes[fits]
-        else:
-            queue_sizes = sizes
-        if queue_rows.size:
-            slots = q_head[queue_rows] + q_len[queue_rows]
-            if not width_is_exact:
-                needed = int(slots.max()) + 1
-                if needed > q_flow.shape[1]:
-                    grown = max(needed, q_flow.shape[1] * 2)
-                    q_flow = _pad_columns(q_flow, grown)
-                    q_size = _pad_columns(q_size, grown)
-            q_flow[queue_rows, slots] = flow
-            q_size[queue_rows, slots] = queue_sizes
-            q_len[queue_rows] += 1
-            queue_bits[queue_rows] += queue_sizes
-
-    live = np.arange(total)
-    until_live = until
-    while live.size:
-        svc_live = svc_completion[live]
-        cross_live = next_cross[live]
-        if hyp_left:
-            hyp_live = next_hyp[live]
-            next_event = np.minimum(np.minimum(svc_live, cross_live), hyp_live)
-        else:
-            next_event = np.minimum(svc_live, cross_live)
-        keep = next_event <= until_live
-        if not keep.all():
-            live = live[keep]
-            if not live.size:
-                break
-            until_live = until_live[keep]
-            svc_live = svc_live[keep]
-            cross_live = cross_live[keep]
-            if hyp_left:
-                hyp_live = hyp_live[keep]
-        # Tie order per lane matches the lockstep loop: completions first,
-        # cross arrivals second, the hypothetical send strictly last.
-        if hyp_left:
-            completing = (svc_live <= cross_live) & (svc_live <= hyp_live)
-            arriving = ~completing & (cross_live <= hyp_live)
-        else:
-            completing = svc_live <= cross_live
-            arriving = ~completing
-
-        rows = live[completing]
-        if rows.size:
-            when = svc_live[completing]
-            comp_times.append(when)
-            comp_rows.append(rows)
-            comp_flows.append(svc_flow[rows])
-            comp_sizes.append(svc_size[rows])
-            # Load the next queued packet — the lockstep loop's completion
-            # branch, op for op.
-            has_next = q_len[rows] > 0
-            next_rows = rows[has_next]
-            if next_rows.size:
-                head = q_head[next_rows]
-                size = q_size[next_rows, head]
-                svc_flow[next_rows] = q_flow[next_rows, head]
-                svc_size[next_rows] = size
-                svc_completion[next_rows] = when[has_next] + size / link_rate[next_rows]
-                q_head[next_rows] = head + 1
-                q_len[next_rows] -= 1
-                remaining = queue_bits[next_rows] - size
-                queue_bits[next_rows] = np.where(remaining < 1e-9, 0.0, remaining)
-            if next_rows.size != rows.size:
-                idle_rows = rows[~has_next]
-                svc_active[idle_rows] = False
-                svc_completion[idle_rows] = np.inf
-            if next_rows.size:
-                # Drain: fire the reloaded packet's completion in this same
-                # outer iteration whenever it still beats the lane's next
-                # cross arrival, hypothetical send, and deadline — exactly
-                # the events the lockstep loop would fire over its next
-                # iterations, in the same per-lane order.
-                new_comp = svc_completion[next_rows]
-                drain = (new_comp <= next_cross[next_rows]) & (
-                    new_comp <= until[next_rows]
-                )
-                if hyp_left:
-                    drain &= new_comp <= next_hyp[next_rows]
-                run_rows = next_rows[drain]
-                if run_rows.size:
-                    run_start = new_comp[drain]
-                    comp_times.append(run_start)
-                    comp_rows.append(run_rows)
-                    comp_flows.append(svc_flow[run_rows])
-                    comp_sizes.append(svc_size[run_rows])
-                    _drain_runs(
-                        run_rows,
-                        run_start,
-                        link_rate=link_rate,
-                        svc_active=svc_active,
-                        svc_flow=svc_flow,
-                        svc_size=svc_size,
-                        svc_completion=svc_completion,
-                        q_flow=q_flow,
-                        q_size=q_size,
-                        q_head=q_head,
-                        q_len=q_len,
-                        queue_bits=queue_bits,
-                        until=until,
-                        next_cross=next_cross,
-                        next_hyp=next_hyp,
-                        hyp_left=hyp_left,
-                        comp_times=comp_times,
-                        comp_rows=comp_rows,
-                        comp_flows=comp_flows,
-                        comp_sizes=comp_sizes,
-                    )
-
-        rows = live[arriving]
-        if rows.size:
-            when = cross_live[arriving]
-            enqueue(rows, when, FLOW_CROSS, cross_packet_bits[rows])
-            next_cross[rows] = when + cross_interval[rows]
-
-        if hyp_left:
-            sending = ~(completing | arriving)
-            rows = live[sending]
-            if rows.size:
-                next_hyp[rows] = np.inf
-                hyp_left -= int(rows.size)
-                enqueue(rows, send_time[rows], FLOW_HYP, packet_bits_lane[rows])
-
-    if comp_times:
-        all_times = np.concatenate(comp_times)
-        all_rows = np.concatenate(comp_rows)
-        all_flows = np.concatenate(comp_flows)
-        all_sizes = np.concatenate(comp_sizes)
-    else:
-        all_times = np.empty(0)
-        all_rows = np.empty(0, dtype=np.int64)
-        all_flows = np.empty(0, dtype=np.int8)
-        all_sizes = np.empty(0)
-    return {
-        "times": all_times,
-        "rows": all_rows,
-        "flows": all_flows,
-        "sizes": all_sizes,
-        "drop_chunks": drop_chunks,
-        "q_flow": q_flow,
-        "q_size": q_size,
-        "q_head": q_head,
-        "q_len": q_len,
-        "queue_bits": queue_bits,
-        "svc_active": svc_active,
-        "svc_flow": svc_flow,
-        "svc_size": svc_size,
-    }
-
-
 def _classify_events(raw: dict, now: float, end_lane: np.ndarray) -> dict:
     """Split the raw event log into the outcome's own/cross event streams.
 
@@ -909,35 +592,15 @@ def _classify_events(raw: dict, now: float, end_lane: np.ndarray) -> dict:
     }
 
 
-def _cross_backlog_pairwise(raw: dict) -> np.ndarray:
-    """Final cross-queued bits per lane, summed with NumPy's pairwise sum.
-
-    The historical reduction of :func:`batched_rollout`, kept bit-for-bit so
-    the unfused vectorized backend's outputs are unchanged by the fused
-    refactor.  Its rounding depends on the buffer width (the pairwise tree
-    shape), which is why the fused paths use the width-independent
-    :func:`_cross_backlog_sequential` instead.
-    """
-    q_flow, q_size = raw["q_flow"], raw["q_size"]
-    q_head, q_len = raw["q_head"], raw["q_len"]
-    columns = np.arange(q_flow.shape[1])
-    in_queue = (columns >= q_head[:, None]) & (columns < (q_head + q_len)[:, None])
-    cross_backlog = (q_size * (in_queue & (q_flow == FLOW_CROSS))).sum(axis=1)
-    cross_backlog += np.where(
-        raw["svc_active"] & (raw["svc_flow"] == FLOW_CROSS), raw["svc_size"], 0.0
-    )
-    return cross_backlog
-
-
 def _cross_backlog_sequential(raw: dict) -> np.ndarray:
     """Final cross-queued bits per lane, accumulated strictly left to right.
 
     ``np.add.at`` over the in-queue cross cells in row-major (ascending
-    column) order gives every lane the same ordered float additions no
-    matter how wide the shared buffer is — so a pooled
-    :func:`batched_rollout_blocks` lane and its standalone
-    :func:`batched_rollout_rows` twin produce bit-identical backlogs even
-    though they sat in differently sized buffers.
+    column) order gives every lane the scalar oracle's ordered float
+    additions (``LinkModel.cross_backlog_bits`` sums the queue front to
+    back, then adds the packet in service) no matter how wide the shared
+    buffer is — so a lane's backlog does not depend on which other blocks
+    it was pooled with.
     """
     q_flow, q_size = raw["q_flow"], raw["q_size"]
     q_head, q_len = raw["q_head"], raw["q_len"]
@@ -952,209 +615,9 @@ def _cross_backlog_sequential(raw: dict) -> np.ndarray:
     return cross_backlog
 
 
-def batched_rollout(
-    lanes: RolloutLanes,
-    action_delays: Sequence[float],
-    horizon: float,
-    packet_bits: float,
-    now: float,
-    send_packet: bool = True,
-) -> BatchedRolloutOutcome:
-    """Advance all A×K lanes through the rollout horizon in lockstep.
-
-    Mirrors ``Hypothesis.rollout`` lane for lane: the hypothetical packet
-    enters at ``now + delay`` (after every event at or before that instant),
-    the gate stays frozen, and each lane runs to ``max(now + horizon,
-    send_time)`` so delays beyond the horizon still observe their send.
-    """
-    delays = np.asarray(action_delays, dtype=float)
-    if np.any(delays < 0):
-        raise InferenceError("action delays must be non-negative")
-    if now < lanes.time - 1e-9:
-        raise InferenceError(
-            f"cannot roll out at {now:.6f}: lane clock is already at {lanes.time:.6f}"
-        )
-    k = lanes.count
-    a = int(delays.size)
-    total = a * k
-
-    # Tile the K hypothesis rows across the A candidate actions.  The
-    # reciprocal inter-arrival and the drop threshold are precomputed — both
-    # reuse the identical float values the scalar model derives per event.
-    link_rate = np.tile(lanes.link_rate, a)
-    buffer_slack = np.tile(lanes.buffer_cap, a) + 1e-9
-    with np.errstate(divide="ignore"):
-        cross_interval = np.tile(1.0 / lanes.cross_rate_pps, a)
-    cross_packet_bits = np.tile(lanes.cross_packet_bits, a)
-    svc_active = np.tile(lanes.svc_active, a)
-    svc_flow = np.tile(lanes.svc_flow, a)
-    svc_size = np.tile(lanes.svc_size, a)
-    svc_completion = np.tile(lanes.svc_completion, a)
-    # Slots are consumed monotonically (ring head, no reuse), so pre-size the
-    # queue buffers for the worst-case enqueue count — initial occupancy plus
-    # every possible cross arrival plus the hypothetical — and the loop never
-    # has to grow them.
-    max_delay = float(delays.max()) if delays.size else 0.0
-    span = horizon + max_delay + (now - lanes.time)
-    max_rate = float(lanes.cross_rate_pps.max()) if k else 0.0
-    arrival_bound = int(min(span * max_rate + 2.0, 4096.0))
-    width = int(lanes.q_len.max(initial=0)) + arrival_bound + 2
-    q_flow = np.zeros((total, width), dtype=np.int8)
-    q_size = np.zeros((total, width), dtype=float)
-    take = min(width, lanes.q_flow.shape[1])
-    q_flow[:, :take] = np.tile(lanes.q_flow[:, :take], (a, 1))
-    q_size[:, :take] = np.tile(lanes.q_size[:, :take], (a, 1))
-    q_len = np.tile(lanes.q_len, a)
-    queue_bits = np.tile(lanes.queue_bits, a)
-
-    end = now + horizon
-    send_time = np.repeat(now + delays, k)
-    # A lane runs past the horizon only to observe its own send; with
-    # send_packet=False the scalar oracle never advances beyond the end.
-    until = np.maximum(end, send_time) if send_packet else np.full(total, end)
-    # The gate is frozen during rollouts, so the "next cross arrival" frontier
-    # can be masked once up front instead of re-masking every iteration; the
-    # hypothetical-send frontier likewise goes to +inf once fired.
-    next_cross = np.tile(
-        np.where(lanes.gate_on, lanes.next_cross_time, np.inf), a
-    )
-    next_hyp = send_time.copy() if send_packet else np.full(total, np.inf)
-    hyp_left = int(total) if send_packet else 0
-
-    # The pre-sized width is a hard bound unless the arrival estimate was
-    # clamped; only then does enqueue need its per-call growth check.
-    width_is_exact = span * max_rate + 2.0 <= 4096.0
-
-    raw = _run_frontier(
-        link_rate=link_rate,
-        buffer_slack=buffer_slack,
-        cross_interval=cross_interval,
-        cross_packet_bits=cross_packet_bits,
-        svc_active=svc_active,
-        svc_flow=svc_flow,
-        svc_size=svc_size,
-        svc_completion=svc_completion,
-        q_flow=q_flow,
-        q_size=q_size,
-        q_len=q_len,
-        queue_bits=queue_bits,
-        send_time=send_time,
-        until=until,
-        next_cross=next_cross,
-        next_hyp=next_hyp,
-        hyp_left=hyp_left,
-        packet_bits_lane=np.full(total, packet_bits, dtype=float),
-        width_is_exact=width_is_exact,
-    )
-    events = _classify_events(raw, now, np.full(total, end))
-    final_queue_bits = raw["queue_bits"] + np.where(
-        raw["svc_active"], raw["svc_size"], 0.0
-    )
-    return BatchedRolloutOutcome(
-        decision_time=now,
-        horizon=horizon,
-        packet_bits=packet_bits,
-        action_delays=delays,
-        k=k,
-        own_survival=np.tile(lanes.survival, a),
-        final_queue_bits=final_queue_bits,
-        final_cross_backlog_bits=_cross_backlog_pairwise(raw),
-        **events,
-    )
-
-
-def batched_rollout_rows(
-    state: EnsembleState,
-    rows: Sequence[int] | np.ndarray,
-    action_delays: Sequence[float],
-    horizon: float,
-    packet_bits: float,
-    now: float,
-    send_packet: bool = True,
-) -> BatchedRolloutOutcome:
-    """The fused rollout: ensemble rows straight into the event frontier.
-
-    Equivalent to ``batched_rollout(pack_rows(state, rows), ...)`` — same
-    values in every lane slot, hence byte-identical outcomes (the tiled
-    gather ``state.lane_arrays`` produces is elementwise equal to
-    ``pack_rows`` + ``np.tile``) — but without materializing the
-    intermediate :class:`RolloutLanes` repack.  The one intentional
-    difference is the final cross-backlog reduction, which uses the
-    width-independent sequential sum (see :func:`_cross_backlog_sequential`)
-    so pooled and standalone fused runs agree bit for bit; under the default
-    utilities the backlog never feeds a decision, and the documented 1e-9
-    relative utility tolerance covers it everywhere else.
-    """
-    rows = np.asarray(rows, dtype=np.int64)
-    delays = np.asarray(action_delays, dtype=float)
-    if np.any(delays < 0):
-        raise InferenceError("action delays must be non-negative")
-    if now < state.time - 1e-9:
-        raise InferenceError(
-            f"cannot roll out at {now:.6f}: lane clock is already at {state.time:.6f}"
-        )
-    k = int(rows.size)
-    a = int(delays.size)
-    total = a * k
-
-    max_delay = float(delays.max()) if delays.size else 0.0
-    span = horizon + max_delay + (now - state.time)
-    max_rate = float(state.cross_rate_pps[rows].max()) if k else 0.0
-    arrival_bound = int(min(span * max_rate + 2.0, 4096.0))
-    width = int(state.q_len[rows].max(initial=0)) + arrival_bound + 2
-    width_is_exact = span * max_rate + 2.0 <= 4096.0
-
-    lanes = state.lane_arrays(rows, a, width)
-    with np.errstate(divide="ignore"):
-        cross_interval = 1.0 / lanes["cross_rate_pps"]
-    end = now + horizon
-    send_time = np.repeat(now + delays, k)
-    until = np.maximum(end, send_time) if send_packet else np.full(total, end)
-    next_cross = np.where(lanes["gate_on"], lanes["next_cross_time"], np.inf)
-    next_hyp = send_time.copy() if send_packet else np.full(total, np.inf)
-    hyp_left = int(total) if send_packet else 0
-
-    raw = _run_frontier_fused(
-        link_rate=lanes["link_rate"],
-        buffer_slack=lanes["buffer_cap"] + 1e-9,
-        cross_interval=cross_interval,
-        cross_packet_bits=lanes["cross_packet_bits"],
-        svc_active=lanes["svc_active"],
-        svc_flow=lanes["svc_flow"],
-        svc_size=lanes["svc_size"],
-        svc_completion=lanes["svc_completion"],
-        q_flow=lanes["q_flow"],
-        q_size=lanes["q_size"],
-        q_len=lanes["q_len"],
-        queue_bits=lanes["queue_bits"],
-        send_time=send_time,
-        until=until,
-        next_cross=next_cross,
-        next_hyp=next_hyp,
-        hyp_left=hyp_left,
-        packet_bits_lane=np.full(total, packet_bits, dtype=float),
-        width_is_exact=width_is_exact,
-    )
-    events = _classify_events(raw, now, np.full(total, end))
-    final_queue_bits = raw["queue_bits"] + np.where(
-        raw["svc_active"], raw["svc_size"], 0.0
-    )
-    return BatchedRolloutOutcome(
-        decision_time=now,
-        horizon=horizon,
-        packet_bits=packet_bits,
-        action_delays=delays,
-        k=k,
-        own_survival=lanes["survival"],
-        final_queue_bits=final_queue_bits,
-        final_cross_backlog_bits=_cross_backlog_sequential(raw),
-        **events,
-    )
-
-
 @dataclass
 class RolloutBlock:
-    """One sender's (action × hypothesis) fan-out inside a pooled rollout.
+    """One sender's (action × hypothesis) fan-out inside a rollout.
 
     ``batched_rollout_blocks`` concatenates blocks along the lane axis into
     one (sender × action × hypothesis) frontier.  Each block's horizon,
@@ -1169,6 +632,15 @@ class RolloutBlock:
     packet_bits: float
 
 
+#: ``BatchedRolloutOutcome``'s flat event streams: lane column → value columns.
+_EVENT_STREAMS = {
+    "own_lane": ("own_time", "own_is_hyp"),
+    "own_drop_lane": ("own_drop_time", "own_drop_is_hyp"),
+    "cross_lane": ("cross_time", "cross_bits"),
+    "cross_drop_lane": ("cross_drop_time", "cross_drop_bits"),
+}
+
+
 def batched_rollout_blocks(
     blocks: Sequence[RolloutBlock],
     now: float,
@@ -1176,18 +648,24 @@ def batched_rollout_blocks(
 ) -> list[BatchedRolloutOutcome]:
     """Roll out many senders' fan-outs as one (sender × action × hypothesis) pass.
 
+    Mirrors ``Hypothesis.rollout`` lane for lane: the hypothetical packet
+    enters at ``now + delay`` (after every event at or before that instant),
+    the gate stays frozen, and each lane runs to ``max(now + horizon,
+    send_time)`` so delays beyond the horizon still observe their send.
+
     Returns one :class:`BatchedRolloutOutcome` per block, each byte-identical
-    to what :func:`batched_rollout_rows` would return for that block alone:
-    the frontier core is lane-elementwise, so pooling changes neither event
-    values nor per-lane event order, and the per-block slices of the flat
-    event log preserve the standalone chunk ordering (within one iteration's
-    chunk, lanes ascend, and a block's lanes are contiguous).
+    to what the block would get rolled out alone: the frontier core is
+    lane-elementwise, so pooling changes neither event values nor per-lane
+    event order, and the per-block slices of the flat event log preserve the
+    standalone chunk ordering (within one chunk, lanes ascend, and a block's
+    lanes are contiguous).
     """
     if not blocks:
         return []
     prepared = []
     width = 0
     width_is_exact = True
+    deepest = 0
     for block in blocks:
         rows = np.asarray(block.rows, dtype=np.int64)
         delays = np.asarray(block.action_delays, dtype=float)
@@ -1200,43 +678,32 @@ def batched_rollout_blocks(
             )
         k = int(rows.size)
         a = int(delays.size)
+        # Slots are consumed monotonically (ring head, no reuse), so pre-size
+        # the queue buffers for the worst-case enqueue count — initial
+        # occupancy plus every possible cross arrival plus the hypothetical —
+        # and the loop has to grow them only when the estimate was clamped.
         max_delay = float(delays.max()) if delays.size else 0.0
         span = block.horizon + max_delay + (now - block.state.time)
         max_rate = float(block.state.cross_rate_pps[rows].max()) if k else 0.0
         arrival_bound = int(min(span * max_rate + 2.0, 4096.0))
-        width = max(width, int(block.state.q_len[rows].max(initial=0)) + arrival_bound + 2)
+        depth = int(block.state.q_len[rows].max(initial=0))
+        deepest = max(deepest, depth)
+        width = max(width, depth + arrival_bound + 2)
         width_is_exact = width_is_exact and span * max_rate + 2.0 <= 4096.0
         prepared.append((block, rows, delays, k, a))
 
-    fields = (
-        "link_rate",
-        "buffer_cap",
-        "survival",
-        "cross_rate_pps",
-        "cross_packet_bits",
-        "gate_on",
-        "next_cross_time",
-        "svc_active",
-        "svc_flow",
-        "svc_size",
-        "svc_completion",
-        "q_len",
-        "queue_bits",
-        "q_flow",
-        "q_size",
-    )
-    pieces: dict[str, list[np.ndarray]] = {field: [] for field in fields}
+    lane_parts: list[dict] = []
     send_parts: list[np.ndarray] = []
     until_parts: list[np.ndarray] = []
     end_parts: list[np.ndarray] = []
     bits_parts: list[np.ndarray] = []
     for block, rows, delays, k, a in prepared:
-        lanes = block.state.lane_arrays(rows, a, width)
-        for field in fields:
-            pieces[field].append(lanes[field])
+        lane_parts.append(block.state.lane_arrays(rows, a, width))
         end = now + block.horizon
         block_send = np.repeat(now + delays, k)
         send_parts.append(block_send)
+        # A lane runs past the horizon only to observe its own send; with
+        # send_packet=False the scalar oracle never advances beyond the end.
         until_parts.append(
             np.maximum(end, block_send)
             if send_packet
@@ -1244,20 +711,32 @@ def batched_rollout_blocks(
         )
         end_parts.append(np.full(block_send.size, end))
         bits_parts.append(np.full(block_send.size, block.packet_bits, dtype=float))
-    merged = {field: np.concatenate(pieces[field]) for field in fields}
-    send_time = np.concatenate(send_parts)
-    until = np.concatenate(until_parts)
-    end_lane = np.concatenate(end_parts)
-    packet_bits_lane = np.concatenate(bits_parts)
+    single = len(prepared) == 1
+
+    def join(parts: list[np.ndarray]) -> np.ndarray:
+        return parts[0] if single else np.concatenate(parts)
+
+    merged = {
+        field: join([lanes[field] for lanes in lane_parts]) for field in lane_parts[0]
+    }
+    send_time = join(send_parts)
+    until = join(until_parts)
+    end_lane = join(end_parts)
+    packet_bits_lane = join(bits_parts)
     total = int(send_time.size)
 
+    # The reciprocal inter-arrival and the drop threshold are precomputed —
+    # both reuse the identical float values the scalar model derives per
+    # event.  The gate is frozen during rollouts, so the "next cross arrival"
+    # frontier is masked once up front; the hypothetical-send frontier
+    # likewise goes to +inf once fired.
     with np.errstate(divide="ignore"):
         cross_interval = 1.0 / merged["cross_rate_pps"]
     next_cross = np.where(merged["gate_on"], merged["next_cross_time"], np.inf)
     next_hyp = send_time.copy() if send_packet else np.full(total, np.inf)
     hyp_left = total if send_packet else 0
 
-    raw = _run_frontier_fused(
+    raw = _run_frontier(
         link_rate=merged["link_rate"],
         buffer_slack=merged["buffer_cap"] + 1e-9,
         cross_interval=cross_interval,
@@ -1277,6 +756,7 @@ def batched_rollout_blocks(
         hyp_left=hyp_left,
         packet_bits_lane=packet_bits_lane,
         width_is_exact=width_is_exact,
+        drain=deepest >= DRAIN_MIN_QUEUE_DEPTH,
     )
     events = _classify_events(raw, now, end_lane)
     final_queue_bits = raw["queue_bits"] + np.where(
@@ -1288,25 +768,15 @@ def batched_rollout_blocks(
     offset = 0
     for block, rows, delays, k, a in prepared:
         stop = offset + a * k
-
-        def split(time: np.ndarray, lane: np.ndarray, *extras: np.ndarray):
-            sel = (lane >= offset) & (lane < stop)
-            return (time[sel], lane[sel] - offset) + tuple(x[sel] for x in extras)
-
-        own_time, own_lane, own_is_hyp = split(
-            events["own_time"], events["own_lane"], events["own_is_hyp"]
-        )
-        own_drop_time, own_drop_lane, own_drop_is_hyp = split(
-            events["own_drop_time"], events["own_drop_lane"], events["own_drop_is_hyp"]
-        )
-        cross_time, cross_lane, cross_bits = split(
-            events["cross_time"], events["cross_lane"], events["cross_bits"]
-        )
-        cross_drop_time, cross_drop_lane, cross_drop_bits = split(
-            events["cross_drop_time"],
-            events["cross_drop_lane"],
-            events["cross_drop_bits"],
-        )
+        block_events = events
+        if not single:
+            block_events = {}
+            for lane_key, value_keys in _EVENT_STREAMS.items():
+                lane = events[lane_key]
+                sel = (lane >= offset) & (lane < stop)
+                block_events[lane_key] = lane[sel] - offset
+                for key in value_keys:
+                    block_events[key] = events[key][sel]
         outcomes.append(
             BatchedRolloutOutcome(
                 decision_time=now,
@@ -1315,33 +785,36 @@ def batched_rollout_blocks(
                 action_delays=delays,
                 k=k,
                 own_survival=merged["survival"][offset:stop],
-                own_time=own_time,
-                own_lane=own_lane,
-                own_is_hyp=own_is_hyp,
-                own_drop_time=own_drop_time,
-                own_drop_lane=own_drop_lane,
-                own_drop_is_hyp=own_drop_is_hyp,
-                cross_time=cross_time,
-                cross_bits=cross_bits,
-                cross_lane=cross_lane,
-                cross_drop_time=cross_drop_time,
-                cross_drop_bits=cross_drop_bits,
-                cross_drop_lane=cross_drop_lane,
                 final_queue_bits=final_queue_bits[offset:stop],
                 final_cross_backlog_bits=cross_backlog[offset:stop],
+                **block_events,
             )
         )
         offset = stop
     return outcomes
 
 
+def batched_rollout_rows(
+    state: EnsembleState,
+    rows: Sequence[int] | np.ndarray,
+    action_delays: Sequence[float],
+    horizon: float,
+    packet_bits: float,
+    now: float,
+    send_packet: bool = True,
+) -> BatchedRolloutOutcome:
+    """One sender's fan-out: the one-block case of :func:`batched_rollout_blocks`."""
+    block = RolloutBlock(state, rows, action_delays, horizon, packet_bits)
+    return batched_rollout_blocks([block], now, send_packet)[0]
+
+
 def _finish_decide(planner, summary, actions, horizon, outcome, probe) -> "Decision":
     """Value a rollout fan-out and pick the action — the shared decide tail.
 
-    Used by both the unfused ``decide_vectorized`` and the fused backend's
-    ``decide_fused`` (and, per block, by the ``BatchedSenderPool``), so the
-    utility arithmetic, probability-weighted aggregation loop, and tie
-    handling are the identical float operations on every path.
+    The post-rollout half of :func:`decide_pooled`, run once per sender: the
+    probability-weighted aggregation is a Python-float loop in the scalar
+    oracle's order, so expected utilities differ from it only by the
+    utility's own transcendental rounding.
     """
     from repro.core.planner import Decision
 
@@ -1397,49 +870,82 @@ def _finish_decide(planner, summary, actions, horizon, outcome, probe) -> "Decis
     )
 
 
-@ROLLOUT_BACKENDS.register("vectorized")
+def decide_pooled(
+    senders: Sequence[tuple["ExpectedUtilityPlanner", "BeliefState"]], now: float
+) -> list["Decision"]:
+    """Decide for every ``(planner, belief)`` through one rollout frontier.
+
+    Each sender contributes one :class:`RolloutBlock` — its top-k rows fanned
+    out over its own action grid — and a single
+    :func:`batched_rollout_blocks` call advances all (sender × action ×
+    hypothesis) lanes together.  Decisions come back in sender order; each
+    is bit-identical to deciding for that sender alone, because the frontier
+    is lane-elementwise and the pre- and post-rollout halves here run per
+    sender.
+
+    An array belief hands over its ensemble rows as they are (``top_rows``,
+    no scalar ``Hypothesis`` is materialized anywhere on the decide path); a
+    scalar belief's top hypotheses are packed through
+    :meth:`EnsembleState.from_hypotheses`, which rejects hypotheses that do
+    not share one model clock.
+    """
+    prepared = []
+    blocks = []
+    for planner, belief in senders:
+        top_rows = getattr(belief, "top_rows", None)
+        if top_rows is not None:
+            rows, weights = top_rows(planner.top_k)
+            state = belief.state
+            summary = planner._summarize_rows(state, rows, weights)
+        else:
+            top = belief.top(planner.top_k)
+            summary = planner._summarize_hypotheses(top)
+            state = EnsembleState.from_hypotheses([hypothesis for hypothesis, _ in top])
+            rows = np.arange(state.size)
+        actions = planner.action_grid.actions(summary.service_time)
+        horizon = planner._horizon_from(summary)
+        probe = planner.decision_probe
+        if probe is not None:
+            probe(
+                "summary",
+                {
+                    "service_time": summary.service_time,
+                    "horizon": horizon,
+                    "weights": list(summary.weights),
+                    "actions": [action.delay for action in actions],
+                },
+            )
+            probe("lanes", state.lane_checkpoint(rows))
+        prepared.append((planner, summary, actions, horizon, probe))
+        blocks.append(
+            RolloutBlock(
+                state=state,
+                rows=rows,
+                action_delays=[action.delay for action in actions],
+                horizon=horizon,
+                packet_bits=planner.packet_bits,
+            )
+        )
+    outcomes = batched_rollout_blocks(blocks, now)
+    return [
+        _finish_decide(planner, summary, actions, horizon, outcome, probe)
+        for (planner, summary, actions, horizon, probe), outcome in zip(
+            prepared, outcomes
+        )
+    ]
+
+
 def decide_vectorized(
     planner: "ExpectedUtilityPlanner", belief: "BeliefState", now: float
 ) -> "Decision":
-    """The batched rollout engine behind ``rollout_backend="vectorized"``.
+    """The array rollout engine: the one-sender case of :func:`decide_pooled`.
 
-    Registered on :data:`~repro.api.backends.ROLLOUT_BACKENDS`;
-    ``ExpectedUtilityPlanner.decide`` dispatches here when the planner was
-    constructed with the vectorized backend.  When the belief also exposes
-    ``top_rows`` (the vectorized ensemble), the lanes are packed straight
-    from its rows and no scalar ``Hypothesis`` is materialized anywhere on
-    the decide path.
+    Registered on :data:`~repro.api.backends.ROLLOUT_BACKENDS` under both
+    accepted spellings, ``"vectorized"`` and ``"fused"``;
+    ``ExpectedUtilityPlanner.decide`` dispatches here for either.
     """
-    top_rows = getattr(belief, "top_rows", None)
-    if top_rows is not None:
-        rows, weights = top_rows(planner.top_k)
-        state = belief.state
-        summary = planner._summarize_rows(state, rows, weights)
-        lanes = pack_rows(state, rows)
-    else:
-        top = belief.top(planner.top_k)
-        summary = planner._summarize_hypotheses(top)
-        lanes = pack_hypotheses([hypothesis for hypothesis, _ in top])
+    return decide_pooled([(planner, belief)], now)[0]
 
-    actions = planner.action_grid.actions(summary.service_time)
-    horizon = planner._horizon_from(summary)
-    probe = planner.decision_probe
-    if probe is not None:
-        probe(
-            "summary",
-            {
-                "service_time": summary.service_time,
-                "horizon": horizon,
-                "weights": list(summary.weights),
-                "actions": [action.delay for action in actions],
-            },
-        )
-        probe("lanes", lanes.checkpoint())
-    outcome = batched_rollout(
-        lanes,
-        [action.delay for action in actions],
-        horizon,
-        planner.packet_bits,
-        now,
-    )
-    return _finish_decide(planner, summary, actions, horizon, outcome, probe)
+
+ROLLOUT_BACKENDS.register("vectorized", decide_vectorized)
+ROLLOUT_BACKENDS.register("fused", decide_vectorized)

@@ -396,10 +396,8 @@ class EnsembleState:
         wholesale; ``q_len`` itself is part of the digest, which keeps a
         zero-valued real cell distinct from padding.
 
-        The fused belief backend groups rows directly on this matrix (a
-        single ``np.unique`` over a void view) without ever materializing
-        per-row ``bytes``; :meth:`signature_digest` is the bytes-per-row
-        wrapper the dict-based compaction path consumes.
+        :meth:`signature_digest` freezes each row into the ``bytes`` key the
+        belief's compaction groups on.
         """
         length = int(self.q_len[rows].max()) if rows.size else 0
         parts = [
@@ -435,14 +433,9 @@ class EnsembleState:
     def lane_arrays(self, rows: np.ndarray, copies: int, queue_width: int) -> dict:
         """Per-lane buffers for ``rows`` tiled ``copies`` times, rollout-ready.
 
-        This is the fused path's lane-buffer view: the gathered arrays feed
-        :func:`repro.inference.vectorized.rollout.batched_rollout_rows`
-        directly, skipping the intermediate
-        :class:`~repro.inference.vectorized.rollout.RolloutLanes` repack that
-        ``pack_rows`` + ``batched_rollout`` would build.  The tile-of-gather
-        is bit-identical to gather-then-``np.tile`` — the same float64/int8
-        values land in the same lane slots — so the fused rollout reproduces
-        the unfused one byte for byte.
+        The gathered arrays feed
+        :func:`repro.inference.vectorized.rollout.batched_rollout_blocks`
+        directly: lane ``a * len(rows) + j`` is action ``a`` on ``rows[j]``.
 
         ``queue_width`` sizes the returned queue buffers (zero-padded past
         each row's ``q_len``); callers pass the rollout's precomputed
@@ -472,6 +465,39 @@ class EnsembleState:
             "q_flow": q_flow,
             "q_size": q_size,
         }
+
+    def lane_checkpoint(self, rows: np.ndarray) -> dict:
+        """A canonical, comparable snapshot of the latent state rollouts read.
+
+        One entry per row, in ``rows`` order — what the planner's ``lanes``
+        probe reports, so :mod:`repro.diagnostics` can tell drift in the
+        state handed to the rollout from drift inside the frontier.  The
+        scalar oracle reports the same snapshot by packing its top
+        hypotheses through :meth:`from_hypotheses`.
+        """
+        lanes = []
+        for row in np.asarray(rows).tolist():
+            lanes.append(
+                {
+                    "gate_on": bool(self.gate_on[row]),
+                    "next_cross_time": float(self.next_cross_time[row]),
+                    "in_service": (
+                        (
+                            int(self.svc_flow[row]),
+                            float(self.svc_size[row]),
+                            float(self.svc_completion[row]),
+                        )
+                        if bool(self.svc_active[row])
+                        else None
+                    ),
+                    "queue": [
+                        (int(self.q_flow[row, slot]), float(self.q_size[row, slot]))
+                        for slot in range(int(self.q_len[row]))
+                    ],
+                    "queue_bits": float(self.queue_bits[row]),
+                }
+            )
+        return {"time": float(self.time), "lanes": lanes}
 
     def checkpoint(self) -> dict:
         """A canonical, comparable snapshot of the whole ensemble.

@@ -592,8 +592,8 @@ def many_flow_contention(
     independent ``build_components`` calls.  Construction — and therefore
     every metric — is byte-identical to the independent path (the pool
     calls ``build_components`` per prior, in flow order); it requires
-    ``isender_flows >= 1`` and a row-ensemble belief backend
-    (``vectorized`` or ``fused``), and exposes the pool's
+    ``isender_flows >= 1`` and the array belief backend (``vectorized``
+    or ``fused``, two spellings of one engine), and exposes the pool's
     batch-synchronous ``decide_all`` lanes to drivers that wake senders in
     lockstep.
     """

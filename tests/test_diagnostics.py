@@ -1,7 +1,7 @@
 """Tests for :mod:`repro.diagnostics`: scorer, fingerprinter, triage, history.
 
 The tentpole assertions live in ``TestStageLocalization``: a deliberately
-perturbed vectorized kernel stage (via ``inject_stage_perturbation``) must
+perturbed array-engine kernel stage (via ``inject_stage_perturbation``) must
 be bisected to exactly that stage, and the stage must be named by the
 top-ranked cause — for every injectable stage, from one seed, through both
 the API and the ``python -m repro.diagnostics`` CLI.
@@ -44,7 +44,6 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 
 SCALAR = backend_config("scalar", "scalar")
 VECTORIZED = backend_config("vectorized", "vectorized")
-FUSED = backend_config("fused", "fused")
 
 
 # ----------------------------------------------------------------- evidence
@@ -144,23 +143,6 @@ class TestStageLocalization:
         # Every row's likelihood was shifted, so every finite row differs.
         assert report.divergence.rows
         assert report.divergence.path.startswith(".log_likelihoods")
-
-
-class TestFusedStageLocalization:
-    """The fused engine keeps the full stage-hook surface: perturbations
-    localize against it exactly as against the unfused vectorized engine."""
-
-    def test_fused_matches_scalar_without_perturbation(self):
-        report = diagnose_divergence(SCALAR, FUSED, seed=0)
-        assert not report.diverged
-
-    @pytest.mark.parametrize("stage", INJECTABLE_STAGES)
-    def test_perturbed_stage_is_top_ranked_cause_vs_fused(self, stage):
-        with inject_stage_perturbation(stage):
-            report = diagnose_divergence(SCALAR, FUSED, seed=0)
-        assert report.diverged
-        assert report.divergence.stage == stage
-        assert f"'{stage}'" in report.top_cause.name
 
 
 # ------------------------------------------------------------------- triage

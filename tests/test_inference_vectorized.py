@@ -189,6 +189,43 @@ class TestForkingAndCompaction:
         assert scalar.compacted_away >= 1
         assert_equivalent(scalar, vectorized)
 
+    def test_one_row_belief_never_packs_a_signature(self, monkeypatch):
+        """Fewer than two surviving rows cannot merge, so compaction must not
+        pay for the digest — the common case for a converged belief."""
+        from repro.inference.vectorized import EnsembleState
+
+        calls = []
+        original = EnsembleState.signature_matrix
+
+        def spy(self, rows):
+            calls.append(int(rows.size))
+            return original(self, rows)
+
+        monkeypatch.setattr(EnsembleState, "signature_matrix", spy)
+        params = {"link_rate_bps": 12_000.0, "buffer_capacity_bits": 96_000.0}
+
+        def build(cls):
+            return cls([Hypothesis.from_params(params)], kernel=GaussianKernel(sigma=0.5))
+
+        scalar, vectorized = build(BeliefState), build(VectorizedBeliefState)
+        compact_payloads = []
+        vectorized.stage_hook = lambda stage, payload: (
+            compact_payloads.append(payload) if stage == "compact" else None
+        )
+        events = [
+            ("send", (0, 12_000.0, 0.0)),
+            ("update", (1.0, [ack(0, 1.0)])),
+            ("send", (1, 12_000.0, 1.2)),
+            ("update", (2.5, [ack(1, 2.2)])),
+            ("update", (6.0, [])),
+        ]
+        replay(scalar, events)
+        replay(vectorized, events)
+        assert calls == []
+        assert vectorized.compacted_away == 0
+        assert [payload["count"] for payload in compact_payloads] == [1, 1, 1]
+        assert_equivalent(scalar, vectorized)
+
 
 class TestPruneAtCap:
     def test_tiny_cap_keeps_the_same_survivors(self):

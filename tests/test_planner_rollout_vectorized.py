@@ -1,6 +1,8 @@
-"""Scalar ↔ vectorized planner-rollout equivalence suite.
+"""Scalar ↔ array planner-rollout equivalence suite.
 
-The batched rollout engine replays the scalar ``Hypothesis.rollout`` event
+The array engine is exercised under its ``"vectorized"`` spelling
+(``"fused"`` resolves to the identical callable; ``tests/test_api_config.py``
+pins that).  The batched rollout engine replays the scalar ``Hypothesis.rollout`` event
 arithmetic bit for bit, so per-lane outcomes compare *exactly*; expected
 utilities carry the documented ``1e-9`` relative tolerance (the batch
 utility path uses ``np.exp`` where the scalar path uses ``math.exp``), and
@@ -9,16 +11,21 @@ the chosen action must be identical.
 Covered regimes: randomized belief states (drops, gated cross traffic on
 and off, busy links, queued backlogs), candidate delays beyond the rollout
 horizon, fixed and derived horizons, both belief backends under both
-rollout backends, custom utilities without a batch path, and the
-end-to-end guarantee that a fully vectorized sender never materializes a
-scalar ``Hypothesis`` on the decide path.
+rollout backends, custom utilities without a batch path, the end-to-end
+guarantee that a fully vectorized sender never materializes a scalar
+``Hypothesis`` on the decide path, and the frontier's per-call choice
+between lockstep and drained departure runs (bit-identical either way).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     ActionGrid,
@@ -37,8 +44,19 @@ from repro.inference import (
     figure3_prior,
     single_link_prior,
 )
-from repro.inference.vectorized import EnsembleState, batched_rollout, pack_hypotheses
-from repro.inference.vectorized.rollout import pack_rows
+from repro.inference.vectorized import (
+    EnsembleState,
+    RolloutBlock,
+    batched_rollout_blocks,
+    batched_rollout_rows,
+)
+from repro.inference.vectorized import rollout as rollout_module
+
+
+def rollout_hypotheses(hypotheses, delays, **kwargs):
+    """Roll scalar hypotheses through the array engine, one lane block."""
+    state = EnsembleState.from_hypotheses(hypotheses)
+    return batched_rollout_rows(state, np.arange(state.size), delays, **kwargs)
 
 
 def random_hypothesis(rng: random.Random) -> Hypothesis:
@@ -98,9 +116,8 @@ class TestBatchedRolloutExactness:
     DELAYS = (0.0, 0.7, 2.5, 30.0)
 
     def assert_lane_outcomes_match(self, hypothesis, now, horizon=4.0):
-        lanes = pack_hypotheses([hypothesis])
-        batch = batched_rollout(
-            lanes, self.DELAYS, horizon=horizon, packet_bits=12_000.0, now=now
+        batch = rollout_hypotheses(
+            [hypothesis], self.DELAYS, horizon=horizon, packet_bits=12_000.0, now=now
         )
         for index, delay in enumerate(self.DELAYS):
             reference = hypothesis.rollout(
@@ -135,8 +152,9 @@ class TestBatchedRolloutExactness:
         # Fill the link and the single-packet buffer so the hypothetical drops.
         hypothesis.record_send(0, 12_000.0, 0.0)
         hypothesis.record_send(1, 12_000.0, 0.0)
-        lanes = pack_hypotheses([hypothesis])
-        batch = batched_rollout(lanes, (0.0,), horizon=0.5, packet_bits=12_000.0, now=0.0)
+        batch = rollout_hypotheses(
+            [hypothesis], (0.0,), horizon=0.5, packet_bits=12_000.0, now=0.0
+        )
         lane = batch.lane_outcome(0)
         reference = hypothesis.rollout(
             action_delay=0.0, horizon=0.5, packet_bits=12_000.0, now=0.0
@@ -159,9 +177,8 @@ class TestBatchedRolloutExactness:
         )
         for seq in range(8):
             hypothesis.record_send(seq, 12_000.0, 0.0)
-        lanes = pack_hypotheses([hypothesis])
-        batch = batched_rollout(
-            lanes, (30.0,), horizon=2.0, packet_bits=12_000.0, now=0.0,
+        batch = rollout_hypotheses(
+            [hypothesis], (30.0,), horizon=2.0, packet_bits=12_000.0, now=0.0,
             send_packet=False,
         )
         reference = hypothesis.rollout(
@@ -183,8 +200,9 @@ class TestBatchedRolloutExactness:
                 "cross_initially_on": False,
             }
         )
-        lanes = pack_hypotheses([hypothesis])
-        batch = batched_rollout(lanes, (0.0,), horizon=8.0, packet_bits=12_000.0, now=0.0)
+        batch = rollout_hypotheses(
+            [hypothesis], (0.0,), horizon=8.0, packet_bits=12_000.0, now=0.0
+        )
         assert batch.lane_outcome(0).cross_deliveries == []
 
     def test_lockstep_clock_required(self):
@@ -196,16 +214,17 @@ class TestBatchedRolloutExactness:
             start_time=2.0,
         )
         with pytest.raises(InferenceError):
-            pack_hypotheses([early, late])
+            EnsembleState.from_hypotheses([early, late])
 
     def test_rollout_cannot_run_backwards(self):
         hypothesis = Hypothesis.from_params(
             {"link_rate_bps": 12_000.0, "buffer_capacity_bits": 96_000.0},
             start_time=5.0,
         )
-        lanes = pack_hypotheses([hypothesis])
         with pytest.raises(InferenceError):
-            batched_rollout(lanes, (0.0,), horizon=1.0, packet_bits=12_000.0, now=1.0)
+            rollout_hypotheses(
+                [hypothesis], (0.0,), horizon=1.0, packet_bits=12_000.0, now=1.0
+            )
 
 
 class TestDecisionEquivalence:
@@ -427,17 +446,155 @@ class TestVectorizedBeliefAccessors:
         scalar, vectorized = self.build_pair()
         assert scalar.map_link_rate_bps() == vectorized.map_link_rate_bps()
 
-    def test_pack_rows_equals_pack_hypotheses(self):
-        _, vectorized = self.build_pair()
-        rows, _ = vectorized.top_rows(4)
-        from_rows = pack_rows(vectorized.state, rows)
-        from_objects = pack_hypotheses(
-            [hypothesis for hypothesis, _ in vectorized.top(4)]
+
+# ------------------------------------------------- frontier selection + identity
+
+EVENT_STREAMS = rollout_module._EVENT_STREAMS
+
+#: ``BatchedRolloutOutcome``'s per-lane / per-action arrays.
+LANE_ARRAYS = (
+    "action_delays",
+    "own_survival",
+    "final_queue_bits",
+    "final_cross_backlog_bits",
+)
+
+
+def outcome_bytes(outcome) -> dict:
+    """Every field of one outcome, arrays as raw bytes.
+
+    Event streams are regrouped lane-major with a stable sort first: each
+    stream is chronological *per lane* by contract, while the interleaving
+    across lanes is the one thing draining may change.
+    """
+    fields = {
+        name: getattr(outcome, name)
+        for name in ("decision_time", "horizon", "packet_bits", "k")
+    }
+    for lane_column, value_columns in EVENT_STREAMS.items():
+        lanes = getattr(outcome, lane_column)
+        order = np.argsort(lanes, kind="stable")
+        fields[lane_column] = lanes[order].tobytes()
+        for column in value_columns:
+            fields[column] = getattr(outcome, column)[order].tobytes()
+    for name in LANE_ARRAYS:
+        fields[name] = getattr(outcome, name).tobytes()
+    assert set(fields) == {f.name for f in dataclasses.fields(outcome)}
+    return fields
+
+
+def standing_queue_block(draw_seed: int, depth: int, horizon: float) -> RolloutBlock:
+    """Three random hypotheses, each holding ``depth`` queued own packets
+    (plus one in service) in a buffer deep enough for all of them."""
+    rng = random.Random(draw_seed)
+    hypotheses = []
+    for _ in range(3):
+        hypothesis = Hypothesis.from_params(
+            {
+                "link_rate_bps": rng.uniform(6_000.0, 30_000.0),
+                "buffer_capacity_bits": 12_000.0 * (depth + rng.randint(1, 4)),
+                "loss_rate": rng.choice([0.0, 0.2]),
+                "cross_rate_pps": rng.choice([0.0, 0.3, 1.1]),
+                "mean_time_to_switch": 10.0,
+                "cross_initially_on": rng.choice([True, False]),
+            }
         )
-        batch_a = batched_rollout(from_rows, (0.0, 1.0), 5.0, 12_000.0, now=1.0)
-        batch_b = batched_rollout(from_objects, (0.0, 1.0), 5.0, 12_000.0, now=1.0)
-        for lane in range(batch_a.lanes):
-            a, b = batch_a.lane_outcome(lane), batch_b.lane_outcome(lane)
-            assert a.own_deliveries == b.own_deliveries
-            assert a.cross_deliveries == b.cross_deliveries
-            assert a.final_queue_bits == b.final_queue_bits
+        for seq in range(depth + 1):
+            hypothesis.record_send(seq, 12_000.0, 0.0)
+        hypotheses.append(hypothesis)
+    state = EnsembleState.from_hypotheses(hypotheses)
+    assert int(state.q_len.max()) == depth
+    return RolloutBlock(
+        state=state,
+        rows=np.arange(state.size),
+        action_delays=(0.0, 0.4, 3.0, horizon + 1.0),
+        horizon=horizon,
+        packet_bits=12_000.0,
+    )
+
+
+class TestFrontierSelection:
+    """Draining is chosen per call from the lanes' deepest initial queue, and
+    never changes a result."""
+
+    THRESHOLD = rollout_module.DRAIN_MIN_QUEUE_DEPTH
+
+    @seed(20260929)
+    @settings(max_examples=40, deadline=None)
+    @given(
+        draw_seed=st.integers(0, 10_000),
+        depths=st.lists(
+            st.sampled_from([0, 1, 3, THRESHOLD - 1, THRESHOLD, THRESHOLD + 9, 40]),
+            min_size=1,
+            max_size=3,
+        ),
+        horizons=st.lists(st.sampled_from([1.5, 4.0, 9.0]), min_size=3, max_size=3),
+    )
+    def test_draining_on_and_off_is_byte_identical(self, draw_seed, depths, horizons):
+        """Random lane states on both sides of the constant, one block and
+        pooled blocks with different horizons: forcing draining on, forcing
+        it off, and the constant's own choice all give the same bytes."""
+        blocks = [
+            standing_queue_block(draw_seed + index, depth, horizons[index])
+            for index, depth in enumerate(depths)
+        ]
+        results = []
+        with pytest.MonkeyPatch.context() as patch:
+            for constant in (0, 10**9, self.THRESHOLD):
+                patch.setattr(rollout_module, "DRAIN_MIN_QUEUE_DEPTH", constant)
+                results.append(
+                    [outcome_bytes(o) for o in batched_rollout_blocks(blocks, now=0.0)]
+                )
+        drained, lockstep, chosen = results
+        assert drained == lockstep == chosen
+        # Pooling does not change a block: rolled out alone it is the same.
+        alone = batched_rollout_blocks(blocks[-1:], now=0.0)
+        assert outcome_bytes(alone[0]) == chosen[-1]
+
+    @pytest.fixture
+    def drain_calls(self, monkeypatch):
+        calls = []
+        original = rollout_module._drain_runs
+
+        def spy(*args, **kwargs):
+            calls.append(len(args[0]))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(rollout_module, "_drain_runs", spy)
+        return calls
+
+    def test_shallow_figure3_state_never_drains(self, drain_calls):
+        """A Figure-3-style belief (§4 buffers hold ≤ 9 packets) runs lockstep."""
+        from repro.experiments.planner_bench import PlannerBenchConfig, build_decision_state
+
+        config = dataclasses.replace(PlannerBenchConfig(), max_hypotheses=64, top_k=8)
+        belief = build_decision_state(config, "vectorized")
+        rows, _ = belief.top_rows(config.top_k)
+        assert int(belief.state.q_len[rows].max()) < self.THRESHOLD
+        planner = ExpectedUtilityPlanner(
+            config.alpha_utility, top_k=config.top_k, rollout_backend="vectorized"
+        )
+        decision = planner.decide(belief, config.duration)
+        assert decision.hypotheses_evaluated == config.top_k
+        assert drain_calls == []
+
+    def test_deep_standing_queue_drains(self, drain_calls, monkeypatch):
+        """The 128-packet standing queue of the wake-up bench drains runs —
+        and decides exactly as it would lockstep."""
+        from repro.experiments.planner_bench import DEEP_QUEUE, build_decision_state
+
+        config = dataclasses.replace(DEEP_QUEUE, max_hypotheses=64, top_k=8)
+        belief = build_decision_state(config, "vectorized")
+        rows, _ = belief.top_rows(config.top_k)
+        assert int(belief.state.q_len[rows].max()) >= 64
+        planner = ExpectedUtilityPlanner(
+            config.alpha_utility, top_k=config.top_k, rollout_backend="vectorized"
+        )
+        drained = planner.decide(belief, config.duration)
+        assert len(drain_calls) >= 1
+        del drain_calls[:]
+        monkeypatch.setattr(rollout_module, "DRAIN_MIN_QUEUE_DEPTH", 10**9)
+        lockstep = planner.decide(belief, config.duration)
+        assert drain_calls == []
+        assert lockstep.action == drained.action
+        assert lockstep.expected_utilities == drained.expected_utilities

@@ -142,6 +142,36 @@ class TestPointKeys:
         # Scenarios without a sender configuration key on params alone.
         assert DEFAULT_REGISTRY.get("single_link_tcp").config_fingerprint({}) == ""
 
+    @pytest.mark.parametrize(
+        "spelling, seed, key",
+        [
+            (
+                "vectorized",
+                11728284429522680332,
+                "e21cbd20abc53e4451ce81db0553d6dd61187d67f47629a359c0337223810f1d",
+            ),
+            (
+                "fused",
+                12846994611997870398,
+                "b0ee6903f55919a0e0a79b4892d67df220c23fabdaf26bf6c093edb5da6aace0",
+            ),
+        ],
+    )
+    def test_engine_spelling_keeps_its_point_identity(self, tmp_path, spelling, seed, key):
+        """Both spellings run one array engine, yet each names its own point.
+
+        Pinned from the commit before the engines were folded together: a
+        cache written then, under either spelling, must still be all hits.
+        """
+        spec = grid(
+            "figure3_alpha",
+            alpha=(1.0,),
+            belief_backend=(spelling,),
+            rollout_backend=(spelling,),
+        )[0]
+        assert spec.derived_seed == seed
+        assert ResultCache(tmp_path).point_key(spec) == key
+
 
 class TestHitMissInvalidation:
     def test_cold_miss_warm_hit_bit_identical(self, tmp_path):

@@ -4,7 +4,9 @@ The pool's contract has two halves: construction is literally
 ``build_components`` per prior (so pooled senders are indistinguishable
 from independently built ones), and ``decide_all`` — the (sender × action
 × hypothesis) batch-synchronous decide — returns decisions *bit-identical*
-to running each sender's ``"fused"`` planner decide on its own.
+to running each sender's planner decide on its own.  The pool asks a belief
+class for ``top_rows`` rather than matching backend names, so it takes the
+array engine under either accepted spelling and refuses the scalar one.
 """
 
 from __future__ import annotations
@@ -127,3 +129,24 @@ class TestDecideAllBitIdentity:
         for a, b in zip(first, second):
             assert a.action.delay == b.action.delay
             assert a.expected_utilities == b.expected_utilities
+
+
+class TestDecidePooled:
+    def test_scalar_and_array_beliefs_share_one_frontier(self):
+        """``decide_pooled`` takes any mix of beliefs: a scalar one is packed
+        through ``EnsembleState.from_hypotheses`` into its own lane block, and
+        every sender decides exactly as it would alone."""
+        from repro.inference.vectorized.rollout import decide_pooled
+
+        senders = []
+        for index, belief_backend in enumerate(("scalar", "vectorized", "scalar")):
+            config = SenderConfig(
+                belief_backend=belief_backend, rollout_backend="vectorized", policy="none"
+            )
+            senders.append(build_components(config, _priors(3)[index]))
+        now = _drive([(parts.belief,) for parts in senders], steps=12)
+        pooled = decide_pooled([(p.planner, p.belief) for p in senders], now)
+        for parts, ours in zip(senders, pooled):
+            alone = parts.planner.decide(parts.belief, now)
+            assert ours.action.delay == alone.action.delay
+            assert ours.expected_utilities == alone.expected_utilities
