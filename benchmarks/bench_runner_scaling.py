@@ -8,20 +8,28 @@ hardware can deliver it — on fewer than four usable cores the measured
 ratio is reported but not enforced, since forked workers then time-share
 one CPU.
 
-A second record covers the §3.3 ``policy="table"`` grid workload: a seed
-fan over one table-mode configuration must precompute exactly one policy
-table through the shared cache directory, not one per point.
+A second record is the process backend's *fixed* cost: 64 no-op points
+through 2 workers, as milliseconds per point.  It is an absolute, so unlike
+the speedup it is gated on every host, including the 1–2 core ones CI runs
+on; the gate is loose (the fork per point measures ≈5 ms) because it is
+there to catch a per-point cost that grew by a multiple, not by a few
+percent.
+
+A third covers the §3.3 ``policy="table"`` grid workload: a seed fan over
+one table-mode configuration must precompute exactly one policy table
+through the shared cache directory, not one per point.
 """
 
 from __future__ import annotations
 
 import os
+import statistics
 import time
 
 import pytest
 
 from repro.metrics.summary import ExperimentRow, format_table
-from repro.runner import ParallelRunner, SerialRunner, run_specs
+from repro.runner import ParallelRunner, ScenarioRegistry, SerialRunner, run_specs
 from repro.runner.scenarios import alpha_sweep_specs
 from repro.runner.spec import grid
 
@@ -30,6 +38,12 @@ BENCH_ALPHAS = (0.8, 0.9, 1.0, 1.5, 2.0, 2.5, 3.5, 5.0)
 BENCH_DURATION = 60.0
 BENCH_SWITCH_INTERVAL = 20.0
 BENCH_WORKERS = 4
+
+#: The fixed-cost record: points, workers, repeats (median taken), gate.
+NOOP_POINTS = 64
+NOOP_WORKERS = 2
+NOOP_REPEATS = 5
+NOOP_MAX_MS_PER_POINT = 25.0
 
 #: Cores the parallel backend can actually use.
 _USABLE_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -126,6 +140,48 @@ def test_runner_scaling_8_point_alpha_sweep(table_printer, bench_record):
             f"NOTE: only {_USABLE_CPUS} usable CPU(s); {speedup:.2f}x measured, "
             "2.5x assertion requires >= 4 cores"
         )
+
+
+def _noop_scenario(seed: int = 0, idx: int = 0) -> dict[str, float]:
+    return {"idx": float(idx)}
+
+
+@pytest.mark.bench
+def test_parallel_backend_fixed_cost_per_point(table_printer, bench_record):
+    registry = ScenarioRegistry()
+    registry.register("noop")(_noop_scenario)
+    specs = grid("noop", idx=tuple(range(NOOP_POINTS)))
+    reference = SerialRunner(registry=registry).run(specs).to_json()
+
+    walls = []
+    for _ in range(NOOP_REPEATS):
+        started = time.perf_counter()
+        store = ParallelRunner(workers=NOOP_WORKERS, registry=registry).run(specs)
+        walls.append(time.perf_counter() - started)
+        assert store.to_json() == reference
+    ms_per_point = statistics.median(walls) / NOOP_POINTS * 1e3
+
+    table_printer(
+        f"Parallel backend fixed cost — {NOOP_POINTS} no-op points, "
+        f"{NOOP_WORKERS} workers: {ms_per_point:.2f} ms/point "
+        f"(median of {NOOP_REPEATS}; min {min(walls) / NOOP_POINTS * 1e3:.2f}, "
+        f"max {max(walls) / NOOP_POINTS * 1e3:.2f})"
+    )
+    bench_record(
+        "runner",
+        entries={
+            "parallel_noop_64pt": (
+                {
+                    "ms_per_point": ms_per_point,
+                    "points": NOOP_POINTS,
+                    "workers": NOOP_WORKERS,
+                },
+                {"backend": "parallel", "repeats": NOOP_REPEATS},
+            ),
+        },
+        gates={"parallel_noop_64pt.ms_per_point": {"max": NOOP_MAX_MS_PER_POINT}},
+    )
+    assert ms_per_point <= NOOP_MAX_MS_PER_POINT
 
 
 @pytest.mark.bench

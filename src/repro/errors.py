@@ -90,12 +90,15 @@ class OverloadedError(ServingError):
 
 
 class PointFailureError(ReproError):
-    """A supervised sweep point exhausted its retries under ``strict`` mode.
+    """A sweep point's failure ended the sweep.
 
-    Raised by the runner's supervised execution path when a grid point
-    keeps failing past ``Supervision.max_retries`` and the sweep was asked
-    to fail fast rather than quarantine the point and degrade to partial
-    results.  Carries the failing spec and the final failure description.
+    Raised by the runner's executor when a grid point keeps failing past
+    ``Supervision.max_retries`` and the sweep was asked to fail fast
+    (``strict``) rather than quarantine the point and degrade to partial
+    results — and, under the plain policy, when a failed point left no
+    exception object of its own to re-raise (its worker died, or its
+    exception does not pickle).  Carries the failing spec and the final
+    failure description.
     """
 
     def __init__(self, spec: object, attempts: int, reason: str) -> None:

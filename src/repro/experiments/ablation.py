@@ -27,7 +27,7 @@ from repro.api.policy import load_or_precompute_policy_table
 from repro.api.sender import build_sender
 from repro.inference import figure3_prior
 from repro.metrics.summary import ExperimentRow
-from repro.runner.backends import RunnerBackend, SerialRunner
+from repro.runner.backends import RunnerBase, SerialRunner
 from repro.topology.presets import figure2_network
 
 
@@ -292,7 +292,7 @@ def run_inference_ablation(
     alpha: float | None = None,
     seed: int = 2,
     packet_bits: float | None = None,
-    runner: RunnerBackend | None = None,
+    runner: RunnerBase | None = None,
 ) -> AblationResult:
     """Run the shortened Figure-3 scenario once per ablation configuration.
 

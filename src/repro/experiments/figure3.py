@@ -28,7 +28,7 @@ from repro.experiments.common import SenderSettings, as_sender_config
 from repro.inference.prior import figure3_prior
 from repro.metrics.summary import ExperimentRow
 from repro.metrics.timeseries import TimeSeries
-from repro.runner.backends import RunnerBackend, SerialRunner
+from repro.runner.backends import RunnerBase, SerialRunner
 from repro.topology.presets import figure2_network
 from repro.units import DEFAULT_PACKET_BITS
 
@@ -213,7 +213,7 @@ def run_figure3(
     seed: int = 1,
     settings: SenderSettings | SenderConfig | None = None,
     prior_points: tuple[int, int, int, int, int] = (4, 4, 3, 4, 1),
-    runner: "RunnerBackend | None" = None,
+    runner: "RunnerBase | None" = None,
 ) -> Figure3Result:
     """Run the Figure-3 experiment: :func:`run_figure3_point` once per α.
 

@@ -7,16 +7,20 @@ seed fans, loss × delay × buffer grids) into explicit, schedulable work:
   expansion;
 * :mod:`repro.runner.registry` — named scenario functions resolvable by
   worker processes;
-* :mod:`repro.runner.backends` — :class:`SerialRunner` (default),
-  :class:`ParallelRunner` (multiprocessing fan-out), and
-  :class:`AsyncRunner` (asyncio over a process-pool executor), all
-  deterministic and resolvable by name through :data:`RUNNER_BACKENDS`;
+* :mod:`repro.runner.backends` — :class:`RunnerBase`, the one resolve →
+  execute → record → assemble loop, run by :class:`SerialRunner` (default,
+  in process) and :class:`ParallelRunner` (one worker process per in-flight
+  point); deterministic and resolvable by name through
+  :data:`RUNNER_BACKENDS`, where ``"async"`` is a second spelling of
+  ``"parallel"``;
 * :mod:`repro.runner.cache` — :class:`ResultCache`, persistent
   fingerprint-keyed reuse of executed grid points;
 * :mod:`repro.runner.results` — :class:`ResultStore`, the canonical
   JSON/CSV artifact runs are compared by;
-* :mod:`repro.runner.supervise` — :class:`Supervision`, per-point
-  timeouts, retries with deterministic backoff, and quarantine;
+* :mod:`repro.runner.supervise` — the executor behind both backends, and
+  :class:`Supervision`, the policy that adds per-point timeouts, retries
+  with deterministic backoff, and quarantine (``None`` is the plain
+  policy: no retries, the failing point's own exception);
 * :mod:`repro.runner.journal` — :class:`SweepJournal`, the durable
   per-grid record that makes killed sweeps resumable (``--resume``);
 * :mod:`repro.runner.faults` — :class:`FaultPlan`, the seeded
@@ -29,9 +33,7 @@ first name resolution (keeping imports acyclic with ``repro.experiments``).
 
 from repro.runner.backends import (
     RUNNER_BACKENDS,
-    AsyncRunner,
     ParallelRunner,
-    RunnerBackend,
     RunnerBase,
     SerialRunner,
     make_runner,
@@ -46,7 +48,6 @@ from repro.runner.spec import ScenarioSpec, grid, grid_digest
 from repro.runner.supervise import Supervision
 
 __all__ = [
-    "AsyncRunner",
     "CACHE_DIR_ENV",
     "DEFAULT_REGISTRY",
     "FaultPlan",
@@ -58,7 +59,6 @@ __all__ = [
     "RUNNER_BACKENDS",
     "ResultCache",
     "ResultStore",
-    "RunnerBackend",
     "RunnerBase",
     "ScenarioEntry",
     "ScenarioRegistry",

@@ -1,37 +1,44 @@
-"""Execution backends: serial loop, multiprocessing fan-out, asyncio pool.
+"""Execution backends: one run loop, executed inline or process-per-point.
 
-Every backend derives from :class:`RunnerBase` and exposes the same two
-operations:
+Every backend is a :class:`RunnerBase` and exposes the same two operations:
 
 * ``run(specs)`` — execute registered :class:`~repro.runner.spec.ScenarioSpec`
   points and aggregate their metrics into a
-  :class:`~repro.runner.results.ResultStore`.  When the backend carries a
-  :class:`~repro.runner.cache.ResultCache`, points whose fingerprint-keyed
-  results are already on disk are replayed instead of executed — the store
-  comes back bit-identical to a cold run, with hit/miss counts attached;
+  :class:`~repro.runner.results.ResultStore`.  One loop serves every
+  backend and policy: *resolve* what is already known (the sweep journal
+  when resuming, then the :class:`~repro.runner.cache.ResultCache`),
+  *execute* what is still pending, *record* each point the moment it
+  completes (journal line, cache entry), *assemble* in spec order.  A warm
+  run therefore comes back bit-identical to the cold run that populated
+  the cache, and a failing or interrupted sweep keeps every point that had
+  already completed;
 * ``map(fn, kwargs_list)`` — execute an arbitrary top-level function once
   per kwargs dict (what the experiment sweeps use, since they return rich
   result dataclasses rather than flat metric dicts).
 
+The two backends differ only in *where* a pending point executes:
+:class:`SerialRunner` in the calling process, :class:`ParallelRunner` in
+one worker process per in-flight point; :mod:`repro.runner.supervise` is
+the executor behind both.  "Plain" versus "supervised" is a *policy* of
+that executor, not a second path.
+
 Results always come back in input order, and element-name counters are
 reset before every point, so a sweep's outcome is a pure function of its
-specs and seeds — identical serially, in parallel, asynchronously, and at
-any worker count.  Only picklable tasks can cross process boundaries:
-specs, top-level functions, and dataclass results all qualify; closures do
-not.
+specs and seeds — identical serially, in parallel, and at any worker
+count.  Only picklable results cross process boundaries: dataclasses and
+metric dicts qualify; closures do not.
 
 Backends resolve by name through :data:`RUNNER_BACKENDS` — the same
 string-keyed :class:`~repro.api.backends.BackendRegistry` mechanism the
-belief and rollout engines use — so ``--backend async`` on the CLI and
-``make_runner("async")`` in code go through one lookup, and third-party
-backends can self-register without touching this module.
+belief and rollout engines use — so ``--backend parallel`` on the CLI and
+``make_runner("parallel")`` in code go through one lookup, and third-party
+backends can self-register without touching this module.  ``"async"`` is a
+second accepted spelling of ``"parallel"`` (the asyncio pool it once named
+tied the multiprocessing pool on every real sweep; both are gone).
 """
 
 from __future__ import annotations
 
-import asyncio
-import concurrent.futures
-import functools
 import multiprocessing
 import os
 import time
@@ -42,15 +49,15 @@ from repro._persist import cache_dir_override
 from repro.api.backends import BackendRegistry
 from repro.errors import ConfigurationError
 from repro.runner.cache import ResultCache
-from repro.runner.faults import NO_FAULTS, corrupt_entry
+from repro.runner.faults import NO_FAULTS, FaultAssignment, corrupt_entry
 from repro.runner.journal import SweepJournal, journal_path, replay_journal
 from repro.runner.registry import DEFAULT_REGISTRY, ScenarioRegistry
-from repro.runner.results import PointResult, QuarantinedPoint, ResultStore
+from repro.runner.results import PointResult, ResultStore
 from repro.runner.spec import ScenarioSpec, grid_digest
 from repro.runner.supervise import (
     Supervision,
     SupervisedJob,
-    SweepObserver,
+    SupervisedOutcome,
     run_supervised,
 )
 from repro.sim.element import fresh_instance_counters
@@ -83,77 +90,33 @@ def _execute_call(task: tuple[Callable[..., Any], Mapping[str, Any]]) -> Any:
         return fn(**kwargs)
 
 
-class _RunObserver(SweepObserver):
-    """Wires supervised-execution transitions into the journal and cache.
-
-    Called in the supervisor (parent) as each point changes state, so both
-    durability mechanisms — the append-only journal and the fingerprint-
-    keyed cache — record a point the moment it completes, not when the
-    whole sweep does.  ``corrupt`` carries the fault plan's cache-entry
-    targets: those entries are truncated right after being stored.
-    """
-
-    def __init__(
-        self,
-        journal: Optional[SweepJournal],
-        cache: Optional[ResultCache],
-        keys: dict[int, str],
-        registry: ScenarioRegistry | None,
-        corrupt: frozenset[int],
-    ) -> None:
-        self.journal = journal
-        self.cache = cache
-        self.keys = keys
-        self.registry = registry
-        self.corrupt = corrupt
-
-    def on_running(self, index: int, attempt: int) -> None:
-        if self.journal is not None:
-            self.journal.running(index, attempt)
-
-    def on_done(self, index: int, result: PointResult) -> None:
-        if self.journal is not None:
-            self.journal.done(index, result.metrics, result.wall_time)
-        if self.cache is not None:
-            key = self.keys.get(index)
-            if key is None:
-                key = self.cache.point_key(result.spec, registry=self.registry)
-            path = self.cache.store_point(key, result)
-            if index in self.corrupt:
-                corrupt_entry(path)
-
-    def on_failed(self, index: int, attempt: int, error: str) -> None:
-        if self.journal is not None:
-            self.journal.failed(index, attempt, error)
-
-    def on_quarantined(self, index: int, point: QuarantinedPoint) -> None:
-        if self.journal is not None:
-            self.journal.quarantined(
-                index, point.error, point.traceback, point.attempts
-            )
-
-
 class RunnerBase:
-    """Shared run/map plumbing; subclasses supply ``_map`` (the fan-out).
+    """The run loop and its executor; subclasses choose where points execute.
 
     Parameters
     ----------
+    workers:
+        Most points the process backend keeps in flight at once; defaults
+        to the machine's CPU count.  The serial backend accepts and ignores
+        it (as it does ``start_method``), so every registered backend
+        shares one construction signature — the ``RUNNER_BACKENDS``
+        contract.
     registry:
         Registry to resolve spec names against (defaults to the
-        process-wide one).  A custom registry must hold module-level
-        functions for the process-pool backends, so it can be pickled.
+        process-wide one).  Under a non-fork ``start_method`` a custom
+        registry must hold module-level functions, so it can be pickled.
     cache:
         Optional :class:`~repro.runner.cache.ResultCache`.  ``run`` then
         consults it per point before executing, stores every freshly
-        executed point, and stamps the returned store's
+        executed point as it completes, and stamps the returned store's
         ``cache_hits`` / ``cache_misses``.
     supervision:
-        Optional :class:`~repro.runner.supervise.Supervision` policy.
-        When present, ``run`` switches from the raw fan-out to the
-        supervised path: per-point retries with seeded backoff, heartbeat
-        timeouts and worker-death recovery (process backends), quarantine
-        instead of sweep poisoning, fault injection, and — when a journal
-        location exists — a durable, resumable sweep journal.
+        Optional :class:`~repro.runner.supervise.Supervision` policy:
+        per-point retries with seeded backoff, quarantine instead of sweep
+        poisoning, fault injection, heartbeat timeouts (process backend)
+        and — when a journal location exists — a durable, resumable sweep
+        journal.  ``None`` is the plain policy: no retries, no journal,
+        and the first failing point's own exception ends the sweep.
     resume:
         Skip points a prior (killed) run of the *same grid* already
         journalled as done, and re-enqueue everything that was in flight.
@@ -161,23 +124,33 @@ class RunnerBase:
     journal_dir:
         Where sweep journals live.  Defaults to the cache directory when a
         cache is attached; an explicit value enables journalling without a
-        result cache.
+        result cache (and implies supervision).
+    start_method:
+        ``multiprocessing`` start method for worker processes; ``None``
+        uses the platform default (``fork`` on Linux, which avoids
+        re-import cost).
     """
 
     backend_name = "base"
 
     def __init__(
         self,
+        workers: int | None = None,
         registry: ScenarioRegistry | None = None,
         cache: Optional[ResultCache] = None,
         supervision: Optional[Supervision] = None,
         resume: bool = False,
         journal_dir: "str | os.PathLike[str] | None" = None,
+        start_method: str | None = None,
     ) -> None:
+        if workers is not None and workers < 1:
+            raise ConfigurationError(f"workers must be >= 1, got {workers!r}")
+        self.workers = workers
         self._registry = registry
         self.cache = cache
         self.resume = bool(resume)
         self.journal_dir = Path(journal_dir) if journal_dir is not None else None
+        self.start_method = start_method
         if supervision is None and (self.resume or self.journal_dir is not None):
             supervision = Supervision()
         self.supervision = supervision
@@ -192,93 +165,10 @@ class RunnerBase:
             return self.journal_dir
         return self.cache.root if self.cache is not None else None
 
-    # ----------------------------------------------------------------- fan-out
+    # ---------------------------------------------------------------- executor
 
-    def _map(self, worker: Callable[[Any], Any], tasks: list[Any]) -> list[Any]:
-        raise NotImplementedError
-
-    def map(self, fn: Callable[..., Any], tasks: Sequence[Mapping[str, Any]]) -> list[Any]:
-        """Run ``fn(**kwargs)`` per task, preserving input order."""
-        return self._map(_execute_call, [(fn, kwargs) for kwargs in tasks])
-
-    # --------------------------------------------------------- cache plumbing
-
-    def _point_task(
-        self, spec: ScenarioSpec
-    ) -> tuple[ScenarioRegistry | None, ScenarioSpec, str | None]:
-        """The ``_execute_point`` task for one spec, cache directory included."""
-        cache_env = str(self.cache.root) if self.cache is not None else None
-        return (self._registry, spec, cache_env)
-
-    def _cache_partition(
-        self, specs: Sequence[ScenarioSpec]
-    ) -> tuple[dict[int, PointResult], list[str], list[tuple[int, ScenarioSpec]]]:
-        """Split ``specs`` into replayed hits and still-pending points."""
-        results: dict[int, PointResult] = {}
-        keys: list[str] = []
-        pending: list[tuple[int, ScenarioSpec]] = []
-        for index, spec in enumerate(specs):
-            key = self.cache.point_key(spec, registry=self._registry)
-            keys.append(key)
-            cached = self.cache.load_point(key, spec)
-            if cached is not None:
-                results[index] = cached
-            else:
-                pending.append((index, spec))
-        return results, keys, pending
-
-    def _cache_assemble(
-        self,
-        specs: Sequence[ScenarioSpec],
-        results: dict[int, PointResult],
-        keys: list[str],
-        pending: list[tuple[int, ScenarioSpec]],
-        executed: list[PointResult],
-    ) -> ResultStore:
-        """Store fresh executions and reassemble the store in spec order."""
-        for (index, _), result in zip(pending, executed):
-            self.cache.store_point(keys[index], result)
-            results[index] = result
-        store = ResultStore()
-        store.extend(results[index] for index in range(len(specs)))
-        store.cache_hits = len(specs) - len(pending)
-        store.cache_misses = len(pending)
-        return store
-
-    # --------------------------------------------------------------------- run
-
-    def run(self, specs: Sequence[ScenarioSpec]) -> ResultStore:
-        """Execute registered scenario points and aggregate their metrics.
-
-        With a cache attached, each point's fingerprint-derived key is
-        looked up first; only the misses are fanned out, and their results
-        are stored back.  The assembled store preserves spec order either
-        way, so a warm rerun's canonical artifact is byte-identical to the
-        cold run that populated the cache.
-
-        With a :class:`~repro.runner.supervise.Supervision` policy (or
-        ``resume=True``) attached, execution goes through the supervised
-        path instead: journalled, retried, and quarantine-tolerant.
-        """
-        if self.supervision is not None:
-            return self._run_supervised(specs)
-        if self.cache is None:
-            store = ResultStore()
-            store.extend(self._map(_execute_point, [self._point_task(spec) for spec in specs]))
-            return store
-        corrupt_before = self.cache.corrupt
-        results, keys, pending = self._cache_partition(specs)
-        executed = self._map(
-            _execute_point, [self._point_task(spec) for _, spec in pending]
-        )
-        store = self._cache_assemble(specs, results, keys, pending, executed)
-        store.cache_corrupt = self.cache.corrupt - corrupt_before
-        return store
-
-    # ------------------------------------------------------- supervised path
-
-    def _supervised_context(self) -> Any:
-        """The multiprocessing context supervised workers run under.
+    def _mp_context(self) -> Any:
+        """The multiprocessing context points execute under.
 
         ``None`` means inline execution (the serial backend): retries and
         quarantine still apply, but hangs cannot be preempted and kill
@@ -286,111 +176,142 @@ class RunnerBase:
         """
         return None
 
-    def _supervised_workers(self, task_count: int) -> int:
-        return 1
+    def _execute(
+        self,
+        jobs: list[SupervisedJob],
+        worker: Callable[[Any], Any],
+        record: Callable[[int, Any], None],
+        supervision: Optional[Supervision] = None,
+        assignment: FaultAssignment = NO_FAULTS,
+        journal: Optional[SweepJournal] = None,
+    ) -> SupervisedOutcome:
+        return run_supervised(
+            jobs,
+            worker,
+            record,
+            supervision=supervision,
+            assignment=assignment,
+            journal=journal,
+            workers=self.workers or os.cpu_count() or 1,
+            mp_context=self._mp_context(),
+        )
 
-    def _run_supervised(self, specs: Sequence[ScenarioSpec]) -> ResultStore:
-        """Durable, fault-tolerant execution of ``specs``.
+    def map(self, fn: Callable[..., Any], tasks: Sequence[Mapping[str, Any]]) -> list[Any]:
+        """Run ``fn(**kwargs)`` per task, preserving input order.
 
-        Order of battle: replay the journal (``resume``), replay the
-        cache, then fan the remaining points out under supervision —
-        journalling and caching each point the moment it completes, so a
-        killed sweep resumes mid-grid and re-executes only what was in
-        flight.  The assembled store is in spec order with quarantined
-        points set aside, and is byte-identical to an uninterrupted run
-        when nothing was quarantined.
+        Always the plain policy — a rich-result list has no place for a
+        quarantined hole — so the first failing task's exception surfaces.
         """
-        supervision = self.supervision
-        assert supervision is not None
-        specs = list(specs)
-        digest = grid_digest(specs)
-        journal_root = self._journal_root()
+        results: dict[int, Any] = {}
+        jobs = [
+            SupervisedJob(index, f"{fn.__name__}[{index}]", (fn, kwargs))
+            for index, kwargs in enumerate(tasks)
+        ]
+        self._execute(jobs, _execute_call, results.__setitem__)
+        return [results[index] for index in range(len(jobs))]
 
-        prior_done: dict[int, dict] = {}
+    # --------------------------------------------------------------------- run
+
+    def run(self, specs: Sequence[ScenarioSpec]) -> ResultStore:
+        """Execute registered scenario points and aggregate their metrics.
+
+        Resolve, execute, record, assemble.  Resolve: with ``resume``, the
+        sweep journal's ``done`` records are replayed first; with a cache
+        attached, each remaining point's fingerprint-derived key is looked
+        up.  Execute: only what is still pending goes to the executor,
+        under this runner's policy.  Record: a point is journalled and
+        cached the moment it completes, so a killed sweep resumes mid-grid,
+        re-executes only what was in flight, and a failing point never
+        discards its finished siblings.  Assemble: the store is in spec
+        order with quarantined points set aside, and is byte-identical to
+        an uninterrupted cold run when nothing was quarantined.
+        """
+        specs = list(specs)
+        supervision, cache = self.supervision, self.cache
+        assignment = NO_FAULTS
+        if supervision is not None and supervision.fault_plan is not None:
+            assignment = supervision.fault_plan.assign(specs)
+
+        results: dict[int, PointResult] = {}
         journal: Optional[SweepJournal] = None
+        journal_root = self._journal_root() if supervision is not None else None
         if journal_root is not None:
+            digest = grid_digest(specs)
             path = journal_path(journal_root, digest)
             if self.resume:
-                prior_done = replay_journal(path).done
+                for index, record in replay_journal(path).done.items():
+                    if 0 <= index < len(specs):
+                        prior = PointResult.from_record(specs[index], record)
+                        if prior is not None:
+                            results[index] = prior
             journal = SweepJournal(
                 path, grid=digest, points=len(specs), append=self.resume
             )
+        resumed = len(results)
         try:
-            results: dict[int, PointResult] = {}
-            resumed = 0
-            for index, record in prior_done.items():
-                if 0 <= index < len(specs) and isinstance(record.get("metrics"), dict):
-                    results[index] = PointResult(
-                        spec=specs[index],
-                        metrics=dict(record["metrics"]),
-                        wall_time=float(record.get("wall_time", 0.0)),
-                    )
-                    resumed += 1
-
-            hits = 0
             keys: dict[int, str] = {}
-            corrupt_before = self.cache.corrupt if self.cache is not None else 0
-            if self.cache is not None:
+            corrupt_before = cache.corrupt if cache is not None else 0
+            if cache is not None:
                 for index, spec in enumerate(specs):
                     if index in results:
                         continue
-                    key = self.cache.point_key(spec, registry=self._registry)
-                    keys[index] = key
-                    cached = self.cache.load_point(key, spec)
+                    key = keys[index] = cache.point_key(spec, registry=self._registry)
+                    cached = cache.load_point(key, spec)
                     if cached is not None:
                         results[index] = cached
-                        hits += 1
                         if journal is not None:
                             journal.done(
                                 index, cached.metrics, cached.wall_time, source="cache"
                             )
+            hits = len(results) - resumed
 
             pending = [index for index in range(len(specs)) if index not in results]
-            assignment = (
-                supervision.fault_plan.assign(specs)
-                if supervision.fault_plan is not None
-                else NO_FAULTS
-            )
-            observer = _RunObserver(
-                journal=journal,
-                cache=self.cache,
-                keys=keys,
-                registry=self._registry,
-                corrupt=assignment.corrupt,
-            )
-            jobs = [
-                SupervisedJob(index, specs[index], self._point_task(specs[index]))
-                for index in pending
-            ]
-            outcome = run_supervised(
-                jobs,
-                _execute_point,
-                supervision=supervision,
-                assignment=assignment,
-                observer=observer,
-                workers=self._supervised_workers(len(jobs)),
-                mp_context=self._supervised_context(),
-            )
-            results.update(outcome.results)
+            outcome: Optional[SupervisedOutcome] = None
+            if pending:
+                cache_env = str(cache.root) if cache is not None else None
+
+                def record(index: int, result: PointResult) -> None:
+                    if journal is not None:
+                        journal.done(index, result.metrics, result.wall_time)
+                    if cache is not None:
+                        stored = cache.store_point(keys[index], result)
+                        if index in assignment.corrupt:
+                            corrupt_entry(stored)
+                    results[index] = result
+
+                outcome = self._execute(
+                    [
+                        SupervisedJob(
+                            index, specs[index], (self._registry, specs[index], cache_env)
+                        )
+                        for index in pending
+                    ],
+                    _execute_point,
+                    record,
+                    supervision=supervision,
+                    assignment=assignment,
+                    journal=journal,
+                )
             if journal is not None:
                 journal.complete()
+        finally:
+            if journal is not None:
+                journal.close()
 
-            store = ResultStore()
-            store.extend(results[index] for index in sorted(results))
+        store = ResultStore()
+        store.extend(results[index] for index in range(len(specs)) if index in results)
+        if outcome is not None:
             store.quarantined = [
                 outcome.quarantined[index] for index in sorted(outcome.quarantined)
             ]
             store.partial = bool(store.quarantined)
-            if self.cache is not None:
-                store.cache_hits = hits
-                store.cache_misses = len(pending)
-                store.cache_corrupt = self.cache.corrupt - corrupt_before
             store.retries = outcome.retries
-            store.resumed = resumed
-            return store
-        finally:
-            if journal is not None:
-                journal.close()
+        if cache is not None:
+            store.cache_hits = hits
+            store.cache_misses = len(pending)
+            store.cache_corrupt = cache.corrupt - corrupt_before
+        store.resumed = resumed
+        return store
 
 
 class SerialRunner(RunnerBase):
@@ -398,274 +319,35 @@ class SerialRunner(RunnerBase):
 
     The default backend: zero overhead, ideal for tiny sweeps and for unit
     tests, and the reference a parallel run must reproduce byte-for-byte.
-    ``workers`` is accepted and ignored, so every registered backend shares
-    one construction signature (the ``RUNNER_BACKENDS`` contract).
     """
 
     backend_name = "serial"
 
-    def __init__(
-        self,
-        registry: ScenarioRegistry | None = None,
-        cache: Optional[ResultCache] = None,
-        *,
-        workers: int | None = None,
-        supervision: Optional[Supervision] = None,
-        resume: bool = False,
-        journal_dir: "str | os.PathLike[str] | None" = None,
-    ) -> None:
-        super().__init__(
-            registry=registry,
-            cache=cache,
-            supervision=supervision,
-            resume=resume,
-            journal_dir=journal_dir,
-        )
 
-    def _map(self, worker: Callable[[Any], Any], tasks: list[Any]) -> list[Any]:
-        return [worker(task) for task in tasks]
+class ParallelRunner(RunnerBase):
+    """Runs each in-flight point in its own worker process.
 
-
-class _PoolSizingMixin:
-    """Worker-count resolution shared by the process-pool backends."""
-
-    workers: int | None
-
-    def _pool_size(self, task_count: int) -> int:
-        workers = self.workers if self.workers is not None else (os.cpu_count() or 1)
-        return max(1, min(workers, task_count))
-
-
-class ParallelRunner(_PoolSizingMixin, RunnerBase):
-    """Fans points out over a ``multiprocessing`` pool.
-
-    Parameters
-    ----------
-    workers:
-        Worker process count; defaults to the machine's CPU count capped at
-        the number of tasks submitted.
-    registry / cache:
-        See :class:`RunnerBase`.
-    chunksize:
-        Tasks handed to a worker at a time.  1 (the default) gives the best
-        load balance for heterogeneous points like an α sweep, where the
-        aggressive senders simulate many more events than the deferential
-        ones.
-    start_method:
-        ``multiprocessing`` start method; ``None`` uses the platform default
-        (``fork`` on Linux, which avoids re-import cost).
+    Process-per-point rather than a pool: it costs a fork per point (≈5 ms,
+    against sweep points of 0.1–3 s) and in exchange the runner holds a pid
+    for every point in flight — a hung or dying worker is killed and its
+    point retried, a failing point or Ctrl-C stops the siblings at once —
+    and points are handed out one at a time, the best load balance for
+    heterogeneous grids like an α sweep, where the aggressive senders
+    simulate many more events than the deferential ones.
     """
 
     backend_name = "parallel"
 
-    def __init__(
-        self,
-        workers: int | None = None,
-        registry: ScenarioRegistry | None = None,
-        chunksize: int = 1,
-        start_method: str | None = None,
-        cache: Optional[ResultCache] = None,
-        supervision: Optional[Supervision] = None,
-        resume: bool = False,
-        journal_dir: "str | os.PathLike[str] | None" = None,
-    ) -> None:
-        if workers is not None and workers < 1:
-            raise ConfigurationError(f"workers must be >= 1, got {workers!r}")
-        if chunksize < 1:
-            raise ConfigurationError(f"chunksize must be >= 1, got {chunksize!r}")
-        super().__init__(
-            registry=registry,
-            cache=cache,
-            supervision=supervision,
-            resume=resume,
-            journal_dir=journal_dir,
-        )
-        self.workers = workers
-        self.chunksize = chunksize
-        self.start_method = start_method
-
-    def _supervised_context(self) -> Any:
+    def _mp_context(self) -> Any:
         return multiprocessing.get_context(self.start_method)
 
-    def _supervised_workers(self, task_count: int) -> int:
-        return self._pool_size(max(1, task_count))
-
-    def _map(self, worker: Callable[[Any], Any], tasks: list[Any]) -> list[Any]:
-        if not tasks:
-            return []
-        pool_size = self._pool_size(len(tasks))
-        if pool_size == 1 and self.workers in (None, 1):
-            # Nothing to fan out — skip the pool entirely.
-            return [worker(task) for task in tasks]
-        context = multiprocessing.get_context(self.start_method)
-        with context.Pool(processes=pool_size) as pool:
-            # Pool.map preserves input order, which keeps artifacts canonical
-            # regardless of completion order.
-            return pool.map(worker, tasks, chunksize=self.chunksize)
-
-
-class AsyncRunner(_PoolSizingMixin, RunnerBase):
-    """Schedules points as asyncio tasks over a process-pool executor.
-
-    The asyncio layer is the seam for overlap: while worker processes chew
-    on simulation points, the event loop stays free for cache lookups,
-    result streaming, or (future) remote backends awaiting network I/O.
-    ``run``/``map`` stay synchronous — they spin the loop internally — and
-    :meth:`run_async` / :meth:`map_async` expose the coroutine surface for
-    callers that already live inside an event loop (pass their own
-    executor lifetime implicitly per call).
-
-    Parameters
-    ----------
-    workers:
-        Executor process count; defaults to the CPU count capped at the
-        number of submitted tasks.
-    registry / cache:
-        See :class:`RunnerBase`.
-    max_in_flight:
-        Cap on simultaneously *submitted* tasks; ``None`` submits
-        everything at once.  Useful to bound memory when a sweep has many
-        thousands of points.
-    start_method:
-        ``multiprocessing`` start method for the executor's workers.
-    """
-
-    backend_name = "async"
-
-    def __init__(
-        self,
-        workers: int | None = None,
-        registry: ScenarioRegistry | None = None,
-        max_in_flight: int | None = None,
-        start_method: str | None = None,
-        cache: Optional[ResultCache] = None,
-        supervision: Optional[Supervision] = None,
-        resume: bool = False,
-        journal_dir: "str | os.PathLike[str] | None" = None,
-    ) -> None:
-        if workers is not None and workers < 1:
-            raise ConfigurationError(f"workers must be >= 1, got {workers!r}")
-        if max_in_flight is not None and max_in_flight < 1:
-            raise ConfigurationError(
-                f"max_in_flight must be >= 1, got {max_in_flight!r}"
-            )
-        super().__init__(
-            registry=registry,
-            cache=cache,
-            supervision=supervision,
-            resume=resume,
-            journal_dir=journal_dir,
-        )
-        self.workers = workers
-        self.max_in_flight = max_in_flight
-        self.start_method = start_method
-
-    def _supervised_context(self) -> Any:
-        return multiprocessing.get_context(self.start_method)
-
-    def _supervised_workers(self, task_count: int) -> int:
-        return self._pool_size(max(1, task_count))
-
-    async def _gather(self, worker: Callable[[Any], Any], tasks: list[Any]) -> list[Any]:
-        loop = asyncio.get_running_loop()
-        context = multiprocessing.get_context(self.start_method)
-        semaphore = (
-            asyncio.Semaphore(self.max_in_flight)
-            if self.max_in_flight is not None
-            else None
-        )
-        pool = concurrent.futures.ProcessPoolExecutor(
-            max_workers=self._pool_size(len(tasks)), mp_context=context
-        )
-        graceful = True
-        try:
-
-            async def submit(task: Any) -> Any:
-                if semaphore is None:
-                    return await loop.run_in_executor(pool, worker, task)
-                async with semaphore:
-                    return await loop.run_in_executor(pool, worker, task)
-
-            # gather preserves argument order, which keeps artifacts
-            # canonical regardless of completion order.  On the first
-            # failure, every sibling is cancelled before the pool shuts
-            # down — not-yet-running submissions never execute — and the
-            # original error propagates, not a CancelledError.
-            pending = [asyncio.ensure_future(submit(task)) for task in tasks]
-            try:
-                return list(await asyncio.gather(*pending))
-            except (KeyboardInterrupt, asyncio.CancelledError):
-                # User-initiated cancellation: shut down promptly.  Queued
-                # submissions are dropped, and nobody waits on points that
-                # are already in flight — their workers die with the
-                # interpreter, and the interrupt propagates as itself.
-                graceful = False
-                for future in pending:
-                    future.cancel()
-                await asyncio.gather(*pending, return_exceptions=True)
-                raise
-            except BaseException:
-                for future in pending:
-                    future.cancel()
-                await asyncio.gather(*pending, return_exceptions=True)
-                raise
-        finally:
-            pool.shutdown(wait=graceful, cancel_futures=not graceful)
-
-    def _map(self, worker: Callable[[Any], Any], tasks: list[Any]) -> list[Any]:
-        if not tasks:
-            return []
-        if self._pool_size(len(tasks)) == 1 and self.workers in (None, 1):
-            return [worker(task) for task in tasks]
-        return asyncio.run(self._gather(worker, tasks))
-
-    # ------------------------------------------------------- coroutine surface
-
-    async def map_async(
-        self, fn: Callable[..., Any], tasks: Sequence[Mapping[str, Any]]
-    ) -> list[Any]:
-        """``map`` as a coroutine, for callers already inside an event loop."""
-        if not tasks:
-            return []
-        return await self._gather(_execute_call, [(fn, kwargs) for kwargs in tasks])
-
-    async def run_async(self, specs: Sequence[ScenarioSpec]) -> ResultStore:
-        """``run`` as a coroutine (cache consulted on the event-loop thread).
-
-        Shares :meth:`RunnerBase.run`'s cache partition/assemble helpers;
-        only the fan-out in between is awaited instead of blocked on.
-        With supervision attached, the blocking supervised driver runs on
-        a thread so the caller's event loop stays free.
-        """
-        if self.supervision is not None:
-            loop = asyncio.get_running_loop()
-            return await loop.run_in_executor(
-                None, functools.partial(self._run_supervised, list(specs))
-            )
-
-        async def gather(tasks: list[Any]) -> list[Any]:
-            return await self._gather(_execute_point, tasks) if tasks else []
-
-        if self.cache is None:
-            store = ResultStore()
-            store.extend(await gather([self._point_task(spec) for spec in specs]))
-            return store
-        corrupt_before = self.cache.corrupt
-        results, keys, pending = self._cache_partition(specs)
-        executed = await gather([self._point_task(spec) for _, spec in pending])
-        store = self._cache_assemble(specs, results, keys, pending, executed)
-        store.cache_corrupt = self.cache.corrupt - corrupt_before
-        return store
-
-
-#: Any execution backend — what experiment sweeps accept as ``runner=``.
-RunnerBackend = RunnerBase
 
 #: Runner backends by name — the registry ``make_runner`` and the CLI's
 #: ``--backend`` flag resolve through, mirroring ``BELIEF_BACKENDS`` /
-#: ``ROLLOUT_BACKENDS``.  Third-party backends register a RunnerBase
-#: subclass accepting ``(workers=, registry=, cache=, supervision=,
-#: resume=, journal_dir=)`` keywords.
+#: ``ROLLOUT_BACKENDS``.  ``"async"`` and ``"parallel"`` are two spellings
+#: of one class.  Third-party backends register a RunnerBase subclass
+#: accepting ``(workers=, registry=, cache=, supervision=, resume=,
+#: journal_dir=)`` keywords.
 RUNNER_BACKENDS = BackendRegistry(
     "runner",
     builtin_modules={
@@ -676,7 +358,7 @@ RUNNER_BACKENDS = BackendRegistry(
 )
 RUNNER_BACKENDS.register("serial", SerialRunner)
 RUNNER_BACKENDS.register("parallel", ParallelRunner)
-RUNNER_BACKENDS.register("async", AsyncRunner)
+RUNNER_BACKENDS.register("async", ParallelRunner)
 
 
 def make_runner(
@@ -695,8 +377,8 @@ def make_runner(
     explicit ``cache`` instance wins when both are given.  ``workers`` is
     accepted (and ignored) by the serial backend so sweep code can thread
     one knob through regardless of the chosen backend.  ``supervision``,
-    ``resume`` and ``journal_dir`` opt the runner into fault-tolerant
-    execution (see :class:`RunnerBase`).
+    ``resume`` and ``journal_dir`` select the fault-tolerance policy (see
+    :class:`RunnerBase`).
     """
     cls = RUNNER_BACKENDS.resolve(backend)
     if cache is None and cache_dir is not None:

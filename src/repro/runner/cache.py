@@ -142,11 +142,12 @@ class ResultCache:
         """The cached result under ``key``, or ``None`` (a miss).
 
         Every failure mode — missing file, truncated JSON, wrong schema,
-        or an entry whose recorded spec does not match ``spec`` (hash
-        paranoia) — reads as a miss.  An entry that *existed* but could
-        not be trusted is quarantined (moved to ``quarantine/`` and
-        counted on ``corrupt``), so the subsequent execution stores a
-        fresh file and the evidence survives for triage.
+        an entry whose recorded spec does not match ``spec`` (hash
+        paranoia), metrics or a wall time of the wrong type — reads as a
+        miss.  An entry that *existed* but could not be trusted is
+        quarantined (moved to ``quarantine/`` and counted on ``corrupt``),
+        so the subsequent execution stores a fresh file and the evidence
+        survives for triage.
         """
         path = self._path(key)
         try:
@@ -158,21 +159,19 @@ class ResultCache:
             self._quarantine_entry(path)
             self.misses += 1
             return None
+        result = None
         if (
-            not isinstance(payload, dict)
-            or payload.get("schema") != CACHE_SCHEMA_VERSION
-            or payload.get("spec") != spec.canonical()
-            or not isinstance(payload.get("metrics"), dict)
+            isinstance(payload, dict)
+            and payload.get("schema") == CACHE_SCHEMA_VERSION
+            and payload.get("spec") == spec.canonical()
         ):
+            result = PointResult.from_record(spec, payload)
+        if result is None:
             self._quarantine_entry(path)
             self.misses += 1
             return None
         self.hits += 1
-        return PointResult(
-            spec=spec,
-            metrics=dict(payload["metrics"]),
-            wall_time=float(payload.get("wall_time", 0.0)),
-        )
+        return result
 
     # ------------------------------------------------------------------- store
 

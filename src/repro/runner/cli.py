@@ -6,11 +6,13 @@
     python -m repro.runner run figure3_alpha --sweep alpha=0.9,1,2.5,5 \
         --backend parallel --workers 4 --json sweep.json
     python -m repro.runner run figure3_alpha --sweep alpha=0.9,1,2.5,5 \
-        --backend async --cache-dir .repro-cache
+        --backend parallel --cache-dir .repro-cache
 
 ``run`` expands ``--sweep`` axes into the cross product of points (times
-``--seeds`` trials), executes them on the chosen backend, prints the metric
-table, and optionally writes the canonical JSON / CSV artifacts.
+``--seeds`` trials), executes them on the chosen backend (``serial`` in
+this process, ``parallel`` — also spelled ``async`` — in one worker process
+per in-flight point), prints the metric table, and optionally writes the
+canonical JSON / CSV artifacts.
 
 With ``--cache-dir`` (or ``$REPRO_CACHE_DIR``) every executed point is
 persisted under its fingerprint-derived key and replayed on later runs —
@@ -18,13 +20,15 @@ a warm rerun of the same grid reports all hits and produces bit-identical
 artifacts.  ``--no-cache`` forces execution even when a cache directory is
 configured in the environment.
 
-Fault tolerance is opt-in: any of ``--resume``, ``--max-retries``,
-``--point-timeout``, ``--strict`` or ``--inject-faults`` switches the run
-onto the supervised execution path (durable journal under the cache
-directory, per-point retries with deterministic backoff, quarantine of
-persistently failing points).  Exit codes: 0 full success, 1 partial
-(quarantined points remain), 2 configuration error, 3 strict-mode point
-failure, 130 interrupted.
+Fault tolerance is opt-in and is a policy of the one run loop, not a
+second path: any of ``--resume``, ``--max-retries``, ``--point-timeout``,
+``--strict`` or ``--inject-faults`` attaches a ``Supervision`` (durable
+journal under the cache directory, per-point retries with deterministic
+backoff, quarantine of persistently failing points); without one a failing
+point's own exception ends the sweep, with every completed point already
+cached.  Exit codes: 0 full success, 1 partial (quarantined points remain),
+2 configuration error, 3 a point failure that ends the sweep (``--strict``,
+or a plain run whose worker died), 130 interrupted.
 """
 
 from __future__ import annotations
@@ -132,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     faults = run.add_argument_group(
         "fault tolerance",
-        "any of these switches the run onto the supervised execution path "
+        "any of these attaches a supervision policy to the run "
         "(journalled, retried, quarantining)",
     )
     faults.add_argument(
@@ -388,9 +392,9 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 
 
 def _build_supervision(args: argparse.Namespace) -> Optional[Supervision]:
-    """The :class:`Supervision` the flags ask for, or ``None`` (fast path).
+    """The :class:`Supervision` the flags ask for, or ``None`` (plain policy).
 
-    The unsupervised path stays the default so plain sweeps pay zero
+    The plain policy stays the default so ordinary sweeps pay zero
     journalling overhead; touching any fault-tolerance flag opts in.
     """
     requested = (
@@ -436,8 +440,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 2
     except PointFailureError as error:
-        # --strict: the supervised driver already tore the workers down;
-        # surface the exhausted point and its last error.
+        # The executor already tore the workers down; surface the point
+        # that ended the sweep and its last error.
         print(f"error: {error}", file=sys.stderr)
         return 3
     except KeyboardInterrupt:

@@ -15,7 +15,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any, Iterator, Mapping
 
 from repro.metrics.summary import ExperimentRow
 from repro.runner.spec import ScenarioSpec
@@ -45,6 +45,23 @@ class PointResult:
         if include_timing:
             obj["wall_time"] = self.wall_time
         return obj
+
+    @classmethod
+    def from_record(
+        cls, spec: ScenarioSpec, record: Mapping[str, Any]
+    ) -> "PointResult | None":
+        """Rebuild a stored point — a cache entry or a journal ``done`` line.
+
+        Both are files another run (or a crash) wrote, so both are checked
+        here, once: ``None`` means the record cannot be trusted — its
+        ``metrics`` is not a mapping or its ``wall_time`` is not a number —
+        and the caller treats the point as never having been stored.
+        """
+        metrics = record.get("metrics")
+        wall_time = record.get("wall_time", 0.0)
+        if not isinstance(metrics, dict) or not isinstance(wall_time, (int, float)):
+            return None
+        return cls(spec=spec, metrics=dict(metrics), wall_time=float(wall_time))
 
 
 @dataclass

@@ -1,29 +1,34 @@
-"""Supervised point execution: timeouts, retries, backoff, quarantine.
+"""The runner's one executor: attempts, retries, backoff, quarantine.
 
-The unsupervised fan-out paths (``pool.map``, the asyncio gather) are fast
-but brittle: one poisoned point fails the sweep, a killed worker loses its
-task, and a hung point blocks forever.  This module is the robust
-alternative the backends switch to when a :class:`Supervision` policy is
-attached:
+``RunnerBase.run`` and ``RunnerBase.map`` hand every pending point to
+:func:`run_supervised`, which executes it **inline** (the serial backend)
+or **process-per-point** (the parallel backend) and asks one
+:class:`_Policy` what each failed attempt means:
 
-* every in-flight point runs in its *own* worker process (fork-cheap on
-  Linux), so the supervisor holds a pid it can actually kill;
+* process-per-point means every in-flight point runs in its *own* worker
+  process (fork-cheap on Linux), so the supervisor holds a pid it can
+  actually kill;
 * liveness is heartbeat-based — a worker beats once when it starts its
   point, and a point that has not completed within ``point_timeout`` of
   its last beat is killed and treated as hung;
-* failures (exceptions, worker death, hangs) are retried up to
-  ``max_retries`` times with exponential backoff and *deterministic*
-  seeded jitter, so a replayed chaos run schedules identically;
+* ``supervision=None`` is the plain policy — no retries, no journal, and
+  the failing point's **own** exception ends the sweep (across the pipe
+  the worker sends the exception object when it pickles, and its name,
+  message and traceback otherwise);
+* under a :class:`Supervision`, failures (exceptions, worker death, hangs)
+  are retried up to ``max_retries`` times with exponential backoff and
+  *deterministic* seeded jitter, so a replayed chaos run schedules
+  identically;
 * a point that exhausts its retries is **quarantined** — recorded with
   its error and traceback instead of poisoning the sweep — unless
   ``strict`` asks for fail-fast (:class:`~repro.errors.PointFailureError`);
 * user-initiated cancellation (``KeyboardInterrupt`` / ``CancelledError``)
-  is never retried or quarantined: all workers are killed and the
-  interrupt propagates promptly.
+  is never retried or quarantined under any policy: all workers are killed
+  and the interrupt propagates promptly.
 
-The driver reports every transition to an observer (the runner wires in
-the sweep journal and the result cache), which is what makes a supervised
-sweep durable and resumable.
+Every completed point goes to the caller's ``record`` callback the moment
+it completes, and every other transition to the sweep journal when there
+is one, which is what makes a sweep durable and resumable.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from __future__ import annotations
 import gc
 import hashlib
 import os
+import pickle
 import time
 import traceback as traceback_module
 from dataclasses import dataclass, field
@@ -46,14 +52,15 @@ from repro.runner.faults import (
     FaultPlan,
     perform_fault,
 )
-from repro.runner.results import PointResult, QuarantinedPoint
+from repro.runner.journal import SweepJournal
+from repro.runner.results import QuarantinedPoint
 from repro.runner.spec import ScenarioSpec
 
 __all__ = [
+    "RemoteTraceback",
     "Supervision",
     "SupervisedJob",
     "SupervisedOutcome",
-    "SweepObserver",
     "run_supervised",
 ]
 
@@ -123,36 +130,106 @@ class Supervision:
 
 @dataclass(frozen=True)
 class SupervisedJob:
-    """One pending point: its grid index, spec, and the worker's task."""
+    """One pending point: its grid index, spec, and the worker's task.
+
+    ``RunnerBase.map`` calls have no spec; they carry a plain label in its
+    place, which is all the plain policy (the only one ``map`` runs under)
+    ever reads of it.
+    """
 
     index: int
-    spec: ScenarioSpec
+    spec: "ScenarioSpec | str"
     task: Any
 
 
 @dataclass
 class SupervisedOutcome:
-    """What a supervised fan-out produced, keyed by grid index."""
+    """What an executed fan-out set aside or retried, keyed by grid index.
 
-    results: dict[int, PointResult] = field(default_factory=dict)
+    Completed results are not collected here: each went to the caller's
+    ``record`` callback the moment it completed.
+    """
+
     quarantined: dict[int, QuarantinedPoint] = field(default_factory=dict)
     retries: int = 0
 
 
-class SweepObserver:
-    """No-op observer; the runner subclasses it to journal and cache."""
+class RemoteTraceback(Exception):
+    """A worker's formatted traceback, chained as the ``__cause__`` of the
+    exception the supervisor raises for it (the traceback object itself
+    cannot cross the pipe)."""
 
-    def on_running(self, index: int, attempt: int) -> None:  # pragma: no cover
-        pass
+    def __str__(self) -> str:
+        return f"\n{self.args[0]}"
 
-    def on_done(self, index: int, result: PointResult) -> None:  # pragma: no cover
-        pass
 
-    def on_failed(self, index: int, attempt: int, error: str) -> None:  # pragma: no cover
-        pass
+# -------------------------------------------------------------------- policy
 
-    def on_quarantined(self, index: int, point: QuarantinedPoint) -> None:  # pragma: no cover
-        pass
+
+class _Policy:
+    """What each attempt's start, success and failure mean for the sweep.
+
+    Both executors ask this one object, so inline and process-per-point
+    runs retry, quarantine and fail identically.  ``supervision=None`` is
+    the plain policy: no retries, and the first failure ends the sweep.
+    """
+
+    def __init__(
+        self,
+        supervision: Optional[Supervision],
+        assignment: FaultAssignment,
+        journal: Optional[SweepJournal],
+        record: Callable[[int, Any], None],
+    ) -> None:
+        self.sup = supervision
+        self.assignment = assignment
+        self.journal = journal
+        self.record = record
+        self.outcome = SupervisedOutcome()
+
+    def starting(self, job: SupervisedJob, attempt: int) -> str | None:
+        """Journal the attempt; returns the fault armed for it, if any."""
+        if self.journal is not None:
+            self.journal.running(job.index, attempt)
+        return self.assignment.fault_for(job.index, attempt)
+
+    def failed(
+        self,
+        job: SupervisedJob,
+        attempt: int,
+        reason: str,
+        trace: str = "",
+        error: Optional[BaseException] = None,
+    ) -> Optional[float]:
+        """Decide what a failed attempt means.
+
+        Returns the backoff delay when the point is to be retried, ``None``
+        when it was quarantined (the point is finished), and raises when
+        the sweep must stop: the point's own exception under the plain
+        policy (:class:`~repro.errors.PointFailureError` when there is no
+        exception object to raise — a dead worker, an exception that does
+        not pickle), ``PointFailureError`` under ``strict``.
+        """
+        sup = self.sup
+        if sup is not None and attempt < sup.max_retries:
+            self.outcome.retries += 1
+            if self.journal is not None:
+                self.journal.failed(job.index, attempt, reason)
+            return sup.delay(job.spec.canonical(), attempt + 1)
+        attempts = attempt + 1
+        if sup is None and error is not None:
+            raise error
+        if sup is None or sup.strict:
+            if error is None and trace:
+                error = RemoteTraceback(trace)
+            raise PointFailureError(job.spec, attempts, reason) from error
+        point = QuarantinedPoint(
+            spec=job.spec, error=reason, traceback=trace, attempts=attempts
+        )
+        self.outcome.quarantined[job.index] = point
+        if self.journal is not None:
+            self.journal.quarantined(job.index, reason, trace, attempts)
+        return None
 
 
 # --------------------------------------------------------------- worker side
@@ -161,34 +238,37 @@ class SweepObserver:
 def _child_main(
     conn: connection.Connection,
     worker: Callable[[Any], Any],
-    task: Any,
+    job: SupervisedJob,
     fault: str | None,
     hang_seconds: float,
-    label: str,
 ) -> None:
     """Run one attempt in a dedicated worker process.
 
     Protocol on ``conn``: ``("beat",)`` once at start (the heartbeat the
     hang detector times against), then ``("ok", result)`` or
-    ``("err", type_name, message, traceback)``.  A worker that dies
-    without a final message is classified as killed by its exit code.
+    ``("err", type_name, message, traceback, exception_or_None)``.  A
+    worker that dies without a final message is classified as killed by
+    its exit code.
     """
     try:
         conn.send(("beat",))
         if fault is not None:
-            perform_fault(fault, hang_seconds=hang_seconds, label=label, in_worker=True)
-        result = worker(task)
+            perform_fault(
+                fault, hang_seconds=hang_seconds, label=job.spec.label, in_worker=True
+            )
+        result = worker(job.task)
         conn.send(("ok", result))
     except BaseException as error:  # noqa: BLE001 - everything must be reported
+        trace = traceback_module.format_exc()
         try:
-            conn.send(
-                (
-                    "err",
-                    type(error).__name__,
-                    str(error),
-                    traceback_module.format_exc(),
-                )
-            )
+            # The object rides along only when it survives the round trip
+            # here, so the supervisor's recv can never fail on it.
+            pickle.loads(pickle.dumps(error))
+            portable: Optional[BaseException] = error
+        except Exception:  # noqa: BLE001 - any pickling failure means "send the text"
+            portable = None
+        try:
+            conn.send(("err", type(error).__name__, str(error), trace, portable))
         except Exception:  # pragma: no cover - parent already gone
             pass
     finally:
@@ -224,24 +304,23 @@ class _InFlight:
 
 
 class _Driver:
+    """Process-per-point executor: at most ``workers`` points in flight."""
+
     def __init__(
         self,
         jobs: Sequence[SupervisedJob],
         worker: Callable[[Any], Any],
-        *,
-        supervision: Supervision,
-        assignment: FaultAssignment,
-        observer: SweepObserver,
+        policy: _Policy,
         workers: int,
         mp_context: Any,
     ) -> None:
         self.worker = worker
-        self.sup = supervision
-        self.assignment = assignment
-        self.observer = observer
+        self.policy = policy
+        self.point_timeout = (
+            policy.sup.point_timeout if policy.sup is not None else None
+        )
         self.workers = max(1, workers)
         self.context = mp_context
-        self.outcome = SupervisedOutcome()
         self._seq = 0
         #: Min-heap of (ready_at, seq, job, attempt) awaiting a worker slot.
         self.queue: list[tuple[float, int, SupervisedJob, int]] = []
@@ -259,18 +338,16 @@ class _Driver:
         now = time.monotonic()
         while self.queue and len(self.running) < self.workers and self.queue[0][0] <= now:
             _, _, job, attempt = heappop(self.queue)
-            self.observer.on_running(job.index, attempt)
-            fault = self.assignment.fault_for(job.index, attempt)
+            fault = self.policy.starting(job, attempt)
             parent_conn, child_conn = self.context.Pipe(duplex=False)
             process = self.context.Process(
                 target=_child_main,
                 args=(
                     child_conn,
                     self.worker,
-                    job.task,
+                    job,
                     fault,
-                    self.assignment.hang_seconds,
-                    job.spec.label,
+                    self.policy.assignment.hang_seconds,
                 ),
                 daemon=False,
             )
@@ -286,7 +363,7 @@ class _Driver:
 
     def _wait_timeout(self) -> float:
         now = time.monotonic()
-        timeout = _TICK if self.sup.point_timeout is not None else 0.5
+        timeout = _TICK if self.point_timeout is not None else 0.5
         if self.queue and len(self.running) < self.workers:
             # A retry is backing off into a free slot: wake when it's due.
             # (A ready job with a free slot was already launched, so this
@@ -309,23 +386,16 @@ class _Driver:
 
     # --------------------------------------------------------------- failures
 
-    def _failure(self, info: _InFlight, reason: str, trace: str = "") -> None:
-        job, attempt = info.job, info.attempt
-        if attempt < self.sup.max_retries:
-            self.outcome.retries += 1
-            self.observer.on_failed(job.index, attempt, reason)
-            delay = self.sup.delay(job.spec.canonical(), attempt + 1)
-            self._enqueue(job, attempt + 1, time.monotonic() + delay)
-            return
-        attempts = attempt + 1
-        if self.sup.strict:
-            self._kill_all()
-            raise PointFailureError(job.spec, attempts, reason)
-        point = QuarantinedPoint(
-            spec=job.spec, error=reason, traceback=trace, attempts=attempts
-        )
-        self.outcome.quarantined[job.index] = point
-        self.observer.on_quarantined(job.index, point)
+    def _failure(
+        self,
+        info: _InFlight,
+        reason: str,
+        trace: str = "",
+        error: Optional[BaseException] = None,
+    ) -> None:
+        delay = self.policy.failed(info.job, info.attempt, reason, trace, error)
+        if delay is not None:
+            self._enqueue(info.job, info.attempt + 1, time.monotonic() + delay)
 
     def _kill_all(self) -> None:
         for info in self.running.values():
@@ -347,41 +417,41 @@ class _Driver:
         info.conn.close()
         final = info.final
         if final is not None and final[0] == "ok":
-            self.outcome.results[info.job.index] = final[1]
-            self.observer.on_done(info.job.index, final[1])
+            self.policy.record(info.job.index, final[1])
             return
         if final is not None and final[0] == "err":
-            _, name, message, trace = final
+            _, name, message, trace, error = final
             if name in _CANCEL_NAMES:
                 # User-initiated cancellation: never a point failure.
-                self._kill_all()
                 raise KeyboardInterrupt(message or name)
-            self._failure(info, f"{name}: {message}", trace)
+            if error is not None:
+                error.__cause__ = RemoteTraceback(trace)
+            self._failure(info, f"{name}: {message}", trace, error)
             return
         code = info.process.exitcode
         label = "injected kill" if code == KILLED_WORKER_EXIT else "worker died"
         self._failure(info, f"{label} (exit code {code})")
 
     def _reap_hangs(self) -> None:
-        if self.sup.point_timeout is None:
+        if self.point_timeout is None:
             return
         now = time.monotonic()
         for sentinel, info in list(self.running.items()):
             self._drain(info)
             if info.final is not None or not info.process.is_alive():
                 continue
-            if now - info.deadline_base > self.sup.point_timeout:
+            if now - info.deadline_base > self.point_timeout:
                 info.process.kill()
                 info.process.join()
                 info.conn.close()
                 self.running.pop(sentinel)
                 self._failure(
-                    info, f"hang (no result within {self.sup.point_timeout:g}s of last heartbeat)"
+                    info, f"hang (no result within {self.point_timeout:g}s of last heartbeat)"
                 )
 
     # --------------------------------------------------------------- main loop
 
-    def run(self) -> SupervisedOutcome:
+    def run(self) -> None:
         # Freeze the heap before fanning out: every point forks a fresh
         # child, and a child's first GC pass would otherwise scan — and
         # copy-on-write — every page inherited from this process, costing
@@ -401,87 +471,67 @@ class _Driver:
                     list(self.running) + [info.conn for info in self.running.values()],
                     timeout=self._wait_timeout(),
                 )
-                fired = set()
-                for handle in ready:
-                    for sentinel, info in self.running.items():
-                        if handle is sentinel or handle is info.conn:
-                            fired.add(sentinel)
-                for sentinel in fired:
-                    info = self.running.get(sentinel)
-                    if info is None:
-                        continue
+                fired = [
+                    (sentinel, info)
+                    for sentinel, info in self.running.items()
+                    if sentinel in ready or info.conn in ready
+                ]
+                for sentinel, info in fired:
                     self._drain(info)
                     if info.final is not None or not info.process.is_alive():
                         self._finalize(sentinel)
                 self._reap_hangs()
-            return self.outcome
         except BaseException:
+            # Whatever stops the sweep — the policy raising, an interrupting
+            # point, Ctrl-C in this process — no worker outlives it.
             self._kill_all()
             raise
         finally:
             gc.unfreeze()
 
 
-# ---------------------------------------------------------------- serial path
-
-
 def _run_inline(
-    jobs: Sequence[SupervisedJob],
-    worker: Callable[[Any], Any],
-    *,
-    supervision: Supervision,
-    assignment: FaultAssignment,
-    observer: SweepObserver,
-) -> SupervisedOutcome:
-    """Serial supervision: same retry/quarantine semantics, in-process.
+    jobs: Sequence[SupervisedJob], worker: Callable[[Any], Any], policy: _Policy
+) -> None:
+    """In-process executor: one point at a time, same policy.
 
     No preemption is possible here, so ``point_timeout`` is not enforced
     (an injected hang simply sleeps) and ``kill`` faults take the whole
     sweep down — which is exactly what the journal-and-resume path is for.
     """
-    outcome = SupervisedOutcome()
     for job in jobs:
         attempt = 0
         while True:
-            observer.on_running(job.index, attempt)
-            fault = assignment.fault_for(job.index, attempt)
+            fault = policy.starting(job, attempt)
             try:
                 if fault is not None:
                     perform_fault(
                         fault,
-                        hang_seconds=assignment.hang_seconds,
+                        hang_seconds=policy.assignment.hang_seconds,
                         label=job.spec.label,
                         in_worker=False,
                     )
                 result = worker(job.task)
-            except (KeyboardInterrupt, SystemExit):
-                raise
-            except BaseException as error:  # noqa: BLE001 - quarantine anything
-                if type(error).__name__ in _CANCEL_NAMES:
+            except BaseException as error:  # noqa: BLE001 - the policy decides
+                if (
+                    isinstance(error, (KeyboardInterrupt, SystemExit))
+                    or type(error).__name__ in _CANCEL_NAMES
+                ):
                     raise
-                reason = f"{type(error).__name__}: {error}"
-                if attempt < supervision.max_retries:
-                    outcome.retries += 1
-                    observer.on_failed(job.index, attempt, reason)
-                    time.sleep(supervision.delay(job.spec.canonical(), attempt + 1))
-                    attempt += 1
-                    continue
-                if supervision.strict:
-                    raise PointFailureError(job.spec, attempt + 1, reason) from error
-                point = QuarantinedPoint(
-                    spec=job.spec,
-                    error=reason,
-                    traceback=traceback_module.format_exc(),
-                    attempts=attempt + 1,
+                delay = policy.failed(
+                    job,
+                    attempt,
+                    f"{type(error).__name__}: {error}",
+                    traceback_module.format_exc(),
+                    error,
                 )
-                outcome.quarantined[job.index] = point
-                observer.on_quarantined(job.index, point)
-                break
+                if delay is None:
+                    break
+                time.sleep(delay)
+                attempt += 1
             else:
-                outcome.results[job.index] = result
-                observer.on_done(job.index, result)
+                policy.record(job.index, result)
                 break
-    return outcome
 
 
 # ------------------------------------------------------------------ front door
@@ -490,33 +540,26 @@ def _run_inline(
 def run_supervised(
     jobs: Sequence[SupervisedJob],
     worker: Callable[[Any], Any],
+    record: Callable[[int, Any], None],
     *,
-    supervision: Supervision,
+    supervision: Optional[Supervision] = None,
     assignment: FaultAssignment = NO_FAULTS,
-    observer: Optional[SweepObserver] = None,
+    journal: Optional[SweepJournal] = None,
     workers: int = 1,
     mp_context: Any = None,
 ) -> SupervisedOutcome:
-    """Execute ``jobs`` under supervision and return per-index outcomes.
+    """Execute ``jobs``, handing each result to ``record`` as it completes.
 
-    ``mp_context`` selects the engine: a :mod:`multiprocessing` context
+    ``mp_context`` selects the executor: a :mod:`multiprocessing` context
     runs one worker process per in-flight point (timeouts, kill recovery);
-    ``None`` runs inline (the serial backend).
+    ``None`` runs inline (the serial backend).  ``supervision`` selects the
+    policy (``None``: plain) and ``journal``, when given, is told of every
+    attempt's start, failure and quarantine; the caller's ``record`` owns
+    the ``done`` line.
     """
-    observer = observer if observer is not None else SweepObserver()
-    if not jobs:
-        return SupervisedOutcome()
+    policy = _Policy(supervision, assignment, journal, record)
     if mp_context is None:
-        return _run_inline(
-            jobs, worker, supervision=supervision, assignment=assignment, observer=observer
-        )
-    driver = _Driver(
-        jobs,
-        worker,
-        supervision=supervision,
-        assignment=assignment,
-        observer=observer,
-        workers=workers,
-        mp_context=mp_context,
-    )
-    return driver.run()
+        _run_inline(jobs, worker, policy)
+    elif jobs:
+        _Driver(jobs, worker, policy, workers, mp_context).run()
+    return policy.outcome

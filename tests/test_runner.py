@@ -218,7 +218,8 @@ class TestBackends:
     def test_make_runner_validates_backend(self):
         assert make_runner("serial").backend_name == "serial"
         assert make_runner("parallel", workers=2).backend_name == "parallel"
-        assert make_runner("async", workers=2).backend_name == "async"
+        # "async" is a second spelling of "parallel": one class, one path.
+        assert type(make_runner("async", workers=2)) is type(make_runner("parallel"))
         with pytest.raises(ConfigurationError):
             make_runner("quantum")
 
@@ -232,8 +233,6 @@ class TestBackends:
 
         with pytest.raises(ConfigurationError):
             ParallelRunner(workers=0)
-        with pytest.raises(ConfigurationError):
-            ParallelRunner(chunksize=0)
 
     def test_run_specs_serial_on_builtin_scenario(self):
         specs = [ScenarioSpec("single_link_tcp", params={"duration": 5.0}, seed=0)]

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import time
 from pathlib import Path
 
 import pytest
@@ -25,11 +26,12 @@ from repro.api.policy import (
 )
 from repro.inference import single_link_prior
 from repro.runner import (
-    AsyncRunner,
+    ParallelRunner,
     ResultCache,
     ScenarioRegistry,
     SerialRunner,
     grid,
+    make_runner,
     run_specs,
 )
 from repro.runner.cli import main as cli_main
@@ -63,10 +65,19 @@ def _run_grid_with_cache(cache_dir: str):
 
 
 def _poisoned_scenario(seed: int = 0, idx: int = 0, out_dir: str = "") -> dict[str, float]:
-    """Top-level so the async runner's pool can pickle it; point 0 fails."""
+    """Point 0 fails at once; its siblings take long enough to be stopped."""
     if idx == 0:
         raise ValueError("poisoned point")
+    time.sleep(0.2)
     Path(out_dir, f"ran_{idx}").write_text("x")
+    return {"idx": float(idx)}
+
+
+def _late_failure(seed: int = 0, idx: int = 0) -> dict[str, float]:
+    """Point 3 fails, late enough that its siblings have all completed."""
+    if idx == 3:
+        time.sleep(0.5)
+        raise ValueError("late failure")
     return {"idx": float(idx)}
 
 
@@ -255,6 +266,19 @@ class TestCorruptionRecovery:
         victim.write_text(json.dumps(payload), encoding="utf-8")
         assert cache.load_point(cache.point_key(SPECS[0]), SPECS[0]) is None
 
+    @pytest.mark.parametrize("field, value", [("wall_time", "soon"), ("wall_time", None), ("metrics", [1])])
+    def test_mistyped_stored_field_reads_as_miss_not_crash(self, tmp_path, field, value):
+        cold = SerialRunner(cache=ResultCache(tmp_path)).run(SPECS[:1])
+        victim = self._cached_files(tmp_path)[0]
+        payload = json.loads(victim.read_text())
+        payload[field] = value
+        victim.write_text(json.dumps(payload), encoding="utf-8")
+
+        healed = SerialRunner(cache=ResultCache(tmp_path)).run(SPECS[:1])
+        assert (healed.cache_hits, healed.cache_misses, healed.cache_corrupt) == (0, 1, 1)
+        assert healed.to_json() == cold.to_json()
+        assert len(list((tmp_path / "quarantine").iterdir())) == 1
+
 
 class TestRacingWorkers:
     def test_concurrent_processes_share_one_cache_dir(self, tmp_path):
@@ -277,36 +301,65 @@ class TestRacingWorkers:
 
 
 class TestAsyncRunnerCache:
+    """``"async"`` is a second spelling of ``"parallel"``: one class, one path."""
+
     def test_async_backend_replays_and_populates(self, tmp_path):
-        cold = AsyncRunner(workers=2, cache=ResultCache(tmp_path)).run(SPECS)
+        cold = make_runner("async", workers=2, cache_dir=tmp_path).run(SPECS)
         assert cold.cache_misses == len(SPECS)
-        warm = AsyncRunner(workers=2, cache=ResultCache(tmp_path)).run(SPECS)
+        warm = make_runner("parallel", workers=2, cache_dir=tmp_path).run(SPECS)
         assert (warm.cache_hits, warm.cache_misses) == (len(SPECS), 0)
         assert warm.to_json() == cold.to_json()
 
     def test_async_matches_serial_without_cache(self):
+        assert type(make_runner("async")) is type(make_runner("parallel")) is ParallelRunner
         serial = SerialRunner().run(SPECS)
-        from_async = AsyncRunner(workers=2).run(SPECS)
-        assert from_async.to_json() == serial.to_json()
+        for spelling in ("async", "parallel"):
+            assert make_runner(spelling, workers=2).run(SPECS).to_json() == serial.to_json()
 
     def test_poisoned_point_propagates_and_cancels_queued_siblings(self, tmp_path):
-        """Regression test for the async runner's failure path.
+        """The plain policy's failure contract on the process backend.
 
-        The first failing point must surface its own exception (not a
-        ``CancelledError``) and cancel the submissions queued behind the
-        ``max_in_flight`` gate before they ever reach the worker pool.  The
-        sibling points write sentinel files when they execute; at most the
-        one waiter already woken when the failure lands may slip through.
+        The first failing point must surface its *own* exception type
+        across the pipe, and stop the sweep: queued siblings never start
+        and the one in flight beside it is killed.  The sibling points
+        write sentinel files when they complete.
         """
         registry = ScenarioRegistry()
         registry.register("poisoned")(_poisoned_scenario)
         specs = grid(
             "poisoned", base={"out_dir": str(tmp_path)}, idx=tuple(range(8))
         )
-        runner = AsyncRunner(workers=2, max_in_flight=1, registry=registry)
-        with pytest.raises(ValueError, match="poisoned point"):
+        runner = ParallelRunner(workers=2, registry=registry)
+        with pytest.raises(ValueError, match="poisoned point") as failure:
             runner.run(specs)
+        assert "_poisoned_scenario" in str(failure.value.__cause__)  # remote traceback
         assert len(list(tmp_path.glob("ran_*"))) <= 1
+        with pytest.raises(ValueError, match="poisoned point"):
+            SerialRunner(registry=registry).run(specs)
+
+    def test_scenario_configuration_error_is_cli_exit_2_on_parallel(self, capsys):
+        argv = ["run", "inference_ablation_point", "--set", "duration=4",
+                "--set", "rollout_backend=quantum", "--backend", "parallel", "--workers", "2"]
+        assert cli_main(argv) == 2
+        assert "unknown rollout backend 'quantum'" in capsys.readouterr().err
+
+
+class TestCompletedPointsSurviveFailure:
+    @pytest.mark.parametrize(
+        "make", [SerialRunner, lambda **kw: ParallelRunner(workers=2, **kw)],
+        ids=["SerialRunner", "ParallelRunner"],
+    )
+    def test_failing_point_keeps_its_completed_siblings_cached(self, make, tmp_path):
+        """Each point is stored when it completes, not when the sweep does."""
+        registry = ScenarioRegistry()
+        registry.register("late_failure")(_late_failure)
+        specs = grid("late_failure", idx=(0, 1, 2, 3))
+        with pytest.raises(ValueError, match="late failure"):
+            make(registry=registry, cache=ResultCache(tmp_path)).run(specs)
+        assert len(list((tmp_path / "results").rglob("*.json"))) == 3
+        with pytest.raises(ValueError, match="late failure"):
+            make(registry=registry, cache=(rerun := ResultCache(tmp_path))).run(specs)
+        assert (rerun.hits, rerun.misses) == (3, 1)
 
 
 class TestPolicyTableCache:

@@ -9,7 +9,7 @@ byte-identical to a clean run.
 
 from __future__ import annotations
 
-import asyncio
+import json
 import time
 from pathlib import Path
 
@@ -17,7 +17,6 @@ import pytest
 
 from repro.errors import ConfigurationError, PointFailureError
 from repro.runner import (
-    AsyncRunner,
     FaultPlan,
     InjectedFaultError,
     ParallelRunner,
@@ -31,6 +30,7 @@ from repro.runner import (
     grid,
     grid_digest,
     journal_path,
+    make_runner,
     replay_journal,
 )
 from repro.runner.cli import main as cli_main
@@ -254,44 +254,50 @@ class TestSupervisionPolicy:
         assert a != b and a != c
 
 
-def _supervised(backend_cls, *, workers=2, **kwargs):
+def _supervised(backend, *, workers=2, **kwargs):
     supervision = kwargs.pop("supervision", Supervision(max_retries=2, backoff=0.01))
-    if backend_cls is SerialRunner:
-        return SerialRunner(registry=REGISTRY, supervision=supervision, **kwargs)
-    return backend_cls(workers=workers, registry=REGISTRY, supervision=supervision, **kwargs)
+    return make_runner(
+        backend, workers=workers, registry=REGISTRY, supervision=supervision, **kwargs
+    )
 
 
-BACKENDS = [SerialRunner, ParallelRunner, AsyncRunner]
+#: Every ``--backend`` spelling.  "async" names the parallel class; it keeps
+#: the test id it had when it was a class of its own.
+PROCESS_BACKENDS = [
+    pytest.param("parallel", id="ParallelRunner"),
+    pytest.param("async", id="AsyncRunner"),
+]
+BACKENDS = [pytest.param("serial", id="SerialRunner"), *PROCESS_BACKENDS]
 
 
 class TestSupervisedRecovery:
-    @pytest.mark.parametrize("backend_cls", BACKENDS)
-    def test_clean_supervised_run_matches_plain(self, backend_cls, tmp_path):
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_clean_supervised_run_matches_plain(self, backend, tmp_path):
         specs = toy_specs(6)
         plain = SerialRunner(registry=REGISTRY).run(specs)
-        supervised = _supervised(backend_cls, journal_dir=tmp_path).run(specs)
+        supervised = _supervised(backend, journal_dir=tmp_path).run(specs)
         assert supervised.to_json() == plain.to_json()
         assert supervised.retries == 0 and not supervised.partial
 
-    @pytest.mark.parametrize("backend_cls", BACKENDS)
-    def test_flaky_point_retries_then_succeeds(self, backend_cls, tmp_path):
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_flaky_point_retries_then_succeeds(self, backend, tmp_path):
         marker = tmp_path / "flaky.calls"
         specs = [
             ScenarioSpec("flaky", params={"marker": str(marker), "fail_times": 2}, seed=0)
         ]
-        store = _supervised(backend_cls, journal_dir=tmp_path).run(specs)
+        store = _supervised(backend, journal_dir=tmp_path).run(specs)
         assert len(store) == 1 and not store.quarantined
         assert store.retries == 2
         assert marker.read_bytes() == b"xxx"  # 2 failing calls + 1 success
 
-    @pytest.mark.parametrize("backend_cls", BACKENDS)
-    def test_exhausted_point_is_quarantined_not_fatal(self, backend_cls, tmp_path):
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_exhausted_point_is_quarantined_not_fatal(self, backend, tmp_path):
         marker = tmp_path / "flaky.calls"
         specs = toy_specs(3) + [
             ScenarioSpec("flaky", params={"marker": str(marker), "fail_times": 99}, seed=0)
         ]
         supervision = Supervision(max_retries=1, backoff=0.01)
-        store = _supervised(backend_cls, supervision=supervision, journal_dir=tmp_path).run(specs)
+        store = _supervised(backend, supervision=supervision, journal_dir=tmp_path).run(specs)
         assert len(store) == 3 and store.partial
         assert len(store.quarantined) == 1
         point = store.quarantined[0]
@@ -302,35 +308,35 @@ class TestSupervisedRecovery:
         assert '"quarantined"' in store.to_json()
         assert marker.read_bytes() == b"xx"  # 1 try + 1 retry, then gave up
 
-    @pytest.mark.parametrize("backend_cls", BACKENDS)
-    def test_strict_mode_restores_fail_fast(self, backend_cls, tmp_path):
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_strict_mode_restores_fail_fast(self, backend, tmp_path):
         marker = tmp_path / "flaky.calls"
         specs = [
             ScenarioSpec("flaky", params={"marker": str(marker), "fail_times": 99}, seed=0)
         ]
         supervision = Supervision(max_retries=0, strict=True)
         with pytest.raises(PointFailureError, match="failed 1 attempt"):
-            _supervised(backend_cls, supervision=supervision, journal_dir=tmp_path).run(specs)
+            _supervised(backend, supervision=supervision, journal_dir=tmp_path).run(specs)
 
-    @pytest.mark.parametrize("backend_cls", [ParallelRunner, AsyncRunner])
-    def test_injected_worker_kill_is_retried(self, backend_cls, tmp_path):
+    @pytest.mark.parametrize("backend", PROCESS_BACKENDS)
+    def test_injected_worker_kill_is_retried(self, backend, tmp_path):
         specs = toy_specs(4)
         plan = FaultPlan(targets=(PointFault(kind="kill", index=1),))
         supervision = Supervision(max_retries=2, backoff=0.01, fault_plan=plan)
-        store = _supervised(backend_cls, supervision=supervision, journal_dir=tmp_path).run(specs)
+        store = _supervised(backend, supervision=supervision, journal_dir=tmp_path).run(specs)
         assert len(store) == 4 and not store.quarantined
         assert store.retries == 1
         assert store.to_json() == SerialRunner(registry=REGISTRY).run(specs).to_json()
 
-    @pytest.mark.parametrize("backend_cls", [ParallelRunner, AsyncRunner])
-    def test_hung_point_is_killed_and_retried(self, backend_cls, tmp_path):
+    @pytest.mark.parametrize("backend", PROCESS_BACKENDS)
+    def test_hung_point_is_killed_and_retried(self, backend, tmp_path):
         specs = toy_specs(3)
         plan = FaultPlan(targets=(PointFault(kind="hang", index=2),), hang_seconds=30.0)
         supervision = Supervision(
             max_retries=1, backoff=0.01, point_timeout=0.75, fault_plan=plan
         )
         started = time.perf_counter()
-        store = _supervised(backend_cls, supervision=supervision, journal_dir=tmp_path).run(specs)
+        store = _supervised(backend, supervision=supervision, journal_dir=tmp_path).run(specs)
         elapsed = time.perf_counter() - started
         assert len(store) == 3 and not store.quarantined
         assert store.retries == 1
@@ -341,7 +347,7 @@ class TestSupervisedRecovery:
         plan = FaultPlan(targets=(PointFault(kind="exception", index=0),))
         supervision = Supervision(max_retries=0, strict=True, fault_plan=plan)
         with pytest.raises(PointFailureError, match="InjectedFaultError"):
-            _supervised(SerialRunner, supervision=supervision).run(specs)
+            _supervised("serial", supervision=supervision).run(specs)
         with pytest.raises(InjectedFaultError):
             # The raw fault, outside supervision plumbing.
             from repro.runner.faults import perform_fault
@@ -367,7 +373,7 @@ class TestResume:
         # First pass: the flaky point exhausts its (zero) retries and is
         # quarantined; the three healthy points land in the journal.
         first = _supervised(
-            ParallelRunner,
+            "parallel",
             supervision=Supervision(max_retries=0, backoff=0.01),
             journal_dir=tmp_path,
         ).run(specs)
@@ -376,7 +382,7 @@ class TestResume:
         # Second pass resumes: done points replay from the journal, only
         # the quarantined point re-executes (and now succeeds).
         second = _supervised(
-            ParallelRunner,
+            "parallel",
             supervision=Supervision(max_retries=0, backoff=0.01),
             journal_dir=tmp_path,
             resume=True,
@@ -386,13 +392,32 @@ class TestResume:
         assert second.to_json() == clean.to_json()
         assert marker.read_bytes() == b"xx"  # one failing call, one succeeding
 
+    @pytest.mark.parametrize("wall_time", [None, "soon"])
+    def test_mistyped_journal_line_is_skipped_and_its_point_reexecuted(
+        self, tmp_path, wall_time
+    ):
+        specs = toy_specs(3)
+        clean = _supervised("serial", journal_dir=tmp_path).run(specs)
+        path = journal_path(tmp_path, grid_digest(specs))
+        lines = []
+        for line in path.read_text(encoding="utf-8").splitlines():
+            record = json.loads(line)
+            if record.get("state") == "done" and record.get("i") == 1:
+                record["wall_time"] = wall_time
+            lines.append(json.dumps(record))
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+        resumed = _supervised("serial", journal_dir=tmp_path, resume=True).run(specs)
+        assert resumed.resumed == 2  # the damaged line reads as "not done"
+        assert resumed.to_json() == clean.to_json()
+
     def test_resume_without_journal_location_is_an_error(self):
         with pytest.raises(ConfigurationError, match="journal"):
             ParallelRunner(registry=REGISTRY, resume=True)
 
     def test_resume_of_changed_grid_starts_fresh(self, tmp_path):
         specs = toy_specs(3)
-        runner = _supervised(SerialRunner, journal_dir=tmp_path)
+        runner = _supervised("serial", journal_dir=tmp_path)
         runner.resume = True
         store = runner.run(specs)  # nothing journalled for this grid yet
         assert store.resumed == 0 and len(store) == 3
@@ -400,7 +425,7 @@ class TestResume:
     def test_journal_written_under_cache_root_by_default(self, tmp_path):
         specs = toy_specs(2)
         cache = ResultCache(tmp_path / "cache")
-        _supervised(SerialRunner, cache=cache).run(specs)
+        _supervised("serial", cache=cache).run(specs)
         assert journal_path(cache.root, grid_digest(specs)).exists()
 
 
@@ -429,7 +454,7 @@ class TestCacheCorruption:
         cache = ResultCache(tmp_path)
         plan = FaultPlan(targets=(PointFault(kind="corrupt", index=1),))
         store = _supervised(
-            SerialRunner,
+            "serial",
             supervision=Supervision(max_retries=0, fault_plan=plan),
             cache=cache,
         ).run(specs)
@@ -442,26 +467,26 @@ class TestCacheCorruption:
 
 
 class TestCancellation:
-    @pytest.mark.parametrize("backend_cls", [ParallelRunner, AsyncRunner])
+    @pytest.mark.parametrize("backend", PROCESS_BACKENDS)
     def test_supervised_interrupt_is_not_retried_or_quarantined(
-        self, backend_cls, tmp_path
+        self, backend, tmp_path
     ):
         marker = tmp_path / "interrupts"
         specs = [ScenarioSpec("interrupting", params={"marker": str(marker)}, seed=0)]
         with pytest.raises(KeyboardInterrupt):
-            _supervised(backend_cls, journal_dir=tmp_path).run(specs)
+            _supervised(backend, journal_dir=tmp_path).run(specs)
         assert marker.read_bytes() == b"x"  # executed exactly once: no retry
 
     def test_serial_supervised_interrupt_propagates(self, tmp_path):
         marker = tmp_path / "interrupts"
         specs = [ScenarioSpec("interrupting", params={"marker": str(marker)}, seed=0)]
         with pytest.raises(KeyboardInterrupt):
-            _supervised(SerialRunner, journal_dir=tmp_path).run(specs)
+            _supervised("serial", journal_dir=tmp_path).run(specs)
         assert marker.read_bytes() == b"x"
 
     def test_async_unsupervised_interrupt_cancels_promptly(self, tmp_path):
-        # Regression: the gather used to swallow the interrupt while
-        # waiting out long-running siblings.  The interrupt must surface
+        # A plain (unsupervised) parallel run gets the interrupt fast path
+        # too: the interrupt must surface, and the siblings be killed,
         # well before the 3-second sleepers finish.
         marker = tmp_path / "interrupts"
         specs = [
@@ -469,10 +494,10 @@ class TestCancellation:
             ScenarioSpec("interrupting", params={"marker": str(marker)}, seed=0),
             ScenarioSpec("sleepy", params={"duration": 3.0}, seed=1),
         ]
-        runner = AsyncRunner(workers=3, registry=REGISTRY)
+        runner = make_runner("async", workers=3, registry=REGISTRY)
         started = time.perf_counter()
         with pytest.raises(KeyboardInterrupt):
-            asyncio.run(runner.run_async(specs))
+            runner.run(specs)
         assert time.perf_counter() - started < 2.5
 
 
