@@ -34,6 +34,31 @@ def run_event_loop() -> int:
     return counter["fired"]
 
 
+def run_event_loop_churn() -> int:
+    """20k ticks beside 256 standing timers, one cancelled and re-armed per tick.
+
+    ``run_event_loop`` keeps the heap one deep, so the cost of ordering it is
+    invisible there.  This is the retransmission-timer pattern of a many-flow
+    run: every ACK cancels a timer a second out and arms a new one, leaving
+    the heap ~1 250 deep (256 live timers plus a second's worth of dead ones).
+    """
+    sim = Simulator()
+    timers = [sim.schedule(1.0, int) for _ in range(256)]
+    counter = {"fired": 0}
+
+    def tick() -> None:
+        slot = counter["fired"] % len(timers)
+        counter["fired"] += 1
+        timers[slot].cancel()
+        timers[slot] = sim.schedule(1.0, int)
+        if counter["fired"] < 20_000:
+            sim.schedule(0.001, tick)
+
+    sim.schedule(0.0, tick)
+    sim.run()
+    return counter["fired"]
+
+
 def run_queueing_chain() -> int:
     """5k packets through a Buffer → Throughput → Collector chain."""
     network = Network(seed=0)
@@ -99,6 +124,12 @@ def test_event_loop_throughput(benchmark, bench_record):
     fired = benchmark(run_event_loop)
     assert fired == 20_000
     record_engine_timing(bench_record, benchmark, "event_loop_20k", run_event_loop)
+
+
+def test_event_loop_churn_throughput(benchmark, bench_record):
+    fired = benchmark(run_event_loop_churn)
+    assert fired == 20_000
+    record_engine_timing(bench_record, benchmark, "event_loop_churn", run_event_loop_churn)
 
 
 def test_queueing_chain_throughput(benchmark, bench_record):

@@ -175,7 +175,8 @@ class WindowSender(SourceElement):
         self.packets_sent += 1
         if retransmission:
             self.retransmissions += 1
-        self.trace("send", seq=seq, retransmission=retransmission, cwnd=self.cwnd)
+        if self._trace is not None:
+            self.trace("send", seq=seq, retransmission=retransmission, cwnd=self.cwnd)
         self.emit(packet)
 
     # ------------------------------------------------------------ ack handling

@@ -173,7 +173,8 @@ class CellularLink(Element):
         if self._occupancy_bits + packet.size_bits > self.buffer_bits + 1e-9:
             self.drop_count += 1
             packet.mark_dropped(self.sim.now, self.name)
-            self.trace("drop", seq=packet.seq, flow=packet.flow)
+            if self._trace is not None:
+                self.trace("drop", seq=packet.seq, flow=packet.flow)
             return
         self._queue.append(packet)
         self._occupancy_bits += packet.size_bits
@@ -203,7 +204,8 @@ class CellularLink(Element):
             self.trace("ll_retransmit", seq=packet.seq, attempt=attempt)
             self.sim.schedule(self.retransmit_delay, self._begin_service, packet, attempt + 1)
             return
-        self.trace("tx_done", seq=packet.seq, flow=packet.flow)
+        if self._trace is not None:
+            self.trace("tx_done", seq=packet.seq, flow=packet.flow)
         if self.propagation_delay > 0:
             self.sim.schedule(self.propagation_delay, self.emit, packet)
         else:

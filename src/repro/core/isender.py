@@ -136,7 +136,8 @@ class ISender(SourceElement):
         )
         self._pending_acks.append(ack)
         self.acks.append(ack)
-        self.trace("ack", seq=ack.seq, received_at=ack.received_at)
+        if self._trace is not None:
+            self.trace("ack", seq=ack.seq, received_at=ack.received_at)
         self._wake_soon()
 
     def _wake_soon(self) -> None:
@@ -193,7 +194,8 @@ class ISender(SourceElement):
         )
         self.sent.append(SentRecord(seq=seq, size_bits=self.packet_bits, sent_at=now))
         self.belief.record_send(seq, self.packet_bits, now)
-        self.trace("send", seq=seq)
+        if self._trace is not None:
+            self.trace("send", seq=seq)
         self.emit(packet)
 
     def _sleep(self, decision: Decision, now: float) -> None:
@@ -205,7 +207,8 @@ class ISender(SourceElement):
             # belief backend is vectorized.)
             delay = self.planner.packet_bits / self.belief.map_link_rate_bps()
         self._timer = self.sim.schedule(delay, self._wake)
-        self.trace("sleep", delay=delay)
+        if self._trace is not None:
+            self.trace("sleep", delay=delay)
 
     # ------------------------------------------------------------------ stats
 

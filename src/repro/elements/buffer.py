@@ -114,7 +114,8 @@ class Buffer(Element):
             self.drop_count += 1
             self.dropped_packets.append(packet)
             packet.mark_dropped(self.sim.now, self.name)
-            self.trace("drop", seq=packet.seq, flow=packet.flow, occupancy=self._occupancy_bits)
+            if self._trace is not None:
+                self.trace("drop", seq=packet.seq, flow=packet.flow, occupancy=self._occupancy_bits)
             return
         self._enqueue(packet)
         self._kick_downstream()
@@ -127,7 +128,8 @@ class Buffer(Element):
         self._occupancy_bits -= packet.size_bits
         if self._occupancy_bits < 1e-9:
             self._occupancy_bits = 0.0
-        self.trace("dequeue", seq=packet.seq, flow=packet.flow, occupancy=self._occupancy_bits)
+        if self._trace is not None:
+            self.trace("dequeue", seq=packet.seq, flow=packet.flow, occupancy=self._occupancy_bits)
         return packet
 
     # ----------------------------------------------------------------- state
@@ -161,7 +163,8 @@ class Buffer(Element):
         self._occupancy_bits += packet.size_bits
         if self._occupancy_bits > self.peak_occupancy_bits:
             self.peak_occupancy_bits = self._occupancy_bits
-        self.trace("enqueue", seq=packet.seq, flow=packet.flow, occupancy=self._occupancy_bits)
+        if self._trace is not None:
+            self.trace("enqueue", seq=packet.seq, flow=packet.flow, occupancy=self._occupancy_bits)
 
     def _kick_downstream(self) -> None:
         kick = getattr(self.downstream, "kick", None)

@@ -63,11 +63,13 @@ class Diverter(Element):
         self.received_count += 1
         if self._predicate(packet):
             self.matched_count += 1
-            self.trace("route", seq=packet.seq, flow=packet.flow, branch="match")
+            if self._trace is not None:
+                self.trace("route", seq=packet.seq, flow=packet.flow, branch="match")
             self.match_branch.receive(packet)
         else:
             self.other_count += 1
-            self.trace("route", seq=packet.seq, flow=packet.flow, branch="other")
+            if self._trace is not None:
+                self.trace("route", seq=packet.seq, flow=packet.flow, branch="other")
             self.other_branch.receive(packet)
 
     def reset(self) -> None:
@@ -101,11 +103,8 @@ class FlowDemux(Element):
         self.ignored_count = 0
 
     def _unique_branches(self) -> Iterable[Element]:
-        seen: list[Element] = []
-        for element in self.branches.values():
-            if not any(element is known for known in seen):
-                seen.append(element)
-                yield element
+        # Keyed by identity; a dict keeps each element's first position.
+        return {id(element): element for element in self.branches.values()}.values()
 
     def children(self) -> Iterable[Element]:
         yield from self._unique_branches()
@@ -119,9 +118,11 @@ class FlowDemux(Element):
         branch = self.branches.get(packet.flow)
         if branch is None:
             self.ignored_count += 1
-            self.trace("ignore", seq=packet.seq, flow=packet.flow)
+            if self._trace is not None:
+                self.trace("ignore", seq=packet.seq, flow=packet.flow)
             return
-        self.trace("route", seq=packet.seq, flow=packet.flow)
+        if self._trace is not None:
+            self.trace("route", seq=packet.seq, flow=packet.flow)
         branch.receive(packet)
 
     def reset(self) -> None:

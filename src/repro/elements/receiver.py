@@ -81,7 +81,8 @@ class Receiver(Element):
         )
         self.deliveries.append(delivery)
         self.bits_received += packet.size_bits
-        self.trace("deliver", seq=packet.seq, flow=packet.flow, delay=delivery.delay)
+        if self._trace is not None:
+            self.trace("deliver", seq=packet.seq, flow=packet.flow, delay=delivery.delay)
         if self.on_deliver is not None:
             if self.ack_delay > 0:
                 self.sim.schedule(self.ack_delay, self.on_deliver, delivery)

@@ -117,7 +117,12 @@ class Element:
     # ------------------------------------------------------------------ trace
 
     def trace(self, kind: str, **fields) -> None:
-        """Record a trace row if a recorder is attached (cheap no-op otherwise)."""
+        """Record a trace row if a recorder is attached.
+
+        Without one this is a no-op, but the caller has still built
+        ``fields``; per-packet call sites test ``self._trace is not None``
+        first so an untraced run pays nothing.
+        """
         if self._trace is not None and self._sim is not None:
             self._trace.record(self._sim.now, self.name, kind, **fields)
 
@@ -175,32 +180,37 @@ class Network:
     seed:
         Base seed for the per-element random streams.
     trace_kinds:
-        If given, only these trace kinds are recorded (``None`` records all).
+        The trace kinds to record into :attr:`trace`.  ``None`` (the default)
+        records nothing: no recorder is attached to the elements and
+        :attr:`trace` stays empty.  To record every kind, attach a recorder
+        by hand: ``element.attach(sim, trace=TraceRecorder())``.
     """
 
     def __init__(self, seed: int = 0, trace_kinds: Iterable[str] | None = None) -> None:
         self.sim = Simulator()
         self.rng = RngRegistry(seed)
         self.trace = TraceRecorder(kinds=trace_kinds)
-        self._elements: list[Element] = []
+        self._element_trace = self.trace if trace_kinds is not None else None
+        #: Attached elements keyed by ``id``, in registration/walk order.
+        self._elements: dict[int, Element] = {}
         self._started = False
 
     def add(self, *elements: Element) -> None:
         """Register root elements (their downstream graphs are attached too)."""
         for element in elements:
             for reachable in _walk(element):
-                if reachable not in self._elements:
-                    self._elements.append(reachable)
-                    reachable.attach(self.sim, rng=self.rng, trace=self.trace)
+                if id(reachable) not in self._elements:
+                    self._elements[id(reachable)] = reachable
+                    reachable.attach(self.sim, rng=self.rng, trace=self._element_trace)
 
     @property
     def elements(self) -> list[Element]:
         """All attached elements, in registration/walk order."""
-        return list(self._elements)
+        return list(self._elements.values())
 
     def element(self, name: str) -> Element:
         """Look up an attached element by name."""
-        for candidate in self._elements:
+        for candidate in self._elements.values():
             if candidate.name == name:
                 return candidate
         raise KeyError(f"no element named {name!r} in network")
@@ -210,7 +220,7 @@ class Network:
         if self._started:
             return
         self._started = True
-        for element in self._elements:
+        for element in self._elements.values():
             element.start()
 
     def run(self, until: float | None = None, max_events: int | None = None) -> int:
@@ -223,7 +233,7 @@ class Network:
         self.sim = Simulator()
         self.trace.clear()
         self._started = False
-        for element in self._elements:
+        for element in self._elements.values():
             element.reset()
             element._sim = self.sim  # re-bind without tripping the double-attach guard
 

@@ -1,7 +1,7 @@
 """The discrete-event simulation engine.
 
 :class:`Simulator` owns a monotonically non-decreasing clock and a priority
-queue of :class:`~repro.sim.events.Event` objects.  It is deliberately
+queue of ``(time, priority, seq, Event)`` entries.  It is deliberately
 small: elements schedule callbacks, the engine fires them in time order.
 Determinism is guaranteed by the ``(time, priority, insertion sequence)``
 ordering and by routing all randomness through
@@ -41,7 +41,7 @@ class Simulator:
 
     def __init__(self, start_time: float = 0.0) -> None:
         self._now = float(start_time)
-        self._queue: list[Event] = []
+        self._queue: list[tuple[float, int, int, Event]] = []
         self._event_seq = 0
         self._events_processed = 0
         self._live_events = 0
@@ -92,12 +92,7 @@ class Simulator:
             raise SchedulingError(
                 f"cannot schedule event at {time:.6f}, clock is already at {self._now:.6f}"
             )
-        event = Event(time, priority, self._event_seq, callback, args, kwargs)
-        event._owner = self
-        self._event_seq += 1
-        self._live_events += 1
-        heapq.heappush(self._queue, event)
-        return event
+        return self._push(time, priority, callback, args, kwargs)
 
     def schedule(
         self,
@@ -110,7 +105,10 @@ class Simulator:
         """Schedule ``callback`` after a relative ``delay`` in seconds."""
         if delay < 0:
             raise SchedulingError(f"delay must be non-negative, got {delay!r}")
-        return self.schedule_at(self._now + delay, callback, *args, priority=priority, **kwargs)
+        time = self._now + delay
+        if not math.isfinite(time):
+            raise SchedulingError(f"event time must be finite, got {time!r}")
+        return self._push(time, priority, callback, args, kwargs)
 
     def cancel(self, event: Event) -> None:
         """Cancel a previously scheduled event (idempotent)."""
@@ -120,10 +118,8 @@ class Simulator:
 
     def peek_time(self) -> float | None:
         """Time of the next live event, or ``None`` if the queue is empty."""
-        self._discard_dead()
-        if not self._queue:
-            return None
-        return self._queue[0].time
+        self._fire_events(None, 0)  # fires nothing; drops cancelled heads
+        return self._queue[0][0] if self._queue else None
 
     def step(self) -> bool:
         """Fire the next live event.
@@ -133,18 +129,7 @@ class Simulator:
         bool
             ``True`` if an event fired, ``False`` if the queue was empty.
         """
-        self._discard_dead()
-        if not self._queue:
-            return False
-        event = heapq.heappop(self._queue)
-        if event.time < self._now:  # pragma: no cover - defensive
-            raise SimulationError("event queue returned an event from the past")
-        event._finalized = True
-        self._live_events -= 1
-        self._now = event.time
-        self._events_processed += 1
-        event.fire()
-        return True
+        return self._fire_events(None, 1)[0] == 1
 
     def run(self, until: float | None = None, max_events: int | None = None) -> int:
         """Run the event loop.
@@ -168,19 +153,8 @@ class Simulator:
         if self._running:
             raise SimulationError("Simulator.run() is not reentrant")
         self._running = True
-        fired = 0
-        exhausted = False
         try:
-            while True:
-                next_time = self.peek_time()
-                if next_time is None or (until is not None and next_time > until):
-                    # Every event at or before `until` has been processed.
-                    exhausted = True
-                    break
-                if max_events is not None and fired >= max_events:
-                    break
-                self.step()
-                fired += 1
+            fired, exhausted = self._fire_events(until, max_events)
         finally:
             self._running = False
         # Fast-forward the clock only when the queue was genuinely drained or
@@ -215,11 +189,44 @@ class Simulator:
         """Called by :meth:`Event.cancel` on a still-pending event."""
         self._live_events -= 1
 
-    def _discard_dead(self) -> None:
-        # Cancelled events were already removed from the live count by the
-        # cancel hook; here they only need to leave the heap.
-        while self._queue and self._queue[0].cancelled:
-            heapq.heappop(self._queue)._finalized = True
+    def _push(self, time, priority, callback, args, kwargs) -> Event:
+        """Queue one event at an already-validated ``time``."""
+        seq = self._event_seq
+        event = Event(time, priority, seq, callback, args, kwargs, self)
+        self._event_seq = seq + 1
+        self._live_events += 1
+        # `seq` is unique, so tuple comparison never reaches the Event and
+        # the heap orders its entries without calling back into Python.
+        heapq.heappush(self._queue, (time, priority, seq, event))
+        return event
+
+    def _fire_events(self, until: float | None, max_events: int | None) -> tuple[int, bool]:
+        """The one event loop behind :meth:`run`, :meth:`step` and :meth:`peek_time`.
+
+        Returns ``(fired, exhausted)``; ``exhausted`` is true when no live
+        event at or before ``until`` remains, false on a ``max_events`` stop.
+        """
+        queue = self._queue
+        heappop = heapq.heappop
+        fired = 0
+        while True:
+            # Cancelled events were already removed from the live count by
+            # the cancel hook; here they only need to leave the heap.
+            while queue and queue[0][3].cancelled:
+                heappop(queue)[3]._finalized = True
+            if not queue or (until is not None and queue[0][0] > until):
+                return fired, True
+            if max_events is not None and fired >= max_events:
+                return fired, False
+            time, _, _, event = heappop(queue)
+            if time < self._now:  # pragma: no cover - defensive
+                raise SimulationError("event queue returned an event from the past")
+            event._finalized = True
+            self._live_events -= 1
+            self._now = time
+            self._events_processed += 1
+            event.callback(*event.args)
+            fired += 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Simulator(now={self._now:.6f}, pending={self.pending})"

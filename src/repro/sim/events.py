@@ -9,6 +9,7 @@ lazily when they reach the head of the queue.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable
 
 
@@ -26,7 +27,6 @@ class Event:
         "seq",
         "callback",
         "args",
-        "kwargs",
         "cancelled",
         "_owner",
         "_finalized",
@@ -40,17 +40,20 @@ class Event:
         callback: Callable[..., None],
         args: tuple[Any, ...] = (),
         kwargs: dict[str, Any] | None = None,
+        owner: Any = None,
     ) -> None:
         self.time = time
         self.priority = priority
         self.seq = seq
-        self.callback = callback
+        # Keyword arguments are rare (no element schedules with them), so
+        # they are bound into the callback instead of costing every event a
+        # dict and every firing a ``**`` unpack.
+        self.callback = partial(callback, **kwargs) if kwargs else callback
         self.args = args
-        self.kwargs = kwargs or {}
         self.cancelled = False
         #: The engine that scheduled this event, notified on cancellation so
         #: it can maintain a live-event count without rescanning its queue.
-        self._owner = None
+        self._owner = owner
         #: Set once the engine has popped the event (fired or discarded);
         #: cancelling after that point is a no-op.
         self._finalized = False
@@ -69,11 +72,11 @@ class Event:
         return not self.cancelled
 
     def fire(self) -> None:
-        """Invoke the callback.  The engine calls this; tests may too."""
-        self.callback(*self.args, **self.kwargs)
+        """Invoke the callback, as the engine's loop does when the event comes due."""
+        self.callback(*self.args)
 
     def sort_key(self) -> tuple[float, int, int]:
-        """Total ordering key used by the engine's priority queue."""
+        """Total ordering key; the engine's heap entries lead with the same triple."""
         return (self.time, self.priority, self.seq)
 
     def __lt__(self, other: "Event") -> bool:

@@ -2,9 +2,12 @@
 
 A :class:`TraceRecorder` collects :class:`TraceRecord` rows (time, element,
 event kind, free-form fields).  Elements call :meth:`TraceRecorder.record`
-when tracing is attached; recording is a no-op by default so the hot path
-stays cheap.  Experiments use traces to build the time series that the
-paper's figures plot.
+only when a recorder is attached, and by default none is: a
+:class:`~repro.sim.element.Network` attaches its recorder only when given
+``trace_kinds``, so the hot path of an untraced run builds no rows.
+Experiments that want the time series the paper's figures plot turn it on
+with ``Network(trace_kinds={"drop", "deliver"})``, or attach a recorder by
+hand (``element.attach(sim, trace=TraceRecorder())``) to record every kind.
 """
 
 from __future__ import annotations

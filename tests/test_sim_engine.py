@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from repro.errors import SchedulingError, SimulationError
 from repro.sim.engine import Simulator
@@ -146,10 +146,13 @@ class TestPendingCounter:
             events.append(sim.schedule(float(index % 7) + 0.5, lambda: None))
         for event in events[::3]:
             event.cancel()
-        expected = sum(1 for event in sim._queue if event.alive)
-        assert sim.pending == expected
+        # Heap entries are (time, priority, seq, event) tuples.
+        def rescan():
+            return sum(1 for *_, event in sim._queue if event.alive)
+
+        assert sim.pending == rescan()
         while sim.step():
-            assert sim.pending == sum(1 for event in sim._queue if event.alive)
+            assert sim.pending == rescan()
 
 
 class TestRunControl:
@@ -278,3 +281,92 @@ class TestPropertyBased:
             sim.schedule(delay, lambda d=delay: fired.append(d))
         sim.run(until=until)
         assert all(delay <= until for delay in fired)
+
+
+# An interleaving is a list of operations on a quarter-second grid, so equal
+# times (and equal (time, priority) pairs) are common.  An event's optional
+# ``child`` makes its callback schedule one more event and maybe cancel one.
+_TICK = 0.25
+_EVENT = st.tuples(st.integers(0, 6), st.sampled_from([-1, 0, 1]))  # (ticks, priority)
+_CHILD = st.one_of(st.none(), st.tuples(_EVENT, st.one_of(st.none(), st.integers(0, 40))))
+_OPERATION = st.one_of(
+    st.tuples(st.sampled_from(["schedule", "schedule_at"]), _EVENT, _CHILD),
+    st.tuples(st.just("cancel"), st.integers(0, 40)),
+)
+
+
+class TestOrderAgainstReferenceModel:
+    """The engine fires exactly what a sorted list of the live events would."""
+
+    @seed(20260929)
+    @settings(max_examples=300, deadline=None)
+    @given(
+        operations=st.lists(_OPERATION, min_size=1, max_size=40),
+        until_ticks=st.integers(0, 14),
+        max_events=st.one_of(st.none(), st.integers(0, 20)),
+    )
+    def test_random_interleavings_fire_in_sorted_live_order(
+        self, operations, until_ticks, max_events
+    ):
+        sim = Simulator()
+        handles: list[Event] = []  # every event ever scheduled; index == seq
+        live: dict[int, tuple[float, int, int]] = {}  # seq -> (time, priority, seq)
+        fired: list[int] = []
+
+        def add(method, spec, child):
+            ticks, priority = spec
+            seq = len(handles)
+            time = sim.now + ticks * _TICK
+            if method == "schedule":
+                event = sim.schedule(ticks * _TICK, fire, seq, child, priority=priority)
+            else:
+                event = sim.schedule_at(time, fire, seq, child, priority=priority)
+            assert (event.time, event.priority, event.seq) == (time, priority, seq)
+            handles.append(event)
+            live[seq] = (time, priority, seq)
+
+        def cancel(index):
+            if handles:
+                seq = index % len(handles)  # may be live, cancelled, fired or firing
+                sim.cancel(handles[seq])
+                live.pop(seq, None)
+
+        def fire(seq, child):
+            assert seq in live, "a cancelled or already-fired event fired"
+            assert live[seq] == min(live.values())
+            assert sim.now == live.pop(seq)[0]
+            fired.append(seq)
+            assert sim.pending == len(live)
+            assert sim.events_processed == len(fired)
+            if child is not None:
+                spec, target = child
+                add("schedule", spec, None)
+                if target is not None:
+                    cancel(target)
+                assert sim.pending == len(live)
+
+        for operation in operations:
+            if operation[0] == "cancel":
+                cancel(operation[1])
+            else:
+                add(*operation)
+            assert sim.pending == len(live)
+
+        until = until_ticks * _TICK
+        count = sim.run(until=until, max_events=max_events)
+        assert count == len(fired)
+        if any(time <= until for time, _, _ in live.values()):
+            # Only the event cap can leave due events behind, and then the
+            # clock stays at the last event fired.
+            assert count == max_events
+            assert sim.now == (handles[fired[-1]].time if fired else 0.0)
+        else:
+            assert sim.now == until
+
+        assert sim.peek_time() == (min(live.values())[0] if live else None)
+        expect_step = bool(live)
+        assert sim.step() is expect_step
+        sim.run()
+        assert not live
+        assert sim.pending == 0
+        assert sim.events_processed == len(fired)

@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.elements import Buffer, Collector, Throughput
+from repro.runner.scenarios import many_flow_contention
+from repro.sim.element import Network
+from repro.sim.engine import Simulator
 from repro.sim.packet import Packet
 from repro.sim.random import RngRegistry
 from repro.sim.trace import TraceRecorder
@@ -124,6 +128,74 @@ class TestTraceRecorder:
         trace.record(0.0, "x", "ping")
         trace.clear()
         assert len(trace) == 0
+
+
+def _bottleneck(capacity_packets: int):
+    """Buffer -> 12 kbit/s link -> sink, with room for ``capacity_packets``."""
+    buffer = Buffer(capacity_bits=12_000 * capacity_packets, name="buf")
+    link = Throughput(rate_bps=12_000, name="link")
+    sink = Collector(name="sink")
+    buffer.connect(link)
+    link.connect(sink)
+    return buffer
+
+
+class TestElementTracing:
+    """Elements record only when someone asked for it."""
+
+    def test_default_network_records_nothing(self, monkeypatch):
+        networks, calls = [], []
+        network_init = Network.__init__
+
+        def spy_init(self, *args, **kwargs):
+            network_init(self, *args, **kwargs)
+            networks.append(self)
+
+        monkeypatch.setattr(Network, "__init__", spy_init)
+        monkeypatch.setattr(
+            TraceRecorder, "record", lambda self, *args, **fields: calls.append(args)
+        )
+        metrics = many_flow_contention(flows=16, isender_flows=0, duration=4.0)
+        assert metrics["events_processed"] > 1_000
+        assert calls == []
+        assert [len(network.trace) for network in networks] == [0]
+
+    def test_trace_kinds_records_exactly_those_rows(self):
+        network = Network(trace_kinds={"drop"})
+        buffer = _bottleneck(capacity_packets=2)
+        network.add(buffer)
+        # t=0: seq 0 goes into service, 1-2 fill the buffer, 3-4 are dropped;
+        # t=1.5: one slot has drained, so 5 fits and 6 is dropped.
+        network.sim.schedule(0.0, lambda: [buffer.receive(Packet(seq, "f")) for seq in range(5)])
+        network.sim.schedule(1.5, lambda: [buffer.receive(Packet(seq, "f")) for seq in (5, 6)])
+        network.run()
+        assert [(row.time, row.element, row.kind, row.fields) for row in network.trace] == [
+            (0.0, "buf", "drop", {"seq": 3, "flow": "f", "occupancy": 24_000.0}),
+            (0.0, "buf", "drop", {"seq": 4, "flow": "f", "occupancy": 24_000.0}),
+            (1.5, "buf", "drop", {"seq": 6, "flow": "f", "occupancy": 24_000.0}),
+        ]
+        assert buffer.drop_count == 3
+
+    def test_hand_attached_recorder_records_every_kind(self):
+        sim, trace = Simulator(), TraceRecorder()
+        buffer = _bottleneck(capacity_packets=1)
+        for element in (buffer, buffer.downstream, buffer.downstream.downstream):
+            element.attach(sim, trace=trace)
+        sim.schedule(0.0, lambda: [buffer.receive(Packet(seq, "f")) for seq in range(3)])
+        sim.run()
+        assert [(row.element, row.kind, row.get("seq")) for row in trace] == [
+            ("buf", "enqueue", 0),
+            ("buf", "dequeue", 0),
+            ("link", "tx_start", 0),
+            ("buf", "enqueue", 1),
+            ("buf", "drop", 2),
+            ("link", "tx_done", 0),
+            ("sink", "collect", 0),
+            ("buf", "dequeue", 1),
+            ("link", "tx_start", 1),
+            ("link", "tx_done", 1),
+            ("sink", "collect", 1),
+        ]
 
 
 class TestUnits:
