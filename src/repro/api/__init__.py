@@ -1,10 +1,11 @@
-"""``repro.api`` — the unified sender-configuration layer.
+"""``repro.api`` — how a sender is described and built.
 
 One frozen :class:`~repro.api.config.SenderConfig` fully describes a
 model-based sender (prior, utility, kernel, hypothesis caps, engine
-selection, policy mode);
-:func:`~repro.api.sender.build_sender` is the single construction path that
-turns a config into a wired :class:`~repro.core.isender.ISender`;
+selection, policy mode) and is the only description there is;
+:func:`~repro.api.sender.build_components` turns a config into the belief /
+planner / policy it names, and :func:`~repro.api.sender.build_sender` wires
+those into a preset network as an :class:`~repro.core.isender.ISender`;
 :mod:`~repro.api.backends` is the string-keyed registry the inference and
 planner engines self-register on; and
 :class:`~repro.api.policy.PolicyTable` is the paper's §3.3 "policy computed
@@ -44,7 +45,6 @@ _LAZY_EXPORTS = {
     "build_sender": ("repro.api.sender", "build_sender"),
     "build_components": ("repro.api.sender", "build_components"),
     "SenderParts": ("repro.api.sender", "SenderParts"),
-    "BatchedSenderPool": ("repro.api.pool", "BatchedSenderPool"),
     "PolicyTable": ("repro.api.policy", "PolicyTable"),
     "precompute_policy_table": ("repro.api.policy", "precompute_policy_table"),
     "load_or_precompute_policy_table": (
@@ -61,7 +61,6 @@ __all__ = [
     "BELIEF_BACKENDS",
     "ROLLOUT_BACKENDS",
     "BackendRegistry",
-    "BatchedSenderPool",
     "KERNELS",
     "POLICY_MODES",
     "PolicyTable",

@@ -1,10 +1,7 @@
 """The string-keyed engine registry behind every ``backend=`` knob.
 
-Before this module existed, selecting an inference or planner engine was a
-scatter of string comparisons: ``BeliefState.from_prior`` special-cased
-``backend == "vectorized"``, ``ExpectedUtilityPlanner.decide`` branched on
-``rollout_backend``, and an unknown name failed only deep inside whichever
-constructor happened to hit it first.  This module centralizes the mapping:
+``BeliefState.from_prior`` and ``ExpectedUtilityPlanner.decide`` resolve
+their engine by name here, and nowhere else compares backend strings:
 
 * :data:`BELIEF_BACKENDS` — names → :class:`~repro.inference.belief.BeliefState`
   subclasses (the ensemble storage/execution engines);
@@ -122,10 +119,9 @@ class BackendRegistry:
                 try:
                     importlib.import_module(module)
                 except ImportError as error:
-                    # Keep the old entry points' contract: a backend whose
-                    # dependencies are missing (e.g. NumPy for the
-                    # vectorized engines) surfaces as a repro error, not a
-                    # raw ImportError.
+                    # A backend whose dependencies are missing (e.g. NumPy
+                    # for the array engine) surfaces as a repro error, not
+                    # a raw ImportError.
                     raise UnknownBackendError(
                         f"{self.kind} backend {name!r} could not be loaded "
                         f"({error}); is its dependency installed?"
@@ -153,8 +149,8 @@ BELIEF_BACKENDS = BackendRegistry(
 
 #: Planner rollout engines: name → ``engine(planner, belief, now) -> Decision``.
 #: ``"scalar"`` event-steps one model clone per lane; ``"vectorized"`` and
-#: ``"fused"`` both name the array engine that advances every (sender ×
-#: action × hypothesis) lane through one masked event frontier.
+#: ``"fused"`` both name the array engine that advances every (action ×
+#: hypothesis) lane through one masked event frontier.
 ROLLOUT_BACKENDS = BackendRegistry(
     "rollout",
     builtin_modules={

@@ -1,14 +1,11 @@
 """The one frozen description of a model-based sender.
 
-Before this layer existed, the knobs that shaped an ISender were smeared
-over four entry points: ``SenderSettings`` (experiments),
-``AblationConfig`` (the ablation sweep), ``BeliefState.from_prior``'s
-``backend=`` keyword, and the runner scenarios' loose parameter lists.
-:class:`SenderConfig` replaces all of them: a single frozen dataclass —
-prior, utility shape, likelihood kernel, hypothesis caps, engine selection,
-and policy mode — that fully describes a model-based sender.  Everything
-that builds a sender now goes through
-:func:`repro.api.sender.build_sender` with one of these.
+:class:`SenderConfig` is a single frozen dataclass — prior, utility shape,
+likelihood kernel, hypothesis caps, engine selection, and policy mode —
+that fully describes a model-based sender.  Experiments, runner scenarios,
+the policy server and the examples all describe their senders with one of
+these and build them through :func:`repro.api.sender.build_sender` /
+:func:`~repro.api.sender.build_components`.
 
 Backend names are validated **eagerly**, at construction, against the
 :mod:`repro.api.backends` registries, so a typo like
@@ -90,9 +87,8 @@ class SenderConfig:
         Registered engine names (see :mod:`repro.api.backends`); validated
         eagerly at construction.  The built-ins are ``"scalar"`` (the
         reference oracle) and one array engine (struct-of-arrays ensemble
-        and batched rollout lanes, also what
-        :class:`~repro.api.pool.BatchedSenderPool` batches across senders)
-        accepted under two spellings, ``"vectorized"`` and ``"fused"``.
+        and batched rollout lanes) accepted under two spellings,
+        ``"vectorized"`` and ``"fused"``.
         The two run the same code, but the spelling is part of
         :meth:`fingerprint` — and so of a point's seed and cache key.
     policy:

@@ -1,10 +1,10 @@
 """``build_sender`` — the one construction path for model-based senders.
 
 Every experiment, runner scenario, example, and benchmark that wires an
-:class:`~repro.core.isender.ISender` into a network now goes through this
-factory with a :class:`~repro.api.config.SenderConfig`.  The older entry
-points (``SenderSettings``, ``AblationConfig``, ``attach_isender``) survive
-as deprecated adapters that construct a ``SenderConfig`` and land here.
+:class:`~repro.core.isender.ISender` into a network goes through
+:func:`build_sender` with a :class:`~repro.api.config.SenderConfig`;
+callers that do their own element wiring (many-flow scenarios, the policy
+server) take the belief / planner / policy from :func:`build_components`.
 """
 
 from __future__ import annotations
@@ -114,8 +114,7 @@ def build_sender(
     :class:`~repro.topology.presets.SingleLinkNetwork`.
 
     ``prior`` overrides the config's own prior (scenario code often derives
-    the prior per run); all other overrides mirror the old
-    ``attach_isender`` surface so migrated call sites stay one-liners.
+    the prior per run).
     """
     for attribute in ("network", "entry", "sender_receiver", "sender_flow"):
         if not hasattr(network, attribute):

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.core.planner import Decision, ExpectedUtilityPlanner
-from repro.core.policy import PolicyCache
 from repro.elements.receiver import Delivery, Receiver
 from repro.errors import ConfigurationError
 from repro.inference.belief import BeliefState
@@ -57,8 +56,6 @@ class ISender(SourceElement):
         the planner itself, i.e. a :class:`~repro.core.policy.PolicyCache`
         (runtime memoization) or a precomputed
         :class:`~repro.api.policy.PolicyTable` (§3.3).  ``None`` plans live.
-        ``use_policy_cache=True`` is the older spelling of
-        ``policy=PolicyCache(planner)`` and is kept as a shim.
     receiver:
         The Receiver at the far end of the network; the sender registers
         itself for acknowledgement callbacks.
@@ -84,22 +81,15 @@ class ISender(SourceElement):
         start_time: float = 0.0,
         stop_time: Optional[float] = None,
         max_sends_per_wake: int = 64,
-        use_policy_cache: bool = False,
         policy=None,
     ) -> None:
         if packet_bits <= 0:
             raise ConfigurationError(f"packet_bits must be positive, got {packet_bits!r}")
         if max_sends_per_wake < 1:
             raise ConfigurationError("max_sends_per_wake must be at least 1")
-        if policy is not None and use_policy_cache:
-            raise ConfigurationError(
-                "pass either policy=... or use_policy_cache=True, not both"
-            )
         super().__init__(name or "isender")
         self.belief = belief
         self.planner = planner
-        if policy is None and use_policy_cache:
-            policy = PolicyCache(planner)
         #: The active decision policy (cache or table), ``None`` when live.
         self.policy = policy
         self._decider = policy if policy is not None else planner

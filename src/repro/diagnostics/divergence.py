@@ -600,15 +600,14 @@ def inject_stage_perturbation(stage: str, epsilon: float = 1.0):
 
         patch(VectorizedBeliefState, "_prune_rows", perturbed_prune)
     elif stage == "rollout":
-        original_rollout = vectorized_rollout.batched_rollout_blocks
+        original_rollout = vectorized_rollout.batched_rollout_rows
 
         def perturbed_rollout(*args, **kwargs):
-            outcomes = original_rollout(*args, **kwargs)
-            for outcome in outcomes:
-                outcome.own_time = outcome.own_time + epsilon
-            return outcomes
+            outcome = original_rollout(*args, **kwargs)
+            outcome.own_time = outcome.own_time + epsilon
+            return outcome
 
-        patch(vectorized_rollout, "batched_rollout_blocks", perturbed_rollout)
+        patch(vectorized_rollout, "batched_rollout_rows", perturbed_rollout)
     else:
         raise ValueError(
             f"unknown stage {stage!r}; injectable stages are {INJECTABLE_STAGES}"

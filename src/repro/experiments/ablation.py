@@ -10,8 +10,7 @@ rollouts, whether the sender still identifies the true link speed, and the
 posterior probability mass it places on that true value.
 
 Configurations are named :class:`~repro.api.config.SenderConfig` points
-(:class:`AblationPoint`); the older :class:`AblationConfig` survives as a
-deprecated adapter that constructs one.
+(:class:`AblationPoint`).
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
-from repro._deprecation import warn_deprecated
 from repro._persist import default_cache_dir
 from repro.api.config import SenderConfig
 from repro.api.policy import load_or_precompute_policy_table
@@ -39,56 +37,10 @@ class AblationPoint:
     config: SenderConfig
 
 
-@dataclass
-class AblationConfig:
-    """Deprecated: use :class:`AblationPoint` with a ``SenderConfig``.
-
-    Kept as a field-compatible adapter; construction warns and
-    :meth:`to_point` produces the canonical representation (the sweep
-    itself always runs through :func:`repro.api.build_sender`).
-    """
-
-    label: str
-    kernel: str = "gaussian"  # "gaussian" or "exact"
-    kernel_scale: float = 0.4
-    max_hypotheses: int = 200
-    top_k: int = 16
-    use_policy_cache: bool = False
-    backend: str = "scalar"  # "scalar" or "vectorized" belief engine
-    rollout_backend: str = "scalar"  # "scalar" or "vectorized" planner fan-out
-
-    def __post_init__(self) -> None:
-        warn_deprecated(
-            "AblationConfig is deprecated; construct an AblationPoint with a "
-            "repro.api.SenderConfig instead",
-            internal_files=(__file__,),
-        )
-
-    def to_point(self, alpha: float = 1.0) -> AblationPoint:
-        """The canonical :class:`AblationPoint` equivalent."""
-        return AblationPoint(
-            label=self.label,
-            config=SenderConfig(
-                alpha=alpha,
-                discount_timescale=20.0,
-                kernel=self.kernel,
-                kernel_scale=self.kernel_scale,
-                max_hypotheses=self.max_hypotheses,
-                top_k=self.top_k,
-                belief_backend=self.backend,
-                rollout_backend=self.rollout_backend,
-                policy="cache" if self.use_policy_cache else "none",
-            ),
-        )
-
-
-def _as_point(config: "AblationPoint | AblationConfig | tuple") -> AblationPoint:
-    """Normalize sweep inputs: AblationPoint, deprecated AblationConfig, or
-    a bare ``(label, SenderConfig)`` pair."""
+def _as_point(config: "AblationPoint | tuple") -> AblationPoint:
+    """Normalize sweep inputs: AblationPoint or a ``(label, SenderConfig)`` pair."""
     if isinstance(config, AblationPoint):
         return config
-    if isinstance(config, AblationConfig):
-        return config.to_point()
     label, sender_config = config
     return AblationPoint(label=label, config=sender_config)
 
@@ -249,42 +201,8 @@ def run_ablation_point(
     )
 
 
-def run_ablation_config(
-    config: "AblationConfig | AblationPoint",
-    duration: float = 60.0,
-    switch_interval: float = 30.0,
-    link_rate_bps: float = 12_000.0,
-    loss_rate: float = 0.2,
-    alpha: float | None = None,
-    seed: int = 2,
-    packet_bits: float | None = None,
-) -> AblationOutcome:
-    """Deprecated-compatible wrapper over :func:`run_ablation_point`.
-
-    ``alpha`` keeps the old sweep-level semantics: when given, it
-    overrides the point's configured α (an :class:`AblationConfig` has no
-    α of its own, so it defaults to the old 1.0 there).
-    """
-    if isinstance(config, AblationConfig):
-        point = config.to_point(alpha=alpha if alpha is not None else 1.0)
-    elif alpha is not None:
-        point = AblationPoint(config.label, replace(config.config, alpha=alpha))
-    else:
-        point = config
-    return run_ablation_point(
-        point.label,
-        point.config,
-        duration=duration,
-        switch_interval=switch_interval,
-        link_rate_bps=link_rate_bps,
-        loss_rate=loss_rate,
-        seed=seed,
-        packet_bits=packet_bits,
-    )
-
-
 def run_inference_ablation(
-    configs: Sequence["AblationPoint | AblationConfig | tuple"] = DEFAULT_CONFIGS,
+    configs: Sequence["AblationPoint | tuple"] = DEFAULT_CONFIGS,
     duration: float = 60.0,
     switch_interval: float = 30.0,
     link_rate_bps: float = 12_000.0,
@@ -297,11 +215,8 @@ def run_inference_ablation(
     """Run the shortened Figure-3 scenario once per ablation configuration.
 
     ``configs`` items are :class:`AblationPoint` (or ``(label,
-    SenderConfig)`` pairs; deprecated :class:`AblationConfig` objects are
-    adapted).  ``alpha`` keeps the old sweep-level semantics: when given,
-    it overrides every point's configured α (deprecated
-    :class:`AblationConfig` items, which carry no α, get it either way —
-    1.0 when unset, as before).  ``runner`` selects the sweep's execution
+    SenderConfig)`` pairs).  ``alpha``, when given, overrides every point's
+    configured α.  ``runner`` selects the sweep's execution
     backend (serial by default; pass a
     :class:`~repro.runner.backends.ParallelRunner` to fan the
     configurations out over workers).

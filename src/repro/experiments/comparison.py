@@ -21,7 +21,6 @@ from repro.baselines.newreno import NewRenoSender
 from repro.baselines.window import WindowSender
 from repro.api.config import SenderConfig
 from repro.api.sender import build_sender
-from repro.experiments.common import SenderSettings, as_sender_config
 from repro.inference.prior import single_link_prior
 from repro.metrics.summary import ExperimentRow
 from repro.topology.presets import single_link_network
@@ -78,7 +77,7 @@ def run_loss_comparison(
     packet_bits: float = DEFAULT_PACKET_BITS,
     seed: int = 5,
     tcp_factory: Callable[..., WindowSender] = NewRenoSender,
-    settings: SenderSettings | SenderConfig | None = None,
+    settings: SenderConfig | None = None,
 ) -> LossComparisonResult:
     """Run TCP and the ISender, one at a time, over the same lossy link."""
     # --- TCP -----------------------------------------------------------------
@@ -99,9 +98,7 @@ def run_loss_comparison(
     tcp_goodput = tcp_network.sender_receiver.throughput_bps(0.0, duration, flow="tcp")
 
     # --- ISender ---------------------------------------------------------------
-    isender_config = (
-        as_sender_config(settings) if settings is not None else SenderConfig(alpha=0.0)
-    )
+    isender_config = settings if settings is not None else SenderConfig(alpha=0.0)
     isender_network = single_link_network(
         link_rate_bps=link_rate_bps,
         buffer_capacity_bits=buffer_capacity_bits,

@@ -24,7 +24,6 @@ from typing import Sequence
 
 from repro.api.config import SenderConfig
 from repro.api.sender import build_sender
-from repro.experiments.common import SenderSettings, as_sender_config
 from repro.inference.prior import figure3_prior
 from repro.metrics.summary import ExperimentRow
 from repro.metrics.timeseries import TimeSeries
@@ -138,7 +137,7 @@ def run_figure3_point(
     buffer_capacity_bits: float = 96_000.0,
     packet_bits: float = DEFAULT_PACKET_BITS,
     seed: int = 1,
-    settings: SenderSettings | SenderConfig | None = None,
+    settings: SenderConfig | None = None,
     prior_points: tuple[int, int, int, int, int] = (4, 4, 3, 4, 1),
 ) -> Figure3AlphaResult:
     """Run one α point of the Figure-3 experiment.
@@ -147,11 +146,10 @@ def run_figure3_point(
     function of picklable arguments whose result depends only on them, so
     a sweep computes the same numbers regardless of backend.
 
-    ``settings`` is the sender calibration — canonically a
-    :class:`repro.api.SenderConfig` (the deprecated ``SenderSettings`` is
-    still accepted and adapted).
+    ``settings`` is the sender calibration, a
+    :class:`repro.api.SenderConfig` (``None`` means the defaults).
     """
-    base = as_sender_config(settings)
+    base = settings if settings is not None else SenderConfig()
     phase = switch_interval
     network = figure2_network(
         link_rate_bps=link_rate_bps,
@@ -211,7 +209,7 @@ def run_figure3(
     buffer_capacity_bits: float = 96_000.0,
     packet_bits: float = DEFAULT_PACKET_BITS,
     seed: int = 1,
-    settings: SenderSettings | SenderConfig | None = None,
+    settings: SenderConfig | None = None,
     prior_points: tuple[int, int, int, int, int] = (4, 4, 3, 4, 1),
     runner: "RunnerBase | None" = None,
 ) -> Figure3Result:
@@ -229,9 +227,8 @@ def run_figure3(
         sender's prior.  Coarse grids keep the ensemble small, as the paper
         notes is necessary for the rejection-sampling approach.
     settings:
-        Sender calibration; canonically a :class:`repro.api.SenderConfig`
-        (``SenderSettings`` still accepted), defaulting to the Figure-3
-        calibration with the given α substituted per run.
+        Sender calibration, a :class:`repro.api.SenderConfig`, defaulting to
+        the Figure-3 calibration with the given α substituted per run.
     runner:
         Execution backend for the sweep — any object with
         ``map(fn, kwargs_list)`` such as

@@ -1,6 +1,6 @@
 """The planner hot-path benchmarks: scalar oracle vs. the array engine.
 
-Three measurements, all on beliefs warmed to the 512-hypothesis cap on a
+Two measurements, both on beliefs warmed to the 512-hypothesis cap on a
 deterministic Figure-3-style workload and then hit with a send burst so
 every hypothesis carries a queued backlog at the decision time:
 
@@ -17,10 +17,6 @@ every hypothesis carries a queued backlog at the decision time:
   drains whole departure runs per iteration.  Reported as absolute wall
   time; the scalar oracle replays the same script untimed so the final
   decision can be checked against it.
-* **Aggregate 64-sender decide** (:func:`run_pool_comparison`) — one
-  :meth:`~repro.api.pool.BatchedSenderPool.decide_all` advancing all
-  (sender × action × hypothesis) lanes through a single pooled frontier,
-  vs the per-sender loop of decides over the same senders.
 
 The warm-up prior concentrates its spread on loss, buffer capacity, and
 initial fill — parameters that shape *outcomes* without desynchronizing
@@ -41,8 +37,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from repro.api.config import SenderConfig
-from repro.api.pool import BatchedSenderPool
 from repro.core import AlphaWeightedUtility, ExpectedUtilityPlanner
 from repro.core.planner import Decision
 from repro.experiments.inference_bench import (
@@ -50,13 +44,7 @@ from repro.experiments.inference_bench import (
     InferenceBenchConfig,
     build_workload,
 )
-from repro.inference import (
-    AckObservation,
-    BeliefState,
-    GaussianKernel,
-    figure3_prior,
-    single_link_prior,
-)
+from repro.inference import BeliefState, GaussianKernel, figure3_prior
 from repro.units import DEFAULT_PACKET_BITS
 
 
@@ -370,137 +358,6 @@ def run_wakeup_comparison(
     )
 
 
-# ------------------------------------------------------- pooled sender decide
-
-
-@dataclass(frozen=True)
-class PoolBenchConfig:
-    """Shape of the 64-sender aggregate-decide measurement."""
-
-    senders: int = 64
-    top_k: int = 8
-    packet_bits: float = DEFAULT_PACKET_BITS
-    #: Per-sender warm-up script length (sends with periodic acks).
-    warmup_steps: int = 24
-    #: Timed ``decide_all`` (or per-sender loop) passes.
-    passes: int = 5
-    #: Per-sender prior resolution: 7 rates × 3 fills = 21 hypotheses
-    #: before forking — small enough that per-decide overhead, not raw
-    #: lane arithmetic, dominates the per-sender loop (the regime the
-    #: many-flow scenario is in).
-    link_rate_points: int = 7
-    fill_points: int = 3
-    buffer_capacity_bits: float = 8_000_000.0
-
-
-@dataclass
-class PoolBackendResult:
-    """Measurements from timing one aggregate-decide strategy."""
-
-    strategy: str
-    wall_time_s: float
-    passes: int
-    senders: int
-    chosen_delays: list[float] = field(default_factory=list)
-
-
-@dataclass
-class PoolComparison:
-    """Pooled ``decide_all`` vs the per-sender decide loop, same senders."""
-
-    config: PoolBenchConfig
-    per_sender: PoolBackendResult
-    pooled: PoolBackendResult
-
-    @property
-    def speedup(self) -> float:
-        return self.per_sender.wall_time_s / self.pooled.wall_time_s
-
-    @property
-    def decisions_match(self) -> bool:
-        return self.pooled.chosen_delays == self.per_sender.chosen_delays
-
-
-def _build_pool(config: PoolBenchConfig) -> BatchedSenderPool:
-    """A pool of heterogeneous senders (each prior spans different rates)."""
-    priors = [
-        single_link_prior(
-            link_rate_low=1.5e5 * (1 + index % 7),
-            link_rate_high=1.5e6 * (1 + index % 7),
-            link_rate_points=config.link_rate_points,
-            buffer_capacity_bits=config.buffer_capacity_bits,
-            fill_points=config.fill_points,
-            packet_bits=config.packet_bits,
-        )
-        for index in range(config.senders)
-    ]
-    sender_config = SenderConfig(
-        belief_backend="vectorized",
-        rollout_backend="vectorized",
-        policy="none",
-        packet_bits=config.packet_bits,
-        top_k=config.top_k,
-    )
-    return BatchedSenderPool(sender_config, priors)
-
-
-def _warm_senders(pool: BatchedSenderPool, config: PoolBenchConfig) -> float:
-    """Drive every sender through the identical send/ack script; return now."""
-    now = 0.0
-    for step in range(config.warmup_steps):
-        now += 0.03 + 0.01 * (step % 5)
-        for parts in pool:
-            parts.belief.record_send(step, config.packet_bits, now)
-        acks = []
-        if step % 3 == 2:
-            acks = [
-                AckObservation(seq=step - 1, received_at=now - 0.004, ack_at=now)
-            ]
-        for parts in pool:
-            parts.belief.update(now, acks)
-    return now + 0.05
-
-
-def run_pool_comparison(config: PoolBenchConfig | None = None) -> PoolComparison:
-    """Time the pooled decide against the per-sender loop over one pool.
-
-    The per-sender baseline is the many-flow scenario's shape: each sender's
-    planner decides on its own, one rollout frontier per sender.  The pooled
-    side drives the same senders through one
-    ``BatchedSenderPool.decide_all`` — a single (sender × action ×
-    hypothesis) frontier per pass.  Deciding does not mutate a belief, so
-    both strategies run over the same warmed pool.
-    """
-    config = config or PoolBenchConfig()
-    pool = _build_pool(config)
-    now = _warm_senders(pool, config)
-
-    def per_sender_loop():
-        return [parts.planner.decide(parts.belief, now) for parts in pool]
-
-    results = {}
-    for strategy, decide in (
-        ("per_sender_loop", per_sender_loop),
-        ("pooled_decide_all", lambda: pool.decide_all(now)),
-    ):
-        decisions = decide()  # warm allocators and lazy imports before timing
-        started = time.perf_counter()
-        for _ in range(config.passes):
-            decisions = decide()
-        results[strategy] = PoolBackendResult(
-            strategy=strategy,
-            wall_time_s=time.perf_counter() - started,
-            passes=config.passes,
-            senders=config.senders,
-            chosen_delays=[decision.delay for decision in decisions],
-        )
-    return PoolComparison(
-        config=config,
-        per_sender=results["per_sender_loop"],
-        pooled=results["pooled_decide_all"],
-    )
-
-
 def main() -> None:  # pragma: no cover - manual entry point
     comparison = run_planner_comparison()
     scalar, vectorized = comparison.scalar, comparison.vectorized
@@ -522,15 +379,6 @@ def main() -> None:  # pragma: no cover - manual entry point
         f"(max |ΔU| vs scalar {wakeup.max_utility_divergence:.2e}, "
         f"same action: {wakeup.decisions_match})"
     )
-    pool = run_pool_comparison()
-    per_pass = 1000.0 / pool.config.passes
-    print(
-        f"per-sender loop    : {pool.per_sender.wall_time_s * per_pass:8.2f} "
-        f"ms/pass ({pool.config.senders} senders)"
-    )
-    print(f"pooled decide_all  : {pool.pooled.wall_time_s * per_pass:8.2f} ms/pass")
-    print(f"aggregate speedup  : {pool.speedup:8.2f} x")
-    print(f"same actions       : {pool.decisions_match}")
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from repro.api.config import SenderConfig
 from repro.api.sender import build_sender
 from repro.core.utility import AlphaWeightedUtility, LatencyPenaltyUtility
-from repro.experiments.common import SenderSettings, as_sender_config
 from repro.inference.prior import single_link_prior
 from repro.metrics.summary import ExperimentRow
 from repro.metrics.timeseries import TimeSeries
@@ -105,10 +104,10 @@ def run_convergence_scenario(
     link_rate_points: int = 5,
     packet_bits: float = DEFAULT_PACKET_BITS,
     seed: int = 3,
-    settings: SenderSettings | SenderConfig | None = None,
+    settings: SenderConfig | None = None,
 ) -> ConvergenceResult:
     """Scenario A: unknown link speed, converge to sending at the link speed."""
-    config = as_sender_config(settings) if settings is not None else SenderConfig(alpha=0.0)
+    config = settings if settings is not None else SenderConfig(alpha=0.0)
     network = single_link_network(
         link_rate_bps=true_link_rate_bps,
         buffer_capacity_bits=buffer_capacity_bits,

@@ -17,8 +17,8 @@ batches each step across all rows:
 * :mod:`~repro.inference.vectorized.belief` — the drop-in
   :class:`VectorizedBeliefState`,
 * :mod:`~repro.inference.vectorized.rollout` — the batched planner
-  rollout: every (sender × action × hypothesis) lane advanced through one
-  masked event frontier, fed straight from ensemble rows.
+  rollout: every (action × hypothesis) lane advanced through one masked
+  event frontier, fed straight from ensemble rows.
 
 The engine answers to two accepted spellings, ``"vectorized"`` and
 ``"fused"``, on ``belief_backend``, ``rollout_backend`` and
@@ -31,8 +31,6 @@ so results published under either name stay addressable.
 from repro.inference.vectorized.belief import VectorizedBeliefState
 from repro.inference.vectorized.rollout import (
     BatchedRolloutOutcome,
-    RolloutBlock,
-    batched_rollout_blocks,
     batched_rollout_rows,
 )
 from repro.inference.vectorized.state import EnsembleState
@@ -40,8 +38,6 @@ from repro.inference.vectorized.state import EnsembleState
 __all__ = [
     "BatchedRolloutOutcome",
     "EnsembleState",
-    "RolloutBlock",
     "VectorizedBeliefState",
-    "batched_rollout_blocks",
     "batched_rollout_rows",
 ]

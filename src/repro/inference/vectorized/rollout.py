@@ -8,12 +8,10 @@ Python event loops.  This module is the one array engine: it runs all of
 them as *one* batched, event-stepped advance over struct-of-arrays lane
 buffers.
 
-* :func:`batched_rollout_blocks` is the entry point.  Each
-  :class:`RolloutBlock` is one sender's fan-out — its top-k
-  :class:`~repro.inference.vectorized.state.EnsembleState` rows tiled across
-  its candidate delays by :meth:`EnsembleState.lane_arrays` — and all blocks
-  advance together through one masked event frontier.
-  :func:`batched_rollout_rows` is its one-block case.
+* :func:`batched_rollout_rows` is the entry point: the sender's top-k
+  :class:`~repro.inference.vectorized.state.EnsembleState` rows, tiled across
+  its candidate delays by :meth:`EnsembleState.lane_arrays`, advance together
+  through one masked event frontier.
 * Each iteration of the frontier fires at most one event per lane — service
   completions, cross arrivals, the lane's hypothetical send — so the
   Python-interpreter cost is O(max events per lane) instead of O(total
@@ -23,7 +21,7 @@ buffers.
   on shallow queues the extra bookkeeping costs more than it saves, so the
   frontier decides per call from the depth it already measured.  The result
   is bit-identical either way.
-* The result is a :class:`BatchedRolloutOutcome` per block holding every
+* The result is a :class:`BatchedRolloutOutcome` holding every
   lane's predicted deliveries/drops as flat (time, lane) arrays, which
   ``UtilityFunction.evaluate_batch`` consumes without materializing per-lane
   Python objects.  :meth:`BatchedRolloutOutcome.lane_outcome` rebuilds one
@@ -31,9 +29,7 @@ buffers.
   the equivalence tests' bridge, and the fallback for custom utilities that
   only implement scalar ``evaluate``.
 * :func:`decide_vectorized` is the planner engine registered under both
-  accepted spellings, ``"vectorized"`` and ``"fused"``; it is the
-  one-sender case of :func:`decide_pooled`, which
-  :class:`repro.api.pool.BatchedSenderPool` drives with many senders.
+  accepted spellings, ``"vectorized"`` and ``"fused"``.
 
 Semantics match ``Hypothesis.rollout`` exactly: event arithmetic is the
 same float operations in the same order as the scalar ``LinkModel``,
@@ -228,10 +224,7 @@ def _run_frontier(
     Mutates the per-lane buffers in place and returns the raw event log plus
     the final lane state.  Every operation here is per-lane elementwise (no
     cross-lane reduction), so a lane's event sequence — values and order —
-    depends only on that lane's own inputs.  That independence is what makes
-    :func:`batched_rollout_blocks` byte-identical per block: a lane fires
-    the same events whether it shares the buffers with one sender's fan-out
-    or with sixty-four senders'.
+    depends only on that lane's own inputs.
 
     With ``drain`` set, a completion whose freshly loaded packet would
     itself complete before the lane's next cross arrival, hypothetical send,
@@ -544,13 +537,11 @@ def _drain_runs(
         svc_completion[serving_rows] = completions[slab, pick]
 
 
-def _classify_events(raw: dict, now: float, end_lane: np.ndarray) -> dict:
+def _classify_events(raw: dict, now: float, end: float) -> dict:
     """Split the raw event log into the outcome's own/cross event streams.
 
     Cross-traffic outcomes count within ``[decision_time, end)`` only; own
     predictions are unfiltered, both exactly as the scalar rollout reports.
-    ``end_lane`` is per lane so pooled blocks with different horizons filter
-    exactly as their standalone runs would.
     """
     own = raw["flows"] != FLOW_CROSS
     own_time = raw["times"][own]
@@ -570,9 +561,9 @@ def _classify_events(raw: dict, now: float, end_lane: np.ndarray) -> dict:
         [chunk for chunk in drop_chunks if chunk[0] == FLOW_CROSS]
     )
 
-    keep = (cross_time >= now) & (cross_time < end_lane[cross_lane])
+    keep = (cross_time >= now) & (cross_time < end)
     cross_time, cross_lane, cross_bits = cross_time[keep], cross_lane[keep], cross_bits[keep]
-    keep = (cross_drop_time >= now) & (cross_drop_time < end_lane[cross_drop_lane])
+    keep = (cross_drop_time >= now) & (cross_drop_time < end)
     cross_drop_time = cross_drop_time[keep]
     cross_drop_lane = cross_drop_lane[keep]
     cross_drop_bits = cross_drop_bits[keep]
@@ -598,9 +589,8 @@ def _cross_backlog_sequential(raw: dict) -> np.ndarray:
     ``np.add.at`` over the in-queue cross cells in row-major (ascending
     column) order gives every lane the scalar oracle's ordered float
     additions (``LinkModel.cross_backlog_bits`` sums the queue front to
-    back, then adds the packet in service) no matter how wide the shared
-    buffer is — so a lane's backlog does not depend on which other blocks
-    it was pooled with.
+    back, then adds the packet in service) no matter how wide the buffer
+    is.
     """
     q_flow, q_size = raw["q_flow"], raw["q_size"]
     q_head, q_len = raw["q_head"], raw["q_len"]
@@ -615,185 +605,6 @@ def _cross_backlog_sequential(raw: dict) -> np.ndarray:
     return cross_backlog
 
 
-@dataclass
-class RolloutBlock:
-    """One sender's (action × hypothesis) fan-out inside a rollout.
-
-    ``batched_rollout_blocks`` concatenates blocks along the lane axis into
-    one (sender × action × hypothesis) frontier.  Each block's horizon,
-    action grid, and packet size are its own; the decision clock ``now`` is
-    shared (pool wake-ups are batch-synchronous).
-    """
-
-    state: EnsembleState
-    rows: np.ndarray
-    action_delays: Sequence[float]
-    horizon: float
-    packet_bits: float
-
-
-#: ``BatchedRolloutOutcome``'s flat event streams: lane column → value columns.
-_EVENT_STREAMS = {
-    "own_lane": ("own_time", "own_is_hyp"),
-    "own_drop_lane": ("own_drop_time", "own_drop_is_hyp"),
-    "cross_lane": ("cross_time", "cross_bits"),
-    "cross_drop_lane": ("cross_drop_time", "cross_drop_bits"),
-}
-
-
-def batched_rollout_blocks(
-    blocks: Sequence[RolloutBlock],
-    now: float,
-    send_packet: bool = True,
-) -> list[BatchedRolloutOutcome]:
-    """Roll out many senders' fan-outs as one (sender × action × hypothesis) pass.
-
-    Mirrors ``Hypothesis.rollout`` lane for lane: the hypothetical packet
-    enters at ``now + delay`` (after every event at or before that instant),
-    the gate stays frozen, and each lane runs to ``max(now + horizon,
-    send_time)`` so delays beyond the horizon still observe their send.
-
-    Returns one :class:`BatchedRolloutOutcome` per block, each byte-identical
-    to what the block would get rolled out alone: the frontier core is
-    lane-elementwise, so pooling changes neither event values nor per-lane
-    event order, and the per-block slices of the flat event log preserve the
-    standalone chunk ordering (within one chunk, lanes ascend, and a block's
-    lanes are contiguous).
-    """
-    if not blocks:
-        return []
-    prepared = []
-    width = 0
-    width_is_exact = True
-    deepest = 0
-    for block in blocks:
-        rows = np.asarray(block.rows, dtype=np.int64)
-        delays = np.asarray(block.action_delays, dtype=float)
-        if np.any(delays < 0):
-            raise InferenceError("action delays must be non-negative")
-        if now < block.state.time - 1e-9:
-            raise InferenceError(
-                f"cannot roll out at {now:.6f}: lane clock is already at "
-                f"{block.state.time:.6f}"
-            )
-        k = int(rows.size)
-        a = int(delays.size)
-        # Slots are consumed monotonically (ring head, no reuse), so pre-size
-        # the queue buffers for the worst-case enqueue count — initial
-        # occupancy plus every possible cross arrival plus the hypothetical —
-        # and the loop has to grow them only when the estimate was clamped.
-        max_delay = float(delays.max()) if delays.size else 0.0
-        span = block.horizon + max_delay + (now - block.state.time)
-        max_rate = float(block.state.cross_rate_pps[rows].max()) if k else 0.0
-        arrival_bound = int(min(span * max_rate + 2.0, 4096.0))
-        depth = int(block.state.q_len[rows].max(initial=0))
-        deepest = max(deepest, depth)
-        width = max(width, depth + arrival_bound + 2)
-        width_is_exact = width_is_exact and span * max_rate + 2.0 <= 4096.0
-        prepared.append((block, rows, delays, k, a))
-
-    lane_parts: list[dict] = []
-    send_parts: list[np.ndarray] = []
-    until_parts: list[np.ndarray] = []
-    end_parts: list[np.ndarray] = []
-    bits_parts: list[np.ndarray] = []
-    for block, rows, delays, k, a in prepared:
-        lane_parts.append(block.state.lane_arrays(rows, a, width))
-        end = now + block.horizon
-        block_send = np.repeat(now + delays, k)
-        send_parts.append(block_send)
-        # A lane runs past the horizon only to observe its own send; with
-        # send_packet=False the scalar oracle never advances beyond the end.
-        until_parts.append(
-            np.maximum(end, block_send)
-            if send_packet
-            else np.full(block_send.size, end)
-        )
-        end_parts.append(np.full(block_send.size, end))
-        bits_parts.append(np.full(block_send.size, block.packet_bits, dtype=float))
-    single = len(prepared) == 1
-
-    def join(parts: list[np.ndarray]) -> np.ndarray:
-        return parts[0] if single else np.concatenate(parts)
-
-    merged = {
-        field: join([lanes[field] for lanes in lane_parts]) for field in lane_parts[0]
-    }
-    send_time = join(send_parts)
-    until = join(until_parts)
-    end_lane = join(end_parts)
-    packet_bits_lane = join(bits_parts)
-    total = int(send_time.size)
-
-    # The reciprocal inter-arrival and the drop threshold are precomputed —
-    # both reuse the identical float values the scalar model derives per
-    # event.  The gate is frozen during rollouts, so the "next cross arrival"
-    # frontier is masked once up front; the hypothetical-send frontier
-    # likewise goes to +inf once fired.
-    with np.errstate(divide="ignore"):
-        cross_interval = 1.0 / merged["cross_rate_pps"]
-    next_cross = np.where(merged["gate_on"], merged["next_cross_time"], np.inf)
-    next_hyp = send_time.copy() if send_packet else np.full(total, np.inf)
-    hyp_left = total if send_packet else 0
-
-    raw = _run_frontier(
-        link_rate=merged["link_rate"],
-        buffer_slack=merged["buffer_cap"] + 1e-9,
-        cross_interval=cross_interval,
-        cross_packet_bits=merged["cross_packet_bits"],
-        svc_active=merged["svc_active"],
-        svc_flow=merged["svc_flow"],
-        svc_size=merged["svc_size"],
-        svc_completion=merged["svc_completion"],
-        q_flow=merged["q_flow"],
-        q_size=merged["q_size"],
-        q_len=merged["q_len"],
-        queue_bits=merged["queue_bits"],
-        send_time=send_time,
-        until=until,
-        next_cross=next_cross,
-        next_hyp=next_hyp,
-        hyp_left=hyp_left,
-        packet_bits_lane=packet_bits_lane,
-        width_is_exact=width_is_exact,
-        drain=deepest >= DRAIN_MIN_QUEUE_DEPTH,
-    )
-    events = _classify_events(raw, now, end_lane)
-    final_queue_bits = raw["queue_bits"] + np.where(
-        raw["svc_active"], raw["svc_size"], 0.0
-    )
-    cross_backlog = _cross_backlog_sequential(raw)
-
-    outcomes: list[BatchedRolloutOutcome] = []
-    offset = 0
-    for block, rows, delays, k, a in prepared:
-        stop = offset + a * k
-        block_events = events
-        if not single:
-            block_events = {}
-            for lane_key, value_keys in _EVENT_STREAMS.items():
-                lane = events[lane_key]
-                sel = (lane >= offset) & (lane < stop)
-                block_events[lane_key] = lane[sel] - offset
-                for key in value_keys:
-                    block_events[key] = events[key][sel]
-        outcomes.append(
-            BatchedRolloutOutcome(
-                decision_time=now,
-                horizon=block.horizon,
-                packet_bits=block.packet_bits,
-                action_delays=delays,
-                k=k,
-                own_survival=merged["survival"][offset:stop],
-                final_queue_bits=final_queue_bits[offset:stop],
-                final_cross_backlog_bits=cross_backlog[offset:stop],
-                **block_events,
-            )
-        )
-        offset = stop
-    return outcomes
-
-
 def batched_rollout_rows(
     state: EnsembleState,
     rows: Sequence[int] | np.ndarray,
@@ -803,25 +614,141 @@ def batched_rollout_rows(
     now: float,
     send_packet: bool = True,
 ) -> BatchedRolloutOutcome:
-    """One sender's fan-out: the one-block case of :func:`batched_rollout_blocks`."""
-    block = RolloutBlock(state, rows, action_delays, horizon, packet_bits)
-    return batched_rollout_blocks([block], now, send_packet)[0]
+    """Roll ``rows`` out over ``action_delays`` as one (action × hypothesis) pass.
 
-
-def _finish_decide(planner, summary, actions, horizon, outcome, probe) -> "Decision":
-    """Value a rollout fan-out and pick the action — the shared decide tail.
-
-    The post-rollout half of :func:`decide_pooled`, run once per sender: the
-    probability-weighted aggregation is a Python-float loop in the scalar
-    oracle's order, so expected utilities differ from it only by the
-    utility's own transcendental rounding.
+    Mirrors ``Hypothesis.rollout`` lane for lane: the hypothetical packet
+    enters at ``now + delay`` (after every event at or before that instant),
+    the gate stays frozen, and each lane runs to ``max(now + horizon,
+    send_time)`` so delays beyond the horizon still observe their send.
     """
-    from repro.core.planner import Decision
+    rows = np.asarray(rows, dtype=np.int64)
+    delays = np.asarray(action_delays, dtype=float)
+    if np.any(delays < 0):
+        raise InferenceError("action delays must be non-negative")
+    if now < state.time - 1e-9:
+        raise InferenceError(
+            f"cannot roll out at {now:.6f}: lane clock is already at "
+            f"{state.time:.6f}"
+        )
+    k = int(rows.size)
+    # Slots are consumed monotonically (ring head, no reuse), so pre-size
+    # the queue buffers for the worst-case enqueue count — initial
+    # occupancy plus every possible cross arrival plus the hypothetical —
+    # and the loop has to grow them only when the estimate was clamped.
+    max_delay = float(delays.max()) if delays.size else 0.0
+    span = horizon + max_delay + (now - state.time)
+    max_rate = float(state.cross_rate_pps[rows].max()) if k else 0.0
+    arrival_estimate = span * max_rate + 2.0
+    depth = int(state.q_len[rows].max(initial=0))
+    width = depth + int(min(arrival_estimate, 4096.0)) + 2
 
+    lanes = state.lane_arrays(rows, int(delays.size), width)
+    end = now + horizon
+    send_time = np.repeat(now + delays, k)
+    total = int(send_time.size)
+    # A lane runs past the horizon only to observe its own send; with
+    # send_packet=False the scalar oracle never advances beyond the end.
+    until = np.maximum(end, send_time) if send_packet else np.full(total, end)
+
+    # The reciprocal inter-arrival and the drop threshold are precomputed —
+    # both reuse the identical float values the scalar model derives per
+    # event.  The gate is frozen during rollouts, so the "next cross arrival"
+    # frontier is masked once up front; the hypothetical-send frontier
+    # likewise goes to +inf once fired.
+    with np.errstate(divide="ignore"):
+        cross_interval = 1.0 / lanes["cross_rate_pps"]
+    next_cross = np.where(lanes["gate_on"], lanes["next_cross_time"], np.inf)
+    next_hyp = send_time.copy() if send_packet else np.full(total, np.inf)
+
+    raw = _run_frontier(
+        link_rate=lanes["link_rate"],
+        buffer_slack=lanes["buffer_cap"] + 1e-9,
+        cross_interval=cross_interval,
+        cross_packet_bits=lanes["cross_packet_bits"],
+        svc_active=lanes["svc_active"],
+        svc_flow=lanes["svc_flow"],
+        svc_size=lanes["svc_size"],
+        svc_completion=lanes["svc_completion"],
+        q_flow=lanes["q_flow"],
+        q_size=lanes["q_size"],
+        q_len=lanes["q_len"],
+        queue_bits=lanes["queue_bits"],
+        send_time=send_time,
+        until=until,
+        next_cross=next_cross,
+        next_hyp=next_hyp,
+        hyp_left=total if send_packet else 0,
+        packet_bits_lane=np.full(total, packet_bits, dtype=float),
+        width_is_exact=arrival_estimate <= 4096.0,
+        drain=depth >= DRAIN_MIN_QUEUE_DEPTH,
+    )
+    return BatchedRolloutOutcome(
+        decision_time=now,
+        horizon=horizon,
+        packet_bits=packet_bits,
+        action_delays=delays,
+        k=k,
+        own_survival=lanes["survival"],
+        final_queue_bits=raw["queue_bits"]
+        + np.where(raw["svc_active"], raw["svc_size"], 0.0),
+        final_cross_backlog_bits=_cross_backlog_sequential(raw),
+        **_classify_events(raw, now, end),
+    )
+
+
+def decide_vectorized(
+    planner: "ExpectedUtilityPlanner", belief: "BeliefState", now: float
+) -> "Decision":
+    """The array rollout engine: one (action × hypothesis) frontier per decide.
+
+    Registered on :data:`~repro.api.backends.ROLLOUT_BACKENDS` under both
+    accepted spellings, ``"vectorized"`` and ``"fused"``;
+    ``ExpectedUtilityPlanner.decide`` dispatches here for either.
+
+    An array belief hands over its ensemble rows as they are (``top_rows``,
+    no scalar ``Hypothesis`` is materialized anywhere on the decide path); a
+    scalar belief's top hypotheses are packed through
+    :meth:`EnsembleState.from_hypotheses`, which rejects hypotheses that do
+    not share one model clock.  The probability-weighted aggregation is a
+    Python-float loop in the scalar oracle's order, so expected utilities
+    differ from it only by the utility's own transcendental rounding.
+    """
+    from repro.core.planner import Decision, rollout_outcome_digest
+
+    top_rows = getattr(belief, "top_rows", None)
+    if top_rows is not None:
+        rows, weights = top_rows(planner.top_k)
+        state = belief.state
+        summary = planner._summarize_rows(state, rows, weights)
+    else:
+        top = belief.top(planner.top_k)
+        summary = planner._summarize_hypotheses(top)
+        state = EnsembleState.from_hypotheses([hypothesis for hypothesis, _ in top])
+        rows = np.arange(state.size)
+    actions = planner.action_grid.actions(summary.service_time)
+    horizon = planner._horizon_from(summary)
+    probe = planner.decision_probe
+    if probe is not None:
+        probe(
+            "summary",
+            {
+                "service_time": summary.service_time,
+                "horizon": horizon,
+                "weights": list(summary.weights),
+                "actions": [action.delay for action in actions],
+            },
+        )
+        probe("lanes", state.lane_checkpoint(rows))
+    outcome = batched_rollout_rows(
+        state,
+        rows,
+        [action.delay for action in actions],
+        horizon,
+        planner.packet_bits,
+        now,
+    )
     planner.rollouts_performed += outcome.lanes
     if probe is not None:
-        from repro.core.planner import rollout_outcome_digest
-
         probe(
             "rollout",
             {
@@ -868,83 +795,6 @@ def _finish_decide(planner, summary, actions, horizon, outcome, probe) -> "Decis
         hypotheses_evaluated=count,
         horizon=horizon,
     )
-
-
-def decide_pooled(
-    senders: Sequence[tuple["ExpectedUtilityPlanner", "BeliefState"]], now: float
-) -> list["Decision"]:
-    """Decide for every ``(planner, belief)`` through one rollout frontier.
-
-    Each sender contributes one :class:`RolloutBlock` — its top-k rows fanned
-    out over its own action grid — and a single
-    :func:`batched_rollout_blocks` call advances all (sender × action ×
-    hypothesis) lanes together.  Decisions come back in sender order; each
-    is bit-identical to deciding for that sender alone, because the frontier
-    is lane-elementwise and the pre- and post-rollout halves here run per
-    sender.
-
-    An array belief hands over its ensemble rows as they are (``top_rows``,
-    no scalar ``Hypothesis`` is materialized anywhere on the decide path); a
-    scalar belief's top hypotheses are packed through
-    :meth:`EnsembleState.from_hypotheses`, which rejects hypotheses that do
-    not share one model clock.
-    """
-    prepared = []
-    blocks = []
-    for planner, belief in senders:
-        top_rows = getattr(belief, "top_rows", None)
-        if top_rows is not None:
-            rows, weights = top_rows(planner.top_k)
-            state = belief.state
-            summary = planner._summarize_rows(state, rows, weights)
-        else:
-            top = belief.top(planner.top_k)
-            summary = planner._summarize_hypotheses(top)
-            state = EnsembleState.from_hypotheses([hypothesis for hypothesis, _ in top])
-            rows = np.arange(state.size)
-        actions = planner.action_grid.actions(summary.service_time)
-        horizon = planner._horizon_from(summary)
-        probe = planner.decision_probe
-        if probe is not None:
-            probe(
-                "summary",
-                {
-                    "service_time": summary.service_time,
-                    "horizon": horizon,
-                    "weights": list(summary.weights),
-                    "actions": [action.delay for action in actions],
-                },
-            )
-            probe("lanes", state.lane_checkpoint(rows))
-        prepared.append((planner, summary, actions, horizon, probe))
-        blocks.append(
-            RolloutBlock(
-                state=state,
-                rows=rows,
-                action_delays=[action.delay for action in actions],
-                horizon=horizon,
-                packet_bits=planner.packet_bits,
-            )
-        )
-    outcomes = batched_rollout_blocks(blocks, now)
-    return [
-        _finish_decide(planner, summary, actions, horizon, outcome, probe)
-        for (planner, summary, actions, horizon, probe), outcome in zip(
-            prepared, outcomes
-        )
-    ]
-
-
-def decide_vectorized(
-    planner: "ExpectedUtilityPlanner", belief: "BeliefState", now: float
-) -> "Decision":
-    """The array rollout engine: the one-sender case of :func:`decide_pooled`.
-
-    Registered on :data:`~repro.api.backends.ROLLOUT_BACKENDS` under both
-    accepted spellings, ``"vectorized"`` and ``"fused"``;
-    ``ExpectedUtilityPlanner.decide`` dispatches here for either.
-    """
-    return decide_pooled([(planner, belief)], now)[0]
 
 
 ROLLOUT_BACKENDS.register("vectorized", decide_vectorized)

@@ -434,7 +434,7 @@ class EnsembleState:
         """Per-lane buffers for ``rows`` tiled ``copies`` times, rollout-ready.
 
         The gathered arrays feed
-        :func:`repro.inference.vectorized.rollout.batched_rollout_blocks`
+        :func:`repro.inference.vectorized.rollout.batched_rollout_rows`
         directly: lane ``a * len(rows) + j`` is action ``a`` on ``rows[j]``.
 
         ``queue_width`` sizes the returned queue buffers (zero-padded past

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
 from repro.api.config import SenderConfig, canonical_digest
-from repro.api.pool import BatchedSenderPool
 from repro.api.sender import build_components
 from repro.baselines.aimd import AimdSender
 from repro.baselines.cubic import CubicSender
@@ -71,9 +70,6 @@ def figure3_alpha_config(params: Mapping[str, Any]) -> SenderConfig:
 
 def inference_ablation_config(params: Mapping[str, Any]) -> SenderConfig:
     """The :class:`SenderConfig` an ``inference_ablation_point`` builds."""
-    policy = params["policy"]
-    if not policy:
-        policy = "cache" if params["use_policy_cache"] else "none"
     return SenderConfig(
         kernel=params["kernel"],
         kernel_scale=params["kernel_scale"],
@@ -81,7 +77,7 @@ def inference_ablation_config(params: Mapping[str, Any]) -> SenderConfig:
         top_k=params["top_k"],
         belief_backend=params["backend"],
         rollout_backend=params["rollout_backend"],
-        policy=policy,
+        policy=params["policy"],
     )
 
 
@@ -253,26 +249,21 @@ def inference_ablation_point(
     kernel_scale: float = 0.4,
     max_hypotheses: int = 200,
     top_k: int = 16,
-    use_policy_cache: bool = False,
     backend: str = "scalar",
     rollout_backend: str = "scalar",
-    policy: str = "",
+    policy: str = "none",
     link_rate_bps: float = 12_000.0,
     loss_rate: float = 0.2,
 ) -> dict[str, float]:
     """One configuration of the inference-approximation ablation.
 
     ``policy`` is the §3.3 decision-policy mode (``none`` / ``cache`` /
-    ``table``); empty keeps the older ``use_policy_cache`` flag's choice.
-    Sweep engines and policies together, e.g.::
+    ``table``).  Sweep engines and policies together, e.g.::
 
         python -m repro.runner run inference_ablation_point \\
             --sweep rollout_backend=scalar,vectorized \\
             --sweep policy=none,cache,table
     """
-    # The factory owns the empty-policy fallback rule (use_policy_cache
-    # compatibility), so the executed config and the cache-key fingerprint
-    # can never resolve it differently.
     config = inference_ablation_config(
         {
             "kernel": kernel,
@@ -282,12 +273,10 @@ def inference_ablation_point(
             "backend": backend,
             "rollout_backend": rollout_backend,
             "policy": policy,
-            "use_policy_cache": use_policy_cache,
         }
     )
     label = (
-        f"{kernel}/{max_hypotheses}hyp/top{top_k}/{backend}/{rollout_backend}/"
-        f"{config.policy}"
+        f"{kernel}/{max_hypotheses}hyp/top{top_k}/{backend}/{rollout_backend}/{policy}"
     )
     outcome = run_ablation_point(
         label,
@@ -569,7 +558,6 @@ def many_flow_contention(
     fairness_window: float = 2.0,
     fairness_threshold: float = 0.9,
     per_flow_metrics: bool = False,
-    sender_pool: bool = False,
 ) -> dict[str, float]:
     """N concurrent flows through one shared buffer and trace-driven link.
 
@@ -586,27 +574,12 @@ def many_flow_contention(
 
         python -m repro.runner run many_flow_contention \\
             --set flows=16 --set isender_flows=4 --set duration=20
-
-    ``sender_pool=True`` builds the ISender flows' inference parts through
-    one :class:`~repro.api.pool.BatchedSenderPool` instead of N
-    independent ``build_components`` calls.  Construction — and therefore
-    every metric — is byte-identical to the independent path (the pool
-    calls ``build_components`` per prior, in flow order); it requires
-    ``isender_flows >= 1`` and the array belief backend (``vectorized``
-    or ``fused``, two spellings of one engine), and exposes the pool's
-    batch-synchronous ``decide_all`` lanes to drivers that wake senders in
-    lockstep.
     """
     if flows < 1:
         raise ConfigurationError(f"flows must be at least 1, got {flows!r}")
     if not 0 <= isender_flows <= flows:
         raise ConfigurationError(
             f"isender_flows ({isender_flows!r}) must lie in [0, flows]"
-        )
-    if sender_pool and isender_flows < 1:
-        raise ConfigurationError(
-            "sender_pool=True needs at least one ISender flow "
-            f"(isender_flows={isender_flows!r})"
         )
     mix_kinds = [kind.strip() for kind in mix.split(",") if kind.strip()]
     unknown = sorted(set(mix_kinds) - set(MANY_FLOW_SENDER_KINDS))
@@ -652,28 +625,6 @@ def many_flow_contention(
         else None
     )
     fair_share = mean_rate / flows
-
-    def isender_prior():
-        return single_link_prior(
-            link_rate_low=fair_share / 4.0,
-            link_rate_high=fair_share * 4.0,
-            link_rate_points=7,
-            buffer_capacity_bits=buffer_bits,
-            fill_points=3,
-            packet_bits=packet_bits,
-        )
-
-    # The pooled path builds the identical per-flow parts (same priors, in
-    # flow order) through one BatchedSenderPool, so the scenario's results
-    # are byte-identical either way; the pool additionally validates the
-    # backend supports (sender × action × hypothesis) lanes.
-    pool = (
-        BatchedSenderPool(
-            isender_config, [isender_prior() for _ in range(isender_flows)]
-        )
-        if sender_pool
-        else None
-    )
     flow_names: list[str] = []
     flow_kinds: list[str] = []
     senders: list[Any] = []
@@ -689,10 +640,16 @@ def many_flow_contention(
         if kind == "isender":
             # A fresh belief/planner/policy per flow: senders must not
             # share mutable inference state.
-            parts = (
-                pool.parts[index]
-                if pool is not None
-                else build_components(isender_config, isender_prior())
+            parts = build_components(
+                isender_config,
+                single_link_prior(
+                    link_rate_low=fair_share / 4.0,
+                    link_rate_high=fair_share * 4.0,
+                    link_rate_points=7,
+                    buffer_capacity_bits=buffer_bits,
+                    fill_points=3,
+                    packet_bits=packet_bits,
+                ),
             )
             sender = ISender(
                 parts.belief,

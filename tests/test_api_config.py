@@ -1,9 +1,8 @@
-"""The unified sender-configuration layer: registry, SenderConfig, shims.
+"""The unified sender-configuration layer: registry, SenderConfig, build_sender.
 
 Covers the backend registry's eager validation, ``SenderConfig``
-construction and fingerprinting, ``build_sender`` as the one construction
-path, and the deprecated ``SenderSettings`` / ``AblationConfig`` adapters —
-including the bit-identical-sender equivalence the shims promise.
+construction and fingerprinting, and ``build_sender`` as the one
+construction path.
 """
 
 from __future__ import annotations
@@ -269,180 +268,3 @@ class TestBuildSender:
         config = SenderConfig(prior=single_link_prior(), alpha=0.0)
         sender = build_sender(config, network, prior=override)
         assert len(sender.belief) == override.size
-
-
-class TestDeprecatedShims:
-    def test_sender_settings_warns(self):
-        from repro.experiments.common import SenderSettings
-
-        with pytest.warns(DeprecationWarning, match="SenderSettings is deprecated"):
-            SenderSettings()
-
-    def test_ablation_config_warns(self):
-        from repro.experiments.ablation import AblationConfig
-
-        with pytest.warns(DeprecationWarning, match="AblationConfig is deprecated"):
-            AblationConfig(label="old")
-
-    def test_shim_warnings_point_at_the_call_site(self):
-        """The warning blames the caller's file/line on every entry path.
-
-        A fixed ``stacklevel`` was right for direct construction but blamed
-        ``dataclasses.py`` for shims built through ``dataclasses.replace``;
-        the stack-walking helper must attribute both to this file.
-        """
-        import dataclasses
-        import warnings
-
-        from repro.experiments.ablation import AblationConfig
-        from repro.experiments.common import SenderSettings
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            settings = SenderSettings()
-            dataclasses.replace(settings, alpha=2.0)
-            old = AblationConfig(label="old")
-            dataclasses.replace(old, top_k=4)
-        assert len(caught) == 4
-        lines = set()
-        for warning in caught:
-            assert warning.category is DeprecationWarning
-            assert warning.filename == __file__, warning.filename
-            lines.add(warning.lineno)
-        assert len(lines) == 4  # four distinct call sites, four locations
-
-    def test_shim_warns_exactly_once_per_call_site(self):
-        """Under the default filter, a looped call site warns only once.
-
-        Correct call-site attribution is what makes the interpreter's
-        per-location deduplication work: three constructions from one line
-        are one warning, a second line is a second warning.
-        """
-        import warnings
-
-        from repro.experiments.common import SenderSettings
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.resetwarnings()
-            warnings.simplefilter("default")
-            for _ in range(3):
-                SenderSettings()  # one call site, three executions
-            SenderSettings()  # a different call site
-        assert len(caught) == 2
-
-    def test_sender_settings_to_config_maps_every_field(self):
-        from repro.experiments.common import SenderSettings
-
-        with pytest.warns(DeprecationWarning):
-            settings = SenderSettings(
-                alpha=2.5,
-                discount_timescale=15.0,
-                latency_penalty=0.1,
-                kernel_sigma=0.3,
-                max_hypotheses=64,
-                top_k=9,
-                packet_bits=1_000.0,
-                use_policy_cache=True,
-                belief_backend="vectorized",
-                rollout_backend="vectorized",
-            )
-        config = settings.to_config()
-        assert config.alpha == 2.5
-        assert config.discount_timescale == 15.0
-        assert config.latency_penalty == 0.1
-        assert config.kernel == "gaussian"
-        assert config.kernel_scale == 0.3
-        assert config.max_hypotheses == 64
-        assert config.top_k == 9
-        assert config.packet_bits == 1_000.0
-        assert config.policy == "cache"
-        assert config.belief_backend == "vectorized"
-        assert config.rollout_backend == "vectorized"
-
-    def test_ablation_config_to_point_maps_every_field(self):
-        from repro.experiments.ablation import AblationConfig
-
-        with pytest.warns(DeprecationWarning):
-            old = AblationConfig(
-                label="exact",
-                kernel="exact",
-                kernel_scale=0.75,
-                max_hypotheses=50,
-                top_k=8,
-                use_policy_cache=True,
-                backend="vectorized",
-                rollout_backend="vectorized",
-            )
-        point = old.to_point(alpha=2.0)
-        assert point.label == "exact"
-        config = point.config
-        assert config.kernel == "exact"
-        assert config.kernel_scale == 0.75
-        assert config.max_hypotheses == 50
-        assert config.top_k == 8
-        assert config.policy == "cache"
-        assert config.belief_backend == "vectorized"
-        assert config.rollout_backend == "vectorized"
-        assert config.alpha == 2.0
-
-    def test_shim_builds_bit_identical_sender(self):
-        """attach_isender(SenderSettings) == build_sender(SenderConfig).
-
-        The same seeded scenario is run through both construction paths;
-        the decision sequences, transmit times, and posterior must match
-        exactly (the scalar-vs-vectorized equivalence-harness pattern).
-        """
-        from repro.experiments.common import SenderSettings, attach_isender
-
-        def run(use_shim: bool):
-            network = single_link_network(
-                link_rate_bps=12_000.0, buffer_capacity_bits=96_000.0, seed=3
-            )
-            prior = single_link_prior()
-            if use_shim:
-                with pytest.warns(DeprecationWarning):
-                    settings = SenderSettings(alpha=0.0, top_k=8, use_policy_cache=True)
-                sender = attach_isender(network, prior, settings)
-            else:
-                config = SenderConfig(alpha=0.0, top_k=8, policy="cache")
-                sender = build_sender(config, network, prior=prior)
-            network.network.run(until=20.0)
-            return sender
-
-        shimmed = run(use_shim=True)
-        canonical = run(use_shim=False)
-        assert [record.sent_at for record in shimmed.sent] == [
-            record.sent_at for record in canonical.sent
-        ]
-        assert [decision.delay for decision in shimmed.decisions] == [
-            decision.delay for decision in canonical.decisions
-        ]
-        assert [
-            decision.expected_utilities for decision in shimmed.decisions
-        ] == [decision.expected_utilities for decision in canonical.decisions]
-        assert shimmed.belief.weights == canonical.belief.weights
-        assert (shimmed.policy.hits, shimmed.policy.misses) == (
-            canonical.policy.hits,
-            canonical.policy.misses,
-        )
-
-    def test_run_ablation_config_matches_run_ablation_point(self):
-        """The deprecated ablation wrapper reproduces the canonical sweep."""
-        from repro.experiments.ablation import (
-            AblationConfig,
-            run_ablation_config,
-            run_ablation_point,
-        )
-
-        with pytest.warns(DeprecationWarning):
-            old = AblationConfig(label="small", max_hypotheses=40, top_k=6)
-        via_shim = run_ablation_config(old, duration=10.0)
-        via_api = run_ablation_point(
-            "small",
-            SenderConfig(max_hypotheses=40, top_k=6),
-            duration=10.0,
-        )
-        assert via_shim.packets_sent == via_api.packets_sent
-        assert via_shim.rollouts == via_api.rollouts
-        assert via_shim.final_hypotheses == via_api.final_hypotheses
-        assert via_shim.posterior_true_link_rate == via_api.posterior_true_link_rate

@@ -5,12 +5,13 @@ from __future__ import annotations
 import pytest
 
 from repro.core import AlphaWeightedUtility, ExpectedUtilityPlanner, ISender, ThroughputUtility
+from repro.core.policy import PolicyCache
 from repro.errors import ConfigurationError
 from repro.inference import BeliefState, GaussianKernel, single_link_prior
 from repro.topology import figure2_network, single_link_network
 
 
-def build_sender(network, link_points=5, alpha=0.0, stop_time=None, use_policy_cache=False):
+def build_sender(network, link_points=5, alpha=0.0, stop_time=None, policy_cache=False):
     prior = single_link_prior(
         link_rate_low=8_000.0,
         link_rate_high=16_000.0,
@@ -26,7 +27,7 @@ def build_sender(network, link_points=5, alpha=0.0, stop_time=None, use_policy_c
         planner,
         network.sender_receiver,
         stop_time=stop_time,
-        use_policy_cache=use_policy_cache,
+        policy=PolicyCache(planner) if policy_cache else None,
     )
     sender.connect(network.entry)
     network.network.add(sender)
@@ -45,9 +46,7 @@ class TestConstruction:
             ISender(belief, planner, network.sender_receiver, max_sends_per_wake=0)
 
     def test_policy_slot(self):
-        """policy= installs the decider; combining it with the old flag fails."""
-        from repro.core.policy import PolicyCache
-
+        """policy= installs the decider."""
         network = single_link_network()
         prior = single_link_prior(link_rate_points=2, fill_points=1)
         belief = BeliefState.from_prior(prior)
@@ -55,14 +54,6 @@ class TestConstruction:
         cache = PolicyCache(planner)
         sender = ISender(belief, planner, network.sender_receiver, policy=cache)
         assert sender.policy is cache
-        with pytest.raises(ConfigurationError, match="not both"):
-            ISender(
-                belief,
-                planner,
-                network.sender_receiver,
-                policy=cache,
-                use_policy_cache=True,
-            )
 
 
 class TestScenarioA:
@@ -153,7 +144,7 @@ class TestDecisionLog:
 
     def test_policy_cache_mode_runs(self):
         network = single_link_network()
-        sender = build_sender(network, use_policy_cache=True)
+        sender = build_sender(network, policy_cache=True)
         network.network.run(until=20.0)
         assert sender.packets_sent > 5
 

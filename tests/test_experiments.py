@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import SenderConfig
 from repro.experiments import (
     run_convergence_scenario,
     run_drain_scenario,
@@ -12,7 +13,7 @@ from repro.experiments import (
     run_inference_ablation,
     run_loss_comparison,
 )
-from repro.experiments.ablation import AblationConfig
+from repro.experiments.ablation import AblationPoint
 from repro.metrics.summary import format_table
 
 
@@ -110,8 +111,8 @@ class TestLossComparison:
 class TestAblation:
     def test_runs_all_configurations(self):
         configs = (
-            AblationConfig(label="small", max_hypotheses=60, top_k=8),
-            AblationConfig(label="exact", kernel="exact", kernel_scale=0.75),
+            AblationPoint("small", SenderConfig(max_hypotheses=60, top_k=8)),
+            AblationPoint("exact", SenderConfig(kernel="exact", kernel_scale=0.75)),
         )
         result = run_inference_ablation(configs=configs, duration=30.0)
         assert len(result.outcomes) == 2

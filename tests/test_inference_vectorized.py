@@ -424,13 +424,14 @@ class TestPropertyStyle:
 
 class TestVectorizedSenderIntegration:
     def test_isender_runs_on_vectorized_backend(self):
-        from repro.experiments.ablation import AblationConfig, run_ablation_config
+        from repro.api import SenderConfig
+        from repro.experiments.ablation import run_ablation_point
 
-        scalar_outcome = run_ablation_config(
-            AblationConfig(label="scalar", backend="scalar"), duration=20.0
+        scalar_outcome = run_ablation_point(
+            "scalar", SenderConfig(belief_backend="scalar"), duration=20.0
         )
-        vector_outcome = run_ablation_config(
-            AblationConfig(label="vectorized", backend="vectorized"), duration=20.0
+        vector_outcome = run_ablation_point(
+            "vectorized", SenderConfig(belief_backend="vectorized"), duration=20.0
         )
         # The sender makes the same decisions on both inference backends.
         assert vector_outcome.packets_sent == scalar_outcome.packets_sent

