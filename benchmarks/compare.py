@@ -1,136 +1,67 @@
 #!/usr/bin/env python
-"""Gate on canonical ``BENCH_*.json`` records.
+"""Check ``BENCH_micro.json`` against its gates and its committed baseline.
 
 Usage::
 
-    # Re-check a record's own gates (e.g. the >=5x vectorized speedup):
-    python benchmarks/compare.py BENCH_inference.json
+    python -m pytest -m bench -q        # rewrite BENCH_micro.json
+    python benchmarks/compare.py        # check it
 
-    # Additionally compare time-like metrics against a committed baseline,
-    # failing on regressions beyond the threshold (default 25%):
-    python benchmarks/compare.py BENCH_inference.json \
-        --baseline baselines/BENCH_inference.json --max-regression 0.25
+A record is checked twice: its own gates (absolute bounds), and every
+time-like metric against the same metric in the record's baseline — the
+file of the same name under ``benchmarks/baselines/`` beside it — failing
+any that reads more than ``MAX_REGRESSION`` over it.  Paths may be given to
+check other records; a record with no baseline file is gate-checked only.
 
-    # Gate several records in one invocation, each against the baseline of
-    # the same filename under the given directory (records without a
-    # committed baseline are checked against their own gates only):
-    python benchmarks/compare.py BENCH_*.json \
-        --baseline-dir benchmarks/baselines --max-regression 1.0
-
-Exit status: 0 all gates pass, 1 at least one failure, 2 usage error.
-``--baseline`` pairs one baseline with one record; passing it alongside
-multiple records is a usage error (every record would be gated against the
-same — wrong — baseline).  Records are produced by ``pytest -m bench``
-(see benchmarks/conftest.py).
+Exit status: 0 all checks pass, 1 a gate or a timing fails *or a baseline
+exists and nothing could be compared with it* (renamed entries or metrics
+would otherwise pass by comparing nothing), 2 a record does not exist.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 from pathlib import Path
 
 # Allow running from a source checkout without installing the package.
-_SRC = Path(__file__).resolve().parent.parent / "src"
-if _SRC.is_dir() and str(_SRC) not in sys.path:
-    sys.path.insert(0, str(_SRC))
+REPO_ROOT = Path(__file__).resolve().parent.parent
+if str(REPO_ROOT / "src") not in sys.path:
+    sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.benchmarking import BenchRecord, GateFailure  # noqa: E402
+from repro.benchmarking import BenchRecord  # noqa: E402
+
+#: Allowed fractional slowdown of a pace-corrected timing over its baseline.
+#: Sized from the estimator's own spread (see benchmarks/bench_micro.py):
+#: repeated runs on unchanged code stay inside it, a 1.3x slowdown does not.
+MAX_REGRESSION = 0.18
 
 
-def _print_failures(kind: str, failures: list[GateFailure]) -> None:
-    for failure in failures:
-        print(f"FAIL [{kind}] {failure.message}")
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("records", nargs="+", help="BENCH_*.json files to check")
-    parser.add_argument(
-        "--baseline",
-        help=(
-            "baseline BENCH_*.json to compare time-like metrics against "
-            "(single record only; use --baseline-dir for several records)"
-        ),
-    )
-    parser.add_argument(
-        "--baseline-dir",
-        help=(
-            "directory of committed baselines; each record is compared "
-            "against the file of the same name under it, records without "
-            "one are gate-checked only"
-        ),
-    )
-    parser.add_argument(
-        "--max-regression",
-        type=float,
-        default=0.25,
-        help="allowed fractional slowdown vs. the baseline (default 0.25)",
-    )
-    parser.add_argument(
-        "--min-baseline",
-        type=float,
-        default=None,
-        help=(
-            "skip regression checks for baseline wall times below this many "
-            "seconds (default: repro.benchmarking.MIN_COMPARABLE_BASELINE_S; "
-            "sub-threshold timings are noise across machines)"
-        ),
-    )
-    args = parser.parse_args(argv)
-
-    if args.baseline and args.baseline_dir:
-        print("--baseline and --baseline-dir are mutually exclusive", file=sys.stderr)
-        return 2
-    if args.baseline and len(args.records) > 1:
-        # One baseline cannot gate several records: every record would be
-        # compared against the wrong trajectory.  Match by filename instead.
-        print(
-            "--baseline pairs one baseline with one record; "
-            "use --baseline-dir to gate several records at once",
-            file=sys.stderr,
-        )
-        return 2
-    single_baseline = None
-    if args.baseline:
-        if not Path(args.baseline).exists():
-            print(f"baseline {args.baseline!r} does not exist", file=sys.stderr)
-            return 2
-        single_baseline = BenchRecord.load(args.baseline)
-    baseline_dir = None
-    if args.baseline_dir:
-        baseline_dir = Path(args.baseline_dir)
-        if not baseline_dir.is_dir():
-            print(f"baseline dir {args.baseline_dir!r} does not exist", file=sys.stderr)
-            return 2
-
+def main() -> int:
+    paths = [Path(arg) for arg in sys.argv[1:]]
     failed = False
-    for record_path in args.records:
-        if not Path(record_path).exists():
-            print(f"record {record_path!r} does not exist", file=sys.stderr)
+    for path in paths or [REPO_ROOT / "BENCH_micro.json"]:
+        if not path.exists():
+            print(f"record {str(path)!r} does not exist", file=sys.stderr)
             return 2
-        baseline = single_baseline
-        if baseline_dir is not None:
-            candidate = baseline_dir / Path(record_path).name
-            if candidate.exists():
-                baseline = BenchRecord.load(candidate)
-            else:
-                print(f"note: no baseline for {record_path} under {baseline_dir}; gates only")
-        record = BenchRecord.load(record_path)
-        gate_failures = record.check_gates()
-        _print_failures("gate", gate_failures)
-        regression_failures = []
-        if baseline is not None:
-            kwargs = {"max_regression": args.max_regression}
-            if args.min_baseline is not None:
-                kwargs["min_baseline"] = args.min_baseline
-            regression_failures = record.check_regressions(baseline, **kwargs)
-            _print_failures("regression", regression_failures)
-        if gate_failures or regression_failures:
+        record = BenchRecord.load(path)
+        failures = [f"[gate] {failure.message}" for failure in record.check_gates()]
+        baseline_path = path.parent / "benchmarks" / "baselines" / path.name
+        summary = f"no baseline {baseline_path}, gates only"
+        if baseline_path.exists():
+            baseline = BenchRecord.load(baseline_path)
+            compared = len(list(record.time_pairs(baseline)))
+            summary = f"{compared} timing(s) within {MAX_REGRESSION:.0%} of baseline"
+            failures += [
+                f"[regression] {failure.message}"
+                for failure in record.check_regressions(baseline, MAX_REGRESSION)
+            ]
+            if not compared:
+                failures.append(f"[baseline] {path}: no timing in common with {baseline_path}")
+        for failure in failures:
+            print(f"FAIL {failure}")
+        if failures:
             failed = True
         else:
-            checked = len(record.gates) + (len(record.entries) if baseline else 0)
-            print(f"OK {record_path}: {len(record.gates)} gate(s) pass ({checked} checks)")
+            print(f"OK {path}: {len(record.gates)} gate(s) pass, {summary}")
     return 1 if failed else 0
 
 

@@ -1,12 +1,8 @@
-"""Shared configuration for the benchmark suite.
+"""Collection rules and the record fixture for everything under benchmarks/.
 
-Each benchmark regenerates one of the paper's figures (or prose results) on
-a shortened-but-faithful version of the paper's scenario, prints the table
-of rows/series the paper reports, and asserts the qualitative *shape* of the
-result (who wins, orderings, inflation factors).  Absolute numbers are not
-expected to match the paper — the substrate is a simulator, not the authors'
-testbed — and the shortened durations are noted in EXPERIMENTS.md alongside
-full-length runs.
+Two things live here: ``bench_micro.py`` (the sub-ledger timings behind
+``BENCH_micro.json``) and ``e2e/`` (the ``BENCHMARK.json`` ledger and its
+self-test).  Neither belongs in the tier-1 run.
 """
 
 from __future__ import annotations
@@ -15,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.benchmarking import update_bench_record
+from repro.benchmarking import BenchRecord
 
 #: BENCH_*.json records live at the repository root, next to ROADMAP.md.
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -27,9 +23,9 @@ def pytest_collection_modifyitems(config, items) -> None:
     Keeps the tier-1 run fast while preserving both benchmark workflows:
 
     * ``pytest -m bench`` (any mark expression naming ``bench``) runs the
-      suite and refreshes the ``BENCH_*.json`` records;
-    * ``pytest benchmarks/bench_foo.py`` (an explicit benchmarks/ path on
-      the command line) runs that file as before;
+      suite and rewrites ``BENCH_micro.json``;
+    * ``pytest benchmarks/e2e`` (an explicit benchmarks/ path on the
+      command line) runs what is under that path;
     * every other invocation — in particular the tier-1
       ``pytest -x -q`` — deselects the benchmarks.
 
@@ -63,37 +59,19 @@ def pytest_collection_modifyitems(config, items) -> None:
     items[:] = [item for item in items if id(item) not in selected]
 
 
-def print_result_table(text: str) -> None:
-    """Print a table so ``pytest -s`` / benchmark output shows the reproduced rows."""
-    print()
-    print(text)
-
-
-@pytest.fixture
-def table_printer():
-    """Fixture exposing :func:`print_result_table` to the benchmarks."""
-    return print_result_table
-
-
 @pytest.fixture
 def bench_record():
-    """Write entries into a canonical ``BENCH_<name>.json`` at the repo root.
+    """Write a whole ``BENCH_<name>.json`` at the repo root.
 
-    Usage inside a benchmark test::
-
-        bench_record(
-            "inference",
-            entries={"scalar_512": ({"wall_time_s": 1.2}, {"note": "..."})},
-            gates={"vectorized_512.speedup_vs_scalar": {"min": 5.0}},
-        )
-
-    Entries merge into the existing record, so several tests can contribute
-    to one file; see :mod:`repro.benchmarking` for the format and
-    ``benchmarks/compare.py`` for the regression gate.
+    ``entries`` maps a label to ``(metrics, meta)``, ``gates`` maps
+    ``"<label>.<metric>"`` to ``{"min": ..., "max": ...}``.  The file is
+    replaced, never merged into: what it holds is what this run measured.
     """
 
-    def _record(name, entries, gates=None):
-        path = REPO_ROOT / f"BENCH_{name}.json"
-        return update_bench_record(path, name, entries, gates)
+    def _record(name, entries, gates):
+        record = BenchRecord(name=name, gates=dict(gates))
+        for label, (metrics, meta) in entries.items():
+            record.record(label, metrics, meta)
+        return record.write(REPO_ROOT / f"BENCH_{name}.json")
 
     return _record

@@ -26,8 +26,7 @@ observation to a first-class artifact:
   was not computed for.
 
 The steady-state decide path through a populated table is a signature
-computation plus one dict lookup — the ``BENCH_policy.json`` record gates
-it at ≥5× faster than uncached planning.
+computation plus one dict lookup.
 """
 
 from __future__ import annotations
@@ -478,8 +477,8 @@ def load_or_precompute_policy_table(
     :func:`table_quarantine_count`, and recomputed.
 
     The returned table carries ``loaded_from_cache`` (``True`` when it was
-    read back rather than computed), which the cache-semantics tests and
-    the runner-scaling bench observe.
+    read back rather than computed), which the cache-semantics tests
+    observe.
     """
     effective = config.with_prior(prior if prior is not None else config.prior)
     if cache_dir is None:

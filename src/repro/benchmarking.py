@@ -1,19 +1,19 @@
-"""Canonical benchmark records (``BENCH_*.json``) and regression gates.
+"""Canonical benchmark records (``BENCH_*.json``) and their checks.
 
-The benchmark suite under ``benchmarks/`` prints tables for humans; this
-module gives those runs a durable, machine-checkable trajectory.  Each
-benchmark family writes one ``BENCH_<name>.json`` at the repository root:
+Speed claims live in the end-to-end ledger (``BENCHMARK.json``,
+``benchmarks/e2e/``).  A record holds what that ledger cannot see — the
+sub-ledger timings ``benchmarks/bench_micro.py`` writes to
+``BENCH_micro.json`` — in a form a diff and a tool can read:
 
 * ``entries`` — one record per measured configuration, each a flat dict of
   numeric metrics plus free-form metadata,
-* ``gates`` — self-contained pass/fail conditions over those metrics
-  (e.g. the vectorized inference backend must stay ≥5× the scalar path),
+* ``gates`` — self-contained pass/fail bounds over those metrics,
 
 serialized canonically (sorted keys, fixed indentation, trailing newline)
 so diffs against a committed baseline are meaningful.  ``benchmarks/
-compare.py`` is the command-line gate: it re-checks a record's own gates
-and, given a baseline file, flags wall-time regressions — so future PRs
-cannot silently regress the hot path.
+compare.py`` is the command-line check: it re-checks a record's own gates
+and flags time-like metrics that regressed against the committed baseline;
+``repro.diagnostics`` reads the same records as evidence.
 """
 
 from __future__ import annotations
@@ -21,19 +21,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Optional
+from typing import Iterator, Mapping, Optional
 
 #: Record format version, bumped on incompatible layout changes.
 SCHEMA_VERSION = 1
 
 #: Metric-name suffixes treated as "lower is better" by regression checks.
 TIME_METRIC_SUFFIXES = ("wall_time_s", "wall_time", "seconds", "_s")
-
-#: Baseline wall times below this are noise-dominated across heterogeneous
-#: machines (a hosted CI runner can be several times slower than the box
-#: that committed the baseline) and are skipped by regression checks; the
-#: machine-relative ratio gates still cover those entries.
-MIN_COMPARABLE_BASELINE_S = 0.05
 
 
 @dataclass
@@ -134,84 +128,30 @@ class BenchRecord:
                 )
         return failures
 
-    def check_regressions(
-        self,
-        baseline: "BenchRecord",
-        max_regression: float = 0.25,
-        min_baseline: float = MIN_COMPARABLE_BASELINE_S,
-    ) -> list[GateFailure]:
-        """Compare time-like metrics against ``baseline``.
+    def time_pairs(self, baseline: "BenchRecord") -> Iterator[tuple[str, str, float, float]]:
+        """``(entry, metric, value, baseline value)`` for every comparable timing.
 
-        A metric regresses when it exceeds the baseline by more than
-        ``max_regression`` (fractional).  Entries or metrics absent from the
-        baseline are skipped — new benchmarks are not regressions — as are
-        baselines under ``min_baseline`` seconds, whose wall clocks don't
-        transfer between machines (their ratio gates remain in force).
+        Entries or metrics absent from the baseline are skipped — new
+        benchmarks are not regressions.
         """
-        failures: list[GateFailure] = []
         for label, entry in sorted(self.entries.items()):
-            base_entry = baseline.entries.get(label)
-            if base_entry is None:
-                continue
-            base_metrics = base_entry.get("metrics", {})
+            base_metrics = baseline.entries.get(label, {}).get("metrics", {})
             for metric, value in sorted(entry.get("metrics", {}).items()):
-                if not metric.endswith(TIME_METRIC_SUFFIXES):
-                    continue
                 base_value = base_metrics.get(metric)
-                if base_value is None or base_value <= 0:
-                    continue
-                if base_value < min_baseline:
-                    continue
-                limit = base_value * (1.0 + max_regression)
-                if value > limit:
-                    failures.append(
-                        GateFailure(
-                            label,
-                            metric,
-                            f"{label}.{metric} = {value:g} exceeds baseline "
-                            f"{base_value:g} by more than {max_regression:.0%}",
-                        )
-                    )
-        return failures
+                if metric.endswith(TIME_METRIC_SUFFIXES) and base_value is not None:
+                    yield label, metric, float(value), float(base_value)
 
-
-def update_bench_record(
-    path: str | Path,
-    name: str,
-    entries: Mapping[str, tuple[Mapping[str, float], Optional[Mapping[str, object]]]],
-    gates: Optional[Mapping[str, Optional[Mapping[str, float]]]] = None,
-) -> BenchRecord:
-    """Merge ``entries`` (and optional ``gates``) into the record at ``path``.
-
-    Existing entries with other labels are preserved, so several benchmark
-    tests can contribute to one ``BENCH_*.json`` file.  A gate mapped to
-    ``None`` is *retracted* from the merged record (hardware-conditional
-    gates use this to undo a gate written by a previous run).
-    """
-    path = Path(path)
-    if path.exists():
-        try:
-            record = BenchRecord.load(path)
-        except (ValueError, OSError):
-            # Never silently discard accumulated entries: preserve the
-            # unreadable file next to the fresh record and say so.
-            backup = path.with_suffix(path.suffix + ".corrupt")
-            path.replace(backup)
-            print(f"warning: {path} was unreadable; preserved as {backup}")
-            record = BenchRecord(name=name)
-    else:
-        record = BenchRecord(name=name)
-    record.name = name
-    for label, (metrics, meta) in entries.items():
-        record.record(label, metrics, meta)
-    if gates:
-        for target, condition in gates.items():
-            if condition is None:
-                # Gates merge across runs, so a benchmark that stops
-                # emitting a gate (e.g. a hardware-dependent speedup floor)
-                # must be able to retract a stale one explicitly.
-                record.gates.pop(target, None)
-            else:
-                record.gates[target] = dict(condition)
-    record.write(path)
-    return record
+    def check_regressions(
+        self, baseline: "BenchRecord", max_regression: float = 0.25
+    ) -> list[GateFailure]:
+        """Time-like metrics more than ``max_regression`` (fractional) over ``baseline``."""
+        return [
+            GateFailure(
+                label,
+                metric,
+                f"{label}.{metric} = {value:g} exceeds baseline "
+                f"{base_value:g} by more than {max_regression:.0%}",
+            )
+            for label, metric, value, base_value in self.time_pairs(baseline)
+            if base_value > 0 and value > base_value * (1.0 + max_regression)
+        ]

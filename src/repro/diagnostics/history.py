@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
-from repro.benchmarking import TIME_METRIC_SUFFIXES, BenchRecord, GateFailure
+from repro.benchmarking import BenchRecord, GateFailure
 from repro.runner.cache import ResultCache
 from repro.runner.spec import ScenarioSpec
 
@@ -104,27 +104,10 @@ class HistoryReport:
 
 
 def _time_deltas(record: BenchRecord, baseline: BenchRecord) -> list[EntryDelta]:
-    deltas: list[EntryDelta] = []
-    for label, entry in sorted(record.entries.items()):
-        base_entry = baseline.entries.get(label)
-        if base_entry is None:
-            continue
-        base_metrics = base_entry.get("metrics", {})
-        for metric, current in sorted(entry.get("metrics", {}).items()):
-            if not metric.endswith(TIME_METRIC_SUFFIXES):
-                continue
-            base_value = base_metrics.get(metric)
-            if base_value is None:
-                continue
-            deltas.append(
-                EntryDelta(
-                    entry=label,
-                    metric=metric,
-                    baseline=float(base_value),
-                    current=float(current),
-                )
-            )
-    return deltas
+    return [
+        EntryDelta(entry=label, metric=metric, baseline=base_value, current=current)
+        for label, metric, current, base_value in record.time_pairs(baseline)
+    ]
 
 
 def analyze_history(

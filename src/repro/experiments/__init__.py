@@ -2,9 +2,9 @@
 
 Each runner is an ordinary function returning a result dataclass with (a)
 the raw series the corresponding figure plots and (b) ``rows()`` — the
-summary table a bench prints.  Durations and grid resolutions are
-parameters so the benchmark suite can run shortened versions while examples
-and EXPERIMENTS.md use the paper's full settings.
+summary table to print.  Durations and grid resolutions are parameters so
+the tests can run shortened versions while examples use the paper's full
+settings.
 """
 
 from repro.experiments.ablation import AblationResult, run_inference_ablation

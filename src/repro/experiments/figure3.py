@@ -221,7 +221,7 @@ def run_figure3(
         The cross-traffic priorities to sweep (the paper uses 0.9, 1, 2.5, 5).
     duration / switch_interval:
         Total simulated time and the cross-traffic on/off half-period.  The
-        paper uses 300 s / 100 s; the benchmark uses a shortened version.
+        paper uses 300 s / 100 s; the tests use a shortened version.
     prior_points:
         Grid resolution ``(link, cross fraction, loss, buffer, fill)`` of the
         sender's prior.  Coarse grids keep the ensemble small, as the paper

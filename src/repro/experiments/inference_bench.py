@@ -1,10 +1,10 @@
-"""The inference-engine hot-path benchmark: scalar vs. vectorized backends.
+"""The belief-update reference workload, replayed through either backend.
 
 Drives a :class:`~repro.inference.belief.BeliefState` at the full
 512-hypothesis cap through a deterministic send/acknowledge workload — the
 exact sequence of ``record_send`` / ``update`` calls an ISender issues,
-minus the planner — once per backend, and reports wall time, the speedup
-ratio, and how closely the two posteriors agree.
+minus the planner — so tests can hold the scalar and array engines to the
+same posterior on it.
 
 The workload is generated (no RNG) from a ground-truth
 :class:`~repro.inference.linkmodel.LinkModel`: packets are sent on a fixed
@@ -13,16 +13,10 @@ fire on an ISender-like cadence.  Because the prior contains gate
 uncertainty (``mean_time_to_switch`` is set), every update forks the
 ensemble and exercises evolve/score/compact/prune at the cap — the
 dominant cost in every experiment.
-
-Used by ``benchmarks/bench_ablation_inference.py`` (which also writes the
-``BENCH_inference.json`` regression record) and runnable standalone::
-
-    PYTHONPATH=src python -m repro.experiments.inference_bench
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 from repro.inference import AckObservation, BeliefState, GaussianKernel, figure3_prior
@@ -57,10 +51,9 @@ class InferenceBenchConfig:
 
 @dataclass
 class BackendRunResult:
-    """Measurements from driving one backend through the workload."""
+    """Where one backend's belief stands after the workload."""
 
     backend: str
-    wall_time_s: float
     updates_applied: int
     final_hypotheses: int
     compacted_away: int
@@ -68,38 +61,6 @@ class BackendRunResult:
     weights: list[float] = field(default_factory=list)
     link_rate_marginal: dict[float, float] = field(default_factory=dict)
     map_link_rate_bps: float = 0.0
-
-
-@dataclass
-class BackendComparison:
-    """Both backends on the identical workload, plus agreement metrics."""
-
-    config: InferenceBenchConfig
-    scalar: BackendRunResult
-    vectorized: BackendRunResult
-
-    @property
-    def speedup(self) -> float:
-        return self.scalar.wall_time_s / self.vectorized.wall_time_s
-
-    @property
-    def max_weight_divergence(self) -> float:
-        """Largest absolute posterior-weight difference between backends."""
-        if len(self.scalar.weights) != len(self.vectorized.weights):
-            return float("inf")
-        return max(
-            (abs(a - b) for a, b in zip(self.scalar.weights, self.vectorized.weights)),
-            default=0.0,
-        )
-
-    @property
-    def posteriors_match(self) -> bool:
-        """Documented-tolerance agreement (1e-9 absolute on weights)."""
-        return (
-            len(self.scalar.weights) == len(self.vectorized.weights)
-            and self.max_weight_divergence <= 1e-9
-            and self.scalar.map_link_rate_bps == self.vectorized.map_link_rate_bps
-        )
 
 
 def build_workload(config: InferenceBenchConfig) -> list[tuple[str, tuple]]:
@@ -151,7 +112,7 @@ def run_backend(
     config: InferenceBenchConfig | None = None,
     events: list[tuple[str, tuple]] | None = None,
 ) -> BackendRunResult:
-    """Replay the workload through one backend and measure the hot path."""
+    """Replay the workload through one backend."""
     config = config or InferenceBenchConfig()
     if events is None:
         events = build_workload(config)
@@ -169,16 +130,13 @@ def run_backend(
         max_hypotheses=config.max_hypotheses,
         backend=backend,
     )
-    started = time.perf_counter()
     for kind, args in events:
         if kind == SEND:
             belief.record_send(*args)
         else:
             belief.update(*args)
-    elapsed = time.perf_counter() - started
     return BackendRunResult(
         backend=backend,
-        wall_time_s=elapsed,
         updates_applied=belief.updates_applied,
         final_hypotheses=len(belief),
         compacted_away=belief.compacted_away,
@@ -187,45 +145,3 @@ def run_backend(
         link_rate_marginal=belief.posterior_marginal("link_rate_bps"),
         map_link_rate_bps=float(belief.map_estimate().params["link_rate_bps"]),
     )
-
-
-def run_backend_comparison(
-    config: InferenceBenchConfig | None = None, rounds: int = 2
-) -> BackendComparison:
-    """Measure both backends on one workload; keeps each backend's best round.
-
-    ``rounds`` > 1 absorbs scheduler noise: the *minimum* wall time per
-    backend is the robust estimate of its cost (results are identical
-    across rounds by construction, so only timing varies).
-    """
-    config = config or InferenceBenchConfig()
-    events = build_workload(config)
-    best: dict[str, BackendRunResult] = {}
-    for _ in range(max(1, rounds)):
-        for backend in ("vectorized", "scalar"):
-            result = run_backend(backend, config, events)
-            kept = best.get(backend)
-            if kept is None or result.wall_time_s < kept.wall_time_s:
-                best[backend] = result
-    return BackendComparison(
-        config=config, scalar=best["scalar"], vectorized=best["vectorized"]
-    )
-
-
-def main() -> None:  # pragma: no cover - manual entry point
-    comparison = run_backend_comparison()
-    scalar, vectorized = comparison.scalar, comparison.vectorized
-    print(
-        f"scalar     : {scalar.wall_time_s:8.3f} s "
-        f"({scalar.final_hypotheses} hypotheses, {scalar.updates_applied} updates)"
-    )
-    print(
-        f"vectorized : {vectorized.wall_time_s:8.3f} s "
-        f"({vectorized.final_hypotheses} hypotheses, {vectorized.updates_applied} updates)"
-    )
-    print(f"speedup    : {comparison.speedup:8.1f} x")
-    print(f"max |Δw|   : {comparison.max_weight_divergence:8.2e}")
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -1,6 +1,6 @@
-"""The §3.3 policy-table benchmark: precomputed lookup vs. live planning.
+"""The §3.3 policy-table fidelity check: precomputed lookup vs. live planning.
 
-Measures the offline-policy subsystem end to end on the Figure-3 default
+Exercises the offline-policy subsystem end to end on the Figure-3 default
 configuration:
 
 1. :func:`~repro.api.policy.precompute_policy_table` computes the table
@@ -10,20 +10,11 @@ configuration:
    every wake-up whose belief signature the table covers, the table's
    decision is compared against a fresh live-planned decision on the very
    same belief — the "same decision sequence at the table's signature
-   resolution" criterion, free of trajectory-divergence noise;
-3. the **steady-state decide path** is timed: repeated table lookups on a
-   converged belief versus repeated uncached ``planner.decide`` calls.
-
-Used by ``benchmarks/bench_policy_table.py`` (which writes the
-``BENCH_policy.json`` regression record gating the ≥5× lookup speedup and
-the decision-fidelity ratio) and runnable standalone::
-
-    PYTHONPATH=src python -m repro.experiments.policy_bench
+   resolution" criterion, free of trajectory-divergence noise.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 from repro.api.config import SenderConfig
@@ -35,7 +26,7 @@ from repro.topology.presets import figure2_network
 
 @dataclass(frozen=True)
 class PolicyBenchConfig:
-    """Shape of the precompute, the held-out fidelity run, and the timing."""
+    """Shape of the precompute and the held-out fidelity run."""
 
     #: Figure-3 default engines for the policy path (vectorized keeps the
     #: precompute sweep and the fallback planning on the lane engine).
@@ -53,9 +44,6 @@ class PolicyBenchConfig:
     heldout_duration: float = 40.0
     heldout_seed: int = 5
     switch_interval: float = 30.0
-    #: Timed decide calls per path.
-    table_decides: int = 2_000
-    live_decides: int = 15
     #: Tolerance for "same decision at the table's signature resolution":
     #: the signature rounds weights to 3 decimals, so two beliefs sharing a
     #: signature can derive action delays differing in the last ulp.
@@ -96,35 +84,14 @@ class _CheckingPolicy:
 
 @dataclass
 class PolicyComparison:
-    """Everything the BENCH_policy record and its gates need."""
+    """How a precomputed table fared against live planning on a held-out run."""
 
     config: PolicyBenchConfig
     table_entries: int
-    #: Held-out fidelity.
-    heldout_decisions: int
     heldout_hits: int
     heldout_checked: int
     heldout_agreements: int
-    #: Steady-state timing.
-    table_wall_time_s: float
-    table_decides: int
-    live_wall_time_s: float
-    live_decides: int
     mismatches: list[tuple[float, float]] = field(default_factory=list)
-
-    @property
-    def speedup(self) -> float:
-        """Per-decision speedup of the table lookup over live planning."""
-        table_per_decide = self.table_wall_time_s / self.table_decides
-        live_per_decide = self.live_wall_time_s / self.live_decides
-        return live_per_decide / table_per_decide
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of held-out wake-ups served from the precomputed table."""
-        if not self.heldout_decisions:
-            return 0.0
-        return self.heldout_hits / self.heldout_decisions
 
     @property
     def decisions_match(self) -> bool:
@@ -132,14 +99,8 @@ class PolicyComparison:
         return self.heldout_checked > 0 and self.heldout_agreements == self.heldout_checked
 
 
-def run_policy_comparison(
-    config: PolicyBenchConfig | None = None, rounds: int = 3
-) -> PolicyComparison:
-    """Precompute, verify on a held-out run, and time the decide paths.
-
-    The *minimum* wall time over ``rounds`` is each path's robust cost
-    estimate, mirroring the planner bench.
-    """
+def run_policy_comparison(config: PolicyBenchConfig | None = None) -> PolicyComparison:
+    """Precompute a table, then verify it on a held-out run."""
     config = config or PolicyBenchConfig()
     sender_config = config.sender_config()
     table = precompute_policy_table(
@@ -187,56 +148,11 @@ def run_policy_comparison(
         > tolerance * max(1.0, abs(table_delay), abs(live_delay))
     ]
 
-    heldout_decisions = len(sender.decisions)
-    heldout_hits = table.hits
-
-    # Steady-state timing on the held-out run's final belief.  One decide
-    # each (learning re-enabled) guarantees the signature is in the table
-    # and warms allocators.
-    table.learn = True
-    now = config.heldout_duration
-    table.decide(belief, now)
-    planner.decide(belief, now)
-    table_wall = live_wall = float("inf")
-    for _ in range(max(1, rounds)):
-        started = time.perf_counter()
-        for _ in range(config.table_decides):
-            table.decide(belief, now)
-        table_wall = min(table_wall, time.perf_counter() - started)
-        started = time.perf_counter()
-        for _ in range(config.live_decides):
-            planner.decide(belief, now)
-        live_wall = min(live_wall, time.perf_counter() - started)
-
     return PolicyComparison(
         config=config,
         table_entries=table_entries,
-        heldout_decisions=heldout_decisions,
-        heldout_hits=heldout_hits,
+        heldout_hits=table.hits,
         heldout_checked=len(checker.pairs),
         heldout_agreements=agreements,
-        table_wall_time_s=table_wall,
-        table_decides=config.table_decides,
-        live_wall_time_s=live_wall,
-        live_decides=config.live_decides,
         mismatches=mismatches,
     )
-
-
-def main() -> None:  # pragma: no cover - manual entry point
-    comparison = run_policy_comparison()
-    per_table_us = comparison.table_wall_time_s / comparison.table_decides * 1e6
-    per_live_ms = comparison.live_wall_time_s / comparison.live_decides * 1e3
-    print(f"table entries       : {comparison.table_entries}")
-    print(
-        f"held-out fidelity   : {comparison.heldout_agreements}/"
-        f"{comparison.heldout_checked} hits reproduce the live decision "
-        f"(hit rate {comparison.hit_rate:.0%})"
-    )
-    print(f"table lookup        : {per_table_us:8.1f} us/decide")
-    print(f"live planning       : {per_live_ms:8.2f} ms/decide")
-    print(f"steady-state speedup: {comparison.speedup:8.0f} x")
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

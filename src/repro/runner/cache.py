@@ -22,8 +22,7 @@ silent default).
 
 Warm replays are bit-identical by construction — the cache stores the
 point's metrics (and original wall time) and the runner reassembles the
-same canonical :class:`~repro.runner.results.ResultStore` artifact, which
-``benchmarks/bench_runner_cache.py`` gates at a ≥5× warm-rerun speedup.
+same canonical :class:`~repro.runner.results.ResultStore` artifact.
 
 Writes are atomic (process-unique temp file + :func:`os.replace`), so any
 number of runner processes can share one cache directory.  A corrupted or

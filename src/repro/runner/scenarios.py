@@ -738,22 +738,6 @@ def many_flow_contention(
 # ------------------------------------------------------------- spec generators
 
 
-def alpha_sweep_specs(
-    alphas: Sequence[float] = (0.9, 1.0, 2.5, 5.0),
-    seed: int = 1,
-    duration: float = 90.0,
-    switch_interval: float = 30.0,
-    **params: float,
-) -> list[ScenarioSpec]:
-    """Specs for the Figure-3 α sweep through the ``figure3_alpha`` scenario."""
-    return grid(
-        "figure3_alpha",
-        seeds=(seed,),
-        base={"duration": duration, "switch_interval": switch_interval, **params},
-        alpha=list(alphas),
-    )
-
-
 def loss_delay_buffer_specs(
     losses: Sequence[float] = (0.0, 0.02, 0.1),
     delays: Sequence[float] = (0.0, 0.02, 0.08),
@@ -780,21 +764,6 @@ def cellular_trace_specs(
 ) -> list[ScenarioSpec]:
     """Per-seed trials of the trace-driven cellular scenario."""
     return grid("cellular_trace_tcp", seeds=seeds, base={"duration": duration, **params})
-
-
-def corpus_sweep_specs(
-    traces: Sequence[str],
-    seeds: Sequence[int] | int = (0,),
-    duration: float = 0.0,
-    **params: Any,
-) -> list[ScenarioSpec]:
-    """One ``corpus_trace`` point per corpus entry name (× seeds)."""
-    return grid(
-        "corpus_trace",
-        seeds=seeds,
-        base={"duration": duration, **params},
-        trace=list(traces),
-    )
 
 
 def many_flow_specs(

@@ -203,23 +203,12 @@ class TestFigure3HeldOutFidelity:
     planner's decisions on a held-out run at the signature resolution."""
 
     def test_heldout_decisions_match_live_planner(self):
-        from repro.experiments.policy_bench import (
-            PolicyBenchConfig,
-            run_policy_comparison,
-        )
+        from repro.experiments.policy_bench import run_policy_comparison
 
-        config = PolicyBenchConfig(
-            pilot_duration=30.0,
-            heldout_duration=20.0,
-            table_decides=50,
-            live_decides=3,
-        )
-        comparison = run_policy_comparison(config, rounds=1)
-        assert comparison.heldout_hits > 5, "held-out run barely used the table"
+        comparison = run_policy_comparison()
+        assert comparison.table_entries > 20
+        assert comparison.heldout_hits > 10, "held-out run barely used the table"
         assert comparison.decisions_match, (
             f"{len(comparison.mismatches)} table hits diverged from live "
             f"planning: {comparison.mismatches[:5]}"
         )
-        # The lookup path must already beat live planning handily even in
-        # this shortened tier-1 variant (the bench pins the real >=5x gate).
-        assert comparison.speedup > 5.0

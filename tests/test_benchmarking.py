@@ -7,24 +7,19 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
-from repro.benchmarking import BenchRecord, update_bench_record
+from repro.benchmarking import BenchRecord
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 COMPARE = REPO_ROOT / "benchmarks" / "compare.py"
 
 
-def make_record(tmp_path, wall_time=1.0, speedup=6.0):
-    record = BenchRecord(name="inference")
-    record.record("scalar_512", {"wall_time_s": wall_time * speedup})
-    record.record(
-        "vectorized_512",
-        {"wall_time_s": wall_time, "speedup_vs_scalar": speedup},
-        meta={"backend": "vectorized"},
-    )
-    record.gate("vectorized_512", "speedup_vs_scalar", minimum=5.0)
-    path = tmp_path / "BENCH_inference.json"
+def make_record(tmp_path, wall_time=1.0, ms_per_point=3.0):
+    record = BenchRecord(name="micro")
+    record.record("event_loop", {"corrected_s": wall_time}, meta={"repeats": 25})
+    record.record("fan_out", {"ms_per_point": ms_per_point})
+    record.gate("fan_out", "ms_per_point", maximum=25.0)
+    tmp_path.mkdir(parents=True, exist_ok=True)
+    path = tmp_path / "BENCH_micro.json"
     record.write(path)
     return record, path
 
@@ -37,15 +32,15 @@ class TestBenchRecord:
         assert path.read_text() == first
         payload = json.loads(first)
         assert payload["schema"] == 1
-        assert payload["name"] == "inference"
+        assert payload["name"] == "micro"
 
     def test_gates_pass_and_fail(self, tmp_path):
-        record, _ = make_record(tmp_path, speedup=6.0)
+        record, _ = make_record(tmp_path, ms_per_point=3.0)
         assert record.check_gates() == []
-        slow, _ = make_record(tmp_path, speedup=3.0)
+        slow, _ = make_record(tmp_path, ms_per_point=30.0)
         failures = slow.check_gates()
         assert len(failures) == 1
-        assert "speedup_vs_scalar" in failures[0].message
+        assert "ms_per_point" in failures[0].message
 
     def test_missing_gated_metric_fails(self):
         record = BenchRecord(name="x")
@@ -60,43 +55,17 @@ class TestBenchRecord:
         assert same.check_regressions(baseline, max_regression=0.25) == []
         failures = slower.check_regressions(baseline, max_regression=0.25)
         assert failures and "exceeds baseline" in failures[0].message
+        # Millisecond timings are compared like any other: no floor under
+        # which a baseline is skipped.
+        fast_baseline, _ = make_record(tmp_path, wall_time=0.010)
+        doubled, _ = make_record(tmp_path, wall_time=0.020)
+        [failure] = doubled.check_regressions(fast_baseline, max_regression=0.25)
+        assert (failure.entry, failure.metric) == ("event_loop", "corrected_s")
 
     def test_new_entries_are_not_regressions(self, tmp_path):
         baseline = BenchRecord(name="inference")
         current, _ = make_record(tmp_path)
         assert current.check_regressions(baseline) == []
-
-    def test_update_merges_entries(self, tmp_path):
-        path = tmp_path / "BENCH_merge.json"
-        update_bench_record(path, "merge", {"a": ({"wall_time_s": 1.0}, None)})
-        update_bench_record(
-            path,
-            "merge",
-            {"b": ({"wall_time_s": 2.0}, {"note": "second"})},
-            gates={"b.wall_time_s": {"max": 3.0}},
-        )
-        merged = BenchRecord.load(path)
-        assert set(merged.entries) == {"a", "b"}
-        assert merged.check_gates() == []
-
-    def test_update_retracts_gates_mapped_to_none(self, tmp_path):
-        """A hardware-conditional gate from an earlier run can be withdrawn."""
-        path = tmp_path / "BENCH_retract.json"
-        update_bench_record(
-            path,
-            "retract",
-            {"fast": ({"speedup": 3.0}, None)},
-            gates={"fast.speedup": {"min": 2.5}},
-        )
-        update_bench_record(
-            path,
-            "retract",
-            {"fast": ({"speedup": 0.8}, None)},
-            gates={"fast.speedup": None},
-        )
-        merged = BenchRecord.load(path)
-        assert "fast.speedup" not in merged.gates
-        assert merged.check_gates() == []
 
 
 class TestCompareCli:
@@ -115,76 +84,57 @@ class TestCompareCli:
         assert "OK" in result.stdout
 
     def test_gate_failure_exits_one(self, tmp_path):
-        _, path = make_record(tmp_path, speedup=2.0)
+        _, path = make_record(tmp_path, ms_per_point=30.0)
         result = self.run_compare(str(path))
         assert result.returncode == 1
         assert "FAIL" in result.stdout
 
     def test_baseline_regression_exits_one(self, tmp_path):
-        # make_record always writes BENCH_inference.json, so keep the
-        # baseline and the slow run in separate directories.
-        base_dir, slow_dir = tmp_path / "base", tmp_path / "slow"
-        base_dir.mkdir()
-        slow_dir.mkdir()
-        _, base_path = make_record(base_dir, wall_time=1.0)
-        _, slow_path = make_record(slow_dir, wall_time=2.0)
-        result = self.run_compare(
-            str(slow_path), "--baseline", str(base_path), "--max-regression", "0.25"
-        )
+        """A 10 ms timing that doubled is named, not skipped as too small."""
+        make_record(tmp_path / "benchmarks" / "baselines", wall_time=0.010)
+        _, slow_path = make_record(tmp_path, wall_time=0.020)
+        result = self.run_compare(str(slow_path))
         assert result.returncode == 1
         assert "regression" in result.stdout
+        assert "event_loop.corrected_s" in result.stdout
 
     def test_missing_record_exits_two(self, tmp_path):
         result = self.run_compare(str(tmp_path / "nope.json"))
         assert result.returncode == 2
 
     def test_baseline_dir_matches_records_by_filename(self, tmp_path):
-        """One invocation gates many records, each against its own baseline."""
-        base_dir, run_dir = tmp_path / "baselines", tmp_path / "run"
-        base_dir.mkdir()
-        run_dir.mkdir()
-        make_record(base_dir, wall_time=1.0)
-        _, fast_path = make_record(run_dir, wall_time=1.05)
-        result = self.run_compare(str(fast_path), "--baseline-dir", str(base_dir))
+        """Each record is checked against the baseline of its own name beside it."""
+        run_a, run_b = tmp_path / "a", tmp_path / "b"
+        make_record(run_a / "benchmarks" / "baselines", wall_time=1.0)
+        make_record(run_b / "benchmarks" / "baselines", wall_time=1.0)
+        _, fast_path = make_record(run_a, wall_time=1.05)
+        _, slow_path = make_record(run_b, wall_time=2.0)
+        result = self.run_compare(str(fast_path))
         assert result.returncode == 0, result.stdout + result.stderr
-        # Now regress the same record: the per-file baseline must catch it.
-        _, slow_path = make_record(run_dir, wall_time=2.0)
-        result = self.run_compare(
-            str(slow_path), "--baseline-dir", str(base_dir), "--max-regression", "0.25"
-        )
+        assert "1 timing(s)" in result.stdout
+        result = self.run_compare(str(fast_path), str(slow_path))
         assert result.returncode == 1
         assert "regression" in result.stdout
 
     def test_baseline_dir_without_matching_file_gates_only(self, tmp_path):
-        base_dir = tmp_path / "baselines"
-        base_dir.mkdir()
+        (tmp_path / "benchmarks" / "baselines").mkdir(parents=True)
         _, path = make_record(tmp_path)
-        result = self.run_compare(str(path), "--baseline-dir", str(base_dir))
+        result = self.run_compare(str(path))
         assert result.returncode == 0, result.stdout + result.stderr
         assert "no baseline" in result.stdout
 
-    def test_single_baseline_with_many_records_is_usage_error(self, tmp_path):
-        """``--baseline`` is ambiguous across records; demand --baseline-dir."""
-        a_dir, b_dir = tmp_path / "a", tmp_path / "b"
-        a_dir.mkdir()
-        b_dir.mkdir()
-        _, first = make_record(a_dir)
-        _, second = make_record(b_dir)
-        _, base = make_record(tmp_path)
-        result = self.run_compare(str(first), str(second), "--baseline", str(base))
-        assert result.returncode == 2
+    def test_baseline_sharing_no_timing_exits_one(self, tmp_path):
+        """Renamed entries must not pass by comparing nothing."""
+        renamed = BenchRecord(name="micro")
+        renamed.record("event_loop_renamed", {"corrected_s": 1.0})
+        renamed.write(tmp_path / "BENCH_micro.json")
+        make_record(tmp_path / "benchmarks" / "baselines")
+        result = self.run_compare(str(tmp_path / "BENCH_micro.json"))
+        assert result.returncode == 1
+        assert "no timing in common" in result.stdout
 
-    def test_baseline_and_baseline_dir_are_mutually_exclusive(self, tmp_path):
-        _, path = make_record(tmp_path)
-        result = self.run_compare(
-            str(path), "--baseline", str(path), "--baseline-dir", str(tmp_path)
-        )
-        assert result.returncode == 2
-
-    @pytest.mark.skipif(
-        not (REPO_ROOT / "BENCH_inference.json").exists(),
-        reason="BENCH_inference.json not generated yet (run pytest -m bench)",
-    )
     def test_repo_record_passes_its_gates(self):
-        result = self.run_compare("BENCH_inference.json")
+        """The committed record against the committed baseline, no arguments."""
+        result = self.run_compare()
         assert result.returncode == 0, result.stdout + result.stderr
+        assert "6 timing(s)" in result.stdout

@@ -150,7 +150,12 @@ class TestCorpusStore:
         entry = store.ingest(FIXTURE, name="fixture")
         described = store.describe("fixture")
         loaded = store.get("fixture")
-        assert described["digest"] == entry["digest"] == loaded.digest
+        assert (
+            load_trace_path(FIXTURE).digest
+            == entry["digest"]
+            == described["digest"]
+            == loaded.digest
+        )
         assert described["kind"] == "trace"
 
     def test_same_content_shares_one_blob(self, tmp_path):

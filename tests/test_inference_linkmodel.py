@@ -265,6 +265,59 @@ class TestAgreementWithElementSimulator:
             assert ours == pytest.approx(theirs, abs=1e-6)
 
 
+class TestAdvanceComposes:
+    """advance(t₁+t₂) ≡ advance(t₁)∘advance(t₂): where the clock pauses on
+    the way to a time must not change what has happened by that time."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        send_gaps=st.lists(st.floats(min_value=0.0, max_value=3.0), max_size=12),
+        pauses=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=6),
+        tail=st.floats(min_value=0.0, max_value=30.0),
+        link_rate=st.floats(min_value=6_000.0, max_value=30_000.0),
+        capacity=st.sampled_from([24_000.0, 36_000.0, 96_000.0]),
+        fill=st.sampled_from([0.0, 12_000.0, 24_000.0]),
+        cross_rate=st.sampled_from([0.0, 0.4, 1.1, 2.0]),
+        cross_on=st.booleans(),
+    )
+    def test_pausing_on_the_way_changes_nothing(
+        self, send_gaps, pauses, tail, link_rate, capacity, fill, cross_rate, cross_on
+    ):
+        params = simple_params(
+            link_rate_bps=link_rate,
+            buffer_capacity_bits=capacity,
+            initial_fill_bits=fill,
+            cross_rate_pps=cross_rate,
+            cross_initially_on=cross_on,
+        )
+        sends, now = [], 0.0
+        for seq, gap in enumerate(send_gaps):
+            now += gap
+            sends.append((now, seq))
+        horizon = now + tail
+
+        one_step = LinkModel(params)
+        for at, seq in sends:
+            one_step.send_own(seq, 12_000.0, at)
+        one_step.advance(horizon)
+
+        paused = LinkModel(params)
+        pause_steps = [(fraction * horizon, None) for fraction in pauses]
+        steps = sorted(sends + pause_steps, key=lambda step: step[0])
+        for at, seq in steps:
+            if seq is None:
+                paused.advance(at)
+            else:
+                paused.send_own(seq, 12_000.0, at)
+        paused.advance(horizon)
+
+        # Queue contents, service state, predictions and clock...
+        assert paused.export_state() == one_step.export_state()
+        # ...and what became of the cross traffic.
+        assert paused.cross.deliveries == one_step.cross.deliveries
+        assert paused.cross.drops == one_step.cross.drops
+
+
 class TestCrossTallyTrim:
     def test_trim_drops_entries_before_cutoff(self):
         model = LinkModel(simple_params(cross_rate_pps=0.5, cross_packet_bits=12_000.0))

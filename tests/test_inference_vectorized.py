@@ -422,6 +422,74 @@ class TestPropertyStyle:
         assert_equivalent(scalar, vectorized)
 
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.floats(min_value=6_000.0, max_value=30_000.0),
+                st.sampled_from([24_000.0, 36_000.0, 96_000.0]),
+                st.sampled_from([0.0, 12_000.0, 24_000.0]),
+                st.sampled_from([0.0, 0.4, 1.1, 2.0]),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+        send_gaps=st.lists(st.floats(min_value=0.0, max_value=3.0), max_size=10),
+        pauses=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=6),
+        tail=st.floats(min_value=0.0, max_value=30.0),
+    )
+    def test_advance_composes(self, rows, send_gaps, pauses, tail):
+        """advance(t₁+t₂) ≡ advance(t₁)∘advance(t₂) on an ``EnsembleState``:
+        pausing the shared clock on the way changes no row."""
+        from repro.inference.vectorized import EnsembleState, engine
+
+        def ensemble():
+            return EnsembleState.from_hypotheses(
+                [
+                    Hypothesis.from_params(
+                        {
+                            "link_rate_bps": link_rate,
+                            "buffer_capacity_bits": capacity,
+                            "initial_fill_bits": fill,
+                            "cross_rate_pps": cross_rate,
+                            "cross_initially_on": cross_on,
+                        }
+                    )
+                    for link_rate, capacity, fill, cross_rate, cross_on in rows
+                ]
+            )
+
+        sends, now = [], 0.0
+        for seq, gap in enumerate(send_gaps):
+            now += gap
+            sends.append((now, seq))
+        horizon = now + tail
+
+        one_step = ensemble()
+        for at, seq in sends:
+            engine.send_own(one_step, seq, 12_000.0, at)
+        engine.advance(one_step, horizon)
+
+        paused = ensemble()
+        pause_steps = [(fraction * horizon, None) for fraction in pauses]
+        steps = sorted(sends + pause_steps, key=lambda step: step[0])
+        for at, seq in steps:
+            if seq is None:
+                engine.advance(paused, at)
+            else:
+                engine.send_own(paused, seq, 12_000.0, at)
+        engine.advance(paused, horizon)
+
+        assert paused.time == one_step.time
+        for row in range(len(rows)):
+            # Queue contents, service state and predictions, row by row.
+            assert (
+                paused.materialize(row).export_state()
+                == one_step.materialize(row).export_state()
+            )
+
+
 class TestVectorizedSenderIntegration:
     def test_isender_runs_on_vectorized_backend(self):
         from repro.api import SenderConfig

@@ -577,8 +577,8 @@ class TestFrontierSelection:
         assert drain_calls == []
 
     def test_deep_standing_queue_drains(self, drain_calls, monkeypatch):
-        """The 128-packet standing queue of the wake-up bench drains runs —
-        and decides exactly as it would lockstep."""
+        """A 128-packet standing queue drains runs — and decides exactly as
+        it would lockstep, and as the scalar oracle does."""
         from repro.experiments.planner_bench import DEEP_QUEUE, build_decision_state
 
         config = dataclasses.replace(DEEP_QUEUE, max_hypotheses=64, top_k=8)
@@ -596,3 +596,13 @@ class TestFrontierSelection:
         assert drain_calls == []
         assert lockstep.action == drained.action
         assert lockstep.expected_utilities == drained.expected_utilities
+        # The oracle plans over its own scalar belief, whose posterior may
+        # differ from the array one by transcendental rounding: same action,
+        # utilities within the documented cross-backend tolerance.
+        oracle = ExpectedUtilityPlanner(
+            config.alpha_utility, top_k=config.top_k, rollout_backend="scalar"
+        ).decide(build_decision_state(config, "scalar"), config.duration)
+        assert oracle.action.delay == pytest.approx(drained.action.delay, rel=1e-9, abs=1e-9)
+        assert oracle.expected_utilities == pytest.approx(
+            drained.expected_utilities, rel=1e-9, abs=1e-9
+        )
