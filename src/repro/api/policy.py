@@ -80,15 +80,53 @@ def decision_from_payload(payload: dict) -> Decision:
     )
 
 
+#: What a signature's sequences and numbers arrive as: lists from JSON,
+#: tuples from an in-process payload; ``bool`` is not a number here.
+_SEQUENCE = (list, tuple)
+_NUMBER = (float, int)
+
+
 def signature_from_json(value) -> tuple:
     """A belief decision signature decoded from its JSON (nested-list) form.
 
     JSON has no tuples, so a signature travelling through a table file or a
     serving request arrives as nested lists; this restores the exact
     hashable tuple :meth:`~repro.inference.belief.BeliefState.decision_signature`
-    produces, suitable for direct table lookup.
+    produces, suitable for direct table lookup.  It knows the signature's
+    fixed shape — rows of ``(parameter pairs, weight, gate_on,
+    backlog_rounds, busy)`` — and raises :class:`TypeError` or
+    :class:`ValueError` for anything else, so untrusted input never reaches
+    a table or a planner as an unhashable or mis-shaped key.
     """
-    return _tuplify(value)
+    if type(value) not in _SEQUENCE:
+        raise TypeError(f"a signature is a list of rows, not {type(value).__name__}")
+    if not value:
+        raise ValueError("a signature has at least one row")
+    rows = []
+    for row in value:
+        if type(row) not in _SEQUENCE:
+            raise TypeError(f"a signature row is a list, not {type(row).__name__}")
+        pairs, weight, gate_on, backlog_rounds, busy = row
+        params = []
+        # A pair that is not a two-element list fails here too: unpacking
+        # rejects a wrong length, and a string's characters or a dict's
+        # keys are strings, never the number the check below demands.
+        for name, number in pairs:
+            if type(name) is not str or type(number) not in _NUMBER:
+                raise TypeError(
+                    "a parameter pair is (str, number), not "
+                    f"({type(name).__name__}, {type(number).__name__})"
+                )
+            params.append((name, number))
+        if (
+            type(weight) not in _NUMBER
+            or type(gate_on) is not bool
+            or type(backlog_rounds) is not int
+            or type(busy) is not bool
+        ):
+            raise TypeError("a row ends (number weight, bool gate_on, int backlog_rounds, bool busy)")
+        rows.append((tuple(params), weight, gate_on, backlog_rounds, busy))
+    return tuple(rows)
 
 
 class PolicyTable(PolicyCache):
@@ -273,7 +311,7 @@ class PolicyTable(PolicyCache):
             max_entries=int(payload.get("max_entries", 65_536)),
         )
         for entry in payload["entries"]:
-            table._cache[_tuplify(entry["key"])] = decision_from_payload(entry)
+            table._cache[signature_from_json(entry["key"])] = decision_from_payload(entry)
         return table
 
     @classmethod
@@ -292,13 +330,6 @@ class PolicyTable(PolicyCache):
             expected_fingerprint=expected_fingerprint,
             learn=learn,
         )
-
-
-def _tuplify(value):
-    """Recursively convert JSON lists back into the signature's tuples."""
-    if isinstance(value, list):
-        return tuple(_tuplify(item) for item in value)
-    return value
 
 
 def precompute_policy_table(

@@ -391,22 +391,32 @@ class DecisionService:
     # ---------------------------------------------------------------- decide
 
     def decide(
-        self, fingerprint: str, signature: tuple, now: float = 0.0
-    ) -> ServedDecision:
+        self, fingerprint: str, signature: tuple, now: float = 0.0, *, resident_only: bool = False
+    ) -> Optional[ServedDecision]:
         """Answer one decision lookup through the fallback chain.
 
         Never raises for a servable request: every internal failure —
         corrupt table, planner exception, timeout, open breaker — degrades
         to the next tier, and tier 3 cannot fail.  (Malformed *requests*
         are the transport's problem; see the server's 400 handling.)
+
+        With ``resident_only`` the answer is a tier-1 hit on the version
+        already in memory, or ``None`` — nothing counted, no fault index
+        consumed — when answering would take a version load, a live plan
+        or (chaos mode) an injected fault.  That call cannot block, so the
+        server makes it on its event loop and repeats the request in the
+        executor, without the flag, on ``None``.
         """
-        with self._lock:
-            self.counters.requests += 1
-            request_index = self._request_index
-            self._request_index += 1
-        faults = (
-            self.injector.faults_for(request_index) if self.injector is not None else None
-        )
+        faults = None
+        if not resident_only:
+            with self._lock:
+                self.counters.requests += 1
+                request_index = self._request_index
+                self._request_index += 1
+            if self.injector is not None:
+                faults = self.injector.faults_for(request_index)
+        elif self.injector is not None:
+            return None
 
         # Tier 1: registry table lookup at the request signature.
         table = None
@@ -416,6 +426,8 @@ class DecisionService:
             # alone so the fault stays per-request (a *real* corrupt file
             # is quarantined by the registry and affects every reader).
             self._count("table_corrupt")
+        elif resident_only:
+            table = self.registry.lookup(fingerprint, load=False)
         else:
             before = self.registry.corrupt
             table = self.registry.lookup(fingerprint)
@@ -424,7 +436,10 @@ class DecisionService:
         if table is not None:
             decision = table.decision_for(signature)
             if decision is not None:
-                self._count("table_hits")
+                with self._lock:
+                    if resident_only:  # a full call counted its request on entry
+                        self.counters.requests += 1
+                    self.counters.table_hits += 1
                 return ServedDecision(
                     status="ok",
                     tier="table",
@@ -435,6 +450,8 @@ class DecisionService:
                     # CURRENT read a concurrent publish may have moved.
                     table_digest=table.version_digest,
                 )
+        if resident_only:
+            return None
         self._count("table_misses")
 
         # Tier 2: live planning behind the breaker.

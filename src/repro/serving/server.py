@@ -16,9 +16,12 @@ Routes:
 * ``GET /healthz`` / ``GET /readyz`` — liveness / readiness (503 when not
   ready to take traffic); ``GET /metrics`` — counter snapshot.
 
-Decisions run in the service's thread pool via ``run_in_executor``, so a
-slow live-planning fallback never blocks the event loop — health probes
-stay responsive while tier 2 grinds.
+What runs where: a ``/decide`` whose table version is already in memory and
+still the one ``CURRENT`` names is answered on the event loop — a pointer
+read and two dict lookups, nothing that can block.  Everything else (a
+version load after a publish or ``/reload``, live planning, chaos mode) runs
+in the loop's thread pool via ``run_in_executor``, so health probes stay
+responsive while tier 2 grinds.
 """
 
 from __future__ import annotations
@@ -51,6 +54,16 @@ def _render_response(status: int, payload: dict, *, keep_alive: bool) -> bytes:
         "\r\n"
     ).encode("ascii")
     return head + body
+
+
+def _parse_head(head: bytes) -> tuple[list[str], dict[str, str]]:
+    """The start line's words and the (lower-cased) headers of one message head."""
+    start_line, *lines = head[:-4].decode("latin-1").split("\r\n")
+    headers: dict[str, str] = {}
+    for line in lines:
+        name, _, value = line.partition(":")
+        headers[name.strip().lower()] = value.strip()
+    return start_line.split(), headers
 
 
 class PolicyServer:
@@ -118,7 +131,13 @@ class PolicyServer:
     ) -> None:
         try:
             while True:
-                request = await self._read_request(reader)
+                try:
+                    request = await self._read_request(reader)
+                except ValueError as error:  # a head that does not parse
+                    payload = {"status": "error", "error": f"malformed request head: {error}"}
+                    writer.write(_render_response(400, payload, keep_alive=False))
+                    await writer.drain()
+                    break
                 if request is None:
                     break
                 method, path, body, keep_alive = request
@@ -142,30 +161,22 @@ class PolicyServer:
     async def _read_request(
         self, reader: asyncio.StreamReader
     ) -> Optional[tuple[str, str, bytes, bool]]:
-        """One HTTP/1.1 request: ``(method, path, body, keep_alive)``."""
+        """One HTTP/1.1 request, ``(method, path, body, keep_alive)``; ``None`` when
+        the client went away or announced a body not worth reading; raises
+        :class:`ValueError` when the head does not parse."""
         try:
-            request_line = await reader.readline()
-        except (ConnectionError, asyncio.LimitOverrunError):
+            head = await reader.readuntil(b"\r\n\r\n")
+        except (ConnectionError, asyncio.IncompleteReadError, asyncio.LimitOverrunError):
             return None
-        if not request_line:
-            return None
-        parts = request_line.decode("latin-1").split()
+        parts, headers = _parse_head(head)
         if len(parts) < 2:
             return None
-        method, path = parts[0].upper(), parts[1]
-        headers: dict[str, str] = {}
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        length = int(headers.get("content-length") or 0)
         if length < 0 or length > MAX_BODY_BYTES:
             return None
         body = await reader.readexactly(length) if length else b""
         keep_alive = headers.get("connection", "keep-alive").lower() != "close"
-        return method, path, body, keep_alive
+        return parts[0].upper(), parts[1], body, keep_alive
 
     # --------------------------------------------------------------- routing
 
@@ -195,21 +206,26 @@ class PolicyServer:
             fingerprint = str(request["fingerprint"])
             signature = signature_from_json(request["signature"])
             now = float(request.get("now", 0.0))
-        except (ValueError, KeyError, TypeError, UnicodeDecodeError) as error:
+        except (ValueError, KeyError, TypeError, RecursionError) as error:
             return 400, {"status": "error", "error": f"malformed /decide request: {error}"}
 
         if self._pending >= self.max_pending:
             served = self.service.shed(fingerprint)
             return 200, served.to_payload(self.service.counters_snapshot())
 
-        self._pending += 1
-        try:
-            loop = asyncio.get_running_loop()
-            served = await loop.run_in_executor(
-                None, self.service.decide, fingerprint, signature, now
-            )
-        finally:
-            self._pending -= 1
+        served = None
+        if self.service.registry.is_resident(fingerprint):
+            # A hit on a version already in memory is answered right here; with
+            # nothing resident there is none to try, only the one full call.
+            served = self.service.decide(fingerprint, signature, now, resident_only=True)
+        if served is None:
+            self._pending += 1
+            try:
+                served = await asyncio.get_running_loop().run_in_executor(
+                    None, self.service.decide, fingerprint, signature, now
+                )
+            finally:
+                self._pending -= 1
         return 200, served.to_payload(self.service.counters_snapshot())
 
 
@@ -262,18 +278,12 @@ class PolicyClient:
         self._writer.write(head + body)
         await self._writer.drain()
 
-        status_line = await self._reader.readline()
-        if not status_line:
-            raise ServingError("policy server closed the connection")
-        status = int(status_line.split()[1])
-        length = 0
-        while True:
-            line = await self._reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            if name.strip().lower() == "content-length":
-                length = int(value.strip())
+        try:
+            head = await self._reader.readuntil(b"\r\n\r\n")
+        except asyncio.IncompleteReadError as error:
+            raise ServingError("policy server closed the connection") from error
+        parts, headers = _parse_head(head)
+        status, length = int(parts[1]), int(headers.get("content-length") or 0)
         data = await self._reader.readexactly(length) if length else b""
         return status, json.loads(data.decode("utf-8")) if data else {}
 

@@ -14,6 +14,7 @@ per-tier counters against an independent reference walk of the same plan.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 import subprocess
 import sys
@@ -815,16 +816,13 @@ class TestPolicyServerHTTP:
 
     def test_concurrent_overload_sheds_some_and_answers_all(self, published):
         config, table, registry = published
-        service = DecisionService(registry, [config])
-        signature = table.signatures()[0]
+        service = DecisionService(registry, [config], planner_timeout=5.0)
+        # A table hit is answered on the event loop and cannot be made slow;
+        # what can pile up is the planner tier: a signature outside the
+        # table, planned by a planner that waits.
+        signature = off_table_signature(table)
         slow = threading.Event()
-        original = service.decide
-
-        def slowed(fingerprint, sig, now=0.0):
-            slow.wait(0.3)
-            return original(fingerprint, sig, now)
-
-        service.decide = slowed  # type: ignore[method-assign]
+        gate_planner(service, config, slow, wait=0.3)
 
         async def scenario():
             server = PolicyServer(service, max_pending=2)
@@ -851,6 +849,384 @@ class TestPolicyServerHTTP:
         assert all(status in ("ok", "overloaded") for status in statuses)
         assert statuses.count("overloaded") >= 1  # admission control engaged
         assert all(payload["decision"]["delay"] >= 0.0 for payload in payloads)
+
+
+# ------------------------------------------------------- hostile requests
+
+#: Shapes a confused or hostile client can put where a signature belongs;
+#: every one must be the transport's 400, never a tier's problem.
+MALFORMED_SIGNATURES = {
+    "non-list": {"rows": 1},
+    "empty": [],
+    "dict element": [{"a": 1}],
+    "wrong row arity": [[1, 2]],
+    "list-valued parameter": [[[["link_rate_bps", [12_000.0]]], 0.5, True, 0, False]],
+    "nested pair": [[[[["link_rate_bps", 12_000.0]]], 0.5, True, 0, False]],
+    "string weight": [[[["link_rate_bps", 12_000.0]], "0.5", True, 0, False]],
+}
+
+
+@contextlib.asynccontextmanager
+async def serving(service, clients: int = 1, **server_options):
+    """``(server, *clients)``: a started server and its keep-alive clients."""
+    server = PolicyServer(service, **server_options)
+    await server.start()
+    connected = [PolicyClient(port=server.port) for _ in range(clients)]
+    try:
+        yield (server, *connected)
+    finally:
+        for client in connected:
+            await client.close()
+        await server.stop()
+
+
+def raw_exchange(service, request: bytes) -> bytes:
+    """Send raw bytes to a fresh server; everything it answers before it closes."""
+
+    async def scenario():
+        async with serving(service, clients=0) as (server,):
+            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+            try:
+                writer.write(request)
+                await writer.drain()
+                return await asyncio.wait_for(reader.read(), timeout=5.0)
+            finally:
+                writer.close()
+
+    return run_async(scenario())
+
+
+class TestHostileRequests:
+    @pytest.mark.parametrize(
+        "signature", MALFORMED_SIGNATURES.values(), ids=MALFORMED_SIGNATURES.keys()
+    )
+    def test_malformed_signature_is_a_400_that_counts_nothing(
+        self, published, signature
+    ):
+        config, table, registry = published
+        service = DecisionService(registry, [config])
+        fingerprint = config.fingerprint()
+
+        async def scenario():
+            async with serving(service) as (_, client):
+                with pytest.raises(ServingError, match=r"\(400\)"):
+                    await client.decide(fingerprint, signature)
+                connection = client._writer
+                assert service.counters_snapshot() == fallback.ServingCounters().snapshot()
+                assert service.breaker_for(fingerprint).state == "closed"
+                # The keep-alive connection survived the 400.
+                good = await client.decide(fingerprint, table.signatures()[0])
+                assert client._writer is connection
+                assert good["tier"] == "table"
+                assert good["counters"]["requests"] == 1
+
+        run_async(scenario())
+
+    def test_malformed_requests_cannot_open_the_breaker(self, published, tmp_path):
+        """Three bad bodies used to switch tier 2 off for everyone."""
+        config, table, _ = published
+        service = DecisionService(
+            PolicyTableRegistry(tmp_path), [config], breaker_threshold=3
+        )
+        fingerprint = config.fingerprint()
+
+        async def scenario():
+            async with serving(service) as (_, client):
+                for _ in range(3):
+                    with pytest.raises(ServingError, match=r"\(400\)"):
+                        await client.decide(fingerprint, [[1, 2]])
+                return await client.decide(fingerprint, table.signatures()[0])
+
+        payload = run_async(scenario())
+        assert payload["tier"] == "planner"
+        counters = service.counters_snapshot()
+        assert counters["requests"] == 1
+        assert counters["planner_failures"] == counters["breaker_open"] == 0
+        assert service.breaker_for(fingerprint).state == "closed"
+
+    def test_unparseable_content_length_is_a_400_and_a_close(self, published):
+        config, _, registry = published
+        service = DecisionService(registry, [config])
+        answer = raw_exchange(  # read to EOF: the server closed
+            service, b"POST /decide HTTP/1.1\r\nContent-Length: abc\r\n\r\n"
+        )
+        assert answer.startswith(b"HTTP/1.1 400 ")
+        assert b"Connection: close" in answer
+        assert b"malformed request head" in answer
+        assert service.counters_snapshot() == fallback.ServingCounters().snapshot()
+
+    def test_body_nested_past_the_recursion_limit_is_a_400(self, published):
+        config, _, registry = published
+        service = DecisionService(registry, [config])
+        body = b'{"fingerprint": "f", "signature": %s%s}' % (b"[" * 100_000, b"]" * 100_000)
+        answer = raw_exchange(
+            service,
+            b"POST /decide HTTP/1.1\r\nConnection: close\r\n"
+            b"Content-Length: %d\r\n\r\n%s" % (len(body), body),
+        )
+        assert answer.startswith(b"HTTP/1.1 400 ")
+        assert service.counters_snapshot()["requests"] == 0
+
+    @pytest.mark.parametrize("length", [-1, 1_000_001], ids=["negative", "oversized"])
+    def test_unreadable_content_length_closes_without_reading_the_body(
+        self, published, length
+    ):
+        config, _, registry = published
+        service = DecisionService(registry, [config])
+        answer = raw_exchange(
+            service, b"POST /decide HTTP/1.1\r\nContent-Length: %d\r\n\r\n{}" % length
+        )
+        assert answer == b""
+        assert service.counters_snapshot()["requests"] == 0
+
+
+# ----------------------------------------- table hits on the event loop
+
+
+def gate_planner(service, config, gate: threading.Event, wait: float = 5.0) -> list[int]:
+    """Make ``config``'s live planner wait for ``gate`` before it plans.
+
+    Returns the list the gated planner appends its thread id to, one entry
+    per live plan.
+    """
+    threads: list[int] = []
+    planner = config.build_planner()
+    plan = planner.decide
+
+    def gated(belief, now):
+        threads.append(threading.get_ident())
+        gate.wait(wait)
+        return plan(belief, now)
+
+    planner.decide = gated
+    service._planners[config.fingerprint()] = planner
+    return threads
+
+
+def record_decides(service) -> list[tuple[int, bool, bool]]:
+    """Wrap ``service.decide``; one ``(thread, resident_only, answered)`` per call."""
+    calls: list[tuple[int, bool, bool]] = []
+    decide = service.decide
+
+    def recording(*args, **kwargs):
+        served = decide(*args, **kwargs)
+        calls.append(
+            (threading.get_ident(), kwargs.get("resident_only", False), served is not None)
+        )
+        return served
+
+    service.decide = recording
+    return calls
+
+
+def two_versions(config):
+    """Two table versions of one config, and a signature both hold."""
+    first, second = (
+        precompute_policy_table(
+            config, pilot_duration=5.0, burst_levels=levels, seed=seed
+        )
+        for levels, seed in (((0, 2), 2), ((0, 1, 2), 3))
+    )
+    common = sorted(set(first.signatures()) & set(second.signatures()))
+    assert common, "the two versions share no signatures"
+    return first, second, common[0]
+
+
+class TestTableHitsOnTheLoop:
+    """What answering resident-table hits on the event loop must not change."""
+
+    def test_publish_and_reload_take_effect_on_the_next_request(self, tmp_path):
+        config = fast_config()
+        first, second, signature = two_versions(config)
+        registry = PolicyTableRegistry(tmp_path)
+        digests = [registry.publish(first).stem]
+        service = DecisionService(registry, [config])
+        fingerprint = config.fingerprint()
+        calls = record_decides(service)
+        load_threads: list[int] = []
+        load_version = registry._load_version
+
+        def recording_load(*args):
+            load_threads.append(threading.get_ident())
+            return load_version(*args)
+
+        registry._load_version = recording_load
+
+        async def scenario():
+            seen = []
+            async with serving(service) as (_, client):  # one keep-alive connection
+
+                async def ask():
+                    reply = await client.decide(fingerprint, signature)
+                    seen.append((reply["tier"], reply["table_digest"], registry.loads))
+
+                await ask()  # cold: the load runs in the pool
+                await ask()  # resident: answered on the loop
+                digests.append(registry.publish(second).stem)
+                await ask()  # the very next reply is the new version's
+                await ask()
+                assert (await client.reload())["dropped"] == 1
+                await ask()  # dropped from memory: loaded again, in the pool
+            return threading.get_ident(), seen
+
+        loop_thread, seen = run_async(scenario())
+        old, new = digests
+        assert old != new
+        assert seen == [
+            ("table", old, 1), ("table", old, 1),
+            ("table", new, 2), ("table", new, 2),
+            ("table", new, 3),
+        ]
+        # Every load ran off the loop; the two hits between loads ran on it.
+        assert len(load_threads) == 3 and loop_thread not in load_threads
+        assert [call for call in calls if call[1] and call[2]] == [(loop_thread, True, True)] * 2
+        assert all(thread != loop_thread for thread, resident_only, _ in calls if not resident_only)
+        counters = service.counters_snapshot()
+        assert counters["requests"] == counters["table_hits"] == 5
+
+    def test_corrupt_current_version_is_quarantined_and_the_planner_answers(
+        self, tmp_path
+    ):
+        config = fast_config()
+        table = precompute_policy_table(
+            config, pilot_duration=5.0, burst_levels=(0, 2), seed=2
+        )
+        registry = PolicyTableRegistry(tmp_path)
+        good = registry.publish(table)
+        service = DecisionService(registry, [config])
+        fingerprint = config.fingerprint()
+        signature = table.signatures()[0]
+
+        async def scenario():
+            async with serving(service) as (_, client):
+                replies = [await client.decide(fingerprint, signature)]
+                # A torn version lands and CURRENT names it, while the good
+                # version is still the one in memory.
+                torn = good.with_name("0123456789abcdef.json")
+                torn.write_bytes(good.read_bytes()[:100])
+                good.with_name("CURRENT").write_text(torn.stem + "\n")
+                replies.append(await client.decide(fingerprint, signature))
+                replies.append(await client.decide(fingerprint, signature))
+            return replies
+
+        replies = run_async(scenario())
+        assert [reply["tier"] for reply in replies] == ["table", "planner", "planner"]
+        assert "table_digest" not in replies[1]
+        assert (tmp_path / "quarantine" / "0123456789abcdef.json").exists()
+        counters = service.counters_snapshot()
+        assert counters["table_corrupt"] == registry.corrupt == 1
+        assert counters["requests"] == 3
+        assert (counters["table_hits"], counters["planner_fallbacks"]) == (1, 2)
+
+    def test_with_an_injector_nothing_is_answered_on_the_loop(self, published):
+        config, table, registry = published
+        fingerprint = config.fingerprint()
+        assert registry.lookup(fingerprint) is not None  # resident from the start
+        requests = 10
+        injector = ServingFaultInjector(
+            FaultPlan(seed=5, exception_rate=0.5, corrupt=3), requests
+        )
+        service = DecisionService(registry, [config], injector=injector)
+        calls = record_decides(service)
+        known = table.signatures()
+        stream = [
+            off_table_signature(table) if index % 3 == 2 else known[index % len(known)]
+            for index in range(requests)
+        ]
+
+        async def scenario():
+            async with serving(service) as (_, client):
+                return threading.get_ident(), [
+                    await client.decide(fingerprint, signature) for signature in stream
+                ]
+
+        loop_thread, replies = run_async(scenario())
+        assert all(reply["status"] == "ok" for reply in replies)
+        assert not any(answered for _, resident_only, answered in calls if resident_only)
+        # Every fault is injected inside a full call, and those ran in the pool.
+        full = [thread for thread, resident_only, _ in calls if not resident_only]
+        assert len(full) == requests and loop_thread not in full
+        assert service.counters_snapshot()["table_corrupt"] == 3
+
+    def test_probes_and_hits_answer_while_a_planner_request_hangs(self, published):
+        config, table, registry = published
+        service = DecisionService(registry, [config], planner_timeout=10.0)
+        fingerprint = config.fingerprint()
+        gate = threading.Event()
+        planner_threads = gate_planner(service, config, gate)
+
+        async def scenario():
+            async with serving(service, clients=2) as (_, client, slow_client):
+                try:
+                    await client.decide(fingerprint, table.signatures()[0])
+                    hanging = asyncio.create_task(
+                        slow_client.decide(fingerprint, off_table_signature(table))
+                    )
+                    for _ in range(500):  # until the live plan is really running
+                        if planner_threads:
+                            break
+                        await asyncio.sleep(0.01)
+                    status, health = await asyncio.wait_for(client.get("/healthz"), 2.0)
+                    hit = await asyncio.wait_for(
+                        client.decide(fingerprint, table.signatures()[0]), 2.0
+                    )
+                    still_hanging = not hanging.done()
+                finally:
+                    gate.set()
+                slow = await asyncio.wait_for(hanging, 10.0)
+            return threading.get_ident(), status, health, hit, still_hanging, slow
+
+        loop_thread, status, health, hit, still_hanging, slow = run_async(scenario())
+        assert still_hanging
+        assert status == 200 and health["status"] == "ok"
+        assert hit["tier"] == "table"
+        assert slow["tier"] == "planner"
+        assert planner_threads and loop_thread not in planner_threads
+
+    def test_mixed_stream_keeps_the_counter_identity(self, published):
+        config, table, registry = published
+        service = DecisionService(registry, [config])
+        fingerprint = config.fingerprint()
+        known = table.signatures()
+        stream = []
+        for index in range(12):
+            stream += [known[index % len(known)]]
+            if index % 3 == 0:
+                stream += [off_table_signature(table, bump=1 + index)]
+            if index % 4 == 0:
+                stream += [[[1, 2]]]  # a 400: counts nothing
+
+        async def scenario():
+            tiers = []
+            async with serving(service, max_pending=2) as (server, client):
+                for signature in stream:
+                    try:
+                        reply = await client.decide(fingerprint, signature)
+                    except ServingError:
+                        continue
+                    tiers.append((reply["status"], reply["tier"]))
+                # Saturated admission control sheds even a hit on a table
+                # that is in memory: the check sits in front of the loop path.
+                assert registry.is_resident(fingerprint)
+                server._pending = server.max_pending
+                shed = await client.decide(fingerprint, known[0])
+                server._pending = 0
+                tiers.append((shed["status"], shed["tier"]))
+            return tiers
+
+        tiers = run_async(scenario())
+        assert tiers.count(("ok", "table")) == 12
+        assert tiers.count(("ok", "planner")) == 4
+        assert tiers[-1] == ("overloaded", "default")
+        counters = service.counters_snapshot()
+        assert counters["requests"] == len(tiers) == 17
+        assert counters["shed"] == 1
+        assert (
+            counters["table_hits"]
+            + counters["planner_fallbacks"]
+            + counters["default_served"]
+            == counters["requests"] - counters["shed"]
+        )
 
 
 # ------------------------------------------------------- chaos acceptance
