@@ -1,13 +1,14 @@
 """Micro-benchmarks below the ledger's resolution; one run writes ``BENCH_micro.json`` whole.
 
 Speed claims are made end to end, on the ``BENCHMARK.json`` workloads
-(``benchmarks/e2e/``).  These seven timings are hot spots a ledger workload
+(``benchmarks/e2e/``).  These eight timings are hot spots a ledger workload
 dilutes until a regression hides inside its bound: the bare event loop
 (heap one deep, and ~1 250 deep under timer churn), an element chain, the
-scalar link model, a small belief, the in-process half of a served table
-decision, and the process backend's fixed cost per point.
+scalar link model, a small belief, the wake-ups of an array belief that has
+settled on one hypothesis, the in-process half of a served table decision,
+and the process backend's fixed cost per point.
 
-The six single-process entries are **pace-corrected seconds**.  The host
+The seven single-process entries are **pace-corrected seconds**.  The host
 drifts 30–60 % for minutes at a time, so each timed run of a workload is
 interleaved with a run of the ledger's fixed reference kernel
 (``benchmarks/e2e/e2e_pace.kernel``, imported read-only) and the entry is
@@ -31,6 +32,7 @@ Refresh the baseline alongside a change that moves one of these on purpose::
 
 from __future__ import annotations
 
+import copy
 import statistics
 import time
 from pathlib import Path
@@ -53,6 +55,13 @@ E2E_DIR = Path(__file__).resolve().parent / "e2e"
 REPEATS = 25
 
 TABLE_DECIDES = 1_000
+
+#: The settled-belief entry: beliefs × rounds each = 1 000 wake-ups.  A
+#: ``contention_isender32`` pass gives each sender ≈270 updates; one belief
+#: run much longer would mostly time ``Hypothesis.score`` re-reading every
+#: prediction it ever made.
+SETTLED_BELIEFS = 4
+SETTLED_ROUNDS = 250
 
 #: The fan-out entry: points, workers, repeats (median taken), ceiling.
 NOOP_POINTS = 64
@@ -145,6 +154,45 @@ def run_belief_updates() -> int:
     return belief.updates_applied
 
 
+def settled_wakeups():
+    """1 000 wake-ups of array-backend beliefs that have settled on one row.
+
+    The ``many_flow_contention`` sender's prior shape (7 link rates × 3
+    fills, no gate to fork on), driven until one row is left and the belief
+    has handed it to the scalar kernel; each round is then what a settled
+    sender's wake-up costs the belief — ``record_send``, ``update`` with one
+    acknowledgement, ``decision_signature`` for the policy cache.  This is
+    >90 % of ``contention_isender32``'s updates, which the ledger's 25 %
+    bound would let slip back into the array kernel unnoticed.
+    """
+    prior = single_link_prior(
+        link_rate_low=4_000.0, link_rate_high=40_000.0, link_rate_points=7, fill_points=3
+    )
+    settled = BeliefState.from_prior(prior, backend="vectorized", kernel=GaussianKernel(sigma=0.15))
+
+    def wake_ups(belief: BeliefState, first_seq: int, rounds: int) -> None:
+        for seq in range(first_seq, first_seq + rounds):
+            at = float(seq)
+            belief.record_send(seq, 12_000.0, at)
+            belief.update(at + 0.8, [AckObservation(seq=seq, received_at=at + 0.75, ack_at=at + 0.75)])
+            belief.decision_signature(4, 3_000.0)
+
+    warm_up = 0
+    while settled.state is not None:
+        wake_ups(settled, warm_up, 1)
+        warm_up += 1
+
+    def run_settled_wakeups() -> int:
+        applied = 0
+        for _ in range(SETTLED_BELIEFS):
+            belief = copy.deepcopy(settled)
+            wake_ups(belief, warm_up, SETTLED_ROUNDS)
+            applied += belief.updates_applied - settled.updates_applied
+        return applied
+
+    return run_settled_wakeups
+
+
 def table_decides(registry_dir: Path):
     """``TABLE_DECIDES`` served decisions, every one a published-table hit.
 
@@ -215,7 +263,11 @@ def test_micro_record(bench_record, tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(str(E2E_DIR))
     from e2e_pace import NOMINAL_KERNEL_S, kernel
 
-    workloads = {**SINGLE_PROCESS, "table_decide_1k": (table_decides(tmp_path), TABLE_DECIDES)}
+    workloads = {
+        **SINGLE_PROCESS,
+        "settled_wakeups_1k": (settled_wakeups(), SETTLED_BELIEFS * SETTLED_ROUNDS),
+        "table_decide_1k": (table_decides(tmp_path), TABLE_DECIDES),
+    }
     entries = {}
     for label, (workload, expected) in workloads.items():
         assert workload() == expected  # also warms caches and allocators

@@ -14,7 +14,10 @@ oracle, and one NumPy array engine that answers to two accepted spellings,
 ``"vectorized"`` and ``"fused"`` (one target registered under both names).
 The spelling is still part of a point's identity — it feeds
 ``SenderConfig.fingerprint()``, hence derived seeds and cache keys — so
-both stay valid.
+both stay valid.  Naming the array belief names its class, not a promise
+that every update runs in NumPy: an array belief left with one row that
+cannot fork runs the reference kernel on it from then on (see
+:mod:`repro.inference.vectorized.belief`), with ``state`` reading ``None``.
 
 Engines *self-register*: ``repro.inference.belief`` registers ``"scalar"``
 at import, ``repro.inference.vectorized.belief`` registers the array

@@ -32,7 +32,11 @@ from repro.units import DEFAULT_PACKET_BITS
 
 @dataclass(slots=True)
 class DecisionRecord:
-    """One planning step taken by the sender (kept for analysis and tests)."""
+    """One planning step taken by the sender (kept for analysis and tests).
+
+    ``expected_utilities`` is the decision's own mapping, not a copy: with a
+    policy cache most records of a run share a handful of them.  Read-only.
+    """
 
     time: float
     delay: float
@@ -162,7 +166,7 @@ class ISender(SourceElement):
                     delay=decision.delay,
                     sent_seq=self._next_seq if decision.send_now else None,
                     hypotheses=decision.hypotheses_evaluated,
-                    expected_utilities=dict(decision.expected_utilities),
+                    expected_utilities=decision.expected_utilities,
                 )
             )
             if decision.send_now and sends_this_wake < self.max_sends_per_wake:

@@ -162,7 +162,7 @@ class BeliefState:
     @property
     def weights(self) -> list[float]:
         """The current normalized weights (aligned with :attr:`hypotheses`)."""
-        return list(self._weights)
+        return list(self._weight_values())
 
     def __len__(self) -> int:
         return len(self._hypotheses)
@@ -268,6 +268,15 @@ class BeliefState:
 
     def update(self, now: float, acks: Iterable[AckObservation] = ()) -> None:
         """Advance every hypothesis to ``now`` and condition on the new acks."""
+        self._update_hypotheses(now, acks)
+
+    def _update_hypotheses(self, now: float, acks: Iterable[AckObservation]) -> None:
+        """The reference update over ``_hypotheses``.
+
+        Apart from :meth:`update` so that an array belief that has handed
+        its last row over can run it without entering :meth:`update` twice:
+        a wake-up is one ``update`` call, whichever kernel serves it.
+        """
         acks = list(acks)
         self.acked_seqs.update(ack.seq for ack in acks)
 
@@ -354,7 +363,12 @@ class BeliefState:
     def _compact(
         self, hypotheses: list[Hypothesis], weights: list[float]
     ) -> tuple[list[Hypothesis], list[float]]:
-        """Merge hypotheses whose latent states have become identical (§3.2)."""
+        """Merge hypotheses whose latent states have become identical (§3.2).
+
+        Fewer than two cannot merge, so no signature is built for them.
+        """
+        if len(hypotheses) < 2:
+            return hypotheses, weights
         merged: dict[tuple, int] = {}
         kept: list[Hypothesis] = []
         kept_weights: list[float] = []

@@ -7,7 +7,13 @@
 in one :class:`~repro.inference.vectorized.state.EnsembleState` and runs
 every step of the sequential Bayesian update — forward simulation, gate
 forking, scoring, compaction, pruning, renormalization — as batched array
-operations over struct-of-arrays buffers.
+operations over struct-of-arrays buffers, while there is an ensemble to
+batch.  A posterior that has collapsed to a single row with no latent gate
+to fork on is a point estimate, not an ensemble: the update that leaves one
+hands that row to the reference kernel for good (rows are only ever added by
+gate forking, so a fork-free ensemble never grows back), the buffers are
+dropped, ``state`` reads ``None``, and every later call on the belief runs
+the :class:`BeliefState` code on that one :class:`Hypothesis`.
 
 Equivalence contract with the scalar backend (exercised by
 ``tests/test_inference_vectorized.py``): the two backends apply the same
@@ -79,20 +85,18 @@ class VectorizedBeliefState(BeliefState):
     # -------------------------------------------------------------- inspection
 
     @property
-    def state(self) -> EnsembleState:
-        """The underlying struct-of-arrays ensemble (read-mostly)."""
+    def state(self) -> Optional[EnsembleState]:
+        """The struct-of-arrays ensemble (read-mostly); ``None`` once settled."""
         return self._state
 
     @property
     def hypotheses(self) -> list[Hypothesis]:
+        if self._state is None:
+            return super().hypotheses
         return [self._state.materialize(row) for row in range(self._state.size)]
 
-    @property
-    def weights(self) -> list[float]:
-        return self._weight_array.tolist()
-
     def __len__(self) -> int:
-        return self._state.size
+        return len(self._hypotheses) if self._state is None else self._state.size
 
     def __iter__(self):
         return iter(zip(self.hypotheses, self.weights))
@@ -103,12 +107,17 @@ class VectorizedBeliefState(BeliefState):
         The planner's no-materialization accessor.  A stable argsort on the
         negated weights reproduces the scalar backend's ``heapq.nlargest``
         selection exactly (both order descending with ties broken toward
-        the lower index).
+        the lower index).  A settled belief has no rows (``state`` is
+        ``None``); the planner reads it through :meth:`top`.
         """
+        if self._state is None:
+            raise InferenceError("a settled belief holds no rows; use top()")
         order = np.argsort(-self._weight_array, kind="stable")[:count]
         return order, self._weight_array[order].tolist()
 
     def top(self, count: int) -> list[tuple[Hypothesis, float]]:
+        if self._state is None:
+            return super().top(count)
         rows, weights = self.top_rows(count)
         return [
             (self._state.materialize(int(row)), weight)
@@ -116,15 +125,21 @@ class VectorizedBeliefState(BeliefState):
         ]
 
     def map_estimate(self) -> Hypothesis:
+        if self._state is None:
+            return super().map_estimate()
         weights = self._weight_array.tolist()
         return self._state.materialize(max(range(len(weights)), key=weights.__getitem__))
 
     def map_link_rate_bps(self) -> float:
+        if self._state is None:
+            return super().map_link_rate_bps()
         weights = self._weight_array.tolist()
         row = max(range(len(weights)), key=weights.__getitem__)
         return float(self._state.link_rate[row])
 
     def decision_signature(self, count: int, queue_resolution_bits: float) -> tuple:
+        if self._state is None:
+            return super().decision_signature(count, queue_resolution_bits)
         rows, weights = self.top_rows(count)
         state = self._state
         parts = []
@@ -148,17 +163,24 @@ class VectorizedBeliefState(BeliefState):
     # are inherited: the base-class formulas read these two storage hooks.
 
     def _weight_values(self) -> list[float]:
-        return self._weight_array.tolist()
+        return self._weights if self._state is None else self._weight_array.tolist()
 
     def _parameter_dicts(self):
+        if self._state is None:
+            return super()._parameter_dicts()
         return self._state.params_dicts
 
     # ------------------------------------------------------------------ update
 
     def record_send(self, seq: int, size_bits: float, time: float) -> None:
+        if self._state is None:
+            return super().record_send(seq, size_bits, time)
         engine.send_own(self._state, seq, size_bits, time)
 
     def update(self, now: float, acks: Iterable[AckObservation] = ()) -> None:
+        if self._state is None:
+            # Not super().update(): one wake-up is one ``update`` call.
+            return self._update_hypotheses(now, acks)
         acks = list(acks)
         self.acked_seqs.update(ack.seq for ack in acks)
 
@@ -243,8 +265,22 @@ class VectorizedBeliefState(BeliefState):
                     ],
                 },
             )
+        self._hand_off_settled_row()
 
     # ----------------------------------------------------------------- helpers
+
+    def _hand_off_settled_row(self) -> None:
+        """Leave the array kernel once one row that cannot fork is left.
+
+        One way and without a threshold: only gate forking adds rows, so
+        from here on there is nothing to batch over and the reference kernel
+        is the cheaper one (a forking row stays: it is two rows next update).
+        """
+        state = self._state
+        if state.size == 1 and not engine.can_fork(state)[0]:
+            self._hypotheses = [state.materialize(0)]
+            self._weights = self._weight_array.tolist()
+            self._state = self._weight_array = None
 
     def _compact_rows(
         self, state: EnsembleState, rows: np.ndarray, weights: np.ndarray

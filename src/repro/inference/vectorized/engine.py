@@ -68,6 +68,11 @@ def send_own(state: EnsembleState, seq: int, size_bits: float, time: float) -> N
     _enqueue(state, rows, times, flows, seqs, sizes)
 
 
+def can_fork(state: EnsembleState) -> np.ndarray:
+    """Rows with a latent memoryless gate: the only source of new rows."""
+    return state.has_cross & ~np.isnan(state.mtts)
+
+
 def fork_and_advance(
     state: EnsembleState, now: float
 ) -> tuple[EnsembleState, np.ndarray, np.ndarray]:
@@ -84,7 +89,7 @@ def fork_and_advance(
     if interval <= 1e-12:
         return state, np.arange(size), np.ones(size)
 
-    forking = state.has_cross & ~np.isnan(state.mtts)
+    forking = can_fork(state)
     fork_idx = np.nonzero(forking)[0]
     if fork_idx.size == 0:
         advance(state, now)

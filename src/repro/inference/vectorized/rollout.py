@@ -705,20 +705,21 @@ def decide_vectorized(
     accepted spellings, ``"vectorized"`` and ``"fused"``;
     ``ExpectedUtilityPlanner.decide`` dispatches here for either.
 
-    An array belief hands over its ensemble rows as they are (``top_rows``,
-    no scalar ``Hypothesis`` is materialized anywhere on the decide path); a
-    scalar belief's top hypotheses are packed through
-    :meth:`EnsembleState.from_hypotheses`, which rejects hypotheses that do
-    not share one model clock.  The probability-weighted aggregation is a
-    Python-float loop in the scalar oracle's order, so expected utilities
-    differ from it only by the utility's own transcendental rounding.
+    An array belief that holds an ensemble hands over its rows as they are
+    (``top_rows``, no scalar ``Hypothesis`` is materialized anywhere on the
+    decide path); a scalar belief's top hypotheses — and the one hypothesis
+    of an array belief that has settled, whose ``state`` is ``None`` — are
+    packed through :meth:`EnsembleState.from_hypotheses`, which rejects
+    hypotheses that do not share one model clock.  The probability-weighted
+    aggregation is a Python-float loop in the scalar oracle's order, so
+    expected utilities differ from it only by the utility's own
+    transcendental rounding.
     """
     from repro.core.planner import Decision, rollout_outcome_digest
 
-    top_rows = getattr(belief, "top_rows", None)
-    if top_rows is not None:
-        rows, weights = top_rows(planner.top_k)
-        state = belief.state
+    state = getattr(belief, "state", None)
+    if state is not None:
+        rows, weights = belief.top_rows(planner.top_k)
         summary = planner._summarize_rows(state, rows, weights)
     else:
         top = belief.top(planner.top_k)

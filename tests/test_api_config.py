@@ -65,13 +65,32 @@ class TestBackendRegistry:
             config = SenderConfig(belief_backend=spelling, rollout_backend=spelling)
             assert config.fingerprint() == pinned
 
-    def test_names_the_end_to_end_benchmark_pins(self):
+    def test_names_the_end_to_end_benchmark_pins(self, monkeypatch):
         # benchmarks/e2e (which no PR may edit) wraps the ``update`` the
         # array belief class itself defines, and configures "fused".
+        from repro.inference.belief import BeliefState
+        from repro.inference.hypothesis import Hypothesis
         from repro.inference.vectorized.belief import VectorizedBeliefState
 
         assert "update" in vars(VectorizedBeliefState)
         SenderConfig(belief_backend="fused", rollout_backend="fused")
+        # It wraps ``BeliefState.update`` as well, counting one span per
+        # call on the premise that the array class never calls up into it:
+        # a settled array belief runs the reference kernel without doing so.
+        belief = VectorizedBeliefState(
+            [Hypothesis.from_params({"link_rate_bps": 12_000.0, "buffer_capacity_bits": 96_000.0})]
+        )
+        belief.update(1.0)
+        assert belief.state is None
+        entered = []
+        reference_update = BeliefState.update
+        monkeypatch.setattr(
+            BeliefState,
+            "update",
+            lambda self, *args: entered.append(self) or reference_update(self, *args),
+        )
+        belief.update(2.0)
+        assert belief.updates_applied == 2 and entered == []
 
     def test_unknown_name_lists_registered_backends(self):
         with pytest.raises(UnknownBackendError, match="fused, scalar, vectorized"):

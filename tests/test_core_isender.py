@@ -148,6 +148,20 @@ class TestDecisionLog:
         network.network.run(until=20.0)
         assert sender.packets_sent > 5
 
+    def test_records_hold_the_decisions_own_utilities(self):
+        """A record points at its decision's mapping instead of copying it:
+        with a policy cache most wake-ups replay a remembered decision, and a
+        copy per record was the largest live allocation of a contention run."""
+        network = single_link_network()
+        sender = build_sender(network, policy_cache=True)
+        network.network.run(until=40.0)
+        cache = sender.policy
+        assert cache.hits > 0 and len(sender.decisions) == cache.hits + cache.misses
+        # One mapping per planned decision, however many wake-ups replayed it.
+        distinct = {id(record.expected_utilities) for record in sender.decisions}
+        assert len(distinct) == cache.misses
+        assert all(record.expected_utilities for record in sender.decisions)
+
 
 class TestFigure2Integration:
     def test_alpha_one_shares_with_cross_traffic(self):

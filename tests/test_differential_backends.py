@@ -17,6 +17,11 @@ with stdlib :mod:`random` so every failure reproduces from its seed alone:
   relative (the float tolerance ``np.exp`` introduces), on *either*
   belief backend.
 
+A third class replays the seeds over a gate-free prior under a sharp
+kernel — ensembles that shrink to one row — with the array belief's
+hand-off in place and patched out, so the array kernel stays policed at one
+row.
+
 The sequence generator produces the awkward cases the handcrafted suite
 under-samples: interleaved sends, reordered and simultaneous acks, long
 silent gaps that charge packets to loss, and bursts that overflow small
@@ -36,7 +41,9 @@ from repro.inference import (
     BeliefState,
     GaussianKernel,
     figure3_prior,
+    single_link_prior,
 )
+from repro.inference.vectorized import VectorizedBeliefState
 
 #: Seeded sequences per backend pair (the issue floor is 50).
 SEQUENCE_COUNT = 55
@@ -122,12 +129,17 @@ def random_sequence(seed: int) -> list[tuple[str, tuple]]:
     return events
 
 
-def _replay(seed: int, backend: str, max_hypotheses: int = 48):
+def _fork_free_prior():
+    """No gate anywhere: these ensembles only shrink, some to a single row."""
+    return single_link_prior(link_rate_points=5, fill_points=3, loss_rate=0.1)
+
+
+def _replay(seed: int, backend: str, max_hypotheses: int = 48, prior=_prior, sigma=0.5):
     """One belief of the given backend driven through the seeded script."""
     belief = BeliefState.from_prior(
-        _prior(),
+        prior(),
         backend=backend,
-        kernel=GaussianKernel(sigma=0.5),
+        kernel=GaussianKernel(sigma=sigma),
         max_hypotheses=max_hypotheses,
         on_degenerate="keep",
     )
@@ -139,11 +151,11 @@ def _replay(seed: int, backend: str, max_hypotheses: int = 48):
     return belief
 
 
-def replay_pair(seed: int, max_hypotheses: int = 48):
+def replay_pair(seed: int, max_hypotheses: int = 48, **kwargs):
     """One scalar and one vectorized belief driven through the same script."""
     events = random_sequence(seed)
-    scalar = _replay(seed, "scalar", max_hypotheses)
-    vectorized = _replay(seed, "vectorized", max_hypotheses)
+    scalar = _replay(seed, "scalar", max_hypotheses, **kwargs)
+    vectorized = _replay(seed, "vectorized", max_hypotheses, **kwargs)
     return scalar, vectorized, events
 
 
@@ -307,3 +319,37 @@ class TestDifferentialRolloutBackends:
         _planner("scalar").decide(belief, 2.0)  # the oracle has no such limit
         with pytest.raises(InferenceError, match="one model clock"):
             _planner("vectorized").decide(belief, 2.0)
+
+
+class TestDifferentialAtOneRow:
+    @pytest.mark.parametrize("hand_off", [True, False], ids=["hand-off", "array-kernel-only"])
+    def test_fork_free_sequences_stay_equivalent_down_to_one_row(self, hand_off, monkeypatch):
+        """The same seeds over a prior with no gate, under a sharp kernel, so
+        that beliefs collapse to a single row mid-script.  The array belief
+        hands such a row to the oracle's own kernel, which would leave this
+        suite comparing the oracle with itself; the second run patches the
+        rule out so the array kernel stays policed at one row."""
+        if not hand_off:
+            monkeypatch.setattr(
+                VectorizedBeliefState, "_hand_off_settled_row", lambda self: None
+            )
+        update = VectorizedBeliefState.update
+        one_row_updates = []
+
+        def counted(self, now, acks=()):
+            one_row_updates.append(len(self) == 1)
+            return update(self, now, acks)
+
+        monkeypatch.setattr(VectorizedBeliefState, "update", counted)
+        settled = 0
+        for seed in range(SEQUENCE_COUNT):
+            scalar, vectorized, events = replay_pair(seed, prior=_fork_free_prior, sigma=0.05)
+            settled += vectorized.state is None
+            assert_posteriors_equivalent(scalar, vectorized, seed)
+            assert_decisions_equivalent(
+                _planner("scalar").decide(scalar, events[-1][1][0]),
+                _planner("vectorized").decide(vectorized, events[-1][1][0]),
+                seed,
+            )
+        assert sum(one_row_updates) >= 20
+        assert settled >= 10 if hand_off else settled == 0

@@ -250,6 +250,32 @@ class TestBeliefState:
         # identical latent states are merged back together.
         assert belief.compacted_away >= 1
 
+    def test_one_hypothesis_update_builds_no_signature(self, monkeypatch):
+        """Fewer than two candidates cannot merge, so compaction must not
+        build ``Hypothesis.signature`` — a tuple over the whole queue plus a
+        frozenset — to group a list of one: every update of a settled belief."""
+        calls = []
+        signature = Hypothesis.signature
+        monkeypatch.setattr(
+            Hypothesis, "signature", lambda self: calls.append(self) or signature(self)
+        )
+        belief = BeliefState([make_hypothesis()], kernel=GaussianKernel(sigma=0.5))
+        belief.record_send(0, 12_000.0, 0.0)
+        belief.update(1.5, [AckObservation(seq=0, received_at=1.0, ack_at=1.0)])
+        belief.update(3.0, [])
+        assert calls == []
+        assert len(belief) == 1 and belief.weights == [1.0] and belief.compacted_away == 0
+
+    def test_two_identical_hypotheses_still_merge(self):
+        belief = BeliefState(
+            [make_hypothesis(), make_hypothesis()], kernel=GaussianKernel(sigma=0.5)
+        )
+        stages = {}
+        belief.stage_hook = stages.__setitem__
+        belief.update(1.0, [])
+        assert len(belief) == 1 and belief.weights == [1.0] and belief.compacted_away == 1
+        assert stages["compact"] == {"count": 1, "weights": [1.0]}
+
     def test_effective_sample_size_and_entropy(self):
         belief = self.make_belief()
         assert belief.effective_sample_size() == pytest.approx(5.0)

@@ -31,6 +31,7 @@ from repro.inference import (
     single_link_prior,
 )
 from repro.inference.vectorized import VectorizedBeliefState
+from test_planner_rollout_vectorized import assert_decisions_equivalent
 
 
 def both_backends(prior, **kwargs):
@@ -488,6 +489,308 @@ class TestPropertyStyle:
                 paused.materialize(row).export_state()
                 == one_step.materialize(row).export_state()
             )
+
+
+class ArrayKernelOnly(VectorizedBeliefState):
+    """The array belief with the hand-off rule replaced by a no-op."""
+
+    def _hand_off_settled_row(self) -> None:
+        pass
+
+
+def contention_prior():
+    """The ``many_flow_contention`` sender's prior shape: 7 link rates x 3
+    initial fills, no cross traffic, so no row can ever fork."""
+    return single_link_prior(
+        link_rate_low=4_000.0,
+        link_rate_high=40_000.0,
+        link_rate_points=7,
+        buffer_capacity_bits=96_000.0,
+        fill_points=3,
+    )
+
+
+def settling_script():
+    """Sends at 1 s spacing, acknowledged as a 16 kbit/s link would.
+
+    On :func:`contention_prior` with a sigma = 0.15 kernel the posterior
+    reaches one row at the eleventh of 18 updates (t = 9.8).  Degenerate
+    updates sit on both sides of that point (an acknowledgement nobody sent,
+    at t = 2.9 and t = 11.9), a two-packet burst at t = 8 queues behind the
+    link, and the packet sent at t = 13 is never acknowledged, so — the prior
+    being loss-free — every update from t = 13.8 on is degenerate, as on the
+    contention workload.
+    """
+    events = []
+    seq = 0
+    link_free_at = 0.0
+    in_flight = []
+    for index in range(16):
+        now = float(index)
+        for _ in range(2 if index == 8 else 1):
+            events.append(("send", (seq, 12_000.0, now)))
+            link_free_at = max(link_free_at, now) + 0.75
+            if index != 13:
+                in_flight.append(ack(seq, link_free_at))
+            seq += 1
+        update_at = now + 0.8
+        arrived = [each for each in in_flight if each.received_at <= update_at]
+        in_flight = [each for each in in_flight if each.received_at > update_at]
+        events.append(("update", (update_at, arrived)))
+        if index in (2, 11):
+            events.append(("update", (now + 0.9, [ack(99, now + 0.9)])))
+    return events
+
+
+def vectorized_planner():
+    from repro.core.planner import ExpectedUtilityPlanner
+    from repro.core.utility import AlphaWeightedUtility
+
+    return ExpectedUtilityPlanner(
+        AlphaWeightedUtility(alpha=1.0, discount_timescale=20.0),
+        packet_bits=12_000.0,
+        top_k=4,
+        rollout_backend="vectorized",
+    )
+
+
+def assert_same_observables(oracle, belief):
+    """What a sender, a policy cache and the ledger's tracer read."""
+    assert len(belief) == len(oracle)
+    assert belief.weights == pytest.approx(oracle.weights, abs=1e-9)
+    assert [h.export_state() for h in belief.hypotheses] == [
+        h.export_state() for h in oracle.hypotheses
+    ]
+    assert belief.decision_signature(4, 12_000.0) == oracle.decision_signature(4, 12_000.0)
+    assert belief.map_link_rate_bps() == oracle.map_link_rate_bps()
+    assert belief.posterior_mean("link_rate_bps") == pytest.approx(
+        oracle.posterior_mean("link_rate_bps"), rel=1e-12
+    )
+    assert belief.acked_seqs == oracle.acked_seqs
+    assert belief.updates_applied == oracle.updates_applied
+    assert belief.degenerate_updates == oracle.degenerate_updates
+    assert belief.compacted_away == oracle.compacted_away
+
+
+class TestSettledHandOff:
+    """One fork-free row leaves the array kernel for the reference one."""
+
+    KERNEL = GaussianKernel(sigma=0.15)
+
+    @pytest.fixture
+    def array_kernel_calls(self, monkeypatch):
+        """Counts every entry into the array kernel, by entry point."""
+        from repro.inference.vectorized import EnsembleState, engine
+        from repro.inference.vectorized import belief as belief_module
+
+        calls = {"fork_and_advance": 0, "send_own": 0, "score_and_bookkeep": 0, "select": 0}
+
+        def counting(name, original):
+            def spy(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return spy
+
+        for owner, name in (
+            (engine, "fork_and_advance"),
+            (engine, "send_own"),
+            (belief_module, "score_and_bookkeep"),
+            (EnsembleState, "select"),
+        ):
+            monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+        return calls
+
+    def test_settled_belief_equals_the_oracle_and_never_reenters_the_array_kernel(
+        self, array_kernel_calls
+    ):
+        oracle, belief = both_backends(contention_prior(), kernel=self.KERNEL)
+        settled_at = None
+        calls_when_settled = None
+        updates = 0
+        for kind, args in settling_script():
+            replay(oracle, [(kind, args)])
+            replay(belief, [(kind, args)])
+            if kind == "update":
+                updates += 1
+                assert_same_observables(oracle, belief)
+                if settled_at is None and belief.state is None:
+                    settled_at = updates
+                    calls_when_settled = dict(array_kernel_calls)
+            if settled_at is not None:
+                # One way: once handed off, never array-held again.
+                assert belief.state is None
+                assert array_kernel_calls == calls_when_settled
+        assert settled_at == 11 and updates == 18
+        assert type(belief) is VectorizedBeliefState and belief.backend == "vectorized"
+        assert belief.degenerate_updates == 5  # two before t = 13.9, then every update
+        with pytest.raises(InferenceError, match="settled"):
+            belief.top_rows(4)
+
+    def test_decision_is_the_one_taken_on_the_array_held_row(self):
+        """The same one-row posterior, held both ways, plans identically:
+        in place through ``top_rows`` and repacked through ``top``."""
+        held = ArrayKernelOnly.from_prior(contention_prior(), kernel=self.KERNEL)
+        script = settling_script()
+        replay(held, script)
+        now = script[-1][1][0]
+        assert len(held) == 1 and held.state is not None
+        array_held = vectorized_planner().decide(held, now)
+        VectorizedBeliefState._hand_off_settled_row(held)
+        assert held.state is None
+        assert_decisions_equivalent(array_held, vectorized_planner().decide(held, now))
+
+    def test_a_row_that_can_still_fork_stays(self):
+        """The Figure-3 prior pruned to one survivor is one row *now*: its
+        gate forks it into two at the next update, so it is not handed off."""
+        oracle, belief = both_backends(
+            figure3_prior(), kernel=GaussianKernel(sigma=0.4), max_hypotheses=1
+        )
+        for now in (1.0, 2.0, 3.5):
+            oracle.update(now, [])
+            belief.update(now, [])
+            assert len(belief) == 1 and belief.state is not None
+            assert_same_observables(oracle, belief)
+
+    def test_no_hand_off_on_the_figure3_prior(self, monkeypatch):
+        hand_offs = []
+        rule = VectorizedBeliefState._hand_off_settled_row
+
+        def counted(self):
+            rule(self)
+            hand_offs.append(self.state is None)
+
+        monkeypatch.setattr(VectorizedBeliefState, "_hand_off_settled_row", counted)
+        belief = BeliefState.from_prior(
+            figure3_prior(), backend="vectorized", kernel=GaussianKernel(sigma=0.4)
+        )
+        for seq in range(12):
+            at = 1.5 * seq
+            belief.record_send(seq, 12_000.0, at)
+            belief.update(at + 1.2, [ack(seq, at + 1.0)])
+        assert hand_offs == [False] * 12
+
+    def test_two_fork_free_rows_stay(self):
+        params = {"buffer_capacity_bits": 96_000.0}
+        belief = VectorizedBeliefState(
+            [
+                Hypothesis.from_params({"link_rate_bps": rate, **params})
+                for rate in (12_000.0, 12_500.0)
+            ],
+            kernel=GaussianKernel(sigma=0.5),
+        )
+        belief.record_send(0, 12_000.0, 0.0)
+        belief.update(1.5, [ack(0, 1.0)])
+        assert len(belief) == 2 and belief.state is not None
+
+    def test_stage_hook_fires_the_same_six_stages_across_the_hand_off(self):
+        oracle, belief = both_backends(contention_prior(), kernel=self.KERNEL)
+        seen = {id(oracle): [], id(belief): []}
+        for each in (oracle, belief):
+            each.stage_hook = lambda stage, payload, log=seen[id(each)]: log.append(
+                (stage, payload)
+            )
+        replay(oracle, settling_script())
+        replay(belief, settling_script())
+        assert belief.state is None
+        stages = [stage for stage, _ in seen[id(belief)]]
+        assert stages == ["fork", "advance", "score", "compact", "prune", "posterior"] * 18
+        assert seen[id(belief)] == seen[id(oracle)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.sampled_from([8_000.0, 12_000.0, 16_000.0, 24_000.0]),
+                st.sampled_from([24_000.0, 96_000.0]),
+                st.sampled_from([0.0, 12_000.0, 24_000.0]),
+                st.sampled_from([0.0, 0.1]),
+                st.sampled_from([(0.0, None), (0.0, None), (0.4, None), (0.4, 5.0)]),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        steps=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=2),  # packets sent this step
+                st.floats(min_value=0.05, max_value=4.0),  # time to the update
+                st.floats(min_value=0.0, max_value=1.0),  # share of it acked...
+                st.sampled_from([12_000.0, 16_000.0]),  # ...as by this link rate
+            ),
+            min_size=1,
+            max_size=10,
+        ),
+        sigma=st.sampled_from([0.05, 0.3]),
+    )
+    def test_hand_off_changes_nothing_observable(self, rows, steps, sigma):
+        """Random scripts over small priors — fork-free ones, and mixed ones
+        whose surviving row may or may not be able to fork: the oracle, the
+        array belief, and the array belief with the rule patched out agree on
+        posterior, signature and decision after every update."""
+
+        def hypotheses():
+            return [
+                Hypothesis.from_params(
+                    {
+                        "link_rate_bps": link_rate,
+                        "buffer_capacity_bits": capacity,
+                        "initial_fill_bits": fill,
+                        "loss_rate": loss,
+                        "cross_rate_pps": cross_rate,
+                        **({} if mtts is None else {"mean_time_to_switch": mtts}),
+                    }
+                )
+                for link_rate, capacity, fill, loss, (cross_rate, mtts) in rows
+            ]
+
+        kernel = GaussianKernel(sigma=sigma)
+        oracle = BeliefState(hypotheses(), kernel=kernel, max_hypotheses=6)
+        belief = VectorizedBeliefState(hypotheses(), kernel=kernel, max_hypotheses=6)
+        held = ArrayKernelOnly(hypotheses(), kernel=kernel, max_hypotheses=6)
+        planner = vectorized_planner()
+        now, seq, outstanding = 0.0, 0, []
+        for sends, gap, acked_share, link_rate in steps:
+            for _ in range(sends):
+                for each in (oracle, belief, held):
+                    each.record_send(seq, 12_000.0, now)
+                outstanding.append((seq, now))
+                seq += 1
+                now += 0.01
+            now += gap
+            take = round(acked_share * len(outstanding))
+            observed = [
+                ack(sent_seq, min(now, sent_at + 12_000.0 / link_rate))
+                for sent_seq, sent_at in outstanding[:take]
+            ]
+            del outstanding[:take]
+            for each in (oracle, belief, held):
+                each.update(now, observed)
+            assert held.state is not None
+            assert_same_observables(oracle, belief)
+            assert_same_observables(oracle, held)
+            assert_decisions_equivalent(planner.decide(held, now), planner.decide(belief, now))
+
+
+class TestArrayKernelWithoutHandOff(
+    TestSimpleConvergence,
+    TestForkingAndCompaction,
+    TestDegenerateUpdates,
+    TestLossCharging,
+    TestMaterializedHypotheses,
+):
+    """The fork-free cases above, once more with the hand-off patched out.
+
+    With the rule in place a small fork-free belief is the oracle compared
+    with itself a few updates in; this run keeps the array kernel's one-row
+    paths (``_compact_rows``' early return, ``_prune_rows``, degenerate
+    keep) held against the oracle.
+    """
+
+    @pytest.fixture(autouse=True)
+    def array_kernel_only(self, monkeypatch):
+        monkeypatch.setattr(
+            VectorizedBeliefState, "_hand_off_settled_row", ArrayKernelOnly._hand_off_settled_row
+        )
 
 
 class TestVectorizedSenderIntegration:
