@@ -1,19 +1,24 @@
-"""Shared persistence plumbing for the fingerprint-keyed caches.
+"""Shared persistence plumbing for the fingerprint-keyed stores.
 
-Deliberately dependency-free (stdlib only) so both sides of the
-runner ↔ api boundary — :mod:`repro.runner.cache` for grid-point results,
-:mod:`repro.api.policy` for precomputed policy tables — can use one
-write-path and one cache-directory convention without importing each
-other.
+Deliberately light (stdlib plus :mod:`repro.errors`) so every store —
+:mod:`repro.runner.cache` for grid-point results, :mod:`repro.api.policy`
+for precomputed policy tables, :mod:`repro.corpus.store` for trace blobs —
+can use one write path, one read rule (:func:`read_json_or_quarantine`)
+and one cache-directory convention without importing each other.
 """
 
 from __future__ import annotations
 
 import contextlib
 import inspect
+import json
 import os
 from pathlib import Path
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence, TypeVar
+
+from repro.errors import ReproError
+
+T = TypeVar("T")
 
 #: Environment variable naming the shared cache directory.  The runner
 #: CLI's ``--cache-dir`` exports it for the duration of a run so worker
@@ -91,6 +96,35 @@ def quarantine_file(root: Path, path: Path) -> Optional[Path]:
     except OSError:  # pragma: no cover - racing reader already moved it
         return None
     return destination
+
+
+def read_json_or_quarantine(
+    root: Path, path: Path, check: Callable[[object], Optional[T]]
+) -> tuple[Optional[T], bool]:
+    """The stores' one read rule: ``(value, quarantined)`` for ``path``.
+
+    A missing file is a miss, ``(None, False)`` — there is no existence test
+    first, so a file pruned by another process is just a miss.  A file that
+    is there but unreadable, not JSON, or rejected by ``check`` (handed the
+    parsed payload; it returns the caller's value, or returns ``None`` or
+    raises ``ReproError``/``ValueError``/``KeyError``/``TypeError`` to
+    reject) is moved to ``root/quarantine/`` by :func:`quarantine_file` and
+    reads as ``(None, True)``, for the caller to count.
+    """
+    try:
+        text = path.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        return None, False
+    except (OSError, ValueError):
+        text = ""  # unreadable or not UTF-8: fails to parse below
+    try:
+        value = check(json.loads(text))
+    except (ReproError, ValueError, KeyError, TypeError):
+        value = None
+    if value is None:
+        quarantine_file(root, path)
+        return None, True
+    return value, False
 
 
 def atomic_write_text(path: Path, text: str) -> Path:

@@ -36,7 +36,7 @@ import json
 from pathlib import Path
 from typing import Optional, Sequence
 
-from repro._persist import atomic_write_text, quarantine_file
+from repro._persist import atomic_write_text, read_json_or_quarantine
 
 from repro.core.actions import Action
 from repro.core.planner import Decision, ExpectedUtilityPlanner
@@ -504,7 +504,7 @@ def load_or_precompute_policy_table(
     winners are bit-identical).  A corrupted or fingerprint-mismatched file
     is moved to ``cache_dir/quarantine/`` (the
     :class:`~repro.runner.cache.ResultCache` convention — never left in
-    place to be re-read, never silently deleted), counted on
+    place to be re-read and re-fail, never silently deleted), counted on
     :func:`table_quarantine_count`, and recomputed.
 
     The returned table carries ``loaded_from_cache`` (``True`` when it was
@@ -516,21 +516,19 @@ def load_or_precompute_policy_table(
         return precompute_policy_table(config, prior, **precompute_kwargs)
 
     path = policy_table_cache_path(cache_dir, effective, dict(precompute_kwargs))
-    if path.exists():
-        try:
-            table = PolicyTable.from_json(
-                path, expected_fingerprint=effective.fingerprint()
-            )
-            table.loaded_from_cache = True
-            return table
-        except (ConfigurationError, OSError, ValueError, KeyError, TypeError):
-            # Unreadable, truncated, or stale-schema file: quarantine the
-            # evidence and fall through to recompute — the cache must never
-            # poison a run, and a bad file must never linger to be re-read
-            # (and re-fail) by every later caller.
-            global _table_quarantines
-            _table_quarantines += 1
-            quarantine_file(Path(cache_dir), path)
+    table, quarantined = read_json_or_quarantine(
+        Path(cache_dir),
+        path,
+        lambda payload: PolicyTable.from_payload(
+            payload, expected_fingerprint=effective.fingerprint()
+        ),
+    )
+    if quarantined:
+        global _table_quarantines
+        _table_quarantines += 1
+    if table is not None:
+        table.loaded_from_cache = True
+        return table
 
     table = precompute_policy_table(config, prior, **precompute_kwargs)
     table.to_json(path)

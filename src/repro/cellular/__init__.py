@@ -5,21 +5,20 @@ commercial LTE network climbing from ~100 ms to roughly ten seconds because
 the network hides non-congestive losses behind link-layer retransmission and
 provisions very deep buffers.  We cannot replay the original Verizon trace,
 so this package builds the closest synthetic equivalent (see DESIGN.md,
-substitutions):
+substitutions).  It is two link elements; the capacity they serve at is a
+:mod:`repro.corpus` trace (Figure 1's bounded random walk is the
+``random_walk`` family, :class:`~repro.corpus.generators.RandomWalkLink`):
 
-* :class:`~repro.cellular.trace.RateProcess` — a bounded random-walk
-  service-rate process mimicking a time-varying radio channel.
 * :class:`~repro.cellular.link.CellularLink` — a deep tail-drop buffer
   drained at the time-varying rate, with link-layer ARQ that converts
   stochastic loss into delay instead of exposing it to the sender.
+* :class:`~repro.cellular.link.TraceDrivenLink` — the same time-varying
+  server without buffer or ARQ, for the standard buffer-pull protocol.
 """
 
 from repro.cellular.link import CellularLink, TraceDrivenLink
-from repro.cellular.trace import RateProcess, constant_rate_process
 
 __all__ = [
     "CellularLink",
-    "RateProcess",
     "TraceDrivenLink",
-    "constant_rate_process",
 ]

@@ -1,94 +1,53 @@
-"""The bufferbloated, loss-hiding cellular link element.
+"""The two link elements that serve at a :class:`~repro.corpus.trace.LinkTrace`'s rate.
 
-This is the stand-in for the LTE downlink of Figure 1.  It combines three
-behaviours that RFC 3819-style subnetwork engineering encourages and that
-the paper argues confound TCP:
+:class:`CellularLink` is the stand-in for the LTE downlink of Figure 1.  It
+combines three behaviours that RFC 3819-style subnetwork engineering
+encourages and that the paper argues confound TCP:
 
 * a **very deep tail-drop buffer** (seconds of traffic at the nominal rate),
-* a **time-varying service rate** drawn from a
-  :class:`~repro.cellular.trace.RateProcess`,
+* a **time-varying service rate** (Figure 1 runs on the corpus's
+  ``random_walk`` family; any corpus entry will do),
 * **link-layer ARQ**: each transmission attempt fails independently with
   ``loss_rate`` and is retried after ``retransmit_delay`` rather than being
   exposed to the endpoints, so stochastic loss shows up as extra delay.
+
+:class:`TraceDrivenLink` is the time-varying server alone.  Both take a
+packet's serialization time from
+:meth:`~repro.corpus.trace.LinkTrace.service_time`.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Optional
 
-from repro.cellular.trace import RateProcess
+from repro.corpus.trace import MIN_SERVICE_RATE_BPS, LinkTrace
 from repro.elements.throughput import Throughput
 from repro.errors import ConfigurationError
 from repro.sim.element import Element
 from repro.sim.packet import Packet
 
-#: Floor applied to a trace's instantaneous rate wherever a link divides by
-#: it.  A generator trace with a deep fade (e.g. ``loss_burst`` with a tiny
-#: ``bad_rate_fraction``) can report micro-bps rates; dividing by those
-#: silently schedules multi-hour service times for a single packet.  Rates
-#: below this floor serve at the floor instead — 1 kbit/s, slow enough that
-#: a fade still stalls the link for seconds per packet, bounded enough that
-#: the simulation keeps making progress.
-MIN_SERVICE_RATE_BPS = 1_000.0
-
 
 class TraceDrivenLink(Throughput):
     """A :class:`~repro.elements.throughput.Throughput` whose rate follows a trace.
 
-    The one override is :meth:`service_time`: each packet's serialization is
-    *integrated across the trace's rate segments* from the instant its
-    transmission begins.  (Sampling ``rate_at`` once at service start — the
-    old behaviour — let a packet straddling a sharp rate drop serialize
-    entirely at the stale pre-drop rate, skipping outage bins for free.)
-    Unlike :class:`CellularLink`, this element keeps the standard
-    buffer-pull protocol — pair it with an upstream
+    The one override is :meth:`service_time`, which asks the trace (see
+    :meth:`~repro.corpus.trace.LinkTrace.service_time`).  Unlike
+    :class:`CellularLink`, this element keeps the standard buffer-pull
+    protocol — pair it with an upstream
     :class:`~repro.elements.buffer.Buffer` for bounded tail-drop queueing,
     which is how the many-flow contention scenarios share one bottleneck
     across N senders.
-
-    ``rate_process`` is anything with ``rate_at(t)``/``mean_rate()`` — a
-    :class:`~repro.cellular.trace.RateProcess` or a corpus
-    :class:`~repro.corpus.trace.LinkTrace`.  Segment integration uses the
-    ``segments_from(start)`` iterator both provide; a duck-typed process
-    without one falls back to the start-instant rate.  Rates are floored at
-    :data:`MIN_SERVICE_RATE_BPS` (deep fades must not schedule unbounded
-    service times).
     """
 
-    def __init__(self, rate_process, name: str | None = None) -> None:
+    def __init__(self, rate_process: LinkTrace, name: str | None = None) -> None:
         # The nominal Throughput rate is never used for service times, only
-        # reported — so report the trace's *mean* rate.  (Reporting
-        # ``rate_at(0.0)`` meant a trace that starts inside an outage
-        # advertised a misleading ~0 nominal rate in results.)
+        # reported — so report the trace's *mean* rate (``rate_at(0.0)``
+        # reads ~0 for a trace that starts inside an outage).
         super().__init__(rate_process.mean_rate(), name)
         self.rate_process = rate_process
 
     def service_time(self, packet: Packet) -> float:
-        start = self.sim.now
-        segments_from = getattr(self.rate_process, "segments_from", None)
-        if segments_from is None:
-            rate = max(self.rate_process.rate_at(start), MIN_SERVICE_RATE_BPS)
-            return packet.size_bits / rate
-        remaining = packet.size_bits
-        elapsed = 0.0
-        for rate, segment_end in segments_from(start):
-            rate = max(rate, MIN_SERVICE_RATE_BPS)
-            span = segment_end - (start + elapsed)
-            if span <= 0.0:
-                continue
-            drained = rate * span  # inf for the final, unbounded segment
-            if remaining <= drained:
-                # Constant traces take this branch on the first segment
-                # with elapsed == 0.0, so their service times are
-                # bit-identical to the single-rate formula.
-                return elapsed + remaining / rate
-            remaining -= drained
-            elapsed += span
-        raise AssertionError(
-            "segments_from() ended before the packet finished serializing "
-            "(the final segment must be unbounded)"
-        )
+        return self.rate_process.service_time(self.sim.now, packet.size_bits)
 
 
 class CellularLink(Element):
@@ -114,7 +73,7 @@ class CellularLink(Element):
 
     def __init__(
         self,
-        rate_process: RateProcess,
+        rate_process: LinkTrace,
         buffer_bits: float,
         loss_rate: float = 0.0,
         retransmit_delay: float = 0.05,
@@ -184,10 +143,7 @@ class CellularLink(Element):
 
     def _begin_service(self, packet: Packet, attempt: int = 1) -> None:
         self._busy = True
-        # Floored so a deep trace fade schedules a long-but-bounded attempt
-        # instead of a silent multi-hour one (see MIN_SERVICE_RATE_BPS).
-        rate = max(self.rate_process.rate_at(self.sim.now), MIN_SERVICE_RATE_BPS)
-        service_time = packet.size_bits / rate
+        service_time = self.rate_process.service_time(self.sim.now, packet.size_bits)
         self.sim.schedule(service_time, self._attempt_done, packet, attempt)
 
     def _attempt_done(self, packet: Packet, attempt: int) -> None:

@@ -18,6 +18,7 @@ from repro.corpus.generators import (
     DiurnalLoadLink,
     FlashCrowdLink,
     MarkovOnOffLink,
+    RandomWalkLink,
     build_generator,
 )
 from repro.corpus.ingest import (
@@ -36,6 +37,7 @@ __all__ = [
     "FlashCrowdLink",
     "LinkTrace",
     "MarkovOnOffLink",
+    "RandomWalkLink",
     "build_generator",
     "default_corpus_dir",
     "load_trace_path",

@@ -8,9 +8,11 @@ constructor parameters, and the seed.  Re-materializing the entry from the
 manifest always reproduces the same trace (and hence the same digest), so
 a pruned generator blob rebuilds transparently.
 
-The four families cover the workload axes the paper's cellular setting
+The five families cover the workload axes the paper's cellular setting
 cares about:
 
+* :class:`RandomWalkLink` — the Figure-1 link: a bounded, mean-reverting
+  multiplicative random walk (fading, scheduling, cell load);
 * :class:`MarkovOnOffLink` — two-state capacity (coverage vs. shadowing),
   with exponentially-distributed dwell times;
 * :class:`DiurnalLoadLink` — slow sinusoidal load curve between a trough
@@ -41,6 +43,7 @@ __all__ = [
     "DiurnalLoadLink",
     "FlashCrowdLink",
     "MarkovOnOffLink",
+    "RandomWalkLink",
     "build_generator",
 ]
 
@@ -48,6 +51,52 @@ __all__ = [
 def _require_positive(name: str, value: float) -> None:
     if value <= 0:
         raise ConfigurationError(f"{name} must be positive, got {value!r}")
+
+
+@dataclass(frozen=True)
+class RandomWalkLink:
+    """Figure 1's link: a piecewise-constant, mean-reverting random walk.
+
+    A cellular downlink's capacity varies on sub-second timescales.  The
+    log-rate takes a Gaussian step of standard deviation ``volatility``
+    every ``step_interval`` seconds, is pulled back toward ``nominal_bps``
+    with strength ``reversion`` (0..1) and is clamped to ``[min_bps,
+    max_bps]`` — the two properties Figure 1 depends on: the rate is
+    sometimes far below nominal (so queues build) and it is autocorrelated
+    (so they persist long enough to matter).
+    """
+
+    nominal_bps: float = 4_000_000.0
+    min_bps: float = 400_000.0
+    max_bps: float = 10_000_000.0
+    step_interval: float = 0.5
+    volatility: float = 0.35
+    reversion: float = 0.15
+    duration: float = 600.0
+
+    def build(self, seed: int = 0) -> LinkTrace:
+        for name in ("nominal_bps", "min_bps", "max_bps", "step_interval", "duration"):
+            _require_positive(name, getattr(self, name))
+        if not self.min_bps <= self.nominal_bps <= self.max_bps:
+            raise ConfigurationError("require min_bps <= nominal_bps <= max_bps")
+        if not 0.0 <= self.reversion <= 1.0:
+            raise ConfigurationError("reversion must lie in [0, 1]")
+        rng = random.Random(seed)
+        log_nominal = math.log(self.nominal_bps)
+        log_rate = log_nominal
+        times: list[float] = []
+        rates: list[float] = []
+        time = 0.0
+        while time < self.duration:
+            times.append(time)
+            rates.append(min(self.max_bps, max(self.min_bps, math.exp(log_rate))))
+            log_rate += self.reversion * (log_nominal - log_rate) + rng.gauss(
+                0.0, self.volatility
+            )
+            time += self.step_interval
+        return LinkTrace(
+            times=times, rates=rates, duration=self.duration, source="random_walk"
+        )
 
 
 @dataclass(frozen=True)
@@ -235,6 +284,7 @@ class CorrelatedLossBurstLink:
 
 #: Family name -> dataclass, the registry the manifest and CLI share.
 GENERATOR_FAMILIES = {
+    "random_walk": RandomWalkLink,
     "markov_onoff": MarkovOnOffLink,
     "diurnal": DiurnalLoadLink,
     "flash_crowd": FlashCrowdLink,

@@ -31,7 +31,7 @@ from repro._persist import (
     CACHE_DIR_ENV,
     atomic_write_text,
     default_cache_dir,
-    quarantine_file,
+    read_json_or_quarantine,
 )
 from repro.corpus.generators import build_generator
 from repro.corpus.ingest import DEFAULT_BIN_MS, load_trace_path
@@ -210,24 +210,13 @@ class CorpusStore:
         return str(self.describe(name)["digest"])
 
     def _load_blob(self, digest: str) -> Optional[LinkTrace]:
-        path = self.blob_path(digest)
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            return None
-        except (OSError, ValueError):
-            quarantine_file(self.root, path)
-            return None
-        try:
+        def check(payload: object) -> Optional[LinkTrace]:
             trace = LinkTrace.from_payload(payload)
-        except ConfigurationError:
-            quarantine_file(self.root, path)
-            return None
-        if trace.digest != digest:
-            # The blob parses but is not the content its address claims.
-            quarantine_file(self.root, path)
-            return None
-        return trace
+            # A blob that parses but is not the content its address claims
+            # is rejected like any other corrupt one.
+            return trace if trace.digest == digest else None
+
+        return read_json_or_quarantine(self.root, self.blob_path(digest), check)[0]
 
     def get(self, name_or_digest: str) -> LinkTrace:
         """Load a trace by entry name or by content digest.

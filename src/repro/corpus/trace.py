@@ -2,13 +2,11 @@
 
 A :class:`LinkTrace` is the load-once representation every corpus entry —
 ingested real-world trace or seeded synthetic generator — resolves to: a
-piecewise-constant ``(time, rate)`` schedule with an explicit duration, a
-content digest that keys it in the on-disk store, and the same read surface
-as :class:`~repro.cellular.trace.RateProcess` (``rate_at`` / ``mean_rate``
-/ ``min_rate`` / ``samples`` / ``len``), so anything that drives a link
-from a rate process — :class:`~repro.cellular.link.CellularLink`,
-:class:`~repro.cellular.link.TraceDrivenLink` — accepts a corpus trace
-unchanged.
+piecewise-constant ``(time, rate)`` schedule with an explicit duration and
+a content digest that keys it in the on-disk store.  It is the only thing
+a link reads: :class:`~repro.cellular.link.CellularLink` and
+:class:`~repro.cellular.link.TraceDrivenLink` both take their service
+times from :meth:`LinkTrace.service_time`.
 
 Validation happens at construction, never at read time: times must be
 strictly increasing and start at or after zero, rates must be strictly
@@ -32,6 +30,15 @@ from repro.errors import ConfigurationError
 #: Trace payload layout version; part of the digest, so a layout change
 #: re-keys every stored artifact instead of silently aliasing old ones.
 TRACE_SCHEMA_VERSION = 1
+
+#: Floor applied to a trace's instantaneous rate wherever a link divides by
+#: it.  A generator trace with a deep fade (e.g. ``loss_burst`` with a tiny
+#: ``bad_rate_fraction``) can report micro-bps rates; dividing by those
+#: silently schedules multi-hour service times for a single packet.  Rates
+#: below this floor serve at the floor instead — 1 kbit/s, slow enough that
+#: a fade still stalls the link for seconds per packet, bounded enough that
+#: the simulation keeps making progress.
+MIN_SERVICE_RATE_BPS = 1_000.0
 
 
 def trace_digest(
@@ -146,31 +153,57 @@ class LinkTrace:
             self._digest = trace_digest(self.times, self.rates, self.duration)
         return self._digest
 
-    # ----------------------------------------- RateProcess-compatible surface
+    @classmethod
+    def constant(cls, rate_bps: float, duration: float) -> "LinkTrace":
+        """A fixed-rate link: one segment at ``rate_bps``."""
+        return cls(times=[0.0], rates=[rate_bps], duration=duration, source="constant")
+
+    # ------------------------------------------------------------- capacity
 
     def rate_at(self, time: float) -> float:
         """Instantaneous service rate at ``time`` (clamped to the trace ends)."""
         if time <= self.times[0]:
             return self.rates[0]
-        index = bisect_right(self.times, time) - 1
-        index = min(max(index, 0), len(self.rates) - 1)
-        return self.rates[index]
+        return self.rates[bisect_right(self.times, time) - 1]
 
     def segments_from(self, start: float):
         """Yield ``(rate, segment_end)`` from the segment containing ``start``.
 
-        Mirrors :meth:`repro.cellular.trace.RateProcess.segments_from` so
-        both rate-process flavors drive the same segment-integrating link
-        code: the first yielded rate equals ``rate_at(start)`` and the last
-        segment is unbounded (``segment_end = math.inf``), matching
-        :meth:`rate_at`'s end clamping.
+        The same end clamping as :meth:`rate_at`: the first yielded rate is
+        ``rate_at(start)`` and the last segment is unbounded
+        (``segment_end = math.inf``) because the trace holds its last rate
+        forever.
         """
-        index = bisect_right(self.times, start) - 1
-        index = min(max(index, 0), len(self.rates) - 1)
+        index = max(bisect_right(self.times, start) - 1, 0)
         while index + 1 < len(self.times):
             yield self.rates[index], self.times[index + 1]
             index += 1
         yield self.rates[index], math.inf
+
+    def service_time(self, start: float, size_bits: float) -> float:
+        """Seconds to serialize ``size_bits`` beginning at ``start``.
+
+        The one rule both links follow: the packet is *integrated across
+        rate segments* from the instant its transmission begins (sampling
+        the rate once at ``start`` lets a packet straddling a sharp drop
+        finish at the stale pre-drop rate, skipping outage bins for free),
+        and no segment serves slower than :data:`MIN_SERVICE_RATE_BPS`.
+        """
+        remaining = size_bits
+        elapsed = 0.0
+        for rate, segment_end in self.segments_from(start):
+            rate = max(rate, MIN_SERVICE_RATE_BPS)
+            span = segment_end - (start + elapsed)
+            if span <= 0.0:
+                continue
+            drained = rate * span  # inf for the final, unbounded segment
+            if remaining <= drained:
+                # A one-segment trace takes this branch at once with
+                # elapsed == 0.0: exactly ``size_bits / rate``.
+                return elapsed + remaining / rate
+            remaining -= drained
+            elapsed += span
+        raise AssertionError("unreachable: the final segment is unbounded")
 
     def mean_rate(self) -> float:
         """Time-weighted mean rate over the trace's duration."""
@@ -235,15 +268,3 @@ class LinkTrace:
                 f"content digest {trace.digest!r} (corrupt or edited blob)"
             )
         return trace
-
-    @classmethod
-    def from_rate_process(cls, process, name: str = "", source: str = "rate_process") -> "LinkTrace":
-        """Freeze a :class:`~repro.cellular.trace.RateProcess` into a trace."""
-        samples = process.samples()
-        return cls(
-            times=[t for t, _ in samples],
-            rates=[r for _, r in samples],
-            duration=getattr(process, "duration", None),
-            name=name,
-            source=source,
-        )

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from repro.baselines.newreno import NewRenoSender
 from repro.cellular.link import CellularLink
-from repro.cellular.trace import RateProcess
+from repro.corpus.generators import RandomWalkLink
 from repro.elements.receiver import Receiver
 from repro.metrics.summary import ExperimentRow
 from repro.metrics.timeseries import TimeSeries, rtt_series
@@ -105,13 +105,12 @@ def run_figure1(
         Per-attempt loss probability hidden by link-layer retransmission.
     """
     network = Network(seed=seed)
-    rate_process = RateProcess(
+    rate_process = RandomWalkLink(
         nominal_bps=nominal_rate_bps,
         min_bps=min_rate_bps,
         max_bps=max_rate_bps,
         duration=duration + 10.0,
-        seed=seed,
-    )
+    ).build(seed)
     link = CellularLink(
         rate_process=rate_process,
         buffer_bits=buffer_seconds * nominal_rate_bps,

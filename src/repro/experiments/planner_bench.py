@@ -25,12 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core import AlphaWeightedUtility
-from repro.experiments.inference_bench import (
-    SEND,
-    InferenceBenchConfig,
-    build_workload,
-)
-from repro.inference import BeliefState, GaussianKernel, figure3_prior
+from repro.inference import AckObservation, BeliefState, GaussianKernel, figure3_prior
+from repro.inference.linkmodel import LinkModel, LinkModelParams
 from repro.units import DEFAULT_PACKET_BITS
 
 
@@ -40,7 +36,7 @@ class PlannerBenchConfig:
 
     top_k: int = 24
     max_hypotheses: int = 512
-    #: Warm-up workload (shared with the inference bench machinery).
+    #: Warm-up workload (see :func:`build_decision_state`).
     duration: float = 12.0
     update_interval: float = 1.0
     send_interval: float = 0.5
@@ -87,19 +83,14 @@ DEEP_QUEUE = PlannerBenchConfig(
 
 
 def build_decision_state(config: PlannerBenchConfig, belief_backend: str) -> BeliefState:
-    """A belief at the cap, converged and carrying a queued send burst."""
-    workload = InferenceBenchConfig(
-        max_hypotheses=config.max_hypotheses,
-        duration=config.duration,
-        update_interval=config.update_interval,
-        send_interval=config.send_interval,
-        packet_bits=config.packet_bits,
-        true_link_rate_bps=config.true_link_rate_bps,
-        true_cross_rate_pps=(
-            config.true_cross_fraction * config.true_link_rate_bps / config.packet_bits
-        ),
-        kernel_sigma=config.kernel_sigma,
-    )
+    """A belief at the cap, converged and carrying a queued send burst.
+
+    The warm-up is the ``record_send`` / ``update`` sequence an ISender
+    issues, generated without an RNG from a ground-truth
+    :class:`~repro.inference.linkmodel.LinkModel`: packets go out every
+    ``send_interval``, their true delivery times become the
+    acknowledgements, and the belief updates every ``update_interval``.
+    """
     prior = figure3_prior(
         link_rate_low=config.link_rate_low,
         link_rate_high=config.link_rate_high,
@@ -120,11 +111,45 @@ def build_decision_state(config: PlannerBenchConfig, belief_backend: str) -> Bel
         max_hypotheses=config.max_hypotheses,
         backend=belief_backend,
     )
-    for kind, args in build_workload(workload):
-        if kind == SEND:
-            belief.record_send(*args)
-        else:
-            belief.update(*args)
+    truth = LinkModel(
+        LinkModelParams(
+            link_rate_bps=config.true_link_rate_bps,
+            buffer_capacity_bits=96_000.0,
+            loss_rate=0.0,
+            cross_rate_pps=(
+                config.true_cross_fraction * config.true_link_rate_bps / config.packet_bits
+            ),
+            cross_packet_bits=config.packet_bits,
+            mean_time_to_switch=None,
+        ),
+        start_time=0.0,
+    )
+    sends: list[tuple[int, float]] = []
+    seq, at = 0, 0.0
+    while at < config.duration:
+        truth.send_own(seq, config.packet_bits, at)
+        sends.append((seq, at))
+        seq += 1
+        at += config.send_interval
+    truth.advance(config.duration + 60.0)
+    ack_times = sorted(
+        (prediction.time, prediction.seq)
+        for prediction in truth.predictions.values()
+        if prediction.delivered
+    )
+    now = 0.0
+    while now < config.duration:
+        horizon = now + config.update_interval
+        for packet_seq, sent_at in sends:
+            if now <= sent_at < horizon:
+                belief.record_send(packet_seq, config.packet_bits, sent_at)
+        acks = tuple(
+            AckObservation(seq=packet_seq, received_at=received, ack_at=received)
+            for received, packet_seq in ack_times
+            if now < received <= horizon
+        )
+        belief.update(horizon, acks)
+        now = horizon
     burst_base = 1_000_000  # clear of every warm-up sequence number
     for index in range(config.burst):
         belief.record_send(burst_base + index, config.packet_bits, config.duration)

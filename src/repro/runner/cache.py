@@ -45,7 +45,7 @@ from repro._persist import (
     CACHE_DIR_ENV,
     atomic_write_text,
     default_cache_dir,
-    quarantine_file,
+    read_json_or_quarantine,
 )
 from repro._version import __version__
 from repro.api.config import canonical_digest
@@ -129,12 +129,6 @@ class ResultCache:
     def _path(self, key: str) -> Path:
         return self.root / "results" / key[:2] / f"{key}.json"
 
-    def _quarantine_entry(self, path: Path) -> None:
-        """Move an unreadable entry aside (never silently delete it)."""
-        self.invalid += 1
-        self.corrupt += 1
-        quarantine_file(self.root, path)
-
     # ------------------------------------------------------------------ lookup
 
     def load_point(self, key: str, spec: ScenarioSpec) -> Optional[PointResult]:
@@ -148,25 +142,21 @@ class ResultCache:
         so the subsequent execution stores a fresh file and the evidence
         survives for triage.
         """
-        path = self._path(key)
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            self.misses += 1
+
+        def check(payload: object) -> Optional[PointResult]:
+            if (
+                isinstance(payload, dict)
+                and payload.get("schema") == CACHE_SCHEMA_VERSION
+                and payload.get("spec") == spec.canonical()
+            ):
+                return PointResult.from_record(spec, payload)
             return None
-        except (OSError, ValueError):
-            self._quarantine_entry(path)
-            self.misses += 1
-            return None
-        result = None
-        if (
-            isinstance(payload, dict)
-            and payload.get("schema") == CACHE_SCHEMA_VERSION
-            and payload.get("spec") == spec.canonical()
-        ):
-            result = PointResult.from_record(spec, payload)
+
+        result, quarantined = read_json_or_quarantine(self.root, self._path(key), check)
+        if quarantined:
+            self.invalid += 1
+            self.corrupt += 1
         if result is None:
-            self._quarantine_entry(path)
             self.misses += 1
             return None
         self.hits += 1

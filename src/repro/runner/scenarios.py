@@ -22,9 +22,10 @@ from repro.baselines.cubic import CubicSender
 from repro.baselines.newreno import NewRenoSender
 from repro.baselines.reno import RenoSender
 from repro.cellular.link import CellularLink, TraceDrivenLink
-from repro.cellular.trace import RateProcess, constant_rate_process
 from repro.core.isender import ISender
+from repro.corpus.generators import RandomWalkLink
 from repro.corpus.store import open_corpus_store
+from repro.corpus.trace import LinkTrace
 from repro.elements.buffer import Buffer
 from repro.elements.delay import Delay
 from repro.elements.diverter import FlowDemux
@@ -363,15 +364,14 @@ def cellular_trace_tcp(
     propagation_delay: float = 0.03,
     packet_bits: float = DEFAULT_PACKET_BITS,
 ) -> dict[str, float]:
-    """A trace-driven cellular run: TCP over a rate-process-modulated, loss-hiding link."""
+    """A trace-driven cellular run: TCP over a random-walk-rate, loss-hiding link."""
     network = Network(seed=seed)
-    rate_process = RateProcess(
+    rate_process = RandomWalkLink(
         nominal_bps=nominal_rate_bps,
         min_bps=min_rate_bps,
         max_bps=max_rate_bps,
         duration=duration + 10.0,
-        seed=seed,
-    )
+    ).build(seed)
     link = CellularLink(
         rate_process=rate_process,
         buffer_bits=buffer_seconds * nominal_rate_bps,
@@ -594,7 +594,7 @@ def many_flow_contention(
     if trace:
         link_trace = open_corpus_store(corpus_dir or None).get(trace)
     else:
-        link_trace = constant_rate_process(link_rate_bps, duration=duration + 10.0)
+        link_trace = LinkTrace.constant(link_rate_bps, duration + 10.0)
     mean_rate = link_trace.mean_rate()
     buffer_bits = buffer_seconds * mean_rate
 
@@ -755,15 +755,6 @@ def loss_delay_buffer_specs(
         extra_delay_s=list(delays),
         buffer_bits=list(buffers),
     )
-
-
-def cellular_trace_specs(
-    seeds: Sequence[int] | int = 4,
-    duration: float = 60.0,
-    **params: float,
-) -> list[ScenarioSpec]:
-    """Per-seed trials of the trace-driven cellular scenario."""
-    return grid("cellular_trace_tcp", seeds=seeds, base={"duration": duration, **params})
 
 
 def many_flow_specs(

@@ -288,3 +288,23 @@ class TestPolicyTableQuarantine:
         assert reloaded.loaded_from_cache
         assert table_quarantine_count() == before
         assert not (tmp_path / "quarantine").exists()
+
+    def test_table_pruned_before_the_read_is_a_miss_not_corruption(
+        self, tmp_path, monkeypatch
+    ):
+        # `cache prune` racing a loader: the file is there when looked for
+        # and gone when read.  That is a miss — nothing was corrupt.
+        config = self.fast_config()
+        path = policy_table_cache_path(tmp_path, config, self.PRECOMPUTE)
+        real_exists = Path.exists
+        monkeypatch.setattr(
+            Path, "exists", lambda self, **kw: self == path or real_exists(self, **kw)
+        )
+        before = table_quarantine_count()
+        table = load_or_precompute_policy_table(
+            config, cache_dir=tmp_path, **self.PRECOMPUTE
+        )
+        monkeypatch.undo()
+        assert not table.loaded_from_cache
+        assert table_quarantine_count() == before
+        assert not (tmp_path / "quarantine").exists()

@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.baselines import NewRenoSender
-from repro.cellular import CellularLink, RateProcess, constant_rate_process
+from repro.cellular import CellularLink, TraceDrivenLink
+from repro.corpus import LinkTrace, RandomWalkLink
 from repro.elements import Collector, Receiver
 from repro.errors import ConfigurationError
 from repro.sim.element import Network
@@ -13,67 +14,88 @@ from repro.sim.packet import Packet
 
 
 class TestRateProcess:
+    """Figure 1's random walk, now the corpus's ``random_walk`` family (the
+    class name keeps the test ids the walk had before it moved)."""
+
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            RateProcess(nominal_bps=0, min_bps=1, max_bps=2)
+            RandomWalkLink(nominal_bps=0, min_bps=1, max_bps=2).build()
         with pytest.raises(ConfigurationError):
-            RateProcess(nominal_bps=5, min_bps=10, max_bps=20)
+            RandomWalkLink(nominal_bps=5, min_bps=10, max_bps=20).build()
         with pytest.raises(ConfigurationError):
-            RateProcess(nominal_bps=15, min_bps=10, max_bps=20, step_interval=0)
+            RandomWalkLink(nominal_bps=15, min_bps=10, max_bps=20, step_interval=0).build()
         with pytest.raises(ConfigurationError):
-            RateProcess(nominal_bps=15, min_bps=10, max_bps=20, reversion=2.0)
+            RandomWalkLink(nominal_bps=15, min_bps=10, max_bps=20, reversion=2.0).build()
 
     def test_rates_stay_within_bounds(self):
-        process = RateProcess(nominal_bps=1e6, min_bps=2e5, max_bps=4e6, duration=120.0, seed=3)
-        for _, rate in process.samples():
+        trace = RandomWalkLink(nominal_bps=1e6, min_bps=2e5, max_bps=4e6, duration=120.0).build(3)
+        for _, rate in trace.samples():
             assert 2e5 <= rate <= 4e6
 
     def test_rate_at_is_piecewise_constant_and_clamped(self):
-        process = RateProcess(nominal_bps=1e6, min_bps=1e5, max_bps=4e6, step_interval=1.0, duration=10.0)
-        assert process.rate_at(-5.0) == process.rate_at(0.0)
-        assert process.rate_at(0.2) == process.rate_at(0.8)
-        assert process.rate_at(1e9) == process.samples()[-1][1]
+        trace = RandomWalkLink(
+            nominal_bps=1e6, min_bps=1e5, max_bps=4e6, step_interval=1.0, duration=10.0
+        ).build()
+        assert trace.rate_at(-5.0) == trace.rate_at(0.0)
+        assert trace.rate_at(0.2) == trace.rate_at(0.8)
+        assert trace.rate_at(1e9) == trace.samples()[-1][1]
 
     def test_deterministic_given_seed(self):
-        first = RateProcess(nominal_bps=1e6, min_bps=1e5, max_bps=4e6, seed=9, duration=50.0)
-        second = RateProcess(nominal_bps=1e6, min_bps=1e5, max_bps=4e6, seed=9, duration=50.0)
-        assert first.samples() == second.samples()
+        family = RandomWalkLink(nominal_bps=1e6, min_bps=1e5, max_bps=4e6, duration=50.0)
+        assert family.build(9).samples() == family.build(9).samples()
+        assert family.build(9).samples() != family.build(10).samples()
+
+    def test_reproduces_the_walk_it_replaced(self):
+        # Computed at the parent of the PR that deleted cellular/trace.py:
+        # LinkTrace.from_rate_process(RateProcess(4e6, 4e5, 1e7,
+        # duration=40.0, seed=7)) — its digest and first/last three samples.
+        trace = RandomWalkLink(4e6, 4e5, 1e7, duration=40.0).build(7)
+        assert (
+            trace.digest
+            == "8c38cd2de7c9df05234686c6caf9054625441f20e49880f9604273c98b775bc0"
+        )
+        samples = trace.samples()
+        assert len(samples) == 80
+        assert samples[:3] == [
+            (0.0, 3999999.9999999986),
+            (0.5, 3657340.559338687),
+            (1.0, 4433418.711855851),
+        ]
+        assert samples[-3:] == [
+            (38.5, 926197.5579228594),
+            (39.0, 1623941.997543431),
+            (39.5, 2733813.093299906),
+        ]
 
     def test_constant_process(self):
-        process = constant_rate_process(5e5, duration=30.0)
-        assert process.mean_rate() == pytest.approx(5e5)
-        assert process.min_rate() == pytest.approx(5e5)
-        assert len(process) > 0
+        trace = LinkTrace.constant(5e5, 30.0)
+        assert trace.mean_rate() == pytest.approx(5e5)
+        assert trace.min_rate() == pytest.approx(5e5)
+        assert len(trace) > 0
 
     def test_constant_process_is_single_segment(self):
-        # Zero volatility never moves the walk, so one segment is exact —
-        # a 600 s trace must not materialize ~1,200 identical samples.
-        process = constant_rate_process(5e5, duration=600.0)
-        assert len(process) == 1
-        assert process.rate_at(0.0) == pytest.approx(5e5)
-        assert process.rate_at(599.9) == pytest.approx(5e5)
-
-    def test_constant_process_passes_through_step_and_seed(self):
-        process = constant_rate_process(5e5, duration=30.0, step_interval=2.0, seed=9)
-        assert process.step_interval == 2.0
-        assert process.mean_rate() == pytest.approx(5e5)
+        # A fixed-rate link is one segment at any duration — a 600 s trace
+        # must not materialize ~1,200 identical samples.
+        trace = LinkTrace.constant(5e5, 600.0)
+        assert len(trace) == 1
+        assert trace.rate_at(0.0) == pytest.approx(5e5)
+        assert trace.rate_at(599.9) == pytest.approx(5e5)
 
     def test_mean_and_min_are_cached_at_construction(self):
-        process = RateProcess(nominal_bps=1e6, min_bps=1e5, max_bps=4e6, seed=4, duration=30.0)
-        expected_mean = sum(r for _, r in process.samples()) / len(process)
-        expected_min = min(r for _, r in process.samples())
-        assert process.mean_rate() == pytest.approx(expected_mean)
-        assert process.min_rate() == pytest.approx(expected_min)
-        # Cached: mutating the underlying trace does not change the answer.
-        process._rates[0] = 1.0
-        assert process.mean_rate() == pytest.approx(expected_mean)
-        assert process.min_rate() == pytest.approx(expected_min)
+        # One meaning of mean_rate(): time-weighted over the duration, which
+        # closes the last (here half-length) step at 30.25 s.
+        trace = RandomWalkLink(nominal_bps=1e6, min_bps=1e5, max_bps=4e6, duration=30.25).build(4)
+        rates = [rate for _, rate in trace.samples()]
+        expected_mean = (sum(rates[:-1]) * 0.5 + rates[-1] * 0.25) / 30.25
+        assert trace.mean_rate() == pytest.approx(expected_mean)
+        assert trace.mean_rate() != pytest.approx(sum(rates) / len(rates))
+        assert trace.min_rate() == min(rates)
 
 
 class TestCellularLink:
     def make_link(self, **overrides):
         defaults = dict(
-            rate_process=constant_rate_process(1_200_000.0, duration=300.0),
+            rate_process=LinkTrace.constant(1_200_000.0, 300.0),
             buffer_bits=1_200_000.0,
             loss_rate=0.0,
             propagation_delay=0.0,
@@ -82,7 +104,7 @@ class TestCellularLink:
         return CellularLink(**defaults)
 
     def test_validation(self):
-        process = constant_rate_process(1e6)
+        process = LinkTrace.constant(1e6, 600.0)
         with pytest.raises(ConfigurationError):
             CellularLink(process, buffer_bits=0)
         with pytest.raises(ConfigurationError):
@@ -160,7 +182,7 @@ class TestBufferbloatMechanism:
     def test_tcp_inflates_rtt_on_deep_buffer(self):
         """The Figure-1 mechanism in miniature: RTT grows with the queue."""
         network = Network(seed=2)
-        process = constant_rate_process(1_000_000.0, duration=200.0)
+        process = LinkTrace.constant(1_000_000.0, 200.0)
         link = CellularLink(
             rate_process=process,
             buffer_bits=8.0 * 1_000_000.0,
@@ -180,8 +202,6 @@ class TestBufferbloatMechanism:
 
 class TestTraceDrivenLink:
     def test_service_rate_follows_the_trace(self):
-        from repro.cellular import TraceDrivenLink
-        from repro.corpus import LinkTrace
         from repro.elements import Buffer
 
         # 1 Mbps for 6 s, then 4 Mbps: draining the same backlog speeds up 4x.
@@ -205,12 +225,9 @@ class TestTraceDrivenLink:
 
 
 class TestSegmentIterators:
-    """`segments_from` on both rate-process flavors: the iterator the link
-    integrates service across."""
+    """`segments_from`: the iterator `service_time` integrates across."""
 
     def test_link_trace_segments_cover_and_clamp(self):
-        from repro.corpus import LinkTrace
-
         trace = LinkTrace(times=[0.0, 1.0, 2.0], rates=[8e6, 1e5, 4e6], duration=3.0)
         assert list(trace.segments_from(0.5)) == [
             (8e6, 1.0),
@@ -225,14 +242,15 @@ class TestSegmentIterators:
             assert rate == trace.rate_at(start)
 
     def test_rate_process_segments_match_rate_at(self):
-        process = RateProcess(
-            nominal_bps=1e6, min_bps=1e5, max_bps=1e7, duration=5.0, seed=4
-        )
-        segments = list(process.segments_from(0.0))
+        trace = RandomWalkLink(
+            nominal_bps=1e6, min_bps=1e5, max_bps=1e7, duration=5.0
+        ).build(4)
+        segments = list(trace.segments_from(0.0))
+        assert len(segments) == 10
         assert segments[-1][1] == float("inf")
-        assert segments[0][0] == process.rate_at(0.0)
-        # Constant processes collapse to one unbounded segment.
-        constant = constant_rate_process(5e6)
+        assert segments[0][0] == trace.rate_at(0.0)
+        # A fixed-rate link is one unbounded segment.
+        constant = LinkTrace.constant(5e6, 600.0)
         assert list(constant.segments_from(0.0)) == [(5e6, float("inf"))]
 
 
@@ -241,9 +259,6 @@ class TestTraceDrivenLinkSatellites:
     service, the deep-fade rate floor, and the mean-rate nominal."""
 
     def test_packet_straddling_sharp_rate_drop_pays_for_it(self):
-        from repro.cellular import TraceDrivenLink
-        from repro.corpus import LinkTrace
-
         # 1 Mbps for 10 ms, then 10 kbps.  A 12 kbit packet starting at t=0
         # drains 10 kbit in the fast segment and the remaining 2 kbit at
         # 10 kbps: delivery at 0.01 + 2000/1e4 = 0.21 s.  The old one-sample
@@ -260,10 +275,22 @@ class TestTraceDrivenLinkSatellites:
         network.run(until=5.0)
         assert [p.delivered_at for p in sink.packets] == pytest.approx([0.21])
 
-    def test_constant_trace_service_is_bit_identical_to_single_rate(self):
-        from repro.cellular import TraceDrivenLink
+    def test_cellular_link_packet_straddling_sharp_rate_drop_pays_for_it(self):
+        # The same trace and arithmetic through CellularLink, which used to
+        # divide by the rate sampled when the attempt began (0.012 s).
+        trace = LinkTrace(times=[0.0, 0.01], rates=[1e6, 1e4], duration=10.0)
+        network = Network(seed=0)
+        link = CellularLink(trace, buffer_bits=1e6, propagation_delay=0.0)
+        sink = Collector(name="sink")
+        link.connect(sink)
+        network.add(link)
+        network.start()
+        link.receive(Packet(seq=0, flow="f", size_bits=12_000, sent_at=0.0))
+        network.run(until=5.0)
+        assert [p.delivered_at for p in sink.packets] == pytest.approx([0.21])
 
-        process = constant_rate_process(1_200_000.0, duration=300.0)
+    def test_constant_trace_service_is_bit_identical_to_single_rate(self):
+        process = LinkTrace.constant(1_200_000.0, 300.0)
         network = Network(seed=0)
         link = TraceDrivenLink(process, name="link")
         sink = Collector(name="sink")
@@ -278,7 +305,6 @@ class TestTraceDrivenLinkSatellites:
         ]
 
     def test_deep_fade_loss_burst_trace_is_floored(self):
-        from repro.cellular import TraceDrivenLink
         from repro.cellular.link import MIN_SERVICE_RATE_BPS
         from repro.corpus.generators import CorrelatedLossBurstLink
 
@@ -339,9 +365,6 @@ class TestTraceDrivenLinkSatellites:
         assert len(fade_deliveries) >= 2
 
     def test_nominal_rate_reports_trace_mean_not_first_sample(self):
-        from repro.cellular import TraceDrivenLink
-        from repro.corpus import LinkTrace
-
         # A trace that *starts* in an outage: the first sample would
         # advertise a misleading ~0 nominal rate.
         trace = LinkTrace(times=[0.0, 1.0], rates=[1e4, 4e6], duration=2.0)
@@ -349,5 +372,5 @@ class TestTraceDrivenLinkSatellites:
         assert link.rate_bps == trace.mean_rate()
         assert link.rate_bps != trace.rate_at(0.0)
         # Constant traces are unchanged: mean == first sample.
-        process = constant_rate_process(5e6)
+        process = LinkTrace.constant(5e6, 600.0)
         assert TraceDrivenLink(process, name="c").rate_bps == 5e6

@@ -6,6 +6,7 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.corpus import (
     GENERATOR_FAMILIES,
@@ -18,6 +19,7 @@ from repro.corpus import (
     trace_digest,
 )
 from repro.corpus.__main__ import main as corpus_main
+from repro.corpus.trace import MIN_SERVICE_RATE_BPS
 from repro.errors import ConfigurationError
 
 FIXTURE = Path(__file__).parent / "data" / "mahimahi_small.trace"
@@ -70,6 +72,67 @@ class TestLinkTrace:
         payload["rates"] = [2e6]
         with pytest.raises(ConfigurationError):
             LinkTrace.from_payload(payload)
+
+
+@st.composite
+def _traces(draw):
+    """1–8 segments; rates 10¹–10⁷ bps, so some sit under the service floor."""
+    count = draw(st.integers(min_value=1, max_value=8))
+    gaps = draw(st.lists(st.floats(0.01, 5.0), min_size=count, max_size=count))
+    rates = draw(st.lists(st.floats(1.0, 7.0), min_size=count, max_size=count))
+    times = [draw(st.floats(0.0, 2.0))]
+    for gap in gaps[:-1]:
+        times.append(times[-1] + gap)
+    return LinkTrace(
+        times=times,
+        rates=[10.0**exponent for exponent in rates],
+        duration=times[-1] + gaps[-1],
+    )
+
+
+def _floored_bits(trace: LinkTrace, start: float, end: float) -> float:
+    """The floored rate integrated over ``[start, end]``."""
+    bits = 0.0
+    cursor = start
+    for rate, segment_end in trace.segments_from(start):
+        upto = min(segment_end, end)
+        bits += max(rate, MIN_SERVICE_RATE_BPS) * (upto - cursor)
+        cursor = upto
+        if cursor >= end:
+            return bits
+    raise AssertionError("unreachable: the final segment is unbounded")
+
+
+class TestServiceTimeLaw:
+    """`LinkTrace.service_time`, the one serialization rule both links use."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        trace=_traces(),
+        # Before, inside and past the trace (it ends by t = 42).
+        start=st.floats(-5.0, 60.0),
+        first=st.floats(1e3, 1e6),
+        second=st.floats(1e3, 1e6),
+    )
+    def test_splitting_a_packet_does_not_change_when_it_finishes(
+        self, trace, start, first, second
+    ):
+        head = trace.service_time(start, first)
+        tail = trace.service_time(start + head, second)
+        assert head + tail == pytest.approx(
+            trace.service_time(start, first + second), rel=1e-9
+        )
+        assert _floored_bits(trace, start, start + head) == pytest.approx(
+            first, rel=1e-9
+        )
+
+    @given(
+        rate=st.floats(MIN_SERVICE_RATE_BPS, 1e8),
+        start=st.floats(-5.0, 60.0),
+        size=st.floats(1.0, 1e7),
+    )
+    def test_one_segment_is_exactly_size_over_rate(self, rate, start, size):
+        assert LinkTrace.constant(rate, 30.0).service_time(start, size) == size / rate
 
 
 class TestParsers:

@@ -812,25 +812,3 @@ class TestVectorizedSenderIntegration:
             scalar_outcome.posterior_true_link_rate, abs=1e-9
         )
         assert vector_outcome.goodput_bps == pytest.approx(scalar_outcome.goodput_bps)
-
-
-class TestInferenceBenchWorkload:
-    def test_workload_is_deterministic_and_backends_agree(self):
-        from repro.experiments.inference_bench import (
-            InferenceBenchConfig,
-            build_workload,
-            run_backend,
-        )
-
-        config = InferenceBenchConfig(duration=6.0, max_hypotheses=96)
-        first = build_workload(config)
-        second = build_workload(config)
-        assert first == second
-
-        scalar = run_backend("scalar", config, first)
-        vectorized = run_backend("vectorized", config, first)
-        assert vectorized.final_hypotheses == scalar.final_hypotheses
-        assert vectorized.compacted_away == scalar.compacted_away
-        assert vectorized.map_link_rate_bps == scalar.map_link_rate_bps
-        for expected, actual in zip(scalar.weights, vectorized.weights):
-            assert actual == pytest.approx(expected, abs=1e-9)

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
+from repro.corpus import CorpusStore
 from repro.errors import ConfigurationError
 from repro.runner import (
     DEFAULT_REGISTRY,
@@ -127,6 +129,33 @@ class TestRegistry:
         names = DEFAULT_REGISTRY.names()
         for expected in ("figure1", "figure3_alpha", "single_link_tcp", "cellular_trace_tcp"):
             assert expected in names
+
+    #: One tiny point per built-in scenario.  A scenario registered without
+    #: an entry here fails the test below with a ``KeyError``.
+    TINY_POINTS = {
+        "cellular_trace_tcp": {"duration": 4.0},
+        "convergence": {"duration": 4.0},
+        "corpus_trace": {"trace": "walk"},  # corpus_dir: the test's tmp_path
+        "drain": {"duration": 4.0},
+        "figure1": {"duration": 4.0},
+        "figure3_alpha": {"duration": 4.0, "switch_interval": 2.0},
+        "inference_ablation_point": {"duration": 4.0},
+        "loss_comparison": {"duration": 4.0},
+        "many_flow_contention": {"duration": 4.0, "flows": 4, "isender_flows": 0},
+        "single_link_tcp": {"duration": 4.0},
+    }
+
+    @pytest.mark.parametrize("name", DEFAULT_REGISTRY.names())
+    def test_every_builtin_scenario_executes(self, name, tmp_path):
+        params = dict(self.TINY_POINTS[name])
+        if name == "corpus_trace":
+            CorpusStore(tmp_path).register_generator(
+                "walk", "random_walk", {"duration": 4.0}, seed=7
+            )
+            params["corpus_dir"] = str(tmp_path)
+        metrics = DEFAULT_REGISTRY.run_point(ScenarioSpec(name, params=params))
+        assert metrics
+        assert all(math.isfinite(value) for value in metrics.values())
 
     def test_unknown_parameter_rejected_with_known_list(self):
         registry = ScenarioRegistry()
