@@ -11,6 +11,8 @@ time-like metric against the same metric in the record's baseline — the
 file of the same name under ``benchmarks/baselines/`` beside it — failing
 any that reads more than ``MAX_REGRESSION`` over it.  Paths may be given to
 check other records; a record with no baseline file is gate-checked only.
+This script is the one place that decides what a timing regression is; the
+record format it reads is ``records.py`` beside it.
 
 Exit status: 0 all checks pass, 1 a gate or a timing fails *or a baseline
 exists and nothing could be compared with it* (renamed entries or metrics
@@ -22,16 +24,15 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
-# Allow running from a source checkout without installing the package.
-REPO_ROOT = Path(__file__).resolve().parent.parent
-if str(REPO_ROOT / "src") not in sys.path:
-    sys.path.insert(0, str(REPO_ROOT / "src"))
+from records import BenchRecord  # benchmarks/records.py, beside this script
 
-from repro.benchmarking import BenchRecord  # noqa: E402
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: Allowed fractional slowdown of a pace-corrected timing over its baseline.
 #: Sized from the estimator's own spread (see benchmarks/bench_micro.py):
 #: repeated runs on unchanged code stay inside it, a 1.3x slowdown does not.
+#: The only such number in the repository: a timing over it is a regression
+#: by definition, and nothing else re-judges a record.
 MAX_REGRESSION = 0.18
 
 

@@ -1,8 +1,9 @@
 """Collection rules and the record fixture for everything under benchmarks/.
 
 Two things live here: ``bench_micro.py`` (the sub-ledger timings behind
-``BENCH_micro.json``) and ``e2e/`` (the ``BENCHMARK.json`` ledger and its
-self-test).  Neither belongs in the tier-1 run.
+``BENCH_micro.json``, written through ``records.py`` and checked by
+``compare.py``, both beside this file) and ``e2e/`` (the ``BENCHMARK.json``
+ledger and its self-test).  Neither belongs in the tier-1 run.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.benchmarking import BenchRecord
+from records import BenchRecord  # pytest puts this directory on sys.path
 
 #: BENCH_*.json records live at the repository root, next to ROADMAP.md.
 REPO_ROOT = Path(__file__).resolve().parent.parent

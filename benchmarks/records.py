@@ -10,10 +10,10 @@ sub-ledger timings ``benchmarks/bench_micro.py`` writes to
 * ``gates`` — self-contained pass/fail bounds over those metrics,
 
 serialized canonically (sorted keys, fixed indentation, trailing newline)
-so diffs against a committed baseline are meaningful.  ``benchmarks/
-compare.py`` is the command-line check: it re-checks a record's own gates
-and flags time-like metrics that regressed against the committed baseline;
-``repro.diagnostics`` reads the same records as evidence.
+so diffs against a committed baseline are meaningful.  ``compare.py``
+beside this file is the one check: it re-checks a record's own gates and
+flags time-like metrics that regressed against the committed baseline, at
+the one threshold it defines.  Nothing under ``src/`` reads a record.
 """
 
 from __future__ import annotations
@@ -142,7 +142,7 @@ class BenchRecord:
                     yield label, metric, float(value), float(base_value)
 
     def check_regressions(
-        self, baseline: "BenchRecord", max_regression: float = 0.25
+        self, baseline: "BenchRecord", max_regression: float
     ) -> list[GateFailure]:
         """Time-like metrics more than ``max_regression`` (fractional) over ``baseline``."""
         return [

@@ -8,11 +8,13 @@ Three layers, bottom-up:
   replays two backend configurations through one seeded event script and
   bisects to the first kernel/rollout stage whose checkpoints differ.
 * :mod:`repro.diagnostics.triage` / :mod:`repro.diagnostics.history` —
-  root-cause triage over bench trajectories, cache state, differential
-  fuzz, and signature-collision scans; bench-history regression flagging;
-  cached-sweep auto-bisection.
+  root-cause triage over differential fuzz, cache state, and
+  signature-collision scans; cached-sweep auto-bisection.
 
-CLI: ``python -m repro.diagnostics {divergence,triage,bench-history}``.
+Timings are not this package's business: whether a micro-benchmark timing
+regressed is decided by ``benchmarks/compare.py`` and nowhere else.
+
+CLI: ``python -m repro.diagnostics {divergence,triage}``.
 """
 
 from repro.diagnostics.divergence import (
@@ -30,18 +32,10 @@ from repro.diagnostics.divergence import (
     seeded_events,
 )
 from repro.diagnostics.evidence import BayesianScorer, CauseHypothesis, Evidence
-from repro.diagnostics.history import (
-    EntryDelta,
-    HistoryReport,
-    RecordReport,
-    SweepBisection,
-    analyze_history,
-    bisect_cached_sweep,
-)
+from repro.diagnostics.history import SweepBisection, bisect_cached_sweep
 from repro.diagnostics.triage import (
     CAUSE_BACKEND_DRIFT,
     CAUSE_CACHE_STALENESS,
-    CAUSE_ENVIRONMENT_NOISE,
     CAUSE_SIGNATURE_COLLISION,
     TriageReport,
     make_causes,
@@ -65,15 +59,10 @@ __all__ = [
     "inject_stage_perturbation",
     "replay_trace",
     "seeded_events",
-    "EntryDelta",
-    "HistoryReport",
-    "RecordReport",
     "SweepBisection",
-    "analyze_history",
     "bisect_cached_sweep",
     "CAUSE_BACKEND_DRIFT",
     "CAUSE_CACHE_STALENESS",
-    "CAUSE_ENVIRONMENT_NOISE",
     "CAUSE_SIGNATURE_COLLISION",
     "TriageReport",
     "make_causes",

@@ -1,73 +1,39 @@
 """Command-line entry point: ``python -m repro.diagnostics``.
 
-Three subcommands::
+Two subcommands::
 
     # Where do two backend configurations first disagree, and why?
     python -m repro.diagnostics divergence --seed 3
     python -m repro.diagnostics divergence --perturb score   # self-test
 
-    # Rank candidate causes against bench records, the cache, and fuzz.
-    python -m repro.diagnostics triage BENCH_*.json \
-        --baseline-dir benchmarks/baselines --fuzz 5
+    # Rank candidate causes against differential fuzz, the cache, and
+    # signature-collision scans.
+    python -m repro.diagnostics triage --fuzz 5 --cache-dir .repro-cache
 
-    # Which committed benchmark trajectory regressed, and by how much?
-    python -m repro.diagnostics bench-history BENCH_*.json \
-        --baseline-dir benchmarks/baselines
-
-Exit status: ``divergence`` returns 1 when the replays diverge,
-``bench-history`` returns 1 when any record is flagged, ``triage`` always
-returns 0 (it ranks causes; it is not itself a gate).
+Exit status: ``divergence`` returns 1 when the replays diverge, ``triage``
+always returns 0 (it ranks causes; it is not itself a gate).  Timing
+regressions are ``benchmarks/compare.py``'s call, not this package's.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.benchmarking import BenchRecord
 from repro.diagnostics.divergence import (
     INJECTABLE_STAGES,
     backend_config,
     diagnose_divergence,
     inject_stage_perturbation,
 )
-from repro.diagnostics.history import analyze_history
 from repro.diagnostics.triage import triage
-
-
-def _load_records(paths: Sequence[str]) -> dict[str, BenchRecord]:
-    return {Path(path).name: BenchRecord.load(path) for path in paths}
-
-
-def _load_baselines(
-    names: Sequence[str],
-    baseline: Optional[str],
-    baseline_dir: Optional[str],
-    parser: argparse.ArgumentParser,
-) -> dict[str, BenchRecord]:
-    if baseline is not None and baseline_dir is not None:
-        parser.error("--baseline and --baseline-dir are mutually exclusive")
-    if baseline is not None:
-        if len(names) != 1:
-            parser.error("--baseline compares exactly one record; use --baseline-dir")
-        return {names[0]: BenchRecord.load(baseline)}
-    baselines: dict[str, BenchRecord] = {}
-    if baseline_dir is not None:
-        for name in names:
-            candidate = Path(baseline_dir) / name
-            if candidate.exists():
-                baselines[name] = BenchRecord.load(candidate)
-            else:
-                print(f"note: no baseline for {name} under {baseline_dir}; gates only")
-    return baselines
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.diagnostics",
-        description="equivalence and regression triage for the repro sender",
+        description="equivalence triage for the repro sender",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -93,9 +59,6 @@ def _build_parser() -> argparse.ArgumentParser:
     triage_parser = sub.add_parser(
         "triage", help="rank candidate root causes against available evidence"
     )
-    triage_parser.add_argument("records", nargs="*", help="BENCH_*.json files")
-    triage_parser.add_argument("--baseline-dir")
-    triage_parser.add_argument("--max-regression", type=float, default=0.25)
     triage_parser.add_argument("--cache-dir", help="ResultCache root to scan")
     triage_parser.add_argument(
         "--fuzz", type=int, default=0, metavar="N",
@@ -105,14 +68,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--collision-seeds", type=int, default=0, metavar="N",
         help="seeded replays scanned for decision-signature collisions",
     )
-
-    history = sub.add_parser(
-        "bench-history", help="check benchmark trajectories against baselines"
-    )
-    history.add_argument("records", nargs="+", help="BENCH_*.json files")
-    history.add_argument("--baseline", help="single baseline record")
-    history.add_argument("--baseline-dir", help="directory of baselines, matched by name")
-    history.add_argument("--max-regression", type=float, default=0.25)
 
     return parser
 
@@ -140,30 +95,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(report.render())
         return 1 if report.diverged else 0
 
-    if args.command == "triage":
-        records = _load_records(args.records)
-        baselines = _load_baselines(
-            list(records), None, args.baseline_dir, parser
-        )
-        report = triage(
-            records=records,
-            baselines=baselines,
-            max_regression=args.max_regression,
-            cache_dir=args.cache_dir,
-            fuzz_seeds=range(args.fuzz),
-            collision_seeds=range(args.collision_seeds),
-        )
-        print(report.render())
-        return 0
-
-    assert args.command == "bench-history"
-    records = _load_records(args.records)
-    baselines = _load_baselines(list(records), args.baseline, args.baseline_dir, parser)
-    report = analyze_history(
-        records, baselines, max_regression=args.max_regression
+    assert args.command == "triage"
+    report = triage(
+        cache_dir=args.cache_dir,
+        fuzz_seeds=range(args.fuzz),
+        collision_seeds=range(args.collision_seeds),
     )
     print(report.render())
-    return 1 if report.flagged else 0
+    return 0
 
 
 if __name__ == "__main__":

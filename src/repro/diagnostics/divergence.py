@@ -89,9 +89,10 @@ def backend_config(
 ) -> SenderConfig:
     """A small, fully featured config for differential replays.
 
-    The prior matches the differential fuzz suite's: few enough grid points
-    to replay fast, but with forking, loss, and buffer uncertainty so every
-    kernel stage does real work.
+    Its prior is the differential fuzz suite's too
+    (``tests/test_differential_backends.py`` reads it from here): few enough
+    grid points to replay fast, but with forking, loss, and buffer
+    uncertainty so every kernel stage does real work.
     """
     return SenderConfig(
         prior=figure3_prior(
@@ -112,11 +113,11 @@ def backend_config(
 def seeded_events(seed: int, packet_bits: float = DEFAULT_PACKET_BITS) -> list:
     """A reproducible send/update/decide script derived entirely from ``seed``.
 
-    Same construction as the differential fuzz suite's generator — time only
-    moves forward, every ack references a real outstanding send within its
-    plausible window, no sequence number is acknowledged twice — extended
-    with a ``decide`` event after every update so rollout-stage checkpoints
-    are exercised too.
+    Time only moves forward, every ack references a real outstanding send
+    within its plausible window, no sequence number is acknowledged twice,
+    and a ``decide`` event follows every update so rollout-stage checkpoints
+    are exercised too.  The ``decide`` events draw nothing from the RNG: the
+    differential fuzz suite replays these same scripts with them dropped.
     """
     rng = random.Random(seed)
     events: list[tuple[str, tuple]] = []

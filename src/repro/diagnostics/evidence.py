@@ -1,7 +1,7 @@
 """Bayesian evidence scoring for diagnostic root causes.
 
 The triage layer keeps a small set of candidate-cause hypotheses (backend
-drift, signature collision, cache staleness, bench noise) and updates each
+drift, signature collision, cache staleness) and updates each
 one against the evidence the probes collect.  :class:`BayesianScorer`
 applies a sequential odds-form update: one piece of supporting evidence
 with confidence ``c`` multiplies the hypothesis's odds by ``c / (1 - c)``,
@@ -98,7 +98,3 @@ class BayesianScorer:
                 cause.prior, cause.evidence_for, cause.evidence_against
             )
         return sorted(causes, key=lambda cause: cause.posterior, reverse=True)
-
-    def rank(self, causes: list[CauseHypothesis]) -> list[CauseHypothesis]:
-        """Alias of :meth:`score` (the SNIPPETS template's name)."""
-        return self.score(causes)

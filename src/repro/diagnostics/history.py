@@ -1,140 +1,23 @@
-"""Benchmark-trajectory analysis and cached-sweep auto-bisection.
+"""Cached-sweep auto-bisection: which grid region changed identity?
 
-Two localization tools for "something got slower / something changed":
-
-* :func:`analyze_history` walks committed ``BENCH_*.json`` records against
-  their baselines, re-checks every record's own gates, runs the wall-time
-  regression check, and tabulates per-entry fractional deltas of every
-  time-like metric — flagging the records where a regression entered.
-* :func:`bisect_cached_sweep` replays a sweep's grid points through the
-  :class:`~repro.runner.cache.ResultCache` *key space only*: each spec is
-  classified as a cache hit or miss without executing anything.  Because
-  cache keys fold in scenario params, seeds, config fingerprints, and code
-  identity, the misses are exactly the grid region whose identity changed —
-  the region a regression entered — and the axis values appearing only
-  among misses localize it further.
+:func:`bisect_cached_sweep` replays a sweep's grid points through the
+:class:`~repro.runner.cache.ResultCache` *key space only*: each spec is
+classified as a cache hit or miss without executing anything.  Because
+cache keys fold in scenario params, seeds, config fingerprints, and code
+identity, the misses are exactly the grid region whose identity changed —
+the region a regression entered — and the axis values appearing only
+among misses localize it further.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Sequence
 
-from repro.benchmarking import BenchRecord, GateFailure
 from repro.runner.cache import ResultCache
 from repro.runner.spec import ScenarioSpec
 
-__all__ = [
-    "EntryDelta",
-    "HistoryReport",
-    "RecordReport",
-    "SweepBisection",
-    "analyze_history",
-    "bisect_cached_sweep",
-]
-
-
-# ------------------------------------------------------------- bench history
-
-
-@dataclass
-class EntryDelta:
-    """Fractional change of one time-like metric against the baseline."""
-
-    entry: str
-    metric: str
-    baseline: float
-    current: float
-
-    @property
-    def change(self) -> float:
-        """Fractional delta; positive means slower than the baseline."""
-        if self.baseline == 0.0:
-            return 0.0
-        return self.current / self.baseline - 1.0
-
-
-@dataclass
-class RecordReport:
-    """One ``BENCH_*.json`` record checked against its baseline."""
-
-    name: str
-    gate_failures: list[GateFailure] = field(default_factory=list)
-    regression_failures: list[GateFailure] = field(default_factory=list)
-    deltas: list[EntryDelta] = field(default_factory=list)
-    has_baseline: bool = False
-
-    @property
-    def flagged(self) -> bool:
-        return bool(self.gate_failures or self.regression_failures)
-
-
-@dataclass
-class HistoryReport:
-    """Every analyzed record, with the flagged subset called out."""
-
-    records: list[RecordReport] = field(default_factory=list)
-
-    @property
-    def flagged(self) -> list[str]:
-        return [record.name for record in self.records if record.flagged]
-
-    def render(self) -> str:
-        lines = [f"bench history: {len(self.records)} record(s) analyzed"]
-        for record in self.records:
-            status = "FLAGGED" if record.flagged else "ok"
-            baseline_note = "" if record.has_baseline else " (no baseline; gates only)"
-            lines.append(f"  {record.name}: {status}{baseline_note}")
-            for failure in record.gate_failures:
-                lines.append(f"    gate: {failure.message}")
-            for failure in record.regression_failures:
-                lines.append(f"    regression: {failure.message}")
-            for delta in sorted(
-                record.deltas, key=lambda d: abs(d.change), reverse=True
-            ):
-                lines.append(
-                    f"    {delta.entry}.{delta.metric}: {delta.baseline:.4g}s "
-                    f"-> {delta.current:.4g}s ({delta.change:+.1%})"
-                )
-        if self.flagged:
-            lines.append(f"  flagged: {', '.join(self.flagged)}")
-        else:
-            lines.append("  no record regressed")
-        return "\n".join(lines)
-
-
-def _time_deltas(record: BenchRecord, baseline: BenchRecord) -> list[EntryDelta]:
-    return [
-        EntryDelta(entry=label, metric=metric, baseline=base_value, current=current)
-        for label, metric, current, base_value in record.time_pairs(baseline)
-    ]
-
-
-def analyze_history(
-    records: Mapping[str, BenchRecord],
-    baselines: Optional[Mapping[str, BenchRecord]] = None,
-    max_regression: float = 0.25,
-) -> HistoryReport:
-    """Check every record's gates and baseline deltas; flag regressions."""
-    baselines = baselines or {}
-    report = HistoryReport()
-    for name, record in sorted(records.items()):
-        baseline = baselines.get(name)
-        entry = RecordReport(
-            name=name,
-            gate_failures=record.check_gates(),
-            has_baseline=baseline is not None,
-        )
-        if baseline is not None:
-            entry.regression_failures = record.check_regressions(
-                baseline, max_regression=max_regression
-            )
-            entry.deltas = _time_deltas(record, baseline)
-        report.records.append(entry)
-    return report
-
-
-# ------------------------------------------------------------- sweep bisect
+__all__ = ["SweepBisection", "bisect_cached_sweep"]
 
 
 @dataclass

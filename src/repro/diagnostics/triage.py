@@ -1,22 +1,23 @@
-"""Ranked root-cause triage for equivalence and benchmark regressions.
+"""Ranked root-cause triage for equivalence failures.
 
-When a differential test or a benchmark gate fails, the first question is
-*which layer moved*: did an engine genuinely drift from its reference, is
-the policy table's coarse decision signature colliding two distinct belief
-states, is the result cache replaying entries that predate an unreleased
-simulator edit, or did nothing move at all and the bench environment is
-noisy?  :func:`triage` keeps one :class:`CauseHypothesis` per candidate and
-scores them against every piece of evidence the probes below can collect:
+When a differential test fails, the first question is *which layer moved*:
+did an engine genuinely drift from its reference, is the policy table's
+coarse decision signature colliding two distinct belief states, or is the
+result cache replaying entries that predate an unreleased simulator edit?
+:func:`triage` keeps one :class:`CauseHypothesis` per candidate and scores
+them against every piece of evidence the probes below can collect:
 
-* committed ``BENCH_*.json`` trajectories (gate failures and wall-time
-  regressions against their baselines),
 * a differential quick-fuzz — seeded scalar-vs-vectorized replays through
   :func:`~repro.diagnostics.divergence.diagnose_divergence`,
-* :class:`~repro.runner.cache.ResultCache` hit/miss/invalid counters and a
+* :class:`~repro.runner.cache.ResultCache` hit/miss/corrupt counters and a
   scan of an on-disk cache directory for unreadable or wrong-schema
   entries,
 * :func:`scan_signature_collisions` — seeded replays that watch for one
   coarse decision signature mapping to different planner decisions.
+
+Timings are not evidence here.  Whether a micro-benchmark timing regressed
+is decided by ``benchmarks/compare.py`` alone: a red compare is a timing
+regression by definition, not something triage re-judges.
 
 The result is a :class:`TriageReport` with every cause ranked by posterior
 probability and the full evidence log, so the report is auditable rather
@@ -30,7 +31,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
-from repro.benchmarking import TIME_METRIC_SUFFIXES, BenchRecord
 from repro.diagnostics.divergence import (
     DivergenceReport,
     backend_config,
@@ -43,7 +43,6 @@ from repro.runner.cache import CACHE_SCHEMA_VERSION
 __all__ = [
     "CAUSE_BACKEND_DRIFT",
     "CAUSE_CACHE_STALENESS",
-    "CAUSE_ENVIRONMENT_NOISE",
     "CAUSE_SIGNATURE_COLLISION",
     "TriageReport",
     "make_causes",
@@ -54,15 +53,10 @@ __all__ = [
 CAUSE_BACKEND_DRIFT = "backend drift (vectorized engine diverges from scalar oracle)"
 CAUSE_SIGNATURE_COLLISION = "signature-resolution collision (policy table aliases beliefs)"
 CAUSE_CACHE_STALENESS = "cache staleness (replayed results predate a code change)"
-CAUSE_ENVIRONMENT_NOISE = "bench-environment noise (no behavioural change)"
-
-#: Gate-target / message substrings that mark a gate as an *equivalence*
-#: gate rather than a performance gate.
-_PARITY_KEYWORDS = ("divergence", "fidelity", "parity", "equivalen", "match")
 
 
 def make_causes() -> dict[str, CauseHypothesis]:
-    """The four candidate causes, keyed by name, with neutral priors."""
+    """The three candidate causes, keyed by name, with neutral priors."""
     causes = [
         CauseHypothesis(
             name=CAUSE_BACKEND_DRIFT,
@@ -88,11 +82,6 @@ def make_causes() -> dict[str, CauseHypothesis]:
                 "not bumped)"
             ),
             prior=0.15,
-        ),
-        CauseHypothesis(
-            name=CAUSE_ENVIRONMENT_NOISE,
-            description="timing noise on the bench machine; no code-level cause",
-            prior=0.2,
         ),
     ]
     return {cause.name: cause for cause in causes}
@@ -133,62 +122,6 @@ class TriageReport:
 # ------------------------------------------------------------------- evidence
 
 
-def _is_time_metric(metric: str) -> bool:
-    return metric.endswith(TIME_METRIC_SUFFIXES)
-
-
-def _bench_evidence(
-    causes: dict[str, CauseHypothesis],
-    notes: list[str],
-    records: Mapping[str, BenchRecord],
-    baselines: Mapping[str, BenchRecord],
-    max_regression: float,
-) -> None:
-    """Score gate failures and wall-time regressions from bench records."""
-    drift = causes[CAUSE_BACKEND_DRIFT]
-    noise = causes[CAUSE_ENVIRONMENT_NOISE]
-    parity_gates_seen = 0
-    parity_gates_failed = 0
-    any_regression = False
-    for name, record in sorted(records.items()):
-        failures = record.check_gates()
-        failed_targets = {f"{failure.entry}.{failure.metric}" for failure in failures}
-        for target in record.gates:
-            if any(keyword in target.lower() for keyword in _PARITY_KEYWORDS):
-                parity_gates_seen += 1
-                if target in failed_targets:
-                    parity_gates_failed += 1
-        for failure in failures:
-            text = f"{name}: {failure.message}"
-            notes.append(f"gate failure — {text}")
-            target = f"{failure.entry}.{failure.metric}".lower()
-            if any(keyword in target for keyword in _PARITY_KEYWORDS):
-                drift.support(text, "bench", 0.85)
-            elif "speedup" in target or _is_time_metric(failure.metric):
-                # A missed performance gate without an equivalence failure
-                # reads as a slow machine far more often than as drift.
-                noise.support(text, "bench", 0.6)
-            else:
-                noise.support(text, "bench", 0.55)
-        baseline = baselines.get(name)
-        if baseline is None:
-            continue
-        regressions = record.check_regressions(baseline, max_regression=max_regression)
-        for failure in regressions:
-            any_regression = True
-            text = f"{name}: {failure.message}"
-            notes.append(f"regression — {text}")
-            noise.support(text, "bench", 0.65 if not failures else 0.55)
-    if records and not any_regression and baselines:
-        noise.refute("no wall-time regressions against any baseline", "bench", 0.55)
-    if parity_gates_seen and not parity_gates_failed:
-        drift.refute(
-            f"{parity_gates_seen} equivalence gate(s) pass in committed records",
-            "bench",
-            0.6,
-        )
-
-
 def _cache_evidence(
     causes: dict[str, CauseHypothesis],
     notes: list[str],
@@ -198,17 +131,17 @@ def _cache_evidence(
     """Score the staleness hypothesis from cache counters and disk state."""
     staleness = causes[CAUSE_CACHE_STALENESS]
     if cache_counters is not None:
-        invalid = int(cache_counters.get("invalid", 0))
+        corrupt = int(cache_counters.get("corrupt", 0))
         traffic = int(cache_counters.get("hits", 0)) + int(cache_counters.get("misses", 0))
-        if invalid:
+        if corrupt:
             staleness.support(
-                f"{invalid} cache read(s) failed validation this run",
+                f"{corrupt} cache read(s) failed validation this run",
                 "cache",
                 0.85,
             )
         elif traffic:
             staleness.refute(
-                f"{traffic} cache lookup(s), none invalid", "cache", 0.6
+                f"{traffic} cache lookup(s), none corrupt", "cache", 0.6
             )
     if cache_dir is None:
         return
@@ -357,9 +290,6 @@ def _collision_evidence(
 
 
 def triage(
-    records: Optional[Mapping[str, BenchRecord]] = None,
-    baselines: Optional[Mapping[str, BenchRecord]] = None,
-    max_regression: float = 0.25,
     cache_dir: Optional[str | Path] = None,
     cache_counters: Optional[Mapping[str, int]] = None,
     fuzz_seeds: Sequence[int] = (),
@@ -367,15 +297,13 @@ def triage(
     collision_config=None,
     collision_resolution_bits: Optional[float] = None,
 ) -> TriageReport:
-    """Collect every available evidence source and rank the four causes.
+    """Collect every available evidence source and rank the three causes.
 
     All probes are optional — pass only the evidence you have.  With no
     evidence at all the report simply returns the priors.
     """
     causes = make_causes()
     notes: list[str] = []
-    if records:
-        _bench_evidence(causes, notes, records, baselines or {}, max_regression)
     if cache_dir is not None or cache_counters is not None:
         _cache_evidence(
             causes,

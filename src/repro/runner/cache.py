@@ -85,8 +85,6 @@ class ResultCache:
         self.hits = 0
         self.misses = 0
         self.stores = 0
-        #: Files that existed but could not be read back (corruption).
-        self.invalid = 0
         #: Unreadable entries moved to ``quarantine/`` this session; the
         #: runner surfaces the per-run delta as ``ResultStore.cache_corrupt``.
         self.corrupt = 0
@@ -154,7 +152,6 @@ class ResultCache:
 
         result, quarantined = read_json_or_quarantine(self.root, self._path(key), check)
         if quarantined:
-            self.invalid += 1
             self.corrupt += 1
         if result is None:
             self.misses += 1

@@ -19,6 +19,9 @@ fingerprint right now:
   failure quarantines the file (``quarantine/``, the
   :class:`~repro.runner.cache.ResultCache` convention) and reads as a miss:
   a corrupt table is **never served**.
+* **A fingerprint is one path component** — it names a directory and it
+  comes from the client, so anything else (:func:`is_path_component`) is
+  unpublished: ``<fp>/../<fp>`` can neither read nor quarantine ``<fp>``.
 * **Hot reload** — lookups are answered from an in-memory cache that
   re-reads the ``CURRENT`` pointer on every call (three syscalls on a
   17-byte file; no ``stat`` shortcut, because a rename-swapped pointer can
@@ -40,15 +43,32 @@ from repro._persist import atomic_write_text, quarantine_file
 from repro.api.policy import TABLE_SCHEMA_VERSION, PolicyTable
 from repro.errors import TableIntegrityError
 
-__all__ = ["PolicyTableRegistry", "content_digest"]
+__all__ = ["PolicyTableRegistry", "content_digest", "is_path_component"]
 
 #: Hex digits of the sha256 content address in version filenames.
 DIGEST_LENGTH = 16
+
+#: What a fingerprint may not hold: a separator (leaves its directory), NUL.
+_PATH_BREAKERS = tuple(sorted({"/", "\0", os.sep, os.altsep or os.sep}))
 
 
 def content_digest(data: bytes) -> str:
     """The content address of one serialized table artifact."""
     return hashlib.sha256(data).hexdigest()[:DIGEST_LENGTH]
+
+
+def is_path_component(fingerprint: str) -> bool:
+    """Whether ``fingerprint`` names exactly one directory entry.
+
+    False for ``""``, ``"."``, ``".."`` and anything holding a path
+    separator or NUL.  On every table hit's path: plain ``str`` tests only.
+    """
+    if fingerprint in ("", ".", ".."):
+        return False
+    for breaker in _PATH_BREAKERS:
+        if breaker in fingerprint:
+            return False
+    return True
 
 
 class PolicyTableRegistry:
@@ -82,6 +102,10 @@ class PolicyTableRegistry:
     # ---------------------------------------------------------------- layout
 
     def _table_dir(self, fingerprint: str) -> Path:
+        if not is_path_component(fingerprint):
+            raise TableIntegrityError(
+                f"fingerprint {fingerprint!r} is not a single path component"
+            )
         return self.root / "tables" / fingerprint
 
     # --------------------------------------------------------------- publish
@@ -90,7 +114,8 @@ class PolicyTableRegistry:
         """Store ``table`` as a new version and point ``CURRENT`` at it.
 
         The table must carry its owning config's fingerprint (every table
-        built by :func:`~repro.api.policy.precompute_policy_table` does).
+        built by :func:`~repro.api.policy.precompute_policy_table` does),
+        and that fingerprint must be a single path component.
         Returns the version file's path.  Safe against concurrent
         publishers: both version writes and the pointer swap are atomic
         renames, so the loser of a race leaves a complete, valid registry.
@@ -110,6 +135,8 @@ class PolicyTableRegistry:
 
     def versions(self, fingerprint: str) -> list[str]:
         """Every published version digest for ``fingerprint``, sorted."""
+        if not is_path_component(fingerprint):
+            return []
         table_dir = self._table_dir(fingerprint)
         if not table_dir.is_dir():
             return []
@@ -119,9 +146,11 @@ class PolicyTableRegistry:
         """The digest ``CURRENT`` points at, or ``None`` when unpublished."""
         # On every table hit's path: a string and ``os`` calls cost an eighth
         # of ``Path`` joins and ``read_text``.
+        if not is_path_component(fingerprint):
+            return None
         try:
             pointer = os.open(f"{self.root}/tables/{fingerprint}/CURRENT", os.O_RDONLY)
-        except (OSError, ValueError):  # ValueError: a NUL in a client's fingerprint
+        except OSError:
             return None
         try:
             value = os.read(pointer, 4096)

@@ -34,6 +34,7 @@ from repro.api.policy import signature_from_json
 from repro.errors import OverloadedError, ServingError
 from repro.serving.fallback import DecisionService
 from repro.serving.health import healthz_payload, readyz_payload
+from repro.serving.registry import is_path_component
 
 __all__ = ["PolicyClient", "PolicyServer"]
 
@@ -204,6 +205,8 @@ class PolicyServer:
         try:
             request = json.loads(body.decode("utf-8"))
             fingerprint = str(request["fingerprint"])
+            if not is_path_component(fingerprint):
+                raise ValueError(f"fingerprint {fingerprint!r} is not one path component")
             signature = signature_from_json(request["signature"])
             now = float(request.get("now", 0.0))
         except (ValueError, KeyError, TypeError, RecursionError) as error:

@@ -1,8 +1,8 @@
 """Property-based invariants of :class:`~repro.inference.belief.BeliefState`.
 
-Seeded stdlib-:mod:`random` exploration (no third-party fuzzing dependency)
-of the invariants every belief backend must hold at *every* point of *any*
-update trajectory — not just the endpoints the equivalence suites compare:
+Seeded stdlib-:mod:`random` exploration of the invariants every belief
+backend must hold at *every* point of *any* update trajectory — not just
+the endpoints the equivalence suites compare:
 
 * weights come back normalized (sum 1) and non-negative after each
   evolve/score/compact/prune cycle;
@@ -12,7 +12,9 @@ update trajectory — not just the endpoints the equivalence suites compare:
 * ``top(k)`` is weight-sorted and consistent with ``map_estimate``;
 * ``decision_signature`` is a pure function of the belief: repeated calls
   and no-op round trips (a zero-elapsed update with no acknowledgements)
-  leave it unchanged — the property the policy cache/table keys rely on.
+  leave it unchanged — the property the policy cache/table keys rely on;
+* the posterior does not depend on the order the hypotheses were listed in
+  (a ``hypothesis`` property over permutations of the prior's grid).
 """
 
 from __future__ import annotations
@@ -21,8 +23,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.inference import BeliefState, GaussianKernel, figure3_prior
+from repro.diagnostics import seeded_events
+from repro.inference import BeliefState, GaussianKernel, Hypothesis, figure3_prior
 
 #: Random trajectories explored per backend.
 TRAJECTORIES = 12
@@ -35,15 +39,19 @@ PACKET_BITS = 12_000.0
 BACKENDS = ("scalar", "vectorized")
 
 
+def suite_prior():
+    return figure3_prior(
+        link_rate_points=2,
+        cross_fraction_points=2,
+        loss_points=2,
+        buffer_points=2,
+        fill_points=1,
+    )
+
+
 def build_belief(backend: str, max_hypotheses: int) -> BeliefState:
     return BeliefState.from_prior(
-        figure3_prior(
-            link_rate_points=2,
-            cross_fraction_points=2,
-            loss_points=2,
-            buffer_points=2,
-            fill_points=1,
-        ),
+        suite_prior(),
         backend=backend,
         kernel=GaussianKernel(sigma=0.5),
         max_hypotheses=max_hypotheses,
@@ -168,3 +176,48 @@ class TestDecisionSignatureStability:
         # A full-ensemble signature refines the truncated one.
         wide = belief.decision_signature(len(belief), RESOLUTION_BITS)
         assert wide[: len(signature)] == signature
+
+
+# --------------------------------------------------- hypothesis-order invariance
+
+#: The suite's prior as (params, probability) pairs, in grid order.
+GRID = list(suite_prior().combinations())
+
+
+def posterior_after_script(backend: str, order, seed: int, max_hypotheses: int) -> list:
+    """``(signature, weight)`` pairs, canonically sorted, after ``seeded_events(seed)``
+    on a belief whose initial hypotheses are ``GRID`` listed in ``order``."""
+    belief = BeliefState.for_backend(backend)(
+        [Hypothesis.from_params(GRID[index][0]) for index in order],
+        [GRID[index][1] for index in order],
+        kernel=GaussianKernel(sigma=0.5),
+        max_hypotheses=max_hypotheses,
+        on_degenerate="keep",
+    )
+    for kind, args in seeded_events(seed, PACKET_BITS):
+        if kind == "send":
+            belief.record_send(*args)
+        elif kind == "update":
+            belief.update(*args)
+    pairs = [(repr(hyp.signature()), weight) for hyp, weight in belief.top(len(belief))]
+    return sorted(pairs)
+
+
+class TestHypothesisOrderInvariance:
+    """ROADMAP direction 1(2): permutation invariance of hypothesis order."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @settings(max_examples=25, deadline=None)
+    @given(order=st.permutations(range(len(GRID))), seed=st.integers(0, 199))
+    def test_shuffled_prior_gives_the_same_posterior_multiset(self, backend, order, seed):
+        # The cap is out of reach on purpose: a prune that must cut through a
+        # run of equal weights keeps whichever rows come first, and that is
+        # the one place order is allowed to show.
+        reference = posterior_after_script(backend, range(len(GRID)), seed, 4_096)
+        shuffled = posterior_after_script(backend, order, seed, 4_096)
+        assert len(shuffled) == len(reference)
+        for (signature, weight), (expected_signature, expected_weight) in zip(
+            shuffled, reference
+        ):
+            assert signature == expected_signature
+            assert weight == pytest.approx(expected_weight, abs=1e-12)

@@ -5,7 +5,8 @@ handcrafted regimes (the array engine is exercised under its
 ``"vectorized"`` spelling; ``"fused"`` resolves to the identical objects,
 which ``tests/test_api_config.py`` pins); this suite hammers the same contract with seeded
 *random* send/acknowledgement sequences — ≥50 per backend pair, generated
-with stdlib :mod:`random` so every failure reproduces from its seed alone:
+by :func:`repro.diagnostics.seeded_events` (stdlib :mod:`random`) so every
+failure reproduces from its seed alone, here and in the triage report:
 
 * **belief pair** — each sequence replays through a scalar and a
   vectorized :class:`~repro.inference.belief.BeliefState`; posteriors,
@@ -30,14 +31,12 @@ ensemble caps.
 
 from __future__ import annotations
 
-import random
-
 import pytest
 
 from repro.core.planner import ExpectedUtilityPlanner
 from repro.core.utility import AlphaWeightedUtility
+from repro.diagnostics import backend_config, diagnose_divergence, seeded_events
 from repro.inference import (
-    AckObservation,
     BeliefState,
     GaussianKernel,
     figure3_prior,
@@ -71,8 +70,6 @@ def _triage_on_failure(seed: int) -> None:
     if _TRIAGE_PRINTED:
         return
     _TRIAGE_PRINTED = True
-    from repro.diagnostics import backend_config, diagnose_divergence
-
     report = diagnose_divergence(
         backend_config("scalar", "scalar"),
         backend_config("vectorized", "vectorized"),
@@ -83,50 +80,22 @@ def _triage_on_failure(seed: int) -> None:
 
 
 def _prior():
-    """A small but fully featured prior: forking, loss, buffer uncertainty."""
-    return figure3_prior(
-        link_rate_points=2,
-        cross_fraction_points=2,
-        loss_points=2,
-        buffer_points=2,
-        fill_points=2,
-    )
+    """A small but fully featured prior: forking, loss, buffer uncertainty
+    (the one ``repro.diagnostics`` replays, so a red run's triage report
+    bisects exactly what failed here)."""
+    return backend_config().prior
 
 
 def random_sequence(seed: int) -> list[tuple[str, tuple]]:
-    """A reproducible send/update script derived entirely from ``seed``.
+    """The send/update script of ``seeded_events(seed)``.
 
     Time only moves forward; every ack references a real outstanding send,
     arrives no earlier than the send and no later than the update that
-    observes it, and no sequence number is acknowledged twice.
+    observes it, and no sequence number is acknowledged twice.  The
+    generator's ``decide`` events draw nothing from its RNG, so dropping
+    them leaves the belief script unchanged.
     """
-    rng = random.Random(seed)
-    events: list[tuple[str, tuple]] = []
-    now = 0.0
-    seq = 0
-    outstanding: list[tuple[int, float]] = []
-    for _ in range(rng.randint(4, 8)):
-        if rng.random() < 0.55:
-            events.append(("send", (seq, PACKET_BITS, now)))
-            outstanding.append((seq, now))
-            seq += 1
-            now += rng.uniform(0.05, 0.9)
-        else:
-            now += rng.uniform(0.3, 6.0)  # occasionally long: loss charging
-            acks = []
-            for entry in list(outstanding):
-                if rng.random() < 0.6:
-                    sent_seq, sent_at = entry
-                    at = min(now, sent_at + rng.uniform(0.2, 2.5))
-                    acks.append(
-                        AckObservation(seq=sent_seq, received_at=at, ack_at=at)
-                    )
-                    outstanding.remove(entry)
-            rng.shuffle(acks)  # update order must not matter
-            events.append(("update", (now, acks)))
-    now += rng.uniform(0.5, 2.0)
-    events.append(("update", (now, [])))
-    return events
+    return [event for event in seeded_events(seed, PACKET_BITS) if event[0] != "decide"]
 
 
 def _fork_free_prior():

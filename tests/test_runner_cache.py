@@ -192,7 +192,7 @@ class TestHitMissInvalidation:
         warm_cache = ResultCache(tmp_path)
         warm = SerialRunner(cache=warm_cache).run(SPECS)
         assert (warm.cache_hits, warm.cache_misses) == (len(SPECS), 0)
-        assert warm_cache.invalid == 0
+        assert warm_cache.corrupt == 0
         assert warm.to_json() == cold.to_json()
         # Even the timing view replays (original wall times are stored).
         assert warm.to_json(include_timing=True) == cold.to_json(include_timing=True)
@@ -245,7 +245,7 @@ class TestCorruptionRecovery:
         cache = ResultCache(tmp_path)
         healed = SerialRunner(cache=cache).run(SPECS)
         assert (healed.cache_hits, healed.cache_misses) == (1, 1)
-        assert cache.invalid == 1
+        assert cache.corrupt == 1
         assert healed.to_json() == cold.to_json()
 
         rewarmed = SerialRunner(cache=ResultCache(tmp_path)).run(SPECS)

@@ -14,6 +14,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError, PointFailureError
 from repro.runner import (
@@ -232,6 +233,120 @@ class TestJournal:
         a = journal_path(tmp_path, grid_digest(toy_specs(2)))
         b = journal_path(tmp_path, grid_digest(toy_specs(3)))
         assert a != b and a.parent == b.parent == tmp_path / "journal"
+
+
+# ----------------------------------------------------- journal replay, fuzzed
+
+#: What a crash, a double flush or a stray writer can put on a line that is
+#: JSON but not a record.
+NON_OBJECT_LINES = ["[1, 2]", '"done"', "42", "null", "true", "{", "}", ""]
+
+
+def mangle_journal(lines: list[str], data) -> str:
+    """``lines`` torn, glued, duplicated, reordered and salted, as ``data`` draws."""
+    lines = list(lines)
+    for _ in range(data.draw(st.integers(0, 8), label="damage")):
+        kind = data.draw(st.sampled_from(["tear", "glue", "duplicate", "swap", "noise"]))
+        at = data.draw(st.integers(0, len(lines) - 1))
+        if kind == "tear":
+            lines[at] = lines[at][: data.draw(st.integers(0, len(lines[at])))]
+        elif kind == "glue" and at + 1 < len(lines):  # at the last line: noise instead
+            # A torn append the next writer continued: no newline between them.
+            cut = data.draw(st.integers(0, len(lines[at])))
+            lines[at : at + 2] = [lines[at][:cut] + lines[at + 1]]
+        elif kind == "duplicate":
+            lines.insert(data.draw(st.integers(0, len(lines))), lines[at])
+        elif kind == "swap":
+            other = data.draw(st.integers(0, len(lines) - 1))
+            lines[at], lines[other] = lines[other], lines[at]
+        else:
+            lines.insert(at, data.draw(st.sampled_from(NON_OBJECT_LINES)))
+    return "\n".join(lines) + data.draw(st.sampled_from(["\n", ""]), label="tail")
+
+
+def last_record_per_index(text: str) -> dict[int, dict]:
+    """The test's own reading of a journal: last decodable object per ``i``."""
+    last = {}
+    for line in text.splitlines():
+        try:
+            record = json.loads(line)
+        except ValueError:
+            continue
+        if isinstance(record, dict) and isinstance(record.get("i"), int):
+            last[record["i"]] = record
+    return last
+
+
+@pytest.fixture(scope="module")
+def tcp_journal(tmp_path_factory):
+    """``(specs, clean to_json, journal lines)`` of one supervised serial run.
+
+    Run once, outside ``@given``: the lines carry measured wall times, and
+    what hypothesis draws (cut positions) must not depend on the clock.
+    """
+    root = tmp_path_factory.mktemp("tcp-journal")
+    specs = grid("single_link_tcp", base={"duration": 2.0}, loss_rate=(0.0, 0.02, 0.05))
+    clean = make_runner("serial", supervision=Supervision(), journal_dir=root).run(specs)
+    lines = journal_path(root, grid_digest(specs)).read_text(encoding="utf-8").splitlines()
+    return specs, clean.to_json(), lines
+
+
+class TestJournalReplayProperties:
+    """ROADMAP direction 1(4): journal replay under everything a crash (or a
+    second writer) can leave in the file."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_replay_never_raises_and_done_means_a_whole_done_line_came_last(
+        self, tmp_path_factory, data
+    ):
+        path = tmp_path_factory.mktemp("journal") / "j.jsonl"
+        with SweepJournal(path, grid="abc", points=4) as journal:
+            for index in range(4):
+                journal.running(index, attempt=0)
+                if index == 2:
+                    journal.failed(index, attempt=0, error="boom")
+                    journal.running(index, attempt=1)
+                journal.done(index, {"y": index / 4, "seed_echo": float(index)}, 0.25)
+            journal.complete()
+        lines = path.read_text(encoding="utf-8").splitlines()
+        written = replay_journal(path).done
+        assert set(written) == {0, 1, 2, 3}
+
+        text = mangle_journal(lines, data)
+        path.write_text(text, encoding="utf-8")
+        state = replay_journal(path)  # never raises
+        last = last_record_per_index(text)
+        for index, record in state.done.items():
+            assert record == last[index] == written[index]
+        # Nor is anything the file's last word calls done dropped.
+        assert set(state.done) == {
+            index for index, record in last.items() if record.get("state") == "done"
+        }
+
+        # A header of another version, wherever it lands, voids the file.
+        foreign = json.dumps({"journal": "repro.runner/sweep", "v": JOURNAL_SCHEMA_VERSION + 1})
+        mangled = text.splitlines()
+        mangled.insert(data.draw(st.integers(0, len(mangled)), label="foreign header"), foreign)
+        path.write_text("\n".join(mangled) + "\n", encoding="utf-8")
+        state = replay_journal(path)
+        assert state.header is None and state.last == {} and not state.complete
+
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_resume_from_a_mangled_journal_yields_the_clean_store(
+        self, tmp_path_factory, tcp_journal, data
+    ):
+        specs, clean, lines = tcp_journal
+        root = tmp_path_factory.mktemp("resume")
+        path = journal_path(root, grid_digest(specs))
+        path.parent.mkdir(parents=True)
+        path.write_text(mangle_journal(lines, data), encoding="utf-8")
+        resumed = make_runner(
+            "serial", supervision=Supervision(), journal_dir=root, resume=True
+        ).run(specs)
+        assert resumed.to_json() == clean
+        assert not resumed.quarantined
 
 
 # ------------------------------------------------------------------ supervision

@@ -95,6 +95,10 @@ def off_table_signature(table, bump: int = 1) -> tuple:
 
 # ---------------------------------------------------------------- registry
 
+#: Client-supplied "fingerprints" that would name something other than one
+#: directory under ``tables/``.
+NOT_ONE_PATH_COMPONENT = ["", ".", "..", "../x", "a/b", "nul\0byte"]
+
 
 class TestRegistry:
     def test_publish_and_lookup_round_trip(self, tmp_path):
@@ -212,6 +216,42 @@ class TestRegistry:
         table = PolicyTable(top_k=4)
         with pytest.raises(TableIntegrityError, match="without a config fingerprint"):
             PolicyTableRegistry(tmp_path).publish(table)
+
+    @pytest.mark.parametrize("fingerprint", NOT_ONE_PATH_COMPONENT[1:])  # "" is the test above
+    def test_publish_refuses_a_fingerprint_that_is_not_one_path_component(
+        self, tmp_path, fingerprint
+    ):
+        from repro.api.policy import PolicyTable
+
+        registry = PolicyTableRegistry(tmp_path / "registry")
+        with pytest.raises(TableIntegrityError, match="single path component"):
+            registry.publish(PolicyTable(top_k=4, fingerprint=fingerprint))
+        assert list(tmp_path.iterdir()) == []  # nothing written, anywhere
+
+    def test_traversal_fingerprint_is_unpublished_and_moves_no_file(
+        self, published, tmp_path
+    ):
+        """``<fp>/../<fp>`` used to resolve to ``fp``'s own files, fail the
+        payload-fingerprint check, and quarantine the healthy version."""
+        config, table, _ = published
+        registry = PolicyTableRegistry(tmp_path)
+        version = registry.publish(table)
+        service = DecisionService(registry, [config])
+        fingerprint = config.fingerprint()
+        signature = table.signatures()[0]
+
+        absolute = str(tmp_path / "tables" / fingerprint)  # Path("x") / "/abs" is "/abs"
+        for hostile in (f"{fingerprint}/../{fingerprint}", absolute, *NOT_ONE_PATH_COMPONENT):
+            assert service.decide(hostile, signature).tier == "default"
+            assert registry.lookup(hostile) is None
+            assert registry.current_digest(hostile) is None
+            assert registry.versions(hostile) == []
+        assert version.exists()
+        assert not (tmp_path / "quarantine").exists()
+        assert registry.corrupt == 0
+        assert service.counters_snapshot()["table_corrupt"] == 0
+        registry.reload()  # a restart would read the same disk state
+        assert service.decide(fingerprint, signature).tier == "table"
 
 
 # ----------------------------------------------------------------- breaker
@@ -921,6 +961,23 @@ class TestHostileRequests:
                 assert good["counters"]["requests"] == 1
 
         run_async(scenario())
+
+    def test_traversal_fingerprint_is_a_400_that_counts_nothing(self, published):
+        config, table, registry = published
+        service = DecisionService(registry, [config])
+        fingerprint = config.fingerprint()
+        signature = table.signatures()[0]
+
+        async def scenario():
+            async with serving(service) as (_, client):
+                for hostile in (f"{fingerprint}/../{fingerprint}", "..", ""):
+                    with pytest.raises(ServingError, match=r"\(400\)"):
+                        await client.decide(hostile, signature)
+                assert service.counters_snapshot() == fallback.ServingCounters().snapshot()
+                return await client.decide(fingerprint, signature)
+
+        assert run_async(scenario())["tier"] == "table"
+        assert registry.corrupt == 0
 
     def test_malformed_requests_cannot_open_the_breaker(self, published, tmp_path):
         """Three bad bodies used to switch tier 2 off for everyone."""
