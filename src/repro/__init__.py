@@ -10,8 +10,8 @@ The package is organized as:
 * :mod:`repro.core` — utility functions, the expected-utility planner, and
   the model-based ISender (the paper's contribution).
 * :mod:`repro.api` — the configuration layer: ``SenderConfig`` +
-  ``build_sender`` (the one construction path), the engine backend
-  registry, and precomputed §3.3 policy tables.
+  ``build_sender`` (the one construction path) and precomputed §3.3
+  policy tables.
 * :mod:`repro.baselines` — TCP-like window senders and rate senders.
 * :mod:`repro.cellular` — the synthetic bufferbloated cellular link used to
   reproduce Figure 1.

@@ -10,6 +10,7 @@ and one cache-directory convention without importing each other.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import inspect
 import json
 import os
@@ -24,6 +25,19 @@ T = TypeVar("T")
 #: CLI's ``--cache-dir`` exports it for the duration of a run so worker
 #: processes and the policy-table precompute path all reuse one location.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
+
+
+def canonical_digest(payload, length: int = 16) -> str:
+    """Hex digest of ``payload``'s canonical JSON form.
+
+    The one hashing convention shared by every fingerprint-keyed artifact:
+    :meth:`~repro.api.config.SenderConfig.fingerprint`, the runner's
+    persistent :class:`~repro.runner.cache.ResultCache` keys, and the
+    :class:`~repro.api.policy.PolicyTable` cache filenames.  ``payload``
+    must be JSON-serializable (non-JSON leaves fall back to ``str``, the
+    same rule the runner's canonical artifacts use)."""
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=str)
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:length]
 
 
 def default_cache_dir() -> Optional[Path]:

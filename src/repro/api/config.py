@@ -7,10 +7,9 @@ the policy server and the examples all describe their senders with one of
 these and build them through :func:`repro.api.sender.build_sender` /
 :func:`~repro.api.sender.build_components`.
 
-Backend names are validated **eagerly**, at construction, against the
-:mod:`repro.api.backends` registries, so a typo like
-``rollout_backend="vectorised"`` fails with a
-:class:`~repro.errors.UnknownBackendError` listing the registered engines
+Backend names are checked **eagerly**, at construction, the way ``kernel``
+and ``policy`` are, so a typo like ``rollout_backend="vectorised"`` fails
+with a :class:`~repro.errors.UnknownBackendError` listing the accepted names
 instead of surfacing deep inside planner construction.
 
 :meth:`SenderConfig.fingerprint` is the stable identity used to key
@@ -22,14 +21,14 @@ fingerprint on any machine or Python version.
 from __future__ import annotations
 
 import functools
-import hashlib
-import json
 from dataclasses import dataclass, fields as dataclass_fields, replace
 from typing import Optional
 
-from repro.api.backends import BELIEF_BACKENDS, ROLLOUT_BACKENDS
+from repro._persist import canonical_digest
+from repro.core.planner import ExpectedUtilityPlanner
+from repro.core.utility import AlphaWeightedUtility
 from repro.errors import ConfigurationError
-from repro.inference.belief import BeliefState
+from repro.inference.belief import BeliefState, check_backend
 from repro.inference.likelihood import ExactMatchKernel, GaussianKernel, LikelihoodKernel
 from repro.inference.prior import Prior
 from repro.units import DEFAULT_PACKET_BITS
@@ -43,19 +42,6 @@ POLICY_MODES = ("none", "cache", "table")
 
 #: Fingerprint format version, bumped on incompatible changes.
 FINGERPRINT_VERSION = 1
-
-
-def canonical_digest(payload, length: int = 16) -> str:
-    """Hex digest of ``payload``'s canonical JSON form.
-
-    The one hashing convention shared by every fingerprint-keyed artifact:
-    :meth:`SenderConfig.fingerprint`, the runner's persistent
-    :class:`~repro.runner.cache.ResultCache` keys, and the
-    :class:`~repro.api.policy.PolicyTable` cache filenames.  ``payload``
-    must be JSON-serializable (non-JSON leaves fall back to ``str``, the
-    same rule the runner's canonical artifacts use)."""
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=str)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:length]
 
 
 @dataclass(frozen=True)
@@ -84,13 +70,12 @@ class SenderConfig:
     horizon / horizon_service_multiples:
         Planner rollout horizon (fixed seconds, or derived per decision).
     belief_backend / rollout_backend:
-        Registered engine names (see :mod:`repro.api.backends`); validated
-        eagerly at construction.  The built-ins are ``"scalar"`` (the
-        reference oracle) and one array engine (struct-of-arrays ensemble
-        and batched rollout lanes) accepted under two spellings,
-        ``"vectorized"`` and ``"fused"``.
-        The two run the same code, but the spelling is part of
-        :meth:`fingerprint` — and so of a point's seed and cache key.
+        Engine names, checked at construction: ``"scalar"`` (the reference
+        oracle) or the one array engine (struct-of-arrays ensemble and
+        batched rollout lanes) under either of its two spellings,
+        ``"vectorized"`` and ``"fused"``.  The two run the same code, but
+        the spelling is part of :meth:`fingerprint` — and so of a point's
+        seed and cache key.
     policy:
         ``"none"`` plans live at every wake-up; ``"cache"`` memoizes
         decisions (:class:`~repro.core.policy.PolicyCache`); ``"table"``
@@ -116,8 +101,8 @@ class SenderConfig:
     policy_resolution_bits: float = 3_000.0
 
     def __post_init__(self) -> None:
-        BELIEF_BACKENDS.validate(self.belief_backend)
-        ROLLOUT_BACKENDS.validate(self.rollout_backend)
+        check_backend("belief", self.belief_backend)
+        check_backend("rollout", self.rollout_backend)
         if self.kernel not in KERNELS:
             raise ConfigurationError(
                 f"unknown kernel {self.kernel!r}; expected one of {KERNELS}"
@@ -157,10 +142,8 @@ class SenderConfig:
             return ExactMatchKernel(tolerance=self.kernel_scale)
         return GaussianKernel(sigma=self.kernel_scale)
 
-    def build_utility(self):
+    def build_utility(self) -> AlphaWeightedUtility:
         """The :class:`~repro.core.utility.AlphaWeightedUtility` this config names."""
-        from repro.core.utility import AlphaWeightedUtility
-
         return AlphaWeightedUtility(
             alpha=self.alpha,
             discount_timescale=self.discount_timescale,
@@ -193,8 +176,6 @@ class SenderConfig:
         planning problem through the array lane engine regardless of
         the configured runtime backend.
         """
-        from repro.core.planner import ExpectedUtilityPlanner
-
         return ExpectedUtilityPlanner(
             utility if utility is not None else self.build_utility(),
             packet_bits=self.packet_bits,

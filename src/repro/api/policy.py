@@ -33,11 +33,11 @@ from __future__ import annotations
 
 import copy
 import json
+import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from repro._persist import atomic_write_text, read_json_or_quarantine
-
+from repro._persist import atomic_write_text, canonical_digest, read_json_or_quarantine
 from repro.core.actions import Action
 from repro.core.planner import Decision, ExpectedUtilityPlanner
 from repro.core.policy import PolicyCache
@@ -67,23 +67,54 @@ def decision_to_payload(decision: Decision) -> dict:
     }
 
 
-def decision_from_payload(payload: dict) -> Decision:
-    """Rebuild a :class:`~repro.core.planner.Decision` from payload form."""
-    return Decision(
-        action=Action(float(payload["delay"])),
-        expected_utilities={
-            float(delay): float(value)
-            for delay, value in payload["expected_utilities"]
-        },
-        hypotheses_evaluated=int(payload["hypotheses_evaluated"]),
-        horizon=float(payload["horizon"]),
-    )
-
-
-#: What a signature's sequences and numbers arrive as: lists from JSON,
+#: What a payload's sequences and numbers arrive as: lists from JSON,
 #: tuples from an in-process payload; ``bool`` is not a number here.
 _SEQUENCE = (list, tuple)
 _NUMBER = (float, int)
+
+
+def _finite(what: str, value) -> float:
+    """``value`` as a float, if it is a finite JSON number; else raise."""
+    if type(value) not in _NUMBER:
+        raise TypeError(f"{what} is a number, not {type(value).__name__}")
+    # One comparison rejects NaN, both infinities and an int too big for a
+    # float (``float(10**400)`` would raise OverflowError instead).
+    if not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{what} is finite, not {value!r}")
+    return float(value)
+
+
+def decision_from_payload(payload: dict) -> Decision:
+    """Rebuild a :class:`~repro.core.planner.Decision` from payload form.
+
+    The payload comes from a table file or the wire, so it is checked here
+    for what every planner decision satisfies and ``Action`` alone does not
+    (``nan < 0`` is false): a finite ``delay`` ≥ 0, a finite ``horizon``, an
+    ``int`` ``hypotheses_evaluated`` ≥ 0 and ``expected_utilities`` as
+    ``(delay, value)`` pairs of finite numbers.  Anything else raises
+    :class:`TypeError`, :class:`ValueError` or :class:`KeyError`, which both
+    table load paths turn into a quarantined file.
+    """
+    delay = _finite("a decision's delay", payload["delay"])
+    if delay < 0:
+        raise ValueError(f"a decision's delay is non-negative, not {delay!r}")
+    evaluated = payload["hypotheses_evaluated"]
+    if type(evaluated) is not int or evaluated < 0:
+        raise TypeError(f"hypotheses_evaluated is a non-negative int, not {evaluated!r}")
+    utilities = payload["expected_utilities"]
+    if type(utilities) not in _SEQUENCE:
+        raise TypeError(
+            f"expected_utilities is a list of pairs, not {type(utilities).__name__}"
+        )
+    return Decision(
+        action=Action(delay),
+        expected_utilities={
+            _finite("a candidate delay", candidate): _finite("an expected utility", value)
+            for candidate, value in utilities
+        },
+        hypotheses_evaluated=evaluated,
+        horizon=_finite("a decision's horizon", payload["horizon"]),
+    )
 
 
 def signature_from_json(value) -> tuple:
@@ -472,7 +503,6 @@ def policy_table_cache_path(cache_dir: str | Path, config, sweep_params: dict) -
     scenario is a different artifact.
     """
     from repro._version import __version__
-    from repro.api.config import canonical_digest
 
     sweep_digest = canonical_digest(
         {

@@ -58,8 +58,8 @@ class ISender(SourceElement):
         Optional decision policy consulted *instead of* the planner at each
         wake-up — anything with ``decide(belief, now)`` that falls back to
         the planner itself, i.e. a :class:`~repro.core.policy.PolicyCache`
-        (runtime memoization) or a precomputed
-        :class:`~repro.api.policy.PolicyTable` (§3.3).  ``None`` plans live.
+        (runtime memoization) or a precomputed ``PolicyTable`` (§3.3, built
+        by the layer above).  ``None`` plans live.
     receiver:
         The Receiver at the far end of the network; the sender registers
         itself for acknowledgement callbacks.

@@ -7,22 +7,22 @@ whose expected utility — the probability-weighted average over hypotheses —
 is largest.  Ties are broken toward the longer delay, so a sender that is
 indifferent does not flood the network.
 
-Rollout backends implement the (action × hypothesis) fan-out and resolve
-through the :data:`~repro.api.backends.ROLLOUT_BACKENDS` registry (each
-engine is a callable ``engine(planner, belief, now) -> Decision``).  There
-are two:
+The (action × hypothesis) fan-out has two engines, each a function
+``engine(planner, belief, now) -> Decision`` chosen once, by
+``rollout_backend``, when the planner is built:
 
-* ``"scalar"`` — the reference oracle registered below: one
+* ``"scalar"`` — :func:`decide_scalar` below, the reference oracle: one
   :meth:`~repro.inference.hypothesis.Hypothesis.rollout` (clone + advance a
   scalar ``LinkModel``) per lane;
-* the array engine in :mod:`repro.inference.vectorized.rollout`, accepted
-  under two spellings, ``"vectorized"`` and ``"fused"``: all A×K lanes
-  advance together through one masked event frontier, and the utility
-  values every lane at once via ``evaluate_batch``.  On an array belief the
-  lanes come straight from ``EnsembleState`` rows, so the decide path
-  materializes no scalar ``Hypothesis`` objects at all.  The spelling
-  changes nothing that runs, but it is part of a point's identity
-  (``SenderConfig.fingerprint()``, hence seed and cache key).
+* ``"vectorized"`` or ``"fused"`` — ``decide_vectorized`` in
+  :mod:`repro.inference.vectorized.rollout`, imported only when a planner
+  asks for it: all A×K lanes advance together through one masked event
+  frontier, and the utility values every lane at once via
+  ``evaluate_batch``.  On an array belief the lanes come straight from
+  ``EnsembleState`` rows, so the decide path materializes no scalar
+  ``Hypothesis`` objects at all.  The spelling changes nothing that runs,
+  but it is part of a point's identity (``SenderConfig.fingerprint()``,
+  hence seed and cache key).
 """
 
 from __future__ import annotations
@@ -30,11 +30,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.api.backends import ROLLOUT_BACKENDS
 from repro.core.actions import Action, ActionGrid
 from repro.core.utility import UtilityFunction
 from repro.errors import ConfigurationError
-from repro.inference.belief import BeliefState
+from repro.inference.belief import BeliefState, check_backend
 from repro.units import DEFAULT_PACKET_BITS
 
 
@@ -102,13 +101,11 @@ class ExpectedUtilityPlanner:
         Number of highest-weight hypotheses to evaluate (the rest contribute
         negligibly and are skipped for speed).
     rollout_backend:
-        Name of a registered rollout engine — ``"scalar"`` (per-lane
-        ``Hypothesis.rollout``, the reference oracle), or ``"vectorized"``
-        / ``"fused"`` (two spellings of the one batched array engine).
-        Resolved through
-        :data:`~repro.api.backends.ROLLOUT_BACKENDS` at construction, so an
-        unknown name raises :class:`~repro.errors.UnknownBackendError`
-        immediately, listing the registered engines.
+        ``"scalar"`` (per-lane ``Hypothesis.rollout``, the reference
+        oracle), or ``"vectorized"`` / ``"fused"`` (two spellings of the
+        one batched array engine).  Resolved at construction, so an unknown
+        name raises :class:`~repro.errors.UnknownBackendError` immediately,
+        listing the accepted names.
     """
 
     #: Optional per-stage checkpoint callback ``probe(stage, payload)`` fired
@@ -137,7 +134,13 @@ class ExpectedUtilityPlanner:
             raise ConfigurationError(f"horizon must be positive, got {horizon!r}")
         if horizon_service_multiples <= 0:
             raise ConfigurationError("horizon_service_multiples must be positive")
-        self._rollout_engine = ROLLOUT_BACKENDS.resolve(rollout_backend)
+        check_backend("rollout", rollout_backend)
+        if rollout_backend == "scalar":
+            self._rollout_engine = decide_scalar
+        else:
+            from repro.inference.vectorized.rollout import decide_vectorized
+
+            self._rollout_engine = decide_vectorized
         self.utility = utility
         self.action_grid = action_grid if action_grid is not None else ActionGrid()
         self.packet_bits = packet_bits
@@ -153,8 +156,7 @@ class ExpectedUtilityPlanner:
     def decide(self, belief: BeliefState, now: float) -> Decision:
         """Return the utility-maximizing action at time ``now``.
 
-        Dispatches to the rollout engine resolved at construction from
-        :data:`~repro.api.backends.ROLLOUT_BACKENDS`.
+        Dispatches to the rollout engine resolved at construction.
         """
         return self._rollout_engine(self, belief, now)
 
@@ -260,7 +262,6 @@ def rollout_outcome_digest(outcome) -> dict:
     }
 
 
-@ROLLOUT_BACKENDS.register("scalar")
 def decide_scalar(
     planner: ExpectedUtilityPlanner, belief: BeliefState, now: float
 ) -> Decision:

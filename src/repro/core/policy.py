@@ -8,7 +8,7 @@ on a coarse digest of the belief state, so repeated visits to effectively
 identical situations (for example the steady state once the parameters have
 been inferred) reuse the earlier computation instead of re-simulating every
 action.  The *offline* version — a table precomputed ahead of the run and
-serializable between processes — is :class:`repro.api.policy.PolicyTable`;
+serializable between processes — is the ``PolicyTable`` of the layer above;
 both plug into :class:`~repro.core.isender.ISender` through the same
 ``policy=`` slot (``SenderConfig(policy="cache" | "table")``).
 """

@@ -19,12 +19,11 @@ cache keys on.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 from bisect import bisect_right
 from typing import Iterable, Mapping, Optional, Sequence
 
+from repro._persist import canonical_digest
 from repro.errors import ConfigurationError
 
 #: Trace payload layout version; part of the digest, so a layout change
@@ -44,23 +43,16 @@ MIN_SERVICE_RATE_BPS = 1_000.0
 def trace_digest(
     times: Sequence[float], rates: Sequence[float], duration: float
 ) -> str:
-    """Content digest of a trace's data (name- and source-independent).
-
-    The same canonical-JSON-then-sha256 convention as
-    :func:`repro.api.config.canonical_digest`, spelled locally so the
-    corpus layer stays importable without pulling in the inference stack.
-    """
-    canonical = json.dumps(
+    """Content digest of a trace's data (name- and source-independent)."""
+    return canonical_digest(
         {
             "schema": TRACE_SCHEMA_VERSION,
             "times": [float(t) for t in times],
             "rates": [float(r) for r in rates],
             "duration": float(duration),
         },
-        sort_keys=True,
-        separators=(",", ":"),
+        length=64,
     )
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 class LinkTrace:

@@ -39,14 +39,14 @@ class ConfigurationError(ReproError):
 
 
 class UnknownBackendError(ConfigurationError, InferenceError):
-    """A ``belief_backend`` / ``rollout_backend`` name is not registered.
+    """A ``belief_backend`` / ``rollout_backend`` is not an accepted name.
 
-    Raised eagerly at :class:`~repro.api.config.SenderConfig` construction
-    (and by :meth:`~repro.api.backends.BackendRegistry.resolve`) with the
-    list of registered names.  Derives from both
-    :class:`ConfigurationError` and :class:`InferenceError` so callers that
-    guarded the old entry points (``ExpectedUtilityPlanner`` raised the
-    former, ``BeliefState.for_backend`` the latter) keep working.
+    Raised at :class:`~repro.api.config.SenderConfig` construction, and by
+    ``BeliefState.for_backend`` and ``ExpectedUtilityPlanner`` for callers
+    that skip the config; the message names the knob, the rejected name and
+    the accepted ones.  It is both a :class:`ConfigurationError` (what a
+    planner raises for its other arguments) and an :class:`InferenceError`
+    (what a belief does), so a caller guarding either catches it.
     """
 
 

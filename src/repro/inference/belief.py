@@ -14,12 +14,29 @@ import heapq
 import math
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from repro.api.backends import BELIEF_BACKENDS
-from repro.errors import DegenerateBeliefError, InferenceError
+from repro.errors import DegenerateBeliefError, InferenceError, UnknownBackendError
 from repro.inference.hypothesis import Hypothesis
 from repro.inference.likelihood import GaussianKernel, LikelihoodKernel
 from repro.inference.observation import AckObservation
 from repro.inference.prior import Prior
+
+#: The names a ``belief_backend`` / ``rollout_backend`` may take.  Two
+#: engines: ``"scalar"``, the per-object reference, and the NumPy array
+#: engine under two spellings.  The spelling changes nothing that runs, but
+#: it feeds ``SenderConfig.fingerprint()`` — derived seeds, cache keys,
+#: published tables — so both stay.
+BACKENDS = ("fused", "scalar", "vectorized")
+
+
+def check_backend(kind: str, name: str) -> None:
+    """Raise ``UnknownBackendError`` unless ``name`` is one of :data:`BACKENDS`.
+
+    ``kind`` (``"belief"``, ``"rollout"``) says which knob was mistyped.
+    """
+    if name not in BACKENDS:
+        raise UnknownBackendError(
+            f"unknown {kind} backend {name!r}; expected one of {', '.join(BACKENDS)}"
+        )
 
 
 class BeliefState:
@@ -112,17 +129,20 @@ class BeliefState:
     def for_backend(cls, backend: Optional[str]) -> type["BeliefState"]:
         """The BeliefState class implementing ``backend``.
 
-        ``None`` keeps the class it was called on; named engines resolve
-        through the :data:`~repro.api.backends.BELIEF_BACKENDS` registry,
-        where ``"scalar"`` (this reference implementation) and
-        ``"vectorized"`` (the NumPy struct-of-arrays engine in
-        :mod:`repro.inference.vectorized`) self-register.  Unknown names
-        raise :class:`~repro.errors.UnknownBackendError` listing the
-        registered backends.
+        ``None`` keeps the class it was called on; ``"scalar"`` is this
+        reference implementation, ``"vectorized"`` and ``"fused"`` both the
+        NumPy struct-of-arrays class in :mod:`repro.inference.vectorized`,
+        imported here on first use so a scalar-only process never loads it.
+        Any other name raises :class:`~repro.errors.UnknownBackendError`.
         """
         if backend is None:
             return cls
-        return BELIEF_BACKENDS.resolve(backend)
+        check_backend("belief", backend)
+        if backend == "scalar":
+            return BeliefState
+        from repro.inference.vectorized.belief import VectorizedBeliefState
+
+        return VectorizedBeliefState
 
     @classmethod
     def from_prior(
@@ -409,5 +429,3 @@ class BeliefState:
             raise InferenceError("cannot normalize an all-zero weight vector")
         return [weight / total for weight in weights]
 
-
-BELIEF_BACKENDS.register("scalar", BeliefState)

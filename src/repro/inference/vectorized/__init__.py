@@ -22,8 +22,10 @@ batches each step across all rows:
 
 The engine answers to two accepted spellings, ``"vectorized"`` and
 ``"fused"``, on ``belief_backend``, ``rollout_backend`` and
-``sweep_backend``; both resolve to the same class and the same decide
-callable.  The spelling is still part of a point's *identity*: it feeds
+``sweep_backend``: ``BeliefState.for_backend`` returns the same class for
+both and a planner runs the same ``decide_vectorized``; each imports this
+package when first asked for the engine by name, and not before.  The
+spelling is still part of a point's *identity*: it feeds
 ``SenderConfig.fingerprint()``, hence derived seeds and result-cache keys,
 so results published under either name stay addressable.
 """

@@ -1,7 +1,7 @@
 """The array-backed belief state.
 
-:class:`VectorizedBeliefState` is the one array belief: registered on
-:data:`~repro.api.backends.BELIEF_BACKENDS` under both accepted spellings,
+:class:`VectorizedBeliefState` is the one array belief, the class
+``BeliefState.for_backend`` returns for both accepted spellings,
 ``"vectorized"`` and ``"fused"``.  It is a drop-in replacement for
 :class:`~repro.inference.belief.BeliefState` that stores the whole ensemble
 in one :class:`~repro.inference.vectorized.state.EnsembleState` and runs
@@ -38,7 +38,6 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from repro.api.backends import BELIEF_BACKENDS
 from repro.errors import DegenerateBeliefError, InferenceError
 from repro.inference.belief import BeliefState
 from repro.inference.hypothesis import Hypothesis
@@ -333,6 +332,3 @@ class VectorizedBeliefState(BeliefState):
         order = np.argsort(-weights, kind="stable")[: self.max_hypotheses]
         return rows[order], weights[order]
 
-
-BELIEF_BACKENDS.register("vectorized", VectorizedBeliefState)
-BELIEF_BACKENDS.register("fused", VectorizedBeliefState)

@@ -28,8 +28,8 @@ buffers.
   lane as an ordinary :class:`~repro.inference.hypothesis.RolloutOutcome` —
   the equivalence tests' bridge, and the fallback for custom utilities that
   only implement scalar ``evaluate``.
-* :func:`decide_vectorized` is the planner engine registered under both
-  accepted spellings, ``"vectorized"`` and ``"fused"``.
+* :func:`decide_vectorized` is the planner engine for both accepted
+  spellings, ``"vectorized"`` and ``"fused"``.
 
 Semantics match ``Hypothesis.rollout`` exactly: event arithmetic is the
 same float operations in the same order as the scalar ``LinkModel``,
@@ -48,7 +48,6 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.api.backends import ROLLOUT_BACKENDS
 from repro.errors import InferenceError
 from repro.inference.hypothesis import RolloutOutcome
 from repro.inference.vectorized.state import FLOW_CROSS, EnsembleState, _pad_columns
@@ -701,9 +700,8 @@ def decide_vectorized(
 ) -> "Decision":
     """The array rollout engine: one (action × hypothesis) frontier per decide.
 
-    Registered on :data:`~repro.api.backends.ROLLOUT_BACKENDS` under both
-    accepted spellings, ``"vectorized"`` and ``"fused"``;
-    ``ExpectedUtilityPlanner.decide`` dispatches here for either.
+    What ``ExpectedUtilityPlanner.decide`` calls when the planner was built
+    with ``rollout_backend="vectorized"`` or ``"fused"``.
 
     An array belief that holds an ensemble hands over its rows as they are
     (``top_rows``, no scalar ``Hypothesis`` is materialized anywhere on the
@@ -797,6 +795,3 @@ def decide_vectorized(
         horizon=horizon,
     )
 
-
-ROLLOUT_BACKENDS.register("vectorized", decide_vectorized)
-ROLLOUT_BACKENDS.register("fused", decide_vectorized)

@@ -10,9 +10,8 @@ seed fans, loss × delay × buffer grids) into explicit, schedulable work:
 * :mod:`repro.runner.backends` — :class:`RunnerBase`, the one resolve →
   execute → record → assemble loop, run by :class:`SerialRunner` (default,
   in process) and :class:`ParallelRunner` (one worker process per in-flight
-  point); deterministic and resolvable by name through
-  :data:`RUNNER_BACKENDS`, where ``"async"`` is a second spelling of
-  ``"parallel"``;
+  point); deterministic, and built by name (``"serial"``, ``"parallel"``)
+  through :func:`make_runner`;
 * :mod:`repro.runner.cache` — :class:`ResultCache`, persistent
   fingerprint-keyed reuse of executed grid points;
 * :mod:`repro.runner.results` — :class:`ResultStore`, the canonical
@@ -32,7 +31,6 @@ first name resolution (keeping imports acyclic with ``repro.experiments``).
 """
 
 from repro.runner.backends import (
-    RUNNER_BACKENDS,
     ParallelRunner,
     RunnerBase,
     SerialRunner,
@@ -56,7 +54,6 @@ __all__ = [
     "PointFault",
     "PointResult",
     "QuarantinedPoint",
-    "RUNNER_BACKENDS",
     "ResultCache",
     "ResultStore",
     "RunnerBase",

@@ -28,13 +28,8 @@ specs and seeds — identical serially, in parallel, and at any worker
 count.  Only picklable results cross process boundaries: dataclasses and
 metric dicts qualify; closures do not.
 
-Backends resolve by name through :data:`RUNNER_BACKENDS` — the same
-string-keyed :class:`~repro.api.backends.BackendRegistry` mechanism the
-belief and rollout engines use — so ``--backend parallel`` on the CLI and
-``make_runner("parallel")`` in code go through one lookup, and third-party
-backends can self-register without touching this module.  ``"async"`` is a
-second accepted spelling of ``"parallel"`` (the asyncio pool it once named
-tied the multiprocessing pool on every real sweep; both are gone).
+The two are named in :data:`RUNNERS`, the one lookup behind both
+``--backend parallel`` on the CLI and ``make_runner("parallel")`` in code.
 """
 
 from __future__ import annotations
@@ -46,7 +41,6 @@ from pathlib import Path
 from typing import Any, Callable, Mapping, Optional, Sequence
 
 from repro._persist import cache_dir_override
-from repro.api.backends import BackendRegistry
 from repro.errors import ConfigurationError
 from repro.runner.cache import ResultCache
 from repro.runner.faults import NO_FAULTS, FaultAssignment, corrupt_entry
@@ -98,9 +92,8 @@ class RunnerBase:
     workers:
         Most points the process backend keeps in flight at once; defaults
         to the machine's CPU count.  The serial backend accepts and ignores
-        it (as it does ``start_method``), so every registered backend
-        shares one construction signature — the ``RUNNER_BACKENDS``
-        contract.
+        it (as it does ``start_method``), so both backends share one
+        construction signature and ``make_runner`` can build either.
     registry:
         Registry to resolve spec names against (defaults to the
         process-wide one).  Under a non-fork ``start_method`` a custom
@@ -342,23 +335,8 @@ class ParallelRunner(RunnerBase):
         return multiprocessing.get_context(self.start_method)
 
 
-#: Runner backends by name — the registry ``make_runner`` and the CLI's
-#: ``--backend`` flag resolve through, mirroring ``BELIEF_BACKENDS`` /
-#: ``ROLLOUT_BACKENDS``.  ``"async"`` and ``"parallel"`` are two spellings
-#: of one class.  Third-party backends register a RunnerBase subclass
-#: accepting ``(workers=, registry=, cache=, supervision=, resume=,
-#: journal_dir=)`` keywords.
-RUNNER_BACKENDS = BackendRegistry(
-    "runner",
-    builtin_modules={
-        "serial": "repro.runner.backends",
-        "parallel": "repro.runner.backends",
-        "async": "repro.runner.backends",
-    },
-)
-RUNNER_BACKENDS.register("serial", SerialRunner)
-RUNNER_BACKENDS.register("parallel", ParallelRunner)
-RUNNER_BACKENDS.register("async", ParallelRunner)
+#: The two backends, by the name ``make_runner`` and ``--backend`` take.
+RUNNERS = {"serial": SerialRunner, "parallel": ParallelRunner}
 
 
 def make_runner(
@@ -380,7 +358,11 @@ def make_runner(
     ``resume`` and ``journal_dir`` select the fault-tolerance policy (see
     :class:`RunnerBase`).
     """
-    cls = RUNNER_BACKENDS.resolve(backend)
+    if backend not in RUNNERS:
+        raise ConfigurationError(
+            f"unknown runner backend {backend!r}; expected one of {', '.join(RUNNERS)}"
+        )
+    cls = RUNNERS[backend]
     if cache is None and cache_dir is not None:
         cache = ResultCache(cache_dir)
     return cls(

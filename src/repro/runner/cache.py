@@ -44,11 +44,11 @@ from typing import Iterator, Optional
 from repro._persist import (
     CACHE_DIR_ENV,
     atomic_write_text,
+    canonical_digest,
     default_cache_dir,
     read_json_or_quarantine,
 )
 from repro._version import __version__
-from repro.api.config import canonical_digest
 from repro.runner.registry import DEFAULT_REGISTRY, ScenarioRegistry
 from repro.runner.results import PointResult
 from repro.runner.spec import ScenarioSpec

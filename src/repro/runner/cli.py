@@ -10,9 +10,9 @@
 
 ``run`` expands ``--sweep`` axes into the cross product of points (times
 ``--seeds`` trials), executes them on the chosen backend (``serial`` in
-this process, ``parallel`` — also spelled ``async`` — in one worker process
-per in-flight point), prints the metric table, and optionally writes the
-canonical JSON / CSV artifacts.
+this process, ``parallel`` in one worker process per in-flight point),
+prints the metric table, and optionally writes the canonical JSON / CSV
+artifacts.
 
 With ``--cache-dir`` (or ``$REPRO_CACHE_DIR``) every executed point is
 persisted under its fingerprint-derived key and replayed on later runs —
@@ -41,7 +41,7 @@ from typing import Any, Optional, Sequence
 from repro._persist import cache_dir_override
 from repro.errors import ConfigurationError, PointFailureError
 from repro.metrics.summary import format_table
-from repro.runner.backends import RUNNER_BACKENDS, run_specs
+from repro.runner.backends import RUNNERS, run_specs
 from repro.runner.cache import CACHE_DIR_ENV, ResultCache, default_cache_dir
 from repro.runner.faults import FaultPlan
 from repro.runner.registry import DEFAULT_REGISTRY
@@ -111,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--backend",
-        choices=tuple(RUNNER_BACKENDS.names()),
+        choices=tuple(RUNNERS),
         default="serial",
         help="execution backend (default serial)",
     )
@@ -240,14 +240,22 @@ def _cmd_list() -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    base: dict[str, Any] = {}
-    for assignment in args.fixed:
-        key, value = _parse_assignment(assignment)
-        base[key] = _parse_value(value)
-    axes: dict[str, list[Any]] = {}
-    for assignment in args.sweeps:
-        key, values = _parse_assignment(assignment)
-        axes[key] = [_parse_value(value) for value in values.split(",") if value != ""]
+    fixed = [_parse_assignment(assignment) for assignment in args.fixed]
+    sweeps = [_parse_assignment(assignment) for assignment in args.sweeps]
+    # A repeated key would silently keep only its last spelling (a second
+    # --sweep of one axis replaces the first; --sweep beats --set).
+    keys = [key for key, _ in fixed + sweeps]
+    for key in keys:
+        if keys.count(key) > 1:
+            raise ConfigurationError(
+                f"parameter {key!r} is given more than once across --set/--sweep; "
+                "give each parameter once (--sweep takes comma-separated values)"
+            )
+    base: dict[str, Any] = {key: _parse_value(value) for key, value in fixed}
+    axes: dict[str, list[Any]] = {
+        key: [_parse_value(value) for value in values.split(",") if value != ""]
+        for key, values in sweeps
+    }
 
     specs = grid(
         args.scenario,

@@ -1,6 +1,6 @@
-"""The unified sender-configuration layer: registry, SenderConfig, build_sender.
+"""The unified sender-configuration layer: engine names, SenderConfig, build_sender.
 
-Covers the backend registry's eager validation, ``SenderConfig``
+Covers how the two engines are named and resolved, ``SenderConfig``
 construction and fingerprinting, and ``build_sender`` as the one
 construction path.
 """
@@ -12,44 +12,47 @@ import pickle
 
 import pytest
 
-from repro.api import (
-    BELIEF_BACKENDS,
-    ROLLOUT_BACKENDS,
-    BackendRegistry,
-    SenderConfig,
-    UnknownBackendError,
-    build_sender,
-)
+from repro.api import SenderConfig, UnknownBackendError, build_sender
 from repro.api.config import canonical_digest
+from repro.core.planner import ExpectedUtilityPlanner, decide_scalar
 from repro.core.policy import PolicyCache
+from repro.core.utility import AlphaWeightedUtility
 from repro.errors import ConfigurationError, InferenceError
 from repro.inference import single_link_prior
+from repro.inference.belief import BACKENDS, BeliefState
 from repro.topology import single_link_network
+
+
+def rollout_engine(name: str):
+    """The decide function a planner built with ``rollout_backend=name`` runs."""
+    return ExpectedUtilityPlanner(AlphaWeightedUtility(), rollout_backend=name)._rollout_engine
 
 
 class TestBackendRegistry:
     def test_builtin_backends_are_known(self):
-        assert BELIEF_BACKENDS.names() == ["fused", "scalar", "vectorized"]
-        assert ROLLOUT_BACKENDS.names() == ["fused", "scalar", "vectorized"]
-        assert "vectorized" in BELIEF_BACKENDS
-        assert "fused" in BELIEF_BACKENDS
-        assert "quantum" not in ROLLOUT_BACKENDS
+        assert BACKENDS == ("fused", "scalar", "vectorized")
+        for name in BACKENDS:
+            SenderConfig(belief_backend=name, rollout_backend=name)
 
     def test_resolve_returns_registered_engines(self):
-        from repro.inference.belief import BeliefState
         from repro.inference.vectorized import VectorizedBeliefState
+        from repro.inference.vectorized.rollout import decide_vectorized
 
-        assert BELIEF_BACKENDS.resolve("scalar") is BeliefState
-        assert BELIEF_BACKENDS.resolve("vectorized") is VectorizedBeliefState
-        assert callable(ROLLOUT_BACKENDS.resolve("scalar"))
-        assert callable(ROLLOUT_BACKENDS.resolve("vectorized"))
+        assert BeliefState.for_backend("scalar") is BeliefState
+        assert BeliefState.for_backend("vectorized") is VectorizedBeliefState
+        # ``None`` keeps the class it was asked on; a name always wins.
+        assert VectorizedBeliefState.for_backend(None) is VectorizedBeliefState
+        assert VectorizedBeliefState.for_backend("scalar") is BeliefState
+        assert rollout_engine("scalar") is decide_scalar
+        assert rollout_engine("vectorized") is decide_vectorized
 
     def test_both_spellings_name_one_engine_but_keep_their_identity(self):
         # One array engine, two accepted spellings: the same class and the
         # same decide callable, never a wrapper per name...
-        assert BELIEF_BACKENDS.resolve("fused") is BELIEF_BACKENDS.resolve("vectorized")
-        assert ROLLOUT_BACKENDS.resolve("fused") is ROLLOUT_BACKENDS.resolve("vectorized")
-        assert ROLLOUT_BACKENDS.resolve("fused") is not ROLLOUT_BACKENDS.resolve("scalar")
+        assert BeliefState.for_backend("fused") is BeliefState.for_backend("vectorized")
+        assert BeliefState.for_backend("fused") is not BeliefState
+        assert rollout_engine("fused") is rollout_engine("vectorized")
+        assert rollout_engine("fused") is not rollout_engine("scalar")
         # ...while the spelling stays part of a config's identity.  Pinned
         # from the commit before the engines were folded together: derived
         # seeds, result-cache keys and published tables embed these.
@@ -68,7 +71,6 @@ class TestBackendRegistry:
     def test_names_the_end_to_end_benchmark_pins(self, monkeypatch):
         # benchmarks/e2e (which no PR may edit) wraps the ``update`` the
         # array belief class itself defines, and configures "fused".
-        from repro.inference.belief import BeliefState
         from repro.inference.hypothesis import Hypothesis
         from repro.inference.vectorized.belief import VectorizedBeliefState
 
@@ -94,37 +96,19 @@ class TestBackendRegistry:
 
     def test_unknown_name_lists_registered_backends(self):
         with pytest.raises(UnknownBackendError, match="fused, scalar, vectorized"):
-            BELIEF_BACKENDS.resolve("quantum")
+            BeliefState.for_backend("quantum")
+        with pytest.raises(UnknownBackendError, match="belief backend 'vectorised'"):
+            BeliefState.for_backend("vectorised")
         with pytest.raises(UnknownBackendError, match="rollout backend 'warp'"):
-            ROLLOUT_BACKENDS.validate("warp")
+            rollout_engine("warp")
+        with pytest.raises(UnknownBackendError, match="fused, scalar, vectorized"):
+            rollout_engine("quantum")
 
     def test_unknown_backend_error_satisfies_old_hierarchies(self):
-        # The old entry points raised ConfigurationError (planner) and
-        # InferenceError (belief); the registry error derives from both.
+        # A planner raises ConfigurationError for its other arguments and a
+        # belief InferenceError; the backend error derives from both.
         assert issubclass(UnknownBackendError, ConfigurationError)
         assert issubclass(UnknownBackendError, InferenceError)
-
-    def test_conflicting_registration_rejected(self):
-        registry = BackendRegistry("test")
-        registry.register("engine", object())
-        with pytest.raises(ConfigurationError, match="already registered"):
-            registry.register("engine", object())
-
-    def test_reregistering_same_object_is_idempotent(self):
-        registry = BackendRegistry("test")
-        engine = object()
-        registry.register("engine", engine)
-        registry.register("engine", engine)
-        assert registry.resolve("engine") is engine
-
-    def test_register_as_decorator(self):
-        registry = BackendRegistry("test")
-
-        @registry.register("fn")
-        def engine():
-            return 42
-
-        assert registry.resolve("fn") is engine
 
 
 class TestSenderConfigValidation:

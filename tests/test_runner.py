@@ -263,15 +263,13 @@ class TestBackends:
     def test_make_runner_validates_backend(self):
         assert make_runner("serial").backend_name == "serial"
         assert make_runner("parallel", workers=2).backend_name == "parallel"
-        # "async" is a second spelling of "parallel": one class, one path.
-        assert type(make_runner("async", workers=2)) is type(make_runner("parallel"))
-        with pytest.raises(ConfigurationError):
-            make_runner("quantum")
-
-    def test_runner_backend_registry_names(self):
-        from repro.runner import RUNNER_BACKENDS
-
-        assert RUNNER_BACKENDS.names() == ["async", "parallel", "serial"]
+        # Two names, no aliases: "async" once spelled "parallel".
+        for unknown in ("quantum", "async"):
+            with pytest.raises(ConfigurationError, match="serial, parallel"):
+                make_runner(unknown)
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["run", "single_link_tcp", "--backend", "async"])
+        assert exit_info.value.code == 2
 
     def test_parallel_runner_validates_workers(self):
         from repro.runner import ParallelRunner
@@ -361,6 +359,23 @@ class TestCli:
     def test_bad_assignment_fails_cleanly(self, capsys):
         assert cli_main(["run", "single_link_tcp", "--set", "duration"]) == 2
         assert "key=value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "repeated",
+        [
+            ["--sweep", "loss_rate=0.0,0.1", "--sweep", "loss_rate=0.2"],
+            ["--set", "loss_rate=0.5", "--sweep", "loss_rate=0.0"],
+            ["--set", "loss_rate=0.5", "--set", "loss_rate=0.1"],
+        ],
+        ids=["sweep-sweep", "set-sweep", "set-set"],
+    )
+    def test_repeated_parameter_fails_cleanly(self, capsys, repeated):
+        # Each of these used to run, silently keeping the last spelling.
+        argv = ["run", "single_link_tcp", "--set", "duration=2", *repeated]
+        assert cli_main(argv) == 2
+        captured = capsys.readouterr()
+        assert "parameter 'loss_rate' is given more than once" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize(
         "scenario, assignment, message",

@@ -301,20 +301,20 @@ class TestRacingWorkers:
 
 
 class TestAsyncRunnerCache:
-    """``"async"`` is a second spelling of ``"parallel"``: one class, one path."""
+    """The process backend against the cache (the class keeps the name of
+    the ``"async"`` spelling ``"parallel"`` once had)."""
 
     def test_async_backend_replays_and_populates(self, tmp_path):
-        cold = make_runner("async", workers=2, cache_dir=tmp_path).run(SPECS)
+        cold = make_runner("parallel", workers=2, cache_dir=tmp_path).run(SPECS)
         assert cold.cache_misses == len(SPECS)
         warm = make_runner("parallel", workers=2, cache_dir=tmp_path).run(SPECS)
         assert (warm.cache_hits, warm.cache_misses) == (len(SPECS), 0)
         assert warm.to_json() == cold.to_json()
 
     def test_async_matches_serial_without_cache(self):
-        assert type(make_runner("async")) is type(make_runner("parallel")) is ParallelRunner
+        assert type(make_runner("parallel")) is ParallelRunner
         serial = SerialRunner().run(SPECS)
-        for spelling in ("async", "parallel"):
-            assert make_runner(spelling, workers=2).run(SPECS).to_json() == serial.to_json()
+        assert make_runner("parallel", workers=2).run(SPECS).to_json() == serial.to_json()
 
     def test_poisoned_point_propagates_and_cancels_queued_siblings(self, tmp_path):
         """The plain policy's failure contract on the process backend.

@@ -105,14 +105,25 @@ class TestKillAndResume:
     GRID = ["run", "single_link_tcp", "--set", "duration=2", "--seeds", "6"]
 
     @pytest.mark.slow
-    @pytest.mark.parametrize("backend", ["serial", "parallel", "async"])
-    def test_sigkilled_sweep_resumes_byte_identical(self, backend, tmp_path, monkeypatch):
+    @pytest.mark.parametrize(
+        "backend, workers",
+        # The third id is the one the "async" spelling of "parallel" had;
+        # it runs the process backend one point wide.
+        [
+            pytest.param("serial", "2", id="serial"),
+            pytest.param("parallel", "2", id="parallel"),
+            pytest.param("parallel", "1", id="async"),
+        ],
+    )
+    def test_sigkilled_sweep_resumes_byte_identical(
+        self, backend, workers, tmp_path, monkeypatch
+    ):
         monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
         clean_json = tmp_path / "clean.json"
         assert cli_main([*self.GRID, "--json", str(clean_json)]) == 0
 
         cache_dir = tmp_path / "cache"
-        backend_argv = [*self.GRID, "--backend", backend, "--workers", "2"]
+        backend_argv = [*self.GRID, "--backend", backend, "--workers", workers]
         killed = subprocess.run(
             [
                 sys.executable,

@@ -376,43 +376,46 @@ def _supervised(backend, *, workers=2, **kwargs):
     )
 
 
-#: Every ``--backend`` spelling.  "async" names the parallel class; it keeps
-#: the test id it had when it was a class of its own.
+#: ``(backend, workers)``: the process backend two points wide and one point
+#: wide.  The one-wide id is the one the ``"async"`` spelling of
+#: ``"parallel"`` had while there was one.
 PROCESS_BACKENDS = [
-    pytest.param("parallel", id="ParallelRunner"),
-    pytest.param("async", id="AsyncRunner"),
+    pytest.param("parallel", 2, id="ParallelRunner"),
+    pytest.param("parallel", 1, id="AsyncRunner"),
 ]
-BACKENDS = [pytest.param("serial", id="SerialRunner"), *PROCESS_BACKENDS]
+BACKENDS = [pytest.param("serial", None, id="SerialRunner"), *PROCESS_BACKENDS]
 
 
 class TestSupervisedRecovery:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_clean_supervised_run_matches_plain(self, backend, tmp_path):
+    @pytest.mark.parametrize("backend, workers", BACKENDS)
+    def test_clean_supervised_run_matches_plain(self, backend, workers, tmp_path):
         specs = toy_specs(6)
         plain = SerialRunner(registry=REGISTRY).run(specs)
-        supervised = _supervised(backend, journal_dir=tmp_path).run(specs)
+        supervised = _supervised(backend, workers=workers, journal_dir=tmp_path).run(specs)
         assert supervised.to_json() == plain.to_json()
         assert supervised.retries == 0 and not supervised.partial
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_flaky_point_retries_then_succeeds(self, backend, tmp_path):
+    @pytest.mark.parametrize("backend, workers", BACKENDS)
+    def test_flaky_point_retries_then_succeeds(self, backend, workers, tmp_path):
         marker = tmp_path / "flaky.calls"
         specs = [
             ScenarioSpec("flaky", params={"marker": str(marker), "fail_times": 2}, seed=0)
         ]
-        store = _supervised(backend, journal_dir=tmp_path).run(specs)
+        store = _supervised(backend, workers=workers, journal_dir=tmp_path).run(specs)
         assert len(store) == 1 and not store.quarantined
         assert store.retries == 2
         assert marker.read_bytes() == b"xxx"  # 2 failing calls + 1 success
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_exhausted_point_is_quarantined_not_fatal(self, backend, tmp_path):
+    @pytest.mark.parametrize("backend, workers", BACKENDS)
+    def test_exhausted_point_is_quarantined_not_fatal(self, backend, workers, tmp_path):
         marker = tmp_path / "flaky.calls"
         specs = toy_specs(3) + [
             ScenarioSpec("flaky", params={"marker": str(marker), "fail_times": 99}, seed=0)
         ]
         supervision = Supervision(max_retries=1, backoff=0.01)
-        store = _supervised(backend, supervision=supervision, journal_dir=tmp_path).run(specs)
+        store = _supervised(
+            backend, workers=workers, supervision=supervision, journal_dir=tmp_path
+        ).run(specs)
         assert len(store) == 3 and store.partial
         assert len(store.quarantined) == 1
         point = store.quarantined[0]
@@ -423,35 +426,41 @@ class TestSupervisedRecovery:
         assert '"quarantined"' in store.to_json()
         assert marker.read_bytes() == b"xx"  # 1 try + 1 retry, then gave up
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_strict_mode_restores_fail_fast(self, backend, tmp_path):
+    @pytest.mark.parametrize("backend, workers", BACKENDS)
+    def test_strict_mode_restores_fail_fast(self, backend, workers, tmp_path):
         marker = tmp_path / "flaky.calls"
         specs = [
             ScenarioSpec("flaky", params={"marker": str(marker), "fail_times": 99}, seed=0)
         ]
         supervision = Supervision(max_retries=0, strict=True)
         with pytest.raises(PointFailureError, match="failed 1 attempt"):
-            _supervised(backend, supervision=supervision, journal_dir=tmp_path).run(specs)
+            _supervised(
+                backend, workers=workers, supervision=supervision, journal_dir=tmp_path
+            ).run(specs)
 
-    @pytest.mark.parametrize("backend", PROCESS_BACKENDS)
-    def test_injected_worker_kill_is_retried(self, backend, tmp_path):
+    @pytest.mark.parametrize("backend, workers", PROCESS_BACKENDS)
+    def test_injected_worker_kill_is_retried(self, backend, workers, tmp_path):
         specs = toy_specs(4)
         plan = FaultPlan(targets=(PointFault(kind="kill", index=1),))
         supervision = Supervision(max_retries=2, backoff=0.01, fault_plan=plan)
-        store = _supervised(backend, supervision=supervision, journal_dir=tmp_path).run(specs)
+        store = _supervised(
+            backend, workers=workers, supervision=supervision, journal_dir=tmp_path
+        ).run(specs)
         assert len(store) == 4 and not store.quarantined
         assert store.retries == 1
         assert store.to_json() == SerialRunner(registry=REGISTRY).run(specs).to_json()
 
-    @pytest.mark.parametrize("backend", PROCESS_BACKENDS)
-    def test_hung_point_is_killed_and_retried(self, backend, tmp_path):
+    @pytest.mark.parametrize("backend, workers", PROCESS_BACKENDS)
+    def test_hung_point_is_killed_and_retried(self, backend, workers, tmp_path):
         specs = toy_specs(3)
         plan = FaultPlan(targets=(PointFault(kind="hang", index=2),), hang_seconds=30.0)
         supervision = Supervision(
             max_retries=1, backoff=0.01, point_timeout=0.75, fault_plan=plan
         )
         started = time.perf_counter()
-        store = _supervised(backend, supervision=supervision, journal_dir=tmp_path).run(specs)
+        store = _supervised(
+            backend, workers=workers, supervision=supervision, journal_dir=tmp_path
+        ).run(specs)
         elapsed = time.perf_counter() - started
         assert len(store) == 3 and not store.quarantined
         assert store.retries == 1
@@ -582,14 +591,14 @@ class TestCacheCorruption:
 
 
 class TestCancellation:
-    @pytest.mark.parametrize("backend", PROCESS_BACKENDS)
+    @pytest.mark.parametrize("backend, workers", PROCESS_BACKENDS)
     def test_supervised_interrupt_is_not_retried_or_quarantined(
-        self, backend, tmp_path
+        self, backend, workers, tmp_path
     ):
         marker = tmp_path / "interrupts"
         specs = [ScenarioSpec("interrupting", params={"marker": str(marker)}, seed=0)]
         with pytest.raises(KeyboardInterrupt):
-            _supervised(backend, journal_dir=tmp_path).run(specs)
+            _supervised(backend, workers=workers, journal_dir=tmp_path).run(specs)
         assert marker.read_bytes() == b"x"  # executed exactly once: no retry
 
     def test_serial_supervised_interrupt_propagates(self, tmp_path):
@@ -609,7 +618,7 @@ class TestCancellation:
             ScenarioSpec("interrupting", params={"marker": str(marker)}, seed=0),
             ScenarioSpec("sleepy", params={"duration": 3.0}, seed=1),
         ]
-        runner = make_runner("async", workers=3, registry=REGISTRY)
+        runner = make_runner("parallel", workers=3, registry=REGISTRY)
         started = time.perf_counter()
         with pytest.raises(KeyboardInterrupt):
             runner.run(specs)

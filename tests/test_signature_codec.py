@@ -1,10 +1,14 @@
-"""Property and fuzz tests for the decision-signature wire codec.
+"""Property and fuzz tests for the signature and decision wire codecs.
 
 :func:`~repro.api.policy.signature_from_json` sits in front of every
 served decision and every loaded table, so it carries two contracts: what
 a belief emits comes back *equal and hash-equal* through JSON (a table
 lookup is a dict lookup), and whatever else arrives is refused with
 ``ValueError``/``TypeError`` before it can reach a table or a planner.
+:func:`~repro.api.policy.decision_from_payload` is the other half of a
+table entry and carries the same two: a planner's decision comes back
+equal, and a value no planner produces (``NaN``, ``Infinity``, ``true``,
+``"0.5"``) gets the file that holds it quarantined, not served.
 """
 
 from __future__ import annotations
@@ -12,12 +16,28 @@ from __future__ import annotations
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from repro.api.policy import PolicyTable, signature_from_json
+from repro.api.config import SenderConfig
+from repro.api.policy import (
+    PolicyTable,
+    decision_from_payload,
+    decision_to_payload,
+    load_or_precompute_policy_table,
+    policy_table_cache_path,
+    signature_from_json,
+    table_quarantine_count,
+)
 from repro.core.actions import Action
 from repro.core.planner import Decision
-from repro.inference import AckObservation, BeliefState, GaussianKernel, figure3_prior
+from repro.inference import (
+    AckObservation,
+    BeliefState,
+    GaussianKernel,
+    figure3_prior,
+    single_link_prior,
+)
+from repro.serving import DecisionService, PolicyTableRegistry, content_digest
 
 PACKET_BITS = 12_000.0
 
@@ -160,3 +180,161 @@ class TestSignatureFuzz:
             signature_from_json([[value, 0.5, True, 0, False]])
         with pytest.raises((TypeError, ValueError)):
             signature_from_json([[[["link_rate_bps", value]], 0.5, True, 0, False]])
+
+
+# ------------------------------------------------------------ decision codec
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+decisions = st.builds(
+    Decision,
+    action=st.floats(min_value=0.0, allow_nan=False, allow_infinity=False).map(Action),
+    expected_utilities=st.dictionaries(finite, finite, max_size=9),
+    hypotheses_evaluated=st.integers(min_value=0, max_value=10_000),
+    horizon=finite,
+)
+
+
+def small_config(backend: str = "vectorized", **overrides) -> SenderConfig:
+    return SenderConfig(
+        prior=single_link_prior(link_rate_points=2, fill_points=1),
+        top_k=4,
+        max_hypotheses=32,
+        belief_backend=backend,
+        rollout_backend=backend,
+        **overrides,
+    )
+
+
+def planned_decision(backend: str) -> Decision:
+    """What ``backend``'s planner really decides on its prior belief."""
+    config = small_config(backend)
+    return config.build_planner().decide(config.build_belief(), 0.0)
+
+
+PLANNED = [planned_decision(backend) for backend in ("scalar", "vectorized")]
+
+VALID = {
+    "delay": 0.5,
+    "horizon": 1.0,
+    "hypotheses_evaluated": 1,
+    "expected_utilities": [[0.0, 1.0], [0.5, 2.0]],
+}
+
+
+class TestDecisionCodec:
+    @settings(deadline=None)
+    @given(decisions)
+    @example(PLANNED[0])
+    @example(PLANNED[1])
+    def test_finite_decisions_round_trip_equal(self, decision):
+        assert decision_from_payload(through_json(decision_to_payload(decision))) == decision
+
+    def test_the_planned_examples_are_real(self):
+        for decision in PLANNED:
+            assert decision.hypotheses_evaluated > 0 and decision.expected_utilities
+
+    @pytest.mark.parametrize(
+        "field, token",
+        [
+            ("delay", "NaN"),
+            ("delay", "Infinity"),
+            ("delay", "true"),
+            ("delay", '"0.5"'),
+            ("delay", "-0.5"),
+            pytest.param("delay", "1" + "0" * 400, id="delay-int-no-float-holds"),
+            ("horizon", "NaN"),
+            ("horizon", "-Infinity"),
+            ("horizon", "null"),
+            ("hypotheses_evaluated", "1.0"),
+            ("hypotheses_evaluated", "true"),
+            ("hypotheses_evaluated", "-1"),
+            ("expected_utilities", '"ab"'),
+            ("expected_utilities", '{"0.0": 1.0}'),
+            ("expected_utilities", "[[0.0]]"),
+            ("expected_utilities", "[[0.0, NaN]]"),
+            ("expected_utilities", "[[true, 1.0]]"),
+            ("expected_utilities", '[["0.0", 1.0]]'),
+        ],
+    )
+    def test_a_value_no_planner_produces_is_refused(self, field, token):
+        healthy = json.dumps(VALID)
+        wire = healthy.replace(f'"{field}": {json.dumps(VALID[field])}', f'"{field}": {token}')
+        assert wire != healthy
+        with pytest.raises((TypeError, ValueError)):
+            decision_from_payload(json.loads(wire))
+        assert decision_from_payload(json.loads(healthy)).delay == 0.5
+
+    @pytest.mark.parametrize("field", sorted(VALID))
+    def test_a_missing_field_is_refused(self, field):
+        with pytest.raises(KeyError):
+            decision_from_payload({key: value for key, value in VALID.items() if key != field})
+
+    @settings(deadline=None)
+    @given(json_values)
+    def test_arbitrary_json_decodes_to_a_servable_decision_or_is_refused(self, value):
+        try:
+            decision = decision_from_payload(value)
+        except (TypeError, ValueError, KeyError):
+            return
+        json.dumps(decision_to_payload(decision), allow_nan=False)
+        assert decision.delay >= 0
+
+
+def poison_one_delay(text: str) -> str:
+    """``text`` (a one-entry table file) with its entry's delay made ``NaN``."""
+    payload = json.loads(text)
+    (entry,) = payload["entries"]
+    poisoned = text.replace(f'"delay": {json.dumps(entry["delay"])}', '"delay": NaN', 1)
+    assert poisoned != text
+    return poisoned
+
+
+class TestPoisonedTableFiles:
+    """A table file whose entry says ``"delay": NaN`` used to load and be served."""
+
+    def one_entry_table(self, config: SenderConfig) -> PolicyTable:
+        table = PolicyTable(
+            top_k=config.top_k, fingerprint=config.fingerprint(), learn=False
+        )
+        belief = config.build_belief()
+        signature = belief.decision_signature(config.top_k, config.policy_resolution_bits)
+        table._cache[signature] = config.build_planner().decide(belief, 0.0)
+        return table
+
+    def test_registry_version_is_quarantined_and_the_planner_answers(self, tmp_path):
+        config = small_config(policy="table")
+        table = self.one_entry_table(config)
+        (signature,) = table.signatures()
+        registry = PolicyTableRegistry(tmp_path)
+        healthy = registry.publish(table)
+        text = poison_one_delay(healthy.read_text(encoding="utf-8"))
+        # Content-addressed like any version, so only the entry is wrong.
+        poisoned = healthy.with_name(content_digest(text.encode("utf-8")) + ".json")
+        poisoned.write_text(text, encoding="utf-8")
+        healthy.with_name("CURRENT").write_text(poisoned.stem + "\n", encoding="utf-8")
+
+        service = DecisionService(registry, [config])
+        served = service.decide(config.fingerprint(), signature)
+        assert served.tier == "planner" and served.table_digest is None
+        assert served.decision.delay == table.decision_for(signature).delay
+        assert registry.corrupt == service.counters_snapshot()["table_corrupt"] == 1
+        assert (tmp_path / "quarantine" / poisoned.name).exists() and not poisoned.exists()
+
+    def test_cached_precompute_is_quarantined_and_recomputed(self, tmp_path):
+        config = small_config(policy="table")
+        sweep = dict(pilot_duration=5.0, burst_levels=(0,))
+        path = policy_table_cache_path(tmp_path, config, sweep)
+        stored = self.one_entry_table(config).to_payload()
+        path.parent.mkdir(parents=True)
+        path.write_text(poison_one_delay(json.dumps(stored, sort_keys=True)), encoding="utf-8")
+
+        before = table_quarantine_count()
+        rebuilt = load_or_precompute_policy_table(config, cache_dir=tmp_path, **sweep)
+        assert table_quarantine_count() == before + 1
+        assert rebuilt.loaded_from_cache is False
+        assert (tmp_path / "quarantine" / path.name).exists()
+        for signature in rebuilt.signatures():
+            assert rebuilt.decision_for(signature).delay >= 0
+        assert load_or_precompute_policy_table(
+            config, cache_dir=tmp_path, **sweep
+        ).loaded_from_cache is True
