@@ -1,14 +1,15 @@
 """Micro-benchmarks below the ledger's resolution; one run writes ``BENCH_micro.json`` whole.
 
 Speed claims are made end to end, on the ``BENCHMARK.json`` workloads
-(``benchmarks/e2e/``).  These eight timings are hot spots a ledger workload
+(``benchmarks/e2e/``).  These nine timings are hot spots a ledger workload
 dilutes until a regression hides inside its bound: the bare event loop
 (heap one deep, and ~1 250 deep under timer churn), an element chain, the
 scalar link model, a small belief, the wake-ups of an array belief that has
-settled on one hypothesis, the in-process half of a served table decision,
-and the process backend's fixed cost per point.
+settled on one hypothesis, building a contention point's 32 senders from
+their prior, the in-process half of a served table decision, and the
+process backend's fixed cost per point.
 
-The seven single-process entries are **pace-corrected seconds**.  The host
+The eight single-process entries are **pace-corrected seconds**.  The host
 drifts 30–60 % for minutes at a time, so each timed run of a workload is
 interleaved with a run of the ledger's fixed reference kernel
 (``benchmarks/e2e/e2e_pace.kernel``, imported read-only) and the entry is
@@ -39,10 +40,12 @@ from pathlib import Path
 
 from repro.api.config import SenderConfig
 from repro.api.policy import precompute_policy_table
+from repro.api.sender import build_components
 from repro.elements import Buffer, Collector, Throughput
 from repro.inference import AckObservation, BeliefState, GaussianKernel, single_link_prior
 from repro.inference.linkmodel import LinkModel, LinkModelParams
 from repro.runner import ParallelRunner, ScenarioRegistry, SerialRunner
+from repro.runner.scenarios import many_flow_sender_prior
 from repro.runner.spec import grid
 from repro.serving import DecisionService, PolicyTableRegistry
 from repro.sim.element import Network
@@ -62,6 +65,14 @@ TABLE_DECIDES = 1_000
 #: prediction it ever made.
 SETTLED_BELIEFS = 4
 SETTLED_ROUNDS = 250
+
+#: ``contention_isender32``'s inference senders: 32 per point, each built
+#: from the scenario's 21-point prior for 128 flows on its default 8 Mbit/s
+#: link and 8 Mbit buffer (7 link rates around the 62.5 kbit/s fair share ×
+#: empty, half and full buffers, i.e. 0, 333 and 666 queued filler packets).
+PRIOR_BUILDS = 32
+CONTENTION_SENDER = SenderConfig(belief_backend="fused", rollout_backend="fused", policy="cache")
+CONTENTION_PRIOR = many_flow_sender_prior(8_000_000.0 / 128, 8_000_000.0)
 
 #: The fan-out entry: points, workers, repeats (median taken), ceiling.
 NOOP_POINTS = 64
@@ -193,6 +204,19 @@ def settled_wakeups():
     return run_settled_wakeups
 
 
+def run_prior_builds() -> int:
+    """A ``contention_isender32`` point's 32 ``build_components`` calls.
+
+    Belief, planner and policy cache per sender; the belief is the array
+    engine's, written straight from the prior grid.  Returns the hypotheses
+    built (32 × 21).
+    """
+    return sum(
+        len(build_components(CONTENTION_SENDER, CONTENTION_PRIOR).belief)
+        for _ in range(PRIOR_BUILDS)
+    )
+
+
 def table_decides(registry_dir: Path):
     """``TABLE_DECIDES`` served decisions, every one a published-table hit.
 
@@ -231,6 +255,7 @@ SINGLE_PROCESS = {
     "queueing_chain_5k": (run_queueing_chain, 5_000),
     "link_model_advance_500": (run_link_model_advance, 500),
     "belief_update_50_rounds": (run_belief_updates, 50),
+    "prior_build_32": (run_prior_builds, PRIOR_BUILDS * CONTENTION_PRIOR.size),
 }
 
 

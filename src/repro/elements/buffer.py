@@ -25,7 +25,7 @@ from typing import Optional
 from repro.errors import ConfigurationError
 from repro.sim.element import Element
 from repro.sim.packet import Packet
-from repro.units import DEFAULT_PACKET_BITS
+from repro.units import DEFAULT_PACKET_BITS, filler_packet_sizes
 
 
 class Buffer(Element):
@@ -87,10 +87,8 @@ class Buffer(Element):
     def start(self) -> None:
         if self.initial_fill_bits <= 0 or not self._pull_mode:
             return
-        remaining = self.initial_fill_bits
-        seq = 0
-        while remaining > 1e-9:
-            size = min(self.filler_packet_bits, remaining)
+        sizes = filler_packet_sizes(self.initial_fill_bits, self.filler_packet_bits)
+        for seq, size in enumerate(sizes):
             filler = Packet(
                 seq=seq,
                 flow=self.filler_flow,
@@ -99,8 +97,6 @@ class Buffer(Element):
                 sent_at=self.sim.now,
             )
             self._enqueue(filler)
-            remaining -= size
-            seq += 1
         self._kick_downstream()
 
     # ------------------------------------------------------------- data path

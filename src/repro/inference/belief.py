@@ -6,13 +6,19 @@ sequential Bayesian update the paper describes (§3.2): every time the sender
 wakes up, each hypothesis is simulated forward to the present (forking on
 latent nondeterminism), scored against what actually happened, re-weighted,
 pruned, compacted, and renormalized.
+
+A sender's belief starts from its prior: :meth:`BeliefState.from_prior`
+takes the prior's grid and has one outcome per engine — a list of
+:class:`~repro.inference.hypothesis.Hypothesis` objects on the scalar
+engine, an :class:`~repro.inference.vectorized.state.EnsembleState` written
+directly from the grid on the array engine.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from repro.errors import DegenerateBeliefError, InferenceError, UnknownBackendError
 from repro.inference.hypothesis import Hypothesis
@@ -48,6 +54,9 @@ class BeliefState:
         Initial hypotheses.
     weights:
         Initial weights (normalized internally).
+
+    The settings below are keywords, here and in :meth:`from_prior`.
+
     kernel:
         Likelihood kernel for timing errors; defaults to a Gaussian kernel
         with a 0.25 s standard deviation.
@@ -78,6 +87,20 @@ class BeliefState:
         self,
         hypotheses: Sequence[Hypothesis],
         weights: Optional[Sequence[float]] = None,
+        **settings,
+    ) -> None:
+        if not hypotheses:
+            raise InferenceError("a belief state needs at least one hypothesis")
+        self._configure(**settings)
+        self._hypotheses = list(hypotheses)
+        if weights is None:
+            weights = [1.0] * len(self._hypotheses)
+        if len(weights) != len(self._hypotheses):
+            raise InferenceError("weights and hypotheses must have the same length")
+        self._weights = self._normalize(list(weights))
+
+    def _configure(
+        self,
         kernel: Optional[LikelihoodKernel] = None,
         max_hypotheses: int = 512,
         prune_fraction: float = 1e-6,
@@ -85,18 +108,11 @@ class BeliefState:
         cross_tally_window: Optional[float] = 60.0,
         on_degenerate: str = "keep",
     ) -> None:
-        if not hypotheses:
-            raise InferenceError("a belief state needs at least one hypothesis")
+        """The settings and counters, whichever way the ensemble arrives."""
         if on_degenerate not in ("keep", "raise"):
             raise InferenceError(f"unknown on_degenerate policy {on_degenerate!r}")
         if cross_tally_window is not None and cross_tally_window <= 0:
             raise InferenceError("cross_tally_window must be positive when given")
-        self._hypotheses = list(hypotheses)
-        if weights is None:
-            weights = [1.0] * len(self._hypotheses)
-        if len(weights) != len(self._hypotheses):
-            raise InferenceError("weights and hypotheses must have the same length")
-        self._weights = self._normalize(list(weights))
         self.kernel: LikelihoodKernel = kernel if kernel is not None else GaussianKernel(sigma=0.25)
         self.max_hypotheses = max_hypotheses
         self.prune_fraction = prune_fraction
@@ -148,29 +164,40 @@ class BeliefState:
     def from_prior(
         cls,
         prior: Prior,
-        hypothesis_factory: Optional[Callable[[Mapping[str, float]], Hypothesis]] = None,
         start_time: float = 0.0,
         backend: Optional[str] = None,
-        **kwargs,
+        **settings,
     ) -> "BeliefState":
-        """Instantiate one hypothesis per prior grid point.
+        """The belief a sender starts from: one row per prior grid point.
 
-        ``hypothesis_factory`` maps a parameter assignment to a Hypothesis;
-        by default :meth:`Hypothesis.from_params` is used, which covers every
-        configuration expressible by the fast link model.  ``backend``
-        selects the ensemble implementation (``"scalar"`` or
-        ``"vectorized"``); by default the class the method is called on.
+        ``backend`` selects the engine (``"scalar"``, or ``"vectorized"`` /
+        ``"fused"``); by default the class the method is called on.  The
+        scalar engine builds one :meth:`Hypothesis.from_params` per grid
+        point; the array engine writes the same initial state straight into
+        its buffers (:meth:`~repro.inference.vectorized.state.EnsembleState.from_prior`)
+        and builds no scalar object.  ``settings`` are the constructor's.
         """
-        hypotheses: list[Hypothesis] = []
+        assignments: list[dict[str, float]] = []
         weights: list[float] = []
         for assignment, probability in prior.combinations():
-            if hypothesis_factory is not None:
-                hypothesis = hypothesis_factory(assignment)
-            else:
-                hypothesis = Hypothesis.from_params(assignment, start_time=start_time)
-            hypotheses.append(hypothesis)
+            assignments.append(assignment)
             weights.append(probability)
-        return cls.for_backend(backend)(hypotheses, weights, **kwargs)
+        return cls.for_backend(backend)._from_grid(assignments, weights, start_time, settings)
+
+    @classmethod
+    def _from_grid(
+        cls,
+        assignments: list[dict[str, float]],
+        weights: list[float],
+        start_time: float,
+        settings: dict,
+    ) -> "BeliefState":
+        """This engine's belief over ``assignments`` (see :meth:`from_prior`)."""
+        hypotheses = [
+            Hypothesis.from_params(assignment, start_time=start_time)
+            for assignment in assignments
+        ]
+        return cls(hypotheses, weights, **settings)
 
     # -------------------------------------------------------------- inspection
 

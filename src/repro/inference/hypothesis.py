@@ -275,25 +275,11 @@ class Hypothesis:
         The mapping must contain keys understood by
         :class:`~repro.inference.linkmodel.LinkModelParams`; extra keys are
         kept on the hypothesis (they may drive other aspects of an
-        experiment) but ignored by the model.
+        experiment) but ignored by the model
+        (:meth:`~repro.inference.linkmodel.LinkModelParams.from_assignment`).
         """
-        model_fields = {
-            "link_rate_bps",
-            "buffer_capacity_bits",
-            "initial_fill_bits",
-            "loss_rate",
-            "cross_rate_pps",
-            "cross_packet_bits",
-            "mean_time_to_switch",
-            "cross_initially_on",
-            "filler_packet_bits",
-        }
-        kwargs = {key: value for key, value in params.items() if key in model_fields}
-        kwargs.update(overrides)
-        if "cross_initially_on" in kwargs:
-            kwargs["cross_initially_on"] = bool(kwargs["cross_initially_on"])
-        model = LinkModel(LinkModelParams(**kwargs), start_time=start_time)
-        return cls(params, model)
+        model_params = LinkModelParams.from_assignment(params, **overrides)
+        return cls(params, LinkModel(model_params, start_time=start_time))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Hypothesis(params={self.params}, model={self.model!r})"

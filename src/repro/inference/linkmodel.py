@@ -13,18 +13,33 @@ predicted delivery (folded into the acknowledgement likelihood), and gate
 switching is handled by the Hypothesis layer forking model clones.
 
 The class is deliberately lean because the belief state clones and advances
-hundreds of these models on every sender wake-up.
+hundreds of these models on every sender wake-up.  Queue entries are
+immutable ``(flow, seq, size_bits)`` tuples (:data:`QueuedPacket`), so a
+clone copies the deque and shares every entry (and the packet in service)
+with its original.
+
+The initial buffer fill is :func:`initial_fill`: the shared
+:func:`~repro.units.filler_packet_sizes` rule, the first packet put in
+service and the rest queued behind it.  A model loads it with one
+``deque.extend``, and the array engine writes the same packets straight
+into its buffers
+(:meth:`~repro.inference.vectorized.state.EnsembleState.from_prior`)
+without building a model at all.
 """
 
 from __future__ import annotations
 
 import bisect
+import math
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, field, fields
+from functools import reduce
+from itertools import repeat
+from operator import add
+from typing import Mapping, Optional
 
 from repro.errors import ConfigurationError, InferenceError
-from repro.units import DEFAULT_PACKET_BITS
+from repro.units import DEFAULT_PACKET_BITS, filler_packet_sizes
 
 #: Flow label used for the sender's own traffic inside the model.
 OWN = "own"
@@ -53,18 +68,45 @@ class LinkModelParams:
     filler_packet_bits: float = DEFAULT_PACKET_BITS
 
     def __post_init__(self) -> None:
-        if self.link_rate_bps <= 0:
-            raise ConfigurationError("link_rate_bps must be positive")
-        if self.buffer_capacity_bits <= 0:
-            raise ConfigurationError("buffer_capacity_bits must be positive")
+        # Every test is written so that NaN fails it (a NaN passed the old
+        # ``<= 0`` tests), and every upper end is finite.
+        if not 0.0 < self.link_rate_bps < math.inf:
+            raise ConfigurationError("link_rate_bps must be positive and finite")
+        if not 0.0 < self.buffer_capacity_bits < math.inf:
+            raise ConfigurationError("buffer_capacity_bits must be positive and finite")
         if not 0.0 <= self.loss_rate <= 1.0:
             raise ConfigurationError("loss_rate must lie in [0, 1]")
-        if self.initial_fill_bits < 0 or self.initial_fill_bits > self.buffer_capacity_bits:
+        if not 0.0 <= self.initial_fill_bits <= self.buffer_capacity_bits:
             raise ConfigurationError("initial_fill_bits must lie in [0, buffer capacity]")
-        if self.cross_rate_pps < 0:
-            raise ConfigurationError("cross_rate_pps must be non-negative")
-        if self.mean_time_to_switch is not None and self.mean_time_to_switch <= 0:
-            raise ConfigurationError("mean_time_to_switch must be positive when given")
+        if not 0.0 <= self.cross_rate_pps < math.inf:
+            raise ConfigurationError("cross_rate_pps must be non-negative and finite")
+        # A 0-bit (or negative, or NaN) packet made filling a buffer endless.
+        # A tiny positive one (1e-300 bits) is accepted and still cuts a
+        # fill into more packets than memory holds: serving keeps such rows
+        # off the planner by admitting only points of the config's prior.
+        if not 0.0 < self.cross_packet_bits < math.inf:
+            raise ConfigurationError("cross_packet_bits must be positive and finite")
+        if not 0.0 < self.filler_packet_bits < math.inf:
+            raise ConfigurationError("filler_packet_bits must be positive and finite")
+        if self.mean_time_to_switch is not None and not 0.0 < self.mean_time_to_switch < math.inf:
+            raise ConfigurationError("mean_time_to_switch must be positive and finite when given")
+
+    @classmethod
+    def from_assignment(
+        cls, assignment: Mapping[str, float], **overrides: float
+    ) -> "LinkModelParams":
+        """The configuration a prior assignment names.
+
+        Keys that are fields of this class are taken, then ``overrides``;
+        other keys (``fill_fraction``, ``packet_bits``, …) describe the
+        experiment, not the link, and are ignored.  ``cross_initially_on``
+        arrives as a grid value (``0.0`` / ``1.0``) and becomes a bool.
+        """
+        kwargs = {key: value for key, value in assignment.items() if key in _FIELD_NAMES}
+        kwargs.update(overrides)
+        if "cross_initially_on" in kwargs:
+            kwargs["cross_initially_on"] = bool(kwargs["cross_initially_on"])
+        return cls(**kwargs)
 
     @property
     def cross_rate_bps(self) -> float:
@@ -75,6 +117,9 @@ class LinkModelParams:
     def has_cross_traffic(self) -> bool:
         """Whether the configuration contains a cross-traffic source at all."""
         return self.cross_rate_pps > 0
+
+
+_FIELD_NAMES = frozenset(spec.name for spec in fields(LinkModelParams))
 
 
 @dataclass(frozen=True, slots=True)
@@ -92,13 +137,27 @@ class Prediction:
         return self.kind == "delivered"
 
 
-@dataclass(slots=True)
-class _QueuedPacket:
-    """A packet sitting in the modelled buffer or in service on the link."""
+#: A packet sitting in the modelled buffer or in service on the link:
+#: ``(flow, seq, size_bits)``.  A plain tuple: immutable, so clones share
+#: entries instead of copying them, and the cheapest record to build — the
+#: scalar engine builds one per send and per cross arrival, and a named
+#: tuple or slotted dataclass costs several times as much to construct.
+QueuedPacket = tuple[str, int, float]
 
-    flow: str
-    seq: int
-    size_bits: float
+
+def initial_fill(fill_bits: float, filler_bits: float) -> tuple[list[float], float]:
+    """The filler packets a model with this initial fill starts with.
+
+    Returns the sizes :func:`~repro.units.filler_packet_sizes` cuts the
+    fill into and the left-to-right sum of all but the first, which is what
+    enqueueing them one by one counts.  Filler packet ``k`` (from 1) has
+    sequence number ``-k``; the first is in service, the rest queued behind
+    it.  None is tail-dropped: :class:`LinkModelParams` keeps the fill
+    within the capacity, so the queued packets hold at most the capacity
+    less the one in service.
+    """
+    sizes = filler_packet_sizes(fill_bits, filler_bits)
+    return sizes, reduce(add, sizes[1:], 0.0)
 
 
 @dataclass(slots=True)
@@ -157,9 +216,9 @@ class LinkModel:
         self.gate_on = params.cross_initially_on and params.has_cross_traffic
         self.next_cross_time = float(start_time) if self.gate_on else float("inf")
         self._next_cross_seq = 0
-        self._queue: deque[_QueuedPacket] = deque()
+        self._queue: deque[QueuedPacket] = deque()
         self._queue_bits = 0.0
-        self._in_service: Optional[_QueuedPacket] = None
+        self._in_service: Optional[QueuedPacket] = None
         self._service_completion = float("inf")
         #: Predictions for the sender's own packets, keyed by sequence number.
         self.predictions: dict[int, Prediction] = {}
@@ -167,7 +226,7 @@ class LinkModel:
         self.cross = CrossTally()
         #: Times at which the sender's own packets entered this model.
         self.own_sent: dict[int, float] = {}
-        self._load_initial_fill(start_time)
+        self._load_initial_fill()
 
     # ------------------------------------------------------------------ state
 
@@ -189,7 +248,7 @@ class LinkModel:
     @property
     def backlog_bits(self) -> float:
         """Queued bits plus the size of the packet in service, if any."""
-        extra = self._in_service.size_bits if self._in_service is not None else 0.0
+        extra = self._in_service[2] if self._in_service is not None else 0.0
         return self._queue_bits + extra
 
     @property
@@ -199,9 +258,9 @@ class LinkModel:
 
     def cross_backlog_bits(self) -> float:
         """Cross-traffic bits still queued or in service (used by latency penalties)."""
-        total = sum(packet.size_bits for packet in self._queue if packet.flow == CROSS)
-        if self._in_service is not None and self._in_service.flow == CROSS:
-            total += self._in_service.size_bits
+        total = sum(size for flow, _, size in self._queue if flow == CROSS)
+        if self._in_service is not None and self._in_service[0] == CROSS:
+            total += self._in_service[2]
         return total
 
     def drain_time(self) -> float:
@@ -238,16 +297,9 @@ class LinkModel:
         duplicate.gate_on = self.gate_on
         duplicate.next_cross_time = self.next_cross_time
         duplicate._next_cross_seq = self._next_cross_seq
-        duplicate._queue = deque(
-            _QueuedPacket(p.flow, p.seq, p.size_bits) for p in self._queue
-        )
+        duplicate._queue = deque(self._queue)
         duplicate._queue_bits = self._queue_bits
-        if self._in_service is not None:
-            duplicate._in_service = _QueuedPacket(
-                self._in_service.flow, self._in_service.seq, self._in_service.size_bits
-            )
-        else:
-            duplicate._in_service = None
+        duplicate._in_service = self._in_service
         duplicate._service_completion = self._service_completion
         if keep_history:
             duplicate.predictions = dict(self.predictions)
@@ -268,7 +320,8 @@ class LinkModel:
 
         This is the batchable layout the vectorized inference backend packs
         into struct-of-arrays buffers: every entry is either a scalar or a
-        list of fixed-width tuples, with no references back into the model.
+        list of fixed-width tuples (the queue's own immutable entries), with
+        no mutable references back into the model.
         ``cross`` tallies are intentionally excluded — they are history, not
         latent state, and the vectorized ensemble does not retain them.
         """
@@ -277,13 +330,9 @@ class LinkModel:
             "gate_on": self.gate_on,
             "next_cross_time": self.next_cross_time,
             "next_cross_seq": self._next_cross_seq,
-            "queue": [(p.flow, p.seq, p.size_bits) for p in self._queue],
+            "queue": list(self._queue),
             "queue_bits": self._queue_bits,
-            "in_service": (
-                (self._in_service.flow, self._in_service.seq, self._in_service.size_bits)
-                if self._in_service is not None
-                else None
-            ),
+            "in_service": self._in_service,
             "service_completion": self._service_completion,
             "predictions": [
                 (p.seq, p.kind, p.time, p.survival) for p in self.predictions.values()
@@ -293,22 +342,20 @@ class LinkModel:
 
     @classmethod
     def from_state(cls, params: LinkModelParams, state: dict) -> "LinkModel":
-        """Rebuild a model from :meth:`export_state` output (inverse operation)."""
+        """Rebuild a model from :meth:`export_state` output (inverse operation).
+
+        ``queue`` and ``in_service`` hold ``(flow, seq, size_bits)`` tuples;
+        being immutable, they are taken as they are.
+        """
         model = cls.__new__(cls)
         model.params = params
         model.time = float(state["time"])
         model.gate_on = bool(state["gate_on"])
         model.next_cross_time = float(state["next_cross_time"])
         model._next_cross_seq = int(state["next_cross_seq"])
-        model._queue = deque(
-            _QueuedPacket(flow, seq, size) for flow, seq, size in state["queue"]
-        )
+        model._queue = deque(state["queue"])
         model._queue_bits = float(state["queue_bits"])
-        in_service = state["in_service"]
-        if in_service is not None:
-            model._in_service = _QueuedPacket(in_service[0], in_service[1], in_service[2])
-        else:
-            model._in_service = None
+        model._in_service = state["in_service"]
         model._service_completion = float(state["service_completion"])
         model.predictions = {
             seq: Prediction(seq=seq, kind=kind, time=time, survival=survival)
@@ -342,7 +389,7 @@ class LinkModel:
         if time > self.time:
             self.advance(time)
         self.own_sent[seq] = time
-        self._enqueue(_QueuedPacket(OWN, seq, size_bits))
+        self._enqueue((OWN, seq, size_bits))
 
     def advance(self, until: float) -> None:
         """Run the model forward to ``until``, processing arrivals and departures."""
@@ -376,22 +423,22 @@ class LinkModel:
         """
         if seq in self.predictions:
             return self.predictions[seq].time
-        if self._in_service is not None and self._in_service.flow == OWN and self._in_service.seq == seq:
+        if self._in_service is not None and self._in_service[:2] == (OWN, seq):
             return self._service_completion
         ahead_bits = 0.0
         if self._in_service is not None:
             ahead_bits += max(0.0, (self._service_completion - self.time) * self.params.link_rate_bps)
-        for queued in self._queue:
-            if queued.flow == OWN and queued.seq == seq:
-                return self.time + (ahead_bits + queued.size_bits) / self.params.link_rate_bps
-            ahead_bits += queued.size_bits
+        for flow, queued_seq, size_bits in self._queue:
+            if flow == OWN and queued_seq == seq:
+                return self.time + (ahead_bits + size_bits) / self.params.link_rate_bps
+            ahead_bits += size_bits
         return None
 
     def signature(self) -> tuple:
         """A hashable digest of the latent state, used for belief compaction."""
-        queue_key = tuple((p.flow, p.seq) for p in self._queue)
+        queue_key = tuple(packet[:2] for packet in self._queue)
         service_key = (
-            (self._in_service.flow, self._in_service.seq, round(self._service_completion, 6))
+            (*self._in_service[:2], round(self._service_completion, 6))
             if self._in_service is not None
             else None
         )
@@ -405,60 +452,63 @@ class LinkModel:
 
     # ---------------------------------------------------------------- helpers
 
-    def _load_initial_fill(self, start_time: float) -> None:
-        remaining = self.params.initial_fill_bits
-        seq = -1
-        while remaining > 1e-9:
-            size = min(self.params.filler_packet_bits, remaining)
-            self._enqueue(_QueuedPacket(CROSS, seq, size))
-            remaining -= size
-            seq -= 1
+    def _load_initial_fill(self) -> None:
+        sizes, queue_bits = initial_fill(
+            self.params.initial_fill_bits, self.params.filler_packet_bits
+        )
+        if sizes:
+            self._start_service((CROSS, -1, sizes[0]))
+        if len(sizes) > 1:
+            self._queue.extend(zip(repeat(CROSS), range(-2, -len(sizes) - 1, -1), sizes[1:]))
+            self._queue_bits = queue_bits
 
-    def _enqueue(self, packet: _QueuedPacket) -> None:
+    def _enqueue(self, packet: QueuedPacket) -> None:
         if self._in_service is None:
             self._start_service(packet)
             return
-        if self._queue_bits + packet.size_bits <= self.params.buffer_capacity_bits + 1e-9:
+        flow, seq, size_bits = packet
+        if self._queue_bits + size_bits <= self.params.buffer_capacity_bits + 1e-9:
             self._queue.append(packet)
-            self._queue_bits += packet.size_bits
+            self._queue_bits += size_bits
             return
         # Tail drop.
-        if packet.flow == OWN:
-            self.predictions[packet.seq] = Prediction(
-                seq=packet.seq, kind="dropped", time=self.time, survival=0.0
+        if flow == OWN:
+            self.predictions[seq] = Prediction(
+                seq=seq, kind="dropped", time=self.time, survival=0.0
             )
         else:
-            self.cross.drops.append((self.time, packet.size_bits))
+            self.cross.drops.append((self.time, size_bits))
 
-    def _start_service(self, packet: _QueuedPacket) -> None:
+    def _start_service(self, packet: QueuedPacket) -> None:
         self._in_service = packet
-        self._service_completion = self.time + packet.size_bits / self.params.link_rate_bps
+        self._service_completion = self.time + packet[2] / self.params.link_rate_bps
 
     def _complete_service(self, when: float) -> None:
         packet = self._in_service
         assert packet is not None
+        flow, seq, size_bits = packet
         self.time = when
         self._in_service = None
         self._service_completion = float("inf")
-        if packet.flow == OWN:
-            self.predictions[packet.seq] = Prediction(
-                seq=packet.seq,
+        if flow == OWN:
+            self.predictions[seq] = Prediction(
+                seq=seq,
                 kind="delivered",
                 time=when,
                 survival=1.0 - self.params.loss_rate,
             )
         else:
-            self.cross.deliveries.append((when, packet.size_bits))
+            self.cross.deliveries.append((when, size_bits))
         if self._queue:
             nxt = self._queue.popleft()
-            self._queue_bits -= nxt.size_bits
+            self._queue_bits -= nxt[2]
             if self._queue_bits < 1e-9:
                 self._queue_bits = 0.0
             self._start_service(nxt)
 
     def _cross_arrival(self, when: float) -> None:
         self.time = when
-        self._enqueue(_QueuedPacket(CROSS, self._next_cross_seq, self.params.cross_packet_bits))
+        self._enqueue((CROSS, self._next_cross_seq, self.params.cross_packet_bits))
         self._next_cross_seq += 1
         self.next_cross_time = when + 1.0 / self.params.cross_rate_pps
 

@@ -24,6 +24,10 @@ match to the last bit.  The documented tolerance is ``1e-9`` relative — the
 only divergences in practice are one-ulp differences in transcendental
 calls on exotic platforms.
 
+A belief built by ``BeliefState.from_prior`` starts from
+:meth:`EnsembleState.from_prior
+<repro.inference.vectorized.state.EnsembleState.from_prior>`, so it never
+holds a scalar object at all; the constructor packs hypotheses it is given.
 Scalar :class:`~repro.inference.hypothesis.Hypothesis` objects are
 *materialized on demand* — ``top(k)`` / ``map_estimate`` rebuild only the
 rows the scalar planner asks for; the array planner reads the rows in place
@@ -41,7 +45,6 @@ import numpy as np
 from repro.errors import DegenerateBeliefError, InferenceError
 from repro.inference.belief import BeliefState
 from repro.inference.hypothesis import Hypothesis
-from repro.inference.likelihood import LikelihoodKernel
 from repro.inference.observation import AckObservation
 from repro.inference.vectorized import engine
 from repro.inference.vectorized.scoring import score_and_bookkeep
@@ -57,27 +60,35 @@ class VectorizedBeliefState(BeliefState):
         self,
         hypotheses: Sequence[Hypothesis],
         weights: Optional[Sequence[float]] = None,
-        kernel: Optional[LikelihoodKernel] = None,
-        max_hypotheses: int = 512,
-        prune_fraction: float = 1e-6,
-        missing_grace: float = 0.0,
-        cross_tally_window: Optional[float] = 60.0,
-        on_degenerate: str = "keep",
+        **settings,
     ) -> None:
-        super().__init__(
-            hypotheses,
-            weights,
-            kernel=kernel,
-            max_hypotheses=max_hypotheses,
-            prune_fraction=prune_fraction,
-            missing_grace=missing_grace,
-            cross_tally_window=cross_tally_window,
-            on_degenerate=on_degenerate,
-        )
-        self._state = EnsembleState.from_hypotheses(self._hypotheses)
+        super().__init__(hypotheses, weights, **settings)
+        self._hold(EnsembleState.from_hypotheses(self._hypotheses))
+
+    @classmethod
+    def _from_grid(
+        cls,
+        assignments: list[dict[str, float]],
+        weights: list[float],
+        start_time: float,
+        settings: dict,
+    ) -> "VectorizedBeliefState":
+        """The prior's ensemble written straight into buffers: no hypotheses."""
+        belief = cls.__new__(cls)
+        belief._configure(**settings)
+        belief._weights = belief._normalize(weights)
+        belief._hold(EnsembleState.from_prior(assignments, start_time))
+        return belief
+
+    def _hold(self, state: EnsembleState) -> None:
+        """Keep the ensemble in ``state`` and the weights in an array.
+
+        The scalar containers are not used while the arrays hold the
+        ensemble; they are emptied so stale objects cannot leak through
+        (every accessor is overridden).
+        """
+        self._state = state
         self._weight_array = np.asarray(self._weights, dtype=float)
-        # The scalar containers are not used by this backend; drop them so
-        # stale objects cannot leak through (every accessor is overridden).
         self._hypotheses = []
         self._weights = []
 

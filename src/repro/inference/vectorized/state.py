@@ -17,6 +17,16 @@ evolve in lockstep — every row sees the same sends and the same update
 times — so the model clock is a single scalar shared by the whole ensemble,
 and the own-packet ledger columns are shared too.
 
+There are two ways in.  :meth:`EnsembleState.from_prior` writes a prior
+grid's initial ensemble straight into the buffers — parameters, gate, the
+initial buffer fill as row slices — without building a scalar model, a
+hypothesis or a queued-packet object; it is how an array belief starts.
+:meth:`EnsembleState.from_hypotheses` packs existing scalar hypotheses —
+how the planner hands a scalar or settled belief's top rows to the array
+rollout.  Both write the static per-row fields through one helper, so the
+two cannot drift, and they agree bit for bit on a prior's initial state
+(``tests/test_prior_build.py``).
+
 Rows can be gathered (:meth:`select`), scatter-merged with another state
 (:meth:`interleave`, used when the gate forks the ensemble), and
 materialized back into ordinary
@@ -33,12 +43,13 @@ Materialized hypotheses therefore start with an empty
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from repro.errors import InferenceError
 from repro.inference.hypothesis import Hypothesis
+from repro.inference.linkmodel import LinkModelParams, initial_fill
 
 #: Integer flow codes used inside the array buffers.
 FLOW_OWN = 0
@@ -141,8 +152,74 @@ class EnsembleState:
     # ------------------------------------------------------------ construction
 
     @classmethod
+    def from_prior(
+        cls, assignments: Sequence[Mapping[str, float]], start_time: float = 0.0
+    ) -> "EnsembleState":
+        """The initial ensemble of a prior grid, written straight into buffers.
+
+        Row ``i`` holds what ``LinkModel(LinkModelParams.from_assignment(
+        assignments[i]), start_time)`` starts with, bit for bit, but no
+        model, hypothesis or queued-packet object is built: the gate and
+        next cross arrival are set as ``LinkModel.__init__`` sets them, and
+        :func:`~repro.inference.linkmodel.initial_fill` runs once per
+        distinct ``(initial fill, filler size)`` and is copied into its rows
+        as slices — the first packet in service until
+        ``start_time + size / link_rate``, the rest queued.  The own-packet
+        ledger starts empty.
+        """
+        if not assignments:
+            raise InferenceError("cannot build an ensemble from zero hypotheses")
+        params = [LinkModelParams.from_assignment(assignment) for assignment in assignments]
+        self = cls.__new__(cls)
+        size = len(params)
+        self.size = size
+        self.time = float(start_time)
+        self._write_static(assignments, params)
+
+        self.gate_on = self.has_cross & np.array(
+            [p.cross_initially_on for p in params], dtype=bool
+        )
+        self.next_cross_time = np.where(self.gate_on, self.time, np.inf)
+        self.next_cross_seq = np.zeros(size, dtype=np.int64)
+
+        rows_by_fill: dict[tuple, list[int]] = {}
+        for row, p in enumerate(params):
+            key = (p.initial_fill_bits, p.filler_packet_bits)
+            rows_by_fill.setdefault(key, []).append(row)
+        fills = [(initial_fill(*key), rows) for key, rows in rows_by_fill.items()]
+        self._allocate_queues(max(len(sizes[1:]) for (sizes, _), _ in fills))
+        self.svc_active = np.zeros(size, dtype=bool)
+        self.svc_flow = np.full(size, -1, dtype=np.int8)
+        self.svc_seq = np.zeros(size, dtype=np.int64)
+        self.svc_size = np.zeros(size, dtype=float)
+        self.queue_bits = np.zeros(size, dtype=float)
+        for (sizes, queue_bits), rows in fills:
+            if not sizes:
+                continue
+            self.svc_active[rows] = True
+            self.svc_flow[rows] = FLOW_CROSS
+            self.svc_seq[rows] = -1
+            self.svc_size[rows] = sizes[0]
+            length = len(sizes) - 1
+            self.q_len[rows] = length
+            self.q_flow[rows, :length] = FLOW_CROSS
+            self.q_seq[rows, :length] = np.arange(-2, -2 - length, -1)
+            self.q_size[rows, :length] = sizes[1:]
+            self.queue_bits[rows] = queue_bits
+        # LinkModel._start_service's expression, elementwise (IEEE-identical).
+        self.svc_completion = np.where(
+            self.svc_active, self.time + self.svc_size / self.link_rate, np.inf
+        )
+        self._allocate_ledger(0)
+        return self
+
+    @classmethod
     def from_hypotheses(cls, hypotheses: Sequence[Hypothesis]) -> "EnsembleState":
-        """Pack scalar hypotheses into struct-of-arrays buffers."""
+        """Pack scalar hypotheses into struct-of-arrays buffers.
+
+        The planner's way in for a scalar or settled belief, whose top
+        hypotheses it packs on every plan.
+        """
         if not hypotheses:
             raise InferenceError("cannot build an ensemble from zero hypotheses")
         states = [hypothesis.export_state() for hypothesis in hypotheses]
@@ -158,11 +235,75 @@ class EnsembleState:
         size = len(hypotheses)
         self.size = size
         self.time = float(time)
+        self._write_static(
+            [hypothesis.params for hypothesis in hypotheses],
+            [hypothesis.model.params for hypothesis in hypotheses],
+        )
 
-        params = [hypothesis.model.params for hypothesis in hypotheses]
+        self.gate_on = np.array([s["gate_on"] for s in states], dtype=bool)
+        self.next_cross_time = np.array([s["next_cross_time"] for s in states], dtype=float)
+        self.next_cross_seq = np.array([s["next_cross_seq"] for s in states], dtype=np.int64)
+
+        in_service = [s["in_service"] for s in states]
+        self.svc_active = np.array([entry is not None for entry in in_service], dtype=bool)
+        self.svc_flow = np.array(
+            [_FLOW_CODES[entry[0]] if entry is not None else -1 for entry in in_service],
+            dtype=np.int8,
+        )
+        self.svc_seq = np.array(
+            [entry[1] if entry is not None else 0 for entry in in_service], dtype=np.int64
+        )
+        self.svc_size = np.array(
+            [entry[2] if entry is not None else 0.0 for entry in in_service], dtype=float
+        )
+        self.svc_completion = np.array([s["service_completion"] for s in states], dtype=float)
+
+        queues = [s["queue"] for s in states]
+        self._allocate_queues(max(len(queue) for queue in queues))
+        for row, queue in enumerate(queues):
+            self.q_len[row] = len(queue)
+            for slot, (flow, seq, bits) in enumerate(queue):
+                self.q_flow[row, slot] = _FLOW_CODES[flow]
+                self.q_seq[row, slot] = seq
+                self.q_size[row, slot] = bits
+        self.queue_bits = np.array([s["queue_bits"] for s in states], dtype=float)
+
+        # Own-packet ledger: the union of every row's sequence numbers.  For
+        # lockstep ensembles the rows agree; the union keeps hand-built
+        # mixtures working too.
+        seq_to_time: dict[int, float] = {}
+        for state in states:
+            for seq, sent_at in state["own_sent"].items():
+                seq_to_time.setdefault(seq, sent_at)
+        ordered = sorted(seq_to_time)
+        self._allocate_ledger(len(ordered))
+        self.own_seqs[: self.n_own] = ordered
+        self.own_sent_times[: self.n_own] = [seq_to_time[seq] for seq in ordered]
+        col_of = {seq: col for col, seq in enumerate(ordered)}
+        for row, state in enumerate(states):
+            for seq, kind, pred_time, _survival in state["predictions"]:
+                col = col_of[seq]
+                self.pred_state[row, col] = (
+                    PRED_DELIVERED if kind == "delivered" else PRED_DROPPED
+                )
+                self.pred_time[row, col] = pred_time
+            for seq in state["resolved"]:
+                if seq in col_of:
+                    self.resolved[row, col_of[seq]] = True
+            for seq in state["lost"]:
+                if seq in col_of:
+                    self.lost[row, col_of[seq]] = True
+        return self
+
+    def _write_static(
+        self,
+        params_dicts: Sequence[Mapping[str, float]],
+        params: Sequence[LinkModelParams],
+    ) -> None:
+        """Every per-row field that never changes, from both ways in."""
         self.model_params = _object_array(params)
-        self.params_dicts = _object_array([hypothesis.params for hypothesis in hypotheses])
-        keys = [tuple(sorted(hypothesis.params.items())) for hypothesis in hypotheses]
+        self.params_dicts = _object_array(params_dicts)
+        keys = [tuple(sorted(assignment.items())) for assignment in params_dicts]
         self.params_keys = _object_array(keys)
         # Distinct parameter assignments interned as small integers, so the
         # compaction digest can treat "same configuration" as an int compare.
@@ -193,72 +334,24 @@ class EnsembleState:
             dtype=float,
         )
 
-        self.gate_on = np.array([s["gate_on"] for s in states], dtype=bool)
-        self.next_cross_time = np.array([s["next_cross_time"] for s in states], dtype=float)
-        self.next_cross_seq = np.array([s["next_cross_seq"] for s in states], dtype=np.int64)
+    def _allocate_queues(self, longest: int) -> None:
+        """Zeroed queue buffers with room for ``longest`` packets and slack."""
+        capacity = max(_MIN_QUEUE_CAPACITY, longest + 2)
+        self.q_flow = np.zeros((self.size, capacity), dtype=np.int8)
+        self.q_seq = np.zeros((self.size, capacity), dtype=np.int64)
+        self.q_size = np.zeros((self.size, capacity), dtype=float)
+        self.q_len = np.zeros(self.size, dtype=np.int64)
 
-        in_service = [s["in_service"] for s in states]
-        self.svc_active = np.array([entry is not None for entry in in_service], dtype=bool)
-        self.svc_flow = np.array(
-            [_FLOW_CODES[entry[0]] if entry is not None else -1 for entry in in_service],
-            dtype=np.int8,
-        )
-        self.svc_seq = np.array(
-            [entry[1] if entry is not None else 0 for entry in in_service], dtype=np.int64
-        )
-        self.svc_size = np.array(
-            [entry[2] if entry is not None else 0.0 for entry in in_service], dtype=float
-        )
-        self.svc_completion = np.array([s["service_completion"] for s in states], dtype=float)
-
-        queues = [s["queue"] for s in states]
-        capacity = max(_MIN_QUEUE_CAPACITY, max((len(q) for q in queues), default=0) + 2)
-        self.q_flow = np.zeros((size, capacity), dtype=np.int8)
-        self.q_seq = np.zeros((size, capacity), dtype=np.int64)
-        self.q_size = np.zeros((size, capacity), dtype=float)
-        self.q_len = np.zeros(size, dtype=np.int64)
-        for row, queue in enumerate(queues):
-            self.q_len[row] = len(queue)
-            for slot, (flow, seq, bits) in enumerate(queue):
-                self.q_flow[row, slot] = _FLOW_CODES[flow]
-                self.q_seq[row, slot] = seq
-                self.q_size[row, slot] = bits
-        self.queue_bits = np.array([s["queue_bits"] for s in states], dtype=float)
-
-        # Own-packet ledger: the union of every row's sequence numbers.  For
-        # lockstep ensembles the rows agree; the union keeps hand-built
-        # mixtures working too.
-        seq_to_time: dict[int, float] = {}
-        for state in states:
-            for seq, sent_at in state["own_sent"].items():
-                seq_to_time.setdefault(seq, sent_at)
-        ordered = sorted(seq_to_time)
-        count = len(ordered)
-        ledger_cap = max(_MIN_LEDGER_CAPACITY, count)
-        self.own_seqs = np.zeros(ledger_cap, dtype=np.int64)
-        self.own_sent_times = np.zeros(ledger_cap, dtype=float)
-        self.own_seqs[:count] = ordered
-        self.own_sent_times[:count] = [seq_to_time[seq] for seq in ordered]
+    def _allocate_ledger(self, count: int) -> None:
+        """A zeroed own-packet ledger with ``count`` columns in use."""
+        capacity = max(_MIN_LEDGER_CAPACITY, count)
+        self.own_seqs = np.zeros(capacity, dtype=np.int64)
+        self.own_sent_times = np.zeros(capacity, dtype=float)
         self.n_own = count
-        self.pred_state = np.zeros((size, ledger_cap), dtype=np.int8)
-        self.pred_time = np.zeros((size, ledger_cap), dtype=float)
-        self.resolved = np.zeros((size, ledger_cap), dtype=bool)
-        self.lost = np.zeros((size, ledger_cap), dtype=bool)
-        col_of = {seq: col for col, seq in enumerate(ordered)}
-        for row, state in enumerate(states):
-            for seq, kind, pred_time, _survival in state["predictions"]:
-                col = col_of[seq]
-                self.pred_state[row, col] = (
-                    PRED_DELIVERED if kind == "delivered" else PRED_DROPPED
-                )
-                self.pred_time[row, col] = pred_time
-            for seq in state["resolved"]:
-                if seq in col_of:
-                    self.resolved[row, col_of[seq]] = True
-            for seq in state["lost"]:
-                if seq in col_of:
-                    self.lost[row, col_of[seq]] = True
-        return self
+        self.pred_state = np.zeros((self.size, capacity), dtype=np.int8)
+        self.pred_time = np.zeros((self.size, capacity), dtype=float)
+        self.resolved = np.zeros((self.size, capacity), dtype=bool)
+        self.lost = np.zeros((self.size, capacity), dtype=bool)
 
     # --------------------------------------------------------------- gathering
 
@@ -538,14 +631,13 @@ class EnsembleState:
         predictions.sort(key=lambda entry: (entry[2], entry[0]))
 
         length = int(self.q_len[row])
-        queue = [
-            (
-                _FLOW_NAMES[int(self.q_flow[row, slot])],
-                int(self.q_seq[row, slot]),
-                float(self.q_size[row, slot]),
+        queue = list(
+            zip(
+                map(_FLOW_NAMES.__getitem__, self.q_flow[row, :length].tolist()),
+                self.q_seq[row, :length].tolist(),
+                self.q_size[row, :length].tolist(),
             )
-            for slot in range(length)
-        ]
+        )
         in_service = None
         if self.svc_active[row]:
             in_service = (

@@ -38,7 +38,7 @@ from repro.experiments.comparison import run_loss_comparison
 from repro.experiments.figure1 import run_figure1
 from repro.experiments.figure3 import run_figure3_point
 from repro.experiments.simple import run_convergence_scenario, run_drain_scenario
-from repro.inference.prior import single_link_prior
+from repro.inference.prior import Prior, single_link_prior
 from repro.metrics.fairness import convergence_time, flow_rate_matrix, jain_index
 from repro.runner.registry import scenario
 from repro.runner.spec import ScenarioSpec, grid
@@ -448,6 +448,24 @@ def many_flow_sender_config(params: Mapping[str, Any]) -> SenderConfig:
     )
 
 
+def many_flow_sender_prior(
+    fair_share_bps: float, buffer_bits: float, packet_bits: float = DEFAULT_PACKET_BITS
+) -> Prior:
+    """The prior every ISender flow in the contention mix starts from.
+
+    Seven link rates from a quarter to four times the flow's fair share of
+    the bottleneck, and the shared buffer empty, half full or full.
+    """
+    return single_link_prior(
+        link_rate_low=fair_share_bps / 4.0,
+        link_rate_high=fair_share_bps * 4.0,
+        link_rate_points=7,
+        buffer_capacity_bits=buffer_bits,
+        fill_points=3,
+        packet_bits=packet_bits,
+    )
+
+
 def many_flow_contention_config(params: Mapping[str, Any]) -> _CorpusEntryKey:
     """Key a ``many_flow_contention`` point on trace digest + sender config."""
     digest = ""
@@ -642,14 +660,7 @@ def many_flow_contention(
             # share mutable inference state.
             parts = build_components(
                 isender_config,
-                single_link_prior(
-                    link_rate_low=fair_share / 4.0,
-                    link_rate_high=fair_share * 4.0,
-                    link_rate_points=7,
-                    buffer_capacity_bits=buffer_bits,
-                    fill_points=3,
-                    packet_bits=packet_bits,
-                ),
+                many_flow_sender_prior(fair_share, buffer_bits, packet_bits),
             )
             sender = ISender(
                 parts.belief,

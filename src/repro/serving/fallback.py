@@ -12,7 +12,9 @@ answer instead of an error:
    :class:`~repro.core.planner.ExpectedUtilityPlanner` run on a canonical
    belief reconstructed from the signature (:func:`belief_from_signature`),
    bounded by a per-call timeout and guarded by a per-config
-   :class:`~repro.serving.breaker.CircuitBreaker`.
+   :class:`~repro.serving.breaker.CircuitBreaker`.  Only a signature whose
+   every row's parameter assignment is a point of the config's prior is
+   planned; anything else goes to tier 3 without touching the breaker.
 3. **Safe default** — the documented conservative action (see
    :func:`safe_default_decision`): wait one packet service time at the
    slowest link speed the config's prior entertains.  The paper breaks
@@ -286,9 +288,10 @@ class DecisionService:
         reads from (hot-reloadable, shared between instances).
     configs:
         The :class:`~repro.api.config.SenderConfig` objects this server
-        can plan live for, keyed by fingerprint.  Fingerprints outside
-        this set still get tier-1 answers when a table is published, and
-        the global safe default otherwise.
+        can plan live for, keyed by fingerprint, at the points of their
+        priors (a config without a prior is never planned live).
+        Fingerprints outside this set still get tier-1 answers when a table
+        is published, and the global safe default otherwise.
     planner_timeout:
         Seconds a live planning call may run before it is abandoned and
         counted as a failure (the breaker's trip signal for hangs).
@@ -317,6 +320,17 @@ class DecisionService:
     ) -> None:
         self.registry = registry
         self.configs = {config.fingerprint(): config for config in configs}
+        # Tier 2's admission test: the parameter assignments of each config's
+        # prior, keyed as a signature row carries them.
+        self._prior_points = {
+            fingerprint: frozenset(
+                tuple(sorted(assignment.items()))
+                for assignment, _ in (
+                    config.prior.combinations() if config.prior is not None else ()
+                )
+            )
+            for fingerprint, config in self.configs.items()
+        }
         self.planner_timeout = planner_timeout
         self.injector = injector
         self.counters = ServingCounters()
@@ -454,9 +468,13 @@ class DecisionService:
             return None
         self._count("table_misses")
 
-        # Tier 2: live planning behind the breaker.
+        # Tier 2: live planning behind the breaker, for a signature whose every
+        # row is a configuration the config's prior holds.  Any other row is
+        # one no sender of this config can report (an off-grid link rate, a
+        # NaN or zero filler size): tier 3 answers it, and the breaker — which
+        # guards the planner for every client — never sees it.
         config = self.configs.get(fingerprint)
-        if config is not None:
+        if config is not None and self._on_prior_grid(fingerprint, signature):
             resolution = (
                 table.queue_resolution_bits
                 if table is not None
@@ -507,6 +525,14 @@ class DecisionService:
             fingerprint=fingerprint,
             known_config=fingerprint in self.configs,
         )
+
+    def _on_prior_grid(self, fingerprint: str, signature: tuple) -> bool:
+        """Whether every row of ``signature`` names a point of the prior."""
+        points = self._prior_points[fingerprint]
+        try:
+            return bool(signature) and all(row[0] in points for row in signature)
+        except (TypeError, IndexError):  # an in-process caller's odd shape
+            return False
 
     def _plan_live(
         self,

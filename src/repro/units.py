@@ -81,3 +81,21 @@ def transmission_time(size_bits: float, rate_bps: float) -> float:
 def packets_to_bits(num_packets: float, packet_bytes: int = DEFAULT_PACKET_BYTES) -> float:
     """Convert a packet count to bits assuming ``packet_bytes`` sized packets."""
     return num_packets * packet_bytes * BITS_PER_BYTE
+
+
+def filler_packet_sizes(fill_bits: float, filler_bits: float) -> list[float]:
+    """A buffer's initial fullness cut into filler packets, in queue order.
+
+    The one packetisation of the paper's "initial fullness" parameter: full
+    ``filler_bits`` packets, then whatever is left, stopping once less than
+    ``1e-9`` bits remain.  The simulator's
+    :class:`~repro.elements.buffer.Buffer` and the belief's link model (both
+    of its engines) pre-load exactly these sizes.
+    """
+    sizes = []
+    remaining = fill_bits
+    while remaining > 1e-9:
+        size = min(filler_bits, remaining)
+        sizes.append(size)
+        remaining -= size
+    return sizes

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.elements import Buffer, Collector, Pinger, Throughput
 from repro.errors import ConfigurationError, InferenceError
-from repro.inference.linkmodel import LinkModel, LinkModelParams
+from repro.inference.linkmodel import CROSS, LinkModel, LinkModelParams
 from repro.sim.element import Network
 from repro.sim.packet import Packet
 
@@ -36,6 +38,32 @@ class TestParamsValidation:
             LinkModelParams(link_rate_bps=1, buffer_capacity_bits=1, initial_fill_bits=2)
         with pytest.raises(ConfigurationError):
             LinkModelParams(link_rate_bps=1, buffer_capacity_bits=1, mean_time_to_switch=0.0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("filler_packet_bits", 0.0),
+            ("filler_packet_bits", -1.0),
+            ("filler_packet_bits", math.nan),
+            ("filler_packet_bits", math.inf),
+            ("cross_packet_bits", 0.0),
+            ("cross_packet_bits", math.nan),
+            ("link_rate_bps", math.nan),
+            ("link_rate_bps", math.inf),
+            ("buffer_capacity_bits", math.inf),
+            ("initial_fill_bits", math.nan),
+            ("loss_rate", math.nan),
+            ("cross_rate_pps", math.nan),
+            ("cross_rate_pps", math.inf),
+            ("mean_time_to_switch", math.nan),
+            ("mean_time_to_switch", math.inf),
+        ],
+    )
+    def test_rejects_non_finite_and_empty_packets(self, field, value):
+        """NaN passes every ``<= 0`` check, and a 0-bit filler packet made
+        ``LinkModel`` append packets until memory ran out."""
+        with pytest.raises(ConfigurationError, match=field):
+            simple_params(**{"initial_fill_bits": 5_000.0, field: value})
 
     def test_derived_properties(self):
         params = simple_params(cross_rate_pps=0.5, cross_packet_bits=10_000)
@@ -170,6 +198,33 @@ class TestCloneAndSignature:
         bare = model.clone(keep_history=False)
         assert bare.cross.deliveries == []
         assert bare.time == model.time
+
+    def test_clone_shares_immutable_entries_and_never_changes_the_original(self):
+        model = LinkModel(simple_params(initial_fill_bits=36_000.0))
+        model.send_own(0, 12_000, 0.0)
+        before = model.export_state()
+        duplicate = model.clone()
+        assert duplicate._in_service is model._in_service
+        assert all(a is b for a, b in zip(duplicate._queue, model._queue))
+        duplicate._queue.popleft()
+        duplicate._queue.append((CROSS, 99, 1.0))
+        duplicate.advance(10.0)
+        assert model.export_state() == before
+        with pytest.raises(TypeError):
+            model._queue[0][2] = 0.0
+        with pytest.raises(AttributeError):
+            model._in_service.seq = 5
+
+    def test_export_and_rebuild_share_entries(self):
+        model = LinkModel(simple_params(initial_fill_bits=30_000.0))
+        state = model.export_state()
+        assert state["queue"] == [(CROSS, -2, 12_000.0), (CROSS, -3, 6_000.0)]
+        assert state["in_service"] == (CROSS, -1, 12_000.0)
+        rebuilt = LinkModel.from_state(model.params, state)
+        assert list(rebuilt._queue) == state["queue"]
+        assert rebuilt._queue[0] is model._queue[0]
+        rebuilt._queue.pop()
+        assert len(model._queue) == 2
 
     def test_signatures_match_for_identical_states(self):
         first = LinkModel(simple_params(cross_rate_pps=0.5))

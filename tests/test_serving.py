@@ -16,6 +16,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
+import math
 import subprocess
 import sys
 import threading
@@ -1035,6 +1036,96 @@ class TestHostileRequests:
         )
         assert answer == b""
         assert service.counters_snapshot()["requests"] == 0
+
+
+#: ``(parameter, value)`` a hostile row substitutes into a real signature row:
+#: configurations no sender of the config can report.  A 0-bit or 1e-300-bit
+#: filler packet used to spin a planner thread forever inside LinkModel.
+#: LinkModelParams now rejects the 0-bit one but accepts 1e-300 bits: only
+#: the prior-point check keeps that row off the planner.
+HOSTILE_PARAMETERS = [
+    ("filler_packet_bits", 0.0),
+    ("filler_packet_bits", -1.0),
+    ("filler_packet_bits", 1e-300),
+    ("filler_packet_bits", math.nan),
+    ("link_rate_bps", 12_345.0),  # well-formed, just not a grid point
+    ("link_rate_bps", math.nan),
+    ("cross_packet_bits", 0.0),
+    ("buffer_capacity_bits", math.inf),
+]
+
+
+class TestHostileSignatureParameters:
+    def test_off_prior_rows_are_answered_by_tier3_and_never_reach_the_planner(
+        self, published, tmp_path
+    ):
+        config, table, _ = published
+        service = DecisionService(
+            PolicyTableRegistry(tmp_path), [config], planner_timeout=0.5
+        )
+        fingerprint = config.fingerprint()
+        real = table.signatures()[0]
+        pairs = dict(real[0][0])
+        signatures = [
+            ((tuple(sorted({**pairs, name: value}.items())), 1.0, True, 4, True),)
+            for name, value in HOSTILE_PARAMETERS
+        ]
+        # A hostile row behind a real one, and one the config never had.
+        signatures.append(real[:1] + signatures[2])
+        signatures.append(
+            (
+                (
+                    (
+                        ("buffer_capacity_bits", 96000.0),
+                        ("filler_packet_bits", 1e-300),
+                        ("link_rate_bps", 12000.0),
+                    ),
+                    1.0,
+                    True,
+                    4,
+                    True,
+                ),
+            )
+        )
+        threads = threading.active_count()
+        for signature in signatures:
+            started = time.monotonic()
+            served = service.decide(fingerprint, signature)
+            assert time.monotonic() - started < service.planner_timeout
+            assert (served.status, served.tier) == ("ok", "default")
+        counters = service.counters_snapshot()
+        assert counters["requests"] == len(signatures) == 10
+        assert counters["table_misses"] == counters["default_served"] == 10
+        assert counters["planner_failures"] == counters["breaker_open"] == 0
+        assert counters["planner_fallbacks"] == 0
+        assert service.breaker_for(fingerprint).state == "closed"
+        assert threading.active_count() == threads
+        # The real signature still plans.
+        assert service.decide(fingerprint, real).tier == "planner"
+
+    def test_over_http_too(self, published, tmp_path):
+        config, table, _ = published
+        service = DecisionService(
+            PolicyTableRegistry(tmp_path), [config], planner_timeout=0.5
+        )
+        pairs = dict(table.signatures()[0][0][0])
+        hostile = [[sorted({**pairs, "filler_packet_bits": 1e-300}.items()), 1.0, True, 4, True]]
+
+        async def scenario():
+            async with serving(service) as (_, client):
+                return [await client.decide(config.fingerprint(), hostile) for _ in range(4)]
+
+        assert [reply["tier"] for reply in run_async(scenario())] == ["default"] * 4
+        assert service.counters_snapshot()["planner_failures"] == 0
+        assert service.breaker_for(config.fingerprint()).state == "closed"
+
+    def test_a_config_without_a_prior_is_never_planned_live(self, published, tmp_path):
+        config, table, _ = published
+        bare = SenderConfig(top_k=config.top_k)
+        service = DecisionService(PolicyTableRegistry(tmp_path), [bare])
+        served = service.decide(bare.fingerprint(), table.signatures()[0])
+        assert served.tier == "default" and served.known_config
+        assert service.counters_snapshot()["planner_failures"] == 0
 
 
 # ----------------------------------------- table hits on the event loop
