@@ -10,14 +10,14 @@ server) take the belief / planner / policy from :func:`build_components`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 from repro._persist import default_cache_dir
 from repro.api.config import SenderConfig
 from repro.api.policy import PolicyTable, load_or_precompute_policy_table
 from repro.core.isender import ISender
 from repro.core.planner import ExpectedUtilityPlanner
-from repro.core.policy import PolicyCache
+from repro.core.policy import PolicyCache, SharedPlanner
 from repro.core.utility import UtilityFunction
 from repro.errors import ConfigurationError
 from repro.inference.belief import BeliefState
@@ -29,7 +29,8 @@ class SenderParts:
     """The components :func:`build_components` assembles, pre-wiring."""
 
     belief: BeliefState
-    planner: ExpectedUtilityPlanner
+    #: The config's own planner, or the one the caller supplied.
+    planner: Union[ExpectedUtilityPlanner, SharedPlanner]
     #: The decision policy installed on the sender (cache/table), or ``None``.
     policy: Optional[object]
 
@@ -39,6 +40,7 @@ def build_components(
     prior: Optional[Prior] = None,
     *,
     utility: Optional[UtilityFunction] = None,
+    planner: Optional[Union[ExpectedUtilityPlanner, SharedPlanner]] = None,
     policy_table: Optional[PolicyTable] = None,
     start_time: float = 0.0,
 ) -> SenderParts:
@@ -47,11 +49,23 @@ def build_components(
     For callers that do their own element wiring; most code wants
     :func:`build_sender`.  ``utility`` overrides the config's α-weighted
     utility (the §4 drain scenario passes its latency-penalizing variant).
+    ``planner`` supplies the planner, the way ``policy_table`` supplies a
+    table: omitted, one is built from the config.  A scenario whose senders
+    share one config passes each the same
+    :class:`~repro.core.policy.SharedPlanner`; the belief and the cache or
+    table stay the sender's own.  A supplied planner carries its own
+    utility, so passing ``utility`` too raises.
     ``policy_table`` supplies a precomputed table for ``policy="table"``;
     omitted, one is precomputed on the spot from the config's prior.
     """
+    if planner is not None and utility is not None:
+        raise ConfigurationError(
+            "pass planner= or utility=, not both: a supplied planner already "
+            "carries its utility"
+        )
     belief = config.build_belief(prior, start_time=start_time)
-    planner = config.build_planner(utility=utility)
+    if planner is None:
+        planner = config.build_planner(utility=utility)
     policy = None
     if config.policy == "cache":
         policy = PolicyCache(

@@ -53,7 +53,9 @@ class ISender(SourceElement):
     belief:
         The sender's belief over network configurations.
     planner:
-        The expected-utility planner.
+        The expected-utility planner, or a
+        :class:`~repro.core.policy.SharedPlanner` over one that senders of
+        the same config share.
     policy:
         Optional decision policy consulted *instead of* the planner at each
         wake-up — anything with ``decide(belief, now)`` that falls back to

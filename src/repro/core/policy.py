@@ -11,6 +11,15 @@ action.  The *offline* version — a table precomputed ahead of the run and
 serializable between processes — is the ``PolicyTable`` of the layer above;
 both plug into :class:`~repro.core.isender.ISender` through the same
 ``policy=`` slot (``SenderConfig(policy="cache" | "table")``).
+
+:class:`SharedPlanner` applies the same observation across senders rather
+than across visits: a decision is a function of the model and the belief,
+so senders that share one planner and hold the same belief at the same
+instant need to plan only once.  Its key is exact
+(:meth:`~repro.inference.belief.BeliefState.plan_key`), not coarse, and it
+holds only the plans of the current instant, so sharing changes no
+decision.  It sits under each sender's own cache or table, in place of the
+planner.
 """
 
 from __future__ import annotations
@@ -98,3 +107,49 @@ class PolicyCache:
         materialization.
         """
         return belief.decision_signature(self.planner.top_k, self.queue_resolution_bits)
+
+
+class SharedPlanner:
+    """One planner shared by identical senders, planning each belief once.
+
+    ``decide`` stores every plan it makes under the belief's exact
+    :meth:`~repro.inference.belief.BeliefState.plan_key` and answers a
+    repeat at the same ``now`` with the stored :class:`Decision`.  A plan at
+    any other instant empties the store first: a plan depends on ``now`` as
+    well as on the belief, and time only moves forward in one simulation,
+    so the store never holds more than one instant's plans.
+
+    Only senders of one simulation may share it — serving answers every
+    request at ``now = 0.0``, where the store would never empty.
+    """
+
+    def __init__(self, planner: ExpectedUtilityPlanner) -> None:
+        self.planner = planner
+        self._now: Optional[float] = None
+        self._plans: dict[Hashable, Decision] = {}
+        self.hits = 0
+        self.misses = 0
+
+    @property
+    def top_k(self) -> int:
+        """The wrapped planner's top-k (what a policy cache keys on)."""
+        return self.planner.top_k
+
+    @property
+    def packet_bits(self) -> float:
+        """The wrapped planner's packet size (what a sleeping sender reads)."""
+        return self.planner.packet_bits
+
+    def decide(self, belief: BeliefState, now: float) -> Decision:
+        """The stored plan for this belief at ``now``, else a fresh one."""
+        if now != self._now:
+            self._plans.clear()
+            self._now = now
+        key = belief.plan_key(self.planner.top_k)
+        decision = self._plans.get(key)
+        if decision is not None:
+            self.hits += 1
+            return decision
+        self.misses += 1
+        decision = self._plans[key] = self.planner.decide(belief, now)
+        return decision

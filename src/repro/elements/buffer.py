@@ -52,16 +52,22 @@ class Buffer(Element):
         filler_packet_bits: float = DEFAULT_PACKET_BITS,
         filler_flow: str = "background",
     ) -> None:
-        if capacity_bits <= 0:
+        # Written so that NaN fails every test, as in LinkModelParams.
+        if not 0.0 < capacity_bits:
             raise ConfigurationError(f"buffer capacity must be positive, got {capacity_bits!r}")
-        if initial_fill_bits < 0 or initial_fill_bits > capacity_bits:
+        if not 0.0 <= initial_fill_bits <= capacity_bits:
             raise ConfigurationError(
                 f"initial fill ({initial_fill_bits!r}) must lie in [0, capacity]"
             )
+        # Cut here, not at start-up, so a filler size or fill the one fill
+        # rule refuses (not positive and finite, too many packets) fails at
+        # construction.
+        filler_sizes = filler_packet_sizes(float(initial_fill_bits), float(filler_packet_bits))
         super().__init__(name)
         self.capacity_bits = float(capacity_bits)
         self.initial_fill_bits = float(initial_fill_bits)
         self.filler_packet_bits = float(filler_packet_bits)
+        self._filler_sizes = filler_sizes
         self.filler_flow = filler_flow
         self._queue: deque[Packet] = deque()
         self._occupancy_bits = 0.0
@@ -87,8 +93,7 @@ class Buffer(Element):
     def start(self) -> None:
         if self.initial_fill_bits <= 0 or not self._pull_mode:
             return
-        sizes = filler_packet_sizes(self.initial_fill_bits, self.filler_packet_bits)
-        for seq, size in enumerate(sizes):
+        for seq, size in enumerate(self._filler_sizes):
             filler = Packet(
                 seq=seq,
                 flow=self.filler_flow,

@@ -262,6 +262,21 @@ class BeliefState:
             )
         return tuple(parts)
 
+    def plan_key(self, count: int) -> tuple:
+        """An exact, hashable key of everything the planner reads.
+
+        Where :meth:`decision_signature` is coarse on purpose, this is the
+        key :class:`~repro.core.policy.SharedPlanner` shares whole plans on:
+        per top hypothesis, heaviest first, its weight and
+        :meth:`~repro.inference.linkmodel.LinkModel.rollout_key` (parameters,
+        model clock, gate, next cross arrival, in-service packet and
+        completion time, queued ``(flow, size)`` entries, queue bits).  Two
+        beliefs with equal keys get the same plan at the same instant.
+        """
+        return tuple(
+            (weight, hypothesis.model.rollout_key()) for hypothesis, weight in self.top(count)
+        )
+
     def _weight_values(self) -> list[float]:
         """The normalized weights as a plain list (storage-backend hook)."""
         return self._weights

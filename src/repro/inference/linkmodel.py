@@ -81,9 +81,9 @@ class LinkModelParams:
         if not 0.0 <= self.cross_rate_pps < math.inf:
             raise ConfigurationError("cross_rate_pps must be non-negative and finite")
         # A 0-bit (or negative, or NaN) packet made filling a buffer endless.
-        # A tiny positive one (1e-300 bits) is accepted and still cuts a
-        # fill into more packets than memory holds: serving keeps such rows
-        # off the planner by admitting only points of the config's prior.
+        # A tiny positive one (1e-300 bits) passes here; the fill rule,
+        # ``filler_packet_sizes``, refuses the fill it would cut into more
+        # than MAX_FILLER_PACKETS packets, so the model raises as it is built.
         if not 0.0 < self.cross_packet_bits < math.inf:
             raise ConfigurationError("cross_packet_bits must be positive and finite")
         if not 0.0 < self.filler_packet_bits < math.inf:
@@ -448,6 +448,25 @@ class LinkModel:
             queue_key,
             service_key,
             round(self.next_cross_time, 6) if self.next_cross_time != float("inf") else None,
+        )
+
+    def rollout_key(self) -> tuple:
+        """Everything a planner rollout reads from this model, unrounded.
+
+        Unlike :meth:`signature` this is exact: equal keys mean equal
+        rollouts.  Sequence numbers, predictions and tallies are left out —
+        a rollout's fresh clone never reads them.
+        """
+        service = self._in_service
+        return (
+            self.params,
+            self.time,
+            self.gate_on,
+            self.next_cross_time,
+            None if service is None else (service[0], service[2]),
+            self._service_completion,
+            tuple((flow, size) for flow, _, size in self._queue),
+            self._queue_bits,
         )
 
     # ---------------------------------------------------------------- helpers

@@ -169,6 +169,21 @@ class VectorizedBeliefState(BeliefState):
             )
         return tuple(parts)
 
+    def plan_key(self, count: int) -> tuple:
+        """The exact planner key, from the rows the rollout would read.
+
+        The model clock, the top-k weights, and the raw bytes of every
+        :meth:`EnsembleState.lane_arrays` field of the top rows — the very
+        buffers the array rollout starts from, queues cut at the deepest
+        row's length.  A settled belief uses the reference key.
+        """
+        if self._state is None:
+            return super().plan_key(count)
+        rows, weights = self.top_rows(count)
+        state = self._state
+        lanes = state.lane_arrays(rows, 1, int(state.q_len[rows].max()))
+        return (state.time, tuple(weights), *(lane.tobytes() for lane in lanes.values()))
+
     # posterior_mean / posterior_marginal / effective_sample_size / entropy
     # are inherited: the base-class formulas read these two storage hooks.
 

@@ -23,6 +23,7 @@ from repro.baselines.newreno import NewRenoSender
 from repro.baselines.reno import RenoSender
 from repro.cellular.link import CellularLink, TraceDrivenLink
 from repro.core.isender import ISender
+from repro.core.policy import SharedPlanner
 from repro.corpus.generators import RandomWalkLink
 from repro.corpus.store import open_corpus_store
 from repro.corpus.trace import LinkTrace
@@ -582,7 +583,11 @@ def many_flow_contention(
     The first ``isender_flows`` flows are inference-based
     :class:`~repro.core.isender.ISender` instances (configured by
     ``alpha``/``policy``/backends); the rest cycle through the ``mix`` of
-    classic congestion controllers.  The bottleneck is a shared tail-drop
+    classic congestion controllers.  Each ISender owns its belief and its
+    policy cache or table; all of them share one
+    :class:`~repro.core.policy.SharedPlanner`, so a plan two senders need
+    for the same belief at the same instant is made once, with no change
+    to any decision.  The bottleneck is a shared tail-drop
     :class:`~repro.elements.buffer.Buffer` drained by a
     :class:`~repro.cellular.link.TraceDrivenLink` — a corpus entry when
     ``trace`` is set, otherwise a constant ``link_rate_bps`` link.
@@ -629,8 +634,9 @@ def many_flow_contention(
     # One Receiver per flow: every sender owns its receiver's on_deliver
     # ACK hook, so flows sharing a receiver would steal each other's ACK
     # clock.  The demux fans the bottleneck's output back out per flow.
-    isender_config = (
-        many_flow_sender_config(
+    fair_share = mean_rate / flows
+    if isender_flows > 0:
+        isender_config = many_flow_sender_config(
             {
                 "alpha": alpha,
                 "belief_backend": belief_backend,
@@ -639,10 +645,8 @@ def many_flow_contention(
                 "packet_bits": packet_bits,
             }
         )
-        if isender_flows > 0
-        else None
-    )
-    fair_share = mean_rate / flows
+        isender_prior = many_flow_sender_prior(fair_share, buffer_bits, packet_bits)
+        shared_planner = SharedPlanner(isender_config.build_planner())
     flow_names: list[str] = []
     flow_kinds: list[str] = []
     senders: list[Any] = []
@@ -656,11 +660,12 @@ def many_flow_contention(
         flow = f"{kind}-{index}"
         receiver = Receiver(name=f"recv-{flow}", accept_flows={flow})
         if kind == "isender":
-            # A fresh belief/planner/policy per flow: senders must not
-            # share mutable inference state.
+            # Each flow owns its belief and its cache or table: senders
+            # must not share inference state.  They share one planner,
+            # whose exact per-instant memo plans a belief they all hold
+            # (every flow's opening plans) once for all of them.
             parts = build_components(
-                isender_config,
-                many_flow_sender_prior(fair_share, buffer_bits, packet_bits),
+                isender_config, isender_prior, planner=shared_planner
             )
             sender = ISender(
                 parts.belief,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,7 @@ from repro.errors import ConfigurationError, InferenceError
 from repro.inference.linkmodel import CROSS, LinkModel, LinkModelParams
 from repro.sim.element import Network
 from repro.sim.packet import Packet
+from repro.units import MAX_FILLER_PACKETS, filler_packet_sizes
 
 
 def simple_params(**overrides) -> LinkModelParams:
@@ -69,6 +71,31 @@ class TestParamsValidation:
         params = simple_params(cross_rate_pps=0.5, cross_packet_bits=10_000)
         assert params.cross_rate_bps == pytest.approx(5_000)
         assert params.has_cross_traffic
+
+
+class TestHostileFills:
+    @pytest.mark.parametrize("filler", [0.0, math.nan, 1e-300])
+    def test_a_fill_in_hostile_filler_packets_is_refused_at_once(self, filler):
+        """A 0-bit or NaN filler once built a ``Buffer`` without error, and
+        a 1e-300-bit one made the fill rule, hence ``LinkModel`` and the
+        started ``Buffer``, cut packets forever."""
+        builds = [
+            lambda: LinkModel(simple_params(initial_fill_bits=5_000.0, filler_packet_bits=filler)),
+            lambda: Buffer(capacity_bits=96_000, initial_fill_bits=5_000, filler_packet_bits=filler),
+        ]
+        for build in builds:
+            started = time.monotonic()
+            with pytest.raises(ConfigurationError, match="filler"):
+                build()
+            assert time.monotonic() - started < 1.0
+
+    def test_the_fill_rule_counts_packets_before_it_cuts_them(self):
+        with pytest.raises(ConfigurationError, match=str(MAX_FILLER_PACKETS)):
+            filler_packet_sizes(5_000.0, 5_000.0 / (2 * MAX_FILLER_PACKETS))
+        assert len(filler_packet_sizes(float(MAX_FILLER_PACKETS), 1.0)) == MAX_FILLER_PACKETS
+        for fill, filler in ((5_000.0, 0.0), (5_000.0, math.nan), (math.nan, 1.0), (-1.0, 1.0)):
+            with pytest.raises(ConfigurationError):
+                filler_packet_sizes(fill, filler)
 
 
 class TestOwnTraffic:

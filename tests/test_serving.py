@@ -27,6 +27,7 @@ import pytest
 
 from repro.api.config import SenderConfig
 from repro.api.policy import decision_from_payload, decision_to_payload, precompute_policy_table
+from repro.core.planner import ExpectedUtilityPlanner
 from repro.errors import (
     ConfigurationError,
     OverloadedError,
@@ -537,6 +538,32 @@ class TestPlannerTierHotPath:
         assert service.counters_snapshot()["planner_fallbacks"] == 500
 
 
+class TestServingNeverShares:
+    def test_one_signature_twice_at_one_instant_plans_twice(
+        self, published, tmp_path, monkeypatch
+    ):
+        """Every request is answered at ``now = 0.0``: a per-instant plan
+        memo there would never empty, and ``serve_planner`` would time
+        lookups instead of plans."""
+        config, table, _ = published
+        service = DecisionService(
+            PolicyTableRegistry(tmp_path), [config], planner_timeout=30.0
+        )
+        plans: list[float] = []
+        plan = ExpectedUtilityPlanner.decide
+        monkeypatch.setattr(
+            ExpectedUtilityPlanner,
+            "decide",
+            lambda self, belief, now: plans.append(now) or plan(self, belief, now),
+        )
+        fingerprint = config.fingerprint()
+        signature = table.signatures()[0]
+        served = [service.decide(fingerprint, signature, now=0.0) for _ in range(2)]
+        assert [answer.tier for answer in served] == ["planner", "planner"]
+        assert plans == [0.0, 0.0]
+        assert served[0].decision == served[1].decision
+
+
 class TestDaemonThreadExecutor:
     def test_abandoned_hang_is_bypassed_and_never_reused(
         self, published, tmp_path, monkeypatch
@@ -1041,8 +1068,8 @@ class TestHostileRequests:
 #: ``(parameter, value)`` a hostile row substitutes into a real signature row:
 #: configurations no sender of the config can report.  A 0-bit or 1e-300-bit
 #: filler packet used to spin a planner thread forever inside LinkModel.
-#: LinkModelParams now rejects the 0-bit one but accepts 1e-300 bits: only
-#: the prior-point check keeps that row off the planner.
+#: LinkModelParams rejects the 0-bit one and the fill rule the 1e-300-bit one,
+#: but the prior-point check keeps every such row off the planner first.
 HOSTILE_PARAMETERS = [
     ("filler_packet_bits", 0.0),
     ("filler_packet_bits", -1.0),
