@@ -21,6 +21,7 @@ fingerprint on any machine or Python version.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, fields as dataclass_fields, replace
 from typing import Optional
 
@@ -42,6 +43,21 @@ POLICY_MODES = ("none", "cache", "table")
 
 #: Fingerprint format version, bumped on incompatible changes.
 FINGERPRINT_VERSION = 1
+
+#: The numeric fields and their lower bounds, ``(name, lowest, inclusive)``;
+#: every one must also be finite (``horizon`` may be ``None``).
+_NUMERIC_FIELDS = (
+    ("alpha", 0.0, True),
+    ("discount_timescale", 0.0, False),
+    ("latency_penalty", 0.0, True),
+    ("kernel_scale", 0.0, False),
+    ("max_hypotheses", 1, True),
+    ("top_k", 1, True),
+    ("packet_bits", 0.0, False),
+    ("horizon", 0.0, False),
+    ("horizon_service_multiples", 0.0, False),
+    ("policy_resolution_bits", 0.0, False),
+)
 
 
 @dataclass(frozen=True)
@@ -111,20 +127,19 @@ class SenderConfig:
             raise ConfigurationError(
                 f"unknown policy mode {self.policy!r}; expected one of {POLICY_MODES}"
             )
-        if self.kernel_scale <= 0:
-            raise ConfigurationError(
-                f"kernel_scale must be positive, got {self.kernel_scale!r}"
-            )
-        if self.max_hypotheses < 1:
-            raise ConfigurationError("max_hypotheses must be at least 1")
-        if self.top_k < 1:
-            raise ConfigurationError("top_k must be at least 1")
-        if self.packet_bits <= 0:
-            raise ConfigurationError(
-                f"packet_bits must be positive, got {self.packet_bits!r}"
-            )
-        if self.policy_resolution_bits <= 0:
-            raise ConfigurationError("policy_resolution_bits must be positive")
+        # Each check is written so that NaN fails it, and every field must be
+        # finite: an infinite horizon never finishes a rollout, an infinite
+        # kernel scale is a flat kernel that learns nothing.
+        for name, lowest, inclusive in _NUMERIC_FIELDS:
+            value = getattr(self, name)
+            if value is None and name == "horizon":
+                continue
+            above = lowest <= value if inclusive else lowest < value
+            if not (above and value < math.inf):
+                relation = "at least" if inclusive else "greater than"
+                raise ConfigurationError(
+                    f"{name} must be finite and {relation} {lowest}, got {value!r}"
+                )
 
     # -------------------------------------------------------------- derivation
 

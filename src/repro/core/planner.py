@@ -7,22 +7,26 @@ whose expected utility — the probability-weighted average over hypotheses —
 is largest.  Ties are broken toward the longer delay, so a sender that is
 indifferent does not flood the network.
 
-The (action × hypothesis) fan-out has two engines, each a function
-``engine(planner, belief, now) -> Decision`` chosen once, by
-``rollout_backend``, when the planner is built:
+:meth:`ExpectedUtilityPlanner.decide` is the one decision body.  The
+(action × hypothesis) fan-out is an engine's, chosen once, by
+``rollout_backend``, when the planner is built.  An engine is two
+functions: *select* returns the top-k weights, link rates and drain times
+plus the engine's lane source, and *value* turns that source and the
+candidate delays into one utility per lane, action-major:
 
-* ``"scalar"`` — :func:`decide_scalar` below, the reference oracle: one
-  :meth:`~repro.inference.hypothesis.Hypothesis.rollout` (clone + advance a
-  scalar ``LinkModel``) per lane;
-* ``"vectorized"`` or ``"fused"`` — ``decide_vectorized`` in
+* ``"scalar"`` — :func:`~repro.inference.hypothesis.select_hypotheses` /
+  :func:`~repro.inference.hypothesis.value_hypotheses`, the reference
+  oracle: one :meth:`~repro.inference.hypothesis.Hypothesis.rollout` (clone
+  + advance a scalar ``LinkModel``) per lane;
+* ``"vectorized"`` or ``"fused"`` — ``select_rows`` / ``value_rows`` in
   :mod:`repro.inference.vectorized.rollout`, imported only when a planner
-  asks for it: all A×K lanes advance together through one masked event
+  asks for them: all A×K lanes advance together through one masked event
   frontier, and the utility values every lane at once via
   ``evaluate_batch``.  On an array belief the lanes come straight from
-  ``EnsembleState`` rows, so the decide path materializes no scalar
-  ``Hypothesis`` objects at all.  The spelling changes nothing that runs,
-  but it is part of a point's identity (``SenderConfig.fingerprint()``,
-  hence seed and cache key).
+  ensemble rows, so the decide path materializes no scalar ``Hypothesis``
+  objects at all.  The spelling changes nothing that runs, but it is part
+  of a point's identity (``SenderConfig.fingerprint()``, hence seed and
+  cache key).
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from repro.core.actions import Action, ActionGrid
 from repro.core.utility import UtilityFunction
 from repro.errors import ConfigurationError
 from repro.inference.belief import BeliefState, check_backend
+from repro.inference.hypothesis import select_hypotheses, value_hypotheses
 from repro.units import DEFAULT_PACKET_BITS
 
 
@@ -55,27 +60,6 @@ class Decision:
     def send_now(self) -> bool:
         """Whether the chosen action is an immediate transmission."""
         return self.action.send_now
-
-
-@dataclass(slots=True)
-class _TopSummary:
-    """One pass over the top-k list: weights plus the planner's aggregates.
-
-    ``decide()`` used to walk the top-k hypotheses three times (total
-    weight, believed service time, horizon drain); this extracts the raw
-    ``(weight, link rate, drain time)`` triples in a single walk — shared
-    by both rollout backends — and derives the aggregates with arithmetic
-    identical to the original three walks.
-    """
-
-    weights: list[float]
-    total_weight: float
-    service_time: float
-    drain: float  # weighted mean drain time; 0.0 when a fixed horizon skips it
-
-    @property
-    def count(self) -> int:
-        return len(self.weights)
 
 
 class ExpectedUtilityPlanner:
@@ -109,11 +93,13 @@ class ExpectedUtilityPlanner:
     """
 
     #: Optional per-stage checkpoint callback ``probe(stage, payload)`` fired
-    #: by both rollout engines during a decision (stages ``summary``,
-    #: ``lanes``, ``rollout``, ``utility``, ``decision``).  Both engines emit
-    #: the same stages in the same lane order (action-major, ``a * k + j``),
-    #: which is what :mod:`repro.diagnostics` bisects to localize rollout
-    #: drift.  ``None`` (the default) keeps the decide path probe-free.
+    #: during a decision (stages ``summary``, ``lanes``, ``rollout``,
+    #: ``utility``, ``decision``).  :meth:`decide` emits ``summary``,
+    #: ``utility`` and ``decision``; the engine's *value* emits ``lanes`` and
+    #: ``rollout`` from its own buffers, in the same lane order for both
+    #: engines (action-major, ``a * k + j``), which is what
+    #: :mod:`repro.diagnostics` bisects to localize rollout drift.  ``None``
+    #: (the default) keeps the decide path probe-free.
     decision_probe = None
 
     def __init__(
@@ -136,11 +122,11 @@ class ExpectedUtilityPlanner:
             raise ConfigurationError("horizon_service_multiples must be positive")
         check_backend("rollout", rollout_backend)
         if rollout_backend == "scalar":
-            self._rollout_engine = decide_scalar
+            self._select, self._value = select_hypotheses, value_hypotheses
         else:
-            from repro.inference.vectorized.rollout import decide_vectorized
+            from repro.inference.vectorized.rollout import select_rows, value_rows
 
-            self._rollout_engine = decide_vectorized
+            self._select, self._value = select_rows, value_rows
         self.utility = utility
         self.action_grid = action_grid if action_grid is not None else ActionGrid()
         self.packet_bits = packet_bits
@@ -156,55 +142,11 @@ class ExpectedUtilityPlanner:
     def decide(self, belief: BeliefState, now: float) -> Decision:
         """Return the utility-maximizing action at time ``now``.
 
-        Dispatches to the rollout engine resolved at construction.
+        The engine chosen at construction selects the top-k hypotheses and
+        values every (action × hypothesis) lane; the aggregation and the
+        tie-broken argmax below are the same for both engines.
         """
-        return self._rollout_engine(self, belief, now)
-
-    # ----------------------------------------------------------------- helpers
-
-    def _summarize_hypotheses(self, top) -> _TopSummary:
-        """Single walk over scalar ``(hypothesis, weight)`` pairs."""
-        weights: list[float] = []
-        rates: list[float] = []
-        drains: list[float] | None = [] if self.horizon is None else None
-        for hypothesis, weight in top:
-            weights.append(weight)
-            rates.append(hypothesis.model.params.link_rate_bps)
-            if drains is not None:
-                drains.append(hypothesis.model.drain_time())
-        return self._aggregate(weights, rates, drains)
-
-    def _summarize_rows(self, state, rows, weights: list[float]) -> _TopSummary:
-        """Single walk over ensemble rows — no ``Hypothesis`` materialization.
-
-        Uses the same per-row Python-float arithmetic as the scalar walk
-        (including ``LinkModel.drain_time``'s formula), so the aggregates
-        are bit-identical across belief backends.
-        """
-        rates = state.link_rate[rows].tolist()
-        drains: list[float] | None = None
-        if self.horizon is None:
-            drains = []
-            time = state.time
-            queue_bits = state.queue_bits[rows].tolist()
-            svc_active = state.svc_active[rows].tolist()
-            svc_completion = state.svc_completion[rows].tolist()
-            for rate, bits, active, completion in zip(
-                rates, queue_bits, svc_active, svc_completion
-            ):
-                remaining = bits
-                if active:
-                    remaining += max(0.0, (completion - time) * rate)
-                drains.append(remaining / rate)
-        return self._aggregate(list(weights), rates, drains)
-
-    def _aggregate(
-        self,
-        weights: list[float],
-        rates: list[float],
-        drains: list[float] | None,
-    ) -> _TopSummary:
-        """Derive the planner aggregates from one extracted walk."""
+        weights, rates, drains, lanes = self._select(belief, self.top_k, self.horizon is None)
         total_weight = sum(weights)
         if total_weight <= 0:
             raise ConfigurationError("belief state has no usable hypotheses")
@@ -212,21 +154,52 @@ class ExpectedUtilityPlanner:
         for weight, link_rate in zip(weights, rates):
             rate += (weight / total_weight) * link_rate
         service_time = self.packet_bits / rate
-        drain = 0.0
-        if drains is not None:
+        horizon = self.horizon
+        if horizon is None:
+            drain = 0.0
             for weight, drain_time in zip(weights, drains):
                 drain += (weight / total_weight) * drain_time
-        return _TopSummary(
-            weights=weights,
-            total_weight=total_weight,
-            service_time=service_time,
-            drain=drain,
-        )
+            horizon = drain + self.horizon_service_multiples * service_time
+        actions = self.action_grid.actions(service_time)
+        delays = [action.delay for action in actions]
 
-    def _horizon_from(self, summary: _TopSummary) -> float:
-        if self.horizon is not None:
-            return self.horizon
-        return summary.drain + self.horizon_service_multiples * summary.service_time
+        probe = self.decision_probe
+        if probe is not None:
+            probe(
+                "summary",
+                {
+                    "service_time": service_time,
+                    "horizon": horizon,
+                    "weights": list(weights),
+                    "actions": list(delays),
+                },
+            )
+        values = self._value(lanes, delays, horizon, self.packet_bits, now, self.utility, probe)
+        self.rollouts_performed += len(values)
+        if probe is not None:
+            probe("utility", {"values": [float(value) for value in values]})
+
+        count = len(weights)
+        expected: dict[float, float] = {}
+        for index, delay in enumerate(delays):
+            accumulated = 0.0
+            base = index * count
+            for position in range(count):
+                accumulated += (weights[position] / total_weight) * values[base + position]
+            expected[delay] = accumulated
+
+        best_action = self._argmax_prefer_longer_delay(actions, expected)
+        if probe is not None:
+            probe(
+                "decision",
+                {"expected": dict(expected), "delay": best_action.delay, "horizon": horizon},
+            )
+        return Decision(
+            action=best_action,
+            expected_utilities=expected,
+            hypotheses_evaluated=count,
+            horizon=horizon,
+        )
 
     @staticmethod
     def _argmax_prefer_longer_delay(actions: list[Action], expected: dict[float, float]) -> Action:
@@ -241,88 +214,3 @@ class ExpectedUtilityPlanner:
             elif abs(value - best_value) <= tolerance:
                 best = action  # prefer the longer delay on ties
         return best
-
-
-def rollout_outcome_digest(outcome) -> dict:
-    """A canonical, comparable summary of one rollout lane's outcome.
-
-    Both rollout engines produce digests in the same lane order
-    (action-major), so :mod:`repro.diagnostics` can pinpoint the first
-    differing lane of the frontier.
-    """
-    return {
-        "own_deliveries": [tuple(entry) for entry in outcome.own_deliveries],
-        "own_drops": [tuple(entry) for entry in outcome.own_drops],
-        "cross_deliveries": [tuple(entry) for entry in outcome.cross_deliveries],
-        "cross_drops": [tuple(entry) for entry in outcome.cross_drops],
-        "hypothetical_delivered": outcome.hypothetical_delivered,
-        "hypothetical_delivery_time": outcome.hypothetical_delivery_time,
-        "final_queue_bits": outcome.final_queue_bits,
-        "final_cross_backlog_bits": outcome.final_cross_backlog_bits,
-    }
-
-
-def decide_scalar(
-    planner: ExpectedUtilityPlanner, belief: BeliefState, now: float
-) -> Decision:
-    """The reference rollout engine: one scalar model clone per lane."""
-    top = belief.top(planner.top_k)
-    summary = planner._summarize_hypotheses(top)
-    actions = planner.action_grid.actions(summary.service_time)
-    horizon = planner._horizon_from(summary)
-    total_weight = summary.total_weight
-
-    probe = planner.decision_probe
-    lane_digests: list[dict] = []
-    lane_values: list[float] = []
-    if probe is not None:
-        probe(
-            "summary",
-            {
-                "service_time": summary.service_time,
-                "horizon": horizon,
-                "weights": list(summary.weights),
-                "actions": [action.delay for action in actions],
-            },
-        )
-        # The scalar engine has no lane buffers of its own; packing the top
-        # hypotheses into an ensemble yields the same canonical snapshot the
-        # array engine checkpoints.  Imported lazily: NumPy stays optional
-        # for the probe-free scalar path.
-        from repro.inference.vectorized.state import EnsembleState
-
-        packed = EnsembleState.from_hypotheses([h for h, _ in top])
-        probe("lanes", packed.lane_checkpoint(range(packed.size)))
-
-    expected: dict[float, float] = {}
-    for action in actions:
-        accumulated = 0.0
-        for hypothesis, weight in top:
-            outcome = hypothesis.rollout(
-                action_delay=action.delay,
-                horizon=horizon,
-                packet_bits=planner.packet_bits,
-                now=now,
-            )
-            planner.rollouts_performed += 1
-            value = planner.utility.evaluate(outcome)
-            if probe is not None:
-                lane_digests.append(rollout_outcome_digest(outcome))
-                lane_values.append(value)
-            accumulated += (weight / total_weight) * value
-        expected[action.delay] = accumulated
-
-    best_action = planner._argmax_prefer_longer_delay(actions, expected)
-    if probe is not None:
-        probe("rollout", {"lanes": lane_digests})
-        probe("utility", {"values": lane_values})
-        probe(
-            "decision",
-            {"expected": dict(expected), "delay": best_action.delay, "horizon": horizon},
-        )
-    return Decision(
-        action=best_action,
-        expected_utilities=expected,
-        hypotheses_evaluated=summary.count,
-        horizon=horizon,
-    )

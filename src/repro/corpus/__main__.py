@@ -20,23 +20,12 @@ import argparse
 import sys
 from typing import Any, Sequence
 
+from repro._cli import parse_assignments, parse_value
 from repro.corpus.generators import GENERATOR_FAMILIES
 from repro.corpus.ingest import DEFAULT_BIN_MS
 from repro.corpus.store import open_corpus_store
 from repro.errors import ConfigurationError
 from repro.units import DEFAULT_PACKET_BITS
-
-
-def _parse_value(text: str) -> Any:
-    lowered = text.lower()
-    if lowered in ("true", "false"):
-        return lowered == "true"
-    for kind in (int, float):
-        try:
-            return kind(text)
-        except ValueError:
-            continue
-    return text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -150,12 +139,9 @@ def _cmd_describe(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    params: dict[str, Any] = {}
-    for assignment in args.params:
-        if "=" not in assignment:
-            raise ConfigurationError(f"expected key=value, got {assignment!r}")
-        key, _, value = assignment.partition("=")
-        params[key.strip()] = _parse_value(value)
+    params: dict[str, Any] = {
+        key: parse_value(value) for key, value in parse_assignments(args.params, "--set")
+    }
     store = open_corpus_store(args.corpus_dir)
     entry = store.register_generator(
         args.name, args.family, params=params, seed=args.seed

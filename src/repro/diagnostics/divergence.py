@@ -2,9 +2,10 @@
 
 Both belief backends emit per-stage checkpoints through
 ``BeliefState.stage_hook`` (``fork`` → ``advance`` → ``score`` →
-``compact`` → ``prune`` → ``posterior``) and both rollout engines through
+``compact`` → ``prune`` → ``posterior``) and every decision through
 ``ExpectedUtilityPlanner.decision_probe`` (``summary`` → ``lanes`` →
-``rollout`` → ``utility`` → ``decision``), in the same order with
+``rollout`` → ``utility`` → ``decision``; the planner emits three, each
+rollout engine ``lanes`` and ``rollout``), in the same order with
 comparable payloads.  :func:`replay_trace` drives one
 :class:`~repro.api.config.SenderConfig` through a seeded event script while
 recording those checkpoints; :func:`compare_traces` walks two recordings in

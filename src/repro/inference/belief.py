@@ -242,7 +242,7 @@ class BeliefState:
     ) -> tuple:
         """A coarse, hashable digest of the decision-relevant belief state.
 
-        Used by :class:`~repro.core.policy.PolicyCache` as its memoization
+        Used by the planner layer's ``PolicyCache`` as its memoization
         key: per top hypothesis, the parameter assignment, the weight
         rounded to 3 decimals, the gate state, the backlog rounded to
         ``queue_resolution_bits``, and whether the link is busy.  Backends
@@ -266,7 +266,7 @@ class BeliefState:
         """An exact, hashable key of everything the planner reads.
 
         Where :meth:`decision_signature` is coarse on purpose, this is the
-        key :class:`~repro.core.policy.SharedPlanner` shares whole plans on:
+        key the planner layer's ``SharedPlanner`` shares whole plans on:
         per top hypothesis, heaviest first, its weight and
         :meth:`~repro.inference.linkmodel.LinkModel.rollout_key` (parameters,
         model clock, gate, next cross arrival, in-service packet and
@@ -387,14 +387,7 @@ class BeliefState:
             hook("advance", {"time": now, "signatures": branch_signatures})
             hook("score", {"log_likelihoods": log_likelihoods})
 
-        self.updates_applied += 1
-        if not candidates or sum(candidate_weights) <= 0.0:
-            self.degenerate_updates += 1
-            if self.on_degenerate == "raise":
-                raise DegenerateBeliefError(
-                    f"every hypothesis was rejected at t={now:.3f} "
-                    f"({len(acks)} acknowledgements in the update)"
-                )
+        if self._all_rejected(sum(candidate_weights), now, len(acks)):
             candidates, candidate_weights = fallback, fallback_weights
 
         candidates, candidate_weights = self._compact(candidates, candidate_weights)
@@ -421,6 +414,26 @@ class BeliefState:
                 hypothesis.model.cross.trim(cutoff)
 
     # ----------------------------------------------------------------- helpers
+
+    def _all_rejected(self, candidate_total: float, now: float, ack_count: int) -> bool:
+        """Count an applied update; say whether the observation rejected every
+        hypothesis (the surviving weights sum to ``candidate_total``).
+
+        The one degenerate rule for both engines: such an update is counted
+        in :attr:`degenerate_updates` and raises under
+        ``on_degenerate="raise"``; otherwise the caller keeps the forked,
+        unscored weights — the observation is ignored.
+        """
+        self.updates_applied += 1
+        if not candidate_total <= 0.0:
+            return False
+        self.degenerate_updates += 1
+        if self.on_degenerate == "raise":
+            raise DegenerateBeliefError(
+                f"every hypothesis was rejected at t={now:.3f} "
+                f"({ack_count} acknowledgements in the update)"
+            )
+        return True
 
     def _compact(
         self, hypotheses: list[Hypothesis], weights: list[float]

@@ -16,13 +16,18 @@ the belief state needs:
 * **rollout** — simulate the consequences of a candidate action ("send after
   delay d") over a finite horizon and report the outcome that the planner's
   utility function consumes.
+
+The scalar rollout engine lives here too: :func:`select_hypotheses` and
+:func:`value_hypotheses`, the two functions the planner calls when built
+with ``rollout_backend="scalar"`` (the array engine's pair is in
+:mod:`repro.inference.vectorized.rollout`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
 from repro.inference.likelihood import LikelihoodKernel
 from repro.inference.linkmodel import LinkModel, LinkModelParams
@@ -52,6 +57,25 @@ class RolloutOutcome:
     hypothetical_delivery_time: Optional[float] = None
     final_queue_bits: float = 0.0
     final_cross_backlog_bits: float = 0.0
+
+
+def rollout_outcome_digest(outcome: RolloutOutcome) -> dict:
+    """A canonical, comparable summary of one rollout lane's outcome.
+
+    Both rollout engines report digests in the same lane order
+    (action-major), so :mod:`repro.diagnostics` can pinpoint the first
+    differing lane of the frontier.
+    """
+    return {
+        "own_deliveries": [tuple(entry) for entry in outcome.own_deliveries],
+        "own_drops": [tuple(entry) for entry in outcome.own_drops],
+        "cross_deliveries": [tuple(entry) for entry in outcome.cross_deliveries],
+        "cross_drops": [tuple(entry) for entry in outcome.cross_drops],
+        "hypothetical_delivered": outcome.hypothetical_delivered,
+        "hypothetical_delivery_time": outcome.hypothetical_delivery_time,
+        "final_queue_bits": outcome.final_queue_bits,
+        "final_cross_backlog_bits": outcome.final_cross_backlog_bits,
+    }
 
 
 class Hypothesis:
@@ -283,3 +307,64 @@ class Hypothesis:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Hypothesis(params={self.params}, model={self.model!r})"
+
+
+# ------------------------------------------------------ scalar rollout engine
+
+
+def select_hypotheses(belief, count: int, drains: bool) -> tuple:
+    """The scalar engine's *select*: the belief's ``count`` top hypotheses.
+
+    Returns ``(weights, link rates, drain times, lanes)`` in top-k order —
+    drain times only when ``drains`` is set, else ``None`` — where
+    ``lanes`` is the ``(hypothesis, weight)`` list :func:`value_hypotheses`
+    rolls out.
+    """
+    top = belief.top(count)
+    weights: list[float] = []
+    rates: list[float] = []
+    drain_times: Optional[list[float]] = [] if drains else None
+    for hypothesis, weight in top:
+        weights.append(weight)
+        rates.append(hypothesis.model.params.link_rate_bps)
+        if drain_times is not None:
+            drain_times.append(hypothesis.model.drain_time())
+    return weights, rates, drain_times, top
+
+
+def value_hypotheses(
+    top: list[tuple[Hypothesis, float]],
+    delays: list[float],
+    horizon: float,
+    packet_bits: float,
+    now: float,
+    utility,
+    probe: Optional[Callable[[str, object], None]],
+) -> list[float]:
+    """The scalar engine's *value*, the reference oracle: one model clone
+    per (action × hypothesis) lane, action-major, each valued by
+    ``utility.evaluate``.  Reports the ``lanes`` and ``rollout`` stages to
+    ``probe`` when one is set.
+    """
+    digests: Optional[list[dict]] = None
+    if probe is not None:
+        # No lane buffers of its own: packing the top hypotheses gives the
+        # snapshot the array engine reports.  Imported here so the
+        # probe-free scalar path never loads NumPy.
+        from repro.inference.vectorized.state import EnsembleState
+
+        packed = EnsembleState.from_hypotheses([hypothesis for hypothesis, _ in top])
+        probe("lanes", packed.lane_checkpoint(range(packed.size)))
+        digests = []
+    values: list[float] = []
+    for delay in delays:
+        for hypothesis, _weight in top:
+            outcome = hypothesis.rollout(
+                action_delay=delay, horizon=horizon, packet_bits=packet_bits, now=now
+            )
+            values.append(utility.evaluate(outcome))
+            if digests is not None:
+                digests.append(rollout_outcome_digest(outcome))
+    if probe is not None:
+        probe("rollout", {"lanes": digests})
+    return values

@@ -3,7 +3,7 @@
 There are two engines per layer: the scalar oracle
 (:class:`~repro.inference.belief.BeliefState` walking a Python list of
 :class:`~repro.inference.hypothesis.Hypothesis` objects, and
-``decide_scalar`` cloning one ``LinkModel`` per rollout lane) and this
+``value_hypotheses`` cloning one ``LinkModel`` per rollout lane) and this
 package, which stores the whole ensemble as struct-of-arrays buffers and
 batches each step across all rows:
 
@@ -18,12 +18,14 @@ batches each step across all rows:
   :class:`VectorizedBeliefState`,
 * :mod:`~repro.inference.vectorized.rollout` — the batched planner
   rollout: every (action × hypothesis) lane advanced through one masked
-  event frontier, fed straight from ensemble rows.
+  event frontier, fed straight from ensemble rows.  It only values lanes
+  (``select_rows`` / ``value_rows``); the planner's one ``decide`` turns
+  the values into a decision for both engines.
 
 The engine answers to two accepted spellings, ``"vectorized"`` and
 ``"fused"``, on ``belief_backend``, ``rollout_backend`` and
 ``sweep_backend``: ``BeliefState.for_backend`` returns the same class for
-both and a planner runs the same ``decide_vectorized``; each imports this
+both and a planner calls the same two rollout functions; each imports this
 package when first asked for the engine by name, and not before.  The
 spelling is still part of a point's *identity*: it feeds
 ``SenderConfig.fingerprint()``, hence derived seeds and result-cache keys,

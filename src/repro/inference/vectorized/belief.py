@@ -42,7 +42,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from repro.errors import DegenerateBeliefError, InferenceError
+from repro.errors import InferenceError
 from repro.inference.belief import BeliefState
 from repro.inference.hypothesis import Hypothesis
 from repro.inference.observation import AckObservation
@@ -244,16 +244,9 @@ class VectorizedBeliefState(BeliefState):
         candidate_weight = prior_weight * likelihood
         candidate_mask = log_likelihood != -np.inf
 
-        self.updates_applied += 1
         candidate_index = np.nonzero(candidate_mask)[0]
         candidate_sum = sum(candidate_weight[candidate_index].tolist())
-        if candidate_index.size == 0 or candidate_sum <= 0.0:
-            self.degenerate_updates += 1
-            if self.on_degenerate == "raise":
-                raise DegenerateBeliefError(
-                    f"every hypothesis was rejected at t={now:.3f} "
-                    f"({len(acks)} acknowledgements in the update)"
-                )
+        if self._all_rejected(candidate_sum, now, len(acks)):
             kept_index = np.arange(branch_state.size)
             kept_weights = prior_weight
         else:

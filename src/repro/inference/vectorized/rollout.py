@@ -1,12 +1,12 @@
 """The batched rollout engine: every (action × hypothesis) lane at once.
 
 The planner's §3.2 expected-utility step rolls each candidate action through
-each top-k hypothesis.  The scalar oracle (``decide_scalar`` in
-:mod:`repro.core.planner`) clones and advances one
-:class:`~repro.inference.linkmodel.LinkModel` per lane — A×K independent
-Python event loops.  This module is the one array engine: it runs all of
-them as *one* batched, event-stepped advance over struct-of-arrays lane
-buffers.
+each top-k hypothesis.  The scalar oracle
+(:func:`~repro.inference.hypothesis.value_hypotheses`) clones and advances
+one :class:`~repro.inference.linkmodel.LinkModel` per lane — A×K
+independent Python event loops.  This module is the one array engine: it
+runs all of them as *one* batched, event-stepped advance over
+struct-of-arrays lane buffers.
 
 * :func:`batched_rollout_rows` is the entry point: the sender's top-k
   :class:`~repro.inference.vectorized.state.EnsembleState` rows, tiled across
@@ -28,8 +28,12 @@ buffers.
   lane as an ordinary :class:`~repro.inference.hypothesis.RolloutOutcome` —
   the equivalence tests' bridge, and the fallback for custom utilities that
   only implement scalar ``evaluate``.
-* :func:`decide_vectorized` is the planner engine for both accepted
-  spellings, ``"vectorized"`` and ``"fused"``.
+* :func:`select_rows` and :func:`value_rows` are the engine the planner
+  calls for both accepted spellings, ``"vectorized"`` and ``"fused"``:
+  *select* hands over the top-k weights, link rates and drain times plus the
+  rows, *value* returns one utility per lane.  The decision itself — the
+  probability-weighted aggregation and the tie-broken argmax — is the
+  planner's, written once for both engines.
 
 Semantics match ``Hypothesis.rollout`` exactly: event arithmetic is the
 same float operations in the same order as the scalar ``LinkModel``,
@@ -44,17 +48,17 @@ utility tolerance is ``1e-9`` relative.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from repro.errors import InferenceError
-from repro.inference.hypothesis import RolloutOutcome
+from repro.inference.hypothesis import (
+    RolloutOutcome,
+    rollout_outcome_digest,
+    select_hypotheses,
+)
 from repro.inference.vectorized.state import FLOW_CROSS, EnsembleState, _pad_columns
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.core.planner import Decision, ExpectedUtilityPlanner
-    from repro.inference.belief import BeliefState
 
 #: Flow code for the planner's hypothetical packet inside the lane buffers.
 #: Distinct from FLOW_OWN only so outcomes can report the hypothetical's
@@ -695,58 +699,67 @@ def batched_rollout_rows(
     )
 
 
-def decide_vectorized(
-    planner: "ExpectedUtilityPlanner", belief: "BeliefState", now: float
-) -> "Decision":
-    """The array rollout engine: one (action × hypothesis) frontier per decide.
+def select_rows(belief, count: int, drains: bool) -> tuple:
+    """The array engine's *select*: the belief's ``count`` heaviest rows.
 
-    What ``ExpectedUtilityPlanner.decide`` calls when the planner was built
-    with ``rollout_backend="vectorized"`` or ``"fused"``.
-
-    An array belief that holds an ensemble hands over its rows as they are
-    (``top_rows``, no scalar ``Hypothesis`` is materialized anywhere on the
-    decide path); a scalar belief's top hypotheses — and the one hypothesis
-    of an array belief that has settled, whose ``state`` is ``None`` — are
-    packed through :meth:`EnsembleState.from_hypotheses`, which rejects
-    hypotheses that do not share one model clock.  The probability-weighted
-    aggregation is a Python-float loop in the scalar oracle's order, so
-    expected utilities differ from it only by the utility's own
-    transcendental rounding.
+    Returns ``(weights, link rates, drain times, lanes)`` as the scalar
+    :func:`~repro.inference.hypothesis.select_hypotheses` does, with
+    ``lanes = (state, rows)``.  An array belief that holds an ensemble hands
+    over its rows as they are (``top_rows``: no scalar ``Hypothesis`` is
+    built on the decide path), and the per-row Python-float arithmetic —
+    ``LinkModel.drain_time``'s formula included — keeps the planner's
+    aggregates bit-identical across belief engines.  A scalar belief's top
+    hypotheses, and the one hypothesis of an array belief that has settled
+    (``state`` is ``None``), are packed through
+    :meth:`EnsembleState.from_hypotheses`, which rejects hypotheses that do
+    not share one model clock.
     """
-    from repro.core.planner import Decision, rollout_outcome_digest
-
     state = getattr(belief, "state", None)
-    if state is not None:
-        rows, weights = belief.top_rows(planner.top_k)
-        summary = planner._summarize_rows(state, rows, weights)
-    else:
-        top = belief.top(planner.top_k)
-        summary = planner._summarize_hypotheses(top)
+    if state is None:
+        weights, rates, drain_times, top = select_hypotheses(belief, count, drains)
         state = EnsembleState.from_hypotheses([hypothesis for hypothesis, _ in top])
-        rows = np.arange(state.size)
-    actions = planner.action_grid.actions(summary.service_time)
-    horizon = planner._horizon_from(summary)
-    probe = planner.decision_probe
+        return weights, rates, drain_times, (state, np.arange(state.size))
+    rows, weights = belief.top_rows(count)
+    rates = state.link_rate[rows].tolist()
+    drain_times = None
+    if drains:
+        drain_times = []
+        time = state.time
+        for rate, bits, active, completion in zip(
+            rates,
+            state.queue_bits[rows].tolist(),
+            state.svc_active[rows].tolist(),
+            state.svc_completion[rows].tolist(),
+        ):
+            remaining = bits
+            if active:
+                remaining += max(0.0, (completion - time) * rate)
+            drain_times.append(remaining / rate)
+    return weights, rates, drain_times, (state, rows)
+
+
+def value_rows(
+    lanes: tuple[EnsembleState, np.ndarray],
+    delays: list[float],
+    horizon: float,
+    packet_bits: float,
+    now: float,
+    utility,
+    probe: Optional[Callable[[str, object], None]],
+) -> list[float]:
+    """The array engine's *value*: every lane through one frontier.
+
+    One :func:`batched_rollout_rows` call over the selected rows, then one
+    utility per (action × hypothesis) lane, action-major, via the utility's
+    ``evaluate_batch`` — or, for a custom utility without one, its scalar
+    ``evaluate`` on each rebuilt lane (still no per-lane model rollout).
+    Reports the ``lanes`` and ``rollout`` stages to ``probe`` when one is
+    set.
+    """
+    state, rows = lanes
     if probe is not None:
-        probe(
-            "summary",
-            {
-                "service_time": summary.service_time,
-                "horizon": horizon,
-                "weights": list(summary.weights),
-                "actions": [action.delay for action in actions],
-            },
-        )
         probe("lanes", state.lane_checkpoint(rows))
-    outcome = batched_rollout_rows(
-        state,
-        rows,
-        [action.delay for action in actions],
-        horizon,
-        planner.packet_bits,
-        now,
-    )
-    planner.rollouts_performed += outcome.lanes
+    outcome = batched_rollout_rows(state, rows, delays, horizon, packet_bits, now)
     if probe is not None:
         probe(
             "rollout",
@@ -757,41 +770,7 @@ def decide_vectorized(
                 ]
             },
         )
-
-    evaluate_batch = getattr(planner.utility, "evaluate_batch", None)
+    evaluate_batch = getattr(utility, "evaluate_batch", None)
     if evaluate_batch is not None:
-        values = evaluate_batch(outcome).tolist()
-    else:
-        # Custom utility without a batch path: value each lane through
-        # the scalar evaluate (still avoids per-lane model rollouts).
-        values = [
-            planner.utility.evaluate(outcome.lane_outcome(lane))
-            for lane in range(outcome.lanes)
-        ]
-    if probe is not None:
-        probe("utility", {"values": [float(value) for value in values]})
-
-    count = summary.count
-    total_weight = summary.total_weight
-    weights = summary.weights
-    expected: dict[float, float] = {}
-    for index, action in enumerate(actions):
-        accumulated = 0.0
-        base = index * count
-        for position in range(count):
-            accumulated += (weights[position] / total_weight) * values[base + position]
-        expected[action.delay] = accumulated
-
-    best_action = planner._argmax_prefer_longer_delay(actions, expected)
-    if probe is not None:
-        probe(
-            "decision",
-            {"expected": dict(expected), "delay": best_action.delay, "horizon": horizon},
-        )
-    return Decision(
-        action=best_action,
-        expected_utilities=expected,
-        hypotheses_evaluated=count,
-        horizon=horizon,
-    )
-
+        return evaluate_batch(outcome).tolist()
+    return [utility.evaluate(outcome.lane_outcome(lane)) for lane in range(outcome.lanes)]

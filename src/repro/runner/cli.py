@@ -38,6 +38,7 @@ import sys
 import time
 from typing import Any, Optional, Sequence
 
+from repro._cli import parse_assignments, parse_value
 from repro._persist import cache_dir_override
 from repro.errors import ConfigurationError, PointFailureError
 from repro.metrics.summary import format_table
@@ -47,26 +48,6 @@ from repro.runner.faults import FaultPlan
 from repro.runner.registry import DEFAULT_REGISTRY
 from repro.runner.spec import grid
 from repro.runner.supervise import Supervision
-
-
-def _parse_value(text: str) -> Any:
-    """Parse a CLI parameter value: int, float, bool, or string."""
-    lowered = text.lower()
-    if lowered in ("true", "false"):
-        return lowered == "true"
-    for kind in (int, float):
-        try:
-            return kind(text)
-        except ValueError:
-            continue
-    return text
-
-
-def _parse_assignment(text: str) -> tuple[str, str]:
-    if "=" not in text:
-        raise ConfigurationError(f"expected key=value, got {text!r}")
-    key, _, value = text.partition("=")
-    return key.strip(), value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -240,20 +221,14 @@ def _cmd_list() -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    fixed = [_parse_assignment(assignment) for assignment in args.fixed]
-    sweeps = [_parse_assignment(assignment) for assignment in args.sweeps]
-    # A repeated key would silently keep only its last spelling (a second
-    # --sweep of one axis replaces the first; --sweep beats --set).
-    keys = [key for key, _ in fixed + sweeps]
-    for key in keys:
-        if keys.count(key) > 1:
-            raise ConfigurationError(
-                f"parameter {key!r} is given more than once across --set/--sweep; "
-                "give each parameter once (--sweep takes comma-separated values)"
-            )
-    base: dict[str, Any] = {key: _parse_value(value) for key, value in fixed}
+    # One key across --set and --sweep: a second --sweep of one axis would
+    # replace the first, and --sweep would beat --set (--sweep takes
+    # comma-separated values).
+    pairs = parse_assignments(args.fixed + args.sweeps, "--set/--sweep")
+    fixed, sweeps = pairs[: len(args.fixed)], pairs[len(args.fixed) :]
+    base: dict[str, Any] = {key: parse_value(value) for key, value in fixed}
     axes: dict[str, list[Any]] = {
-        key: [_parse_value(value) for value in values.split(",") if value != ""]
+        key: [parse_value(value) for value in values.split(",") if value != ""]
         for key, values in sweeps
     }
 

@@ -8,24 +8,32 @@ construction path.
 from __future__ import annotations
 
 import dataclasses
+import math
 import pickle
 
 import pytest
 
 from repro.api import SenderConfig, UnknownBackendError, build_sender
 from repro.api.config import canonical_digest
-from repro.core.planner import ExpectedUtilityPlanner, decide_scalar
+from repro.core.planner import ExpectedUtilityPlanner
 from repro.core.policy import PolicyCache
 from repro.core.utility import AlphaWeightedUtility
 from repro.errors import ConfigurationError, InferenceError
 from repro.inference import single_link_prior
 from repro.inference.belief import BACKENDS, BeliefState
+from repro.inference.hypothesis import select_hypotheses, value_hypotheses
 from repro.topology import single_link_network
 
 
+def planner_engine(name: str) -> tuple:
+    """The ``(select, value)`` pair a planner built with ``rollout_backend=name`` calls."""
+    planner = ExpectedUtilityPlanner(AlphaWeightedUtility(), rollout_backend=name)
+    return planner._select, planner._value
+
+
 def rollout_engine(name: str):
-    """The decide function a planner built with ``rollout_backend=name`` runs."""
-    return ExpectedUtilityPlanner(AlphaWeightedUtility(), rollout_backend=name)._rollout_engine
+    """The lane-valuing function of that engine (one function per engine)."""
+    return planner_engine(name)[1]
 
 
 class TestBackendRegistry:
@@ -36,19 +44,19 @@ class TestBackendRegistry:
 
     def test_resolve_returns_registered_engines(self):
         from repro.inference.vectorized import VectorizedBeliefState
-        from repro.inference.vectorized.rollout import decide_vectorized
+        from repro.inference.vectorized.rollout import select_rows, value_rows
 
         assert BeliefState.for_backend("scalar") is BeliefState
         assert BeliefState.for_backend("vectorized") is VectorizedBeliefState
         # ``None`` keeps the class it was asked on; a name always wins.
         assert VectorizedBeliefState.for_backend(None) is VectorizedBeliefState
         assert VectorizedBeliefState.for_backend("scalar") is BeliefState
-        assert rollout_engine("scalar") is decide_scalar
-        assert rollout_engine("vectorized") is decide_vectorized
+        assert planner_engine("scalar") == (select_hypotheses, value_hypotheses)
+        assert planner_engine("vectorized") == (select_rows, value_rows)
 
     def test_both_spellings_name_one_engine_but_keep_their_identity(self):
         # One array engine, two accepted spellings: the same class and the
-        # same decide callable, never a wrapper per name...
+        # same rollout functions, never a wrapper per name...
         assert BeliefState.for_backend("fused") is BeliefState.for_backend("vectorized")
         assert BeliefState.for_backend("fused") is not BeliefState
         assert rollout_engine("fused") is rollout_engine("vectorized")
@@ -130,11 +138,41 @@ class TestSenderConfigValidation:
             {"top_k": 0},
             {"packet_bits": -1.0},
             {"policy_resolution_bits": 0.0},
+            {"alpha": -1.0},
+            {"discount_timescale": 0.0},
+            {"latency_penalty": -0.5},
+            {"horizon": 0.0},
+            {"horizon_service_multiples": -1.0},
         ],
     )
     def test_invalid_fields_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
             SenderConfig(**kwargs)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "alpha",
+            "discount_timescale",
+            "latency_penalty",
+            "kernel_scale",
+            "max_hypotheses",
+            "top_k",
+            "packet_bits",
+            "horizon",
+            "horizon_service_multiples",
+            "policy_resolution_bits",
+        ],
+    )
+    def test_non_finite_numbers_rejected(self, field, value):
+        # NaN compares false with everything, so a "reject if <= 0" check
+        # let it through; +inf passed every lower bound.
+        with pytest.raises(ConfigurationError, match=field):
+            SenderConfig(**{field: value})
+
+    def test_boundary_values_and_no_horizon_accepted(self):
+        SenderConfig(alpha=0.0, latency_penalty=0.0, max_hypotheses=1, top_k=1, horizon=None)
 
     def test_build_belief_without_prior_rejected(self):
         with pytest.raises(ConfigurationError, match="no prior"):

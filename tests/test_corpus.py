@@ -297,3 +297,13 @@ class TestCorpusCli:
         bad = tmp_path / "bad.trace"
         bad.write_text("5\n3\n")
         assert corpus_main(["--corpus-dir", root, "ingest", str(bad)]) == 2
+
+    def test_repeated_set_key_exits_2_and_names_it(self, tmp_path, capsys):
+        # It used to generate with the last spelling, silently.
+        argv = [
+            "--corpus-dir", str(tmp_path), "generate", "markov_onoff", "--name", "onoff",
+            "--set", "on_rate_bps=1000000", "--set", "on_rate_bps=2000000",
+        ]
+        assert corpus_main(argv) == 2
+        assert "parameter 'on_rate_bps' is given more than once" in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()

@@ -561,47 +561,58 @@ class TestFrontierSelection:
         monkeypatch.setattr(rollout_module, "_drain_runs", spy)
         return calls
 
+    #: The deep-buffer prior: 1.15–1.3 Mbit buffers (~96–108 packets) and
+    #: sparse cross traffic, the Figure-2 single-flow regime where the
+    #: standing queue is self-inflicted.
+    DEEP_PRIOR = dict(
+        cross_fraction_low=0.03,
+        cross_fraction_high=0.06,
+        buffer_low=1_150_000.0,
+        buffer_high=1_300_000.0,
+        fill_points=1,
+    )
+
+    @staticmethod
+    def burst_belief(backend: str, burst: int, **prior) -> BeliefState:
+        """A Figure-3 prior's belief with ``burst`` packets sent at t = 0."""
+        belief = BeliefState.from_prior(figure3_prior(**prior), backend=backend)
+        for seq in range(burst):
+            belief.record_send(seq, 12_000.0, 0.0)
+        return belief
+
     def test_shallow_figure3_state_never_drains(self, drain_calls):
         """A Figure-3-style belief (§4 buffers hold ≤ 9 packets) runs lockstep."""
-        from repro.experiments.planner_bench import PlannerBenchConfig, build_decision_state
-
-        config = dataclasses.replace(PlannerBenchConfig(), max_hypotheses=64, top_k=8)
-        belief = build_decision_state(config, "vectorized")
-        rows, _ = belief.top_rows(config.top_k)
+        belief = self.burst_belief("vectorized", burst=14)
+        rows, _ = belief.top_rows(8)
         assert int(belief.state.q_len[rows].max()) < self.THRESHOLD
         planner = ExpectedUtilityPlanner(
-            config.alpha_utility, top_k=config.top_k, rollout_backend="vectorized"
+            AlphaWeightedUtility(discount_timescale=20.0), top_k=8, rollout_backend="vectorized"
         )
-        decision = planner.decide(belief, config.duration)
-        assert decision.hypotheses_evaluated == config.top_k
+        decision = planner.decide(belief, 0.0)
+        assert decision.hypotheses_evaluated == 8
         assert drain_calls == []
 
     def test_deep_standing_queue_drains(self, drain_calls, monkeypatch):
         """A 128-packet standing queue drains runs — and decides exactly as
         it would lockstep, and as the scalar oracle does."""
-        from repro.experiments.planner_bench import DEEP_QUEUE, build_decision_state
-
-        config = dataclasses.replace(DEEP_QUEUE, max_hypotheses=64, top_k=8)
-        belief = build_decision_state(config, "vectorized")
-        rows, _ = belief.top_rows(config.top_k)
+        belief = self.burst_belief("vectorized", burst=128, **self.DEEP_PRIOR)
+        rows, _ = belief.top_rows(8)
         assert int(belief.state.q_len[rows].max()) >= 64
-        planner = ExpectedUtilityPlanner(
-            config.alpha_utility, top_k=config.top_k, rollout_backend="vectorized"
-        )
-        drained = planner.decide(belief, config.duration)
+        utility = AlphaWeightedUtility(discount_timescale=20.0)
+        planner = ExpectedUtilityPlanner(utility, top_k=8, rollout_backend="vectorized")
+        drained = planner.decide(belief, 0.0)
         assert len(drain_calls) >= 1
         del drain_calls[:]
         monkeypatch.setattr(rollout_module, "DRAIN_MIN_QUEUE_DEPTH", 10**9)
-        lockstep = planner.decide(belief, config.duration)
+        lockstep = planner.decide(belief, 0.0)
         assert drain_calls == []
         assert lockstep.action == drained.action
         assert lockstep.expected_utilities == drained.expected_utilities
-        # The oracle plans over its own scalar belief, whose posterior may
-        # differ from the array one by transcendental rounding: same action,
+        # The oracle plans over its own scalar belief: same action,
         # utilities within the documented cross-backend tolerance.
-        oracle = ExpectedUtilityPlanner(
-            config.alpha_utility, top_k=config.top_k, rollout_backend="scalar"
-        ).decide(build_decision_state(config, "scalar"), config.duration)
+        oracle = ExpectedUtilityPlanner(utility, top_k=8, rollout_backend="scalar").decide(
+            self.burst_belief("scalar", burst=128, **self.DEEP_PRIOR), 0.0
+        )
         assert oracle.action.delay == pytest.approx(drained.action.delay, rel=1e-9, abs=1e-9)
         assert oracle.expected_utilities == pytest.approx(
             drained.expected_utilities, rel=1e-9, abs=1e-9

@@ -390,3 +390,11 @@ class TestCli:
     def test_removed_parameters_fail_cleanly(self, capsys, scenario, assignment, message):
         assert cli_main(["run", scenario, "--set", assignment]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_non_finite_config_number_fails_cleanly(self, capsys, value):
+        # NaN used to reach the belief (an InferenceError traceback, exit 1)
+        # and inf ran silently on a flat kernel.
+        argv = ["run", "inference_ablation_point", "--set", f"kernel_scale={value}"]
+        assert cli_main(argv) == 2
+        assert "kernel_scale must be finite" in capsys.readouterr().err
