@@ -8,7 +8,9 @@ Two input formats are accepted:
     MTU-sized packet.  The parser bins opportunities into fixed windows and
     converts counts to bits/s, flooring empty windows at a small positive
     rate (a ``LinkTrace`` rate must be positive; a true outage is modeled
-    as a near-zero rate, which stalls a simulated link just the same).
+    as a near-zero rate, which stalls a simulated link just the same).  A
+    trace longer than :data:`MAX_MAHIMAHI_BINS` bins is refused before any
+    bin is allocated.
 
 ``samples``
     The repository's native ``(time, rate)`` form: two columns per line
@@ -43,6 +45,11 @@ DEFAULT_BIN_MS = 100
 #: the LinkTrace invariant; 1 kbit/s serves one packet in ~12 s, which is
 #: an outage at simulation timescales.
 OUTAGE_FLOOR_BPS = 1000.0
+
+#: Most rate bins a mahimahi trace may span: 27.8 h at the default 100 ms.
+#: The bins are allocated up front from the last timestamp, so a two-line
+#: file ending at ``100000000000`` would otherwise ask for 10⁹ of them.
+MAX_MAHIMAHI_BINS = 1_000_000
 
 
 def _data_lines(text: str) -> list[tuple[int, str]]:
@@ -116,6 +123,11 @@ def parse_mahimahi_text(
         raise ConfigurationError("mahimahi trace contains no data lines")
 
     bin_count = stamps[-1] // bin_ms + 1
+    if bin_count > MAX_MAHIMAHI_BINS:
+        raise ConfigurationError(
+            f"mahimahi trace ends at {stamps[-1]} ms: {bin_count} bins of {bin_ms} ms, "
+            f"more than the {MAX_MAHIMAHI_BINS} a trace may span"
+        )
     counts = [0] * bin_count
     for stamp in stamps:
         counts[stamp // bin_ms] += 1

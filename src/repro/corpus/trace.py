@@ -9,8 +9,9 @@ a link reads: :class:`~repro.cellular.link.CellularLink` and
 times from :meth:`LinkTrace.service_time`.
 
 Validation happens at construction, never at read time: times must be
-strictly increasing and start at or after zero, rates must be strictly
-positive, and the duration must cover the last segment.  The digest hashes
+finite, strictly increasing and start at or after zero, rates must be
+finite and strictly positive, and the duration must be finite and cover the
+last segment (NaN fails every check).  The digest hashes
 only the data (times, rates, duration) under the repository's one
 canonical-JSON convention, so renaming a corpus entry or re-ingesting the
 same bytes under a different name never changes the digest the result
@@ -61,12 +62,12 @@ class LinkTrace:
     Parameters
     ----------
     times:
-        Segment start times in seconds, strictly increasing, first >= 0.
+        Segment start times in seconds, finite, strictly increasing, first >= 0.
     rates:
-        Service rate in bits/s for each segment; strictly positive.
+        Service rate in bits/s for each segment; finite and strictly positive.
     duration:
-        Total trace length in seconds (must reach past the last segment
-        start).  ``None`` extends the last segment by the trace's final
+        Total trace length in seconds (finite, and must reach past the last
+        segment start).  ``None`` extends the last segment by the trace's final
         inter-sample gap (or 1 s for a single-segment trace).
     name / source:
         Free-form provenance, excluded from the digest.
@@ -89,21 +90,23 @@ class LinkTrace:
                 f"times ({len(self.times)}) and rates ({len(self.rates)}) "
                 "must have equal length"
             )
-        if self.times[0] < 0.0:
+        # Each check is written so that NaN fails it, and times, rates and
+        # the duration must be finite.
+        if not 0.0 <= self.times[0] < math.inf:
             raise ConfigurationError(
-                f"trace must start at or after t=0, got {self.times[0]!r}"
+                f"trace must start at a finite t >= 0, got {self.times[0]!r}"
             )
         for index in range(1, len(self.times)):
-            if self.times[index] <= self.times[index - 1]:
+            if not self.times[index - 1] < self.times[index] < math.inf:
                 raise ConfigurationError(
-                    f"trace times must be strictly increasing; sample {index} "
-                    f"({self.times[index]!r}) does not follow "
+                    f"trace times must be finite and strictly increasing; sample "
+                    f"{index} ({self.times[index]!r}) does not follow "
                     f"{self.times[index - 1]!r}"
                 )
         for index, rate in enumerate(self.rates):
-            if rate <= 0.0:
+            if not 0.0 < rate < math.inf:
                 raise ConfigurationError(
-                    f"trace rates must be positive; sample {index} is {rate!r}"
+                    f"trace rates must be finite and positive; sample {index} is {rate!r}"
                 )
         if duration is None:
             if len(self.times) >= 2:
@@ -111,10 +114,10 @@ class LinkTrace:
             else:
                 duration = self.times[-1] + 1.0
         duration = float(duration)
-        if duration <= self.times[-1]:
+        if not self.times[-1] < duration < math.inf:
             raise ConfigurationError(
-                f"duration ({duration!r}) must extend past the last segment "
-                f"start ({self.times[-1]!r})"
+                f"duration ({duration!r}) must be finite and extend past the "
+                f"last segment start ({self.times[-1]!r})"
             )
         self.duration = duration
         self.name = name

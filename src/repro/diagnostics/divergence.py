@@ -554,7 +554,9 @@ def inject_stage_perturbation(stage: str, epsilon: float = 1.0):
     restores: list[tuple[object, str, object]] = []
 
     def patch(target, name: str, replacement) -> None:
-        restores.append((target, name, getattr(target, name)))
+        # ``None`` marks an attribute the array class inherits from the one
+        # update body: restoring it means deleting the override.
+        restores.append((target, name, vars(target).get(name)))
         setattr(target, name, replacement)
 
     if stage == "fork":
@@ -587,20 +589,20 @@ def inject_stage_perturbation(stage: str, epsilon: float = 1.0):
         patch(vectorized_belief, "score_and_bookkeep", perturbed_score)
     elif stage == "compact":
 
-        def perturbed_compact(self, state, rows, weights):
+        def perturbed_compact(self, ensemble, rows, weights):
             return rows, weights
 
-        patch(VectorizedBeliefState, "_compact_rows", perturbed_compact)
+        patch(VectorizedBeliefState, "_compact", perturbed_compact)
     elif stage == "prune":
-        original_prune = VectorizedBeliefState._prune_rows
+        original_prune = VectorizedBeliefState._prune
 
         def perturbed_prune(self, rows, weights):
             rows, weights = original_prune(self, rows, weights)
-            if rows.size > 1:
+            if len(rows) > 1:
                 return rows[:-1], weights[:-1]
             return rows, weights
 
-        patch(VectorizedBeliefState, "_prune_rows", perturbed_prune)
+        patch(VectorizedBeliefState, "_prune", perturbed_prune)
     elif stage == "rollout":
         original_rollout = vectorized_rollout.batched_rollout_rows
 
@@ -618,4 +620,7 @@ def inject_stage_perturbation(stage: str, epsilon: float = 1.0):
         yield
     finally:
         for target, name, original in reversed(restores):
-            setattr(target, name, original)
+            if original is None:
+                delattr(target, name)
+            else:
+                setattr(target, name, original)

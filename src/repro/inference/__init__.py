@@ -16,9 +16,10 @@ package provides:
 * :mod:`repro.inference.hypothesis` — one candidate configuration: model
   state plus latent cross-traffic gating, with forking and scoring.
 * :mod:`repro.inference.belief` — the weighted ensemble of hypotheses and
-  its sequential Bayesian update (fork, score, prune, compact, renormalize).
-* :mod:`repro.inference.vectorized` — the NumPy struct-of-arrays backend
-  implementing the same update as batched array operations; select it with
+  its one sequential Bayesian update (fork, score, compact, prune,
+  renormalize), over rows held as a list of hypotheses.
+* :mod:`repro.inference.vectorized` — the NumPy struct-of-arrays form of
+  the rows, whose update steps are batched array operations; select it with
   ``BeliefState.from_prior(..., backend="vectorized")``.
 """
 

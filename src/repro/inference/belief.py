@@ -1,11 +1,20 @@
 """The sender's probability distribution over network configurations.
 
-The :class:`BeliefState` holds a weighted ensemble of
-:class:`~repro.inference.hypothesis.Hypothesis` objects and applies the
-sequential Bayesian update the paper describes (§3.2): every time the sender
-wakes up, each hypothesis is simulated forward to the present (forking on
-latent nondeterminism), scored against what actually happened, re-weighted,
-pruned, compacted, and renormalized.
+The :class:`BeliefState` holds a weighted ensemble of candidate network
+configurations and applies the sequential Bayesian update the paper
+describes (§3.2): every time the sender wakes up, each hypothesis is
+simulated forward to the present (forking on latent nondeterminism), scored
+against what actually happened, re-weighted, compacted, pruned, and
+renormalized.
+
+The belief owns the update and the weights; the rows are held in one of two
+forms, and only the steps that touch rows are written per form.
+:meth:`BeliefState.update` is the one update body for both engines, and the
+only place that emits its stages.  :class:`HypothesisRows` is the list form:
+one :class:`~repro.inference.hypothesis.Hypothesis` per row, the scalar
+engine's, and what an array belief holds once it has settled.  The array
+form, :class:`~repro.inference.vectorized.belief.ArrayRows`, keeps the rows
+in an :class:`~repro.inference.vectorized.state.EnsembleState`.
 
 A sender's belief starts from its prior: :meth:`BeliefState.from_prior`
 takes the prior's grid and has one outcome per engine — a list of
@@ -33,6 +42,10 @@ from repro.inference.prior import Prior
 #: published tables — so both stay.
 BACKENDS = ("fused", "scalar", "vectorized")
 
+#: After every update, rows whose weight falls below this fraction of the
+#: heaviest row's are discarded.
+PRUNE_FRACTION = 1e-6
+
 
 def check_backend(kind: str, name: str) -> None:
     """Raise ``UnknownBackendError`` unless ``name`` is one of :data:`BACKENDS`.
@@ -43,6 +56,118 @@ def check_backend(kind: str, name: str) -> None:
         raise UnknownBackendError(
             f"unknown {kind} backend {name!r}; expected one of {', '.join(BACKENDS)}"
         )
+
+
+class HypothesisRows:
+    """An ensemble held as a list of :class:`Hypothesis` objects, one per row.
+
+    The per-row steps of :meth:`BeliefState.update` and the accessors the
+    belief's queries read, for this form; the array form,
+    :class:`~repro.inference.vectorized.belief.ArrayRows`, has the same
+    methods.  The update steps work in place: :meth:`fork_and_advance`
+    replaces the rows by their branches, :meth:`keep` by the survivors.
+    """
+
+    __slots__ = ("hypotheses",)
+
+    #: No array buffers: a planner packs this form's top hypotheses itself.
+    state = None
+
+    def __init__(self, hypotheses: list[Hypothesis]) -> None:
+        self.hypotheses = hypotheses
+
+    def __len__(self) -> int:
+        return len(self.hypotheses)
+
+    def materialize(self, row: int) -> Hypothesis:
+        return self.hypotheses[row]
+
+    def link_rate(self, row: int) -> float:
+        return self.hypotheses[row].model.params.link_rate_bps
+
+    def parameter_dicts(self) -> Iterable[Mapping[str, float]]:
+        return (hypothesis.params for hypothesis in self.hypotheses)
+
+    def top_order(self, weights: list[float], count: int) -> list[int]:
+        """The ``count`` heaviest rows, heaviest first, ties to the lower row.
+
+        A heap selection (O(n log count)); ``heapq.nlargest`` breaks ties as
+        a stable descending sort does.
+        """
+        return heapq.nlargest(count, range(len(weights)), key=weights.__getitem__)
+
+    def top_rows(self, weights: list[float], count: int):
+        raise InferenceError("a settled belief holds no rows; use top()")
+
+    def decision_signature(
+        self, weights: list[float], count: int, queue_resolution_bits: float
+    ) -> tuple:
+        parts = []
+        for row in self.top_order(weights, count):
+            hypothesis = self.hypotheses[row]
+            model = hypothesis.model
+            parts.append(
+                (
+                    tuple(sorted(hypothesis.params.items())),
+                    round(weights[row], 3),
+                    model.gate_on,
+                    round(model.backlog_bits / queue_resolution_bits),
+                    model.busy,
+                )
+            )
+        return tuple(parts)
+
+    def plan_key(self, weights: list[float], count: int) -> tuple:
+        return tuple(
+            (weights[row], self.hypotheses[row].model.rollout_key())
+            for row in self.top_order(weights, count)
+        )
+
+    # ------------------------------------------------------------ update steps
+
+    def record_send(self, seq: int, size_bits: float, time: float) -> None:
+        for hypothesis in self.hypotheses:
+            hypothesis.record_send(seq, size_bits, time)
+
+    def fork_and_advance(self, now: float) -> tuple[list[int], list[float]]:
+        """Replace each row by its branches at ``now``, a row's "stay"
+        branch (the row itself) before its "switch" branch, dropping
+        zero-probability ones; return each branch's parent row and
+        probability."""
+        branches: list[Hypothesis] = []
+        parents: list[int] = []
+        probabilities: list[float] = []
+        for parent, hypothesis in enumerate(self.hypotheses):
+            for branch, probability in hypothesis.evolve(now):
+                if probability > 0.0:
+                    branches.append(branch)
+                    parents.append(parent)
+                    probabilities.append(probability)
+        self.hypotheses = branches
+        return parents, probabilities
+
+    def signatures(self) -> list[tuple]:
+        return [hypothesis.signature() for hypothesis in self.hypotheses]
+
+    def score(self, acks, now, kernel, acked_seqs, missing_grace) -> list[float]:
+        return [
+            hypothesis.score(acks, now, kernel, acked_seqs, missing_grace=missing_grace)
+            for hypothesis in self.hypotheses
+        ]
+
+    def merge_keys(self, rows: list[int]) -> list[tuple]:
+        return [self.hypotheses[row].signature() for row in rows]
+
+    def keep(self, rows: list[int]) -> None:
+        self.hypotheses = [self.hypotheses[row] for row in rows]
+
+    def finish_update(self, belief: "BeliefState", now: float) -> None:
+        """Bound each model's cross-tally history so long runs stay flat in
+        memory (clones copy these lists on every gate fork)."""
+        if belief.cross_tally_window is not None:
+            cutoff = now - belief.cross_tally_window
+            for hypothesis in self.hypotheses:
+                hypothesis.model.cross.trim(cutoff)
 
 
 class BeliefState:
@@ -62,10 +187,8 @@ class BeliefState:
         with a 0.25 s standard deviation.
     max_hypotheses:
         Hard cap on the ensemble size after every update; lowest-weight
-        hypotheses are discarded first.
-    prune_fraction:
-        Hypotheses whose weight falls below ``prune_fraction`` times the
-        largest weight are discarded.
+        hypotheses are discarded first (and, at every update, those below
+        :data:`PRUNE_FRACTION` of the heaviest).
     missing_grace:
         Seconds of grace before an unacknowledged packet is charged to
         stochastic loss (passed through to hypothesis scoring).
@@ -92,18 +215,17 @@ class BeliefState:
         if not hypotheses:
             raise InferenceError("a belief state needs at least one hypothesis")
         self._configure(**settings)
-        self._hypotheses = list(hypotheses)
         if weights is None:
-            weights = [1.0] * len(self._hypotheses)
-        if len(weights) != len(self._hypotheses):
+            weights = [1.0] * len(hypotheses)
+        if len(weights) != len(hypotheses):
             raise InferenceError("weights and hypotheses must have the same length")
         self._weights = self._normalize(list(weights))
+        self._rows = self._pack(list(hypotheses))
 
     def _configure(
         self,
         kernel: Optional[LikelihoodKernel] = None,
         max_hypotheses: int = 512,
-        prune_fraction: float = 1e-6,
         missing_grace: float = 0.0,
         cross_tally_window: Optional[float] = 60.0,
         on_degenerate: str = "keep",
@@ -115,7 +237,6 @@ class BeliefState:
             raise InferenceError("cross_tally_window must be positive when given")
         self.kernel: LikelihoodKernel = kernel if kernel is not None else GaussianKernel(sigma=0.25)
         self.max_hypotheses = max_hypotheses
-        self.prune_fraction = prune_fraction
         self.missing_grace = missing_grace
         self.cross_tally_window = cross_tally_window
         self.on_degenerate = on_degenerate
@@ -133,13 +254,19 @@ class BeliefState:
 
     #: Optional per-stage checkpoint callback ``hook(stage, payload)`` fired
     #: during :meth:`update` at each kernel stage (``fork``, ``advance``,
-    #: ``score``, ``compact``, ``prune``, ``posterior``).  Both backends emit
-    #: the same stages with comparable payloads, which is what
-    #: :mod:`repro.diagnostics` bisects to localize backend drift.  ``None``
-    #: (the default) keeps the update loop checkpoint-free.
+    #: ``score``, ``compact``, ``prune``, ``posterior``).  The one update
+    #: body emits them for both engines, with payloads each form fills from
+    #: its own rows, which is what :mod:`repro.diagnostics` bisects to
+    #: localize backend drift.  ``None`` (the default) keeps the update loop
+    #: checkpoint-free.
     stage_hook = None
 
     # ------------------------------------------------------------ constructors
+
+    @staticmethod
+    def _pack(hypotheses: list[Hypothesis]) -> HypothesisRows:
+        """The form this engine holds the hypotheses it is given in."""
+        return HypothesisRows(hypotheses)
 
     @classmethod
     def for_backend(cls, backend: Optional[str]) -> type["BeliefState"]:
@@ -204,38 +331,37 @@ class BeliefState:
     @property
     def hypotheses(self) -> list[Hypothesis]:
         """The current hypotheses (aligned with :attr:`weights`)."""
-        return list(self._hypotheses)
+        rows = self._rows
+        return [rows.materialize(row) for row in range(len(rows))]
 
     @property
     def weights(self) -> list[float]:
         """The current normalized weights (aligned with :attr:`hypotheses`)."""
-        return list(self._weight_values())
+        return list(self._weights)
 
     def __len__(self) -> int:
-        return len(self._hypotheses)
+        return len(self._rows)
 
     def __iter__(self):
-        return iter(zip(self._hypotheses, self._weights))
+        return iter(zip(self.hypotheses, self.weights))
 
     def top(self, count: int) -> list[tuple[Hypothesis, float]]:
-        """The ``count`` highest-weight hypotheses, heaviest first.
+        """The ``count`` highest-weight hypotheses, heaviest first (ties to
+        the earlier row, on both forms)."""
+        rows, weights = self._rows, self._weights
+        return [(rows.materialize(row), weights[row]) for row in rows.top_order(weights, count)]
 
-        Uses a heap selection (O(n log count)) instead of sorting the whole
-        ensemble; ``heapq.nlargest`` keeps the same stable tie-breaking as
-        the full descending sort it replaces.
-        """
+    def _map_row(self) -> int:
         weights = self._weights
-        order = heapq.nlargest(count, range(len(weights)), key=weights.__getitem__)
-        return [(self._hypotheses[i], weights[i]) for i in order]
+        return max(range(len(weights)), key=weights.__getitem__)
 
     def map_estimate(self) -> Hypothesis:
         """The maximum a-posteriori hypothesis."""
-        index = max(range(len(self._weights)), key=lambda i: self._weights[i])
-        return self._hypotheses[index]
+        return self._rows.materialize(self._map_row())
 
     def map_link_rate_bps(self) -> float:
         """The MAP hypothesis's link rate (no materialization on any backend)."""
-        return self.map_estimate().model.params.link_rate_bps
+        return self._rows.link_rate(self._map_row())
 
     def decision_signature(
         self, count: int, queue_resolution_bits: float
@@ -248,47 +374,28 @@ class BeliefState:
         ``queue_resolution_bits``, and whether the link is busy.  Backends
         produce identical tuples for equivalent ensembles.
         """
-        parts = []
-        for hypothesis, weight in self.top(count):
-            model = hypothesis.model
-            parts.append(
-                (
-                    tuple(sorted(hypothesis.params.items())),
-                    round(weight, 3),
-                    model.gate_on,
-                    round(model.backlog_bits / queue_resolution_bits),
-                    model.busy,
-                )
-            )
-        return tuple(parts)
+        return self._rows.decision_signature(self._weights, count, queue_resolution_bits)
 
     def plan_key(self, count: int) -> tuple:
         """An exact, hashable key of everything the planner reads.
 
         Where :meth:`decision_signature` is coarse on purpose, this is the
         key the planner layer's ``SharedPlanner`` shares whole plans on:
-        per top hypothesis, heaviest first, its weight and
+        the top-k weights, heaviest first, and every rollout input of those
+        rows — on the list form each model's
         :meth:`~repro.inference.linkmodel.LinkModel.rollout_key` (parameters,
         model clock, gate, next cross arrival, in-service packet and
-        completion time, queued ``(flow, size)`` entries, queue bits).  Two
-        beliefs with equal keys get the same plan at the same instant.
+        completion time, queued ``(flow, size)`` entries, queue bits), on the
+        array form the raw bytes of the lane buffers the array rollout starts
+        from.  Two beliefs with equal keys get the same plan at the same
+        instant.
         """
-        return tuple(
-            (weight, hypothesis.model.rollout_key()) for hypothesis, weight in self.top(count)
-        )
-
-    def _weight_values(self) -> list[float]:
-        """The normalized weights as a plain list (storage-backend hook)."""
-        return self._weights
-
-    def _parameter_dicts(self) -> Iterable[Mapping[str, float]]:
-        """Per-hypothesis parameter assignments (storage-backend hook)."""
-        return (hypothesis.params for hypothesis in self._hypotheses)
+        return self._rows.plan_key(self._weights, count)
 
     def posterior_mean(self, parameter: str) -> float:
         """Posterior mean of one parameter across the ensemble."""
         total = 0.0
-        for params, weight in zip(self._parameter_dicts(), self._weight_values()):
+        for params, weight in zip(self._rows.parameter_dicts(), self._weights):
             value = params.get(parameter)
             if value is None:
                 raise InferenceError(f"hypotheses carry no parameter named {parameter!r}")
@@ -298,7 +405,7 @@ class BeliefState:
     def posterior_marginal(self, parameter: str) -> dict[float, float]:
         """Posterior probability of each distinct value of one parameter."""
         marginal: dict[float, float] = {}
-        for params, weight in zip(self._parameter_dicts(), self._weight_values()):
+        for params, weight in zip(self._rows.parameter_dicts(), self._weights):
             value = params.get(parameter)
             if value is None:
                 raise InferenceError(f"hypotheses carry no parameter named {parameter!r}")
@@ -308,7 +415,7 @@ class BeliefState:
     def effective_sample_size(self) -> float:
         """``1 / sum(w^2)`` — a standard measure of ensemble degeneracy."""
         total = 0.0
-        for weight in self._weight_values():
+        for weight in self._weights:
             total += weight * weight
         return 1.0 / total
 
@@ -316,7 +423,7 @@ class BeliefState:
         """Shannon entropy (nats) of the weight distribution."""
         log = math.log
         total = 0.0
-        for weight in self._weight_values():
+        for weight in self._weights:
             if weight > 0.0:
                 total += weight * log(weight)
         return -total
@@ -325,93 +432,60 @@ class BeliefState:
 
     def record_send(self, seq: int, size_bits: float, time: float) -> None:
         """Inform every hypothesis that the sender transmitted packet ``seq``."""
-        for hypothesis in self._hypotheses:
-            hypothesis.record_send(seq, size_bits, time)
+        self._rows.record_send(seq, size_bits, time)
 
     def update(self, now: float, acks: Iterable[AckObservation] = ()) -> None:
-        """Advance every hypothesis to ``now`` and condition on the new acks."""
-        self._update_hypotheses(now, acks)
+        """Advance every hypothesis to ``now`` and condition on the new acks.
 
-    def _update_hypotheses(self, now: float, acks: Iterable[AckObservation]) -> None:
-        """The reference update over ``_hypotheses``.
-
-        Apart from :meth:`update` so that an array belief that has handed
-        its last row over can run it without entering :meth:`update` twice:
-        a wake-up is one ``update`` call, whichever kernel serves it.
+        The one §3.2 update for both engines: the held form forks and
+        advances its rows, scores the branches and keeps the survivors; the
+        weights — prior × likelihood in Python floats, the degenerate rule,
+        compaction, pruning, normalization — and every ``stage_hook`` stage
+        are handled here, once.
         """
         acks = list(acks)
         self.acked_seqs.update(ack.seq for ack in acks)
-
-        candidates: list[Hypothesis] = []
-        candidate_weights: list[float] = []
-        fallback: list[Hypothesis] = []
-        fallback_weights: list[float] = []
-
         hook = self.stage_hook
-        parents: list[int] = []
-        probabilities: list[float] = []
-        branch_signatures: list[tuple] = []
-        log_likelihoods: list[float] = []
+        ensemble = self._rows
 
-        for parent_index, (hypothesis, weight) in enumerate(
-            zip(self._hypotheses, self._weights)
-        ):
-            for branch, branch_probability in hypothesis.evolve(now):
-                if branch_probability <= 0.0:
-                    continue
-                prior_weight = weight * branch_probability
-                fallback.append(branch)
-                fallback_weights.append(prior_weight)
-                if hook is not None:
-                    # Signatures must be captured before scoring: score()
-                    # charges losses into the signature's lost-seq set.
-                    parents.append(parent_index)
-                    probabilities.append(branch_probability)
-                    branch_signatures.append(branch.signature())
-                log_likelihood = branch.score(
-                    acks,
-                    now,
-                    self.kernel,
-                    self.acked_seqs,
-                    missing_grace=self.missing_grace,
-                )
-                if hook is not None:
-                    log_likelihoods.append(log_likelihood)
-                if log_likelihood == float("-inf"):
-                    continue
-                candidates.append(branch)
-                candidate_weights.append(prior_weight * math.exp(log_likelihood))
-
+        parents, probabilities = ensemble.fork_and_advance(now)
         if hook is not None:
+            # Signatures are taken before scoring, which charges losses into
+            # the lost-seq set they include.
             hook("fork", {"parents": parents, "probabilities": probabilities})
-            hook("advance", {"time": now, "signatures": branch_signatures})
+            hook("advance", {"time": now, "signatures": ensemble.signatures()})
+        log_likelihoods = ensemble.score(
+            acks, now, self.kernel, self.acked_seqs, self.missing_grace
+        )
+        if hook is not None:
             hook("score", {"log_likelihoods": log_likelihoods})
 
-        if self._all_rejected(sum(candidate_weights), now, len(acks)):
-            candidates, candidate_weights = fallback, fallback_weights
+        weights = self._weights
+        prior = [weights[parent] * branch for parent, branch in zip(parents, probabilities)]
+        exp = math.exp
+        rows: list[int] = []
+        row_weights: list[float] = []
+        for row, value in enumerate(log_likelihoods):
+            if value != -math.inf:
+                rows.append(row)
+                row_weights.append(prior[row] * exp(value))
+        if self._all_rejected(sum(row_weights), now, len(acks)):
+            rows, row_weights = list(range(len(prior))), prior
 
-        candidates, candidate_weights = self._compact(candidates, candidate_weights)
+        rows, row_weights = self._compact(ensemble, rows, row_weights)
         if hook is not None:
-            hook("compact", {"count": len(candidates), "weights": list(candidate_weights)})
-        candidates, candidate_weights = self._prune(candidates, candidate_weights)
+            hook("compact", {"count": len(rows), "weights": list(row_weights)})
+        rows, row_weights = self._prune(rows, row_weights)
         if hook is not None:
-            hook("prune", {"count": len(candidates), "weights": list(candidate_weights)})
-        self._hypotheses = candidates
-        self._weights = self._normalize(candidate_weights)
+            hook("prune", {"count": len(rows), "weights": list(row_weights)})
+        ensemble.keep(rows)
+        self._weights = self._normalize(row_weights)
         if hook is not None:
             hook(
                 "posterior",
-                {
-                    "weights": list(self._weights),
-                    "signatures": [h.signature() for h in self._hypotheses],
-                },
+                {"weights": list(self._weights), "signatures": ensemble.signatures()},
             )
-        if self.cross_tally_window is not None:
-            # Bound per-model cross-tally history so long runs stay flat in
-            # memory (clones copy these lists on every gate fork).
-            cutoff = now - self.cross_tally_window
-            for hypothesis in self._hypotheses:
-                hypothesis.model.cross.trim(cutoff)
+        ensemble.finish_update(self, now)
 
     # ----------------------------------------------------------------- helpers
 
@@ -419,8 +493,8 @@ class BeliefState:
         """Count an applied update; say whether the observation rejected every
         hypothesis (the surviving weights sum to ``candidate_total``).
 
-        The one degenerate rule for both engines: such an update is counted
-        in :attr:`degenerate_updates` and raises under
+        The one degenerate rule: such an update is counted in
+        :attr:`degenerate_updates` and raises under
         ``on_degenerate="raise"``; otherwise the caller keeps the forked,
         unscored weights — the observation is ignored.
         """
@@ -436,46 +510,44 @@ class BeliefState:
         return True
 
     def _compact(
-        self, hypotheses: list[Hypothesis], weights: list[float]
-    ) -> tuple[list[Hypothesis], list[float]]:
-        """Merge hypotheses whose latent states have become identical (§3.2).
+        self, ensemble, rows: list[int], weights: list[float]
+    ) -> tuple[list[int], list[float]]:
+        """Merge rows whose latent states have become identical (§3.2).
 
-        Fewer than two cannot merge, so no signature is built for them.
+        ``ensemble.merge_keys`` names each row's state — signature tuples on
+        the list form, digest bytes on the array form.  The first row of a
+        group stands for it and the group's weights add left to right.
+        Fewer than two rows cannot merge, so no key is built for them.
         """
-        if len(hypotheses) < 2:
-            return hypotheses, weights
-        merged: dict[tuple, int] = {}
-        kept: list[Hypothesis] = []
+        if len(rows) < 2:
+            return rows, weights
+        slots: dict = {}
+        kept: list[int] = []
         kept_weights: list[float] = []
-        for hypothesis, weight in zip(hypotheses, weights):
-            key = hypothesis.signature()
-            if key in merged:
-                kept_weights[merged[key]] += weight
-                self.compacted_away += 1
-            else:
-                merged[key] = len(kept)
-                kept.append(hypothesis)
+        for row, weight, key in zip(rows, weights, ensemble.merge_keys(rows)):
+            slot = slots.get(key)
+            if slot is None:
+                slots[key] = len(kept)
+                kept.append(row)
                 kept_weights.append(weight)
+            else:
+                kept_weights[slot] += weight
+                self.compacted_away += 1
         return kept, kept_weights
 
     def _prune(
-        self, hypotheses: list[Hypothesis], weights: list[float]
-    ) -> tuple[list[Hypothesis], list[float]]:
-        """Drop negligible-weight hypotheses and enforce the ensemble cap."""
-        if not hypotheses:
-            return hypotheses, weights
-        heaviest = max(weights)
-        threshold = heaviest * self.prune_fraction
-        survivors = [
-            (hypothesis, weight)
-            for hypothesis, weight in zip(hypotheses, weights)
-            if weight >= threshold
-        ]
-        survivors.sort(key=lambda pair: pair[1], reverse=True)
-        survivors = survivors[: self.max_hypotheses]
-        kept = [hypothesis for hypothesis, _ in survivors]
-        kept_weights = [weight for _, weight in survivors]
-        return kept, kept_weights
+        self, rows: list[int], weights: list[float]
+    ) -> tuple[list[int], list[float]]:
+        """Drop rows under :data:`PRUNE_FRACTION` of the heaviest, then keep
+        the ``max_hypotheses`` heaviest: a stable descending sort, so equal
+        weights keep their order."""
+        if not rows:
+            return rows, weights
+        threshold = max(weights) * PRUNE_FRACTION
+        order = [position for position, weight in enumerate(weights) if weight >= threshold]
+        order.sort(key=weights.__getitem__, reverse=True)
+        del order[self.max_hypotheses :]
+        return [rows[position] for position in order], [weights[position] for position in order]
 
     @staticmethod
     def _normalize(weights: list[float]) -> list[float]:
@@ -483,4 +555,3 @@ class BeliefState:
         if total <= 0.0:
             raise InferenceError("cannot normalize an all-zero weight vector")
         return [weight / total for weight in weights]
-

@@ -1,11 +1,14 @@
 """The array engine: NumPy struct-of-arrays inference and rollout.
 
 There are two engines per layer: the scalar oracle
-(:class:`~repro.inference.belief.BeliefState` walking a Python list of
+(:class:`~repro.inference.belief.HypothesisRows`, a Python list of
 :class:`~repro.inference.hypothesis.Hypothesis` objects, and
 ``value_hypotheses`` cloning one ``LinkModel`` per rollout lane) and this
 package, which stores the whole ensemble as struct-of-arrays buffers and
-batches each step across all rows:
+batches each step across all rows.  What both engines share is written once,
+above them: the belief update in
+:meth:`~repro.inference.belief.BeliefState.update`, also the only place
+that emits its stages, and the decision in the planner's ``decide``.
 
 * :mod:`~repro.inference.vectorized.state` — the buffers themselves
   (parameters, gate state, queue ring buffers, in-flight packet ledgers)
@@ -14,8 +17,10 @@ batches each step across all rows:
   (``advance`` / ``send_own``) and gate forking,
 * :mod:`~repro.inference.vectorized.scoring` — batched log-space
   likelihood accumulation with scalar-identical semantics,
-* :mod:`~repro.inference.vectorized.belief` — the drop-in
-  :class:`VectorizedBeliefState`,
+* :mod:`~repro.inference.vectorized.belief` — ``ArrayRows``, the array
+  form of a belief's rows (fork and advance, score, merge digests, row
+  selection), and :class:`VectorizedBeliefState`, the belief that holds
+  it until one fork-free row is left,
 * :mod:`~repro.inference.vectorized.rollout` — the batched planner
   rollout: every (action × hypothesis) lane advanced through one masked
   event frontier, fed straight from ensemble rows.  It only values lanes

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import math
+import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -19,6 +22,7 @@ from repro.corpus import (
     trace_digest,
 )
 from repro.corpus.__main__ import main as corpus_main
+from repro.corpus.ingest import DEFAULT_BIN_MS, MAX_MAHIMAHI_BINS
 from repro.corpus.trace import MIN_SERVICE_RATE_BPS
 from repro.errors import ConfigurationError
 
@@ -72,6 +76,38 @@ class TestLinkTrace:
         payload["rates"] = [2e6]
         with pytest.raises(ConfigurationError):
             LinkTrace.from_payload(payload)
+
+
+def _with_non_finite(field: str, value: float) -> dict:
+    """A two-segment trace's fields with ``value`` in place of ``field``."""
+    fields = {"times": [0.0, 1.0], "rates": [1e6, 2e6], "duration": 2.0}
+    if field == "first_time":
+        fields["times"] = [value, 1.0]
+    elif field == "time":
+        fields["times"] = [0.0, value]
+    elif field == "rate":
+        fields["rates"] = [1e6, value]
+    else:
+        fields["duration"] = value
+    return fields
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", ["first_time", "time", "rate", "duration"])
+class TestNonFiniteTraceValues:
+    """NaN and ±inf fail every check, however the trace arrives."""
+
+    def test_constructor_refuses(self, field, value):
+        with pytest.raises(ConfigurationError):
+            LinkTrace(**_with_non_finite(field, value))
+
+    def test_payload_refuses(self, field, value):
+        payload = LinkTrace(times=[0.0, 1.0], rates=[1e6, 2e6], duration=2.0).to_payload()
+        del payload["digest"]
+        payload.update(_with_non_finite(field, value))
+        # Python's json writes and reads NaN / Infinity, as a stored blob can.
+        with pytest.raises(ConfigurationError):
+            LinkTrace.from_payload(json.loads(json.dumps(payload)))
 
 
 @st.composite
@@ -169,6 +205,23 @@ class TestParsers:
         with pytest.raises(ConfigurationError):
             parse_mahimahi_text("-1\n")
 
+    @pytest.mark.parametrize("text", ["0 nan\n1 5", "0 inf\n1 5", "nan 5\n1 5", "0 5\n1e400 5"])
+    def test_samples_text_refuses_non_finite_values(self, text):
+        with pytest.raises(ConfigurationError):
+            parse_samples_text(text)
+
+    def test_mahimahi_refuses_a_trace_past_the_bin_bound_without_allocating(self):
+        last = MAX_MAHIMAHI_BINS * DEFAULT_BIN_MS  # the first stamp of bin MAX + 1
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigurationError, match=str(last)):
+                parse_mahimahi_text(f"0\n{last}\n")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # One list of a million bins alone is 8 MB.
+        assert peak < 1_000_000
+
     def test_auto_detect(self, tmp_path):
         mahi = tmp_path / "a.trace"
         mahi.write_text("0\n10\n20\n")
@@ -178,6 +231,56 @@ class TestParsers:
         assert len(load_trace_path(samples)) == 2
         with pytest.raises(ConfigurationError):
             load_trace_path(tmp_path / "missing.trace")
+
+
+#: Text shaped like trace files — numbers, spellings of non-finite floats,
+#: separators and comments — mixed with arbitrary text.  Integers stay
+#: small enough that an accepted mahimahi trace spans few bins.
+_trace_tokens = st.one_of(
+    st.integers(min_value=-1_000, max_value=10_000_000).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "1e400", "-0", "#", ",", "1_000", "0x10"]),
+    st.text(max_size=4),
+)
+_trace_texts = st.one_of(
+    st.text(),
+    st.lists(st.lists(_trace_tokens, max_size=3).map(" ".join), max_size=8).map("\n".join),
+)
+
+
+def _valid_or_refused(parse) -> None:
+    """``parse()`` returns a well-formed trace or raises ConfigurationError."""
+    try:
+        trace = parse()
+    except ConfigurationError:
+        return
+    times = trace.times
+    assert all(math.isfinite(time) for time in times)
+    assert all(earlier < later for earlier, later in zip(times, times[1:]))
+    assert all(math.isfinite(rate) and rate > 0.0 for rate in trace.rates)
+    assert math.isfinite(trace.duration)
+
+
+class TestParserFuzz:
+    """Any text either parses to a well-formed trace or is a clean refusal."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=_trace_texts)
+    def test_samples_text(self, text):
+        _valid_or_refused(lambda: parse_samples_text(text))
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=_trace_texts)
+    def test_mahimahi_text(self, text):
+        _valid_or_refused(lambda: parse_mahimahi_text(text))
+
+    @settings(max_examples=150, deadline=None)
+    @given(text=_trace_texts)
+    def test_load_trace_path_auto_detect(self, text):
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "fuzz.trace"
+            path.write_text(text, encoding="utf-8")
+            _valid_or_refused(lambda: load_trace_path(path))
 
 
 class TestGenerators:

@@ -781,9 +781,9 @@ class TestArrayKernelWithoutHandOff(
     """The fork-free cases above, once more with the hand-off patched out.
 
     With the rule in place a small fork-free belief is the oracle compared
-    with itself a few updates in; this run keeps the array kernel's one-row
-    paths (``_compact_rows``' early return, ``_prune_rows``, degenerate
-    keep) held against the oracle.
+    with itself a few updates in; this run keeps the array form's one-row
+    steps (fork, score, select) under the shared compact, prune and
+    degenerate keep held against the oracle.
     """
 
     @pytest.fixture(autouse=True)

@@ -125,7 +125,7 @@ def array_mutations(belief: BeliefState):
         mutations += [("q_flow", set_slot("q_flow")), ("q_size", set_slot("q_size"))]
 
     def weight(target: BeliefState) -> None:
-        target._weight_array[row] += 0.25
+        target._weights[row] += 0.25
 
     def clock(target: BeliefState) -> None:
         target.state.time += 1.0
@@ -136,11 +136,11 @@ def array_mutations(belief: BeliefState):
 def hypothesis_mutations(belief: BeliefState):
     """``(planner input, mutate)`` for each input of a hypothesis-held belief."""
     heaviest, _ = belief.top(1)[0]
-    index = belief._hypotheses.index(heaviest)
+    index = belief.hypotheses.index(heaviest)
 
     def on_model(change):
         def mutate(target: BeliefState) -> None:
-            change(target._hypotheses[index].model)
+            change(target.hypotheses[index].model)
 
         return mutate
 
