@@ -3,7 +3,7 @@
 Speed claims are made end to end, on the ``BENCHMARK.json`` workloads
 (``benchmarks/e2e/``).  These nine timings are hot spots a ledger workload
 dilutes until a regression hides inside its bound: the bare event loop
-(heap one deep, and ~1 250 deep under timer churn), an element chain, the
+(heap one deep, and 257 deep under timer moves), an element chain, the
 scalar link model, a small belief, the wake-ups of an array belief that has
 settled on one hypothesis, building a contention point's 32 senders from
 their prior, the in-process half of a served table decision, and the
@@ -96,12 +96,14 @@ def run_event_loop() -> int:
 
 
 def run_event_loop_churn() -> int:
-    """20k ticks beside 256 standing timers, one cancelled and re-armed per tick.
+    """20k ticks beside 256 standing timers, one moved a second out per tick.
 
     ``run_event_loop`` keeps the heap one deep, so the cost of ordering it is
     invisible there.  This is the retransmission-timer pattern of a many-flow
-    run: every ACK cancels a timer a second out and arms a new one, leaving
-    the heap ~1 250 deep (256 live timers plus a second's worth of dead ones).
+    run: every ACK moves a timer to a second from now with
+    ``Simulator.reschedule``, as ``WindowSender._arm_rto`` does.  A later move
+    is made in place, so the heap stays 257 deep and a timer's deferred entry
+    is re-pushed when it reaches the head, about once a second.
     """
     sim = Simulator()
     timers = [sim.schedule(1.0, int) for _ in range(256)]
@@ -110,8 +112,7 @@ def run_event_loop_churn() -> int:
     def tick() -> None:
         slot = counter["fired"] % len(timers)
         counter["fired"] += 1
-        timers[slot].cancel()
-        timers[slot] = sim.schedule(1.0, int)
+        timers[slot] = sim.reschedule(timers[slot], sim.now + 1.0)
         if counter["fired"] < 20_000:
             sim.schedule(0.001, tick)
 

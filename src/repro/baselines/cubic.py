@@ -20,6 +20,9 @@ class CubicSender(WindowSender):
         super().__init__(*args, **kwargs)
         self.scaling = scaling
         self.beta = beta
+
+    def _restart(self) -> None:
+        super()._restart()
         self.w_max = self.cwnd
         self.epoch_start: float | None = None
 

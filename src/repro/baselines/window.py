@@ -20,6 +20,7 @@ treatments of TCP.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -74,22 +75,37 @@ class WindowSender(SourceElement):
         total_packets: Optional[int] = None,
         start_time: float = 0.0,
     ) -> None:
-        if packet_bits <= 0:
-            raise ConfigurationError(f"packet_bits must be positive, got {packet_bits!r}")
-        if initial_cwnd < 1.0:
-            raise ConfigurationError(f"initial_cwnd must be at least 1, got {initial_cwnd!r}")
-        if min_rto <= 0 or max_rto < min_rto:
-            raise ConfigurationError("require 0 < min_rto <= max_rto")
+        # Each check is written so that NaN fails it, and every bound is finite.
+        if not 0.0 < packet_bits < math.inf:
+            raise ConfigurationError(
+                f"packet_bits must be positive and finite, got {packet_bits!r}"
+            )
+        if not 1.0 <= initial_cwnd < math.inf:
+            raise ConfigurationError(
+                f"initial_cwnd must be finite and at least 1, got {initial_cwnd!r}"
+            )
+        if not 0.0 < min_rto <= max_rto < math.inf:
+            raise ConfigurationError(
+                f"require 0 < min_rto <= max_rto < inf, got {min_rto!r} and {max_rto!r}"
+            )
         super().__init__(name)
         self.receiver = receiver
         self.flow = flow
         self.packet_bits = float(packet_bits)
         self.start_time = float(start_time)
         self.total_packets = total_packets
+        self._initial_cwnd = float(initial_cwnd)
+        self._initial_ssthresh = float(initial_ssthresh)
+        self.min_rto = min_rto
+        self.max_rto = max_rto
+        self._restart()
+        receiver.on_deliver = self._on_delivery
 
+    def _restart(self) -> None:
+        """Set the run state to what a freshly built sender holds."""
         # Congestion state.
-        self.cwnd = float(initial_cwnd)
-        self.ssthresh = float(initial_ssthresh)
+        self.cwnd = self._initial_cwnd
+        self.ssthresh = self._initial_ssthresh
         self.in_recovery = False
         self.recovery_point = -1
 
@@ -103,9 +119,9 @@ class WindowSender(SourceElement):
         # RTT estimation (Jacobson/Karels).
         self.srtt: Optional[float] = None
         self.rttvar: Optional[float] = None
-        self.min_rto = min_rto
-        self.max_rto = max_rto
         self.rto = 1.0
+        # Dropped, never cancelled or moved: after `Network.reset` it belongs
+        # to the discarded simulator.
         self._rto_timer: Optional[Event] = None
 
         # Statistics.
@@ -115,8 +131,6 @@ class WindowSender(SourceElement):
         self.fast_retransmits = 0
         self.packets_sent = 0
         self.cwnd_trace: list[tuple[float, float]] = []
-
-        receiver.on_deliver = self._on_delivery
 
     # --------------------------------------------------------------- subclass
 
@@ -148,15 +162,17 @@ class WindowSender(SourceElement):
         """Number of packets currently unacknowledged."""
         return len(self.outstanding)
 
-    def _finished(self) -> bool:
-        return self.total_packets is not None and self.cumulative_ack + 1 >= self.total_packets
-
     def _send_allowed(self) -> None:
         """Transmit as many new packets as the window currently allows."""
-        if self._finished():
+        # Runs on every ACK, so the finished test and `flight_size()` are
+        # written out inline.
+        total = self.total_packets
+        if total is not None and self.cumulative_ack + 1 >= total:
             return
-        while self.flight_size() < int(self.cwnd):
-            if self.total_packets is not None and self.next_seq >= self.total_packets:
+        # `cwnd` is re-read every iteration: on a zero-delay path `_transmit`
+        # re-enters `_on_delivery`, which moves the window.
+        while len(self.outstanding) < int(self.cwnd):
+            if total is not None and self.next_seq >= total:
                 break
             self._transmit(self.next_seq)
             self.next_seq += 1
@@ -241,12 +257,19 @@ class WindowSender(SourceElement):
         self.rto = min(self.max_rto, max(self.min_rto, self.srtt + 4.0 * self.rttvar))
 
     def _arm_rto(self) -> None:
-        if self._rto_timer is not None:
-            self._rto_timer.cancel()
-            self._rto_timer = None
+        timer = self._rto_timer
         if not self.outstanding:
+            if timer is not None:
+                timer.cancel()
+                self._rto_timer = None
             return
-        self._rto_timer = self.sim.schedule(self.rto, self._handle_timeout)
+        sim = self.sim
+        if timer is None:
+            self._rto_timer = sim.schedule(self.rto, self._handle_timeout)
+        else:
+            # A live timer moves to the new deadline (the same float
+            # `schedule(self.rto)` computes); it is not cancelled and re-armed.
+            self._rto_timer = sim.reschedule(timer, sim.now + self.rto)
 
     def _handle_timeout(self) -> None:
         self._rto_timer = None
@@ -280,17 +303,4 @@ class WindowSender(SourceElement):
 
     def reset(self) -> None:
         super().reset()
-        self.cwnd = 1.0
-        self.next_seq = 0
-        self.cumulative_ack = -1
-        self.received_seqs = set()
-        self.outstanding = {}
-        self.duplicate_acks = 0
-        self.rtt_samples = []
-        self.retransmissions = 0
-        self.timeouts = 0
-        self.fast_retransmits = 0
-        self.packets_sent = 0
-        self.cwnd_trace = []
-        self.in_recovery = False
-        self._rto_timer = None
+        self._restart()

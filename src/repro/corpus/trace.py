@@ -137,6 +137,10 @@ class LinkTrace:
         )
         self._min_rate = min(self.rates)
         self._max_rate = max(self.rates)
+        # The last segment holds its rate forever (see `segments_from`); a
+        # one-segment trace is that segment everywhere.
+        self._last_start = self.times[-1] if len(self.times) > 1 else -math.inf
+        self._last_service_rate = max(self.rates[-1], MIN_SERVICE_RATE_BPS)
         self._digest: Optional[str] = None
 
     # ------------------------------------------------------------ identity
@@ -184,6 +188,10 @@ class LinkTrace:
         finish at the stale pre-drop rate, skipping outage bins for free),
         and no segment serves slower than :data:`MIN_SERVICE_RATE_BPS`.
         """
+        if start >= self._last_start:
+            # In the unbounded last segment (every call on a constant trace)
+            # the loop below returns ``0.0 + size_bits / rate`` at once.
+            return size_bits / self._last_service_rate
         remaining = size_bits
         elapsed = 0.0
         for rate, segment_end in self.segments_from(start):
@@ -193,8 +201,6 @@ class LinkTrace:
                 continue
             drained = rate * span  # inf for the final, unbounded segment
             if remaining <= drained:
-                # A one-segment trace takes this branch at once with
-                # elapsed == 0.0: exactly ``size_bits / rate``.
                 return elapsed + remaining / rate
             remaining -= drained
             elapsed += span

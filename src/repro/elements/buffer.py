@@ -20,7 +20,7 @@ partially full buffer would impose.
 from __future__ import annotations
 
 from collections import deque
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.errors import ConfigurationError
 from repro.sim.element import Element
@@ -72,6 +72,8 @@ class Buffer(Element):
         self._queue: deque[Packet] = deque()
         self._occupancy_bits = 0.0
         self._pull_mode = False
+        #: The downstream's ``kick``, resolved once by :meth:`connect`.
+        self._kick: Optional[Callable[[], None]] = None
         self.drop_count = 0
         self.dropped_packets: list[Packet] = []
         self.peak_occupancy_bits = 0.0
@@ -86,6 +88,8 @@ class Buffer(Element):
             self._pull_mode = True
         else:
             self._pull_mode = False
+        kick = getattr(downstream, "kick", None)
+        self._kick = kick if callable(kick) else None
         return result
 
     # ------------------------------------------------------------- life cycle
@@ -168,9 +172,8 @@ class Buffer(Element):
             self.trace("enqueue", seq=packet.seq, flow=packet.flow, occupancy=self._occupancy_bits)
 
     def _kick_downstream(self) -> None:
-        kick = getattr(self.downstream, "kick", None)
-        if callable(kick):
-            kick()
+        if self._kick is not None:
+            self._kick()
 
     def reset(self) -> None:
         super().reset()

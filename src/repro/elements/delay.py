@@ -6,6 +6,8 @@ Because the delay is constant the element never reorders packets.
 
 from __future__ import annotations
 
+import math
+
 from repro.errors import ConfigurationError
 from repro.sim.element import Element
 from repro.sim.packet import Packet
@@ -15,8 +17,8 @@ class Delay(Element):
     """Delays every packet by a fixed number of seconds."""
 
     def __init__(self, delay: float, name: str | None = None) -> None:
-        if delay < 0:
-            raise ConfigurationError(f"delay must be non-negative, got {delay!r}")
+        if not 0.0 <= delay < math.inf:  # NaN fails it too
+            raise ConfigurationError(f"delay must be non-negative and finite, got {delay!r}")
         super().__init__(name)
         self.delay = float(delay)
         self.in_transit = 0

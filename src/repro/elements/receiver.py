@@ -10,9 +10,11 @@ can be configured to model a non-instant return path.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+from repro.errors import ConfigurationError
 from repro.sim.element import Element
 from repro.sim.packet import Packet
 
@@ -56,6 +58,10 @@ class Receiver(Element):
         ack_delay: float = 0.0,
         accept_flows: Optional[set[str]] = None,
     ) -> None:
+        if not 0.0 <= ack_delay < math.inf:  # NaN fails it too
+            raise ConfigurationError(
+                f"ack_delay must be non-negative and finite, got {ack_delay!r}"
+            )
         super().__init__(name)
         self.on_deliver = on_deliver
         self.ack_delay = float(ack_delay)

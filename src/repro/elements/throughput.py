@@ -12,6 +12,7 @@ service.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import Optional, Protocol
 
@@ -32,8 +33,8 @@ class Throughput(Element):
     """A throughput-limited link operating at ``rate_bps`` bits per second."""
 
     def __init__(self, rate_bps: float, name: str | None = None) -> None:
-        if rate_bps <= 0:
-            raise ConfigurationError(f"link rate must be positive, got {rate_bps!r}")
+        if not 0.0 < rate_bps < math.inf:  # NaN fails it too
+            raise ConfigurationError(f"link rate must be positive and finite, got {rate_bps!r}")
         super().__init__(name)
         self.rate_bps = float(rate_bps)
         self._busy = False

@@ -25,6 +25,20 @@ from repro.sim.random import RngRegistry
 from repro.sim.trace import TraceRecorder
 
 
+class _UnattachedSim:
+    """``Element.sim`` before :meth:`Element.attach`: reading it is a wiring error.
+
+    A non-data descriptor, so the instance attribute that ``attach`` sets
+    shadows it and an attached element's ``self.sim`` is a plain attribute
+    load — it is read on every packet.
+    """
+
+    def __get__(self, element: "Element | None", owner: type | None = None):
+        if element is None:
+            return self
+        raise WiringError(f"element {element.name!r} is not attached to a simulator")
+
+
 class Element:
     """Base class for every network element.
 
@@ -42,7 +56,6 @@ class Element:
         cls._instance_counter += 1
         self.name = name or f"{cls.__name__.lower()}-{cls._instance_counter}"
         self._downstream: Optional[Element] = None
-        self._sim: Optional[Simulator] = None
         self._rng_registry: Optional[RngRegistry] = None
         self._trace: Optional[TraceRecorder] = None
         self._attached = False
@@ -85,21 +98,18 @@ class Element:
         to the same simulator is a harmless no-op, which lets a
         :class:`Network` attach a graph that shares elements.
         """
-        if self._attached and self._sim is not sim:
+        if self._attached and self.sim is not sim:
             raise WiringError(f"element {self.name!r} is already attached to another simulator")
-        self._sim = sim
+        self.sim = sim
         self._rng_registry = rng
         self._trace = trace
         self._attached = True
         for child in self.children():
             child.attach(sim, rng=rng, trace=trace)
 
-    @property
-    def sim(self) -> Simulator:
-        """The simulator this element is attached to."""
-        if self._sim is None:
-            raise WiringError(f"element {self.name!r} is not attached to a simulator")
-        return self._sim
+    #: The simulator this element is attached to (a :class:`WiringError`
+    #: until :meth:`attach` sets it).
+    sim: Simulator = _UnattachedSim()  # type: ignore[assignment]
 
     @property
     def attached(self) -> bool:
@@ -123,8 +133,8 @@ class Element:
         ``fields``; per-packet call sites test ``self._trace is not None``
         first so an untraced run pays nothing.
         """
-        if self._trace is not None and self._sim is not None:
-            self._trace.record(self._sim.now, self.name, kind, **fields)
+        if self._trace is not None:  # a recorder is only set by attach
+            self._trace.record(self.sim.now, self.name, kind, **fields)
 
     # -------------------------------------------------------------- data path
 
@@ -235,7 +245,7 @@ class Network:
         self._started = False
         for element in self._elements.values():
             element.reset()
-            element._sim = self.sim  # re-bind without tripping the double-attach guard
+            element.sim = self.sim  # re-bind without tripping the double-attach guard
 
 
 def _element_classes() -> list[type[Element]]:

@@ -6,12 +6,22 @@ small: elements schedule callbacks, the engine fires them in time order.
 Determinism is guaranteed by the ``(time, priority, insertion sequence)``
 ordering and by routing all randomness through
 :class:`~repro.sim.random.RngRegistry` streams rather than global state.
+
+A heap entry may be *deferred*: :meth:`Simulator.reschedule` moves a
+pending event later by rewriting its ``time`` and ``seq`` in place, without
+touching the heap, so the entry's key no longer matches the event's live
+key ``(event.time, event.priority, event.seq)``.  A deferred key is never
+later than the live one, so the entry reaches the head no later than it
+should; there it is re-pushed under its live key, neither fired nor
+counted.  Firing order is therefore still the ``(time, priority, seq)``
+order of the live keys, exactly as if the event had been cancelled and
+scheduled anew.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
+from heapq import heappop, heappush, heapreplace
 from typing import Any, Callable
 
 from repro.errors import SchedulingError, SimulationError
@@ -108,7 +118,39 @@ class Simulator:
         time = self._now + delay
         if not math.isfinite(time):
             raise SchedulingError(f"event time must be finite, got {time!r}")
-        return self._push(time, priority, callback, args, kwargs)
+        # `_push`, inlined: this is the per-packet call.
+        seq = self._event_seq
+        event = Event(time, priority, seq, callback, args, kwargs, self)
+        self._event_seq = seq + 1
+        self._live_events += 1
+        heappush(self._queue, (time, priority, seq, event))
+        return event
+
+    def reschedule(self, event: Event, time: float) -> Event:
+        """Move ``event`` to absolute ``time``; returns the event now pending.
+
+        Exactly ``event.cancel()`` followed by ``schedule_at(time,
+        event.callback, *event.args, priority=event.priority)``: the event
+        that comes back fires at the same place in the order, and ``pending``
+        and ``events_processed`` read the same.  When ``event`` is pending on
+        this simulator and ``time`` is not earlier than its current time, the
+        move is made in place — the same :class:`Event` comes back with the
+        fresh sequence number a new event would get, and its heap entry is
+        deferred (see the module docstring) instead of a second one being
+        pushed.  Every other case takes the cancel-and-schedule path.
+        """
+        if (
+            event._owner is self
+            and not event.cancelled
+            and not event._finalized
+            and event.time <= time < math.inf
+        ):
+            event.seq = self._event_seq
+            self._event_seq += 1
+            event.time = time
+            return event
+        event.cancel()
+        return self.schedule_at(time, event.callback, *event.args, priority=event.priority)
 
     def cancel(self, event: Event) -> None:
         """Cancel a previously scheduled event (idempotent)."""
@@ -118,7 +160,7 @@ class Simulator:
 
     def peek_time(self) -> float | None:
         """Time of the next live event, or ``None`` if the queue is empty."""
-        self._fire_events(None, 0)  # fires nothing; drops cancelled heads
+        self._fire_events(None, 0)  # fires nothing; settles the head
         return self._queue[0][0] if self._queue else None
 
     def step(self) -> bool:
@@ -197,7 +239,7 @@ class Simulator:
         self._live_events += 1
         # `seq` is unique, so tuple comparison never reaches the Event and
         # the heap orders its entries without calling back into Python.
-        heapq.heappush(self._queue, (time, priority, seq, event))
+        heappush(self._queue, (time, priority, seq, event))
         return event
 
     def _fire_events(self, until: float | None, max_events: int | None) -> tuple[int, bool]:
@@ -207,13 +249,22 @@ class Simulator:
         event at or before ``until`` remains, false on a ``max_events`` stop.
         """
         queue = self._queue
-        heappop = heapq.heappop
         fired = 0
         while True:
-            # Cancelled events were already removed from the live count by
-            # the cancel hook; here they only need to leave the heap.
-            while queue and queue[0][3].cancelled:
-                heappop(queue)[3]._finalized = True
+            # Settle the head.  Cancelled events were already removed from
+            # the live count by the cancel hook; here they only need to leave
+            # the heap.  A deferred entry (its seq is not the event's) goes
+            # back in under the event's live key.
+            while queue:
+                entry = queue[0]
+                event = entry[3]
+                if event.cancelled:
+                    heappop(queue)
+                    event._finalized = True
+                elif entry[2] != event.seq:
+                    heapreplace(queue, (event.time, event.priority, event.seq, event))
+                else:
+                    break
             if not queue or (until is not None and queue[0][0] > until):
                 return fired, True
             if max_events is not None and fired >= max_events:

@@ -18,7 +18,8 @@ class Event:
 
     Instances are created by :meth:`repro.sim.engine.Simulator.schedule_at`;
     user code normally only keeps a reference in order to call
-    :meth:`cancel` later (for example to clear a retransmission timer).
+    :meth:`cancel` or :meth:`~repro.sim.engine.Simulator.reschedule` later
+    (for example to clear or move a retransmission timer).
     """
 
     __slots__ = (
@@ -76,7 +77,7 @@ class Event:
         self.callback(*self.args)
 
     def sort_key(self) -> tuple[float, int, int]:
-        """Total ordering key; the engine's heap entries lead with the same triple."""
+        """Total ordering key (the live one: a deferred heap entry leads with an earlier triple)."""
         return (self.time, self.priority, self.seq)
 
     def __lt__(self, other: "Event") -> bool:

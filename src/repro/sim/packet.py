@@ -60,7 +60,7 @@ class Packet:
     dropped_at: float | None = None
     drop_reason: str | None = None
     hops: int = 0
-    uid: int = field(default_factory=lambda: next(_packet_counter))
+    uid: int = field(default_factory=_packet_counter.__next__)
     meta: dict[str, Any] = field(default_factory=dict)
 
     @property

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.baselines import (
@@ -13,7 +15,10 @@ from repro.baselines import (
     RenoSender,
     TahoeSender,
 )
+from repro.elements import Buffer, Delay, Receiver, Throughput
 from repro.errors import ConfigurationError
+from repro.runner.scenarios import MANY_FLOW_SENDER_KINDS
+from repro.sim.element import Network
 from repro.topology import single_link_network
 
 
@@ -44,6 +49,14 @@ class TestWindowSenderMechanics:
             RenoSender(network.sender_receiver, initial_cwnd=0.5)
         with pytest.raises(ConfigurationError):
             RenoSender(network.sender_receiver, min_rto=0.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["packet_bits", "min_rto", "max_rto", "initial_cwnd"])
+    def test_non_finite_parameters_refused(self, field, value):
+        # NaN used to pass every check and run with an RTO of NaN.
+        network = single_link_network(sender_flow="tcp")
+        with pytest.raises(ConfigurationError):
+            RenoSender(network.sender_receiver, **{field: value})
 
     def test_self_clocking_fills_clean_link(self):
         sender, network = run_tcp(RenoSender, duration=60.0)
@@ -115,6 +128,41 @@ class TestVariantBehaviour:
     def test_cubic_grows_beyond_reno_on_long_clean_path(self):
         cubic, _ = run_tcp(CubicSender, duration=40.0, link_rate=200_000.0)
         assert cubic.cwnd > 10.0
+
+
+def _bottleneck_run(network, sender_cls, duration=5.0):
+    """Wire ``sender_cls`` → Buffer → Throughput(1 Mbit/s) → Delay(50 ms) → Receiver."""
+    receiver = Receiver(name="rx")
+    sender = sender_cls(receiver, flow="tcp", name="tcp")
+    sender >> Buffer(40 * 12_000.0) >> Throughput(1_000_000.0) >> Delay(0.05) >> receiver
+    network.add(sender)
+    network.run(until=duration)
+    return sender, receiver
+
+
+def _outcome(sender, receiver):
+    return (
+        sender.packets_sent,
+        sender.cwnd_trace,
+        [(d.seq, d.sent_at, d.received_at) for d in receiver.deliveries],
+        [(sample.time, sample.rtt) for sample in sender.rtt_samples],
+    )
+
+
+class TestNetworkReset:
+    """A run after `Network.reset()` is the run a freshly built sender makes."""
+
+    @pytest.mark.parametrize(
+        "sender_cls", [*MANY_FLOW_SENDER_KINDS.values(), TahoeSender], ids=lambda cls: cls.__name__
+    )
+    def test_run_after_reset_equals_a_fresh_build(self, sender_cls):
+        fresh = _outcome(*_bottleneck_run(Network(seed=0), sender_cls))
+        network = Network(seed=0)
+        sender, receiver = _bottleneck_run(network, sender_cls)
+        network.reset()
+        network.run(until=5.0)
+        assert sender._rto_timer is None or sender._rto_timer._owner is network.sim
+        assert _outcome(sender, receiver) == fresh
 
 
 class TestRateSenders:

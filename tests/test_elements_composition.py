@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.elements import (
@@ -14,9 +16,30 @@ from repro.elements import (
     Series,
     Throughput,
 )
-from repro.errors import WiringError
+from repro.errors import ConfigurationError, WiringError
 from repro.sim.element import Element, Network, SourceElement
 from repro.sim.packet import Packet
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+class TestNonFiniteParametersRefused:
+    """Each check fails on NaN, and ±inf is refused, as `Buffer` already does."""
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_throughput_rate(self, value):
+        with pytest.raises(ConfigurationError):
+            Throughput(rate_bps=value)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_delay(self, value):
+        with pytest.raises(ConfigurationError):
+            Delay(value)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_receiver_ack_delay(self, value):
+        with pytest.raises(ConfigurationError):
+            Receiver(ack_delay=value)
 
 
 class TestWiring:

@@ -8,13 +8,17 @@ ran it.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
+from repro.baselines.window import WindowSender
 from repro.corpus import CorpusStore
 from repro.errors import ConfigurationError
 from repro.runner import ScenarioSpec, run_specs
 from repro.runner.registry import DEFAULT_REGISTRY
 from repro.runner.scenarios import many_flow_contention, many_flow_specs
+from repro.sim.engine import Simulator
 
 
 def run_point(**params):
@@ -97,6 +101,39 @@ class TestScenarioMetrics:
         # content (another seed) does not.
         assert fingerprint("a") == fingerprint("b")
         assert fingerprint("a") != fingerprint("c")
+
+
+class TestTimerMoveChangesNoOutcome:
+    """`WindowSender._arm_rto` moves a live timer with `Simulator.reschedule`.
+
+    Cancel + schedule, the way it used to re-arm, must give the same metrics
+    bytes — `events_processed` included, so no stale fire may be counted.
+    """
+
+    def test_16_flow_point_matches_cancel_and_schedule(self, monkeypatch):
+        params = {"flows": 16, "isender_flows": 0, "duration": 8.0}
+        moves = {"in_place": 0}
+        reschedule = Simulator.reschedule
+
+        def counting_reschedule(sim, event, time):
+            moved = reschedule(sim, event, time)
+            moves["in_place"] += moved is event
+            return moved
+
+        monkeypatch.setattr(Simulator, "reschedule", counting_reschedule)
+        moved = json.dumps(run_point(**params), sort_keys=True)
+        assert moves["in_place"] > 0
+
+        def rearm(sender):
+            if sender._rto_timer is not None:
+                sender._rto_timer.cancel()
+                sender._rto_timer = None
+            if sender.outstanding:
+                sender._rto_timer = sender.sim.schedule(sender.rto, sender._handle_timeout)
+
+        monkeypatch.setattr(WindowSender, "_arm_rto", rearm)
+        rearmed = json.dumps(run_point(**params), sort_keys=True)
+        assert moved == rearmed
 
 
 class TestCrossBackendDeterminism:

@@ -155,6 +155,88 @@ class TestPendingCounter:
             assert sim.pending == rescan()
 
 
+class TestReschedule:
+    """`reschedule` is cancel + `schedule_at`; a later move of a live event is made in place."""
+
+    def test_later_move_is_in_place_and_pushes_nothing(self, sim):
+        fired = []
+        event = sim.schedule(1.0, fired.append, "timer")
+        other = sim.schedule(2.0, fired.append, "other")
+        depth = len(sim._queue)
+        moved = sim.reschedule(event, 2.0)
+        assert moved is event
+        assert (moved.time, moved.priority, moved.seq) == (2.0, 0, 2)
+        assert len(sim._queue) == depth
+        assert sim.pending == 2
+        # The fresh seq orders the moved timer after `other`, as a new event.
+        assert sim.peek_time() == 2.0
+        assert sim.run() == 2
+        assert fired == ["other", "timer"]
+        assert sim.events_processed == 2
+        assert other.seq == 1
+
+    def test_same_time_takes_a_fresh_seq(self, sim):
+        fired = []
+        event = sim.schedule(1.0, fired.append, "first")
+        sim.schedule(1.0, fired.append, "second")
+        assert sim.reschedule(event, 1.0) is event
+        sim.run()
+        assert fired == ["second", "first"]
+
+    def test_deferred_entry_does_not_fire_or_move_the_clock(self, sim):
+        fired = []
+        event = sim.schedule(1.0, fired.append, "timer")
+        sim.reschedule(event, 5.0)
+        assert sim.run(until=3.0) == 0
+        assert fired == [] and sim.now == 3.0
+        assert sim.peek_time() == 5.0
+        assert sim.step() is True
+        assert fired == ["timer"] and sim.now == 5.0
+
+    def test_earlier_move_pushes_a_new_event(self, sim):
+        fired = []
+        event = sim.schedule(3.0, fired.append, "timer", priority=2)
+        moved = sim.reschedule(event, 1.0)
+        assert moved is not event
+        assert event.cancelled
+        assert (moved.time, moved.priority, moved.seq) == (1.0, 2, 1)
+        assert sim.pending == 1
+        assert sim.run() == 1
+        assert fired == ["timer"] and sim.now == 1.0
+
+    def test_fired_cancelled_and_foreign_events_are_scheduled_anew(self, sim):
+        fired = []
+        done = sim.schedule(1.0, fired.append, "done")
+        sim.run()
+        again = sim.reschedule(done, 2.0)
+        dead = sim.schedule(3.0, fired.append, "dead")
+        dead.cancel()
+        revived = sim.reschedule(dead, 4.0)
+        other = Simulator()
+        foreign = other.schedule(1.0, fired.append, "foreign")
+        adopted = sim.reschedule(foreign, 5.0)
+        assert again is not done and revived is not dead and adopted is not foreign
+        assert foreign.cancelled and other.pending == 0
+        assert sim.pending == 3
+        sim.run()
+        assert fired == ["done", "done", "dead", "foreign"]
+
+    def test_kwargs_survive_a_move(self, sim):
+        seen = {}
+        event = sim.schedule(1.0, lambda **kw: seen.update(kw), value=7)
+        sim.run(until=0.5)
+        sim.reschedule(sim.reschedule(event, 2.0), 0.75)
+        sim.run()
+        assert seen == {"value": 7} and sim.now == 0.75
+
+    @pytest.mark.parametrize("time", [float("inf"), float("nan"), -1.0])
+    def test_invalid_times_raise_like_schedule_at(self, sim, time):
+        event = sim.schedule(1.0, lambda: None)
+        with pytest.raises(SchedulingError):
+            sim.reschedule(event, time)
+        assert event.cancelled and sim.pending == 0
+
+
 class TestRunControl:
     def test_run_until_stops_before_later_events(self, sim):
         fired = []
@@ -285,18 +367,27 @@ class TestPropertyBased:
 
 # An interleaving is a list of operations on a quarter-second grid, so equal
 # times (and equal (time, priority) pairs) are common.  An event's optional
-# ``child`` makes its callback schedule one more event and maybe cancel one.
+# ``child`` makes its callback schedule one more event and maybe cancel or
+# reschedule one (a target ``(index, ticks)`` is a reschedule).
 _TICK = 0.25
 _EVENT = st.tuples(st.integers(0, 6), st.sampled_from([-1, 0, 1]))  # (ticks, priority)
-_CHILD = st.one_of(st.none(), st.tuples(_EVENT, st.one_of(st.none(), st.integers(0, 40))))
+_MOVE = st.tuples(st.integers(0, 40), st.integers(0, 6))  # (handle index, ticks from now)
+_TARGET = st.one_of(st.none(), st.integers(0, 40), _MOVE)
+_CHILD = st.one_of(st.none(), st.tuples(_EVENT, _TARGET))
 _OPERATION = st.one_of(
     st.tuples(st.sampled_from(["schedule", "schedule_at"]), _EVENT, _CHILD),
     st.tuples(st.just("cancel"), st.integers(0, 40)),
+    st.tuples(st.just("reschedule"), _MOVE),
 )
 
 
 class TestOrderAgainstReferenceModel:
-    """The engine fires exactly what a sorted list of the live events would."""
+    """The engine fires exactly what a sorted list of the live events would.
+
+    A handle is one callback's token: ``reschedule`` keeps the callback and
+    its arguments, so the model tracks a token's live key, and moves it as
+    ``cancel`` + ``schedule_at`` would.
+    """
 
     @seed(20260929)
     @settings(max_examples=300, deadline=None)
@@ -309,45 +400,75 @@ class TestOrderAgainstReferenceModel:
         self, operations, until_ticks, max_events
     ):
         sim = Simulator()
-        handles: list[Event] = []  # every event ever scheduled; index == seq
-        live: dict[int, tuple[float, int, int]] = {}  # seq -> (time, priority, seq)
-        fired: list[int] = []
+        handles: list[Event] = []  # token -> the token's latest event
+        live: dict[int, tuple[float, int, int]] = {}  # token -> (time, priority, seq)
+        priorities: list[int] = []  # token -> priority
+        fired: list[tuple[int, float]] = []  # (token, time) in firing order
+        spawned: set[int] = set()  # tokens whose child has acted
+        next_seq = [0]
+
+        def take_seq():
+            next_seq[0] += 1
+            return next_seq[0] - 1
 
         def add(method, spec, child):
             ticks, priority = spec
-            seq = len(handles)
+            token = len(handles)
             time = sim.now + ticks * _TICK
             if method == "schedule":
-                event = sim.schedule(ticks * _TICK, fire, seq, child, priority=priority)
+                event = sim.schedule(ticks * _TICK, fire, token, child, priority=priority)
             else:
-                event = sim.schedule_at(time, fire, seq, child, priority=priority)
-            assert (event.time, event.priority, event.seq) == (time, priority, seq)
+                event = sim.schedule_at(time, fire, token, child, priority=priority)
+            key = (time, priority, take_seq())
+            assert (event.time, event.priority, event.seq) == key
             handles.append(event)
-            live[seq] = (time, priority, seq)
+            priorities.append(priority)
+            live[token] = key
 
         def cancel(index):
             if handles:
-                seq = index % len(handles)  # may be live, cancelled, fired or firing
-                sim.cancel(handles[seq])
-                live.pop(seq, None)
+                token = index % len(handles)  # may be live, cancelled, fired or firing
+                sim.cancel(handles[token])
+                live.pop(token, None)
 
-        def fire(seq, child):
-            assert seq in live, "a cancelled or already-fired event fired"
-            assert live[seq] == min(live.values())
-            assert sim.now == live.pop(seq)[0]
-            fired.append(seq)
+        def reschedule(index, ticks):
+            if handles:
+                token = index % len(handles)  # may be live, cancelled, fired or firing
+                event = handles[token]
+                time = sim.now + ticks * _TICK  # later or earlier than the event
+                in_place = token in live and time >= live[token][0]
+                moved = sim.reschedule(event, time)
+                assert (moved is event) == in_place
+                live.pop(token, None)
+                key = (time, priorities[token], take_seq())
+                assert (moved.time, moved.priority, moved.seq) == key
+                handles[token] = moved
+                live[token] = key
+
+        def fire(token, child):
+            assert token in live, "a cancelled, moved or already-fired event fired"
+            assert live[token] == min(live.values())
+            assert sim.now == live.pop(token)[0]
+            fired.append((token, sim.now))
             assert sim.pending == len(live)
             assert sim.events_processed == len(fired)
-            if child is not None:
+            # A moved token can fire again; its child acts once, or two
+            # children rescheduling each other would never stop.
+            if child is not None and token not in spawned:
+                spawned.add(token)
                 spec, target = child
                 add("schedule", spec, None)
-                if target is not None:
+                if isinstance(target, tuple):
+                    reschedule(*target)
+                elif target is not None:
                     cancel(target)
                 assert sim.pending == len(live)
 
         for operation in operations:
             if operation[0] == "cancel":
                 cancel(operation[1])
+            elif operation[0] == "reschedule":
+                reschedule(*operation[1])
             else:
                 add(*operation)
             assert sim.pending == len(live)
@@ -359,7 +480,7 @@ class TestOrderAgainstReferenceModel:
             # Only the event cap can leave due events behind, and then the
             # clock stays at the last event fired.
             assert count == max_events
-            assert sim.now == (handles[fired[-1]].time if fired else 0.0)
+            assert sim.now == (fired[-1][1] if fired else 0.0)
         else:
             assert sim.now == until
 
