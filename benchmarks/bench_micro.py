@@ -1,15 +1,16 @@
 """Micro-benchmarks below the ledger's resolution; one run writes ``BENCH_micro.json`` whole.
 
 Speed claims are made end to end, on the ``BENCHMARK.json`` workloads
-(``benchmarks/e2e/``).  These nine timings are hot spots a ledger workload
+(``benchmarks/e2e/``).  These ten timings are hot spots a ledger workload
 dilutes until a regression hides inside its bound: the bare event loop
 (heap one deep, and 257 deep under timer moves), an element chain, the
 scalar link model, a small belief, the wake-ups of an array belief that has
-settled on one hypothesis, building a contention point's 32 senders from
-their prior, the in-process half of a served table decision, and the
-process backend's fixed cost per point.
+settled on one hypothesis, the wake-ups of an array sender on the Figure-3
+prior (its forking updates and its plans: both array frontiers), building a
+contention point's 32 senders from their prior, the in-process half of a
+served table decision, and the process backend's fixed cost per point.
 
-The eight single-process entries are **pace-corrected seconds**.  The host
+The nine single-process entries are **pace-corrected seconds**.  The host
 drifts 30–60 % for minutes at a time, so each timed run of a workload is
 interleaved with a run of the ledger's fixed reference kernel
 (``benchmarks/e2e/e2e_pace.kernel``, imported read-only) and the entry is
@@ -42,7 +43,13 @@ from repro.api.config import SenderConfig
 from repro.api.policy import precompute_policy_table
 from repro.api.sender import build_components
 from repro.elements import Buffer, Collector, Throughput
-from repro.inference import AckObservation, BeliefState, GaussianKernel, single_link_prior
+from repro.inference import (
+    AckObservation,
+    BeliefState,
+    GaussianKernel,
+    figure3_prior,
+    single_link_prior,
+)
 from repro.inference.linkmodel import LinkModel, LinkModelParams
 from repro.runner import ParallelRunner, ScenarioRegistry, SerialRunner
 from repro.runner.scenarios import many_flow_sender_prior
@@ -73,6 +80,14 @@ SETTLED_ROUNDS = 250
 PRIOR_BUILDS = 32
 CONTENTION_SENDER = SenderConfig(belief_backend="fused", rollout_backend="fused", policy="cache")
 CONTENTION_PRIOR = many_flow_sender_prior(8_000_000.0 / 128, 8_000_000.0)
+
+#: The Figure-3 entry: one array sender on ``run_figure3_point``'s prior grid
+#: (4 link rates × 4 cross fractions × 3 loss rates × 4 buffers).
+FIGURE3_WAKEUPS = 12
+FIGURE3_SENDER = SenderConfig(belief_backend="vectorized", rollout_backend="vectorized")
+FIGURE3_PRIOR = figure3_prior(
+    link_rate_points=4, cross_fraction_points=4, loss_points=3, buffer_points=4, fill_points=1
+)
 
 #: The fan-out entry: points, workers, repeats (median taken), ceiling.
 NOOP_POINTS = 64
@@ -205,6 +220,32 @@ def settled_wakeups():
     return run_settled_wakeups
 
 
+def figure3_wakeups():
+    """``FIGURE3_WAKEUPS`` wake-ups of an array sender on the Figure-3 prior.
+
+    Each is a send, an update on one acknowledgement and a plan.  Every row
+    of this prior has a latent gate, so every update forks each row into a
+    stay and a switch branch, advanced together in one frontier; the plan
+    rolls the 16 heaviest rows through every action in the rollout
+    frontier.  These two array kernels are most of ``fig3_alpha4``'s time;
+    here they run without its simulator and network.
+    """
+    parts = build_components(FIGURE3_SENDER, FIGURE3_PRIOR)
+    fresh, planner = parts.belief, parts.planner
+
+    def run_figure3_wakeups() -> int:
+        belief = copy.deepcopy(fresh)
+        decisions = 0
+        for seq in range(FIGURE3_WAKEUPS):
+            at = float(seq)
+            belief.record_send(seq, 12_000.0, at)
+            belief.update(at + 0.9, [AckObservation(seq=seq, received_at=at + 0.85, ack_at=at + 0.85)])
+            decisions += planner.decide(belief, at + 0.9) is not None
+        return decisions
+
+    return run_figure3_wakeups
+
+
 def run_prior_builds() -> int:
     """A ``contention_isender32`` point's 32 ``build_components`` calls.
 
@@ -292,6 +333,7 @@ def test_micro_record(bench_record, tmp_path, monkeypatch):
     workloads = {
         **SINGLE_PROCESS,
         "settled_wakeups_1k": (settled_wakeups(), SETTLED_BELIEFS * SETTLED_ROUNDS),
+        "figure3_wakeups_12": (figure3_wakeups(), FIGURE3_WAKEUPS),
         "table_decide_1k": (table_decides(tmp_path), TABLE_DECIDES),
     }
     entries = {}

@@ -3,9 +3,11 @@
 These functions reproduce :class:`~repro.inference.linkmodel.LinkModel`'s
 event loop (``advance`` / ``send_own`` / gate forking) across every
 hypothesis row at once.  The outer ``while`` in :func:`advance` runs once
-per *event depth* — each iteration fires at most one event per row with pure
-array operations — so the Python-interpreter cost is O(max events per row)
-instead of O(total events across the ensemble).
+per *event depth* — each iteration fires a row's next event, plus the one a
+service completion leaves it owing, with pure array operations — so the
+Python-interpreter cost is O(max events per row) instead of O(total events
+across the ensemble).  A gate fork runs its stay and switch branches
+through one such frontier.
 
 Semantics match the scalar model exactly, including its tie-breaking
 (service completions before arrivals at the same instant), its tail-drop
@@ -28,26 +30,76 @@ from repro.inference.vectorized.state import (
 )
 
 
-def advance(state: EnsembleState, until: float) -> None:
-    """Run every row forward to ``until``, firing arrivals and departures."""
+def advance(
+    state: EnsembleState, until: float, flip_at: np.ndarray | None = None
+) -> None:
+    """Run every row forward to ``until``, firing arrivals and departures.
+
+    ``flip_at``, when given, holds one gate-flip instant per row (``inf`` for
+    none).  A row's gate toggles there after every event at or before that
+    instant, as ``Hypothesis.evolve`` flips a switched branch at the
+    interval's midpoint, so a gate fork advances all its branches here in
+    one frontier.
+
+    Each iteration fires a live row's next event — and, for a row whose
+    service completion it fires, the event that completion leaves next
+    when that is a cross arrival or a flip: the row owes it, and the
+    following iteration would fire exactly it.  A row's event sequence is
+    the scalar model's either way; only the iteration count drops.
+    """
     if until < state.time - 1e-9:
         raise InferenceError(
             f"cannot advance to {until:.6f}: model clock is already at {state.time:.6f}"
         )
-    while True:
-        next_cross = np.where(state.gate_on, state.next_cross_time, np.inf)
-        next_event = np.minimum(state.svc_completion, next_cross)
-        active = next_event <= until
-        if not active.any():
-            break
-        # Completions fire before arrivals at the same instant, matching the
-        # scalar model (a departing packet frees space for the arrival).
-        completing = active & (state.svc_completion <= next_cross)
-        arriving = active & ~completing
-        if completing.any():
-            _complete_service(state, np.nonzero(completing)[0])
-        if arriving.any():
-            _cross_arrival(state, np.nonzero(arriving)[0])
+    if flip_at is not None:
+        flip_at = flip_at.copy()
+    flip_live = None
+    # A row leaves ``live`` for good once its next event passes ``until``:
+    # every later event needs an earlier one to create it.
+    live = np.arange(state.size)
+    while live.size:
+        svc = state.svc_completion[live]
+        cross = np.where(state.gate_on[live], state.next_cross_time[live], np.inf)
+        next_event = np.minimum(svc, cross)
+        if flip_at is not None:
+            flip_live = flip_at[live]
+            next_event = np.minimum(next_event, flip_live)
+        keep = next_event <= until
+        if not keep.all():
+            live = live[keep]
+            if not live.size:
+                break
+            svc = svc[keep]
+            cross = cross[keep]
+            if flip_live is not None:
+                flip_live = flip_live[keep]
+        # Tie order at one instant matches the scalar model: completions
+        # first (a departing packet frees space for the arrival), arrivals
+        # second, a gate flip strictly last (``evolve`` advances through the
+        # midpoint before it flips).
+        completing = svc <= cross
+        if flip_live is not None:
+            completing &= svc <= flip_live
+        rows = live[completing]
+        if rows.size:
+            _complete_service(state, rows)
+            # A freed row owes the event it is left with next: re-read its
+            # service frontier so the tests below fire that event in this
+            # iteration.  A completion leaves the gate as it was, so
+            # ``cross`` still holds.
+            svc = state.svc_completion[live]
+        # For a row no completion freed, these are the plain classification.
+        arriving = (cross < svc) & (cross <= until)
+        if flip_live is not None:
+            arriving &= cross <= flip_live
+        arrivals = live[arriving]
+        if arrivals.size:
+            _cross_arrival(state, arrivals)
+        if flip_live is not None:
+            flipping = live[(flip_live < svc) & (flip_live < cross) & (flip_live <= until)]
+            if flipping.size:
+                _flip_gate(state, flipping, flip_at[flipping])
+                flip_at[flipping] = np.inf
     state.time = max(state.time, until)
 
 
@@ -82,7 +134,10 @@ def fork_and_advance(
     branches interleaved exactly as the scalar update builds them: row ``i``'s
     "stay" branch, then (for forking rows) row ``i``'s "switch" branch.
     Branches with zero probability are dropped, as in the scalar path.
-    The input ``state`` is consumed (its rows become the stay branches).
+    The branches are gathered from ``state`` before any of them moves, then
+    advance together in one frontier, each switch branch flipping its gate
+    at the interval's midpoint.  The input ``state`` is consumed: use only
+    the returned one.
     """
     size = state.size
     interval = now - state.time
@@ -94,13 +149,6 @@ def fork_and_advance(
     if fork_idx.size == 0:
         advance(state, now)
         return state, np.arange(size), np.ones(size)
-
-    midpoint = state.time + interval / 2.0
-    switch_state = state.select(fork_idx)
-    advance(switch_state, midpoint)
-    _flip_gate(switch_state, midpoint)
-    advance(switch_state, now)
-    advance(state, now)
 
     # Dwell probabilities via math.exp so each branch weight is bit-identical
     # to the scalar Hypothesis.evolve computation.
@@ -120,26 +168,32 @@ def fork_and_advance(
     probability = np.empty(total, dtype=float)
     probability[stay_position] = stay_probability
     probability[switch_position] = switch_probability
+    flip_at = np.full(total, np.inf)
+    flip_at[switch_position] = state.time + interval / 2.0
 
-    branch_state = state.interleave(switch_state, stay_position, switch_position)
     keep = probability > 0.0
     if not keep.all():
         keep_idx = np.nonzero(keep)[0]
-        branch_state = branch_state.select(keep_idx)
         parent = parent[keep_idx]
         probability = probability[keep_idx]
+        flip_at = flip_at[keep_idx]
+    branch_state = state.select(parent)
+    advance(branch_state, now, flip_at)
     return branch_state, parent, probability
 
 
 # ------------------------------------------------------------------ internals
 
 
-def _flip_gate(state: EnsembleState, when: float) -> None:
-    """Toggle every row's cross-traffic gate at ``when`` (all rows have one)."""
-    turning_on = ~state.gate_on
-    state.next_cross_time[turning_on] = max(when, state.time)
-    state.next_cross_time[~turning_on] = np.inf
-    state.gate_on = ~state.gate_on
+def _flip_gate(state: EnsembleState, rows: np.ndarray, when: np.ndarray) -> None:
+    """Toggle ``rows``' cross-traffic gates, each at its instant in ``when``.
+
+    A gate turning on schedules its first arrival at the flip, as
+    ``LinkModel.set_gate`` does once the model has advanced to it.
+    """
+    turning_on = ~state.gate_on[rows]
+    state.next_cross_time[rows] = np.where(turning_on, when, np.inf)
+    state.gate_on[rows] = turning_on
 
 
 def _complete_service(state: EnsembleState, rows: np.ndarray) -> None:

@@ -12,8 +12,9 @@ struct-of-arrays lane buffers.
   :class:`~repro.inference.vectorized.state.EnsembleState` rows, tiled across
   its candidate delays by :meth:`EnsembleState.lane_arrays`, advance together
   through one masked event frontier.
-* Each iteration of the frontier fires at most one event per lane — service
-  completions, cross arrivals, the lane's hypothetical send — so the
+* Each iteration of the frontier fires a lane's next event — service
+  completion, cross arrival, the lane's hypothetical send — and, for a lane
+  a completion freed, the arrival or send it is left with next, so the
   Python-interpreter cost is O(max events per lane) instead of O(total
   events across the fan-out).  When the lanes start on a deep standing
   queue (:data:`DRAIN_MIN_QUEUE_DEPTH`), back-to-back departure runs are
@@ -229,18 +230,23 @@ def _run_frontier(
     cross-lane reduction), so a lane's event sequence — values and order —
     depends only on that lane's own inputs.
 
+    A lane whose service completion an iteration fires also fires, in that
+    iteration, the cross arrival or hypothetical send the completion leaves
+    next: it is the event the following iteration would fire, so a lane
+    alternating departures and arrivals takes one iteration per pair.
+
     With ``drain`` set, a completion whose freshly loaded packet would
     itself complete before the lane's next cross arrival, hypothetical send,
     and deadline hands the lane's whole back-to-back departure run to
     :func:`_drain_runs` inside the same iteration.  The outer iteration
     count then drops from the busiest lane's *event* count to roughly its
     *arrival* count.  A lane's event sequence (times, flows, sizes, drop
-    decisions) and final state are bit-identical with and without draining,
-    and each flat event stream stays chronological *per lane* — the property
-    every consumer relies on (``_LaneIndex`` groups with a stable sort,
-    ``evaluate_batch`` accumulates with unbuffered per-lane ``np.add.at``).
-    Only the cross-lane interleaving of the streams differs; no consumer
-    observes it.
+    decisions) and final state are bit-identical however many of its events
+    one iteration fires, and each flat event stream stays chronological
+    *per lane* — the property every consumer relies on (``_LaneIndex``
+    groups with a stable sort, ``evaluate_batch`` accumulates with
+    unbuffered per-lane ``np.add.at``).  Only the cross-lane interleaving of
+    the streams differs; no consumer observes it.
     """
     total = int(link_rate.size)
     q_head = np.zeros(total, dtype=np.int64)
@@ -323,10 +329,8 @@ def _run_frontier(
         # enqueues only after advancing through every event at its time).
         if hyp_left:
             completing = (svc_live <= cross_live) & (svc_live <= hyp_live)
-            arriving = ~completing & (cross_live <= hyp_live)
         else:
             completing = svc_live <= cross_live
-            arriving = ~completing
 
         rows = live[completing]
         if rows.size:
@@ -394,20 +398,32 @@ def _run_frontier(
                         comp_flows=comp_flows,
                         comp_sizes=comp_sizes,
                     )
+            # A lane a completion (or a drained run) freed owes the event it
+            # is left with next, and the following iteration would fire
+            # exactly that: re-read its service frontier so the arrival and
+            # send tests below fire it in this one.  A completion moves
+            # neither other frontier, so the gathered ones still hold.
+            svc_live = svc_completion[live]
 
-        rows = live[arriving]
-        if rows.size:
+        # A lane's next event is its arrival (or send) when that beats its
+        # service frontier under the tie order above and its deadline: for a
+        # lane no completion freed this is the plain classification.
+        arriving = (cross_live < svc_live) & (cross_live <= until_live)
+        if hyp_left:
+            arriving &= cross_live <= hyp_live
+        arrivals = live[arriving]
+        if arrivals.size:
             when = cross_live[arriving]
-            enqueue(rows, when, FLOW_CROSS, cross_packet_bits[rows])
-            next_cross[rows] = when + cross_interval[rows]
+            enqueue(arrivals, when, FLOW_CROSS, cross_packet_bits[arrivals])
+            next_cross[arrivals] = when + cross_interval[arrivals]
 
         if hyp_left:
-            sending = ~(completing | arriving)
-            rows = live[sending]
-            if rows.size:
-                next_hyp[rows] = np.inf
-                hyp_left -= int(rows.size)
-                enqueue(rows, send_time[rows], FLOW_HYP, packet_bits_lane[rows])
+            # No deadline test: a lane's deadline is never before its send.
+            sends = live[(hyp_live < svc_live) & (hyp_live < cross_live)]
+            if sends.size:
+                next_hyp[sends] = np.inf
+                hyp_left -= int(sends.size)
+                enqueue(sends, send_time[sends], FLOW_HYP, packet_bits_lane[sends])
 
     if comp_times:
         all_times = np.concatenate(comp_times)

@@ -27,9 +27,9 @@ rollout.  Both write the static per-row fields through one helper, so the
 two cannot drift, and they agree bit for bit on a prior's initial state
 (``tests/test_prior_build.py``).
 
-Rows can be gathered (:meth:`select`), scatter-merged with another state
-(:meth:`interleave`, used when the gate forks the ensemble), and
-materialized back into ordinary
+Rows can be gathered (:meth:`select`, which also lays out a gate fork's
+stay and switch branches, a row repeated per branch) and materialized back
+into ordinary
 :class:`~repro.inference.hypothesis.Hypothesis` objects for the planner.
 
 The one piece of scalar-model state deliberately *not* carried here is the
@@ -67,7 +67,7 @@ _FLOW_CODES = {"own": FLOW_OWN, "cross": FLOW_CROSS}
 _MIN_QUEUE_CAPACITY = 8
 _MIN_LEDGER_CAPACITY = 16
 
-#: Per-row 1D buffers, gathered/scattered wholesale by select/interleave.
+#: Per-row 1D buffers, gathered wholesale by select.
 #: Must stay in sync with ``__slots__`` (there is one list, used by both).
 _ROW_FIELDS = (
     "link_rate",
@@ -365,57 +365,6 @@ class EnsembleState:
             setattr(out, name, getattr(self, name)[indices])
         out.own_seqs = self.own_seqs.copy()
         out.own_sent_times = self.own_sent_times.copy()
-        out.n_own = self.n_own
-        return out
-
-    def interleave(
-        self,
-        other: "EnsembleState",
-        self_positions: np.ndarray,
-        other_positions: np.ndarray,
-    ) -> "EnsembleState":
-        """Scatter ``self``'s and ``other``'s rows into one combined state.
-
-        ``self_positions`` / ``other_positions`` give each row's slot in the
-        output (a permutation of ``0 .. size(self)+size(other)``).  This is
-        ``concat`` + ``select`` fused into a single scatter — one write per
-        buffer instead of a copy and a gather — used on the forking hot path
-        where the output order must match the scalar update's interleaved
-        branch order.
-        """
-        if other.n_own != self.n_own or not np.array_equal(
-            other.own_seqs[: other.n_own], self.own_seqs[: self.n_own]
-        ):
-            raise InferenceError("cannot interleave ensembles with different ledgers")
-        total = self.size + other.size
-        queue_cap = max(self.q_flow.shape[1], other.q_flow.shape[1])
-        ledger_cap = max(self.pred_state.shape[1], other.pred_state.shape[1])
-        out = EnsembleState.__new__(EnsembleState)
-        out.size = total
-        out.time = self.time
-
-        def scatter(name: str, width: int | None = None) -> None:
-            first = getattr(self, name)
-            second = getattr(other, name)
-            if width is None:
-                combined = np.empty(total, dtype=first.dtype)
-                combined[self_positions] = first
-                combined[other_positions] = second
-            else:
-                # Zero-fill keeps the canonical padding past q_len / n_own.
-                combined = np.zeros((total, width), dtype=first.dtype)
-                combined[self_positions, : first.shape[1]] = first
-                combined[other_positions, : second.shape[1]] = second
-            setattr(out, name, combined)
-
-        for name in _ROW_FIELDS:
-            scatter(name)
-        for name in _QUEUE_FIELDS:
-            scatter(name, queue_cap)
-        for name in _LEDGER_FIELDS:
-            scatter(name, ledger_cap)
-        out.own_seqs = _pad_columns(self.own_seqs[None, :], ledger_cap)[0]
-        out.own_sent_times = _pad_columns(self.own_sent_times[None, :], ledger_cap)[0]
         out.n_own = self.n_own
         return out
 

@@ -491,6 +491,107 @@ class TestPropertyStyle:
             )
 
 
+def comparable_state(hypothesis):
+    """``export_state`` with predictions in one order: the scalar model lists
+    them in event order, a materialized row chronologically."""
+    state = hypothesis.export_state()
+    state["predictions"] = sorted(state["predictions"], key=lambda entry: (entry[2], entry[0]))
+    return state
+
+
+class TestOneFrontierFork:
+    """A gate fork advances its stay and switch branches in one frontier,
+    each row firing what a completion leaves it owing in the same iteration,
+    and every branch is still ``Hypothesis.evolve``'s to the bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                # 12 kbit/s serves a 12 kbit packet in exactly 1 s, and the
+                # cross rates are reciprocals of whole or half seconds: with
+                # integer send and update times, completions, arrivals and
+                # the fork's midpoint flip keep landing on the same instant.
+                # Tie order shows only in a full buffer (who is tail-dropped),
+                # so most buffers hold one or two packets.
+                st.sampled_from([6_000.0, 12_000.0, 24_000.0]),
+                st.sampled_from([12_000.0, 24_000.0, 96_000.0]),
+                st.sampled_from([0.0, 12_000.0]),
+                st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+                st.sampled_from([6_000.0, 12_000.0, 18_000.0]),
+                st.sampled_from([None, 2.0, 30.0]),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        send_times=st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0]), max_size=6),
+        steps=st.lists(st.sampled_from([0.5, 1.0, 2.0, 4.0, 7.5]), min_size=1, max_size=3),
+    )
+    def test_branches_equal_scalar_evolve(self, rows, send_times, steps):
+        from repro.inference.vectorized import EnsembleState, engine
+
+        hypotheses = []
+        for link_rate, capacity, fill, cross_rate, cross_bits, mtts, cross_on in rows:
+            params = {
+                "link_rate_bps": link_rate,
+                "buffer_capacity_bits": capacity,
+                "initial_fill_bits": fill,
+                "cross_rate_pps": cross_rate,
+                "cross_packet_bits": cross_bits,
+                "cross_initially_on": cross_on,
+            }
+            if mtts is not None:
+                params["mean_time_to_switch"] = mtts
+            hypotheses.append(Hypothesis.from_params(params))
+        for seq, at in enumerate(sorted(send_times)):
+            for hypothesis in hypotheses:
+                hypothesis.record_send(seq, 12_000.0, at)
+        state = EnsembleState.from_hypotheses(hypotheses)
+
+        now = max(send_times, default=0.0)
+        for step in steps:
+            now += step
+            state, parents, probabilities = engine.fork_and_advance(state, now)
+            branches = [
+                (parent, branch, probability)
+                for parent, hypothesis in enumerate(hypotheses)
+                for branch, probability in hypothesis.evolve(now)
+                if probability > 0.0
+            ]
+            hypotheses = [branch for _, branch, _ in branches]
+            assert parents.tolist() == [parent for parent, _, _ in branches]
+            assert probabilities.tolist() == [probability for _, _, probability in branches]
+            assert state.time == now
+            assert [comparable_state(state.materialize(row)) for row in range(state.size)] == [
+                comparable_state(hypothesis) for hypothesis in hypotheses
+            ]
+
+    def test_a_fork_is_one_advance_over_one_gather(self, monkeypatch):
+        """Stay and switch branches are gathered once and advanced together:
+        one ``advance`` call and one ``select`` per forking update."""
+        from repro.inference.vectorized import EnsembleState, engine
+
+        belief = BeliefState.from_prior(figure3_prior(), backend="vectorized")
+        belief.record_send(0, 12_000.0, 0.0)
+        calls = {"advance": 0, "select": 0}
+
+        def counting(name, original):
+            def spy(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return spy
+
+        monkeypatch.setattr(engine, "advance", counting("advance", engine.advance))
+        monkeypatch.setattr(EnsembleState, "select", counting("select", EnsembleState.select))
+        state = belief.state
+        assert engine.can_fork(state).all()
+        branch_state, parents, _ = engine.fork_and_advance(state, 3.0)
+        assert calls == {"advance": 1, "select": 1}
+        assert branch_state.size == parents.size == 2 * state.size
+
+
 class ArrayKernelOnly(VectorizedBeliefState):
     """The array belief with the hand-off rule replaced by a no-op."""
 

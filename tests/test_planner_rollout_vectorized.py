@@ -110,25 +110,28 @@ class TestBatchedRolloutExactness:
 
     DELAYS = (0.0, 0.7, 2.5, 30.0)
 
-    def assert_lane_outcomes_match(self, hypothesis, now, horizon=4.0):
+    def assert_lane_outcomes_match(self, hypotheses, now, horizon=4.0, delays=DELAYS):
+        """Every (action × hypothesis) lane of one batch against the scalar
+        rollout of that hypothesis."""
         batch = rollout_hypotheses(
-            [hypothesis], self.DELAYS, horizon=horizon, packet_bits=12_000.0, now=now
+            hypotheses, delays, horizon=horizon, packet_bits=12_000.0, now=now
         )
-        for index, delay in enumerate(self.DELAYS):
-            reference = hypothesis.rollout(
-                action_delay=delay, horizon=horizon, packet_bits=12_000.0, now=now
-            )
-            lane = batch.lane_outcome(index)
-            assert lane.own_deliveries == reference.own_deliveries
-            assert lane.own_drops == reference.own_drops
-            assert lane.cross_deliveries == reference.cross_deliveries
-            assert lane.cross_drops == reference.cross_drops
-            assert lane.final_queue_bits == reference.final_queue_bits
-            assert lane.final_cross_backlog_bits == reference.final_cross_backlog_bits
-            assert lane.hypothetical_delivered == reference.hypothetical_delivered
-            assert lane.hypothetical_delivery_time == reference.hypothetical_delivery_time
-            assert lane.action_delay == delay
-            assert lane.decision_time == reference.decision_time
+        for action, delay in enumerate(delays):
+            for row, hypothesis in enumerate(hypotheses):
+                reference = hypothesis.rollout(
+                    action_delay=delay, horizon=horizon, packet_bits=12_000.0, now=now
+                )
+                lane = batch.lane_outcome(action * len(hypotheses) + row)
+                assert lane.own_deliveries == reference.own_deliveries
+                assert lane.own_drops == reference.own_drops
+                assert lane.cross_deliveries == reference.cross_deliveries
+                assert lane.cross_drops == reference.cross_drops
+                assert lane.final_queue_bits == reference.final_queue_bits
+                assert lane.final_cross_backlog_bits == reference.final_cross_backlog_bits
+                assert lane.hypothetical_delivered == reference.hypothetical_delivered
+                assert lane.hypothetical_delivery_time == reference.hypothetical_delivery_time
+                assert lane.action_delay == delay
+                assert lane.decision_time == reference.decision_time
 
     def test_randomized_lane_outcomes(self):
         rng = random.Random(31)
@@ -138,7 +141,48 @@ class TestBatchedRolloutExactness:
             for seq in range(rng.randint(0, 6)):
                 at += rng.uniform(0.1, 0.9)
                 hypothesis.record_send(seq, 12_000.0, at)
-            self.assert_lane_outcomes_match(hypothesis, now=at + 1.0)
+            self.assert_lane_outcomes_match([hypothesis], now=at + 1.0)
+
+    def test_same_instant_events_match_the_scalar_rollout(self):
+        """Completions, cross arrivals and sends due at one instant, across
+        lanes that free their servers in different iterations: a lane fires
+        the arrival or send a completion leaves it owing in the iteration
+        that frees it, in the scalar rollout's tie order."""
+        rng = random.Random(47)
+        for _ in range(30):
+            hypotheses = [
+                # 12 kbit/s serves a 12 kbit packet in exactly 1 s, and the
+                # cross intervals are whole or half seconds, so events keep
+                # coinciding with each other and with the integer-spaced sends.
+                # Tie order shows only in a full buffer (who is tail-dropped),
+                # so the buffers hold one or two packets and the link is
+                # mostly overloaded.
+                Hypothesis.from_params(
+                    {
+                        "link_rate_bps": rng.choice([6_000.0, 12_000.0, 24_000.0]),
+                        "buffer_capacity_bits": rng.choice([12_000.0, 24_000.0]),
+                        "initial_fill_bits": rng.choice([0.0, 12_000.0]),
+                        "loss_rate": rng.choice([0.0, 0.2]),
+                        "cross_rate_pps": rng.choice([0.5, 1.0, 2.0]),
+                        "cross_packet_bits": rng.choice([6_000.0, 12_000.0, 18_000.0]),
+                        "mean_time_to_switch": 10.0,
+                        "cross_initially_on": rng.random() < 0.8,
+                    }
+                )
+                for _ in range(rng.randint(1, 4))
+            ]
+            sends = sorted(rng.choice([0.0, 0.5, 1.0, 2.0]) for _ in range(rng.randint(0, 5)))
+            for seq, at in enumerate(sends):
+                for hypothesis in hypotheses:
+                    hypothesis.record_send(seq, 12_000.0, at)
+            # The decision instant is past the model clock, so no send shares
+            # it with the clock (the scalar tie rule there is ROADMAP 1(a)).
+            self.assert_lane_outcomes_match(
+                hypotheses,
+                now=(sends[-1] if sends else 0.0) + 1.0,
+                horizon=rng.choice([3.0, 6.0]),
+                delays=(0.0, 0.5, 1.0, 2.0, 3.0),
+            )
 
     def test_tail_drop_of_the_hypothetical(self):
         hypothesis = Hypothesis.from_params(
@@ -163,7 +207,7 @@ class TestBatchedRolloutExactness:
             {"link_rate_bps": 12_000.0, "buffer_capacity_bits": 96_000.0}
         )
         hypothesis.record_send(0, 12_000.0, 0.0)
-        self.assert_lane_outcomes_match(hypothesis, now=0.0, horizon=1.5)
+        self.assert_lane_outcomes_match([hypothesis], now=0.0, horizon=1.5)
 
     def test_stay_silent_stops_at_the_horizon(self):
         """send_packet=False must not advance lanes past the horizon end."""
