@@ -9,7 +9,9 @@ observation to a first-class artifact:
 
 * :class:`PolicyTable` maps discretized belief signatures (the same digest
   :meth:`~repro.inference.belief.BeliefState.decision_signature` the cache
-  uses) to precomputed :class:`~repro.core.planner.Decision` objects.  It
+  uses: per top row an assignment digest, a rounded weight, the gate, the
+  rounded backlog and the busy flag) to precomputed
+  :class:`~repro.core.planner.Decision` objects.  It
   plugs into :class:`~repro.core.isender.ISender` through the same
   ``policy=`` slot as the cache; signatures outside the table fall back to
   live planning (and are learned, so the table keeps densifying).
@@ -46,7 +48,8 @@ from repro.inference.belief import BeliefState
 from repro.inference.prior import Prior
 
 #: Serialization format version, bumped on incompatible layout changes.
-TABLE_SCHEMA_VERSION = 1
+#: Version 2: a signature row names its parameter assignment by digest.
+TABLE_SCHEMA_VERSION = 2
 
 #: Sequence-number base for synthetic sweep sends, clear of any real run.
 _SWEEP_SEQ_BASE = 2_000_000
@@ -71,6 +74,7 @@ def decision_to_payload(decision: Decision) -> dict:
 #: tuples from an in-process payload; ``bool`` is not a number here.
 _SEQUENCE = (list, tuple)
 _NUMBER = (float, int)
+_FLOAT_MAX = sys.float_info.max
 
 
 def _finite(what: str, value) -> float:
@@ -79,7 +83,7 @@ def _finite(what: str, value) -> float:
         raise TypeError(f"{what} is a number, not {type(value).__name__}")
     # One comparison rejects NaN, both infinities and an int too big for a
     # float (``float(10**400)`` would raise OverflowError instead).
-    if not abs(value) <= sys.float_info.max:
+    if not abs(value) <= _FLOAT_MAX:
         raise ValueError(f"{what} is finite, not {value!r}")
     return float(value)
 
@@ -124,10 +128,13 @@ def signature_from_json(value) -> tuple:
     serving request arrives as nested lists; this restores the exact
     hashable tuple :meth:`~repro.inference.belief.BeliefState.decision_signature`
     produces, suitable for direct table lookup.  It knows the signature's
-    fixed shape — rows of ``(parameter pairs, weight, gate_on,
-    backlog_rounds, busy)`` — and raises :class:`TypeError` or
-    :class:`ValueError` for anything else, so untrusted input never reaches
-    a table or a planner as an unhashable or mis-shaped key.
+    fixed shape — rows of ``(assignment_digest, weight, gate_on,
+    backlog_rounds, busy)``: a ``str``, a finite number, a ``bool``, an
+    ``int`` a float can hold and a ``bool`` — and raises :class:`TypeError`
+    or :class:`ValueError` for anything else (``NaN`` and ``Infinity``
+    included, which Python's JSON reader accepts), so untrusted input never
+    reaches a table or a planner as an unhashable, mis-shaped or
+    non-finite key.
     """
     if type(value) not in _SEQUENCE:
         raise TypeError(f"a signature is a list of rows, not {type(value).__name__}")
@@ -137,26 +144,22 @@ def signature_from_json(value) -> tuple:
     for row in value:
         if type(row) not in _SEQUENCE:
             raise TypeError(f"a signature row is a list, not {type(row).__name__}")
-        pairs, weight, gate_on, backlog_rounds, busy = row
-        params = []
-        # A pair that is not a two-element list fails here too: unpacking
-        # rejects a wrong length, and a string's characters or a dict's
-        # keys are strings, never the number the check below demands.
-        for name, number in pairs:
-            if type(name) is not str or type(number) not in _NUMBER:
-                raise TypeError(
-                    "a parameter pair is (str, number), not "
-                    f"({type(name).__name__}, {type(number).__name__})"
-                )
-            params.append((name, number))
+        digest, weight, gate_on, backlog_rounds, busy = row
         if (
-            type(weight) not in _NUMBER
+            type(digest) is not str
+            or type(weight) not in _NUMBER
             or type(gate_on) is not bool
             or type(backlog_rounds) is not int
             or type(busy) is not bool
         ):
-            raise TypeError("a row ends (number weight, bool gate_on, int backlog_rounds, bool busy)")
-        rows.append((tuple(params), weight, gate_on, backlog_rounds, busy))
+            raise TypeError(
+                "a row is (str assignment digest, number weight, bool gate_on, "
+                "int backlog_rounds, bool busy)"
+            )
+        # _finite's test, inline: this runs for every row of every request.
+        if not (abs(weight) <= _FLOAT_MAX and abs(backlog_rounds) <= _FLOAT_MAX):
+            raise ValueError(f"a row's numbers are finite, not {weight!r}, {backlog_rounds!r}")
+        rows.append((digest, weight, gate_on, backlog_rounds, busy))
     return tuple(rows)
 
 
@@ -169,7 +172,9 @@ class PolicyTable(PolicyCache):
     table keys exactly as it was computed, whatever planner is attached
     later), the fallback planner is optional until attached, learning can
     be frozen, and the entries serialize to JSON keyed by the owning
-    config's fingerprint.
+    config's fingerprint.  A key names each row's parameter assignment by
+    its 16-hex digest, so a Figure-3 ``/decide`` request is about 780 bytes
+    of JSON.
 
     Parameters
     ----------

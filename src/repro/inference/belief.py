@@ -108,7 +108,7 @@ class HypothesisRows:
             model = hypothesis.model
             parts.append(
                 (
-                    tuple(sorted(hypothesis.params.items())),
+                    hypothesis.params_digest,
                     round(weights[row], 3),
                     model.gate_on,
                     round(model.backlog_bits / queue_resolution_bits),
@@ -369,10 +369,15 @@ class BeliefState:
         """A coarse, hashable digest of the decision-relevant belief state.
 
         Used by the planner layer's ``PolicyCache`` as its memoization
-        key: per top hypothesis, the parameter assignment, the weight
-        rounded to 3 decimals, the gate state, the backlog rounded to
-        ``queue_resolution_bits``, and whether the link is busy.  Backends
-        produce identical tuples for equivalent ensembles.
+        key, and as a served decision's key on the wire: per top
+        hypothesis, ``(assignment_digest, weight, gate_on, backlog_rounds,
+        busy)`` — the 16-hex
+        :func:`~repro.inference.parameters.assignment_digest` of its
+        parameter assignment (computed once per assignment, never per
+        call), the weight rounded to 3 decimals, the gate state, the
+        backlog rounded to ``queue_resolution_bits``, and whether the link
+        is busy.  Backends produce identical tuples for equivalent
+        ensembles.
         """
         return self._rows.decision_signature(self._weights, count, queue_resolution_bits)
 

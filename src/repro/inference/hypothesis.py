@@ -32,6 +32,7 @@ from typing import Callable, Iterable, Mapping, Optional
 from repro.inference.likelihood import LikelihoodKernel
 from repro.inference.linkmodel import LinkModel, LinkModelParams
 from repro.inference.observation import AckObservation
+from repro.inference.parameters import assignment_digest
 
 #: Sequence number used for the hypothetical packet injected by rollouts.
 HYPOTHETICAL_SEQ = -1_000_000
@@ -81,11 +82,21 @@ def rollout_outcome_digest(outcome: RolloutOutcome) -> dict:
 class Hypothesis:
     """A weighted candidate configuration of the network."""
 
-    __slots__ = ("params", "model", "_resolved", "_lost_seqs")
+    __slots__ = ("params", "params_digest", "model", "_resolved", "_lost_seqs")
 
-    def __init__(self, params: Mapping[str, float], model: LinkModel) -> None:
+    def __init__(
+        self,
+        params: Mapping[str, float],
+        model: LinkModel,
+        params_digest: Optional[str] = None,
+    ) -> None:
         #: The parameter assignment this hypothesis was built from.
         self.params = dict(params)
+        #: Its :func:`~repro.inference.parameters.assignment_digest`, the
+        #: name a decision signature row gives it (a clone passes its own).
+        self.params_digest = (
+            params_digest if params_digest is not None else assignment_digest(self.params)
+        )
         #: The forward model holding the latent state.
         self.model = model
         self._resolved: set[int] = set()
@@ -95,7 +106,7 @@ class Hypothesis:
 
     def clone(self) -> "Hypothesis":
         """Deep-enough copy: the model is cloned, bookkeeping sets are copied."""
-        duplicate = Hypothesis(self.params, self.model.clone())
+        duplicate = Hypothesis(self.params, self.model.clone(), self.params_digest)
         duplicate._resolved = set(self._resolved)
         duplicate._lost_seqs = set(self._lost_seqs)
         return duplicate
@@ -110,9 +121,15 @@ class Hypothesis:
         return state
 
     @classmethod
-    def from_state(cls, params: Mapping[str, float], model_params, state: dict) -> "Hypothesis":
+    def from_state(
+        cls,
+        params: Mapping[str, float],
+        model_params,
+        state: dict,
+        params_digest: Optional[str] = None,
+    ) -> "Hypothesis":
         """Rebuild a hypothesis from :meth:`export_state` output."""
-        hypothesis = cls(params, LinkModel.from_state(model_params, state))
+        hypothesis = cls(params, LinkModel.from_state(model_params, state), params_digest)
         hypothesis._resolved = set(state["resolved"])
         hypothesis._lost_seqs = set(state["lost"])
         return hypothesis

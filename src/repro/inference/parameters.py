@@ -9,10 +9,12 @@ probability.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence
 
+from repro._persist import canonical_digest
 from repro.errors import ConfigurationError
 
 
@@ -26,6 +28,30 @@ def uniform_grid(low: float, high: float, count: int) -> tuple[float, ...]:
         return (low,)
     step = (high - low) / (count - 1)
     return tuple(low + step * index for index in range(count))
+
+
+def assignment_digest(assignment: Mapping[str, float]) -> str:
+    """The 16-hex name of one parameter assignment in a decision signature.
+
+    The :func:`~repro._persist.canonical_digest` of the assignment with every
+    number written as a float, so it does not depend on dict order, and two
+    assignments share a digest exactly when their sorted ``(name, value)``
+    pairs compare equal (``1`` and ``1.0``, ``0.0`` and ``-0.0`` alike).
+    Memoized on the items in insertion order, which that rule makes exact: a
+    prior's points are hashed once per process, not once per belief built
+    from them.
+    """
+    return _items_digest(tuple(assignment.items()))
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def _items_digest(items: tuple) -> str:
+    return canonical_digest(
+        {
+            name: float(value) + 0.0 if isinstance(value, (int, float)) else value
+            for name, value in items
+        }
+    )
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,12 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
 from repro.errors import ConfigurationError
-from repro.inference.parameters import ParameterGrid, ParameterSpec, uniform_grid
+from repro.inference.parameters import (
+    ParameterGrid,
+    ParameterSpec,
+    assignment_digest,
+    uniform_grid,
+)
 from repro.units import DEFAULT_PACKET_BITS
 
 
@@ -45,6 +50,12 @@ class Prior:
             merged = dict(self.fixed)
             merged.update(assignment)
             yield merged, probability
+
+    def points_by_digest(self) -> dict[str, dict[str, float]]:
+        """Every assignment of the support, keyed by the
+        :func:`~repro.inference.parameters.assignment_digest` a decision
+        signature row names it by."""
+        return {assignment_digest(assignment): assignment for assignment, _ in self.combinations()}
 
     def parameter_values(self, name: str) -> Sequence[float]:
         """The discrete support of one gridded parameter."""

@@ -85,7 +85,7 @@ class ArrayRows:
             )
             parts.append(
                 (
-                    state.params_keys[row],
+                    state.params_digest[row],
                     round(weight, 3),
                     bool(state.gate_on[row]),
                     round(backlog / queue_resolution_bits),

@@ -50,6 +50,7 @@ import numpy as np
 from repro.errors import InferenceError
 from repro.inference.hypothesis import Hypothesis
 from repro.inference.linkmodel import LinkModelParams, initial_fill
+from repro.inference.parameters import assignment_digest
 
 #: Integer flow codes used inside the array buffers.
 FLOW_OWN = 0
@@ -91,7 +92,7 @@ _ROW_FIELDS = (
     "q_len",
     "queue_bits",
     "params_dicts",
-    "params_keys",
+    "params_digest",
     "params_id",
     "model_params",
 )
@@ -144,7 +145,7 @@ class EnsembleState:
         "lost",
         # per-row Python metadata (object ndarrays so gathers stay in C)
         "params_dicts",
-        "params_keys",
+        "params_digest",
         "params_id",
         "model_params",
     )
@@ -174,7 +175,9 @@ class EnsembleState:
         size = len(params)
         self.size = size
         self.time = float(start_time)
-        self._write_static(assignments, params)
+        self._write_static(
+            assignments, params, [assignment_digest(assignment) for assignment in assignments]
+        )
 
         self.gate_on = self.has_cross & np.array(
             [p.cross_initially_on for p in params], dtype=bool
@@ -238,6 +241,7 @@ class EnsembleState:
         self._write_static(
             [hypothesis.params for hypothesis in hypotheses],
             [hypothesis.model.params for hypothesis in hypotheses],
+            [hypothesis.params_digest for hypothesis in hypotheses],
         )
 
         self.gate_on = np.array([s["gate_on"] for s in states], dtype=bool)
@@ -299,17 +303,17 @@ class EnsembleState:
         self,
         params_dicts: Sequence[Mapping[str, float]],
         params: Sequence[LinkModelParams],
+        digests: Sequence[str],
     ) -> None:
         """Every per-row field that never changes, from both ways in."""
         self.model_params = _object_array(params)
         self.params_dicts = _object_array(params_dicts)
-        keys = [tuple(sorted(assignment.items())) for assignment in params_dicts]
-        self.params_keys = _object_array(keys)
+        self.params_digest = _object_array(digests)
         # Distinct parameter assignments interned as small integers, so the
         # compaction digest can treat "same configuration" as an int compare.
-        interned: dict[tuple, int] = {}
+        interned: dict[str, int] = {}
         self.params_id = np.array(
-            [interned.setdefault(key, len(interned)) for key in keys], dtype=np.int64
+            [interned.setdefault(digest, len(interned)) for digest in digests], dtype=np.int64
         )
         self.link_rate = np.array([p.link_rate_bps for p in params], dtype=float)
         self.buffer_cap = np.array([p.buffer_capacity_bits for p in params], dtype=float)
@@ -613,7 +617,7 @@ class EnsembleState:
             "lost": [seqs[col] for col in np.nonzero(lost_row)[0].tolist()],
         }
         return Hypothesis.from_state(
-            self.params_dicts[row], self.model_params[row], state
+            self.params_dicts[row], self.model_params[row], state, self.params_digest[row]
         )
 
     # ----------------------------------------------------------------- helpers

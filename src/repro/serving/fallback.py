@@ -13,7 +13,7 @@ answer instead of an error:
    belief reconstructed from the signature (:func:`belief_from_signature`),
    bounded by a per-call timeout and guarded by a per-config
    :class:`~repro.serving.breaker.CircuitBreaker`.  Only a signature whose
-   every row's parameter assignment is a point of the config's prior is
+   every row's assignment digest names a point of the config's prior is
    planned; anything else goes to tier 3 without touching the breaker.
 3. **Safe default** — the documented conservative action (see
    :func:`safe_default_decision`): wait one packet service time at the
@@ -31,7 +31,7 @@ import queue
 import threading
 import time
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Mapping, Optional
 
 from repro.api.config import SenderConfig
 from repro.api.policy import decision_to_payload
@@ -67,6 +67,7 @@ DEFAULT_SAFE_DELAY = 1_500.0 / 8_000.0
 
 def belief_from_signature(
     signature: tuple,
+    assignments: Mapping[str, Mapping[str, float]],
     *,
     queue_resolution_bits: float,
     now: float = 0.0,
@@ -75,12 +76,16 @@ def belief_from_signature(
 
     A :meth:`~repro.inference.belief.BeliefState.decision_signature` is, by
     construction, everything the planner's decision depends on: per top
-    hypothesis the parameter assignment, the (rounded) weight, the gate
-    state, the queue occupancy rounded to ``queue_resolution_bits``, and
-    whether the link is busy.  This inverts it into a concrete ensemble —
-    one :class:`~repro.inference.hypothesis.Hypothesis` per signature row,
-    with the queue refilled to the row's occupancy — so tier 2 can run the
-    *live planner* on exactly the state the table would have been keyed by.
+    hypothesis the digest of its parameter assignment, the (rounded)
+    weight, the gate state, the queue occupancy rounded to
+    ``queue_resolution_bits``, and whether the link is busy.  This inverts
+    it into a concrete ensemble — one
+    :class:`~repro.inference.hypothesis.Hypothesis` per signature row, built
+    from the assignment ``assignments`` (the config's
+    :meth:`~repro.inference.prior.Prior.points_by_digest`) holds under the
+    row's digest, with the queue refilled to the row's occupancy — so tier 2
+    can run the *live planner* on exactly the state the table would have
+    been keyed by.
 
     Canonicalization notes: occupancy is refilled as buffer fill (a busy
     row with zero rounded backlog gets a quarter-resolution filler so the
@@ -94,9 +99,9 @@ def belief_from_signature(
     weights: list[float] = []
     for row in signature:
         try:
-            params_items, weight, gate_on, backlog_rounds, busy = row
-            params = dict(params_items)
-        except (TypeError, ValueError) as error:
+            digest, weight, gate_on, backlog_rounds, busy = row
+            params = assignments[digest]
+        except (TypeError, ValueError, KeyError) as error:
             raise ServingError(f"malformed signature row {row!r}: {error}") from error
         capacity = float(params["buffer_capacity_bits"])
         fill = float(backlog_rounds) * queue_resolution_bits
@@ -320,15 +325,11 @@ class DecisionService:
     ) -> None:
         self.registry = registry
         self.configs = {config.fingerprint(): config for config in configs}
-        # Tier 2's admission test: the parameter assignments of each config's
-        # prior, keyed as a signature row carries them.
+        # Tier 2's admission test and its way back from a row to a
+        # configuration: each config's prior points, keyed by the digest a
+        # signature row names them by.
         self._prior_points = {
-            fingerprint: frozenset(
-                tuple(sorted(assignment.items()))
-                for assignment, _ in (
-                    config.prior.combinations() if config.prior is not None else ()
-                )
-            )
+            fingerprint: config.prior.points_by_digest() if config.prior is not None else {}
             for fingerprint, config in self.configs.items()
         }
         self.planner_timeout = planner_timeout
@@ -556,7 +557,10 @@ class DecisionService:
             if faults is not None:
                 faults.perform_planner_fault()
             belief = belief_from_signature(
-                signature, queue_resolution_bits=queue_resolution_bits, now=now
+                signature,
+                self._prior_points[fingerprint],
+                queue_resolution_bits=queue_resolution_bits,
+                now=now,
             )
             return planner.decide(belief, now)
 

@@ -6,10 +6,13 @@ capable — in front of a :class:`~repro.serving.fallback.DecisionService`.
 Routes:
 
 * ``POST /decide`` — body ``{"fingerprint": ..., "signature": [...],
-  "now": ...}``; answers with the served decision, its tier, and a counter
-  snapshot.  Admission control is enforced *here*: when the number of
-  in-flight decisions reaches ``max_pending`` the request is shed — still
-  HTTP 200, still a valid (safe-default) decision, but
+  "now": ...}``, each signature row ``[assignment_digest, weight, gate_on,
+  backlog_rounds, busy]`` (a Figure-3 request is about 780 bytes); answers
+  with the served decision, its tier, and a counter snapshot.  A body of
+  any other shape, or with a weight or ``now`` that is not finite, is a 400
+  that counts nothing.  Admission control is enforced *here*: when the
+  number of in-flight decisions reaches ``max_pending`` the request is
+  shed — still HTTP 200, still a valid (safe-default) decision, but
   ``"status": "overloaded"`` so a well-behaved client backs off.
 * ``POST /reload`` — drop the registry's memory cache; in-flight requests
   keep the table object they already hold.
@@ -30,7 +33,7 @@ import asyncio
 import json
 from typing import Optional
 
-from repro.api.policy import signature_from_json
+from repro.api.policy import _finite, signature_from_json
 from repro.errors import OverloadedError, ServingError
 from repro.serving.fallback import DecisionService
 from repro.serving.health import healthz_payload, readyz_payload
@@ -208,7 +211,7 @@ class PolicyServer:
             if not is_path_component(fingerprint):
                 raise ValueError(f"fingerprint {fingerprint!r} is not one path component")
             signature = signature_from_json(request["signature"])
-            now = float(request.get("now", 0.0))
+            now = _finite("now", request.get("now", 0.0))
         except (ValueError, KeyError, TypeError, RecursionError) as error:
             return 400, {"status": "error", "error": f"malformed /decide request: {error}"}
 

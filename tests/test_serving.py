@@ -35,6 +35,7 @@ from repro.errors import (
     TableIntegrityError,
 )
 from repro.inference import single_link_prior
+from repro.inference.parameters import assignment_digest
 from repro.runner.faults import FaultPlan, PointFault
 from repro.runner.supervise import Supervision
 from repro.serving import (
@@ -353,17 +354,21 @@ class TestBeliefFromSignature:
         resolution = config.policy_resolution_bits
         signature = belief.decision_signature(config.top_k, resolution)
 
+        points = config.prior.points_by_digest()
         rebuilt = belief_from_signature(
-            signature, queue_resolution_bits=resolution, now=0.4
+            signature, points, queue_resolution_bits=resolution, now=0.4
         )
         again = rebuilt.decision_signature(config.top_k, resolution)
         assert len(again) == len(signature)
         for row, row2 in zip(signature, again):
-            assert row2[0] == row[0]  # params
+            assert row2[0] == row[0]  # assignment digest
             assert row2[1] == pytest.approx(row[1], abs=1.5e-3)  # weight
             assert row2[2] == row[2]  # gate
             assert row2[3] == row[3]  # backlog rounds
             assert row2[4] == row[4]  # busy
+        # Each row is rebuilt from the very assignment its digest names.
+        for hypothesis, _ in rebuilt.top(len(rebuilt)):
+            assert points[hypothesis.params_digest] == hypothesis.params
 
     def test_idle_rows_come_back_idle(self):
         config = fast_config()
@@ -371,18 +376,20 @@ class TestBeliefFromSignature:
         resolution = config.policy_resolution_bits
         signature = belief.decision_signature(config.top_k, resolution)
         assert all(not row[4] for row in signature)
-        rebuilt = belief_from_signature(signature, queue_resolution_bits=resolution)
+        rebuilt = belief_from_signature(
+            signature, config.prior.points_by_digest(), queue_resolution_bits=resolution
+        )
         assert rebuilt.decision_signature(config.top_k, resolution) == signature
 
     def test_empty_signature_is_rejected(self):
         with pytest.raises(ServingError, match="empty signature"):
-            belief_from_signature((), queue_resolution_bits=3_000.0)
+            belief_from_signature((), {}, queue_resolution_bits=3_000.0)
 
     def test_malformed_row_is_rejected(self):
-        with pytest.raises(ServingError, match="malformed signature row"):
-            belief_from_signature(
-                (("not", "a", "row"),), queue_resolution_bits=3_000.0
-            )
+        points = fast_config().prior.points_by_digest()
+        for row in (("not", "a", "row"), ("0" * 16, 1.0, True, 0, False)):
+            with pytest.raises(ServingError, match="malformed signature row"):
+                belief_from_signature((row,), points, queue_resolution_bits=3_000.0)
 
 
 # ----------------------------------------------------- the fallback chain
@@ -412,6 +419,7 @@ class TestDecisionServiceTiers:
         direct = planner.decide(
             belief_from_signature(
                 signature,
+                config.prior.points_by_digest(),
                 queue_resolution_bits=table.queue_resolution_bits,
                 now=5.0,
             ),
@@ -930,7 +938,18 @@ MALFORMED_SIGNATURES = {
     "wrong row arity": [[1, 2]],
     "list-valued parameter": [[[["link_rate_bps", [12_000.0]]], 0.5, True, 0, False]],
     "nested pair": [[[[["link_rate_bps", 12_000.0]]], 0.5, True, 0, False]],
-    "string weight": [[[["link_rate_bps", 12_000.0]], "0.5", True, 0, False]],
+    "string weight": [["0123456789abcdef", "0.5", True, 0, False]],
+    "int digest": [[12_000, 0.5, True, 0, False]],
+}
+
+#: ``(weight, now)`` a client can send that Python's JSON reader accepts but
+#: no sender produces: each is a 400, not a tier-2 failure.
+NON_FINITE_INPUTS = {
+    "nan weight": (math.nan, 5.0),
+    "inf weight": (math.inf, 5.0),
+    "-inf weight": (-math.inf, 5.0),
+    "nan now": (None, math.nan),
+    "inf now": (None, math.inf),
 }
 
 
@@ -1029,6 +1048,39 @@ class TestHostileRequests:
         assert counters["planner_failures"] == counters["breaker_open"] == 0
         assert service.breaker_for(fingerprint).state == "closed"
 
+    @pytest.mark.parametrize(
+        "weight, now", NON_FINITE_INPUTS.values(), ids=NON_FINITE_INPUTS.keys()
+    )
+    def test_non_finite_inputs_are_400s_and_cannot_open_the_breaker(
+        self, published, tmp_path, weight, now
+    ):
+        """A ``NaN`` weight or ``Infinity`` clock used to reach tier 2 and
+        count as a planner failure: three of them opened the breaker."""
+        config, table, _ = published
+        service = DecisionService(
+            PolicyTableRegistry(tmp_path), [config], breaker_threshold=3
+        )
+        fingerprint = config.fingerprint()
+        valid = off_table_signature(table)
+        hostile = valid if weight is None else tuple(
+            (row[0], weight, *row[2:]) for row in valid
+        )
+
+        async def scenario():
+            async with serving(service) as (_, client):
+                for _ in range(3):
+                    with pytest.raises(ServingError, match=r"\(400\)"):
+                        await client.decide(fingerprint, hostile, now)
+                assert service.counters_snapshot() == fallback.ServingCounters().snapshot()
+                return await client.decide(fingerprint, valid, 5.0)
+
+        payload = run_async(scenario())
+        assert payload["tier"] == "planner"
+        counters = service.counters_snapshot()
+        assert counters["requests"] == counters["planner_fallbacks"] == 1
+        assert counters["planner_failures"] == counters["breaker_open"] == 0
+        assert service.breaker_for(fingerprint).state == "closed"
+
     def test_unparseable_content_length_is_a_400_and_a_close(self, published):
         config, _, registry = published
         service = DecisionService(registry, [config])
@@ -1065,11 +1117,12 @@ class TestHostileRequests:
         assert service.counters_snapshot()["requests"] == 0
 
 
-#: ``(parameter, value)`` a hostile row substitutes into a real signature row:
-#: configurations no sender of the config can report.  A 0-bit or 1e-300-bit
-#: filler packet used to spin a planner thread forever inside LinkModel.
-#: LinkModelParams rejects the 0-bit one and the fill rule the 1e-300-bit one,
-#: but the prior-point check keeps every such row off the planner first.
+#: ``(parameter, value)`` a hostile row substitutes into a real prior point:
+#: configurations no sender of the config can report.  A row names its
+#: assignment by digest, so such a row is well formed and simply names no
+#: prior point.  A 0-bit or 1e-300-bit filler packet used to spin a planner
+#: thread forever inside LinkModel; the prior-point check keeps every such
+#: row off the planner.
 HOSTILE_PARAMETERS = [
     ("filler_packet_bits", 0.0),
     ("filler_packet_bits", -1.0),
@@ -1084,36 +1137,38 @@ HOSTILE_PARAMETERS = [
 
 class TestHostileSignatureParameters:
     def test_off_prior_rows_are_answered_by_tier3_and_never_reach_the_planner(
-        self, published, tmp_path
+        self, published, tmp_path, monkeypatch
     ):
         config, table, _ = published
         service = DecisionService(
             PolicyTableRegistry(tmp_path), [config], planner_timeout=0.5
         )
+        rebuilt: list[tuple] = []
+        real_rebuild = fallback.belief_from_signature
+
+        def rebuild(signature, *args, **kwargs):
+            rebuilt.append(signature)
+            return real_rebuild(signature, *args, **kwargs)
+
+        monkeypatch.setattr(fallback, "belief_from_signature", rebuild)
         fingerprint = config.fingerprint()
         real = table.signatures()[0]
-        pairs = dict(real[0][0])
+        point = config.prior.points_by_digest()[real[0][0]]
         signatures = [
-            ((tuple(sorted({**pairs, name: value}.items())), 1.0, True, 4, True),)
+            ((assignment_digest({**point, name: value}), 1.0, True, 4, True),)
             for name, value in HOSTILE_PARAMETERS
         ]
-        # A hostile row behind a real one, and one the config never had.
+        # A hostile row behind a real one, an assignment the config never
+        # had, and digests that name nothing at all.
         signatures.append(real[:1] + signatures[2])
-        signatures.append(
-            (
-                (
-                    (
-                        ("buffer_capacity_bits", 96000.0),
-                        ("filler_packet_bits", 1e-300),
-                        ("link_rate_bps", 12000.0),
-                    ),
-                    1.0,
-                    True,
-                    4,
-                    True,
-                ),
-            )
-        )
+        stranger = {
+            "buffer_capacity_bits": 96000.0,
+            "filler_packet_bits": 1e-300,
+            "link_rate_bps": 12000.0,
+        }
+        signatures.append(((assignment_digest(stranger), 1.0, True, 4, True),))
+        signatures.append((("0" * 16, 1.0, True, 4, True),))
+        signatures.append((("not a digest", 1.0, True, 4, True),))
         threads = threading.active_count()
         for signature in signatures:
             started = time.monotonic()
@@ -1121,30 +1176,40 @@ class TestHostileSignatureParameters:
             assert time.monotonic() - started < service.planner_timeout
             assert (served.status, served.tier) == ("ok", "default")
         counters = service.counters_snapshot()
-        assert counters["requests"] == len(signatures) == 10
-        assert counters["table_misses"] == counters["default_served"] == 10
+        assert counters["requests"] == len(signatures) == 12
+        assert counters["table_misses"] == counters["default_served"] == 12
         assert counters["planner_failures"] == counters["breaker_open"] == 0
         assert counters["planner_fallbacks"] == 0
         assert service.breaker_for(fingerprint).state == "closed"
         assert threading.active_count() == threads
+        assert rebuilt == []
         # The real signature still plans.
         assert service.decide(fingerprint, real).tier == "planner"
+        assert rebuilt == [real]
 
-    def test_over_http_too(self, published, tmp_path):
+    def test_a_row_carrying_parameter_pairs_is_a_400(self, published, tmp_path):
+        """The row shape before digests: refused by the transport, counted
+        nowhere, and the connection still serves the digest row."""
         config, table, _ = published
         service = DecisionService(
             PolicyTableRegistry(tmp_path), [config], planner_timeout=0.5
         )
-        pairs = dict(table.signatures()[0][0][0])
-        hostile = [[sorted({**pairs, "filler_packet_bits": 1e-300}.items()), 1.0, True, 4, True]]
+        fingerprint = config.fingerprint()
+        real = table.signatures()[0]
+        point = config.prior.points_by_digest()[real[0][0]]
+        pairs_row = [[sorted(point.items()), *real[0][1:]]]
 
         async def scenario():
             async with serving(service) as (_, client):
-                return [await client.decide(config.fingerprint(), hostile) for _ in range(4)]
+                for _ in range(4):
+                    with pytest.raises(ServingError, match=r"\(400\)"):
+                        await client.decide(fingerprint, pairs_row)
+                assert service.counters_snapshot() == fallback.ServingCounters().snapshot()
+                return await client.decide(fingerprint, real)
 
-        assert [reply["tier"] for reply in run_async(scenario())] == ["default"] * 4
-        assert service.counters_snapshot()["planner_failures"] == 0
-        assert service.breaker_for(config.fingerprint()).state == "closed"
+        assert run_async(scenario())["tier"] == "planner"
+        assert service.counters_snapshot()["requests"] == 1
+        assert service.breaker_for(fingerprint).state == "closed"
 
     def test_a_config_without_a_prior_is_never_planned_live(self, published, tmp_path):
         config, table, _ = published

@@ -14,6 +14,7 @@ equal, and a value no planner produces (``NaN``, ``Infinity``, ``true``,
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -25,6 +26,7 @@ from repro.api.policy import (
     decision_to_payload,
     load_or_precompute_policy_table,
     policy_table_cache_path,
+    precompute_policy_table,
     signature_from_json,
     table_quarantine_count,
 )
@@ -37,16 +39,15 @@ from repro.inference import (
     figure3_prior,
     single_link_prior,
 )
+from repro.inference import parameters
+from repro.inference.parameters import assignment_digest
+from repro.runner.scenarios import many_flow_sender_prior
 from repro.serving import DecisionService, PolicyTableRegistry, content_digest
 
 PACKET_BITS = 12_000.0
 
-numbers = st.one_of(
-    st.integers(min_value=-(2**53), max_value=2**53),
-    st.floats(allow_nan=False),  # NaN is not equal to itself, so never a key
-)
 rows = st.tuples(
-    st.lists(st.tuples(st.text(max_size=12), numbers), max_size=4).map(tuple),
+    st.text(alphabet="0123456789abcdef", min_size=16, max_size=16),
     st.floats(min_value=0.0, max_value=1.0),
     st.booleans(),
     st.integers(min_value=0, max_value=1_000),
@@ -164,9 +165,9 @@ class TestSignatureFuzz:
         except (TypeError, ValueError):
             return
         hash(decoded)
-        params, weight, gate_on, backlog_rounds, busy = decoded[row]
-        assert all(type(name) is str and type(number) in (int, float) for name, number in params)
-        assert type(weight) in (int, float) and type(backlog_rounds) is int
+        digest, weight, gate_on, backlog_rounds, busy = decoded[row]
+        assert type(digest) is str and type(backlog_rounds) is int
+        assert type(weight) in (int, float) and math.isfinite(weight)
         assert type(gate_on) is bool and type(busy) is bool
 
     @pytest.mark.parametrize("depth", [10, 100_000])
@@ -179,7 +180,99 @@ class TestSignatureFuzz:
         with pytest.raises((TypeError, ValueError)):
             signature_from_json([[value, 0.5, True, 0, False]])
         with pytest.raises((TypeError, ValueError)):
-            signature_from_json([[[["link_rate_bps", value]], 0.5, True, 0, False]])
+            signature_from_json([["0123456789abcdef", value, True, 0, False]])
+
+    @pytest.mark.parametrize(
+        "weight, backlog_rounds",
+        [
+            ("NaN", "0"),
+            ("Infinity", "0"),
+            ("-Infinity", "0"),
+            ("1" + "0" * 400, "0"),
+            ("0.5", "1" + "0" * 400),
+        ],
+        ids=["nan", "inf", "-inf", "int-weight-no-float-holds", "backlog-no-float-holds"],
+    )
+    def test_a_number_no_belief_produces_is_refused(self, weight, backlog_rounds):
+        wire = f'[["0123456789abcdef", {weight}, true, {backlog_rounds}, false]]'
+        with pytest.raises(ValueError):
+            signature_from_json(json.loads(wire))
+
+    def test_a_row_carrying_parameter_pairs_is_refused(self):
+        (assignment, _), *_ = figure3_prior().combinations()
+        with pytest.raises(TypeError, match="digest"):
+            signature_from_json([[sorted(assignment.items()), 0.5, True, 0, False]])
+
+
+# ------------------------------------------------------------- the small key
+
+
+def serve_table_config() -> SenderConfig:
+    """The Figure-3 config the serving benchmark publishes a table for."""
+    return SenderConfig(
+        prior=figure3_prior(
+            link_rate_points=4,
+            cross_fraction_points=4,
+            loss_points=3,
+            buffer_points=4,
+            fill_points=1,
+        ),
+        belief_backend="fused",
+        rollout_backend="fused",
+        policy="table",
+    )
+
+
+HEX = set("0123456789abcdef")
+
+
+class TestRowsNameAssignmentsByDigest:
+    """A signature row names its parameter assignment by a 16-hex digest."""
+
+    @pytest.mark.parametrize(
+        "prior",
+        [
+            figure3_prior(),
+            many_flow_sender_prior(1_000_000.0 / 128, 96_000.0),
+            many_flow_sender_prior(250_000.0, 1_500_000.0, 1_500.0),
+        ],
+        ids=["figure3", "many-flow", "many-flow-wide"],
+    )
+    def test_every_prior_point_has_its_own_digest(self, prior):
+        digests = [assignment_digest(assignment) for assignment, _ in prior.combinations()]
+        assert len(set(digests)) == len(digests) == prior.size
+        assert all(len(digest) == 16 and set(digest) <= HEX for digest in digests)
+        assert set(prior.points_by_digest()) == set(digests)
+
+    def test_a_digest_does_not_depend_on_dict_order(self):
+        for assignment, _ in figure3_prior().combinations():
+            reordered = dict(reversed(list(assignment.items())))
+            assert list(reordered) != list(assignment)
+            assert assignment_digest(reordered) == assignment_digest(assignment)
+
+    def test_a_digest_follows_value_equality(self):
+        """Equal exactly when the sorted parameter pairs compare equal, and
+        the same whichever spelling the memo met first."""
+        for spellings in ((1, 1.0, True), (0.0, -0.0, 0)):
+            digests = set()
+            for value in spellings:
+                parameters._items_digest.cache_clear()
+                digests.add(assignment_digest({"rate": value}))
+            assert len(digests) == 1, spellings
+        assert assignment_digest({"rate": 1.0}) != assignment_digest({"rate": 1.0 + 2**-52})
+        assert assignment_digest({"rate": 1.0}) != assignment_digest({"speed": 1.0})
+
+    def test_a_figure3_table_request_fits_in_1_kib(self):
+        """The property the digest row exists for: a served Figure-3 decision
+        used to ship about 5 KB of parameter pairs per request."""
+        config = serve_table_config()
+        table = precompute_policy_table(config, sweep_backend="fused")
+        assert table.size > 0
+        for signature in table.signatures():
+            body = json.dumps(
+                {"fingerprint": config.fingerprint(), "signature": signature, "now": 30.0}
+            )
+            assert len(body.encode("utf-8")) <= 1_024, body
 
 
 # ------------------------------------------------------------ decision codec
