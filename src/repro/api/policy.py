@@ -233,6 +233,9 @@ class PolicyTable(PolicyCache):
         self.top_k = top_k
         self.fingerprint = fingerprint
         self.learn = learn
+        #: id(decision) -> (decision, its canonical JSON text); see
+        #: :meth:`decision_json`.
+        self._decision_json: dict[int, tuple[Decision, str]] = {}
 
     # ------------------------------------------------------------------ decide
 
@@ -285,6 +288,27 @@ class PolicyTable(PolicyCache):
         hit/miss counters — the server keeps its own per-tier counters.
         """
         return self._cache.get(signature)
+
+    def decision_json(self, decision: Decision) -> str:
+        """``json.dumps(decision_to_payload(decision), sort_keys=True)``, kept
+        on this table for each decision it serves.
+
+        The policy server splices this text into every reply carrying the
+        decision, so a table hit renders its decision once, not per request
+        (a stored decision is never changed in place).  Kept by the decision
+        object itself: an entry holds its decision, so the ``id`` it is
+        keyed by cannot name another object while it is kept, and no
+        second hash of the signature is paid.  The table keeps no more
+        texts than it has entries (one, when it has none).
+        """
+        kept = self._decision_json.get(id(decision))
+        if kept is not None and kept[0] is decision:
+            return kept[1]
+        text = json.dumps(decision_to_payload(decision), sort_keys=True)
+        if len(self._decision_json) >= len(self._cache):
+            self._decision_json.clear()
+        self._decision_json[id(decision)] = (decision, text)
+        return text
 
     def signatures(self) -> list[tuple]:
         """Every signature with a precomputed decision (serving workloads)."""

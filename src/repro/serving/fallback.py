@@ -30,7 +30,7 @@ import concurrent.futures
 import queue
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional
 
 from repro.api.config import SenderConfig
@@ -266,16 +266,21 @@ class ServedDecision:
     fingerprint: str
     known_config: bool
     table_digest: Optional[str] = None
+    #: The table's kept JSON text of ``decision`` (tier 1 only; see
+    #: :meth:`~repro.api.policy.PolicyTable.decision_json`).
+    decision_json: Optional[str] = field(default=None, compare=False, repr=False)
 
-    def to_payload(self, counters: Optional[dict] = None) -> dict:
-        """The wire form of this response."""
+    def to_payload(self, counters: Optional[dict] = None, *, with_decision: bool = True) -> dict:
+        """The wire form of this response (without its ``"decision"`` for a
+        transport that splices in :attr:`decision_json` instead)."""
         payload = {
             "status": self.status,
             "tier": self.tier,
             "fingerprint": self.fingerprint,
             "known_config": self.known_config,
-            "decision": decision_to_payload(self.decision),
         }
+        if with_decision:
+            payload["decision"] = decision_to_payload(self.decision)
         if self.table_digest is not None:
             payload["table_digest"] = self.table_digest
         if counters is not None:
@@ -464,6 +469,7 @@ class DecisionService:
                     # The version that produced the decision, not a second
                     # CURRENT read a concurrent publish may have moved.
                     table_digest=table.version_digest,
+                    decision_json=table.decision_json(decision),
                 )
         if resident_only:
             return None

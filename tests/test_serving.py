@@ -1647,3 +1647,300 @@ class TestWireFormat:
         assert payload["tier"] == "table"
         assert payload["counters"]["requests"] == 1
         assert payload["decision"]["delay"] == served.decision.action.delay
+
+
+# ------------------------------------------------- transport contract
+
+
+async def read_reply(reader: asyncio.StreamReader) -> tuple[bytes, bytes]:
+    """One HTTP reply off ``reader``: ``(head, body)``."""
+    head = await reader.readuntil(b"\r\n\r\n")
+    length = next(
+        int(line.split(b":", 1)[1])
+        for line in head.split(b"\r\n")
+        if line.lower().startswith(b"content-length:")
+    )
+    return head, await reader.readexactly(length)
+
+
+async def read_to_close(reader: asyncio.StreamReader) -> bytes:
+    """Everything the peer sends before it closes (a reset reads as a close)."""
+    received = b""
+    try:
+        while chunk := await asyncio.wait_for(reader.read(65_536), timeout=5.0):
+            received += chunk
+    except ConnectionResetError:
+        pass
+    return received
+
+
+def decide_request(fingerprint: str, signature, **headers: str) -> bytes:
+    body = json.dumps({"fingerprint": fingerprint, "signature": signature}).encode()
+    extra = "".join(f"{name}: {value}\r\n" for name, value in headers.items())
+    return (
+        f"POST /decide HTTP/1.1\r\nContent-Length: {len(body)}\r\n{extra}\r\n"
+    ).encode() + body
+
+
+async def wait_until(condition, timeout: float = 10.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "condition never held"
+        await asyncio.sleep(0.01)
+
+
+class TestTransportContract:
+    """What the server's connection handling keeps, whatever reads the bytes."""
+
+    def test_pipelined_requests_are_answered_in_request_order(self, published):
+        config, table, registry = published
+        service = DecisionService(registry, [config], planner_timeout=10.0)
+        fingerprint = config.fingerprint()
+        gate = threading.Event()
+        planner_threads = gate_planner(service, config, gate)
+
+        async def scenario():
+            async with serving(service) as (_, client):
+                await client.decide(fingerprint, table.signatures()[0])  # resident now
+                reader, writer = await asyncio.open_connection("127.0.0.1", client.port)
+                try:
+                    # One write: a live plan, then a hit the loop could answer at once.
+                    writer.write(
+                        decide_request(fingerprint, off_table_signature(table))
+                        + decide_request(fingerprint, table.signatures()[0])
+                    )
+                    await writer.drain()
+                    await wait_until(lambda: planner_threads)
+                    await asyncio.sleep(0.1)  # time for a wrongly ordered reply to leave
+                    gate.set()
+                    first = await asyncio.wait_for(read_reply(reader), 10.0)
+                    second = await asyncio.wait_for(read_reply(reader), 10.0)
+                finally:
+                    gate.set()
+                    writer.close()
+            return [json.loads(body)["tier"] for _, body in (first, second)]
+
+        assert run_async(scenario()) == ["planner", "table"]
+
+    @pytest.mark.parametrize("terminated", [False, True], ids=["unterminated", "terminated"])
+    def test_a_70_kb_head_is_closed_unanswered(self, published, terminated):
+        config, _, registry = published
+        service = DecisionService(registry, [config])
+        head = b"POST /decide HTTP/1.1\r\nX-Padding: " + b"a" * 70_000
+        if terminated:
+            head += b"\r\nContent-Length: 2\r\n\r\n{}"
+
+        async def scenario():
+            async with serving(service, clients=0) as (server,):
+                reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+                try:
+                    writer.write(head)
+                    await writer.drain()
+                    return await read_to_close(reader)
+                finally:
+                    writer.close()
+
+        assert run_async(scenario()) == b""
+        assert service.counters_snapshot() == fallback.ServingCounters().snapshot()
+
+    def test_a_client_leaving_mid_plan_leaves_nothing_pending(self, published):
+        config, table, registry = published
+        service = DecisionService(registry, [config], planner_timeout=10.0)
+        fingerprint = config.fingerprint()
+        gate = threading.Event()
+        planner_threads = gate_planner(service, config, gate)
+
+        async def scenario():
+            async with serving(service) as (server, client):
+                reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+                try:
+                    writer.write(decide_request(fingerprint, off_table_signature(table)))
+                    await writer.drain()
+                    await wait_until(lambda: planner_threads)
+                    in_flight = server.pending
+                    writer.close()
+                    await writer.wait_closed()
+                    await asyncio.sleep(0.05)  # the server sees the close mid-plan
+                finally:
+                    gate.set()
+                await wait_until(lambda: server.pending == 0)
+                reply = await asyncio.wait_for(
+                    client.decide(fingerprint, table.signatures()[0]), 5.0
+                )
+            return in_flight, reply
+
+        in_flight, reply = run_async(scenario())
+        assert in_flight == 1
+        assert reply["tier"] == "table"
+
+
+class TestReplyBytes:
+    """A served reply is ``_render_response`` of its payload, byte for byte."""
+
+    @pytest.mark.parametrize("keep_alive", [True, False], ids=["keep-alive", "close"])
+    @pytest.mark.parametrize("tier", ["table", "planner", "default", "overloaded"])
+    def test_every_tier_renders_the_oracle_bytes(self, published, tier, keep_alive):
+        from repro.serving.server import _render_response, _render_served
+
+        config, table, registry = published
+        service = DecisionService(registry, [config])
+        fingerprint = config.fingerprint()
+        if tier == "table":
+            served = service.decide(fingerprint, table.signatures()[0])
+        elif tier == "planner":
+            served = service.decide(fingerprint, off_table_signature(table))
+        elif tier == "default":
+            served = service.decide("no-such-config", table.signatures()[0])
+        else:
+            served = service.shed(fingerprint)
+        assert (served.status, served.tier) == (
+            ("overloaded", "default") if tier == "overloaded" else ("ok", tier)
+        )
+        assert (served.decision_json is not None) == (tier == "table")
+        counters = service.counters_snapshot()
+        assert _render_served(served, counters, keep_alive=keep_alive) == _render_response(
+            200, served.to_payload(counters), keep_alive=keep_alive
+        )
+
+    def test_a_table_hit_on_the_wire_is_the_oracle_reply(self, published):
+        from repro.serving.server import _render_response
+
+        config, table, registry = published
+        service = DecisionService(registry, [config])
+        fingerprint = config.fingerprint()
+        signature = table.signatures()[0]
+        registry.lookup(fingerprint)  # resident: the reply is made on the loop
+        answer = raw_exchange(
+            service, decide_request(fingerprint, signature, Connection="close")
+        )
+        served = fallback.ServedDecision(
+            status="ok",
+            tier="table",
+            decision=table.decision_for(signature),
+            fingerprint=fingerprint,
+            known_config=True,
+            table_digest=registry.current_digest(fingerprint),
+        )
+        assert answer == _render_response(
+            200, served.to_payload(service.counters_snapshot()), keep_alive=False
+        )
+
+    def test_a_republish_replaces_the_kept_decision_text(self, published, tmp_path):
+        from repro.api.policy import PolicyTable
+
+        config, table, _ = published
+        registry = PolicyTableRegistry(tmp_path)
+        registry.publish(table)
+        payload = table.to_payload()
+        for entry in payload["entries"]:
+            entry["horizon"] += 1.0
+        changed = PolicyTable.from_payload(payload)
+        signature = table.signatures()[0]
+        service = DecisionService(registry, [config])
+        fingerprint = config.fingerprint()
+
+        async def scenario():
+            async with serving(service) as (_, client):
+                replies = [await client.decide(fingerprint, signature) for _ in range(2)]
+                registry.publish(changed)
+                replies.append(await client.decide(fingerprint, signature))
+            return replies
+
+        cold, warm, republished = run_async(scenario())
+        old = decision_to_payload(table.decision_for(signature))
+        new = decision_to_payload(changed.decision_for(signature))
+        assert old != new
+        assert [cold["decision"], warm["decision"]] == [json.loads(json.dumps(old))] * 2
+        assert republished["decision"] == json.loads(json.dumps(new))
+        assert republished["table_digest"] != warm["table_digest"]
+
+    def test_a_table_keeps_one_text_per_decision_it_serves(self, published):
+        from repro.api.policy import PolicyTable
+
+        _, table, _ = published
+        copy = PolicyTable.from_payload(table.to_payload())
+        signature = copy.signatures()[0]
+        decision = copy.decision_for(signature)
+        text = copy.decision_json(decision)
+        assert text == json.dumps(decision_to_payload(decision), sort_keys=True)
+        assert copy.decision_json(decision) is text
+        # A decision stored in its place has its own text.
+        replacement = copy.decision_for(copy.signatures()[-1])
+        assert decision_to_payload(replacement) != decision_to_payload(decision)
+        copy._store(signature, replacement)
+        assert copy.decision_json(copy.decision_for(signature)) == json.dumps(
+            decision_to_payload(replacement), sort_keys=True
+        )
+        # Decisions the table does not hold are rendered, never kept past its size.
+        for _ in range(3 * copy.size):
+            foreign = decision_from_payload(decision_to_payload(decision))
+            assert copy.decision_json(foreign) == text
+            assert len(copy._decision_json) <= copy.size
+
+
+# --------------------------------------------------- client reconnection
+
+
+@contextlib.asynccontextmanager
+async def closing_server(drop_first: bool = False):
+    """A raw server answering each request with ``Connection: close`` and
+    closing; with ``drop_first`` the first connection closes unanswered."""
+    connections = 0
+
+    async def handle(reader, writer):
+        nonlocal connections
+        connections += 1
+        try:
+            head = await reader.readuntil(b"\r\n\r\n")
+            length = next(
+                (
+                    int(line.split(b":", 1)[1])
+                    for line in head.split(b"\r\n")
+                    if line.lower().startswith(b"content-length:")
+                ),
+                0,
+            )
+            await reader.readexactly(length)
+            if not (drop_first and connections == 1):
+                body = json.dumps({"status": "ok", "connection": connections}).encode()
+                writer.write(
+                    b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\nConnection: close\r\n\r\n%s"
+                    % (len(body), body)
+                )
+                await writer.drain()
+        finally:
+            writer.close()
+
+    server = await asyncio.start_server(handle, "127.0.0.1", 0)
+    try:
+        yield server.sockets[0].getsockname()[1]
+    finally:
+        server.close()
+        await server.wait_closed()
+
+
+class TestClientReconnects:
+    def test_three_calls_to_a_server_that_closes_after_every_reply(self):
+        async def scenario():
+            async with closing_server() as port:
+                client = PolicyClient(port=port)
+                try:
+                    return [await client.get("/healthz") for _ in range(3)]
+                finally:
+                    await client.close()
+
+        replies = run_async(scenario())
+        assert replies == [(200, {"status": "ok", "connection": n}) for n in (1, 2, 3)]
+
+    def test_a_dropped_request_raises_and_the_next_call_reconnects(self):
+        async def scenario():
+            async with closing_server(drop_first=True) as port:
+                client = PolicyClient(port=port)
+                try:
+                    with pytest.raises(ServingError, match="closed the connection"):
+                        await client.get("/healthz")
+                    return await client.get("/healthz")
+                finally:
+                    await client.close()
+
+        assert run_async(scenario()) == (200, {"status": "ok", "connection": 2})
