@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, fields as dataclass_fields, replace
 from typing import Optional
 
@@ -58,6 +59,10 @@ _NUMERIC_FIELDS = (
     ("horizon_service_multiples", 0.0, False),
     ("policy_resolution_bits", 0.0, False),
 )
+
+#: The numeric fields that count rows: a slice bound and a ``range`` length,
+#: so each must also be an integer (and not a bool).
+_COUNT_FIELDS = ("max_hypotheses", "top_k")
 
 
 @dataclass(frozen=True)
@@ -127,6 +132,10 @@ class SenderConfig:
             raise ConfigurationError(
                 f"unknown policy mode {self.policy!r}; expected one of {POLICY_MODES}"
             )
+        for name in _COUNT_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
         # Each check is written so that NaN fails it, and every field must be
         # finite: an infinite horizon never finishes a rollout, an infinite
         # kernel scale is a flat kernel that learns nothing.

@@ -44,25 +44,16 @@ class ActionGrid:
     multiples:
         Service-time multiples to evaluate; 0 must normally be included so
         "send now" is always an option.
-    max_delay:
-        Optional absolute cap on the delay, in seconds.
     """
 
     DEFAULT_MULTIPLES = (0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0, 8.0)
 
-    def __init__(
-        self,
-        multiples: tuple[float, ...] = DEFAULT_MULTIPLES,
-        max_delay: float | None = None,
-    ) -> None:
+    def __init__(self, multiples: tuple[float, ...] = DEFAULT_MULTIPLES) -> None:
         if not multiples:
             raise ConfigurationError("an action grid needs at least one multiple")
         if any(multiple < 0 for multiple in multiples):
             raise ConfigurationError("action-grid multiples must be non-negative")
-        if max_delay is not None and max_delay <= 0:
-            raise ConfigurationError(f"max_delay must be positive, got {max_delay!r}")
         self.multiples = tuple(sorted(set(multiples)))
-        self.max_delay = max_delay
 
     def actions(self, service_time: float) -> list[Action]:
         """Candidate actions given the believed packet service time in seconds."""
@@ -71,8 +62,6 @@ class ActionGrid:
         delays: list[float] = []
         for multiple in self.multiples:
             delay = multiple * service_time
-            if self.max_delay is not None:
-                delay = min(delay, self.max_delay)
             if delay not in delays:
                 delays.append(delay)
         return [Action(delay) for delay in delays]

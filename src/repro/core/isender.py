@@ -29,6 +29,9 @@ from repro.sim.events import Event
 from repro.sim.packet import Packet
 from repro.units import DEFAULT_PACKET_BITS
 
+#: Safety valve on how many packets a single wake-up may emit.
+MAX_SENDS_PER_WAKE = 64
+
 
 @dataclass(slots=True)
 class DecisionRecord:
@@ -72,8 +75,6 @@ class ISender(SourceElement):
     start_time / stop_time:
         When the sender begins making decisions, and (optionally) when it
         stops transmitting.
-    max_sends_per_wake:
-        Safety valve on how many packets a single wake-up may emit.
     """
 
     def __init__(
@@ -86,13 +87,10 @@ class ISender(SourceElement):
         name: str | None = None,
         start_time: float = 0.0,
         stop_time: Optional[float] = None,
-        max_sends_per_wake: int = 64,
         policy=None,
     ) -> None:
         if packet_bits <= 0:
             raise ConfigurationError(f"packet_bits must be positive, got {packet_bits!r}")
-        if max_sends_per_wake < 1:
-            raise ConfigurationError("max_sends_per_wake must be at least 1")
         super().__init__(name or "isender")
         self.belief = belief
         self.planner = planner
@@ -104,7 +102,6 @@ class ISender(SourceElement):
         self.packet_bits = float(packet_bits)
         self.start_time = float(start_time)
         self.stop_time = stop_time
-        self.max_sends_per_wake = max_sends_per_wake
 
         self.sent: list[SentRecord] = []
         self.acks: list[AckObservation] = []
@@ -171,7 +168,7 @@ class ISender(SourceElement):
                     expected_utilities=decision.expected_utilities,
                 )
             )
-            if decision.send_now and sends_this_wake < self.max_sends_per_wake:
+            if decision.send_now and sends_this_wake < MAX_SENDS_PER_WAKE:
                 self._transmit(now)
                 sends_this_wake += 1
                 continue

@@ -30,10 +30,6 @@ class InferenceError(ReproError):
     """The belief state or a hypothesis was used incorrectly."""
 
 
-class DegenerateBeliefError(InferenceError):
-    """Every hypothesis was rejected: the prior cannot explain the data."""
-
-
 class ConfigurationError(ReproError):
     """An experiment, prior, or utility function received invalid parameters."""
 
@@ -76,16 +72,6 @@ class CircuitOpenError(ServingError):
     guards when consecutive planner failures have tripped the circuit; the
     serving fallback chain catches it and degrades to the safe-default
     tier instead of queueing more work behind a wedged planner.
-    """
-
-
-class OverloadedError(ServingError):
-    """The server shed this request under admission control.
-
-    Only raised client-side, and only when a
-    :class:`~repro.serving.server.PolicyClient` was constructed with
-    ``raise_on_overload=True``; the wire response itself still carries the
-    safe-default decision, so lenient callers always get an answer.
     """
 
 

@@ -29,7 +29,7 @@ import heapq
 import math
 from typing import Iterable, Mapping, Optional, Sequence
 
-from repro.errors import DegenerateBeliefError, InferenceError, UnknownBackendError
+from repro.errors import InferenceError, UnknownBackendError
 from repro.inference.hypothesis import Hypothesis
 from repro.inference.likelihood import GaussianKernel, LikelihoodKernel
 from repro.inference.observation import AckObservation
@@ -45,6 +45,12 @@ BACKENDS = ("fused", "scalar", "vectorized")
 #: After every update, rows whose weight falls below this fraction of the
 #: heaviest row's are discarded.
 PRUNE_FRACTION = 1e-6
+
+#: Seconds of cross-traffic delivery/drop history each hypothesis's model
+#: retains behind the update clock.  Planner rollouts read the tallies of
+#: *fresh* clones only, so older history is dead weight that would grow (and
+#: be re-copied on every gate fork) without bound on long runs.
+CROSS_TALLY_WINDOW = 60.0
 
 
 def check_backend(kind: str, name: str) -> None:
@@ -149,11 +155,8 @@ class HypothesisRows:
     def signatures(self) -> list[tuple]:
         return [hypothesis.signature() for hypothesis in self.hypotheses]
 
-    def score(self, acks, now, kernel, acked_seqs, missing_grace) -> list[float]:
-        return [
-            hypothesis.score(acks, now, kernel, acked_seqs, missing_grace=missing_grace)
-            for hypothesis in self.hypotheses
-        ]
+    def score(self, acks, now, kernel, acked_seqs) -> list[float]:
+        return [hypothesis.score(acks, now, kernel, acked_seqs) for hypothesis in self.hypotheses]
 
     def merge_keys(self, rows: list[int]) -> list[tuple]:
         return [self.hypotheses[row].signature() for row in rows]
@@ -162,12 +165,12 @@ class HypothesisRows:
         self.hypotheses = [self.hypotheses[row] for row in rows]
 
     def finish_update(self, belief: "BeliefState", now: float) -> None:
-        """Bound each model's cross-tally history so long runs stay flat in
-        memory (clones copy these lists on every gate fork)."""
-        if belief.cross_tally_window is not None:
-            cutoff = now - belief.cross_tally_window
-            for hypothesis in self.hypotheses:
-                hypothesis.model.cross.trim(cutoff)
+        """Keep :data:`CROSS_TALLY_WINDOW` of each model's cross-tally
+        history, so long runs stay flat in memory (clones copy these lists on
+        every gate fork)."""
+        cutoff = now - CROSS_TALLY_WINDOW
+        for hypothesis in self.hypotheses:
+            hypothesis.model.cross.trim(cutoff)
 
 
 class BeliefState:
@@ -189,21 +192,10 @@ class BeliefState:
         Hard cap on the ensemble size after every update; lowest-weight
         hypotheses are discarded first (and, at every update, those below
         :data:`PRUNE_FRACTION` of the heaviest).
-    missing_grace:
-        Seconds of grace before an unacknowledged packet is charged to
-        stochastic loss (passed through to hypothesis scoring).
-    cross_tally_window:
-        Seconds of cross-traffic delivery/drop history each hypothesis's
-        model retains behind the update clock.  Planner rollouts read the
-        tallies of *fresh* clones only, so history older than any scoring
-        or rollout window is dead weight that previously grew (and was
-        re-copied on every gate fork) without bound on long runs; ``None``
-        restores the unbounded behaviour.
-    on_degenerate:
-        What to do when every hypothesis is rejected by an observation:
-        ``"keep"`` ignores the observation and keeps the pre-update weights
-        (robust default, counted in :attr:`degenerate_updates`), ``"raise"``
-        raises :class:`~repro.errors.DegenerateBeliefError`.
+
+    An observation that rejects every hypothesis is ignored: the update keeps
+    the forked, unscored weights and counts itself in
+    :attr:`degenerate_updates`.
     """
 
     def __init__(
@@ -226,20 +218,10 @@ class BeliefState:
         self,
         kernel: Optional[LikelihoodKernel] = None,
         max_hypotheses: int = 512,
-        missing_grace: float = 0.0,
-        cross_tally_window: Optional[float] = 60.0,
-        on_degenerate: str = "keep",
     ) -> None:
         """The settings and counters, whichever way the ensemble arrives."""
-        if on_degenerate not in ("keep", "raise"):
-            raise InferenceError(f"unknown on_degenerate policy {on_degenerate!r}")
-        if cross_tally_window is not None and cross_tally_window <= 0:
-            raise InferenceError("cross_tally_window must be positive when given")
         self.kernel: LikelihoodKernel = kernel if kernel is not None else GaussianKernel(sigma=0.25)
         self.max_hypotheses = max_hypotheses
-        self.missing_grace = missing_grace
-        self.cross_tally_window = cross_tally_window
-        self.on_degenerate = on_degenerate
         #: Every sequence number acknowledged so far.
         self.acked_seqs: set[int] = set()
         #: Number of updates in which every hypothesis was rejected.
@@ -459,9 +441,7 @@ class BeliefState:
             # the lost-seq set they include.
             hook("fork", {"parents": parents, "probabilities": probabilities})
             hook("advance", {"time": now, "signatures": ensemble.signatures()})
-        log_likelihoods = ensemble.score(
-            acks, now, self.kernel, self.acked_seqs, self.missing_grace
-        )
+        log_likelihoods = ensemble.score(acks, now, self.kernel, self.acked_seqs)
         if hook is not None:
             hook("score", {"log_likelihoods": log_likelihoods})
 
@@ -474,7 +454,7 @@ class BeliefState:
             if value != -math.inf:
                 rows.append(row)
                 row_weights.append(prior[row] * exp(value))
-        if self._all_rejected(sum(row_weights), now, len(acks)):
+        if self._all_rejected(sum(row_weights)):
             rows, row_weights = list(range(len(prior))), prior
 
         rows, row_weights = self._compact(ensemble, rows, row_weights)
@@ -494,24 +474,18 @@ class BeliefState:
 
     # ----------------------------------------------------------------- helpers
 
-    def _all_rejected(self, candidate_total: float, now: float, ack_count: int) -> bool:
+    def _all_rejected(self, candidate_total: float) -> bool:
         """Count an applied update; say whether the observation rejected every
         hypothesis (the surviving weights sum to ``candidate_total``).
 
         The one degenerate rule: such an update is counted in
-        :attr:`degenerate_updates` and raises under
-        ``on_degenerate="raise"``; otherwise the caller keeps the forked,
-        unscored weights — the observation is ignored.
+        :attr:`degenerate_updates`, and the caller keeps the forked, unscored
+        weights — the observation is ignored.
         """
         self.updates_applied += 1
         if not candidate_total <= 0.0:
             return False
         self.degenerate_updates += 1
-        if self.on_degenerate == "raise":
-            raise DegenerateBeliefError(
-                f"every hypothesis was rejected at t={now:.3f} "
-                f"({ack_count} acknowledgements in the update)"
-            )
         return True
 
     def _compact(

@@ -177,7 +177,6 @@ class Hypothesis:
         now: float,
         kernel: LikelihoodKernel,
         acked_seqs: set[int],
-        missing_grace: float = 0.0,
     ) -> float:
         """Log-likelihood of the newly observed acknowledgements.
 
@@ -191,9 +190,9 @@ class Hypothesis:
             Timing-error likelihood kernel.
         acked_seqs:
             Every sequence number acknowledged so far (including ``acks``).
-        missing_grace:
-            Extra seconds to wait past a predicted delivery before concluding
-            the packet was lost, absorbing small timing error.
+
+        A packet still unacknowledged once ``now`` reaches its predicted
+        delivery time is charged to last-mile loss.
         """
         log_likelihood = 0.0
         loss_rate = self.model.params.loss_rate
@@ -230,7 +229,7 @@ class Hypothesis:
                 continue
             if not prediction.delivered:
                 continue
-            if prediction.time > now - missing_grace:
+            if prediction.time > now:
                 continue
             if loss_rate <= 0.0:
                 return float("-inf")

@@ -117,10 +117,8 @@ class ArrayRows:
         state = self.state
         return [state.materialize(row).signature() for row in range(state.size)]
 
-    def score(self, acks, now, kernel, acked_seqs, missing_grace) -> list[float]:
-        return score_and_bookkeep(
-            self.state, acks, now, kernel, acked_seqs, missing_grace=missing_grace
-        ).tolist()
+    def score(self, acks, now, kernel, acked_seqs) -> list[float]:
+        return score_and_bookkeep(self.state, acks, now, kernel, acked_seqs).tolist()
 
     def merge_keys(self, rows: list[int]) -> list[bytes]:
         """:meth:`EnsembleState.signature_digest`: the list form's signature

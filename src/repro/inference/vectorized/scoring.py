@@ -42,7 +42,6 @@ def score_and_bookkeep(
     now: float,
     kernel: LikelihoodKernel,
     acked_seqs: Set[int],
-    missing_grace: float = 0.0,
 ) -> np.ndarray:
     """Per-row log-likelihood of ``acks``; mutates resolved/lost bookkeeping."""
     size = state.size
@@ -89,7 +88,7 @@ def score_and_bookkeep(
 
     live = ~rejected
     if state.n_own and live.any():
-        _charge_missing_packets(state, now, acked_seqs, missing_grace, live, rejected, log_likelihood)
+        _charge_missing_packets(state, now, acked_seqs, live, rejected, log_likelihood)
 
     log_likelihood[rejected] = -np.inf
     return log_likelihood
@@ -141,12 +140,12 @@ def _charge_missing_packets(
     state: EnsembleState,
     now: float,
     acked_seqs: Set[int],
-    missing_grace: float,
     live: np.ndarray,
     rejected: np.ndarray,
     log_likelihood: np.ndarray,
 ) -> None:
-    """Charge unacknowledged-but-delivered packets to stochastic loss."""
+    """Charge unacknowledged-but-delivered packets to stochastic loss once
+    ``now`` reaches their predicted delivery time."""
     n = state.n_own
     acked_columns = np.array(
         [int(seq) in acked_seqs for seq in state.own_seqs[:n].tolist()], dtype=bool
@@ -155,7 +154,7 @@ def _charge_missing_packets(
         (state.pred_state[:, :n] == PRED_DELIVERED)
         & ~state.resolved[:, :n]
         & ~acked_columns[None, :]
-        & (state.pred_time[:, :n] <= now - missing_grace)
+        & (state.pred_time[:, :n] <= now)
         & live[:, None]
     )
     counts = missing.sum(axis=1)

@@ -92,12 +92,14 @@ class RunnerBase:
     workers:
         Most points the process backend keeps in flight at once; defaults
         to the machine's CPU count.  The serial backend accepts and ignores
-        it (as it does ``start_method``), so both backends share one
-        construction signature and ``make_runner`` can build either.
+        it, so both backends share one construction signature and
+        ``make_runner`` can build either.
     registry:
         Registry to resolve spec names against (defaults to the
-        process-wide one).  Under a non-fork ``start_method`` a custom
-        registry must hold module-level functions, so it can be pickled.
+        process-wide one).  Worker processes start by the platform's
+        default method (``fork`` on Linux, which avoids re-import cost);
+        where that is not ``fork``, a custom registry must hold
+        module-level functions, so it can be pickled.
     cache:
         Optional :class:`~repro.runner.cache.ResultCache`.  ``run`` then
         consults it per point before executing, stores every freshly
@@ -118,10 +120,6 @@ class RunnerBase:
         Where sweep journals live.  Defaults to the cache directory when a
         cache is attached; an explicit value enables journalling without a
         result cache (and implies supervision).
-    start_method:
-        ``multiprocessing`` start method for worker processes; ``None``
-        uses the platform default (``fork`` on Linux, which avoids
-        re-import cost).
     """
 
     backend_name = "base"
@@ -134,7 +132,6 @@ class RunnerBase:
         supervision: Optional[Supervision] = None,
         resume: bool = False,
         journal_dir: "str | os.PathLike[str] | None" = None,
-        start_method: str | None = None,
     ) -> None:
         if workers is not None and workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {workers!r}")
@@ -143,7 +140,6 @@ class RunnerBase:
         self.cache = cache
         self.resume = bool(resume)
         self.journal_dir = Path(journal_dir) if journal_dir is not None else None
-        self.start_method = start_method
         if supervision is None and (self.resume or self.journal_dir is not None):
             supervision = Supervision()
         self.supervision = supervision
@@ -332,7 +328,7 @@ class ParallelRunner(RunnerBase):
     backend_name = "parallel"
 
     def _mp_context(self) -> Any:
-        return multiprocessing.get_context(self.start_method)
+        return multiprocessing.get_context()
 
 
 #: The two backends, by the name ``make_runner`` and ``--backend`` take.

@@ -71,6 +71,10 @@ _CANCEL_NAMES = ("KeyboardInterrupt", "CancelledError")
 #: Supervisor poll tick (seconds) — bounds hang-detection latency.
 _TICK = 0.05
 
+#: Relative width of the retry-backoff jitter: a delay is scaled by a
+#: deterministic factor in ``[1 - JITTER/2, 1 + JITTER/2]``.
+JITTER = 0.5
+
 
 @dataclass(frozen=True)
 class Supervision:
@@ -87,13 +91,10 @@ class Supervision:
         Enforced by the process backends; the serial backend executes
         inline and cannot preempt a hung point.
     backoff / backoff_cap:
-        Base delay before retry ``k`` is ``backoff * 2**(k-1)``, jittered
-        and capped at ``backoff_cap``.
-    jitter:
-        Relative jitter width: the delay is scaled by a deterministic
-        factor in ``[1 - jitter/2, 1 + jitter/2]`` derived from
-        ``(seed, point identity, attempt)`` — seeded, so replays schedule
-        byte-identically.
+        Base delay before retry ``k`` is ``backoff * 2**(k-1)``, scaled by
+        a :data:`JITTER`-wide factor derived from ``(seed, point identity,
+        attempt)`` — seeded, so replays schedule byte-identically — and
+        capped at ``backoff_cap``.
     seed:
         Seeds the jitter stream (independent of the points' RNG seeds).
     strict:
@@ -110,7 +111,6 @@ class Supervision:
     point_timeout: Optional[float] = None
     backoff: float = 0.1
     backoff_cap: float = 5.0
-    jitter: float = 0.5
     seed: int = 0
     strict: bool = False
     fault_plan: Optional[FaultPlan] = None
@@ -124,7 +124,7 @@ class Supervision:
             f"{self.seed}:backoff:{key}:{attempt}".encode("utf-8")
         ).digest()
         uniform = int.from_bytes(digest[:8], "big") / 2.0**64
-        jittered = base * (1.0 + self.jitter * (uniform - 0.5))
+        jittered = base * (1.0 + JITTER * (uniform - 0.5))
         return min(jittered, self.backoff_cap)
 
 

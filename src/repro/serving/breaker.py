@@ -28,6 +28,9 @@ __all__ = ["CircuitBreaker"]
 #: Breaker states.
 CLOSED, OPEN, HALF_OPEN = "closed", "open", "half_open"
 
+#: Longest open-state cooldown, in seconds, however many trips in a row.
+COOLDOWN_CAP = 300.0
+
 
 class CircuitBreaker:
     """Trip on consecutive failures; recover through seeded half-open probes.
@@ -40,12 +43,11 @@ class CircuitBreaker:
         deterministic offsets instead of thundering together.
     failure_threshold:
         Consecutive failures that open the circuit.
-    cooldown / cooldown_cap:
-        Base and cap of the open-state cooldown; trip ``n`` waits
-        ``cooldown * 2**(n-1)`` jittered, exactly the supervised runner's
-        retry-backoff rule.
-    seed:
-        Seeds the jitter stream (deterministic across processes).
+    cooldown:
+        Base of the open-state cooldown; trip ``n`` waits
+        ``cooldown * 2**(n-1)`` jittered and capped at :data:`COOLDOWN_CAP`,
+        exactly the supervised runner's retry-backoff rule under seed 0
+        (deterministic across processes).
     clock:
         Injectable monotonic clock (tests drive a fake one).
     """
@@ -56,8 +58,6 @@ class CircuitBreaker:
         *,
         failure_threshold: int = 3,
         cooldown: float = 5.0,
-        cooldown_cap: float = 300.0,
-        seed: int = 0,
         clock: Optional[Callable[[], float]] = None,
     ) -> None:
         if failure_threshold < 1:
@@ -66,9 +66,7 @@ class CircuitBreaker:
             raise ConfigurationError("cooldown must be positive")
         self.key = key
         self.failure_threshold = failure_threshold
-        self._backoff = Supervision(
-            backoff=cooldown, backoff_cap=cooldown_cap, jitter=0.5, seed=seed
-        )
+        self._backoff = Supervision(backoff=cooldown, backoff_cap=COOLDOWN_CAP)
         self._clock = clock if clock is not None else time.monotonic
         self._lock = threading.Lock()
         self._state = CLOSED

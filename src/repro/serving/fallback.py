@@ -27,6 +27,7 @@ answer instead of an error:
 from __future__ import annotations
 
 import concurrent.futures
+import math
 import queue
 import threading
 import time
@@ -304,8 +305,9 @@ class DecisionService:
         is published, and the global safe default otherwise.
     planner_timeout:
         Seconds a live planning call may run before it is abandoned and
-        counted as a failure (the breaker's trip signal for hangs).
-    breaker_threshold / breaker_cooldown / breaker_cooldown_cap / breaker_seed:
+        counted as a failure (the breaker's trip signal for hangs); finite
+        and positive, else :class:`~repro.errors.ServingError`.
+    breaker_threshold / breaker_cooldown:
         Per-config :class:`~repro.serving.breaker.CircuitBreaker` shape.
     injector:
         Optional :class:`~repro.serving.chaos.ServingFaultInjector`; chaos
@@ -324,10 +326,12 @@ class DecisionService:
         planner_timeout: float = 2.0,
         breaker_threshold: int = 3,
         breaker_cooldown: float = 5.0,
-        breaker_cooldown_cap: float = 300.0,
-        breaker_seed: int = 0,
         injector=None,
     ) -> None:
+        if not 0.0 < planner_timeout < math.inf:
+            raise ServingError(
+                f"planner_timeout must be finite and positive, got {planner_timeout!r}"
+            )
         self.registry = registry
         self.configs = {config.fingerprint(): config for config in configs}
         # Tier 2's admission test and its way back from a row to a
@@ -344,12 +348,7 @@ class DecisionService:
         self._planners: dict[str, ExpectedUtilityPlanner] = {}
         self._defaults: dict[str, Decision] = {}
         self._breakers: dict[str, CircuitBreaker] = {}
-        self._breaker_shape = dict(
-            failure_threshold=breaker_threshold,
-            cooldown=breaker_cooldown,
-            cooldown_cap=breaker_cooldown_cap,
-            seed=breaker_seed,
-        )
+        self._breaker_shape = dict(failure_threshold=breaker_threshold, cooldown=breaker_cooldown)
         self._pool = _DaemonThreadExecutor()
         self._started = time.monotonic()
         self._request_index = 0

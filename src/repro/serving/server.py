@@ -42,7 +42,7 @@ import json
 from typing import Optional, Union
 
 from repro.api.policy import _finite, signature_from_json
-from repro.errors import OverloadedError, ServingError
+from repro.errors import ServingError
 from repro.serving.fallback import DecisionService, ServedDecision
 from repro.serving.health import healthz_payload, readyz_payload
 from repro.serving.registry import is_path_component
@@ -460,16 +460,9 @@ class PolicyClient:
     ends raises :class:`~repro.errors.ServingError`.
     """
 
-    def __init__(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        *,
-        raise_on_overload: bool = False,
-    ) -> None:
+    def __init__(self, host: str = "127.0.0.1", port: int = 0) -> None:
         self.host = host
         self.port = port
-        self.raise_on_overload = raise_on_overload
         #: The open connection's transport (its protocol a ``_ClientConnection``).
         self._writer: Optional[asyncio.Transport] = None
 
@@ -522,11 +515,9 @@ class PolicyClient:
     ) -> dict:
         """One decision lookup; returns the response payload.
 
-        ``signature`` may be the tuple form or its JSON (list) form.  With
-        ``raise_on_overload`` a shed response raises
-        :class:`~repro.errors.OverloadedError` instead of returning — for
-        callers that would rather retry elsewhere than accept the safe
-        default.
+        ``signature`` may be the tuple form or its JSON (list) form.  A
+        request the server shed under admission control still returns its
+        safe-default decision, marked ``"status": "overloaded"``.
         """
         status, payload = await self._request(
             "POST",
@@ -535,8 +526,6 @@ class PolicyClient:
         )
         if status != 200:
             raise ServingError(f"/decide failed ({status}): {payload.get('error')}")
-        if payload.get("status") == "overloaded" and self.raise_on_overload:
-            raise OverloadedError(f"policy server shed the request for {fingerprint}")
         return payload
 
     async def get(self, path: str) -> tuple[int, dict]:

@@ -171,6 +171,23 @@ class TestSenderConfigValidation:
         with pytest.raises(ConfigurationError, match=field):
             SenderConfig(**{field: value})
 
+    @pytest.mark.parametrize("value", [2.5, 8.0, True, "8"])
+    @pytest.mark.parametrize("field", ["max_hypotheses", "top_k"])
+    def test_non_integer_counts_rejected(self, field, value):
+        # Each count is a slice bound or a range length: 2.5 would build and
+        # fingerprint, then end the run with a TypeError at the first update
+        # (max_hypotheses) or decision (top_k); True would pass as 1.
+        with pytest.raises(ConfigurationError, match=f"{field} must be an integer"):
+            SenderConfig(**{field: value})
+
+    def test_non_integer_count_is_cli_exit_2(self, capsys):
+        from repro.runner.cli import main as cli_main
+
+        argv = ["run", "inference_ablation_point",
+                "--set", "max_hypotheses=2.5", "--set", "duration=5"]
+        assert cli_main(argv) == 2
+        assert "max_hypotheses must be an integer, got 2.5" in capsys.readouterr().err
+
     def test_boundary_values_and_no_horizon_accepted(self):
         SenderConfig(alpha=0.0, latency_penalty=0.0, max_hypotheses=1, top_k=1, horizon=None)
 

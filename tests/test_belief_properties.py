@@ -55,7 +55,6 @@ def build_belief(backend: str, max_hypotheses: int) -> BeliefState:
         backend=backend,
         kernel=GaussianKernel(sigma=0.5),
         max_hypotheses=max_hypotheses,
-        on_degenerate="keep",
     )
 
 
@@ -131,7 +130,6 @@ class TestBeliefInvariants:
             backend=backend,
             kernel=ExactMatchKernel(tolerance=1e-6),
             max_hypotheses=32,
-            on_degenerate="keep",
         )
         belief.record_send(0, PACKET_BITS, 0.0)
         # An impossibly early ack rejects every hypothesis (degenerate keep).
@@ -192,7 +190,6 @@ def posterior_after_script(backend: str, order, seed: int, max_hypotheses: int) 
         [GRID[index][1] for index in order],
         kernel=GaussianKernel(sigma=0.5),
         max_hypotheses=max_hypotheses,
-        on_degenerate="keep",
     )
     for kind, args in seeded_events(seed, PACKET_BITS):
         if kind == "send":

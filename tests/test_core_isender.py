@@ -42,8 +42,6 @@ class TestConstruction:
         planner = ExpectedUtilityPlanner(ThroughputUtility())
         with pytest.raises(ConfigurationError):
             ISender(belief, planner, network.sender_receiver, packet_bits=0)
-        with pytest.raises(ConfigurationError):
-            ISender(belief, planner, network.sender_receiver, max_sends_per_wake=0)
 
     def test_policy_slot(self):
         """policy= installs the decider."""

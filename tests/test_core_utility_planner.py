@@ -120,18 +120,11 @@ class TestActions:
         actions = grid.actions(service_time=0.5)
         assert [a.delay for a in actions] == pytest.approx([0.0, 0.5, 1.0])
 
-    def test_grid_max_delay_cap(self):
-        grid = ActionGrid(multiples=(0.0, 10.0), max_delay=2.0)
-        actions = grid.actions(service_time=1.0)
-        assert [a.delay for a in actions] == pytest.approx([0.0, 2.0])
-
     def test_grid_validation(self):
         with pytest.raises(ConfigurationError):
             ActionGrid(multiples=())
         with pytest.raises(ConfigurationError):
             ActionGrid(multiples=(-1.0,))
-        with pytest.raises(ConfigurationError):
-            ActionGrid(max_delay=0.0)
         with pytest.raises(ConfigurationError):
             ActionGrid().actions(service_time=0.0)
 

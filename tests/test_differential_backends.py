@@ -110,7 +110,6 @@ def _replay(seed: int, backend: str, max_hypotheses: int = 48, prior=_prior, sig
         backend=backend,
         kernel=GaussianKernel(sigma=sigma),
         max_hypotheses=max_hypotheses,
-        on_degenerate="keep",
     )
     for kind, args in random_sequence(seed):
         if kind == "send":

@@ -20,7 +20,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import DegenerateBeliefError, InferenceError
+from repro.errors import InferenceError
 from repro.inference import (
     AckObservation,
     BeliefState,
@@ -254,21 +254,12 @@ class TestDegenerateUpdates:
             ("update", (3.0, [])),
         ]
         scalar, vectorized = both_backends(
-            single_link_prior(), kernel=ExactMatchKernel(tolerance=1e-6), on_degenerate="keep"
+            single_link_prior(), kernel=ExactMatchKernel(tolerance=1e-6)
         )
         replay(scalar, events)
         replay(vectorized, events)
         assert scalar.degenerate_updates >= 1
         assert_equivalent(scalar, vectorized)
-
-    def test_raise_policy(self):
-        scalar, vectorized = both_backends(
-            single_link_prior(), kernel=ExactMatchKernel(tolerance=1e-6), on_degenerate="raise"
-        )
-        for belief in (scalar, vectorized):
-            belief.record_send(0, 12_000.0, 0.0)
-            with pytest.raises(DegenerateBeliefError):
-                belief.update(0.2, [ack(0, 0.2)])
 
 
 class TestLossCharging:
@@ -298,27 +289,38 @@ class TestLossCharging:
             ("update", (21.0, [ack(0, 20.5)])),  # ...then it arrives anyway
         ]
         scalar, vectorized = both_backends(
-            figure3_prior(loss_points=3),
-            kernel=GaussianKernel(sigma=0.4),
-            on_degenerate="keep",
+            figure3_prior(loss_points=3), kernel=GaussianKernel(sigma=0.4)
         )
         replay(scalar, events)
         replay(vectorized, events)
         assert scalar.degenerate_updates == vectorized.degenerate_updates
         assert_equivalent(scalar, vectorized)
 
-    def test_missing_grace_delays_charging(self):
-        events = [
-            ("send", (0, 12_000.0, 0.0)),
-            ("update", (1.3, [])),
-        ]
-        scalar, vectorized = both_backends(
-            single_link_prior(loss_rate=0.2),
-            kernel=GaussianKernel(sigma=0.4),
-            missing_grace=1.0,
+    @pytest.mark.parametrize("charged", [True, False])
+    def test_charged_once_now_reaches_the_predicted_delivery(self, charged):
+        """The scalar form skips a packet whose ``prediction.time > now``, the
+        array form charges one whose ``pred_time <= now``: at ``now`` equal to
+        the predicted delivery both charge it, one ulp before neither does."""
+        prior = single_link_prior(
+            link_rate_low=12_000.0,
+            link_rate_high=16_000.0,
+            link_rate_points=2,
+            fill_points=1,
+            loss_rate=0.2,
         )
-        replay(scalar, events)
-        replay(vectorized, events)
+        due = 12_000.0 / 16_000.0  # the 16 kbit/s row delivers packet 0 at 0.75 s
+        now = due if charged else math.nextafter(due, -math.inf)
+        scalar, vectorized = both_backends(prior, kernel=GaussianKernel(sigma=0.4))
+        for belief in (scalar, vectorized):
+            replay(belief, [("send", (0, 12_000.0, 0.0)), ("update", (now, []))])
+            rates = [hypothesis.params["link_rate_bps"] for hypothesis in belief.hypotheses]
+            assert rates == [12_000.0, 16_000.0]
+            # Charged, the fast row's weight carries the loss rate 0.2.
+            expected = [1.0 / 1.2, 0.2 / 1.2] if charged else [0.5, 0.5]
+            assert belief.weights == pytest.approx(expected, abs=1e-12)
+        if charged:
+            # The boundary is exact: the packet is due at ``now`` itself.
+            assert scalar.hypotheses[1].model.predictions[0].time == now
         assert_equivalent(scalar, vectorized)
 
 
@@ -407,7 +409,6 @@ class TestPropertyStyle:
             figure3_prior(),
             kernel=GaussianKernel(sigma=0.5),
             max_hypotheses=64,
-            on_degenerate="keep",
         )
         now = 0.0
         for seq, offset in enumerate(offsets):

@@ -354,7 +354,7 @@ class TestJournalReplayProperties:
 
 class TestSupervisionPolicy:
     def test_backoff_is_deterministic_and_bounded(self):
-        sup = Supervision(backoff=0.1, backoff_cap=1.0, jitter=0.5, seed=3)
+        sup = Supervision(backoff=0.1, backoff_cap=1.0, seed=3)
         delays = [sup.delay("point", attempt) for attempt in (1, 2, 3, 8)]
         assert delays == [sup.delay("point", attempt) for attempt in (1, 2, 3, 8)]
         assert all(0.0 < delay <= 1.0 for delay in delays)

@@ -30,7 +30,6 @@ from repro.api.policy import decision_from_payload, decision_to_payload, precomp
 from repro.core.planner import ExpectedUtilityPlanner
 from repro.errors import (
     ConfigurationError,
-    OverloadedError,
     ServingError,
     TableIntegrityError,
 )
@@ -271,7 +270,7 @@ class FakeClock:
 class TestCircuitBreaker:
     def make(self, **kwargs) -> tuple[CircuitBreaker, FakeClock]:
         clock = FakeClock()
-        defaults = dict(failure_threshold=3, cooldown=2.0, seed=5, clock=clock)
+        defaults = dict(failure_threshold=3, cooldown=2.0, clock=clock)
         defaults.update(kwargs)
         return CircuitBreaker("cfg", **defaults), clock
 
@@ -326,12 +325,10 @@ class TestCircuitBreaker:
 
     def test_cooldowns_reuse_supervision_backoff(self):
         """The open-state cooldown is exactly the runner's retry delay."""
-        breaker, clock = self.make(cooldown=2.0, seed=5)
+        breaker, clock = self.make(cooldown=2.0)
         for _ in range(3):
             breaker.record_failure()
-        expected = Supervision(backoff=2.0, backoff_cap=300.0, jitter=0.5, seed=5).delay(
-            "breaker:cfg", 1
-        )
+        expected = Supervision(backoff=2.0, backoff_cap=300.0).delay("breaker:cfg", 1)
         assert breaker.cooldown_remaining() == pytest.approx(expected)
 
     def test_validation(self):
@@ -498,6 +495,14 @@ class TestDecisionServiceTiers:
         assert served.tier == "default"
         assert elapsed < 2.0  # bounded by the timeout, not the hang
         assert service.counters_snapshot()["planner_failures"] == 1
+
+    @pytest.mark.parametrize("timeout", [math.nan, math.inf, -1.0, 0.0])
+    def test_planner_timeout_must_be_finite_and_positive(self, timeout, tmp_path):
+        # Waiting on a plan with any of these raises at once (TimeoutError,
+        # or OverflowError for inf), so every tier-2 request would count as
+        # a planner failure and open the breaker.
+        with pytest.raises(ServingError, match="planner_timeout"):
+            DecisionService(PolicyTableRegistry(tmp_path), planner_timeout=timeout)
 
 
 # ------------------------------------------ the planner tier's request path
@@ -870,21 +875,18 @@ class TestPolicyServerHTTP:
             await server.start()
             server._pending = server.max_pending  # saturate admission control
             client = PolicyClient(port=server.port)
-            strict = PolicyClient(port=server.port, raise_on_overload=True)
             try:
-                payload = await client.decide(config.fingerprint(), signature)
-                assert payload["status"] == "overloaded"
-                assert payload["tier"] == "default"
-                assert payload["decision"]["delay"] >= 0.0
-                with pytest.raises(OverloadedError):
-                    await strict.decide(config.fingerprint(), signature)
+                for _ in range(2):
+                    payload = await client.decide(config.fingerprint(), signature)
+                    assert payload["status"] == "overloaded"
+                    assert payload["tier"] == "default"
+                    assert payload["decision"]["delay"] >= 0.0
 
                 status, ready = await client.get("/readyz")
                 assert status == 503  # saturated instances report unready
             finally:
                 server._pending = 0
                 await client.close()
-                await strict.close()
                 await server.stop()
 
         run_async(scenario())

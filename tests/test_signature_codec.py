@@ -101,7 +101,6 @@ class TestSignatureRoundTrip:
             backend=backend,
             kernel=GaussianKernel(sigma=0.5),
             max_hypotheses=24,
-            on_degenerate="keep",
         )
         assert_round_trips(belief.decision_signature(top_k, resolution))
         now = 0.0
