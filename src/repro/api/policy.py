@@ -35,6 +35,8 @@ from __future__ import annotations
 
 import copy
 import json
+import math
+import numbers
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -215,16 +217,22 @@ class PolicyTable(PolicyCache):
         learn: bool = True,
         max_entries: int = 65_536,
     ) -> None:
-        if queue_resolution_bits <= 0:
-            raise ConfigurationError("queue_resolution_bits must be positive")
-        if max_entries < 1:
-            raise ConfigurationError("max_entries must be at least 1")
         if top_k is None:
             if planner is None:
                 raise ConfigurationError(
                     "a PolicyTable needs either a planner or an explicit top_k"
                 )
             top_k = planner.top_k
+        # Checked here, so a loaded header is refused as a constructed one is:
+        # NaN fails the first check, and a count is an integer, not a bool.
+        if not 0.0 < queue_resolution_bits < math.inf:
+            raise ConfigurationError(
+                "queue_resolution_bits must be positive and finite, "
+                f"got {queue_resolution_bits!r}"
+            )
+        for name, count in (("top_k", top_k), ("max_entries", max_entries)):
+            if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
+                raise ConfigurationError(f"{name} must be a positive integer, got {count!r}")
         super().__init__(
             planner,
             queue_resolution_bits=queue_resolution_bits,
@@ -363,12 +371,10 @@ class PolicyTable(PolicyCache):
         table = cls(
             planner,
             queue_resolution_bits=float(payload["queue_resolution_bits"]),
-            top_k=int(payload["top_k"]),
+            top_k=payload["top_k"],
             fingerprint=fingerprint,
             learn=learn,
-            # Older artifacts (schema 1 before the cap was persisted) omit
-            # the key; they were all written with the construction default.
-            max_entries=int(payload.get("max_entries", 65_536)),
+            max_entries=payload["max_entries"],
         )
         for entry in payload["entries"]:
             table._cache[signature_from_json(entry["key"])] = decision_from_payload(entry)

@@ -26,4 +26,3 @@ class NewRenoSender(RenoSender):
             missing = self.cumulative_ack + 1
             if missing not in self.received_seqs and missing not in self.outstanding:
                 self._transmit(missing, retransmission=True)
-                self.trace("partial_ack_retransmit", seq=missing, cwnd=self.cwnd)

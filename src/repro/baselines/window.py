@@ -130,7 +130,6 @@ class WindowSender(SourceElement):
         self.timeouts = 0
         self.fast_retransmits = 0
         self.packets_sent = 0
-        self.cwnd_trace: list[tuple[float, float]] = []
 
     # --------------------------------------------------------------- subclass
 
@@ -191,8 +190,6 @@ class WindowSender(SourceElement):
         self.packets_sent += 1
         if retransmission:
             self.retransmissions += 1
-        if self._trace is not None:
-            self.trace("send", seq=seq, retransmission=retransmission, cwnd=self.cwnd)
         self.emit(packet)
 
     # ------------------------------------------------------------ ack handling
@@ -231,7 +228,6 @@ class WindowSender(SourceElement):
             if self.duplicate_acks == 3 and not self.in_recovery:
                 self._enter_fast_retransmit()
 
-        self.cwnd_trace.append((now, self.cwnd))
         self._send_allowed()
 
     def _enter_fast_retransmit(self) -> None:
@@ -242,7 +238,6 @@ class WindowSender(SourceElement):
         missing = self.cumulative_ack + 1
         if missing not in self.received_seqs:
             self._transmit(missing, retransmission=True)
-        self.trace("fast_retransmit", seq=missing, cwnd=self.cwnd)
 
     # ---------------------------------------------------------------- timeout
 
@@ -280,9 +275,7 @@ class WindowSender(SourceElement):
         self.in_recovery = False
         self.on_timeout()
         self.rto = min(self.max_rto, self.rto * 2.0)  # exponential backoff
-        oldest = min(self.outstanding)
-        self._transmit(oldest, retransmission=True)
-        self.trace("timeout", seq=oldest, cwnd=self.cwnd, rto=self.rto)
+        self._transmit(min(self.outstanding), retransmission=True)
         self._arm_rto()
 
     # ------------------------------------------------------------------ stats

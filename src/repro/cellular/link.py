@@ -18,6 +18,7 @@ packet's serialization time from
 
 from __future__ import annotations
 
+import math
 from collections import deque
 
 from repro.corpus.trace import MIN_SERVICE_RATE_BPS, LinkTrace
@@ -81,13 +82,21 @@ class CellularLink(Element):
         propagation_delay: float = 0.03,
         name: str | None = None,
     ) -> None:
-        if buffer_bits <= 0:
+        # Each check is written so that NaN fails it; only the buffer may be
+        # unbounded.
+        if not buffer_bits > 0.0:
             raise ConfigurationError(f"buffer_bits must be positive, got {buffer_bits!r}")
         if not 0.0 <= loss_rate < 1.0:
             raise ConfigurationError(f"loss_rate must lie in [0, 1), got {loss_rate!r}")
-        if retransmit_delay < 0 or propagation_delay < 0:
-            raise ConfigurationError("delays must be non-negative")
-        if max_attempts < 1:
+        if not 0.0 <= retransmit_delay < math.inf:
+            raise ConfigurationError(
+                f"retransmit_delay must be non-negative and finite, got {retransmit_delay!r}"
+            )
+        if not 0.0 <= propagation_delay < math.inf:
+            raise ConfigurationError(
+                f"propagation_delay must be non-negative and finite, got {propagation_delay!r}"
+            )
+        if not max_attempts >= 1:
             raise ConfigurationError(f"max_attempts must be at least 1, got {max_attempts!r}")
         super().__init__(name)
         self.rate_process = rate_process
@@ -104,7 +113,6 @@ class CellularLink(Element):
         self.link_layer_retransmissions = 0
         self.abandoned_packets = 0
         self.peak_occupancy_bits = 0.0
-        self.occupancy_trace: list[tuple[float, float]] = []
 
     # ------------------------------------------------------------------ state
 
@@ -132,14 +140,11 @@ class CellularLink(Element):
         if self._occupancy_bits + packet.size_bits > self.buffer_bits + 1e-9:
             self.drop_count += 1
             packet.mark_dropped(self.sim.now, self.name)
-            if self._trace is not None:
-                self.trace("drop", seq=packet.seq, flow=packet.flow)
             return
         self._queue.append(packet)
         self._occupancy_bits += packet.size_bits
         if self._occupancy_bits > self.peak_occupancy_bits:
             self.peak_occupancy_bits = self._occupancy_bits
-        self.occupancy_trace.append((self.sim.now, self._occupancy_bits))
 
     def _begin_service(self, packet: Packet, attempt: int = 1) -> None:
         self._busy = True
@@ -152,16 +157,12 @@ class CellularLink(Element):
             if attempt >= self.max_attempts:
                 self.abandoned_packets += 1
                 packet.mark_dropped(self.sim.now, self.name)
-                self.trace("abandon", seq=packet.seq, flow=packet.flow)
                 self._serve_next()
                 return
             self.link_layer_retransmissions += 1
             packet.meta["ll_retransmissions"] = packet.meta.get("ll_retransmissions", 0) + 1
-            self.trace("ll_retransmit", seq=packet.seq, attempt=attempt)
             self.sim.schedule(self.retransmit_delay, self._begin_service, packet, attempt + 1)
             return
-        if self._trace is not None:
-            self.trace("tx_done", seq=packet.seq, flow=packet.flow)
         if self.propagation_delay > 0:
             self.sim.schedule(self.propagation_delay, self.emit, packet)
         else:
@@ -187,4 +188,3 @@ class CellularLink(Element):
         self.link_layer_retransmissions = 0
         self.abandoned_packets = 0
         self.peak_occupancy_bits = 0.0
-        self.occupancy_trace = []

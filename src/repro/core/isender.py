@@ -16,7 +16,6 @@ whose acknowledgements it should listen to.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.core.planner import Decision, ExpectedUtilityPlanner
@@ -31,21 +30,6 @@ from repro.units import DEFAULT_PACKET_BITS
 
 #: Safety valve on how many packets a single wake-up may emit.
 MAX_SENDS_PER_WAKE = 64
-
-
-@dataclass(slots=True)
-class DecisionRecord:
-    """One planning step taken by the sender (kept for analysis and tests).
-
-    ``expected_utilities`` is the decision's own mapping, not a copy: with a
-    policy cache most records of a run share a handful of them.  Read-only.
-    """
-
-    time: float
-    delay: float
-    sent_seq: Optional[int]
-    hypotheses: int
-    expected_utilities: dict[float, float] = field(default_factory=dict)
 
 
 class ISender(SourceElement):
@@ -105,7 +89,6 @@ class ISender(SourceElement):
 
         self.sent: list[SentRecord] = []
         self.acks: list[AckObservation] = []
-        self.decisions: list[DecisionRecord] = []
         self._pending_acks: list[AckObservation] = []
         self._next_seq = 0
         self._timer: Optional[Event] = None
@@ -129,8 +112,6 @@ class ISender(SourceElement):
         )
         self._pending_acks.append(ack)
         self.acks.append(ack)
-        if self._trace is not None:
-            self.trace("ack", seq=ack.seq, received_at=ack.received_at)
         self._wake_soon()
 
     def _wake_soon(self) -> None:
@@ -159,15 +140,6 @@ class ISender(SourceElement):
         sends_this_wake = 0
         while True:
             decision = self._decider.decide(self.belief, now)
-            self.decisions.append(
-                DecisionRecord(
-                    time=now,
-                    delay=decision.delay,
-                    sent_seq=self._next_seq if decision.send_now else None,
-                    hypotheses=decision.hypotheses_evaluated,
-                    expected_utilities=decision.expected_utilities,
-                )
-            )
             if decision.send_now and sends_this_wake < MAX_SENDS_PER_WAKE:
                 self._transmit(now)
                 sends_this_wake += 1
@@ -187,8 +159,6 @@ class ISender(SourceElement):
         )
         self.sent.append(SentRecord(seq=seq, size_bits=self.packet_bits, sent_at=now))
         self.belief.record_send(seq, self.packet_bits, now)
-        if self._trace is not None:
-            self.trace("send", seq=seq)
         self.emit(packet)
 
     def _sleep(self, decision: Decision, now: float) -> None:
@@ -200,8 +170,6 @@ class ISender(SourceElement):
             # belief backend is vectorized.)
             delay = self.planner.packet_bits / self.belief.map_link_rate_bps()
         self._timer = self.sim.schedule(delay, self._wake)
-        if self._trace is not None:
-            self.trace("sleep", delay=delay)
 
     # ------------------------------------------------------------------ stats
 
@@ -227,11 +195,9 @@ class ISender(SourceElement):
         return [(ack.ack_at, index + 1) for index, ack in enumerate(ordered)]
 
     def reset(self) -> None:
-        super().reset()
-        self.sent = []
-        self.acks = []
-        self.decisions = []
-        self._pending_acks = []
-        self._next_seq = 0
-        self._timer = None
-        self._wake_scheduled = False
+        """Refuse: the belief has moved on with the run and the one the
+        sender was built with is gone, so a reset sender could not plan."""
+        raise ConfigurationError(
+            f"ISender {self.name!r} cannot be reset: its belief has moved on with "
+            "the run; a model-based sender must be rebuilt"
+        )

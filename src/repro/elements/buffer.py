@@ -119,8 +119,6 @@ class Buffer(Element):
             self.drop_count += 1
             self.dropped_packets.append(packet)
             packet.mark_dropped(self.sim.now, self.name)
-            if self._trace is not None:
-                self.trace("drop", seq=packet.seq, flow=packet.flow, occupancy=self._occupancy_bits)
             return
         self._enqueue(packet)
         self._kick_downstream()
@@ -133,8 +131,6 @@ class Buffer(Element):
         self._occupancy_bits -= packet.size_bits
         if self._occupancy_bits < 1e-9:
             self._occupancy_bits = 0.0
-        if self._trace is not None:
-            self.trace("dequeue", seq=packet.seq, flow=packet.flow, occupancy=self._occupancy_bits)
         return packet
 
     # ----------------------------------------------------------------- state
@@ -168,8 +164,6 @@ class Buffer(Element):
         self._occupancy_bits += packet.size_bits
         if self._occupancy_bits > self.peak_occupancy_bits:
             self.peak_occupancy_bits = self._occupancy_bits
-        if self._trace is not None:
-            self.trace("enqueue", seq=packet.seq, flow=packet.flow, occupancy=self._occupancy_bits)
 
     def _kick_downstream(self) -> None:
         if self._kick is not None:

@@ -53,7 +53,6 @@ class Collector(Element):
         tally.last_arrival = now
         tally.arrivals.append(now)
         self.packets.append(packet)
-        self.trace("collect", seq=packet.seq, flow=packet.flow)
 
     def count(self, flow: str | None = None) -> int:
         """Number of packets received (optionally for a single flow)."""

@@ -63,13 +63,9 @@ class Diverter(Element):
         self.received_count += 1
         if self._predicate(packet):
             self.matched_count += 1
-            if self._trace is not None:
-                self.trace("route", seq=packet.seq, flow=packet.flow, branch="match")
             self.match_branch.receive(packet)
         else:
             self.other_count += 1
-            if self._trace is not None:
-                self.trace("route", seq=packet.seq, flow=packet.flow, branch="other")
             self.other_branch.receive(packet)
 
     def reset(self) -> None:
@@ -118,11 +114,7 @@ class FlowDemux(Element):
         branch = self.branches.get(packet.flow)
         if branch is None:
             self.ignored_count += 1
-            if self._trace is not None:
-                self.trace("ignore", seq=packet.seq, flow=packet.flow)
             return
-        if self._trace is not None:
-            self.trace("route", seq=packet.seq, flow=packet.flow)
         branch.receive(packet)
 
     def reset(self) -> None:

@@ -9,6 +9,7 @@ downstream paths (for example a fast path and a slow path).
 
 from __future__ import annotations
 
+import math
 from typing import Iterable
 
 from repro.errors import ConfigurationError
@@ -26,9 +27,9 @@ class Either(Element):
         mean_time_to_switch: float,
         name: str | None = None,
     ) -> None:
-        if mean_time_to_switch <= 0:
+        if not 0.0 < mean_time_to_switch < math.inf:  # NaN fails it too
             raise ConfigurationError(
-                f"mean_time_to_switch must be positive, got {mean_time_to_switch!r}"
+                f"mean_time_to_switch must be positive and finite, got {mean_time_to_switch!r}"
             )
         super().__init__(name)
         self.first = first
@@ -64,7 +65,6 @@ class Either(Element):
     def _switch(self) -> None:
         self._using_first = not self._using_first
         self.switch_times.append(self.sim.now)
-        self.trace("switch", using_first=self._using_first)
         self._schedule_switch()
 
     def receive(self, packet: Packet) -> None:

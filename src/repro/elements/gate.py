@@ -41,13 +41,11 @@ class GateElement(Element):
         else:
             self.blocked_count += 1
             packet.mark_dropped(self.sim.now, self.name)
-            self.trace("blocked", seq=packet.seq, flow=packet.flow)
 
     def _toggle(self) -> None:
         """Flip the gate state and record the switch time."""
         self._connected = not self._connected
         self.switch_times.append(self.sim.now)
-        self.trace("switch", connected=self._connected)
 
     def reset(self) -> None:
         super().reset()

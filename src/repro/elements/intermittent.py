@@ -7,6 +7,8 @@ with particular interarrival time (mean-time-to-switch)."
 
 from __future__ import annotations
 
+import math
+
 from repro.errors import ConfigurationError
 from repro.elements.gate import GateElement
 
@@ -28,9 +30,9 @@ class Intermittent(GateElement):
         name: str | None = None,
         initially_connected: bool = True,
     ) -> None:
-        if mean_time_to_switch <= 0:
+        if not 0.0 < mean_time_to_switch < math.inf:  # NaN fails it too
             raise ConfigurationError(
-                f"mean_time_to_switch must be positive, got {mean_time_to_switch!r}"
+                f"mean_time_to_switch must be positive and finite, got {mean_time_to_switch!r}"
             )
         super().__init__(name, initially_connected=initially_connected)
         self.mean_time_to_switch = mean_time_to_switch
@@ -52,8 +54,6 @@ class Intermittent(GateElement):
         This is what the inference engine uses when it discretizes the
         memoryless switching process to wake-up boundaries.
         """
-        import math
-
         if interval <= 0:
             return 0.0
         return 1.0 - math.exp(-interval / self.mean_time_to_switch)

@@ -8,6 +8,8 @@ to the phenomenon being modelled.
 
 from __future__ import annotations
 
+import math
+
 from repro.errors import ConfigurationError
 from repro.sim.element import Element
 from repro.sim.packet import Packet
@@ -22,8 +24,8 @@ class Jitter(Element):
         probability: float,
         name: str | None = None,
     ) -> None:
-        if delay < 0:
-            raise ConfigurationError(f"jitter delay must be non-negative, got {delay!r}")
+        if not 0.0 <= delay < math.inf:  # NaN fails it too
+            raise ConfigurationError(f"delay must be non-negative and finite, got {delay!r}")
         if not 0.0 <= probability <= 1.0:
             raise ConfigurationError(
                 f"jitter probability must be within [0, 1], got {probability!r}"
@@ -39,7 +41,6 @@ class Jitter(Element):
         if self.probability > 0.0 and self.rng("jitter").random() < self.probability:
             self.jittered_count += 1
             packet.meta["jittered"] = packet.meta.get("jittered", 0) + 1
-            self.trace("jitter", seq=packet.seq, flow=packet.flow, delay=self.delay)
             self.sim.schedule(self.delay, self.emit, packet)
         else:
             self.untouched_count += 1

@@ -56,7 +56,6 @@ class Loss(Element):
         if self.rate > 0.0 and self.rng("loss").random() < self.rate:
             self.drop_count += 1
             packet.mark_dropped(self.sim.now, self.name)
-            self.trace("loss", seq=packet.seq, flow=packet.flow)
             return
         self.pass_count += 1
         self.emit(packet)

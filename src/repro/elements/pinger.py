@@ -8,6 +8,8 @@ paper suggests, by following a PINGER with one or more JITTER elements.
 
 from __future__ import annotations
 
+import math
+
 from repro.errors import ConfigurationError
 from repro.sim.element import SourceElement
 from repro.sim.packet import Packet
@@ -40,10 +42,15 @@ class Pinger(SourceElement):
         start_time: float = 0.0,
         stop_time: float | None = None,
     ) -> None:
-        if rate_pps <= 0:
-            raise ConfigurationError(f"pinger rate must be positive, got {rate_pps!r}")
-        if packet_bits <= 0:
-            raise ConfigurationError(f"packet size must be positive, got {packet_bits!r}")
+        # Each check is written so that NaN fails it.
+        if not 0.0 < rate_pps < math.inf:
+            raise ConfigurationError(f"rate_pps must be positive and finite, got {rate_pps!r}")
+        if not 0.0 < packet_bits < math.inf:
+            raise ConfigurationError(
+                f"packet_bits must be positive and finite, got {packet_bits!r}"
+            )
+        if not -math.inf < start_time < math.inf:
+            raise ConfigurationError(f"start_time must be finite, got {start_time!r}")
         super().__init__(name)
         self.rate_pps = float(rate_pps)
         self.packet_bits = float(packet_bits)
@@ -51,7 +58,6 @@ class Pinger(SourceElement):
         self.start_time = float(start_time)
         self.stop_time = stop_time
         self._next_seq = 0
-        self.sent_packets: list[Packet] = []
 
     @property
     def interval(self) -> float:
@@ -79,12 +85,9 @@ class Pinger(SourceElement):
             sent_at=now,
         )
         self._next_seq += 1
-        self.sent_packets.append(packet)
-        self.trace("send", seq=packet.seq, flow=packet.flow)
         self.emit(packet)
         self.sim.schedule(self.interval, self._send)
 
     def reset(self) -> None:
         super().reset()
         self._next_seq = 0
-        self.sent_packets = []

@@ -87,8 +87,6 @@ class Receiver(Element):
         )
         self.deliveries.append(delivery)
         self.bits_received += packet.size_bits
-        if self._trace is not None:
-            self.trace("deliver", seq=packet.seq, flow=packet.flow, delay=delivery.delay)
         if self.on_deliver is not None:
             if self.ack_delay > 0:
                 self.sim.schedule(self.ack_delay, self.on_deliver, delivery)

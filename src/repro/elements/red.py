@@ -126,17 +126,14 @@ class RedBuffer(Element):
         if self._occupancy_bits + packet.size_bits > self.capacity_bits + 1e-9:
             self.forced_drops += 1
             packet.mark_dropped(self.sim.now, self.name)
-            self.trace("forced_drop", seq=packet.seq, flow=packet.flow)
             return
         probability = self.drop_probability()
         if probability > 0.0 and self.rng("red").random() < probability:
             self.early_drops += 1
             packet.mark_dropped(self.sim.now, self.name)
-            self.trace("early_drop", seq=packet.seq, flow=packet.flow, probability=probability)
             return
         self._queue.append(packet)
         self._occupancy_bits += packet.size_bits
-        self.trace("enqueue", seq=packet.seq, flow=packet.flow, occupancy=self._occupancy_bits)
         kick = getattr(self.downstream, "kick", None)
         if callable(kick):
             kick()

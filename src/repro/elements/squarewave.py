@@ -10,6 +10,8 @@ experiment and is reproduced in :mod:`repro.experiments.figure3`.
 
 from __future__ import annotations
 
+import math
+
 from repro.errors import ConfigurationError
 from repro.elements.gate import GateElement
 
@@ -35,13 +37,16 @@ class SquareWave(GateElement):
         initially_connected: bool = True,
         offset: float | None = None,
     ) -> None:
-        if switch_interval <= 0:
-            raise ConfigurationError(f"switch_interval must be positive, got {switch_interval!r}")
+        # Each check is written so that NaN fails it.
+        if not 0.0 < switch_interval < math.inf:
+            raise ConfigurationError(
+                f"switch_interval must be positive and finite, got {switch_interval!r}"
+            )
+        if offset is not None and not 0.0 <= offset < math.inf:
+            raise ConfigurationError(f"offset must be non-negative and finite, got {offset!r}")
         super().__init__(name, initially_connected=initially_connected)
         self.switch_interval = switch_interval
         self.offset = switch_interval if offset is None else offset
-        if self.offset < 0:
-            raise ConfigurationError(f"offset must be non-negative, got {offset!r}")
 
     def start(self) -> None:
         self.sim.schedule(self.offset, self._switch)

@@ -89,16 +89,12 @@ class Throughput(Element):
 
     def _begin(self, packet: Packet) -> None:
         self._busy = True
-        if self._trace is not None:
-            self.trace("tx_start", seq=packet.seq, flow=packet.flow)
         self.sim.schedule(self.service_time(packet), self._complete, packet)
 
     def _complete(self, packet: Packet) -> None:
         self._busy = False
         self.bits_transmitted += packet.size_bits
         self.packets_transmitted += 1
-        if self._trace is not None:
-            self.trace("tx_done", seq=packet.seq, flow=packet.flow)
         self.emit(packet)
         self.kick()
 

@@ -46,12 +46,6 @@ BACKENDS = ("fused", "scalar", "vectorized")
 #: heaviest row's are discarded.
 PRUNE_FRACTION = 1e-6
 
-#: Seconds of cross-traffic delivery/drop history each hypothesis's model
-#: retains behind the update clock.  Planner rollouts read the tallies of
-#: *fresh* clones only, so older history is dead weight that would grow (and
-#: be re-copied on every gate fork) without bound on long runs.
-CROSS_TALLY_WINDOW = 60.0
-
 
 def check_backend(kind: str, name: str) -> None:
     """Raise ``UnknownBackendError`` unless ``name`` is one of :data:`BACKENDS`.
@@ -164,13 +158,8 @@ class HypothesisRows:
     def keep(self, rows: list[int]) -> None:
         self.hypotheses = [self.hypotheses[row] for row in rows]
 
-    def finish_update(self, belief: "BeliefState", now: float) -> None:
-        """Keep :data:`CROSS_TALLY_WINDOW` of each model's cross-tally
-        history, so long runs stay flat in memory (clones copy these lists on
-        every gate fork)."""
-        cutoff = now - CROSS_TALLY_WINDOW
-        for hypothesis in self.hypotheses:
-            hypothesis.model.cross.trim(cutoff)
+    def finish_update(self, belief: "BeliefState") -> None:
+        """Nothing to tidy: a row keeps no history past its update."""
 
 
 class BeliefState:
@@ -470,7 +459,7 @@ class BeliefState:
                 "posterior",
                 {"weights": list(self._weights), "signatures": ensemble.signatures()},
             )
-        ensemble.finish_update(self, now)
+        ensemble.finish_update(self)
 
     # ----------------------------------------------------------------- helpers
 

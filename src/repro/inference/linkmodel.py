@@ -29,7 +29,6 @@ without building a model at all.
 
 from __future__ import annotations
 
-import bisect
 import math
 from collections import deque
 from dataclasses import dataclass, field, fields
@@ -162,7 +161,7 @@ def initial_fill(fill_bits: float, filler_bits: float) -> tuple[list[float], flo
 
 @dataclass(slots=True)
 class CrossTally:
-    """Cross-traffic outcomes accumulated by the model (used for utility)."""
+    """Cross-traffic outcomes a rollout's model accumulates (for utility)."""
 
     deliveries: list[tuple[float, float]] = field(default_factory=list)
     drops: list[tuple[float, float]] = field(default_factory=list)
@@ -174,22 +173,6 @@ class CrossTally:
     def dropped_bits(self, start: float = float("-inf"), end: float = float("inf")) -> float:
         """Cross bits lost to buffer overflow within ``[start, end)``."""
         return sum(bits for time, bits in self.drops if start <= time < end)
-
-    def trim(self, cutoff: float) -> int:
-        """Drop entries recorded before ``cutoff``; returns how many went.
-
-        Entries are appended in nondecreasing time order, so a binary
-        search finds the survivors.  Belief states call this every update
-        to keep long-running models' tallies (which clones copy wholesale)
-        bounded by the scoring window.
-        """
-        removed = 0
-        for entries in (self.deliveries, self.drops):
-            if entries and entries[0][0] < cutoff:
-                index = bisect.bisect_left(entries, (cutoff,))
-                del entries[:index]
-                removed += index
-        return removed
 
 
 class LinkModel:
@@ -222,8 +205,9 @@ class LinkModel:
         self._service_completion = float("inf")
         #: Predictions for the sender's own packets, keyed by sequence number.
         self.predictions: dict[int, Prediction] = {}
-        #: Cross-traffic outcome tallies (used by the planner's utility).
-        self.cross = CrossTally()
+        #: Cross-traffic outcomes, tallied only on a rollout's copy
+        #: (``clone(keep_history=False)``): nothing reads a belief row's.
+        self.cross: Optional[CrossTally] = None
         #: Times at which the sender's own packets entered this model.
         self.own_sent: dict[int, float] = {}
         self._load_initial_fill()
@@ -287,9 +271,10 @@ class LinkModel:
     def clone(self, keep_history: bool = True) -> "LinkModel":
         """Return an independent copy of the model.
 
-        With ``keep_history=False`` the cross-traffic tallies and resolved
-        predictions are not copied, which is what planner rollouts want: they
-        only care about what happens after the decision time.
+        With ``keep_history=False`` the resolved predictions are not copied
+        and the copy starts an empty cross-traffic tally, which is what
+        planner rollouts want: they only care about what happens after the
+        decision time.  A full copy (a belief row's fork) tallies nothing.
         """
         duplicate = LinkModel.__new__(LinkModel)
         duplicate.params = self.params
@@ -303,9 +288,7 @@ class LinkModel:
         duplicate._service_completion = self._service_completion
         if keep_history:
             duplicate.predictions = dict(self.predictions)
-            duplicate.cross = CrossTally(
-                deliveries=list(self.cross.deliveries), drops=list(self.cross.drops)
-            )
+            duplicate.cross = None
             duplicate.own_sent = dict(self.own_sent)
         else:
             duplicate.predictions = {}
@@ -322,8 +305,8 @@ class LinkModel:
         into struct-of-arrays buffers: every entry is either a scalar or a
         list of fixed-width tuples (the queue's own immutable entries), with
         no mutable references back into the model.
-        ``cross`` tallies are intentionally excluded — they are history, not
-        latent state, and the vectorized ensemble does not retain them.
+        A belief row keeps no cross-traffic tally, so there is none to
+        export.
         """
         return {
             "time": self.time,
@@ -361,7 +344,7 @@ class LinkModel:
             seq: Prediction(seq=seq, kind=kind, time=time, survival=survival)
             for seq, kind, time, survival in state["predictions"]
         }
-        model.cross = CrossTally()
+        model.cross = None
         model.own_sent = dict(state["own_sent"])
         return model
 
@@ -495,7 +478,7 @@ class LinkModel:
             self.predictions[seq] = Prediction(
                 seq=seq, kind="dropped", time=self.time, survival=0.0
             )
-        else:
+        elif self.cross is not None:
             self.cross.drops.append((self.time, size_bits))
 
     def _start_service(self, packet: QueuedPacket) -> None:
@@ -516,7 +499,7 @@ class LinkModel:
                 time=when,
                 survival=1.0 - self.params.loss_rate,
             )
-        else:
+        elif self.cross is not None:
             self.cross.deliveries.append((when, size_bits))
         if self._queue:
             nxt = self._queue.popleft()

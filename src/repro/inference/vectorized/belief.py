@@ -128,7 +128,7 @@ class ArrayRows:
     def keep(self, rows: list[int]) -> None:
         self.state = self.state.select(np.asarray(rows, dtype=np.int64))
 
-    def finish_update(self, belief: "VectorizedBeliefState", now: float) -> None:
+    def finish_update(self, belief: "VectorizedBeliefState") -> None:
         belief._hand_off_settled_row()
 
 

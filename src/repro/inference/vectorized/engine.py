@@ -205,8 +205,8 @@ def _complete_service(state: EnsembleState, rows: np.ndarray) -> None:
         cols = state.lookup_columns(state.svc_seq[own_rows])
         state.pred_state[own_rows, cols] = PRED_DELIVERED
         state.pred_time[own_rows, cols] = when[own]
-    # Cross-traffic deliveries carry no latent state; the vectorized backend
-    # does not tally them (see EnsembleState's docstring).
+    # Cross-traffic deliveries carry no latent state, and a belief row
+    # tallies none (only a rollout's scalar copy does).
 
     has_next = state.q_len[rows] > 0
     next_rows = rows[has_next]

@@ -31,13 +31,6 @@ Rows can be gathered (:meth:`select`, which also lays out a gate fork's
 stay and switch branches, a row repeated per branch) and materialized back
 into ordinary
 :class:`~repro.inference.hypothesis.Hypothesis` objects for the planner.
-
-The one piece of scalar-model state deliberately *not* carried here is the
-cross-traffic delivery/drop tally: it is history rather than latent state,
-nothing in scoring, compaction, or planner rollouts reads the historical
-tally, and dropping it keeps the hot loop free of per-row Python lists.
-Materialized hypotheses therefore start with an empty
-:class:`~repro.inference.linkmodel.CrossTally`.
 """
 
 from __future__ import annotations

@@ -8,7 +8,6 @@ network of every experiment and the sender's hypothetical networks run:
 * :class:`repro.sim.packet.Packet` — the unit of data moved between elements.
 * :class:`repro.sim.element.Element` — base class for all network elements.
 * :class:`repro.sim.random.RngRegistry` — named, seeded random streams.
-* :class:`repro.sim.trace.TraceRecorder` — structured event tracing.
 """
 
 from repro.sim.element import Element, Network, SourceElement
@@ -16,7 +15,6 @@ from repro.sim.engine import Simulator
 from repro.sim.events import Event
 from repro.sim.packet import Packet
 from repro.sim.random import RngRegistry
-from repro.sim.trace import TraceRecorder
 
 __all__ = [
     "Element",
@@ -26,5 +24,4 @@ __all__ = [
     "RngRegistry",
     "Simulator",
     "SourceElement",
-    "TraceRecorder",
 ]

@@ -22,7 +22,6 @@ from repro.errors import WiringError
 from repro.sim.engine import Simulator
 from repro.sim.packet import Packet
 from repro.sim.random import RngRegistry
-from repro.sim.trace import TraceRecorder
 
 
 class _UnattachedSim:
@@ -57,7 +56,6 @@ class Element:
         self.name = name or f"{cls.__name__.lower()}-{cls._instance_counter}"
         self._downstream: Optional[Element] = None
         self._rng_registry: Optional[RngRegistry] = None
-        self._trace: Optional[TraceRecorder] = None
         self._attached = False
         self.emitted_count = 0
         self.received_count = 0
@@ -86,13 +84,9 @@ class Element:
 
     # ----------------------------------------------------------------- attach
 
-    def attach(
-        self,
-        sim: Simulator,
-        rng: RngRegistry | None = None,
-        trace: TraceRecorder | None = None,
-    ) -> None:
-        """Bind the element (and its children) to a simulator.
+    def attach(self, sim: Simulator, rng: RngRegistry | None = None) -> None:
+        """Bind the element (and its children) to a simulator and, when
+        given, the registry its random streams are drawn from.
 
         Attaching twice to different simulators is an error; attaching twice
         to the same simulator is a harmless no-op, which lets a
@@ -102,10 +96,9 @@ class Element:
             raise WiringError(f"element {self.name!r} is already attached to another simulator")
         self.sim = sim
         self._rng_registry = rng
-        self._trace = trace
         self._attached = True
         for child in self.children():
-            child.attach(sim, rng=rng, trace=trace)
+            child.attach(sim, rng=rng)
 
     #: The simulator this element is attached to (a :class:`WiringError`
     #: until :meth:`attach` sets it).
@@ -124,18 +117,6 @@ class Element:
             self._rng_registry = RngRegistry(seed=0)
         return self._rng_registry.stream(f"{self.name}/{purpose}")
 
-    # ------------------------------------------------------------------ trace
-
-    def trace(self, kind: str, **fields) -> None:
-        """Record a trace row if a recorder is attached.
-
-        Without one this is a no-op, but the caller has still built
-        ``fields``; per-packet call sites test ``self._trace is not None``
-        first so an untraced run pays nothing.
-        """
-        if self._trace is not None:  # a recorder is only set by attach
-            self._trace.record(self.sim.now, self.name, kind, **fields)
-
     # -------------------------------------------------------------- data path
 
     def receive(self, packet: Packet) -> None:
@@ -146,16 +127,14 @@ class Element:
         """Forward ``packet`` to the downstream element.
 
         Packets emitted past the edge of the graph (no downstream) are
-        counted and traced but otherwise silently discarded; experiments
+        counted but otherwise silently discarded; experiments
         always terminate paths with an explicit Receiver or Collector, so a
         missing downstream in practice indicates a mis-wired test graph.
         """
         packet.hops += 1
         self.emitted_count += 1
-        if self._downstream is None:
-            self.trace("exit", seq=packet.seq, flow=packet.flow)
-            return
-        self._downstream.receive(packet)
+        if self._downstream is not None:
+            self._downstream.receive(packet)
 
     # ------------------------------------------------------------- life cycle
 
@@ -189,18 +168,14 @@ class Network:
     ----------
     seed:
         Base seed for the per-element random streams.
-    trace_kinds:
-        The trace kinds to record into :attr:`trace`.  ``None`` (the default)
-        records nothing: no recorder is attached to the elements and
-        :attr:`trace` stays empty.  To record every kind, attach a recorder
-        by hand: ``element.attach(sim, trace=TraceRecorder())``.
+
+    The network records nothing of its own: a run leaves behind only what
+    its elements keep for a metric to read.
     """
 
-    def __init__(self, seed: int = 0, trace_kinds: Iterable[str] | None = None) -> None:
+    def __init__(self, seed: int = 0) -> None:
         self.sim = Simulator()
         self.rng = RngRegistry(seed)
-        self.trace = TraceRecorder(kinds=trace_kinds)
-        self._element_trace = self.trace if trace_kinds is not None else None
         #: Attached elements keyed by ``id``, in registration/walk order.
         self._elements: dict[int, Element] = {}
         self._started = False
@@ -211,7 +186,7 @@ class Network:
             for reachable in _walk(element):
                 if id(reachable) not in self._elements:
                     self._elements[id(reachable)] = reachable
-                    reachable.attach(self.sim, rng=self.rng, trace=self._element_trace)
+                    reachable.attach(self.sim, rng=self.rng)
 
     @property
     def elements(self) -> list[Element]:
@@ -239,9 +214,15 @@ class Network:
         return self.sim.run(until=until, max_events=max_events)
 
     def reset(self) -> None:
-        """Reset every element; the simulator and traces are replaced."""
+        """Reset every element and replace the simulator.
+
+        An element whose initial state is gone refuses: a model-based
+        sender (:class:`~repro.core.isender.ISender`) has a belief that moved
+        on with the run, so its ``reset`` raises
+        :class:`~repro.errors.ConfigurationError` and the network must be
+        rebuilt instead.
+        """
         self.sim = Simulator()
-        self.trace.clear()
         self._started = False
         for element in self._elements.values():
             element.reset()

@@ -9,6 +9,9 @@ signature resolution.
 
 from __future__ import annotations
 
+import json
+import math
+
 import pytest
 
 from repro.api import PolicyTable, SenderConfig, build_sender, precompute_policy_table
@@ -16,6 +19,7 @@ from repro.core import ExpectedUtilityPlanner, ISender
 from repro.core.utility import ThroughputUtility
 from repro.errors import ConfigurationError
 from repro.inference import BeliefState, GaussianKernel, Hypothesis, figure3_prior
+from repro.serving import PolicyTableRegistry, content_digest
 from repro.topology.presets import figure2_network
 
 
@@ -145,12 +149,44 @@ class TestPolicyTableSerialization:
         path = table.to_json(tmp_path / "policy.json")
         loaded = PolicyTable.from_json(path)
         assert loaded.max_entries == 7
-        # Artifacts written before the cap was persisted omit the key and
-        # were all produced with the construction default.
-        payload = table.to_payload()
-        del payload["max_entries"]
-        legacy = PolicyTable.from_payload(payload)
-        assert legacy.max_entries == 65_536
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("queue_resolution_bits", math.nan),
+            ("queue_resolution_bits", math.inf),
+            ("top_k", 0),
+            ("top_k", -3),
+            ("top_k", 2.7),
+            ("top_k", True),
+            ("max_entries", 2.5),
+            ("max_entries", None),
+        ],
+    )
+    def test_a_bad_header_is_refused_and_a_served_one_quarantined(self, tmp_path, field, value):
+        """The header is checked the way the entries are: a NaN resolution,
+        a count that is no positive integer, or a missing cap is refused on
+        load, and the registry quarantines the file instead of serving it."""
+        fingerprint = "cafecafecafecafe"
+        registry = PolicyTableRegistry(tmp_path)
+        path = registry.publish(PolicyTable(make_planner(), fingerprint=fingerprint))
+        payload = json.loads(path.read_text())
+        if value is None:
+            del payload[field]
+        else:
+            payload[field] = value
+        with pytest.raises((ConfigurationError, KeyError), match=field):
+            PolicyTable.from_payload(payload)
+
+        # Re-address the tampered bytes so the digest check passes and the
+        # header check is what fires.
+        text = json.dumps(payload, sort_keys=True, indent=1) + "\n"
+        tampered = path.with_name(content_digest(text.encode()) + ".json")
+        tampered.write_text(text)
+        (path.parent / "CURRENT").write_text(tampered.stem + "\n")
+        assert registry.lookup(fingerprint) is None
+        assert registry.corrupt == 1
+        assert (tmp_path / "quarantine" / tampered.name).exists()
 
     def test_fingerprint_mismatch_rejected(self, tmp_path):
         _, table = self.build_table()

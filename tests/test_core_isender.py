@@ -131,34 +131,22 @@ class TestLossyPath:
 
 
 class TestDecisionLog:
-    def test_decisions_are_recorded(self):
-        network = single_link_network()
-        sender = build_sender(network)
-        network.network.run(until=20.0)
-        assert sender.decisions
-        assert all(record.hypotheses >= 1 for record in sender.decisions)
-        sent_decisions = [record for record in sender.decisions if record.sent_seq is not None]
-        assert len(sent_decisions) >= sender.packets_sent
-
     def test_policy_cache_mode_runs(self):
         network = single_link_network()
         sender = build_sender(network, policy_cache=True)
         network.network.run(until=20.0)
         assert sender.packets_sent > 5
 
-    def test_records_hold_the_decisions_own_utilities(self):
-        """A record points at its decision's mapping instead of copying it:
-        with a policy cache most wake-ups replay a remembered decision, and a
-        copy per record was the largest live allocation of a contention run."""
+
+class TestReset:
+    def test_network_reset_refuses_a_model_based_sender(self):
+        """The belief has moved on with the run, so a reset sender could not
+        plan; the network says to rebuild it instead of failing the next run."""
         network = single_link_network()
-        sender = build_sender(network, policy_cache=True)
-        network.network.run(until=40.0)
-        cache = sender.policy
-        assert cache.hits > 0 and len(sender.decisions) == cache.hits + cache.misses
-        # One mapping per planned decision, however many wake-ups replayed it.
-        distinct = {id(record.expected_utilities) for record in sender.decisions}
-        assert len(distinct) == cache.misses
-        assert all(record.expected_utilities for record in sender.decisions)
+        build_sender(network)
+        network.network.run(until=20.0)
+        with pytest.raises(ConfigurationError, match="rebuilt"):
+            network.network.reset()
 
 
 class TestFigure2Integration:

@@ -6,14 +6,21 @@ import math
 
 import pytest
 
+from repro.cellular import CellularLink
+from repro.corpus import LinkTrace
 from repro.elements import (
     Buffer,
     Collector,
     Delay,
     Diverter,
+    Either,
+    Intermittent,
+    Jitter,
     Loss,
+    Pinger,
     Receiver,
     Series,
+    SquareWave,
     Throughput,
 )
 from repro.errors import ConfigurationError, WiringError
@@ -21,6 +28,35 @@ from repro.sim.element import Element, Network, SourceElement
 from repro.sim.packet import Packet
 
 NON_FINITE = [math.nan, math.inf, -math.inf]
+
+TRACE = LinkTrace.constant(12_000.0, 10.0)
+
+#: ``build(value)`` sets only ``field``.  Each used to construct with some
+#: non-finite value and then hang, divide by zero or fail mid-run.
+NON_FINITE_FIELDS = [
+    pytest.param(field, build, id=f"{owner}.{field}")
+    for owner, field, build in [
+        ("Pinger", "rate_pps", lambda value: Pinger(rate_pps=value)),
+        ("Pinger", "packet_bits", lambda value: Pinger(rate_pps=1.0, packet_bits=value)),
+        ("Pinger", "start_time", lambda value: Pinger(rate_pps=1.0, start_time=value)),
+        ("Jitter", "delay", lambda value: Jitter(delay=value, probability=0.5)),
+        ("SquareWave", "switch_interval", lambda value: SquareWave(switch_interval=value)),
+        ("SquareWave", "offset", lambda value: SquareWave(switch_interval=1.0, offset=value)),
+        ("Intermittent", "mean_time_to_switch", lambda value: Intermittent(value)),
+        ("Either", "mean_time_to_switch", lambda value: Either(Delay(0.0), Delay(0.0), value)),
+        ("CellularLink", "buffer_bits", lambda value: CellularLink(TRACE, value)),
+        (
+            "CellularLink",
+            "retransmit_delay",
+            lambda value: CellularLink(TRACE, 1.0, retransmit_delay=value),
+        ),
+        (
+            "CellularLink",
+            "propagation_delay",
+            lambda value: CellularLink(TRACE, 1.0, propagation_delay=value),
+        ),
+    ]
+]
 
 
 class TestNonFiniteParametersRefused:
@@ -40,6 +76,17 @@ class TestNonFiniteParametersRefused:
     def test_receiver_ack_delay(self, value):
         with pytest.raises(ConfigurationError):
             Receiver(ack_delay=value)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("field, build", NON_FINITE_FIELDS)
+    def test_sources_gates_and_links_name_the_field(self, field, build, value):
+        """Refused at construction, naming the field, except that a buffer
+        may be unbounded."""
+        if field == "buffer_bits" and value == math.inf:
+            assert build(value).buffer_bits == math.inf
+            return
+        with pytest.raises(ConfigurationError, match=field):
+            build(value)
 
 
 class TestWiring:

@@ -16,7 +16,6 @@ from repro.inference import (
     Hypothesis,
     single_link_prior,
 )
-from repro.inference.belief import CROSS_TALLY_WINDOW
 from repro.inference.linkmodel import LinkModel, LinkModelParams
 
 
@@ -301,28 +300,3 @@ class TestBeliefState:
             assert sum(belief.weights) == pytest.approx(1.0)
             assert all(weight >= 0 for weight in belief.weights)
 
-
-class TestCrossTallyWindow:
-    """Belief updates bound each model's cross-tally history (memory flatness)."""
-
-    def run_updates(self, until=120.0):
-        belief = BeliefState([make_hypothesis(cross_rate_pps=0.5)])
-        now = 0.0
-        while now < until:
-            now += 5.0
-            belief.update(now)
-        return belief, now
-
-    def test_default_window_keeps_tallies_bounded(self):
-        belief, now = self.run_updates()
-        (hypothesis, _weight), = belief.top(1)
-        deliveries = hypothesis.model.cross.deliveries
-        assert deliveries, "cross traffic should have been delivered"
-        assert all(time >= now - CROSS_TALLY_WINDOW for time, _ in deliveries)
-
-    def test_long_run_memory_stays_flat(self):
-        belief, _ = self.run_updates(until=300.0)
-        (hypothesis, _weight), = belief.top(1)
-        # 0.5 packets/s over the 60 s window: ~30 entries, never the full 150.
-        assert CROSS_TALLY_WINDOW == 60.0
-        assert len(hypothesis.model.cross.deliveries) <= 40

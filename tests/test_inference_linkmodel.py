@@ -28,6 +28,11 @@ def simple_params(**overrides) -> LinkModelParams:
     return LinkModelParams(**defaults)
 
 
+def tallying(params: LinkModelParams) -> LinkModel:
+    """A fresh model as a rollout copies it: the only kind that tallies cross traffic."""
+    return LinkModel(params).clone(keep_history=False)
+
+
 class TestParamsValidation:
     def test_rejects_bad_values(self):
         with pytest.raises(ConfigurationError):
@@ -142,7 +147,7 @@ class TestOwnTraffic:
         assert dropped == [3, 4, 5]
 
     def test_initial_fill_delays_first_packet(self):
-        model = LinkModel(simple_params(initial_fill_bits=24_000))
+        model = tallying(simple_params(initial_fill_bits=24_000))
         model.send_own(0, 12_000, 0.0)
         model.advance(10.0)
         assert model.predictions[0].time == pytest.approx(3.0)
@@ -165,20 +170,20 @@ class TestOwnTraffic:
 
 class TestCrossTraffic:
     def test_isochronous_cross_deliveries(self):
-        model = LinkModel(simple_params(cross_rate_pps=0.5, cross_packet_bits=12_000))
+        model = tallying(simple_params(cross_rate_pps=0.5, cross_packet_bits=12_000))
         model.advance(10.0)
         # Arrivals at 0, 2, 4, 6, 8 -> deliveries at 1, 3, 5, 7, 9.
         assert [t for t, _ in model.cross.deliveries] == pytest.approx([1.0, 3.0, 5.0, 7.0, 9.0])
 
     def test_gate_off_stops_cross_traffic(self):
-        model = LinkModel(
+        model = tallying(
             simple_params(cross_rate_pps=0.5, mean_time_to_switch=100.0, cross_initially_on=False)
         )
         model.advance(10.0)
         assert model.cross.deliveries == []
 
     def test_set_gate_on_resumes_arrivals(self):
-        model = LinkModel(
+        model = tallying(
             simple_params(cross_rate_pps=1.0, mean_time_to_switch=100.0, cross_initially_on=False)
         )
         model.advance(5.0)
@@ -187,7 +192,7 @@ class TestCrossTraffic:
         assert len(model.cross.deliveries) == 3
 
     def test_cross_drops_when_buffer_full(self):
-        model = LinkModel(
+        model = tallying(
             simple_params(buffer_capacity_bits=12_000, cross_rate_pps=2.0, cross_packet_bits=12_000)
         )
         model.advance(3.0)
@@ -219,7 +224,7 @@ class TestCloneAndSignature:
         assert model.time == pytest.approx(0.0)
 
     def test_clone_without_history_drops_tallies(self):
-        model = LinkModel(simple_params(initial_fill_bits=12_000))
+        model = tallying(simple_params(initial_fill_bits=12_000))
         model.advance(5.0)
         assert model.cross.deliveries
         bare = model.clone(keep_history=False)
@@ -332,7 +337,7 @@ class TestAgreementWithElementSimulator:
         network.run(until=30.0)
         element_times = sorted(p.delivered_at for p in sink.packets)
 
-        model = LinkModel(
+        model = tallying(
             LinkModelParams(
                 link_rate_bps=link_rate,
                 buffer_capacity_bits=capacity,
@@ -378,12 +383,12 @@ class TestAdvanceComposes:
             sends.append((now, seq))
         horizon = now + tail
 
-        one_step = LinkModel(params)
+        one_step = tallying(params)
         for at, seq in sends:
             one_step.send_own(seq, 12_000.0, at)
         one_step.advance(horizon)
 
-        paused = LinkModel(params)
+        paused = tallying(params)
         pause_steps = [(fraction * horizon, None) for fraction in pauses]
         steps = sorted(sends + pause_steps, key=lambda step: step[0])
         for at, seq in steps:
@@ -399,35 +404,3 @@ class TestAdvanceComposes:
         assert paused.cross.deliveries == one_step.cross.deliveries
         assert paused.cross.drops == one_step.cross.drops
 
-
-class TestCrossTallyTrim:
-    def test_trim_drops_entries_before_cutoff(self):
-        model = LinkModel(simple_params(cross_rate_pps=0.5, cross_packet_bits=12_000.0))
-        model.advance(20.0)
-        total = len(model.cross.deliveries)
-        assert total > 0
-        removed = model.cross.trim(10.0)
-        assert removed == total - len(model.cross.deliveries)
-        assert all(time >= 10.0 for time, _ in model.cross.deliveries)
-        assert model.cross.delivered_bits(10.0, 20.0) > 0
-
-    def test_trim_is_a_noop_when_nothing_is_old(self):
-        model = LinkModel(simple_params(cross_rate_pps=0.5, cross_packet_bits=12_000.0))
-        model.advance(20.0)
-        before = list(model.cross.deliveries)
-        assert model.cross.trim(0.0) == 0
-        assert model.cross.deliveries == before
-
-    def test_trim_covers_drops_too(self):
-        # A tiny buffer with dense cross traffic accumulates drop entries.
-        model = LinkModel(
-            simple_params(
-                buffer_capacity_bits=12_000.0,
-                cross_rate_pps=4.0,
-                cross_packet_bits=12_000.0,
-            )
-        )
-        model.advance(20.0)
-        assert model.cross.drops
-        model.cross.trim(19.0)
-        assert all(time >= 19.0 for time, _ in model.cross.drops)
