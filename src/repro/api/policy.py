@@ -90,6 +90,21 @@ def _finite(what: str, value) -> float:
     return float(value)
 
 
+#: The largest ``|now|`` (seconds) a decision may be asked for.  Near
+#: ``1e17`` s a float's spacing outgrows the model's event intervals
+#: (``when + interval == when``) and a rollout frontier never reaches its
+#: deadline; 1e9 s (≈32 years) is far below that and far above any run.
+MAX_CLOCK_S = 1e9
+
+
+def _clock(what: str, value) -> float:
+    """``value`` as a float, if it is a number within ±:data:`MAX_CLOCK_S`."""
+    now = _finite(what, value)
+    if not abs(now) <= MAX_CLOCK_S:
+        raise ValueError(f"{what} lies within ±{MAX_CLOCK_S:g} s, not {value!r}")
+    return now
+
+
 def decision_from_payload(payload: dict) -> Decision:
     """Rebuild a :class:`~repro.core.planner.Decision` from payload form.
 

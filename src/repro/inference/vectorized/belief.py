@@ -155,10 +155,20 @@ class VectorizedBeliefState(BeliefState):
         settings: dict,
     ) -> "VectorizedBeliefState":
         """The prior's ensemble written straight into buffers: no hypotheses."""
+        state = EnsembleState.from_prior(assignments, start_time)
+        return cls.from_ensemble(state, weights, **settings)
+
+    @classmethod
+    def from_ensemble(
+        cls, state: EnsembleState, weights: list[float], **settings
+    ) -> "VectorizedBeliefState":
+        """A belief over ``state``'s rows as they are, weighted by ``weights``
+        (normalized); ``settings`` are the constructor's.  No hypothesis is
+        built and nothing is packed."""
         belief = cls.__new__(cls)
         belief._configure(**settings)
         belief._weights = belief._normalize(weights)
-        belief._rows = ArrayRows(EnsembleState.from_prior(assignments, start_time))
+        belief._rows = ArrayRows(state)
         return belief
 
     @property

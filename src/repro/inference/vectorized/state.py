@@ -21,6 +21,9 @@ There are two ways in.  :meth:`EnsembleState.from_prior` writes a prior
 grid's initial ensemble straight into the buffers — parameters, gate, the
 initial buffer fill as row slices — without building a scalar model, a
 hypothesis or a queued-packet object; it is how an array belief starts.
+Its start write, :meth:`EnsembleState.restart`, also restarts rows gathered
+from such an ensemble with other fills and gates — how the serving layer
+turns a decision signature into a belief.
 :meth:`EnsembleState.from_hypotheses` packs existing scalar hypotheses —
 how the planner hands a scalar or settled belief's top rows to the array
 rollout.  Both write the static per-row fields through one helper, so the
@@ -61,9 +64,8 @@ _FLOW_CODES = {"own": FLOW_OWN, "cross": FLOW_CROSS}
 _MIN_QUEUE_CAPACITY = 8
 _MIN_LEDGER_CAPACITY = 16
 
-#: Per-row 1D buffers, gathered wholesale by select.
-#: Must stay in sync with ``__slots__`` (there is one list, used by both).
-_ROW_FIELDS = (
+#: Per-row 1D buffers that never change once written (``_write_static``).
+_STATIC_FIELDS = (
     "link_rate",
     "buffer_cap",
     "loss_rate",
@@ -74,6 +76,15 @@ _ROW_FIELDS = (
     "survival",
     "log_survival",
     "log_loss",
+    "params_dicts",
+    "params_digest",
+    "params_id",
+    "model_params",
+)
+
+#: Per-row 1D buffers, gathered wholesale by select.
+#: Must stay in sync with ``__slots__`` (there is one list, used by both).
+_ROW_FIELDS = _STATIC_FIELDS + (
     "gate_on",
     "next_cross_time",
     "next_cross_seq",
@@ -84,10 +95,6 @@ _ROW_FIELDS = (
     "svc_completion",
     "q_len",
     "queue_bits",
-    "params_dicts",
-    "params_digest",
-    "params_id",
-    "model_params",
 )
 
 #: Per-row 2D buffers padded to the queue capacity.
@@ -153,61 +160,111 @@ class EnsembleState:
 
         Row ``i`` holds what ``LinkModel(LinkModelParams.from_assignment(
         assignments[i]), start_time)`` starts with, bit for bit, but no
-        model, hypothesis or queued-packet object is built: the gate and
-        next cross arrival are set as ``LinkModel.__init__`` sets them, and
-        :func:`~repro.inference.linkmodel.initial_fill` runs once per
-        distinct ``(initial fill, filler size)`` and is copied into its rows
-        as slices — the first packet in service until
-        ``start_time + size / link_rate``, the rest queued.  The own-packet
-        ledger starts empty.
+        model, hypothesis or queued-packet object is built: the static
+        fields are written as :meth:`from_hypotheses` writes them, then
+        :meth:`restart` starts every row with its own assignment's
+        ``initial_fill_bits`` and ``cross_initially_on``.
         """
         if not assignments:
             raise InferenceError("cannot build an ensemble from zero hypotheses")
         params = [LinkModelParams.from_assignment(assignment) for assignment in assignments]
         self = cls.__new__(cls)
-        size = len(params)
-        self.size = size
-        self.time = float(start_time)
+        self.size = len(params)
         self._write_static(
             assignments, params, [assignment_digest(assignment) for assignment in assignments]
         )
-
-        self.gate_on = self.has_cross & np.array(
-            [p.cross_initially_on for p in params], dtype=bool
+        self.restart(
+            start_time,
+            [p.initial_fill_bits for p in params],
+            [p.cross_initially_on for p in params],
         )
-        self.next_cross_time = np.where(self.gate_on, self.time, np.inf)
-        self.next_cross_seq = np.zeros(size, dtype=np.int64)
+        return self
 
-        rows_by_fill: dict[tuple, list[int]] = {}
-        for row, p in enumerate(params):
-            key = (p.initial_fill_bits, p.filler_packet_bits)
-            rows_by_fill.setdefault(key, []).append(row)
-        fills = [(initial_fill(*key), rows) for key, rows in rows_by_fill.items()]
-        self._allocate_queues(max(len(sizes[1:]) for (sizes, _), _ in fills))
-        self.svc_active = np.zeros(size, dtype=bool)
-        self.svc_flow = np.full(size, -1, dtype=np.int8)
-        self.svc_seq = np.zeros(size, dtype=np.int64)
-        self.svc_size = np.zeros(size, dtype=float)
-        self.queue_bits = np.zeros(size, dtype=float)
-        for (sizes, queue_bits), rows in fills:
-            if not sizes:
-                continue
-            self.svc_active[rows] = True
-            self.svc_flow[rows] = FLOW_CROSS
-            self.svc_seq[rows] = -1
-            self.svc_size[rows] = sizes[0]
-            length = len(sizes) - 1
-            self.q_len[rows] = length
-            self.q_flow[rows, :length] = FLOW_CROSS
-            self.q_seq[rows, :length] = np.arange(-2, -2 - length, -1)
-            self.q_size[rows, :length] = sizes[1:]
-            self.queue_bits[rows] = queue_bits
+    def restart(self, time: float, fills: Sequence[float], gates: Sequence[bool]) -> None:
+        """Start every row's model afresh at ``time``, keeping its parameters.
+
+        Row ``i`` then holds what a ``LinkModel`` of its parameters, with
+        ``initial_fill_bits = fills[i]`` and ``cross_initially_on =
+        gates[i]``, starts with at ``time`` — bit for bit, and no model is
+        built.  The gate is on where the row has cross traffic and
+        ``gates[i]`` is set, as ``LinkModel.__init__`` sets it, with the
+        next cross arrival at ``time`` (``inf`` while off).
+        :func:`~repro.inference.linkmodel.initial_fill` runs once per
+        distinct ``(fill, filler size)``; each row gathers its cut — the
+        first packet in service until ``time + size / link_rate``, the rest
+        queued.  The own-packet ledger starts empty.  ``model_params`` keep
+        the ``initial_fill_bits`` the rows were built with, which nothing
+        reads once a model has started.
+        """
+        self.time = float(time)
+        self.gate_on = self.has_cross & np.asarray(gates, dtype=bool)
+        self.next_cross_time = np.where(self.gate_on, self.time, np.inf)
+        self.next_cross_seq = np.zeros(self.size, dtype=np.int64)
+
+        shapes: dict[tuple, int] = {}
+        shape_of = np.array(
+            [
+                shapes.setdefault(key, len(shapes))
+                for key in zip(fills, [p.filler_packet_bits for p in self.model_params])
+            ],
+            dtype=np.int64,
+        )
+        cuts = [initial_fill(*key) for key in shapes]
+        count = len(cuts)
+        width = _queue_width(max(len(sizes[1:]) for sizes, _ in cuts))
+        # One template row per distinct shape, gathered into every row of it.
+        active = np.zeros(count, dtype=bool)
+        svc_size = np.zeros(count, dtype=float)
+        queue_bits = np.zeros(count, dtype=float)
+        q_len = np.zeros(count, dtype=np.int64)
+        q_flow = np.zeros((count, width), dtype=np.int8)
+        q_seq = np.zeros((count, width), dtype=np.int64)
+        q_size = np.zeros((count, width), dtype=float)
+        for shape, (sizes, bits) in enumerate(cuts):
+            if sizes:
+                queued = len(sizes) - 1
+                active[shape] = True
+                svc_size[shape] = sizes[0]
+                queue_bits[shape] = bits
+                q_len[shape] = queued
+                q_flow[shape, :queued] = FLOW_CROSS
+                q_seq[shape, :queued] = np.arange(-2, -2 - queued, -1)
+                q_size[shape, :queued] = sizes[1:]
+        self.svc_active = active[shape_of]
+        self.svc_flow = np.where(self.svc_active, np.int8(FLOW_CROSS), np.int8(-1))
+        self.svc_seq = np.where(self.svc_active, np.int64(-1), np.int64(0))
+        self.svc_size = svc_size[shape_of]
         # LinkModel._start_service's expression, elementwise (IEEE-identical).
         self.svc_completion = np.where(
             self.svc_active, self.time + self.svc_size / self.link_rate, np.inf
         )
+        self.queue_bits = queue_bits[shape_of]
+        self.q_len = q_len[shape_of]
+        self.q_flow = q_flow[shape_of]
+        self.q_seq = q_seq[shape_of]
+        self.q_size = q_size[shape_of]
         self._allocate_ledger(0)
-        return self
+
+    def restarted(
+        self,
+        indices: Sequence[int],
+        time: float,
+        fills: Sequence[float],
+        gates: Sequence[bool],
+    ) -> "EnsembleState":
+        """A new state of ``indices``' rows (in that order), started afresh.
+
+        What :meth:`select` then :meth:`restart` hold, without gathering the
+        buffers the restart writes anew: only the static per-row fields are
+        gathered.
+        """
+        indices = np.asarray(indices, dtype=np.int64)
+        out = EnsembleState.__new__(EnsembleState)
+        out.size = int(indices.size)
+        for name in _STATIC_FIELDS:
+            setattr(out, name, getattr(self, name)[indices])
+        out.restart(time, fills, gates)
+        return out
 
     @classmethod
     def from_hypotheses(cls, hypotheses: Sequence[Hypothesis]) -> "EnsembleState":
@@ -333,7 +390,7 @@ class EnsembleState:
 
     def _allocate_queues(self, longest: int) -> None:
         """Zeroed queue buffers with room for ``longest`` packets and slack."""
-        capacity = max(_MIN_QUEUE_CAPACITY, longest + 2)
+        capacity = _queue_width(longest)
         self.q_flow = np.zeros((self.size, capacity), dtype=np.int8)
         self.q_seq = np.zeros((self.size, capacity), dtype=np.int64)
         self.q_size = np.zeros((self.size, capacity), dtype=float)
@@ -645,6 +702,11 @@ def _python_round(values: np.ndarray, digits: int) -> np.ndarray:
         risky = np.nonzero(near_half)[0]
         out[risky] = [round(value, digits) for value in values[risky].tolist()]
     return out
+
+
+def _queue_width(longest: int) -> int:
+    """Queue-buffer columns for ``longest`` queued packets, with slack."""
+    return max(_MIN_QUEUE_CAPACITY, longest + 2)
 
 
 def _object_array(items: Sequence) -> np.ndarray:

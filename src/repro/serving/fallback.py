@@ -13,8 +13,10 @@ answer instead of an error:
    belief reconstructed from the signature (:func:`belief_from_signature`),
    bounded by a per-call timeout and guarded by a per-config
    :class:`~repro.serving.breaker.CircuitBreaker`.  Only a signature whose
-   every row's assignment digest names a point of the config's prior is
-   planned; anything else goes to tier 3 without touching the breaker.
+   every row's assignment digest names a point of the config's prior, at a
+   weight in [0, 1], is planned, and only at a clock within
+   ±:data:`~repro.api.policy.MAX_CLOCK_S`; anything else goes to tier 3
+   without touching the breaker.
 3. **Safe default** — the documented conservative action (see
    :func:`safe_default_decision`): wait one packet service time at the
    slowest link speed the config's prior entertains.  The paper breaks
@@ -35,17 +37,18 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional
 
 from repro.api.config import SenderConfig
-from repro.api.policy import decision_to_payload
+from repro.api.policy import MAX_CLOCK_S, decision_to_payload
 from repro.core.actions import Action
 from repro.core.planner import Decision, ExpectedUtilityPlanner
 from repro.errors import CircuitOpenError, ServingError
-from repro.inference.belief import BeliefState
-from repro.inference.hypothesis import Hypothesis
+from repro.inference.prior import Prior
+from repro.inference.vectorized import EnsembleState, VectorizedBeliefState
 from repro.serving.breaker import CircuitBreaker
 from repro.serving.registry import PolicyTableRegistry
 
 __all__ = [
     "DecisionService",
+    "PriorRows",
     "ServedDecision",
     "ServingCounters",
     "belief_from_signature",
@@ -66,13 +69,35 @@ _WEIGHT_FLOOR = 1e-6
 DEFAULT_SAFE_DELAY = 1_500.0 / 8_000.0
 
 
+@dataclass(frozen=True)
+class PriorRows:
+    """A config's prior as array rows, and the row each assignment digest names.
+
+    ``state`` is :meth:`~repro.inference.vectorized.state.EnsembleState.from_prior`
+    over the prior's points, built once per config; ``index`` maps each
+    point's :func:`~repro.inference.parameters.assignment_digest` to its
+    row, and ``capacity`` holds each row's buffer capacity in bits.
+    """
+
+    state: EnsembleState
+    index: Mapping[str, int]
+    capacity: list[float]
+
+    @classmethod
+    def from_prior(cls, prior: Prior) -> "PriorRows":
+        points = prior.points_by_digest()
+        state = EnsembleState.from_prior(list(points.values()))
+        index = {digest: row for row, digest in enumerate(points)}
+        return cls(state, index, state.buffer_cap.tolist())
+
+
 def belief_from_signature(
     signature: tuple,
-    assignments: Mapping[str, Mapping[str, float]],
+    prior_rows: PriorRows,
     *,
     queue_resolution_bits: float,
     now: float = 0.0,
-) -> BeliefState:
+) -> VectorizedBeliefState:
     """The canonical belief state a decision signature describes.
 
     A :meth:`~repro.inference.belief.BeliefState.decision_signature` is, by
@@ -80,44 +105,48 @@ def belief_from_signature(
     hypothesis the digest of its parameter assignment, the (rounded)
     weight, the gate state, the queue occupancy rounded to
     ``queue_resolution_bits``, and whether the link is busy.  This inverts
-    it into a concrete ensemble — one
-    :class:`~repro.inference.hypothesis.Hypothesis` per signature row, built
-    from the assignment ``assignments`` (the config's
-    :meth:`~repro.inference.prior.Prior.points_by_digest`) holds under the
-    row's digest, with the queue refilled to the row's occupancy — so tier 2
-    can run the *live planner* on exactly the state the table would have
-    been keyed by.
+    it into a concrete ensemble: it gathers the row of ``prior_rows`` each
+    signature row's digest names and restarts the gathered rows at ``now``
+    with the signature's fills and gates
+    (:meth:`~repro.inference.vectorized.state.EnsembleState.restart`, the
+    start write a prior's own ensemble is built with) — so tier 2 can run
+    the *live planner* on exactly the state the table would have been keyed
+    by.  The belief is array-form whatever the config's engines: the array
+    planner reads its rows in place, the scalar one through ``top``.  No
+    :class:`~repro.inference.hypothesis.Hypothesis` or link model is built.
 
     Canonicalization notes: occupancy is refilled as buffer fill (a busy
     row with zero rounded backlog gets a quarter-resolution filler so the
-    link is genuinely transmitting), and renormalization may move a rounded
+    link is genuinely transmitting; an idle row is empty; every fill is
+    capped at the row's capacity), and renormalization may move a rounded
     weight by up to half an ulp of the 3-decimal rounding.  Both are below
     the signature's own resolution — the digest was lossy first.
     """
     if not signature:
         raise ServingError("cannot reconstruct a belief from an empty signature")
-    hypotheses: list[Hypothesis] = []
+    rows: list[int] = []
     weights: list[float] = []
-    for row in signature:
+    fills: list[float] = []
+    gates: list[bool] = []
+    index, capacity = prior_rows.index, prior_rows.capacity
+    for entry in signature:
         try:
-            digest, weight, gate_on, backlog_rounds, busy = row
-            params = assignments[digest]
+            digest, weight, gate_on, backlog_rounds, busy = entry
+            row = index[digest]
         except (TypeError, ValueError, KeyError) as error:
-            raise ServingError(f"malformed signature row {row!r}: {error}") from error
-        capacity = float(params["buffer_capacity_bits"])
-        fill = float(backlog_rounds) * queue_resolution_bits
-        if busy and fill <= 0.0:
-            fill = min(queue_resolution_bits * 0.25, capacity)
-        if not busy:
-            fill = 0.0
-        fill = min(fill, capacity)
-        hypothesis = Hypothesis.from_params(
-            params, start_time=now, initial_fill_bits=fill
-        )
-        hypothesis.model.set_gate(bool(gate_on), now)
-        hypotheses.append(hypothesis)
+            raise ServingError(f"malformed signature row {entry!r}: {error}") from error
+        fill = 0.0
+        if busy:
+            fill = float(backlog_rounds) * queue_resolution_bits
+            if fill <= 0.0:
+                fill = queue_resolution_bits * 0.25
+            fill = min(fill, capacity[row])
+        rows.append(row)
         weights.append(max(float(weight), _WEIGHT_FLOOR))
-    return BeliefState(hypotheses, weights)
+        fills.append(fill)
+        gates.append(bool(gate_on))
+    state = prior_rows.state.restarted(rows, now, fills, gates)
+    return VectorizedBeliefState.from_ensemble(state, weights)
 
 
 def safe_default_decision(config: Optional[SenderConfig] = None) -> Decision:
@@ -300,7 +329,10 @@ class DecisionService:
     configs:
         The :class:`~repro.api.config.SenderConfig` objects this server
         can plan live for, keyed by fingerprint, at the points of their
-        priors (a config without a prior is never planned live).
+        priors (a config without a prior is never planned live).  Each
+        prior's rows are built here, once (:class:`PriorRows`); a tier-2
+        request gathers the rows its signature names and restarts them
+        (:func:`belief_from_signature`).
         Fingerprints outside this set still get tier-1 answers when a table
         is published, and the global safe default otherwise.
     planner_timeout:
@@ -335,11 +367,12 @@ class DecisionService:
         self.registry = registry
         self.configs = {config.fingerprint(): config for config in configs}
         # Tier 2's admission test and its way back from a row to a
-        # configuration: each config's prior points, keyed by the digest a
-        # signature row names them by.
-        self._prior_points = {
-            fingerprint: config.prior.points_by_digest() if config.prior is not None else {}
+        # configuration: each config's prior as array rows, indexed by the
+        # digest a signature row names them by.
+        self._prior_rows = {
+            fingerprint: PriorRows.from_prior(config.prior)
             for fingerprint, config in self.configs.items()
+            if config.prior is not None
         }
         self.planner_timeout = planner_timeout
         self.injector = injector
@@ -475,12 +508,14 @@ class DecisionService:
         self._count("table_misses")
 
         # Tier 2: live planning behind the breaker, for a signature whose every
-        # row is a configuration the config's prior holds.  Any other row is
-        # one no sender of this config can report (an off-grid link rate, a
-        # NaN or zero filler size): tier 3 answers it, and the breaker — which
-        # guards the planner for every client — never sees it.
+        # row is a configuration the config's prior holds, at a weight a
+        # sender can report, asked at a clock the model can count in.
+        # Anything else is a request no sender of this config makes (an
+        # off-grid link rate, a NaN or zero filler size, a weight of 1e308, a
+        # clock of 1e17 s): tier 3 answers it, and the breaker — which guards
+        # the planner for every client — never sees it.
         config = self.configs.get(fingerprint)
-        if config is not None and self._on_prior_grid(fingerprint, signature):
+        if config is not None and self._admits(fingerprint, signature, now):
             resolution = (
                 table.queue_resolution_bits
                 if table is not None
@@ -532,11 +567,21 @@ class DecisionService:
             known_config=fingerprint in self.configs,
         )
 
-    def _on_prior_grid(self, fingerprint: str, signature: tuple) -> bool:
-        """Whether every row of ``signature`` names a point of the prior."""
-        points = self._prior_points[fingerprint]
+    def _admits(self, fingerprint: str, signature: tuple, now: float) -> bool:
+        """Whether tier 2 may plan ``signature`` at ``now``: every row names
+        a point of the config's prior at a weight in [0, 1] (a signature's
+        weights are normalized and rounded), and ``|now|`` is at most
+        :data:`~repro.api.policy.MAX_CLOCK_S`."""
+        prior_rows = self._prior_rows.get(fingerprint)
+        if prior_rows is None:
+            return False
+        index = prior_rows.index
         try:
-            return bool(signature) and all(row[0] in points for row in signature)
+            return (
+                bool(signature)
+                and abs(now) <= MAX_CLOCK_S
+                and all(row[0] in index and 0.0 <= row[1] <= 1.0 for row in signature)
+            )
         except (TypeError, IndexError):  # an in-process caller's odd shape
             return False
 
@@ -563,7 +608,7 @@ class DecisionService:
                 faults.perform_planner_fault()
             belief = belief_from_signature(
                 signature,
-                self._prior_points[fingerprint],
+                self._prior_rows[fingerprint],
                 queue_resolution_bits=queue_resolution_bits,
                 now=now,
             )

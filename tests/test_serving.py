@@ -14,7 +14,9 @@ per-tier counters against an independent reference walk of the same plan.
 from __future__ import annotations
 
 import asyncio
+import collections
 import contextlib
+import dataclasses
 import json
 import math
 import subprocess
@@ -23,18 +25,29 @@ import threading
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.api.config import SenderConfig
-from repro.api.policy import decision_from_payload, decision_to_payload, precompute_policy_table
+from repro.api.policy import (
+    MAX_CLOCK_S,
+    decision_from_payload,
+    decision_to_payload,
+    precompute_policy_table,
+)
 from repro.core.planner import ExpectedUtilityPlanner
 from repro.errors import (
     ConfigurationError,
     ServingError,
     TableIntegrityError,
 )
-from repro.inference import single_link_prior
-from repro.inference.parameters import assignment_digest
+from repro.inference import BeliefState, single_link_prior
+from repro.inference.hypothesis import Hypothesis
+from repro.inference.linkmodel import LinkModel, LinkModelParams
+from repro.inference.parameters import ParameterGrid, ParameterSpec, assignment_digest
+from repro.inference.prior import Prior
+from repro.inference.vectorized import EnsembleState
 from repro.runner.faults import FaultPlan, PointFault
 from repro.runner.supervise import Supervision
 from repro.serving import (
@@ -353,7 +366,10 @@ class TestBeliefFromSignature:
 
         points = config.prior.points_by_digest()
         rebuilt = belief_from_signature(
-            signature, points, queue_resolution_bits=resolution, now=0.4
+            signature,
+            fallback.PriorRows.from_prior(config.prior),
+            queue_resolution_bits=resolution,
+            now=0.4,
         )
         again = rebuilt.decision_signature(config.top_k, resolution)
         assert len(again) == len(signature)
@@ -374,19 +390,179 @@ class TestBeliefFromSignature:
         signature = belief.decision_signature(config.top_k, resolution)
         assert all(not row[4] for row in signature)
         rebuilt = belief_from_signature(
-            signature, config.prior.points_by_digest(), queue_resolution_bits=resolution
+            signature,
+            fallback.PriorRows.from_prior(config.prior),
+            queue_resolution_bits=resolution,
         )
         assert rebuilt.decision_signature(config.top_k, resolution) == signature
 
     def test_empty_signature_is_rejected(self):
         with pytest.raises(ServingError, match="empty signature"):
-            belief_from_signature((), {}, queue_resolution_bits=3_000.0)
+            belief_from_signature(
+                (), fallback.PriorRows.from_prior(fast_config().prior),
+                queue_resolution_bits=3_000.0,
+            )
 
     def test_malformed_row_is_rejected(self):
-        points = fast_config().prior.points_by_digest()
+        prior_rows = fallback.PriorRows.from_prior(fast_config().prior)
         for row in (("not", "a", "row"), ("0" * 16, 1.0, True, 0, False)):
             with pytest.raises(ServingError, match="malformed signature row"):
-                belief_from_signature((row,), points, queue_resolution_bits=3_000.0)
+                belief_from_signature((row,), prior_rows, queue_resolution_bits=3_000.0)
+
+
+def rebuilt_from_hypotheses(signature, points, resolution, now):
+    """A signature's belief built the way tier 2 built it before it gathered
+    prior rows: one ``Hypothesis.from_params`` and one ``set_gate`` per row,
+    then a scalar ``BeliefState`` (which the array planner packed)."""
+    hypotheses, weights = [], []
+    for digest, weight, gate_on, backlog_rounds, busy in signature:
+        params = points[digest]
+        capacity = float(params["buffer_capacity_bits"])
+        fill = float(backlog_rounds) * resolution
+        if busy and fill <= 0.0:
+            fill = min(resolution * 0.25, capacity)
+        if not busy:
+            fill = 0.0
+        fill = min(fill, capacity)
+        hypothesis = Hypothesis.from_params(params, start_time=now, initial_fill_bits=fill)
+        hypothesis.model.set_gate(bool(gate_on), now)
+        hypotheses.append(hypothesis)
+        weights.append(max(float(weight), 1e-6))
+    return BeliefState(hypotheses, weights)
+
+
+def first_seen_labels(ids) -> list[int]:
+    """Interned ids relabelled in order of first appearance."""
+    labels: dict[int, int] = {}
+    return [labels.setdefault(value, len(labels)) for value in ids.tolist()]
+
+
+def started_params(params: LinkModelParams) -> dict:
+    """What a started model still reads of its parameters: all but the
+    initial fill."""
+    return {**dataclasses.asdict(params), "initial_fill_bits": None}
+
+
+def assert_restarted_as_packed(gathered: EnsembleState, packed: EnsembleState) -> None:
+    """Every slot equal — arrays by dtype, shape and bytes — but two: the
+    interned ``params_id`` only up to relabelling (a gather keeps the labels
+    of the ensemble it gathers from), and ``model_params`` but for
+    ``initial_fill_bits`` (a restarted row keeps the parameters it was built
+    with; nothing reads that field once a model has started)."""
+    for name in EnsembleState.__slots__:
+        ours, theirs = getattr(gathered, name), getattr(packed, name)
+        if name == "params_id":
+            assert first_seen_labels(ours) == first_seen_labels(theirs)
+        elif name == "model_params":
+            assert [started_params(p) for p in ours] == [started_params(p) for p in theirs]
+        elif isinstance(theirs, np.ndarray):
+            assert (ours.dtype, ours.shape) == (theirs.dtype, theirs.shape), name
+            if theirs.dtype == object:
+                assert np.array_equal(ours, theirs), name
+            else:
+                assert ours.tobytes() == theirs.tobytes(), name
+        elif isinstance(theirs, float):
+            assert ours.hex() == theirs.hex(), name
+        else:
+            assert ours == theirs, name
+
+
+@st.composite
+def restart_cases(draw):
+    """A prior mixing rows with and without cross traffic, gates initially on
+    and off, and a signature over its points: busy and idle rows, backlogs
+    below and above the capacity, gates on and off."""
+    rates = draw(
+        st.lists(st.floats(2_000.0, 60_000.0), min_size=1, max_size=3, unique=True)
+    )
+    capacity = draw(st.floats(3_000.0, 150_000.0))
+    prior = Prior(
+        ParameterGrid(
+            specs=(
+                ParameterSpec("link_rate_bps", tuple(rates)),
+                ParameterSpec("cross_rate_pps", (0.0, draw(st.floats(0.1, 5.0)))),
+                ParameterSpec("cross_initially_on", (0.0, 1.0)),
+            )
+        ),
+        fixed={
+            "buffer_capacity_bits": capacity,
+            "filler_packet_bits": draw(st.sampled_from([12_000.0, 7_777.5, 1_000.0])),
+            "cross_packet_bits": draw(st.sampled_from([12_000.0, 6_000.0])),
+            "mean_time_to_switch": 10.0,
+        },
+    )
+    digests = list(prior.points_by_digest())
+    resolution = draw(st.sampled_from([3_000.0, 1_500.0, 12_000.0]))
+    most = int(2 * capacity / resolution) + 2
+    signature = tuple(
+        draw(
+            st.lists(
+                st.tuples(
+                    st.sampled_from(digests),
+                    st.floats(0.0, 1.0).map(lambda weight: round(weight, 3)),
+                    st.booleans(),
+                    st.integers(-2, most),
+                    st.booleans(),
+                ),
+                min_size=1,
+                max_size=6,
+            )
+        )
+    )
+    now = draw(st.one_of(st.just(0.0), st.floats(0.0, 1e6)))
+    return prior, signature, resolution, now
+
+
+class TestGatheredBeliefIsTheRebuiltOne:
+    """Tier 2 gathers a signature's rows from the config's prior ensemble and
+    restarts them; the belief it plans on is the one it used to rebuild from
+    scalar hypotheses, bit for bit."""
+
+    @pytest.mark.parametrize("rollout_backend", ["fused", "scalar"])
+    @pytest.mark.parametrize("now", [0.0, 5.0])
+    def test_tier2_decides_as_on_the_rebuilt_belief(
+        self, published, tmp_path, rollout_backend, now
+    ):
+        _, table, _ = published
+        config = fast_config(rollout_backend=rollout_backend)
+        service = DecisionService(
+            PolicyTableRegistry(tmp_path), [config], planner_timeout=30.0
+        )
+        planner = config.build_planner()
+        points = config.prior.points_by_digest()
+        resolution = config.policy_resolution_bits
+        for signature in [*table.signatures(), off_table_signature(table)]:
+            served = service.decide(config.fingerprint(), signature, now)
+            assert served.tier == "planner"
+            reference = planner.decide(
+                rebuilt_from_hypotheses(signature, points, resolution, now), now
+            )
+            assert served.decision.expected_utilities == reference.expected_utilities
+            assert served.decision.action.delay == reference.action.delay
+            assert served.decision.horizon == reference.horizon
+
+    @settings(
+        max_examples=150,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(case=restart_cases())
+    def test_restarted_rows_are_the_packed_hypotheses(self, case):
+        prior, signature, resolution, now = case
+        gathered = belief_from_signature(
+            signature,
+            fallback.PriorRows.from_prior(prior),
+            queue_resolution_bits=resolution,
+            now=now,
+        )
+        reference = rebuilt_from_hypotheses(
+            signature, prior.points_by_digest(), resolution, now
+        )
+        assert_restarted_as_packed(
+            gathered.state, EnsembleState.from_hypotheses(reference.hypotheses)
+        )
+        assert gathered.weights == reference.weights
 
 
 # ----------------------------------------------------- the fallback chain
@@ -416,7 +592,7 @@ class TestDecisionServiceTiers:
         direct = planner.decide(
             belief_from_signature(
                 signature,
-                config.prior.points_by_digest(),
+                fallback.PriorRows.from_prior(config.prior),
                 queue_resolution_bits=table.queue_resolution_bits,
                 now=5.0,
             ),
@@ -549,6 +725,40 @@ class TestPlannerTierHotPath:
             assert service.decide(fingerprint, signature).tier == "planner"
         assert threading.active_count() <= after_five
         assert service.counters_snapshot()["planner_fallbacks"] == 500
+
+
+class TestPlannerTierBuildsNoScalarObject:
+    def test_tier2_gathers_prior_rows_and_builds_no_scalar_object(
+        self, published, tmp_path, monkeypatch
+    ):
+        """Each config's prior becomes array rows once; a tier-2 request
+        gathers and restarts rows of it, and neither builds a hypothesis, a
+        link model or its parameters nor packs hypotheses into arrays."""
+        config, table, _ = published
+        configs = [config, fast_config(top_k=2)]
+        calls: collections.Counter = collections.Counter()
+
+        def counting(name, original):
+            def call(*args, **kwargs):
+                calls.update([name])
+                return original(*args, **kwargs)
+
+            return call
+
+        for name in ("from_prior", "from_hypotheses"):
+            bound = getattr(EnsembleState, name)
+            monkeypatch.setattr(EnsembleState, name, staticmethod(counting(name, bound)))
+        service = DecisionService(
+            PolicyTableRegistry(tmp_path), configs, planner_timeout=30.0
+        )
+        for owner in (Hypothesis, LinkModel, LinkModelParams):
+            name = f"{owner.__name__}.__init__"
+            monkeypatch.setattr(owner, "__init__", counting(name, owner.__init__))
+        for i in range(50):
+            chosen = configs[i % 2]
+            served = service.decide(chosen.fingerprint(), off_table_signature(table, 1 + i % 3))
+            assert served.tier == "planner"
+        assert calls == {"from_prior": len(configs)}
 
 
 class TestServingNeverShares:
@@ -1082,6 +1292,86 @@ class TestHostileRequests:
         assert counters["requests"] == counters["planner_fallbacks"] == 1
         assert counters["planner_failures"] == counters["breaker_open"] == 0
         assert service.breaker_for(fingerprint).state == "closed"
+
+    @pytest.mark.parametrize("weight", [1e308, 1.5, -1.0])
+    def test_a_weight_outside_0_1_is_tier3_and_cannot_open_the_breaker(
+        self, published, tmp_path, weight
+    ):
+        """A signature's weights are normalized and rounded, so each lies in
+        [0, 1].  Rows of weight 1e308 used to overflow the belief's weight
+        sum to ``inf``, zero every weight and fail the plan: three such
+        requests opened the breaker for every client."""
+        config, table, _ = published
+        service = DecisionService(
+            PolicyTableRegistry(tmp_path), [config], breaker_threshold=3
+        )
+        fingerprint = config.fingerprint()
+        valid = off_table_signature(table)
+        hostile = tuple((row[0], weight, *row[2:]) for row in valid)
+        assert len(hostile) > 1
+
+        async def scenario():
+            async with serving(service) as (_, client):
+                for _ in range(3):
+                    reply = await client.decide(fingerprint, hostile, 5.0)
+                    assert (reply["status"], reply["tier"]) == ("ok", "default")
+                return await client.decide(fingerprint, valid, 5.0)
+
+        payload = run_async(scenario())
+        assert payload["tier"] == "planner"
+        counters = service.counters_snapshot()
+        assert counters["table_misses"] == 4
+        assert counters["default_served"] == 3
+        assert counters["planner_fallbacks"] == 1
+        assert counters["planner_failures"] == counters["breaker_open"] == 0
+        assert service.breaker_for(fingerprint).state == "closed"
+
+    @pytest.mark.parametrize("now", [1e17, -1e17, 1e300, MAX_CLOCK_S * 1.5])
+    def test_a_clock_past_the_model_arithmetic_is_a_400(self, published, tmp_path, now):
+        config, table, _ = published
+        service = DecisionService(
+            PolicyTableRegistry(tmp_path), [config], breaker_threshold=3
+        )
+        fingerprint = config.fingerprint()
+        valid = off_table_signature(table)
+
+        async def scenario():
+            async with serving(service) as (_, client):
+                for _ in range(3):
+                    with pytest.raises(ServingError, match=r"\(400\)"):
+                        await client.decide(fingerprint, valid, now)
+                assert service.counters_snapshot() == fallback.ServingCounters().snapshot()
+                return await client.decide(fingerprint, valid, MAX_CLOCK_S)
+
+        assert run_async(scenario())["tier"] == "planner"
+        assert service.breaker_for(fingerprint).state == "closed"
+
+    @pytest.mark.parametrize("now", [1e17, -1e17, 1e300])
+    def test_a_clock_past_the_model_arithmetic_never_reaches_the_planner(self, tmp_path, now):
+        """At ``now = 1e17`` s, ``when + interval == when`` and the array
+        frontier never passed its deadline: each request timed out as a
+        planner failure and left a planner thread spinning for good, and
+        three opened the breaker.  In process, tier 3 answers it."""
+        config = fast_config(
+            prior=single_link_prior(link_rate_points=2, fill_points=1, cross_rate_pps=0.5)
+        )
+        service = DecisionService(
+            PolicyTableRegistry(tmp_path), [config], planner_timeout=0.5, breaker_threshold=3
+        )
+        fingerprint = config.fingerprint()
+        valid = tuple(
+            (digest, 0.5, True, 2, True) for digest in config.prior.points_by_digest()
+        )
+        threads = threading.active_count()
+        for _ in range(3):
+            served = service.decide(fingerprint, valid, now)
+            assert (served.status, served.tier) == ("ok", "default")
+        assert threading.active_count() == threads
+        assert service.breaker_for(fingerprint).state == "closed"
+        counters = service.counters_snapshot()
+        assert counters["table_misses"] == counters["default_served"] == 3
+        assert counters["planner_failures"] == counters["breaker_open"] == 0
+        assert service.decide(fingerprint, valid, 5.0).tier == "planner"
 
     def test_unparseable_content_length_is_a_400_and_a_close(self, published):
         config, _, registry = published
