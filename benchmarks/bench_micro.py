@@ -6,7 +6,7 @@ dilutes until a regression hides inside its bound: the bare event loop
 (heap one deep, and 257 deep under timer moves), an element chain, the
 scalar link model, a small belief, the wake-ups of an array belief that has
 settled on one hypothesis, the wake-ups of an array sender on the Figure-3
-prior (its forking updates and its plans: both array frontiers), building a
+prior (its forking updates and its plans: both array kernels), building a
 contention point's 32 senders from their prior, the in-process half of a
 served table decision, and the process backend's fixed cost per point.
 
@@ -226,8 +226,8 @@ def figure3_wakeups():
     Each is a send, an update on one acknowledgement and a plan.  Every row
     of this prior has a latent gate, so every update forks each row into a
     stay and a switch branch, advanced together in one frontier; the plan
-    rolls the 16 heaviest rows through every action in the rollout
-    frontier.  These two array kernels are most of ``fig3_alpha4``'s time;
+    rolls the 16 heaviest rows through every action in the packet-column
+    rollout kernel.  These two array kernels are most of ``fig3_alpha4``'s time;
     here they run without its simulator and network.
     """
     parts = build_components(FIGURE3_SENDER, FIGURE3_PRIOR)

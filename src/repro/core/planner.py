@@ -20,9 +20,10 @@ candidate delays into one utility per lane, action-major:
   + advance a scalar ``LinkModel``) per lane;
 * ``"vectorized"`` or ``"fused"`` — ``select_rows`` / ``value_rows`` in
   :mod:`repro.inference.vectorized.rollout`, imported only when a planner
-  asks for them: all A×K lanes advance together through one masked event
-  frontier, and the utility values every lane at once via
-  ``evaluate_batch``.  On an array belief the lanes come straight from
+  asks for them: all A×K lanes are decided together by one packet-column
+  kernel (one iteration per arrival column, every lane at once), and the
+  utility values every lane at once via ``evaluate_batch``.  On an array
+  belief the lanes come straight from
   ensemble rows, so the decide path materializes no scalar ``Hypothesis``
   objects at all.  The spelling changes nothing that runs, but it is part
   of a point's identity (``SenderConfig.fingerprint()``, hence seed and
@@ -31,6 +32,7 @@ candidate delays into one utility per lane, action-major:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -112,14 +114,21 @@ class ExpectedUtilityPlanner:
         top_k: int = 24,
         rollout_backend: str = "scalar",
     ) -> None:
-        if packet_bits <= 0:
-            raise ConfigurationError(f"packet_bits must be positive, got {packet_bits!r}")
+        # Each test is written so that NaN fails it, and every upper end is
+        # finite: a NaN or infinite horizon never finishes a rollout.
+        if not 0.0 < packet_bits < math.inf:
+            raise ConfigurationError(
+                f"packet_bits must be positive and finite, got {packet_bits!r}"
+            )
         if top_k < 1:
             raise ConfigurationError(f"top_k must be at least 1, got {top_k!r}")
-        if horizon is not None and horizon <= 0:
-            raise ConfigurationError(f"horizon must be positive, got {horizon!r}")
-        if horizon_service_multiples <= 0:
-            raise ConfigurationError("horizon_service_multiples must be positive")
+        if horizon is not None and not 0.0 < horizon < math.inf:
+            raise ConfigurationError(f"horizon must be positive and finite, got {horizon!r}")
+        if not 0.0 < horizon_service_multiples < math.inf:
+            raise ConfigurationError(
+                "horizon_service_multiples must be positive and finite, "
+                f"got {horizon_service_multiples!r}"
+            )
         check_backend("rollout", rollout_backend)
         if rollout_backend == "scalar":
             self._select, self._value = select_hypotheses, value_hypotheses

@@ -70,7 +70,7 @@ _STAGE_LABEL = {
     "posterior": "kernel stage 'posterior' (normalization)",
     "summary": "rollout frontier stage 'summary' (top-k aggregates)",
     "lanes": "rollout frontier stage 'lanes' (lane packing)",
-    "rollout": "rollout frontier stage 'rollout' (event frontier)",
+    "rollout": "rollout frontier stage 'rollout' (packet-column kernel)",
     "utility": "rollout frontier stage 'utility' (lane valuation)",
     "decision": "rollout frontier stage 'decision' (argmax)",
 }

@@ -65,7 +65,7 @@ def rollout_outcome_digest(outcome: RolloutOutcome) -> dict:
 
     Both rollout engines report digests in the same lane order
     (action-major), so :mod:`repro.diagnostics` can pinpoint the first
-    differing lane of the frontier.
+    differing lane of a rollout.
     """
     return {
         "own_deliveries": [tuple(entry) for entry in outcome.own_deliveries],

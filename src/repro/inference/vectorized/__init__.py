@@ -22,8 +22,9 @@ that emits its stages, and the decision in the planner's ``decide``.
   selection), and :class:`VectorizedBeliefState`, the belief that holds
   it until one fork-free row is left,
 * :mod:`~repro.inference.vectorized.rollout` — the batched planner
-  rollout: every (action × hypothesis) lane advanced through one masked
-  event frontier, fed straight from ensemble rows.  It only values lanes
+  rollout: every (action × hypothesis) lane decided by one packet-column
+  kernel, one arrival column per iteration, fed straight from ensemble
+  rows.  It only values lanes
   (``select_rows`` / ``value_rows``); the planner's one ``decide`` turns
   the values into a decision for both engines.
 

@@ -101,7 +101,7 @@ class ArrayRows:
         row's length."""
         rows, top_weights = self.top_rows(weights, count)
         state = self.state
-        lanes = state.lane_arrays(rows, 1, int(state.q_len[rows].max()))
+        lanes = state.lane_arrays(rows, int(state.q_len[rows].max()))
         return (state.time, tuple(top_weights), *(lane.tobytes() for lane in lanes.values()))
 
     # ------------------------------------------------------------ update steps

@@ -4,26 +4,28 @@ The planner's §3.2 expected-utility step rolls each candidate action through
 each top-k hypothesis.  The scalar oracle
 (:func:`~repro.inference.hypothesis.value_hypotheses`) clones and advances
 one :class:`~repro.inference.linkmodel.LinkModel` per lane — A×K
-independent Python event loops.  This module is the one array engine: it
-runs all of them as *one* batched, event-stepped advance over
-struct-of-arrays lane buffers.
+independent Python event loops.  This module is the one array engine: a
+*packet-column kernel* that decides all of them together, one arrival at a
+time.
 
 * :func:`batched_rollout_rows` is the entry point: the sender's top-k
   :class:`~repro.inference.vectorized.state.EnsembleState` rows, tiled across
-  its candidate delays by :meth:`EnsembleState.lane_arrays`, advance together
-  through one masked event frontier.
-* Each iteration of the frontier fires a lane's next event — service
-  completion, cross arrival, the lane's hypothetical send — and, for a lane
-  a completion freed, the arrival or send it is left with next, so the
-  Python-interpreter cost is O(max events per lane) instead of O(total
-  events across the fan-out).  When the lanes start on a deep standing
-  queue (:data:`DRAIN_MIN_QUEUE_DEPTH`), back-to-back departure runs are
-  additionally *drained* in one prefix-sum pass each (:func:`_drain_runs`);
-  on shallow queues the extra bookkeeping costs more than it saves, so the
-  frontier decides per call from the depth it already measured.  The result
-  is bit-identical either way.
-* The result is a :class:`BatchedRolloutOutcome` holding every
-  lane's predicted deliveries/drops as flat (time, lane) arrays, which
+  its candidate delays, become lanes.  Each lane's FIFO is a column of
+  slots: the packet in service, the queued packets, then every scheduled
+  arrival up to the lane's deadline — the cross-traffic chain and the
+  hypothetical send.  The packets already in the link and the arrival
+  schedule are computed once per row and gathered across the actions.
+* One loop iteration decides one arrival column for every lane
+  (:func:`_accept_arrivals`): the link is busy if the last accepted
+  completion lies after the arrival; a packet starts at its arrival on an
+  idle link and at that completion behind a busy one, and completes
+  ``s / r`` later; it is tail-dropped on the bits waiting ahead of it.  The
+  Python-interpreter cost is O(arrivals per lane), whatever the number of
+  departures between them.
+* Deliveries are the accepted slots that complete by the deadline, already
+  in time order within each lane.  The result is a
+  :class:`BatchedRolloutOutcome` holding every lane's predicted
+  deliveries/drops as flat (time, lane) arrays, which
   ``UtilityFunction.evaluate_batch`` consumes without materializing per-lane
   Python objects.  :meth:`BatchedRolloutOutcome.lane_outcome` rebuilds one
   lane as an ordinary :class:`~repro.inference.hypothesis.RolloutOutcome` —
@@ -36,18 +38,24 @@ struct-of-arrays lane buffers.
   probability-weighted aggregation and the tie-broken argmax — is the
   planner's, written once for both engines.
 
-Semantics match ``Hypothesis.rollout`` exactly: event arithmetic is the
-same float operations in the same order as the scalar ``LinkModel``,
-completions fire before arrivals at the same instant, and the hypothetical
-send enqueues strictly after both; candidate delays beyond the horizon
-advance the lane to the send time, as the scalar path does.  The only
-tolerated divergence is transcendental rounding in the utility's discount
-(``np.exp`` vs ``math.exp``, ≤1 ulp per term), which is why the documented
-utility tolerance is ``1e-9`` relative.
+Semantics match ``Hypothesis.rollout`` exactly.  The times are the scalar
+model's float operations in its order: the cross chain and the completion
+chain are strict left-to-right ``np.add.accumulate`` passes, and a start is
+``max(a, c_last)``, one of the two operands.  Completions fire before
+arrivals at the same instant, and the hypothetical send enqueues strictly
+after both; candidate delays beyond the horizon advance the lane to the
+send time, as the scalar path does.  The waiting bits match the scalar
+``queue_bits`` bit for bit: a difference of prefix sums when every size is
+a whole number of bits (every shipped prior), a replay of the scalar's
+float loads and enqueues otherwise.  The only tolerated divergence is
+transcendental rounding in the utility's discount (``np.exp`` vs
+``math.exp``, ≤1 ulp per term), which is why the documented utility
+tolerance is ``1e-9`` relative.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -59,20 +67,12 @@ from repro.inference.hypothesis import (
     rollout_outcome_digest,
     select_hypotheses,
 )
-from repro.inference.vectorized.state import FLOW_CROSS, EnsembleState, _pad_columns
+from repro.inference.vectorized.state import FLOW_CROSS, EnsembleState
 
-#: Flow code for the planner's hypothetical packet inside the lane buffers.
-#: Distinct from FLOW_OWN only so outcomes can report the hypothetical's
-#: delivery; everywhere else it behaves exactly like own traffic.
-FLOW_HYP = 2
-
-#: Departure runs are drained (:func:`_drain_runs`) only when the deepest
-#: initial queue among a call's lanes holds at least this many packets.
-#: Measured on the benchmark's traffic: Figure-3 and serving states start
-#: ≤ 9 deep and run ~1.8× faster lockstep; standing queues ≥ 20 deep run
-#: 1.2–4.4× faster drained.  Nothing was observed in between, so the
-#: constant sits in that gap.
-DRAIN_MIN_QUEUE_DEPTH = 16
+#: Slots one step of a lane's in-service pointer examines
+#: (:func:`_accept_arrivals`).  A lane that starts more packets than this
+#: between two of its arrivals takes another step.
+POINTER_WINDOW = 8
 
 
 @dataclass
@@ -184,444 +184,161 @@ class _LaneIndex:
         return self._order[self._starts[lane] : self._starts[lane + 1]]
 
 
-def _concat_drops(
-    chunks: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Flatten uniform-flow ``(flow, times, lanes, sizes)`` drop chunks."""
-    if not chunks:
-        empty = np.empty(0)
-        return empty, np.empty(0, dtype=np.int64), empty.copy(), np.empty(0, dtype=np.int8)
-    times = np.concatenate([chunk[1] for chunk in chunks])
-    lanes = np.concatenate([chunk[2] for chunk in chunks])
-    sizes = np.concatenate([chunk[3] for chunk in chunks])
-    flows = np.concatenate(
-        [np.full(chunk[1].size, chunk[0], dtype=np.int8) for chunk in chunks]
-    )
-    return times, lanes, sizes, flows
+def _fifo_slots(row: dict, depth: int) -> dict:
+    """The packets already in each row's link, as FIFO slots ``0 … depth``.
 
-
-def _run_frontier(
-    *,
-    link_rate: np.ndarray,
-    buffer_slack: np.ndarray,
-    cross_interval: np.ndarray,
-    cross_packet_bits: np.ndarray,
-    svc_active: np.ndarray,
-    svc_flow: np.ndarray,
-    svc_size: np.ndarray,
-    svc_completion: np.ndarray,
-    q_flow: np.ndarray,
-    q_size: np.ndarray,
-    q_len: np.ndarray,
-    queue_bits: np.ndarray,
-    send_time: np.ndarray,
-    until: np.ndarray,
-    next_cross: np.ndarray,
-    next_hyp: np.ndarray,
-    hyp_left: int,
-    packet_bits_lane: np.ndarray,
-    width_is_exact: bool,
-    drain: bool,
-) -> dict:
-    """The masked event frontier every rollout runs through.
-
-    Mutates the per-lane buffers in place and returns the raw event log plus
-    the final lane state.  Every operation here is per-lane elementwise (no
-    cross-lane reduction), so a lane's event sequence — values and order —
-    depends only on that lane's own inputs.
-
-    A lane whose service completion an iteration fires also fires, in that
-    iteration, the cross arrival or hypothetical send the completion leaves
-    next: it is the event the following iteration would fire, so a lane
-    alternating departures and arrivals takes one iteration per pair.
-
-    With ``drain`` set, a completion whose freshly loaded packet would
-    itself complete before the lane's next cross arrival, hypothetical send,
-    and deadline hands the lane's whole back-to-back departure run to
-    :func:`_drain_runs` inside the same iteration.  The outer iteration
-    count then drops from the busiest lane's *event* count to roughly its
-    *arrival* count.  A lane's event sequence (times, flows, sizes, drop
-    decisions) and final state are bit-identical however many of its events
-    one iteration fires, and each flat event stream stays chronological
-    *per lane* — the property every consumer relies on (``_LaneIndex``
-    groups with a stable sort, ``evaluate_batch`` accumulates with
-    unbuffered per-lane ``np.add.at``).  Only the cross-lane interleaving of
-    the streams differs; no consumer observes it.
+    Slot-major ``(depth + 1, rows)`` arrays.  Rows are right-aligned: the
+    packet in service sits at slot ``depth - q_len`` with its queue behind
+    it, so every row's first arrival takes slot ``depth + 1`` and the empty
+    slots in front (``start = -inf``, never accepted) are never examined.
+    The completion chain ``c, c + s1/r, (c + s1/r) + s2/r, …`` is one
+    strict left-to-right ``np.add.accumulate``: the scalar model's float
+    steps in its order (the empty slots add ``0.0`` ahead of ``c``).
     """
-    total = int(link_rate.size)
-    q_head = np.zeros(total, dtype=np.int64)
-
-    # Completions are logged untyped — (time, lane, flow, size) chunks in
-    # event order — and classified own/cross once after the loop; drops are
-    # uniform-flow chunks.  Per-lane chronology survives both because chunks
-    # append in event order and each lane's events within a chunk ascend.
-    comp_times: list[np.ndarray] = []
-    comp_rows: list[np.ndarray] = []
-    comp_flows: list[np.ndarray] = []
-    comp_sizes: list[np.ndarray] = []
-    drop_chunks: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
-
-    def enqueue(rows: np.ndarray, times: np.ndarray, flow: int, sizes: np.ndarray) -> None:
-        """Offer one ``flow``-typed packet per row: serve, queue, or tail-drop."""
-        nonlocal q_flow, q_size
-        idle = ~svc_active[rows]
-        idle_rows = rows[idle]
-        if idle_rows.size:
-            svc_active[idle_rows] = True
-            svc_flow[idle_rows] = flow
-            svc_size[idle_rows] = sizes[idle]
-            svc_completion[idle_rows] = times[idle] + sizes[idle] / link_rate[idle_rows]
-            if idle_rows.size == rows.size:
-                return
-            busy = ~idle
-            rows = rows[busy]
-            times = times[busy]
-            sizes = sizes[busy]
-        fits = queue_bits[rows] + sizes <= buffer_slack[rows]
-        queue_rows = rows[fits]
-        if queue_rows.size != rows.size:
-            drop = ~fits
-            drop_chunks.append((flow, times[drop], rows[drop], sizes[drop]))
-            queue_sizes = sizes[fits]
-        else:
-            queue_sizes = sizes
-        if queue_rows.size:
-            slots = q_head[queue_rows] + q_len[queue_rows]
-            if not width_is_exact:
-                needed = int(slots.max()) + 1
-                if needed > q_flow.shape[1]:
-                    grown = max(needed, q_flow.shape[1] * 2)
-                    q_flow = _pad_columns(q_flow, grown)
-                    q_size = _pad_columns(q_size, grown)
-            q_flow[queue_rows, slots] = flow
-            q_size[queue_rows, slots] = queue_sizes
-            q_len[queue_rows] += 1
-            queue_bits[queue_rows] += queue_sizes
-
-    # A lane leaves ``live`` permanently once its next event passes its
-    # deadline: every future event needs an earlier event to create it, so
-    # inactivity is absorbing and the per-iteration work shrinks with the
-    # surviving lane count.  ``until_live`` is compacted alongside ``live``
-    # instead of being re-gathered each iteration.
-    live = np.arange(total)
-    until_live = until
-    while live.size:
-        svc_live = svc_completion[live]
-        cross_live = next_cross[live]
-        if hyp_left:
-            hyp_live = next_hyp[live]
-            next_event = np.minimum(np.minimum(svc_live, cross_live), hyp_live)
-        else:
-            next_event = np.minimum(svc_live, cross_live)
-        keep = next_event <= until_live
-        if not keep.all():
-            live = live[keep]
-            if not live.size:
-                break
-            until_live = until_live[keep]
-            svc_live = svc_live[keep]
-            cross_live = cross_live[keep]
-            if hyp_left:
-                hyp_live = hyp_live[keep]
-        # Tie order at one instant matches the scalar rollout: service
-        # completions first (a departure frees space for an arrival), cross
-        # arrivals second, the hypothetical send strictly last (send_own
-        # enqueues only after advancing through every event at its time).
-        if hyp_left:
-            completing = (svc_live <= cross_live) & (svc_live <= hyp_live)
-        else:
-            completing = svc_live <= cross_live
-
-        rows = live[completing]
-        if rows.size:
-            when = svc_live[completing]
-            comp_times.append(when)
-            comp_rows.append(rows)
-            comp_flows.append(svc_flow[rows])
-            comp_sizes.append(svc_size[rows])
-            has_next = q_len[rows] > 0
-            next_rows = rows[has_next]
-            if next_rows.size:
-                head = q_head[next_rows]
-                size = q_size[next_rows, head]
-                svc_flow[next_rows] = q_flow[next_rows, head]
-                svc_size[next_rows] = size
-                svc_completion[next_rows] = when[has_next] + size / link_rate[next_rows]
-                q_head[next_rows] = head + 1
-                q_len[next_rows] -= 1
-                remaining = queue_bits[next_rows] - size
-                queue_bits[next_rows] = np.where(remaining < 1e-9, 0.0, remaining)
-            if next_rows.size != rows.size:
-                # Stale svc_flow/svc_size are masked by svc_active everywhere
-                # they are read, so only the active flag and frontier reset.
-                idle_rows = rows[~has_next]
-                svc_active[idle_rows] = False
-                svc_completion[idle_rows] = np.inf
-            if drain and next_rows.size:
-                # Fire the reloaded packet's completion in this same
-                # iteration whenever it still beats the lane's next cross
-                # arrival, hypothetical send, and deadline — exactly the
-                # events the following iterations would fire, in the same
-                # per-lane order.
-                new_comp = svc_completion[next_rows]
-                draining = (new_comp <= next_cross[next_rows]) & (
-                    new_comp <= until[next_rows]
-                )
-                if hyp_left:
-                    draining &= new_comp <= next_hyp[next_rows]
-                run_rows = next_rows[draining]
-                if run_rows.size:
-                    run_start = new_comp[draining]
-                    comp_times.append(run_start)
-                    comp_rows.append(run_rows)
-                    comp_flows.append(svc_flow[run_rows])
-                    comp_sizes.append(svc_size[run_rows])
-                    _drain_runs(
-                        run_rows,
-                        run_start,
-                        link_rate=link_rate,
-                        svc_active=svc_active,
-                        svc_flow=svc_flow,
-                        svc_size=svc_size,
-                        svc_completion=svc_completion,
-                        q_flow=q_flow,
-                        q_size=q_size,
-                        q_head=q_head,
-                        q_len=q_len,
-                        queue_bits=queue_bits,
-                        until=until,
-                        next_cross=next_cross,
-                        next_hyp=next_hyp,
-                        hyp_left=hyp_left,
-                        comp_times=comp_times,
-                        comp_rows=comp_rows,
-                        comp_flows=comp_flows,
-                        comp_sizes=comp_sizes,
-                    )
-            # A lane a completion (or a drained run) freed owes the event it
-            # is left with next, and the following iteration would fire
-            # exactly that: re-read its service frontier so the arrival and
-            # send tests below fire it in this one.  A completion moves
-            # neither other frontier, so the gathered ones still hold.
-            svc_live = svc_completion[live]
-
-        # A lane's next event is its arrival (or send) when that beats its
-        # service frontier under the tie order above and its deadline: for a
-        # lane no completion freed this is the plain classification.
-        arriving = (cross_live < svc_live) & (cross_live <= until_live)
-        if hyp_left:
-            arriving &= cross_live <= hyp_live
-        arrivals = live[arriving]
-        if arrivals.size:
-            when = cross_live[arriving]
-            enqueue(arrivals, when, FLOW_CROSS, cross_packet_bits[arrivals])
-            next_cross[arrivals] = when + cross_interval[arrivals]
-
-        if hyp_left:
-            # No deadline test: a lane's deadline is never before its send.
-            sends = live[(hyp_live < svc_live) & (hyp_live < cross_live)]
-            if sends.size:
-                next_hyp[sends] = np.inf
-                hyp_left -= int(sends.size)
-                enqueue(sends, send_time[sends], FLOW_HYP, packet_bits_lane[sends])
-
-    if comp_times:
-        all_times = np.concatenate(comp_times)
-        all_rows = np.concatenate(comp_rows)
-        all_flows = np.concatenate(comp_flows)
-        all_sizes = np.concatenate(comp_sizes)
-    else:
-        all_times = np.empty(0)
-        all_rows = np.empty(0, dtype=np.int64)
-        all_flows = np.empty(0, dtype=np.int8)
-        all_sizes = np.empty(0)
+    rate = row["link_rate"]
+    shift = depth - row["q_len"]
+    slot = np.arange(depth + 1)[:, None]
+    queued = slot > shift
+    head = (slot == shift) & row["svc_active"]
+    rows = np.arange(rate.size)
+    index = np.maximum(slot - shift - 1, 0)
+    size = np.where(queued, row["q_size"].T[index, rows], np.where(head, row["svc_size"], 0.0))
+    steps = np.where(queued, size / rate, 0.0)
+    steps[shift, rows] = row["svc_completion"]
+    completion = np.add.accumulate(steps, axis=0)
+    start = np.full_like(completion, -np.inf)
+    start[1:] = np.where(queued[1:], completion[:-1], -np.inf)
     return {
-        "times": all_times,
-        "rows": all_rows,
-        "flows": all_flows,
-        "sizes": all_sizes,
-        "drop_chunks": drop_chunks,
-        "q_flow": q_flow,
-        "q_size": q_size,
-        "q_head": q_head,
-        "q_len": q_len,
-        "queue_bits": queue_bits,
-        "svc_active": svc_active,
-        "svc_flow": svc_flow,
-        "svc_size": svc_size,
+        "size": size,
+        "is_cross": np.where(queued, row["q_flow"].T[index, rows], row["svc_flow"]) == FLOW_CROSS,
+        "start": start,
+        "completion": completion,
+        "accepted": queued | head,
+        "queued_bits": np.add.reduce(size, axis=0, where=queued),
+        "first": shift + 1,
+        "last": np.where(row["svc_active"], completion[-1], -np.inf),
     }
 
 
-def _drain_runs(
-    run_rows: np.ndarray,
-    run_start: np.ndarray,
-    *,
-    link_rate: np.ndarray,
-    svc_active: np.ndarray,
-    svc_flow: np.ndarray,
-    svc_size: np.ndarray,
-    svc_completion: np.ndarray,
-    q_flow: np.ndarray,
-    q_size: np.ndarray,
-    q_head: np.ndarray,
-    q_len: np.ndarray,
-    queue_bits: np.ndarray,
+def _cross_arrivals(row: dict, last: float) -> np.ndarray:
+    """Each row's cross arrivals up to ``last``, slot-major ``(arrivals, rows)``.
+
+    The chain ``x, x + i, (x + i) + i, …`` is one ``np.add.accumulate`` —
+    the scalar's repeated ``when + interval``, bit for bit — extended until
+    every row has passed ``last``.  A row whose gate is off arrives never
+    (``inf``).
+    """
+    rate = row["cross_rate_pps"]
+    on = row["gate_on"] & (rate > 0)
+    first = np.where(on, row["next_cross_time"], last)
+    steps = np.empty((int(np.max((last - first) * rate, initial=0.0)) + 2, rate.size))
+    steps[0] = np.where(on, first, np.inf)
+    with np.errstate(divide="ignore"):
+        steps[1:] = 1.0 / rate
+    cross = np.add.accumulate(steps, axis=0)
+    while (cross[-1] <= last).any():
+        steps[0] = cross[-1]
+        cross = np.concatenate([cross, np.add.accumulate(steps, axis=0)[1:]])
+    return cross
+
+
+def _accept_arrivals(
+    start: np.ndarray,
+    accepted: np.ndarray,
+    size: np.ndarray,
+    service: np.ndarray,
+    slack: np.ndarray,
+    arrive: np.ndarray,
     until: np.ndarray,
-    next_cross: np.ndarray,
-    next_hyp: np.ndarray,
-    hyp_left: int,
-    comp_times: list[np.ndarray],
-    comp_rows: list[np.ndarray],
-    comp_flows: list[np.ndarray],
-    comp_sizes: list[np.ndarray],
+    first: np.ndarray,
+    last: np.ndarray,
+    queue_bits: Optional[np.ndarray],
 ) -> None:
-    """Finish each lane's back-to-back departure run in one vectorized slab.
+    """Decide every lane's arrivals in time order, one column per iteration.
 
-    ``run_rows`` are lanes whose just-loaded packet (completing at
-    ``run_start``, event already emitted) *drained* — its completion beats
-    the lane's next cross arrival, hypothetical send, and deadline.  The
-    lockstep loop would now fire one masked iteration per remaining queued
-    packet; this helper replays that entire run at once: a prefix-sum over
-    the queued transmission times yields every completion in the run, a
-    single comparison against the lane's drain limit finds where the run
-    stops, and the queue/service state jumps straight to the post-run
-    values.
+    The slot arrays hold the packets already in the link in their first
+    rows (the one in service starts at ``-inf``); ``first`` is each lane's
+    first queued slot and ``last`` the completion of its last packet
+    (``-inf`` for an idle link).  Fills ``start`` and ``accepted`` for the
+    arrival slots.  An arrival starts at ``max(a, c_last)`` — its own time
+    at an idle link, the last accepted completion behind a busy one — and
+    is tail-dropped when the link is busy and the waiting bits plus its size
+    exceed the buffer.  Starts ascend along each lane's slots, so the
+    packets waiting at ``a`` are the slots from the lane's in-service
+    pointer (its first slot that starts after ``a``) up to the arrival's
+    own, and the pointer only moves forward.
 
-    Bit-identity with the one-packet-at-a-time loop is preserved because
-    ``np.add.accumulate`` is a strict left-to-right accumulation: the
-    completion chain ``c_{j+1} = c_j + size_j / rate`` and the backlog
-    chain ``(queue_bits - s_1) - s_2 …`` associate exactly as the scalar
-    steps do (IEEE ``a - b`` ≡ ``a + (-b)``), and the backlog's ``< 1e-9``
-    floor commutes with skipping intermediate steps — the chain is
-    monotone decreasing, and once the scalar loop floors to ``0.0`` every
-    later step re-floors to ``0.0``.
+    The waiting bits follow one of two rules.  With ``queue_bits`` None
+    every size is a whole number and every sum stays below 2**53, so they
+    are exact as a difference of prefix sums; a pointer left behind only
+    overstates them, so the pointers move only when some lane would drop.
+    Otherwise ``queue_bits`` starts as the rows' own float value and the
+    loop replays the scalar's loads (subtract, floor below ``1e-9``) and
+    enqueues (add) in event order, up to each lane's deadline, leaving the
+    bits there in ``queue_bits``.
     """
-    depth = q_len[run_rows]
-    width = int(depth.max()) if depth.size else 0
-    if width == 0:
-        # Every run emptied its queue on the packet just emitted.
-        svc_active[run_rows] = False
-        svc_completion[run_rows] = np.inf
-        return
-    offsets = np.arange(width)
-    valid = offsets[None, :] < depth[:, None]
-    cols = np.where(valid, q_head[run_rows][:, None] + offsets[None, :], 0)
-    row_col = run_rows[:, None]
-    sizes_slab = q_size[row_col, cols]
-    flows_slab = q_flow[row_col, cols]
-    # chain[:, j] after accumulation is the completion time of the j-th
-    # queued packet; column 0 seeds the strict left-to-right accumulation
-    # with the just-emitted completion, matching the scalar chain's
-    # association exactly.
-    chain = np.empty((run_rows.size, width + 1))
-    chain[:, 0] = run_start
-    np.divide(sizes_slab, link_rate[run_rows][:, None], out=chain[:, 1:])
-    np.add.accumulate(chain, axis=1, out=chain)
-    completions = chain[:, 1:]
-    limit = np.minimum(next_cross[run_rows], until[run_rows])
-    if hyp_left:
-        limit = np.minimum(limit, next_hyp[run_rows])
-    fired = valid & (completions <= limit[:, None])
-    drained = fired.sum(axis=1)
-    if drained.any():
-        comp_times.append(completions[fired])
-        comp_rows.append(np.repeat(run_rows, drained))
-        comp_flows.append(flows_slab[fired])
-        comp_sizes.append(sizes_slab[fired])
-    exhausted = drained >= depth
-    # Lanes that drained their whole queue loaded (and emitted) all of it;
-    # the rest additionally loaded the first packet that did not drain,
-    # which stays in service exactly as the scalar loop leaves it.
-    loads = np.where(exhausted, depth, drained + 1)
-    backlog = np.empty((run_rows.size, width + 1))
-    backlog[:, 0] = queue_bits[run_rows]
-    np.negative(sizes_slab, out=backlog[:, 1:])
-    np.add.accumulate(backlog, axis=1, out=backlog)
-    lanes = np.arange(run_rows.size)
-    final_backlog = backlog[lanes, loads]
-    queue_bits[run_rows] = np.where(final_backlog < 1e-9, 0.0, final_backlog)
-    q_head[run_rows] += loads
-    q_len[run_rows] -= loads
-    if exhausted.any():
-        done = run_rows[exhausted]
-        svc_active[done] = False
-        svc_completion[done] = np.inf
-    serving = ~exhausted
-    if serving.any():
-        serving_rows = run_rows[serving]
-        pick = drained[serving]
-        slab = lanes[serving]
-        svc_flow[serving_rows] = flows_slab[slab, pick]
-        svc_size[serving_rows] = sizes_slab[slab, pick]
-        svc_completion[serving_rows] = completions[slab, pick]
+    width = start.shape[1]
+    window = np.arange(POINTER_WINDOW)[:, None] * width
+    flat_start = start.reshape(-1)
+    pointer = first * width + np.arange(width)
+    base = size.shape[0] - arrive.shape[0]
+    replay = queue_bits is not None
+    if replay:
+        queued = np.zeros(accepted.shape, dtype=bool)
+        np.greater(start[:base], -np.inf, out=queued[:base])
+        queued[:base] &= accepted[:base]
+        flat_queued, flat_size = queued.reshape(-1), size.reshape(-1)
+    else:
+        prefix = np.zeros((size.shape[0] + 1, width))
+        np.multiply(size[:base], accepted[:base], out=prefix[1 : base + 1])
+        np.add.accumulate(prefix[1 : base + 1], axis=0, out=prefix[1 : base + 1])
+        flat_prefix = prefix.reshape(-1)
 
+    def advance(when: np.ndarray) -> None:
+        """Move each pointer past the slots that start by ``when``."""
+        while True:
+            slots = pointer + window
+            began = flat_start.take(slots) <= when
+            moved = np.add.reduce(began, axis=0, dtype=np.int64)
+            if replay:
+                loads = began & flat_queued.take(slots, mode="clip")
+                sizes = flat_size.take(slots, mode="clip")
+                for step in range(int(moved.max())):
+                    remaining = queue_bits - sizes[step]
+                    np.copyto(
+                        queue_bits,
+                        np.where(remaining < 1e-9, 0.0, remaining),
+                        where=loads[step],
+                    )
+            np.add(pointer, moved * width, out=pointer)
+            if not began[-1].any():
+                return
 
-def _classify_events(raw: dict, now: float, end: float) -> dict:
-    """Split the raw event log into the outcome's own/cross event streams.
-
-    Cross-traffic outcomes count within ``[decision_time, end)`` only; own
-    predictions are unfiltered, both exactly as the scalar rollout reports.
-    """
-    own = raw["flows"] != FLOW_CROSS
-    own_time = raw["times"][own]
-    own_lane = raw["rows"][own]
-    own_is_hyp = raw["flows"][own] == FLOW_HYP
-    cross = ~own
-    cross_time = raw["times"][cross]
-    cross_lane = raw["rows"][cross]
-    cross_bits = raw["sizes"][cross]
-
-    drop_chunks = raw["drop_chunks"]
-    own_drop_time, own_drop_lane, _own_drop_sizes, own_drop_flows = _concat_drops(
-        [chunk for chunk in drop_chunks if chunk[0] != FLOW_CROSS]
-    )
-    own_drop_is_hyp = own_drop_flows == FLOW_HYP
-    cross_drop_time, cross_drop_lane, cross_drop_bits, _ = _concat_drops(
-        [chunk for chunk in drop_chunks if chunk[0] == FLOW_CROSS]
-    )
-
-    keep = (cross_time >= now) & (cross_time < end)
-    cross_time, cross_lane, cross_bits = cross_time[keep], cross_lane[keep], cross_bits[keep]
-    keep = (cross_drop_time >= now) & (cross_drop_time < end)
-    cross_drop_time = cross_drop_time[keep]
-    cross_drop_lane = cross_drop_lane[keep]
-    cross_drop_bits = cross_drop_bits[keep]
-    return {
-        "own_time": own_time,
-        "own_lane": own_lane,
-        "own_is_hyp": own_is_hyp,
-        "own_drop_time": own_drop_time,
-        "own_drop_lane": own_drop_lane,
-        "own_drop_is_hyp": own_drop_is_hyp,
-        "cross_time": cross_time,
-        "cross_bits": cross_bits,
-        "cross_lane": cross_lane,
-        "cross_drop_time": cross_drop_time,
-        "cross_drop_bits": cross_drop_bits,
-        "cross_drop_lane": cross_drop_lane,
-    }
-
-
-def _cross_backlog_sequential(raw: dict) -> np.ndarray:
-    """Final cross-queued bits per lane, accumulated strictly left to right.
-
-    ``np.add.at`` over the in-queue cross cells in row-major (ascending
-    column) order gives every lane the scalar oracle's ordered float
-    additions (``LinkModel.cross_backlog_bits`` sums the queue front to
-    back, then adds the packet in service) no matter how wide the buffer
-    is.
-    """
-    q_flow, q_size = raw["q_flow"], raw["q_size"]
-    q_head, q_len = raw["q_head"], raw["q_len"]
-    columns = np.arange(q_flow.shape[1])
-    in_queue = (columns >= q_head[:, None]) & (columns < (q_head + q_len)[:, None])
-    lanes_nz, cols_nz = np.nonzero(in_queue & (q_flow == FLOW_CROSS))
-    cross_backlog = np.zeros(q_len.size)
-    np.add.at(cross_backlog, lanes_nz, q_size[lanes_nz, cols_nz])
-    cross_backlog += np.where(
-        raw["svc_active"] & (raw["svc_flow"] == FLOW_CROSS), raw["svc_size"], 0.0
-    )
-    return cross_backlog
+    for column, when in enumerate(arrive):
+        slot = base + column
+        idle = last <= when
+        ok = accepted[slot]
+        if replay:
+            advance(np.minimum(when, until))
+            np.less_equal(queue_bits + size[slot], slack, out=ok)
+            ok |= idle
+        else:
+            np.less_equal(prefix[slot] - flat_prefix.take(pointer) + size[slot], slack, out=ok)
+            ok |= idle
+            if not ok.all():
+                advance(when)
+                np.less_equal(prefix[slot] - flat_prefix.take(pointer) + size[slot], slack, out=ok)
+                ok |= idle
+        begin = np.maximum(when, last, out=start[slot])
+        last = np.where(ok, begin + service[column], last)
+        if replay:
+            enqueue = ok & ~idle & (when <= until)
+            queued[slot] = enqueue
+            np.add(queue_bits, size[slot], out=queue_bits, where=enqueue)
+        else:
+            np.add(prefix[slot], size[slot] * ok, out=prefix[slot + 1])
+    if replay:
+        advance(until)
 
 
 def batched_rollout_rows(
@@ -639,10 +356,21 @@ def batched_rollout_rows(
     enters at ``now + delay`` (after every event at or before that instant),
     the gate stays frozen, and each lane runs to ``max(now + horizon,
     send_time)`` so delays beyond the horizon still observe their send.
+
+    A lane is a FIFO of slots: the packets already in its link
+    (:func:`_fifo_slots`), then one slot per arrival (:func:`_cross_arrivals`
+    plus the send, placed after every cross arrival at its instant), both
+    computed once per row and gathered across the actions.
+    :func:`_accept_arrivals` decides the arrivals column by column; the
+    rest is read off the slots.  A delivery is an accepted slot that
+    completes by the lane's deadline, and slots are in time order within a
+    lane, so every event stream comes out chronological per lane.
     """
     rows = np.asarray(rows, dtype=np.int64)
     delays = np.asarray(action_delays, dtype=float)
-    if np.any(delays < 0):
+    if not (math.isfinite(now) and math.isfinite(horizon) and np.isfinite(delays).all()):
+        raise InferenceError("now, horizon and action delays must be finite")
+    if (delays < 0).any():
         raise InferenceError("action delays must be non-negative")
     if now < state.time - 1e-9:
         raise InferenceError(
@@ -650,68 +378,122 @@ def batched_rollout_rows(
             f"{state.time:.6f}"
         )
     k = int(rows.size)
-    # Slots are consumed monotonically (ring head, no reuse), so pre-size
-    # the queue buffers for the worst-case enqueue count — initial
-    # occupancy plus every possible cross arrival plus the hypothetical —
-    # and the loop has to grow them only when the estimate was clamped.
-    max_delay = float(delays.max()) if delays.size else 0.0
-    span = horizon + max_delay + (now - state.time)
-    max_rate = float(state.cross_rate_pps[rows].max()) if k else 0.0
-    arrival_estimate = span * max_rate + 2.0
-    depth = int(state.q_len[rows].max(initial=0))
-    width = depth + int(min(arrival_estimate, 4096.0)) + 2
-
-    lanes = state.lane_arrays(rows, int(delays.size), width)
     end = now + horizon
-    send_time = np.repeat(now + delays, k)
-    total = int(send_time.size)
+    send = np.repeat(now + delays, k)
+    width = send.size
     # A lane runs past the horizon only to observe its own send; with
     # send_packet=False the scalar oracle never advances beyond the end.
-    until = np.maximum(end, send_time) if send_packet else np.full(total, end)
+    until = np.maximum(send, end) if send_packet else np.full(width, end)
+    lane_row = np.arange(width) % max(k, 1)
 
-    # The reciprocal inter-arrival and the drop threshold are precomputed —
-    # both reuse the identical float values the scalar model derives per
-    # event.  The gate is frozen during rollouts, so the "next cross arrival"
-    # frontier is masked once up front; the hypothetical-send frontier
-    # likewise goes to +inf once fired.
-    with np.errstate(divide="ignore"):
-        cross_interval = 1.0 / lanes["cross_rate_pps"]
-    next_cross = np.where(lanes["gate_on"], lanes["next_cross_time"], np.inf)
-    next_hyp = send_time.copy() if send_packet else np.full(total, np.inf)
+    depth = int(state.q_len[rows].max(initial=0))
+    row = state.lane_arrays(rows, depth + 1)
+    fifo = _fifo_slots(row, depth)
+    cross = _cross_arrivals(row, float(until.max(initial=end))).take(lane_row, axis=1)
+    if send_packet:
+        column = np.arange(cross.shape[0] + 1)[:, None]
+        place = np.add.reduce(cross <= send, axis=0, dtype=np.int64)
+        arrive = np.concatenate([cross, np.full((1, width), np.inf)])
+        arrive[1:] = np.where(column[1:] > place, cross, arrive[1:])
+        is_hyp = column == place
+        arrive = np.where(is_hyp, send, arrive)
+    else:
+        arrive, is_hyp = cross, np.zeros(cross.shape, dtype=bool)
+    valid = arrive <= until
+    count = int(np.add.reduce(valid, axis=0, dtype=np.int64).max(initial=0))
+    arrive, is_hyp, valid = arrive[:count], is_hyp[:count], valid[:count]
 
-    raw = _run_frontier(
-        link_rate=lanes["link_rate"],
-        buffer_slack=lanes["buffer_cap"] + 1e-9,
-        cross_interval=cross_interval,
-        cross_packet_bits=lanes["cross_packet_bits"],
-        svc_active=lanes["svc_active"],
-        svc_flow=lanes["svc_flow"],
-        svc_size=lanes["svc_size"],
-        svc_completion=lanes["svc_completion"],
-        q_flow=lanes["q_flow"],
-        q_size=lanes["q_size"],
-        q_len=lanes["q_len"],
-        queue_bits=lanes["queue_bits"],
-        send_time=send_time,
-        until=until,
-        next_cross=next_cross,
-        next_hyp=next_hyp,
-        hyp_left=total if send_packet else 0,
-        packet_bits_lane=np.full(total, packet_bits, dtype=float),
-        width_is_exact=arrival_estimate <= 4096.0,
-        drain=depth >= DRAIN_MIN_QUEUE_DEPTH,
+    # Slot-major lane arrays: the packets already in the link (per row,
+    # gathered across the actions), then one slot per arrival.
+    base = depth + 1
+    slots = base + count
+    size = np.empty((slots, width))
+    fifo["size"].take(lane_row, axis=1, out=size[:base])
+    np.copyto(size[base:], np.where(is_hyp, packet_bits, row["cross_packet_bits"].take(lane_row)))
+    start = np.full((slots + POINTER_WINDOW, width), np.nan)
+    fifo["start"].take(lane_row, axis=1, out=start[:base])
+    accepted = np.zeros((slots, width), dtype=bool)
+    fifo["accepted"].take(lane_row, axis=1, out=accepted[:base])
+    service = size[base:] / row["link_rate"].take(lane_row)
+    # The prefix rule (see _accept_arrivals) holds when every size is a
+    # whole number of bits, no lane's sizes can sum to 2**53, and each
+    # row's queue bits are exactly its queued sizes' sum.
+    whole = np.concatenate([fifo["size"].ravel(), row["cross_packet_bits"], [packet_bits]])
+    exact = (
+        not (whole % 1.0).any()
+        and float(whole.max()) * slots < 2.0**53
+        and np.array_equal(fifo["queued_bits"], row["queue_bits"])
     )
+    queue_bits = None if exact else row["queue_bits"].take(lane_row)
+    _accept_arrivals(
+        start,
+        accepted,
+        size,
+        service,
+        (row["buffer_cap"] + 1e-9).take(lane_row),
+        arrive,
+        until,
+        fifo["first"].take(lane_row),
+        fifo["last"].take(lane_row),
+        queue_bits,
+    )
+
+    completion = np.empty((slots, width))
+    fifo["completion"].take(lane_row, axis=1, out=completion[:base])
+    np.add(start[base:slots], service, out=completion[base:])
+    is_cross = np.empty((slots, width), dtype=bool)
+    fifo["is_cross"].take(lane_row, axis=1, out=is_cross[:base])
+    np.logical_not(is_hyp, out=is_cross[base:])
+    own = accepted & (completion <= until)
+    own &= ~is_cross
+    own, own_lane = np.nonzero(own)
+    cross = accepted & is_cross & (completion >= now) & (completion < end)
+    cross, cross_lane = np.nonzero(cross)
+    dropped = valid & ~accepted[base:]
+    own_drop, own_drop_lane = np.nonzero(dropped & is_hyp)
+    cross_drop, cross_drop_lane = np.nonzero(
+        dropped & ~is_hyp & (arrive >= now) & (arrive < end)
+    )
+
+    # What is left at the deadline: the accepted slots that arrived by it
+    # and have not completed — the one in service and those waiting.
+    pending = accepted & (completion > until)
+    pending[base:] &= valid
+    cross_pending = pending & is_cross
+    if queue_bits is None:
+        # Whole numbers: every sum is exact, in any order.
+        queue_bits = np.add.reduce(size, axis=0, where=pending)
+        cross_backlog = np.add.reduce(size, axis=0, where=cross_pending)
+    else:
+        # The scalar adds the waiting bits front to back, then the packet
+        # in service (a lane's one pending slot that has started).
+        in_service = pending & (start[:slots] <= until)
+        queue_bits += np.add.reduce(size, axis=0, where=in_service)
+        cross_backlog = np.add.accumulate(
+            np.where(cross_pending & ~in_service, size, 0.0), axis=0
+        )[-1]
+        cross_backlog += np.add.reduce(size, axis=0, where=cross_pending & in_service)
     return BatchedRolloutOutcome(
         decision_time=now,
         horizon=horizon,
         packet_bits=packet_bits,
         action_delays=delays,
         k=k,
-        own_survival=lanes["survival"],
-        final_queue_bits=raw["queue_bits"]
-        + np.where(raw["svc_active"], raw["svc_size"], 0.0),
-        final_cross_backlog_bits=_cross_backlog_sequential(raw),
-        **_classify_events(raw, now, end),
+        own_survival=row["survival"].take(lane_row),
+        own_time=completion[own, own_lane],
+        own_lane=own_lane,
+        own_is_hyp=own >= base,
+        own_drop_time=arrive[own_drop, own_drop_lane],
+        own_drop_lane=own_drop_lane,
+        own_drop_is_hyp=np.ones(own_drop.size, dtype=bool),
+        cross_time=completion[cross, cross_lane],
+        cross_bits=size[cross, cross_lane],
+        cross_lane=cross_lane,
+        cross_drop_time=arrive[cross_drop, cross_drop_lane],
+        cross_drop_bits=size[cross_drop + base, cross_drop_lane],
+        cross_drop_lane=cross_drop_lane,
+        final_queue_bits=queue_bits,
+        final_cross_backlog_bits=cross_backlog,
     )
 
 
@@ -763,7 +545,7 @@ def value_rows(
     utility,
     probe: Optional[Callable[[str, object], None]],
 ) -> list[float]:
-    """The array engine's *value*: every lane through one frontier.
+    """The array engine's *value*: every lane through one kernel call.
 
     One :func:`batched_rollout_rows` call over the selected rows, then one
     utility per (action × hypothesis) lane, action-major, via the utility's

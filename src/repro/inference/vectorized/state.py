@@ -526,24 +526,17 @@ class EnsembleState:
         packed = self.signature_matrix(rows)
         return [row.tobytes() for row in packed]
 
-    def lane_arrays(self, rows: np.ndarray, copies: int, queue_width: int) -> dict:
-        """Per-lane buffers for ``rows`` tiled ``copies`` times, rollout-ready.
+    def lane_arrays(self, rows: np.ndarray, queue_width: int) -> dict:
+        """The buffers a rollout reads, gathered for ``rows`` (in that order).
 
-        The gathered arrays feed
         :func:`repro.inference.vectorized.rollout.batched_rollout_rows`
-        directly: lane ``a * len(rows) + j`` is action ``a`` on ``rows[j]``.
-
-        ``queue_width`` sizes the returned queue buffers (zero-padded past
-        each row's ``q_len``); callers pass the rollout's precomputed
-        arrival-bound width so no second resize happens inside the kernel.
+        builds its lanes from them: lane ``a * len(rows) + j`` is action
+        ``a`` on ``rows[j]``.  ``queue_width`` sizes the returned queue
+        buffers (zero-padded past each row's ``q_len``).
         """
-        idx = np.tile(np.asarray(rows, dtype=np.int64), copies)
-        lanes = idx.size
-        take = min(queue_width, self.q_flow.shape[1])
-        q_flow = np.zeros((lanes, queue_width), dtype=np.int8)
-        q_size = np.zeros((lanes, queue_width), dtype=float)
-        q_flow[:, :take] = self.q_flow[idx, :take]
-        q_size[:, :take] = self.q_size[idx, :take]
+        idx = np.asarray(rows, dtype=np.int64)
+        q_flow = _pad_columns(self.q_flow[idx, :queue_width], queue_width)
+        q_size = _pad_columns(self.q_size[idx, :queue_width], queue_width)
         return {
             "link_rate": self.link_rate[idx],
             "buffer_cap": self.buffer_cap[idx],
@@ -567,7 +560,7 @@ class EnsembleState:
 
         One entry per row, in ``rows`` order — what the planner's ``lanes``
         probe reports, so :mod:`repro.diagnostics` can tell drift in the
-        state handed to the rollout from drift inside the frontier.  The
+        state handed to the rollout from drift inside the kernel.  The
         scalar oracle reports the same snapshot by packing its top
         hypotheses through :meth:`from_hypotheses`.
         """

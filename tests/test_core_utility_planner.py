@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -152,6 +154,17 @@ class TestPlanner:
             ExpectedUtilityPlanner(utility, horizon=0.0)
         with pytest.raises(ConfigurationError):
             ExpectedUtilityPlanner(utility, horizon_service_multiples=0.0)
+
+    @pytest.mark.parametrize("rollout_backend", ["scalar", "vectorized"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("setting", ["horizon", "horizon_service_multiples", "packet_bits"])
+    def test_non_finite_settings_are_refused(self, setting, value, rollout_backend):
+        """NaN and infinity passed the old ``<= 0`` checks; ``decide`` then
+        hung or raised a bare ValueError deep in a rollout."""
+        with pytest.raises(ConfigurationError, match=setting):
+            ExpectedUtilityPlanner(
+                ThroughputUtility(), rollout_backend=rollout_backend, **{setting: value}
+            )
 
     def test_decision_contains_all_candidate_delays(self):
         planner = ExpectedUtilityPlanner(ThroughputUtility(), top_k=3)

@@ -241,8 +241,8 @@ class TestDifferentialRolloutBackends:
             "whose clock already equals the send time - a never-advanced model at "
             "t=0, and every belief_from_signature(now=...) reconstruction in the "
             "serving planner tier - a cross arrival due at that same instant is "
-            "enqueued *after* the hypothetical packet; the array frontier fires it "
-            "*before* ('the hypothetical send strictly last', "
+            "enqueued *after* the hypothetical packet; the array kernel places it "
+            "*before* (the send goes after every cross arrival at its instant, "
             "inference/vectorized/rollout.py).  First decision of "
             "figure3_alpha[alpha=0.9,seed=0]: 16 of 144 lanes differ (own delivery "
             "at 1.2 s vs 2.4 s), action 0.0 is worth 47452.98 (scalar) vs 47392.11 "

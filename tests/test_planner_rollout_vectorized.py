@@ -13,13 +13,13 @@ and off, busy links, queued backlogs), candidate delays beyond the rollout
 horizon, fixed and derived horizons, both belief backends under both
 rollout backends, custom utilities without a batch path, the end-to-end
 guarantee that a fully vectorized sender never materializes a scalar
-``Hypothesis`` on the decide path, and the frontier's per-call choice
-between lockstep and drained departure runs (bit-identical either way).
+``Hypothesis`` on the decide path, fractional sizes (where the waiting bits
+are replayed rather than taken from prefix sums), and standing queues deep
+and shallow.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import random
 
 import numpy as np
@@ -45,7 +45,6 @@ from repro.inference import (
     single_link_prior,
 )
 from repro.inference.vectorized import EnsembleState, batched_rollout_rows
-from repro.inference.vectorized import rollout as rollout_module
 
 
 def rollout_hypotheses(hypotheses, delays, **kwargs):
@@ -96,6 +95,38 @@ def assert_decisions_equivalent(scalar, vectorized, rel=1e-9):
         )
 
 
+def assert_lane_outcomes_match(
+    hypotheses, now, horizon=4.0, delays=(0.0, 0.7, 2.5, 30.0), packet_bits=12_000.0,
+    send_packet=True,
+):
+    """Every (action × hypothesis) lane of one batch against the scalar
+    rollout of that hypothesis; returns the scalar outcomes, lane order."""
+    batch = rollout_hypotheses(
+        hypotheses, delays, horizon=horizon, packet_bits=packet_bits, now=now,
+        send_packet=send_packet,
+    )
+    references = []
+    for action, delay in enumerate(delays):
+        for row, hypothesis in enumerate(hypotheses):
+            reference = hypothesis.rollout(
+                action_delay=delay, horizon=horizon, packet_bits=packet_bits, now=now,
+                send_packet=send_packet,
+            )
+            references.append(reference)
+            lane = batch.lane_outcome(action * len(hypotheses) + row)
+            assert lane.own_deliveries == reference.own_deliveries
+            assert lane.own_drops == reference.own_drops
+            assert lane.cross_deliveries == reference.cross_deliveries
+            assert lane.cross_drops == reference.cross_drops
+            assert lane.final_queue_bits == reference.final_queue_bits
+            assert lane.final_cross_backlog_bits == reference.final_cross_backlog_bits
+            assert lane.hypothetical_delivered == reference.hypothetical_delivered
+            assert lane.hypothetical_delivery_time == reference.hypothetical_delivery_time
+            assert lane.action_delay == delay
+            assert lane.decision_time == reference.decision_time
+    return references
+
+
 class TestRolloutBackendSelection:
     def test_unknown_backend_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -108,31 +139,6 @@ class TestRolloutBackendSelection:
 class TestBatchedRolloutExactness:
     """Per-lane outcomes match the scalar rollout bit for bit."""
 
-    DELAYS = (0.0, 0.7, 2.5, 30.0)
-
-    def assert_lane_outcomes_match(self, hypotheses, now, horizon=4.0, delays=DELAYS):
-        """Every (action × hypothesis) lane of one batch against the scalar
-        rollout of that hypothesis."""
-        batch = rollout_hypotheses(
-            hypotheses, delays, horizon=horizon, packet_bits=12_000.0, now=now
-        )
-        for action, delay in enumerate(delays):
-            for row, hypothesis in enumerate(hypotheses):
-                reference = hypothesis.rollout(
-                    action_delay=delay, horizon=horizon, packet_bits=12_000.0, now=now
-                )
-                lane = batch.lane_outcome(action * len(hypotheses) + row)
-                assert lane.own_deliveries == reference.own_deliveries
-                assert lane.own_drops == reference.own_drops
-                assert lane.cross_deliveries == reference.cross_deliveries
-                assert lane.cross_drops == reference.cross_drops
-                assert lane.final_queue_bits == reference.final_queue_bits
-                assert lane.final_cross_backlog_bits == reference.final_cross_backlog_bits
-                assert lane.hypothetical_delivered == reference.hypothetical_delivered
-                assert lane.hypothetical_delivery_time == reference.hypothetical_delivery_time
-                assert lane.action_delay == delay
-                assert lane.decision_time == reference.decision_time
-
     def test_randomized_lane_outcomes(self):
         rng = random.Random(31)
         for _ in range(30):
@@ -141,13 +147,67 @@ class TestBatchedRolloutExactness:
             for seq in range(rng.randint(0, 6)):
                 at += rng.uniform(0.1, 0.9)
                 hypothesis.record_send(seq, 12_000.0, at)
-            self.assert_lane_outcomes_match([hypothesis], now=at + 1.0)
+            assert_lane_outcomes_match([hypothesis], now=at + 1.0)
+
+    @pytest.mark.parametrize("send_packet", [True, False])
+    @pytest.mark.parametrize("draw_seed", [0, 1])
+    def test_fractional_sizes_match_the_scalar_rollout(self, draw_seed, send_packet):
+        """Fractional link rates, capacities, fills and packet sizes: the
+        waiting bits are no longer whole numbers, so the kernel must replay
+        the scalar's float loads and enqueues rather than difference prefix
+        sums.  One row holds a standing queue over 64 packets deep and one
+        sees over 200 cross arrivals; the decision instant sits clear of
+        the model clock (the same-instant tie of the strict xfail)."""
+        rng = random.Random(draw_seed)
+
+        def fractional(**fixed):
+            capacity = rng.uniform(20_000.0, 150_000.0)
+            params = {
+                "link_rate_bps": rng.uniform(5_000.0, 40_000.0),
+                "buffer_capacity_bits": capacity,
+                "initial_fill_bits": rng.uniform(0.0, capacity),
+                "loss_rate": rng.choice([0.0, 0.15]),
+                "cross_rate_pps": rng.choice([0.0, rng.uniform(0.2, 3.0)]),
+                "cross_packet_bits": rng.uniform(3_000.0, 15_000.0),
+                "mean_time_to_switch": 10.0,
+                "cross_initially_on": rng.random() < 0.8,
+            }
+            params.update(fixed)
+            return Hypothesis.from_params(params)
+
+        hypotheses = [fractional() for _ in range(12)]
+        hypotheses.append(
+            fractional(buffer_capacity_bits=1_000_000.5, initial_fill_bits=0.0, cross_rate_pps=0.0)
+        )
+        hypotheses.append(
+            fractional(link_rate_bps=900_000.3, cross_rate_pps=83.7, cross_initially_on=True)
+        )
+        sends = sorted(rng.uniform(0.0, 0.3) for _ in range(4))
+        for hypothesis in hypotheses[:-2]:
+            for seq, at in enumerate(sends):
+                hypothesis.record_send(seq, rng.uniform(4_000.0, 14_000.0), at)
+        for seq in range(80):
+            hypotheses[-2].record_send(seq, 11_999.37, sends[0])
+        for hypothesis in (hypotheses[-2], hypotheses[-1]):
+            hypothesis.model.advance(sends[-1])
+        assert hypotheses[-2].model.queue_packets >= 64
+
+        references = assert_lane_outcomes_match(
+            hypotheses,
+            now=0.37,
+            horizon=3.0,
+            delays=(0.0, 0.23, 1.7, 4.1),
+            packet_bits=rng.uniform(6_000.0, 14_000.0),
+            send_packet=send_packet,
+        )
+        busiest = references[len(hypotheses) - 1]
+        assert len(busiest.cross_deliveries) + len(busiest.cross_drops) >= 200
 
     def test_same_instant_events_match_the_scalar_rollout(self):
-        """Completions, cross arrivals and sends due at one instant, across
-        lanes that free their servers in different iterations: a lane fires
-        the arrival or send a completion leaves it owing in the iteration
-        that frees it, in the scalar rollout's tie order."""
+        """Completions, cross arrivals and sends due at one instant: a
+        completion at an arrival's instant frees the link (and buffer space)
+        first, and a cross arrival goes before the send, in the scalar
+        rollout's tie order."""
         rng = random.Random(47)
         for _ in range(30):
             hypotheses = [
@@ -177,7 +237,7 @@ class TestBatchedRolloutExactness:
                     hypothesis.record_send(seq, 12_000.0, at)
             # The decision instant is past the model clock, so no send shares
             # it with the clock (the scalar tie rule there is ROADMAP 1(a)).
-            self.assert_lane_outcomes_match(
+            assert_lane_outcomes_match(
                 hypotheses,
                 now=(sends[-1] if sends else 0.0) + 1.0,
                 horizon=rng.choice([3.0, 6.0]),
@@ -207,7 +267,7 @@ class TestBatchedRolloutExactness:
             {"link_rate_bps": 12_000.0, "buffer_capacity_bits": 96_000.0}
         )
         hypothesis.record_send(0, 12_000.0, 0.0)
-        self.assert_lane_outcomes_match([hypothesis], now=0.0, horizon=1.5)
+        assert_lane_outcomes_match([hypothesis], now=0.0, horizon=1.5)
 
     def test_stay_silent_stops_at_the_horizon(self):
         """send_packet=False must not advance lanes past the horizon end."""
@@ -254,6 +314,20 @@ class TestBatchedRolloutExactness:
         )
         with pytest.raises(InferenceError):
             EnsembleState.from_hypotheses([early, late])
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("argument", ["now", "horizon", "delay"])
+    def test_non_finite_times_are_refused(self, argument, value):
+        """The kernel sizes each lane's arrival schedule from these values."""
+        hypothesis = Hypothesis.from_params(
+            {"link_rate_bps": 12_000.0, "buffer_capacity_bits": 96_000.0, "cross_rate_pps": 1.0}
+        )
+        kwargs = dict(horizon=4.0, packet_bits=12_000.0, now=0.5)
+        delays = (0.0, value) if argument == "delay" else (0.0, 1.0)
+        if argument != "delay":
+            kwargs[argument] = value
+        with pytest.raises(InferenceError, match="finite"):
+            rollout_hypotheses([hypothesis], delays, **kwargs)
 
     def test_rollout_cannot_run_backwards(self):
         hypothesis = Hypothesis.from_params(
@@ -484,52 +558,12 @@ class TestVectorizedBeliefAccessors:
         assert scalar.map_link_rate_bps() == vectorized.map_link_rate_bps()
 
 
-# ------------------------------------------------- frontier selection + identity
-
-#: ``BatchedRolloutOutcome``'s flat event streams: lane column → value columns.
-EVENT_STREAMS = {
-    "own_lane": ("own_time", "own_is_hyp"),
-    "own_drop_lane": ("own_drop_time", "own_drop_is_hyp"),
-    "cross_lane": ("cross_time", "cross_bits"),
-    "cross_drop_lane": ("cross_drop_time", "cross_drop_bits"),
-}
-
-#: ``BatchedRolloutOutcome``'s per-lane / per-action arrays.
-LANE_ARRAYS = (
-    "action_delays",
-    "own_survival",
-    "final_queue_bits",
-    "final_cross_backlog_bits",
-)
+# ------------------------------------------------------------ standing queues
 
 
-def outcome_bytes(outcome) -> dict:
-    """Every field of one outcome, arrays as raw bytes.
-
-    Event streams are regrouped lane-major with a stable sort first: each
-    stream is chronological *per lane* by contract, while the interleaving
-    across lanes is the one thing draining may change.
-    """
-    fields = {
-        name: getattr(outcome, name)
-        for name in ("decision_time", "horizon", "packet_bits", "k")
-    }
-    for lane_column, value_columns in EVENT_STREAMS.items():
-        lanes = getattr(outcome, lane_column)
-        order = np.argsort(lanes, kind="stable")
-        fields[lane_column] = lanes[order].tobytes()
-        for column in value_columns:
-            fields[column] = getattr(outcome, column)[order].tobytes()
-    for name in LANE_ARRAYS:
-        fields[name] = getattr(outcome, name).tobytes()
-    assert set(fields) == {f.name for f in dataclasses.fields(outcome)}
-    return fields
-
-
-def standing_queue_rollout(draw_seed: int, depth: int, horizon: float) -> dict:
-    """``batched_rollout_rows`` arguments for three random hypotheses, each
-    holding ``depth`` queued own packets (plus one in service) in a buffer
-    deep enough for all of them."""
+def standing_queue_hypotheses(draw_seed: int, depth: int) -> list[Hypothesis]:
+    """Three random hypotheses, each holding ``depth`` queued own packets
+    (plus one in service) in a buffer deep enough for all of them."""
     rng = random.Random(draw_seed)
     hypotheses = []
     for _ in range(3):
@@ -546,64 +580,30 @@ def standing_queue_rollout(draw_seed: int, depth: int, horizon: float) -> dict:
         for seq in range(depth + 1):
             hypothesis.record_send(seq, 12_000.0, 0.0)
         hypotheses.append(hypothesis)
-    state = EnsembleState.from_hypotheses(hypotheses)
-    assert int(state.q_len.max()) == depth
-    return dict(
-        state=state,
-        rows=np.arange(state.size),
-        action_delays=(0.0, 0.4, 3.0, horizon + 1.0),
-        horizon=horizon,
-        packet_bits=12_000.0,
-        now=0.0,
-    )
+    return hypotheses
 
 
-class TestFrontierSelection:
-    """Draining is chosen per call from the lanes' deepest initial queue, and
-    never changes a result."""
-
-    THRESHOLD = rollout_module.DRAIN_MIN_QUEUE_DEPTH
+class TestStandingQueues:
+    """Deep and shallow initial queues, mixed in one call, roll out and
+    decide exactly as the scalar oracle does."""
 
     @seed(20260929)
     @settings(max_examples=40, deadline=None)
     @given(
         draw_seed=st.integers(0, 10_000),
-        depths=st.lists(
-            st.sampled_from([0, 1, 3, THRESHOLD - 1, THRESHOLD, THRESHOLD + 9, 40]),
-            min_size=1,
-            max_size=3,
-        ),
-        horizons=st.lists(st.sampled_from([1.5, 4.0, 9.0]), min_size=3, max_size=3),
+        depth=st.sampled_from([0, 1, 3, 15, 16, 25, 40]),
+        horizon=st.sampled_from([1.5, 4.0, 9.0]),
     )
-    def test_draining_on_and_off_is_byte_identical(self, draw_seed, depths, horizons):
-        """Random lane states on both sides of the constant, with different
-        horizons: forcing draining on, forcing it off, and the constant's own
-        choice all give the same bytes."""
-        rollouts = [
-            standing_queue_rollout(draw_seed + index, depth, horizons[index])
-            for index, depth in enumerate(depths)
-        ]
-        results = []
-        with pytest.MonkeyPatch.context() as patch:
-            for constant in (0, 10**9, self.THRESHOLD):
-                patch.setattr(rollout_module, "DRAIN_MIN_QUEUE_DEPTH", constant)
-                results.append(
-                    [outcome_bytes(batched_rollout_rows(**kwargs)) for kwargs in rollouts]
-                )
-        drained, lockstep, chosen = results
-        assert drained == lockstep == chosen
-
-    @pytest.fixture
-    def drain_calls(self, monkeypatch):
-        calls = []
-        original = rollout_module._drain_runs
-
-        def spy(*args, **kwargs):
-            calls.append(len(args[0]))
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(rollout_module, "_drain_runs", spy)
-        return calls
+    def test_standing_queue_lanes_match_the_scalar_rollout(self, draw_seed, depth, horizon):
+        """Random lane states with up to 40 queued packets, delays before
+        and past the horizon: every lane equals the scalar rollout.  The
+        decision instant is past the model clock, clear of the same-instant
+        tie of the strict xfail."""
+        hypotheses = standing_queue_hypotheses(draw_seed, depth)
+        assert max(hypothesis.model.queue_packets for hypothesis in hypotheses) == depth
+        assert_lane_outcomes_match(
+            hypotheses, now=0.37, horizon=horizon, delays=(0.0, 0.4, 3.0, horizon + 1.0)
+        )
 
     #: The deep-buffer prior: 1.15–1.3 Mbit buffers (~96–108 packets) and
     #: sparse cross traffic, the Figure-2 single-flow regime where the
@@ -624,40 +624,34 @@ class TestFrontierSelection:
             belief.record_send(seq, 12_000.0, 0.0)
         return belief
 
-    def test_shallow_figure3_state_never_drains(self, drain_calls):
-        """A Figure-3-style belief (§4 buffers hold ≤ 9 packets) runs lockstep."""
-        belief = self.burst_belief("vectorized", burst=14)
-        rows, _ = belief.top_rows(8)
-        assert int(belief.state.q_len[rows].max()) < self.THRESHOLD
-        planner = ExpectedUtilityPlanner(
-            AlphaWeightedUtility(discount_timescale=20.0), top_k=8, rollout_backend="vectorized"
-        )
-        decision = planner.decide(belief, 0.0)
+    def assert_decides_as_the_oracle(self, burst: int, **prior) -> BeliefState:
+        """The array engine's decision on a burst belief against the scalar
+        oracle's on its own scalar belief: same action, utilities within
+        the documented cross-backend tolerance."""
+        belief = self.burst_belief("vectorized", burst, **prior)
+        utility = AlphaWeightedUtility(discount_timescale=20.0)
+        decision = ExpectedUtilityPlanner(
+            utility, top_k=8, rollout_backend="vectorized"
+        ).decide(belief, 0.0)
         assert decision.hypotheses_evaluated == 8
-        assert drain_calls == []
+        oracle = ExpectedUtilityPlanner(utility, top_k=8, rollout_backend="scalar").decide(
+            self.burst_belief("scalar", burst, **prior), 0.0
+        )
+        assert oracle.action.delay == pytest.approx(decision.action.delay, rel=1e-9, abs=1e-9)
+        assert oracle.expected_utilities == pytest.approx(
+            decision.expected_utilities, rel=1e-9, abs=1e-9
+        )
+        return belief
 
-    def test_deep_standing_queue_drains(self, drain_calls, monkeypatch):
-        """A 128-packet standing queue drains runs — and decides exactly as
-        it would lockstep, and as the scalar oracle does."""
-        belief = self.burst_belief("vectorized", burst=128, **self.DEEP_PRIOR)
+    def test_shallow_figure3_state_decides_as_the_oracle(self):
+        """A Figure-3-style belief: §4 buffers hold at most 9 packets."""
+        belief = self.assert_decides_as_the_oracle(burst=14)
+        rows, _ = belief.top_rows(8)
+        assert int(belief.state.q_len[rows].max()) <= 9
+
+    def test_deep_standing_queue_decides_as_the_oracle(self):
+        """A 128-packet burst into the deep-buffer prior: ≈95–108 packets
+        queued in every lane the planner rolls out."""
+        belief = self.assert_decides_as_the_oracle(burst=128, **self.DEEP_PRIOR)
         rows, _ = belief.top_rows(8)
         assert int(belief.state.q_len[rows].max()) >= 64
-        utility = AlphaWeightedUtility(discount_timescale=20.0)
-        planner = ExpectedUtilityPlanner(utility, top_k=8, rollout_backend="vectorized")
-        drained = planner.decide(belief, 0.0)
-        assert len(drain_calls) >= 1
-        del drain_calls[:]
-        monkeypatch.setattr(rollout_module, "DRAIN_MIN_QUEUE_DEPTH", 10**9)
-        lockstep = planner.decide(belief, 0.0)
-        assert drain_calls == []
-        assert lockstep.action == drained.action
-        assert lockstep.expected_utilities == drained.expected_utilities
-        # The oracle plans over its own scalar belief: same action,
-        # utilities within the documented cross-backend tolerance.
-        oracle = ExpectedUtilityPlanner(utility, top_k=8, rollout_backend="scalar").decide(
-            self.burst_belief("scalar", burst=128, **self.DEEP_PRIOR), 0.0
-        )
-        assert oracle.action.delay == pytest.approx(drained.action.delay, rel=1e-9, abs=1e-9)
-        assert oracle.expected_utilities == pytest.approx(
-            drained.expected_utilities, rel=1e-9, abs=1e-9
-        )

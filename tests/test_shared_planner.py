@@ -100,7 +100,7 @@ def array_mutations(belief: BeliefState):
     state = belief.state
     rows, _ = belief.top_rows(TOP_K)
     row = int(rows[0])
-    fields = state.lane_arrays(rows, 1, int(state.q_len[rows].max())).keys()
+    fields = state.lane_arrays(rows, int(state.q_len[rows].max())).keys()
 
     def set_row(name: str):
         def mutate(target: BeliefState) -> None:
