@@ -7,7 +7,14 @@ The ISender has exactly the two jobs the paper gives it:
 2. at every wake-up — an acknowledgement arriving or its own timer expiring —
    take the action ("send now" or "sleep until *t*") that maximizes the
    expected utility (delegated to
-   :class:`~repro.core.planner.ExpectedUtilityPlanner`).
+   :class:`~repro.core.planner.ExpectedUtilityPlanner`), and decide again
+   after each send, at the same instant, until it chooses to sleep.
+
+A sender that plans live asks the planner for each decision's
+*follow-up* — the decision after one more send — which the array engine
+values in the same kernel call; a send then acts on it instead of planning
+again.  It is the very decision a fresh plan would make, so only the number
+of kernel calls changes.
 
 The element plugs into the discrete-event simulator like any other source:
 connect it to the entry of the network under test and give it the Receiver
@@ -81,6 +88,14 @@ class ISender(SourceElement):
         #: The active decision policy (cache or table), ``None`` when live.
         self.policy = policy
         self._decider = policy if policy is not None else planner
+        #: A live planner plans each send's follow-up in the same kernel
+        #: call (its ``follow_up_bits``); a policy or a shared planner is
+        #: asked one decision at a time.
+        self._follow_up_bits = (
+            float(packet_bits)
+            if policy is None and isinstance(planner, ExpectedUtilityPlanner)
+            else None
+        )
         self.receiver = receiver
         self.flow = flow
         self.packet_bits = float(packet_bits)
@@ -138,14 +153,18 @@ class ISender(SourceElement):
             return
 
         sends_this_wake = 0
-        while True:
-            decision = self._decider.decide(self.belief, now)
-            if decision.send_now and sends_this_wake < MAX_SENDS_PER_WAKE:
-                self._transmit(now)
-                sends_this_wake += 1
-                continue
-            self._sleep(decision, now)
-            break
+        decision = self._decide(now)
+        while decision.send_now and sends_this_wake < MAX_SENDS_PER_WAKE:
+            self._transmit(now)
+            sends_this_wake += 1
+            # The follow-up is the plan on the belief this send left.
+            decision = decision.follow_up or self._decide(now)
+        self._sleep(decision, now)
+
+    def _decide(self, now: float) -> Decision:
+        if self._follow_up_bits is None:
+            return self._decider.decide(self.belief, now)
+        return self._decider.decide(self.belief, now, follow_up_bits=self._follow_up_bits)
 
     def _transmit(self, now: float) -> None:
         seq = self._next_seq

@@ -11,8 +11,11 @@ indifferent does not flood the network.
 (action × hypothesis) fan-out is an engine's, chosen once, by
 ``rollout_backend``, when the planner is built.  An engine is two
 functions: *select* returns the top-k weights, link rates and drain times
-plus the engine's lane source, and *value* turns that source and the
-candidate delays into one utility per lane, action-major:
+plus the engine's lane source, and *value* turns that source, the
+candidate delays and one horizon per row into one utility per lane,
+action-major.  The array engine has a third, *follow*, which stacks the
+selected rows with the same rows after one more send, so that one *value*
+call plans a decision and its follow-up (see :meth:`decide`):
 
 * ``"scalar"`` — :func:`~repro.inference.hypothesis.select_hypotheses` /
   :func:`~repro.inference.hypothesis.value_hypotheses`, the reference
@@ -22,7 +25,8 @@ candidate delays into one utility per lane, action-major:
   :mod:`repro.inference.vectorized.rollout`, imported only when a planner
   asks for them: all A×K lanes are decided together by one packet-column
   kernel (one iteration per arrival column, every lane at once), and the
-  utility values every lane at once via ``evaluate_batch``.  On an array
+  utility values every lane at once via ``evaluate_batch``; ``follow_rows``
+  is its *follow*.  On an array
   belief the lanes come straight from
   ensemble rows, so the decide path materializes no scalar ``Hypothesis``
   objects at all.  The spelling changes nothing that runs, but it is part
@@ -46,12 +50,18 @@ from repro.units import DEFAULT_PACKET_BITS
 
 @dataclass(slots=True)
 class Decision:
-    """The planner's choice at one wake-up, with diagnostics."""
+    """The planner's choice at one wake-up, with diagnostics.
+
+    ``follow_up`` is the decision at the same instant after one more send,
+    when :meth:`ExpectedUtilityPlanner.decide` was asked for it and its
+    engine plans one; ``None`` otherwise.
+    """
 
     action: Action
     expected_utilities: dict[float, float] = field(default_factory=dict)
     hypotheses_evaluated: int = 0
     horizon: float = 0.0
+    follow_up: Optional["Decision"] = None
 
     @property
     def delay(self) -> float:
@@ -132,10 +142,11 @@ class ExpectedUtilityPlanner:
         check_backend("rollout", rollout_backend)
         if rollout_backend == "scalar":
             self._select, self._value = select_hypotheses, value_hypotheses
+            self._follow = None
         else:
-            from repro.inference.vectorized.rollout import select_rows, value_rows
+            from repro.inference.vectorized.rollout import follow_rows, select_rows, value_rows
 
-            self._select, self._value = select_rows, value_rows
+            self._select, self._value, self._follow = select_rows, value_rows, follow_rows
         self.utility = utility
         self.action_grid = action_grid if action_grid is not None else ActionGrid()
         self.packet_bits = packet_bits
@@ -143,17 +154,29 @@ class ExpectedUtilityPlanner:
         self.horizon_service_multiples = horizon_service_multiples
         self.top_k = top_k
         self.rollout_backend = rollout_backend
-        #: Number of rollouts performed so far (for ablation benchmarks).
+        #: Number of rollout lanes valued so far (for ablation benchmarks),
+        #: a follow-up's lanes included.
         self.rollouts_performed = 0
 
     # -------------------------------------------------------------- decisions
 
-    def decide(self, belief: BeliefState, now: float) -> Decision:
+    def decide(
+        self, belief: BeliefState, now: float, follow_up_bits: Optional[float] = None
+    ) -> Decision:
         """Return the utility-maximizing action at time ``now``.
 
         The engine chosen at construction selects the top-k hypotheses and
         values every (action × hypothesis) lane; the aggregation and the
         tie-broken argmax below are the same for both engines.
+
+        ``follow_up_bits`` asks for the decision after one more send too:
+        the array engine stacks the top-k rows as they are and as a
+        ``follow_up_bits`` packet sent at ``now`` leaves them, values both
+        sets in one kernel call, and returns the second decision as the
+        first's ``follow_up`` — equal, field for field, to ``decide`` on
+        the belief after that send (the send leaves the weights, hence the
+        rows, rates and actions, as they were; each set keeps its own
+        horizon).  The scalar engine plans one set and returns none.
         """
         weights, rates, drains, lanes = self._select(belief, self.top_k, self.horizon is None)
         total_weight = sum(weights)
@@ -163,14 +186,13 @@ class ExpectedUtilityPlanner:
         for weight, link_rate in zip(weights, rates):
             rate += (weight / total_weight) * link_rate
         service_time = self.packet_bits / rate
-        horizon = self.horizon
-        if horizon is None:
-            drain = 0.0
-            for weight, drain_time in zip(weights, drains):
-                drain += (weight / total_weight) * drain_time
-            horizon = drain + self.horizon_service_multiples * service_time
+        horizons = [self._horizon(weights, total_weight, drains, service_time)]
+        if follow_up_bits is not None and self._follow is not None:
+            lanes, drains = self._follow(lanes, follow_up_bits, now, self.horizon is None)
+            horizons.append(self._horizon(weights, total_weight, drains, service_time))
         actions = self.action_grid.actions(service_time)
         delays = [action.delay for action in actions]
+        count = len(weights)
 
         probe = self.decision_probe
         if probe is not None:
@@ -178,37 +200,63 @@ class ExpectedUtilityPlanner:
                 "summary",
                 {
                     "service_time": service_time,
-                    "horizon": horizon,
+                    "horizon": horizons[0],
                     "weights": list(weights),
                     "actions": list(delays),
                 },
             )
-        values = self._value(lanes, delays, horizon, self.packet_bits, now, self.utility, probe)
+        row_horizons = [horizon for horizon in horizons for _ in range(count)]
+        values = self._value(lanes, delays, row_horizons, self.packet_bits, now, self.utility, probe)
         self.rollouts_performed += len(values)
         if probe is not None:
             probe("utility", {"values": [float(value) for value in values]})
 
-        count = len(weights)
-        expected: dict[float, float] = {}
-        for index, delay in enumerate(delays):
-            accumulated = 0.0
-            base = index * count
-            for position in range(count):
-                accumulated += (weights[position] / total_weight) * values[base + position]
-            expected[delay] = accumulated
-
-        best_action = self._argmax_prefer_longer_delay(actions, expected)
+        # Lane ``a * lanes_per_action + s * count + j`` is action ``a`` on
+        # top-k row ``j`` of row set ``s``.  The last set is decided first,
+        # so each decision can carry the one after it as its follow-up.
+        lanes_per_action = len(row_horizons)
+        decision = None
+        for row_set in reversed(range(len(horizons))):
+            expected: dict[float, float] = {}
+            for index, delay in enumerate(delays):
+                accumulated = 0.0
+                base = index * lanes_per_action + row_set * count
+                for position in range(count):
+                    accumulated += (weights[position] / total_weight) * values[base + position]
+                expected[delay] = accumulated
+            decision = Decision(
+                action=self._argmax_prefer_longer_delay(actions, expected),
+                expected_utilities=expected,
+                hypotheses_evaluated=count,
+                horizon=horizons[row_set],
+                follow_up=decision,
+            )
         if probe is not None:
             probe(
                 "decision",
-                {"expected": dict(expected), "delay": best_action.delay, "horizon": horizon},
+                {
+                    "expected": dict(decision.expected_utilities),
+                    "delay": decision.delay,
+                    "horizon": decision.horizon,
+                },
             )
-        return Decision(
-            action=best_action,
-            expected_utilities=expected,
-            hypotheses_evaluated=count,
-            horizon=horizon,
-        )
+        return decision
+
+    def _horizon(
+        self,
+        weights: list[float],
+        total_weight: float,
+        drains: Optional[list[float]],
+        service_time: float,
+    ) -> float:
+        """The fixed horizon, or the weighted drain time plus
+        ``horizon_service_multiples`` service times."""
+        if self.horizon is not None:
+            return self.horizon
+        drain = 0.0
+        for weight, drain_time in zip(weights, drains):
+            drain += (weight / total_weight) * drain_time
+        return drain + self.horizon_service_multiples * service_time
 
     @staticmethod
     def _argmax_prefer_longer_delay(actions: list[Action], expected: dict[float, float]) -> Action:

@@ -122,7 +122,8 @@ class AlphaWeightedUtility:
         each lane's partial sums build chronologically exactly like the
         scalar ``sum``) — with the single documented divergence that the
         discount uses ``np.exp`` instead of ``math.exp`` (≤1 ulp per term,
-        hence the planner's ``1e-9`` relative equivalence tolerance).
+        hence the planner's ``1e-9`` relative equivalence tolerance).  The
+        latency penalty charges each lane at its own ``outcome.horizon``.
         """
         lanes = outcome.lanes
         reference = outcome.decision_time

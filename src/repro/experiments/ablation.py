@@ -53,6 +53,8 @@ class AblationOutcome:
     wall_time: float
     packets_sent: int
     goodput_bps: float
+    #: The planner's ``rollouts_performed``: every lane it valued, a live
+    #: array sender's follow-up lanes included.
     rollouts: int
     final_hypotheses: int
     degenerate_updates: int

@@ -351,14 +351,15 @@ def select_hypotheses(belief, count: int, drains: bool) -> tuple:
 def value_hypotheses(
     top: list[tuple[Hypothesis, float]],
     delays: list[float],
-    horizon: float,
+    horizons: list[float],
     packet_bits: float,
     now: float,
     utility,
     probe: Optional[Callable[[str, object], None]],
 ) -> list[float]:
     """The scalar engine's *value*, the reference oracle: one model clone
-    per (action × hypothesis) lane, action-major, each valued by
+    per (action × hypothesis) lane, action-major, each rolled out to its
+    hypothesis's horizon in ``horizons`` and valued by
     ``utility.evaluate``.  Reports the ``lanes`` and ``rollout`` stages to
     ``probe`` when one is set.
     """
@@ -374,7 +375,7 @@ def value_hypotheses(
         digests = []
     values: list[float] = []
     for delay in delays:
-        for hypothesis, _weight in top:
+        for (hypothesis, _weight), horizon in zip(top, horizons):
             outcome = hypothesis.rollout(
                 action_delay=delay, horizon=horizon, packet_bits=packet_bits, now=now
             )

@@ -25,13 +25,14 @@ that emits its stages, and the decision in the planner's ``decide``.
   rollout: every (action × hypothesis) lane decided by one packet-column
   kernel, one arrival column per iteration, fed straight from ensemble
   rows.  It only values lanes
-  (``select_rows`` / ``value_rows``); the planner's one ``decide`` turns
-  the values into a decision for both engines.
+  (``select_rows`` / ``value_rows``, and ``follow_rows`` for a decision's
+  follow-up); the planner's one ``decide`` turns the values into a
+  decision for both engines.
 
 The engine answers to two accepted spellings, ``"vectorized"`` and
 ``"fused"``, on ``belief_backend``, ``rollout_backend`` and
 ``sweep_backend``: ``BeliefState.for_backend`` returns the same class for
-both and a planner calls the same two rollout functions; each imports this
+both and a planner calls the same rollout functions; each imports this
 package when first asked for the engine by name, and not before.  The
 spelling is still part of a point's *identity*: it feeds
 ``SenderConfig.fingerprint()``, hence derived seeds and result-cache keys,

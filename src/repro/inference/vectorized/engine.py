@@ -31,15 +31,19 @@ from repro.inference.vectorized.state import (
 
 
 def advance(
-    state: EnsembleState, until: float, flip_at: np.ndarray | None = None
+    state: EnsembleState,
+    until: float,
+    flip_at: np.ndarray | None = None,
+    rows: np.ndarray | None = None,
 ) -> None:
     """Run every row forward to ``until``, firing arrivals and departures.
 
-    ``flip_at``, when given, holds one gate-flip instant per row (``inf`` for
-    none).  A row's gate toggles there after every event at or before that
-    instant, as ``Hypothesis.evolve`` flips a switched branch at the
-    interval's midpoint, so a gate fork advances all its branches here in
-    one frontier.
+    ``rows``, when given, runs only those rows; the clock moves to
+    ``until`` all the same.  ``flip_at``, when given, holds one gate-flip
+    instant per row (``inf`` for none).  A row's gate toggles there after
+    every event at or before that instant, as ``Hypothesis.evolve`` flips a
+    switched branch at the interval's midpoint, so a gate fork advances all
+    its branches here in one frontier.
 
     Each iteration fires a live row's next event — and, for a row whose
     service completion it fires, the event that completion leaves next
@@ -56,7 +60,7 @@ def advance(
     flip_live = None
     # A row leaves ``live`` for good once its next event passes ``until``:
     # every later event needs an earlier one to create it.
-    live = np.arange(state.size)
+    live = np.arange(state.size) if rows is None else rows
     while live.size:
         svc = state.svc_completion[live]
         cross = np.where(state.gate_on[live], state.next_cross_time[live], np.inf)
@@ -103,20 +107,29 @@ def advance(
     state.time = max(state.time, until)
 
 
-def send_own(state: EnsembleState, seq: int, size_bits: float, time: float) -> None:
-    """The sender transmits packet ``seq`` at ``time`` into every row."""
+def send_own(
+    state: EnsembleState,
+    seq: int,
+    size_bits: float,
+    time: float,
+    rows: np.ndarray | None = None,
+) -> None:
+    """The sender transmits packet ``seq`` at ``time`` into every row (or
+    only into ``rows``, which alone are advanced to ``time``)."""
     if time < state.time - 1e-9:
         raise InferenceError(
             f"cannot send at {time:.6f}: model clock is already at {state.time:.6f}"
         )
     if time > state.time:
-        advance(state, time)
+        advance(state, time, rows=rows)
     state.register_own_seq(seq, time)
-    rows = np.arange(state.size)
-    times = np.full(state.size, time, dtype=float)
-    flows = np.full(state.size, FLOW_OWN, dtype=np.int8)
-    seqs = np.full(state.size, seq, dtype=np.int64)
-    sizes = np.full(state.size, size_bits, dtype=float)
+    if rows is None:
+        rows = np.arange(state.size)
+    count = rows.size
+    times = np.full(count, time, dtype=float)
+    flows = np.full(count, FLOW_OWN, dtype=np.int8)
+    seqs = np.full(count, seq, dtype=np.int64)
+    sizes = np.full(count, size_bits, dtype=float)
     _enqueue(state, rows, times, flows, seqs, sizes)
 
 

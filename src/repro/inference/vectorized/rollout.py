@@ -37,6 +37,13 @@ time.
   rows, *value* returns one utility per lane.  The decision itself — the
   probability-weighted aggregation and the tie-broken argmax — is the
   planner's, written once for both engines.
+* :func:`follow_rows` is the engine's *follow*, for a sender about to act
+  on a "send now": it stacks the top-k rows with the same rows after that
+  send, so one kernel call values the decision and the one after the
+  send.  Each row
+  carries its own horizon — a lane runs to its row's — and lanes never
+  read one another, so the first set's values are those of a call
+  without the second.
 
 Semantics match ``Hypothesis.rollout`` exactly.  The times are the scalar
 model's float operations in its order: the cross chain and the completion
@@ -67,6 +74,7 @@ from repro.inference.hypothesis import (
     rollout_outcome_digest,
     select_hypotheses,
 )
+from repro.inference.vectorized import engine
 from repro.inference.vectorized.state import FLOW_CROSS, EnsembleState
 
 #: Slots one step of a lane's in-service pointer examines
@@ -81,14 +89,14 @@ class BatchedRolloutOutcome:
 
     Lane ``a * k + j`` is candidate action ``a`` applied to hypothesis row
     ``j`` (planner top-k order).  Event arrays are parallel ``(time, lane)``
-    columns, chronological *per lane*; per-lane scalars are ``(lanes,)``
-    arrays.  ``own_*`` events carry a uniform ``packet_bits`` size and the
-    lane's survival probability, exactly as the scalar ``RolloutOutcome``
-    reports them.
+    columns, chronological *per lane*; per-lane scalars — the horizon
+    among them — are ``(lanes,)`` arrays.  ``own_*`` events carry a uniform
+    ``packet_bits`` size and the lane's survival probability, exactly as
+    the scalar ``RolloutOutcome`` reports them.
     """
 
     decision_time: float
-    horizon: float
+    horizon: np.ndarray  # (lanes,) each lane's own horizon
     packet_bits: float
     action_delays: np.ndarray  # (A,)
     k: int  # hypothesis rows per action
@@ -135,7 +143,7 @@ class BatchedRolloutOutcome:
         outcome = RolloutOutcome(
             decision_time=self.decision_time,
             action_delay=float(self.action_delays[action]),
-            horizon=self.horizon,
+            horizon=float(self.horizon[lane]),
             final_queue_bits=float(self.final_queue_bits[lane]),
             final_cross_backlog_bits=float(self.final_cross_backlog_bits[lane]),
         )
@@ -345,7 +353,7 @@ def batched_rollout_rows(
     state: EnsembleState,
     rows: Sequence[int] | np.ndarray,
     action_delays: Sequence[float],
-    horizon: float,
+    horizon: float | Sequence[float] | np.ndarray,
     packet_bits: float,
     now: float,
     send_packet: bool = True,
@@ -356,6 +364,9 @@ def batched_rollout_rows(
     enters at ``now + delay`` (after every event at or before that instant),
     the gate stays frozen, and each lane runs to ``max(now + horizon,
     send_time)`` so delays beyond the horizon still observe their send.
+    ``horizon`` is one per row (a float is every row's): a lane runs to its
+    own row's, so rows planned at different horizons share one call, and
+    no lane reads another.
 
     A lane is a FIFO of slots: the packets already in its link
     (:func:`_fifo_slots`), then one slot per arrival (:func:`_cross_arrivals`
@@ -368,8 +379,13 @@ def batched_rollout_rows(
     """
     rows = np.asarray(rows, dtype=np.int64)
     delays = np.asarray(action_delays, dtype=float)
-    if not (math.isfinite(now) and math.isfinite(horizon) and np.isfinite(delays).all()):
-        raise InferenceError("now, horizon and action delays must be finite")
+    horizons = np.asarray(horizon, dtype=float)
+    if horizons.ndim and horizons.shape != rows.shape:
+        raise InferenceError(
+            f"one horizon per row: {horizons.size} horizons for {rows.size} rows"
+        )
+    if not (math.isfinite(now) and np.isfinite(horizons).all() and np.isfinite(delays).all()):
+        raise InferenceError("now, horizons and action delays must be finite")
     if (delays < 0).any():
         raise InferenceError("action delays must be non-negative")
     if now < state.time - 1e-9:
@@ -378,18 +394,19 @@ def batched_rollout_rows(
             f"{state.time:.6f}"
         )
     k = int(rows.size)
-    end = now + horizon
     send = np.repeat(now + delays, k)
     width = send.size
+    lane_row = np.arange(width) % max(k, 1)
+    lane_horizon = horizons.take(lane_row) if horizons.ndim else np.full(width, horizons)
+    end = now + lane_horizon
     # A lane runs past the horizon only to observe its own send; with
     # send_packet=False the scalar oracle never advances beyond the end.
-    until = np.maximum(send, end) if send_packet else np.full(width, end)
-    lane_row = np.arange(width) % max(k, 1)
+    until = np.maximum(send, end) if send_packet else end
 
     depth = int(state.q_len[rows].max(initial=0))
     row = state.lane_arrays(rows, depth + 1)
     fifo = _fifo_slots(row, depth)
-    cross = _cross_arrivals(row, float(until.max(initial=end))).take(lane_row, axis=1)
+    cross = _cross_arrivals(row, float(until.max(initial=now))).take(lane_row, axis=1)
     if send_packet:
         column = np.arange(cross.shape[0] + 1)[:, None]
         place = np.add.reduce(cross <= send, axis=0, dtype=np.int64)
@@ -475,7 +492,7 @@ def batched_rollout_rows(
         cross_backlog += np.add.reduce(size, axis=0, where=cross_pending & in_service)
     return BatchedRolloutOutcome(
         decision_time=now,
-        horizon=horizon,
+        horizon=lane_horizon,
         packet_bits=packet_bits,
         action_delays=delays,
         k=k,
@@ -519,27 +536,56 @@ def select_rows(belief, count: int, drains: bool) -> tuple:
         return weights, rates, drain_times, (state, np.arange(state.size))
     rows, weights = belief.top_rows(count)
     rates = state.link_rate[rows].tolist()
-    drain_times = None
-    if drains:
-        drain_times = []
-        time = state.time
-        for rate, bits, active, completion in zip(
-            rates,
-            state.queue_bits[rows].tolist(),
-            state.svc_active[rows].tolist(),
-            state.svc_completion[rows].tolist(),
-        ):
-            remaining = bits
-            if active:
-                remaining += max(0.0, (completion - time) * rate)
-            drain_times.append(remaining / rate)
-    return weights, rates, drain_times, (state, rows)
+    return weights, rates, _drain_times(state, rows) if drains else None, (state, rows)
+
+
+def follow_rows(
+    lanes: tuple[EnsembleState, np.ndarray], packet_bits: float, now: float, drains: bool
+) -> tuple:
+    """The array engine's *follow*: the selected rows, then the same rows
+    after one more ``packet_bits`` send at ``now``.
+
+    Both sets are gathered into one new state, so one :func:`value_rows`
+    call values the decision and the one after the send; ``lanes`` is not
+    touched.  The second set is what a real send leaves the rows holding:
+    :func:`~repro.inference.vectorized.engine.send_own`, on those rows
+    alone, starts the packet's service, queues it or tail-drops it.  The
+    new state's ledger is its own and empty (a rollout reads none), so the
+    packet's sequence number is a placeholder.
+
+    Returns ``(lanes, drain times)``, the drain times for the post-send
+    rows: :func:`select_rows`' formula, so a follow-up's horizon is the one
+    a fresh plan after the real send derives, bit for bit.
+    """
+    state, rows = lanes
+    count = len(rows)
+    pair = state.select(np.concatenate([rows, rows]), ledger=False)
+    sent = np.arange(count, 2 * count)
+    engine.send_own(pair, 0, packet_bits, now, sent)
+    return (pair, np.arange(pair.size)), _drain_times(pair, sent) if drains else None
+
+
+def _drain_times(state: EnsembleState, rows: np.ndarray) -> list[float]:
+    """``LinkModel.drain_time`` per row, in Python floats, at the state's clock."""
+    drain_times = []
+    time = state.time
+    for rate, bits, active, completion in zip(
+        state.link_rate[rows].tolist(),
+        state.queue_bits[rows].tolist(),
+        state.svc_active[rows].tolist(),
+        state.svc_completion[rows].tolist(),
+    ):
+        remaining = bits
+        if active:
+            remaining += max(0.0, (completion - time) * rate)
+        drain_times.append(remaining / rate)
+    return drain_times
 
 
 def value_rows(
     lanes: tuple[EnsembleState, np.ndarray],
     delays: list[float],
-    horizon: float,
+    horizons: list[float],
     packet_bits: float,
     now: float,
     utility,
@@ -547,17 +593,17 @@ def value_rows(
 ) -> list[float]:
     """The array engine's *value*: every lane through one kernel call.
 
-    One :func:`batched_rollout_rows` call over the selected rows, then one
-    utility per (action × hypothesis) lane, action-major, via the utility's
-    ``evaluate_batch`` — or, for a custom utility without one, its scalar
-    ``evaluate`` on each rebuilt lane (still no per-lane model rollout).
-    Reports the ``lanes`` and ``rollout`` stages to ``probe`` when one is
-    set.
+    One :func:`batched_rollout_rows` call over the selected rows, each at
+    its own horizon in ``horizons``, then one utility per (action × row)
+    lane, action-major, via the utility's ``evaluate_batch`` — or, for a
+    custom utility without one, its scalar ``evaluate`` on each rebuilt
+    lane (still no per-lane model rollout).  Reports the ``lanes`` and
+    ``rollout`` stages to ``probe`` when one is set.
     """
     state, rows = lanes
     if probe is not None:
         probe("lanes", state.lane_checkpoint(rows))
-    outcome = batched_rollout_rows(state, rows, delays, horizon, packet_bits, now)
+    outcome = batched_rollout_rows(state, rows, delays, horizons, packet_bits, now)
     if probe is not None:
         probe(
             "rollout",

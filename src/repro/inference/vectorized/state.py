@@ -409,13 +409,23 @@ class EnsembleState:
 
     # --------------------------------------------------------------- gathering
 
-    def select(self, indices: np.ndarray) -> "EnsembleState":
-        """A new state holding ``indices``' rows (in that order)."""
+    def select(self, indices: np.ndarray, ledger: bool = True) -> "EnsembleState":
+        """A new state holding ``indices``' rows (in that order).
+
+        ``ledger=False`` starts the new state's own-packet ledger empty
+        instead of gathering it: a rollout reads no ledger column, and the
+        ledger grows with every packet the sender has sent.
+        """
         indices = np.asarray(indices, dtype=np.int64)
         out = EnsembleState.__new__(EnsembleState)
         out.size = int(indices.size)
         out.time = self.time
-        for name in _ROW_FIELDS + _QUEUE_FIELDS + _LEDGER_FIELDS:
+        for name in _ROW_FIELDS + _QUEUE_FIELDS:
+            setattr(out, name, getattr(self, name)[indices])
+        if not ledger:
+            out._allocate_ledger(0)
+            return out
+        for name in _LEDGER_FIELDS:
             setattr(out, name, getattr(self, name)[indices])
         out.own_seqs = self.own_seqs.copy()
         out.own_sent_times = self.own_sent_times.copy()

@@ -249,7 +249,7 @@ def inference_ablation_point(
     duration: float = 30.0,
     kernel: str = "gaussian",
     kernel_scale: float = 0.4,
-    max_hypotheses: int = 200,
+    max_hypotheses: int = SenderConfig.max_hypotheses,
     top_k: int = 16,
     backend: str = "scalar",
     rollout_backend: str = "scalar",

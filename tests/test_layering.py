@@ -7,7 +7,8 @@ layers that describe, run and serve senders (``repro.api``,
 at module level or inside a function, and ``repro.inference`` never
 imports ``repro.core`` either.  The engine modules each import on
 their own in a fresh interpreter, and the scalar ones leave the array
-package unloaded.
+package unloaded.  A few names never appear, as text, in a layer that must
+not know them.
 """
 
 from __future__ import annotations
@@ -77,3 +78,55 @@ def test_engine_modules_import_alone_in_a_fresh_interpreter(module, stays_unload
         timeout=60,
     )
     assert done.returncode == 0, done.stderr
+
+
+#: ``(scope under src/repro, text no line there contains, why)``.
+NEVER_NAMED = [
+    ("inference", "repro.core", "inference sits below core: not even a docstring names it"),
+    ("inference", "planner._", "no engine reaches into a planner's private helpers"),
+    (
+        "inference/vectorized",
+        "stage_hook",
+        "the update stages are emitted once, by BeliefState.update",
+    ),
+    (
+        "inference",
+        "_state is None",
+        "a settled array belief is a form the belief holds, not a mode it checks",
+    ),
+    (
+        "serving",
+        "SharedPlanner",
+        "serving plans every request at now = 0.0, where a per-instant memo never empties",
+    ),
+]
+
+
+def text_lines(scope: Path):
+    """``(path, line number, line)`` for every line of every text file."""
+    for path in sorted(scope.rglob("*")):
+        if not path.is_file():
+            continue
+        data = path.read_bytes()
+        if b"\0" in data:
+            continue
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError:
+            continue
+        for number, line in enumerate(text.splitlines(), 1):
+            yield path, number, line
+
+
+@pytest.mark.parametrize(
+    "scope, text, why", NEVER_NAMED, ids=[f"{scope}:{text}" for scope, text, _ in NEVER_NAMED]
+)
+def test_a_layer_never_names(scope, text, why):
+    root = SRC / "repro" / scope
+    assert root.is_dir()
+    hits = [
+        f"{path.relative_to(SRC)}:{number}: {line.strip()}"
+        for path, number, line in text_lines(root)
+        if text in line
+    ]
+    assert hits == [], why

@@ -130,6 +130,14 @@ class TestRegistry:
         for expected in ("figure1", "figure3_alpha", "single_link_tcp", "cellular_trace_tcp"):
             assert expected in names
 
+    def test_the_ablation_cap_is_the_sender_configs_default(self):
+        """The ablation point reads the cap it sweeps from SenderConfig,
+        so the two defaults cannot drift apart."""
+        from repro.api import SenderConfig
+
+        entry = DEFAULT_REGISTRY.get("inference_ablation_point")
+        assert entry.signature_defaults["max_hypotheses"] == SenderConfig().max_hypotheses
+
     #: One tiny point per built-in scenario.  A scenario registered without
     #: an entry here fails the test below with a ``KeyError``.
     TINY_POINTS = {

@@ -786,6 +786,28 @@ class TestServingNeverShares:
         assert plans == [0.0, 0.0]
         assert served[0].decision == served[1].decision
 
+    def test_a_served_plan_asks_for_no_follow_up(self, published, tmp_path, monkeypatch):
+        """A follow-up is the decision after one more send, which only a
+        sender makes: a served plan is one kernel call over the top-k rows
+        alone, never the doubled call a live sender's plan is."""
+        config, table, _ = published
+        service = DecisionService(
+            PolicyTableRegistry(tmp_path), [config], planner_timeout=30.0
+        )
+        asked: list = []
+        plan = ExpectedUtilityPlanner.decide
+
+        def spy(self, belief, now, follow_up_bits=None):
+            asked.append(follow_up_bits)
+            return plan(self, belief, now, follow_up_bits)
+
+        monkeypatch.setattr(ExpectedUtilityPlanner, "decide", spy)
+        served = service.decide(config.fingerprint(), table.signatures()[0], now=0.0)
+        assert served.tier == "planner"
+        assert config.rollout_backend == "vectorized"
+        assert asked == [None]
+        assert served.decision.follow_up is None
+
 
 class TestDaemonThreadExecutor:
     def test_abandoned_hang_is_bypassed_and_never_reused(
