@@ -14,6 +14,7 @@ import hashlib
 import inspect
 import json
 import os
+import threading
 from pathlib import Path
 from typing import Callable, Iterator, Optional, Sequence, TypeVar
 
@@ -113,12 +114,13 @@ def quarantine_file(root: Path, path: Path) -> Optional[Path]:
 
 
 def read_json_or_quarantine(
-    root: Path, path: Path, check: Callable[[object], Optional[T]]
+    root: Path, path: str | Path, check: Callable[[object], Optional[T]]
 ) -> tuple[Optional[T], bool]:
     """The stores' one read rule: ``(value, quarantined)`` for ``path``.
 
     A missing file is a miss, ``(None, False)`` — there is no existence test
-    first, so a file pruned by another process is just a miss.  A file that
+    first, so a file pruned by another process is just a miss.  ``path`` may
+    be a string: the file is read with one :func:`open`.  A file that
     is there but unreadable, not JSON, or rejected by ``check`` (handed the
     parsed payload; it returns the caller's value, or returns ``None`` or
     raises ``ReproError``/``ValueError``/``KeyError``/``TypeError`` to
@@ -126,7 +128,8 @@ def read_json_or_quarantine(
     reads as ``(None, True)``, for the caller to count.
     """
     try:
-        text = path.read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as file:
+            text = file.read()
     except FileNotFoundError:
         return None, False
     except (OSError, ValueError):
@@ -144,13 +147,15 @@ def read_json_or_quarantine(
 def atomic_write_text(path: Path, text: str) -> Path:
     """Write ``text`` to ``path`` atomically (last writer wins).
 
-    The content lands in a process-unique scratch file first and is moved
-    into place with :func:`os.replace`, so concurrent writers racing on a
-    shared cache directory each leave a complete file — never a torn one —
-    and a failed write leaves no scratch debris behind.
+    The content lands in a scratch file unique to the writing thread (its
+    process id and thread id) and is moved into place with
+    :func:`os.replace`, so concurrent writers racing on a shared cache
+    directory — processes or threads of one process — each leave a
+    complete file, never a torn one, and a failed write leaves no scratch
+    debris behind.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
-    scratch = path.with_name(f"{path.name}.tmp.{os.getpid()}")
+    scratch = path.with_name(f"{path.name}.tmp.{os.getpid()}.{threading.get_ident()}")
     try:
         scratch.write_text(text, encoding="utf-8")
         os.replace(scratch, path)

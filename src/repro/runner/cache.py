@@ -24,18 +24,19 @@ Warm replays are bit-identical by construction — the cache stores the
 point's metrics (and original wall time) and the runner reassembles the
 same canonical :class:`~repro.runner.results.ResultStore` artifact.
 
-Writes are atomic (process-unique temp file + :func:`os.replace`), so any
-number of runner processes can share one cache directory.  A corrupted or
-mismatched entry discovered at *read* time is never silently deleted: it
-is moved to the cache's ``quarantine/`` subdirectory (preserving the
-evidence for :mod:`repro.diagnostics` triage), counted on the instance's
-``corrupt`` counter, and read as a miss — the next execution stores a
-fresh entry in the vacated slot.
+Writes are atomic (writer-unique temp file + :func:`os.replace`), so any
+number of runner processes and threads can share one cache directory.  A
+corrupted or mismatched entry discovered at *read* time is never silently
+deleted: it is moved to the cache's ``quarantine/`` subdirectory
+(preserving the evidence for :mod:`repro.diagnostics` triage), counted on
+the instance's ``corrupt`` counter, and read as a miss — the next
+execution stores a fresh entry in the vacated slot.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -49,7 +50,7 @@ from repro._persist import (
     read_json_or_quarantine,
 )
 from repro._version import __version__
-from repro.runner.registry import DEFAULT_REGISTRY, ScenarioRegistry
+from repro.runner.registry import DEFAULT_REGISTRY, ScenarioEntry, ScenarioRegistry
 from repro.runner.results import PointResult
 from repro.runner.spec import ScenarioSpec
 
@@ -78,10 +79,20 @@ class ResultCache:
     Hit/miss/store counts accumulate on the instance; the runner copies
     them onto the :class:`~repro.runner.results.ResultStore` it returns so
     the CLI can report them per sweep.
+
+    Each distinct config a scenario's ``config_factory`` returns is
+    fingerprinted once per instance (see :meth:`point_key`); nothing the
+    instance learns outlives it.
     """
 
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
+        #: Entry files live under this directory; a string, so a point's
+        #: path is one format, not three ``Path`` joins.
+        self._results = os.path.join(self.root, "results")
+        #: Config fingerprints computed by this instance, keyed on the
+        #: exact ``(type, repr)`` of the factory's output.
+        self._fingerprints: dict[tuple[type, str], str] = {}
         self.hits = 0
         self.misses = 0
         self.stores = 0
@@ -107,6 +118,15 @@ class ResultCache:
         identity and the scenario's config fingerprint tie the entry to
         the code object and the exact
         :class:`~repro.api.config.SenderConfig` semantics that produced it.
+
+        The factory still runs for every point, but its output is
+        fingerprinted once per distinct config on this instance: a sweep
+        whose points all build one config (the Figure-3 α grid) pays one
+        fingerprint, not one per point.  The memo is keyed on the output's
+        exact ``(type, repr)``, never on ``==``: ``SenderConfig(alpha=1)``
+        equals and hashes like ``SenderConfig(alpha=1.0)``, and
+        ``latency_penalty=0.0`` like ``-0.0``, yet each pair fingerprints
+        differently.
         """
         registry = registry if registry is not None else DEFAULT_REGISTRY
         entry = registry.get(spec.scenario)
@@ -119,13 +139,24 @@ class ResultCache:
                 "params": spec.params,
                 "defaults": entry.effective_params({}),
                 "seed": spec.seed,
-                "config": entry.config_fingerprint(spec.params),
+                "config": self._config_fingerprint(entry, spec.params),
             },
             length=64,
         )
 
-    def _path(self, key: str) -> Path:
-        return self.root / "results" / key[:2] / f"{key}.json"
+    def _config_fingerprint(self, entry: ScenarioEntry, params: dict) -> str:
+        """``entry.config_fingerprint(params)``, memoized on this instance."""
+        if entry.config_factory is None:
+            return ""
+        config = entry.config_factory(entry.effective_params(params))
+        exact = (type(config), repr(config))
+        fingerprint = self._fingerprints.get(exact)
+        if fingerprint is None:
+            fingerprint = self._fingerprints[exact] = config.fingerprint()
+        return fingerprint
+
+    def _path(self, key: str) -> str:
+        return f"{self._results}/{key[:2]}/{key}.json"
 
     # ------------------------------------------------------------------ lookup
 
@@ -175,7 +206,7 @@ class ResultCache:
         # matches ResultStore.to_json, so a replayed store serializes
         # byte-for-byte like the cold run that populated it.
         text = json.dumps(payload, separators=(",", ":"), default=str)
-        path = atomic_write_text(self._path(key), text + "\n")
+        path = atomic_write_text(Path(self._path(key)), text + "\n")
         self.stores += 1
         return path
 

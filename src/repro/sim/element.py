@@ -181,12 +181,17 @@ class Network:
         self._started = False
 
     def add(self, *elements: Element) -> None:
-        """Register root elements (their downstream graphs are attached too)."""
+        """Register root elements (their downstream graphs are attached too).
+
+        The walk stops at an element already attached here: all it reaches
+        was attached with it, so many senders sharing one bottleneck walk
+        the shared graph once, not once per sender.  Wire a graph before
+        adding it: a link made from an attached element afterwards is not
+        followed by a later ``add``.
+        """
         for element in elements:
-            for reachable in _walk(element):
-                if id(reachable) not in self._elements:
-                    self._elements[id(reachable)] = reachable
-                    reachable.attach(self.sim, rng=self.rng)
+            for reachable in _walk(element, self._elements):
+                reachable.attach(self.sim, rng=self.rng)
 
     @property
     def elements(self) -> list[Element]:
@@ -273,15 +278,19 @@ def fresh_instance_counters():
             cls._instance_counter = count
 
 
-def _walk(root: Element) -> Iterator[Element]:
-    """Yield ``root`` and every element reachable via downstream links/children."""
-    seen: set[int] = set()
+def _walk(root: Element, known: dict[int, Element]) -> Iterator[Element]:
+    """Yield ``root`` and every element reachable via downstream links/children
+    that ``known`` does not hold, adding each to ``known`` as it is yielded.
+
+    An element in ``known`` is not entered: what it reaches was walked when
+    it was added.
+    """
     stack = [root]
     while stack:
         element = stack.pop()
-        if id(element) in seen:
+        if id(element) in known:
             continue
-        seen.add(id(element))
+        known[id(element)] = element
         yield element
         if element.downstream is not None:
             stack.append(element.downstream)

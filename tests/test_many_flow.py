@@ -103,6 +103,76 @@ class TestScenarioMetrics:
         assert fingerprint("a") != fingerprint("c")
 
 
+class _Built(Exception):
+    """Stops a scenario once its network is wired, before it runs."""
+
+
+class TestNetworkAddWalksOnce:
+    """128 senders share one bottleneck graph: ``Network.add`` walks it once
+    and attaches exactly what a full walk from every root would, in the
+    same order."""
+
+    @staticmethod
+    def full_walk_order(roots):
+        """Every root's whole reachable graph, first sight kept, in order."""
+        order: dict[int, object] = {}
+        for root in roots:
+            seen: set[int] = set()
+            stack = [root]
+            while stack:
+                element = stack.pop()
+                if id(element) in seen:
+                    continue
+                seen.add(id(element))
+                order.setdefault(id(element), element)
+                if element.downstream is not None:
+                    stack.append(element.downstream)
+                stack.extend(element.children())
+        return list(order.values())
+
+    def test_128_flow_build_attaches_the_full_walk_once(self, monkeypatch):
+        from repro.sim import element as element_module
+
+        walk = element_module._walk
+        yields: list[object] = []
+        roots: list[object] = []
+        built: list[object] = []
+
+        def counting_walk(*args):
+            for element in walk(*args):
+                yields.append(element)
+                yield element
+
+        def add(network, *elements):
+            roots.extend(elements)
+            network_add(network, *elements)
+
+        def run(network, until=None, max_events=None):
+            built.append(network)
+            raise _Built
+
+        network_add = element_module.Network.add
+        monkeypatch.setattr(element_module, "_walk", counting_walk)
+        monkeypatch.setattr(element_module.Network, "add", add)
+        monkeypatch.setattr(element_module.Network, "run", run)
+        with pytest.raises(_Built):
+            many_flow_contention(flows=128, isender_flows=4, duration=1.0)
+        (network,) = built
+
+        expected = self.full_walk_order(roots)
+        assert len(roots) == 128
+        assert network.elements == expected
+        assert len(yields) <= len(network.elements) + len(roots)
+
+        started = []
+        for element in network.elements:
+            monkeypatch.setattr(
+                element, "start", lambda element=element: started.append(element)
+            )
+        network.start()
+        assert started == expected
+
+
 class TestTimerMoveChangesNoOutcome:
     """`WindowSender._arm_rto` moves a live timer with `Simulator.reschedule`.
 

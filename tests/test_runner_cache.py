@@ -14,11 +14,13 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import threading
 import time
 from pathlib import Path
 
 import pytest
 
+from repro._persist import atomic_write_text
 from repro.api.config import SenderConfig
 from repro.api.policy import (
     load_or_precompute_policy_table,
@@ -29,6 +31,7 @@ from repro.runner import (
     ParallelRunner,
     ResultCache,
     ScenarioRegistry,
+    ScenarioSpec,
     SerialRunner,
     grid,
     make_runner,
@@ -183,6 +186,121 @@ class TestPointKeys:
         assert spec.derived_seed == seed
         assert ResultCache(tmp_path).point_key(spec) == key
 
+    @pytest.mark.parametrize(
+        "spec, seed, key",
+        [
+            (
+                ScenarioSpec("single_link_tcp", {"duration": 2.0, "loss_rate": 0.05}),
+                4610184589193565229,
+                "6a70a6163a9b990bf72e36e8f2544fd8f6e3863d3e9cf43396b41e31362742da",
+            ),
+            (
+                ScenarioSpec(
+                    "many_flow_contention",
+                    {"flows": 16, "isender_flows": 4, "alpha": 2.5},
+                ),
+                7440652884356726689,
+                "4095868fa9fc625a66f4860104b273ba85052da934b27ae18bdf58ad95fbcec7",
+            ),
+        ],
+        ids=["no_config_factory", "contention_sender_config"],
+    )
+    def test_a_point_keeps_its_pinned_key(self, tmp_path, spec, seed, key):
+        """Keys computed before the fingerprint memo: a cache written then
+        must still be all hits, with and without a config factory."""
+        assert spec.derived_seed == seed
+        assert ResultCache(tmp_path).point_key(spec) == key
+
+    def test_one_config_is_fingerprinted_once_per_instance(self, tmp_path, monkeypatch):
+        """The Figure-3 α grid builds one config for all eight points."""
+        digests = []
+        describe = SenderConfig.describe
+
+        def spy(config):
+            digests.append(config)
+            return describe(config)
+
+        monkeypatch.setattr(SenderConfig, "describe", spy)
+        specs = grid("figure3_alpha", seeds=(0, 1), alpha=(0.9, 1.0, 2.5, 5.0))
+        cache = ResultCache(tmp_path)
+        keys = [cache.point_key(spec) for spec in specs]
+        assert len(set(keys)) == 8
+        assert len(digests) == 1
+        # A second instance learns nothing from the first.
+        assert [ResultCache(tmp_path).point_key(spec) for spec in specs] == keys
+        assert len(digests) == 1 + 8
+
+    def test_equal_configs_that_fingerprint_apart_never_share_a_digest(self, tmp_path):
+        """``alpha=1`` equals ``alpha=1.0`` and ``0.0`` equals ``-0.0``, but
+        each spelling has its own fingerprint: one instance keying them all
+        must give the keys fresh instances give."""
+        registry = ScenarioRegistry()
+        registry.register(
+            "toy",
+            config_factory=lambda params: SenderConfig(
+                alpha=params["alpha"], latency_penalty=params["penalty"]
+            ),
+        )(lambda seed=0, alpha=1.0, penalty=0.0: {"x": 1.0})
+        assert SenderConfig(alpha=1) == SenderConfig(alpha=1.0)
+        assert SenderConfig(latency_penalty=0.0) == SenderConfig(latency_penalty=-0.0)
+        specs = grid("toy", alpha=(1, 1.0), penalty=(0.0, -0.0))
+        shared = ResultCache(tmp_path)
+        for spec in specs + specs[::-1]:
+            assert shared.point_key(spec, registry=registry) == ResultCache(
+                tmp_path
+            ).point_key(spec, registry=registry)
+        fingerprints = {
+            registry.get("toy").config_fingerprint(spec.params) for spec in specs
+        }
+        assert len(fingerprints) == 4
+
+    def test_equal_reprs_fingerprint_alike_for_every_registered_factory(self, tmp_path):
+        """The memo's premise, checked on each built-in ``config_factory``:
+        two outputs with one ``(type, repr)`` have one fingerprint."""
+        from repro.corpus import CorpusStore
+        from repro.runner import DEFAULT_REGISTRY
+
+        store = CorpusStore(tmp_path)
+        store.register_generator("a", "diurnal", {"duration": 30.0}, seed=0)
+        store.register_generator("b", "diurnal", {"duration": 30.0}, seed=0)
+        store.register_generator("c", "diurnal", {"duration": 30.0}, seed=5)
+        corpus = {"corpus_dir": str(tmp_path)}
+        engines = [
+            {"alpha": alpha, "belief_backend": backend, "policy": policy}
+            for alpha in (1, 1.0, 2.5)
+            for backend in ("scalar", "fused")
+            for policy in ("none", "cache")
+        ]
+        parameter_sets = {
+            "figure3_alpha": engines,
+            "inference_ablation_point": [
+                {"kernel_scale": scale, "top_k": top_k, "rollout_backend": backend}
+                for scale in (0.4, 0.8)
+                for top_k in (4, 16)
+                for backend in ("scalar", "vectorized")
+            ],
+            "corpus_trace": [{"trace": trace, **corpus} for trace in "abc"],
+            "many_flow_contention": [
+                {"isender_flows": flows, **params}
+                for flows in (0, 4)
+                for params in engines
+            ]
+            + [{"trace": trace, "isender_flows": 0, **corpus} for trace in "abc"],
+        }
+        with_factory = {
+            entry.name for entry in DEFAULT_REGISTRY if entry.config_factory is not None
+        }
+        assert set(parameter_sets) == with_factory
+        for name, sets in parameter_sets.items():
+            entry = DEFAULT_REGISTRY.get(name)
+            seen: dict[tuple[type, str], str] = {}
+            for params in sets + sets:
+                config = entry.config_factory(entry.effective_params(params))
+                exact = (type(config), repr(config))
+                fingerprint = entry.config_fingerprint(params)
+                assert seen.setdefault(exact, fingerprint) == fingerprint, (name, params)
+            assert len(seen) > 1, name
+
 
 class TestHitMissInvalidation:
     def test_cold_miss_warm_hit_bit_identical(self, tmp_path):
@@ -298,6 +416,36 @@ class TestRacingWorkers:
         assert warm.to_json() == artifacts[0]
         # No temp-file debris from the race.
         assert not list(Path(cache_dir).rglob("*.tmp.*"))
+
+    def test_threads_racing_on_one_path_each_leave_a_whole_file(self, tmp_path):
+        """Threads of one process are writers too: each write returns, the
+        last one wins whole, and no scratch file is left behind."""
+        path = tmp_path / "results" / "ab" / "entry.json"
+        threads, trials = 4, 20
+        texts = {
+            (writer, trial): f"{writer}:{trial}:" + "x" * 50_000
+            for writer in range(threads)
+            for trial in range(trials)
+        }
+        start = threading.Barrier(threads)
+        errors: list[BaseException] = []
+
+        def write(writer: int) -> None:
+            start.wait()
+            for trial in range(trials):
+                try:
+                    atomic_write_text(path, texts[writer, trial])
+                except BaseException as error:  # noqa: BLE001 - recorded for the assert
+                    errors.append(error)
+
+        workers = [threading.Thread(target=write, args=(w,)) for w in range(threads)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join()
+        assert errors == []
+        assert path.read_text(encoding="utf-8") in texts.values()
+        assert [p.name for p in path.parent.iterdir()] == [path.name]
 
 
 class TestAsyncRunnerCache:
