@@ -7,9 +7,8 @@ Three layers, bottom-up:
 * :mod:`repro.diagnostics.divergence` — a differential fingerprinter that
   replays two backend configurations through one seeded event script and
   bisects to the first kernel/rollout stage whose checkpoints differ.
-* :mod:`repro.diagnostics.triage` / :mod:`repro.diagnostics.history` —
-  root-cause triage over differential fuzz, cache state, and
-  signature-collision scans; cached-sweep auto-bisection.
+* :mod:`repro.diagnostics.triage` — root-cause triage over differential
+  fuzz, cache state, and signature-collision scans.
 
 Timings are not this package's business: whether a micro-benchmark timing
 regressed is decided by ``benchmarks/compare.py`` and nowhere else.
@@ -32,7 +31,6 @@ from repro.diagnostics.divergence import (
     seeded_events,
 )
 from repro.diagnostics.evidence import BayesianScorer, CauseHypothesis, Evidence
-from repro.diagnostics.history import SweepBisection, bisect_cached_sweep
 from repro.diagnostics.triage import (
     CAUSE_BACKEND_DRIFT,
     CAUSE_CACHE_STALENESS,
@@ -59,8 +57,6 @@ __all__ = [
     "inject_stage_perturbation",
     "replay_trace",
     "seeded_events",
-    "SweepBisection",
-    "bisect_cached_sweep",
     "CAUSE_BACKEND_DRIFT",
     "CAUSE_CACHE_STALENESS",
     "CAUSE_SIGNATURE_COLLISION",

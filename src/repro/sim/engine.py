@@ -24,7 +24,7 @@ import math
 from heapq import heappop, heappush, heapreplace
 from typing import Any, Callable
 
-from repro.errors import SchedulingError, SimulationError
+from repro.errors import ConfigurationError, SchedulingError, SimulationError
 from repro.sim.events import Event
 
 
@@ -182,7 +182,9 @@ class Simulator:
             Stop once the clock would advance strictly beyond this time.  The
             clock is left at ``until`` if every event up to ``until`` was
             actually processed (queue drained or next event lies beyond it).
-            ``None`` runs until the queue drains.
+            ``None`` runs until the queue drains.  NaN and ``+inf`` are
+            refused: no event is ever beyond them, so a sender that never
+            stops would keep the loop running for good.
         max_events:
             Optional hard cap on the number of events fired by this call,
             useful as a runaway guard in tests.
@@ -194,6 +196,8 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("Simulator.run() is not reentrant")
+        if until is not None and not until < math.inf:
+            raise ConfigurationError(f"run(until={until!r}): until must be finite or None")
         self._running = True
         try:
             fired, exhausted = self._fire_events(until, max_events)

@@ -1,4 +1,4 @@
-"""Tests for :mod:`repro.diagnostics`: scorer, fingerprinter, triage, sweep bisect.
+"""Tests for :mod:`repro.diagnostics`: scorer, fingerprinter, triage.
 
 The tentpole assertions live in ``TestStageLocalization``: a deliberately
 perturbed array-engine kernel stage (via ``inject_stage_perturbation``) must
@@ -24,7 +24,6 @@ from repro.diagnostics import (
     Evidence,
     INJECTABLE_STAGES,
     backend_config,
-    bisect_cached_sweep,
     compare_traces,
     diagnose_divergence,
     inject_stage_perturbation,
@@ -34,8 +33,6 @@ from repro.diagnostics import (
     triage,
 )
 from repro.diagnostics.__main__ import main as diagnostics_main
-from repro.runner import ResultCache, grid
-from repro.runner.results import PointResult
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -210,48 +207,6 @@ class TestSignatureCollisionScan:
             collision_resolution_bits=1e9,
         )
         assert report.top_cause.name == CAUSE_SIGNATURE_COLLISION
-
-
-# ------------------------------------------------------------- sweep bisect
-
-
-class TestSweepBisect:
-    def test_misses_localize_to_the_changed_axis(self, tmp_path):
-        specs = grid(
-            "single_link_tcp",
-            seeds=(0, 1),
-            base={"duration": 2.0},
-            loss_rate=(0.0, 0.05),
-        )
-        cache = ResultCache(tmp_path)
-        for spec in specs:
-            if spec.params["loss_rate"] == 0.0:
-                cache.store_point(
-                    cache.point_key(spec),
-                    PointResult(spec=spec, metrics={"x": 1.0}, wall_time=0.1),
-                )
-        bisection = bisect_cached_sweep(ResultCache(tmp_path), specs)
-        assert len(bisection.hits) == 2
-        assert len(bisection.misses) == 2
-        assert bisection.localized
-        assert bisection.suspect_axes == {"loss_rate": [0.05]}
-        assert "loss_rate" in bisection.render()
-
-    def test_full_hit_and_full_miss_sweeps(self, tmp_path):
-        specs = grid("single_link_tcp", base={"duration": 2.0}, loss_rate=(0.0, 0.05))
-        cold = bisect_cached_sweep(ResultCache(tmp_path), specs)
-        assert not cold.hits and len(cold.misses) == 2
-        assert not cold.localized
-        assert "global identity change" in cold.render()
-        cache = ResultCache(tmp_path)
-        for spec in specs:
-            cache.store_point(
-                cache.point_key(spec),
-                PointResult(spec=spec, metrics={"x": 1.0}, wall_time=0.1),
-            )
-        warm = bisect_cached_sweep(ResultCache(tmp_path), specs)
-        assert not warm.misses and len(warm.hits) == 2
-        assert "no region changed" in warm.render()
 
 
 # ---------------------------------------------------------------------- CLI

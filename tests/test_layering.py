@@ -7,20 +7,23 @@ layers that describe, run and serve senders (``repro.api``,
 at module level or inside a function, and ``repro.inference`` never
 imports ``repro.core`` either.  The engine modules each import on
 their own in a fresh interpreter, and the scalar ones leave the array
-package unloaded.  A few names never appear, as text, in a layer that must
-not know them.
+package unloaded; the package imports clean with ``DeprecationWarning``
+an error.  A few names never appear, as text, in a layer that must not
+know them.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+from text_scan import ROOT, matching_lines
+
+SRC = ROOT / "src"
 UPPER_LAYERS = ("api", "runner", "serving", "experiments", "diagnostics")
 
 
@@ -70,8 +73,21 @@ def test_engine_modules_import_alone_in_a_fresh_interpreter(module, stays_unload
         f"loaded = [name for name in sys.modules if name.startswith({stays_unloaded!r})]\n"
         "assert not loaded, loaded\n"
     )
+    fresh_interpreter("-c", probe)
+
+
+def test_the_package_never_calls_what_it_deprecates():
+    fresh_interpreter(
+        "-W",
+        "error::DeprecationWarning",
+        "-c",
+        "import repro.api, repro.experiments, repro.runner.scenarios, repro.serving",
+    )
+
+
+def fresh_interpreter(*args: str) -> None:
     done = subprocess.run(
-        [sys.executable, "-c", probe],
+        [sys.executable, *args],
         env={"PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"},
         capture_output=True,
         text=True,
@@ -99,23 +115,11 @@ NEVER_NAMED = [
         "SharedPlanner",
         "serving plans every request at now = 0.0, where a per-instant memo never empties",
     ),
+    ("inference", "repro.api", "inference sits below repro.api: not even a docstring names it"),
+    ("core", "repro.api", "core sits below repro.api: not even a docstring names it"),
+    ("serving", "from_params", "a served signature is gathered from the prior rows, not rebuilt"),
+    ("serving", "set_gate", "a served signature is gathered from the prior rows, not rebuilt"),
 ]
-
-
-def text_lines(scope: Path):
-    """``(path, line number, line)`` for every line of every text file."""
-    for path in sorted(scope.rglob("*")):
-        if not path.is_file():
-            continue
-        data = path.read_bytes()
-        if b"\0" in data:
-            continue
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError:
-            continue
-        for number, line in enumerate(text.splitlines(), 1):
-            yield path, number, line
 
 
 @pytest.mark.parametrize(
@@ -124,9 +128,4 @@ def text_lines(scope: Path):
 def test_a_layer_never_names(scope, text, why):
     root = SRC / "repro" / scope
     assert root.is_dir()
-    hits = [
-        f"{path.relative_to(SRC)}:{number}: {line.strip()}"
-        for path, number, line in text_lines(root)
-        if text in line
-    ]
-    assert hits == [], why
+    assert matching_lines(root, re.compile(re.escape(text)), skip=__file__) == [], why

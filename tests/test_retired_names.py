@@ -14,6 +14,9 @@ Three retirements are checked here, each by the text it left behind:
   per-event logs and a belief row's cross tally are gone, and no option
   stands in their place.
 
+``TEXT_RULES`` holds the rest, one row each: a retired name that stays
+out of a scope, or a rule written once that stays at one site.
+
 The scans read text files only (binary ones, such as bytecode caches, are
 skipped, like ``grep -I``); this file, which has to spell the names, is
 the one text file left out.
@@ -22,11 +25,10 @@ the one text file left out.
 from __future__ import annotations
 
 import re
-from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
+from text_scan import ROOT, matching_lines, text_files
 
 RETIRED = (
     "_run_frontier",
@@ -51,32 +53,68 @@ NOT_RECORDED = re.compile(
 )
 
 
-def text_files(scope: Path):
-    """``scope`` itself if it is a file, else every file under it, that
-    holds no NUL byte."""
-    paths = [scope] if scope.is_file() else sorted(scope.rglob("*"))
-    for path in paths:
-        if path.is_file() and path.resolve() != Path(__file__).resolve():
-            data = path.read_bytes()
-            if b"\0" not in data:
-                yield path, data.decode("utf-8", errors="replace")
+#: ``(name, pattern, scopes, lines, why)``: under each scope, exactly
+#: ``lines`` text lines match ``pattern``.
+TEXT_RULES = [
+    (
+        "engine-registry",
+        r"\bBackendRegistry\b|(BELIEF|ROLLOUT|RUNNER)_BACKENDS",
+        ("src", "tests", "examples", "benchmarks", "README.md", ".claude"),
+        0,
+        "engines are named, not registered",
+    ),
+    (
+        "hypothesis-factory",
+        "hypothesis_factory",
+        ("src", "tests", "examples", "benchmarks"),
+        0,
+        "from_prior has one outcome per engine: there is no factory to pass",
+    ),
+    (
+        "fill-rule",
+        "remaining > 1e-9",
+        ("src/repro",),
+        1,
+        "the initial fill is cut into packets once, in repro.units",
+    ),
+    (
+        "interleave",
+        r"interleave\(",
+        ("src/repro/inference",),
+        0,
+        "a gate fork is one gather, not two states scattered into one",
+    ),
+    (
+        "sorted-params",
+        r"sorted\(hypothesis.params.items\(\)\)",
+        ("src/repro/inference/belief.py",),
+        0,
+        "the list form reads each hypothesis's digest, it never sorts the parameters per call",
+    ),
+    (
+        "bench-reader",
+        "BenchRecord|BENCH_",
+        ("src",),
+        0,
+        "benchmarks/compare.py alone decides a timing regression: nothing in src/ reads a record",
+    ),
+    (
+        "stream-transport",
+        "start_server|open_connection|StreamReader",
+        ("src/repro/serving/server.py",),
+        0,
+        "one transport: no stream path beside the protocols",
+    ),
+]
 
 
-def matching_lines(scope: str, pattern: re.Pattern) -> list[str]:
-    """``grep -rnIE pattern scope``: every matching line, as ``path:line: text``."""
-    files = list(text_files(ROOT / scope))
-    assert files, scope
-    return [
-        f"{path.relative_to(ROOT)}:{number}: {line.strip()}"
-        for path, text in files
-        for number, line in enumerate(text.splitlines(), start=1)
-        if pattern.search(line)
-    ]
+def matching(scope: str, pattern: re.Pattern) -> list[str]:
+    return matching_lines(ROOT / scope, pattern, skip=__file__)
 
 
 @pytest.mark.parametrize("directory", ["src", "tests"])
 def test_no_retired_rollout_name_remains(directory):
-    files = list(text_files(ROOT / directory))
+    files = list(text_files(ROOT / directory, skip=__file__))
     assert files
     found = {
         f"{path.relative_to(ROOT)}: {name}"
@@ -89,12 +127,12 @@ def test_no_retired_rollout_name_remains(directory):
 
 @pytest.mark.parametrize("scope", ["src", "tests", "examples", "benchmarks", "README.md"])
 def test_an_option_no_caller_sets_stays_a_constant(scope):
-    assert matching_lines(scope, CONSTANT_NOT_OPTION) == []
+    assert matching(scope, CONSTANT_NOT_OPTION) == []
 
 
 def test_the_action_grid_has_no_delay_cap():
     # max_delay is also a metric name elsewhere: scoped to the grid.
-    assert matching_lines("src/repro/core/actions.py", re.compile("max_delay")) == []
+    assert matching("src/repro/core/actions.py", re.compile("max_delay")) == []
 
 
 def test_the_element_tracer_stays_gone():
@@ -103,4 +141,21 @@ def test_the_element_tracer_stays_gone():
 
 @pytest.mark.parametrize("scope", ["src", "examples"])
 def test_what_no_caller_reads_stays_unrecorded(scope):
-    assert matching_lines(scope, NOT_RECORDED) == []
+    assert matching(scope, NOT_RECORDED) == []
+
+
+def test_the_engine_registry_stays_gone():
+    assert not (ROOT / "src/repro/api/backends.py").exists()
+
+
+@pytest.mark.parametrize(
+    "pattern, scope, lines, why",
+    [
+        pytest.param(pattern, scope, lines, why, id=f"{name}:{scope}")
+        for name, pattern, scopes, lines, why in TEXT_RULES
+        for scope in scopes
+    ],
+)
+def test_a_text_rule_holds(pattern, scope, lines, why):
+    found = matching(scope, re.compile(pattern))
+    assert len(found) == lines, (why, found)

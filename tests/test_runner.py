@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -359,6 +363,22 @@ class TestCli:
         assert {result["params"]["loss_rate"] for result in payload["results"]} == {0, 0.1}
         assert csv_path.exists()
         assert "single_link_tcp" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("duration", ["nan", "inf"])
+    def test_a_non_finite_duration_fails_cleanly(self, duration):
+        # In a child with a timeout: both used to run until killed, NaN
+        # growing past 2 GB.
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.runner", "run", "single_link_tcp"]
+            + ["--set", f"duration={duration}"],
+            env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")},
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        assert done.returncode == 2, done.stderr
+        assert "error:" in done.stderr and "must be finite" in done.stderr
+        assert "Traceback" not in done.stderr
 
     def test_run_unknown_scenario_fails_cleanly(self, capsys):
         assert cli_main(["run", "not_a_scenario"]) == 2

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from repro.errors import SchedulingError, SimulationError
+from repro.errors import ConfigurationError, SchedulingError, SimulationError
 from repro.sim.engine import Simulator
 from repro.sim.events import Event
 
@@ -310,6 +312,19 @@ class TestRunControl:
         sim.schedule(1.0, reenter)
         with pytest.raises(SimulationError):
             sim.run()
+
+    @pytest.mark.parametrize("until", [math.nan, math.inf])
+    def test_a_non_finite_until_is_refused(self, sim, until):
+        # No event lies beyond NaN or +inf, so a timer that re-arms itself
+        # (a bulk sender) would keep the loop running for good; here the cap
+        # would end it after 10 000 events instead of a refusal.
+        def tick():
+            sim.schedule(0.001, tick)
+
+        sim.schedule(0.0, tick)
+        with pytest.raises(ConfigurationError, match="finite"):
+            sim.run(until=until, max_events=10_000)
+        assert sim.events_processed == 0
 
 
 class TestAdvanceTo:
