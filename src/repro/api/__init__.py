@@ -37,7 +37,6 @@ from repro.api.policy import (
     load_or_precompute_policy_table,
     precompute_policy_table,
     signature_from_json,
-    table_quarantine_count,
 )
 from repro.api.sender import SenderParts, build_components, build_sender
 from repro.errors import UnknownBackendError
@@ -57,5 +56,4 @@ __all__ = [
     "load_or_precompute_policy_table",
     "precompute_policy_table",
     "signature_from_json",
-    "table_quarantine_count",
 ]

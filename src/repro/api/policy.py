@@ -298,10 +298,6 @@ class PolicyTable(PolicyCache):
         self.planner = planner
         return self
 
-    def contains(self, belief: BeliefState) -> bool:
-        """Whether the belief's current signature has a precomputed decision."""
-        return self._belief_key(belief) in self._cache
-
     def decision_for(self, signature: tuple) -> Optional[Decision]:
         """The precomputed decision stored under ``signature``, or ``None``.
 
@@ -394,23 +390,6 @@ class PolicyTable(PolicyCache):
         for entry in payload["entries"]:
             table._cache[signature_from_json(entry["key"])] = decision_from_payload(entry)
         return table
-
-    @classmethod
-    def from_json(
-        cls,
-        path: str | Path,
-        planner: Optional[ExpectedUtilityPlanner] = None,
-        expected_fingerprint: Optional[str] = None,
-        learn: bool = True,
-    ) -> "PolicyTable":
-        """Load a table written by :meth:`to_json`."""
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        return cls.from_payload(
-            payload,
-            planner=planner,
-            expected_fingerprint=expected_fingerprint,
-            learn=learn,
-        )
 
 
 def precompute_policy_table(
@@ -511,23 +490,6 @@ def precompute_policy_table(
 
 # --------------------------------------------------------- cross-run reuse
 
-#: Corrupt or mismatched cached table files moved to quarantine by this
-#: process (see :func:`table_quarantine_count`).
-_table_quarantines = 0
-
-
-def table_quarantine_count() -> int:
-    """How many cached policy-table files this process has quarantined.
-
-    Incremented by :func:`load_or_precompute_policy_table` whenever a
-    cached table fails to load (truncated JSON, stale schema, fingerprint
-    mismatch) and is moved to the cache's ``quarantine/`` directory — the
-    same never-silently-delete convention
-    :class:`~repro.runner.cache.ResultCache` follows.
-    """
-    return _table_quarantines
-
-
 def _effective_sweep_params(sweep_params: dict) -> dict:
     """``sweep_params`` with :func:`precompute_policy_table` defaults resolved.
 
@@ -584,8 +546,7 @@ def load_or_precompute_policy_table(
     winners are bit-identical).  A corrupted or fingerprint-mismatched file
     is moved to ``cache_dir/quarantine/`` (the
     :class:`~repro.runner.cache.ResultCache` convention — never left in
-    place to be re-read and re-fail, never silently deleted), counted on
-    :func:`table_quarantine_count`, and recomputed.
+    place to be re-read and re-fail, never silently deleted) and recomputed.
 
     The returned table carries ``loaded_from_cache`` (``True`` when it was
     read back rather than computed), which the cache-semantics tests
@@ -596,16 +557,13 @@ def load_or_precompute_policy_table(
         return precompute_policy_table(config, prior, **precompute_kwargs)
 
     path = policy_table_cache_path(cache_dir, effective, dict(precompute_kwargs))
-    table, quarantined = read_json_or_quarantine(
+    table, _ = read_json_or_quarantine(
         Path(cache_dir),
         path,
         lambda payload: PolicyTable.from_payload(
             payload, expected_fingerprint=effective.fingerprint()
         ),
     )
-    if quarantined:
-        global _table_quarantines
-        _table_quarantines += 1
     if table is not None:
         table.loaded_from_cache = True
         return table

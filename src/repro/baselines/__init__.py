@@ -10,22 +10,20 @@ classic window algorithms plus fixed-rate reference senders:
 * :class:`~repro.baselines.window.WindowSender` — shared machinery
   (self-clocked sliding window, RTT estimation, RTO, duplicate-ACK
   detection).
-* :class:`~repro.baselines.tahoe.TahoeSender`,
-  :class:`~repro.baselines.reno.RenoSender`,
+* :class:`~repro.baselines.reno.RenoSender`,
   :class:`~repro.baselines.newreno.NewRenoSender`,
   :class:`~repro.baselines.cubic.CubicSender`,
   :class:`~repro.baselines.aimd.AimdSender` — the classic loss-driven
   congestion controllers.
-* :class:`~repro.baselines.rate_sender.FixedRateSender`,
-  :class:`~repro.baselines.rate_sender.OracleSender` — open-loop references.
+* :class:`~repro.baselines.rate_sender.FixedRateSender` — the open-loop
+  reference.
 """
 
 from repro.baselines.aimd import AimdSender
 from repro.baselines.cubic import CubicSender
 from repro.baselines.newreno import NewRenoSender
-from repro.baselines.rate_sender import FixedRateSender, OracleSender
+from repro.baselines.rate_sender import FixedRateSender
 from repro.baselines.reno import RenoSender
-from repro.baselines.tahoe import TahoeSender
 from repro.baselines.window import WindowSender
 
 __all__ = [
@@ -33,8 +31,6 @@ __all__ = [
     "CubicSender",
     "FixedRateSender",
     "NewRenoSender",
-    "OracleSender",
     "RenoSender",
-    "TahoeSender",
     "WindowSender",
 ]

@@ -1,13 +1,8 @@
-"""Open-loop reference senders.
+"""Open-loop reference sender.
 
-* :class:`FixedRateSender` transmits at a constant packet rate regardless of
-  feedback — the simplest possible sender, useful as a lower/upper reference
-  in comparisons.
-* :class:`OracleSender` is told the bottleneck rate and sends at exactly
-  that rate: the ideal a congestion controller aspires to on a known, fixed
-  link.  The paper's §4 prose scenario ("once it has inferred those
-  parameters, it simply sends at the link speed") converges to what the
-  oracle does from the start.
+:class:`FixedRateSender` transmits at a constant packet rate regardless of
+feedback — the simplest possible sender, useful as a lower/upper reference
+in comparisons.
 """
 
 from __future__ import annotations
@@ -74,22 +69,3 @@ class FixedRateSender(SourceElement):
         self.next_seq = 0
         self.packets_sent = 0
 
-
-class OracleSender(FixedRateSender):
-    """A sender told the bottleneck's rate; it paces at exactly that rate."""
-
-    def __init__(
-        self,
-        link_rate_bps: float,
-        flow: str = "oracle",
-        packet_bits: float = DEFAULT_PACKET_BITS,
-        name: str | None = None,
-        utilization: float = 1.0,
-        **kwargs,
-    ) -> None:
-        if not 0.0 < utilization <= 1.0:
-            raise ConfigurationError(f"utilization must lie in (0, 1], got {utilization!r}")
-        rate_pps = utilization * link_rate_bps / packet_bits
-        super().__init__(rate_pps, flow=flow, packet_bits=packet_bits, name=name, **kwargs)
-        self.link_rate_bps = link_rate_bps
-        self.utilization = utilization

@@ -284,12 +284,6 @@ class WindowSender(SourceElement):
         """Acknowledged (in-order) bits per second over ``[start, end)``."""
         return self.receiver.throughput_bps(start, end, flow=self.flow)
 
-    def mean_rtt(self) -> Optional[float]:
-        """Mean of the collected RTT samples, or ``None`` if there are none."""
-        if not self.rtt_samples:
-            return None
-        return sum(sample.rtt for sample in self.rtt_samples) / len(self.rtt_samples)
-
     def rtt_series(self) -> list[tuple[float, float]]:
         """``(time, rtt)`` samples — the series Figure 1 plots."""
         return [(sample.time, sample.rtt) for sample in self.rtt_samples]

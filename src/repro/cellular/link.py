@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from collections import deque
 
-from repro.corpus.trace import MIN_SERVICE_RATE_BPS, LinkTrace
+from repro.corpus.trace import LinkTrace
 from repro.elements.throughput import Throughput
 from repro.errors import ConfigurationError
 from repro.sim.element import Element
@@ -42,7 +42,7 @@ class TraceDrivenLink(Throughput):
 
     def __init__(self, rate_process: LinkTrace, name: str | None = None) -> None:
         # The nominal Throughput rate is never used for service times, only
-        # reported — so report the trace's *mean* rate (``rate_at(0.0)``
+        # reported — so report the trace's *mean* rate (the first sample
         # reads ~0 for a trace that starts inside an outage).
         super().__init__(rate_process.mean_rate(), name)
         self.rate_process = rate_process
@@ -113,22 +113,6 @@ class CellularLink(Element):
         self.link_layer_retransmissions = 0
         self.abandoned_packets = 0
         self.peak_occupancy_bits = 0.0
-
-    # ------------------------------------------------------------------ state
-
-    @property
-    def occupancy_bits(self) -> float:
-        """Bits currently queued (excluding the packet in service)."""
-        return self._occupancy_bits
-
-    def queueing_delay_estimate(self) -> float:
-        """Current queue drain time at the instantaneous service rate.
-
-        The rate is floored at :data:`MIN_SERVICE_RATE_BPS` so a deep fade
-        yields a large-but-finite estimate rather than an absurd one.
-        """
-        rate = max(self.rate_process.rate_at(self.sim.now), MIN_SERVICE_RATE_BPS)
-        return self._occupancy_bits / rate
 
     # -------------------------------------------------------------- data path
 

@@ -20,7 +20,6 @@ from repro.core.policy import PolicyCache
 from repro.core.utility import (
     AlphaWeightedUtility,
     LatencyPenaltyUtility,
-    ThroughputUtility,
     UtilityFunction,
 )
 
@@ -33,6 +32,5 @@ __all__ = [
     "ISender",
     "LatencyPenaltyUtility",
     "PolicyCache",
-    "ThroughputUtility",
     "UtilityFunction",
 ]

@@ -168,13 +168,6 @@ class AlphaWeightedUtility:
         )
 
 
-class ThroughputUtility(AlphaWeightedUtility):
-    """Own discounted throughput only (α = 0): the selfish sender."""
-
-    def __init__(self, discount_timescale: float = 10.0) -> None:
-        super().__init__(alpha=0.0, discount_timescale=discount_timescale)
-
-
 class LatencyPenaltyUtility(AlphaWeightedUtility):
     """α-weighted utility with a latency penalty on cross traffic.
 

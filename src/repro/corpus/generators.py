@@ -1,12 +1,13 @@
 """Seeded synthetic workload families for the trace corpus.
 
-Each family is a small frozen dataclass whose ``build(seed)`` returns a
-:class:`~repro.corpus.trace.LinkTrace`.  A family instance plus a seed is
-a complete, reproducible description of a workload, which is exactly what
-the corpus manifest records for generator entries: the family name, the
-constructor parameters, and the seed.  Re-materializing the entry from the
-manifest always reproduces the same trace (and hence the same digest), so
-a pruned generator blob rebuilds transparently.
+Each family is a small frozen dataclass, checked when it is constructed,
+whose ``build(seed)`` returns a :class:`~repro.corpus.trace.LinkTrace`.
+A family instance plus a seed is a complete, reproducible description of a
+workload, which is exactly what the corpus manifest records for generator
+entries: the family name, the constructor parameters, and the seed.
+Re-materializing the entry from the manifest always reproduces the same
+trace (and hence the same digest), so a pruned generator blob rebuilds
+transparently.
 
 The five families cover the workload axes the paper's cellular setting
 cares about:
@@ -49,8 +50,8 @@ __all__ = [
 
 
 def _require_positive(name: str, value: float) -> None:
-    if value <= 0:
-        raise ConfigurationError(f"{name} must be positive, got {value!r}")
+    if not 0.0 < value < math.inf:  # NaN fails it too
+        raise ConfigurationError(f"{name} must be positive and finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -74,13 +75,19 @@ class RandomWalkLink:
     reversion: float = 0.15
     duration: float = 600.0
 
-    def build(self, seed: int = 0) -> LinkTrace:
+    def __post_init__(self) -> None:
         for name in ("nominal_bps", "min_bps", "max_bps", "step_interval", "duration"):
             _require_positive(name, getattr(self, name))
         if not self.min_bps <= self.nominal_bps <= self.max_bps:
             raise ConfigurationError("require min_bps <= nominal_bps <= max_bps")
         if not 0.0 <= self.reversion <= 1.0:
             raise ConfigurationError("reversion must lie in [0, 1]")
+        if not 0.0 <= self.volatility < math.inf:
+            raise ConfigurationError(
+                f"volatility must be non-negative and finite, got {self.volatility!r}"
+            )
+
+    def build(self, seed: int = 0) -> LinkTrace:
         rng = random.Random(seed)
         log_nominal = math.log(self.nominal_bps)
         log_rate = log_nominal
@@ -114,12 +121,14 @@ class MarkovOnOffLink:
     mean_off_s: float = 2.0
     duration: float = 120.0
 
-    def build(self, seed: int = 0) -> LinkTrace:
+    def __post_init__(self) -> None:
         _require_positive("on_rate_bps", self.on_rate_bps)
         _require_positive("off_rate_bps", self.off_rate_bps)
         _require_positive("mean_on_s", self.mean_on_s)
         _require_positive("mean_off_s", self.mean_off_s)
         _require_positive("duration", self.duration)
+
+    def build(self, seed: int = 0) -> LinkTrace:
         rng = random.Random(seed)
         times: list[float] = []
         rates: list[float] = []
@@ -151,7 +160,7 @@ class DiurnalLoadLink:
     jitter: float = 0.05
     duration: float = 120.0
 
-    def build(self, seed: int = 0) -> LinkTrace:
+    def __post_init__(self) -> None:
         _require_positive("peak_rate_bps", self.peak_rate_bps)
         _require_positive("trough_rate_bps", self.trough_rate_bps)
         _require_positive("period_s", self.period_s)
@@ -161,6 +170,8 @@ class DiurnalLoadLink:
             raise ConfigurationError("trough_rate_bps must not exceed peak_rate_bps")
         if not 0.0 <= self.jitter < 1.0:
             raise ConfigurationError("jitter must lie in [0, 1)")
+
+    def build(self, seed: int = 0) -> LinkTrace:
         rng = random.Random(seed)
         mid = (self.peak_rate_bps + self.trough_rate_bps) / 2.0
         swing = (self.peak_rate_bps - self.trough_rate_bps) / 2.0
@@ -194,7 +205,7 @@ class FlashCrowdLink:
     step_interval: float = 0.5
     duration: float = 120.0
 
-    def build(self, seed: int = 0) -> LinkTrace:
+    def __post_init__(self) -> None:
         _require_positive("base_rate_bps", self.base_rate_bps)
         _require_positive("crowd_rate_bps", self.crowd_rate_bps)
         _require_positive("crowd_duration_s", self.crowd_duration_s)
@@ -203,6 +214,8 @@ class FlashCrowdLink:
         _require_positive("duration", self.duration)
         if self.crowd_rate_bps > self.base_rate_bps:
             raise ConfigurationError("crowd_rate_bps must not exceed base_rate_bps")
+
+    def build(self, seed: int = 0) -> LinkTrace:
         rng = random.Random(seed)
         onset = rng.uniform(self.duration / 3.0, 2.0 * self.duration / 3.0)
         crowd_end = onset + self.crowd_duration_s
@@ -254,7 +267,7 @@ class CorrelatedLossBurstLink:
     step_interval: float = 0.2
     duration: float = 120.0
 
-    def build(self, seed: int = 0) -> LinkTrace:
+    def __post_init__(self) -> None:
         _require_positive("good_rate_bps", self.good_rate_bps)
         _require_positive("step_interval", self.step_interval)
         _require_positive("duration", self.duration)
@@ -264,6 +277,8 @@ class CorrelatedLossBurstLink:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ConfigurationError(f"{name} must lie in [0, 1]")
+
+    def build(self, seed: int = 0) -> LinkTrace:
         rng = random.Random(seed)
         bad_rate = self.good_rate_bps * self.bad_rate_fraction
         times: list[float] = []

@@ -136,7 +136,6 @@ class LinkTrace:
             / (duration - self.times[0])
         )
         self._min_rate = min(self.rates)
-        self._max_rate = max(self.rates)
         # The last segment holds its rate forever (see `segments_from`); a
         # one-segment trace is that segment everywhere.
         self._last_start = self.times[-1] if len(self.times) > 1 else -math.inf
@@ -159,17 +158,11 @@ class LinkTrace:
 
     # ------------------------------------------------------------- capacity
 
-    def rate_at(self, time: float) -> float:
-        """Instantaneous service rate at ``time`` (clamped to the trace ends)."""
-        if time <= self.times[0]:
-            return self.rates[0]
-        return self.rates[bisect_right(self.times, time) - 1]
-
     def segments_from(self, start: float):
         """Yield ``(rate, segment_end)`` from the segment containing ``start``.
 
-        The same end clamping as :meth:`rate_at`: the first yielded rate is
-        ``rate_at(start)`` and the last segment is unbounded
+        Clamped to the trace ends: a ``start`` before the first sample yields
+        the first segment, and the last segment is unbounded
         (``segment_end = math.inf``) because the trace holds its last rate
         forever.
         """
@@ -213,10 +206,6 @@ class LinkTrace:
     def min_rate(self) -> float:
         """Smallest rate in the trace."""
         return self._min_rate
-
-    def max_rate(self) -> float:
-        """Largest rate in the trace."""
-        return self._max_rate
 
     def samples(self) -> list[tuple[float, float]]:
         """The full ``(time, rate)`` trace."""

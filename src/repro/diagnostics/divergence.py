@@ -378,10 +378,6 @@ class DivergenceReport:
     order_sensitive: bool
     causes: list[CauseHypothesis]
 
-    @property
-    def top_cause(self) -> CauseHypothesis:
-        return self.causes[0]
-
     def render(self) -> str:
         lines = [f"divergence report: {self.backend_a} vs {self.backend_b}"]
         if self.seed is not None:

@@ -95,10 +95,6 @@ class TriageReport:
     notes: list[str] = field(default_factory=list)
     divergence: Optional[DivergenceReport] = None
 
-    @property
-    def top_cause(self) -> CauseHypothesis:
-        return self.causes[0]
-
     def render(self) -> str:
         lines = ["triage report"]
         for note in self.notes:

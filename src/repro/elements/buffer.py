@@ -133,30 +133,6 @@ class Buffer(Element):
             self._occupancy_bits = 0.0
         return packet
 
-    # ----------------------------------------------------------------- state
-
-    @property
-    def occupancy_bits(self) -> float:
-        """Bits currently queued (excluding any packet in service at the link)."""
-        return self._occupancy_bits
-
-    @property
-    def occupancy_packets(self) -> int:
-        """Number of packets currently queued."""
-        return len(self._queue)
-
-    @property
-    def free_bits(self) -> float:
-        """Remaining capacity in bits."""
-        return self.capacity_bits - self._occupancy_bits
-
-    def queued_flows(self) -> dict[str, int]:
-        """Count of queued packets per flow (useful in tests and traces)."""
-        counts: dict[str, int] = {}
-        for packet in self._queue:
-            counts[packet.flow] = counts.get(packet.flow, 0) + 1
-        return counts
-
     # ---------------------------------------------------------------- helpers
 
     def _enqueue(self, packet: Packet) -> None:

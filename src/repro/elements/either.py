@@ -49,10 +49,6 @@ class Either(Element):
         """The branch currently receiving traffic."""
         return self.first if self._using_first else self.second
 
-    def force_branch(self, use_first: bool) -> None:
-        """Select the active branch directly (tests and scripted scenarios)."""
-        self._using_first = use_first
-
     def start(self) -> None:
         self.first.start()
         self.second.start()

@@ -24,15 +24,6 @@ class GateElement(Element):
         self.blocked_count = 0
         self.switch_times: list[float] = []
 
-    @property
-    def connected(self) -> bool:
-        """Whether the gate currently forwards packets."""
-        return self._connected
-
-    def force_state(self, connected: bool) -> None:
-        """Set the gate state directly (used by tests and scripted scenarios)."""
-        self._connected = connected
-
     def receive(self, packet: Packet) -> None:
         self.received_count += 1
         if self._connected:

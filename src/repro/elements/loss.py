@@ -60,14 +60,6 @@ class Loss(Element):
         self.pass_count += 1
         self.emit(packet)
 
-    @property
-    def observed_loss_rate(self) -> float:
-        """Empirical loss fraction seen so far (0 if nothing received)."""
-        total = self.drop_count + self.pass_count
-        if total == 0:
-            return 0.0
-        return self.drop_count / total
-
     def reset(self) -> None:
         super().reset()
         self.drop_count = 0

@@ -54,12 +54,3 @@ class SquareWave(GateElement):
     def _switch(self) -> None:
         self._toggle()
         self.sim.schedule(self.switch_interval, self._switch)
-
-    def state_at(self, time: float) -> bool:
-        """Connectivity the gate will have at absolute ``time`` (ignoring resets)."""
-        if time < self.offset:
-            return self._initially_connected
-        toggles = 1 + int((time - self.offset) / self.switch_interval)
-        if toggles % 2 == 1:
-            return not self._initially_connected
-        return self._initially_connected

@@ -16,7 +16,7 @@ import math
 from collections import deque
 from typing import Optional, Protocol
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, WiringError
 from repro.sim.element import Element
 from repro.sim.packet import Packet
 
@@ -56,7 +56,13 @@ class Throughput(Element):
         return len(self._internal_queue)
 
     def register_upstream_queue(self, source: PacketSource) -> None:
-        """Register a buffer to pull from whenever the link goes idle."""
+        """Register a buffer to pull from whenever the link goes idle.
+
+        A link drains one buffer: a second one would never be pulled from,
+        and every packet it queued would stay there for good.
+        """
+        if self._upstream_queue is not None and self._upstream_queue is not source:
+            raise WiringError(f"link {self.name!r} already drains a buffer")
         self._upstream_queue = source
 
     def service_time(self, packet: Packet) -> float:

@@ -7,7 +7,6 @@ the tests can run shortened versions while examples use the paper's full
 settings.
 """
 
-from repro.experiments.ablation import AblationResult, run_inference_ablation
 from repro.experiments.comparison import LossComparisonResult, run_loss_comparison
 from repro.experiments.figure1 import Figure1Result, run_figure1
 from repro.experiments.figure3 import Figure3AlphaResult, Figure3Result, run_figure3
@@ -19,7 +18,6 @@ from repro.experiments.simple import (
 )
 
 __all__ = [
-    "AblationResult",
     "ConvergenceResult",
     "DrainResult",
     "Figure1Result",
@@ -30,6 +28,5 @@ __all__ = [
     "run_drain_scenario",
     "run_figure1",
     "run_figure3",
-    "run_inference_ablation",
     "run_loss_comparison",
 ]

@@ -9,23 +9,20 @@ on a shortened Figure-3-style scenario: wall-clock time, number of planner
 rollouts, whether the sender still identifies the true link speed, and the
 posterior probability mass it places on that true value.
 
-Configurations are named :class:`~repro.api.config.SenderConfig` points
-(:class:`AblationPoint`).
+Each configuration is one :class:`~repro.api.config.SenderConfig`, run as
+one ``inference_ablation_point`` scenario point (:mod:`repro.runner`).
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
-from typing import Sequence
+from dataclasses import dataclass, replace
 
 from repro._persist import default_cache_dir
 from repro.api.config import SenderConfig
 from repro.api.policy import load_or_precompute_policy_table
 from repro.api.sender import build_sender
 from repro.inference import figure3_prior
-from repro.metrics.summary import ExperimentRow
-from repro.runner.backends import RunnerBase, SerialRunner
 from repro.topology.presets import figure2_network
 
 
@@ -35,14 +32,6 @@ class AblationPoint:
 
     label: str
     config: SenderConfig
-
-
-def _as_point(config: "AblationPoint | tuple") -> AblationPoint:
-    """Normalize sweep inputs: AblationPoint or a ``(label, SenderConfig)`` pair."""
-    if isinstance(config, AblationPoint):
-        return config
-    label, sender_config = config
-    return AblationPoint(label=label, config=sender_config)
 
 
 @dataclass
@@ -62,51 +51,11 @@ class AblationOutcome:
     policy_hits: int = 0
     policy_misses: int = 0
 
-    @property
-    def label(self) -> str:
-        return self.config.label
-
-    def row(self) -> ExperimentRow:
-        return ExperimentRow(
-            label=self.config.label,
-            values={
-                "wall_time (s)": self.wall_time,
-                "goodput (bps)": self.goodput_bps,
-                "sent": self.packets_sent,
-                "rollouts": self.rollouts,
-                "hypotheses": self.final_hypotheses,
-                "degenerate": self.degenerate_updates,
-                "P(true link rate)": self.posterior_true_link_rate,
-            },
-        )
-
-
-@dataclass
-class AblationResult:
-    """All configurations, ready to print."""
-
-    duration: float
-    outcomes: list[AblationOutcome] = field(default_factory=list)
-
-    def rows(self) -> list[ExperimentRow]:
-        return [outcome.row() for outcome in self.outcomes]
-
 
 #: Held-out pilot seed for policy-table precompute: fixed (not derived from
 #: the measured seed) so a grid sweep's seed trials share one table, and far
 #: outside the small integers experiments use as measured seeds.
 _PILOT_SEED = 1_000_003
-
-DEFAULT_CONFIGS: tuple[AblationPoint, ...] = (
-    AblationPoint("gaussian kernel / 200 hyps", SenderConfig()),
-    AblationPoint(
-        "gaussian kernel / 50 hyps", SenderConfig(max_hypotheses=50, top_k=8)
-    ),
-    AblationPoint(
-        "exact (rejection) kernel", SenderConfig(kernel="exact", kernel_scale=0.75)
-    ),
-    AblationPoint("policy cache", SenderConfig(policy="cache")),
-)
 
 
 def run_ablation_point(
@@ -121,11 +70,10 @@ def run_ablation_point(
 ) -> AblationOutcome:
     """Run the shortened Figure-3 scenario under one sender configuration.
 
-    Module-level and picklable so the ablation sweep can run through any
-    scenario-runner backend; the sender is built through the canonical
-    :func:`repro.api.build_sender` path.  ``packet_bits`` sizes the
-    network's packets and, when given, overrides the config's; ``None``
-    (the default) respects ``config.packet_bits``.
+    The ``inference_ablation_point`` scenario's body; the sender is built
+    through the canonical :func:`repro.api.build_sender` path.
+    ``packet_bits`` sizes the network's packets and, when given, overrides
+    the config's; ``None`` (the default) respects ``config.packet_bits``.
 
     With ``policy="table"`` the policy table is precomputed on *this
     scenario's* parameters (same link rate / loss / switching, a disjoint
@@ -202,48 +150,3 @@ def run_ablation_point(
         policy_misses=getattr(sender.policy, "misses", 0),
     )
 
-
-def run_inference_ablation(
-    configs: Sequence["AblationPoint | tuple"] = DEFAULT_CONFIGS,
-    duration: float = 60.0,
-    switch_interval: float = 30.0,
-    link_rate_bps: float = 12_000.0,
-    loss_rate: float = 0.2,
-    alpha: float | None = None,
-    seed: int = 2,
-    packet_bits: float | None = None,
-    runner: RunnerBase | None = None,
-) -> AblationResult:
-    """Run the shortened Figure-3 scenario once per ablation configuration.
-
-    ``configs`` items are :class:`AblationPoint` (or ``(label,
-    SenderConfig)`` pairs).  ``alpha``, when given, overrides every point's
-    configured α.  ``runner`` selects the sweep's execution
-    backend (serial by default; pass a
-    :class:`~repro.runner.backends.ParallelRunner` to fan the
-    configurations out over workers).
-    """
-    if runner is None:
-        runner = SerialRunner()
-    points = []
-    for config in configs:
-        point = _as_point(config)
-        if alpha is not None:
-            point = AblationPoint(point.label, replace(point.config, alpha=alpha))
-        points.append(point)
-    tasks = [
-        {
-            "label": point.label,
-            "config": point.config,
-            "duration": duration,
-            "switch_interval": switch_interval,
-            "link_rate_bps": link_rate_bps,
-            "loss_rate": loss_rate,
-            "seed": seed,
-            "packet_bits": packet_bits,
-        }
-        for point in points
-    ]
-    result = AblationResult(duration=duration)
-    result.outcomes.extend(runner.map(run_ablation_point, tasks))
-    return result

@@ -12,7 +12,6 @@ hard reject.  Both kernels are provided; experiments choose per scenario.
 
 from __future__ import annotations
 
-import math
 from typing import Protocol
 
 from repro.errors import ConfigurationError

@@ -108,11 +108,6 @@ class LinkModelParams:
         return cls(**kwargs)
 
     @property
-    def cross_rate_bps(self) -> float:
-        """Cross-traffic offered load in bits per second while the gate is on."""
-        return self.cross_rate_pps * self.cross_packet_bits
-
-    @property
     def has_cross_traffic(self) -> bool:
         """Whether the configuration contains a cross-traffic source at all."""
         return self.cross_rate_pps > 0
@@ -166,14 +161,6 @@ class CrossTally:
     deliveries: list[tuple[float, float]] = field(default_factory=list)
     drops: list[tuple[float, float]] = field(default_factory=list)
 
-    def delivered_bits(self, start: float = float("-inf"), end: float = float("inf")) -> float:
-        """Bits delivered to the cross receiver within ``[start, end)``."""
-        return sum(bits for time, bits in self.deliveries if start <= time < end)
-
-    def dropped_bits(self, start: float = float("-inf"), end: float = float("inf")) -> float:
-        """Cross bits lost to buffer overflow within ``[start, end)``."""
-        return sum(bits for time, bits in self.drops if start <= time < end)
-
 
 class LinkModel:
     """Deterministic forward model of one candidate network configuration."""
@@ -220,11 +207,6 @@ class LinkModel:
         return self._queue_bits
 
     @property
-    def queue_packets(self) -> int:
-        """Number of packets waiting in the modelled buffer."""
-        return len(self._queue)
-
-    @property
     def busy(self) -> bool:
         """Whether the modelled link is currently transmitting."""
         return self._in_service is not None
@@ -234,11 +216,6 @@ class LinkModel:
         """Queued bits plus the size of the packet in service, if any."""
         extra = self._in_service[2] if self._in_service is not None else 0.0
         return self._queue_bits + extra
-
-    @property
-    def free_buffer_bits(self) -> float:
-        """Remaining buffer capacity in bits."""
-        return self.params.buffer_capacity_bits - self._queue_bits
 
     def cross_backlog_bits(self) -> float:
         """Cross-traffic bits still queued or in service (used by latency penalties)."""
@@ -254,17 +231,6 @@ class LinkModel:
             remaining += max(0.0, (self._service_completion - self.time) * self.params.link_rate_bps)
             return remaining / self.params.link_rate_bps
         return remaining / self.params.link_rate_bps
-
-    def predicted_delivery_if_sent_now(self, size_bits: float) -> float:
-        """Delivery time of a packet enqueued right now (ignoring future arrivals)."""
-        if self._in_service is None:
-            return self.time + size_bits / self.params.link_rate_bps
-        service_remaining = self._service_completion - self.time
-        return (
-            self.time
-            + service_remaining
-            + (self._queue_bits + size_bits) / self.params.link_rate_bps
-        )
 
     # ------------------------------------------------------------------ clone
 

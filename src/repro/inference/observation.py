@@ -39,8 +39,3 @@ class AckObservation:
     seq: int
     received_at: float
     ack_at: float
-
-    @property
-    def report_delay(self) -> float:
-        """Return-path latency of the acknowledgement."""
-        return self.ack_at - self.received_at

@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping
 
 from repro._persist import canonical_digest
 from repro.errors import ConfigurationError
@@ -145,13 +145,3 @@ class ParameterGrid:
                 probability *= weight
             yield assignment, probability
 
-    def with_spec(self, spec: ParameterSpec) -> "ParameterGrid":
-        """Return a new grid with ``spec`` added or replaced."""
-        kept = tuple(existing for existing in self.specs if existing.name != spec.name)
-        return ParameterGrid(specs=kept + (spec,))
-
-    @classmethod
-    def from_dict(cls, values: Mapping[str, Sequence[float]]) -> "ParameterGrid":
-        """Build a grid from ``{name: [values...]}`` with uniform weights."""
-        specs = tuple(ParameterSpec(name=name, values=tuple(vals)) for name, vals in values.items())
-        return cls(specs=specs)

@@ -15,7 +15,7 @@ module also provides the two priors the experiments use:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping
 
 from repro.errors import ConfigurationError
 from repro.inference.parameters import (
@@ -57,13 +57,6 @@ class Prior:
         signature row names it by."""
         return {assignment_digest(assignment): assignment for assignment, _ in self.combinations()}
 
-    def parameter_values(self, name: str) -> Sequence[float]:
-        """The discrete support of one gridded parameter."""
-        return self.grid.spec(name).values
-
-    def contains_value(self, name: str, value: float, tolerance: float = 1e-9) -> bool:
-        """Whether ``value`` appears in the support of parameter ``name``."""
-        return any(abs(candidate - value) <= tolerance for candidate in self.parameter_values(name))
 
 
 def figure3_prior(

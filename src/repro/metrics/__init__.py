@@ -1,20 +1,16 @@
 """Measurement utilities shared by experiments, benches, and examples."""
 
 from repro.metrics.fairness import convergence_time, flow_rate_matrix, jain_index
-from repro.metrics.flowstats import FlowStats, flow_stats_from_receiver
 from repro.metrics.summary import ExperimentRow, format_table
-from repro.metrics.timeseries import TimeSeries, rtt_series, sequence_series, windowed_rate
+from repro.metrics.timeseries import TimeSeries, rtt_series, sequence_series
 
 __all__ = [
     "ExperimentRow",
-    "FlowStats",
     "TimeSeries",
     "convergence_time",
     "flow_rate_matrix",
-    "flow_stats_from_receiver",
     "format_table",
     "jain_index",
     "rtt_series",
     "sequence_series",
-    "windowed_rate",
 ]

@@ -52,13 +52,6 @@ class TimeSeries:
         hi = bisect.bisect_left(self.times, end)
         return TimeSeries(times=self.times[lo:hi], values=self.values[lo:hi])
 
-    def value_at(self, time: float, default: float = 0.0) -> float:
-        """Last value at or before ``time`` (step interpolation)."""
-        index = bisect.bisect_right(self.times, time) - 1
-        if index < 0:
-            return default
-        return self.values[index]
-
     # ------------------------------------------------------------ statistics
 
     def max(self) -> float:
@@ -108,13 +101,6 @@ class TimeSeries:
         pairs = [(key, reducer(values)) for key, values in sorted(buckets.items())]
         return TimeSeries.from_pairs(pairs)
 
-    def differences(self) -> "TimeSeries":
-        """First differences of the values (stamped at the later time)."""
-        pairs = [
-            (self.times[i], self.values[i] - self.values[i - 1]) for i in range(1, len(self.times))
-        ]
-        return TimeSeries.from_pairs(pairs)
-
 
 # --------------------------------------------------------------------------
 # Figure-specific helpers
@@ -132,19 +118,3 @@ def sequence_series(deliveries: Sequence[Delivery]) -> TimeSeries:
 def rtt_series(samples: Iterable[tuple[float, float]]) -> TimeSeries:
     """Round-trip-time samples vs. time (Figure 1's y-axis)."""
     return TimeSeries.from_pairs(samples)
-
-
-def windowed_rate(deliveries: Sequence[Delivery], window: float, end_time: float) -> TimeSeries:
-    """Delivered bits per second in consecutive windows of ``window`` seconds."""
-    if window <= 0:
-        raise ValueError(f"window must be positive, got {window!r}")
-    buckets: dict[float, float] = {}
-    for delivery in deliveries:
-        key = math.floor(delivery.received_at / window) * window
-        buckets[key] = buckets.get(key, 0.0) + delivery.size_bits
-    pairs = []
-    t = 0.0
-    while t < end_time:
-        pairs.append((t, buckets.get(t, 0.0) / window))
-        t += window
-    return TimeSeries.from_pairs(pairs)

@@ -145,7 +145,8 @@ class ResultCache:
         )
 
     def _config_fingerprint(self, entry: ScenarioEntry, params: dict) -> str:
-        """``entry.config_fingerprint(params)``, memoized on this instance."""
+        """The point's ``SenderConfig.fingerprint()`` (``""`` without a config
+        factory), memoized on this instance."""
         if entry.config_factory is None:
             return ""
         config = entry.config_factory(entry.effective_params(params))

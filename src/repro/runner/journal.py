@@ -58,9 +58,9 @@ class JournalState:
 
     ``last`` maps grid index → the point's final recorded state line, from
     which the accessors partition the grid: ``done`` points are skipped on
-    resume, while ``in_flight`` (``running`` with no terminal record —
-    the points lost to the crash) and ``failed``/``quarantined`` points
-    are re-enqueued fresh.
+    resume, while points still ``running`` (no terminal record — the points
+    lost to the crash) and ``failed``/``quarantined`` points are
+    re-enqueued fresh.
     """
 
     header: dict[str, Any] | None = None
@@ -74,11 +74,6 @@ class JournalState:
     def done(self) -> dict[int, dict[str, Any]]:
         """Completed points: index → record carrying ``metrics``/``wall_time``."""
         return self._by_state("done")
-
-    @property
-    def in_flight(self) -> dict[int, dict[str, Any]]:
-        """Points that were ``running`` when the journal stopped."""
-        return self._by_state("running")
 
     @property
     def quarantined(self) -> dict[int, dict[str, Any]]:

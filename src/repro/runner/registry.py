@@ -66,12 +66,6 @@ class ScenarioEntry:
         merged.update(params)
         return merged
 
-    def config_fingerprint(self, params: Mapping[str, Any]) -> str:
-        """The point's ``SenderConfig.fingerprint()``, or ``""`` without one."""
-        if self.config_factory is None:
-            return ""
-        return self.config_factory(self.effective_params(params)).fingerprint()
-
     def validate_params(self, params: Mapping[str, Any]) -> None:
         """Reject unknown or reserved parameter names with a readable error."""
         if "seed" in params:

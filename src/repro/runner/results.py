@@ -122,19 +122,6 @@ class ResultStore:
     def extend(self, results: Iterator[PointResult] | list[PointResult]) -> None:
         self.results.extend(results)
 
-    def merge(self, other: "ResultStore") -> "ResultStore":
-        """Return a new store holding this store's points then ``other``'s."""
-        return ResultStore(
-            results=[*self.results, *other.results],
-            cache_hits=self.cache_hits + other.cache_hits,
-            cache_misses=self.cache_misses + other.cache_misses,
-            cache_corrupt=self.cache_corrupt + other.cache_corrupt,
-            partial=self.partial or other.partial,
-            quarantined=[*self.quarantined, *other.quarantined],
-            retries=self.retries + other.retries,
-            resumed=self.resumed + other.resumed,
-        )
-
     def counts(self) -> dict[str, int]:
         """Completed/quarantined/retry bookkeeping as one reportable dict."""
         return {
@@ -211,22 +198,3 @@ class ResultStore:
     def to_csv(self, path: str | Path) -> Path:
         """Write the points as a CSV table (one row per point)."""
         return write_rows_csv(path, self.rows())
-
-    @classmethod
-    def from_json(cls, text: str) -> "ResultStore":
-        """Rehydrate a store from :meth:`to_json` output."""
-        payload = json.loads(text)
-        store = cls()
-        for obj in payload.get("results", []):
-            store.add(
-                PointResult(
-                    spec=ScenarioSpec(
-                        scenario=obj["scenario"],
-                        params=dict(obj.get("params", {})),
-                        seed=int(obj.get("seed", 0)),
-                    ),
-                    metrics=dict(obj.get("metrics", {})),
-                    wall_time=float(obj.get("wall_time", 0.0)),
-                )
-            )
-        return store

@@ -13,7 +13,7 @@ This module is imported lazily by the registry (first name resolution), so
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
 
 from repro.api.config import SenderConfig, canonical_digest
 from repro.api.sender import build_components
@@ -42,7 +42,6 @@ from repro.experiments.simple import run_convergence_scenario, run_drain_scenari
 from repro.inference.prior import Prior, single_link_prior
 from repro.metrics.fairness import convergence_time, flow_rate_matrix, jain_index
 from repro.runner.registry import scenario
-from repro.runner.spec import ScenarioSpec, grid
 from repro.sim.element import Network
 from repro.units import DEFAULT_PACKET_BITS
 
@@ -750,39 +749,3 @@ def many_flow_contention(
             metrics[f"flow_{index:03d}_goodput_bps"] = goodputs[flow]
     return metrics
 
-
-# ------------------------------------------------------------- spec generators
-
-
-def loss_delay_buffer_specs(
-    losses: Sequence[float] = (0.0, 0.02, 0.1),
-    delays: Sequence[float] = (0.0, 0.02, 0.08),
-    buffers: Sequence[float] = (120_000.0, 480_000.0, 1_920_000.0),
-    seeds: Sequence[int] | int = (0,),
-    duration: float = 20.0,
-    link_rate_bps: float = 1_000_000.0,
-) -> list[ScenarioSpec]:
-    """The loss × delay × buffer grid over the ``single_link_tcp`` scenario."""
-    return grid(
-        "single_link_tcp",
-        seeds=seeds,
-        base={"duration": duration, "link_rate_bps": link_rate_bps},
-        loss_rate=list(losses),
-        extra_delay_s=list(delays),
-        buffer_bits=list(buffers),
-    )
-
-
-def many_flow_specs(
-    flow_counts: Sequence[int] = (4, 16, 64),
-    seeds: Sequence[int] | int = (0,),
-    duration: float = 20.0,
-    **params: Any,
-) -> list[ScenarioSpec]:
-    """A flow-count scaling sweep over ``many_flow_contention``."""
-    return grid(
-        "many_flow_contention",
-        seeds=seeds,
-        base={"duration": duration, **params},
-        flows=list(flow_counts),
-    )

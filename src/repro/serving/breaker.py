@@ -85,13 +85,6 @@ class CircuitBreaker:
         with self._lock:
             return self._state
 
-    def cooldown_remaining(self) -> float:
-        """Seconds until the next half-open probe (0.0 unless open)."""
-        with self._lock:
-            if self._state != OPEN:
-                return 0.0
-            return max(0.0, self._retry_at - self._clock())
-
     # ---------------------------------------------------------------- guards
 
     def allow(self) -> bool:

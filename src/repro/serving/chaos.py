@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.errors import ConfigurationError
 from repro.runner.faults import FaultAssignment, FaultPlan, InjectedFaultError
@@ -101,15 +101,3 @@ class ServingFaultInjector:
             corrupt=index in self.assignment.corrupt,
             hang_seconds=self.assignment.hang_seconds,
         )
-
-    def expected_planner_faults(self) -> Sequence[int]:
-        """Request indices whose planner call will fail (sorted)."""
-        return sorted(
-            index
-            for index in self.assignment.execution
-            if self.assignment.fault_for(index, 0) in ("exception", "hang")
-        )
-
-    def expected_corrupt(self) -> Sequence[int]:
-        """Request indices whose table read will be corrupted (sorted)."""
-        return sorted(self.assignment.corrupt)

@@ -133,15 +133,6 @@ class PolicyTableRegistry:
         atomic_write_text(version.with_name("CURRENT"), digest + "\n")
         return version
 
-    def versions(self, fingerprint: str) -> list[str]:
-        """Every published version digest for ``fingerprint``, sorted."""
-        if not is_path_component(fingerprint):
-            return []
-        table_dir = self._table_dir(fingerprint)
-        if not table_dir.is_dir():
-            return []
-        return sorted(path.stem for path in table_dir.glob("*.json"))
-
     def current_digest(self, fingerprint: str) -> Optional[str]:
         """The digest ``CURRENT`` points at, or ``None`` when unpublished."""
         # On every table hit's path: a string and ``os`` calls cost an eighth

@@ -104,11 +104,6 @@ class Element:
     #: until :meth:`attach` sets it).
     sim: Simulator = _UnattachedSim()  # type: ignore[assignment]
 
-    @property
-    def attached(self) -> bool:
-        """Whether :meth:`attach` has been called."""
-        return self._attached
-
     def rng(self, purpose: str = "default"):
         """Return this element's named random stream for ``purpose``."""
         if self._rng_registry is None:

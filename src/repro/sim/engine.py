@@ -158,11 +158,6 @@ class Simulator:
 
     # ---------------------------------------------------------------- running
 
-    def peek_time(self) -> float | None:
-        """Time of the next live event, or ``None`` if the queue is empty."""
-        self._fire_events(None, 0)  # fires nothing; settles the head
-        return self._queue[0][0] if self._queue else None
-
     def step(self) -> bool:
         """Fire the next live event.
 
@@ -184,7 +179,8 @@ class Simulator:
             actually processed (queue drained or next event lies beyond it).
             ``None`` runs until the queue drains.  NaN and ``+inf`` are
             refused: no event is ever beyond them, so a sender that never
-            stops would keep the loop running for good.
+            stops would keep the loop running for good.  So is a time
+            before the clock (a negative run length): nothing would run.
         max_events:
             Optional hard cap on the number of events fired by this call,
             useful as a runaway guard in tests.
@@ -196,8 +192,11 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("Simulator.run() is not reentrant")
-        if until is not None and not until < math.inf:
-            raise ConfigurationError(f"run(until={until!r}): until must be finite or None")
+        if until is not None and not self._now <= until < math.inf:
+            raise ConfigurationError(
+                f"run(until={until!r}): until must be finite and not before the clock "
+                f"({self._now!r}), or None"
+            )
         self._running = True
         try:
             fired, exhausted = self._fire_events(until, max_events)
@@ -210,24 +209,6 @@ class Simulator:
         if exhausted and until is not None and until > self._now:
             self._now = until
         return fired
-
-    def advance_to(self, time: float) -> None:
-        """Advance the clock to ``time`` without firing events.
-
-        Only valid when no live event is pending before ``time``; used by
-        hypothesis models that interleave analytic updates with event
-        processing.
-        """
-        if time < self._now:
-            raise SchedulingError(
-                f"cannot move the clock backwards from {self._now:.6f} to {time:.6f}"
-            )
-        next_time = self.peek_time()
-        if next_time is not None and next_time < time:
-            raise SimulationError(
-                "advance_to would skip a pending event; call run(until=...) instead"
-            )
-        self._now = time
 
     # ---------------------------------------------------------------- helpers
 
@@ -247,7 +228,7 @@ class Simulator:
         return event
 
     def _fire_events(self, until: float | None, max_events: int | None) -> tuple[int, bool]:
-        """The one event loop behind :meth:`run`, :meth:`step` and :meth:`peek_time`.
+        """The one event loop behind :meth:`run` and :meth:`step`.
 
         Returns ``(fired, exhausted)``; ``exhausted`` is true when no live
         event at or before ``until`` remains, false on a ``max_events`` stop.

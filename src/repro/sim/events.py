@@ -67,15 +67,6 @@ class Event:
         if self._owner is not None:
             self._owner._note_cancelled()
 
-    @property
-    def alive(self) -> bool:
-        """Whether the event is still pending (not cancelled)."""
-        return not self.cancelled
-
-    def fire(self) -> None:
-        """Invoke the callback, as the engine's loop does when the event comes due."""
-        self.callback(*self.args)
-
     def sort_key(self) -> tuple[float, int, int]:
         """Total ordering key (the live one: a deferred heap entry leads with an earlier triple)."""
         return (self.time, self.priority, self.seq)

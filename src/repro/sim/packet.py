@@ -64,16 +64,6 @@ class Packet:
     meta: dict[str, Any] = field(default_factory=dict)
 
     @property
-    def size_bytes(self) -> float:
-        """Payload size in bytes."""
-        return self.size_bits / 8.0
-
-    @property
-    def in_flight(self) -> bool:
-        """Whether the packet has neither been delivered nor dropped."""
-        return self.delivered_at is None and self.dropped_at is None
-
-    @property
     def delay(self) -> float | None:
         """One-way delay experienced by the packet, if delivered."""
         if self.delivered_at is None:

@@ -51,14 +51,6 @@ class RngRegistry:
             self._streams[name] = random.Random(self._derive_seed(name))
         return self._streams[name]
 
-    def spawn(self, name: str) -> "RngRegistry":
-        """Return a child registry with a seed derived from ``name``.
-
-        Useful when an experiment runs several independent trials: each
-        trial gets its own registry so element stream names can repeat.
-        """
-        return RngRegistry(self._derive_seed(f"spawn:{name}"))
-
     def names(self) -> Iterator[str]:
         """Iterate over the stream names created so far."""
         return iter(sorted(self._streams))

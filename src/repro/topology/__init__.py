@@ -1,13 +1,11 @@
 """Topology construction helpers and preset networks.
 
-* :mod:`repro.topology.builder` — small helpers for wiring chains of elements.
-* :mod:`repro.topology.graph` — validation and networkx export of element graphs.
+* :mod:`repro.topology.graph` — validation of element graphs.
 * :mod:`repro.topology.presets` — the Figure-2 network and other ready-made
   topologies used by the experiments.
 """
 
-from repro.topology.builder import chain, terminate
-from repro.topology.graph import element_graph, validate_network
+from repro.topology.graph import validate_network
 from repro.topology.presets import (
     Figure2Network,
     SingleLinkNetwork,
@@ -18,10 +16,7 @@ from repro.topology.presets import (
 __all__ = [
     "Figure2Network",
     "SingleLinkNetwork",
-    "chain",
-    "element_graph",
     "figure2_network",
     "single_link_network",
-    "terminate",
     "validate_network",
 ]

@@ -1,52 +1,15 @@
-"""Element-graph introspection: validation and networkx export.
+"""Element-graph validation.
 
 The simulator itself never needs a global view of the topology — packets
 simply follow downstream links — but experiments and tests benefit from
-being able to check that a hand-built graph is sane (terminated, acyclic)
-and to export it for inspection.
+being able to check that a hand-built graph is sane (terminated, acyclic).
 """
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from repro.elements.collector import Collector
 from repro.elements.receiver import Receiver
 from repro.sim.element import Element, Network
-
-
-def _reachable(roots: Iterable[Element]) -> list[Element]:
-    seen: dict[int, Element] = {}
-    stack = list(roots)
-    while stack:
-        element = stack.pop()
-        if id(element) in seen:
-            continue
-        seen[id(element)] = element
-        if element.downstream is not None:
-            stack.append(element.downstream)
-        stack.extend(element.children())
-    return list(seen.values())
-
-
-def element_graph(roots: Iterable[Element]):
-    """Return a :class:`networkx.DiGraph` of the element graph.
-
-    Nodes are element names; edges carry a ``kind`` attribute of either
-    ``"downstream"`` or ``"child"``.
-    """
-    import networkx as nx
-
-    graph = nx.DiGraph()
-    elements = _reachable(roots)
-    for element in elements:
-        graph.add_node(element.name, kind=type(element).__name__)
-    for element in elements:
-        if element.downstream is not None:
-            graph.add_edge(element.name, element.downstream.name, kind="downstream")
-        for child in element.children():
-            graph.add_edge(element.name, child.name, kind="child")
-    return graph
 
 
 def validate_network(network: Network, require_terminated: bool = True) -> list[str]:

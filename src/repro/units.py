@@ -1,13 +1,10 @@
-"""Unit helpers and shared physical constants.
+"""Shared physical constants and the one cut of an initial fill into packets.
 
 All internal quantities use SI-style base units:
 
 * time is measured in **seconds** (floating point),
 * data sizes in **bits**,
 * rates in **bits per second**.
-
-The helpers below exist so call sites can say ``kilobits(96)`` or
-``from_ms(250)`` instead of sprinkling magic conversion factors around.
 """
 
 from __future__ import annotations
@@ -24,68 +21,6 @@ DEFAULT_PACKET_BYTES = 1500
 
 #: The same default packet size expressed in bits (12,000 bits).
 DEFAULT_PACKET_BITS = DEFAULT_PACKET_BYTES * BITS_PER_BYTE
-
-#: Number of milliseconds in one second.
-MS_PER_SECOND = 1000.0
-
-
-def bytes_to_bits(num_bytes: float) -> float:
-    """Convert a size in bytes to bits."""
-    return num_bytes * BITS_PER_BYTE
-
-
-def bits_to_bytes(num_bits: float) -> float:
-    """Convert a size in bits to bytes."""
-    return num_bits / BITS_PER_BYTE
-
-
-def kilobits(value: float) -> float:
-    """Return ``value`` kilobits expressed in bits."""
-    return value * 1_000.0
-
-
-def megabits(value: float) -> float:
-    """Return ``value`` megabits expressed in bits."""
-    return value * 1_000_000.0
-
-
-def kbps(value: float) -> float:
-    """Return ``value`` kilobits per second expressed in bits per second."""
-    return value * 1_000.0
-
-
-def mbps(value: float) -> float:
-    """Return ``value`` megabits per second expressed in bits per second."""
-    return value * 1_000_000.0
-
-
-def from_ms(milliseconds: float) -> float:
-    """Convert a duration in milliseconds to seconds."""
-    return milliseconds / MS_PER_SECOND
-
-
-def to_ms(seconds: float) -> float:
-    """Convert a duration in seconds to milliseconds."""
-    return seconds * MS_PER_SECOND
-
-
-def transmission_time(size_bits: float, rate_bps: float) -> float:
-    """Time in seconds to serialize ``size_bits`` onto a ``rate_bps`` link.
-
-    Raises
-    ------
-    ValueError
-        If the rate is not strictly positive.
-    """
-    if rate_bps <= 0:
-        raise ValueError(f"link rate must be positive, got {rate_bps!r}")
-    return size_bits / rate_bps
-
-
-def packets_to_bits(num_packets: float, packet_bytes: int = DEFAULT_PACKET_BYTES) -> float:
-    """Convert a packet count to bits assuming ``packet_bytes`` sized packets."""
-    return num_packets * packet_bytes * BITS_PER_BYTE
-
 
 #: The most filler packets one initial fill may be cut into.  The deepest
 #: fill a shipped prior holds is 666 packets; the limit leaves two orders of

@@ -8,7 +8,7 @@ and crossovers the paper's figures convey.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from repro.metrics.timeseries import TimeSeries
 

@@ -16,7 +16,7 @@ import pytest
 
 from repro.api import PolicyTable, SenderConfig, build_sender, precompute_policy_table
 from repro.core import ExpectedUtilityPlanner, ISender
-from repro.core.utility import ThroughputUtility
+from repro.core.utility import AlphaWeightedUtility
 from repro.errors import ConfigurationError
 from repro.inference import BeliefState, GaussianKernel, Hypothesis, figure3_prior
 from repro.serving import PolicyTableRegistry, content_digest
@@ -35,7 +35,7 @@ def make_belief() -> BeliefState:
 
 def make_planner(**kwargs) -> ExpectedUtilityPlanner:
     kwargs.setdefault("top_k", 2)
-    return ExpectedUtilityPlanner(ThroughputUtility(), **kwargs)
+    return ExpectedUtilityPlanner(AlphaWeightedUtility(alpha=0.0), **kwargs)
 
 
 class TestPolicyTableSemantics:
@@ -126,7 +126,9 @@ class TestPolicyTableSerialization:
     def test_json_round_trip_preserves_entries(self, tmp_path):
         config, table = self.build_table()
         path = table.to_json(tmp_path / "policy.json")
-        loaded = PolicyTable.from_json(path, expected_fingerprint=config.fingerprint())
+        loaded = PolicyTable.from_payload(
+            json.loads(path.read_text()), expected_fingerprint=config.fingerprint()
+        )
         assert loaded.size == table.size
         assert loaded.top_k == table.top_k
         assert loaded.queue_resolution_bits == table.queue_resolution_bits
@@ -147,7 +149,7 @@ class TestPolicyTableSerialization:
         """
         table = PolicyTable(make_planner(), max_entries=7)
         path = table.to_json(tmp_path / "policy.json")
-        loaded = PolicyTable.from_json(path)
+        loaded = PolicyTable.from_payload(json.loads(path.read_text()))
         assert loaded.max_entries == 7
 
     @pytest.mark.parametrize(
@@ -192,13 +194,17 @@ class TestPolicyTableSerialization:
         _, table = self.build_table()
         path = table.to_json(tmp_path / "policy.json")
         with pytest.raises(ConfigurationError, match="fingerprint"):
-            PolicyTable.from_json(path, expected_fingerprint="deadbeefdeadbeef")
+            PolicyTable.from_payload(
+                json.loads(path.read_text()), expected_fingerprint="deadbeefdeadbeef"
+            )
 
     def test_loaded_table_serves_live_beliefs(self, tmp_path):
         """A deserialized table hits on signatures its precompute covered."""
         config, table = self.build_table()
         path = table.to_json(tmp_path / "policy.json")
-        loaded = PolicyTable.from_json(path, expected_fingerprint=config.fingerprint())
+        loaded = PolicyTable.from_payload(
+            json.loads(path.read_text()), expected_fingerprint=config.fingerprint()
+        )
         network = figure2_network(switch_interval=30.0, seed=7)
         sender = build_sender(config, network, policy_table=loaded)
         assert sender.policy is loaded
@@ -260,9 +266,9 @@ class TestFigure3HeldOutFidelity:
         pairs = []
 
         def shadowed(belief, now):
-            hit = table.contains(belief)
+            hits = table.hits
             decision = PolicyTable.decide(table, belief, now)
-            if hit:
+            if table.hits > hits:
                 pairs.append((decision.delay, live.decide(belief, now).delay))
             return decision
 

@@ -11,9 +11,7 @@ from repro.baselines import (
     CubicSender,
     FixedRateSender,
     NewRenoSender,
-    OracleSender,
     RenoSender,
-    TahoeSender,
 )
 from repro.elements import Buffer, Delay, Receiver, Throughput
 from repro.errors import ConfigurationError
@@ -67,7 +65,7 @@ class TestWindowSenderMechanics:
     def test_rtt_samples_collected(self):
         sender, _ = run_tcp(RenoSender, duration=20.0)
         assert sender.rtt_samples
-        assert sender.mean_rtt() > 0
+        assert all(sample.rtt > 0 for sample in sender.rtt_samples)
         assert sender.rtt_series()[0][1] > 0
 
     def test_cwnd_grows_during_slow_start(self):
@@ -98,7 +96,7 @@ class TestWindowSenderMechanics:
 
 class TestVariantBehaviour:
     @pytest.mark.parametrize(
-        "sender_cls", [TahoeSender, RenoSender, NewRenoSender, CubicSender, AimdSender]
+        "sender_cls", [RenoSender, NewRenoSender, CubicSender, AimdSender]
     )
     def test_all_variants_complete_a_transfer(self, sender_cls):
         sender, network = run_tcp(sender_cls, duration=60.0, loss_rate=0.02, seed=2)
@@ -110,20 +108,6 @@ class TestVariantBehaviour:
         sender, network = run_tcp(NewRenoSender, duration=120.0, loss_rate=0.2, link_rate=12_000.0, seed=5)
         goodput = network.sender_receiver.throughput_bps(0.0, 120.0, flow="tcp")
         assert goodput < 0.6 * 12_000.0
-
-    def test_tahoe_resets_to_one_on_dupacks(self, monkeypatch):
-        windows = []
-        on_delivery = TahoeSender._on_delivery
-
-        def recording(sender, delivery):
-            on_delivery(sender, delivery)
-            windows.append(sender.cwnd)
-
-        monkeypatch.setattr(TahoeSender, "_on_delivery", recording)
-        sender, _ = run_tcp(TahoeSender, duration=90.0, loss_rate=0.05, seed=4)
-        assert sender.fast_retransmits > 0
-        # Tahoe never inflates the window above ssthresh + 3 after a loss.
-        assert windows and all(cwnd >= 1.0 for cwnd in windows)
 
     def test_aimd_validation(self):
         network = single_link_network(sender_flow="tcp")
@@ -161,7 +145,7 @@ class TestNetworkReset:
     """A run after `Network.reset()` is the run a freshly built sender makes."""
 
     @pytest.mark.parametrize(
-        "sender_cls", [*MANY_FLOW_SENDER_KINDS.values(), TahoeSender], ids=lambda cls: cls.__name__
+        "sender_cls", MANY_FLOW_SENDER_KINDS.values(), ids=lambda cls: cls.__name__
     )
     def test_run_after_reset_equals_a_fresh_build(self, sender_cls):
         fresh = _outcome(*_bottleneck_run(Network(seed=0), sender_cls))
@@ -196,17 +180,3 @@ class TestRateSenders:
         network.network.add(sender)
         network.network.run(until=10.0)
         assert sender.packets_sent == 4
-
-    def test_oracle_matches_link_rate(self):
-        network = single_link_network(link_rate_bps=12_000.0, sender_flow="oracle")
-        sender = OracleSender(link_rate_bps=12_000.0, flow="oracle")
-        sender.connect(network.entry)
-        network.network.add(sender)
-        network.network.run(until=60.0)
-        goodput = network.sender_receiver.throughput_bps(10.0, 60.0, flow="oracle")
-        assert goodput == pytest.approx(12_000.0, rel=0.05)
-        assert network.buffer.drop_count == 0
-
-    def test_oracle_validation(self):
-        with pytest.raises(ConfigurationError):
-            OracleSender(link_rate_bps=12_000.0, utilization=0.0)

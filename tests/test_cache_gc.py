@@ -17,7 +17,6 @@ from repro.api.config import SenderConfig
 from repro.api.policy import (
     load_or_precompute_policy_table,
     policy_table_cache_path,
-    table_quarantine_count,
 )
 from repro.inference import single_link_prior
 from repro.runner import ResultCache, grid, run_specs
@@ -253,14 +252,12 @@ class TestPolicyTableQuarantine:
 
         data = path.read_bytes()
         path.write_bytes(data[: len(data) // 2])  # torn write
-        before = table_quarantine_count()
 
         healed = load_or_precompute_policy_table(
             config, cache_dir=tmp_path, **self.PRECOMPUTE
         )
         assert not healed.loaded_from_cache  # recomputed, not trusted
         assert healed.size == table.size
-        assert table_quarantine_count() == before + 1
         quarantined = tmp_path / "quarantine" / path.name
         assert quarantined.exists()
         assert quarantined.read_bytes() == data[: len(data) // 2]
@@ -272,21 +269,17 @@ class TestPolicyTableQuarantine:
         path = policy_table_cache_path(tmp_path, config, self.PRECOMPUTE)
         text = path.read_text().replace(config.fingerprint(), "f" * 16)
         path.write_text(text)
-        before = table_quarantine_count()
 
         load_or_precompute_policy_table(config, cache_dir=tmp_path, **self.PRECOMPUTE)
-        assert table_quarantine_count() == before + 1
         assert (tmp_path / "quarantine" / path.name).exists()
 
     def test_clean_reload_does_not_quarantine(self, tmp_path):
         config = self.fast_config()
         load_or_precompute_policy_table(config, cache_dir=tmp_path, **self.PRECOMPUTE)
-        before = table_quarantine_count()
         reloaded = load_or_precompute_policy_table(
             config, cache_dir=tmp_path, **self.PRECOMPUTE
         )
         assert reloaded.loaded_from_cache
-        assert table_quarantine_count() == before
         assert not (tmp_path / "quarantine").exists()
 
     def test_table_pruned_before_the_read_is_a_miss_not_corruption(
@@ -300,11 +293,9 @@ class TestPolicyTableQuarantine:
         monkeypatch.setattr(
             Path, "exists", lambda self, **kw: self == path or real_exists(self, **kw)
         )
-        before = table_quarantine_count()
         table = load_or_precompute_policy_table(
             config, cache_dir=tmp_path, **self.PRECOMPUTE
         )
         monkeypatch.undo()
         assert not table.loaded_from_cache
-        assert table_quarantine_count() == before
         assert not (tmp_path / "quarantine").exists()

@@ -13,6 +13,11 @@ from repro.sim.element import Network
 from repro.sim.packet import Packet
 
 
+def rate_at(trace, time):
+    """The trace's rate at ``time``: the first segment ``segments_from`` yields."""
+    return next(trace.segments_from(time))[0]
+
+
 class TestRateProcess:
     """Figure 1's random walk, now the corpus's ``random_walk`` family (the
     class name keeps the test ids the walk had before it moved)."""
@@ -36,9 +41,9 @@ class TestRateProcess:
         trace = RandomWalkLink(
             nominal_bps=1e6, min_bps=1e5, max_bps=4e6, step_interval=1.0, duration=10.0
         ).build()
-        assert trace.rate_at(-5.0) == trace.rate_at(0.0)
-        assert trace.rate_at(0.2) == trace.rate_at(0.8)
-        assert trace.rate_at(1e9) == trace.samples()[-1][1]
+        assert rate_at(trace, -5.0) == rate_at(trace, 0.0)
+        assert rate_at(trace, 0.2) == rate_at(trace, 0.8)
+        assert rate_at(trace, 1e9) == trace.samples()[-1][1]
 
     def test_deterministic_given_seed(self):
         family = RandomWalkLink(nominal_bps=1e6, min_bps=1e5, max_bps=4e6, duration=50.0)
@@ -78,8 +83,8 @@ class TestRateProcess:
         # must not materialize ~1,200 identical samples.
         trace = LinkTrace.constant(5e5, 600.0)
         assert len(trace) == 1
-        assert trace.rate_at(0.0) == pytest.approx(5e5)
-        assert trace.rate_at(599.9) == pytest.approx(5e5)
+        assert rate_at(trace, 0.0) == pytest.approx(5e5)
+        assert rate_at(trace, 599.9) == pytest.approx(5e5)
 
     def test_mean_and_min_are_cached_at_construction(self):
         # One meaning of mean_rate(): time-weighted over the duration, which
@@ -133,8 +138,7 @@ class TestCellularLink:
         network.start()
         for seq in range(100):
             link.receive(Packet(seq=seq, flow="f", size_bits=12_000, sent_at=0.0))
-        assert link.occupancy_bits > 0
-        assert link.queueing_delay_estimate() > 0.5
+        assert link.peak_occupancy_bits == pytest.approx(99 * 12_000)
         network.run()
         assert sink.packets[-1].delivered_at == pytest.approx(1.0, rel=0.05)
 
@@ -236,10 +240,9 @@ class TestSegmentIterators:
         ]
         # Starting past the last sample yields only the unbounded tail.
         assert list(trace.segments_from(9.0)) == [(4e6, float("inf"))]
-        # The first yielded rate always equals rate_at(start).
-        for start in (0.0, 0.9999, 1.0, 1.5, 100.0):
-            rate, _ = next(iter(trace.segments_from(start)))
-            assert rate == trace.rate_at(start)
+        # The first yielded rate is the one in force at `start`.
+        for start, rate in ((0.0, 8e6), (0.9999, 8e6), (1.0, 1e5), (1.5, 1e5), (100.0, 4e6)):
+            assert rate_at(trace, start) == rate
 
     def test_rate_process_segments_match_rate_at(self):
         trace = RandomWalkLink(
@@ -248,7 +251,7 @@ class TestSegmentIterators:
         segments = list(trace.segments_from(0.0))
         assert len(segments) == 10
         assert segments[-1][1] == float("inf")
-        assert segments[0][0] == trace.rate_at(0.0)
+        assert segments[0][0] == trace.samples()[0][1]
         # A fixed-rate link is one unbounded segment.
         constant = LinkTrace.constant(5e6, 600.0)
         assert list(constant.segments_from(0.0)) == [(5e6, float("inf"))]
@@ -305,8 +308,8 @@ class TestTraceDrivenLinkSatellites:
         ]
 
     def test_deep_fade_loss_burst_trace_is_floored(self):
-        from repro.cellular.link import MIN_SERVICE_RATE_BPS
         from repro.corpus.generators import CorrelatedLossBurstLink
+        from repro.corpus.trace import MIN_SERVICE_RATE_BPS
 
         # Good for 0.5 s at 4 Mbps, then a micro-bps fade forever: without
         # the rate floor the first fade packet would serialize for ~3e9 s,
@@ -333,7 +336,6 @@ class TestTraceDrivenLinkSatellites:
         assert len(fade_deliveries) >= 2
 
     def test_cellular_link_floors_fade_divisions(self):
-        from repro.cellular.link import MIN_SERVICE_RATE_BPS
         from repro.corpus.generators import CorrelatedLossBurstLink
 
         trace = CorrelatedLossBurstLink(
@@ -351,15 +353,7 @@ class TestTraceDrivenLinkSatellites:
         network.start()
         for seq in range(300):
             link.receive(Packet(seq=seq, flow="f", size_bits=12_000, sent_at=0.0))
-        estimates = []
-        network.sim.schedule(
-            0.75, lambda: estimates.append(link.queueing_delay_estimate())
-        )
         network.run(until=40.0)
-        # The estimate during the fade is large but finite: occupancy over
-        # the floored rate, not occupancy over 0.004 bps.
-        assert len(estimates) == 1
-        assert 0.0 < estimates[0] <= 4e6 / MIN_SERVICE_RATE_BPS
         # Fade-segment service attempts complete at the floored rate too.
         fade_deliveries = [p for p in sink.packets if p.delivered_at > 0.5]
         assert len(fade_deliveries) >= 2
@@ -370,7 +364,7 @@ class TestTraceDrivenLinkSatellites:
         trace = LinkTrace(times=[0.0, 1.0], rates=[1e4, 4e6], duration=2.0)
         link = TraceDrivenLink(trace, name="link")
         assert link.rate_bps == trace.mean_rate()
-        assert link.rate_bps != trace.rate_at(0.0)
+        assert link.rate_bps != trace.samples()[0][1]
         # Constant traces are unchanged: mean == first sample.
         process = LinkTrace.constant(5e6, 600.0)
         assert TraceDrivenLink(process, name="c").rate_bps == 5e6

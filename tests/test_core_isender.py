@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import AlphaWeightedUtility, ExpectedUtilityPlanner, ISender, ThroughputUtility
+from repro.core import AlphaWeightedUtility, ExpectedUtilityPlanner, ISender
 from repro.core.policy import PolicyCache
 from repro.errors import ConfigurationError
 from repro.inference import BeliefState, GaussianKernel, single_link_prior
@@ -39,7 +39,7 @@ class TestConstruction:
         network = single_link_network()
         prior = single_link_prior(link_rate_points=2, fill_points=1)
         belief = BeliefState.from_prior(prior)
-        planner = ExpectedUtilityPlanner(ThroughputUtility())
+        planner = ExpectedUtilityPlanner(AlphaWeightedUtility(alpha=0.0))
         with pytest.raises(ConfigurationError):
             ISender(belief, planner, network.sender_receiver, packet_bits=0)
 
@@ -48,7 +48,7 @@ class TestConstruction:
         network = single_link_network()
         prior = single_link_prior(link_rate_points=2, fill_points=1)
         belief = BeliefState.from_prior(prior)
-        planner = ExpectedUtilityPlanner(ThroughputUtility())
+        planner = ExpectedUtilityPlanner(AlphaWeightedUtility(alpha=0.0))
         cache = PolicyCache(planner)
         sender = ISender(belief, planner, network.sender_receiver, policy=cache)
         assert sender.policy is cache
@@ -113,7 +113,9 @@ class TestLossyPath:
             fill_points=1,
         )
         belief = BeliefState.from_prior(prior, kernel=GaussianKernel(sigma=0.25))
-        planner = ExpectedUtilityPlanner(ThroughputUtility(discount_timescale=20.0), top_k=8)
+        planner = ExpectedUtilityPlanner(
+            AlphaWeightedUtility(alpha=0.0, discount_timescale=20.0), top_k=8
+        )
         sender = ISender(belief, planner, network.sender_receiver)
         sender.connect(network.entry)
         network.network.add(sender)

@@ -14,7 +14,6 @@ from repro.core import (
     ExpectedUtilityPlanner,
     LatencyPenaltyUtility,
     PolicyCache,
-    ThroughputUtility,
 )
 from repro.core.utility import ExponentialDiscount
 from repro.errors import ConfigurationError, UtilityError
@@ -97,7 +96,6 @@ class TestAlphaWeightedUtility:
         assert utility.evaluate(with_drop) < utility.evaluate(base)
 
     def test_throughput_and_latency_presets(self):
-        assert ThroughputUtility().alpha == 0.0
         assert LatencyPenaltyUtility().latency_penalty > 0.0
 
     @given(alpha=st.floats(min_value=0.0, max_value=10.0))
@@ -145,7 +143,7 @@ def make_belief(points=3):
 
 class TestPlanner:
     def test_validation(self):
-        utility = ThroughputUtility()
+        utility = AlphaWeightedUtility(alpha=0.0)
         with pytest.raises(ConfigurationError):
             ExpectedUtilityPlanner(utility, packet_bits=0)
         with pytest.raises(ConfigurationError):
@@ -163,18 +161,18 @@ class TestPlanner:
         hung or raised a bare ValueError deep in a rollout."""
         with pytest.raises(ConfigurationError, match=setting):
             ExpectedUtilityPlanner(
-                ThroughputUtility(), rollout_backend=rollout_backend, **{setting: value}
+                AlphaWeightedUtility(alpha=0.0), rollout_backend=rollout_backend, **{setting: value}
             )
 
     def test_decision_contains_all_candidate_delays(self):
-        planner = ExpectedUtilityPlanner(ThroughputUtility(), top_k=3)
+        planner = ExpectedUtilityPlanner(AlphaWeightedUtility(alpha=0.0), top_k=3)
         decision = planner.decide(make_belief(), now=0.0)
         assert len(decision.expected_utilities) == len(ActionGrid.DEFAULT_MULTIPLES)
         assert decision.hypotheses_evaluated == 3
         assert decision.horizon > 0
 
     def test_empty_link_sends_now(self):
-        planner = ExpectedUtilityPlanner(ThroughputUtility(), top_k=3)
+        planner = ExpectedUtilityPlanner(AlphaWeightedUtility(alpha=0.0), top_k=3)
         decision = planner.decide(make_belief(), now=0.0)
         assert decision.send_now
 
@@ -184,25 +182,25 @@ class TestPlanner:
         # service times, so sending again immediately buys nothing.
         for seq in range(3):
             belief.record_send(seq, 12_000, 0.0)
-        planner = ExpectedUtilityPlanner(ThroughputUtility(), top_k=1)
+        planner = ExpectedUtilityPlanner(AlphaWeightedUtility(alpha=0.0), top_k=1)
         decision = planner.decide(belief, now=0.0)
         assert not decision.send_now
         assert decision.delay > 0
 
     def test_fixed_horizon_is_respected(self):
-        planner = ExpectedUtilityPlanner(ThroughputUtility(), horizon=7.5, top_k=1)
+        planner = ExpectedUtilityPlanner(AlphaWeightedUtility(alpha=0.0), horizon=7.5, top_k=1)
         decision = planner.decide(make_belief(points=1), now=0.0)
         assert decision.horizon == pytest.approx(7.5)
 
     def test_rollout_counter_increases(self):
-        planner = ExpectedUtilityPlanner(ThroughputUtility(), top_k=2)
+        planner = ExpectedUtilityPlanner(AlphaWeightedUtility(alpha=0.0), top_k=2)
         planner.decide(make_belief(), now=0.0)
         assert planner.rollouts_performed == 2 * len(ActionGrid.DEFAULT_MULTIPLES)
 
 
 class TestPolicyCache:
     def test_cache_hits_on_repeated_belief(self):
-        planner = ExpectedUtilityPlanner(ThroughputUtility(), top_k=2)
+        planner = ExpectedUtilityPlanner(AlphaWeightedUtility(alpha=0.0), top_k=2)
         cache = PolicyCache(planner)
         belief = make_belief()
         first = cache.decide(belief, now=0.0)
@@ -212,7 +210,7 @@ class TestPolicyCache:
         assert first.delay == second.delay
 
     def test_cache_misses_on_different_belief_state(self):
-        planner = ExpectedUtilityPlanner(ThroughputUtility(), top_k=2)
+        planner = ExpectedUtilityPlanner(AlphaWeightedUtility(alpha=0.0), top_k=2)
         cache = PolicyCache(planner)
         belief = make_belief()
         cache.decide(belief, now=0.0)
@@ -221,7 +219,7 @@ class TestPolicyCache:
         assert cache.misses == 2
 
     def test_cache_size_and_clear(self):
-        planner = ExpectedUtilityPlanner(ThroughputUtility(), top_k=2)
+        planner = ExpectedUtilityPlanner(AlphaWeightedUtility(alpha=0.0), top_k=2)
         cache = PolicyCache(planner)
         cache.decide(make_belief(), now=0.0)
         assert cache.size == 1
@@ -231,7 +229,7 @@ class TestPolicyCache:
     @pytest.mark.parametrize("rollout_backend", ["scalar", "vectorized"])
     def test_hit_miss_semantics_per_rollout_backend(self, rollout_backend):
         planner = ExpectedUtilityPlanner(
-            ThroughputUtility(), top_k=2, rollout_backend=rollout_backend
+            AlphaWeightedUtility(alpha=0.0), top_k=2, rollout_backend=rollout_backend
         )
         cache = PolicyCache(planner)
         belief = make_belief()
@@ -247,7 +245,7 @@ class TestPolicyCache:
     @pytest.mark.parametrize("rollout_backend", ["scalar", "vectorized"])
     def test_cached_decisions_keep_their_diagnostics(self, rollout_backend):
         planner = ExpectedUtilityPlanner(
-            ThroughputUtility(), top_k=3, rollout_backend=rollout_backend
+            AlphaWeightedUtility(alpha=0.0), top_k=3, rollout_backend=rollout_backend
         )
         cache = PolicyCache(planner)
         belief = make_belief()
@@ -263,7 +261,7 @@ class TestPolicyCache:
     @pytest.mark.parametrize("rollout_backend", ["scalar", "vectorized"])
     def test_eviction_drops_oldest_entry_first(self, rollout_backend):
         planner = ExpectedUtilityPlanner(
-            ThroughputUtility(), top_k=2, rollout_backend=rollout_backend
+            AlphaWeightedUtility(alpha=0.0), top_k=2, rollout_backend=rollout_backend
         )
         cache = PolicyCache(planner, max_entries=2)
         beliefs = []
@@ -291,7 +289,7 @@ class TestPolicyCache:
         unrelated cached decision out (and at ``max_entries=1`` evicted
         the very entry being updated before re-inserting it).
         """
-        planner = ExpectedUtilityPlanner(ThroughputUtility(), top_k=2)
+        planner = ExpectedUtilityPlanner(AlphaWeightedUtility(alpha=0.0), top_k=2)
         cache = PolicyCache(planner, max_entries=cap)
         sentinels = {("key", index): object() for index in range(cap)}
         for key, decision in sentinels.items():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import tempfile
@@ -46,12 +47,11 @@ class TestLinkTrace:
 
     def test_rate_process_compatible_surface(self):
         trace = LinkTrace(times=[0.0, 2.0, 4.0], rates=[1e6, 3e6, 2e6], duration=6.0)
-        assert trace.rate_at(-1.0) == 1e6
-        assert trace.rate_at(0.5) == 1e6
-        assert trace.rate_at(2.0) == 3e6
-        assert trace.rate_at(100.0) == 2e6
+        assert next(trace.segments_from(-1.0))[0] == 1e6
+        assert next(trace.segments_from(0.5))[0] == 1e6
+        assert next(trace.segments_from(2.0))[0] == 3e6
+        assert next(trace.segments_from(100.0))[0] == 2e6
         assert trace.min_rate() == 1e6
-        assert trace.max_rate() == 3e6
         # Time-weighted: each rate holds for 2 s of the 6 s span.
         assert trace.mean_rate() == pytest.approx((1e6 + 3e6 + 2e6) / 3)
         assert len(trace) == 3
@@ -296,6 +296,16 @@ class TestGenerators:
             != build_generator(family, params).build(4).digest
         )
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("family", sorted(GENERATOR_FAMILIES))
+    def test_a_non_finite_parameter_is_refused_at_construction(self, family, value):
+        # NaN and inf used to pass `value <= 0`: an infinite duration
+        # generated until killed, a NaN step made a 1-sample trace.  Each
+        # field is refused before any build can start.
+        for field in dataclasses.fields(GENERATOR_FAMILIES[family]):
+            with pytest.raises(ConfigurationError, match=field.name):
+                build_generator(family, {field.name: value})
+
     def test_unknown_family_and_param(self):
         with pytest.raises(ConfigurationError):
             build_generator("nope")
@@ -400,6 +410,16 @@ class TestCorpusCli:
         bad = tmp_path / "bad.trace"
         bad.write_text("5\n3\n")
         assert corpus_main(["--corpus-dir", root, "ingest", str(bad)]) == 2
+
+    def test_a_nan_generator_parameter_exits_2_and_registers_nothing(self, tmp_path, capsys):
+        # It used to register a 1-sample trace and exit 0.
+        argv = [
+            "--corpus-dir", str(tmp_path), "generate", "random_walk", "--name", "walk",
+            "--set", "step_interval=nan", "--set", "duration=10",
+        ]
+        assert corpus_main(argv) == 2
+        assert "error: step_interval must be positive and finite" in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
 
     def test_repeated_set_key_exits_2_and_names_it(self, tmp_path, capsys):
         # It used to generate with the last spelling, silently.

@@ -89,7 +89,7 @@ class TestDifferentialReplay:
         report = diagnose_divergence(SCALAR, VECTORIZED, seed=0)
         assert not report.diverged
         assert report.divergence is None
-        assert report.top_cause.name == (
+        assert report.causes[0].name == (
             "no backend divergence (environment noise elsewhere)"
         )
         assert "agree at every" in report.render()
@@ -119,7 +119,7 @@ class TestStageLocalization:
             report = diagnose_divergence(SCALAR, VECTORIZED, seed=0)
         assert report.diverged
         assert report.divergence.stage == stage
-        assert f"'{stage}'" in report.top_cause.name
+        assert f"'{stage}'" in report.causes[0].name
         assert not report.order_sensitive
         # Kernel stages surface during updates, rollout during decides.
         expected_kind = "decide" if stage == "rollout" else "update"
@@ -159,11 +159,11 @@ class TestTriage:
         (slot / "abcd.json").write_text('{"schema": 999}')
         (slot / "abce.json").write_text("{ not json")
         report = triage(cache_dir=tmp_path)
-        assert report.top_cause.name == CAUSE_CACHE_STALENESS
+        assert report.causes[0].name == CAUSE_CACHE_STALENESS
 
     def test_invalid_cache_counters_implicate_staleness(self):
         report = triage(cache_counters={"hits": 5, "misses": 1, "corrupt": 3})
-        assert report.top_cause.name == CAUSE_CACHE_STALENESS
+        assert report.causes[0].name == CAUSE_CACHE_STALENESS
         clean = triage(cache_counters={"hits": 5, "misses": 1, "corrupt": 0})
         staleness = next(
             cause for cause in clean.causes if cause.name == CAUSE_CACHE_STALENESS
@@ -181,7 +181,7 @@ class TestTriage:
     def test_injected_drift_dominates_the_ranking(self):
         with inject_stage_perturbation("score"):
             report = triage(fuzz_seeds=range(2))
-        assert report.top_cause.name == CAUSE_BACKEND_DRIFT
+        assert report.causes[0].name == CAUSE_BACKEND_DRIFT
         assert report.divergence is not None and report.divergence.diverged
         assert "'score'" in report.render()
 
@@ -206,7 +206,7 @@ class TestSignatureCollisionScan:
             collision_config=VECTORIZED,
             collision_resolution_bits=1e9,
         )
-        assert report.top_cause.name == CAUSE_SIGNATURE_COLLISION
+        assert report.causes[0].name == CAUSE_SIGNATURE_COLLISION
 
 
 # ---------------------------------------------------------------------- CLI

@@ -249,7 +249,7 @@ class TestDifferentialRolloutBackends:
             "(array), so the scalar sends now and the array waits 1.2 s.  Swapping "
             "only the belief backend changes nothing; swapping only the rollout "
             "backend reproduces it; alpha in {1, 2.5, 5} digests agree.  This is "
-            "what blocks flipping the default engines (ROADMAP direction 2)."
+            "what blocks flipping the default engines (ROADMAP direction 1(b)/(c))."
         ),
     )
     def test_first_decision_at_alpha_0_9_on_the_figure3_prior(self):

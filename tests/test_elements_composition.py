@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from repro.cellular import CellularLink
 from repro.corpus import LinkTrace
@@ -115,6 +117,16 @@ class TestWiring:
         first.add(a)
         with pytest.raises(WiringError):
             second.add(a)
+
+    def test_a_link_drains_one_buffer(self):
+        # A second buffer used to replace the first as the link's upstream
+        # queue, and every packet the first one queued stayed there.
+        link = Throughput(rate_bps=12_000, name="link")
+        first = Buffer(capacity_bits=48_000, name="first")
+        first.connect(link)
+        first.connect(link)  # the same buffer again is the same wiring
+        with pytest.raises(WiringError, match="already drains a buffer"):
+            Buffer(capacity_bits=48_000, name="second").connect(link)
 
     def test_source_element_rejects_input(self, network):
         class Dummy(SourceElement):
@@ -286,3 +298,90 @@ class TestCollector:
         assert collector.throughput_bps(0.0, 4.0) == pytest.approx(6_000)
         assert collector.throughput_bps(2.0, 4.0, flow="f") == pytest.approx(6_000)
         assert collector.throughput_bps(4.0, 4.0) == 0.0
+
+
+FLOWS = ("a", "b")
+
+
+@st.composite
+def leaves(draw):
+    kind = draw(st.sampled_from(("buffer", "throughput", "delay", "loss", "jitter")))
+    if kind == "buffer":
+        return Buffer(capacity_bits=draw(st.integers(12_000, 120_000)))
+    if kind == "throughput":
+        return Throughput(rate_bps=draw(st.integers(20_000, 400_000)))
+    if kind == "delay":
+        return Delay(delay=draw(st.floats(0.0, 0.5)))
+    if kind == "loss":
+        return Loss(rate=draw(st.floats(0.0, 0.5)))
+    return Jitter(delay=draw(st.floats(0.0, 0.5)), probability=draw(st.floats(0.0, 1.0)))
+
+
+def wired(elements):
+    """``(head, tails)`` of ``elements`` connected in order."""
+    for upstream, downstream in zip(elements, elements[1:]):
+        upstream.connect(downstream)
+    return elements[0], [elements[-1]]
+
+
+@st.composite
+def stages(draw):
+    """One element, or an EITHER / DIVERTER over two short chains."""
+    kind = draw(st.sampled_from(("leaf", "leaf", "either", "diverter")))
+    if kind == "leaf":
+        return wired([draw(leaves())])
+    first, first_tails = wired(draw(st.lists(leaves(), min_size=1, max_size=2)))
+    second, second_tails = wired(draw(st.lists(leaves(), min_size=1, max_size=2)))
+    if kind == "either":
+        head = Either(first, second, mean_time_to_switch=draw(st.floats(0.1, 5.0)))
+    else:
+        head = Diverter("a", first, second)
+    return head, first_tails + second_tails
+
+
+class TestPacketConservation:
+    """Every packet a finite source offers is delivered or dropped, whatever
+    the graph: offered = delivered + dropped, flow by flow."""
+
+    @seed(20261018)
+    @settings(max_examples=60, deadline=None)
+    @given(
+        graph=st.lists(stages(), min_size=1, max_size=4),
+        sends=st.lists(
+            st.tuples(
+                st.sampled_from(FLOWS), st.floats(0.0, 5.0), st.sampled_from((6_000, 12_000))
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        network_seed=st.integers(0, 2**16),
+    )
+    def test_composed_graphs_conserve_packets(self, graph, sends, network_seed):
+        sink = Collector(name="sink")
+        for (_, tails), (head, _) in zip(graph, graph[1:] + [(sink, [])]):
+            for index, tail in enumerate(tails):
+                try:
+                    tail.connect(head)
+                except WiringError:
+                    # Refused, not stranded: two buffers on one link.
+                    assert isinstance(head, Throughput)
+                    assert sum(isinstance(t, Buffer) for t in tails[: index + 1]) >= 2
+                    return
+        network = Network(seed=network_seed)
+        source = graph[0][0]
+        network.add(source)
+        network.start()
+        offered = []
+        for seq, (flow, at, size) in enumerate(sends):
+            packet = Packet(seq=seq, flow=flow, size_bits=size, created_at=at, sent_at=at)
+            offered.append(packet)
+            network.sim.schedule_at(at, source.receive, packet)
+        # An EITHER keeps switching for good, so the run stops once the
+        # graph has drained: every packet delivered or dropped.
+        for _ in range(100):
+            if all(p.delivered_at is not None or p.dropped_at is not None for p in offered):
+                break
+            network.run(until=network.sim.now + 10.0)
+        dropped = Counter(p.flow for p in offered if p.dropped_at is not None)
+        for flow, count in Counter(p.flow for p in offered).items():
+            assert count == sink.count(flow) + dropped[flow], flow

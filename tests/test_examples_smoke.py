@@ -57,6 +57,13 @@ def test_example_runs_quickly_and_prints(filename, capsys):
     assert len(out.splitlines()) >= 3, f"{filename} printed almost nothing"
 
 
+def test_quickstart_on_the_array_engines_with_the_policy_cache(capsys):
+    module = _load_example("quickstart.py")
+    module.main(["--duration", "8", "--backend", "vectorized", "--policy", "cache"])
+    out = capsys.readouterr().out
+    assert "Posterior over the link rate" in out
+
+
 def test_alpha_sweep_parallel_workers_flag(capsys):
     module = _load_example("alpha_sweep.py")
     module.main(["--duration", "16", "--switch", "8", "--alphas", "1.0,5.0", "--workers", "2"])

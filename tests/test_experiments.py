@@ -10,17 +10,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import SenderConfig
 from repro.experiments import (
     run_convergence_scenario,
     run_drain_scenario,
     run_figure1,
     run_figure3,
-    run_inference_ablation,
     run_loss_comparison,
 )
-from repro.experiments.ablation import AblationPoint
 from repro.metrics.summary import format_table
+from repro.runner.scenarios import inference_ablation_point
 
 
 class TestFigure1:
@@ -130,27 +128,25 @@ class TestLossComparison:
 
 class TestAblation:
     def test_runs_all_configurations(self):
-        configs = (
-            AblationPoint("full", SenderConfig()),
-            AblationPoint("small", SenderConfig(max_hypotheses=50, top_k=8)),
-            AblationPoint("exact", SenderConfig(kernel="exact", kernel_scale=0.75)),
-            AblationPoint("array", SenderConfig(belief_backend="vectorized")),
+        points = (
+            {},
+            {"max_hypotheses": 50, "top_k": 8},
+            {"kernel": "exact", "kernel_scale": 0.75},
+            {"backend": "vectorized"},
         )
-        result = run_inference_ablation(configs=configs, duration=50.0)
-        full, small, exact, array = result.outcomes
-        for outcome in result.outcomes:
-            assert outcome.wall_time > 0
-            assert outcome.packets_sent > 5
-            assert outcome.goodput_bps > 0
-            assert outcome.rollouts > 0
+        outcomes = [inference_ablation_point(duration=50.0, **params) for params in points]
+        full, small, exact, array = outcomes
+        for outcome in outcomes:
+            assert outcome["packets_sent"] > 5
+            assert outcome["goodput_bps"] > 0
+            assert outcome["rollouts"] > 0
         # Either kernel identifies the true link rate at the full cap (the
         # rejection kernel because the prior contains the truth)...
-        assert full.posterior_true_link_rate > 0.5
-        assert exact.posterior_true_link_rate > 0.5
+        assert full["posterior_true_link_rate"] > 0.5
+        assert exact["posterior_true_link_rate"] > 0.5
         # ...and the small cap carries no more hypotheses than the full one.
-        assert small.final_hypotheses <= full.final_hypotheses
+        assert small["final_hypotheses"] <= full["final_hypotheses"]
         # The array belief engine reproduces the scalar sender's inference.
-        assert array.posterior_true_link_rate > 0.5
-        assert array.packets_sent == full.packets_sent
-        assert array.final_hypotheses == full.final_hypotheses
-        assert len(result.rows()) == 4
+        assert array["posterior_true_link_rate"] > 0.5
+        assert array["packets_sent"] == full["packets_sent"]
+        assert array["final_hypotheses"] == full["final_hypotheses"]

@@ -74,7 +74,6 @@ class TestParamsValidation:
 
     def test_derived_properties(self):
         params = simple_params(cross_rate_pps=0.5, cross_packet_bits=10_000)
-        assert params.cross_rate_bps == pytest.approx(5_000)
         assert params.has_cross_traffic
 
 
@@ -151,7 +150,7 @@ class TestOwnTraffic:
         model.send_own(0, 12_000, 0.0)
         model.advance(10.0)
         assert model.predictions[0].time == pytest.approx(3.0)
-        assert model.cross.delivered_bits() == pytest.approx(24_000)
+        assert sum(bits for _, bits in model.cross.deliveries) == pytest.approx(24_000)
 
     def test_projected_delivery_for_queued_packet(self):
         model = LinkModel(simple_params())
@@ -160,12 +159,6 @@ class TestOwnTraffic:
         assert model.projected_delivery(0) == pytest.approx(1.0)
         assert model.projected_delivery(2) == pytest.approx(3.0)
         assert model.projected_delivery(99) is None
-
-    def test_predicted_delivery_if_sent_now(self):
-        model = LinkModel(simple_params())
-        assert model.predicted_delivery_if_sent_now(12_000) == pytest.approx(1.0)
-        model.send_own(0, 12_000, 0.0)
-        assert model.predicted_delivery_if_sent_now(12_000) == pytest.approx(2.0)
 
 
 class TestCrossTraffic:

@@ -69,14 +69,23 @@ class TestParameterSpec:
             ParameterSpec("x", (1.0, 2.0), weights=(0.0, 0.0))
 
 
+def grid_of(values):
+    specs = tuple(ParameterSpec(name, tuple(vals)) for name, vals in values.items())
+    return ParameterGrid(specs=specs)
+
+
+def supports(prior, name, value):
+    return any(abs(candidate - value) <= 1e-9 for candidate in prior.grid.spec(name).values)
+
+
 class TestParameterGrid:
     def test_size_is_product(self):
-        grid = ParameterGrid.from_dict({"a": [1, 2, 3], "b": [1, 2]})
+        grid = grid_of({"a": [1, 2, 3], "b": [1, 2]})
         assert grid.size == 6
         assert grid.names == ("a", "b")
 
     def test_combinations_cover_product_and_sum_to_one(self):
-        grid = ParameterGrid.from_dict({"a": [1, 2], "b": [10, 20]})
+        grid = grid_of({"a": [1, 2], "b": [10, 20]})
         combos = list(grid.combinations())
         assert len(combos) == 4
         assert sum(prob for _, prob in combos) == pytest.approx(1.0)
@@ -87,24 +96,20 @@ class TestParameterGrid:
         with pytest.raises(ConfigurationError):
             ParameterGrid(specs=(ParameterSpec("a", (1.0,)), ParameterSpec("a", (2.0,))))
 
-    def test_spec_lookup_and_with_spec(self):
-        grid = ParameterGrid.from_dict({"a": [1, 2]})
+    def test_spec_lookup(self):
+        grid = grid_of({"a": [1, 2]})
         assert grid.spec("a").values == (1, 2)
         with pytest.raises(KeyError):
             grid.spec("missing")
-        extended = grid.with_spec(ParameterSpec("b", (5.0,)))
-        assert extended.size == 2
-        replaced = extended.with_spec(ParameterSpec("a", (9.0,)))
-        assert replaced.spec("a").values == (9.0,)
 
 
 class TestPriors:
     def test_figure3_prior_contains_paper_true_values(self):
         prior = figure3_prior(link_rate_points=4, cross_fraction_points=4, loss_points=3, buffer_points=4)
-        assert prior.contains_value("link_rate_bps", 12_000.0)
-        assert prior.contains_value("cross_fraction", 0.7)
-        assert prior.contains_value("loss_rate", 0.2)
-        assert prior.contains_value("buffer_capacity_bits", 96_000.0)
+        assert supports(prior, "link_rate_bps", 12_000.0)
+        assert supports(prior, "cross_fraction", 0.7)
+        assert supports(prior, "loss_rate", 0.2)
+        assert supports(prior, "buffer_capacity_bits", 96_000.0)
 
     def test_figure3_prior_probabilities_sum_to_one(self):
         prior = figure3_prior(link_rate_points=3, cross_fraction_points=2, loss_points=2, buffer_points=2, fill_points=2)
@@ -140,16 +145,8 @@ class TestPriors:
             assert "link_rate_bps" in assignment
             assert "initial_fill_bits" in assignment
 
-    def test_prior_contains_value_false_for_missing(self):
-        prior = single_link_prior(link_rate_points=3)
-        assert not prior.contains_value("link_rate_bps", 123.456)
-
 
 class TestObservations:
-    def test_report_delay(self):
-        ack = AckObservation(seq=4, received_at=2.0, ack_at=2.5)
-        assert ack.report_delay == pytest.approx(0.5)
-
     def test_frozen(self):
         ack = AckObservation(seq=4, received_at=2.0, ack_at=2.0)
         with pytest.raises(AttributeError):

@@ -17,7 +17,8 @@ from repro.corpus import CorpusStore
 from repro.errors import ConfigurationError
 from repro.runner import ScenarioSpec, run_specs
 from repro.runner.registry import DEFAULT_REGISTRY
-from repro.runner.scenarios import many_flow_contention, many_flow_specs
+from repro.runner.scenarios import many_flow_contention
+from repro.runner.spec import grid
 from repro.sim.engine import Simulator
 
 
@@ -93,9 +94,8 @@ class TestScenarioMetrics:
         entry = DEFAULT_REGISTRY.get("many_flow_contention")
 
         def fingerprint(trace):
-            return entry.config_fingerprint(
-                {"trace": trace, "corpus_dir": str(tmp_path), "isender_flows": 0}
-            )
+            params = {"trace": trace, "corpus_dir": str(tmp_path), "isender_flows": 0}
+            return entry.config_factory(entry.effective_params(params)).fingerprint()
 
         # Same content under different names keys identically; different
         # content (another seed) does not.
@@ -210,8 +210,11 @@ class TestCrossBackendDeterminism:
     def test_64_flow_point_is_byte_identical_across_backends(self):
         """The issue's contract: serial and parallel runs of one seeded
         64-flow contention point serialize to identical bytes."""
-        specs = many_flow_specs(
-            flow_counts=(64,), seeds=(7,), duration=6.0, isender_flows=0
+        specs = grid(
+            "many_flow_contention",
+            seeds=(7,),
+            base={"duration": 6.0, "isender_flows": 0},
+            flows=(64,),
         )
         outputs = {
             backend: run_specs(specs, backend=backend, workers=2).to_json()
@@ -222,14 +225,17 @@ class TestCrossBackendDeterminism:
     def test_64_flow_fused_point_is_byte_identical(self):
         """The same contract with four array-engine ISenders (``fused``
         spelling, ``policy=cache``) among the 64 flows."""
-        specs = many_flow_specs(
-            flow_counts=(64,),
+        specs = grid(
+            "many_flow_contention",
             seeds=(7,),
-            duration=3.0,
-            isender_flows=4,
-            belief_backend="fused",
-            rollout_backend="fused",
-            policy="cache",
+            base={
+                "duration": 3.0,
+                "isender_flows": 4,
+                "belief_backend": "fused",
+                "rollout_backend": "fused",
+                "policy": "cache",
+            },
+            flows=(64,),
         )
         outputs = {
             backend: run_specs(specs, backend=backend, workers=2).to_json()
@@ -238,7 +244,7 @@ class TestCrossBackendDeterminism:
         assert outputs["serial"] == outputs["parallel"]
 
     def test_repeat_runs_are_identical(self):
-        specs = many_flow_specs(flow_counts=(16,), seeds=(3,), duration=4.0)
+        specs = grid("many_flow_contention", seeds=(3,), base={"duration": 4.0}, flows=(16,))
         first = run_specs(specs).to_json()
         second = run_specs(specs).to_json()
         assert first == second

@@ -9,13 +9,10 @@ from repro.elements.receiver import Delivery
 from repro.metrics import (
     ExperimentRow,
     TimeSeries,
-    flow_stats_from_receiver,
     format_table,
     rtt_series,
     sequence_series,
-    windowed_rate,
 )
-from repro.metrics.flowstats import flow_stats
 
 
 def make_delivery(seq, flow="f", sent=0.0, received=1.0, size=12_000.0):
@@ -31,12 +28,6 @@ class TestTimeSeries:
         series = TimeSeries.from_pairs([(0.0, 1.0), (1.0, 2.0), (2.0, 3.0)])
         selected = series.between(1.0, 2.0)
         assert list(selected) == [(1.0, 2.0)]
-
-    def test_value_at_steps(self):
-        series = TimeSeries.from_pairs([(1.0, 10.0), (3.0, 30.0)])
-        assert series.value_at(0.5, default=-1.0) == -1.0
-        assert series.value_at(1.5) == 10.0
-        assert series.value_at(3.0) == 30.0
 
     def test_statistics(self):
         series = TimeSeries.from_pairs([(0.0, 1.0), (1.0, 3.0), (2.0, 2.0)])
@@ -66,10 +57,6 @@ class TestTimeSeries:
     def test_windowed_validation(self):
         with pytest.raises(ValueError):
             TimeSeries.from_pairs([(0.0, 1.0)]).windowed(0.0)
-
-    def test_differences(self):
-        series = TimeSeries.from_pairs([(0.0, 1.0), (1.0, 4.0), (2.0, 6.0)])
-        assert list(series.differences()) == [(1.0, 3.0), (2.0, 2.0)]
 
     @given(
         pairs=st.lists(
@@ -114,54 +101,6 @@ class TestFigureSeries:
     def test_rtt_series_passthrough(self):
         series = rtt_series([(0.0, 0.1), (1.0, 0.5)])
         assert series.max() == 0.5
-
-    def test_windowed_rate(self):
-        deliveries = [make_delivery(seq=i, received=i * 0.5, size=6_000) for i in range(8)]
-        series = windowed_rate(deliveries, window=1.0, end_time=4.0)
-        assert len(series) == 4
-        assert series.values[0] == pytest.approx(12_000)
-
-    def test_windowed_rate_validation(self):
-        with pytest.raises(ValueError):
-            windowed_rate([], window=0.0, end_time=1.0)
-
-
-class TestFlowStats:
-    def test_basic_aggregation(self):
-        deliveries = [
-            make_delivery(seq=0, flow="a", sent=0.0, received=1.0),
-            make_delivery(seq=1, flow="a", sent=1.0, received=3.0),
-            make_delivery(seq=2, flow="b", sent=0.0, received=9.0),
-        ]
-        stats = flow_stats(deliveries, flow="a", start=0.0, end=10.0)
-        assert stats.packets_delivered == 2
-        assert stats.bits_delivered == pytest.approx(24_000)
-        assert stats.throughput_bps == pytest.approx(2_400)
-        assert stats.mean_delay == pytest.approx(1.5)
-        assert stats.max_delay == pytest.approx(2.0)
-        assert stats.min_delay == pytest.approx(1.0)
-        assert stats.packets_per_second == pytest.approx(0.2)
-
-    def test_empty_window(self):
-        stats = flow_stats([], flow="a", start=0.0, end=1.0)
-        assert stats.packets_delivered == 0
-        assert stats.mean_delay is None
-        assert stats.throughput_bps == 0.0
-
-    def test_zero_duration(self):
-        stats = flow_stats([make_delivery(seq=0)], flow="f", start=0.0, end=0.0)
-        assert stats.throughput_bps == 0.0
-
-    def test_from_receiver(self, network):
-        from repro.elements import Receiver
-        from repro.sim.packet import Packet
-
-        receiver = Receiver(name="rx")
-        network.add(receiver)
-        network.start()
-        receiver.receive(Packet(seq=0, flow="f", size_bits=12_000, sent_at=0.0))
-        stats = flow_stats_from_receiver(receiver, flow="f", start=0.0, end=1.0)
-        assert stats.packets_delivered == 1
 
 
 class TestFormatTable:

@@ -33,7 +33,6 @@ from repro.core import (
     ExpectedUtilityPlanner,
     LatencyPenaltyUtility,
     PolicyCache,
-    ThroughputUtility,
 )
 from repro.errors import ConfigurationError, InferenceError
 from repro.inference import (
@@ -130,10 +129,10 @@ def assert_lane_outcomes_match(
 class TestRolloutBackendSelection:
     def test_unknown_backend_rejected(self):
         with pytest.raises(ConfigurationError):
-            ExpectedUtilityPlanner(ThroughputUtility(), rollout_backend="quantum")
+            ExpectedUtilityPlanner(AlphaWeightedUtility(alpha=0.0), rollout_backend="quantum")
 
     def test_default_is_scalar(self):
-        assert ExpectedUtilityPlanner(ThroughputUtility()).rollout_backend == "scalar"
+        assert ExpectedUtilityPlanner(AlphaWeightedUtility(alpha=0.0)).rollout_backend == "scalar"
 
 
 class TestBatchedRolloutExactness:
@@ -190,7 +189,7 @@ class TestBatchedRolloutExactness:
             hypotheses[-2].record_send(seq, 11_999.37, sends[0])
         for hypothesis in (hypotheses[-2], hypotheses[-1]):
             hypothesis.model.advance(sends[-1])
-        assert hypotheses[-2].model.queue_packets >= 64
+        assert len(hypotheses[-2].model.export_state()["queue"]) >= 64
 
         references = assert_lane_outcomes_match(
             hypotheses,
@@ -353,7 +352,7 @@ class TestDecisionEquivalence:
                 [
                     AlphaWeightedUtility(alpha=rng.uniform(0.0, 3.0), discount_timescale=15.0),
                     LatencyPenaltyUtility(latency_penalty=0.05),
-                    ThroughputUtility(),
+                    AlphaWeightedUtility(alpha=0.0),
                 ]
             )
             horizon = rng.choice([None, 5.0])
@@ -429,7 +428,7 @@ class TestSinglePassAggregation:
 
     def test_service_time_and_horizon_match_reference_formulas(self):
         belief, now = random_belief(random.Random(3))
-        planner = ExpectedUtilityPlanner(ThroughputUtility(), top_k=len(belief))
+        planner = ExpectedUtilityPlanner(AlphaWeightedUtility(alpha=0.0), top_k=len(belief))
         decision = planner.decide(belief, now=now)
 
         top = belief.top(planner.top_k)
@@ -600,7 +599,7 @@ class TestStandingQueues:
         decision instant is past the model clock, clear of the same-instant
         tie of the strict xfail."""
         hypotheses = standing_queue_hypotheses(draw_seed, depth)
-        assert max(hypothesis.model.queue_packets for hypothesis in hypotheses) == depth
+        assert max(len(h.model.export_state()["queue"]) for h in hypotheses) == depth
         assert_lane_outcomes_match(
             hypotheses, now=0.37, horizon=horizon, delays=(0.0, 0.4, 3.0, horizon + 1.0)
         )

@@ -1,5 +1,10 @@
 """Names of retired code stay out of the tree.
 
+Every function, method and class under ``src/repro`` is named by code the
+program runs: ``src``, ``examples`` or ``benchmarks``.  A definition only
+tests reach is deleted, and ``RUN_FROM_OUTSIDE`` lists, with a reason, the
+few the scan cannot see called.
+
 Three retirements are checked here, each by the text it left behind:
 
 * The array rollout is a packet-column kernel: one iteration per arrival
@@ -24,7 +29,9 @@ the one text file left out.
 
 from __future__ import annotations
 
+import ast
 import re
+from collections import Counter
 
 import pytest
 
@@ -106,6 +113,101 @@ TEXT_RULES = [
         "one transport: no stream path beside the protocols",
     ),
 ]
+
+
+#: Definitions no code names that still run, by qualified name: the reason each is kept.
+RUN_FROM_OUTSIDE = {
+    **{
+        f"repro.serving.server.{name}": "asyncio calls it on the protocol"
+        for name in (
+            "_Connection.get_buffer",
+            "_Connection.buffer_updated",
+            "_ServerConnection.connection_made",
+            "_ServerConnection.connection_lost",
+            "_ServerConnection.eof_received",
+            "_ServerConnection.pause_writing",
+            "_ServerConnection.resume_writing",
+            "_ClientConnection.eof_received",
+            "_ClientConnection.connection_lost",
+        )
+    },
+    "repro.elements.either.Either": "one of the paper's §3.1 elements, built by no preset yet",
+    "repro.inference.belief.BeliefState.entropy": "ROADMAP 4(a)'s wake-up record reads it",
+}
+
+
+def python_trees(scope: str) -> list[tuple]:
+    trees = [
+        (path, ast.parse(text))
+        for path, text in text_files(ROOT / scope, skip=__file__)
+        if path.suffix == ".py"
+    ]
+    assert trees, scope
+    return trees
+
+
+def names_in(tree: ast.AST) -> Counter:
+    """Names, attributes and identifier strings (``getattr``), not docstrings or ``__all__``."""
+    ignored = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            if ast.get_docstring(node, clean=False) is not None:
+                ignored.add(id(node.body[0].value))
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            ignored.update(id(child) for child in ast.walk(node.value))
+    names = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            names[node.attr] += 1
+        elif (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and node.value.isidentifier()
+            and id(node) not in ignored
+        ):
+            names[node.value] += 1
+    return names
+
+
+def definitions(tree: ast.AST, prefix: str):
+    """``(qualified name, node)`` for every function, method and class, nested ones too."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield f"{prefix}.{node.name}", node
+            yield from definitions(node, f"{prefix}.{node.name}")
+        else:
+            yield from definitions(node, prefix)
+
+
+def registered(node: ast.AST) -> bool:
+    """A scenario is run by the name its decorator registers."""
+    return any(
+        isinstance(decorator, ast.Call) and getattr(decorator.func, "id", None) == "scenario"
+        for decorator in node.decorator_list
+    )
+
+
+def test_every_definition_is_run_by_the_program():
+    named = Counter()
+    for scope in ("src", "examples", "benchmarks"):
+        for _, tree in python_trees(scope):
+            named.update(names_in(tree))
+    unnamed, defined = [], set()
+    for path, tree in python_trees("src/repro"):
+        module = ".".join(path.relative_to(ROOT / "src").with_suffix("").parts)
+        for qualname, node in definitions(tree, module.removesuffix(".__init__")):
+            defined.add(qualname)
+            if (node.name.startswith("__") and node.name.endswith("__")) or registered(node):
+                continue
+            # A name inside its own definition (recursion, a timer re-arming itself) is no caller.
+            if named[node.name] == names_in(node)[node.name] and qualname not in RUN_FROM_OUTSIDE:
+                unnamed.append(qualname)
+    assert unnamed == []
+    assert set(RUN_FROM_OUTSIDE) <= defined, "an allowlisted definition is gone: drop its row"
 
 
 def matching(scope: str, pattern: re.Pattern) -> list[str]:

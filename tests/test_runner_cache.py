@@ -56,6 +56,13 @@ def _toy_config(params) -> SenderConfig:
     return SenderConfig(alpha=_TOY_ALPHA, top_k=params.get("top_k", 16))
 
 
+def _config_fingerprint(entry, params) -> str:
+    """The point's unmemoized ``SenderConfig.fingerprint()``, ``""`` without a factory."""
+    if entry.config_factory is None:
+        return ""
+    return entry.config_factory(entry.effective_params(params)).fingerprint()
+
+
 def _registry_with_toy() -> ScenarioRegistry:
     registry = ScenarioRegistry()
     registry.register("toy", config_factory=_toy_config)(_toy_metrics)
@@ -148,13 +155,11 @@ class TestPointKeys:
         from repro.runner import DEFAULT_REGISTRY
 
         entry = DEFAULT_REGISTRY.get("figure3_alpha")
-        scalar = entry.config_fingerprint({"alpha": 1.0})
-        vectorized = entry.config_fingerprint(
-            {"alpha": 1.0, "belief_backend": "vectorized"}
-        )
+        scalar = _config_fingerprint(entry, {"alpha": 1.0})
+        vectorized = _config_fingerprint(entry, {"alpha": 1.0, "belief_backend": "vectorized"})
         assert scalar and vectorized and scalar != vectorized
         # Scenarios without a sender configuration key on params alone.
-        assert DEFAULT_REGISTRY.get("single_link_tcp").config_fingerprint({}) == ""
+        assert DEFAULT_REGISTRY.get("single_link_tcp").config_factory is None
 
     @pytest.mark.parametrize(
         "spelling, seed, key",
@@ -250,7 +255,7 @@ class TestPointKeys:
                 tmp_path
             ).point_key(spec, registry=registry)
         fingerprints = {
-            registry.get("toy").config_fingerprint(spec.params) for spec in specs
+            _config_fingerprint(registry.get("toy"), spec.params) for spec in specs
         }
         assert len(fingerprints) == 4
 
@@ -297,7 +302,7 @@ class TestPointKeys:
             for params in sets + sets:
                 config = entry.config_factory(entry.effective_params(params))
                 exact = (type(config), repr(config))
-                fingerprint = entry.config_fingerprint(params)
+                fingerprint = _config_fingerprint(entry, params)
                 assert seen.setdefault(exact, fingerprint) == fingerprint, (name, params)
             assert len(seen) > 1, name
 

@@ -20,14 +20,15 @@ import pytest
 from repro.runner import ParallelRunner, ScenarioSpec, SerialRunner
 from repro.runner.cache import CACHE_DIR_ENV
 from repro.runner.cli import main as cli_main
-from repro.runner.scenarios import loss_delay_buffer_specs
+from repro.runner.spec import grid
 
 #: A small but non-trivial grid: 2 losses x 2 delays = 4 points, short runs.
-SPECS = loss_delay_buffer_specs(
-    losses=(0.0, 0.05),
-    delays=(0.0, 0.02),
-    buffers=(240_000.0,),
-    duration=8.0,
+SPECS = grid(
+    "single_link_tcp",
+    base={"duration": 8.0, "link_rate_bps": 1_000_000.0},
+    loss_rate=(0.0, 0.05),
+    extra_delay_s=(0.0, 0.02),
+    buffer_bits=(240_000.0,),
 )
 
 

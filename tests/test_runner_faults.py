@@ -183,7 +183,7 @@ class TestJournal:
         assert state.header is not None and state.header["grid"] == "abc"
         assert set(state.done) == {0}
         assert state.done[0]["metrics"] == {"y": 1.5}
-        assert set(state.in_flight) == {2}
+        assert state.last[2]["state"] == "running"
         assert not state.complete
 
     def test_complete_marker(self, tmp_path):

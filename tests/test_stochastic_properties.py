@@ -37,7 +37,7 @@ class TestLossRates:
         trials = 20_000
         _feed(loss, network.sim, trials)
 
-        observed = loss.observed_loss_rate
+        observed = loss.drop_count / trials
         # Three-sigma band of a binomial with n=20k.
         sigma = math.sqrt(rate * (1.0 - rate) / trials)
         assert abs(observed - rate) < 3.0 * sigma + 1e-12

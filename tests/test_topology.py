@@ -1,4 +1,4 @@
-"""Tests for topology builders, validation, and the preset networks."""
+"""Tests for topology validation and the preset networks."""
 
 from __future__ import annotations
 
@@ -8,36 +8,7 @@ from repro.elements import Buffer, Collector, Delay, Receiver, Throughput
 from repro.errors import ConfigurationError, WiringError
 from repro.sim.element import Network
 from repro.sim.packet import Packet
-from repro.topology import (
-    chain,
-    element_graph,
-    figure2_network,
-    single_link_network,
-    validate_network,
-)
-from repro.topology.builder import terminate
-
-
-class TestBuilder:
-    def test_chain_wires_and_returns_endpoints(self):
-        a = Delay(0.1, name="a")
-        b = Delay(0.1, name="b")
-        c = Collector(name="c")
-        first, last = chain(a, b, c)
-        assert first is a
-        assert last is c
-        assert a.downstream is b
-        assert b.downstream is c
-
-    def test_chain_requires_elements(self):
-        with pytest.raises(WiringError):
-            chain()
-
-    def test_terminate(self):
-        a = Delay(0.1, name="a")
-        sink = Collector(name="sink")
-        assert terminate(a, sink) is sink
-        assert a.downstream is sink
+from repro.topology import figure2_network, single_link_network, validate_network
 
 
 class TestValidation:
@@ -46,7 +17,7 @@ class TestValidation:
         buffer = Buffer(capacity_bits=10_000, name="buf")
         link = Throughput(rate_bps=1_000, name="link")
         sink = Receiver(name="rx")
-        chain(buffer, link, sink)
+        buffer >> link >> sink
         network.add(buffer)
         assert validate_network(network) == []
 
@@ -68,16 +39,6 @@ class TestValidation:
         network.add(a)
         problems = validate_network(network, require_terminated=False)
         assert any("cycle" in problem for problem in problems)
-
-    def test_element_graph_export(self):
-        buffer = Buffer(capacity_bits=10_000, name="buf")
-        link = Throughput(rate_bps=1_000, name="link")
-        sink = Receiver(name="rx")
-        chain(buffer, link, sink)
-        graph = element_graph([buffer])
-        assert set(graph.nodes) == {"buf", "link", "rx"}
-        assert graph.has_edge("buf", "link")
-        assert graph.nodes["link"]["kind"] == "Throughput"
 
 
 class TestFigure2Preset:
