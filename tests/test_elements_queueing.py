@@ -133,6 +133,31 @@ class TestBuffer:
         assert buffer.drop_count == 0
 
 
+    def test_flows_share_one_fifo(self, network):
+        buffer, link, sink = make_chain(network, capacity_bits=48_000)
+        network.start()
+        arrivals = ["a", "b", "b", "a"]
+        for seq, flow in enumerate(arrivals):
+            buffer.receive(Packet(seq=seq, flow=flow, size_bits=12_000, sent_at=0.0))
+        network.run()
+        assert [(p.flow, p.seq) for p in sink.packets] == list(zip(arrivals, range(4)))
+        assert sink.count("a") == 2 and sink.count("b") == 2
+
+    def test_initial_fill_is_queued_as_the_filler_cut(self, network):
+        buffer = Buffer(
+            capacity_bits=48_000, initial_fill_bits=30_000, filler_packet_bits=12_000
+        )
+        link = Throughput(rate_bps=12_000)
+        sink = Collector()
+        buffer.connect(link)
+        link.connect(sink)
+        network.add(buffer)
+        network.run()
+        assert [p.size_bits for p in sink.packets] == pytest.approx([12_000, 12_000, 6_000])
+        assert {p.flow for p in sink.packets} == {"background"}
+        assert [p.delivered_at for p in sink.packets] == pytest.approx([1.0, 2.0, 2.5])
+
+
 class TestDelay:
     def test_fixed_delay(self, network):
         delay = Delay(delay=0.5, name="delay")

@@ -222,6 +222,34 @@ class TestSquareWave:
         network.run(until=350.0)
         assert gate.switch_times == pytest.approx([100.0, 200.0, 300.0])
 
+    @pytest.mark.parametrize(
+        "initially_connected, offset, at, passes",
+        [
+            (True, None, 50.0, True),
+            (True, None, 150.0, False),
+            (True, None, 250.0, True),
+            (True, None, 350.0, False),
+            (False, 30.0, 10.0, False),
+            (False, 30.0, 80.0, True),
+            (False, 30.0, 180.0, False),
+        ],
+    )
+    def test_a_packet_passes_only_in_a_connected_half_period(
+        self, network, initially_connected, offset, at, passes
+    ):
+        gate = SquareWave(
+            switch_interval=100.0, initially_connected=initially_connected, offset=offset
+        )
+        sink = Collector()
+        gate.connect(sink)
+        network.add(gate)
+        network.run(until=at)
+        packet = Packet(seq=0, flow="f")
+        gate.receive(packet)
+        assert sink.count() == int(passes)
+        assert gate.blocked_count == int(not passes)
+        assert packet.dropped_at == (None if passes else at)
+
     def test_gating_traffic(self, network):
         gate = SquareWave(switch_interval=1.0, name="gate")
         sink = Collector(name="sink")

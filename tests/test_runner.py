@@ -236,6 +236,25 @@ class TestResultStore:
         assert store.rows()[0].values == {"m": 1.5}
         assert store.total_wall_time == pytest.approx(0.25)
 
+    def test_canonical_json_is_sorted_and_compact(self):
+        store = self._store()
+        store.add(
+            PointResult(spec=ScenarioSpec("toy", params={"x": 2}, seed=0), metrics={"m": 3.0})
+        )
+        text = store.to_json()
+        assert text == json.dumps(json.loads(text), sort_keys=True, separators=(",", ":"))
+        assert [r["metrics"]["m"] for r in json.loads(text)["results"]] == [1.5, 3.0]
+
+    def test_extend_keeps_run_order(self):
+        store = self._store()
+        store.extend(
+            PointResult(spec=ScenarioSpec("toy", params={"x": x}, seed=0), metrics={"m": x})
+            for x in (3, 2)
+        )
+        assert store.metric("m") == [1.5, 3, 2]
+        assert len(store) == 3
+        assert store.counts()["completed"] == 3
+
     def test_json_and_csv_files(self, tmp_path):
         store = self._store()
         json_path = tmp_path / "out.json"

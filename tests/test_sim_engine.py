@@ -69,6 +69,13 @@ class TestScheduling:
         sim.run()
         assert seen == {"value": 42}
 
+    def test_positional_args_and_kwargs_reach_the_callback_together(self, sim):
+        calls = []
+        sim.schedule(0.5, lambda a, b, *, c: calls.append((a, b, c)), 1, 2, c=3)
+        sim.schedule_at(1.0, lambda *args: calls.append(args), "x", "y")
+        sim.run()
+        assert calls == [(1, 2, 3), ("x", "y")]
+
 
 class TestCancellation:
     def test_cancelled_event_does_not_fire(self, sim):
@@ -323,6 +330,23 @@ class TestRunControl:
         with pytest.raises(ConfigurationError, match="finite"):
             sim.run(until=until, max_events=10_000)
         assert sim.events_processed == 0
+
+    def test_run_until_fires_an_event_due_exactly_at_until(self, sim):
+        fired = []
+        sim.schedule(2.0, fired.append, "due")
+        sim.schedule(2.0 + 1e-9, fired.append, "late")
+        assert sim.run(until=2.0) == 1
+        assert fired == ["due"] and sim.now == 2.0
+
+    def test_run_until_the_clock_fires_what_is_due_now(self, sim):
+        # The clock itself is a valid stop: a zero-length run fires the
+        # events already due and moves nothing.
+        fired = []
+        sim.run(until=1.0)
+        sim.schedule(0.0, fired.append, "now")
+        sim.schedule(0.5, fired.append, "later")
+        assert sim.run(until=1.0) == 1
+        assert fired == ["now"] and sim.now == 1.0
 
     @pytest.mark.parametrize("until", [-5.0, 2.5])
     def test_an_until_before_the_clock_is_refused(self, sim, until):

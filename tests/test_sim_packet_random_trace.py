@@ -1,12 +1,14 @@
-"""Unit tests for packets and random streams."""
+"""Unit tests for packets, random streams and the initial-fill cut."""
 
 from __future__ import annotations
+
+import random
 
 import pytest
 
 from repro.sim.packet import Packet
-from repro.sim.random import RngRegistry
-from repro.units import DEFAULT_PACKET_BITS
+from repro.sim.random import RngRegistry, derive_seed
+from repro.units import DEFAULT_PACKET_BITS, filler_packet_sizes
 
 
 class TestPacket:
@@ -69,4 +71,39 @@ class TestRngRegistry:
         rng_registry.stream("b")
         rng_registry.stream("a")
         assert list(rng_registry.names()) == ["a", "b"]
+
+    def test_a_stream_is_seeded_from_the_registry_seed_and_its_name(self):
+        # A worker process recomputes any stream from (seed, name) alone.
+        drawn = RngRegistry(seed=5).stream("loss").random()
+        assert drawn == random.Random(derive_seed(5, "loss")).random()
+
+    def test_creation_order_does_not_change_a_stream(self):
+        first = RngRegistry(seed=3)
+        first.stream("a").random()
+        later = first.stream("b").random()
+        assert RngRegistry(seed=3).stream("b").random() == later
+
+    def test_draws_from_one_stream_do_not_perturb_another(self):
+        busy = RngRegistry(seed=3)
+        for _ in range(100):
+            busy.stream("jitter").random()
+        assert busy.stream("loss").random() == RngRegistry(seed=3).stream("loss").random()
+
+
+class TestFillerCut:
+    @pytest.mark.parametrize(
+        "fill, filler, sizes",
+        [
+            (0.0, 12_000.0, []),
+            (12_000.0, 12_000.0, [12_000.0]),
+            (30_000.0, 12_000.0, [12_000.0, 12_000.0, 6_000.0]),
+            (2.5, 1.0, [1.0, 1.0, 0.5]),
+            (5e-10, 1.0, []),
+        ],
+        ids=["empty", "one-full", "remainder-last", "small-units", "below-the-floor"],
+    )
+    def test_a_fill_is_cut_into_full_packets_then_the_remainder(self, fill, filler, sizes):
+        cut = filler_packet_sizes(fill, filler)
+        assert cut == pytest.approx(sizes)
+        assert sum(cut) == pytest.approx(fill, abs=1e-9)
 
