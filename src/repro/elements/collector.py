@@ -22,7 +22,6 @@ class FlowTally:
     packets: int = 0
     bits: float = 0.0
     total_delay: float = 0.0
-    last_arrival: float | None = None
     arrivals: list[float] = field(default_factory=list)
 
     @property
@@ -50,7 +49,6 @@ class Collector(Element):
         tally.bits += packet.size_bits
         sent_at = packet.sent_at if packet.sent_at is not None else packet.created_at
         tally.total_delay += now - sent_at
-        tally.last_arrival = now
         tally.arrivals.append(now)
         self.packets.append(packet)
 

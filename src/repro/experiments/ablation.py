@@ -5,9 +5,9 @@ limited and that a deployable sender would use approximate Bayesian
 techniques.  DESIGN.md therefore calls out the approximation knobs this
 implementation exposes — the likelihood kernel, the ensemble-size cap, and
 decision memoization — and this module measures what each one costs or buys
-on a shortened Figure-3-style scenario: wall-clock time, number of planner
-rollouts, whether the sender still identifies the true link speed, and the
-posterior probability mass it places on that true value.
+on a shortened Figure-3-style scenario: number of planner rollouts, whether
+the sender still identifies the true link speed, and the posterior
+probability mass it places on that true value.
 
 Each configuration is one :class:`~repro.api.config.SenderConfig`, run as
 one ``inference_ablation_point`` scenario point (:mod:`repro.runner`).
@@ -15,7 +15,6 @@ one ``inference_ablation_point`` scenario point (:mod:`repro.runner`).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, replace
 
 from repro._persist import default_cache_dir
@@ -26,20 +25,10 @@ from repro.inference import figure3_prior
 from repro.topology.presets import figure2_network
 
 
-@dataclass(frozen=True)
-class AblationPoint:
-    """One named configuration of the inference/planning approximations."""
-
-    label: str
-    config: SenderConfig
-
-
 @dataclass
 class AblationOutcome:
     """Measurements for one configuration."""
 
-    config: AblationPoint
-    wall_time: float
     packets_sent: int
     goodput_bps: float
     #: The planner's ``rollouts_performed``: every lane it valued, a live
@@ -59,7 +48,6 @@ _PILOT_SEED = 1_000_003
 
 
 def run_ablation_point(
-    label: str,
     config: SenderConfig,
     duration: float = 60.0,
     switch_interval: float = 30.0,
@@ -78,7 +66,7 @@ def run_ablation_point(
     With ``policy="table"`` the policy table is precomputed on *this
     scenario's* parameters (same link rate / loss / switching, a disjoint
     pilot seed) before the measured run starts — precomputation is the
-    §3.3 offline step, so its cost is deliberately outside ``wall_time``.
+    §3.3 offline step.
     """
     if packet_bits is None:
         packet_bits = config.packet_bits
@@ -126,9 +114,7 @@ def run_ablation_point(
         policy_table.hits = policy_table.misses = 0
     sender = build_sender(config, network, prior=prior, policy_table=policy_table)
 
-    started = time.perf_counter()
     network.network.run(until=duration)
-    elapsed = time.perf_counter() - started
 
     belief = sender.belief
     marginal = belief.posterior_marginal("link_rate_bps")
@@ -138,8 +124,6 @@ def run_ablation_point(
         if abs(value - link_rate_bps) < 1e-6
     )
     return AblationOutcome(
-        config=AblationPoint(label=label, config=config),
-        wall_time=elapsed,
         packets_sent=sender.packets_sent,
         goodput_bps=network.sender_receiver.throughput_bps(0.0, duration),
         rollouts=sender.planner.rollouts_performed,

@@ -155,8 +155,36 @@ class HypothesisRows:
     def merge_keys(self, rows: list[int]) -> list[tuple]:
         return [self.hypotheses[row].signature() for row in rows]
 
-    def keep(self, rows: list[int]) -> None:
-        self.hypotheses = [self.hypotheses[row] for row in rows]
+    def ledger_facts(self, rows: list[int]) -> tuple[set[int], ...]:
+        """What :meth:`BeliefState._finished_seqs` reads of ``rows``' ledgers,
+        as sets of sequence numbers, in set algebra across rows: those that
+        have left every row's link, that every row scored, that every row
+        and some row charged lost, and that every row predicts dropped."""
+        hypotheses = [self.hypotheses[row] for row in rows]
+        first, *rest = hypotheses
+        left = set(first.model.predictions).intersection(
+            *[hypothesis.model.predictions for hypothesis in rest]
+        )
+        if not left:
+            return left, left, left, left, left
+        scored = first._resolved.intersection(*[hypothesis._resolved for hypothesis in rest])
+        lost_all = first._lost_seqs.intersection(*[hypothesis._lost_seqs for hypothesis in rest])
+        lost_any = first._lost_seqs.union(*[hypothesis._lost_seqs for hypothesis in rest])
+        # A dropped packet never entered the link, so no row has scored it.
+        unscored = left - first._resolved.union(*[hypothesis._resolved for hypothesis in rest])
+        dropped = {
+            seq
+            for seq in unscored
+            if not any(hypothesis.model.predictions[seq].delivered for hypothesis in hypotheses)
+        }
+        return left, scored, lost_all, lost_any, dropped
+
+    def keep(self, rows: list[int], retired: set[int]) -> None:
+        hypotheses = [self.hypotheses[row] for row in rows]
+        if retired:
+            for hypothesis in hypotheses:
+                hypothesis.retire(retired)
+        self.hypotheses = hypotheses
 
     def finish_update(self, belief: "BeliefState") -> None:
         """Nothing to tidy: a row keeps no history past its update."""
@@ -211,7 +239,8 @@ class BeliefState:
         """The settings and counters, whichever way the ensemble arrives."""
         self.kernel: LikelihoodKernel = kernel if kernel is not None else GaussianKernel(sigma=0.25)
         self.max_hypotheses = max_hypotheses
-        #: Every sequence number acknowledged so far.
+        #: Every sequence number acknowledged so far, less those retired from
+        #: the ledger after their ack (:meth:`_finished_seqs`).
         self.acked_seqs: set[int] = set()
         #: Number of updates in which every hypothesis was rejected.
         self.degenerate_updates = 0
@@ -443,7 +472,8 @@ class BeliefState:
             if value != -math.inf:
                 rows.append(row)
                 row_weights.append(prior[row] * exp(value))
-        if self._all_rejected(sum(row_weights)):
+        ignored = self._all_rejected(sum(row_weights))
+        if ignored:
             rows, row_weights = list(range(len(prior))), prior
 
         rows, row_weights = self._compact(ensemble, rows, row_weights)
@@ -452,7 +482,9 @@ class BeliefState:
         rows, row_weights = self._prune(rows, row_weights)
         if hook is not None:
             hook("prune", {"count": len(rows), "weights": list(row_weights)})
-        ensemble.keep(rows)
+        # An update that ignores its observation retires nothing either: what
+        # it would retire stays retirable until an update weighs one.
+        ensemble.keep(rows, set() if ignored else self._finished_seqs(ensemble, rows))
         self._weights = self._normalize(row_weights)
         if hook is not None:
             hook(
@@ -476,6 +508,32 @@ class BeliefState:
             return False
         self.degenerate_updates += 1
         return True
+
+    def _finished_seqs(self, ensemble, rows: list[int]) -> set[int]:
+        """The sent packets no surviving row can read differently again.
+
+        The one retirement rule for both forms (§3.2: a packet matters only
+        until the last observation that can read it is scored).  A packet
+        retires once it has left every survivor's modelled link (each holds
+        a delivered or dropped prediction for it) and one of these holds:
+
+        (a) it is acked, every survivor scored it and none charged it lost;
+        (b) every survivor charged it lost;
+        (c) every survivor predicts it dropped and none charged it lost.
+
+        Then any later ack of it rejects every row, with its ledger entry or
+        without (sequence numbers are unique, so an acked packet has no
+        second ack), no loss charge reads it, and every signature reads it
+        as the same bit on every row: dropping it changes no weight and no
+        grouping.  ``ensemble.keep`` drops it from every survivor, and
+        :attr:`acked_seqs` forgets it.  Without the left-the-link condition
+        a packet still queued in one row would lose the entry its
+        delivery writes.
+        """
+        left, scored, lost_all, lost_any, dropped = ensemble.ledger_facts(rows)
+        finished = left & ((((scored & self.acked_seqs) | dropped) - lost_any) | lost_all)
+        self.acked_seqs -= finished
+        return finished
 
     def _compact(
         self, ensemble, rows: list[int], weights: list[float]

@@ -48,7 +48,6 @@ class RolloutOutcome:
     """
 
     decision_time: float
-    action_delay: float
     horizon: float
     own_deliveries: list[tuple[float, float, float]] = field(default_factory=list)
     own_drops: list[tuple[float, float]] = field(default_factory=list)
@@ -139,6 +138,16 @@ class Hypothesis:
     def record_send(self, seq: int, size_bits: float, time: float) -> None:
         """Tell the hypothesis that the sender transmitted packet ``seq``."""
         self.model.send_own(seq, size_bits, time)
+
+    def retire(self, seqs: set[int]) -> None:
+        """Forget the sent packets ``seqs``, which have left the model's link
+        (:meth:`~repro.inference.belief.BeliefState._finished_seqs`)."""
+        predictions, own_sent = self.model.predictions, self.model.own_sent
+        for seq in seqs:
+            del predictions[seq]
+            own_sent.pop(seq, None)
+        self._resolved -= seqs
+        self._lost_seqs -= seqs
 
     # ----------------------------------------------------------------- evolve
 
@@ -278,7 +287,6 @@ class Hypothesis:
 
         outcome = RolloutOutcome(
             decision_time=decision_time,
-            action_delay=action_delay,
             horizon=horizon,
             final_queue_bits=scratch.backlog_bits,
             final_cross_backlog_bits=scratch.cross_backlog_bits(),

@@ -35,7 +35,7 @@ from repro.inference.belief import BeliefState, HypothesisRows
 from repro.inference.hypothesis import Hypothesis
 from repro.inference.vectorized import engine
 from repro.inference.vectorized.scoring import score_and_bookkeep
-from repro.inference.vectorized.state import EnsembleState
+from repro.inference.vectorized.state import PRED_DROPPED, PRED_NONE, EnsembleState
 
 
 class ArrayRows:
@@ -125,8 +125,43 @@ class ArrayRows:
         grouping, packed into per-row bytes."""
         return self.state.signature_digest(np.asarray(rows, dtype=np.int64))
 
-    def keep(self, rows: list[int]) -> None:
-        self.state = self.state.select(np.asarray(rows, dtype=np.int64))
+    def ledger_facts(self, rows: list[int]) -> tuple[set[int], ...]:
+        """The list form's :meth:`~repro.inference.belief.HypothesisRows.ledger_facts`,
+        read off ``rows``' ledger columns."""
+        state = self.state
+        count = state.n_own
+        rows = np.asarray(rows, dtype=np.int64)
+        pred_state = state.pred_state[rows, :count]
+        left = (pred_state != PRED_NONE).all(axis=0)
+        if not left.any():
+            return set(), set(), set(), set(), set()
+        seqs = state.own_seqs[:count]
+        lost = state.lost[rows, :count]
+        return tuple(
+            set(seqs[columns].tolist())
+            for columns in (
+                left,
+                state.resolved[rows, :count].all(axis=0),
+                lost.all(axis=0),
+                lost.any(axis=0),
+                (pred_state == PRED_DROPPED).all(axis=0),
+            )
+        )
+
+    def keep(self, rows: list[int], retired: set[int]) -> None:
+        """Gather the survivors; retired packets' columns are left out of the
+        same gather."""
+        state = self.state
+        rows = np.asarray(rows, dtype=np.int64)
+        if not retired:
+            self.state = state.select(rows)
+            return
+        live = [
+            column
+            for column, seq in enumerate(state.own_seqs[: state.n_own].tolist())
+            if seq not in retired
+        ]
+        self.state = state.select(rows, np.array(live, dtype=np.int64))
 
     def finish_update(self, belief: "VectorizedBeliefState") -> None:
         belief._hand_off_settled_row()

@@ -107,7 +107,6 @@ class BatchedRolloutOutcome:
     own_is_hyp: np.ndarray
     own_drop_time: np.ndarray
     own_drop_lane: np.ndarray
-    own_drop_is_hyp: np.ndarray
     cross_time: np.ndarray
     cross_bits: np.ndarray
     cross_lane: np.ndarray
@@ -139,10 +138,8 @@ class BatchedRolloutOutcome:
                 "cross_drop": _LaneIndex(self.cross_drop_lane, self.lanes),
             }
         index = self._lane_index
-        action = int(lane) // self.k
         outcome = RolloutOutcome(
             decision_time=self.decision_time,
-            action_delay=float(self.action_delays[action]),
             horizon=float(self.horizon[lane]),
             final_queue_bits=float(self.final_queue_bits[lane]),
             final_cross_backlog_bits=float(self.final_cross_backlog_bits[lane]),
@@ -502,7 +499,6 @@ def batched_rollout_rows(
         own_is_hyp=own >= base,
         own_drop_time=arrive[own_drop, own_drop_lane],
         own_drop_lane=own_drop_lane,
-        own_drop_is_hyp=np.ones(own_drop.size, dtype=bool),
         cross_time=completion[cross, cross_lane],
         cross_bits=size[cross, cross_lane],
         cross_lane=cross_lane,

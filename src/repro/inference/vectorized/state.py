@@ -8,9 +8,12 @@ of NumPy buffers, one row per hypothesis:
   constants,
 * the dynamic link-model state (gate, next cross arrival, the packet in
   service, the queue as fixed-width 2D ring buffers, queued bits),
-* the own-packet ledger: one *column* per sequence number the sender has
-  transmitted, holding each row's prediction (none / delivered / dropped),
-  prediction time, and the scoring bookkeeping bits (resolved, charged-lost).
+* the own-packet ledger: one *column* per sequence number still in flight,
+  holding each row's prediction (none / delivered / dropped), prediction
+  time, and the scoring bookkeeping bits (resolved, charged-lost).  A send
+  adds a column; the belief's update retires the columns no row can read
+  differently again (``BeliefState._finished_seqs``), inside the gather of
+  its survivors (:meth:`EnsembleState.select` with ``columns``).
 
 All hypotheses produced by a :class:`~repro.inference.belief.BeliefState`
 evolve in lockstep — every row sees the same sends and the same update
@@ -409,12 +412,18 @@ class EnsembleState:
 
     # --------------------------------------------------------------- gathering
 
-    def select(self, indices: np.ndarray, ledger: bool = True) -> "EnsembleState":
+    def select(
+        self, indices: np.ndarray, columns: np.ndarray | None = None, ledger: bool = True
+    ) -> "EnsembleState":
         """A new state holding ``indices``' rows (in that order).
 
-        ``ledger=False`` starts the new state's own-packet ledger empty
-        instead of gathering it: a rollout reads no ledger column, and the
-        ledger grows with every packet the sender has sent.
+        ``columns``, when given, names the own-packet ledger columns the new
+        state keeps (ascending): rows × those columns are gathered in one
+        pass, and every other column is retired.  The ledger keeps its
+        capacity; the columns past the kept ones hold retired contents,
+        which nothing reads (a send resets the column it claims).
+        ``ledger=False`` starts the new state's ledger empty instead: a
+        rollout reads no ledger column.
         """
         indices = np.asarray(indices, dtype=np.int64)
         out = EnsembleState.__new__(EnsembleState)
@@ -425,11 +434,25 @@ class EnsembleState:
         if not ledger:
             out._allocate_ledger(0)
             return out
+        if columns is None:
+            for name in _LEDGER_FIELDS:
+                setattr(out, name, getattr(self, name)[indices])
+            out.own_seqs = self.own_seqs.copy()
+            out.own_sent_times = self.own_sent_times.copy()
+            out.n_own = self.n_own
+            return out
+        # The kept columns first, then the rest, so the capacity stays; one
+        # gather per buffer, through flat offsets into its row-major data.
+        capacity = self.pred_state.shape[1]
+        spare = np.ones(capacity, dtype=bool)
+        spare[columns] = False
+        order = np.concatenate([columns, np.flatnonzero(spare)])
+        offsets = indices[:, None] * capacity + order
         for name in _LEDGER_FIELDS:
-            setattr(out, name, getattr(self, name)[indices])
-        out.own_seqs = self.own_seqs.copy()
-        out.own_sent_times = self.own_sent_times.copy()
-        out.n_own = self.n_own
+            setattr(out, name, getattr(self, name).ravel().take(offsets))
+        out.own_seqs = self.own_seqs[order]
+        out.own_sent_times = self.own_sent_times[order]
+        out.n_own = int(columns.size)
         return out
 
     # ---------------------------------------------------------------- capacity

@@ -67,7 +67,13 @@ class ScenarioEntry:
         return merged
 
     def validate_params(self, params: Mapping[str, Any]) -> None:
-        """Reject unknown or reserved parameter names with a readable error."""
+        """Reject unknown or reserved parameter names with a readable error,
+        and a run length (``duration``, one value or a sweep's list) that is
+        not positive: a run of zero seconds simulates nothing."""
+        duration = params.get("duration")
+        for value in duration if isinstance(duration, list) else [duration]:
+            if isinstance(value, (int, float)) and value <= 0:
+                raise ConfigurationError(f"duration={value!r}: a run's duration must be positive")
         if "seed" in params:
             raise ConfigurationError(
                 "'seed' is not a scenario parameter — it is derived from the "

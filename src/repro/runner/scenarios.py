@@ -276,11 +276,7 @@ def inference_ablation_point(
             "policy": policy,
         }
     )
-    label = (
-        f"{kernel}/{max_hypotheses}hyp/top{top_k}/{backend}/{rollout_backend}/{policy}"
-    )
     outcome = run_ablation_point(
-        label,
         config,
         duration=duration,
         link_rate_bps=link_rate_bps,
@@ -497,7 +493,8 @@ def corpus_trace(
 
     ``trace`` names a corpus entry (see ``python -m repro.corpus list``);
     ``corpus_dir`` overrides the default ``<cache-dir>/corpus`` root.
-    ``duration`` of 0 runs the trace's full length.  The cache key folds
+    ``duration`` left unset (its default, 0) runs the trace's full length;
+    a given one must be positive, as for every scenario.  The cache key folds
     in the entry's *content digest*, so re-ingesting different data under
     the same name invalidates cached points even though the params did
     not change.

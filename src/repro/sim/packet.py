@@ -7,13 +7,10 @@ traffic, acknowledgements, and future extensions can use different sizes.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Any
 
 from repro.units import DEFAULT_PACKET_BITS
-
-_packet_counter = itertools.count()
 
 
 @dataclass(slots=True)
@@ -45,8 +42,6 @@ class Packet:
     hops:
         Number of elements the packet has traversed (incremented by
         :meth:`repro.sim.element.Element.emit`).
-    uid:
-        Globally unique packet id, useful for tracing.
     meta:
         Free-form annotations (e.g. link-layer retransmission count).
     """
@@ -60,7 +55,6 @@ class Packet:
     dropped_at: float | None = None
     drop_reason: str | None = None
     hops: int = 0
-    uid: int = field(default_factory=_packet_counter.__next__)
     meta: dict[str, Any] = field(default_factory=dict)
 
     @property
@@ -77,7 +71,7 @@ class Packet:
         self.drop_reason = reason
 
     def copy(self) -> "Packet":
-        """Return an independent copy of this packet (fresh uid, copied meta)."""
+        """Return an independent copy of this packet (copied meta)."""
         return Packet(
             seq=self.seq,
             flow=self.flow,

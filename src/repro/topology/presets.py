@@ -50,7 +50,6 @@ class Figure2Network:
     link: Throughput
     loss: Loss
     pinger: Pinger
-    gate: GateElement | None
     sender_receiver: Receiver
     cross_receiver: Collector
     sender_flow: str
@@ -161,7 +160,6 @@ def figure2_network(
         link=link,
         loss=loss,
         pinger=pinger,
-        gate=gate,
         sender_receiver=sender_receiver,
         cross_receiver=cross_receiver,
         sender_flow=sender_flow,

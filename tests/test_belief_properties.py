@@ -58,8 +58,13 @@ def build_belief(backend: str, max_hypotheses: int) -> BeliefState:
     )
 
 
-def random_step(rng: random.Random, belief: BeliefState, now: float, seq: int):
-    """Apply one random send-or-update step; returns the new (now, seq)."""
+def random_step(rng: random.Random, belief: BeliefState, now: float, seq: int, acked: set):
+    """Apply one random send-or-update step; returns the new (now, seq).
+
+    ``acked`` holds every sequence number acknowledged so far, which this
+    step extends: each packet is acknowledged at most once, as a receiver
+    does (the belief's own ``acked_seqs`` forgets retired packets).
+    """
     if rng.random() < 0.5:
         belief.record_send(seq, PACKET_BITS, now)
         return now + rng.uniform(0.05, 0.8), seq + 1
@@ -67,7 +72,7 @@ def random_step(rng: random.Random, belief: BeliefState, now: float, seq: int):
     acks = []
     from repro.inference import AckObservation
 
-    for pending in sorted(set(range(seq)) - belief.acked_seqs):
+    for pending in sorted(set(range(seq)) - acked):
         if rng.random() < 0.4:
             acks.append(
                 AckObservation(
@@ -76,6 +81,7 @@ def random_step(rng: random.Random, belief: BeliefState, now: float, seq: int):
                     ack_at=now,
                 )
             )
+    acked.update(each.seq for each in acks)
     belief.update(now, acks)
     return now, seq
 
@@ -112,9 +118,9 @@ class TestBeliefInvariants:
             rng = random.Random(1_000 + trajectory)
             max_hypotheses = rng.choice((4, 16, 48))
             belief = build_belief(backend, max_hypotheses)
-            now, seq = 0.0, 0
+            now, seq, acked = 0.0, 0, set()
             for step in range(rng.randint(3, 7)):
-                now, seq = random_step(rng, belief, now, seq)
+                now, seq = random_step(rng, belief, now, seq, acked)
                 assert_invariants(
                     belief,
                     max_hypotheses,
@@ -144,9 +150,9 @@ class TestDecisionSignatureStability:
         for trajectory in range(TRAJECTORIES):
             rng = random.Random(2_000 + trajectory)
             belief = build_belief(backend, max_hypotheses=32)
-            now, seq = 0.0, 0
+            now, seq, acked = 0.0, 0, set()
             for _ in range(rng.randint(2, 5)):
-                now, seq = random_step(rng, belief, now, seq)
+                now, seq = random_step(rng, belief, now, seq, acked)
             # Settle at `now` so the round trip below is genuinely no-op —
             # a trajectory ending in a send still has time to make up.
             belief.update(now, [])

@@ -24,7 +24,6 @@ from repro.inference.hypothesis import RolloutOutcome
 def outcome_with(own=(), cross=(), cross_drops=(), backlog=0.0, horizon=10.0):
     return RolloutOutcome(
         decision_time=0.0,
-        action_delay=0.0,
         horizon=horizon,
         own_deliveries=list(own),
         cross_deliveries=list(cross),

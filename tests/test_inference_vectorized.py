@@ -895,17 +895,172 @@ class TestArrayKernelWithoutHandOff(
         )
 
 
+def link_row(rate, buffer_bits=96_000.0, loss_rate=0.2):
+    return {"link_rate_bps": rate, "buffer_capacity_bits": buffer_bits, "loss_rate": loss_rate}
+
+
+def held_seqs(belief):
+    """Each row's own-packet ledger, as the sequence numbers it still holds."""
+    return [sorted(hypothesis.export_state()["own_sent"]) for hypothesis in belief.hypotheses]
+
+
+#: ``(rows, events, held after, acked after)``, on a sigma = 2 s Gaussian kernel.
+#: Packets are 12 000 bits; a row's link delivers one in 12 000 / rate s.
+RETIREMENT_CASES = {
+    # (a) Acked, scored by both rows, charged lost by neither.
+    "acked-and-scored": (
+        [link_row(12_000.0), link_row(24_000.0)],
+        [("send", (0, 12_000.0, 0.0)), ("update", (2.0, [ack(0, 1.0)]))],
+        [[], []],
+        set(),
+    ),
+    # Packet 1 is acked and scored (the slow row scored its projection), but
+    # the slow row still has it in service; it goes once it has left that
+    # link too.  Packet 0, charged lost by both rows, goes by (b).
+    "acked-still-queued": (
+        [link_row(12_000.0), link_row(3_000.0)],
+        [
+            ("send", (0, 12_000.0, 0.0)),
+            ("send", (1, 12_000.0, 0.0)),
+            ("update", (5.0, [ack(1, 2.0)])),
+        ],
+        [[1], [1]],
+        {1},
+    ),
+    "acked-then-left-the-slow-link": (
+        [link_row(12_000.0), link_row(3_000.0)],
+        [
+            ("send", (0, 12_000.0, 0.0)),
+            ("send", (1, 12_000.0, 0.0)),
+            ("update", (5.0, [ack(1, 2.0)])),
+            ("update", (9.0, [])),
+        ],
+        [[], []],
+        set(),
+    ),
+    # (b) Charged lost by both rows; a late ack then rejects both without it.
+    "lost-everywhere": (
+        [link_row(12_000.0), link_row(24_000.0)],
+        [
+            ("send", (0, 12_000.0, 0.0)),
+            ("update", (5.0, [])),
+            ("update", (6.0, [ack(0, 5.5)])),
+        ],
+        [[], []],
+        {0},
+    ),
+    # (c) Packet 2 overflows both one-packet buffers; 0 and 1 are in the links.
+    "dropped-everywhere": (
+        [link_row(12_000.0, buffer_bits=12_000.0), link_row(24_000.0, buffer_bits=12_000.0)],
+        [
+            ("send", (0, 12_000.0, 0.0)),
+            ("send", (1, 12_000.0, 0.0)),
+            ("send", (2, 12_000.0, 0.0)),
+            ("update", (0.1, [])),
+        ],
+        [[0, 1], [0, 1]],
+        set(),
+    ),
+    # Packet 2: dropped by the small buffer, delivered and charged lost by the
+    # big one — lost on one row only, so it stays; 0 and 1 go by (a).
+    "lost-on-some-rows": (
+        [link_row(12_000.0, buffer_bits=12_000.0), link_row(12_000.0)],
+        [
+            ("send", (0, 12_000.0, 0.0)),
+            ("send", (1, 12_000.0, 0.0)),
+            ("send", (2, 12_000.0, 0.0)),
+            ("update", (4.0, [ack(0, 1.0), ack(1, 2.0)])),
+        ],
+        [[2], [2]],
+        set(),
+    ),
+    # The fast row charges packet 0 lost, so its ack rejects that row; the
+    # slow row scores it, then an ack of a packet never sent rejects that row
+    # too.  The degenerate update keeps both.  Once packet 0 has left the
+    # slow link, both rows have scored it, but only one charged it lost: it
+    # stays.
+    "degenerate-keeps-mixed-lost": (
+        [link_row(24_000.0), link_row(3_000.0)],
+        [
+            ("send", (0, 12_000.0, 0.0)),
+            ("update", (1.0, [])),
+            ("update", (2.0, [ack(0, 1.5), ack(99, 1.5)])),
+            ("update", (5.0, [])),
+        ],
+        [[0], [0]],
+        {0, 99},
+    ),
+}
+
+
+class TestLedgerRetirement:
+    """A sent packet leaves every row's ledger once no row can read it
+    differently again, on both forms alike."""
+
+    @pytest.mark.parametrize("case", sorted(RETIREMENT_CASES))
+    def test_the_rule_on_both_forms(self, case):
+        rows, events, held, acked = RETIREMENT_CASES[case]
+        kernel = GaussianKernel(sigma=2.0)
+        oracle, belief = (
+            replay(cls([Hypothesis.from_params(row) for row in rows], kernel=kernel), events)
+            for cls in (BeliefState, VectorizedBeliefState)
+        )
+        for each in (oracle, belief):
+            assert len(each) == len(rows)
+            assert held_seqs(each) == held
+            assert each.acked_seqs == acked
+        assert_same_observables(oracle, belief)
+        if case == "lost-everywhere":
+            assert oracle.degenerate_updates == 1
+        if case == "degenerate-keeps-mixed-lost":
+            assert oracle.degenerate_updates == 1
+            # The slow row, unscored, leads: the charge weighed the fast one.
+            assert [sorted(h.export_state()["lost"]) for h in oracle.hypotheses] == [[], [0]]
+
+    @pytest.mark.parametrize("backend", ["scalar", "vectorized"])
+    def test_an_unacked_delivered_packet_waits_for_its_charge(self, backend):
+        # A send advances both rows past packet 0's delivery; no update has
+        # scored it yet, so the rule keeps it.
+        belief = BeliefState.for_backend(backend)(
+            [Hypothesis.from_params(link_row(rate)) for rate in (12_000.0, 24_000.0)]
+        )
+        replay(belief, [("send", (0, 12_000.0, 0.0)), ("send", (1, 12_000.0, 5.0))])
+        assert belief._finished_seqs(belief._rows, [0, 1]) == set()
+        belief.update(5.0)
+        assert held_seqs(belief) == [[1], [1]]
+
+    def test_a_figure3_run_holds_only_what_is_in_flight(self, monkeypatch):
+        """600 s at α = 1: the array ledger never outgrows its first
+        allocation (it kept all 291 packets sent before)."""
+        from repro.api import SenderConfig
+        from repro.experiments.figure3 import run_figure3_point
+
+        widths = []
+        update = VectorizedBeliefState.update
+
+        def recording(self, *args, **kwargs):
+            update(self, *args, **kwargs)
+            widths.append(self.state.n_own)
+
+        monkeypatch.setattr(VectorizedBeliefState, "update", recording)
+        result = run_figure3_point(
+            1.0,
+            duration=600.0,
+            switch_interval=200.0,
+            settings=SenderConfig(belief_backend="fused", rollout_backend="fused"),
+        )
+        assert result.packets_sent > 200
+        assert len(widths) > 200
+        assert max(widths) <= 16
+
+
 class TestVectorizedSenderIntegration:
     def test_isender_runs_on_vectorized_backend(self):
         from repro.api import SenderConfig
         from repro.experiments.ablation import run_ablation_point
 
-        scalar_outcome = run_ablation_point(
-            "scalar", SenderConfig(belief_backend="scalar"), duration=20.0
-        )
-        vector_outcome = run_ablation_point(
-            "vectorized", SenderConfig(belief_backend="vectorized"), duration=20.0
-        )
+        scalar_outcome = run_ablation_point(SenderConfig(belief_backend="scalar"), duration=20.0)
+        vector_outcome = run_ablation_point(SenderConfig(belief_backend="vectorized"), duration=20.0)
         # The sender makes the same decisions on both inference backends.
         assert vector_outcome.packets_sent == scalar_outcome.packets_sent
         assert vector_outcome.final_hypotheses == scalar_outcome.final_hypotheses

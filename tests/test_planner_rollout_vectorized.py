@@ -121,7 +121,6 @@ def assert_lane_outcomes_match(
             assert lane.final_cross_backlog_bits == reference.final_cross_backlog_bits
             assert lane.hypothetical_delivered == reference.hypothetical_delivered
             assert lane.hypothetical_delivery_time == reference.hypothetical_delivery_time
-            assert lane.action_delay == delay
             assert lane.decision_time == reference.decision_time
     return references
 
@@ -492,7 +491,6 @@ class TestNoMaterializationOnDecidePath:
         from repro.experiments.ablation import run_ablation_point
 
         outcome = run_ablation_point(
-            "vectorized/vectorized",
             SenderConfig(belief_backend="vectorized", rollout_backend="vectorized"),
             duration=8.0,
         )

@@ -146,8 +146,13 @@ def python_trees(scope: str) -> list[tuple]:
     return trees
 
 
-def names_in(tree: ast.AST) -> Counter:
-    """Names, attributes and identifier strings (``getattr``), not docstrings or ``__all__``."""
+def names_in(tree: ast.AST, reads_only: bool = False) -> Counter:
+    """Names, attributes and identifier strings (``getattr``), not docstrings or ``__all__``.
+
+    ``reads_only`` counts what reads a field: attributes loaded and
+    identifier strings, not bare names (a field's own declaration is one)
+    nor an attribute assigned.
+    """
     ignored = set()
     for node in ast.walk(tree):
         if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -159,10 +164,11 @@ def names_in(tree: ast.AST) -> Counter:
             ignored.update(id(child) for child in ast.walk(node.value))
     names = Counter()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not reads_only:
             names[node.id] += 1
         elif isinstance(node, ast.Attribute):
-            names[node.attr] += 1
+            if not (reads_only and isinstance(node.ctx, ast.Store)):
+                names[node.attr] += 1
         elif (
             isinstance(node, ast.Constant)
             and isinstance(node.value, str)
@@ -183,6 +189,22 @@ def definitions(tree: ast.AST, prefix: str):
             yield from definitions(node, prefix)
 
 
+def dataclass_fields(node: ast.AST):
+    """The field names a ``@dataclass`` class declares (``ClassVar`` ones are no fields)."""
+    if not isinstance(node, ast.ClassDef) or not any(
+        "dataclass" in (getattr(target, "id", None), getattr(target, "attr", None))
+        for target in (getattr(decorator, "func", decorator) for decorator in node.decorator_list)
+    ):
+        return
+    for statement in node.body:
+        if (
+            isinstance(statement, ast.AnnAssign)
+            and isinstance(statement.target, ast.Name)
+            and "ClassVar" not in ast.unparse(statement.annotation)
+        ):
+            yield statement.target.id
+
+
 def registered(node: ast.AST) -> bool:
     """A scenario is run by the name its decorator registers."""
     return any(
@@ -192,21 +214,32 @@ def registered(node: ast.AST) -> bool:
 
 
 def test_every_definition_is_run_by_the_program():
-    named = Counter()
+    """Every function, method and class is named, and every dataclass field
+    read, by code the program runs.
+
+    A field counts as read where its name appears as an attribute or an
+    identifier string anywhere in that code, whichever class the attribute
+    belongs to: a field that shares its name with another class's read
+    field (``config``, ``wall_time``) still escapes the scan.
+    """
+    named, read = Counter(), Counter()
     for scope in ("src", "examples", "benchmarks"):
         for _, tree in python_trees(scope):
             named.update(names_in(tree))
-    unnamed, defined = [], set()
+            read.update(names_in(tree, reads_only=True))
+    unnamed, unread, defined = [], [], set()
     for path, tree in python_trees("src/repro"):
         module = ".".join(path.relative_to(ROOT / "src").with_suffix("").parts)
         for qualname, node in definitions(tree, module.removesuffix(".__init__")):
             defined.add(qualname)
+            unread.extend(f"{qualname}.{name}" for name in dataclass_fields(node) if not read[name])
             if (node.name.startswith("__") and node.name.endswith("__")) or registered(node):
                 continue
             # A name inside its own definition (recursion, a timer re-arming itself) is no caller.
             if named[node.name] == names_in(node)[node.name] and qualname not in RUN_FROM_OUTSIDE:
                 unnamed.append(qualname)
     assert unnamed == []
+    assert unread == []
     assert set(RUN_FROM_OUTSIDE) <= defined, "an allowlisted definition is gone: drop its row"
 
 

@@ -401,12 +401,35 @@ class TestCli:
     def test_a_negative_duration_fails_cleanly(self, scenario, extra, tmp_path, capsys):
         # It used to exit 0 and cache an all-zero point (many_flow_contention
         # died in a ValueError traceback instead).
-        argv = ["run", scenario, "--set", "duration=-5", *extra, "--cache-dir", str(tmp_path)]
-        assert cli_main(argv) == 2
+        self.assert_refused(["run", scenario, "--set", "duration=-5", *extra], tmp_path, capsys)
+
+    @pytest.mark.parametrize(
+        "scenario, extra",
+        [
+            pytest.param("single_link_tcp", [], id="single_link_tcp"),
+            pytest.param("figure1", [], id="figure1"),
+            pytest.param("corpus_trace", ["--set", "trace=fixture"], id="corpus_trace"),
+            pytest.param(
+                "many_flow_contention",
+                ["--set", "flows=2", "--set", "isender_flows=0"],
+                id="many_flow_contention",
+            ),
+        ],
+    )
+    def test_a_zero_duration_fails_cleanly(self, scenario, extra, tmp_path, capsys):
+        # It used to exit 0 and cache an all-zero point; a sweep with one zero
+        # among its values is refused before any point runs.
+        self.assert_refused(["run", scenario, "--set", "duration=0", *extra], tmp_path, capsys)
+        argv = ["run", scenario, "--sweep", "duration=2,0", *extra]
+        self.assert_refused(argv, tmp_path, capsys)
+
+    @staticmethod
+    def assert_refused(argv, cache_dir, capsys):
+        assert cli_main([*argv, "--cache-dir", str(cache_dir)]) == 2
         err = capsys.readouterr().err
-        assert "error:" in err and "not before the clock" in err
+        assert "error:" in err and "duration must be positive" in err
         assert "Traceback" not in err
-        assert not list(tmp_path.rglob("*.json"))
+        assert not list(cache_dir.rglob("*.json"))
 
     def test_run_unknown_scenario_fails_cleanly(self, capsys):
         assert cli_main(["run", "not_a_scenario"]) == 2

@@ -574,10 +574,10 @@ class TestPolicyTableCache:
 
         kwargs = dict(duration=6.0, seed=3)
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        cold = run_ablation_point("t", SenderConfig(policy="table"), **kwargs)
-        warm = run_ablation_point("t", SenderConfig(policy="table"), **kwargs)
+        cold = run_ablation_point(SenderConfig(policy="table"), **kwargs)
+        warm = run_ablation_point(SenderConfig(policy="table"), **kwargs)
         monkeypatch.delenv("REPRO_CACHE_DIR")
-        uncached = run_ablation_point("t", SenderConfig(policy="table"), **kwargs)
+        uncached = run_ablation_point(SenderConfig(policy="table"), **kwargs)
         for outcome in (warm, uncached):
             assert (outcome.policy_hits, outcome.policy_misses) == (
                 cold.policy_hits,

@@ -34,11 +34,6 @@ class TestPacket:
         assert packet.dropped_at == 3.0
         assert packet.drop_reason == "buffer"
 
-    def test_unique_uids(self):
-        a = Packet(seq=0, flow="f")
-        b = Packet(seq=0, flow="f")
-        assert a.uid != b.uid
-
     def test_copy_is_independent(self):
         original = Packet(seq=3, flow="f")
         original.meta["key"] = "value"

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.elements import Buffer, Collector, Delay, Receiver, Throughput
+from repro.elements import Buffer, Collector, Delay, GateElement, Receiver, Throughput
 from repro.errors import ConfigurationError, WiringError
 from repro.sim.element import Network
 from repro.sim.packet import Packet
@@ -48,7 +48,7 @@ class TestFigure2Preset:
         assert net.loss.rate == pytest.approx(0.2)
         assert net.buffer.capacity_bits == pytest.approx(96_000)
         assert net.pinger.rate_bps == pytest.approx(0.7 * 12_000)
-        assert net.gate is not None
+        assert isinstance(net.pinger.downstream, GateElement)
         assert validate_network(net.network) == []
 
     def test_invalid_cross_fraction_rejected(self):
@@ -85,8 +85,9 @@ class TestFigure2Preset:
     def test_intermittent_gate_variant(self):
         net = figure2_network(cross_gate="intermittent", mean_time_to_switch=5.0, seed=11)
         net.network.run(until=50.0)
-        assert net.gate is not None
-        assert len(net.gate.switch_times) > 2
+        gate = net.pinger.downstream
+        assert isinstance(gate, GateElement)
+        assert len(gate.switch_times) > 2
 
 
 class TestSingleLinkPreset:
