@@ -21,7 +21,7 @@ treatments of TCP.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from array import array
 from typing import Optional
 
 from repro.elements.receiver import Delivery, Receiver
@@ -30,14 +30,6 @@ from repro.sim.element import SourceElement
 from repro.sim.events import Event
 from repro.sim.packet import Packet
 from repro.units import DEFAULT_PACKET_BITS
-
-
-@dataclass(slots=True)
-class RttSample:
-    """One round-trip-time measurement."""
-
-    time: float
-    rtt: float
 
 
 class WindowSender(SourceElement):
@@ -112,6 +104,9 @@ class WindowSender(SourceElement):
         # Reliability state.
         self.next_seq = 0
         self.cumulative_ack = -1  # highest contiguously acknowledged sequence number
+        # Delivered sequence numbers above `cumulative_ack`: the only ones a
+        # later delivery can read (the cumulative loop, fast retransmit and
+        # NewReno's partial ACK all ask about `cumulative_ack + 1`).
         self.received_seqs: set[int] = set()
         self.outstanding: dict[int, float] = {}  # seq -> last transmission time
         self.duplicate_acks = 0
@@ -124,8 +119,9 @@ class WindowSender(SourceElement):
         # to the discarded simulator.
         self._rto_timer: Optional[Event] = None
 
-        # Statistics.
-        self.rtt_samples: list[RttSample] = []
+        # Statistics.  RTT samples are two columns, read by `rtt_series`.
+        self.rtt_times = array("d")
+        self.rtt_values = array("d")
         self.retransmissions = 0
         self.timeouts = 0
         self.fast_retransmits = 0
@@ -197,21 +193,29 @@ class WindowSender(SourceElement):
     def _on_delivery(self, delivery: Delivery) -> None:
         now = self.sim.now
         seq = delivery.seq
-        self.received_seqs.add(seq)
 
         # RTT sample (Karn's rule: only time packets transmitted exactly once
         # would be fully correct; timing the most recent transmission is the
         # usual simulator simplification).
-        sent_at = self.outstanding.get(seq)
+        sent_at = self.outstanding.pop(seq, None)
         if sent_at is not None:
             rtt = now - sent_at
-            self.rtt_samples.append(RttSample(time=now, rtt=rtt))
+            self.rtt_times.append(now)
+            self.rtt_values.append(rtt)
             self._update_rto(rtt)
-        self.outstanding.pop(seq, None)
 
-        previous_cumulative = self.cumulative_ack
-        while self.cumulative_ack + 1 in self.received_seqs:
-            self.cumulative_ack += 1
+        # The cumulative ACK takes each sequence number it passes out of
+        # `received_seqs`, and one at or below it is never put in.
+        previous_cumulative = cumulative = self.cumulative_ack
+        received = self.received_seqs
+        if seq == cumulative + 1:
+            cumulative = seq
+            while cumulative + 1 in received:
+                cumulative += 1
+                received.remove(cumulative)
+            self.cumulative_ack = cumulative
+        elif seq > cumulative:
+            received.add(seq)
 
         if self.cumulative_ack > previous_cumulative:
             newly_acked = self.cumulative_ack - previous_cumulative
@@ -286,7 +290,7 @@ class WindowSender(SourceElement):
 
     def rtt_series(self) -> list[tuple[float, float]]:
         """``(time, rtt)`` samples — the series Figure 1 plots."""
-        return [(sample.time, sample.rtt) for sample in self.rtt_samples]
+        return list(zip(self.rtt_times, self.rtt_values))
 
     def reset(self) -> None:
         super().reset()

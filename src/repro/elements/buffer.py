@@ -75,7 +75,7 @@ class Buffer(Element):
         #: The downstream's ``kick``, resolved once by :meth:`connect`.
         self._kick: Optional[Callable[[], None]] = None
         self.drop_count = 0
-        self.dropped_packets: list[Packet] = []
+        self.drops_by_flow: dict[str, int] = {}
         self.peak_occupancy_bits = 0.0
 
     # ----------------------------------------------------------------- wiring
@@ -117,7 +117,8 @@ class Buffer(Element):
             return
         if self._occupancy_bits + packet.size_bits > self.capacity_bits + 1e-9:
             self.drop_count += 1
-            self.dropped_packets.append(packet)
+            drops = self.drops_by_flow
+            drops[packet.flow] = drops.get(packet.flow, 0) + 1
             packet.mark_dropped(self.sim.now, self.name)
             return
         self._enqueue(packet)
@@ -150,5 +151,5 @@ class Buffer(Element):
         self._queue.clear()
         self._occupancy_bits = 0.0
         self.drop_count = 0
-        self.dropped_packets = []
+        self.drops_by_flow = {}
         self.peak_occupancy_bits = 0.0

@@ -9,7 +9,7 @@ elements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.sim.element import Element
 from repro.sim.packet import Packet
@@ -22,7 +22,6 @@ class FlowTally:
     packets: int = 0
     bits: float = 0.0
     total_delay: float = 0.0
-    arrivals: list[float] = field(default_factory=list)
 
     @property
     def mean_delay(self) -> float | None:
@@ -49,7 +48,6 @@ class Collector(Element):
         tally.bits += packet.size_bits
         sent_at = packet.sent_at if packet.sent_at is not None else packet.created_at
         tally.total_delay += now - sent_at
-        tally.arrivals.append(now)
         self.packets.append(packet)
 
     def count(self, flow: str | None = None) -> int:

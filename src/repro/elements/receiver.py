@@ -6,13 +6,19 @@ packet."  The preliminary experiments assume synchronized clocks and a
 lossless, instantaneous return path, which here is an optional callback
 invoked synchronously at delivery time.  An explicit acknowledgement delay
 can be configured to model a non-instant return path.
+
+Deliveries are kept as columns, one array entry per accepted packet in
+arrival order, not as one object each: a long many-flow run accumulates
+hundreds of thousands of them.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
-from typing import Callable, Optional
+from itertools import compress
+from typing import Callable, Iterator, Optional
 
 from repro.errors import ConfigurationError
 from repro.sim.element import Element
@@ -21,18 +27,13 @@ from repro.sim.packet import Packet
 
 @dataclass(slots=True)
 class Delivery:
-    """One recorded packet delivery."""
+    """One packet delivery, as handed to the ``on_deliver`` callback."""
 
     seq: int
     flow: str
     size_bits: float
     sent_at: float
     received_at: float
-
-    @property
-    def delay(self) -> float:
-        """One-way delay experienced by the packet."""
-        return self.received_at - self.sent_at
 
 
 class Receiver(Element):
@@ -49,6 +50,10 @@ class Receiver(Element):
     accept_flows:
         If given, only packets whose flow is in this collection are recorded
         and acknowledged; others are counted as ``ignored``.
+
+    Each accepted delivery appends one entry to five columns: ``seqs``,
+    ``flow_codes`` (an index into the flows in first-arrival order),
+    ``sizes``, ``sent_times`` and ``received_times``.
     """
 
     def __init__(
@@ -66,28 +71,44 @@ class Receiver(Element):
         self.on_deliver = on_deliver
         self.ack_delay = float(ack_delay)
         self.accept_flows = set(accept_flows) if accept_flows is not None else None
-        self.deliveries: list[Delivery] = []
+        self._clear()
+
+    def _clear(self) -> None:
+        self._code_of: dict[str, int] = {}
+        self.seqs = array("q")
+        self.flow_codes = array("I")
+        self.sizes = array("d")
+        self.sent_times = array("d")
+        self.received_times = array("d")
         self.ignored_count = 0
         self.bits_received = 0.0
 
     def receive(self, packet: Packet) -> None:
         self.received_count += 1
-        if self.accept_flows is not None and packet.flow not in self.accept_flows:
+        flow = packet.flow
+        if self.accept_flows is not None and flow not in self.accept_flows:
             self.ignored_count += 1
             return
         now = self.sim.now
         packet.delivered_at = now
         sent_at = packet.sent_at if packet.sent_at is not None else packet.created_at
-        delivery = Delivery(
-            seq=packet.seq,
-            flow=packet.flow,
-            size_bits=packet.size_bits,
-            sent_at=sent_at,
-            received_at=now,
-        )
-        self.deliveries.append(delivery)
+        code = self._code_of.get(flow)
+        if code is None:
+            code = self._code_of[flow] = len(self._code_of)
+        self.seqs.append(packet.seq)
+        self.flow_codes.append(code)
+        self.sizes.append(packet.size_bits)
+        self.sent_times.append(sent_at)
+        self.received_times.append(now)
         self.bits_received += packet.size_bits
         if self.on_deliver is not None:
+            delivery = Delivery(
+                seq=packet.seq,
+                flow=flow,
+                size_bits=packet.size_bits,
+                sent_at=sent_at,
+                received_at=now,
+            )
             if self.ack_delay > 0:
                 self.sim.schedule(self.ack_delay, self.on_deliver, delivery)
             else:
@@ -98,34 +119,47 @@ class Receiver(Element):
     @property
     def count(self) -> int:
         """Number of accepted deliveries."""
-        return len(self.deliveries)
+        return len(self.received_times)
 
-    def deliveries_for(self, flow: str) -> list[Delivery]:
-        """Deliveries belonging to ``flow``."""
-        return [delivery for delivery in self.deliveries if delivery.flow == flow]
+    def _rows(self, flow: str | None, *columns: array) -> Iterator[tuple]:
+        """``columns`` zipped, in arrival order, for ``flow`` or every flow."""
+        rows = zip(*columns)
+        if flow is None:
+            return rows
+        code = self._code_of.get(flow)
+        if code is None:
+            return iter(())
+        return compress(rows, map(code.__eq__, self.flow_codes))
 
-    def sequence_series(self, flow: str | None = None) -> list[tuple[float, int]]:
-        """``(time, cumulative packet count)`` pairs, the paper's Figure-3 y-axis."""
-        rows = self.deliveries if flow is None else self.deliveries_for(flow)
-        return [(delivery.received_at, index + 1) for index, delivery in enumerate(rows)]
+    def arrivals(self, flow: str | None = None) -> Iterator[tuple[float, float]]:
+        """``(received_at, size_bits)`` of each delivery of ``flow`` (or of all)."""
+        return self._rows(flow, self.received_times, self.sizes)
+
+    def delays(self, flow: str | None = None) -> Iterator[float]:
+        """One-way delay of each delivery of ``flow`` (or of all), in arrival order."""
+        return (
+            received - sent
+            for sent, received in self._rows(flow, self.sent_times, self.received_times)
+        )
 
     def throughput_bps(self, start: float, end: float, flow: str | None = None) -> float:
         """Average goodput in bits per second over ``[start, end)``."""
         if end <= start:
             return 0.0
-        rows = self.deliveries if flow is None else self.deliveries_for(flow)
-        bits = sum(d.size_bits for d in rows if start <= d.received_at < end)
+        bits = sum(size for at, size in self.arrivals(flow) if start <= at < end)
         return bits / (end - start)
 
     def mean_delay(self, flow: str | None = None) -> float | None:
         """Mean one-way delay of accepted packets, or ``None`` if no deliveries."""
-        rows = self.deliveries if flow is None else self.deliveries_for(flow)
-        if not rows:
+        if flow is None:
+            count = self.count
+        else:
+            code = self._code_of.get(flow)
+            count = 0 if code is None else self.flow_codes.count(code)
+        if not count:
             return None
-        return sum(d.delay for d in rows) / len(rows)
+        return sum(self.delays(flow)) / count
 
     def reset(self) -> None:
         super().reset()
-        self.deliveries = []
-        self.ignored_count = 0
-        self.bits_received = 0.0
+        self._clear()

@@ -191,9 +191,7 @@ def run_figure3_point(
         rate_on2_bps=rate_on2,
         cross_rate_on2_bps=cross_on2,
         buffer_drops=network.buffer.drop_count,
-        cross_drops=sum(
-            1 for packet in network.buffer.dropped_packets if packet.flow == network.cross_flow
-        ),
+        cross_drops=network.buffer.drops_by_flow.get(network.cross_flow, 0),
         final_hypotheses=len(sender.belief),
         degenerate_updates=sender.belief.degenerate_updates,
     )

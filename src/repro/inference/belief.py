@@ -158,16 +158,15 @@ class HypothesisRows:
     def ledger_facts(self, rows: list[int]) -> tuple[set[int], ...]:
         """What :meth:`BeliefState._finished_seqs` reads of ``rows``' ledgers,
         as sets of sequence numbers, in set algebra across rows: those that
-        have left every row's link, that every row scored, that every row
-        and some row charged lost, and that every row predicts dropped."""
+        have left every row's link, that every row and some row charged
+        lost, and that every row predicts dropped."""
         hypotheses = [self.hypotheses[row] for row in rows]
         first, *rest = hypotheses
         left = set(first.model.predictions).intersection(
             *[hypothesis.model.predictions for hypothesis in rest]
         )
         if not left:
-            return left, left, left, left, left
-        scored = first._resolved.intersection(*[hypothesis._resolved for hypothesis in rest])
+            return left, left, left, left
         lost_all = first._lost_seqs.intersection(*[hypothesis._lost_seqs for hypothesis in rest])
         lost_any = first._lost_seqs.union(*[hypothesis._lost_seqs for hypothesis in rest])
         # A dropped packet never entered the link, so no row has scored it.
@@ -177,7 +176,7 @@ class HypothesisRows:
             for seq in unscored
             if not any(hypothesis.model.predictions[seq].delivered for hypothesis in hypotheses)
         }
-        return left, scored, lost_all, lost_any, dropped
+        return left, lost_all, lost_any, dropped
 
     def keep(self, rows: list[int], retired: set[int]) -> None:
         hypotheses = [self.hypotheses[row] for row in rows]
@@ -517,7 +516,7 @@ class BeliefState:
         retires once it has left every survivor's modelled link (each holds
         a delivered or dropped prediction for it) and one of these holds:
 
-        (a) it is acked, every survivor scored it and none charged it lost;
+        (a) it is acked and no survivor charged it lost;
         (b) every survivor charged it lost;
         (c) every survivor predicts it dropped and none charged it lost.
 
@@ -528,10 +527,12 @@ class BeliefState:
         grouping.  ``ensemble.keep`` drops it from every survivor, and
         :attr:`acked_seqs` forgets it.  Without the left-the-link condition
         a packet still queued in one row would lose the entry its
-        delivery writes.
+        delivery writes.  Whether each survivor scored the ack is no
+        condition: the scored bit is read only by the loss charge, which
+        skips an acked packet.
         """
-        left, scored, lost_all, lost_any, dropped = ensemble.ledger_facts(rows)
-        finished = left & ((((scored & self.acked_seqs) | dropped) - lost_any) | lost_all)
+        left, lost_all, lost_any, dropped = ensemble.ledger_facts(rows)
+        finished = left & (((self.acked_seqs | dropped) - lost_any) | lost_all)
         self.acked_seqs -= finished
         return finished
 

@@ -134,14 +134,13 @@ class ArrayRows:
         pred_state = state.pred_state[rows, :count]
         left = (pred_state != PRED_NONE).all(axis=0)
         if not left.any():
-            return set(), set(), set(), set(), set()
+            return set(), set(), set(), set()
         seqs = state.own_seqs[:count]
         lost = state.lost[rows, :count]
         return tuple(
             set(seqs[columns].tolist())
             for columns in (
                 left,
-                state.resolved[rows, :count].all(axis=0),
                 lost.all(axis=0),
                 lost.any(axis=0),
                 (pred_state == PRED_DROPPED).all(axis=0),

@@ -12,13 +12,14 @@ provides the two standard answers:
   Jain index stays above a threshold for the rest of the run.
 
 :func:`flow_rate_matrix` builds the windowed per-flow rate series those
-two consume from raw :class:`~repro.elements.receiver.Delivery` records.
+two consume from ``(received_at, size_bits)`` pairs, such as
+:meth:`~repro.elements.receiver.Receiver.arrivals` yields.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 __all__ = [
     "convergence_time",
@@ -47,7 +48,7 @@ def jain_index(values: Sequence[float]) -> float:
 
 
 def flow_rate_matrix(
-    deliveries_by_flow: Mapping[str, Sequence],
+    arrivals_by_flow: Mapping[str, Iterable[tuple[float, float]]],
     start: float,
     end: float,
     window: float,
@@ -65,12 +66,12 @@ def flow_rate_matrix(
     count = int(math.ceil((end - start) / window))
     window_starts = [start + index * window for index in range(count)]
     rates: dict[str, list[float]] = {}
-    for flow, deliveries in deliveries_by_flow.items():
+    for flow, arrivals in arrivals_by_flow.items():
         bits = [0.0] * count
-        for delivery in deliveries:
-            if start <= delivery.received_at < end:
-                index = int((delivery.received_at - start) / window)
-                bits[min(index, count - 1)] += delivery.size_bits
+        for received_at, size_bits in arrivals:
+            if start <= received_at < end:
+                index = int((received_at - start) / window)
+                bits[min(index, count - 1)] += size_bits
         rates[flow] = [b / window for b in bits]
     return window_starts, rates
 

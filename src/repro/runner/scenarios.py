@@ -12,7 +12,9 @@ This module is imported lazily by the registry (first name resolution), so
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Any, Mapping
 
 from repro.api.config import SenderConfig, canonical_digest
@@ -609,6 +611,19 @@ def many_flow_contention(
         )
     if isender_flows < flows and not mix_kinds:
         raise ConfigurationError("mix must name at least one sender kind")
+    # Each check is written so that NaN fails it.
+    if not 0.0 <= propagation_delay < math.inf:
+        raise ConfigurationError(
+            f"propagation_delay must be finite and non-negative, got {propagation_delay!r}"
+        )
+    if not 0.0 < fairness_window < math.inf:
+        raise ConfigurationError(
+            f"fairness_window must be finite and positive, got {fairness_window!r}"
+        )
+    if not 0.0 < fairness_threshold <= 1.0:
+        raise ConfigurationError(
+            f"fairness_threshold must lie in (0, 1], got {fairness_threshold!r}"
+        )
 
     if trace:
         link_trace = open_corpus_store(corpus_dir or None).get(trace)
@@ -695,7 +710,7 @@ def many_flow_contention(
         for flow in flow_names
     }
     window_starts, rate_rows = flow_rate_matrix(
-        {flow: receivers[flow].deliveries for flow in flow_names},
+        {flow: receivers[flow].arrivals() for flow in flow_names},
         start=0.0,
         end=duration,
         window=fairness_window,
@@ -703,11 +718,13 @@ def many_flow_contention(
     converged_at = convergence_time(
         window_starts, rate_rows, threshold=fairness_threshold
     )
-    delays = [
-        delivery.delay
-        for flow in flow_names
-        for delivery in receivers[flow].deliveries
-    ]
+    # Delays are read off the receivers' columns twice, as a stream: no
+    # per-delivery list is built at the end of a long run.
+    delivered = sum(receivers[flow].count for flow in flow_names)
+
+    def delays():
+        return chain.from_iterable(receivers[flow].delays() for flow in flow_names)
+
     total_goodput = sum(goodputs.values())
     kind_goodputs = {
         kind: [goodputs[flow] for flow, k in zip(flow_names, flow_kinds) if k == kind]
@@ -735,8 +752,8 @@ def many_flow_contention(
         "goodput_baseline_bps": (
             sum(baseline_rates) / len(baseline_rates) if baseline_rates else 0.0
         ),
-        "mean_delay_s": sum(delays) / len(delays) if delays else 0.0,
-        "max_delay_s": max(delays) if delays else 0.0,
+        "mean_delay_s": sum(delays()) / delivered if delivered else 0.0,
+        "max_delay_s": max(delays(), default=0.0),
         "buffer_drops": buffer.drop_count,
         "demux_ignored": demux.ignored_count,
         "events_processed": network.sim.events_processed,

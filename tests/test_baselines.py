@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.baselines import (
     AimdSender,
@@ -64,9 +65,10 @@ class TestWindowSenderMechanics:
 
     def test_rtt_samples_collected(self):
         sender, _ = run_tcp(RenoSender, duration=20.0)
-        assert sender.rtt_samples
-        assert all(sample.rtt > 0 for sample in sender.rtt_samples)
-        assert sender.rtt_series()[0][1] > 0
+        series = sender.rtt_series()
+        assert series
+        assert all(rtt > 0 for _, rtt in series)
+        assert [time for time, _ in series] == sorted(time for time, _ in series)
 
     def test_cwnd_grows_during_slow_start(self):
         sender, _ = run_tcp(RenoSender, duration=5.0)
@@ -121,6 +123,48 @@ class TestVariantBehaviour:
         assert cubic.cwnd > 10.0
 
 
+class TestReceiveState:
+    """A sender keeps only the delivered sequence numbers above its
+    cumulative ACK: the set a long run holds is what is in flight."""
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(
+        sender_cls=st.sampled_from([RenoSender, NewRenoSender, CubicSender]),
+        loss_rate=st.floats(min_value=0.02, max_value=0.3),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_received_seqs_lie_above_the_cumulative_ack(self, sender_cls, loss_rate, seed):
+        network = single_link_network(
+            link_rate_bps=100_000.0,
+            buffer_capacity_bits=20 * 12_000.0,
+            loss_rate=loss_rate,
+            sender_flow="tcp",
+            seed=seed,
+        )
+        receiver = network.sender_receiver
+        sender = sender_cls(receiver, flow="tcp", name="tcp")
+        acknowledge = receiver.on_deliver
+        delivered: set[int] = set()
+
+        def checked(delivery):
+            acknowledge(delivery)
+            delivered.add(delivery.seq)
+            cumulative = sender.cumulative_ack
+            # Every sequence number up to the cumulative ACK was delivered,
+            # the next one was not, and exactly those above it are held.
+            assert set(range(cumulative + 1)) <= delivered
+            assert cumulative + 1 not in delivered
+            assert sender.received_seqs == {seq for seq in delivered if seq > cumulative}
+            assert all(cumulative < seq < sender.next_seq for seq in sender.received_seqs)
+
+        receiver.on_deliver = checked
+        sender.connect(network.entry)
+        network.network.add(sender)
+        network.network.run(until=30.0)
+        assert len(delivered) > 20
+        assert sender.retransmissions > 0
+
+
 def _bottleneck_run(network, sender_cls, duration=5.0):
     """Wire ``sender_cls`` → Buffer → Throughput(1 Mbit/s) → Delay(50 ms) → Receiver."""
     receiver = Receiver(name="rx")
@@ -136,8 +180,8 @@ def _outcome(sender, receiver):
         sender.packets_sent,
         sender.cwnd,
         sender.ssthresh,
-        [(d.seq, d.sent_at, d.received_at) for d in receiver.deliveries],
-        [(sample.time, sample.rtt) for sample in sender.rtt_samples],
+        list(zip(receiver.seqs, receiver.sent_times, receiver.received_times)),
+        sender.rtt_series(),
     )
 
 

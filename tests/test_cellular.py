@@ -199,7 +199,7 @@ class TestBufferbloatMechanism:
         link.connect(receiver)
         network.add(sender)
         network.run(until=60.0)
-        rtts = [sample.rtt for sample in sender.rtt_samples]
+        rtts = [rtt for _, rtt in sender.rtt_series()]
         assert min(rtts) < 0.2
         assert max(rtts) > 10 * min(rtts)
 

@@ -26,6 +26,7 @@ from repro.elements import (
     Throughput,
 )
 from repro.errors import ConfigurationError, WiringError
+from repro.metrics.fairness import flow_rate_matrix
 from repro.sim.element import Element, Network, SourceElement
 from repro.sim.packet import Packet
 
@@ -232,7 +233,7 @@ class TestReceiver:
         receiver.receive(Packet(seq=7, flow="f", size_bits=12_000, sent_at=0.0, created_at=0.0))
         assert receiver.count == 1
         assert seen[0].seq == 7
-        assert seen[0].delay == pytest.approx(0.0)
+        assert seen[0].received_at - seen[0].sent_at == pytest.approx(0.0)
         assert receiver.bits_received == pytest.approx(12_000)
 
     def test_ack_delay_defers_callback(self, network):
@@ -254,17 +255,58 @@ class TestReceiver:
         assert receiver.count == 1
         assert receiver.ignored_count == 1
 
-    def test_sequence_series_and_throughput(self, network):
+    def test_delivery_columns_and_throughput(self, network):
         receiver = Receiver(name="rx")
         network.add(receiver)
         network.start()
         for seq in range(4):
             network.sim.schedule(float(seq), receiver.receive, Packet(seq=seq, flow="f", size_bits=8_000, sent_at=float(seq)))
         network.run()
-        series = receiver.sequence_series()
-        assert series[-1] == (3.0, 4)
+        assert receiver.count == 4
+        assert list(receiver.received_times) == [0.0, 1.0, 2.0, 3.0]
         assert receiver.throughput_bps(0.0, 4.0) == pytest.approx(8_000)
         assert receiver.mean_delay() == pytest.approx(0.0)
+
+    def test_columns_pin_the_read_off_of_a_shared_receiver(self, network):
+        # One receiver for two flows: (received_at, seq, flow, size_bits, sent_at).
+        receiver = Receiver(name="rx")
+        network.add(receiver)
+        network.start()
+        arrivals = [
+            (0.5, 0, "a", 8_000.0, 0.25),
+            (1.0, 0, "b", 4_000.0, 0.5),
+            (1.5, 1, "a", 8_000.0, 1.0),
+            (2.5, 1, "b", 4_000.0, 1.5),
+            (3.5, 2, "a", 16_000.0, 3.0),
+        ]
+        for at, seq, flow, size, sent in arrivals:
+            packet = Packet(seq=seq, flow=flow, size_bits=size, sent_at=sent)
+            network.sim.schedule_at(at, receiver.receive, packet)
+        network.run()
+        assert receiver.count == 5
+        assert list(receiver.seqs) == [0, 0, 1, 1, 2]
+        assert list(receiver.flow_codes) == [0, 1, 0, 1, 0]
+        assert list(receiver.sizes) == [size for _, _, _, size, _ in arrivals]
+        assert list(receiver.sent_times) == [sent for *_, sent in arrivals]
+        assert list(receiver.received_times) == [at for at, *_ in arrivals]
+        assert receiver.throughput_bps(0.0, 2.0, flow="a") == 8_000.0
+        assert receiver.throughput_bps(0.0, 2.0, flow="b") == 2_000.0
+        assert receiver.throughput_bps(0.0, 4.0) == 10_000.0
+        assert receiver.throughput_bps(0.0, 4.0, flow="c") == 0.0
+        assert receiver.throughput_bps(2.0, 2.0) == 0.0
+        assert receiver.mean_delay("a") == sum([0.25, 0.5, 0.5]) / 3
+        assert receiver.mean_delay("b") == 0.75
+        assert receiver.mean_delay() == sum([0.25, 0.5, 0.5, 1.0, 0.5]) / 5
+        assert receiver.mean_delay("c") is None
+        windows, rates = flow_rate_matrix(
+            {flow: receiver.arrivals(flow) for flow in ("a", "b")},
+            start=0.0,
+            end=4.0,
+            window=2.0,
+        )
+        assert windows == [0.0, 2.0]
+        assert rates == {"a": [8_000.0, 8_000.0], "b": [2_000.0, 2_000.0]}
+        assert list(receiver.arrivals()) == [(at, size) for at, _, _, size, _ in arrivals]
 
     def test_mean_delay_none_when_empty(self, network):
         receiver = Receiver(name="rx")

@@ -86,14 +86,17 @@ class TestBuffer:
         # of an instantaneous burst are dropped.
         buffer, link, sink = make_chain(network, capacity_bits=24_000)
         network.start()
-        for seq in range(6):
-            buffer.receive(Packet(seq=seq, flow="f", size_bits=12_000, sent_at=0.0))
+        packets = [Packet(seq=seq, flow="f", size_bits=12_000, sent_at=0.0) for seq in range(6)]
+        for packet in packets:
+            buffer.receive(packet)
         assert buffer.drop_count == 3
+        assert buffer.drops_by_flow == {"f": 3}
         network.run()
         assert sink.count() == 3
         assert [p.seq for p in sink.packets] == [0, 1, 2]
-        dropped_seqs = [p.seq for p in buffer.dropped_packets]
-        assert dropped_seqs == [3, 4, 5]
+        dropped = [p for p in packets if p.dropped_at is not None]
+        assert [p.seq for p in dropped] == [3, 4, 5]
+        assert {p.drop_reason for p in dropped} == {buffer.name}
 
     def test_occupancy_tracks_queue(self, network):
         buffer, link, sink = make_chain(network, capacity_bits=48_000)
@@ -209,12 +212,16 @@ class TestQueueingProperties:
         link.connect(sink)
         network.add(buffer)
         network.start()
-        for seq, size in enumerate(sizes):
-            buffer.receive(Packet(seq=seq, flow="f", size_bits=size, sent_at=0.0))
+        packets = [
+            Packet(seq=seq, flow="f", size_bits=size, sent_at=0.0) for seq, size in enumerate(sizes)
+        ]
+        for packet in packets:
+            buffer.receive(packet)
         network.run()
         assert sink.count() + buffer.drop_count == len(sizes)
+        assert buffer.drops_by_flow == ({"f": buffer.drop_count} if buffer.drop_count else {})
         delivered_bits = sum(p.size_bits for p in sink.packets)
-        dropped_bits = sum(p.size_bits for p in buffer.dropped_packets)
+        dropped_bits = sum(p.size_bits for p in packets if p.dropped_at is not None)
         assert delivered_bits + dropped_bits == pytest.approx(sum(sizes))
 
     @settings(max_examples=30, deadline=None)

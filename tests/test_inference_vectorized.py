@@ -907,7 +907,7 @@ def held_seqs(belief):
 #: ``(rows, events, held after, acked after)``, on a sigma = 2 s Gaussian kernel.
 #: Packets are 12 000 bits; a row's link delivers one in 12 000 / rate s.
 RETIREMENT_CASES = {
-    # (a) Acked, scored by both rows, charged lost by neither.
+    # (a) Acked, charged lost by neither row.
     "acked-and-scored": (
         [link_row(12_000.0), link_row(24_000.0)],
         [("send", (0, 12_000.0, 0.0)), ("update", (2.0, [ack(0, 1.0)]))],
@@ -937,6 +937,20 @@ RETIREMENT_CASES = {
         ],
         [[], []],
         set(),
+    ),
+    # An ack of a packet never sent rejects both rows before they score
+    # packet 0's ack, and the degenerate update keeps both and retires
+    # nothing.  The next update retires packet 0, acked and charged lost by
+    # neither row, though neither row ever scored it.
+    "acked-unscored-after-a-degenerate-update": (
+        [link_row(12_000.0), link_row(24_000.0)],
+        [
+            ("send", (0, 12_000.0, 0.0)),
+            ("update", (2.0, [ack(99, 1.5), ack(0, 1.0)])),
+            ("update", (3.0, [])),
+        ],
+        [[], []],
+        {99},
     ),
     # (b) Charged lost by both rows; a late ack then rejects both without it.
     "lost-everywhere": (
@@ -1010,7 +1024,7 @@ class TestLedgerRetirement:
             assert held_seqs(each) == held
             assert each.acked_seqs == acked
         assert_same_observables(oracle, belief)
-        if case == "lost-everywhere":
+        if case in ("lost-everywhere", "acked-unscored-after-a-degenerate-update"):
             assert oracle.degenerate_updates == 1
         if case == "degenerate-keeps-mixed-lost":
             assert oracle.degenerate_updates == 1

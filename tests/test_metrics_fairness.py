@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.elements.receiver import Delivery
 from repro.metrics import convergence_time, flow_rate_matrix, jain_index
 
 
@@ -67,22 +66,15 @@ class TestConvergenceTime:
 
 
 class TestFlowRateMatrix:
-    def make_delivery(self, flow, at, bits=12_000.0):
-        return Delivery(seq=0, flow=flow, size_bits=bits, sent_at=at, received_at=at)
-
     def test_windows_align_across_flows(self):
-        deliveries = {
-            "a": [self.make_delivery("a", 0.5), self.make_delivery("a", 1.5)],
-            "b": [self.make_delivery("b", 1.5)],
-        }
-        windows, rates = flow_rate_matrix(deliveries, start=0.0, end=2.0, window=1.0)
+        arrivals = {"a": [(0.5, 12_000.0), (1.5, 12_000.0)], "b": [(1.5, 12_000.0)]}
+        windows, rates = flow_rate_matrix(arrivals, start=0.0, end=2.0, window=1.0)
         assert windows == [0.0, 1.0]
         assert rates["a"] == [12_000.0, 12_000.0]
         assert rates["b"] == [0.0, 12_000.0]
 
     def test_out_of_range_deliveries_ignored(self):
-        deliveries = {"a": [self.make_delivery("a", 5.0)]}
-        _, rates = flow_rate_matrix(deliveries, start=0.0, end=2.0, window=1.0)
+        _, rates = flow_rate_matrix({"a": [(5.0, 12_000.0)]}, start=0.0, end=2.0, window=1.0)
         assert rates["a"] == [0.0, 0.0]
 
     def test_validation(self):

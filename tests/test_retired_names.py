@@ -106,6 +106,16 @@ TEXT_RULES = [
         "benchmarks/compare.py alone decides a timing regression: nothing in src/ reads a record",
     ),
     (
+        "per-packet-logs",
+        r"\brtt_samples\b|\bRttSample\b|\bdropped_packets\b|(?<!cross)\.deliveries\b"
+        r"|list\[Delivery\]|tally\.arrivals",
+        ("src", "examples"),
+        0,
+        "a long run keeps per-packet history in columns: RTT samples and deliveries are"
+        " arrays, a buffer counts its drops per flow, a collector keeps no arrival log,"
+        " and no list of objects comes back",
+    ),
+    (
         "stream-transport",
         "start_server|open_connection|StreamReader",
         ("src/repro/serving/server.py",),

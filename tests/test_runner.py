@@ -423,6 +423,40 @@ class TestCli:
         argv = ["run", scenario, "--sweep", "duration=2,0", *extra]
         self.assert_refused(argv, tmp_path, capsys)
 
+    #: What ``many_flow_contention`` requires of each parameter it refuses.
+    CONTENTION_RULES = {
+        "fairness_window": "fairness_window must be finite and positive",
+        "propagation_delay": "propagation_delay must be finite and non-negative",
+        "fairness_threshold": "fairness_threshold must lie in (0, 1]",
+    }
+
+    @pytest.mark.parametrize(
+        "assignment",
+        [
+            "fairness_window=0",
+            "fairness_window=nan",
+            "fairness_window=inf",
+            "propagation_delay=-1",
+            "propagation_delay=nan",
+            "propagation_delay=inf",
+            "fairness_threshold=nan",
+            "fairness_threshold=2",
+            "fairness_threshold=0",
+        ],
+    )
+    def test_an_unusable_contention_parameter_fails_cleanly(self, assignment, tmp_path, capsys):
+        # A zero or NaN window used to simulate the whole point and die in a
+        # ValueError traceback; a negative delay ran with none, and a NaN or
+        # out-of-range threshold reported convergence_time_s = -1.  The last
+        # two exited 0 and cached the point.
+        argv = ["run", "many_flow_contention", "--set", "flows=2", "--set", "isender_flows=0"]
+        argv += ["--set", "duration=2", "--set", assignment, "--cache-dir", str(tmp_path)]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and self.CONTENTION_RULES[assignment.split("=")[0]] in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.rglob("*.json"))
+
     @staticmethod
     def assert_refused(argv, cache_dir, capsys):
         assert cli_main([*argv, "--cache-dir", str(cache_dir)]) == 2

@@ -71,7 +71,7 @@ class TestFigure2Preset:
         net.entry.receive(Packet(seq=0, flow=net.sender_flow, size_bits=12_000, sent_at=0.0))
         net.network.run(until=10.0)
         assert net.sender_receiver.count == 1
-        assert net.sender_receiver.deliveries[0].received_at == pytest.approx(1.0)
+        assert net.sender_receiver.received_times[0] == pytest.approx(1.0)
 
     def test_squarewave_gating_shapes_cross_traffic(self):
         net = figure2_network(loss_rate=0.0, switch_interval=10.0, seed=3)
@@ -113,4 +113,4 @@ class TestSingleLinkPreset:
         net.network.start()
         net.entry.receive(Packet(seq=0, flow=net.sender_flow, size_bits=12_000, sent_at=0.0))
         net.network.run()
-        assert net.sender_receiver.deliveries[0].received_at == pytest.approx(3.0)
+        assert net.sender_receiver.received_times[0] == pytest.approx(3.0)
