@@ -2,7 +2,7 @@
 
 from repro.metrics.fairness import convergence_time, flow_rate_matrix, jain_index
 from repro.metrics.summary import ExperimentRow, format_table
-from repro.metrics.timeseries import TimeSeries, rtt_series, sequence_series
+from repro.metrics.timeseries import TimeSeries, rtt_series
 
 __all__ = [
     "ExperimentRow",
@@ -12,5 +12,4 @@ __all__ = [
     "format_table",
     "jain_index",
     "rtt_series",
-    "sequence_series",
 ]

@@ -4,9 +4,8 @@
 * Figure 3 plots cumulative sequence number against time for the ISender.
 
 :class:`TimeSeries` is a small immutable-ish container of ``(time, value)``
-pairs with the resampling/windowing operations the benches need.  The module
-also provides helpers for building the standard series from receiver
-delivery records.
+pairs with the resampling/windowing operations the benches need.  Figure 3's
+series comes from :meth:`~repro.core.isender.ISender.sequence_series`.
 """
 
 from __future__ import annotations
@@ -14,9 +13,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
-
-from repro.elements.receiver import Delivery
+from typing import Iterable, Iterator
 
 
 @dataclass(frozen=True)
@@ -105,14 +102,6 @@ class TimeSeries:
 # --------------------------------------------------------------------------
 # Figure-specific helpers
 # --------------------------------------------------------------------------
-
-
-def sequence_series(deliveries: Sequence[Delivery]) -> TimeSeries:
-    """Cumulative delivered-packet count vs. time (Figure 3's y-axis)."""
-    ordered = sorted(deliveries, key=lambda d: d.received_at)
-    return TimeSeries.from_pairs(
-        (delivery.received_at, index + 1) for index, delivery in enumerate(ordered)
-    )
 
 
 def rtt_series(samples: Iterable[tuple[float, float]]) -> TimeSeries:

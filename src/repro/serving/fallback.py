@@ -247,7 +247,7 @@ class _DaemonThreadExecutor:
 
 @dataclass
 class ServingCounters:
-    """Per-tier request accounting, surfaced in responses and ``/metrics``.
+    """Per-tier request accounting, read at ``/metrics`` and by ``counters_snapshot``.
 
     ``table_hits`` + ``planner_fallbacks`` + ``default_served`` equals
     ``requests`` minus ``shed`` (a shed request is answered with the safe
@@ -300,21 +300,17 @@ class ServedDecision:
     #: :meth:`~repro.api.policy.PolicyTable.decision_json`).
     decision_json: Optional[str] = field(default=None, compare=False, repr=False)
 
-    def to_payload(self, counters: Optional[dict] = None, *, with_decision: bool = True) -> dict:
-        """The wire form of this response (without its ``"decision"`` for a
-        transport that splices in :attr:`decision_json` instead)."""
+    def to_payload(self) -> dict:
+        """The wire form of this response: its answer and nothing else."""
         payload = {
             "status": self.status,
             "tier": self.tier,
             "fingerprint": self.fingerprint,
             "known_config": self.known_config,
+            "decision": decision_to_payload(self.decision),
         }
-        if with_decision:
-            payload["decision"] = decision_to_payload(self.decision)
         if self.table_digest is not None:
             payload["table_digest"] = self.table_digest
-        if counters is not None:
-            payload["counters"] = counters
         return payload
 
 

@@ -9,7 +9,7 @@ loopback-oriented, keep-alive capable — in front of a
 * ``POST /decide`` — body ``{"fingerprint": ..., "signature": [...],
   "now": ...}``, each signature row ``[assignment_digest, weight, gate_on,
   backlog_rounds, busy]`` (a Figure-3 request is about 780 bytes); answers
-  with the served decision, its tier, and a counter snapshot.  A body of
+  with the served decision and its tier, nothing else.  A body of
   any other shape, with a weight or ``now`` that is not finite, or with a
   ``now`` past ±``MAX_CLOCK_S`` (1e9 s), is a 400 that counts nothing.
   Admission control is enforced *here*: when the number of in-flight
@@ -25,8 +25,8 @@ What runs where: a connection's protocol parses a request as its bytes
 arrive and answers it in the same callback, unless the answer needs the
 thread pool.  On the event loop: a ``/decide`` whose table version
 is already in memory and still the one ``CURRENT`` names (a pointer read and
-two dict lookups; the reply splices in the text the table keeps for that
-decision, :meth:`~repro.api.policy.PolicyTable.decision_json`), a shed, a
+two dict lookups; the reply joins the text the table keeps for that decision,
+:meth:`~repro.api.policy.PolicyTable.decision_json`, to a kept envelope), a shed, a
 400, the probes and ``/reload`` — nothing that can block.  In the pool, via
 ``run_in_executor``: a version load after a publish or ``/reload``, live
 planning and chaos mode.  That reply leaves when its future completes; until
@@ -60,8 +60,8 @@ MAX_HEAD_BYTES = 2**16
 
 _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found", 503: "Service Unavailable"}
 
-#: What a route answers with: a payload, a served decision (rendered with the
-#: counters at reply time), or the thread pool's future of one.
+#: What a route answers with: a payload, a served decision, or the thread
+#: pool's future of one.
 _Answer = Union[dict, ServedDecision, asyncio.Future]
 
 
@@ -80,22 +80,6 @@ def _render_response(status: int, payload: dict, *, keep_alive: bool) -> bytes:
     return _frame(
         status, (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8"), keep_alive=keep_alive
     )
-
-
-def _render_served(served: ServedDecision, counters: dict, *, keep_alive: bool) -> bytes:
-    """``_render_response(200, served.to_payload(counters), ...)``, byte for byte.
-
-    A table decision's text is the one its table keeps, spliced in: with
-    sorted keys ``"counters"`` comes first and ``"decision"`` second, and
-    the counters are a flat map of integers, so the decision goes right
-    after the first ``}`` of the payload rendered without it.
-    """
-    if served.decision_json is None:
-        return _render_response(200, served.to_payload(counters), keep_alive=keep_alive)
-    rest = json.dumps(served.to_payload(counters, with_decision=False), sort_keys=True)
-    cut = rest.index("}") + 1
-    body = f'{rest[:cut]}, "decision": {served.decision_json}{rest[cut:]}\n'
-    return _frame(200, body.encode("utf-8"), keep_alive=keep_alive)
 
 
 def _parse_head(head: bytes) -> tuple[list[str], dict[str, str]]:
@@ -149,6 +133,9 @@ class PolicyServer:
         self._pending = 0
         self._server: Optional[asyncio.base_events.Server] = None
         self._connections: set[_ServerConnection] = set()
+        #: Per fingerprint, ``((table_digest, known_config), text)``: a table
+        #: hit's reply after its ``"decision"``, for the latest version seen.
+        self._envelopes: dict[str, tuple[tuple, str]] = {}
 
     # ------------------------------------------------------------- lifecycle
 
@@ -237,9 +224,24 @@ class PolicyServer:
         self._pending -= 1
 
     def _render(self, status: int, answer: Union[dict, ServedDecision], keep_alive: bool) -> bytes:
-        if isinstance(answer, ServedDecision):
-            return _render_served(answer, self.service.counters_snapshot(), keep_alive=keep_alive)
-        return _render_response(status, answer, keep_alive=keep_alive)
+        """``_render_response(status, payload, ...)`` byte for byte, a served
+        decision's payload being ``to_payload()``.  With sorted keys
+        ``"decision"`` comes first: a table hit is its table's text of it
+        (``decision_json``), then the rest of the object, rendered once per
+        fingerprint, version and ``known_config`` and kept."""
+        if not isinstance(answer, ServedDecision):
+            return _render_response(status, answer, keep_alive=keep_alive)
+        if answer.decision_json is None:
+            return _render_response(status, answer.to_payload(), keep_alive=keep_alive)
+        version = (answer.table_digest, answer.known_config)
+        kept = self._envelopes.get(answer.fingerprint)
+        if kept is None or kept[0] != version:
+            rest = answer.to_payload()
+            del rest["decision"]
+            kept = version, json.dumps(rest, sort_keys=True)[1:] + "\n"
+            self._envelopes[answer.fingerprint] = kept
+        body = f'{{"decision": {answer.decision_json}, {kept[1]}'
+        return _frame(status, body.encode("utf-8"), keep_alive=keep_alive)
 
 
 class _Connection(asyncio.BufferedProtocol):

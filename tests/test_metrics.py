@@ -5,18 +5,12 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.elements.receiver import Delivery
 from repro.metrics import (
     ExperimentRow,
     TimeSeries,
     format_table,
     rtt_series,
-    sequence_series,
 )
-
-
-def make_delivery(seq, flow="f", sent=0.0, received=1.0, size=12_000.0):
-    return Delivery(seq=seq, flow=flow, size_bits=size, sent_at=sent, received_at=received)
 
 
 class TestTimeSeries:
@@ -93,11 +87,6 @@ class TestTimeSeries:
 
 
 class TestFigureSeries:
-    def test_sequence_series_counts_cumulatively(self):
-        deliveries = [make_delivery(seq=i, received=float(i)) for i in range(5)]
-        series = sequence_series(deliveries)
-        assert list(series)[-1] == (4.0, 5)
-
     def test_rtt_series_passthrough(self):
         series = rtt_series([(0.0, 0.1), (1.0, 0.5)])
         assert series.max() == 0.5

@@ -122,6 +122,13 @@ TEXT_RULES = [
         0,
         "one transport: no stream path beside the protocols",
     ),
+    (
+        "reply-counters",
+        r"counters_snapshot\(",
+        ("src/repro/serving/server.py",),
+        1,
+        "a /decide reply is its answer: the counters are read at GET /metrics alone",
+    ),
 ]
 
 
@@ -156,15 +163,27 @@ def python_trees(scope: str) -> list[tuple]:
     return trees
 
 
+#: Calls that only add to their receiver: ``x.log.append(...)`` as a statement writes ``log``.
+MUTATORS = {"append", "extend", "add", "update", "insert"}
+
+
 def names_in(tree: ast.AST, reads_only: bool = False) -> Counter:
     """Names, attributes and identifier strings (``getattr``), not docstrings or ``__all__``.
 
     ``reads_only`` counts what reads a field: attributes loaded and
-    identifier strings, not bare names (a field's own declaration is one)
-    nor an attribute assigned.
+    identifier strings, not bare names (a field's own declaration is one),
+    an attribute assigned, nor one only added to (the receiver of a
+    :data:`MUTATORS` call statement).
     """
-    ignored = set()
+    ignored, written = set(), set()
     for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Expr)
+            and isinstance(node.value, ast.Call)
+            and isinstance(node.value.func, ast.Attribute)
+            and node.value.func.attr in MUTATORS
+        ):
+            written.add(id(node.value.func.value))
         if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
             if ast.get_docstring(node, clean=False) is not None:
                 ignored.add(id(node.body[0].value))
@@ -177,7 +196,7 @@ def names_in(tree: ast.AST, reads_only: bool = False) -> Counter:
         if isinstance(node, ast.Name) and not reads_only:
             names[node.id] += 1
         elif isinstance(node, ast.Attribute):
-            if not (reads_only and isinstance(node.ctx, ast.Store)):
+            if not (reads_only and (isinstance(node.ctx, ast.Store) or id(node) in written)):
                 names[node.attr] += 1
         elif (
             isinstance(node, ast.Constant)

@@ -1047,7 +1047,6 @@ class TestPolicyServerHTTP:
                 )
                 served = decision_from_payload(payload["decision"])
                 assert served == table.decision_for(signature)
-                assert payload["counters"]["table_hits"] >= 1
 
                 status, health = await client.get("/healthz")
                 assert status == 200 and health["status"] == "ok"
@@ -1056,6 +1055,7 @@ class TestPolicyServerHTTP:
                 status, metrics = await client.get("/metrics")
                 assert status == 200
                 assert metrics["counters"]["requests"] >= 1
+                assert metrics["counters"]["table_hits"] >= 1
                 reloaded = await client.reload()
                 assert reloaded == {"status": "ok", "dropped": 1}
 
@@ -1248,7 +1248,7 @@ class TestHostileRequests:
                 good = await client.decide(fingerprint, table.signatures()[0])
                 assert client._writer is connection
                 assert good["tier"] == "table"
-                assert good["counters"]["requests"] == 1
+                assert service.counters_snapshot()["requests"] == 1
 
         run_async(scenario())
 
@@ -1949,6 +1949,17 @@ class TestServingCli:
 
 # ----------------------------------------------------- payload round trips
 
+#: Everything a ``/decide`` reply carries: its answer (``table_digest`` on tier 1 only).
+REPLY_KEYS = {"status", "tier", "fingerprint", "known_config", "table_digest", "decision"}
+
+#: The counter each kind of reply moves.
+TIER_COUNTER = {
+    "table": "table_hits",
+    "planner": "planner_fallbacks",
+    "default": "default_served",
+    "overloaded": "shed",
+}
+
 
 class TestWireFormat:
     def test_decision_payload_round_trip_is_exact(self, published):
@@ -1960,13 +1971,14 @@ class TestWireFormat:
             )
             assert restored == decision
 
-    def test_served_payload_includes_counters_and_tier(self, published):
+    def test_served_payload_is_the_answer_and_its_tier(self, published):
         config, table, registry = published
         service = DecisionService(registry, [config])
         served = service.decide(config.fingerprint(), table.signatures()[0])
-        payload = served.to_payload(service.counters_snapshot())
+        payload = served.to_payload()
+        assert set(payload) == REPLY_KEYS
         assert payload["tier"] == "table"
-        assert payload["counters"]["requests"] == 1
+        assert service.counters_snapshot()["requests"] == 1
         assert payload["decision"]["delay"] == served.decision.action.delay
 
 
@@ -2095,13 +2107,26 @@ class TestTransportContract:
         assert reply["tier"] == "table"
 
 
+def new_version(table, horizon_step: float = 1.0, fingerprint: str = ""):
+    """A copy of ``table`` whose every decision differs (a longer horizon),
+    optionally published under another fingerprint."""
+    from repro.api.policy import PolicyTable
+
+    payload = table.to_payload()
+    for entry in payload["entries"]:
+        entry["horizon"] += horizon_step
+    if fingerprint:
+        payload["fingerprint"] = fingerprint
+    return PolicyTable.from_payload(payload)
+
+
 class TestReplyBytes:
     """A served reply is ``_render_response`` of its payload, byte for byte."""
 
     @pytest.mark.parametrize("keep_alive", [True, False], ids=["keep-alive", "close"])
     @pytest.mark.parametrize("tier", ["table", "planner", "default", "overloaded"])
     def test_every_tier_renders_the_oracle_bytes(self, published, tier, keep_alive):
-        from repro.serving.server import _render_response, _render_served
+        from repro.serving.server import _render_response
 
         config, table, registry = published
         service = DecisionService(registry, [config])
@@ -2118,10 +2143,12 @@ class TestReplyBytes:
             ("overloaded", "default") if tier == "overloaded" else ("ok", tier)
         )
         assert (served.decision_json is not None) == (tier == "table")
-        counters = service.counters_snapshot()
-        assert _render_served(served, counters, keep_alive=keep_alive) == _render_response(
-            200, served.to_payload(counters), keep_alive=keep_alive
-        )
+        assert service.counters_snapshot()[TIER_COUNTER[tier]] == 1
+        server = PolicyServer(service)
+        for _ in range(2):  # the first table reply renders its envelope, the second reuses it
+            assert server._render(200, served, keep_alive) == _render_response(
+                200, served.to_payload(), keep_alive=keep_alive
+            )
 
     def test_a_table_hit_on_the_wire_is_the_oracle_reply(self, published):
         from repro.serving.server import _render_response
@@ -2142,20 +2169,15 @@ class TestReplyBytes:
             known_config=True,
             table_digest=registry.current_digest(fingerprint),
         )
-        assert answer == _render_response(
-            200, served.to_payload(service.counters_snapshot()), keep_alive=False
-        )
+        assert answer == _render_response(200, served.to_payload(), keep_alive=False)
+        assert service.counters_snapshot()["requests"] == 1
+        assert service.counters_snapshot()["table_hits"] == 1
 
     def test_a_republish_replaces_the_kept_decision_text(self, published, tmp_path):
-        from repro.api.policy import PolicyTable
-
         config, table, _ = published
         registry = PolicyTableRegistry(tmp_path)
         registry.publish(table)
-        payload = table.to_payload()
-        for entry in payload["entries"]:
-            entry["horizon"] += 1.0
-        changed = PolicyTable.from_payload(payload)
+        changed = new_version(table)
         signature = table.signatures()[0]
         service = DecisionService(registry, [config])
         fingerprint = config.fingerprint()
@@ -2197,6 +2219,127 @@ class TestReplyBytes:
             foreign = decision_from_payload(decision_to_payload(decision))
             assert copy.decision_json(foreign) == text
             assert len(copy._decision_json) <= copy.size
+
+
+class TestReplyIsItsAnswer:
+    """A reply carries its answer; the counters are read at ``/metrics``."""
+
+    def test_every_tier_answers_with_its_answer_alone(self, published, monkeypatch):
+        """A table hit (loaded, then resident), a live plan, a default and a
+        shed carry exactly their answer, and none takes a counter snapshot."""
+        config, table, registry = published
+        service = DecisionService(registry, [config])
+        fingerprint = config.fingerprint()
+        signature = table.signatures()[0]
+
+        def no_snapshot():
+            raise AssertionError("a /decide reply took a counter snapshot")
+
+        monkeypatch.setattr(service, "counters_snapshot", no_snapshot)
+        registry.reload()  # the first hit loads in the pool, the second is answered on the loop
+
+        async def scenario():
+            async with serving(service) as (server, client):
+
+                def ask(fingerprint, signature):  # a reply that never leaves fails, not hangs
+                    return asyncio.wait_for(client.decide(fingerprint, signature), 10.0)
+
+                replies = [await ask(fingerprint, signature) for _ in range(2)]
+                replies.append(await ask(fingerprint, off_table_signature(table)))
+                replies.append(await ask("no-such-config", signature))
+                server._pending = server.max_pending
+                replies.append(await ask(fingerprint, signature))
+                server._pending = 0
+            return replies
+
+        replies = run_async(scenario())
+        assert [(reply["status"], reply["tier"]) for reply in replies] == [
+            ("ok", "table"), ("ok", "table"), ("ok", "planner"), ("ok", "default"),
+            ("overloaded", "default"),
+        ]
+        assert [set(reply) for reply in replies] == [REPLY_KEYS] * 2 + [
+            REPLY_KEYS - {"table_digest"}
+        ] * 3
+        monkeypatch.undo()
+        assert service.counters_snapshot()["requests"] == 5
+
+    def test_the_kept_envelope_follows_a_publish(self, published, tmp_path):
+        from repro.serving.server import _render_response
+
+        config, table, _ = published
+        registry = PolicyTableRegistry(tmp_path)
+        digests = [registry.publish(table).stem]
+        changed = new_version(table)
+        service = DecisionService(registry, [config])
+        fingerprint = config.fingerprint()
+        signature = table.signatures()[0]
+        assert decision_to_payload(changed.decision_for(signature)) != decision_to_payload(
+            table.decision_for(signature)
+        )
+
+        def oracle(version, digest) -> bytes:
+            served = fallback.ServedDecision(
+                status="ok",
+                tier="table",
+                decision=version.decision_for(signature),
+                fingerprint=fingerprint,
+                known_config=True,
+                table_digest=digest,
+            )
+            return _render_response(200, served.to_payload(), keep_alive=True)
+
+        async def scenario():
+            async with serving(service, clients=0) as (server,):
+                reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+
+                async def ask():
+                    writer.write(decide_request(fingerprint, signature))
+                    head, body = await asyncio.wait_for(read_reply(reader), 10.0)
+                    return head + body, server._envelopes[fingerprint][0]
+
+                try:
+                    replies = [await ask(), await ask()]
+                    digests.append(registry.publish(changed).stem)
+                    replies += [await ask(), await ask()]
+                finally:
+                    writer.close()
+            return replies
+
+        replies = run_async(scenario())
+        old, new = digests
+        assert old != new
+        expected = [(table, old)] * 2 + [(changed, new)] * 2
+        for (reply, kept), (version, digest) in zip(replies, expected):
+            assert reply == oracle(version, digest)
+            assert kept == (digest, True)
+
+    def test_the_envelope_store_holds_one_entry_per_fingerprint(self, published, tmp_path):
+        config, table, _ = published
+        registry = PolicyTableRegistry(tmp_path)
+        service = DecisionService(registry, [config])
+        fingerprints = [config.fingerprint(), "unconfigured"]
+        signature = table.signatures()[0]
+        versions = 4
+
+        async def scenario():
+            kept = []
+            async with serving(service) as (server, client):
+                for step in range(versions):
+                    for fingerprint in fingerprints:
+                        registry.publish(new_version(table, step, fingerprint))
+                        for _ in range(2):
+                            reply = await client.decide(fingerprint, signature)
+                            assert reply["tier"] == "table"
+                    kept.append(dict(server._envelopes))
+            return kept
+
+        kept = run_async(scenario())
+        assert [len(store) for store in kept] == [len(fingerprints)] * versions
+        for fingerprint in fingerprints:
+            digests = [store[fingerprint][0][0] for store in kept]
+            assert len(set(digests)) == versions
+            assert digests[-1] == registry.current_digest(fingerprint)
+        assert [kept[-1][fingerprint][0][1] for fingerprint in fingerprints] == [True, False]
 
 
 # --------------------------------------------------- client reconnection
