@@ -81,7 +81,7 @@ def rollout_outcome_digest(outcome: RolloutOutcome) -> dict:
 class Hypothesis:
     """A weighted candidate configuration of the network."""
 
-    __slots__ = ("params", "params_digest", "model", "_resolved", "_lost_seqs")
+    __slots__ = ("params", "params_digest", "_params_key", "model", "_resolved", "_lost_seqs")
 
     def __init__(
         self,
@@ -96,6 +96,9 @@ class Hypothesis:
         self.params_digest = (
             params_digest if params_digest is not None else assignment_digest(self.params)
         )
+        #: :meth:`signature`'s sorted parameter key, built once; nothing
+        #: mutates ``params``, so a clone shares both.
+        self._params_key = tuple(sorted(self.params.items()))
         #: The forward model holding the latent state.
         self.model = model
         self._resolved: set[int] = set()
@@ -104,8 +107,13 @@ class Hypothesis:
     # ------------------------------------------------------------------ clone
 
     def clone(self) -> "Hypothesis":
-        """Deep-enough copy: the model is cloned, bookkeeping sets are copied."""
-        duplicate = Hypothesis(self.params, self.model.clone(), self.params_digest)
+        """Deep-enough copy: the model is cloned, bookkeeping sets are copied,
+        the parameters and their keys are shared."""
+        duplicate = Hypothesis.__new__(Hypothesis)
+        duplicate.params = self.params
+        duplicate.params_digest = self.params_digest
+        duplicate._params_key = self._params_key
+        duplicate.model = self.model.clone()
         duplicate._resolved = set(self._resolved)
         duplicate._lost_seqs = set(self._lost_seqs)
         return duplicate
@@ -252,8 +260,7 @@ class Hypothesis:
 
     def signature(self) -> tuple:
         """Hashable digest used to compact identical hypotheses."""
-        params_key = tuple(sorted(self.params.items()))
-        return (params_key, self.model.signature(), frozenset(self._lost_seqs))
+        return (self._params_key, self.model.signature(), frozenset(self._lost_seqs))
 
     # ---------------------------------------------------------------- rollout
 

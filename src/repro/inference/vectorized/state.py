@@ -7,7 +7,8 @@ of NumPy buffers, one row per hypothesis:
   cross-traffic rate, gate dwell time) plus precomputed log-likelihood
   constants,
 * the dynamic link-model state (gate, next cross arrival, the packet in
-  service, the queue as fixed-width 2D ring buffers, queued bits),
+  service, the queue as left-aligned 2D buffers that shift one slot per
+  departure, queued bits),
 * the own-packet ledger: one *column* per sequence number still in flight,
   holding each row's prediction (none / delivered / dropped), prediction
   time, and the scoring bookkeeping bits (resolved, charged-lost).  A send
@@ -554,10 +555,13 @@ class EnsembleState:
         """One opaque ``bytes`` digest per row, for belief compaction.
 
         See :meth:`signature_matrix` for the grouping contract; this wrapper
-        just freezes each matrix row into hashable ``bytes``.
+        just freezes each matrix row into hashable ``bytes``, all rows in one
+        call through a one-field void view.
         """
+        if not rows.size:
+            return []
         packed = self.signature_matrix(rows)
-        return [row.tobytes() for row in packed]
+        return packed.view(np.dtype((np.void, packed.shape[1]))).ravel().tolist()
 
     def lane_arrays(self, rows: np.ndarray, queue_width: int) -> dict:
         """The buffers a rollout reads, gathered for ``rows`` (in that order).

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterator, Mapping
@@ -22,7 +23,7 @@ from repro.runner.spec import ScenarioSpec
 from repro.viz.csv_out import write_rows_csv
 
 
-@dataclass
+@dataclass(slots=True)
 class PointResult:
     """Outcome of one executed scenario point."""
 
@@ -56,12 +57,17 @@ class PointResult:
         here, once: ``None`` means the record cannot be trusted — its
         ``metrics`` is not a mapping or its ``wall_time`` is not a number —
         and the caller treats the point as never having been stored.
+
+        A parsed document shares key strings only within itself, so the
+        metric names — the scenario's own small fixed set — are interned:
+        every loaded point holds the same name objects and only its values.
         """
         metrics = record.get("metrics")
         wall_time = record.get("wall_time", 0.0)
         if not isinstance(metrics, dict) or not isinstance(wall_time, (int, float)):
             return None
-        return cls(spec=spec, metrics=dict(metrics), wall_time=float(wall_time))
+        metrics = {sys.intern(name): value for name, value in metrics.items()}
+        return cls(spec=spec, metrics=metrics, wall_time=float(wall_time))
 
 
 @dataclass

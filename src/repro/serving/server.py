@@ -387,12 +387,13 @@ class _ServerConnection(_Connection):
         self._waiting = None
         try:
             served = planned.result()
+            if self.transport.is_closing():
+                return  # the client went away while its request was planned
+            reply = self.server._render(status, served, keep_alive)
         except BaseException:
             self.transport.close()
             raise
-        if self.transport.is_closing():
-            return  # the client went away while its request was planned
-        self._send(self.server._render(status, served, keep_alive), keep_alive)
+        self._send(reply, keep_alive)
         self._serve()
 
     def _send(self, reply: bytes, keep_alive: bool) -> None:

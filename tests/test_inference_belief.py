@@ -51,6 +51,14 @@ class TestHypothesisEvolve:
         gate_states = {branch.model.gate_on for branch, _ in branches}
         assert gate_states == {True, False}
 
+    def test_a_fork_shares_its_parameters_and_their_signature_key(self):
+        hypothesis = make_hypothesis(cross_rate_pps=0.7, mtts=100.0, zeta=1.0)
+        (stay, _), (switched, _) = hypothesis.evolve(10.0)
+        assert switched.params is stay.params
+        assert switched.signature()[0] is stay.signature()[0]
+        assert stay.signature()[0] == tuple(sorted(stay.params.items()))
+        assert switched.signature()[1:] != stay.signature()[1:]
+
     def test_zero_interval_is_identity(self):
         hypothesis = make_hypothesis(cross_rate_pps=0.7, mtts=100.0)
         branches = hypothesis.evolve(0.0)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -226,6 +227,24 @@ class TestForkingAndCompaction:
         assert vectorized.compacted_away == 0
         assert [payload["count"] for payload in compact_payloads] == [1, 1, 1]
         assert_equivalent(scalar, vectorized)
+
+    def test_row_digests_are_the_packed_signature_rows(self):
+        """Trailing zero bytes included; no rows is no digests."""
+        _, vectorized = both_backends(
+            figure3_prior(), kernel=GaussianKernel(sigma=0.4), max_hypotheses=128
+        )
+        events = [
+            ("send", (0, 12_000.0, 0.0)),
+            ("send", (1, 12_000.0, 0.1)),
+            ("update", (1.0, [ack(0, 1.0)])),
+        ]
+        replay(vectorized, events)
+        state = vectorized.state
+        rows = np.arange(state.size)
+        packed = state.signature_matrix(rows)
+        assert not packed[:, -1].all()
+        assert state.signature_digest(rows) == [row.tobytes() for row in packed]
+        assert state.signature_digest(rows[:0]) == []
 
 
 class TestPruneAtCap:

@@ -11,11 +11,13 @@ correct, bit-identical artifacts.
 
 from __future__ import annotations
 
+import gc
 import json
 import multiprocessing
 import os
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -354,6 +356,56 @@ class TestHitMissInvalidation:
     def test_runs_without_cache_never_touch_disk(self, tmp_path):
         SerialRunner().run(SPECS[:1])
         assert list(tmp_path.iterdir()) == []
+
+
+def _retained_per_call(build, count: int = 400) -> float:
+    """Traced bytes still held per result of ``build()`` while all are kept."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept = [build() for _ in range(count)]
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    del kept
+    return retained / count
+
+
+class TestLoadedPointsHoldTheirValues:
+    """A point loaded from disk shares its metric names with every other
+    load of the scenario and holds only its values."""
+
+    def test_two_warm_loads_share_their_metric_names(self, tmp_path):
+        cold = SerialRunner(cache=ResultCache(tmp_path)).run(SPECS)
+        first, second = (SerialRunner(cache=ResultCache(tmp_path)).run(SPECS) for _ in range(2))
+        assert first.cache_hits == second.cache_hits == len(SPECS)
+        for one, other, executed in zip(first, second, cold):
+            assert all(a is b for a, b in zip(one.metrics, other.metrics))
+            assert list(one.metrics.items()) == list(executed.metrics.items())
+            assert list(other.metrics.items()) == list(executed.metrics.items())
+
+    def test_a_point_result_has_no_instance_dict(self, tmp_path):
+        SerialRunner(cache=ResultCache(tmp_path)).run(SPECS[:1])
+        warm = SerialRunner(cache=ResultCache(tmp_path)).run(SPECS[:1])
+        assert warm.cache_hits == 1
+        assert not hasattr(warm.results[0], "__dict__")
+
+    def test_a_loaded_point_retains_under_60_percent_of_a_plain_parse(self, tmp_path):
+        """Self-calibrating: the yardstick is the same file through plain
+        ``json.loads`` and a copy of its metrics dict, which keeps one copy
+        of every name per point."""
+        spec = SPECS[0]
+        SerialRunner(cache=ResultCache(tmp_path)).run([spec])
+        cache = ResultCache(tmp_path)
+        key = cache.point_key(spec)
+        path = next((tmp_path / "results").rglob("*.json"))
+        loaded = _retained_per_call(lambda: cache.load_point(key, spec))
+        plain = _retained_per_call(
+            lambda: dict(json.loads(path.read_text(encoding="utf-8"))["metrics"])
+        )
+        assert cache.hits == 400
+        assert loaded < 0.6 * plain
 
 
 class TestCorruptionRecovery:

@@ -516,6 +516,19 @@ class TestResume:
         assert second.to_json() == clean.to_json()
         assert marker.read_bytes() == b"xx"  # one failing call, one succeeding
 
+    def test_resumed_points_share_their_metric_names(self, tmp_path):
+        specs = toy_specs(3)
+        clean = _supervised("serial", journal_dir=tmp_path).run(specs)
+        first, second = (
+            _supervised("serial", journal_dir=tmp_path, resume=True).run(specs)
+            for _ in range(2)
+        )
+        assert first.resumed == second.resumed == 3
+        for one, other, executed in zip(first, second, clean):
+            assert all(a is b for a, b in zip(one.metrics, other.metrics))
+            assert list(one.metrics.items()) == list(executed.metrics.items())
+            assert list(other.metrics.items()) == list(executed.metrics.items())
+
     @pytest.mark.parametrize("wall_time", [None, "soon"])
     def test_mistyped_journal_line_is_skipped_and_its_point_reexecuted(
         self, tmp_path, wall_time

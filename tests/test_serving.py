@@ -2106,6 +2106,38 @@ class TestTransportContract:
         assert in_flight == 1
         assert reply["tier"] == "table"
 
+    def test_a_pool_answer_that_fails_to_render_closes_its_connection(self, published):
+        """The client fails at once instead of waiting for good, the error
+        reaches the loop's handler, and the next connection is served."""
+        config, table, registry = published
+        service = DecisionService(registry, [config], planner_timeout=10.0)
+        fingerprint = config.fingerprint()
+        signature = off_table_signature(table)
+
+        async def scenario():
+            reported = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda _loop, context: reported.append(context.get("exception"))
+            )
+            async with serving(service) as (server, client):
+                render = server._render
+
+                def failing(status, answer, keep_alive):
+                    if isinstance(answer, fallback.ServedDecision) and answer.tier == "planner":
+                        raise RuntimeError("render failed")
+                    return render(status, answer, keep_alive)
+
+                server._render = failing
+                with pytest.raises(ServingError):
+                    await asyncio.wait_for(client.decide(fingerprint, signature), 10.0)
+                del server._render
+                reply = await asyncio.wait_for(client.decide(fingerprint, signature), 10.0)
+            return reported, reply
+
+        reported, reply = run_async(scenario())
+        assert [str(error) for error in reported] == ["render failed"]
+        assert reply["tier"] == "planner"
+
 
 def new_version(table, horizon_step: float = 1.0, fingerprint: str = ""):
     """A copy of ``table`` whose every decision differs (a longer horizon),
