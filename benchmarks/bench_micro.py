@@ -1,16 +1,18 @@
 """Micro-benchmarks below the ledger's resolution; one run writes ``BENCH_micro.json`` whole.
 
 Speed claims are made end to end, on the ``BENCHMARK.json`` workloads
-(``benchmarks/e2e/``).  These ten timings are hot spots a ledger workload
+(``benchmarks/e2e/``).  These eleven timings are hot spots a ledger workload
 dilutes until a regression hides inside its bound: the bare event loop
 (heap one deep, and 257 deep under timer moves), an element chain, the
 scalar link model, a small belief, the wake-ups of an array belief that has
 settled on one hypothesis, the wake-ups of an array sender on the Figure-3
 prior (its forking updates and its plans: both array kernels), building a
-contention point's 32 senders from their prior, the in-process half of a
-served table decision, and the process backend's fixed cost per point.
+contention point's 32 senders from their prior, a contention sender's two
+opening plans (the rollout kernel on a standing queue 667 packets deep),
+the in-process half of a served table decision, and the process backend's
+fixed cost per point.
 
-The nine single-process entries are **pace-corrected seconds**.  The host
+The ten single-process entries are **pace-corrected seconds**.  The host
 drifts 30–60 % for minutes at a time, so each timed run of a workload
 follows a run of the ledger's fixed reference kernel
 (``benchmarks/e2e/e2e_pace.kernel``, imported read-only), and the entry is
@@ -248,6 +250,26 @@ def figure3_wakeups():
     return run_figure3_wakeups
 
 
+def contention_opening_plans():
+    """A fresh ``contention_isender32`` belief's two opening plans.
+
+    A plan at t = 0, then one more after a send at t = 0: 16 of the 21 prior
+    rows, the full buffer's 666 queued fillers plus the one in service as
+    the deepest base, 9 actions.  This is the rollout kernel's deep-base
+    path, 2 of a point's 460 plans, which no ledger workload can show.
+    """
+    parts = build_components(CONTENTION_SENDER, CONTENTION_PRIOR)
+    fresh, planner = parts.belief, parts.planner
+
+    def run_contention_opening_plans() -> int:
+        belief = copy.deepcopy(fresh)
+        decisions = planner.decide(belief, 0.0) is not None
+        belief.record_send(0, 12_000.0, 0.0)
+        return decisions + (planner.decide(belief, 0.0) is not None)
+
+    return run_contention_opening_plans
+
+
 def run_prior_builds() -> int:
     """A ``contention_isender32`` point's 32 ``build_components`` calls.
 
@@ -336,6 +358,7 @@ def test_micro_record(bench_record, tmp_path, monkeypatch):
         **SINGLE_PROCESS,
         "settled_wakeups_1k": (settled_wakeups(), SETTLED_BELIEFS * SETTLED_ROUNDS),
         "figure3_wakeups_12": (figure3_wakeups(), FIGURE3_WAKEUPS),
+        "contention_opening_plans": (contention_opening_plans(), 2),
         "table_decide_1k": (table_decides(tmp_path), TABLE_DECIDES),
     }
     entries = {}

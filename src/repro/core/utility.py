@@ -118,25 +118,36 @@ class AlphaWeightedUtility:
         """One utility per (action × hypothesis) lane, as a flat array.
 
         Applies the same arithmetic as :meth:`evaluate` — identical term
-        order per lane (``np.add.at`` accumulates strictly left to right, so
-        each lane's partial sums build chronologically exactly like the
-        scalar ``sum``) — with the single documented divergence that the
+        order per lane — with the single documented divergence that the
         discount uses ``np.exp`` instead of ``math.exp`` (≤1 ulp per term,
-        hence the planner's ``1e-9`` relative equivalence tolerance).  The
-        latency penalty charges each lane at its own ``outcome.horizon``.
+        hence the planner's ``1e-9`` relative equivalence tolerance).  Each
+        lane starts from its base column's top-to-bottom partial sum at its
+        delivered count, and ``np.add.at`` adds its arrival terms left to
+        right: the scalar ``sum``'s order.  The latency penalty charges each
+        lane at its own horizon.
         """
         lanes = outcome.lanes
         reference = outcome.decision_time
         timescale = self.discount.timescale
+        base, columns = outcome.base_time.shape
+        grid = (lanes // max(columns, 1), columns)  # (action, column) for each lane
+        survival = outcome.own_survival[:columns]
+        base_factor = np.exp(-np.maximum(0.0, outcome.base_time - reference) / timescale)
 
-        own_value = np.zeros(lanes)
+        delivered = np.zeros((base + 1, columns))
+        terms = (outcome.packet_bits * survival) * base_factor
+        np.add.accumulate(np.where(outcome.base_own, terms, 0.0), axis=0, out=delivered[1:])
+        own_value = delivered[outcome.base_done.reshape(grid), np.arange(columns)].ravel()
         if outcome.own_time.size:
             factor = np.exp(
                 -np.maximum(0.0, outcome.own_time - reference) / timescale
             )
             terms = (outcome.packet_bits * outcome.own_survival[outcome.own_lane]) * factor
             np.add.at(own_value, outcome.own_lane, terms)
-        cross_value = np.zeros(lanes)
+        terms = (outcome.base_bits * survival) * base_factor
+        cross_value = np.zeros(grid)
+        cross_value += np.add.accumulate(np.where(outcome.base_cross, terms, 0.0), axis=0)[-1]
+        cross_value = cross_value.ravel()
         if outcome.cross_time.size:
             factor = np.exp(
                 -np.maximum(0.0, outcome.cross_time - reference) / timescale
@@ -146,14 +157,17 @@ class AlphaWeightedUtility:
         value = own_value + self.alpha * cross_value
 
         if self.latency_penalty > 0.0:
-            lateness = np.zeros(lanes)
+            terms = outcome.base_bits * np.maximum(0.0, outcome.base_time - reference)
+            lateness = np.zeros(grid)
+            lateness += np.add.accumulate(np.where(outcome.base_cross, terms, 0.0), axis=0)[-1]
+            lateness = lateness.ravel()
             if outcome.cross_time.size:
                 np.add.at(
                     lateness,
                     outcome.cross_lane,
                     outcome.cross_bits * np.maximum(0.0, outcome.cross_time - reference),
                 )
-            lateness += outcome.final_cross_backlog_bits * outcome.horizon
+            lateness += outcome.final_bits()[1] * outcome.horizon
             if outcome.cross_drop_bits.size:
                 dropped = np.zeros(lanes)
                 np.add.at(dropped, outcome.cross_drop_lane, outcome.cross_drop_bits)

@@ -605,6 +605,7 @@ def inject_stage_perturbation(stage: str, epsilon: float = 1.0):
         def perturbed_rollout(*args, **kwargs):
             outcome = original_rollout(*args, **kwargs)
             outcome.own_time = outcome.own_time + epsilon
+            outcome.base_time[outcome.base_own] += epsilon
             return outcome
 
         patch(vectorized_rollout, "batched_rollout_rows", perturbed_rollout)

@@ -27,6 +27,7 @@ from repro.inference.vectorized.state import (
     PRED_DELIVERED,
     PRED_DROPPED,
     EnsembleState,
+    refuse_wide_seqs,
 )
 
 
@@ -104,6 +105,7 @@ def advance(
             if flipping.size:
                 _flip_gate(state, flipping, flip_at[flipping])
                 flip_at[flipping] = np.inf
+    refuse_wide_seqs(int(state.next_cross_seq.max(initial=0)))
     state.time = max(state.time, until)
 
 
@@ -120,6 +122,7 @@ def send_own(
         raise InferenceError(
             f"cannot send at {time:.6f}: model clock is already at {state.time:.6f}"
         )
+    refuse_wide_seqs(seq + 1)
     if time > state.time:
         advance(state, time, rows=rows)
     state.register_own_seq(seq, time)

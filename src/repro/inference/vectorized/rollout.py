@@ -13,8 +13,8 @@ time.
   its candidate delays, become lanes.  Each lane's FIFO is a column of
   slots: the packet in service, the queued packets, then every scheduled
   arrival up to the lane's deadline — the cross-traffic chain and the
-  hypothetical send.  The packets already in the link and the arrival
-  schedule are computed once per row and gathered across the actions.
+  hypothetical send.  The packets already in a row's link (its *base*)
+  are held once per row; only the arrival slots are per lane.
 * One loop iteration decides one arrival column for every lane
   (:func:`_accept_arrivals`): the link is busy if the last accepted
   completion lies after the arrival; a packet starts at its arrival on an
@@ -24,10 +24,14 @@ time.
   departures between them.
 * Deliveries are the accepted slots that complete by the deadline, already
   in time order within each lane.  The result is a
-  :class:`BatchedRolloutOutcome` holding every lane's predicted
-  deliveries/drops as flat (time, lane) arrays, which
+  :class:`BatchedRolloutOutcome` holding each row's base and every lane's
+  arrival deliveries/drops as flat (time, lane) arrays, which
   ``UtilityFunction.evaluate_batch`` consumes without materializing per-lane
-  Python objects.  :meth:`BatchedRolloutOutcome.lane_outcome` rebuilds one
+  Python objects: it values the base once per row and starts each lane from
+  its row's partial sums, bit for bit the per-lane sums (every arrival
+  completes after its row's base; a lane delivers a prefix of its row's
+  ascending base completions; whole-number sums are exact in any order).
+  :meth:`BatchedRolloutOutcome.lane_outcome` rebuilds one
   lane as an ordinary :class:`~repro.inference.hypothesis.RolloutOutcome` —
   the equivalence tests' bridge, and the fallback for custom utilities that
   only implement scalar ``evaluate``.
@@ -88,11 +92,14 @@ class BatchedRolloutOutcome:
     """Every lane's predicted consequences, in flat struct-of-arrays form.
 
     Lane ``a * k + j`` is candidate action ``a`` applied to hypothesis row
-    ``j`` (planner top-k order).  Event arrays are parallel ``(time, lane)``
-    columns, chronological *per lane*; per-lane scalars — the horizon
-    among them — are ``(lanes,)`` arrays.  ``own_*`` events carry a uniform
-    ``packet_bits`` size and the lane's survival probability, exactly as
-    the scalar ``RolloutOutcome`` reports them.
+    ``j`` (planner top-k order).  The base is slot-major ``(depth + 1,
+    columns)`` arrays, a column per row (per lane where the replay tiles
+    it): lane ``i`` reads column ``i % columns``, delivers its ``base_own``
+    slots before ``base_done[i]`` and every ``base_cross`` slot.  Arrival
+    events are parallel ``(time, lane)`` columns, chronological *per lane*
+    (``own_*`` are the send's); per-lane scalars are ``(lanes,)`` arrays.
+    Own events carry a uniform ``packet_bits`` size and the lane's survival
+    probability, exactly as the scalar ``RolloutOutcome`` reports them.
     """
 
     decision_time: float
@@ -102,9 +109,13 @@ class BatchedRolloutOutcome:
     k: int  # hypothesis rows per action
 
     own_survival: np.ndarray  # (lanes,) survival of delivered own packets
+    base_time: np.ndarray  # (depth + 1, columns) completion of each base slot (-inf: none)
+    base_bits: np.ndarray
+    base_own: np.ndarray  # own packets in the link
+    base_cross: np.ndarray  # cross packets in the link delivered within the horizon
+    base_done: np.ndarray  # (lanes,) base slots complete by the lane's deadline
     own_time: np.ndarray
     own_lane: np.ndarray
-    own_is_hyp: np.ndarray
     own_drop_time: np.ndarray
     own_drop_lane: np.ndarray
     cross_time: np.ndarray
@@ -113,8 +124,7 @@ class BatchedRolloutOutcome:
     cross_drop_time: np.ndarray
     cross_drop_bits: np.ndarray
     cross_drop_lane: np.ndarray
-    final_queue_bits: np.ndarray  # (lanes,)
-    final_cross_backlog_bits: np.ndarray  # (lanes,)
+    final_bits: Callable[[], tuple[np.ndarray, np.ndarray]]  # per lane: (queued, cross backlog)
 
     @property
     def lanes(self) -> int:
@@ -137,28 +147,32 @@ class BatchedRolloutOutcome:
                 "cross": _LaneIndex(self.cross_lane, self.lanes),
                 "cross_drop": _LaneIndex(self.cross_drop_lane, self.lanes),
             }
+            self._final = self.final_bits()
         index = self._lane_index
         outcome = RolloutOutcome(
             decision_time=self.decision_time,
             horizon=float(self.horizon[lane]),
-            final_queue_bits=float(self.final_queue_bits[lane]),
-            final_cross_backlog_bits=float(self.final_cross_backlog_bits[lane]),
+            final_queue_bits=float(self._final[0][lane]),
+            final_cross_backlog_bits=float(self._final[1][lane]),
         )
         survival = float(self.own_survival[lane])
-        rows = index["own"].rows(lane)
-        for time, is_hyp in zip(
-            self.own_time[rows].tolist(), self.own_is_hyp[rows].tolist()
-        ):
+        column = lane % self.base_time.shape[1]
+        done = int(self.base_done[lane])
+        slots = np.flatnonzero(self.base_own[:done, column])
+        for time in self.base_time[slots, column].tolist():
             outcome.own_deliveries.append((time, self.packet_bits, survival))
-            if is_hyp:
-                outcome.hypothetical_delivered = True
-                outcome.hypothetical_delivery_time = time
+        for time in self.own_time[index["own"].rows(lane)].tolist():
+            outcome.own_deliveries.append((time, self.packet_bits, survival))
+            outcome.hypothetical_delivered = True
+            outcome.hypothetical_delivery_time = time
         rows = index["own_drop"].rows(lane)
         for time in self.own_drop_time[rows].tolist():
             outcome.own_drops.append((time, self.packet_bits))
+        slots = np.flatnonzero(self.base_cross[:, column])
         rows = index["cross"].rows(lane)
         for time, bits in zip(
-            self.cross_time[rows].tolist(), self.cross_bits[rows].tolist()
+            self.base_time[slots, column].tolist() + self.cross_time[rows].tolist(),
+            self.base_bits[slots, column].tolist() + self.cross_bits[rows].tolist(),
         ):
             outcome.cross_deliveries.append((time, bits, survival))
         rows = index["cross_drop"].rows(lane)
@@ -199,6 +213,7 @@ def _fifo_slots(row: dict, depth: int) -> dict:
     The completion chain ``c, c + s1/r, (c + s1/r) + s2/r, …`` is one
     strict left-to-right ``np.add.accumulate``: the scalar model's float
     steps in its order (the empty slots add ``0.0`` ahead of ``c``).
+    ``prefix[s]`` is the bits of the slots ahead of slot ``s``.
     """
     rate = row["link_rate"]
     shift = depth - row["q_len"]
@@ -213,12 +228,15 @@ def _fifo_slots(row: dict, depth: int) -> dict:
     completion = np.add.accumulate(steps, axis=0)
     start = np.full_like(completion, -np.inf)
     start[1:] = np.where(queued[1:], completion[:-1], -np.inf)
+    prefix = np.zeros((depth + 2, rate.size))
+    np.add.accumulate(size, axis=0, out=prefix[1:])
     return {
         "size": size,
         "is_cross": np.where(queued, row["q_flow"].T[index, rows], row["svc_flow"]) == FLOW_CROSS,
         "start": start,
         "completion": completion,
         "accepted": queued | head,
+        "prefix": prefix,
         "queued_bits": np.add.reduce(size, axis=0, where=queued),
         "first": shift + 1,
         "last": np.where(row["svc_active"], completion[-1], -np.inf),
@@ -248,27 +266,24 @@ def _cross_arrivals(row: dict, last: float) -> np.ndarray:
 
 
 def _accept_arrivals(
-    start: np.ndarray,
-    accepted: np.ndarray,
+    fifo: dict,
+    column: np.ndarray,
     size: np.ndarray,
     service: np.ndarray,
     slack: np.ndarray,
     arrive: np.ndarray,
     until: np.ndarray,
-    first: np.ndarray,
-    last: np.ndarray,
     queue_bits: Optional[np.ndarray],
-) -> None:
+) -> tuple[np.ndarray, np.ndarray]:
     """Decide every lane's arrivals in time order, one column per iteration.
 
-    The slot arrays hold the packets already in the link in their first
-    rows (the one in service starts at ``-inf``); ``first`` is each lane's
-    first queued slot and ``last`` the completion of its last packet
-    (``-inf`` for an idle link).  Fills ``start`` and ``accepted`` for the
-    arrival slots.  An arrival starts at ``max(a, c_last)`` — its own time
-    at an idle link, the last accepted completion behind a busy one — and
-    is tail-dropped when the link is busy and the waiting bits plus its size
-    exceed the buffer.  Starts ascend along each lane's slots, so the
+    ``fifo`` holds the packets already in the link per column (lane ``i``
+    reads ``column[i]``), the other arrays are per lane; returns the
+    arrival slots' ``start`` and ``accepted``.  An arrival starts at
+    ``max(a, c_last)`` — its own time at an idle link, the last accepted
+    completion behind a busy one — and is tail-dropped when the link is busy
+    and the waiting bits plus its size exceed the buffer.  Starts ascend
+    along each lane's slots (its column's base, then its arrivals), so the
     packets waiting at ``a`` are the slots from the lane's in-service
     pointer (its first slot that starts after ``a``) up to the arrival's
     own, and the pointer only moves forward.
@@ -277,27 +292,37 @@ def _accept_arrivals(
     every size is a whole number and every sum stays below 2**53, so they
     are exact as a difference of prefix sums; a pointer left behind only
     overstates them, so the pointers move only when some lane would drop.
+    The pointer walks the lane's arrivals; the base slots started by then
+    are counted on the column, and read off its prefix sums.
     Otherwise ``queue_bits`` starts as the rows' own float value and the
     loop replays the scalar's loads (subtract, floor below ``1e-9``) and
     enqueues (add) in event order, up to each lane's deadline, leaving the
     bits there in ``queue_bits``.
     """
-    width = start.shape[1]
-    window = np.arange(POINTER_WINDOW)[:, None] * width
-    flat_start = start.reshape(-1)
-    pointer = first * width + np.arange(width)
-    base = size.shape[0] - arrive.shape[0]
+    base, columns = fifo["start"].shape
+    count, width = arrive.shape
+    lanes = np.arange(width)
     replay = queue_bits is not None
+    window = np.arange(POINTER_WINDOW)[:, None] * width
+    start = np.full(((base if replay else 0) + count + POINTER_WINDOW, width), np.nan)
+    flat_start = start.reshape(-1)
+    accepted = np.zeros((count, width), dtype=bool)
+    last = fifo["last"].take(column)
     if replay:
-        queued = np.zeros(accepted.shape, dtype=bool)
-        np.greater(start[:base], -np.inf, out=queued[:base])
-        queued[:base] &= accepted[:base]
-        flat_queued, flat_size = queued.reshape(-1), size.reshape(-1)
+        start[:base] = fifo["start"]
+        start = start[base:]
+        pointer = fifo["first"] * width + lanes
+        waiting = (fifo["start"] > -np.inf) & fifo["accepted"]
+        flat_queued = np.concatenate([waiting.ravel(), np.zeros(count * width, dtype=bool)])
+        queued = flat_queued[base * width :].reshape(count, width)
+        flat_size = np.concatenate([fifo["size"].ravel(), size.ravel()])
     else:
-        prefix = np.zeros((size.shape[0] + 1, width))
-        np.multiply(size[:base], accepted[:base], out=prefix[1 : base + 1])
-        np.add.accumulate(prefix[1 : base + 1], axis=0, out=prefix[1 : base + 1])
+        pointer = lanes.copy()
+        prefix = np.empty((count + 1, width))
+        fifo["prefix"][-1].take(column, out=prefix[0])
         flat_prefix = prefix.reshape(-1)
+        # The bits of the slots that started before the lane's pointer.
+        started = fifo["prefix"][fifo["first"].take(column), column]
 
     def advance(when: np.ndarray) -> None:
         """Move each pointer past the slots that start by ``when``."""
@@ -317,10 +342,15 @@ def _accept_arrivals(
                     )
             np.add(pointer, moved * width, out=pointer)
             if not began[-1].any():
-                return
+                break
+        if not replay:
+            # A column's base starts ascend, so those started by ``when``
+            # are a prefix of it; no arrival starts before they all have.
+            begun = fifo["start"][:, None, :] <= when.reshape(width // max(columns, 1), columns)
+            begun = np.add.reduce(begun, axis=0, dtype=np.int64).ravel()
+            np.add(fifo["prefix"][begun, column], flat_prefix.take(pointer) - prefix[0], out=started)
 
-    for column, when in enumerate(arrive):
-        slot = base + column
+    for slot, when in enumerate(arrive):
         idle = last <= when
         ok = accepted[slot]
         if replay:
@@ -328,14 +358,14 @@ def _accept_arrivals(
             np.less_equal(queue_bits + size[slot], slack, out=ok)
             ok |= idle
         else:
-            np.less_equal(prefix[slot] - flat_prefix.take(pointer) + size[slot], slack, out=ok)
+            np.less_equal(prefix[slot] - started + size[slot], slack, out=ok)
             ok |= idle
             if not ok.all():
                 advance(when)
-                np.less_equal(prefix[slot] - flat_prefix.take(pointer) + size[slot], slack, out=ok)
+                np.less_equal(prefix[slot] - started + size[slot], slack, out=ok)
                 ok |= idle
         begin = np.maximum(when, last, out=start[slot])
-        last = np.where(ok, begin + service[column], last)
+        last = np.where(ok, begin + service[slot], last)
         if replay:
             enqueue = ok & ~idle & (when <= until)
             queued[slot] = enqueue
@@ -344,6 +374,7 @@ def _accept_arrivals(
             np.add(prefix[slot], size[slot] * ok, out=prefix[slot + 1])
     if replay:
         advance(until)
+    return start[:count], accepted
 
 
 def batched_rollout_rows(
@@ -365,14 +396,14 @@ def batched_rollout_rows(
     own row's, so rows planned at different horizons share one call, and
     no lane reads another.
 
-    A lane is a FIFO of slots: the packets already in its link
-    (:func:`_fifo_slots`), then one slot per arrival (:func:`_cross_arrivals`
-    plus the send, placed after every cross arrival at its instant), both
-    computed once per row and gathered across the actions.
-    :func:`_accept_arrivals` decides the arrivals column by column; the
-    rest is read off the slots.  A delivery is an accepted slot that
-    completes by the lane's deadline, and slots are in time order within a
-    lane, so every event stream comes out chronological per lane.
+    A lane is a FIFO of slots: the packets already in its row's link
+    (:func:`_fifo_slots`, held once per row), then one slot per arrival
+    (:func:`_cross_arrivals` plus the send, placed after every cross arrival
+    at its instant), held per lane.  :func:`_accept_arrivals` decides the
+    arrivals column by column; the rest is read off the slots.  A delivery
+    is an accepted slot that completes by the lane's deadline.  The replay
+    rule sums a lane's pending bits front to back, as the scalar does, so
+    it tiles the base across the actions (no shipped prior takes it).
     """
     rows = np.asarray(rows, dtype=np.int64)
     delays = np.asarray(action_delays, dtype=float)
@@ -417,76 +448,83 @@ def batched_rollout_rows(
     count = int(np.add.reduce(valid, axis=0, dtype=np.int64).max(initial=0))
     arrive, is_hyp, valid = arrive[:count], is_hyp[:count], valid[:count]
 
-    # Slot-major lane arrays: the packets already in the link (per row,
-    # gathered across the actions), then one slot per arrival.
-    base = depth + 1
-    slots = base + count
-    size = np.empty((slots, width))
-    fifo["size"].take(lane_row, axis=1, out=size[:base])
-    np.copyto(size[base:], np.where(is_hyp, packet_bits, row["cross_packet_bits"].take(lane_row)))
-    start = np.full((slots + POINTER_WINDOW, width), np.nan)
-    fifo["start"].take(lane_row, axis=1, out=start[:base])
-    accepted = np.zeros((slots, width), dtype=bool)
-    fifo["accepted"].take(lane_row, axis=1, out=accepted[:base])
-    service = size[base:] / row["link_rate"].take(lane_row)
+    # The arrival slots, per lane.
+    size = np.where(is_hyp, packet_bits, row["cross_packet_bits"].take(lane_row))
+    service = size / row["link_rate"].take(lane_row)
     # The prefix rule (see _accept_arrivals) holds when every size is a
     # whole number of bits, no lane's sizes can sum to 2**53, and each
     # row's queue bits are exactly its queued sizes' sum.
     whole = np.concatenate([fifo["size"].ravel(), row["cross_packet_bits"], [packet_bits]])
     exact = (
         not (whole % 1.0).any()
-        and float(whole.max()) * slots < 2.0**53
+        and float(whole.max()) * (depth + 1 + count) < 2.0**53
         and np.array_equal(fifo["queued_bits"], row["queue_bits"])
     )
     queue_bits = None if exact else row["queue_bits"].take(lane_row)
-    _accept_arrivals(
-        start,
-        accepted,
+    column = lane_row
+    if not exact or not width:
+        # A lane of the replay reads its own copy of the base (so does
+        # every lane of a call without lanes).
+        fifo = {name: value.take(lane_row, axis=-1) for name, value in fifo.items()}
+        column = np.arange(width)
+    start, accepted = _accept_arrivals(
+        fifo,
+        column,
         size,
         service,
         (row["buffer_cap"] + 1e-9).take(lane_row),
         arrive,
         until,
-        fifo["first"].take(lane_row),
-        fifo["last"].take(lane_row),
         queue_bits,
     )
+    completion = start + service
 
-    completion = np.empty((slots, width))
-    fifo["completion"].take(lane_row, axis=1, out=completion[:base])
-    np.add(start[base:slots], service, out=completion[base:])
-    is_cross = np.empty((slots, width), dtype=bool)
-    fifo["is_cross"].take(lane_row, axis=1, out=is_cross[:base])
-    np.logical_not(is_hyp, out=is_cross[base:])
-    own = accepted & (completion <= until)
-    own &= ~is_cross
-    own, own_lane = np.nonzero(own)
-    cross = accepted & is_cross & (completion >= now) & (completion < end)
-    cross, cross_lane = np.nonzero(cross)
-    dropped = valid & ~accepted[base:]
+    # The base, per column: the slots a lane sees complete by its deadline
+    # are a prefix of its column (completions ascend); the rest are late.
+    columns = fifo["size"].shape[1]
+    held = np.where(fifo["accepted"], fifo["completion"], -np.inf)
+    late = held[:, None, :] > until.reshape(width // max(columns, 1), columns)
+    done = held.shape[0] - np.add.reduce(late, axis=0, dtype=np.int64).ravel()
+    base_cross = fifo["is_cross"] & (held >= now) & (held < end[:columns])
+
+    own, own_lane = np.nonzero(accepted & is_hyp & (completion <= until))
+    cross, cross_lane = np.nonzero(
+        accepted & ~is_hyp & (completion >= now) & (completion < end)
+    )
+    dropped = valid & ~accepted
     own_drop, own_drop_lane = np.nonzero(dropped & is_hyp)
     cross_drop, cross_drop_lane = np.nonzero(
         dropped & ~is_hyp & (arrive >= now) & (arrive < end)
     )
 
-    # What is left at the deadline: the accepted slots that arrived by it
-    # and have not completed — the one in service and those waiting.
-    pending = accepted & (completion > until)
-    pending[base:] &= valid
-    cross_pending = pending & is_cross
-    if queue_bits is None:
-        # Whole numbers: every sum is exact, in any order.
-        queue_bits = np.add.reduce(size, axis=0, where=pending)
-        cross_backlog = np.add.reduce(size, axis=0, where=cross_pending)
-    else:
+    def final_bits() -> tuple[np.ndarray, np.ndarray]:
+        """What is left at each lane's deadline, all and cross: the accepted
+        slots that arrived by it and have not completed (in service and
+        waiting).  Built on demand: most utilities never read it."""
+        pending = accepted & (completion > until) & valid
+        cross_pending = pending & ~is_hyp
+        if queue_bits is None:
+            # Whole numbers: every sum is exact, in any order, so a lane's
+            # late base bits are its column's total less what it delivered.
+            prefix = fifo["prefix"]
+            queued = prefix[-1].take(column) - prefix[done, column]
+            queued += np.add.reduce(size * pending, axis=0)
+            prefix = np.zeros_like(prefix)
+            np.add.accumulate(fifo["size"] * fifo["is_cross"], axis=0, out=prefix[1:])
+            backlog = prefix[-1].take(column) - prefix[done, column]
+            return queued, backlog + np.add.reduce(size * cross_pending, axis=0)
         # The scalar adds the waiting bits front to back, then the packet
         # in service (a lane's one pending slot that has started).
-        in_service = pending & (start[:slots] <= until)
-        queue_bits += np.add.reduce(size, axis=0, where=in_service)
-        cross_backlog = np.add.accumulate(
-            np.where(cross_pending & ~in_service, size, 0.0), axis=0
+        all_size = np.concatenate([fifo["size"], size])
+        pending = np.concatenate([late[:, 0], pending])
+        cross_pending = pending & np.concatenate([fifo["is_cross"], ~is_hyp])
+        in_service = pending & (np.concatenate([fifo["start"], start]) <= until)
+        queued = queue_bits + np.add.reduce(all_size, axis=0, where=in_service)
+        backlog = np.add.accumulate(
+            np.where(cross_pending & ~in_service, all_size, 0.0), axis=0
         )[-1]
-        cross_backlog += np.add.reduce(size, axis=0, where=cross_pending & in_service)
+        return queued, backlog + np.add.reduce(all_size, axis=0, where=cross_pending & in_service)
+
     return BatchedRolloutOutcome(
         decision_time=now,
         horizon=lane_horizon,
@@ -494,19 +532,22 @@ def batched_rollout_rows(
         action_delays=delays,
         k=k,
         own_survival=row["survival"].take(lane_row),
+        base_time=held,
+        base_bits=fifo["size"],
+        base_own=fifo["accepted"] & ~fifo["is_cross"],
+        base_cross=base_cross,
+        base_done=done,
         own_time=completion[own, own_lane],
         own_lane=own_lane,
-        own_is_hyp=own >= base,
         own_drop_time=arrive[own_drop, own_drop_lane],
         own_drop_lane=own_drop_lane,
         cross_time=completion[cross, cross_lane],
         cross_bits=size[cross, cross_lane],
         cross_lane=cross_lane,
         cross_drop_time=arrive[cross_drop, cross_drop_lane],
-        cross_drop_bits=size[cross_drop + base, cross_drop_lane],
+        cross_drop_bits=size[cross_drop, cross_drop_lane],
         cross_drop_lane=cross_drop_lane,
-        final_queue_bits=queue_bits,
-        final_cross_backlog_bits=cross_backlog,
+        final_bits=final_bits,
     )
 
 

@@ -8,7 +8,8 @@ of NumPy buffers, one row per hypothesis:
   constants,
 * the dynamic link-model state (gate, next cross arrival, the packet in
   service, the queue as left-aligned 2D buffers that shift one slot per
-  departure, queued bits),
+  departure, queued bits; queued sequence numbers are int32, and a counter
+  that would pass that is refused by :func:`refuse_wide_seqs`),
 * the own-packet ledger: one *column* per sequence number still in flight,
   holding each row's prediction (none / delivered / dropped), prediction
   time, and the scoring bookkeeping bits (resolved, charged-lost).  A send
@@ -63,6 +64,10 @@ PRED_DROPPED = 2
 
 _FLOW_NAMES = {FLOW_OWN: "own", FLOW_CROSS: "cross"}
 _FLOW_CODES = {"own": FLOW_OWN, "cross": FLOW_CROSS}
+
+#: ``q_seq``'s dtype, and the largest sequence counter it holds.
+SEQ_DTYPE = np.int32
+SEQ_MAX = int(np.iinfo(SEQ_DTYPE).max)
 
 #: Initial queue-column / ledger-column capacity (both grow by doubling).
 _MIN_QUEUE_CAPACITY = 8
@@ -222,7 +227,7 @@ class EnsembleState:
         queue_bits = np.zeros(count, dtype=float)
         q_len = np.zeros(count, dtype=np.int64)
         q_flow = np.zeros((count, width), dtype=np.int8)
-        q_seq = np.zeros((count, width), dtype=np.int64)
+        q_seq = np.zeros((count, width), dtype=SEQ_DTYPE)
         q_size = np.zeros((count, width), dtype=float)
         for shape, (sizes, bits) in enumerate(cuts):
             if sizes:
@@ -396,7 +401,7 @@ class EnsembleState:
         """Zeroed queue buffers with room for ``longest`` packets and slack."""
         capacity = _queue_width(longest)
         self.q_flow = np.zeros((self.size, capacity), dtype=np.int8)
-        self.q_seq = np.zeros((self.size, capacity), dtype=np.int64)
+        self.q_seq = np.zeros((self.size, capacity), dtype=SEQ_DTYPE)
         self.q_size = np.zeros((self.size, capacity), dtype=float)
         self.q_len = np.zeros(self.size, dtype=np.int64)
 
@@ -424,14 +429,23 @@ class EnsembleState:
         capacity; the columns past the kept ones hold retired contents,
         which nothing reads (a send resets the column it claims).
         ``ledger=False`` starts the new state's ledger empty instead: a
-        rollout reads no ledger column.
+        rollout reads no ledger column.  The queue buffers are halved while
+        the kept rows' deepest queue fits in a quarter of them (columns past
+        every ``q_len``, canonical zeros; a queue that fluctuates does not
+        regrow on every update).
         """
         indices = np.asarray(indices, dtype=np.int64)
         out = EnsembleState.__new__(EnsembleState)
         out.size = int(indices.size)
         out.time = self.time
-        for name in _ROW_FIELDS + _QUEUE_FIELDS:
+        for name in _ROW_FIELDS:
             setattr(out, name, getattr(self, name)[indices])
+        width = self.q_flow.shape[1]
+        deepest = int(out.q_len.max(initial=0))
+        while width > _MIN_QUEUE_CAPACITY and 4 * deepest <= width:
+            width = max(_MIN_QUEUE_CAPACITY, width // 2)
+        for name in _QUEUE_FIELDS:
+            setattr(out, name, getattr(self, name)[indices, :width])
         if not ledger:
             out._allocate_ledger(0)
             return out
@@ -707,6 +721,13 @@ class EnsembleState:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"EnsembleState(size={self.size}, t={self.time:.3f}, own={self.n_own})"
+
+
+def refuse_wide_seqs(next_seq: int) -> None:
+    """Refuse a sequence counter past :data:`SEQ_MAX`, which a fancy-index
+    store into ``q_seq`` would wrap silently (fillers count down from -2)."""
+    if next_seq > SEQ_MAX:
+        raise InferenceError(f"a sequence number past {SEQ_MAX} does not fit a queued packet")
 
 
 def _python_round(values: np.ndarray, digits: int) -> np.ndarray:

@@ -149,4 +149,4 @@ class TestCompareCli:
         """The committed record against the committed baseline, no arguments."""
         result = self.run_compare()
         assert result.returncode == 0, result.stdout + result.stderr
-        assert "9 timing(s)" in result.stdout
+        assert "10 timing(s)" in result.stdout

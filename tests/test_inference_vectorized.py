@@ -31,7 +31,9 @@ from repro.inference import (
     figure3_prior,
     single_link_prior,
 )
-from repro.inference.vectorized import VectorizedBeliefState
+from repro.inference.vectorized import EnsembleState, VectorizedBeliefState, engine
+from repro.inference.vectorized.state import _MIN_QUEUE_CAPACITY, SEQ_MAX
+from repro.runner.scenarios import many_flow_sender_prior
 from test_planner_rollout_vectorized import assert_decisions_equivalent
 
 
@@ -1085,6 +1087,69 @@ class TestLedgerRetirement:
         assert result.packets_sent > 200
         assert len(widths) > 200
         assert max(widths) <= 16
+
+
+class TestQueueBuffers:
+    """A belief's queue buffers: 4-byte sequence numbers that refuse rather
+    than wrap, and a gather that keeps only the width its rows need."""
+
+    @staticmethod
+    def contention_state():
+        """A ``contention_isender32`` sender's t = 0 rows: 7 link rates ×
+        the 8 Mbit shared buffer empty, half full and full (0, 333 and 666
+        queued fillers, 668 queue columns)."""
+        prior = many_flow_sender_prior(8e6 / 128, 8e6)
+        return BeliefState.from_prior(prior, backend="vectorized").state
+
+    def test_a_prune_to_empty_queues_trims_the_buffers(self):
+        state = self.contention_state()
+        assert sorted(set(state.q_len.tolist())) == [0, 333, 666]
+        assert state.q_flow.shape[1] == 668
+        assert state.select(np.arange(state.size)).q_seq.shape[1] == 668
+        empty = np.flatnonzero(state.q_len == 0)
+        kept = state.select(empty)
+        for name in ("q_flow", "q_seq", "q_size"):
+            assert getattr(kept, name).shape == (empty.size, _MIN_QUEUE_CAPACITY)
+        assert kept.signature_digest(np.arange(kept.size)) == state.signature_digest(empty)
+        # Half-full rows still need more than a quarter of the width.
+        assert state.select(np.flatnonzero(state.q_len == 333)).q_flow.shape[1] == 668
+
+    def test_queued_sequence_numbers_take_four_bytes(self):
+        state = self.contention_state()
+        assert state.q_seq.dtype == np.int32
+        assert int(state.q_seq.min()) == -2 - 665
+
+    @staticmethod
+    def busy_row_state():
+        """One row with a packet in service and cross traffic arriving."""
+        return EnsembleState.from_hypotheses(
+            [
+                Hypothesis.from_params(
+                    {
+                        "link_rate_bps": 12_000.0,
+                        "buffer_capacity_bits": 96_000.0,
+                        "initial_fill_bits": 12_000.0,
+                        "cross_rate_pps": 2.0,
+                        "cross_initially_on": True,
+                    }
+                )
+            ]
+        )
+
+    def test_an_own_sequence_number_past_int32_is_refused(self):
+        state = self.busy_row_state()
+        engine.send_own(state, SEQ_MAX - 1, 12_000.0, 0.0)
+        assert state.q_seq[0, : state.q_len[0]].tolist()[-1] == SEQ_MAX - 1
+        with pytest.raises(InferenceError, match="does not fit"):
+            engine.send_own(state, SEQ_MAX, 12_000.0, 0.0)
+
+    def test_a_cross_sequence_number_past_int32_is_refused(self):
+        state = self.busy_row_state()
+        state.next_cross_seq[:] = SEQ_MAX - 1
+        engine.advance(state, 0.1)
+        assert state.q_seq[0, : state.q_len[0]].tolist() == [SEQ_MAX - 1]
+        with pytest.raises(InferenceError, match="does not fit"):
+            engine.advance(state, 0.6)
 
 
 class TestVectorizedSenderIntegration:

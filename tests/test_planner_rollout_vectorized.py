@@ -21,6 +21,7 @@ and shallow.
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -44,6 +45,7 @@ from repro.inference import (
     single_link_prior,
 )
 from repro.inference.vectorized import EnsembleState, batched_rollout_rows
+from repro.inference.vectorized.rollout import follow_rows
 
 
 def rollout_hypotheses(hypotheses, delays, **kwargs):
@@ -652,3 +654,154 @@ class TestStandingQueues:
         belief = self.assert_decides_as_the_oracle(burst=128, **self.DEEP_PRIOR)
         rows, _ = belief.top_rows(8)
         assert int(belief.state.q_len[rows].max()) >= 64
+
+    @staticmethod
+    def deep_and_empty_rows(fractional: bool) -> list[Hypothesis]:
+        """Standing queues hundreds of packets deep — fillers, own sends or
+        both — beside empty rows, some with cross traffic arriving.  With
+        ``fractional`` no size is a whole number of bits, so the kernel
+        replays the scalar's waiting bits."""
+        rng = random.Random(11)
+        bits = 11_999.37 if fractional else 12_000.0
+        hypotheses = []
+        for fill, sends in ((0, 0), (200, 100), (0, 3), (450, 0), (60, 240), (0, 0)):
+            hypothesis = Hypothesis.from_params(
+                {
+                    "link_rate_bps": rng.uniform(50_000.0, 120_000.0),
+                    "buffer_capacity_bits": bits * (fill + sends + rng.randint(2, 6)),
+                    "initial_fill_bits": bits * fill,
+                    "filler_packet_bits": bits,
+                    "cross_packet_bits": bits,
+                    "loss_rate": rng.choice([0.0, 0.2]),
+                    "cross_rate_pps": rng.choice([0.0, 3.0, 9.0]),
+                    "mean_time_to_switch": 10.0,
+                    "cross_initially_on": True,
+                }
+            )
+            for seq in range(sends):
+                hypothesis.record_send(seq, bits, 0.0)
+            hypothesis.model.advance(0.3)
+            hypotheses.append(hypothesis)
+        return hypotheses
+
+    @pytest.mark.parametrize("fractional", [False, True], ids=["whole", "replay"])
+    def test_deep_and_empty_rows_match_the_scalar_rollout(self, fractional):
+        """Each lane sees the prefix of its row's base that completes by its
+        own deadline, and the rest pending."""
+        bits = 11_999.37 if fractional else 12_000.0
+        assert_lane_outcomes_match(
+            self.deep_and_empty_rows(fractional),
+            now=0.37,
+            horizon=4.0,
+            delays=(0.0, 0.5, 3.0, 12.0),
+            packet_bits=bits,
+        )
+
+    @staticmethod
+    def flat_lane_values(utility, outcome) -> np.ndarray:
+        """``evaluate_batch``'s arithmetic on flat ``(time, lane)`` event
+        columns, rebuilt from every ``lane_outcome``: one ``np.add.at`` per
+        sum over each lane's events in chronological order."""
+        lanes = [outcome.lane_outcome(lane) for lane in range(outcome.lanes)]
+
+        def flat(events):
+            """Every lane's (time, bits, survival) events, then their lanes."""
+            rows = [(*event, lane) for lane, each in enumerate(events) for event in each]
+            *values, lane = list(zip(*rows)) or [()] * 4
+            return [np.array(value, dtype=float) for value in values] + [
+                np.array(lane, dtype=np.int64)
+            ]
+
+        own_time, own_bits, own_survival, own_lane = flat([lane.own_deliveries for lane in lanes])
+        cross_time, cross_bits, cross_survival, cross_lane = flat(
+            [lane.cross_deliveries for lane in lanes]
+        )
+        reference, timescale = outcome.decision_time, utility.discount.timescale
+
+        def discounted(bits, survival, time, lane):
+            total = np.zeros(outcome.lanes)
+            factor = np.exp(-np.maximum(0.0, time - reference) / timescale)
+            np.add.at(total, lane, (bits * survival) * factor)
+            return total
+
+        value = discounted(own_bits, own_survival, own_time, own_lane) + utility.alpha * (
+            discounted(cross_bits, cross_survival, cross_time, cross_lane)
+        )
+        if utility.latency_penalty > 0.0:
+            lateness = np.zeros(outcome.lanes)
+            np.add.at(lateness, cross_lane, cross_bits * np.maximum(0.0, cross_time - reference))
+            backlog = np.array([lane.final_cross_backlog_bits for lane in lanes])
+            lateness += backlog * outcome.horizon
+            dropped = np.zeros(outcome.lanes)
+            for index, lane in enumerate(lanes):
+                for _time, bits in lane.cross_drops:
+                    dropped[index] += bits
+            lateness += dropped * outcome.horizon
+            value = value - utility.latency_penalty * utility.alpha * lateness
+        return value
+
+    @pytest.mark.parametrize(
+        "utility",
+        [
+            AlphaWeightedUtility(alpha=0.7, discount_timescale=3.0),
+            LatencyPenaltyUtility(alpha=1.3, discount_timescale=5.0, latency_penalty=0.05),
+        ],
+        ids=["alpha", "latency"],
+    )
+    @pytest.mark.parametrize("follow_up", [False, True], ids=["rows", "follow-up"])
+    @pytest.mark.parametrize("fractional", [False, True], ids=["whole", "replay"])
+    def test_batch_values_are_the_flat_per_lane_arithmetic(self, fractional, follow_up, utility):
+        """The base valued once per row, each lane starting from its row's
+        partial sums, equals bit for bit the per-lane ``np.add.at`` over
+        every lane's own events; delays fall before and past each row's
+        horizon."""
+        state = EnsembleState.from_hypotheses(self.deep_and_empty_rows(fractional))
+        assert state.q_len.tolist() == [0, 297, 0, 450, 298, 0]
+        packet_bits = 11_999.37 if fractional else 12_000.0
+        rows = np.arange(state.size)
+        horizons = np.array([2.0, 9.0, 4.0, 30.0, 6.0, 1.0])
+        if follow_up:
+            (state, rows), _ = follow_rows((state, rows), packet_bits, 0.37, drains=False)
+            horizons = np.concatenate([horizons, horizons])
+        delays = (0.0, 0.5, 3.0, 12.0, 40.0)
+        outcome = batched_rollout_rows(state, rows, delays, horizons, packet_bits, 0.37)
+        # The whole-number rule holds the base once per row; the replay
+        # tiles it across the actions.
+        assert outcome.base_time.shape[1] == (outcome.lanes if fractional else rows.size)
+        assert outcome.base_own.any() and outcome.base_cross.any()
+        assert (outcome.base_done < outcome.base_time.shape[0]).any()
+        batch = utility.evaluate_batch(outcome)
+        assert batch.tolist() == self.flat_lane_values(utility, outcome).tolist()
+
+    def test_the_standing_queue_is_held_once_per_row(self):
+        """16 rows with 600 packets queued: valuing 9 actions must peak
+        under twice what valuing one does (1.1× here).  Lanes that carry
+        their own copy of their row's base peak over four times as high."""
+        state = EnsembleState.from_hypotheses(
+            [
+                Hypothesis.from_params(
+                    {
+                        "link_rate_bps": 40_000.0 + 2_000.0 * index,
+                        "buffer_capacity_bits": 12_000.0 * 602,
+                        "initial_fill_bits": 12_000.0 * 601,
+                    }
+                )
+                for index in range(16)
+            ]
+        )
+        assert state.q_len.tolist() == [600] * 16
+        utility = AlphaWeightedUtility(alpha=1.0)
+
+        def peak(actions: int) -> int:
+            tracemalloc.start()
+            try:
+                outcome = batched_rollout_rows(
+                    state, np.arange(16), [0.5 * a for a in range(actions)], 4.0, 12_000.0, 0.0
+                )
+                utility.evaluate_batch(outcome)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one, nine = peak(1), peak(9)
+        assert nine < 2 * one, (one, nine)
