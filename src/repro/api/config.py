@@ -174,9 +174,7 @@ class SenderConfig:
             latency_penalty=self.latency_penalty,
         )
 
-    def build_belief(
-        self, prior: Optional[Prior] = None, start_time: float = 0.0
-    ) -> BeliefState:
+    def build_belief(self, prior: Optional[Prior] = None) -> BeliefState:
         """A belief state over ``prior`` (defaulting to the config's own)."""
         prior = prior if prior is not None else self.prior
         if prior is None:
@@ -188,7 +186,6 @@ class SenderConfig:
             prior,
             kernel=self.build_kernel(),
             max_hypotheses=self.max_hypotheses,
-            start_time=start_time,
             backend=self.belief_backend,
         )
 

@@ -362,11 +362,11 @@ class PolicyTable(PolicyCache):
     def from_payload(
         cls,
         payload: dict,
-        planner: Optional[ExpectedUtilityPlanner] = None,
         expected_fingerprint: Optional[str] = None,
         learn: bool = True,
     ) -> "PolicyTable":
-        """Rebuild a table from :meth:`to_payload` output."""
+        """Rebuild a table from :meth:`to_payload` output, without a planner
+        (:meth:`with_planner` attaches one)."""
         if payload.get("schema") != TABLE_SCHEMA_VERSION:
             raise ConfigurationError(
                 f"unsupported policy-table schema {payload.get('schema')!r} "
@@ -380,7 +380,7 @@ class PolicyTable(PolicyCache):
                 "with precompute_policy_table(config)"
             )
         table = cls(
-            planner,
+            None,
             queue_resolution_bits=float(payload["queue_resolution_bits"]),
             top_k=payload["top_k"],
             fingerprint=fingerprint,

@@ -42,7 +42,6 @@ def build_components(
     utility: Optional[UtilityFunction] = None,
     planner: Optional[Union[ExpectedUtilityPlanner, SharedPlanner]] = None,
     policy_table: Optional[PolicyTable] = None,
-    start_time: float = 0.0,
 ) -> SenderParts:
     """Construct the belief / planner / policy a config describes.
 
@@ -63,7 +62,7 @@ def build_components(
             "pass planner= or utility=, not both: a supplied planner already "
             "carries its utility"
         )
-    belief = config.build_belief(prior, start_time=start_time)
+    belief = config.build_belief(prior)
     if planner is None:
         planner = config.build_planner(utility=utility)
     policy = None
@@ -113,8 +112,6 @@ def build_sender(
     *,
     prior: Optional[Prior] = None,
     utility: Optional[UtilityFunction] = None,
-    stop_time: Optional[float] = None,
-    start_time: float = 0.0,
     policy_table: Optional[PolicyTable] = None,
     flow: Optional[str] = None,
     name: Optional[str] = None,
@@ -141,7 +138,6 @@ def build_sender(
         prior,
         utility=utility,
         policy_table=policy_table,
-        start_time=start_time,
     )
     sender = ISender(
         parts.belief,
@@ -150,8 +146,6 @@ def build_sender(
         flow=flow if flow is not None else network.sender_flow,
         packet_bits=config.packet_bits,
         name=name,
-        start_time=start_time,
-        stop_time=stop_time,
         policy=parts.policy,
     )
     sender.connect(network.entry)

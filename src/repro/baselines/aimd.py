@@ -1,36 +1,30 @@
 """Generic additive-increase / multiplicative-decrease window control.
 
 A stripped-down controller without slow start, useful as the simplest
-possible loss-driven baseline and for the binomial-control style parameter
-sweeps in the benchmarks (increase by ``a`` packets per RTT, multiply by
-``b`` on loss).
+possible loss-driven baseline: increase by ``INCREASE`` packets per RTT,
+multiply by ``DECREASE`` on loss.
 """
 
 from __future__ import annotations
 
 from repro.baselines.window import WindowSender
-from repro.errors import ConfigurationError
+
+#: Packets added to the window per round trip.
+INCREASE = 1.0
+#: The window's multiplier on a loss.
+DECREASE = 0.5
 
 
 class AimdSender(WindowSender):
-    """AIMD(a, b): increase ``a`` per round trip, decrease to ``b * cwnd`` on loss."""
-
-    def __init__(self, *args, increase: float = 1.0, decrease: float = 0.5, **kwargs) -> None:
-        if increase <= 0:
-            raise ConfigurationError(f"increase must be positive, got {increase!r}")
-        if not 0.0 < decrease < 1.0:
-            raise ConfigurationError(f"decrease must lie in (0, 1), got {decrease!r}")
-        super().__init__(*args, **kwargs)
-        self.increase = increase
-        self.decrease = decrease
+    """AIMD(1, 0.5): increase one packet per round trip, halve the window on loss."""
 
     def on_ack_window(self, newly_acked: int) -> None:
-        self.cwnd += self.increase * newly_acked / max(self.cwnd, 1.0)
+        self.cwnd += INCREASE * newly_acked / max(self.cwnd, 1.0)
 
     def on_fast_retransmit(self) -> None:
-        self.ssthresh = max(self.cwnd * self.decrease, 1.0)
-        self.cwnd = max(self.cwnd * self.decrease, 1.0)
+        self.ssthresh = max(self.cwnd * DECREASE, 1.0)
+        self.cwnd = max(self.cwnd * DECREASE, 1.0)
 
     def on_timeout(self) -> None:
-        self.ssthresh = max(self.cwnd * self.decrease, 1.0)
+        self.ssthresh = max(self.cwnd * DECREASE, 1.0)
         self.cwnd = 1.0

@@ -4,7 +4,7 @@ The window grows as a cubic function of the time since the last loss event,
 anchored at the window size where that loss occurred, which makes growth
 aggressive far from the previous operating point and cautious near it.  The
 TCP-friendliness and fast-convergence refinements of the full algorithm are
-reduced to the ``beta`` multiplicative decrease and the cubic growth curve —
+reduced to the ``BETA`` multiplicative decrease and the cubic growth curve —
 enough to reproduce CUBIC's qualitative behaviour in the benchmarks.
 """
 
@@ -12,14 +12,14 @@ from __future__ import annotations
 
 from repro.baselines.window import WindowSender
 
+#: The cubic growth curve's scaling constant ``C``.
+SCALING = 0.4
+#: The window's multiplier on a loss.
+BETA = 0.7
+
 
 class CubicSender(WindowSender):
     """Loss-based sender with cubic window growth."""
-
-    def __init__(self, *args, scaling: float = 0.4, beta: float = 0.7, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.scaling = scaling
-        self.beta = beta
 
     def _restart(self) -> None:
         super()._restart()
@@ -27,8 +27,8 @@ class CubicSender(WindowSender):
         self.epoch_start: float | None = None
 
     def _cubic_window(self, elapsed: float) -> float:
-        inflection = (self.w_max * (1.0 - self.beta) / self.scaling) ** (1.0 / 3.0)
-        return self.scaling * (elapsed - inflection) ** 3 + self.w_max
+        inflection = (self.w_max * (1.0 - BETA) / SCALING) ** (1.0 / 3.0)
+        return SCALING * (elapsed - inflection) ** 3 + self.w_max
 
     def on_ack_window(self, newly_acked: int) -> None:
         now = self.sim.now
@@ -46,8 +46,8 @@ class CubicSender(WindowSender):
     def on_fast_retransmit(self) -> None:
         self.w_max = self.cwnd
         self.epoch_start = None
-        self.ssthresh = max(self.cwnd * self.beta, 2.0)
-        self.cwnd = max(self.cwnd * self.beta, 1.0)
+        self.ssthresh = max(self.cwnd * BETA, 2.0)
+        self.cwnd = max(self.cwnd * BETA, 1.0)
 
     def on_timeout(self) -> None:
         self.w_max = self.cwnd

@@ -7,8 +7,6 @@ in comparisons.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.errors import ConfigurationError
 from repro.sim.element import SourceElement
 from repro.sim.packet import Packet
@@ -16,7 +14,7 @@ from repro.units import DEFAULT_PACKET_BITS
 
 
 class FixedRateSender(SourceElement):
-    """Sends fixed-size packets at a constant rate, open loop."""
+    """Sends fixed-size packets at a constant rate, open loop, from its start."""
 
     def __init__(
         self,
@@ -24,8 +22,6 @@ class FixedRateSender(SourceElement):
         flow: str = "fixed",
         packet_bits: float = DEFAULT_PACKET_BITS,
         name: str | None = None,
-        start_time: float = 0.0,
-        stop_time: Optional[float] = None,
     ) -> None:
         if rate_pps <= 0:
             raise ConfigurationError(f"rate_pps must be positive, got {rate_pps!r}")
@@ -35,8 +31,6 @@ class FixedRateSender(SourceElement):
         self.rate_pps = float(rate_pps)
         self.packet_bits = float(packet_bits)
         self.flow = flow
-        self.start_time = float(start_time)
-        self.stop_time = stop_time
         self.next_seq = 0
         self.packets_sent = 0
 
@@ -46,12 +40,10 @@ class FixedRateSender(SourceElement):
         return self.rate_pps * self.packet_bits
 
     def start(self) -> None:
-        self.sim.schedule_at(max(self.start_time, self.sim.now), self._send)
+        self.sim.schedule_at(self.sim.now, self._send)
 
     def _send(self) -> None:
         now = self.sim.now
-        if self.stop_time is not None and now > self.stop_time:
-            return
         packet = Packet(
             seq=self.next_seq,
             flow=self.flow,

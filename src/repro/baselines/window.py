@@ -31,6 +31,11 @@ from repro.sim.events import Event
 from repro.sim.packet import Packet
 from repro.units import DEFAULT_PACKET_BITS
 
+#: Initial congestion window, in packets.
+INITIAL_CWND = 1.0
+#: Lower bound on the retransmission timeout, in seconds.
+MIN_RTO = 0.2
+
 
 class WindowSender(SourceElement):
     """Base class for self-clocked, window-based senders.
@@ -43,15 +48,14 @@ class WindowSender(SourceElement):
         Flow name stamped on transmitted packets.
     packet_bits:
         Packet size (uniform).
-    initial_cwnd:
-        Initial congestion window, in packets.
     initial_ssthresh:
         Initial slow-start threshold, in packets.
-    min_rto / max_rto:
-        Bounds on the retransmission timeout, in seconds.
-    total_packets:
-        Optional cap on how many distinct packets to deliver (a "flow size");
-        ``None`` models an unbounded bulk transfer.
+    max_rto:
+        Upper bound on the retransmission timeout, in seconds (the lower
+        one is ``MIN_RTO``).
+
+    The sender starts with ``INITIAL_CWND`` packets in its window, sends
+    from its start, and has no end: an unbounded bulk transfer.
     """
 
     def __init__(
@@ -60,35 +64,23 @@ class WindowSender(SourceElement):
         flow: str = "tcp",
         packet_bits: float = DEFAULT_PACKET_BITS,
         name: str | None = None,
-        initial_cwnd: float = 1.0,
         initial_ssthresh: float = 64.0,
-        min_rto: float = 0.2,
         max_rto: float = 60.0,
-        total_packets: Optional[int] = None,
-        start_time: float = 0.0,
     ) -> None:
         # Each check is written so that NaN fails it, and every bound is finite.
         if not 0.0 < packet_bits < math.inf:
             raise ConfigurationError(
                 f"packet_bits must be positive and finite, got {packet_bits!r}"
             )
-        if not 1.0 <= initial_cwnd < math.inf:
+        if not MIN_RTO <= max_rto < math.inf:
             raise ConfigurationError(
-                f"initial_cwnd must be finite and at least 1, got {initial_cwnd!r}"
-            )
-        if not 0.0 < min_rto <= max_rto < math.inf:
-            raise ConfigurationError(
-                f"require 0 < min_rto <= max_rto < inf, got {min_rto!r} and {max_rto!r}"
+                f"require {MIN_RTO} <= max_rto < inf, got {max_rto!r}"
             )
         super().__init__(name)
         self.receiver = receiver
         self.flow = flow
         self.packet_bits = float(packet_bits)
-        self.start_time = float(start_time)
-        self.total_packets = total_packets
-        self._initial_cwnd = float(initial_cwnd)
         self._initial_ssthresh = float(initial_ssthresh)
-        self.min_rto = min_rto
         self.max_rto = max_rto
         self._restart()
         receiver.on_deliver = self._on_delivery
@@ -96,7 +88,7 @@ class WindowSender(SourceElement):
     def _restart(self) -> None:
         """Set the run state to what a freshly built sender holds."""
         # Congestion state.
-        self.cwnd = self._initial_cwnd
+        self.cwnd = INITIAL_CWND
         self.ssthresh = self._initial_ssthresh
         self.in_recovery = False
         self.recovery_point = -1
@@ -149,7 +141,7 @@ class WindowSender(SourceElement):
     # ------------------------------------------------------------- life cycle
 
     def start(self) -> None:
-        self.sim.schedule_at(max(self.start_time, self.sim.now), self._send_allowed)
+        self.sim.schedule_at(self.sim.now, self._send_allowed)
 
     # ------------------------------------------------------------- data plane
 
@@ -159,16 +151,10 @@ class WindowSender(SourceElement):
 
     def _send_allowed(self) -> None:
         """Transmit as many new packets as the window currently allows."""
-        # Runs on every ACK, so the finished test and `flight_size()` are
-        # written out inline.
-        total = self.total_packets
-        if total is not None and self.cumulative_ack + 1 >= total:
-            return
-        # `cwnd` is re-read every iteration: on a zero-delay path `_transmit`
+        # Runs on every ACK, so `flight_size()` is written out inline.  `cwnd`
+        # is re-read every iteration: on a zero-delay path `_transmit`
         # re-enters `_on_delivery`, which moves the window.
         while len(self.outstanding) < int(self.cwnd):
-            if total is not None and self.next_seq >= total:
-                break
             self._transmit(self.next_seq)
             self.next_seq += 1
         self._arm_rto()
@@ -253,7 +239,7 @@ class WindowSender(SourceElement):
             assert self.rttvar is not None
             self.rttvar = 0.75 * self.rttvar + 0.25 * abs(self.srtt - rtt)
             self.srtt = 0.875 * self.srtt + 0.125 * rtt
-        self.rto = min(self.max_rto, max(self.min_rto, self.srtt + 4.0 * self.rttvar))
+        self.rto = min(self.max_rto, max(MIN_RTO, self.srtt + 4.0 * self.rttvar))
 
     def _arm_rto(self) -> None:
         timer = self._rto_timer

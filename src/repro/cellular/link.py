@@ -27,6 +27,9 @@ from repro.errors import ConfigurationError
 from repro.sim.element import Element
 from repro.sim.packet import Packet
 
+#: Transmission attempts before the link gives up and drops the packet.
+MAX_ATTEMPTS = 10
+
 
 class TraceDrivenLink(Throughput):
     """A :class:`~repro.elements.throughput.Throughput` whose rate follows a trace.
@@ -63,11 +66,10 @@ class CellularLink(Element):
         experiment corresponds to roughly ten seconds of traffic at the
         nominal rate — deliberately bloated.
     loss_rate:
-        Probability that one transmission attempt fails and is retried.
+        Probability that one transmission attempt fails and is retried, up
+        to ``MAX_ATTEMPTS`` attempts in all.
     retransmit_delay:
         Extra delay, in seconds, before a failed attempt is retried.
-    max_attempts:
-        Attempts before the link finally gives up and drops the packet.
     propagation_delay:
         Fixed one-way delay added after a successful transmission.
     """
@@ -78,7 +80,6 @@ class CellularLink(Element):
         buffer_bits: float,
         loss_rate: float = 0.0,
         retransmit_delay: float = 0.05,
-        max_attempts: int = 10,
         propagation_delay: float = 0.03,
         name: str | None = None,
     ) -> None:
@@ -96,14 +97,11 @@ class CellularLink(Element):
             raise ConfigurationError(
                 f"propagation_delay must be non-negative and finite, got {propagation_delay!r}"
             )
-        if not max_attempts >= 1:
-            raise ConfigurationError(f"max_attempts must be at least 1, got {max_attempts!r}")
         super().__init__(name)
         self.rate_process = rate_process
         self.buffer_bits = float(buffer_bits)
         self.loss_rate = float(loss_rate)
         self.retransmit_delay = float(retransmit_delay)
-        self.max_attempts = max_attempts
         self.propagation_delay = float(propagation_delay)
 
         self._queue: deque[Packet] = deque()
@@ -138,7 +136,7 @@ class CellularLink(Element):
     def _attempt_done(self, packet: Packet, attempt: int) -> None:
         if self.loss_rate > 0.0 and self.rng("arq").random() < self.loss_rate:
             # The attempt failed; hide the loss behind a retransmission.
-            if attempt >= self.max_attempts:
+            if attempt >= MAX_ATTEMPTS:
                 self.abandoned_packets += 1
                 packet.mark_dropped(self.sim.now, self.name)
                 self._serve_next()

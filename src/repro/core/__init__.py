@@ -13,7 +13,7 @@
   that the utility-maximizing behaviour can be precomputed into a policy).
 """
 
-from repro.core.actions import Action, ActionGrid
+from repro.core.actions import ACTION_MULTIPLES, Action, candidate_actions
 from repro.core.isender import ISender
 from repro.core.planner import Decision, ExpectedUtilityPlanner
 from repro.core.policy import PolicyCache
@@ -25,7 +25,8 @@ from repro.core.utility import (
 
 __all__ = [
     "Action",
-    "ActionGrid",
+    "ACTION_MULTIPLES",
+    "candidate_actions",
     "AlphaWeightedUtility",
     "Decision",
     "ExpectedUtilityPlanner",

@@ -1,10 +1,10 @@
 """The sender's action space: "send now" or "sleep until time t" (§3.2).
 
 An :class:`Action` is simply a non-negative delay before the next
-transmission; zero means "send now".  An :class:`ActionGrid` builds the list
-of candidate delays the planner evaluates — the paper's "list of strategies
-including sending immediately and at every delay up to the slowest rate the
-ISENDER could optimally send".
+transmission; zero means "send now".  :func:`candidate_actions` builds the
+list of candidate delays the planner evaluates — the paper's "list of
+strategies including sending immediately and at every delay up to the
+slowest rate the ISENDER could optimally send".
 """
 
 from __future__ import annotations
@@ -30,38 +30,21 @@ class Action:
         return self.delay == 0.0
 
 
-class ActionGrid:
-    """Builds the candidate delays evaluated at each wake-up.
+#: The candidate delays, as multiples of the packet service time at the
+#: (currently believed) link speed.  Sending slower than the largest multiple
+#: can never be optimal for a throughput-seeking sender, because the sender
+#: re-plans when it wakes: the largest multiple bounds how long it sleeps
+#: before reconsidering.  0 makes "send now" always an option.
+ACTION_MULTIPLES = (0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0, 8.0)
 
-    The grid is expressed as multiples of the packet service time at the
-    (currently believed) link speed: sending slower than the largest
-    multiple can never be optimal for a throughput-seeking sender because
-    the sender re-plans when it wakes, so the largest multiple simply bounds
-    how long it will sleep before reconsidering.
 
-    Parameters
-    ----------
-    multiples:
-        Service-time multiples to evaluate; 0 must normally be included so
-        "send now" is always an option.
-    """
-
-    DEFAULT_MULTIPLES = (0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0, 8.0)
-
-    def __init__(self, multiples: tuple[float, ...] = DEFAULT_MULTIPLES) -> None:
-        if not multiples:
-            raise ConfigurationError("an action grid needs at least one multiple")
-        if any(multiple < 0 for multiple in multiples):
-            raise ConfigurationError("action-grid multiples must be non-negative")
-        self.multiples = tuple(sorted(set(multiples)))
-
-    def actions(self, service_time: float) -> list[Action]:
-        """Candidate actions given the believed packet service time in seconds."""
-        if service_time <= 0:
-            raise ConfigurationError(f"service_time must be positive, got {service_time!r}")
-        delays: list[float] = []
-        for multiple in self.multiples:
-            delay = multiple * service_time
-            if delay not in delays:
-                delays.append(delay)
-        return [Action(delay) for delay in delays]
+def candidate_actions(service_time: float) -> list[Action]:
+    """The actions evaluated at a wake-up, given the believed packet service time in seconds."""
+    if service_time <= 0:
+        raise ConfigurationError(f"service_time must be positive, got {service_time!r}")
+    delays: list[float] = []
+    for multiple in ACTION_MULTIPLES:
+        delay = multiple * service_time
+        if delay not in delays:
+            delays.append(delay)
+    return [Action(delay) for delay in delays]

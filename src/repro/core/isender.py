@@ -63,9 +63,8 @@ class ISender(SourceElement):
         Flow name stamped on transmitted packets.
     packet_bits:
         Size of every transmitted packet (the paper assumes uniform sizes).
-    start_time / stop_time:
-        When the sender begins making decisions, and (optionally) when it
-        stops transmitting.
+
+    The sender makes its first decision when it starts, and never stops.
     """
 
     def __init__(
@@ -76,8 +75,6 @@ class ISender(SourceElement):
         flow: str = "isender",
         packet_bits: float = DEFAULT_PACKET_BITS,
         name: str | None = None,
-        start_time: float = 0.0,
-        stop_time: Optional[float] = None,
         policy=None,
     ) -> None:
         if packet_bits <= 0:
@@ -99,8 +96,6 @@ class ISender(SourceElement):
         self.receiver = receiver
         self.flow = flow
         self.packet_bits = float(packet_bits)
-        self.start_time = float(start_time)
-        self.stop_time = stop_time
 
         self.sent: list[SentRecord] = []
         self.acks: list[AckObservation] = []
@@ -114,7 +109,7 @@ class ISender(SourceElement):
     # ------------------------------------------------------------- life cycle
 
     def start(self) -> None:
-        self.sim.schedule_at(max(self.start_time, self.sim.now), self._wake)
+        self.sim.schedule_at(self.sim.now, self._wake)
 
     # ----------------------------------------------------------------- events
 
@@ -148,9 +143,6 @@ class ISender(SourceElement):
         acks = self._pending_acks
         self._pending_acks = []
         self.belief.update(now, acks)
-
-        if self.stop_time is not None and now >= self.stop_time:
-            return
 
         sends_this_wake = 0
         decision = self._decide(now)

@@ -40,7 +40,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.core.actions import Action, ActionGrid
+from repro.core.actions import Action, candidate_actions
 from repro.core.utility import UtilityFunction
 from repro.errors import ConfigurationError
 from repro.inference.belief import BeliefState, check_backend
@@ -80,9 +80,8 @@ class ExpectedUtilityPlanner:
     Parameters
     ----------
     utility:
-        The utility function being maximized.
-    action_grid:
-        Candidate delays, as multiples of the believed packet service time.
+        The utility function being maximized, over the delays
+        :func:`~repro.core.actions.candidate_actions` lists.
     packet_bits:
         Size of the sender's (uniform) packets.
     horizon:
@@ -117,7 +116,6 @@ class ExpectedUtilityPlanner:
     def __init__(
         self,
         utility: UtilityFunction,
-        action_grid: Optional[ActionGrid] = None,
         packet_bits: float = DEFAULT_PACKET_BITS,
         horizon: Optional[float] = None,
         horizon_service_multiples: float = 12.0,
@@ -148,7 +146,6 @@ class ExpectedUtilityPlanner:
 
             self._select, self._value, self._follow = select_rows, value_rows, follow_rows
         self.utility = utility
-        self.action_grid = action_grid if action_grid is not None else ActionGrid()
         self.packet_bits = packet_bits
         self.horizon = horizon
         self.horizon_service_multiples = horizon_service_multiples
@@ -190,7 +187,7 @@ class ExpectedUtilityPlanner:
         if follow_up_bits is not None and self._follow is not None:
             lanes, drains = self._follow(lanes, follow_up_bits, now, self.horizon is None)
             horizons.append(self._horizon(weights, total_weight, drains, service_time))
-        actions = self.action_grid.actions(service_time)
+        actions = candidate_actions(service_time)
         delays = [action.delay for action in actions]
         count = len(weights)
 

@@ -47,7 +47,7 @@ class ExponentialDiscount:
     """Discount factor ``exp(-(t - t0) / timescale)`` for deliveries at time ``t``."""
 
     def __init__(self, timescale: float) -> None:
-        if timescale <= 0:
+        if not timescale > 0.0:  # NaN fails it too
             raise UtilityError(f"discount timescale must be positive, got {timescale!r}")
         self.timescale = timescale
 
@@ -79,9 +79,10 @@ class AlphaWeightedUtility:
         discount_timescale: float = 10.0,
         latency_penalty: float = 0.0,
     ) -> None:
-        if alpha < 0:
+        # Each check is written so that NaN fails it.
+        if not alpha >= 0.0:
             raise UtilityError(f"alpha must be non-negative, got {alpha!r}")
-        if latency_penalty < 0:
+        if not latency_penalty >= 0.0:
             raise UtilityError(f"latency_penalty must be non-negative, got {latency_penalty!r}")
         self.alpha = alpha
         self.discount = ExponentialDiscount(discount_timescale)

@@ -88,20 +88,18 @@ def parse_mahimahi_text(
     source: str = "mahimahi",
     packet_bits: int = DEFAULT_PACKET_BITS,
     bin_ms: int = DEFAULT_BIN_MS,
-    min_rate_bps: float = OUTAGE_FLOOR_BPS,
 ) -> LinkTrace:
     """Parse a mahimahi packet-delivery trace (one ms timestamp per line).
 
     Timestamps need not be unique (several packets can be delivered in the
     same millisecond) but must be non-decreasing, matching the files
-    mahimahi itself accepts.
+    mahimahi itself accepts.  A bin with no delivery runs at
+    ``OUTAGE_FLOOR_BPS``.
     """
     if bin_ms <= 0:
         raise ConfigurationError("bin_ms must be positive")
     if packet_bits <= 0:
         raise ConfigurationError("packet_bits must be positive")
-    if min_rate_bps <= 0:
-        raise ConfigurationError("min_rate_bps must be positive")
     stamps: list[int] = []
     for number, line in _data_lines(text):
         try:
@@ -134,7 +132,7 @@ def parse_mahimahi_text(
     bin_s = bin_ms / 1000.0
     times = [index * bin_s for index in range(bin_count)]
     rates = [
-        max(count * packet_bits / bin_s, min_rate_bps) for count in counts
+        max(count * packet_bits / bin_s, OUTAGE_FLOOR_BPS) for count in counts
     ]
     return LinkTrace(
         times=times,

@@ -480,21 +480,17 @@ def _describe_backends(config: SenderConfig) -> str:
 def diagnose_divergence(
     config_a: SenderConfig,
     config_b: SenderConfig,
-    seed: Optional[int] = 0,
-    events: Optional[Sequence] = None,
+    seed: int = 0,
     tolerance: float = 1e-9,
 ) -> DivergenceReport:
-    """Replay both configs through one script and attribute the first drift.
+    """Replay both configs through :func:`seeded_events(seed) <seeded_events>`
+    and attribute the first drift.
 
-    ``events`` defaults to :func:`seeded_events(seed) <seeded_events>`.
     When the replays diverge, a second pair of replays with canonically
     ordered acknowledgements separates event-ordering sensitivity from
     genuine kernel-stage drift.
     """
-    if events is None:
-        if seed is None:
-            raise ValueError("diagnose_divergence needs a seed or explicit events")
-        events = seeded_events(seed)
+    events = seeded_events(seed)
     trace_a = replay_trace(config_a, events)
     trace_b = replay_trace(config_b, events)
     divergence = compare_traces(trace_a, trace_b, tolerance)

@@ -9,10 +9,10 @@ them against every piece of evidence the probes below can collect:
 
 * a differential quick-fuzz — seeded scalar-vs-vectorized replays through
   :func:`~repro.diagnostics.divergence.diagnose_divergence`,
-* :class:`~repro.runner.cache.ResultCache` hit/miss/corrupt counters and a
-  scan of an on-disk cache directory for unreadable or wrong-schema
-  entries,
-* :func:`scan_signature_collisions` — seeded replays that watch for one
+* a scan of an on-disk :class:`~repro.runner.cache.ResultCache` directory
+  for unreadable or wrong-schema entries,
+* :func:`scan_signature_collisions` — seeded replays of
+  :func:`~repro.diagnostics.divergence.backend_config` that watch for one
   coarse decision signature mapping to different planner decisions.
 
 Timings are not evidence here.  Whether a micro-benchmark timing regressed
@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.diagnostics.divergence import (
     DivergenceReport,
@@ -121,26 +121,10 @@ class TriageReport:
 def _cache_evidence(
     causes: dict[str, CauseHypothesis],
     notes: list[str],
-    cache_dir: Optional[Path],
-    cache_counters: Optional[Mapping[str, int]],
+    cache_dir: Path,
 ) -> None:
-    """Score the staleness hypothesis from cache counters and disk state."""
+    """Score the staleness hypothesis from the cache's disk state."""
     staleness = causes[CAUSE_CACHE_STALENESS]
-    if cache_counters is not None:
-        corrupt = int(cache_counters.get("corrupt", 0))
-        traffic = int(cache_counters.get("hits", 0)) + int(cache_counters.get("misses", 0))
-        if corrupt:
-            staleness.support(
-                f"{corrupt} cache read(s) failed validation this run",
-                "cache",
-                0.85,
-            )
-        elif traffic:
-            staleness.refute(
-                f"{traffic} cache lookup(s), none corrupt", "cache", 0.6
-            )
-    if cache_dir is None:
-        return
     entries = sorted(Path(cache_dir).glob("results/*/*.json"))
     if not entries:
         notes.append(f"cache directory {cache_dir} holds no entries")
@@ -209,26 +193,18 @@ def _differential_evidence(
     return None
 
 
-def scan_signature_collisions(
-    config,
-    seeds: Sequence[int],
-    queue_resolution_bits: Optional[float] = None,
-) -> list[dict]:
+def scan_signature_collisions(config, seeds: Sequence[int]) -> list[dict]:
     """Find coarse decision signatures that alias different decisions.
 
     Replays :func:`~repro.diagnostics.divergence.seeded_events` scripts,
     recording the planner's decision at every decide point alongside the
     belief's :meth:`~repro.inference.belief.BeliefState.decision_signature`
-    at ``queue_resolution_bits`` (the config's policy resolution by
-    default).  Two occurrences of the same signature choosing different
-    delays is exactly the failure the policy table would replay: its
-    memoized decision would be wrong for one of the two states.
+    at the config's policy resolution.  Two occurrences of the same
+    signature choosing different delays is exactly the failure the policy
+    table would replay: its memoized decision would be wrong for one of the
+    two states.
     """
-    resolution = (
-        queue_resolution_bits
-        if queue_resolution_bits is not None
-        else config.policy_resolution_bits
-    )
+    resolution = config.policy_resolution_bits
     collisions: list[dict] = []
     seen: dict[tuple, tuple[float, int]] = {}
     for seed in seeds:
@@ -259,12 +235,10 @@ def scan_signature_collisions(
 def _collision_evidence(
     causes: dict[str, CauseHypothesis],
     notes: list[str],
-    config,
     seeds: Sequence[int],
-    queue_resolution_bits: Optional[float],
 ) -> None:
     collision = causes[CAUSE_SIGNATURE_COLLISION]
-    found = scan_signature_collisions(config, seeds, queue_resolution_bits)
+    found = scan_signature_collisions(backend_config(), seeds)
     if found:
         sample = found[0]
         collision.support(
@@ -287,11 +261,8 @@ def _collision_evidence(
 
 def triage(
     cache_dir: Optional[str | Path] = None,
-    cache_counters: Optional[Mapping[str, int]] = None,
     fuzz_seeds: Sequence[int] = (),
     collision_seeds: Sequence[int] = (),
-    collision_config=None,
-    collision_resolution_bits: Optional[float] = None,
 ) -> TriageReport:
     """Collect every available evidence source and rank the three causes.
 
@@ -300,23 +271,12 @@ def triage(
     """
     causes = make_causes()
     notes: list[str] = []
-    if cache_dir is not None or cache_counters is not None:
-        _cache_evidence(
-            causes,
-            notes,
-            Path(cache_dir) if cache_dir is not None else None,
-            cache_counters,
-        )
+    if cache_dir is not None:
+        _cache_evidence(causes, notes, Path(cache_dir))
     divergence = None
     if fuzz_seeds:
         divergence = _differential_evidence(causes, notes, fuzz_seeds)
     if collision_seeds:
-        _collision_evidence(
-            causes,
-            notes,
-            collision_config if collision_config is not None else backend_config(),
-            collision_seeds,
-            collision_resolution_bits,
-        )
+        _collision_evidence(causes, notes, collision_seeds)
     ranked = BayesianScorer().score(list(causes.values()))
     return TriageReport(causes=ranked, notes=notes, divergence=divergence)

@@ -37,11 +37,8 @@ class Buffer(Element):
         Maximum number of bits the queue may hold.
     initial_fill_bits:
         Bits of background traffic pre-loaded into the queue at start-up
-        (must not exceed the capacity).
-    filler_packet_bits:
-        Size of the synthetic packets used to represent the initial fill.
-    filler_flow:
-        Flow name given to the synthetic filler packets.
+        (must not exceed the capacity), cut into ``DEFAULT_PACKET_BITS``
+        filler packets of the ``background`` flow.
     """
 
     def __init__(
@@ -49,8 +46,6 @@ class Buffer(Element):
         capacity_bits: float,
         initial_fill_bits: float = 0.0,
         name: str | None = None,
-        filler_packet_bits: float = DEFAULT_PACKET_BITS,
-        filler_flow: str = "background",
     ) -> None:
         # Written so that NaN fails every test, as in LinkModelParams.
         if not 0.0 < capacity_bits:
@@ -59,16 +54,13 @@ class Buffer(Element):
             raise ConfigurationError(
                 f"initial fill ({initial_fill_bits!r}) must lie in [0, capacity]"
             )
-        # Cut here, not at start-up, so a filler size or fill the one fill
-        # rule refuses (not positive and finite, too many packets) fails at
-        # construction.
-        filler_sizes = filler_packet_sizes(float(initial_fill_bits), float(filler_packet_bits))
+        # Cut here, not at start-up, so a fill the one fill rule refuses
+        # (too many packets) fails at construction.
+        filler_sizes = filler_packet_sizes(float(initial_fill_bits), DEFAULT_PACKET_BITS)
         super().__init__(name)
         self.capacity_bits = float(capacity_bits)
         self.initial_fill_bits = float(initial_fill_bits)
-        self.filler_packet_bits = float(filler_packet_bits)
         self._filler_sizes = filler_sizes
-        self.filler_flow = filler_flow
         self._queue: deque[Packet] = deque()
         self._occupancy_bits = 0.0
         self._pull_mode = False
@@ -100,7 +92,7 @@ class Buffer(Element):
         for seq, size in enumerate(self._filler_sizes):
             filler = Packet(
                 seq=seq,
-                flow=self.filler_flow,
+                flow="background",
                 size_bits=size,
                 created_at=self.sim.now,
                 sent_at=self.sim.now,

@@ -14,12 +14,14 @@ from repro.sim.packet import Packet
 
 
 class GateElement(Element):
-    """Base class for elements that alternate between connected and disconnected."""
+    """Base class for elements that alternate between connected and disconnected.
 
-    def __init__(self, name: str | None = None, initially_connected: bool = True) -> None:
+    A gate starts connected.
+    """
+
+    def __init__(self, name: str | None = None) -> None:
         super().__init__(name)
-        self._initially_connected = initially_connected
-        self._connected = initially_connected
+        self._connected = True
         self.passed_count = 0
         self.blocked_count = 0
         self.switch_times: list[float] = []
@@ -40,7 +42,7 @@ class GateElement(Element):
 
     def reset(self) -> None:
         super().reset()
-        self._connected = self._initially_connected
+        self._connected = True
         self.passed_count = 0
         self.blocked_count = 0
         self.switch_times = []

@@ -19,22 +19,16 @@ class Intermittent(GateElement):
     Parameters
     ----------
     mean_time_to_switch:
-        Mean of the exponential dwell time in each state, in seconds.
-    initially_connected:
-        Whether the gate starts in the connected state.
+        Mean of the exponential dwell time in each state, in seconds.  The
+        gate starts connected.
     """
 
-    def __init__(
-        self,
-        mean_time_to_switch: float,
-        name: str | None = None,
-        initially_connected: bool = True,
-    ) -> None:
+    def __init__(self, mean_time_to_switch: float, name: str | None = None) -> None:
         if not 0.0 < mean_time_to_switch < math.inf:  # NaN fails it too
             raise ConfigurationError(
                 f"mean_time_to_switch must be positive and finite, got {mean_time_to_switch!r}"
             )
-        super().__init__(name, initially_connected=initially_connected)
+        super().__init__(name)
         self.mean_time_to_switch = mean_time_to_switch
 
     def start(self) -> None:

@@ -5,12 +5,6 @@ packet at a particular rate."  In the §4 experiment the loss element sits at
 the "last mile", after the buffer and throughput-limited link, which is the
 placement that keeps its consequences from lingering in the sender's belief
 state (§3.2).
-
-Besides the ordinary random mode the element supports a ``survival_tagging``
-mode in which no packet is ever dropped; instead each packet's survival
-probability is multiplied into ``packet.meta["survival_prob"]``.  Hypothesis
-networks inside the inference engine use this mode so that stochastic loss
-becomes a likelihood term rather than a branching event.
 """
 
 from __future__ import annotations
@@ -27,32 +21,18 @@ class Loss(Element):
     ----------
     rate:
         Per-packet loss probability in ``[0, 1]``.
-    survival_tagging:
-        If ``True``, never drop; annotate survival probability instead.
     """
 
-    def __init__(
-        self,
-        rate: float,
-        name: str | None = None,
-        survival_tagging: bool = False,
-    ) -> None:
+    def __init__(self, rate: float, name: str | None = None) -> None:
         if not 0.0 <= rate <= 1.0:
             raise ConfigurationError(f"loss rate must be within [0, 1], got {rate!r}")
         super().__init__(name)
         self.rate = float(rate)
-        self.survival_tagging = survival_tagging
         self.drop_count = 0
         self.pass_count = 0
 
     def receive(self, packet: Packet) -> None:
         self.received_count += 1
-        if self.survival_tagging:
-            previous = packet.meta.get("survival_prob", 1.0)
-            packet.meta["survival_prob"] = previous * (1.0 - self.rate)
-            self.pass_count += 1
-            self.emit(packet)
-            return
         if self.rate > 0.0 and self.rng("loss").random() < self.rate:
             self.drop_count += 1
             packet.mark_dropped(self.sim.now, self.name)

@@ -27,10 +27,8 @@ class Pinger(SourceElement):
         Size of every generated packet.
     flow:
         Flow name stamped on generated packets (defaults to ``"cross"``).
-    start_time:
-        Absolute time of the first transmission.
-    stop_time:
-        Optional time after which no further packets are generated.
+
+    The first packet leaves when the pinger starts.
     """
 
     def __init__(
@@ -39,8 +37,6 @@ class Pinger(SourceElement):
         packet_bits: float = DEFAULT_PACKET_BITS,
         flow: str = "cross",
         name: str | None = None,
-        start_time: float = 0.0,
-        stop_time: float | None = None,
     ) -> None:
         # Each check is written so that NaN fails it.
         if not 0.0 < rate_pps < math.inf:
@@ -49,14 +45,10 @@ class Pinger(SourceElement):
             raise ConfigurationError(
                 f"packet_bits must be positive and finite, got {packet_bits!r}"
             )
-        if not -math.inf < start_time < math.inf:
-            raise ConfigurationError(f"start_time must be finite, got {start_time!r}")
         super().__init__(name)
         self.rate_pps = float(rate_pps)
         self.packet_bits = float(packet_bits)
         self.flow = flow
-        self.start_time = float(start_time)
-        self.stop_time = stop_time
         self._next_seq = 0
 
     @property
@@ -70,13 +62,10 @@ class Pinger(SourceElement):
         return self.rate_pps * self.packet_bits
 
     def start(self) -> None:
-        first = max(self.start_time, self.sim.now)
-        self.sim.schedule_at(first, self._send)
+        self.sim.schedule_at(self.sim.now, self._send)
 
     def _send(self) -> None:
         now = self.sim.now
-        if self.stop_time is not None and now > self.stop_time:
-            return
         packet = Packet(
             seq=self._next_seq,
             flow=self.flow,

@@ -3,9 +3,8 @@
 The paper (§3.4): "The RECEIVER accumulates packets and wakes up the SENDER
 for each one, notifying it of the received time and sequence number of the
 packet."  The preliminary experiments assume synchronized clocks and a
-lossless, instantaneous return path, which here is an optional callback
-invoked synchronously at delivery time.  An explicit acknowledgement delay
-can be configured to model a non-instant return path.
+lossless, instantaneous return path, which here is a callback the sender
+assigns, invoked synchronously at delivery time.
 
 Deliveries are kept as columns, one array entry per accepted packet in
 arrival order, not as one object each: a long many-flow run accumulates
@@ -14,13 +13,11 @@ hundreds of thousands of them.
 
 from __future__ import annotations
 
-import math
 from array import array
 from dataclasses import dataclass
 from itertools import compress
 from typing import Callable, Iterator, Optional
 
-from repro.errors import ConfigurationError
 from repro.sim.element import Element
 from repro.sim.packet import Packet
 
@@ -41,35 +38,24 @@ class Receiver(Element):
 
     Parameters
     ----------
-    on_deliver:
-        Callback invoked as ``on_deliver(delivery)`` for every accepted
-        packet, after the acknowledgement delay (zero by default).
-    ack_delay:
-        Seconds between packet arrival and the callback firing, modelling the
-        return path.  The paper's experiments use zero.
     accept_flows:
         If given, only packets whose flow is in this collection are recorded
         and acknowledged; others are counted as ``ignored``.
 
     Each accepted delivery appends one entry to five columns: ``seqs``,
     ``flow_codes`` (an index into the flows in first-arrival order),
-    ``sizes``, ``sent_times`` and ``received_times``.
+    ``sizes``, ``sent_times`` and ``received_times``.  A sender assigns
+    ``on_deliver``, called as ``on_deliver(delivery)`` for every accepted
+    packet at its arrival.
     """
 
     def __init__(
         self,
         name: str | None = None,
-        on_deliver: Optional[Callable[[Delivery], None]] = None,
-        ack_delay: float = 0.0,
         accept_flows: Optional[set[str]] = None,
     ) -> None:
-        if not 0.0 <= ack_delay < math.inf:  # NaN fails it too
-            raise ConfigurationError(
-                f"ack_delay must be non-negative and finite, got {ack_delay!r}"
-            )
         super().__init__(name)
-        self.on_deliver = on_deliver
-        self.ack_delay = float(ack_delay)
+        self.on_deliver: Optional[Callable[[Delivery], None]] = None
         self.accept_flows = set(accept_flows) if accept_flows is not None else None
         self._clear()
 
@@ -102,17 +88,15 @@ class Receiver(Element):
         self.received_times.append(now)
         self.bits_received += packet.size_bits
         if self.on_deliver is not None:
-            delivery = Delivery(
-                seq=packet.seq,
-                flow=flow,
-                size_bits=packet.size_bits,
-                sent_at=sent_at,
-                received_at=now,
+            self.on_deliver(
+                Delivery(
+                    seq=packet.seq,
+                    flow=flow,
+                    size_bits=packet.size_bits,
+                    sent_at=sent_at,
+                    received_at=now,
+                )
             )
-            if self.ack_delay > 0:
-                self.sim.schedule(self.ack_delay, self.on_deliver, delivery)
-            else:
-                self.on_deliver(delivery)
 
     # ------------------------------------------------------------------ stats
 

@@ -23,33 +23,20 @@ class SquareWave(GateElement):
     ----------
     switch_interval:
         Dwell time in each state, in seconds (the full on/off cycle is twice
-        this value).
-    initially_connected:
-        Whether the gate starts connected.
-    offset:
-        Delay before the first toggle, defaulting to ``switch_interval``.
+        this value).  The gate starts connected and first toggles after one
+        interval.
     """
 
-    def __init__(
-        self,
-        switch_interval: float,
-        name: str | None = None,
-        initially_connected: bool = True,
-        offset: float | None = None,
-    ) -> None:
-        # Each check is written so that NaN fails it.
-        if not 0.0 < switch_interval < math.inf:
+    def __init__(self, switch_interval: float, name: str | None = None) -> None:
+        if not 0.0 < switch_interval < math.inf:  # NaN fails it too
             raise ConfigurationError(
                 f"switch_interval must be positive and finite, got {switch_interval!r}"
             )
-        if offset is not None and not 0.0 <= offset < math.inf:
-            raise ConfigurationError(f"offset must be non-negative and finite, got {offset!r}")
-        super().__init__(name, initially_connected=initially_connected)
+        super().__init__(name)
         self.switch_interval = switch_interval
-        self.offset = switch_interval if offset is None else offset
 
     def start(self) -> None:
-        self.sim.schedule(self.offset, self._switch)
+        self.sim.schedule(self.switch_interval, self._switch)
 
     def _switch(self) -> None:
         self._toggle()

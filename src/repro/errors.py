@@ -46,8 +46,12 @@ class UnknownBackendError(ConfigurationError, InferenceError):
     """
 
 
-class UtilityError(ReproError):
-    """A utility function received invalid parameters or inputs."""
+class UtilityError(ConfigurationError):
+    """A utility function received invalid parameters.
+
+    A :class:`ConfigurationError`, so the runner CLI reports it as a clean
+    ``error:`` with exit status 2, as it does every other bad parameter.
+    """
 
 
 class ServingError(ReproError):

@@ -46,11 +46,13 @@ class AblationOutcome:
 #: outside the small integers experiments use as measured seeds.
 _PILOT_SEED = 1_000_003
 
+#: The cross traffic's on/off half-period, in seconds.
+SWITCH_INTERVAL = 30.0
+
 
 def run_ablation_point(
     config: SenderConfig,
     duration: float = 60.0,
-    switch_interval: float = 30.0,
     link_rate_bps: float = 12_000.0,
     loss_rate: float = 0.2,
     seed: int = 2,
@@ -75,7 +77,7 @@ def run_ablation_point(
     network = figure2_network(
         link_rate_bps=link_rate_bps,
         loss_rate=loss_rate,
-        switch_interval=switch_interval,
+        switch_interval=SWITCH_INTERVAL,
         packet_bits=packet_bits,
         seed=seed,
     )
@@ -102,7 +104,7 @@ def run_ablation_point(
             cache_dir=default_cache_dir(),
             pilot_duration=duration,
             seed=pilot_seed,
-            switch_interval=switch_interval,
+            switch_interval=SWITCH_INTERVAL,
             link_rate_bps=link_rate_bps,
             loss_rate=loss_rate,
         )

@@ -15,10 +15,8 @@ user, so it gets a first-class runner and benchmark.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from repro.baselines.newreno import NewRenoSender
-from repro.baselines.window import WindowSender
 from repro.api.config import SenderConfig
 from repro.api.sender import build_sender
 from repro.inference.prior import single_link_prior
@@ -72,14 +70,13 @@ class LossComparisonResult:
 def run_loss_comparison(
     loss_rate: float = 0.2,
     link_rate_bps: float = 12_000.0,
-    buffer_capacity_bits: float = 96_000.0,
     duration: float = 180.0,
     packet_bits: float = DEFAULT_PACKET_BITS,
     seed: int = 5,
-    tcp_factory: Callable[..., WindowSender] = NewRenoSender,
-    settings: SenderConfig | None = None,
 ) -> LossComparisonResult:
-    """Run TCP and the ISender, one at a time, over the same lossy link."""
+    """Run NewReno and the ISender (α = 0), one at a time, over the same
+    lossy link behind a 96,000-bit buffer."""
+    buffer_capacity_bits = 96_000.0
     # --- TCP -----------------------------------------------------------------
     tcp_network = single_link_network(
         link_rate_bps=link_rate_bps,
@@ -89,7 +86,7 @@ def run_loss_comparison(
         sender_flow="tcp",
         seed=seed,
     )
-    tcp_sender = tcp_factory(
+    tcp_sender = NewRenoSender(
         tcp_network.sender_receiver, flow="tcp", packet_bits=packet_bits, name="tcp-baseline"
     )
     tcp_sender.connect(tcp_network.entry)
@@ -98,7 +95,6 @@ def run_loss_comparison(
     tcp_goodput = tcp_network.sender_receiver.throughput_bps(0.0, duration, flow="tcp")
 
     # --- ISender ---------------------------------------------------------------
-    isender_config = settings if settings is not None else SenderConfig(alpha=0.0)
     isender_network = single_link_network(
         link_rate_bps=link_rate_bps,
         buffer_capacity_bits=buffer_capacity_bits,
@@ -114,7 +110,7 @@ def run_loss_comparison(
         loss_rate=loss_rate,
         packet_bits=packet_bits,
     )
-    isender = build_sender(isender_config, isender_network, prior=prior)
+    isender = build_sender(SenderConfig(alpha=0.0), isender_network, prior=prior)
     isender_network.network.run(until=duration)
     isender_goodput = isender_network.sender_receiver.throughput_bps(0.0, duration)
 

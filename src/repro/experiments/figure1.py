@@ -27,6 +27,50 @@ from repro.units import DEFAULT_PACKET_BITS
 
 
 @dataclass
+class CellularDownload:
+    """What a NewReno bulk download over a cellular link measured."""
+
+    #: Round-trip times against time; one sample of the link's propagation
+    #: delay at t = 0 when no acknowledgement came back.
+    rtt: TimeSeries
+    throughput_bps: float
+
+
+def cellular_download(
+    link: CellularLink, duration: float, packet_bits: float, seed: int
+) -> CellularDownload:
+    """Run a NewReno bulk download over ``link`` for ``duration`` seconds.
+
+    The network is seeded with ``seed``; the link's name keys its loss
+    stream, so a caller that names its link differently draws different
+    losses.
+    """
+    network = Network(seed=seed)
+    receiver = Receiver(name="receiver", accept_flows={"tcp"})
+    # A modern bulk sender effectively slow-starts until it sees a loss; with
+    # loss hidden by the link layer, that means it slow-starts until the
+    # bloated buffer finally overflows — which is the whole point of Figure 1.
+    sender = NewRenoSender(
+        receiver,
+        flow="tcp",
+        packet_bits=packet_bits,
+        name="tcp",
+        initial_ssthresh=1e9,
+        max_rto=120.0,
+    )
+    sender.connect(link)
+    link.connect(receiver)
+    network.add(sender)
+    network.run(until=duration)
+
+    samples = sender.rtt_series() or [(0.0, link.propagation_delay)]
+    return CellularDownload(
+        rtt=rtt_series(samples),
+        throughput_bps=receiver.throughput_bps(0.0, duration, flow="tcp"),
+    )
+
+
+@dataclass
 class Figure1Result:
     """The RTT trace of the download and its summary statistics."""
 
@@ -85,16 +129,16 @@ class Figure1Result:
 def run_figure1(
     duration: float = 250.0,
     nominal_rate_bps: float = 4_000_000.0,
-    min_rate_bps: float = 400_000.0,
-    max_rate_bps: float = 10_000_000.0,
     buffer_seconds: float = 10.0,
     link_loss_rate: float = 0.05,
-    retransmit_delay: float = 0.05,
-    propagation_delay: float = 0.03,
     packet_bits: float = DEFAULT_PACKET_BITS,
     seed: int = 7,
 ) -> Figure1Result:
     """Run a NewReno bulk download over the synthetic cellular link.
+
+    The link's rate walks about the nominal rate, between 400 kbit/s and
+    10 Mbit/s; a failed attempt is retried after 50 ms, and a packet that
+    gets through takes 30 ms more.
 
     Parameters
     ----------
@@ -104,45 +148,24 @@ def run_figure1(
     link_loss_rate:
         Per-attempt loss probability hidden by link-layer retransmission.
     """
-    network = Network(seed=seed)
     rate_process = RandomWalkLink(
         nominal_bps=nominal_rate_bps,
-        min_bps=min_rate_bps,
-        max_bps=max_rate_bps,
+        min_bps=400_000.0,
+        max_bps=10_000_000.0,
         duration=duration + 10.0,
     ).build(seed)
     link = CellularLink(
         rate_process=rate_process,
         buffer_bits=buffer_seconds * nominal_rate_bps,
         loss_rate=link_loss_rate,
-        retransmit_delay=retransmit_delay,
-        propagation_delay=propagation_delay,
         name="cellular-link",
     )
-    receiver = Receiver(name="mobile-receiver", accept_flows={"tcp"})
-    # A modern bulk sender effectively slow-starts until it sees a loss; with
-    # loss hidden by the link layer, that means it slow-starts until the
-    # bloated buffer finally overflows — which is the whole point of Figure 1.
-    sender = NewRenoSender(
-        receiver,
-        flow="tcp",
-        packet_bits=packet_bits,
-        name="newreno",
-        initial_ssthresh=1e9,
-        max_rto=120.0,
-    )
-    sender.connect(link)
-    link.connect(receiver)
-    network.add(sender)
-    network.run(until=duration)
-
-    samples = sender.rtt_series()
-    series = rtt_series(samples) if samples else TimeSeries.from_pairs([(0.0, propagation_delay)])
+    download = cellular_download(link, duration, packet_bits, seed)
     return Figure1Result(
-        rtt=series,
-        base_rtt=propagation_delay + packet_bits / nominal_rate_bps,
+        rtt=download.rtt,
+        base_rtt=link.propagation_delay + packet_bits / nominal_rate_bps,
         duration=duration,
-        throughput_bps=receiver.throughput_bps(0.0, duration, flow="tcp"),
+        throughput_bps=download.throughput_bps,
         link_layer_retransmissions=link.link_layer_retransmissions,
         buffer_drops=link.drop_count,
         peak_buffer_bits=link.peak_occupancy_bits,

@@ -31,6 +31,10 @@ from repro.runner.backends import RunnerBase, SerialRunner
 from repro.topology.presets import figure2_network
 from repro.units import DEFAULT_PACKET_BITS
 
+#: The §4 network's true link speed and last-mile loss rate.
+LINK_RATE_BPS = 12_000.0
+LOSS_RATE = 0.2
+
 
 @dataclass
 class Figure3AlphaResult:
@@ -131,14 +135,13 @@ def run_figure3_point(
     alpha: float,
     duration: float = 300.0,
     switch_interval: float = 100.0,
-    link_rate_bps: float = 12_000.0,
+    link_rate_bps: float = LINK_RATE_BPS,
     cross_fraction: float = 0.7,
-    loss_rate: float = 0.2,
+    loss_rate: float = LOSS_RATE,
     buffer_capacity_bits: float = 96_000.0,
     packet_bits: float = DEFAULT_PACKET_BITS,
     seed: int = 1,
     settings: SenderConfig | None = None,
-    prior_points: tuple[int, int, int, int, int] = (4, 4, 3, 4, 1),
 ) -> Figure3AlphaResult:
     """Run one α point of the Figure-3 experiment.
 
@@ -147,7 +150,11 @@ def run_figure3_point(
     a sweep computes the same numbers regardless of backend.
 
     ``settings`` is the sender calibration, a
-    :class:`repro.api.SenderConfig` (``None`` means the defaults).
+    :class:`repro.api.SenderConfig` (``None`` means the defaults).  The
+    sender's prior is :func:`~repro.inference.prior.figure3_prior` on a
+    4 × 4 × 3 × 4 grid (link, cross fraction, loss, buffer) with an empty
+    buffer: coarse, to keep the ensemble small, as the paper notes is
+    necessary for the rejection-sampling approach.
     """
     base = settings if settings is not None else SenderConfig()
     phase = switch_interval
@@ -162,11 +169,11 @@ def run_figure3_point(
         seed=seed,
     )
     prior = figure3_prior(
-        link_rate_points=prior_points[0],
-        cross_fraction_points=prior_points[1],
-        loss_points=prior_points[2],
-        buffer_points=prior_points[3],
-        fill_points=prior_points[4],
+        link_rate_points=4,
+        cross_fraction_points=4,
+        loss_points=3,
+        buffer_points=4,
+        fill_points=1,
         packet_bits=packet_bits,
     )
     run_config = replace(base, alpha=alpha, packet_bits=packet_bits)
@@ -201,17 +208,11 @@ def run_figure3(
     alphas: Sequence[float] = (0.9, 1.0, 2.5, 5.0),
     duration: float = 300.0,
     switch_interval: float = 100.0,
-    link_rate_bps: float = 12_000.0,
-    cross_fraction: float = 0.7,
-    loss_rate: float = 0.2,
-    buffer_capacity_bits: float = 96_000.0,
     packet_bits: float = DEFAULT_PACKET_BITS,
-    seed: int = 1,
-    settings: SenderConfig | None = None,
-    prior_points: tuple[int, int, int, int, int] = (4, 4, 3, 4, 1),
     runner: "RunnerBase | None" = None,
 ) -> Figure3Result:
-    """Run the Figure-3 experiment: :func:`run_figure3_point` once per α.
+    """Run the Figure-3 experiment: :func:`run_figure3_point` once per α, on
+    the paper's network with seed 1 and the Figure-3 sender calibration.
 
     Parameters
     ----------
@@ -220,13 +221,6 @@ def run_figure3(
     duration / switch_interval:
         Total simulated time and the cross-traffic on/off half-period.  The
         paper uses 300 s / 100 s; the tests use a shortened version.
-    prior_points:
-        Grid resolution ``(link, cross fraction, loss, buffer, fill)`` of the
-        sender's prior.  Coarse grids keep the ensemble small, as the paper
-        notes is necessary for the rejection-sampling approach.
-    settings:
-        Sender calibration, a :class:`repro.api.SenderConfig`, defaulting to
-        the Figure-3 calibration with the given α substituted per run.
     runner:
         Execution backend for the sweep — any object with
         ``map(fn, kwargs_list)`` such as
@@ -241,22 +235,15 @@ def run_figure3(
             "alpha": alpha,
             "duration": duration,
             "switch_interval": switch_interval,
-            "link_rate_bps": link_rate_bps,
-            "cross_fraction": cross_fraction,
-            "loss_rate": loss_rate,
-            "buffer_capacity_bits": buffer_capacity_bits,
             "packet_bits": packet_bits,
-            "seed": seed,
-            "settings": settings,
-            "prior_points": prior_points,
         }
         for alpha in alphas
     ]
     result = Figure3Result(
         duration=duration,
         switch_interval=switch_interval,
-        link_rate_bps=link_rate_bps,
-        loss_rate=loss_rate,
+        link_rate_bps=LINK_RATE_BPS,
+        loss_rate=LOSS_RATE,
     )
     result.per_alpha.extend(runner.map(run_figure3_point, tasks))
     return result

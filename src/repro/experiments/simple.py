@@ -100,30 +100,29 @@ def run_convergence_scenario(
     true_link_rate_bps: float = 12_000.0,
     duration: float = 90.0,
     buffer_capacity_bits: float = 96_000.0,
-    initial_fill_bits: float = 0.0,
-    link_rate_points: int = 5,
     packet_bits: float = DEFAULT_PACKET_BITS,
     seed: int = 3,
-    settings: SenderConfig | None = None,
 ) -> ConvergenceResult:
-    """Scenario A: unknown link speed, converge to sending at the link speed."""
-    config = settings if settings is not None else SenderConfig(alpha=0.0)
+    """Scenario A: unknown link speed, converge to sending at the link speed.
+
+    The buffer starts empty, the sender (α = 0) knows it, and its prior
+    holds five link speeds from two thirds to four thirds of the truth.
+    """
     network = single_link_network(
         link_rate_bps=true_link_rate_bps,
         buffer_capacity_bits=buffer_capacity_bits,
-        buffer_initial_fill_bits=initial_fill_bits,
         packet_bits=packet_bits,
         seed=seed,
     )
     prior = single_link_prior(
         link_rate_low=true_link_rate_bps * 2.0 / 3.0,
         link_rate_high=true_link_rate_bps * 4.0 / 3.0,
-        link_rate_points=link_rate_points,
+        link_rate_points=5,
         buffer_capacity_bits=buffer_capacity_bits,
-        fill_points=3 if initial_fill_bits > 0 else 1,
+        fill_points=1,
         packet_bits=packet_bits,
     )
-    sender = build_sender(config, network, prior=prior)
+    sender = build_sender(SenderConfig(alpha=0.0), network, prior=prior)
     network.network.run(until=duration)
 
     receiver = network.sender_receiver
@@ -147,16 +146,19 @@ def run_convergence_scenario(
 
 
 def run_drain_scenario(
-    true_link_rate_bps: float = 12_000.0,
     duration: float = 60.0,
-    buffer_capacity_bits: float = 96_000.0,
     initial_fill_bits: float = 48_000.0,
-    cross_fraction: float = 0.3,
     latency_penalty: float = 0.1,
     packet_bits: float = DEFAULT_PACKET_BITS,
     seed: int = 3,
 ) -> DrainResult:
-    """Scenario B: the latency-penalizing sender waits for the buffer to drain."""
+    """Scenario B: the latency-penalizing sender waits for the buffer to drain.
+
+    The link runs at 12 kbit/s behind a 96,000-bit buffer, with always-on
+    cross traffic at 30 % of the link rate; the sender knows all three.
+    """
+    true_link_rate_bps, buffer_capacity_bits = 12_000.0, 96_000.0
+    cross_rate_pps = 0.3 * true_link_rate_bps / packet_bits
     results = {}
     for label, utility in (
         ("plain", AlphaWeightedUtility(alpha=1.0, discount_timescale=20.0)),
@@ -171,7 +173,7 @@ def run_drain_scenario(
             link_rate_bps=true_link_rate_bps,
             buffer_capacity_bits=buffer_capacity_bits,
             buffer_initial_fill_bits=initial_fill_bits,
-            cross_rate_pps=cross_fraction * true_link_rate_bps / packet_bits,
+            cross_rate_pps=cross_rate_pps,
             packet_bits=packet_bits,
             seed=seed,
         )
@@ -181,7 +183,7 @@ def run_drain_scenario(
             link_rate_points=1,
             buffer_capacity_bits=buffer_capacity_bits,
             fill_points=3,
-            cross_rate_pps=cross_fraction * true_link_rate_bps / packet_bits,
+            cross_rate_pps=cross_rate_pps,
             packet_bits=packet_bits,
         )
         sender = build_sender(SenderConfig(alpha=1.0), network, prior=prior, utility=utility)

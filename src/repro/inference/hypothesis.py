@@ -270,14 +270,12 @@ class Hypothesis:
         horizon: float,
         packet_bits: float,
         now: Optional[float] = None,
-        send_packet: bool = True,
     ) -> RolloutOutcome:
         """Predict the consequences of sending one packet after ``action_delay``.
 
         The rollout clones the model, injects a hypothetical packet at
-        ``now + action_delay`` (unless ``send_packet`` is false, which models
-        the pure "stay silent" strategy), and advances to ``now + horizon``
-        with the cross-traffic gate frozen in its current state.
+        ``now + action_delay``, and advances to ``now + horizon`` with the
+        cross-traffic gate frozen in its current state.
         """
         decision_time = self.model.time if now is None else now
         scratch = self.model.clone(keep_history=False)
@@ -285,9 +283,7 @@ class Hypothesis:
             scratch.advance(decision_time)
         end = decision_time + horizon
 
-        if send_packet:
-            send_time = decision_time + action_delay
-            scratch.send_own(HYPOTHETICAL_SEQ, packet_bits, send_time)
+        scratch.send_own(HYPOTHETICAL_SEQ, packet_bits, decision_time + action_delay)
         # A candidate delay may exceed the horizon (the planner's action grid
         # is built independently of it); never ask the model to run backwards.
         scratch.advance(max(end, scratch.time))

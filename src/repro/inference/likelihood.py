@@ -16,6 +16,11 @@ from typing import Protocol
 
 from repro.errors import ConfigurationError
 
+#: A :class:`GaussianKernel` error beyond this many sigmas rejects the
+#: hypothesis outright, which keeps wildly wrong configurations from
+#: lingering with tiny weights.
+HARD_CUTOFF_SIGMAS = 6.0
+
 
 class LikelihoodKernel(Protocol):
     """Maps a predicted-vs-observed timing error to a (log-)likelihood factor."""
@@ -77,25 +82,18 @@ class GaussianKernel:
     Parameters
     ----------
     sigma:
-        Standard deviation, in seconds, of tolerated timing error.
-    hard_cutoff_sigmas:
-        Errors beyond this many sigmas reject the hypothesis outright, which
-        keeps wildly wrong configurations from lingering with tiny weights.
+        Standard deviation, in seconds, of tolerated timing error.  Errors
+        beyond ``HARD_CUTOFF_SIGMAS`` of them reject the hypothesis.
     """
 
-    def __init__(self, sigma: float, hard_cutoff_sigmas: float = 6.0) -> None:
+    def __init__(self, sigma: float) -> None:
         if sigma <= 0:
             raise ConfigurationError(f"sigma must be positive, got {sigma!r}")
-        if hard_cutoff_sigmas <= 0:
-            raise ConfigurationError(
-                f"hard_cutoff_sigmas must be positive, got {hard_cutoff_sigmas!r}"
-            )
         self.sigma = sigma
-        self.hard_cutoff_sigmas = hard_cutoff_sigmas
 
     def log_weight(self, error_seconds: float) -> float:
         scaled = error_seconds / self.sigma
-        if abs(scaled) > self.hard_cutoff_sigmas:
+        if abs(scaled) > HARD_CUTOFF_SIGMAS:
             return float("-inf")
         return -0.5 * scaled * scaled
 
@@ -109,7 +107,7 @@ class GaussianKernel:
 
         scaled = errors / self.sigma
         out = -0.5 * scaled * scaled
-        out = numpy.where(numpy.abs(scaled) > self.hard_cutoff_sigmas, -numpy.inf, out)
+        out = numpy.where(numpy.abs(scaled) > HARD_CUTOFF_SIGMAS, -numpy.inf, out)
         return out
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -73,9 +73,7 @@ def figure3_prior(
     buffer_high: float = 108_000.0,
     buffer_points: int = 3,
     fill_points: int = 2,
-    mean_time_to_switch: float = 100.0,
     packet_bits: float = DEFAULT_PACKET_BITS,
-    include_gate_uncertainty: bool = False,
 ) -> Prior:
     """The paper's §4 prior, discretized.
 
@@ -96,11 +94,8 @@ def figure3_prior(
     rejection-sampling ensemble small, as the paper notes is necessary).
     The cross-traffic rate is gridded as a *fraction of the link speed*, as
     in the paper's table, and converted to packets per second per
-    configuration.
-
-    With ``include_gate_uncertainty`` the sender is also unsure whether the
-    cross traffic is initially on (the paper's sender starts with cross
-    traffic on, so the default leaves this out of the grid).
+    configuration.  The sender starts sure that the cross traffic is on, as
+    the paper's does.
     """
     if link_rate_points < 1 or cross_fraction_points < 1:
         raise ConfigurationError("grid resolutions must be at least 1")
@@ -116,18 +111,17 @@ def figure3_prior(
     # Hypothesis factory resolves them.  To keep Hypothesis.from_params
     # usable directly, we expand the relative parameters into absolute ones
     # here by enumerating the joint support explicitly.
-    specs = [
-        ParameterSpec("link_rate_bps", link_values),
-        ParameterSpec("cross_fraction", fraction_values),
-        ParameterSpec("loss_rate", loss_values),
-        ParameterSpec("buffer_capacity_bits", buffer_values),
-        ParameterSpec("fill_fraction", fill_fractions),
-    ]
-    if include_gate_uncertainty:
-        specs.append(ParameterSpec("cross_initially_on", (0.0, 1.0)))
-    grid = ParameterGrid(specs=tuple(specs))
+    grid = ParameterGrid(
+        specs=(
+            ParameterSpec("link_rate_bps", link_values),
+            ParameterSpec("cross_fraction", fraction_values),
+            ParameterSpec("loss_rate", loss_values),
+            ParameterSpec("buffer_capacity_bits", buffer_values),
+            ParameterSpec("fill_fraction", fill_fractions),
+        )
+    )
     fixed = {
-        "mean_time_to_switch": mean_time_to_switch,
+        "mean_time_to_switch": 100.0,
         "cross_packet_bits": packet_bits,
         "packet_bits": packet_bits,
     }

@@ -384,7 +384,6 @@ def batched_rollout_rows(
     horizon: float | Sequence[float] | np.ndarray,
     packet_bits: float,
     now: float,
-    send_packet: bool = True,
 ) -> BatchedRolloutOutcome:
     """Roll ``rows`` out over ``action_delays`` as one (action × hypothesis) pass.
 
@@ -427,23 +426,19 @@ def batched_rollout_rows(
     lane_row = np.arange(width) % max(k, 1)
     lane_horizon = horizons.take(lane_row) if horizons.ndim else np.full(width, horizons)
     end = now + lane_horizon
-    # A lane runs past the horizon only to observe its own send; with
-    # send_packet=False the scalar oracle never advances beyond the end.
-    until = np.maximum(send, end) if send_packet else end
+    # A lane runs past the horizon only to observe its own send.
+    until = np.maximum(send, end)
 
     depth = int(state.q_len[rows].max(initial=0))
     row = state.lane_arrays(rows, depth + 1)
     fifo = _fifo_slots(row, depth)
     cross = _cross_arrivals(row, float(until.max(initial=now))).take(lane_row, axis=1)
-    if send_packet:
-        column = np.arange(cross.shape[0] + 1)[:, None]
-        place = np.add.reduce(cross <= send, axis=0, dtype=np.int64)
-        arrive = np.concatenate([cross, np.full((1, width), np.inf)])
-        arrive[1:] = np.where(column[1:] > place, cross, arrive[1:])
-        is_hyp = column == place
-        arrive = np.where(is_hyp, send, arrive)
-    else:
-        arrive, is_hyp = cross, np.zeros(cross.shape, dtype=bool)
+    column = np.arange(cross.shape[0] + 1)[:, None]
+    place = np.add.reduce(cross <= send, axis=0, dtype=np.int64)
+    arrive = np.concatenate([cross, np.full((1, width), np.inf)])
+    arrive[1:] = np.where(column[1:] > place, cross, arrive[1:])
+    is_hyp = column == place
+    arrive = np.where(is_hyp, send, arrive)
     valid = arrive <= until
     count = int(np.add.reduce(valid, axis=0, dtype=np.int64).max(initial=0))
     arrive, is_hyp, valid = arrive[:count], is_hyp[:count], valid[:count]

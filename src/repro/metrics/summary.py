@@ -9,7 +9,7 @@ reports.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 
 @dataclass(slots=True)
@@ -34,27 +34,22 @@ def _format_value(value: Any) -> str:
     return str(value)
 
 
-def format_table(rows: Sequence[ExperimentRow], columns: Iterable[str] | None = None, title: str | None = None) -> str:
+def format_table(rows: Sequence[ExperimentRow], title: str | None = None) -> str:
     """Render rows as a fixed-width text table.
 
     Parameters
     ----------
     rows:
-        The rows to print.
-    columns:
-        Column order; defaults to the union of the rows' keys in first-seen
-        order.
+        The rows to print, one column per key in the union of their keys,
+        in first-seen order.
     title:
         Optional heading printed above the table.
     """
-    if columns is None:
-        seen: list[str] = []
-        for row in rows:
-            for key in row.values:
-                if key not in seen:
-                    seen.append(key)
-        columns = seen
-    columns = list(columns)
+    columns: list[str] = []
+    for row in rows:
+        for key in row.values:
+            if key not in columns:
+                columns.append(key)
 
     header = ["label", *columns]
     body: list[list[str]] = []

@@ -77,25 +77,19 @@ class TimeSeries:
 
     # ------------------------------------------------------------ transforms
 
-    def windowed(self, window: float, reducer=None) -> "TimeSeries":
-        """Reduce the series into consecutive windows of ``window`` seconds.
-
-        The reducer receives the list of values in each non-empty window and
-        defaults to the mean.  The output sample is stamped at the window
-        start.
-        """
+    def windowed(self, window: float) -> "TimeSeries":
+        """The mean of each non-empty window of ``window`` seconds, stamped
+        at the window start."""
         if window <= 0:
             raise ValueError(f"window must be positive, got {window!r}")
         if self.is_empty():
             return self
-        if reducer is None:
-            reducer = lambda values: sum(values) / len(values)
         start = math.floor(self.times[0] / window) * window
         buckets: dict[float, list[float]] = {}
         for time, value in self:
             key = start + math.floor((time - start) / window) * window
             buckets.setdefault(key, []).append(value)
-        pairs = [(key, reducer(values)) for key, values in sorted(buckets.items())]
+        pairs = [(key, sum(values) / len(values)) for key, values in sorted(buckets.items())]
         return TimeSeries.from_pairs(pairs)
 
 

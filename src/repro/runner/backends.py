@@ -375,18 +375,17 @@ def run_specs(
     specs: Sequence[ScenarioSpec],
     backend: str = "serial",
     workers: int | None = None,
-    registry: ScenarioRegistry | None = None,
     cache: Optional[ResultCache] = None,
     cache_dir: "str | os.PathLike[str] | None" = None,
     supervision: Optional[Supervision] = None,
     resume: bool = False,
     journal_dir: "str | os.PathLike[str] | None" = None,
 ) -> ResultStore:
-    """One-call convenience: build a backend and run ``specs`` through it."""
+    """One-call convenience: build a backend and run ``specs`` through it,
+    against the default registry."""
     return make_runner(
         backend=backend,
         workers=workers,
-        registry=registry,
         cache=cache,
         cache_dir=cache_dir,
         supervision=supervision,

@@ -278,7 +278,6 @@ class ResultCache:
         max_total_bytes: Optional[int] = None,
         sweep_quarantine: bool = False,
         dry_run: bool = False,
-        now: Optional[float] = None,
     ) -> "CacheGCReport":
         """Prune cached artifacts by age and total size; optionally sweep
         the quarantine directory.
@@ -296,7 +295,7 @@ class ResultCache:
         simply reads as a miss and is recomputed.
         """
         report = CacheGCReport(dry_run=dry_run)
-        clock = time.time() if now is None else now
+        clock = time.time()
         survivors: list[tuple[float, Path, int]] = []
         # Corpus blobs are regenerable from the manifest, so they prune by
         # the same criteria; the manifest itself is never in this list.

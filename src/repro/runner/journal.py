@@ -15,7 +15,7 @@ Durability model
 Each record is a single ``write()`` of one ``\\n``-terminated line,
 flushed immediately — so a line is either wholly present or wholly absent
 after a process kill, and :func:`replay_journal` simply ignores an
-undecodable tail.  ``fsync`` is batched (every ``fsync_every`` appends and
+undecodable tail.  ``fsync`` is batched (every ``FSYNC_EVERY`` appends and
 at close) as a compromise between machine-crash durability and per-point
 overhead; losing the last few un-synced ``done`` records to a power cut
 merely re-executes those points on resume.
@@ -45,6 +45,9 @@ __all__ = [
 #: Journal line-format version; bumping it orphans existing journals
 #: (replay treats a mismatched header as an empty journal).
 JOURNAL_SCHEMA_VERSION = 1
+
+#: Appends between two ``fsync`` calls (the journal also syncs at close).
+FSYNC_EVERY = 16
 
 
 def journal_path(root: str | os.PathLike[str], grid: str) -> Path:
@@ -134,8 +137,8 @@ class SweepJournal:
     append:
         ``True`` on resume — prior records are kept and a ``resume``
         header marks the new run's start.  ``False`` truncates.
-    fsync_every:
-        Batch size for fsync; every append is flushed regardless.
+
+    Every append is flushed, and every ``FSYNC_EVERY``-th is synced.
     """
 
     def __init__(
@@ -145,10 +148,8 @@ class SweepJournal:
         grid: str,
         points: int,
         append: bool = False,
-        fsync_every: int = 16,
     ) -> None:
         self.path = Path(path)
-        self.fsync_every = max(1, int(fsync_every))
         self._pending_sync = 0
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._file = open(self.path, "a" if append else "w", encoding="utf-8")
@@ -173,7 +174,7 @@ class SweepJournal:
         self._file.write(line + "\n")
         self._file.flush()
         self._pending_sync += 1
-        if self._pending_sync >= self.fsync_every:
+        if self._pending_sync >= FSYNC_EVERY:
             self._fsync()
 
     def _fsync(self) -> None:

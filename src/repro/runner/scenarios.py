@@ -38,7 +38,7 @@ from repro.elements.throughput import Throughput
 from repro.errors import ConfigurationError
 from repro.experiments.ablation import run_ablation_point
 from repro.experiments.comparison import run_loss_comparison
-from repro.experiments.figure1 import run_figure1
+from repro.experiments.figure1 import cellular_download, run_figure1
 from repro.experiments.figure3 import run_figure3_point
 from repro.experiments.simple import run_convergence_scenario, run_drain_scenario
 from repro.inference.prior import Prior, single_link_prior
@@ -315,6 +315,14 @@ def single_link_tcp(
     Cheap enough to sweep by the hundreds; the workload the determinism and
     scaling tests use.
     """
+    # Each check is written so that NaN fails it: the path below leaves out
+    # an element whose value is not positive, so a bad one would run clean.
+    if not 0.0 <= loss_rate <= 1.0:
+        raise ConfigurationError(f"loss_rate must lie in [0, 1], got {loss_rate!r}")
+    if not 0.0 <= extra_delay_s < math.inf:
+        raise ConfigurationError(
+            f"extra_delay_s must be finite and non-negative, got {extra_delay_s!r}"
+        )
     network = Network(seed=seed)
     buffer = Buffer(capacity_bits=buffer_bits, name="buffer")
     link = Throughput(rate_bps=link_rate_bps, name="link")
@@ -363,7 +371,6 @@ def cellular_trace_tcp(
     packet_bits: float = DEFAULT_PACKET_BITS,
 ) -> dict[str, float]:
     """A trace-driven cellular run: TCP over a random-walk-rate, loss-hiding link."""
-    network = Network(seed=seed)
     rate_process = RandomWalkLink(
         nominal_bps=nominal_rate_bps,
         min_bps=min_rate_bps,
@@ -378,26 +385,11 @@ def cellular_trace_tcp(
         propagation_delay=propagation_delay,
         name="cellular-link",
     )
-    receiver = Receiver(name="receiver", accept_flows={"tcp"})
-    sender = NewRenoSender(
-        receiver,
-        flow="tcp",
-        packet_bits=packet_bits,
-        name="tcp",
-        initial_ssthresh=1e9,
-        max_rto=120.0,
-    )
-    sender.connect(link)
-    link.connect(receiver)
-    network.add(sender)
-    network.run(until=duration)
-
-    samples = sender.rtt_series()
-    rtts = [rtt for _, rtt in samples] if samples else [propagation_delay]
+    download = cellular_download(link, duration, packet_bits, seed)
     return {
-        "throughput_bps": receiver.throughput_bps(0.0, duration, flow="tcp"),
-        "max_rtt_s": max(rtts),
-        "mean_rtt_s": sum(rtts) / len(rtts),
+        "throughput_bps": download.throughput_bps,
+        "max_rtt_s": download.rtt.max(),
+        "mean_rtt_s": download.rtt.mean(),
         "link_layer_retransmissions": link.link_layer_retransmissions,
         "buffer_drops": link.drop_count,
         "peak_buffer_bits": link.peak_occupancy_bits,
@@ -507,7 +499,6 @@ def corpus_trace(
         )
     link_trace = open_corpus_store(corpus_dir or None).get(trace)
     run_for = duration if duration > 0.0 else link_trace.duration
-    network = Network(seed=seed)
     link = CellularLink(
         rate_process=link_trace,
         buffer_bits=buffer_seconds * link_trace.mean_rate(),
@@ -516,30 +507,14 @@ def corpus_trace(
         propagation_delay=propagation_delay,
         name="corpus-link",
     )
-    receiver = Receiver(name="receiver", accept_flows={"tcp"})
-    sender = NewRenoSender(
-        receiver,
-        flow="tcp",
-        packet_bits=packet_bits,
-        name="tcp",
-        initial_ssthresh=1e9,
-        max_rto=120.0,
-    )
-    sender.connect(link)
-    link.connect(receiver)
-    network.add(sender)
-    network.run(until=run_for)
-
-    goodput = receiver.throughput_bps(0.0, run_for, flow="tcp")
-    samples = sender.rtt_series()
-    rtts = [rtt for _, rtt in samples] if samples else [propagation_delay]
+    download = cellular_download(link, run_for, packet_bits, seed)
     return {
-        "goodput_bps": goodput,
-        "utilization": goodput / link_trace.mean_rate(),
+        "goodput_bps": download.throughput_bps,
+        "utilization": download.throughput_bps / link_trace.mean_rate(),
         "trace_mean_rate_bps": link_trace.mean_rate(),
         "trace_min_rate_bps": link_trace.min_rate(),
-        "max_rtt_s": max(rtts),
-        "mean_rtt_s": sum(rtts) / len(rtts),
+        "max_rtt_s": download.rtt.max(),
+        "mean_rtt_s": download.rtt.mean(),
         "link_layer_retransmissions": link.link_layer_retransmissions,
         "buffer_drops": link.drop_count,
         "peak_buffer_bits": link.peak_occupancy_bits,

@@ -1,7 +1,7 @@
 """Per-config circuit breaker around the live-planner fallback tier.
 
 A wedged or crashing planner must not drag every request through its
-timeout: after ``failure_threshold`` consecutive failures the breaker
+timeout: after ``FAILURE_THRESHOLD`` consecutive failures the breaker
 *opens* and the fallback chain skips straight to the safe-default tier.
 After a cooldown the breaker goes *half-open* and admits exactly one probe
 request; a successful probe closes the circuit, a failed one re-opens it
@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, Optional
+from typing import Callable
 
-from repro.errors import ConfigurationError
 from repro.runner.supervise import Supervision
 
 __all__ = ["CircuitBreaker"]
@@ -28,6 +27,13 @@ __all__ = ["CircuitBreaker"]
 #: Breaker states.
 CLOSED, OPEN, HALF_OPEN = "closed", "open", "half_open"
 
+#: Consecutive failures that open the circuit.
+FAILURE_THRESHOLD = 3
+#: Base of the open-state cooldown, in seconds: trip ``n`` waits
+#: ``COOLDOWN * 2**(n-1)``, jittered and capped at :data:`COOLDOWN_CAP`,
+#: exactly the supervised runner's retry-backoff rule under seed 0
+#: (deterministic across processes).
+COOLDOWN = 5.0
 #: Longest open-state cooldown, in seconds, however many trips in a row.
 COOLDOWN_CAP = 300.0
 
@@ -41,33 +47,16 @@ class CircuitBreaker:
         Identity folded into the jitter stream (the serving layer passes
         the config fingerprint), so distinct configs probe at distinct,
         deterministic offsets instead of thundering together.
-    failure_threshold:
-        Consecutive failures that open the circuit.
-    cooldown:
-        Base of the open-state cooldown; trip ``n`` waits
-        ``cooldown * 2**(n-1)`` jittered and capped at :data:`COOLDOWN_CAP`,
-        exactly the supervised runner's retry-backoff rule under seed 0
-        (deterministic across processes).
-    clock:
-        Injectable monotonic clock (tests drive a fake one).
+
+    It trips after :data:`FAILURE_THRESHOLD` consecutive failures and cools
+    down by :data:`COOLDOWN`, on the monotonic clock ``_clock`` (tests
+    replace it with a fake one).
     """
 
-    def __init__(
-        self,
-        key: str = "",
-        *,
-        failure_threshold: int = 3,
-        cooldown: float = 5.0,
-        clock: Optional[Callable[[], float]] = None,
-    ) -> None:
-        if failure_threshold < 1:
-            raise ConfigurationError("failure_threshold must be at least 1")
-        if cooldown <= 0:
-            raise ConfigurationError("cooldown must be positive")
+    def __init__(self, key: str = "") -> None:
         self.key = key
-        self.failure_threshold = failure_threshold
-        self._backoff = Supervision(backoff=cooldown, backoff_cap=COOLDOWN_CAP)
-        self._clock = clock if clock is not None else time.monotonic
+        self._backoff = Supervision(backoff=COOLDOWN, backoff_cap=COOLDOWN_CAP)
+        self._clock: Callable[[], float] = time.monotonic
         self._lock = threading.Lock()
         self._state = CLOSED
         self._consecutive_failures = 0
@@ -121,7 +110,7 @@ class CircuitBreaker:
             self._consecutive_failures += 1
             should_open = (
                 self._state == HALF_OPEN
-                or self._consecutive_failures >= self.failure_threshold
+                or self._consecutive_failures >= FAILURE_THRESHOLD
             )
             if should_open:
                 self._trips += 1

@@ -335,8 +335,6 @@ class DecisionService:
         Seconds a live planning call may run before it is abandoned and
         counted as a failure (the breaker's trip signal for hangs); finite
         and positive, else :class:`~repro.errors.ServingError`.
-    breaker_threshold / breaker_cooldown:
-        Per-config :class:`~repro.serving.breaker.CircuitBreaker` shape.
     injector:
         Optional :class:`~repro.serving.chaos.ServingFaultInjector`; chaos
         mode for the acceptance tests and ``--inject-faults``.
@@ -352,8 +350,6 @@ class DecisionService:
         configs: Iterable[SenderConfig] = (),
         *,
         planner_timeout: float = 2.0,
-        breaker_threshold: int = 3,
-        breaker_cooldown: float = 5.0,
         injector=None,
     ) -> None:
         if not 0.0 < planner_timeout < math.inf:
@@ -377,7 +373,6 @@ class DecisionService:
         self._planners: dict[str, ExpectedUtilityPlanner] = {}
         self._defaults: dict[str, Decision] = {}
         self._breakers: dict[str, CircuitBreaker] = {}
-        self._breaker_shape = dict(failure_threshold=breaker_threshold, cooldown=breaker_cooldown)
         self._pool = _DaemonThreadExecutor()
         self._started = time.monotonic()
         self._request_index = 0
@@ -398,7 +393,7 @@ class DecisionService:
         with self._lock:
             breaker = self._breakers.get(fingerprint)
             if breaker is None:
-                breaker = CircuitBreaker(fingerprint, **self._breaker_shape)
+                breaker = CircuitBreaker(fingerprint)
                 self._breakers[fingerprint] = breaker
             return breaker
 

@@ -29,12 +29,7 @@ from repro.sim.events import Event
 
 
 class Simulator:
-    """A minimal, deterministic discrete-event simulator.
-
-    Parameters
-    ----------
-    start_time:
-        Initial value of the simulation clock, in seconds.
+    """A minimal, deterministic discrete-event simulator; its clock starts at zero.
 
     Examples
     --------
@@ -49,8 +44,8 @@ class Simulator:
     1.5
     """
 
-    def __init__(self, start_time: float = 0.0) -> None:
-        self._now = float(start_time)
+    def __init__(self) -> None:
+        self._now = 0.0
         self._queue: list[tuple[float, int, int, Event]] = []
         self._event_seq = 0
         self._events_processed = 0

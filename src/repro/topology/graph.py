@@ -12,7 +12,7 @@ from repro.elements.receiver import Receiver
 from repro.sim.element import Element, Network
 
 
-def validate_network(network: Network, require_terminated: bool = True) -> list[str]:
+def validate_network(network: Network) -> list[str]:
     """Check an attached network for common wiring mistakes.
 
     Returns a list of human-readable problem descriptions (empty when the
@@ -20,8 +20,7 @@ def validate_network(network: Network, require_terminated: bool = True) -> list[
 
     * downstream cycles (a packet could loop forever),
     * paths that end at an element with no downstream which is neither a
-      :class:`Receiver` nor a :class:`Collector` (packets silently vanish),
-      unless ``require_terminated`` is ``False``.
+      :class:`Receiver` nor a :class:`Collector` (packets silently vanish).
     """
     problems: list[str] = []
     elements = network.elements
@@ -44,13 +43,12 @@ def validate_network(network: Network, require_terminated: bool = True) -> list[
     for element in elements:
         visit(element, [])
 
-    if require_terminated:
-        for element in elements:
-            if element.downstream is None and not isinstance(element, (Receiver, Collector)):
-                if element.children() or type(element).__name__.startswith("_"):
-                    continue
-                problems.append(
-                    f"element {element.name!r} ({type(element).__name__}) has no downstream "
-                    "and is not a Receiver/Collector"
-                )
+    for element in elements:
+        if element.downstream is None and not isinstance(element, (Receiver, Collector)):
+            if element.children() or type(element).__name__.startswith("_"):
+                continue
+            problems.append(
+                f"element {element.name!r} ({type(element).__name__}) has no downstream "
+                "and is not a Receiver/Collector"
+            )
     return problems

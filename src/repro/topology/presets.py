@@ -76,13 +76,9 @@ def figure2_network(
     cross_fraction: float = 0.7,
     loss_rate: float = 0.2,
     buffer_capacity_bits: float = 96_000.0,
-    buffer_initial_fill_bits: float = 0.0,
     packet_bits: float = DEFAULT_PACKET_BITS,
     cross_gate: str = "squarewave",
     switch_interval: float = 100.0,
-    mean_time_to_switch: float = 100.0,
-    sender_flow: str = SENDER_FLOW,
-    cross_flow: str = CROSS_FLOW,
     seed: int = 0,
 ) -> Figure2Network:
     """Build the network of the paper's Figure 2.
@@ -90,15 +86,17 @@ def figure2_network(
     Parameters mirror the experiment of §4: a 12 kbit/s link carrying one
     1,500-byte packet per second, cross traffic at 70 % of the link rate
     switched on and off every 100 seconds, 20 % last-mile stochastic loss,
-    and a 96,000-bit tail-drop buffer.
+    and a 96,000-bit tail-drop buffer, empty at the start.  The flows are
+    ``SENDER_FLOW`` and ``CROSS_FLOW``.
 
     Parameters
     ----------
     cross_gate:
         ``"squarewave"`` (the ground truth used in the paper: deterministic
         switching every ``switch_interval`` seconds), ``"intermittent"``
-        (memoryless switching with ``mean_time_to_switch``), or ``"none"``
-        (cross traffic always on).
+        (memoryless switching, 100 seconds apart on average, the §4
+        prior's mean time to switch), or ``"none"`` (cross traffic always
+        on).
     """
     if not 0.0 <= cross_fraction < 1.0 + 1e-9:
         raise ConfigurationError(f"cross_fraction must lie in [0, 1], got {cross_fraction!r}")
@@ -109,7 +107,7 @@ def figure2_network(
     pinger = Pinger(
         rate_pps=max(cross_rate_pps, 1e-9),
         packet_bits=packet_bits,
-        flow=cross_flow,
+        flow=CROSS_FLOW,
         name="pinger",
     )
 
@@ -117,24 +115,20 @@ def figure2_network(
     if cross_gate == "squarewave":
         gate = SquareWave(switch_interval=switch_interval, name="cross-gate")
     elif cross_gate == "intermittent":
-        gate = Intermittent(mean_time_to_switch=mean_time_to_switch, name="cross-gate")
+        gate = Intermittent(mean_time_to_switch=100.0, name="cross-gate")
     elif cross_gate == "none":
         gate = None
     else:
         raise ConfigurationError(f"unknown cross_gate {cross_gate!r}")
 
-    buffer = Buffer(
-        capacity_bits=buffer_capacity_bits,
-        initial_fill_bits=buffer_initial_fill_bits,
-        name="buffer",
-    )
+    buffer = Buffer(capacity_bits=buffer_capacity_bits, name="buffer")
     link = Throughput(rate_bps=link_rate_bps, name="link")
     loss = Loss(rate=loss_rate, name="loss")
-    sender_receiver = Receiver(name="sender-receiver", accept_flows={sender_flow})
+    sender_receiver = Receiver(name="sender-receiver", accept_flows={SENDER_FLOW})
     cross_receiver = Collector(name="cross-receiver")
 
     diverter = Diverter(
-        predicate=sender_flow,
+        predicate=SENDER_FLOW,
         match_branch=sender_receiver,
         other_branch=cross_receiver,
         name="diverter",
@@ -162,8 +156,8 @@ def figure2_network(
         pinger=pinger,
         sender_receiver=sender_receiver,
         cross_receiver=cross_receiver,
-        sender_flow=sender_flow,
-        cross_flow=cross_flow,
+        sender_flow=SENDER_FLOW,
+        cross_flow=CROSS_FLOW,
     )
 
 
@@ -175,14 +169,13 @@ def single_link_network(
     cross_rate_pps: float = 0.0,
     packet_bits: float = DEFAULT_PACKET_BITS,
     sender_flow: str = SENDER_FLOW,
-    cross_flow: str = CROSS_FLOW,
     seed: int = 0,
 ) -> SingleLinkNetwork:
     """Build the "simple configuration" of §4.
 
     A single sender connected to a tail-drop buffer drained by a
-    throughput-limited link, with optional always-on cross traffic and
-    optional last-mile loss.
+    throughput-limited link, with optional always-on cross traffic (flow
+    ``CROSS_FLOW``) and optional last-mile loss.
     """
     network = Network(seed=seed)
 
@@ -217,7 +210,7 @@ def single_link_network(
         pinger = Pinger(
             rate_pps=cross_rate_pps,
             packet_bits=packet_bits,
-            flow=cross_flow,
+            flow=CROSS_FLOW,
             name="pinger",
         )
         pinger.connect(buffer)

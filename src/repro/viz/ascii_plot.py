@@ -15,24 +15,25 @@ from repro.metrics.timeseries import TimeSeries
 #: Characters used to distinguish multiple series on one plot.
 SERIES_MARKERS = "ox+*#@%&"
 
+#: Plot area width in characters.
+WIDTH = 72
+
 
 def ascii_plot(
     series: Mapping[str, TimeSeries] | Mapping[str, Sequence[tuple[float, float]]],
-    width: int = 72,
     height: int = 20,
     title: str | None = None,
-    x_label: str = "time (s)",
     y_label: str = "value",
     logy: bool = False,
 ) -> str:
-    """Render one or more time series as an ASCII plot.
+    """Render one or more time series against time as an ASCII plot.
 
     Parameters
     ----------
     series:
         Mapping of series name to a :class:`TimeSeries` or ``(x, y)`` pairs.
-    width, height:
-        Plot area size in characters.
+    height:
+        Plot area height in characters; it is ``WIDTH`` wide.
     logy:
         Plot ``log10(y)`` instead of ``y`` (used for Figure 1's RTT axis).
     """
@@ -58,11 +59,11 @@ def ascii_plot(
     if y_max == y_min:
         y_max = y_min + 1.0
 
-    grid = [[" "] * width for _ in range(height)]
+    grid = [[" "] * WIDTH for _ in range(height)]
     for index, (name, pairs) in enumerate(prepared.items()):
         marker = SERIES_MARKERS[index % len(SERIES_MARKERS)]
         for x, y in pairs:
-            col = int((x - x_min) / (x_max - x_min) * (width - 1))
+            col = int((x - x_min) / (x_max - x_min) * (WIDTH - 1))
             row = int((y - y_min) / (y_max - y_min) * (height - 1))
             grid[height - 1 - row][col] = marker
 
@@ -73,8 +74,8 @@ def ascii_plot(
     lines.append(y_axis_label)
     for row in grid:
         lines.append("|" + "".join(row))
-    lines.append("+" + "-" * width)
-    lines.append(f" {x_label} [{x_min:.3g} .. {x_max:.3g}]")
+    lines.append("+" + "-" * WIDTH)
+    lines.append(f" time (s) [{x_min:.3g} .. {x_max:.3g}]")
     legend = "  ".join(
         f"{SERIES_MARKERS[index % len(SERIES_MARKERS)]} = {name}"
         for index, name in enumerate(prepared)

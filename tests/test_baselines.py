@@ -45,12 +45,10 @@ class TestWindowSenderMechanics:
         with pytest.raises(ConfigurationError):
             RenoSender(network.sender_receiver, packet_bits=0)
         with pytest.raises(ConfigurationError):
-            RenoSender(network.sender_receiver, initial_cwnd=0.5)
-        with pytest.raises(ConfigurationError):
-            RenoSender(network.sender_receiver, min_rto=0.0)
+            RenoSender(network.sender_receiver, max_rto=0.1)  # below MIN_RTO
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("field", ["packet_bits", "min_rto", "max_rto", "initial_cwnd"])
+    @pytest.mark.parametrize("field", ["packet_bits", "max_rto"])
     def test_non_finite_parameters_refused(self, field, value):
         # NaN used to pass every check and run with an RTO of NaN.
         network = single_link_network(sender_flow="tcp")
@@ -73,11 +71,6 @@ class TestWindowSenderMechanics:
     def test_cwnd_grows_during_slow_start(self):
         sender, _ = run_tcp(RenoSender, duration=5.0)
         assert sender.cwnd > 1.0
-
-    def test_flow_size_limits_transfer(self):
-        sender, network = run_tcp(RenoSender, duration=60.0, total_packets=10)
-        assert network.sender_receiver.count == 10
-        assert sender.packets_sent >= 10
 
     def test_loss_triggers_recovery_machinery(self):
         sender, _ = run_tcp(RenoSender, duration=120.0, loss_rate=0.05, seed=3)
@@ -110,13 +103,6 @@ class TestVariantBehaviour:
         sender, network = run_tcp(NewRenoSender, duration=120.0, loss_rate=0.2, link_rate=12_000.0, seed=5)
         goodput = network.sender_receiver.throughput_bps(0.0, 120.0, flow="tcp")
         assert goodput < 0.6 * 12_000.0
-
-    def test_aimd_validation(self):
-        network = single_link_network(sender_flow="tcp")
-        with pytest.raises(ConfigurationError):
-            AimdSender(network.sender_receiver, increase=0.0)
-        with pytest.raises(ConfigurationError):
-            AimdSender(network.sender_receiver, decrease=1.5)
 
     def test_cubic_grows_beyond_reno_on_long_clean_path(self):
         cubic, _ = run_tcp(CubicSender, duration=40.0, link_rate=200_000.0)
@@ -217,10 +203,3 @@ class TestRateSenders:
         assert sender.packets_sent == 11
         assert sender.rate_bps == pytest.approx(24_000.0)
 
-    def test_fixed_rate_stop_time(self):
-        network = single_link_network(link_rate_bps=100_000.0, sender_flow="fixed")
-        sender = FixedRateSender(rate_pps=1.0, flow="fixed", stop_time=3.0)
-        sender.connect(network.entry)
-        network.network.add(sender)
-        network.network.run(until=10.0)
-        assert sender.packets_sent == 4

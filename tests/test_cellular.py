@@ -114,8 +114,6 @@ class TestCellularLink:
             CellularLink(process, buffer_bits=0)
         with pytest.raises(ConfigurationError):
             CellularLink(process, buffer_bits=1, loss_rate=1.0)
-        with pytest.raises(ConfigurationError):
-            CellularLink(process, buffer_bits=1, max_attempts=0)
 
     def test_serves_packets_at_link_rate(self):
         network = Network(seed=0)
@@ -170,7 +168,7 @@ class TestCellularLink:
 
     def test_gives_up_after_max_attempts(self):
         network = Network(seed=1)
-        link = self.make_link(loss_rate=0.9, max_attempts=2)
+        link = self.make_link(loss_rate=0.9)
         sink = Collector(name="sink")
         link.connect(sink)
         network.add(link)

@@ -11,7 +11,7 @@ from repro.inference import BeliefState, GaussianKernel, single_link_prior
 from repro.topology import figure2_network, single_link_network
 
 
-def build_sender(network, link_points=5, alpha=0.0, stop_time=None, policy_cache=False):
+def build_sender(network, link_points=5, alpha=0.0, policy_cache=False):
     prior = single_link_prior(
         link_rate_low=8_000.0,
         link_rate_high=16_000.0,
@@ -26,7 +26,6 @@ def build_sender(network, link_points=5, alpha=0.0, stop_time=None, policy_cache
         belief,
         planner,
         network.sender_receiver,
-        stop_time=stop_time,
         policy=PolicyCache(planner) if policy_cache else None,
     )
     sender.connect(network.entry)
@@ -124,12 +123,6 @@ class TestLossyPath:
         # A loss-blind TCP collapses here; the model-based sender should keep
         # well over half of the lossy capacity (0.8 * link rate).
         assert goodput > 0.5 * 0.8 * 12_000.0
-
-    def test_stop_time_halts_transmissions(self):
-        network = single_link_network()
-        sender = build_sender(network, stop_time=10.0)
-        network.network.run(until=30.0)
-        assert all(record.sent_at <= 10.0 for record in sender.sent)
 
 
 class TestDecisionLog:

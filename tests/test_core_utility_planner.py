@@ -9,11 +9,12 @@ from hypothesis import given, strategies as st
 
 from repro.core import (
     Action,
-    ActionGrid,
+    ACTION_MULTIPLES,
     AlphaWeightedUtility,
     ExpectedUtilityPlanner,
     LatencyPenaltyUtility,
     PolicyCache,
+    candidate_actions,
 )
 from repro.core.utility import ExponentialDiscount
 from repro.errors import ConfigurationError, UtilityError
@@ -36,6 +37,8 @@ class TestExponentialDiscount:
     def test_validation(self):
         with pytest.raises(UtilityError):
             ExponentialDiscount(0.0)
+        with pytest.raises(UtilityError):
+            ExponentialDiscount(math.nan)
 
     def test_now_is_undiscounted(self):
         assert ExponentialDiscount(10.0).factor(5.0, 5.0) == pytest.approx(1.0)
@@ -61,6 +64,10 @@ class TestAlphaWeightedUtility:
             AlphaWeightedUtility(alpha=-1.0)
         with pytest.raises(UtilityError):
             AlphaWeightedUtility(latency_penalty=-0.1)
+        for field in ("alpha", "latency_penalty"):
+            with pytest.raises(UtilityError, match=field):
+                AlphaWeightedUtility(**{field: math.nan})
+        assert issubclass(UtilityError, ConfigurationError)
 
     def test_own_bits_rewarded(self):
         utility = AlphaWeightedUtility(alpha=0.0, discount_timescale=1e9)
@@ -115,22 +122,13 @@ class TestActions:
         assert not Action(0.5).send_now
 
     def test_grid_scales_with_service_time(self):
-        grid = ActionGrid(multiples=(0.0, 1.0, 2.0))
-        actions = grid.actions(service_time=0.5)
-        assert [a.delay for a in actions] == pytest.approx([0.0, 0.5, 1.0])
+        actions = candidate_actions(service_time=0.5)
+        assert [a.delay for a in actions] == pytest.approx([0.5 * m for m in ACTION_MULTIPLES])
+        assert actions[0].send_now
 
     def test_grid_validation(self):
         with pytest.raises(ConfigurationError):
-            ActionGrid(multiples=())
-        with pytest.raises(ConfigurationError):
-            ActionGrid(multiples=(-1.0,))
-        with pytest.raises(ConfigurationError):
-            ActionGrid().actions(service_time=0.0)
-
-    def test_grid_deduplicates_and_sorts(self):
-        grid = ActionGrid(multiples=(2.0, 0.0, 2.0, 1.0))
-        actions = grid.actions(service_time=1.0)
-        assert [a.delay for a in actions] == pytest.approx([0.0, 1.0, 2.0])
+            candidate_actions(service_time=0.0)
 
 
 def make_belief(points=3):
@@ -166,7 +164,7 @@ class TestPlanner:
     def test_decision_contains_all_candidate_delays(self):
         planner = ExpectedUtilityPlanner(AlphaWeightedUtility(alpha=0.0), top_k=3)
         decision = planner.decide(make_belief(), now=0.0)
-        assert len(decision.expected_utilities) == len(ActionGrid.DEFAULT_MULTIPLES)
+        assert len(decision.expected_utilities) == len(ACTION_MULTIPLES)
         assert decision.hypotheses_evaluated == 3
         assert decision.horizon > 0
 
@@ -194,7 +192,7 @@ class TestPlanner:
     def test_rollout_counter_increases(self):
         planner = ExpectedUtilityPlanner(AlphaWeightedUtility(alpha=0.0), top_k=2)
         planner.decide(make_belief(), now=0.0)
-        assert planner.rollouts_performed == 2 * len(ActionGrid.DEFAULT_MULTIPLES)
+        assert planner.rollouts_performed == 2 * len(ACTION_MULTIPLES)
 
 
 class TestPolicyCache:
@@ -253,9 +251,9 @@ class TestPolicyCache:
         assert cache.hits == 1
         assert cached.hypotheses_evaluated == 3
         assert cached.horizon > 0
-        assert len(cached.expected_utilities) == len(ActionGrid.DEFAULT_MULTIPLES)
+        assert len(cached.expected_utilities) == len(ACTION_MULTIPLES)
         # The cache does not re-run the fan-out on a hit.
-        assert planner.rollouts_performed == 3 * len(ActionGrid.DEFAULT_MULTIPLES)
+        assert planner.rollouts_performed == 3 * len(ACTION_MULTIPLES)
 
     @pytest.mark.parametrize("rollout_backend", ["scalar", "vectorized"])
     def test_eviction_drops_oldest_entry_first(self, rollout_backend):

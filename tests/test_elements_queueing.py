@@ -147,9 +147,7 @@ class TestBuffer:
         assert sink.count("a") == 2 and sink.count("b") == 2
 
     def test_initial_fill_is_queued_as_the_filler_cut(self, network):
-        buffer = Buffer(
-            capacity_bits=48_000, initial_fill_bits=30_000, filler_packet_bits=12_000
-        )
+        buffer = Buffer(capacity_bits=48_000, initial_fill_bits=30_000)
         link = Throughput(rate_bps=12_000)
         sink = Collector()
         buffer.connect(link)

@@ -170,14 +170,6 @@ class TestHypothesisRollout:
         outcome = hypothesis.rollout(action_delay=0.0, horizon=10.0, packet_bits=12_000)
         assert len(outcome.cross_deliveries) >= 4
 
-    def test_rollout_without_sending(self):
-        hypothesis = make_hypothesis()
-        outcome = hypothesis.rollout(
-            action_delay=0.0, horizon=5.0, packet_bits=12_000, send_packet=False
-        )
-        assert not outcome.hypothetical_delivered
-        assert outcome.own_deliveries == []
-
 
 class TestBeliefState:
     def make_belief(self, **kwargs):

@@ -126,18 +126,6 @@ class TestPriors:
             assert assignment["initial_fill_bits"] <= assignment["buffer_capacity_bits"] + 1e-9
             assert assignment["mean_time_to_switch"] == pytest.approx(100.0)
 
-    def test_figure3_prior_gate_uncertainty_doubles_support(self):
-        base = figure3_prior(link_rate_points=2, cross_fraction_points=2, loss_points=1, buffer_points=1, fill_points=1)
-        with_gate = figure3_prior(
-            link_rate_points=2,
-            cross_fraction_points=2,
-            loss_points=1,
-            buffer_points=1,
-            fill_points=1,
-            include_gate_uncertainty=True,
-        )
-        assert with_gate.size == 2 * base.size
-
     def test_single_link_prior(self):
         prior = single_link_prior(link_rate_points=3, fill_points=2)
         assert prior.size == 6
@@ -174,8 +162,6 @@ class TestKernels:
     def test_gaussian_kernel_validation(self):
         with pytest.raises(ConfigurationError):
             GaussianKernel(sigma=0.0)
-        with pytest.raises(ConfigurationError):
-            GaussianKernel(sigma=1.0, hard_cutoff_sigmas=0.0)
 
     @given(error=st.floats(min_value=-2.0, max_value=2.0))
     def test_property_gaussian_monotone_in_absolute_error(self, error):

@@ -105,9 +105,13 @@ class TestFormatTable:
         assert "drops" in text
 
     def test_column_subset_and_missing_values(self):
-        rows = [ExperimentRow(label="row", values={"a": 1})]
-        text = format_table(rows, columns=["a", "b"])
-        assert "a" in text and "b" in text
+        rows = [
+            ExperimentRow(label="row", values={"a": 1}),
+            ExperimentRow(label="other", values={"b": 2}),
+        ]
+        header, _, first, second = format_table(rows).splitlines()
+        assert header.split() == ["label", "a", "b"]
+        assert first.split() == ["row", "1"] and second.split() == ["other", "2"]
 
     def test_experiment_row_get(self):
         row = ExperimentRow(label="x", values={"k": 3})

@@ -29,7 +29,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from repro.core import (
-    ActionGrid,
+    ACTION_MULTIPLES,
     AlphaWeightedUtility,
     ExpectedUtilityPlanner,
     LatencyPenaltyUtility,
@@ -98,20 +98,17 @@ def assert_decisions_equivalent(scalar, vectorized, rel=1e-9):
 
 def assert_lane_outcomes_match(
     hypotheses, now, horizon=4.0, delays=(0.0, 0.7, 2.5, 30.0), packet_bits=12_000.0,
-    send_packet=True,
 ):
     """Every (action × hypothesis) lane of one batch against the scalar
     rollout of that hypothesis; returns the scalar outcomes, lane order."""
     batch = rollout_hypotheses(
-        hypotheses, delays, horizon=horizon, packet_bits=packet_bits, now=now,
-        send_packet=send_packet,
+        hypotheses, delays, horizon=horizon, packet_bits=packet_bits, now=now
     )
     references = []
     for action, delay in enumerate(delays):
         for row, hypothesis in enumerate(hypotheses):
             reference = hypothesis.rollout(
-                action_delay=delay, horizon=horizon, packet_bits=packet_bits, now=now,
-                send_packet=send_packet,
+                action_delay=delay, horizon=horizon, packet_bits=packet_bits, now=now
             )
             references.append(reference)
             lane = batch.lane_outcome(action * len(hypotheses) + row)
@@ -149,9 +146,8 @@ class TestBatchedRolloutExactness:
                 hypothesis.record_send(seq, 12_000.0, at)
             assert_lane_outcomes_match([hypothesis], now=at + 1.0)
 
-    @pytest.mark.parametrize("send_packet", [True, False])
     @pytest.mark.parametrize("draw_seed", [0, 1])
-    def test_fractional_sizes_match_the_scalar_rollout(self, draw_seed, send_packet):
+    def test_fractional_sizes_match_the_scalar_rollout(self, draw_seed):
         """Fractional link rates, capacities, fills and packet sizes: the
         waiting bits are no longer whole numbers, so the kernel must replay
         the scalar's float loads and enqueues rather than difference prefix
@@ -198,7 +194,6 @@ class TestBatchedRolloutExactness:
             horizon=3.0,
             delays=(0.0, 0.23, 1.7, 4.1),
             packet_bits=rng.uniform(6_000.0, 14_000.0),
-            send_packet=send_packet,
         )
         busiest = references[len(hypotheses) - 1]
         assert len(busiest.cross_deliveries) + len(busiest.cross_drops) >= 200
@@ -269,26 +264,6 @@ class TestBatchedRolloutExactness:
         hypothesis.record_send(0, 12_000.0, 0.0)
         assert_lane_outcomes_match([hypothesis], now=0.0, horizon=1.5)
 
-    def test_stay_silent_stops_at_the_horizon(self):
-        """send_packet=False must not advance lanes past the horizon end."""
-        hypothesis = Hypothesis.from_params(
-            {"link_rate_bps": 12_000.0, "buffer_capacity_bits": 96_000.0}
-        )
-        for seq in range(8):
-            hypothesis.record_send(seq, 12_000.0, 0.0)
-        batch = rollout_hypotheses(
-            [hypothesis], (30.0,), horizon=2.0, packet_bits=12_000.0, now=0.0,
-            send_packet=False,
-        )
-        reference = hypothesis.rollout(
-            action_delay=30.0, horizon=2.0, packet_bits=12_000.0, now=0.0,
-            send_packet=False,
-        )
-        lane = batch.lane_outcome(0)
-        assert lane.own_deliveries == reference.own_deliveries
-        assert lane.final_queue_bits == reference.final_queue_bits
-        assert len(lane.own_deliveries) == 2  # only the horizon's worth
-
     def test_gated_cross_traffic_off_stays_off(self):
         hypothesis = Hypothesis.from_params(
             {
@@ -343,8 +318,6 @@ class TestBatchedRolloutExactness:
 class TestDecisionEquivalence:
     """decide() agrees across rollout backends on randomized beliefs."""
 
-    GRID = ActionGrid(multiples=(0.0, 0.5, 1.0, 3.0, 8.0, 40.0))
-
     def test_randomized_beliefs(self):
         rng = random.Random(47)
         for trial in range(25):
@@ -357,9 +330,7 @@ class TestDecisionEquivalence:
                 ]
             )
             horizon = rng.choice([None, 5.0])
-            kwargs = dict(
-                action_grid=self.GRID, top_k=len(belief), horizon=horizon
-            )
+            kwargs = dict(top_k=len(belief), horizon=horizon)
             scalar = ExpectedUtilityPlanner(
                 utility, rollout_backend="scalar", **kwargs
             ).decide(belief, now=now)
@@ -393,7 +364,7 @@ class TestDecisionEquivalence:
                     belief, now=3.0
                 )
                 assert planner.rollouts_performed == 12 * len(
-                    ActionGrid.DEFAULT_MULTIPLES
+                    ACTION_MULTIPLES
                 )
         reference = decisions[("scalar", "scalar")]
         for decision in decisions.values():

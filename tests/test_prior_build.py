@@ -36,6 +36,13 @@ def with_filler(prior, filler_bits):
     return DerivedPrior(grid=prior.grid, fixed={**prior.fixed, "filler_packet_bits": filler_bits})
 
 
+def switching_every(prior, mean_time_to_switch):
+    """``prior`` with the cross traffic's mean time to switch fixed."""
+    return DerivedPrior(
+        grid=prior.grid, fixed={**prior.fixed, "mean_time_to_switch": mean_time_to_switch}
+    )
+
+
 fillers = st.one_of(st.none(), st.floats(min_value=500.0, max_value=40_000.0))
 capacities = st.floats(min_value=3_000.0, max_value=150_000.0)
 
@@ -52,16 +59,18 @@ single_link_priors = st.builds(
 )
 
 figure3_priors = st.builds(
-    figure3_prior,
-    link_rate_points=st.integers(min_value=1, max_value=2),
-    cross_fraction_points=st.integers(min_value=1, max_value=2),
-    loss_points=st.integers(min_value=1, max_value=2),
-    buffer_low=st.floats(min_value=3_000.0, max_value=72_000.0),
-    buffer_high=st.floats(min_value=72_000.0, max_value=150_000.0),
-    buffer_points=st.integers(min_value=1, max_value=2),
-    fill_points=st.integers(min_value=1, max_value=3),
-    mean_time_to_switch=st.sampled_from([5.0, 100.0]),
-    include_gate_uncertainty=st.booleans(),
+    switching_every,
+    st.builds(
+        figure3_prior,
+        link_rate_points=st.integers(min_value=1, max_value=2),
+        cross_fraction_points=st.integers(min_value=1, max_value=2),
+        loss_points=st.integers(min_value=1, max_value=2),
+        buffer_low=st.floats(min_value=3_000.0, max_value=72_000.0),
+        buffer_high=st.floats(min_value=72_000.0, max_value=150_000.0),
+        buffer_points=st.integers(min_value=1, max_value=2),
+        fill_points=st.integers(min_value=1, max_value=3),
+    ),
+    st.sampled_from([5.0, 100.0]),
 )
 
 priors = st.builds(with_filler, st.one_of(single_link_priors, figure3_priors), fillers)

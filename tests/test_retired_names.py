@@ -3,7 +3,10 @@
 Every function, method and class under ``src/repro`` is named by code the
 program runs: ``src``, ``examples`` or ``benchmarks``.  A definition only
 tests reach is deleted, and ``RUN_FROM_OUTSIDE`` lists, with a reason, the
-few the scan cannot see called.
+few the scan cannot see called.  Likewise every parameter with a default is
+passed by some call that code makes: a parameter only tests set is a
+constant or the only code path, and ``SET_FROM_OUTSIDE`` lists, with a
+reason, the few that are set from outside.
 
 Three retirements are checked here, each by the text it left behind:
 
@@ -123,6 +126,17 @@ TEXT_RULES = [
         "one transport: no stream path beside the protocols",
     ),
     (
+        "set-by-no-program",
+        r"\b(survival_tagging|ack_delay|initially_connected|filler_flow|include_gate_uncertainty"
+        r"|send_packet|hard_cutoff_sigmas|action_grid|fsync_every|breaker_threshold"
+        r"|breaker_cooldown|failure_threshold|max_attempts|initial_cwnd|min_rto|total_packets"
+        r"|stop_time|prior_points|tcp_factory|cache_counters|collision_config"
+        r"|collision_resolution_bits|require_terminated|x_label)\b",
+        ("src", "examples", "README.md"),
+        0,
+        "a parameter no program set is a constant or the only code path, not an option",
+    ),
+    (
         "reply-counters",
         r"counters_snapshot\(",
         ("src/repro/serving/server.py",),
@@ -150,6 +164,22 @@ RUN_FROM_OUTSIDE = {
     },
     "repro.elements.either.Either": "one of the paper's §3.1 elements, built by no preset yet",
     "repro.inference.belief.BeliefState.entropy": "ROADMAP 4(a)'s wake-up record reads it",
+}
+
+
+#: Parameters with a default no call in the program passes that still take
+#: other values, by qualified name: the reason each is kept.
+SET_FROM_OUTSIDE = {
+    "repro.runner.backends.run_specs.cache_dir": "a deployment setting: where a"
+    " library caller keeps its results",
+    "repro.cellular.link.CellularLink._begin_service.attempt": "Simulator.schedule"
+    " re-arms the callback with its arguments",
+    **{
+        f"repro.inference.prior.figure3_prior.{axis}_{end}": "ROADMAP directions 13 and 17"
+        " set the grid bounds: an off-grid point and a one-point prior at the truth"
+        for axis in ("link_rate", "cross_fraction", "loss", "buffer")
+        for end in ("low", "high")
+    },
 }
 
 
@@ -270,6 +300,148 @@ def test_every_definition_is_run_by_the_program():
     assert unnamed == []
     assert unread == []
     assert set(RUN_FROM_OUTSIDE) <= defined, "an allowlisted definition is gone: drop its row"
+
+
+def base_names(node: ast.ClassDef) -> tuple[str, ...]:
+    return tuple(ast.unparse(base).split(".")[-1] for base in node.bases)
+
+
+def calls_in(tree: ast.AST):
+    """``(names, call)`` for every call: the names of the definitions it
+    reaches, which are a function's name or a class's name for its
+    ``__init__`` (``super().__init__`` reaches the bases, ``cls(...)`` in a
+    classmethod its own class, and a module-level alias its target)."""
+    aliases = {
+        statement.targets[0].id: statement.value.attr
+        for statement in getattr(tree, "body", ())
+        if isinstance(statement, ast.Assign)
+        and isinstance(statement.targets[0], ast.Name)
+        and isinstance(statement.value, ast.Attribute)
+    }
+
+    def visit(node, bases, own_class, in_classmethod):
+        for child in ast.iter_child_nodes(node):
+            inner = bases, own_class, in_classmethod
+            if isinstance(child, ast.ClassDef):
+                inner = base_names(child), child.name, False
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                decorators = {getattr(decorator, "id", None) for decorator in child.decorator_list}
+                inner = bases, own_class, "classmethod" in decorators
+            if isinstance(child, ast.Call):
+                func, names = child.func, ()
+                if isinstance(func, ast.Name):
+                    cls_call = func.id == "cls" and in_classmethod
+                    names = (own_class,) if cls_call else (aliases.get(func.id, func.id),)
+                elif isinstance(func, ast.Attribute):
+                    receiver = func.value
+                    if (
+                        func.attr == "__init__"
+                        and isinstance(receiver, ast.Call)
+                        and getattr(receiver.func, "id", None) == "super"
+                    ):
+                        names = bases
+                    else:
+                        names = (aliases.get(func.attr, func.attr),)
+                yield names, child
+            yield from visit(child, *inner)
+
+    yield from visit(tree, (), None, False)
+
+
+def parameters_to_set(tree: ast.AST, prefix: str, owner: str | None = None):
+    """``(qualified name, key, position)`` for every parameter with a
+    default that a caller passes; ``key`` is the name calls reach its
+    definition by and ``position`` counts the arguments before it (no
+    ``self``/``cls``), None for a keyword-only one."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.ClassDef):
+            yield from parameters_to_set(node, f"{prefix}.{node.name}", node.name)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            qualname = f"{prefix}.{node.name}"
+            dunder = node.name.startswith("__") and node.name.endswith("__")
+            called_outside = dunder and node.name != "__init__"
+            if not (registered(node) or node.name == "main" or called_outside):
+                key = owner if node.name == "__init__" else node.name
+                static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+                arguments = node.args
+                positional = arguments.posonlyargs + arguments.args
+                skip = 1 if owner is not None and not static and positional else 0
+                first_default = len(positional) - len(arguments.defaults)
+                for index, argument in enumerate(positional[first_default:], first_default):
+                    yield f"{qualname}.{argument.arg}", key, index - skip
+                for argument, default in zip(arguments.kwonlyargs, arguments.kw_defaults):
+                    if default is not None:
+                        yield f"{qualname}.{argument.arg}", key, None
+            yield from parameters_to_set(node, qualname)
+        else:
+            yield from parameters_to_set(node, prefix, owner)
+
+
+def test_every_parameter_is_set_by_the_program():
+    """Every parameter with a default is passed by a call the program makes.
+
+    A call sets a parameter by keyword, by position, or by ``*args`` /
+    ``**kwargs``, where it names the definition: a function by its name, an
+    ``__init__`` by the name of its class or of a subclass that inherits it,
+    by ``super().__init__`` or by ``cls(...)``, each also through a
+    module-level alias.  A call whose callee names no definition
+    (``RUNNERS[backend](...)``, a builtin) sets its keywords on every one.
+    ``@scenario`` parameters are the CLI's ``--set`` surface, dunders other
+    than ``__init__`` and ``main(argv)`` are called from outside, and
+    dataclass fields are no parameters: they are read, not passed.
+    """
+    candidates, names, classes = [], set(), {}
+    for path, tree in python_trees("src/repro"):
+        module = ".".join(path.relative_to(ROOT / "src").with_suffix("").parts)
+        module = module.removesuffix(".__init__")
+        candidates.extend(parameters_to_set(tree, module))
+        for _, node in definitions(tree, module):
+            names.add(node.name)
+            if isinstance(node, ast.ClassDef):
+                own_init = any(getattr(child, "name", None) == "__init__" for child in node.body)
+                classes[node.name] = (base_names(node), own_init)
+
+    def init_owner(name: str) -> str:
+        """The class whose ``__init__`` a call of ``name`` runs."""
+        while name in classes and not classes[name][1]:
+            bases = [base for base in classes[name][0] if base in classes]
+            if not bases:
+                break
+            name = bases[0]
+        return name
+
+    keywords, positions, unpacked, anywhere = {}, Counter(), set(), set()
+    for scope in ("src", "examples", "benchmarks"):
+        for _, tree in python_trees(scope):
+            for targets, call in calls_in(tree):
+                named = {keyword.arg for keyword in call.keywords if keyword.arg}
+                keys = {init_owner(target) for target in targets if target in names}
+                if not keys:
+                    anywhere |= named
+                for key in keys:
+                    keywords.setdefault(key, set()).update(named)
+                    positions[key] = max(positions[key], len(call.args))
+                    if any(isinstance(arg, ast.Starred) for arg in call.args) or any(
+                        keyword.arg is None for keyword in call.keywords
+                    ):
+                        unpacked.add(key)
+    unset, set_by_program = [], set()
+    for qualname, key, position in candidates:
+        name = qualname.rsplit(".", 1)[1]
+        if (
+            name in keywords.get(key, ())
+            or name in anywhere
+            or key in unpacked
+            or (position is not None and position < positions[key])
+        ):
+            set_by_program.add(qualname)
+        elif qualname not in SET_FROM_OUTSIDE:
+            unset.append(qualname)
+    assert unset == []
+    assert set(SET_FROM_OUTSIDE) <= {qualname for qualname, _, _ in candidates}, (
+        "an allowlisted parameter is gone: drop its row"
+    )
+    assert set(SET_FROM_OUTSIDE) & set_by_program == set(), "the program sets it: drop its row"
 
 
 def matching(scope: str, pattern: re.Pattern) -> list[str]:

@@ -457,6 +457,37 @@ class TestCli:
         assert "Traceback" not in err
         assert not list(tmp_path.rglob("*.json"))
 
+    PATH_AND_UTILITY_RULES = {
+        "loss_rate": "loss_rate must lie in [0, 1]",
+        "extra_delay_s": "extra_delay_s must be finite and non-negative",
+        "latency_penalty": "latency_penalty must be non-negative",
+    }
+
+    @pytest.mark.parametrize(
+        "scenario, assignment",
+        [
+            ("single_link_tcp", "loss_rate=-0.5"),
+            ("single_link_tcp", "loss_rate=nan"),
+            ("single_link_tcp", "extra_delay_s=-1"),
+            ("single_link_tcp", "extra_delay_s=nan"),
+            ("drain", "latency_penalty=-1"),
+            ("drain", "latency_penalty=nan"),
+        ],
+    )
+    def test_an_unusable_path_or_utility_parameter_fails_cleanly(
+        self, scenario, assignment, tmp_path, capsys
+    ):
+        # A negative or NaN loss rate or delay used to skip its element, so
+        # the point ran a clean path, exited 0 and was cached.  A negative
+        # latency penalty died in a UtilityError traceback (exit 1), and a
+        # NaN one ran and was cached.
+        argv = ["run", scenario, "--set", "duration=2", "--set", assignment]
+        assert cli_main([*argv, "--cache-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and self.PATH_AND_UTILITY_RULES[assignment.split("=")[0]] in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.rglob("*.json"))
+
     @staticmethod
     def assert_refused(argv, cache_dir, capsys):
         assert cli_main([*argv, "--cache-dir", str(cache_dir)]) == 2

@@ -62,6 +62,7 @@ from repro.serving import (
     safe_default_decision,
 )
 from repro.serving import fallback
+from repro.serving.breaker import COOLDOWN, COOLDOWN_CAP
 from repro.serving.fallback import DEFAULT_SAFE_DELAY
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -280,11 +281,10 @@ class FakeClock:
 
 
 class TestCircuitBreaker:
-    def make(self, **kwargs) -> tuple[CircuitBreaker, FakeClock]:
-        clock = FakeClock()
-        defaults = dict(failure_threshold=3, cooldown=2.0, clock=clock)
-        defaults.update(kwargs)
-        return CircuitBreaker("cfg", **defaults), clock
+    def make(self) -> tuple[CircuitBreaker, FakeClock]:
+        breaker, clock = CircuitBreaker("cfg"), FakeClock()
+        breaker._clock = clock
+        return breaker, clock
 
     @staticmethod
     def cooldown(breaker, clock) -> float:
@@ -343,21 +343,15 @@ class TestCircuitBreaker:
 
     def test_cooldowns_reuse_supervision_backoff(self):
         """The open-state cooldown is exactly the runner's retry delay."""
-        breaker, clock = self.make(cooldown=2.0)
+        breaker, clock = self.make()
         for _ in range(3):
             breaker.record_failure()
-        expected = Supervision(backoff=2.0, backoff_cap=300.0).delay("breaker:cfg", 1)
+        expected = Supervision(backoff=COOLDOWN, backoff_cap=COOLDOWN_CAP).delay("breaker:cfg", 1)
         assert self.cooldown(breaker, clock) == pytest.approx(expected)
         clock.now += expected - 0.001
         assert not breaker.allow()
         clock.now += 0.002
         assert breaker.allow()
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            CircuitBreaker(failure_threshold=0)
-        with pytest.raises(ConfigurationError):
-            CircuitBreaker(cooldown=0.0)
 
 
 # --------------------------------------------------- belief reconstruction
@@ -636,9 +630,9 @@ class TestDecisionServiceTiers:
             empty,
             [config],
             injector=ServingFaultInjector(plan, requests),
-            breaker_threshold=3,
-            breaker_cooldown=300.0,
         )
+        # A frozen clock: once open, the breaker stays open.
+        service.breaker_for(config.fingerprint())._clock = lambda: 0.0
         signature = table.signatures()[0]
         for _ in range(requests):
             served = service.decide(config.fingerprint(), signature)
@@ -1273,7 +1267,7 @@ class TestHostileRequests:
         """Three bad bodies used to switch tier 2 off for everyone."""
         config, table, _ = published
         service = DecisionService(
-            PolicyTableRegistry(tmp_path), [config], breaker_threshold=3
+            PolicyTableRegistry(tmp_path), [config]
         )
         fingerprint = config.fingerprint()
 
@@ -1301,7 +1295,7 @@ class TestHostileRequests:
         count as a planner failure: three of them opened the breaker."""
         config, table, _ = published
         service = DecisionService(
-            PolicyTableRegistry(tmp_path), [config], breaker_threshold=3
+            PolicyTableRegistry(tmp_path), [config]
         )
         fingerprint = config.fingerprint()
         valid = off_table_signature(table)
@@ -1334,7 +1328,7 @@ class TestHostileRequests:
         requests opened the breaker for every client."""
         config, table, _ = published
         service = DecisionService(
-            PolicyTableRegistry(tmp_path), [config], breaker_threshold=3
+            PolicyTableRegistry(tmp_path), [config]
         )
         fingerprint = config.fingerprint()
         valid = off_table_signature(table)
@@ -1361,7 +1355,7 @@ class TestHostileRequests:
     def test_a_clock_past_the_model_arithmetic_is_a_400(self, published, tmp_path, now):
         config, table, _ = published
         service = DecisionService(
-            PolicyTableRegistry(tmp_path), [config], breaker_threshold=3
+            PolicyTableRegistry(tmp_path), [config]
         )
         fingerprint = config.fingerprint()
         valid = off_table_signature(table)
@@ -1387,7 +1381,7 @@ class TestHostileRequests:
             prior=single_link_prior(link_rate_points=2, fill_points=1, cross_rate_pps=0.5)
         )
         service = DecisionService(
-            PolicyTableRegistry(tmp_path), [config], planner_timeout=0.5, breaker_threshold=3
+            PolicyTableRegistry(tmp_path), [config], planner_timeout=0.5
         )
         fingerprint = config.fingerprint()
         valid = tuple(
@@ -1818,10 +1812,10 @@ class TestChaosAcceptance:
             registry,
             [config],
             planner_timeout=0.2,
-            breaker_threshold=3,
-            breaker_cooldown=300.0,  # once open, stays open: predictable
             injector=injector,
         )
+        # A frozen clock: once open, the breaker stays open, predictably.
+        service.breaker_for(config.fingerprint())._clock = lambda: 0.0
         known = table.signatures()
         off = off_table_signature(table)
         stream = [

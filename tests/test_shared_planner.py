@@ -25,6 +25,7 @@ from repro.core.policy import SharedPlanner
 from repro.core.utility import AlphaWeightedUtility
 from repro.errors import ConfigurationError
 from repro.inference import AckObservation, BeliefState, figure3_prior, single_link_prior
+from repro.inference.prior import DerivedPrior
 from repro.runner import ScenarioSpec
 from repro.runner import scenarios
 from repro.runner.registry import DEFAULT_REGISTRY
@@ -40,13 +41,18 @@ single_link_priors = st.builds(
     cross_rate_pps=st.sampled_from([0.0, 0.5]),
 )
 figure3_priors = st.builds(
-    figure3_prior,
-    link_rate_points=st.integers(min_value=1, max_value=2),
-    cross_fraction_points=st.just(1),
-    loss_points=st.integers(min_value=1, max_value=2),
-    buffer_points=st.just(1),
-    fill_points=st.integers(min_value=1, max_value=2),
-    mean_time_to_switch=st.sampled_from([5.0, 100.0]),
+    lambda prior, mean_time_to_switch: DerivedPrior(
+        grid=prior.grid, fixed={**prior.fixed, "mean_time_to_switch": mean_time_to_switch}
+    ),
+    st.builds(
+        figure3_prior,
+        link_rate_points=st.integers(min_value=1, max_value=2),
+        cross_fraction_points=st.just(1),
+        loss_points=st.integers(min_value=1, max_value=2),
+        buffer_points=st.just(1),
+        fill_points=st.integers(min_value=1, max_value=2),
+    ),
+    st.sampled_from([5.0, 100.0]),
 )
 priors = st.one_of(single_link_priors, figure3_priors)
 

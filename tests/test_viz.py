@@ -11,7 +11,7 @@ from repro.viz import ascii_plot, write_rows_csv, write_series_csv
 class TestAsciiPlot:
     def test_renders_title_axes_and_legend(self):
         series = {"line": TimeSeries.from_pairs([(0.0, 1.0), (1.0, 2.0), (2.0, 4.0)])}
-        text = ascii_plot(series, width=40, height=10, title="Demo", y_label="seq")
+        text = ascii_plot(series, height=10, title="Demo", y_label="seq")
         assert "Demo" in text
         assert "seq" in text
         assert "legend: o = line" in text
@@ -22,7 +22,7 @@ class TestAsciiPlot:
             "a": [(0.0, 1.0), (1.0, 2.0)],
             "b": [(0.0, 2.0), (1.0, 1.0)],
         }
-        text = ascii_plot(series, width=20, height=5)
+        text = ascii_plot(series, height=5)
         assert "o = a" in text
         assert "x = b" in text
 
@@ -36,7 +36,7 @@ class TestAsciiPlot:
 
     def test_flat_series_does_not_divide_by_zero(self):
         series = {"flat": [(0.0, 5.0), (1.0, 5.0)]}
-        text = ascii_plot(series, width=10, height=4)
+        text = ascii_plot(series, height=4)
         assert "flat" in text
 
 
