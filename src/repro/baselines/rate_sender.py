@@ -7,6 +7,8 @@ in comparisons.
 
 from __future__ import annotations
 
+import math
+
 from repro.errors import ConfigurationError
 from repro.sim.element import SourceElement
 from repro.sim.packet import Packet
@@ -23,10 +25,14 @@ class FixedRateSender(SourceElement):
         packet_bits: float = DEFAULT_PACKET_BITS,
         name: str | None = None,
     ) -> None:
-        if rate_pps <= 0:
-            raise ConfigurationError(f"rate_pps must be positive, got {rate_pps!r}")
-        if packet_bits <= 0:
-            raise ConfigurationError(f"packet_bits must be positive, got {packet_bits!r}")
+        # Each check fails on NaN: a NaN rate used to fail mid-run scheduling
+        # a NaN time, and an infinite one to send forever at one instant.
+        if not 0.0 < rate_pps < math.inf:
+            raise ConfigurationError(f"rate_pps must be positive and finite, got {rate_pps!r}")
+        if not 0.0 < packet_bits < math.inf:
+            raise ConfigurationError(
+                f"packet_bits must be positive and finite, got {packet_bits!r}"
+            )
         super().__init__(name)
         self.rate_pps = float(rate_pps)
         self.packet_bits = float(packet_bits)

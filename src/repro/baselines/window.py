@@ -76,6 +76,10 @@ class WindowSender(SourceElement):
             raise ConfigurationError(
                 f"require {MIN_RTO} <= max_rto < inf, got {max_rto!r}"
             )
+        if not 0.0 < initial_ssthresh < math.inf:
+            raise ConfigurationError(
+                f"initial_ssthresh must be positive and finite, got {initial_ssthresh!r}"
+            )
         super().__init__(name)
         self.receiver = receiver
         self.flow = flow

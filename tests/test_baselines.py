@@ -46,13 +46,16 @@ class TestWindowSenderMechanics:
             RenoSender(network.sender_receiver, packet_bits=0)
         with pytest.raises(ConfigurationError):
             RenoSender(network.sender_receiver, max_rto=0.1)  # below MIN_RTO
+        with pytest.raises(ConfigurationError, match="initial_ssthresh"):
+            RenoSender(network.sender_receiver, initial_ssthresh=0.0)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("field", ["packet_bits", "max_rto"])
+    @pytest.mark.parametrize("field", ["packet_bits", "max_rto", "initial_ssthresh"])
     def test_non_finite_parameters_refused(self, field, value):
-        # NaN used to pass every check and run with an RTO of NaN.
+        # NaN used to pass every check and run with an RTO of NaN; a NaN
+        # threshold ran in congestion avoidance from the first ack.
         network = single_link_network(sender_flow="tcp")
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match=field):
             RenoSender(network.sender_receiver, **{field: value})
 
     def test_self_clocking_fills_clean_link(self):
@@ -193,6 +196,14 @@ class TestRateSenders:
             FixedRateSender(rate_pps=0.0)
         with pytest.raises(ConfigurationError):
             FixedRateSender(rate_pps=1.0, packet_bits=0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["rate_pps", "packet_bits"])
+    def test_fixed_rate_non_finite_parameters_refused(self, field, value):
+        # A NaN rate used to build, then fail mid-run scheduling a NaN time.
+        parameters = {"rate_pps": 1.0, field: value}
+        with pytest.raises(ConfigurationError, match=field):
+            FixedRateSender(**parameters)
 
     def test_fixed_rate_sender_is_isochronous(self):
         network = single_link_network(link_rate_bps=100_000.0, sender_flow="fixed")

@@ -377,23 +377,16 @@ def parameters_to_set(tree: ast.AST, prefix: str, owner: str | None = None):
             yield from parameters_to_set(node, prefix, owner)
 
 
-def test_every_parameter_is_set_by_the_program():
-    """Every parameter with a default is passed by a call the program makes.
+def parameter_findings(defining, calling, allowed):
+    """``(unset, gone, set_anyway)`` for the parameters ``defining`` holds.
 
-    A call sets a parameter by keyword, by position, or by ``*args`` /
-    ``**kwargs``, where it names the definition: a function by its name, an
-    ``__init__`` by the name of its class or of a subclass that inherits it,
-    by ``super().__init__`` or by ``cls(...)``, each also through a
-    module-level alias.  A call whose callee names no definition
-    (``RUNNERS[backend](...)``, a builtin) sets its keywords on every one.
-    ``@scenario`` parameters are the CLI's ``--set`` surface, dunders other
-    than ``__init__`` and ``main(argv)`` are called from outside, and
-    dataclass fields are no parameters: they are read, not passed.
+    ``defining`` is ``(module, tree)`` pairs, ``calling`` the trees whose
+    calls count.  ``unset`` is every parameter with a default no call sets
+    and ``allowed`` does not list; ``gone`` the rows of ``allowed`` that name
+    no such parameter; ``set_anyway`` the rows a call sets after all.
     """
     candidates, names, classes = [], set(), {}
-    for path, tree in python_trees("src/repro"):
-        module = ".".join(path.relative_to(ROOT / "src").with_suffix("").parts)
-        module = module.removesuffix(".__init__")
+    for module, tree in defining:
         candidates.extend(parameters_to_set(tree, module))
         for _, node in definitions(tree, module):
             names.add(node.name)
@@ -411,20 +404,19 @@ def test_every_parameter_is_set_by_the_program():
         return name
 
     keywords, positions, unpacked, anywhere = {}, Counter(), set(), set()
-    for scope in ("src", "examples", "benchmarks"):
-        for _, tree in python_trees(scope):
-            for targets, call in calls_in(tree):
-                named = {keyword.arg for keyword in call.keywords if keyword.arg}
-                keys = {init_owner(target) for target in targets if target in names}
-                if not keys:
-                    anywhere |= named
-                for key in keys:
-                    keywords.setdefault(key, set()).update(named)
-                    positions[key] = max(positions[key], len(call.args))
-                    if any(isinstance(arg, ast.Starred) for arg in call.args) or any(
-                        keyword.arg is None for keyword in call.keywords
-                    ):
-                        unpacked.add(key)
+    for tree in calling:
+        for targets, call in calls_in(tree):
+            named = {keyword.arg for keyword in call.keywords if keyword.arg}
+            keys = {init_owner(target) for target in targets if target in names}
+            if not keys:
+                anywhere |= named
+            for key in keys:
+                keywords.setdefault(key, set()).update(named)
+                positions[key] = max(positions[key], len(call.args))
+                if any(isinstance(arg, ast.Starred) for arg in call.args) or any(
+                    keyword.arg is None for keyword in call.keywords
+                ):
+                    unpacked.add(key)
     unset, set_by_program = [], set()
     for qualname, key, position in candidates:
         name = qualname.rsplit(".", 1)[1]
@@ -435,13 +427,119 @@ def test_every_parameter_is_set_by_the_program():
             or (position is not None and position < positions[key])
         ):
             set_by_program.add(qualname)
-        elif qualname not in SET_FROM_OUTSIDE:
+        elif qualname not in allowed:
             unset.append(qualname)
+    gone = sorted(set(allowed) - {qualname for qualname, _, _ in candidates})
+    return unset, gone, sorted(set(allowed) & set_by_program)
+
+
+def test_every_parameter_is_set_by_the_program():
+    """Every parameter with a default is passed by a call the program makes.
+
+    A call sets a parameter by keyword, by position, or by ``*args`` /
+    ``**kwargs``, where it names the definition: a function by its name, an
+    ``__init__`` by the name of its class or of a subclass that inherits it,
+    by ``super().__init__`` or by ``cls(...)``, each also through a
+    module-level alias.  A call whose callee names no definition
+    (``RUNNERS[backend](...)``, a builtin) sets its keywords on every one.
+    ``@scenario`` parameters are the CLI's ``--set`` surface, dunders other
+    than ``__init__`` and ``main(argv)`` are called from outside, and
+    dataclass fields are no parameters: they are read, not passed.
+    """
+    defining = [
+        (".".join(path.relative_to(ROOT / "src").with_suffix("").parts), tree)
+        for path, tree in python_trees("src/repro")
+    ]
+    defining = [(module.removesuffix(".__init__"), tree) for module, tree in defining]
+    calling = [
+        tree for scope in ("src", "examples", "benchmarks") for _, tree in python_trees(scope)
+    ]
+    unset, gone, set_anyway = parameter_findings(defining, calling, SET_FROM_OUTSIDE)
     assert unset == []
-    assert set(SET_FROM_OUTSIDE) <= {qualname for qualname, _, _ in candidates}, (
-        "an allowlisted parameter is gone: drop its row"
+    assert gone == [], "an allowlisted parameter is gone: drop its row"
+    assert set_anyway == [], "the program sets it: drop its row"
+
+
+#: ``(definitions in module "pkg", calls elsewhere, what the rule flags)``.
+PARAMETER_RULE_CASES = [
+    pytest.param(definition, calls, flagged, id=name)
+    for name, definition, calls, flagged in [
+        ("no-call-passes-it", "def f(x=1): pass", "f()", ["pkg.f.x"]),
+        ("by-keyword", "def f(x=1): pass", "f(x=2)", []),
+        ("by-position", "def f(x=1): pass", "f(2)", []),
+        ("a-shorter-call-leaves-it", "def f(a, x=1): pass", "f(1)", ["pkg.f.x"]),
+        ("by-star-args", "def f(x=1): pass", "f(*values)", []),
+        ("by-star-kwargs", "def f(x=1): pass", "f(**values)", []),
+        ("keyword-only-not-by-position", "def f(*, x=1): pass", "f(2)", ["pkg.f.x"]),
+        (
+            "a-call-of-another-definition",
+            "def f(x=1): pass\ndef g(x=1): pass",
+            "g(x=2)",
+            ["pkg.f.x"],
+        ),
+        ("an-unknown-callee-sets-its-keywords-everywhere", "def f(x=1): pass", "table[k](x=2)", []),
+        ("init-by-class-name-without-self", "class C:\n def __init__(self, x=1): pass", "C(2)", []),
+        ("method-by-attribute-without-self", "class C:\n def m(self, x=1): pass", "c.m(2)", []),
+        (
+            "init-by-a-subclass-that-inherits-it",
+            "class B:\n def __init__(self, x=1): pass\nclass C(B): pass",
+            "C(2)",
+            [],
+        ),
+        (
+            "init-by-super",
+            "class B:\n def __init__(self, x=1): pass\n"
+            "class C(B):\n def __init__(self):\n  super().__init__(2)",
+            "C()",
+            [],
+        ),
+        (
+            "init-by-cls-in-a-classmethod",
+            "class C:\n def __init__(self, x=1): pass\n"
+            " @classmethod\n def make(cls):\n  return cls(2)",
+            "C.make()",
+            [],
+        ),
+        (
+            "through-a-module-level-alias",
+            "class R:\n def register(self, x=1): pass",
+            "add = REGISTRY.register\nadd(2)",
+            [],
+        ),
+        ("a-scenario-parameter-is-out-of-scope", "@scenario()\ndef s(x=1): pass", "s()", []),
+        ("main-argv-is-out-of-scope", "def main(argv=None): pass", "main()", []),
+        ("a-dunder-is-out-of-scope", "class C:\n def __call__(self, x=1): pass", "C()(1)", []),
+        ("a-dataclass-field-is-no-parameter", "@dataclass\nclass C:\n x: int = 1", "C()", []),
+    ]
+]
+
+
+@pytest.mark.parametrize("definition, calls, flagged", PARAMETER_RULE_CASES)
+def test_the_parameter_rule_resolves_calls(definition, calls, flagged):
+    """The rule flags a parameter no call sets, and only that, on each way a call reaches it."""
+    source = ast.parse(definition)
+    unset, gone, set_anyway = parameter_findings(
+        [("pkg", source)], [source, ast.parse(calls)], {}
     )
-    assert set(SET_FROM_OUTSIDE) & set_by_program == set(), "the program sets it: drop its row"
+    assert (unset, gone, set_anyway) == (flagged, [], [])
+
+
+@pytest.mark.parametrize(
+    "calls, allowed, findings",
+    [
+        pytest.param("f()", {"pkg.f.x": "why"}, ([], [], []), id="a-row-excuses-its-parameter"),
+        pytest.param(
+            "f()", {"pkg.f.y": "why"}, (["pkg.f.x"], ["pkg.f.y"], []),
+            id="a-row-whose-parameter-is-gone",
+        ),
+        pytest.param(
+            "f(x=2)", {"pkg.f.x": "why"}, ([], [], ["pkg.f.x"]), id="a-row-the-program-sets"
+        ),
+    ],
+)
+def test_the_parameter_rule_reads_its_allowlist(calls, allowed, findings):
+    source = ast.parse("def f(x=1): pass")
+    assert parameter_findings([("pkg", source)], [source, ast.parse(calls)], allowed) == findings
 
 
 def matching(scope: str, pattern: re.Pattern) -> list[str]:
