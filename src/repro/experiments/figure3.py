@@ -139,7 +139,6 @@ def run_figure3_point(
     cross_fraction: float = 0.7,
     loss_rate: float = LOSS_RATE,
     buffer_capacity_bits: float = 96_000.0,
-    packet_bits: float = DEFAULT_PACKET_BITS,
     seed: int = 1,
     settings: SenderConfig | None = None,
 ) -> Figure3AlphaResult:
@@ -163,8 +162,7 @@ def run_figure3_point(
         cross_fraction=cross_fraction,
         loss_rate=loss_rate,
         buffer_capacity_bits=buffer_capacity_bits,
-        packet_bits=packet_bits,
-        cross_gate="squarewave",
+        packet_bits=DEFAULT_PACKET_BITS,
         switch_interval=switch_interval,
         seed=seed,
     )
@@ -174,9 +172,9 @@ def run_figure3_point(
         loss_points=3,
         buffer_points=4,
         fill_points=1,
-        packet_bits=packet_bits,
+        packet_bits=DEFAULT_PACKET_BITS,
     )
-    run_config = replace(base, alpha=alpha, packet_bits=packet_bits)
+    run_config = replace(base, alpha=alpha, packet_bits=DEFAULT_PACKET_BITS)
     sender = build_sender(run_config, network, prior=prior)
     network.network.run(until=duration)
 
@@ -208,7 +206,6 @@ def run_figure3(
     alphas: Sequence[float] = (0.9, 1.0, 2.5, 5.0),
     duration: float = 300.0,
     switch_interval: float = 100.0,
-    packet_bits: float = DEFAULT_PACKET_BITS,
     runner: "RunnerBase | None" = None,
 ) -> Figure3Result:
     """Run the Figure-3 experiment: :func:`run_figure3_point` once per α, on
@@ -235,7 +232,6 @@ def run_figure3(
             "alpha": alpha,
             "duration": duration,
             "switch_interval": switch_interval,
-            "packet_bits": packet_bits,
         }
         for alpha in alphas
     ]

@@ -125,7 +125,7 @@ def send_own(
     refuse_wide_seqs(seq + 1)
     if time > state.time:
         advance(state, time, rows=rows)
-    state.register_own_seq(seq, time)
+    state.register_own_seq(seq, time, size_bits)
     if rows is None:
         rows = np.arange(state.size)
     count = rows.size
@@ -227,9 +227,11 @@ def _complete_service(state: EnsembleState, rows: np.ndarray) -> None:
     has_next = state.q_len[rows] > 0
     next_rows = rows[has_next]
     if next_rows.size:
-        size = state.q_size[next_rows, 0]
-        state.svc_flow[next_rows] = state.q_flow[next_rows, 0]
-        state.svc_seq[next_rows] = state.q_seq[next_rows, 0]
+        flow = state.q_flow[next_rows, 0]
+        seq = state.q_seq[next_rows, 0]
+        size = state.packet_sizes(next_rows, seq, flow == FLOW_OWN)
+        state.svc_flow[next_rows] = flow
+        state.svc_seq[next_rows] = seq
         state.svc_size[next_rows] = size
         state.svc_completion[next_rows] = when[has_next] + size / state.link_rate[next_rows]
         # Shift the queue left one slot (fancy-indexed reads copy, so the
@@ -238,12 +240,10 @@ def _complete_service(state: EnsembleState, rows: np.ndarray) -> None:
         # digest relies on this).
         state.q_flow[next_rows, :-1] = state.q_flow[next_rows, 1:]
         state.q_seq[next_rows, :-1] = state.q_seq[next_rows, 1:]
-        state.q_size[next_rows, :-1] = state.q_size[next_rows, 1:]
         state.q_len[next_rows] -= 1
         tail = state.q_len[next_rows]
         state.q_flow[next_rows, tail] = 0
         state.q_seq[next_rows, tail] = 0
-        state.q_size[next_rows, tail] = 0.0
         remaining = state.queue_bits[next_rows] - size
         state.queue_bits[next_rows] = np.where(remaining < 1e-9, 0.0, remaining)
     idle_rows = rows[~has_next]
@@ -274,7 +274,11 @@ def _enqueue(
     seqs: np.ndarray,
     sizes: np.ndarray,
 ) -> None:
-    """Offer one packet per row: start service, queue it, or tail-drop it."""
+    """Offer one packet per row: start service, queue it, or tail-drop it.
+
+    A queued packet keeps its flow and sequence number only; its size is
+    derived where it is read (:meth:`EnsembleState.packet_sizes`).
+    """
     idle = ~state.svc_active[rows]
     idle_rows = rows[idle]
     if idle_rows.size:
@@ -298,7 +302,6 @@ def _enqueue(
         slots = state.q_len[queue_rows]
         state.q_flow[queue_rows, slots] = flows[busy][fits]
         state.q_seq[queue_rows, slots] = seqs[busy][fits]
-        state.q_size[queue_rows, slots] = sizes[busy][fits]
         state.q_len[queue_rows] += 1
         state.queue_bits[queue_rows] += sizes[busy][fits]
 

@@ -582,8 +582,9 @@ def follow_rows(
     touched.  The second set is what a real send leaves the rows holding:
     :func:`~repro.inference.vectorized.engine.send_own`, on those rows
     alone, starts the packet's service, queues it or tail-drops it.  The
-    new state's ledger is its own and empty (a rollout reads none), so the
-    packet's sequence number is a placeholder.
+    new state's rows hold no ledger contents (a rollout reads none), so the
+    packet's sequence number is a placeholder: one past every number the
+    shared columns hold, whose sizes the rows' queued own packets read.
 
     Returns ``(lanes, drain times)``, the drain times for the post-send
     rows: :func:`select_rows`' formula, so a follow-up's horizon is the one
@@ -593,7 +594,8 @@ def follow_rows(
     count = len(rows)
     pair = state.select(np.concatenate([rows, rows]), ledger=False)
     sent = np.arange(count, 2 * count)
-    engine.send_own(pair, 0, packet_bits, now, sent)
+    placeholder = int(pair.own_seqs[pair.n_own - 1]) + 1 if pair.n_own else 0
+    engine.send_own(pair, placeholder, packet_bits, now, sent)
     return (pair, np.arange(pair.size)), _drain_times(pair, sent) if drains else None
 
 

@@ -120,11 +120,14 @@ def _projected_delivery(
     in_queue = searching & matches.any(axis=1)
     if in_queue.any():
         position = np.argmax(matches, axis=1)
-        inclusive = np.cumsum(state.q_size, axis=1)
         row_index = np.nonzero(in_queue)[0]
         slot = position[row_index]
-        own_size = state.q_size[row_index, slot]
-        ahead_in_queue = inclusive[row_index, slot] - own_size
+        width = int(slot.max()) + 1
+        sizes = state.queued_sizes(row_index, width)
+        inclusive = np.cumsum(sizes, axis=1)
+        picked = np.arange(row_index.size)
+        own_size = sizes[picked, slot]
+        ahead_in_queue = inclusive[picked, slot] - own_size
         service_remaining = np.maximum(
             0.0,
             (state.svc_completion[row_index] - state.time) * state.link_rate[row_index],

@@ -7,15 +7,24 @@ of NumPy buffers, one row per hypothesis:
   cross-traffic rate, gate dwell time) plus precomputed log-likelihood
   constants,
 * the dynamic link-model state (gate, next cross arrival, the packet in
-  service, the queue as left-aligned 2D buffers that shift one slot per
-  departure, queued bits; queued sequence numbers are int32, and a counter
-  that would pass that is refused by :func:`refuse_wide_seqs`),
+  service, queued bits, and the queue as two left-aligned 2D planes that
+  shift one slot per departure: a flow code and an int32 sequence number;
+  a counter that would pass int32 is refused by :func:`refuse_wide_seqs`),
 * the own-packet ledger: one *column* per sequence number still in flight,
-  holding each row's prediction (none / delivered / dropped), prediction
-  time, and the scoring bookkeeping bits (resolved, charged-lost).  A send
-  adds a column; the belief's update retires the columns no row can read
+  holding the packet's sent time and size (shared by every row) and each
+  row's prediction (none / delivered / dropped), prediction time, and the
+  scoring bookkeeping bits (resolved, charged-lost).  A send adds a
+  column; the belief's update retires the columns no row can read
   differently again (``BeliefState._finished_seqs``), inside the gather of
   its survivors (:meth:`EnsembleState.select` with ``columns``).
+
+A queued packet's size is not stored: it follows from its flow, its
+sequence number and its row (:meth:`EnsembleState.packet_sizes`).  An own
+packet has the size it was sent with (the ledger's ``own_sizes``), a cross
+packet the row's ``cross_packet_bits``, and a filler of the initial fill
+(a cross packet with a negative sequence number) the row's
+``filler_packet_bits`` — except the last filler of the fill's cut, whose
+remainder size the row keeps (``filler_tail_seq``, ``filler_tail_bits``).
 
 All hypotheses produced by a :class:`~repro.inference.belief.BeliefState`
 evolve in lockstep — every row sees the same sends and the same update
@@ -80,6 +89,7 @@ _STATIC_FIELDS = (
     "loss_rate",
     "cross_rate_pps",
     "cross_packet_bits",
+    "filler_packet_bits",
     "mtts",
     "has_cross",
     "survival",
@@ -104,10 +114,12 @@ _ROW_FIELDS = _STATIC_FIELDS + (
     "svc_completion",
     "q_len",
     "queue_bits",
+    "filler_tail_seq",
+    "filler_tail_bits",
 )
 
 #: Per-row 2D buffers padded to the queue capacity.
-_QUEUE_FIELDS = ("q_flow", "q_seq", "q_size")
+_QUEUE_FIELDS = ("q_flow", "q_seq")
 
 #: Per-row 2D buffers padded to the own-packet ledger capacity.
 _LEDGER_FIELDS = ("pred_state", "pred_time", "resolved", "lost")
@@ -125,6 +137,7 @@ class EnsembleState:
         "loss_rate",
         "cross_rate_pps",
         "cross_packet_bits",
+        "filler_packet_bits",
         "mtts",
         "has_cross",
         "survival",
@@ -141,12 +154,14 @@ class EnsembleState:
         "svc_completion",
         "q_flow",
         "q_seq",
-        "q_size",
         "q_len",
         "queue_bits",
+        "filler_tail_seq",
+        "filler_tail_bits",
         # own-packet ledger (shared columns, per-row contents)
         "own_seqs",
         "own_sent_times",
+        "own_sizes",
         "n_own",
         "pred_state",
         "pred_time",
@@ -201,7 +216,9 @@ class EnsembleState:
         :func:`~repro.inference.linkmodel.initial_fill` runs once per
         distinct ``(fill, filler size)``; each row gathers its cut — the
         first packet in service until ``time + size / link_rate``, the rest
-        queued.  The own-packet ledger starts empty.  ``model_params`` keep
+        queued, and the row's filler tail is the cut's last queued packet
+        (none when nothing is queued).  The own-packet ledger starts empty.
+        ``model_params`` keep
         the ``initial_fill_bits`` the rows were built with, which nothing
         reads once a model has started.
         """
@@ -228,7 +245,8 @@ class EnsembleState:
         q_len = np.zeros(count, dtype=np.int64)
         q_flow = np.zeros((count, width), dtype=np.int8)
         q_seq = np.zeros((count, width), dtype=SEQ_DTYPE)
-        q_size = np.zeros((count, width), dtype=float)
+        tail_seq = np.zeros(count, dtype=SEQ_DTYPE)
+        tail_bits = np.zeros(count, dtype=float)
         for shape, (sizes, bits) in enumerate(cuts):
             if sizes:
                 queued = len(sizes) - 1
@@ -238,7 +256,9 @@ class EnsembleState:
                 q_len[shape] = queued
                 q_flow[shape, :queued] = FLOW_CROSS
                 q_seq[shape, :queued] = np.arange(-2, -2 - queued, -1)
-                q_size[shape, :queued] = sizes[1:]
+                if queued:
+                    tail_seq[shape] = -len(sizes)
+                    tail_bits[shape] = sizes[-1]
         self.svc_active = active[shape_of]
         self.svc_flow = np.where(self.svc_active, np.int8(FLOW_CROSS), np.int8(-1))
         self.svc_seq = np.where(self.svc_active, np.int64(-1), np.int64(0))
@@ -251,7 +271,8 @@ class EnsembleState:
         self.q_len = q_len[shape_of]
         self.q_flow = q_flow[shape_of]
         self.q_seq = q_seq[shape_of]
-        self.q_size = q_size[shape_of]
+        self.filler_tail_seq = tail_seq[shape_of]
+        self.filler_tail_bits = tail_bits[shape_of]
         self._allocate_ledger(0)
 
     def restarted(
@@ -323,17 +344,26 @@ class EnsembleState:
 
         queues = [s["queue"] for s in states]
         self._allocate_queues(max(len(queue) for queue in queues))
+        self.filler_tail_seq = np.zeros(size, dtype=SEQ_DTYPE)
+        self.filler_tail_bits = np.zeros(size, dtype=float)
+        own_bits: dict[int, float] = {}
         for row, queue in enumerate(queues):
             self.q_len[row] = len(queue)
             for slot, (flow, seq, bits) in enumerate(queue):
-                self.q_flow[row, slot] = _FLOW_CODES[flow]
+                code = _FLOW_CODES[flow]
+                self.q_flow[row, slot] = code
                 self.q_seq[row, slot] = seq
-                self.q_size[row, slot] = bits
+                if code == FLOW_OWN:
+                    own_bits.setdefault(seq, bits)
+                elif seq < 0:
+                    # Fillers queue in cut order, so the row's last is its tail.
+                    self.filler_tail_seq[row] = seq
+                    self.filler_tail_bits[row] = bits
         self.queue_bits = np.array([s["queue_bits"] for s in states], dtype=float)
 
         # Own-packet ledger: the union of every row's sequence numbers.  For
         # lockstep ensembles the rows agree; the union keeps hand-built
-        # mixtures working too.
+        # mixtures working too.  A size no queue names is unknown (NaN).
         seq_to_time: dict[int, float] = {}
         for state in states:
             for seq, sent_at in state["own_sent"].items():
@@ -342,6 +372,8 @@ class EnsembleState:
         self._allocate_ledger(len(ordered))
         self.own_seqs[: self.n_own] = ordered
         self.own_sent_times[: self.n_own] = [seq_to_time[seq] for seq in ordered]
+        self.own_sizes[: self.n_own] = [own_bits.get(seq, math.nan) for seq in ordered]
+        self._refuse_underived_sizes(queues)
         col_of = {seq: col for col, seq in enumerate(ordered)}
         for row, state in enumerate(states):
             for seq, kind, pred_time, _survival in state["predictions"]:
@@ -357,6 +389,19 @@ class EnsembleState:
                 if seq in col_of:
                     self.lost[row, col_of[seq]] = True
         return self
+
+    def _refuse_underived_sizes(self, queues: Sequence[Sequence[tuple]]) -> None:
+        """Raise for a packed queued packet whose size :meth:`queued_sizes`
+        does not give: the array form keeps no size of its own."""
+        derived = self.queued_sizes(np.arange(self.size), self.q_flow.shape[1]).tolist()
+        for row, queue in enumerate(queues):
+            for slot, (flow, seq, bits) in enumerate(queue):
+                if derived[row][slot] != bits:
+                    raise InferenceError(
+                        f"row {row}, slot {slot}: a queued {flow} packet {seq} of {bits!r} "
+                        f"bits, where its flow, sequence number and row give "
+                        f"{derived[row][slot]!r}"
+                    )
 
     def _write_static(
         self,
@@ -379,6 +424,7 @@ class EnsembleState:
         self.loss_rate = np.array([p.loss_rate for p in params], dtype=float)
         self.cross_rate_pps = np.array([p.cross_rate_pps for p in params], dtype=float)
         self.cross_packet_bits = np.array([p.cross_packet_bits for p in params], dtype=float)
+        self.filler_packet_bits = np.array([p.filler_packet_bits for p in params], dtype=float)
         self.mtts = np.array(
             [np.nan if p.mean_time_to_switch is None else p.mean_time_to_switch for p in params],
             dtype=float,
@@ -402,7 +448,6 @@ class EnsembleState:
         capacity = _queue_width(longest)
         self.q_flow = np.zeros((self.size, capacity), dtype=np.int8)
         self.q_seq = np.zeros((self.size, capacity), dtype=SEQ_DTYPE)
-        self.q_size = np.zeros((self.size, capacity), dtype=float)
         self.q_len = np.zeros(self.size, dtype=np.int64)
 
     def _allocate_ledger(self, count: int) -> None:
@@ -410,6 +455,7 @@ class EnsembleState:
         capacity = max(_MIN_LEDGER_CAPACITY, count)
         self.own_seqs = np.zeros(capacity, dtype=np.int64)
         self.own_sent_times = np.zeros(capacity, dtype=float)
+        self.own_sizes = np.zeros(capacity, dtype=float)
         self.n_own = count
         self.pred_state = np.zeros((self.size, capacity), dtype=np.int8)
         self.pred_time = np.zeros((self.size, capacity), dtype=float)
@@ -428,8 +474,9 @@ class EnsembleState:
         pass, and every other column is retired.  The ledger keeps its
         capacity; the columns past the kept ones hold retired contents,
         which nothing reads (a send resets the column it claims).
-        ``ledger=False`` starts the new state's ledger empty instead: a
-        rollout reads no ledger column.  The queue buffers are halved while
+        ``ledger=False`` starts the rows' ledger contents empty instead (a
+        rollout reads none) but keeps the shared columns, whose sizes the
+        rows' queued own packets still read.  The queue buffers are halved while
         the kept rows' deepest queue fits in a quarter of them (columns past
         every ``q_len``, canonical zeros; a queue that fluctuates does not
         regrow on every update).
@@ -446,14 +493,15 @@ class EnsembleState:
             width = max(_MIN_QUEUE_CAPACITY, width // 2)
         for name in _QUEUE_FIELDS:
             setattr(out, name, getattr(self, name)[indices, :width])
-        if not ledger:
-            out._allocate_ledger(0)
-            return out
-        if columns is None:
-            for name in _LEDGER_FIELDS:
-                setattr(out, name, getattr(self, name)[indices])
+        if columns is None or not ledger:
+            if ledger:
+                for name in _LEDGER_FIELDS:
+                    setattr(out, name, getattr(self, name)[indices])
+            else:
+                out._allocate_ledger(self.n_own)
             out.own_seqs = self.own_seqs.copy()
             out.own_sent_times = self.own_sent_times.copy()
+            out.own_sizes = self.own_sizes.copy()
             out.n_own = self.n_own
             return out
         # The kept columns first, then the rest, so the capacity stays; one
@@ -467,6 +515,7 @@ class EnsembleState:
             setattr(out, name, getattr(self, name).ravel().take(offsets))
         out.own_seqs = self.own_seqs[order]
         out.own_sent_times = self.own_sent_times[order]
+        out.own_sizes = self.own_sizes[order]
         out.n_own = int(columns.size)
         return out
 
@@ -480,19 +529,31 @@ class EnsembleState:
         new_capacity = max(needed, capacity * 2)
         self.q_flow = _pad_columns(self.q_flow, new_capacity)
         self.q_seq = _pad_columns(self.q_seq, new_capacity)
-        self.q_size = _pad_columns(self.q_size, new_capacity)
 
-    def register_own_seq(self, seq: int, sent_at: float) -> int:
-        """Add (or refresh) a ledger column for ``seq``; returns its index."""
+    def register_own_seq(self, seq: int, sent_at: float, size_bits: float) -> int:
+        """Add (or refresh) a ledger column for ``seq``; returns its index.
+
+        Every queued copy of ``seq`` reads the column's size, so a refresh
+        with another size than the one recorded is refused.
+        """
         pos = int(np.searchsorted(self.own_seqs[: self.n_own], seq))
         if pos < self.n_own and self.own_seqs[pos] == seq:
+            recorded = float(self.own_sizes[pos])
+            if recorded != size_bits and not math.isnan(recorded):
+                raise InferenceError(
+                    f"packet {seq} was sent with {recorded!r} bits; a queued packet's "
+                    f"size follows from its sequence number, so it cannot be "
+                    f"resent with {size_bits!r}"
+                )
             self.own_sent_times[pos] = sent_at
+            self.own_sizes[pos] = size_bits
             return pos
         capacity = self.pred_state.shape[1]
         if self.n_own + 1 > capacity:
             new_capacity = max(self.n_own + 1, capacity * 2)
             self.own_seqs = _pad_columns(self.own_seqs[None, :], new_capacity)[0]
             self.own_sent_times = _pad_columns(self.own_sent_times[None, :], new_capacity)[0]
+            self.own_sizes = _pad_columns(self.own_sizes[None, :], new_capacity)[0]
             self.pred_state = _pad_columns(self.pred_state, new_capacity)
             self.pred_time = _pad_columns(self.pred_time, new_capacity)
             self.resolved = _pad_columns(self.resolved, new_capacity)
@@ -502,11 +563,13 @@ class EnsembleState:
             stop = self.n_own
             self.own_seqs[pos + 1 : stop + 1] = self.own_seqs[pos:stop].copy()
             self.own_sent_times[pos + 1 : stop + 1] = self.own_sent_times[pos:stop].copy()
+            self.own_sizes[pos + 1 : stop + 1] = self.own_sizes[pos:stop].copy()
             for name in ("pred_state", "pred_time", "resolved", "lost"):
                 array = getattr(self, name)
                 array[:, pos + 1 : stop + 1] = array[:, pos:stop].copy()
         self.own_seqs[pos] = seq
         self.own_sent_times[pos] = sent_at
+        self.own_sizes[pos] = size_bits
         self.pred_state[:, pos] = PRED_NONE
         self.pred_time[:, pos] = 0.0
         self.resolved[:, pos] = False
@@ -524,6 +587,48 @@ class EnsembleState:
     def lookup_columns(self, seqs: np.ndarray) -> np.ndarray:
         """Ledger columns of registered sequence numbers (must all exist)."""
         return np.searchsorted(self.own_seqs[: self.n_own], seqs)
+
+    def queued_sizes(self, rows: np.ndarray, width: int) -> np.ndarray:
+        """The sizes of ``rows``' first ``width`` queue slots, ``(len(rows), width)``.
+
+        :meth:`packet_sizes` of every occupied slot; slots past a row's
+        ``q_len`` are zeros.
+        """
+        seqs = self.q_seq[rows, :width]
+        owners = rows[:, None]
+        occupied = np.arange(seqs.shape[1]) < self.q_len[owners]
+        own = self.q_flow[rows, :width] == FLOW_OWN
+        own &= occupied
+        sizes = self.packet_sizes(owners, seqs, own)
+        sizes *= occupied
+        return sizes
+
+    def packet_sizes(self, rows: np.ndarray, seqs: np.ndarray, own: np.ndarray) -> np.ndarray:
+        """The one size rule, for packets ``seqs`` queued in ``rows``.
+
+        An own packet (``own``) has the size it was sent with (the ledger's
+        ``own_sizes``), a cross packet its row's ``cross_packet_bits``, and a
+        filler (a negative sequence number) its row's ``filler_packet_bits``,
+        or ``filler_tail_bits`` for the row's filler tail.  ``rows``
+        broadcasts against ``seqs``; the result is a new array.
+        """
+        filler = seqs < 0
+        if filler.any():
+            sizes = np.where(
+                filler,
+                np.where(
+                    seqs == self.filler_tail_seq[rows],
+                    self.filler_tail_bits[rows],
+                    self.filler_packet_bits[rows],
+                ),
+                self.cross_packet_bits[rows],
+            )
+        else:
+            sizes = np.empty(seqs.shape)
+            sizes[...] = self.cross_packet_bits[rows]
+        if own.any():
+            sizes[own] = self.own_sizes[self.lookup_columns(seqs[own])]
+        return sizes
 
     # ----------------------------------------------------------------- digests
 
@@ -583,11 +688,16 @@ class EnsembleState:
         :func:`repro.inference.vectorized.rollout.batched_rollout_rows`
         builds its lanes from them: lane ``a * len(rows) + j`` is action
         ``a`` on ``rows[j]``.  ``queue_width`` sizes the returned queue
-        buffers (zero-padded past each row's ``q_len``).
+        buffers (zero-padded past each row's ``q_len``); the ``"q_size"``
+        entry is :meth:`queued_sizes`, the one buffer derived rather than
+        gathered.
         """
         idx = np.asarray(rows, dtype=np.int64)
         q_flow = _pad_columns(self.q_flow[idx, :queue_width], queue_width)
-        q_size = _pad_columns(self.q_size[idx, :queue_width], queue_width)
+        if self.q_len[idx].any():
+            sizes = _pad_columns(self.queued_sizes(idx, queue_width), queue_width)
+        else:
+            sizes = np.zeros((idx.size, queue_width))
         return {
             "link_rate": self.link_rate[idx],
             "buffer_cap": self.buffer_cap[idx],
@@ -603,7 +713,7 @@ class EnsembleState:
             "q_len": self.q_len[idx],
             "queue_bits": self.queue_bits[idx],
             "q_flow": q_flow,
-            "q_size": q_size,
+            "q_size": sizes,
         }
 
     def lane_checkpoint(self, rows: np.ndarray) -> dict:
@@ -615,8 +725,10 @@ class EnsembleState:
         scalar oracle reports the same snapshot by packing its top
         hypotheses through :meth:`from_hypotheses`.
         """
+        rows = np.asarray(rows, dtype=np.int64)
+        sizes = self.queued_sizes(rows, int(self.q_len[rows].max(initial=0))).tolist()
         lanes = []
-        for row in np.asarray(rows).tolist():
+        for index, row in enumerate(rows.tolist()):
             lanes.append(
                 {
                     "gate_on": bool(self.gate_on[row]),
@@ -631,7 +743,7 @@ class EnsembleState:
                         else None
                     ),
                     "queue": [
-                        (int(self.q_flow[row, slot]), float(self.q_size[row, slot]))
+                        (int(self.q_flow[row, slot]), sizes[index][slot])
                         for slot in range(int(self.q_len[row]))
                     ],
                     "queue_bits": float(self.queue_bits[row]),
@@ -682,7 +794,7 @@ class EnsembleState:
             zip(
                 map(_FLOW_NAMES.__getitem__, self.q_flow[row, :length].tolist()),
                 self.q_seq[row, :length].tolist(),
-                self.q_size[row, :length].tolist(),
+                self.queued_sizes(np.array([row]), length)[0].tolist(),
             )
         )
         in_service = None

@@ -1,7 +1,7 @@
 """Ready-made topologies used by the paper's experiments.
 
 * :func:`figure2_network` — the network of Figure 2: an isochronous PINGER
-  gated by an on/off element, sharing a tail-drop BUFFER with the sender,
+  gated by a square wave, sharing a tail-drop BUFFER with the sender,
   drained by a THROUGHPUT link, followed by last-mile LOSS and a DIVERTER
   that delivers each flow to its own receiver.
 * :func:`single_link_network` — the "simple configuration" of §4: a single
@@ -21,8 +21,6 @@ from repro.elements import (
     Buffer,
     Collector,
     Diverter,
-    GateElement,
-    Intermittent,
     Loss,
     Pinger,
     Receiver,
@@ -77,7 +75,6 @@ def figure2_network(
     loss_rate: float = 0.2,
     buffer_capacity_bits: float = 96_000.0,
     packet_bits: float = DEFAULT_PACKET_BITS,
-    cross_gate: str = "squarewave",
     switch_interval: float = 100.0,
     seed: int = 0,
 ) -> Figure2Network:
@@ -87,16 +84,9 @@ def figure2_network(
     1,500-byte packet per second, cross traffic at 70 % of the link rate
     switched on and off every 100 seconds, 20 % last-mile stochastic loss,
     and a 96,000-bit tail-drop buffer, empty at the start.  The flows are
-    ``SENDER_FLOW`` and ``CROSS_FLOW``.
-
-    Parameters
-    ----------
-    cross_gate:
-        ``"squarewave"`` (the ground truth used in the paper: deterministic
-        switching every ``switch_interval`` seconds), ``"intermittent"``
-        (memoryless switching, 100 seconds apart on average, the §4
-        prior's mean time to switch), or ``"none"`` (cross traffic always
-        on).
+    ``SENDER_FLOW`` and ``CROSS_FLOW``.  The cross-traffic gate is the
+    paper's ground truth, a square wave that starts on and switches every
+    ``switch_interval`` seconds.
     """
     if not 0.0 <= cross_fraction < 1.0 + 1e-9:
         raise ConfigurationError(f"cross_fraction must lie in [0, 1], got {cross_fraction!r}")
@@ -111,15 +101,7 @@ def figure2_network(
         name="pinger",
     )
 
-    gate: GateElement | None
-    if cross_gate == "squarewave":
-        gate = SquareWave(switch_interval=switch_interval, name="cross-gate")
-    elif cross_gate == "intermittent":
-        gate = Intermittent(mean_time_to_switch=100.0, name="cross-gate")
-    elif cross_gate == "none":
-        gate = None
-    else:
-        raise ConfigurationError(f"unknown cross_gate {cross_gate!r}")
+    gate = SquareWave(switch_interval=switch_interval, name="cross-gate")
 
     buffer = Buffer(capacity_bits=buffer_capacity_bits, name="buffer")
     link = Throughput(rate_bps=link_rate_bps, name="link")
@@ -134,11 +116,8 @@ def figure2_network(
         name="diverter",
     )
 
-    if gate is not None:
-        pinger.connect(gate)
-        gate.connect(buffer)
-    else:
-        pinger.connect(buffer)
+    pinger.connect(gate)
+    gate.connect(buffer)
     buffer.connect(link)
     link.connect(loss)
     loss.connect(diverter)

@@ -146,7 +146,8 @@ class TestReset:
 
 class TestFigure2Integration:
     def test_alpha_one_shares_with_cross_traffic(self):
-        network = figure2_network(cross_gate="none", loss_rate=0.0, seed=2)
+        # A square wave longer than the run: cross traffic stays on.
+        network = figure2_network(loss_rate=0.0, switch_interval=1_000.0, seed=2)
         from repro.inference import figure3_prior
 
         prior = figure3_prior(

@@ -237,7 +237,6 @@ def figure3_network():
         loss_rate=0.2,
         buffer_capacity_bits=96_000.0,
         packet_bits=PACKET_BITS,
-        cross_gate="squarewave",
         switch_interval=10.0,
         seed=1,
     )

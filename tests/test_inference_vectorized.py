@@ -1108,7 +1108,7 @@ class TestQueueBuffers:
         assert state.select(np.arange(state.size)).q_seq.shape[1] == 668
         empty = np.flatnonzero(state.q_len == 0)
         kept = state.select(empty)
-        for name in ("q_flow", "q_seq", "q_size"):
+        for name in ("q_flow", "q_seq"):
             assert getattr(kept, name).shape == (empty.size, _MIN_QUEUE_CAPACITY)
         assert kept.signature_digest(np.arange(kept.size)) == state.signature_digest(empty)
         # Half-full rows still need more than a quarter of the width.
@@ -1150,6 +1150,162 @@ class TestQueueBuffers:
         assert state.q_seq[0, : state.q_len[0]].tolist() == [SEQ_MAX - 1]
         with pytest.raises(InferenceError, match="does not fit"):
             engine.advance(state, 0.6)
+
+
+#: One prior row: link rate, capacity, fill (a fraction of the capacity),
+#: filler size, cross rate, cross packet size, mean time to switch, gate on.
+#: Fills of 5 kbit fillers mostly cut a partial last filler.
+size_rule_rows = st.tuples(
+    st.sampled_from([6_000.0, 12_000.0, 24_000.0]),
+    st.sampled_from([24_000.0, 60_000.0, 96_000.0]),
+    st.sampled_from([0.0, 0.3, 0.5, 0.77, 1.0]),
+    st.sampled_from([5_000.0, 12_000.0]),
+    st.sampled_from([0.0, 0.5, 2.0]),
+    st.sampled_from([6_000.0, 12_000.0]),
+    st.sampled_from([None, 2.0, 30.0]),
+    st.booleans(),
+)
+size_rule_steps = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("send"), st.sampled_from([12_000.0, 4_500.0]), st.sampled_from([0.0, 0.5, 1.5])
+        ),
+        st.tuples(st.just("advance"), st.sampled_from([0.5, 1.0, 4.0])),
+        st.tuples(st.just("fork"), st.sampled_from([0.5, 2.0, 6.0])),
+        st.tuples(
+            st.just("gather"),
+            st.lists(st.integers(0, 63), min_size=1, max_size=4),
+            st.sampled_from(["ledger", "columns", "no ledger"]),
+        ),
+        st.tuples(
+            st.just("restart"),
+            st.lists(st.sampled_from([0.0, 0.3, 0.5, 0.77, 1.0]), min_size=4, max_size=4),
+            st.lists(st.booleans(), min_size=4, max_size=4),
+        ),
+    ),
+    min_size=1,
+    max_size=10,
+)
+
+
+class TestQueuedSizeRule:
+    """A queued packet's size is derived from its flow, its sequence number
+    and its row (:meth:`EnsembleState.queued_sizes`), never stored: it is
+    the size the scalar model holds in its queue tuple, whatever the array
+    form went through."""
+
+    @staticmethod
+    def assert_queues_are_the_scalar_ones(state, hypotheses):
+        assert state.size == len(hypotheses)
+        for row, hypothesis in enumerate(hypotheses):
+            queue = hypothesis.model.export_state()["queue"]
+            length = int(state.q_len[row])
+            assert length == len(queue)
+            derived = state.queued_sizes(np.array([row]), length)[0].tolist()
+            assert derived == [bits for _, _, bits in queue]
+            assert state.materialize(row).model.export_state()["queue"] == queue
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.lists(size_rule_rows, min_size=1, max_size=4), steps=size_rule_steps)
+    def test_derived_sizes_are_the_scalar_queue_after_every_step(self, rows, steps):
+        assignments = []
+        for rate, capacity, fill, filler, cross_rate, cross_bits, mtts, cross_on in rows:
+            assignment = {
+                "link_rate_bps": rate,
+                "buffer_capacity_bits": capacity,
+                "initial_fill_bits": fill * capacity,
+                "filler_packet_bits": filler,
+                "cross_rate_pps": cross_rate,
+                "cross_packet_bits": cross_bits,
+                "cross_initially_on": float(cross_on),
+            }
+            if mtts is not None:
+                assignment["mean_time_to_switch"] = mtts
+            assignments.append(assignment)
+        state = EnsembleState.from_prior(assignments)
+        hypotheses = [Hypothesis.from_params(assignment) for assignment in assignments]
+        self.assert_queues_are_the_scalar_ones(state, hypotheses)
+        now, seq = 0.0, 0
+        for step in steps:
+            kind = step[0]
+            if kind == "send":
+                _, size, gap = step
+                now += gap
+                engine.send_own(state, seq, size, now)
+                for hypothesis in hypotheses:
+                    hypothesis.record_send(seq, size, now)
+                seq += 1
+            elif kind == "advance":
+                now += step[1]
+                engine.advance(state, now)
+                for hypothesis in hypotheses:
+                    hypothesis.model.advance(now)
+            elif kind == "fork":
+                now += step[1]
+                state, _, _ = engine.fork_and_advance(state, now)
+                hypotheses = [
+                    branch
+                    for hypothesis in hypotheses
+                    for branch, probability in hypothesis.evolve(now)
+                    if probability > 0.0
+                ]
+            elif kind == "gather":
+                _, picks, ledger = step
+                rows_kept = np.array([pick % state.size for pick in picks])
+                if ledger == "columns":
+                    state = state.select(rows_kept, np.arange(state.n_own))
+                else:
+                    state = state.select(rows_kept, ledger=ledger == "ledger")
+                hypotheses = [hypotheses[row].clone() for row in rows_kept.tolist()]
+            else:
+                _, fractions, gates = step
+                fills = [
+                    fractions[row % 4] * hypothesis.model.params.buffer_capacity_bits
+                    for row, hypothesis in enumerate(hypotheses)
+                ]
+                on = [gates[row % 4] for row in range(len(hypotheses))]
+                state.restart(now, fills, on)
+                hypotheses = [
+                    Hypothesis.from_params(
+                        hypothesis.params,
+                        start_time=now,
+                        initial_fill_bits=fill,
+                        cross_initially_on=gate,
+                    )
+                    for hypothesis, fill, gate in zip(hypotheses, fills, on)
+                ]
+            self.assert_queues_are_the_scalar_ones(state, hypotheses)
+
+    @staticmethod
+    def busy_rows(count):
+        """``count`` rows each with a packet in service, so a send queues."""
+        return [
+            Hypothesis.from_params(
+                {
+                    "link_rate_bps": 12_000.0,
+                    "buffer_capacity_bits": 96_000.0,
+                    "initial_fill_bits": 12_000.0,
+                }
+            )
+            for _ in range(count)
+        ]
+
+    def test_packing_refuses_a_size_the_rule_does_not_give(self):
+        """Two rows queue packet 0 at two sizes: one ledger column cannot
+        hold both, so packing names the second row and its slot."""
+        hypotheses = self.busy_rows(2)
+        hypotheses[0].record_send(0, 12_000.0, 0.0)
+        hypotheses[1].record_send(0, 6_000.0, 0.0)
+        with pytest.raises(InferenceError, match="row 1, slot 0: a queued own packet 0"):
+            EnsembleState.from_hypotheses(hypotheses)
+
+    def test_a_resend_at_another_size_is_refused(self):
+        state = EnsembleState.from_hypotheses(self.busy_rows(1))
+        engine.send_own(state, 3, 12_000.0, 0.0)
+        engine.send_own(state, 3, 12_000.0, 0.1)
+        assert state.own_sizes[state.column_of(3)] == 12_000.0
+        with pytest.raises(InferenceError, match="sent with 12000.0 bits"):
+            engine.send_own(state, 3, 6_000.0, 0.2)
 
 
 class TestVectorizedSenderIntegration:

@@ -179,10 +179,13 @@ class TestBatchedRolloutExactness:
             fractional(link_rate_bps=900_000.3, cross_rate_pps=83.7, cross_initially_on=True)
         )
         sends = sorted(rng.uniform(0.0, 0.3) for _ in range(4))
+        # One size per sequence number, as every row of an ensemble sees
+        # the same sends (a queued packet's size follows from its number).
+        sizes = [rng.uniform(4_000.0, 14_000.0) for _ in sends]
         for hypothesis in hypotheses[:-2]:
             for seq, at in enumerate(sends):
-                hypothesis.record_send(seq, rng.uniform(4_000.0, 14_000.0), at)
-        for seq in range(80):
+                hypothesis.record_send(seq, sizes[seq], at)
+        for seq in range(len(sends), len(sends) + 80):
             hypotheses[-2].record_send(seq, 11_999.37, sends[0])
         for hypothesis in (hypotheses[-2], hypotheses[-1]):
             hypothesis.model.advance(sends[-1])

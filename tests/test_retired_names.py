@@ -67,6 +67,15 @@ NOT_RECORDED = re.compile(
 #: ``lines`` text lines match ``pattern``.
 TEXT_RULES = [
     (
+        "derived-queued-sizes",
+        r'(?<!")q_size|q_size(?!")',
+        ("src",),
+        0,
+        "a queued packet's size follows from its flow, sequence number and row"
+        " (EnsembleState.queued_sizes): no size plane is stored, and lane_arrays'"
+        ' "q_size" key is the one spelling',
+    ),
+    (
         "engine-registry",
         r"\bBackendRegistry\b|(BELIEF|ROLLOUT|RUNNER)_BACKENDS",
         ("src", "tests", "examples", "benchmarks", "README.md", ".claude"),
@@ -377,6 +386,12 @@ def parameters_to_set(tree: ast.AST, prefix: str, owner: str | None = None):
             yield from parameters_to_set(node, prefix, owner)
 
 
+#: Callees a call's keywords reach no scanned parameter through:
+#: ``dataclasses.replace`` sets dataclass fields, and ``ScenarioEntry.fn``
+#: runs a ``@scenario`` function, both out of the rule's scope.
+SETS_NO_PARAMETER = {"replace", "fn"}
+
+
 def parameter_findings(defining, calling, allowed):
     """``(unset, gone, set_anyway)`` for the parameters ``defining`` holds.
 
@@ -406,6 +421,8 @@ def parameter_findings(defining, calling, allowed):
     keywords, positions, unpacked, anywhere = {}, Counter(), set(), set()
     for tree in calling:
         for targets, call in calls_in(tree):
+            if SETS_NO_PARAMETER.intersection(targets):
+                continue
             named = {keyword.arg for keyword in call.keywords if keyword.arg}
             keys = {init_owner(target) for target in targets if target in names}
             if not keys:
@@ -478,6 +495,18 @@ PARAMETER_RULE_CASES = [
             ["pkg.f.x"],
         ),
         ("an-unknown-callee-sets-its-keywords-everywhere", "def f(x=1): pass", "table[k](x=2)", []),
+        (
+            "a-dataclass-replace-sets-no-parameter",
+            "def f(x=1): pass",
+            "replace(c, x=2)",
+            ["pkg.f.x"],
+        ),
+        (
+            "a-scenario-entry-call-reaches-only-scenarios",
+            "def f(x=1): pass",
+            "entry.fn(x=2, **settings)",
+            ["pkg.f.x"],
+        ),
         ("init-by-class-name-without-self", "class C:\n def __init__(self, x=1): pass", "C(2)", []),
         ("method-by-attribute-without-self", "class C:\n def m(self, x=1): pass", "c.m(2)", []),
         (

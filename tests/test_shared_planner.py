@@ -26,6 +26,7 @@ from repro.core.utility import AlphaWeightedUtility
 from repro.errors import ConfigurationError
 from repro.inference import AckObservation, BeliefState, figure3_prior, single_link_prior
 from repro.inference.prior import DerivedPrior
+from repro.inference.vectorized.state import FLOW_OWN
 from repro.runner import ScenarioSpec
 from repro.runner import scenarios
 from repro.runner.registry import DEFAULT_REGISTRY
@@ -120,15 +121,35 @@ def array_mutations(belief: BeliefState):
     if queued:
         queued_row = queued[0]
 
-        def set_slot(name: str):
-            def mutate(target: BeliefState) -> None:
-                getattr(target.state, name)[queued_row, 0] = bumped(
-                    getattr(target.state, name)[queued_row, 0]
-                )
+        def flow(target: BeliefState) -> None:
+            target.state.q_flow[queued_row, 0] = bumped(target.state.q_flow[queued_row, 0])
 
-            return mutate
+        mutations.append(("q_flow", flow))
+    # A queued size is derived, not stored: mutate each input it is derived
+    # from that a top row's queue reads.
+    slots = [(int(r), slot) for r in rows for slot in range(int(state.q_len[r]))]
+    own = [(r, slot) for r, slot in slots if state.q_flow[r, slot] == FLOW_OWN]
+    if own:
+        column = state.column_of(int(state.q_seq[own[0]]))
 
-        mutations += [("q_flow", set_slot("q_flow")), ("q_size", set_slot("q_size"))]
+        def own_size(target: BeliefState) -> None:
+            target.state.own_sizes[column] += 1
+
+        mutations.append(("recorded own size", own_size))
+    tail = [r for r, slot in slots if state.q_seq[r, slot] == state.filler_tail_seq[r] < 0]
+    if tail:
+
+        def filler_tail(target: BeliefState) -> None:
+            target.state.filler_tail_bits[tail[0]] += 1
+
+        mutations.append(("filler tail", filler_tail))
+    filler = [r for r, slot in slots if state.filler_tail_seq[r] < state.q_seq[r, slot] < 0]
+    if filler:
+
+        def filler_size(target: BeliefState) -> None:
+            target.state.filler_packet_bits[filler[0]] += 1
+
+        mutations.append(("filler size", filler_size))
 
     def weight(target: BeliefState) -> None:
         target._weights[row] += 0.25

@@ -55,18 +55,15 @@ class TestFigure2Preset:
         with pytest.raises(ConfigurationError):
             figure2_network(cross_fraction=1.5)
 
-    def test_unknown_gate_rejected(self):
-        with pytest.raises(ConfigurationError):
-            figure2_network(cross_gate="wibble")
-
     def test_cross_traffic_reaches_cross_receiver(self):
-        net = figure2_network(loss_rate=0.0, cross_gate="none")
+        # A square wave longer than the run: cross traffic stays on.
+        net = figure2_network(loss_rate=0.0, switch_interval=1_000.0)
         net.network.run(until=30.0)
         assert net.cross_receiver.count("cross") > 10
         assert net.sender_receiver.count == 0
 
     def test_sender_packets_reach_sender_receiver(self):
-        net = figure2_network(loss_rate=0.0, cross_fraction=0.0, cross_gate="none")
+        net = figure2_network(loss_rate=0.0, cross_fraction=0.0, switch_interval=1_000.0)
         net.network.start()
         net.entry.receive(Packet(seq=0, flow=net.sender_flow, size_bits=12_000, sent_at=0.0))
         net.network.run(until=10.0)
@@ -81,13 +78,6 @@ class TestFigure2Preset:
         off_phase = [t for t in arrivals if 11.0 <= t < 20.0 or 31.0 <= t < 40.0]
         assert len(on_phase) > 0
         assert len(off_phase) <= 1  # at most a queued straggler right after shut-off
-
-    def test_intermittent_gate_variant(self):
-        net = figure2_network(cross_gate="intermittent", seed=11)
-        net.network.run(until=1_000.0)
-        gate = net.pinger.downstream
-        assert isinstance(gate, GateElement)
-        assert len(gate.switch_times) > 2
 
 
 class TestSingleLinkPreset:
