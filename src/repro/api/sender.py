@@ -113,7 +113,6 @@ def build_sender(
     prior: Optional[Prior] = None,
     utility: Optional[UtilityFunction] = None,
     policy_table: Optional[PolicyTable] = None,
-    flow: Optional[str] = None,
     name: Optional[str] = None,
 ) -> ISender:
     """Build the sender ``config`` describes and wire it into ``network``.
@@ -143,7 +142,7 @@ def build_sender(
         parts.belief,
         parts.planner,
         network.sender_receiver,
-        flow=flow if flow is not None else network.sender_flow,
+        flow=network.sender_flow,
         packet_bits=config.packet_bits,
         name=name,
         policy=parts.policy,

@@ -23,13 +23,14 @@ whose acknowledgements it should listen to.
 
 from __future__ import annotations
 
+from array import array
 from typing import Optional
 
 from repro.core.planner import Decision, ExpectedUtilityPlanner
 from repro.elements.receiver import Delivery, Receiver
 from repro.errors import ConfigurationError
 from repro.inference.belief import BeliefState
-from repro.inference.observation import AckObservation, SentRecord
+from repro.inference.observation import AckObservation
 from repro.sim.element import SourceElement
 from repro.sim.events import Event
 from repro.sim.packet import Packet
@@ -97,8 +98,12 @@ class ISender(SourceElement):
         self.flow = flow
         self.packet_bits = float(packet_bits)
 
-        self.sent: list[SentRecord] = []
-        self.acks: list[AckObservation] = []
+        # The history the statistics read, as columns: the first send's
+        # time (the send count is ``_next_seq``) and each acknowledgement's
+        # sequence number and arrival time, in arrival order.
+        self.first_sent_at: Optional[float] = None
+        self.ack_seqs = array("q")
+        self.ack_times = array("d")
         self._pending_acks: list[AckObservation] = []
         self._next_seq = 0
         self._timer: Optional[Event] = None
@@ -121,7 +126,8 @@ class ISender(SourceElement):
             ack_at=self.sim.now,
         )
         self._pending_acks.append(ack)
-        self.acks.append(ack)
+        self.ack_seqs.append(ack.seq)
+        self.ack_times.append(ack.ack_at)
         self._wake_soon()
 
     def _wake_soon(self) -> None:
@@ -161,6 +167,8 @@ class ISender(SourceElement):
     def _transmit(self, now: float) -> None:
         seq = self._next_seq
         self._next_seq += 1
+        if seq == 0:
+            self.first_sent_at = now
         packet = Packet(
             seq=seq,
             flow=self.flow,
@@ -168,7 +176,6 @@ class ISender(SourceElement):
             created_at=now,
             sent_at=now,
         )
-        self.sent.append(SentRecord(seq=seq, size_bits=self.packet_bits, sent_at=now))
         self.belief.record_send(seq, self.packet_bits, now)
         self.emit(packet)
 
@@ -187,23 +194,22 @@ class ISender(SourceElement):
     @property
     def packets_sent(self) -> int:
         """Number of packets transmitted so far."""
-        return len(self.sent)
+        return self._next_seq
 
     @property
     def packets_acked(self) -> int:
         """Number of acknowledgements received so far."""
-        return len(self.acks)
+        return len(self.ack_seqs)
 
     def delivery_rate(self) -> float:
         """Fraction of transmitted packets acknowledged so far."""
-        if not self.sent:
+        if not self._next_seq:
             return 0.0
-        return len({ack.seq for ack in self.acks}) / len(self.sent)
+        return len(set(self.ack_seqs)) / self._next_seq
 
     def sequence_series(self) -> list[tuple[float, int]]:
         """``(ack time, cumulative acked packets)`` — Figure 3's y-axis."""
-        ordered = sorted(self.acks, key=lambda ack: ack.ack_at)
-        return [(ack.ack_at, index + 1) for index, ack in enumerate(ordered)]
+        return [(at, index + 1) for index, at in enumerate(sorted(self.ack_times))]
 
     def reset(self) -> None:
         """Refuse: the belief has moved on with the run and the one the

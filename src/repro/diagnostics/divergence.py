@@ -111,7 +111,7 @@ def backend_config(
     )
 
 
-def seeded_events(seed: int, packet_bits: float = DEFAULT_PACKET_BITS) -> list:
+def seeded_events(seed: int) -> list:
     """A reproducible send/update/decide script derived entirely from ``seed``.
 
     Time only moves forward, every ack references a real outstanding send
@@ -127,7 +127,7 @@ def seeded_events(seed: int, packet_bits: float = DEFAULT_PACKET_BITS) -> list:
     outstanding: list[tuple[int, float]] = []
     for _ in range(rng.randint(4, 8)):
         if rng.random() < 0.55:
-            events.append(("send", (seq, packet_bits, now)))
+            events.append(("send", (seq, DEFAULT_PACKET_BITS, now)))
             outstanding.append((seq, now))
             seq += 1
             now += rng.uniform(0.05, 0.9)

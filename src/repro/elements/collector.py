@@ -57,12 +57,9 @@ class Collector(Element):
         tally = self.flows.get(flow)
         return tally.packets if tally is not None else 0
 
-    def bits(self, flow: str | None = None) -> float:
-        """Bits received (optionally for a single flow)."""
-        if flow is None:
-            return sum(tally.bits for tally in self.flows.values())
-        tally = self.flows.get(flow)
-        return tally.bits if tally is not None else 0.0
+    def bits(self) -> float:
+        """Bits received, every flow's (``flows[flow].bits`` is one flow's)."""
+        return sum(tally.bits for tally in self.flows.values())
 
     def throughput_bps(self, start: float, end: float, flow: str | None = None) -> float:
         """Average received rate over ``[start, end)`` in bits per second."""

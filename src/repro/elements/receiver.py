@@ -119,12 +119,9 @@ class Receiver(Element):
         """``(received_at, size_bits)`` of each delivery of ``flow`` (or of all)."""
         return self._rows(flow, self.received_times, self.sizes)
 
-    def delays(self, flow: str | None = None) -> Iterator[float]:
-        """One-way delay of each delivery of ``flow`` (or of all), in arrival order."""
-        return (
-            received - sent
-            for sent, received in self._rows(flow, self.sent_times, self.received_times)
-        )
+    def delays(self) -> Iterator[float]:
+        """One-way delay of each delivery, in arrival order."""
+        return (received - sent for sent, received in zip(self.sent_times, self.received_times))
 
     def throughput_bps(self, start: float, end: float, flow: str | None = None) -> float:
         """Average goodput in bits per second over ``[start, end)``."""
@@ -133,16 +130,11 @@ class Receiver(Element):
         bits = sum(size for at, size in self.arrivals(flow) if start <= at < end)
         return bits / (end - start)
 
-    def mean_delay(self, flow: str | None = None) -> float | None:
+    def mean_delay(self) -> float | None:
         """Mean one-way delay of accepted packets, or ``None`` if no deliveries."""
-        if flow is None:
-            count = self.count
-        else:
-            code = self._code_of.get(flow)
-            count = 0 if code is None else self.flow_codes.count(code)
-        if not count:
+        if not self.count:
             return None
-        return sum(self.delays(flow)) / count
+        return sum(self.delays()) / self.count
 
     def reset(self) -> None:
         super().reset()

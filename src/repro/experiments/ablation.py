@@ -15,7 +15,7 @@ one ``inference_ablation_point`` scenario point (:mod:`repro.runner`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro._persist import default_cache_dir
 from repro.api.config import SenderConfig
@@ -56,24 +56,19 @@ def run_ablation_point(
     link_rate_bps: float = 12_000.0,
     loss_rate: float = 0.2,
     seed: int = 2,
-    packet_bits: float | None = None,
 ) -> AblationOutcome:
     """Run the shortened Figure-3 scenario under one sender configuration.
 
     The ``inference_ablation_point`` scenario's body; the sender is built
-    through the canonical :func:`repro.api.build_sender` path.
-    ``packet_bits`` sizes the network's packets and, when given, overrides
-    the config's; ``None`` (the default) respects ``config.packet_bits``.
+    through the canonical :func:`repro.api.build_sender` path;
+    ``config.packet_bits`` sizes the network's packets too.
 
     With ``policy="table"`` the policy table is precomputed on *this
     scenario's* parameters (same link rate / loss / switching, a disjoint
     pilot seed) before the measured run starts — precomputation is the
     §3.3 offline step.
     """
-    if packet_bits is None:
-        packet_bits = config.packet_bits
-    else:
-        config = replace(config, packet_bits=packet_bits)
+    packet_bits = config.packet_bits
     network = figure2_network(
         link_rate_bps=link_rate_bps,
         loss_rate=loss_rate,

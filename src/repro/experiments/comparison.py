@@ -71,12 +71,11 @@ def run_loss_comparison(
     loss_rate: float = 0.2,
     link_rate_bps: float = 12_000.0,
     duration: float = 180.0,
-    packet_bits: float = DEFAULT_PACKET_BITS,
     seed: int = 5,
 ) -> LossComparisonResult:
     """Run NewReno and the ISender (α = 0), one at a time, over the same
     lossy link behind a 96,000-bit buffer."""
-    buffer_capacity_bits = 96_000.0
+    buffer_capacity_bits, packet_bits = 96_000.0, DEFAULT_PACKET_BITS
     # --- TCP -----------------------------------------------------------------
     tcp_network = single_link_network(
         link_rate_bps=link_rate_bps,

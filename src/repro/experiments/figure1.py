@@ -131,7 +131,6 @@ def run_figure1(
     nominal_rate_bps: float = 4_000_000.0,
     buffer_seconds: float = 10.0,
     link_loss_rate: float = 0.05,
-    packet_bits: float = DEFAULT_PACKET_BITS,
     seed: int = 7,
 ) -> Figure1Result:
     """Run a NewReno bulk download over the synthetic cellular link.
@@ -148,6 +147,7 @@ def run_figure1(
     link_loss_rate:
         Per-attempt loss probability hidden by link-layer retransmission.
     """
+    packet_bits = DEFAULT_PACKET_BITS
     rate_process = RandomWalkLink(
         nominal_bps=nominal_rate_bps,
         min_bps=400_000.0,

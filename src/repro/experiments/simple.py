@@ -100,7 +100,6 @@ def run_convergence_scenario(
     true_link_rate_bps: float = 12_000.0,
     duration: float = 90.0,
     buffer_capacity_bits: float = 96_000.0,
-    packet_bits: float = DEFAULT_PACKET_BITS,
     seed: int = 3,
 ) -> ConvergenceResult:
     """Scenario A: unknown link speed, converge to sending at the link speed.
@@ -108,6 +107,7 @@ def run_convergence_scenario(
     The buffer starts empty, the sender (α = 0) knows it, and its prior
     holds five link speeds from two thirds to four thirds of the truth.
     """
+    packet_bits = DEFAULT_PACKET_BITS
     network = single_link_network(
         link_rate_bps=true_link_rate_bps,
         buffer_capacity_bits=buffer_capacity_bits,
@@ -149,7 +149,6 @@ def run_drain_scenario(
     duration: float = 60.0,
     initial_fill_bits: float = 48_000.0,
     latency_penalty: float = 0.1,
-    packet_bits: float = DEFAULT_PACKET_BITS,
     seed: int = 3,
 ) -> DrainResult:
     """Scenario B: the latency-penalizing sender waits for the buffer to drain.
@@ -158,6 +157,7 @@ def run_drain_scenario(
     cross traffic at 30 % of the link rate; the sender knows all three.
     """
     true_link_rate_bps, buffer_capacity_bits = 12_000.0, 96_000.0
+    packet_bits = DEFAULT_PACKET_BITS
     cross_rate_pps = 0.3 * true_link_rate_bps / packet_bits
     results = {}
     for label, utility in (
@@ -188,7 +188,7 @@ def run_drain_scenario(
         )
         sender = build_sender(SenderConfig(alpha=1.0), network, prior=prior, utility=utility)
         network.network.run(until=duration)
-        first_send = sender.sent[0].sent_at if sender.sent else duration
+        first_send = sender.first_sent_at if sender.packets_sent else duration
         # Queue occupancy seen by the first transmission, according to the
         # sender's MAP hypothesis at that time is not recorded, so report the
         # ground-truth occupancy of the real buffer instead.

@@ -27,7 +27,7 @@ from repro.inference.belief import BeliefState
 from repro.inference.hypothesis import Hypothesis
 from repro.inference.likelihood import ExactMatchKernel, GaussianKernel, LikelihoodKernel
 from repro.inference.linkmodel import LinkModel, LinkModelParams
-from repro.inference.observation import AckObservation, SentRecord
+from repro.inference.observation import AckObservation
 from repro.inference.parameters import ParameterGrid, ParameterSpec, uniform_grid
 from repro.inference.prior import Prior, figure3_prior, single_link_prior
 
@@ -43,7 +43,6 @@ __all__ = [
     "ParameterGrid",
     "ParameterSpec",
     "Prior",
-    "SentRecord",
     "figure3_prior",
     "single_link_prior",
     "uniform_grid",

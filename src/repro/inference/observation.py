@@ -12,15 +12,6 @@ from dataclasses import dataclass
 
 
 @dataclass(frozen=True, slots=True)
-class SentRecord:
-    """One packet transmitted by the sender."""
-
-    seq: int
-    size_bits: float
-    sent_at: float
-
-
-@dataclass(frozen=True, slots=True)
 class AckObservation:
     """One acknowledgement received by the sender.
 

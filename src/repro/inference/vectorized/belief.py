@@ -95,14 +95,12 @@ class ArrayRows:
         return tuple(parts)
 
     def plan_key(self, weights: list[float], count: int) -> tuple:
-        """The model clock, the top-k weights, and the raw bytes of every
-        :meth:`EnsembleState.lane_arrays` field of the top rows — the very
-        buffers the array rollout starts from, queues cut at the deepest
-        row's length."""
+        """The model clock, the top-k weights, and the top rows'
+        :meth:`EnsembleState.lane_key` — the bytes the buffers the array
+        rollout starts from follow from, the filler prefix kept a count."""
         rows, top_weights = self.top_rows(weights, count)
         state = self.state
-        lanes = state.lane_arrays(rows, int(state.q_len[rows].max()))
-        return (state.time, tuple(top_weights), *(lane.tobytes() for lane in lanes.values()))
+        return (state.time, tuple(top_weights), *state.lane_key(rows))
 
     # ------------------------------------------------------------ update steps
 

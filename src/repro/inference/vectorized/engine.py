@@ -229,21 +229,31 @@ def _complete_service(state: EnsembleState, rows: np.ndarray) -> None:
     if next_rows.size:
         flow = state.q_flow[next_rows, 0]
         seq = state.q_seq[next_rows, 0]
+        fill = state.q_fill[next_rows]
+        filler = fill > 0
+        shifting = next_rows
+        if filler.any():
+            # The head filler leaves the count; the planes stay as they are.
+            flow = np.where(filler, np.int8(FLOW_CROSS), flow)
+            seq = np.where(filler, state.filler_tail_seq[next_rows] + fill - 1, seq)
+            state.q_fill[next_rows] = fill - filler
+            shifting = next_rows[~filler]
         size = state.packet_sizes(next_rows, seq, flow == FLOW_OWN)
         state.svc_flow[next_rows] = flow
         state.svc_seq[next_rows] = seq
         state.svc_size[next_rows] = size
         state.svc_completion[next_rows] = when[has_next] + size / state.link_rate[next_rows]
-        # Shift the queue left one slot (fancy-indexed reads copy, so the
-        # overlapping assignment is safe), then clear the vacated slot so the
-        # buffers stay canonically zero-padded past q_len (the compaction
-        # digest relies on this).
-        state.q_flow[next_rows, :-1] = state.q_flow[next_rows, 1:]
-        state.q_seq[next_rows, :-1] = state.q_seq[next_rows, 1:]
         state.q_len[next_rows] -= 1
-        tail = state.q_len[next_rows]
-        state.q_flow[next_rows, tail] = 0
-        state.q_seq[next_rows, tail] = 0
+        if shifting.size:
+            # Shift the planes left one slot (fancy-indexed reads copy, so
+            # the overlapping assignment is safe), then clear the vacated
+            # slot so they stay canonically zero-padded past q_len - q_fill
+            # (the compaction digest relies on this).
+            state.q_flow[shifting, :-1] = state.q_flow[shifting, 1:]
+            state.q_seq[shifting, :-1] = state.q_seq[shifting, 1:]
+            tail = state.q_len[shifting]
+            state.q_flow[shifting, tail] = 0
+            state.q_seq[shifting, tail] = 0
         remaining = state.queue_bits[next_rows] - size
         state.queue_bits[next_rows] = np.where(remaining < 1e-9, 0.0, remaining)
     idle_rows = rows[~has_next]
@@ -276,8 +286,9 @@ def _enqueue(
 ) -> None:
     """Offer one packet per row: start service, queue it, or tail-drop it.
 
-    A queued packet keeps its flow and sequence number only; its size is
-    derived where it is read (:meth:`EnsembleState.packet_sizes`).
+    A queued packet keeps its flow and sequence number only, in the planes
+    behind the row's fillers; its size is derived where it is read
+    (:meth:`EnsembleState.packet_sizes`).
     """
     idle = ~state.svc_active[rows]
     idle_rows = rows[idle]
@@ -298,8 +309,9 @@ def _enqueue(
     )
     queue_rows = busy_rows[fits]
     if queue_rows.size:
-        state.ensure_queue_capacity(int(state.q_len[queue_rows].max()) + 1)
-        slots = state.q_len[queue_rows]
+        # The packet queues behind every filler: the planes hold no filler.
+        slots = state.q_len[queue_rows] - state.q_fill[queue_rows]
+        state.ensure_queue_capacity(int(slots.max()) + 1)
         state.q_flow[queue_rows, slots] = flows[busy][fits]
         state.q_seq[queue_rows, slots] = seqs[busy][fits]
         state.q_len[queue_rows] += 1

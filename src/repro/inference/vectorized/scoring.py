@@ -101,7 +101,9 @@ def _projected_delivery(
 
     Mirrors ``LinkModel.projected_delivery``: the packet is either in
     service (projected at its completion) or queued (service remainder plus
-    the bits ahead of it), else the projection fails (``found`` False).
+    the bits ahead of it, fillers included, summed in queue order), else
+    the projection fails (``found`` False).  An own packet sits in the
+    planes, behind the row's ``q_fill`` fillers.
     """
     size = state.size
     projected = np.zeros(size)
@@ -115,13 +117,13 @@ def _projected_delivery(
 
     searching = mask & ~in_service
     columns = np.arange(state.q_flow.shape[1])
-    occupied = columns[None, :] < state.q_len[:, None]
+    occupied = columns[None, :] < (state.q_len - state.q_fill)[:, None]
     matches = occupied & (state.q_flow == FLOW_OWN) & (state.q_seq == seq)
     in_queue = searching & matches.any(axis=1)
     if in_queue.any():
         position = np.argmax(matches, axis=1)
         row_index = np.nonzero(in_queue)[0]
-        slot = position[row_index]
+        slot = position[row_index] + state.q_fill[row_index]
         width = int(slot.max()) + 1
         sizes = state.queued_sizes(row_index, width)
         inclusive = np.cumsum(sizes, axis=1)

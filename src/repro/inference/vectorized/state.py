@@ -7,9 +7,9 @@ of NumPy buffers, one row per hypothesis:
   cross-traffic rate, gate dwell time) plus precomputed log-likelihood
   constants,
 * the dynamic link-model state (gate, next cross arrival, the packet in
-  service, queued bits, and the queue as two left-aligned 2D planes that
-  shift one slot per departure: a flow code and an int32 sequence number;
-  a counter that would pass int32 is refused by :func:`refuse_wide_seqs`),
+  service, queued bits, and the queue: ``q_len`` packets in all, of which
+  the first ``q_fill`` are fillers of the initial fill and the rest
+  arrived after the start),
 * the own-packet ledger: one *column* per sequence number still in flight,
   holding the packet's sent time and size (shared by every row) and each
   row's prediction (none / delivered / dropped), prediction time, and the
@@ -18,13 +18,25 @@ of NumPy buffers, one row per hypothesis:
   differently again (``BeliefState._finished_seqs``), inside the gather of
   its survivors (:meth:`EnsembleState.select` with ``columns``).
 
+The initial fill is a count, not queue slots.  Its fillers (cross packets
+numbered ``-2, -3, …`` in cut order; ``-1`` starts in service) are always a
+prefix of the FIFO, since every later arrival queues behind them, so a row
+holds only how many are left, ``q_fill``: the head filler is number
+``filler_tail_seq + q_fill - 1``, counting down to the cut's last,
+``filler_tail_seq``.  A departure from the prefix decrements the count and
+moves nothing.  The packets that arrived after the start sit in two
+left-aligned 2D planes, a flow code and an int32 sequence number (a counter
+that would pass int32 is refused by :func:`refuse_wide_seqs`), which shift
+one slot per departure of theirs; at the start they are empty, whatever
+the fill.
+
 A queued packet's size is not stored: it follows from its flow, its
 sequence number and its row (:meth:`EnsembleState.packet_sizes`).  An own
 packet has the size it was sent with (the ledger's ``own_sizes``), a cross
-packet the row's ``cross_packet_bits``, and a filler of the initial fill
-(a cross packet with a negative sequence number) the row's
-``filler_packet_bits`` — except the last filler of the fill's cut, whose
-remainder size the row keeps (``filler_tail_seq``, ``filler_tail_bits``).
+packet the row's ``cross_packet_bits``, and a filler the row's
+``filler_packet_bits`` — except the filler tail, whose remainder size the
+row keeps (``filler_tail_bits``).  :meth:`EnsembleState.queued_packets`
+expands a queue into FIFO slots, fillers first.
 
 All hypotheses produced by a :class:`~repro.inference.belief.BeliefState`
 evolve in lockstep — every row sees the same sends and the same update
@@ -33,7 +45,7 @@ and the own-packet ledger columns are shared too.
 
 There are two ways in.  :meth:`EnsembleState.from_prior` writes a prior
 grid's initial ensemble straight into the buffers — parameters, gate, the
-initial buffer fill as row slices — without building a scalar model, a
+initial buffer fill as a count per row — without building a scalar model, a
 hypothesis or a queued-packet object; it is how an array belief starts.
 Its start write, :meth:`EnsembleState.restart`, also restarts rows gathered
 from such an ensemble with other fills and gates — how the serving layer
@@ -113,13 +125,32 @@ _ROW_FIELDS = _STATIC_FIELDS + (
     "svc_size",
     "svc_completion",
     "q_len",
+    "q_fill",
     "queue_bits",
     "filler_tail_seq",
     "filler_tail_bits",
 )
 
-#: Per-row 2D buffers padded to the queue capacity.
+#: Per-row 2D buffers padded to the queue capacity: the packets queued after
+#: the start, behind each row's ``q_fill`` fillers.
 _QUEUE_FIELDS = ("q_flow", "q_seq")
+
+#: Per-row 1D buffers a rollout reads as they are (``lane_arrays``).
+_LANE_FIELDS = (
+    "link_rate",
+    "buffer_cap",
+    "survival",
+    "cross_rate_pps",
+    "cross_packet_bits",
+    "gate_on",
+    "next_cross_time",
+    "svc_active",
+    "svc_flow",
+    "svc_size",
+    "svc_completion",
+    "q_len",
+    "queue_bits",
+)
 
 #: Per-row 2D buffers padded to the own-packet ledger capacity.
 _LEDGER_FIELDS = ("pred_state", "pred_time", "resolved", "lost")
@@ -155,6 +186,7 @@ class EnsembleState:
         "q_flow",
         "q_seq",
         "q_len",
+        "q_fill",
         "queue_bits",
         "filler_tail_seq",
         "filler_tail_bits",
@@ -216,8 +248,9 @@ class EnsembleState:
         :func:`~repro.inference.linkmodel.initial_fill` runs once per
         distinct ``(fill, filler size)``; each row gathers its cut — the
         first packet in service until ``time + size / link_rate``, the rest
-        queued, and the row's filler tail is the cut's last queued packet
-        (none when nothing is queued).  The own-packet ledger starts empty.
+        queued as a count, ``q_fill``, and the row's filler tail is the
+        cut's last queued packet (none when nothing is queued).  The queue
+        planes and the own-packet ledger start empty.
         ``model_params`` keep
         the ``initial_fill_bits`` the rows were built with, which nothing
         reads once a model has started.
@@ -237,26 +270,20 @@ class EnsembleState:
         )
         cuts = [initial_fill(*key) for key in shapes]
         count = len(cuts)
-        width = _queue_width(max(len(sizes[1:]) for sizes, _ in cuts))
         # One template row per distinct shape, gathered into every row of it.
         active = np.zeros(count, dtype=bool)
         svc_size = np.zeros(count, dtype=float)
         queue_bits = np.zeros(count, dtype=float)
         q_len = np.zeros(count, dtype=np.int64)
-        q_flow = np.zeros((count, width), dtype=np.int8)
-        q_seq = np.zeros((count, width), dtype=SEQ_DTYPE)
         tail_seq = np.zeros(count, dtype=SEQ_DTYPE)
         tail_bits = np.zeros(count, dtype=float)
         for shape, (sizes, bits) in enumerate(cuts):
             if sizes:
-                queued = len(sizes) - 1
                 active[shape] = True
                 svc_size[shape] = sizes[0]
                 queue_bits[shape] = bits
-                q_len[shape] = queued
-                q_flow[shape, :queued] = FLOW_CROSS
-                q_seq[shape, :queued] = np.arange(-2, -2 - queued, -1)
-                if queued:
+                q_len[shape] = len(sizes) - 1
+                if len(sizes) > 1:
                     tail_seq[shape] = -len(sizes)
                     tail_bits[shape] = sizes[-1]
         self.svc_active = active[shape_of]
@@ -268,9 +295,9 @@ class EnsembleState:
             self.svc_active, self.time + self.svc_size / self.link_rate, np.inf
         )
         self.queue_bits = queue_bits[shape_of]
+        self._allocate_queues(0)
         self.q_len = q_len[shape_of]
-        self.q_flow = q_flow[shape_of]
-        self.q_seq = q_seq[shape_of]
+        self.q_fill = self.q_len.copy()
         self.filler_tail_seq = tail_seq[shape_of]
         self.filler_tail_bits = tail_bits[shape_of]
         self._allocate_ledger(0)
@@ -343,22 +370,28 @@ class EnsembleState:
         self.svc_completion = np.array([s["service_completion"] for s in states], dtype=float)
 
         queues = [s["queue"] for s in states]
-        self._allocate_queues(max(len(queue) for queue in queues))
+        fills = [_filler_prefix(row, queue) for row, queue in enumerate(queues)]
+        self._allocate_queues(max(len(queue) - fill for queue, fill in zip(queues, fills)))
         self.filler_tail_seq = np.zeros(size, dtype=SEQ_DTYPE)
         self.filler_tail_bits = np.zeros(size, dtype=float)
         own_bits: dict[int, float] = {}
-        for row, queue in enumerate(queues):
+        for row, (queue, fill) in enumerate(zip(queues, fills)):
             self.q_len[row] = len(queue)
-            for slot, (flow, seq, bits) in enumerate(queue):
+            self.q_fill[row] = fill
+            if fill:
+                # Fillers queue in cut order, so the prefix's last is the tail.
+                _, self.filler_tail_seq[row], self.filler_tail_bits[row] = queue[fill - 1]
+            for slot, (flow, seq, bits) in enumerate(queue[fill:]):
                 code = _FLOW_CODES[flow]
+                if code == FLOW_CROSS and seq < 0:
+                    raise InferenceError(
+                        f"row {row}, slot {fill + slot}: filler {seq} is queued behind a "
+                        f"packet that arrived after the start"
+                    )
                 self.q_flow[row, slot] = code
                 self.q_seq[row, slot] = seq
                 if code == FLOW_OWN:
                     own_bits.setdefault(seq, bits)
-                elif seq < 0:
-                    # Fillers queue in cut order, so the row's last is its tail.
-                    self.filler_tail_seq[row] = seq
-                    self.filler_tail_bits[row] = bits
         self.queue_bits = np.array([s["queue_bits"] for s in states], dtype=float)
 
         # Own-packet ledger: the union of every row's sequence numbers.  For
@@ -393,7 +426,8 @@ class EnsembleState:
     def _refuse_underived_sizes(self, queues: Sequence[Sequence[tuple]]) -> None:
         """Raise for a packed queued packet whose size :meth:`queued_sizes`
         does not give: the array form keeps no size of its own."""
-        derived = self.queued_sizes(np.arange(self.size), self.q_flow.shape[1]).tolist()
+        longest = max(len(queue) for queue in queues)
+        derived = self.queued_sizes(np.arange(self.size), longest).tolist()
         for row, queue in enumerate(queues):
             for slot, (flow, seq, bits) in enumerate(queue):
                 if derived[row][slot] != bits:
@@ -444,11 +478,13 @@ class EnsembleState:
         )
 
     def _allocate_queues(self, longest: int) -> None:
-        """Zeroed queue buffers with room for ``longest`` packets and slack."""
+        """Zeroed queue buffers with room for ``longest`` packets queued
+        after the start, and slack; no filler is queued."""
         capacity = _queue_width(longest)
         self.q_flow = np.zeros((self.size, capacity), dtype=np.int8)
         self.q_seq = np.zeros((self.size, capacity), dtype=SEQ_DTYPE)
         self.q_len = np.zeros(self.size, dtype=np.int64)
+        self.q_fill = np.zeros(self.size, dtype=np.int64)
 
     def _allocate_ledger(self, count: int) -> None:
         """A zeroed own-packet ledger with ``count`` columns in use."""
@@ -476,10 +512,10 @@ class EnsembleState:
         which nothing reads (a send resets the column it claims).
         ``ledger=False`` starts the rows' ledger contents empty instead (a
         rollout reads none) but keeps the shared columns, whose sizes the
-        rows' queued own packets still read.  The queue buffers are halved while
-        the kept rows' deepest queue fits in a quarter of them (columns past
-        every ``q_len``, canonical zeros; a queue that fluctuates does not
-        regrow on every update).
+        rows' queued own packets still read.  The queue planes are halved while
+        the kept rows' most packets queued after the start fit in a quarter
+        of them (columns past every row's ``q_len - q_fill``, canonical
+        zeros; a queue that fluctuates does not regrow on every update).
         """
         indices = np.asarray(indices, dtype=np.int64)
         out = EnsembleState.__new__(EnsembleState)
@@ -488,7 +524,7 @@ class EnsembleState:
         for name in _ROW_FIELDS:
             setattr(out, name, getattr(self, name)[indices])
         width = self.q_flow.shape[1]
-        deepest = int(out.q_len.max(initial=0))
+        deepest = int((out.q_len - out.q_fill).max(initial=0))
         while width > _MIN_QUEUE_CAPACITY and 4 * deepest <= width:
             width = max(_MIN_QUEUE_CAPACITY, width // 2)
         for name in _QUEUE_FIELDS:
@@ -522,7 +558,8 @@ class EnsembleState:
     # ---------------------------------------------------------------- capacity
 
     def ensure_queue_capacity(self, needed: int) -> None:
-        """Grow the queue buffers so every row can hold ``needed`` packets."""
+        """Grow the queue planes so every row can hold ``needed`` packets
+        behind its fillers."""
         capacity = self.q_flow.shape[1]
         if needed <= capacity:
             return
@@ -588,20 +625,42 @@ class EnsembleState:
         """Ledger columns of registered sequence numbers (must all exist)."""
         return np.searchsorted(self.own_seqs[: self.n_own], seqs)
 
-    def queued_sizes(self, rows: np.ndarray, width: int) -> np.ndarray:
-        """The sizes of ``rows``' first ``width`` queue slots, ``(len(rows), width)``.
+    def queued_packets(
+        self, rows: np.ndarray, width: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``rows``' first ``width`` queue slots in FIFO order, as ``(flows,
+        seqs, sizes)``, each ``(len(rows), width)``.
 
-        :meth:`packet_sizes` of every occupied slot; slots past a row's
-        ``q_len`` are zeros.
+        A row's ``q_fill`` fillers first (cross, numbered down from the head
+        filler), then its planes; :meth:`packet_sizes` of every occupied
+        slot.  Slots past a row's ``q_len`` are zeros.
         """
-        seqs = self.q_seq[rows, :width]
         owners = rows[:, None]
-        occupied = np.arange(seqs.shape[1]) < self.q_len[owners]
-        own = self.q_flow[rows, :width] == FLOW_OWN
+        slot = np.arange(width)
+        occupied = slot < self.q_len[owners]
+        fill = self.q_fill[owners]
+        if fill.any():
+            # A slot's index into the planes; a filler's is negative.
+            behind = slot - fill
+            index = np.clip(behind, 0, self.q_flow.shape[1] - 1)
+            filler = behind < 0
+            head = self.filler_tail_seq[owners] + fill - 1
+            flows = np.where(filler, FLOW_CROSS, self.q_flow[owners, index])
+            seqs = np.where(filler, head - slot, self.q_seq[owners, index])
+            flows *= occupied
+            seqs *= occupied
+        else:
+            flows = _pad_columns(self.q_flow[rows, :width], width)
+            seqs = _pad_columns(self.q_seq[rows, :width], width)
+        own = flows == FLOW_OWN
         own &= occupied
         sizes = self.packet_sizes(owners, seqs, own)
         sizes *= occupied
-        return sizes
+        return flows, seqs, sizes
+
+    def queued_sizes(self, rows: np.ndarray, width: int) -> np.ndarray:
+        """The sizes of :meth:`queued_packets`."""
+        return self.queued_packets(rows, width)[2]
 
     def packet_sizes(self, rows: np.ndarray, seqs: np.ndarray, own: np.ndarray) -> np.ndarray:
         """The one size rule, for packets ``seqs`` queued in ``rows``.
@@ -609,8 +668,10 @@ class EnsembleState:
         An own packet (``own``) has the size it was sent with (the ledger's
         ``own_sizes``), a cross packet its row's ``cross_packet_bits``, and a
         filler (a negative sequence number) its row's ``filler_packet_bits``,
-        or ``filler_tail_bits`` for the row's filler tail.  ``rows``
-        broadcasts against ``seqs``; the result is a new array.
+        or ``filler_tail_bits`` for the row's filler tail (a filler reaches
+        this rule only through :meth:`queued_packets`: the planes hold
+        none).  ``rows`` broadcasts against ``seqs``; the result is a new
+        array.
         """
         filler = seqs < 0
         if filler.any():
@@ -640,20 +701,25 @@ class EnsembleState:
         assignment (interned id), gate state, rounded queued bits, queue
         contents ``(flow, seq)`` in order, in-service packet with rounded
         completion, rounded next cross arrival, and charged-lost set.  The
-        queue buffers are kept canonically zero-padded past ``q_len`` (the
-        engine clears vacated slots), so the padded columns can be hashed
-        wholesale; ``q_len`` itself is part of the digest, which keeps a
-        zero-valued real cell distinct from padding.
+        queue is hashed compact: ``q_fill`` and the head filler's number
+        (canonical 0 with none queued) give the filler prefix, and the
+        planes the rest.  The planes are kept canonically zero-padded past
+        ``q_len - q_fill`` (the engine clears vacated slots), so the padded
+        columns can be hashed wholesale; ``q_len`` itself is part of the
+        digest, which keeps a zero-valued real cell distinct from padding.
 
         :meth:`signature_digest` freezes each row into the ``bytes`` key the
         belief's compaction groups on.
         """
-        length = int(self.q_len[rows].max()) if rows.size else 0
+        fill = self.q_fill[rows]
+        length = int((self.q_len[rows] - fill).max(initial=0))
         parts = [
             self.params_id[rows],
             self.gate_on[rows],
             _python_round(self.queue_bits[rows], 3),
             self.q_len[rows],
+            fill,
+            np.where(fill > 0, self.filler_tail_seq[rows] + fill - 1, 0),
             self.q_flow[rows, :length],
             self.q_seq[rows, :length],
             self.svc_active[rows],
@@ -687,34 +753,44 @@ class EnsembleState:
 
         :func:`repro.inference.vectorized.rollout.batched_rollout_rows`
         builds its lanes from them: lane ``a * len(rows) + j`` is action
-        ``a`` on ``rows[j]``.  ``queue_width`` sizes the returned queue
-        buffers (zero-padded past each row's ``q_len``); the ``"q_size"``
-        entry is :meth:`queued_sizes`, the one buffer derived rather than
-        gathered.
+        ``a`` on ``rows[j]``.  ``queue_width`` sizes the two queue blocks,
+        ``"q_flow"`` and ``"q_size"``: :meth:`queued_packets`, fillers
+        expanded (zero-padded past each row's ``q_len``).
         """
         idx = np.asarray(rows, dtype=np.int64)
-        q_flow = _pad_columns(self.q_flow[idx, :queue_width], queue_width)
-        if self.q_len[idx].any():
-            sizes = _pad_columns(self.queued_sizes(idx, queue_width), queue_width)
-        else:
-            sizes = np.zeros((idx.size, queue_width))
-        return {
-            "link_rate": self.link_rate[idx],
-            "buffer_cap": self.buffer_cap[idx],
-            "survival": self.survival[idx],
-            "cross_rate_pps": self.cross_rate_pps[idx],
-            "cross_packet_bits": self.cross_packet_bits[idx],
-            "gate_on": self.gate_on[idx],
-            "next_cross_time": self.next_cross_time[idx],
-            "svc_active": self.svc_active[idx],
-            "svc_flow": self.svc_flow[idx],
-            "svc_size": self.svc_size[idx],
-            "svc_completion": self.svc_completion[idx],
-            "q_len": self.q_len[idx],
-            "queue_bits": self.queue_bits[idx],
-            "q_flow": q_flow,
-            "q_size": sizes,
-        }
+        lanes = {name: getattr(self, name)[idx] for name in _LANE_FIELDS}
+        lanes["q_flow"], _, lanes["q_size"] = self.queued_packets(idx, queue_width)
+        return lanes
+
+    def lane_key(self, rows: np.ndarray) -> tuple[bytes, ...]:
+        """Bytes from which :meth:`lane_arrays` of ``rows`` follows, at any
+        width: equal keys give byte-equal blocks.
+
+        The row fields as they are, and the queue compact — ``q_fill``, the
+        filler size, the filler tail's number and bits while it is queued
+        (canonical 0 once it is not), and the planes with their derived
+        sizes, cut at the rows' most packets queued after the start — so no
+        filler slot is expanded.
+        """
+        fill = self.q_fill[rows]
+        queued = fill > 0
+        behind = self.q_len[rows] - fill
+        width = int(behind.max(initial=0))
+        flows = self.q_flow[rows, :width]
+        occupied = np.arange(width) < behind[:, None]
+        own = flows == FLOW_OWN
+        own &= occupied
+        sizes = self.packet_sizes(rows[:, None], self.q_seq[rows, :width], own)
+        sizes *= occupied
+        parts = [getattr(self, name)[rows] for name in _LANE_FIELDS] + [
+            fill,
+            self.filler_packet_bits[rows],
+            np.where(queued, self.filler_tail_seq[rows], 0),
+            np.where(queued, self.filler_tail_bits[rows], 0.0),
+            flows,
+            sizes,
+        ]
+        return tuple(part.tobytes() for part in parts)
 
     def lane_checkpoint(self, rows: np.ndarray) -> dict:
         """A canonical, comparable snapshot of the latent state rollouts read.
@@ -726,7 +802,8 @@ class EnsembleState:
         hypotheses through :meth:`from_hypotheses`.
         """
         rows = np.asarray(rows, dtype=np.int64)
-        sizes = self.queued_sizes(rows, int(self.q_len[rows].max(initial=0))).tolist()
+        flows, _, sizes = self.queued_packets(rows, int(self.q_len[rows].max(initial=0)))
+        flows, sizes = flows.tolist(), sizes.tolist()
         lanes = []
         for index, row in enumerate(rows.tolist()):
             lanes.append(
@@ -743,7 +820,7 @@ class EnsembleState:
                         else None
                     ),
                     "queue": [
-                        (int(self.q_flow[row, slot]), sizes[index][slot])
+                        (flows[index][slot], sizes[index][slot])
                         for slot in range(int(self.q_len[row]))
                     ],
                     "queue_bits": float(self.queue_bits[row]),
@@ -789,12 +866,12 @@ class EnsembleState:
                 predictions.append((seqs[col], "dropped", times[col], 0.0))
         predictions.sort(key=lambda entry: (entry[2], entry[0]))
 
-        length = int(self.q_len[row])
+        flows, queued, sizes = self.queued_packets(np.array([row]), int(self.q_len[row]))
         queue = list(
             zip(
-                map(_FLOW_NAMES.__getitem__, self.q_flow[row, :length].tolist()),
-                self.q_seq[row, :length].tolist(),
-                self.queued_sizes(np.array([row]), length)[0].tolist(),
+                map(_FLOW_NAMES.__getitem__, flows[0].tolist()),
+                queued[0].tolist(),
+                sizes[0].tolist(),
             )
         )
         in_service = None
@@ -865,6 +942,23 @@ def _python_round(values: np.ndarray, digits: int) -> np.ndarray:
         risky = np.nonzero(near_half)[0]
         out[risky] = [round(value, digits) for value in values[risky].tolist()]
     return out
+
+
+def _filler_prefix(row: int, queue: Sequence[tuple]) -> int:
+    """How many fillers lead a scalar ``queue`` (row ``row``), refusing a
+    prefix out of the cut's order: each filler numbered one below the one
+    ahead of it."""
+    fill = 0
+    for flow, seq, _ in queue:
+        if flow != "cross" or seq >= 0:
+            break
+        if fill and seq != queue[fill - 1][1] - 1:
+            raise InferenceError(
+                f"row {row}, slot {fill}: filler {seq} is out of sequence behind "
+                f"filler {queue[fill - 1][1]}"
+            )
+        fill += 1
+    return fill
 
 
 def _queue_width(longest: int) -> int:

@@ -197,7 +197,7 @@ def posterior_after_script(backend: str, order, seed: int, max_hypotheses: int) 
         kernel=GaussianKernel(sigma=0.5),
         max_hypotheses=max_hypotheses,
     )
-    for kind, args in seeded_events(seed, PACKET_BITS):
+    for kind, args in seeded_events(seed):
         if kind == "send":
             belief.record_send(*args)
         elif kind == "update":

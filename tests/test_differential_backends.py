@@ -95,7 +95,7 @@ def random_sequence(seed: int) -> list[tuple[str, tuple]]:
     generator's ``decide`` events draw nothing from its RNG, so dropping
     them leaves the belief script unchanged.
     """
-    return [event for event in seeded_events(seed, PACKET_BITS) if event[0] != "decide"]
+    return [event for event in seeded_events(seed) if event[0] != "decide"]
 
 
 def _fork_free_prior():

