@@ -3,20 +3,25 @@
 Durations are shortened from the paper's (its Figure 3 runs 300 s with a
 100 s on/off half-period; here 120 s and 40 s) but long enough that every
 qualitative claim the paper makes about a figure or a §4 scenario holds and
-is asserted.
+is asserted.  ``TestFigure3AtPaperLength`` runs the paper's 300 s / 100 s on
+the array engines, where two seeds still break a claim: each is a strict
+xfail that carries the numbers.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.api import SenderConfig
 from repro.experiments import (
+    Figure3Result,
     run_convergence_scenario,
     run_drain_scenario,
     run_figure1,
     run_figure3,
     run_loss_comparison,
 )
+from repro.experiments.figure3 import LINK_RATE_BPS, LOSS_RATE, run_figure3_point
 from repro.metrics.summary import format_table
 from repro.runner.scenarios import inference_ablation_point
 
@@ -83,6 +88,55 @@ class TestFigure3:
         assert len(rows) == 4
         assert "rate_cross_off (bps)" in rows[0].values
         assert result.series()
+
+
+def figure3_at_paper_length(seed: int) -> Figure3Result:
+    """The four-α Figure-3 sweep at 300 s / 100 s on the array engines."""
+    settings = SenderConfig(belief_backend="vectorized", rollout_backend="vectorized")
+    result = Figure3Result(
+        duration=300.0,
+        switch_interval=100.0,
+        link_rate_bps=LINK_RATE_BPS,
+        loss_rate=LOSS_RATE,
+    )
+    result.per_alpha.extend(
+        run_figure3_point(alpha, seed=seed, settings=settings) for alpha in (0.9, 1.0, 2.5, 5.0)
+    )
+    return result
+
+
+class TestFigure3AtPaperLength:
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason=(
+            "Seed 1, run_figure3's own, breaks claim 4: alpha=2.5 overflows the "
+            "buffer, 23 drops with 60 degenerate updates, so "
+            "only_alpha_below_one_overflows is False; the other three claims hold.  "
+            "A likelihood floor in place of the degenerate rule is expected to mend it."
+        ),
+    )
+    def test_seed_1_keeps_every_claim(self):
+        assert figure3_at_paper_length(1).check_claims() == {
+            "starts_slowly": True,
+            "link_speed_when_cross_off": True,
+            "deference_monotone_in_alpha": True,
+            "only_alpha_below_one_overflows": True,
+        }
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason=(
+            "Claim 1 fails on seed 12: at alpha=0.9 rate_on1_bps is 9600 against "
+            "rate_off_bps 9067, and 9600 is above 0.6 x the 12 kbit/s link rate, so "
+            "the check's fallback cannot apply.  Both rates sit at the lossy capacity "
+            "and the seed's loss draw decides which is higher; claim 1 wants an "
+            "observable of the start itself."
+        ),
+    )
+    def test_seed_12_starts_slowly(self):
+        assert figure3_at_paper_length(12).check_claims()["starts_slowly"]
 
 
 class TestSimpleScenarios:

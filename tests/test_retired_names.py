@@ -153,6 +153,14 @@ TEXT_RULES = [
         1,
         "a /decide reply is its answer: the counters are read at GET /metrics alone",
     ),
+    (
+        "pair-tables",
+        r"parent median|pairs won|pairs, \d+/\d+",
+        ("README.md", ".claude"),
+        0,
+        "the docs describe the system as it is: paired parent/change readings are"
+        " history, and CHANGES.md keeps them",
+    ),
 ]
 
 

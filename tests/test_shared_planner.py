@@ -102,6 +102,13 @@ def bumped(value):
     return value + 1
 
 
+def room_for_queues(state) -> None:
+    """Grow the planes to hold every row's packets behind its fillers, as
+    ``engine._enqueue`` does before it writes: a mutation that lengthens a
+    full queue must leave a state the program could hold."""
+    state.ensure_queue_capacity(int((state.q_len - state.q_fill).max(initial=0)))
+
+
 def array_mutations(belief: BeliefState):
     """``(planner input, mutate)`` for each input of a belief that holds rows."""
     state = belief.state
@@ -113,6 +120,7 @@ def array_mutations(belief: BeliefState):
         def mutate(target: BeliefState) -> None:
             array = getattr(target.state, name)
             array[row] = bumped(array[row])
+            room_for_queues(target.state)
 
         return mutate
 
@@ -133,6 +141,7 @@ def array_mutations(belief: BeliefState):
 
         def filler_count(target: BeliefState) -> None:
             target.state.q_fill[filled_row] -= 1
+            room_for_queues(target.state)
 
         def filler_tail_number(target: BeliefState) -> None:
             target.state.filler_tail_seq[filled_row] -= 1
